@@ -9,11 +9,13 @@ use pgr_bench::harness::{black_box, Harness};
 use pgr_circuit::mcnc::Mcnc;
 use pgr_circuit::{generate, Circuit, GeneratorConfig, NetId};
 use pgr_geom::rng::rng_from_seed;
-use pgr_mpi::{Comm, MachineModel};
+use pgr_mpi::{Comm, InstrumentConfig, MachineModel};
 use pgr_router::route::coarse::CoarseState;
 use pgr_router::route::connect::connect_net;
 use pgr_router::route::steiner::{build_segments, whole_net};
-use pgr_router::{route_parallel, route_serial, Algorithm, PartitionKind, RouterConfig};
+use pgr_router::{
+    route_parallel_guarded, try_route_serial, Algorithm, PartitionKind, RouterConfig,
+};
 
 fn small_circuit() -> Circuit {
     generate(&GeneratorConfig::small("bench", 99))
@@ -28,7 +30,7 @@ fn bench_serial_pipeline(h: &mut Harness) {
             |b| {
                 b.iter(|| {
                     let mut comm = Comm::solo(MachineModel::ideal());
-                    black_box(route_serial(&circuit, &cfg, &mut comm))
+                    black_box(try_route_serial(&circuit, &cfg, &mut comm).unwrap())
                 })
             },
         );
@@ -93,13 +95,14 @@ fn bench_parallel_algorithms(h: &mut Harness) {
     for algo in Algorithm::ALL {
         h.bench(&format!("parallel_4ranks/{}", algo.name()), |b| {
             b.iter(|| {
-                black_box(route_parallel(
+                black_box(route_parallel_guarded(
                     &circuit,
                     &cfg,
                     algo,
                     PartitionKind::PinWeight,
                     4,
                     MachineModel::sparc_center_1000(),
+                    InstrumentConfig::off(),
                 ))
             })
         });

@@ -11,10 +11,8 @@ pub mod aggregate;
 pub mod harness;
 pub mod tables;
 
-use pgr_circuit::mcnc::{Mcnc, ALL};
+use pgr_circuit::mcnc::ALL;
 use pgr_circuit::Circuit;
-use pgr_mpi::{Comm, MachineModel};
-use pgr_router::{route_serial, RouterConfig, RoutingResult};
 
 /// Default seed of every reproduction run.
 pub const SEED: u64 = 1997;
@@ -38,29 +36,6 @@ pub fn circuits(scale: f64, filter: Option<&[String]>) -> Vec<Circuit> {
         .collect()
 }
 
-/// One serial baseline: result, simulated seconds, peak modeled memory.
-pub struct SerialBaseline {
-    pub result: RoutingResult,
-    pub time: f64,
-    pub peak_mem: u64,
-}
-
-/// Run the serial router on `machine`.
-pub fn serial_baseline(
-    circuit: &Circuit,
-    cfg: &RouterConfig,
-    machine: MachineModel,
-) -> SerialBaseline {
-    let mut comm = Comm::solo(machine);
-    let result = route_serial(circuit, cfg, &mut comm);
-    pgr_router::verify::assert_verified(circuit, &result);
-    SerialBaseline {
-        result,
-        time: comm.now(),
-        peak_mem: comm.peak_mem(),
-    }
-}
-
 /// Pretty seconds.
 pub fn fmt_secs(t: f64) -> String {
     if t >= 100.0 {
@@ -70,9 +45,4 @@ pub fn fmt_secs(t: f64) -> String {
     } else {
         format!("{t:.2}")
     }
-}
-
-/// Re-export of the benchmark identities.
-pub fn all_mcnc() -> [Mcnc; 6] {
-    ALL
 }

@@ -11,17 +11,19 @@
 //!            detailed channel-routing validation, and communication
 //!            matrices (all beyond the paper's own tables).
 
-use crate::{circuits, fmt_secs, serial_baseline, SEED};
+use crate::{circuits, fmt_secs, SEED};
 use pgr_circuit::Circuit;
 use pgr_mpi::trace::{chrome_trace_json, chrome_trace_with_path, stats_json, RankTrace};
 use pgr_mpi::{
-    build_profile, ChaosConfig, ChaosLayer, ClockMode, InstrumentConfig, MachineModel,
-    MetricsConfig, RankMetrics, RankStats, ReliabilityConfig, RunMeta,
+    build_profile, run_instrumented, ChaosConfig, ChaosLayer, ClockMode, InstrumentConfig,
+    MachineModel, MetricsConfig, RankMetrics, RankStats, ReliabilityConfig, RunMeta,
 };
-use pgr_obs::{metrics_json, recovery_names, BlameClass, Profile};
+use pgr_obs::{budget_names, metrics_json, recovery_names, BlameClass, Profile};
+use pgr_router::metrics::names;
+use pgr_router::verify::assert_verified;
 use pgr_router::{
-    route_parallel, route_parallel_instrumented, Algorithm, PartitionKind, RecoveryPolicy,
-    RouterConfig,
+    route_parallel_guarded, try_route_serial, Algorithm, GuardedOutcome, PartitionKind,
+    RecoveryPolicy, RouterConfig, RoutingResult,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -114,9 +116,31 @@ pub fn write_traces(
     run: &RunMeta,
     metrics: &[RankMetrics],
 ) -> std::io::Result<PathBuf> {
+    write_dumps(
+        dir,
+        label,
+        chrome_trace_json(traces),
+        stats,
+        machine,
+        run,
+        metrics,
+    )
+}
+
+/// [`write_traces`] with the Chrome trace already rendered (the profile
+/// target writes an annotated one).
+fn write_dumps(
+    dir: &Path,
+    label: &str,
+    trace_json: String,
+    stats: &[RankStats],
+    machine: &MachineModel,
+    run: &RunMeta,
+    metrics: &[RankMetrics],
+) -> std::io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
     let trace_path = dir.join(format!("{label}.trace.json"));
-    std::fs::write(&trace_path, chrome_trace_json(traces))?;
+    std::fs::write(&trace_path, trace_json)?;
     std::fs::write(
         dir.join(format!("{label}.stats.json")),
         stats_json(stats, machine, run),
@@ -130,7 +154,133 @@ pub fn write_traces(
     Ok(trace_path)
 }
 
+/// Where one run's artifacts go: `(dir, label, run descriptor)`.
+type Emit<'a> = Option<(&'a Path, &'a str, RunMeta)>;
+
+/// [`write_traces`] when `--trace-out` is set; a failed write warns on
+/// stderr and the harness carries on.
+fn emit_traces(
+    emit: Emit<'_>,
+    traces: &[RankTrace],
+    stats: &[RankStats],
+    machine: &MachineModel,
+    metrics: &[RankMetrics],
+) {
+    if let Some((dir, label, run)) = emit {
+        if let Err(e) = write_traces(dir, label, traces, stats, machine, &run, metrics) {
+            eprintln!("trace write failed for {label}: {e}");
+        }
+    }
+}
+
+/// One cell of a reproduction table, end to end: run the serial router
+/// (`driver = None`) or a parallel algorithm (`Some((algorithm, net
+/// partition, ranks))`) on `machine`, verify a completed route against
+/// the circuit, and — given an `emit` destination — write the run's
+/// trace/stats/metrics artifacts, stamped with what the run turned out
+/// to be (`degraded`, `budget_degraded`, the clock mode).
+///
+/// Both arms take their clock from `cfg.clock`, whatever `instr.clock`
+/// says: the router config owns the clock strategy, so a serial cell and
+/// a parallel cell built from one `cfg` measure the same way. A budget
+/// breach comes back in `result` as the structured error; the partial
+/// run's artifacts are still written.
+pub fn run_cell(
+    circuit: &Circuit,
+    cfg: &RouterConfig,
+    driver: Option<(Algorithm, PartitionKind, usize)>,
+    machine: MachineModel,
+    instr: InstrumentConfig,
+    emit: Option<(&Path, &str, RunMeta)>,
+) -> GuardedOutcome {
+    let out = match driver {
+        Some((algorithm, kind, procs)) => {
+            route_parallel_guarded(circuit, cfg, algorithm, kind, procs, machine, instr)
+        }
+        None => {
+            let instr = InstrumentConfig {
+                clock: cfg.clock,
+                ..instr
+            };
+            let (mut report, traces, metrics) = run_instrumented(1, machine, instr, |comm| {
+                try_route_serial(circuit, cfg, comm)
+            });
+            let counted = |name| metrics.iter().any(|m| m.counter(name).unwrap_or(0) > 0);
+            GuardedOutcome {
+                result: report.results.remove(0),
+                time: report.makespan(),
+                wall_time: report.wall_makespan(),
+                fits_memory: report.fits_memory(),
+                degraded: counted(names::DEGRADED_SERIAL),
+                budget_degraded: counted(budget_names::SHED_EVENTS),
+                stats: report.stats,
+                traces,
+                metrics,
+            }
+        }
+    };
+    if let Ok(result) = &out.result {
+        assert_verified(circuit, result);
+    }
+    let emit = emit.map(|(dir, label, mut run)| {
+        run.degraded = out.degraded;
+        run.budget_degraded = out.budget_degraded;
+        if cfg.clock == ClockMode::Wall {
+            run.clock = "wall".into();
+        }
+        (dir, label, run)
+    });
+    emit_traces(emit, &out.traces, &out.stats, &machine, &out.metrics);
+    out
+}
+
+/// The uninstrumented serial cell every speedup and scaled-track column
+/// of `circuit` is relative to.
+fn serial_base(circuit: &Circuit, cfg: &RouterConfig, machine: MachineModel) -> GuardedOutcome {
+    run_cell(circuit, cfg, None, machine, InstrumentConfig::off(), None)
+}
+
+/// An uninstrumented parallel cell under the default net partition.
+fn plain_cell(
+    circuit: &Circuit,
+    cfg: &RouterConfig,
+    algo: Algorithm,
+    procs: usize,
+    machine: MachineModel,
+) -> GuardedOutcome {
+    let driver = Some((algo, PartitionKind::PinWeight, procs));
+    run_cell(circuit, cfg, driver, machine, InstrumentConfig::off(), None)
+}
+
+/// The route of a cell that cannot breach (no budget armed).
+fn routed(out: &GuardedOutcome) -> &RoutingResult {
+    out.result.as_ref().expect("an unbudgeted cell routes")
+}
+
 impl Opts {
+    /// Artifact destination of one cell: `None` without `--trace-out`.
+    fn emit<'a>(&'a self, label: &'a str, run: RunMeta) -> Emit<'a> {
+        self.trace_out.as_deref().map(|dir| (dir, label, run))
+    }
+
+    /// A table cell under the default net partition, instrumented per
+    /// `--trace-out` with its artifacts written as `label`: serial
+    /// (`None`) or `(algorithm, ranks)`.
+    fn traced_cell(
+        &self,
+        c: &Circuit,
+        cfg: &RouterConfig,
+        algo: Option<(Algorithm, usize)>,
+        machine: MachineModel,
+        label: &str,
+    ) -> GuardedOutcome {
+        let (name, procs) = algo.map_or(("serial", 1), |(a, p)| (a.name(), p));
+        let run = self.run_meta(&c.name, name, procs, &machine);
+        let driver = algo.map(|(a, p)| (a, PartitionKind::PinWeight, p));
+        let (instr, emit) = (self.instrument(), self.emit(label, run));
+        run_cell(c, cfg, driver, machine, instr, emit)
+    }
+
     fn circuits(&self) -> Vec<Circuit> {
         circuits(self.scale, self.filter.as_deref())
     }
@@ -196,58 +346,20 @@ pub fn quality_and_speedup(algo: Algorithm, opts: &Opts) {
     );
     let mut speedups: Vec<(String, Vec<f64>)> = Vec::new();
     for c in opts.circuits() {
-        let base = serial_baseline(&c, &cfg, machine);
-        if let Some(dir) = &opts.trace_out {
-            // One instrumented serial run per circuit (virtual time is
-            // identical to the baseline's) so the aggregator gets the
-            // `algorithm="serial"` record every speedup is scaled to.
-            let (report, traces, metrics) =
-                pgr_mpi::run_instrumented(1, machine, opts.instrument(), |comm| {
-                    pgr_router::route_serial(&c, &cfg, comm);
-                });
-            let run = opts.run_meta(&c.name, "serial", 1, &machine);
-            if let Err(e) = write_traces(
-                dir,
-                &format!("{}_serial", c.name),
-                &traces,
-                &report.stats,
-                &machine,
-                &run,
-                &metrics,
-            ) {
-                eprintln!("trace write failed for {}_serial: {e}", c.name);
-            }
-        }
+        // Instrumented under `--trace-out` (observation is free in
+        // virtual time), so the aggregator gets the `algorithm="serial"`
+        // record every speedup is scaled to.
+        let base = opts.traced_cell(&c, &cfg, None, machine, &format!("{}_serial", c.name));
         let mut row = format!("{:<12}", c.name);
         let mut sp = Vec::new();
         for &p in &procs {
             let p = clamp_procs(p, &c);
-            let out = route_parallel_instrumented(
-                &c,
-                &cfg,
-                algo,
-                PartitionKind::PinWeight,
-                p,
-                machine,
-                opts.instrument(),
-            );
-            pgr_router::verify::assert_verified(&c, &out.result);
-            if let Some(dir) = &opts.trace_out {
-                let label = format!("{}_{}_p{}", c.name, algo.name(), p);
-                let run = opts.run_meta(&c.name, algo.name(), p, &machine);
-                if let Err(e) = write_traces(
-                    dir,
-                    &label,
-                    &out.traces,
-                    &out.stats,
-                    &machine,
-                    &run,
-                    &out.metrics,
-                ) {
-                    eprintln!("trace write failed for {label}: {e}");
-                }
-            }
-            row.push_str(&format!(" {:>8.3}", out.result.scaled_tracks(&base.result)));
+            let label = format!("{}_{}_p{}", c.name, algo.name(), p);
+            let out = opts.traced_cell(&c, &cfg, Some((algo, p)), machine, &label);
+            row.push_str(&format!(
+                " {:>8.3}",
+                routed(&out).scaled_tracks(routed(&base))
+            ));
             sp.push(base.time / out.time);
         }
         println!("{row}");
@@ -299,16 +411,16 @@ pub fn table5(opts: &Opts) {
             "circuit", "procs", "tracks", "area", "time(s)", "speedup", "sc.trk", "sc.area"
         );
         for c in opts.circuits() {
-            let base = serial_baseline(&c, &cfg, machine);
-            let serial_fits = machine.fits_in_node(base.peak_mem);
+            let base = serial_base(&c, &cfg, machine);
+            let (base_result, serial_fits) = (routed(&base), base.fits_memory);
             let star = if serial_fits { "" } else { "*" };
             // Serial row.
             println!(
                 "{:<12} {:>6} {:>9} {:>12} {:>9} {:>9} {:>9} {:>9}",
                 c.name,
                 1,
-                base.result.track_count(),
-                base.result.area(),
+                base_result.track_count(),
+                base_result.area(),
                 if serial_fits {
                     fmt_secs(base.time)
                 } else {
@@ -320,28 +432,21 @@ pub fn table5(opts: &Opts) {
             );
             for &p in procs.iter().skip(1) {
                 let p = clamp_procs(p, &c);
-                let out = route_parallel(
-                    &c,
-                    &cfg,
-                    Algorithm::Hybrid,
-                    PartitionKind::PinWeight,
-                    p,
-                    machine,
-                );
-                pgr_router::verify::assert_verified(&c, &out.result);
+                let out = plain_cell(&c, &cfg, Algorithm::Hybrid, p, machine);
+                let result = routed(&out);
                 let mem_note = if out.fits_memory { "" } else { "!" };
                 println!(
                     "{:<12} {:>6} {:>9} {:>12} {:>9} {:>8}{}{} {:>9.3} {:>9.3}",
                     "",
                     p,
-                    out.result.track_count(),
-                    out.result.area(),
+                    result.track_count(),
+                    result.area(),
                     format!("{}{}", fmt_secs(out.time), mem_note),
                     format!("{:.2}", base.time / out.time),
                     star,
                     if star.is_empty() { " " } else { "" },
-                    out.result.scaled_tracks(&base.result),
-                    out.result.scaled_area(&base.result),
+                    result.scaled_tracks(base_result),
+                    result.scaled_area(base_result),
                 );
             }
         }
@@ -394,14 +499,48 @@ pub fn big_circuit(opts: &Opts) {
     );
     assert_eq!(chunks, c.num_nets().div_ceil(NET_CHUNK_SIZE));
     let wall = std::time::Instant::now();
-    let base = serial_baseline(&c, &cfg(), MachineModel::sparc_center_1000());
+    let base = serial_base(&c, &cfg(), MachineModel::sparc_center_1000());
     println!(
         "routed serially: tracks={} wirelength={} simulated {} (wall {:.1}s), verified",
-        base.result.track_count(),
-        base.result.wirelength,
+        routed(&base).track_count(),
+        routed(&base).wirelength,
         fmt_secs(base.time),
         wall.elapsed().as_secs_f64()
     );
+    println!();
+}
+
+/// One 8-rank ablation table on the SparcCenter model: per circuit, the
+/// serial base under the default config, then one cell per variant —
+/// `(label, padded to its column; config; algorithm; net partition)` —
+/// printed as scaled tracks / simulated seconds / speedup.
+fn ablation_table(
+    opts: &Opts,
+    title: &str,
+    column: String,
+    variants: Vec<(String, RouterConfig, Algorithm, PartitionKind)>,
+) {
+    let machine = MachineModel::sparc_center_1000();
+    println!("{title}");
+    opts.note_scale();
+    println!(
+        "{:<12} {column} {:>10} {:>9} {:>9}",
+        "circuit", "sc.tracks", "time(s)", "speedup"
+    );
+    for c in opts.circuits() {
+        let base = serial_base(&c, &cfg(), machine);
+        for (label, cfg, algo, kind) in &variants {
+            let driver = Some((*algo, *kind, clamp_procs(8, &c)));
+            let out = run_cell(&c, cfg, driver, machine, InstrumentConfig::off(), None);
+            println!(
+                "{:<12} {label} {:>10.3} {:>9} {:>9.2}",
+                c.name,
+                routed(&out).scaled_tracks(routed(&base)),
+                fmt_secs(out.time),
+                base.time / out.time
+            );
+        }
+    }
     println!();
 }
 
@@ -409,67 +548,39 @@ pub fn big_circuit(opts: &Opts) {
 /// algorithm (and the hybrid's connection phase), on the clock-heavy
 /// avq.large instance where pin-number-weight matters most.
 pub fn partition_ablation(opts: &Opts) {
-    let cfg = cfg();
-    let machine = MachineModel::sparc_center_1000();
-    println!("Net-partition heuristic ablation (8 procs, SparcCenter model)");
-    opts.note_scale();
-    println!(
-        "{:<12} {:<12} {:>10} {:>9} {:>9}",
-        "circuit", "partition", "sc.tracks", "time(s)", "speedup"
+    let variants = PartitionKind::ALL
+        .into_iter()
+        .map(|kind| {
+            let label = format!("{:<12}", kind.name());
+            (label, cfg(), Algorithm::NetWise, kind)
+        })
+        .collect();
+    ablation_table(
+        opts,
+        "Net-partition heuristic ablation (8 procs, SparcCenter model)",
+        format!("{:<12}", "partition"),
+        variants,
     );
-    for c in opts.circuits() {
-        let base = serial_baseline(&c, &cfg, machine);
-        for kind in PartitionKind::ALL {
-            let p = clamp_procs(8, &c);
-            let out = route_parallel(&c, &cfg, Algorithm::NetWise, kind, p, machine);
-            println!(
-                "{:<12} {:<12} {:>10.3} {:>9} {:>9.2}",
-                c.name,
-                kind.name(),
-                out.result.scaled_tracks(&base.result),
-                fmt_secs(out.time),
-                base.time / out.time
-            );
-        }
-    }
-    println!();
 }
 
 /// Beyond the paper: the net-wise quality/runtime trade-off as the
 /// synchronization period varies (§5 discusses it qualitatively).
 pub fn sync_sweep(opts: &Opts) {
-    let machine = MachineModel::sparc_center_1000();
-    println!("Net-wise synchronization-period sweep (8 procs, SparcCenter model)");
-    opts.note_scale();
-    println!(
-        "{:<12} {:>8} {:>10} {:>9} {:>9}",
-        "circuit", "period", "sc.tracks", "time(s)", "speedup"
-    );
-    for c in opts.circuits() {
-        let base = serial_baseline(&c, &cfg(), machine);
-        for period in [16usize, 64, 256, 1024, 8192] {
+    let variants = [16usize, 64, 256, 1024, 8192]
+        .into_iter()
+        .map(|period| {
             let mut cfg = cfg();
             cfg.sync_period = period;
-            let p = clamp_procs(8, &c);
-            let out = route_parallel(
-                &c,
-                &cfg,
-                Algorithm::NetWise,
-                PartitionKind::PinWeight,
-                p,
-                machine,
-            );
-            println!(
-                "{:<12} {:>8} {:>10.3} {:>9} {:>9.2}",
-                c.name,
-                period,
-                out.result.scaled_tracks(&base.result),
-                fmt_secs(out.time),
-                base.time / out.time
-            );
-        }
-    }
-    println!();
+            let label = format!("{period:>8}");
+            (label, cfg, Algorithm::NetWise, PartitionKind::PinWeight)
+        })
+        .collect();
+    ablation_table(
+        opts,
+        "Net-wise synchronization-period sweep (8 procs, SparcCenter model)",
+        format!("{:>8}", "period"),
+        variants,
+    );
 }
 
 /// Beyond the paper: the reproduction's synchronization-protocol
@@ -480,43 +591,26 @@ pub fn sync_sweep(opts: &Opts) {
 /// removes most of the quality loss while the communication bill — and
 /// hence the poor speedup — remains.
 pub fn exact_sync_ablation(opts: &Opts) {
-    let machine = MachineModel::sparc_center_1000();
-    println!("Net-wise synchronization-protocol ablation (8 procs, SparcCenter model)");
-    opts.note_scale();
-    println!(
-        "{:<12} {:<22} {:>10} {:>9} {:>9}",
-        "circuit", "protocol", "sc.tracks", "time(s)", "speedup"
+    let variants = [
+        ("1997 snapshot (paper)", false, 8),
+        ("exact deltas, coarse", true, 8),
+        ("exact deltas, full-res", true, 1),
+    ]
+    .into_iter()
+    .map(|(label, exact, factor)| {
+        let mut cfg = cfg();
+        cfg.netwise_exact_sync = exact;
+        cfg.netwise_grid_factor = factor;
+        let label = format!("{label:<22}");
+        (label, cfg, Algorithm::NetWise, PartitionKind::PinWeight)
+    })
+    .collect();
+    ablation_table(
+        opts,
+        "Net-wise synchronization-protocol ablation (8 procs, SparcCenter model)",
+        format!("{:<22}", "protocol"),
+        variants,
     );
-    for c in opts.circuits() {
-        let base = serial_baseline(&c, &cfg(), machine);
-        for (label, exact, factor) in [
-            ("1997 snapshot (paper)", false, 8),
-            ("exact deltas, coarse", true, 8),
-            ("exact deltas, full-res", true, 1),
-        ] {
-            let mut cfg = cfg();
-            cfg.netwise_exact_sync = exact;
-            cfg.netwise_grid_factor = factor;
-            let p = clamp_procs(8, &c);
-            let out = route_parallel(
-                &c,
-                &cfg,
-                Algorithm::NetWise,
-                PartitionKind::PinWeight,
-                p,
-                machine,
-            );
-            println!(
-                "{:<12} {:<22} {:>10.3} {:>9} {:>9.2}",
-                c.name,
-                label,
-                out.result.scaled_tracks(&base.result),
-                fmt_secs(out.time),
-                base.time / out.time
-            );
-        }
-    }
-    println!();
 }
 
 /// Beyond the paper: the communication matrix (KB sent per src→dst
@@ -525,25 +619,21 @@ pub fn exact_sync_ablation(opts: &Opts) {
 /// and their row neighbors; net-wise hammers everyone (all channels are
 /// shared).
 pub fn comm_matrix(opts: &Opts) {
-    use pgr_mpi::run;
     println!("Communication matrices (KB sent, src rows × dst columns, 8 ranks)");
     opts.note_scale();
     for c in opts.circuits() {
         let p = clamp_procs(8, &c);
         for algo in Algorithm::ALL {
-            let report = run(p, MachineModel::sparc_center_1000(), |comm| {
-                algo.route(&c, &cfg(), PartitionKind::PinWeight, comm);
-            });
-            let m = report.comm_matrix();
+            let out = plain_cell(&c, &cfg(), algo, p, MachineModel::sparc_center_1000());
             println!("{} / {}:", c.name, algo.name());
             print!("{:>8}", "src\\dst");
             for d in 0..p {
                 print!(" {d:>7}");
             }
             println!();
-            for (s, row) in m.iter().enumerate() {
-                print!("{s:>8}");
-                for &b in row {
+            for s in &out.stats {
+                print!("{:>8}", s.rank);
+                for &b in &s.bytes_to {
                     print!(" {:>7}", b / 1024);
                 }
                 println!();
@@ -568,24 +658,17 @@ pub fn steiner_ablation(opts: &Opts) {
         for refine in [false, true] {
             let mut cfg = cfg();
             cfg.steiner_refine = refine;
-            let base = serial_baseline(&c, &cfg, machine);
+            let base = serial_base(&c, &cfg, machine);
             let p = clamp_procs(8, &c);
-            let out = route_parallel(
-                &c,
-                &cfg,
-                Algorithm::Hybrid,
-                PartitionKind::PinWeight,
-                p,
-                machine,
-            );
+            let out = plain_cell(&c, &cfg, Algorithm::Hybrid, p, machine);
             println!(
                 "{:<12} {:<8} {:>12} {:>9} {:>10} {:>12.3} {:>10.2}",
                 c.name,
                 if refine { "median" } else { "plain" },
-                base.result.wirelength,
-                base.result.track_count(),
+                routed(&base).wirelength,
+                routed(&base).track_count(),
                 fmt_secs(base.time),
-                out.result.scaled_tracks(&base.result),
+                routed(&out).scaled_tracks(routed(&base)),
                 base.time / out.time,
             );
         }
@@ -606,15 +689,16 @@ pub fn detailed_refinement(opts: &Opts) {
         "circuit", "density Σ", "LEA tracks", "ratio", "utilization"
     );
     for c in opts.circuits() {
-        let base = serial_baseline(&c, &cfg(), MachineModel::ideal());
-        let d = route_channels(&base.result);
+        let base = serial_base(&c, &cfg(), MachineModel::ideal());
+        let tracks = routed(&base).track_count();
+        let d = route_channels(routed(&base));
         assert!(d.validate(), "no shorts");
         println!(
             "{:<12} {:>12} {:>12} {:>9.3} {:>12.3}",
             c.name,
-            base.result.track_count(),
+            tracks,
             d.track_count(),
-            d.track_count() as f64 / base.result.track_count() as f64,
+            d.track_count() as f64 / tracks as f64,
             d.mean_utilization()
         );
     }
@@ -626,7 +710,6 @@ pub fn detailed_refinement(opts: &Opts) {
 /// time goes — coarse routing dominates serially; the net-wise sync cost
 /// lands in its coarse/switchable phases.
 pub fn phase_breakdown(opts: &Opts) {
-    use pgr_mpi::run_instrumented;
     let machine = MachineModel::sparc_center_1000();
     let cfg = cfg();
     println!("Per-phase virtual time (seconds; slowest rank at 8 procs)");
@@ -636,68 +719,49 @@ pub fn phase_breakdown(opts: &Opts) {
         print!(" {:>11}", p.name());
     }
     println!(" {:>11}", "total");
-    type PhaseRow = (String, Vec<(&'static str, f64)>, f64);
-    let emit = |label: &str,
-                run: &RunMeta,
-                traces: &[RankTrace],
-                stats: &[RankStats],
-                metrics: &[RankMetrics]| {
-        if let Some(dir) = &opts.trace_out {
-            match write_traces(dir, label, traces, stats, &machine, run, metrics) {
-                Ok(path) => eprintln!("trace written: {}", path.display()),
-                Err(e) => eprintln!("trace write failed for {label}: {e}"),
-            }
-        }
-    };
     for c in opts.circuits() {
-        let mut rows: Vec<PhaseRow> = Vec::new();
-        let (serial_report, serial_traces, serial_metrics) =
-            run_instrumented(1, machine, opts.instrument(), |comm| {
-                pgr_router::route_serial(&c, &cfg, comm);
-            });
-        emit(
-            &format!("{}_serial", c.name),
-            &opts.run_meta(&c.name, "serial", 1, &machine),
-            &serial_traces,
-            &serial_report.stats,
-            &serial_metrics,
-        );
-        rows.push((
-            "serial".into(),
-            serial_report.stats[0].phases.clone(),
-            serial_report.stats[0].time,
-        ));
+        let serial = opts.traced_cell(&c, &cfg, None, machine, &format!("{}_serial", c.name));
+        let mut rows = vec![("serial", serial.stats[0].clone())];
         for algo in Algorithm::ALL {
             let p = clamp_procs(8, &c);
+            // The raw SPMD world, not a `run_cell`: these dumps are the
+            // per-rank phase record only, without the harness's post-run
+            // load-imbalance gauge (`ci/baseline-aggregate.json` was cut
+            // from them and its load-imbalance series starts at the
+            // `_p<P>` table runs).
             let (report, traces, metrics) =
                 run_instrumented(p, machine, opts.instrument(), |comm| {
-                    algo.route(&c, &cfg, PartitionKind::PinWeight, comm);
+                    algo.try_route(&c, &cfg, PartitionKind::PinWeight, comm)
+                        .expect("no budget is armed");
                 });
-            emit(
-                &format!("{}_{}", c.name, algo.name()),
-                &opts.run_meta(&c.name, algo.name(), p, &machine),
+            let label = format!("{}_{}", c.name, algo.name());
+            let run = opts.run_meta(&c.name, algo.name(), p, &machine);
+            emit_traces(
+                opts.emit(&label, run),
                 &traces,
                 &report.stats,
+                &machine,
                 &metrics,
             );
             let slowest = report
                 .stats
-                .iter()
+                .into_iter()
                 .max_by(|a, b| a.time.partial_cmp(&b.time).expect("finite"))
                 .expect("ranks");
-            rows.push((algo.name().into(), slowest.phases.clone(), slowest.time));
+            rows.push((algo.name(), slowest));
         }
-        for (name, phases, total) in rows {
+        for (name, stats) in rows {
             print!("{:<12} {:<10}", c.name, name);
             for want in pgr_obs::Phase::ALL {
-                let d: f64 = phases
+                let d: f64 = stats
+                    .phases
                     .iter()
                     .filter(|(n, _)| *n == want.name())
                     .map(|(_, d)| d)
                     .sum();
                 print!(" {:>11}", fmt_secs(d));
             }
-            println!(" {:>11}", fmt_secs(total));
+            println!(" {:>11}", fmt_secs(stats.time));
         }
     }
     println!();
@@ -723,76 +787,27 @@ pub fn wall_clock(opts: &Opts) {
         "{:<12} {:<10} {:>2} {:>12} {:>12} {:>8}",
         "circuit", "algorithm", "P", "virtual(s)", "wall(s)", "tracks"
     );
-    let emit = |label: &str,
-                run: &mut RunMeta,
-                traces: &[RankTrace],
-                stats: &[RankStats],
-                metrics: &[RankMetrics]| {
-        if let Some(dir) = &opts.trace_out {
-            run.clock = "wall".into();
-            if let Err(e) = write_traces(dir, label, traces, stats, &machine, run, metrics) {
-                eprintln!("trace write failed for {label}: {e}");
-            }
-        }
-    };
     for c in opts.circuits() {
-        // Serial driver on a wall-clocked solo communicator.
-        let instr = InstrumentConfig {
-            clock: ClockMode::Wall,
-            ..opts.instrument()
-        };
-        let (report, traces, metrics) = pgr_mpi::run_instrumented(1, machine, instr, |comm| {
-            pgr_router::route_serial(&c, &cfg, comm)
-        });
-        let serial = &report.stats[0];
-        let wall = report
-            .wall_makespan()
-            .expect("wall seconds measured in Wall mode");
-        println!(
-            "{:<12} {:<10} {:>2} {:>12} {:>12.3} {:>8}",
-            c.name,
-            "serial",
-            1,
-            fmt_secs(serial.time),
-            wall,
-            report.results[0].track_count(),
-        );
-        emit(
-            &format!("{}_serial_wall", c.name),
-            &mut opts.run_meta(&c.name, "serial", 1, &machine),
-            &traces,
-            &report.stats,
-            &metrics,
-        );
-        // The three parallel drivers, clock threaded via RouterConfig.
-        for algo in Algorithm::ALL {
-            let p = clamp_procs(8, &c);
-            let out = route_parallel_instrumented(
-                &c,
-                &cfg,
-                algo,
-                PartitionKind::PinWeight,
-                p,
-                machine,
-                opts.instrument(),
-            );
-            pgr_router::verify::assert_verified(&c, &out.result);
-            let wall = out.wall_time.expect("wall seconds measured in Wall mode");
+        // The serial driver and the three parallel ones; every cell takes
+        // its clock from `cfg`.
+        let drivers = std::iter::once(None).chain(Algorithm::ALL.into_iter().map(Some));
+        for algo in drivers {
+            let (name, p, label) = match algo {
+                None => ("serial", 1, format!("{}_serial_wall", c.name)),
+                Some(a) => {
+                    let p = clamp_procs(8, &c);
+                    (a.name(), p, format!("{}_{}_wall_p{p}", c.name, a.name()))
+                }
+            };
+            let out = opts.traced_cell(&c, &cfg, algo.map(|a| (a, p)), machine, &label);
             println!(
                 "{:<12} {:<10} {:>2} {:>12} {:>12.3} {:>8}",
                 c.name,
-                algo.name(),
+                name,
                 p,
                 fmt_secs(out.time),
-                wall,
-                out.result.track_count(),
-            );
-            emit(
-                &format!("{}_{}_wall_p{p}", c.name, algo.name()),
-                &mut opts.run_meta(&c.name, algo.name(), p, &machine),
-                &out.traces,
-                &out.stats,
-                &out.metrics,
+                out.wall_time.expect("wall seconds measured in Wall mode"),
+                routed(&out).track_count(),
             );
         }
     }
@@ -806,38 +821,21 @@ pub fn wall_clock(opts: &Opts) {
 /// clock-net-heavy circuits where it matters ("our experiments shows
 /// that this technique works well for β≈… for AVQ-LARGE").
 pub fn beta_sweep(opts: &Opts) {
-    let machine = MachineModel::sparc_center_1000();
-    println!("Pin-number-weight β sweep (hybrid, 8 procs, SparcCenter model)");
-    opts.note_scale();
-    println!(
-        "{:<12} {:>6} {:>10} {:>9} {:>9}",
-        "circuit", "beta", "sc.tracks", "time(s)", "speedup"
-    );
-    for c in opts.circuits() {
-        let base = serial_baseline(&c, &cfg(), machine);
-        for beta in [0.5, 1.0, 1.6, 2.0, 3.0] {
+    let variants = [0.5, 1.0, 1.6, 2.0, 3.0]
+        .into_iter()
+        .map(|beta| {
             let mut cfg = cfg();
             cfg.pin_weight_beta = beta;
-            let p = clamp_procs(8, &c);
-            let out = route_parallel(
-                &c,
-                &cfg,
-                Algorithm::Hybrid,
-                PartitionKind::PinWeight,
-                p,
-                machine,
-            );
-            println!(
-                "{:<12} {:>6.1} {:>10.3} {:>9} {:>9.2}",
-                c.name,
-                beta,
-                out.result.scaled_tracks(&base.result),
-                fmt_secs(out.time),
-                base.time / out.time
-            );
-        }
-    }
-    println!();
+            let label = format!("{beta:>6.1}");
+            (label, cfg, Algorithm::Hybrid, PartitionKind::PinWeight)
+        })
+        .collect();
+    ablation_table(
+        opts,
+        "Pin-number-weight β sweep (hybrid, 8 procs, SparcCenter model)",
+        format!("{:>6}", "beta"),
+        variants,
+    );
 }
 
 /// Beyond the paper: speedup sensitivity to the machine's latency and
@@ -858,24 +856,10 @@ pub fn machine_sweep(opts: &Opts) {
                 let mut m = MachineModel::sparc_center_1000();
                 m.latency = lat_us * 1e-6;
                 m.sec_per_byte = 1.0 / (bw_mb * 1e6);
-                let base = serial_baseline(&c, &cfg(), m);
+                let base = serial_base(&c, &cfg(), m);
                 let p = clamp_procs(8, &c);
-                let hybrid = route_parallel(
-                    &c,
-                    &cfg(),
-                    Algorithm::Hybrid,
-                    PartitionKind::PinWeight,
-                    p,
-                    m,
-                );
-                let netwise = route_parallel(
-                    &c,
-                    &cfg(),
-                    Algorithm::NetWise,
-                    PartitionKind::PinWeight,
-                    p,
-                    m,
-                );
+                let hybrid = plain_cell(&c, &cfg(), Algorithm::Hybrid, p, m);
+                let netwise = plain_cell(&c, &cfg(), Algorithm::NetWise, p, m);
                 println!(
                     "{:<12} {:>8}us {:>10}MB/s {:>12.2} {:>12.2}",
                     c.name,
@@ -941,6 +925,62 @@ pub fn chaos_smoke(opts: &Opts) {
         "redone",
         "restore"
     );
+    // One chaos cell: run under `chaos` with the reliable transport on
+    // and metrics collected, then print the protocol-effort row.
+    // `fallback` only picks the row's labels.
+    let chaos_cell = |c: &Circuit,
+                      cfg: &RouterConfig,
+                      algo: Algorithm,
+                      p: usize,
+                      chaos: ChaosConfig,
+                      fallback: bool| {
+        let killed = if chaos.kills.is_empty() {
+            "-".to_string()
+        } else {
+            let ranks: Vec<String> = chaos.kills.iter().map(|(r, _)| r.to_string()).collect();
+            ranks.join("+")
+        };
+        let instr = InstrumentConfig {
+            metrics: MetricsConfig::on(),
+            fault: Some(Arc::new(ChaosLayer::new(chaos))),
+            reliability: ReliabilityConfig::on(),
+            ..opts.instrument()
+        };
+        let tag = if fallback { "fallback" } else { "chaos" };
+        let label = format!("{}_{}_{tag}_p{p}", c.name, algo.name());
+        let stamp = format!("{}-{tag}", algo.name());
+        let out = run_cell(
+            c,
+            cfg,
+            Some((algo, PartitionKind::PinWeight, p)),
+            machine,
+            instr,
+            opts.emit(&label, opts.run_meta(&c.name, &stamp, p, &machine)),
+        );
+        let sum = |name: &str| -> u64 { out.metrics.iter().filter_map(|m| m.counter(name)).sum() };
+        println!(
+            "{:<12} {:<10} {:>2} {:>6} {:>8} {:>7} {:>7} {:>7} {:>7} {:>8} {:>6} {:>7} {:>8}{}",
+            c.name,
+            if fallback { tag } else { algo.name() },
+            p,
+            killed,
+            routed(&out).track_count(),
+            sum(pgr_mpi::reliable::RETRANSMITS),
+            sum(pgr_mpi::reliable::REORDER_BUFFERED),
+            sum(pgr_mpi::reliable::DUPLICATES_DROPPED),
+            sum(pgr_mpi::reliable::CORRUPT_DROPPED),
+            sum(names::RECOVERY_EVENTS),
+            sum(names::RANKS_LOST),
+            sum(recovery_names::REDONE_PHASES),
+            sum(recovery_names::CHECKPOINT_RESTORES),
+            if fallback {
+                "  (serial fallback, verified)"
+            } else {
+                ""
+            },
+        );
+        out
+    };
     for c in opts.circuits() {
         let p = clamp_procs(4, &c);
         for &(rank, _) in &opts.kills {
@@ -964,65 +1004,7 @@ pub fn chaos_smoke(opts: &Opts) {
                     opts.kills.iter().map(|&(r, b)| (r, b as u64)).collect()
                 };
             }
-            let killed = if chaos.kills.is_empty() {
-                "-".to_string()
-            } else {
-                chaos
-                    .kills
-                    .iter()
-                    .map(|(r, _)| r.to_string())
-                    .collect::<Vec<_>>()
-                    .join("+")
-            };
-            let instr = InstrumentConfig {
-                metrics: MetricsConfig::on(),
-                fault: Some(Arc::new(ChaosLayer::new(chaos))),
-                reliability: ReliabilityConfig::on(),
-                ..opts.instrument()
-            };
-            let out = route_parallel_instrumented(
-                &c,
-                &cfg,
-                algo,
-                PartitionKind::PinWeight,
-                p,
-                machine,
-                instr,
-            );
-            pgr_router::verify::assert_verified(&c, &out.result);
-            let sum =
-                |name: &str| -> u64 { out.metrics.iter().filter_map(|m| m.counter(name)).sum() };
-            println!(
-                "{:<12} {:<10} {:>2} {:>6} {:>8} {:>7} {:>7} {:>7} {:>7} {:>8} {:>6} {:>7} {:>8}",
-                c.name,
-                algo.name(),
-                p,
-                killed,
-                out.result.track_count(),
-                sum(pgr_mpi::reliable::RETRANSMITS),
-                sum(pgr_mpi::reliable::REORDER_BUFFERED),
-                sum(pgr_mpi::reliable::DUPLICATES_DROPPED),
-                sum(pgr_mpi::reliable::CORRUPT_DROPPED),
-                sum(pgr_router::metrics::names::RECOVERY_EVENTS),
-                sum(pgr_router::metrics::names::RANKS_LOST),
-                sum(recovery_names::REDONE_PHASES),
-                sum(recovery_names::CHECKPOINT_RESTORES),
-            );
-            if let Some(dir) = &opts.trace_out {
-                let label = format!("{}_{}_chaos_p{p}", c.name, algo.name());
-                let run = opts.run_meta(&c.name, &format!("{}-chaos", algo.name()), p, &machine);
-                if let Err(e) = write_traces(
-                    dir,
-                    &label,
-                    &out.traces,
-                    &out.stats,
-                    &machine,
-                    &run,
-                    &out.metrics,
-                ) {
-                    eprintln!("trace write failed for {label}: {e}");
-                }
-            }
+            chaos_cell(&c, &cfg, algo, p, chaos, false);
         }
 
         // Kill-heavy pass: the same schedule under a one-round recovery
@@ -1038,57 +1020,8 @@ pub fn chaos_smoke(opts: &Opts) {
                 },
                 ..cfg.clone()
             };
-            let instr = InstrumentConfig {
-                metrics: MetricsConfig::on(),
-                fault: Some(Arc::new(ChaosLayer::new(chaos))),
-                reliability: ReliabilityConfig::on(),
-                ..opts.instrument()
-            };
-            let out = route_parallel_instrumented(
-                &c,
-                &fallback_cfg,
-                Algorithm::Hybrid,
-                PartitionKind::PinWeight,
-                p,
-                machine,
-                instr,
-            );
+            let out = chaos_cell(&c, &fallback_cfg, Algorithm::Hybrid, p, chaos, true);
             assert!(out.degraded, "{}: the one-round budget must breach", c.name);
-            pgr_router::verify::assert_verified(&c, &out.result);
-            let sum =
-                |name: &str| -> u64 { out.metrics.iter().filter_map(|m| m.counter(name)).sum() };
-            println!(
-                "{:<12} {:<10} {:>2} {:>6} {:>8} {:>7} {:>7} {:>7} {:>7} {:>8} {:>6} {:>7} {:>8}  (serial fallback, verified)",
-                c.name,
-                "fallback",
-                p,
-                p - 1,
-                out.result.track_count(),
-                sum(pgr_mpi::reliable::RETRANSMITS),
-                sum(pgr_mpi::reliable::REORDER_BUFFERED),
-                sum(pgr_mpi::reliable::DUPLICATES_DROPPED),
-                sum(pgr_mpi::reliable::CORRUPT_DROPPED),
-                sum(pgr_router::metrics::names::RECOVERY_EVENTS),
-                sum(pgr_router::metrics::names::RANKS_LOST),
-                sum(recovery_names::REDONE_PHASES),
-                sum(recovery_names::CHECKPOINT_RESTORES),
-            );
-            if let Some(dir) = &opts.trace_out {
-                let label = format!("{}_hybrid_fallback_p{p}", c.name);
-                let mut run = opts.run_meta(&c.name, "hybrid-fallback", p, &machine);
-                run.degraded = out.degraded;
-                if let Err(e) = write_traces(
-                    dir,
-                    &label,
-                    &out.traces,
-                    &out.stats,
-                    &machine,
-                    &run,
-                    &out.metrics,
-                ) {
-                    eprintln!("trace write failed for {label}: {e}");
-                }
-            }
         }
     }
     println!();
@@ -1159,11 +1092,8 @@ struct StressProbe {
 }
 
 fn stress_probe(circuit: &Circuit, cfg: &RouterConfig, machine: MachineModel) -> StressProbe {
-    let (report, _, _) = pgr_mpi::run_instrumented(1, machine, InstrumentConfig::off(), |comm| {
-        let result = pgr_router::route_serial(circuit, cfg, comm);
-        pgr_router::verify::assert_verified(circuit, &result);
-    });
-    let s = &report.stats[0];
+    let probe = serial_base(circuit, cfg, machine);
+    let s = &probe.stats[0];
     let phase_secs = |name: &str| -> f64 {
         s.phases
             .iter()
@@ -1288,177 +1218,88 @@ pub fn stress(opts: &Opts) {
 
         for (algo, p, chaos, budget) in cells {
             let algo_name = algo.map_or("serial", |a| a.name());
-            let run_cell = |write_artifacts: bool| -> StressCell {
+            let cell = |write_artifacts: bool| -> StressCell {
                 let cfg = RouterConfig {
                     budget: budget.materialize(&probe),
                     ..cfg()
                 };
-                match algo {
-                    None => {
-                        // Instrumented even though it is one rank: the
-                        // serial time lever is the cell that actually
-                        // sheds (parallel gate collectives resync every
-                        // boundary), so its dumps carry the shed-rate
-                        // series the aggregator trends.
-                        let instr = InstrumentConfig {
-                            metrics: MetricsConfig::on(),
-                            ..opts.instrument()
-                        };
-                        let (report, traces, metrics) =
-                            pgr_mpi::run_instrumented(1, machine, instr, |comm| {
-                                let routed = pgr_router::try_route_serial(&circuit, &cfg, comm);
-                                let shed = comm.budget_shed_any();
-                                let time = comm.now();
-                                (routed, shed, time)
-                            });
-                        let (routed, shed, time) =
-                            report.results.into_iter().next().expect("one rank");
-                        if write_artifacts {
-                            if let Some(dir) = &opts.trace_out {
-                                let label = format!(
-                                    "stress_{}_serial_none_{}_p1",
-                                    family.name(),
-                                    budget.name()
-                                );
-                                let mut run = opts.run_meta(&circuit.name, "serial", 1, &machine);
-                                run.scenario = format!("{}/none/{}", spec.name(), budget.name());
-                                run.budget_degraded = shed;
-                                if let Err(e) = write_traces(
-                                    dir,
-                                    &label,
-                                    &traces,
-                                    &report.stats,
-                                    &machine,
-                                    &run,
-                                    &metrics,
-                                ) {
-                                    eprintln!("trace write failed for {label}: {e}");
-                                }
-                            }
+                // Metrics on for every cell, serial included: the serial
+                // time lever is the cell that actually sheds (parallel
+                // gate collectives resync every boundary), so its dumps
+                // carry the shed-rate series the aggregator trends.
+                let mut instr = InstrumentConfig {
+                    metrics: MetricsConfig::on(),
+                    ..opts.instrument()
+                };
+                if chaos != StressChaos::None {
+                    let mut schedule = ChaosConfig::messages_with_corruption(SEED);
+                    if chaos == StressChaos::Kill {
+                        // Kills only: zero out the message faults so the
+                        // cell isolates the recovery path.
+                        schedule = ChaosConfig::messages_only(SEED);
+                        schedule.drop = 0.0;
+                        schedule.reorder = 0.0;
+                        schedule.duplicate = 0.0;
+                        schedule.delay = 0.0;
+                        schedule.kills = vec![(p - 1, 2)];
+                    }
+                    instr.fault = Some(Arc::new(ChaosLayer::new(schedule)));
+                    instr.reliability = ReliabilityConfig::on();
+                }
+                let label = format!(
+                    "stress_{}_{algo_name}_{}_{}_p{p}",
+                    family.name(),
+                    chaos.name(),
+                    budget.name()
+                );
+                let mut run = opts.run_meta(&circuit.name, algo_name, p, &machine);
+                // The cell coordinates ride in the scenario stamp: every
+                // other RunMeta field is shared across this family's
+                // budget/chaos cells, and the aggregator keys records by
+                // it.
+                run.scenario = format!("{}/{}/{}", spec.name(), chaos.name(), budget.name());
+                let out = run_cell(
+                    &circuit,
+                    &cfg,
+                    algo.map(|a| (a, PartitionKind::PinWeight, p)),
+                    machine,
+                    instr,
+                    opts.emit(&label, run).filter(|_| write_artifacts),
+                );
+                match &out.result {
+                    Ok(result) => {
+                        let mut notes = Vec::new();
+                        if out.budget_degraded {
+                            notes.push("shed refinement");
                         }
-                        match routed {
-                            Ok(result) => {
-                                pgr_router::verify::assert_verified(&circuit, &result);
-                                StressCell {
-                                    outcome: if shed { "degraded" } else { "routed" },
-                                    tracks: Some(result.track_count()),
-                                    time_bits: time.to_bits(),
-                                    note: if shed {
-                                        "shed refinement".into()
-                                    } else {
-                                        String::new()
-                                    },
-                                }
-                            }
-                            Err(e @ RouteError::BudgetExceeded { .. }) => StressCell {
-                                outcome: "budget_exceeded",
-                                tracks: None,
-                                time_bits: time.to_bits(),
-                                note: e.to_string(),
+                        if out.degraded {
+                            notes.push("serial fallback");
+                        }
+                        if chaos == StressChaos::Kill && !out.degraded {
+                            notes.push("recovered");
+                        }
+                        StressCell {
+                            outcome: if out.degraded || out.budget_degraded {
+                                "degraded"
+                            } else {
+                                "routed"
                             },
+                            tracks: Some(result.track_count()),
+                            time_bits: out.time.to_bits(),
+                            note: notes.join(", "),
                         }
                     }
-                    Some(algo) => {
-                        let mut instr = InstrumentConfig {
-                            metrics: MetricsConfig::on(),
-                            ..opts.instrument()
-                        };
-                        match chaos {
-                            StressChaos::None => {}
-                            StressChaos::Messages => {
-                                let chaos = ChaosConfig::messages_with_corruption(SEED);
-                                instr.fault = Some(Arc::new(ChaosLayer::new(chaos)));
-                                instr.reliability = ReliabilityConfig::on();
-                            }
-                            StressChaos::Kill => {
-                                // Kills only: zero out the message faults
-                                // so the cell isolates the recovery path.
-                                let mut chaos = ChaosConfig::messages_only(SEED);
-                                chaos.drop = 0.0;
-                                chaos.reorder = 0.0;
-                                chaos.duplicate = 0.0;
-                                chaos.delay = 0.0;
-                                chaos.kills = vec![(p - 1, 2)];
-                                instr.fault = Some(Arc::new(ChaosLayer::new(chaos)));
-                                instr.reliability = ReliabilityConfig::on();
-                            }
-                        }
-                        let out = pgr_router::route_parallel_guarded(
-                            &circuit,
-                            &cfg,
-                            algo,
-                            PartitionKind::PinWeight,
-                            p,
-                            machine,
-                            instr,
-                        );
-                        if write_artifacts {
-                            if let Some(dir) = &opts.trace_out {
-                                let label = format!(
-                                    "stress_{}_{}_{}_{}_p{p}",
-                                    family.name(),
-                                    algo.name(),
-                                    chaos.name(),
-                                    budget.name()
-                                );
-                                let mut run =
-                                    opts.run_meta(&circuit.name, algo.name(), p, &machine);
-                                // The cell coordinates ride in the
-                                // scenario stamp: every other RunMeta
-                                // field is shared across this family's
-                                // budget/chaos cells, and the aggregator
-                                // keys records by it.
-                                run.scenario =
-                                    format!("{}/{}/{}", spec.name(), chaos.name(), budget.name());
-                                run.degraded = out.degraded;
-                                run.budget_degraded = out.budget_degraded;
-                                if let Err(e) = write_traces(
-                                    dir,
-                                    &label,
-                                    &out.traces,
-                                    &out.stats,
-                                    &machine,
-                                    &run,
-                                    &out.metrics,
-                                ) {
-                                    eprintln!("trace write failed for {label}: {e}");
-                                }
-                            }
-                        }
-                        match out.result {
-                            Ok(result) => {
-                                pgr_router::verify::assert_verified(&circuit, &result);
-                                let degraded = out.degraded || out.budget_degraded;
-                                let mut notes = Vec::new();
-                                if out.budget_degraded {
-                                    notes.push("shed refinement");
-                                }
-                                if out.degraded {
-                                    notes.push("serial fallback");
-                                }
-                                if chaos == StressChaos::Kill && !out.degraded {
-                                    notes.push("recovered");
-                                }
-                                StressCell {
-                                    outcome: if degraded { "degraded" } else { "routed" },
-                                    tracks: Some(result.track_count()),
-                                    time_bits: out.time.to_bits(),
-                                    note: notes.join(", "),
-                                }
-                            }
-                            Err(e @ RouteError::BudgetExceeded { .. }) => StressCell {
-                                outcome: "budget_exceeded",
-                                tracks: None,
-                                time_bits: out.time.to_bits(),
-                                note: e.to_string(),
-                            },
-                        }
-                    }
+                    Err(e @ RouteError::BudgetExceeded { .. }) => StressCell {
+                        outcome: "budget_exceeded",
+                        tracks: None,
+                        time_bits: out.time.to_bits(),
+                        note: e.to_string(),
+                    },
                 }
             };
 
-            let first = catch_unwind(AssertUnwindSafe(|| run_cell(true)));
-            let second = catch_unwind(AssertUnwindSafe(|| run_cell(false)));
+            let first = catch_unwind(AssertUnwindSafe(|| cell(true)));
+            let second = catch_unwind(AssertUnwindSafe(|| cell(false)));
             let cell = match (&first, &second) {
                 (Ok(a), Ok(b)) => {
                     if a != b {
@@ -1568,148 +1409,104 @@ pub fn profile(opts: &Opts) {
         "run", "makespan", "compute%", "wait%", "fault%", "segs"
     );
     for c in opts.circuits() {
-        let (report, traces, metrics) =
-            pgr_mpi::run_instrumented(1, machine, InstrumentConfig::full(), |comm| {
-                pgr_router::route_serial(&c, &cfg, comm);
-            });
-        let label = format!("{}_serial_profile", c.name);
-        let run = opts.run_meta(&c.name, "serial", 1, &machine);
-        let prof = build_profile(&traces, &machine);
-        report_profile(
-            opts,
-            &label,
-            &run,
-            &prof,
-            &traces,
-            &report.stats,
-            &metrics,
-            &machine,
-        );
+        // Serial at P = 1, then each algorithm at P ∈ {2, 4} (clamped).
+        let mut cells = vec![(None, 1, format!("{}_serial_profile", c.name))];
         for algo in Algorithm::ALL {
             let mut procs: Vec<usize> = [2usize, 4].iter().map(|&p| clamp_procs(p, &c)).collect();
             procs.dedup();
             for p in procs {
-                let out = route_parallel_instrumented(
-                    &c,
-                    &cfg,
-                    algo,
-                    PartitionKind::PinWeight,
-                    p,
-                    machine,
-                    InstrumentConfig::full(),
-                );
-                pgr_router::verify::assert_verified(&c, &out.result);
                 let label = format!("{}_{}_profile_p{p}", c.name, algo.name());
-                let run = opts.run_meta(&c.name, algo.name(), p, &machine);
-                let prof = build_profile(&out.traces, &machine);
-                report_profile(
-                    opts,
-                    &label,
-                    &run,
-                    &prof,
-                    &out.traces,
-                    &out.stats,
-                    &out.metrics,
-                    &machine,
+                cells.push((Some(algo), p, label));
+            }
+        }
+        for (algo, p, label) in cells {
+            // No `emit`: the profile writes its own artifact set (the
+            // annotated trace replaces the plain one).
+            let out = run_cell(
+                &c,
+                &cfg,
+                algo.map(|a| (a, PartitionKind::PinWeight, p)),
+                machine,
+                InstrumentConfig::full(),
+                None,
+            );
+            let name = algo.map_or("serial", Algorithm::name);
+            let run = opts.run_meta(&c.name, name, p, &machine);
+            let prof = build_profile(&out.traces, &machine);
+            if prof.truncated {
+                eprintln!(
+                    "warning: {label}: trace ring dropped {} event(s); per-phase attribution only",
+                    prof.dropped_events
                 );
+            } else {
+                // In-process acceptance gate: every smoke run re-checks
+                // that the extracted chain partitions the makespan
+                // exactly.
+                assert!(
+                    prof.warnings.is_empty()
+                        && prof.is_contiguous()
+                        && prof.critical_path_seconds().to_bits() == prof.makespan.to_bits(),
+                    "{label}: critical path does not partition the makespan ({:?})",
+                    prof.warnings
+                );
+            }
+            let pct = |class: BlameClass| {
+                if prof.makespan > 0.0 {
+                    100.0 * prof.class_seconds[class.index()] / prof.makespan
+                } else {
+                    0.0
+                }
+            };
+            println!(
+                "{:<34} {:>10} {:>8.1}% {:>8.1}% {:>8.1}% {:>6}",
+                label,
+                fmt_secs(prof.makespan),
+                pct(BlameClass::Compute),
+                pct(BlameClass::RecvWait),
+                pct(BlameClass::Transport) + pct(BlameClass::Recovery) + pct(BlameClass::Degraded),
+                prof.critical_path.len()
+            );
+            match &opts.trace_out {
+                Some(dir) => {
+                    if let Err(e) =
+                        write_profile_artifacts(dir, &label, &prof, &run, &out, &machine)
+                    {
+                        eprintln!("profile write failed for {label}: {e}");
+                    }
+                }
+                // No artifact dir: the blame table goes to stdout instead.
+                None => print!("{}", prof.blame_markdown(&run)),
             }
         }
     }
     println!();
 }
 
-/// Gate one profile, print its summary row and blame table, and write
-/// the artifact set when `--trace-out` is given.
-#[allow(clippy::too_many_arguments)]
-fn report_profile(
-    opts: &Opts,
-    label: &str,
-    run: &RunMeta,
-    prof: &Profile,
-    traces: &[RankTrace],
-    stats: &[RankStats],
-    metrics: &[RankMetrics],
-    machine: &MachineModel,
-) {
-    if prof.truncated {
-        eprintln!(
-            "warning: {label}: trace ring dropped {} event(s); per-phase attribution only",
-            prof.dropped_events
-        );
-    } else {
-        // In-process acceptance gate: every smoke run re-checks that
-        // the extracted chain partitions the makespan exactly.
-        assert!(
-            prof.warnings.is_empty()
-                && prof.is_contiguous()
-                && prof.critical_path_seconds().to_bits() == prof.makespan.to_bits(),
-            "{label}: critical path does not partition the makespan ({:?})",
-            prof.warnings
-        );
-    }
-    let pct = |class: BlameClass| {
-        if prof.makespan > 0.0 {
-            100.0 * prof.class_seconds[class.index()] / prof.makespan
-        } else {
-            0.0
-        }
-    };
-    println!(
-        "{:<34} {:>10} {:>8.1}% {:>8.1}% {:>8.1}% {:>6}",
-        label,
-        fmt_secs(prof.makespan),
-        pct(BlameClass::Compute),
-        pct(BlameClass::RecvWait),
-        pct(BlameClass::Transport) + pct(BlameClass::Recovery) + pct(BlameClass::Degraded),
-        prof.critical_path.len()
-    );
-    match &opts.trace_out {
-        Some(dir) => {
-            if let Err(e) =
-                write_profile_artifacts(dir, label, prof, run, traces, stats, machine, metrics)
-            {
-                eprintln!("profile write failed for {label}: {e}");
-            }
-        }
-        // No artifact dir: the blame table goes to stdout instead.
-        None => print!("{}", prof.blame_markdown(run)),
-    }
-}
-
-/// Write one profiled run's artifacts: the blame report JSON, the
-/// markdown table, the annotated Chrome trace, and the stats/metrics
-/// dumps the aggregator consumes. Returns the profile path.
-#[allow(clippy::too_many_arguments)]
+/// Write one profiled run's artifacts: the stats/metrics dumps the
+/// aggregator consumes with the annotated Chrome trace, the blame report
+/// JSON and the markdown table. Returns the profile path.
 fn write_profile_artifacts(
     dir: &Path,
     label: &str,
     prof: &Profile,
     run: &RunMeta,
-    traces: &[RankTrace],
-    stats: &[RankStats],
+    out: &GuardedOutcome,
     machine: &MachineModel,
-    metrics: &[RankMetrics],
 ) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
+    write_dumps(
+        dir,
+        label,
+        chrome_trace_with_path(&out.traces, Some(&prof.critical_path)),
+        &out.stats,
+        machine,
+        run,
+        &out.metrics,
+    )?;
     let profile_path = dir.join(format!("{label}.profile.json"));
     std::fs::write(&profile_path, prof.to_json(run))?;
     std::fs::write(
         dir.join(format!("{label}.blame.md")),
         prof.blame_markdown(run),
     )?;
-    std::fs::write(
-        dir.join(format!("{label}.trace.json")),
-        chrome_trace_with_path(traces, Some(&prof.critical_path)),
-    )?;
-    std::fs::write(
-        dir.join(format!("{label}.stats.json")),
-        stats_json(stats, machine, run),
-    )?;
-    if !metrics.is_empty() {
-        std::fs::write(
-            dir.join(format!("{label}.metrics.json")),
-            metrics_json(run, metrics),
-        )?;
-    }
     Ok(profile_path)
 }

@@ -9,7 +9,7 @@ use pgr_circuit::mcnc::Mcnc;
 use pgr_mpi::{run_instrumented, InstrumentConfig, MachineModel, RunMeta};
 use pgr_obs::{metrics_json, RankMetrics, SCHEMA_VERSION};
 use pgr_router::{
-    route_parallel_instrumented, route_serial, Algorithm, PartitionKind, RouterConfig,
+    route_parallel_guarded, try_route_serial, Algorithm, PartitionKind, RouterConfig,
 };
 use std::path::PathBuf;
 
@@ -348,7 +348,7 @@ fn trace_out_artifacts_round_trip_through_aggregate() {
     let circuit = Mcnc::Primary2.circuit_scaled(0.05);
     let (report, traces, metrics) =
         run_instrumented(1, machine, InstrumentConfig::full(), move |comm| {
-            route_serial(&circuit, &cfg, comm);
+            try_route_serial(&circuit, &cfg, comm).unwrap();
         });
     let run = RunMeta {
         circuit: "primary2".into(),
@@ -376,7 +376,7 @@ fn trace_out_artifacts_round_trip_through_aggregate() {
     let circuit = Mcnc::Primary2.circuit_scaled(0.05);
     let cfg = RouterConfig::default();
     let procs = 4.min(circuit.num_rows());
-    let out = route_parallel_instrumented(
+    let out = route_parallel_guarded(
         &circuit,
         &cfg,
         Algorithm::RowWise,
@@ -411,7 +411,10 @@ fn trace_out_artifacts_round_trip_through_aggregate() {
         .unwrap();
     assert!(par.speedup.is_some(), "speedup derived across runs");
     assert!(par.speedup.unwrap() > 0.0);
-    assert_eq!(par.tracks, Some(out.result.track_count().max(0) as u64));
+    assert_eq!(
+        par.tracks,
+        Some(out.result.as_ref().unwrap().track_count().max(0) as u64)
+    );
     assert!(par.load_imbalance.is_some_and(|x| x >= 1.0));
     assert!(!par.phases.is_empty(), "phase trend carried through");
     let serial = agg

@@ -8,7 +8,7 @@
 //! alive.
 
 use pgr_geom::DensityProfile;
-use pgr_mpi::{Comm, MachineModel, Phase};
+use pgr_mpi::{ClockMode, Comm, MachineModel, Phase};
 use pgr_obs::MetricsConfig;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -67,7 +67,11 @@ fn main() {
     // Contrast: the enabled path does allocate on first touch (name
     // registration) — proving the zero above is the branch, not a
     // miscounting hook.
-    let mut comm = Comm::solo_instrumented(MachineModel::ideal(), MetricsConfig::on());
+    let mut comm = Comm::solo_with(
+        MachineModel::ideal(),
+        MetricsConfig::on(),
+        ClockMode::Virtual,
+    );
     assert!(comm.metrics_enabled());
     let before = allocs();
     comm.metric_add("bench.alloc.counter", 1);

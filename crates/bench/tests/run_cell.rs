@@ -1,0 +1,55 @@
+//! `run_cell` is the one way the harness runs a route: serial or
+//! parallel, the cell takes its clock from the router config.
+
+use pgr_bench::tables::run_cell;
+use pgr_bench::SEED;
+use pgr_circuit::mcnc::Mcnc;
+use pgr_mpi::{ClockMode, InstrumentConfig, MachineModel, RunMeta};
+use pgr_router::{Algorithm, PartitionKind, RouterConfig};
+
+/// A caller who sets only `cfg.clock = Wall` used to get a wall-clocked
+/// parallel run but a silently virtual-only serial run (the serial path
+/// read the clock from the instrumentation bundle instead). Both arms
+/// must measure host time, and measuring must not move the results or
+/// the virtual account.
+#[test]
+fn serial_and_parallel_cells_take_their_clock_from_the_router_config() {
+    let circuit = Mcnc::Primary2.circuit_scaled(0.05);
+    let machine = MachineModel::sparc_center_1000();
+    let virt_cfg = RouterConfig::with_seed(SEED);
+    let wall_cfg = RouterConfig {
+        clock: ClockMode::Wall,
+        ..virt_cfg.clone()
+    };
+    let dir = std::env::temp_dir().join(format!("pgr-run-cell-{}", std::process::id()));
+    for driver in [None, Some((Algorithm::Hybrid, PartitionKind::PinWeight, 2))] {
+        let name = driver.map_or("serial", |(a, _, _)| a.name());
+        // The instrumentation bundle says nothing about the clock.
+        let instr = InstrumentConfig::metered();
+        let run = RunMeta {
+            circuit: circuit.name.clone(),
+            algorithm: name.into(),
+            procs: driver.map_or(1, |(_, _, p)| p),
+            machine: machine.name.into(),
+            scale: 0.05,
+            seed: SEED,
+            degraded: false,
+            clock: "virtual".into(),
+            scenario: String::new(),
+            budget_degraded: false,
+        };
+        let virt = run_cell(&circuit, &virt_cfg, driver, machine, instr.clone(), None);
+        let emit = Some((dir.as_path(), name, run));
+        let wall = run_cell(&circuit, &wall_cfg, driver, machine, instr, emit);
+        assert_eq!(virt.wall_time, None, "{name}");
+        let secs = wall.wall_time.expect("host seconds under cfg.clock = Wall");
+        assert!(secs > 0.0 && secs.is_finite(), "{name}: {secs}");
+        assert!(wall.stats.iter().all(|s| s.wall.is_some()), "{name}");
+        assert_eq!(virt.result, wall.result, "{name}: results are clock-blind");
+        assert_eq!(virt.time.to_bits(), wall.time.to_bits(), "{name}");
+        // The artifacts say which clock the cell ran under.
+        let stats = std::fs::read_to_string(dir.join(format!("{name}.stats.json"))).unwrap();
+        assert!(stats.contains("\"clock\":\"wall\""), "{name}: {stats}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -5,7 +5,7 @@
 
 use pgr_bench::tables::write_traces;
 use pgr_circuit::mcnc::Mcnc;
-use pgr_mpi::{run_traced, MachineModel, RankStats, RunMeta, TraceConfig};
+use pgr_mpi::{run_instrumented, InstrumentConfig, MachineModel, RankStats, RunMeta, TraceConfig};
 use pgr_router::{Algorithm, PartitionKind, RouterConfig};
 use std::path::PathBuf;
 
@@ -29,8 +29,14 @@ fn traced_route(procs: usize) -> (Vec<RankStats>, Vec<pgr_mpi::RankTrace>, Machi
     let machine = MachineModel::sparc_center_1000();
     let cfg = RouterConfig::default();
     let procs = procs.min(circuit.num_rows());
-    let (report, traces) = run_traced(procs, machine, TraceConfig::on(), move |comm| {
-        Algorithm::RowWise.route(&circuit, &cfg, PartitionKind::PinWeight, comm);
+    let traced = InstrumentConfig {
+        trace: TraceConfig::on(),
+        ..InstrumentConfig::off()
+    };
+    let (report, traces, _) = run_instrumented(procs, machine, traced, move |comm| {
+        Algorithm::RowWise
+            .try_route(&circuit, &cfg, PartitionKind::PinWeight, comm)
+            .unwrap();
     });
     (report.stats, traces, machine)
 }
@@ -143,11 +149,18 @@ fn write_traces_emits_both_artifacts() {
 fn untraced_route_produces_no_trace_events() {
     let circuit = Mcnc::Primary2.circuit_scaled(0.05);
     let cfg = RouterConfig::default();
-    let (_, traces) = run_traced(2, MachineModel::ideal(), TraceConfig::off(), move |comm| {
-        Algorithm::RowWise.route(&circuit, &cfg, PartitionKind::PinWeight, comm);
-    });
+    let (_, traces, _) = run_instrumented(
+        2,
+        MachineModel::ideal(),
+        InstrumentConfig::off(),
+        move |comm| {
+            Algorithm::RowWise
+                .try_route(&circuit, &cfg, PartitionKind::PinWeight, comm)
+                .unwrap();
+        },
+    );
     assert!(
         traces.is_empty(),
-        "TraceConfig::off() must not collect anything"
+        "InstrumentConfig::off() must not collect anything"
     );
 }

@@ -126,19 +126,20 @@ pub fn heatmap(result: &RoutingResult, buckets: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::route::route_serial;
     use crate::route::state::Span;
+    use crate::route::try_route_serial;
     use crate::RouterConfig;
     use pgr_circuit::{generate, GeneratorConfig, NetId};
     use pgr_mpi::{Comm, MachineModel};
 
     fn routed() -> RoutingResult {
         let c = generate(&GeneratorConfig::small("analysis", 9));
-        route_serial(
+        try_route_serial(
             &c,
             &RouterConfig::with_seed(1),
             &mut Comm::solo(MachineModel::ideal()),
         )
+        .unwrap()
     }
 
     #[test]

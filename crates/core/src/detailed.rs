@@ -67,18 +67,19 @@ pub fn route_channels(result: &RoutingResult) -> DetailedRouting {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::route::route_serial;
+    use crate::route::try_route_serial;
     use crate::RouterConfig;
     use pgr_circuit::{generate, GeneratorConfig};
     use pgr_mpi::{Comm, MachineModel};
 
     fn routed() -> (pgr_circuit::Circuit, RoutingResult) {
         let c = generate(&GeneratorConfig::small("detailed", 8));
-        let r = route_serial(
+        let r = try_route_serial(
             &c,
             &RouterConfig::with_seed(3),
             &mut Comm::solo(MachineModel::ideal()),
-        );
+        )
+        .unwrap();
         (c, r)
     }
 

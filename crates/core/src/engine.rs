@@ -489,10 +489,11 @@ where
 /// recovery policy gave up on the parallel pipeline. The fallback runs
 /// the serial pipeline over a solo-shaped context — rank 0's RNG stream
 /// (`derive_seed(cfg.seed, 0)`) is exactly the pure serial run's, so the
-/// degraded result is bit-identical to `route_serial` on the same
-/// circuit. Passes are entered with plain phase marks and metric-window
-/// rotation but *no* kill checkpoints: the schedule that forced the
-/// degradation must not be able to kill the fallback too.
+/// degraded result is bit-identical to `try_route_serial` on the same
+/// circuit. Passes are entered through [`Comm::phase_mark`] — the phase
+/// mark and metric-window rotation of a boundary but *no* kill
+/// checkpoint: the schedule that forced the degradation must not be able
+/// to kill the fallback too.
 fn degraded_serial(circuit: &Circuit, cfg: &RouterConfig, comm: &mut Comm) -> RoutingResult {
     let mut ctx = RouteCtx {
         circuit,
@@ -505,8 +506,7 @@ fn degraded_serial(circuit: &Circuit, cfg: &RouterConfig, comm: &mut Comm) -> Ro
     };
     let mut pipe = crate::route::serial::SerialPipeline::default();
     for &phase in <crate::route::serial::SerialPipeline as Pipeline>::PASSES {
-        comm.metric_window_open(phase);
-        comm.phase(phase.name());
+        comm.phase_mark(phase);
         pipe.pass(phase, &mut ctx, comm);
     }
     comm.metric_window_close();
@@ -530,7 +530,10 @@ fn agree_shed(comm: &mut Comm) -> bool {
     }
 }
 
-/// The SPMD entry point every parallel algorithm shares: the bounded
+/// The SPMD entry point the serial router and every parallel algorithm
+/// share ([`crate::route::try_route_serial`] is
+/// `drive::<SerialPipeline>`, [`crate::parallel::Algorithm::try_route`]
+/// picks the parallel pipeline): the bounded
 /// recovery loop around engine-driven attempts, each over a freshly
 /// derived [`RouteCtx`] and a fresh pipeline; the serial fallback when
 /// the loop gives up (stamping [`names::DEGRADED_SERIAL`] and the

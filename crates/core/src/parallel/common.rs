@@ -2,17 +2,22 @@
 //!
 //! Circuit distribution, Steiner-segment splitting at partition
 //! boundaries with fake-pin insertion (§4, Figure 2), sub-net assembly
-//! from received fragments, the final solution gather, and the portable
+//! from received fragments, the final solution gather, the portable
 //! phase-boundary checkpoint payloads all three pipelines deposit for
-//! [`crate::engine::with_recovery`]'s resume path.
+//! [`crate::engine::with_recovery`]'s resume path, and [`RowBand`] — the
+//! row-partitioned front half the row-wise and hybrid algorithms share.
 
-use crate::config::RouterConfig;
 use crate::cost;
-use crate::engine::Phase;
-use crate::metrics::RoutingResult;
-use crate::route::state::{Node, Segment, Span, WorkNet};
+use crate::engine::{Phase, RouteCtx};
+use crate::metrics::{names, record_ft_plan, RoutingResult};
+use crate::parallel::partition::partition_nets;
+use crate::route::coarse::CoarseState;
+use crate::route::feedthrough::{assign, FtPlan};
+use crate::route::serial::{attach_feedthroughs, crossings_of, shift_pins};
+use crate::route::state::{Node, Orientation, Segment, Span, WorkNet};
+use crate::route::steiner::{build_segments_with, whole_net};
 use crate::route::switchable::ChannelState;
-use pgr_circuit::{Circuit, RowPartition};
+use pgr_circuit::{Circuit, NetId, RowId, RowPartition};
 use pgr_mpi::{Comm, Reader, Wire};
 
 /// User-space message tags.
@@ -36,6 +41,12 @@ pub fn distribute(circuit: &Circuit, replicated: bool, comm: &mut Comm) {
     let entities = (circuit.num_pins() + circuit.num_cells() + circuit.num_nets()) as u64;
     let bytes = circuit.estimated_routing_bytes();
     let size = comm.size();
+    // What one rank holds — and so what rank 0 ships to each peer.
+    let local_bytes = if replicated {
+        bytes
+    } else {
+        bytes / size as u64
+    };
     comm.trace_mark(if replicated {
         "distribute:replicated"
     } else {
@@ -43,13 +54,8 @@ pub fn distribute(circuit: &Circuit, replicated: bool, comm: &mut Comm) {
     });
     if comm.rank() == 0 {
         comm.compute(cost::SETUP_ITEM * entities);
-        let share = if replicated {
-            bytes
-        } else {
-            bytes / size as u64
-        };
         for dst in 1..size {
-            comm.send_bytes(dst, tag::DISTRIBUTE, vec![0u8; share as usize]);
+            comm.send_bytes(dst, tag::DISTRIBUTE, vec![0u8; local_bytes as usize]);
         }
     } else {
         let _ = comm.recv_bytes(0, tag::DISTRIBUTE);
@@ -60,11 +66,6 @@ pub fn distribute(circuit: &Circuit, replicated: bool, comm: &mut Comm) {
         };
         comm.compute(cost::SETUP_ITEM * local_entities);
     }
-    let local_bytes = if replicated {
-        bytes
-    } else {
-        bytes / size as u64
-    };
     comm.charge_alloc(local_bytes);
 }
 
@@ -117,28 +118,35 @@ pub fn split_segment(seg: &Segment, rows: &RowPartition) -> Vec<(usize, Segment)
     out
 }
 
-/// Group a rank's received segments into per-net work records. Nodes are
-/// deduplicated; the net order follows first appearance (net-id order
-/// when the sender iterated nets in order).
-pub fn assemble_works(segments: &[Segment]) -> Vec<WorkNet> {
+/// Group `(net, nodes)` contributions into one work record per net.
+/// Nodes are sorted and deduplicated; the net order follows first
+/// appearance.
+pub(crate) fn group_nodes<N: IntoIterator<Item = Node>>(
+    parts: impl IntoIterator<Item = (NetId, N)>,
+) -> Vec<WorkNet> {
     let mut works: Vec<WorkNet> = Vec::new();
     let mut index = std::collections::HashMap::new();
-    for seg in segments {
-        let &mut i = index.entry(seg.net).or_insert_with(|| {
+    for (net, nodes) in parts {
+        let &mut i = index.entry(net).or_insert_with(|| {
             works.push(WorkNet {
-                net: seg.net,
+                net,
                 nodes: Vec::new(),
             });
             works.len() - 1
         });
-        works[i].nodes.push(seg.lower);
-        works[i].nodes.push(seg.upper);
+        works[i].nodes.extend(nodes);
     }
     for w in &mut works {
         w.nodes.sort_unstable_by_key(|n| n.sort_key());
         w.nodes.dedup();
     }
     works
+}
+
+/// Group a rank's received segments into per-net work records (net-id
+/// order when the sender iterated nets in order).
+pub fn assemble_works(segments: &[Segment]) -> Vec<WorkNet> {
+    group_nodes(segments.iter().map(|s| (s.net, [s.lower, s.upper])))
 }
 
 /// The last phase boundary whose pipeline state is *portable* — restorable
@@ -264,10 +272,8 @@ pub fn sync_boundaries(chans: &mut ChannelState, rows: &RowPartition, comm: &mut
 /// Gather every rank's spans and scalar tallies at rank 0 and assemble
 /// the global [`RoutingResult`] (the serial back end of every parallel
 /// run). Returns `Some` on rank 0.
-#[allow(clippy::too_many_arguments)]
 pub fn gather_result(
     circuit: &Circuit,
-    _cfg: &RouterConfig,
     spans: Vec<Span>,
     wirelength: u64,
     feedthroughs: u64,
@@ -301,6 +307,174 @@ pub fn gather_result(
     };
     crate::metrics::record_quality(&result, comm);
     Some(result)
+}
+
+/// The row-partitioned front half of the row-wise (§4) and hybrid (§6)
+/// algorithms, plus the back-end gather both end with. The paper defines
+/// the hybrid as the row-wise algorithm up to feedthrough assignment —
+/// rows, cells and pins partitioned row-wise, fake pins keeping sub-nets
+/// connected — and only the final connection differs, so the two
+/// pipelines embed this state and run [`RowBand::pass`] for every phase
+/// but [`Phase::Connect`] and [`Phase::Switchable`], which they implement
+/// themselves against the public fields.
+#[derive(Default)]
+pub(crate) struct RowBand {
+    /// Owned nets with their unsplit Steiner segments, retained (only
+    /// when a checkpoint store is attached) for the portable
+    /// phase-boundary snapshot.
+    ckpt: Vec<(u32, Vec<Segment>)>,
+    /// The §5 net partition: which rank built (and, in the hybrid,
+    /// connects) each net.
+    pub(crate) owners: Vec<u32>,
+    segments: Vec<Segment>,
+    /// This band's sub-nets, with feedthroughs attached once the
+    /// feedthrough pass ran.
+    pub(crate) works: Vec<WorkNet>,
+    orients: Vec<Orientation>,
+    coarse: Option<CoarseState>,
+    plan: Option<FtPlan>,
+    /// Global chip width (the widest row anywhere), known after the
+    /// feedthrough pass.
+    pub(crate) chip_width: i64,
+    /// Connect's product, refined in place by the switchable pass and
+    /// gathered by assemble.
+    pub(crate) spans: Vec<Span>,
+    pub(crate) wirelength: u64,
+    result: Option<RoutingResult>,
+}
+
+impl RowBand {
+    /// Execute one of the shared phases. Connect and switchable are the
+    /// embedding pipeline's own.
+    pub(crate) fn pass(&mut self, phase: Phase, ctx: &mut RouteCtx<'_>, comm: &mut Comm) {
+        let (circuit, cfg) = (ctx.circuit, ctx.cfg);
+        match phase {
+            // Front end + distribution (rank 0 is the master that read
+            // the file).
+            Phase::Setup => distribute(circuit, false, comm),
+
+            // Step 1 (net-parallel): Steiner trees for owned nets, split
+            // at partition boundaries, dealt to the rank owning each
+            // piece's rows.
+            Phase::Steiner => {
+                self.owners =
+                    partition_nets(circuit, ctx.kind, &ctx.rows, ctx.size, cfg.pin_weight_beta);
+                let owned = self
+                    .owners
+                    .iter()
+                    .filter(|&&o| o as usize == ctx.rank)
+                    .count();
+                comm.metric_add(names::NETS_OWNED, owned as u64);
+                let keep = comm.checkpointing();
+                let mut outgoing: Vec<Vec<Segment>> = vec![Vec::new(); ctx.size];
+                for net in circuit.nets_chunks().flat_map(|c| c.net_ids()) {
+                    let i = net.index();
+                    if self.owners[i] as usize != ctx.rank {
+                        continue;
+                    }
+                    // Mandatory work: a latched breach stops local
+                    // building; the alltoall below still runs (walking
+                    // away would deadlock peers) and the engine aborts
+                    // at the next phase boundary.
+                    if comm.budget_poll_abort() {
+                        break;
+                    }
+                    let w = whole_net(circuit, net);
+                    if w.nodes.len() < 2 {
+                        continue;
+                    }
+                    let segs = build_segments_with(&w, cfg.steiner_refine, comm);
+                    for seg in &segs {
+                        for (part, piece) in split_segment(seg, &ctx.rows) {
+                            outgoing[part].push(piece);
+                        }
+                    }
+                    if keep {
+                        self.ckpt.push((i as u32, segs));
+                    }
+                }
+                self.segments = comm.alltoall(outgoing).into_iter().flatten().collect();
+                comm.metric_add(names::SEGMENTS_OWNED, self.segments.len() as u64);
+                self.works = assemble_works(&self.segments);
+            }
+
+            // Step 2: coarse global routing on the local row band.
+            Phase::Coarse => {
+                comm.metric_add(names::ROWS_OWNED, ctx.nrows() as u64);
+                let mut coarse =
+                    CoarseState::new(ctx.row0(), ctx.nrows(), circuit.width, cfg.grid_w);
+                comm.charge_alloc(coarse.modeled_bytes());
+                self.orients = coarse.route(&self.segments, cfg, &mut ctx.rng, comm);
+                self.coarse = Some(coarse);
+            }
+
+            // Step 3: feedthrough insertion + assignment for the local
+            // rows, then the global chip width (the widest row anywhere).
+            Phase::Feedthrough => {
+                let demand = self.coarse.take().expect("coarse pass ran").into_demand();
+                let plan = FtPlan::new(ctx.row0(), demand, cfg.grid_w, cfg.ft_width);
+                let local_cells: usize = ctx
+                    .rows
+                    .range(ctx.rank)
+                    .map(|r| circuit.row_cells(RowId(r as u32)).len())
+                    .sum();
+                comm.compute(cost::FT_INSERT_CELL * local_cells as u64);
+                let crossings = crossings_of(&self.segments, &self.orients);
+                let ft_nodes = assign(&plan, &crossings, comm);
+                record_ft_plan(&plan, comm);
+                shift_pins(&mut self.works, &plan);
+                attach_feedthroughs(&mut self.works, ft_nodes);
+                self.chip_width = comm.allreduce(circuit.width + plan.max_growth(), i64::max);
+                self.plan = Some(plan);
+            }
+
+            Phase::Connect | Phase::Switchable => {
+                unreachable!("{} is the embedding pipeline's own pass", phase.name())
+            }
+
+            // Back end: gather everything at the lowest surviving rank.
+            Phase::Assemble => {
+                self.result = gather_result(
+                    circuit,
+                    std::mem::take(&mut self.spans),
+                    self.wirelength,
+                    self.plan.as_ref().expect("feedthrough pass ran").total(),
+                    self.chip_width,
+                    comm,
+                );
+            }
+        }
+    }
+
+    /// The portable snapshot entering `at` — see [`steiner_snapshot`].
+    pub(crate) fn snapshot(&self, at: Phase) -> Option<Vec<u8>> {
+        steiner_snapshot(at, &self.ckpt)
+    }
+
+    /// Rebuild the state entering `at` from the failed world's payloads,
+    /// re-partitioned over the current world (net partition included —
+    /// the hybrid's connect pass ships fragments to net owners).
+    pub(crate) fn restore(&mut self, at: Phase, payloads: &[Vec<u8>], ctx: &mut RouteCtx<'_>) {
+        if at.index() != PORTABLE_HORIZON {
+            return; // resuming at Steiner: default state, setup re-runs
+        }
+        self.owners = partition_nets(
+            ctx.circuit,
+            ctx.kind,
+            &ctx.rows,
+            ctx.size,
+            ctx.cfg.pin_weight_beta,
+        );
+        let by_net = merge_steiner_payloads(payloads, ctx.circuit.num_nets());
+        self.segments = replay_split_arrival(&by_net, &self.owners, &ctx.rows, ctx.size, ctx.rank);
+        self.works = assemble_works(&self.segments);
+        self.ckpt = owned_ckpt(&by_net, &self.owners, ctx.rank);
+    }
+
+    /// The assembled result, after the assemble pass (rank 0 only).
+    pub(crate) fn take_result(&mut self) -> Option<RoutingResult> {
+        self.result.take()
+    }
 }
 
 #[cfg(test)]

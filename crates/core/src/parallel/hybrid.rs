@@ -15,189 +15,44 @@
 //! (≈2 % track degradation), at slightly lower speedups than row-wise
 //! because of the extra fragment/span exchange.
 
-use crate::config::RouterConfig;
 use crate::cost;
-use crate::engine::{self, Phase, Pipeline, RouteCtx};
-use crate::metrics::{names, record_ft_plan, RoutingResult};
-use crate::parallel::common::{
-    assemble_works, distribute, gather_result, merge_steiner_payloads, owned_ckpt,
-    replay_split_arrival, split_segment, steiner_snapshot, sync_boundaries, PORTABLE_HORIZON,
-};
-use crate::parallel::partition::{partition_nets, PartitionKind};
-use crate::route::coarse::CoarseState;
-use crate::route::connect::{connect_net_with, ConnectArena};
-use crate::route::feedthrough::{assign, FtPlan};
-use crate::route::serial::{attach_feedthroughs, crossings_of, shift_pins};
-use crate::route::state::{Orientation, Segment, Span, WorkNet};
-use crate::route::steiner::{build_segments_with, whole_net};
+use crate::engine::{Phase, Pipeline, RouteCtx};
+use crate::metrics::{names, RoutingResult};
+use crate::parallel::common::{group_nodes, sync_boundaries, RowBand};
+use crate::route::connect::connect_all;
+use crate::route::state::{Span, WorkNet};
 use crate::route::switchable::{optimize, ChannelState};
-use pgr_circuit::{Circuit, RowId};
+use pgr_circuit::RowId;
 use pgr_mpi::Comm;
 
-/// Run the hybrid algorithm on the calling rank. Returns the global
-/// result on the lowest surviving rank, `None` elsewhere.
-///
-/// Phase boundaries are recovery checkpoints (see
-/// [`crate::engine::with_recovery`]): a rank killed there unwinds with
-/// `None` and the survivors redo the attempt on the shrunken world.
-pub fn route_hybrid(
-    circuit: &Circuit,
-    cfg: &RouterConfig,
-    kind: PartitionKind,
-    comm: &mut Comm,
-) -> Option<RoutingResult> {
-    try_route_hybrid(circuit, cfg, kind, comm)
-        .expect("budgeted run breached its budget — use try_route_hybrid")
-}
-
-/// [`route_hybrid`], but an armed [`pgr_mpi::ResourceBudget`] breach
-/// returns the agreed structured error instead of panicking.
-pub fn try_route_hybrid(
-    circuit: &Circuit,
-    cfg: &RouterConfig,
-    kind: PartitionKind,
-    comm: &mut Comm,
-) -> Result<Option<RoutingResult>, crate::engine::RouteError> {
-    engine::drive::<HybridPipeline>(circuit, cfg, kind, comm)
-}
-
-/// Pipeline state carried between the hybrid passes.
+/// The hybrid pipeline: steps 1–3 are exactly the row-wise flow (the
+/// shared [`RowBand`] front half, fake pins and all); connection is
+/// per whole net. Driven by [`crate::engine::drive`] through
+/// [`Algorithm::Hybrid`](crate::parallel::Algorithm); phase boundaries
+/// are recovery checkpoints (see [`crate::engine::with_recovery`]).
 #[derive(Default)]
-struct HybridPipeline {
-    /// Owned nets with their unsplit Steiner segments, retained (only
-    /// when a checkpoint store is attached) for the portable
-    /// phase-boundary snapshot.
-    ckpt: Vec<(u32, Vec<Segment>)>,
-    owners: Vec<u32>,
-    segments: Vec<Segment>,
-    works: Vec<WorkNet>,
-    orients: Vec<Orientation>,
-    coarse: Option<CoarseState>,
-    plan: Option<FtPlan>,
-    chip_width: i64,
-    spans: Vec<Span>,
-    wirelength: u64,
-    result: Option<RoutingResult>,
+pub(crate) struct HybridPipeline {
+    band: RowBand,
 }
 
 impl Pipeline for HybridPipeline {
     fn pass(&mut self, phase: Phase, ctx: &mut RouteCtx<'_>, comm: &mut Comm) {
-        let (circuit, cfg) = (ctx.circuit, ctx.cfg);
+        let band = &mut self.band;
         match phase {
-            Phase::Setup => distribute(circuit, false, comm),
-
-            // Steps 1–3: exactly the row-wise flow (fake pins and all).
-            Phase::Steiner => {
-                self.owners =
-                    partition_nets(circuit, ctx.kind, &ctx.rows, ctx.size, cfg.pin_weight_beta);
-                let owned = self
-                    .owners
-                    .iter()
-                    .filter(|&&o| o as usize == ctx.rank)
-                    .count();
-                comm.metric_add(names::NETS_OWNED, owned as u64);
-                let keep = comm.checkpointing();
-                let mut outgoing: Vec<Vec<Segment>> = vec![Vec::new(); ctx.size];
-                for net in circuit.nets_chunks().flat_map(|c| c.net_ids()) {
-                    let i = net.index();
-                    if self.owners[i] as usize != ctx.rank {
-                        continue;
-                    }
-                    // Mandatory work: a latched breach stops local
-                    // building; the alltoall below still runs and the
-                    // engine aborts at the next phase boundary.
-                    if comm.budget_poll_abort() {
-                        break;
-                    }
-                    let w = whole_net(circuit, net);
-                    if w.nodes.len() < 2 {
-                        continue;
-                    }
-                    let segs = build_segments_with(&w, cfg.steiner_refine, comm);
-                    for seg in &segs {
-                        for (part, piece) in split_segment(seg, &ctx.rows) {
-                            outgoing[part].push(piece);
-                        }
-                    }
-                    if keep {
-                        self.ckpt.push((i as u32, segs));
-                    }
-                }
-                self.segments = comm.alltoall(outgoing).into_iter().flatten().collect();
-                comm.metric_add(names::SEGMENTS_OWNED, self.segments.len() as u64);
-                self.works = assemble_works(&self.segments);
-            }
-
-            Phase::Coarse => {
-                comm.metric_add(names::ROWS_OWNED, ctx.nrows() as u64);
-                let mut coarse =
-                    CoarseState::new(ctx.row0(), ctx.nrows(), circuit.width, cfg.grid_w);
-                comm.charge_alloc(coarse.modeled_bytes());
-                self.orients = coarse.route(&self.segments, cfg, &mut ctx.rng, comm);
-                self.coarse = Some(coarse);
-            }
-
-            Phase::Feedthrough => {
-                let demand = self.coarse.take().expect("coarse pass ran").into_demand();
-                let plan = FtPlan::new(ctx.row0(), demand, cfg.grid_w, cfg.ft_width);
-                let local_cells: usize = ctx
-                    .rows
-                    .range(ctx.rank)
-                    .map(|r| circuit.row_cells(RowId(r as u32)).len())
-                    .sum();
-                comm.compute(cost::FT_INSERT_CELL * local_cells as u64);
-                let crossings = crossings_of(&self.segments, &self.orients);
-                let ft_nodes = assign(&plan, &crossings, comm);
-                record_ft_plan(&plan, comm);
-                shift_pins(&mut self.works, &plan);
-                attach_feedthroughs(&mut self.works, ft_nodes);
-                self.chip_width = comm.allreduce(circuit.width + plan.max_growth(), i64::max);
-                self.plan = Some(plan);
-            }
-
             // Step 4 (the hybrid difference): ship each net's fragment to
             // the net's owner, merge, and connect the whole net there.
             Phase::Connect => {
                 let mut work_out: Vec<Vec<WorkNet>> = vec![Vec::new(); ctx.size];
-                for w in std::mem::take(&mut self.works) {
-                    work_out[self.owners[w.net.index()] as usize].push(w);
+                for w in std::mem::take(&mut band.works) {
+                    work_out[band.owners[w.net.index()] as usize].push(w);
                 }
-                let fragments: Vec<WorkNet> =
-                    comm.alltoall(work_out).into_iter().flatten().collect();
-                let mut merged: Vec<WorkNet> = Vec::new();
-                {
-                    let mut index = std::collections::HashMap::new();
-                    for frag in fragments {
-                        let &mut i = index.entry(frag.net).or_insert_with(|| {
-                            merged.push(WorkNet {
-                                net: frag.net,
-                                nodes: Vec::new(),
-                            });
-                            merged.len() - 1
-                        });
-                        merged[i].nodes.extend(frag.nodes);
-                    }
-                    for w in &mut merged {
-                        w.nodes.sort_unstable_by_key(|n| n.sort_key());
-                        w.nodes.dedup();
-                    }
-                    // Deterministic order regardless of fragment arrival.
-                    merged.sort_unstable_by_key(|w| w.net);
-                }
+                let fragments = comm.alltoall(work_out).into_iter().flatten();
+                let mut merged = group_nodes(fragments.map(|f: WorkNet| (f.net, f.nodes)));
+                // Deterministic order regardless of fragment arrival.
+                merged.sort_unstable_by_key(|w| w.net);
 
-                let mut all_spans: Vec<Span> = Vec::new();
-                let mut arena = ConnectArena::default();
-                for w in &merged {
-                    // Mandatory work: stop on a latched breach (the
-                    // span alltoall below still runs; the engine aborts
-                    // at the next boundary).
-                    if comm.budget_poll_abort() {
-                        break;
-                    }
-                    let conn = connect_net_with(w, comm, &mut arena);
-                    self.wirelength += conn.wirelength;
-                    all_spans.extend(conn.spans);
-                }
+                let (all_spans, wirelength) = connect_all(&merged, true, comm);
+                band.wirelength = wirelength;
 
                 // Deal spans back to channel owners: switchable spans
                 // follow their row (the owner covers both candidate
@@ -208,7 +63,7 @@ impl Pipeline for HybridPipeline {
                     let dest = match s.switch_row {
                         Some(r) => ctx.rows.owner(RowId(r)),
                         None => {
-                            if s.channel as usize == circuit.num_rows() {
+                            if s.channel as usize == ctx.circuit.num_rows() {
                                 ctx.size - 1
                             } else {
                                 ctx.rows.owner(RowId(s.channel))
@@ -221,72 +76,47 @@ impl Pipeline for HybridPipeline {
                 // sender-rank order, each sender's list is
                 // deterministic), and at P = 1 it is exactly the serial
                 // span order.
-                self.spans = comm.alltoall(span_out).into_iter().flatten().collect();
+                band.spans = comm.alltoall(span_out).into_iter().flatten().collect();
             }
 
             // Step 5: row-local switchable optimization with boundary
             // sync.
             Phase::Switchable => {
-                let mut chans = ChannelState::new(ctx.row0(), ctx.nrows() + 1, self.chip_width);
+                let mut chans = ChannelState::new(ctx.row0(), ctx.nrows() + 1, band.chip_width);
                 comm.charge_alloc(chans.modeled_bytes());
-                comm.compute(cost::SPAN_APPLY * self.spans.len() as u64);
-                for s in &self.spans {
+                comm.compute(cost::SPAN_APPLY * band.spans.len() as u64);
+                for s in &band.spans {
                     chans.add_span(s, 1);
                 }
                 sync_boundaries(&mut chans, &ctx.rows, comm);
-                let flips = optimize(&mut chans, &mut self.spans, cfg, &mut ctx.rng, comm);
+                let flips = optimize(&mut chans, &mut band.spans, ctx.cfg, &mut ctx.rng, comm);
                 comm.metric_add(names::SEGMENTS_FLIPPED, flips as u64);
             }
 
-            Phase::Assemble => {
-                self.result = gather_result(
-                    circuit,
-                    cfg,
-                    std::mem::take(&mut self.spans),
-                    self.wirelength,
-                    self.plan.as_ref().expect("feedthrough pass ran").total(),
-                    self.chip_width,
-                    comm,
-                );
-            }
+            _ => band.pass(phase, ctx, comm),
         }
     }
 
     fn snapshot(&self, at: Phase, _ctx: &RouteCtx<'_>) -> Option<Vec<u8>> {
-        steiner_snapshot(at, &self.ckpt)
+        self.band.snapshot(at)
     }
 
     fn restore(&mut self, at: Phase, payloads: &[Vec<u8>], ctx: &mut RouteCtx<'_>) {
-        if at.index() != PORTABLE_HORIZON {
-            return; // resuming at Steiner: default state, setup re-runs
-        }
-        // The hybrid keeps the net partition live past Steiner (the
-        // connect pass ships fragments to net owners), so the restore
-        // re-derives it for the current world alongside the segments.
-        self.owners = partition_nets(
-            ctx.circuit,
-            ctx.kind,
-            &ctx.rows,
-            ctx.size,
-            ctx.cfg.pin_weight_beta,
-        );
-        let by_net = merge_steiner_payloads(payloads, ctx.circuit.num_nets());
-        self.segments = replay_split_arrival(&by_net, &self.owners, &ctx.rows, ctx.size, ctx.rank);
-        self.works = assemble_works(&self.segments);
-        self.ckpt = owned_ckpt(&by_net, &self.owners, ctx.rank);
+        self.band.restore(at, payloads, ctx);
     }
 
     fn take_result(&mut self) -> Option<RoutingResult> {
-        self.result.take()
+        self.band.take_result()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::rowwise::route_rowwise;
-    use crate::route::route_serial;
-    use pgr_circuit::{generate, GeneratorConfig};
+    use crate::config::RouterConfig;
+    use crate::parallel::{Algorithm, PartitionKind};
+    use crate::route::try_route_serial;
+    use pgr_circuit::{generate, Circuit, GeneratorConfig};
     use pgr_mpi::{run, MachineModel};
 
     fn small() -> Circuit {
@@ -295,7 +125,9 @@ mod tests {
 
     fn run_hybrid(circuit: &Circuit, cfg: &RouterConfig, procs: usize) -> (RoutingResult, f64) {
         let report = run(procs, MachineModel::sparc_center_1000(), |comm| {
-            route_hybrid(circuit, cfg, PartitionKind::PinWeight, comm)
+            Algorithm::Hybrid
+                .try_route(circuit, cfg, PartitionKind::PinWeight, comm)
+                .unwrap()
         });
         let result = report
             .results
@@ -311,7 +143,7 @@ mod tests {
     fn multi_rank_quality_close_to_serial() {
         let c = small();
         let cfg = RouterConfig::with_seed(5);
-        let serial = route_serial(&c, &cfg, &mut Comm::solo(MachineModel::ideal()));
+        let serial = try_route_serial(&c, &cfg, &mut Comm::solo(MachineModel::ideal())).unwrap();
         for procs in [2, 4] {
             let (par, _) = run_hybrid(&c, &cfg, procs);
             let scaled = par.scaled_tracks(&serial);
@@ -333,7 +165,9 @@ mod tests {
             let cfg = RouterConfig::with_seed(seed);
             let (h, _) = run_hybrid(&c, &cfg, 4);
             let r = run(4, MachineModel::sparc_center_1000(), |comm| {
-                route_rowwise(&c, &cfg, PartitionKind::PinWeight, comm)
+                Algorithm::RowWise
+                    .try_route(&c, &cfg, PartitionKind::PinWeight, comm)
+                    .unwrap()
             });
             let r = r.results.iter().flatten().next().unwrap().clone();
             hybrid_total += h.track_count();
@@ -352,7 +186,7 @@ mod tests {
     fn single_rank_matches_serial_exactly() {
         let c = small();
         let cfg = RouterConfig::with_seed(9);
-        let serial = route_serial(&c, &cfg, &mut Comm::solo(MachineModel::ideal()));
+        let serial = try_route_serial(&c, &cfg, &mut Comm::solo(MachineModel::ideal())).unwrap();
         let (par, _) = run_hybrid(&c, &cfg, 1);
         assert_eq!(par, serial, "P=1 hybrid is the serial algorithm");
     }

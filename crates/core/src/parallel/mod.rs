@@ -8,7 +8,7 @@ pub mod partition;
 pub mod rowwise;
 
 use crate::config::RouterConfig;
-use crate::engine::RouteError;
+use crate::engine::{self, RouteError};
 use crate::metrics::{names, RoutingResult};
 use partition::PartitionKind;
 use pgr_circuit::Circuit;
@@ -16,10 +16,6 @@ use pgr_mpi::{
     run_instrumented, Comm, InstrumentConfig, MachineModel, RankMetrics, RankStats, RankTrace,
 };
 use pgr_obs::budget_names;
-
-pub use hybrid::{route_hybrid, try_route_hybrid};
-pub use netwise::{route_netwise, try_route_netwise};
-pub use rowwise::{route_rowwise, try_route_rowwise};
 
 /// Which parallel algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -43,23 +39,12 @@ impl Algorithm {
         }
     }
 
-    /// Run this algorithm on the calling rank (SPMD entry point).
-    /// Panics on a budget breach — budgeted runs should call
-    /// [`Algorithm::try_route`].
-    pub fn route(
-        self,
-        circuit: &Circuit,
-        cfg: &RouterConfig,
-        kind: PartitionKind,
-        comm: &mut Comm,
-    ) -> Option<RoutingResult> {
-        self.try_route(circuit, cfg, kind, comm)
-            .expect("budgeted run breached its budget — use try_route")
-    }
-
-    /// Budget-aware SPMD entry point: an armed
-    /// [`pgr_mpi::ResourceBudget`] breach surfaces as the identical
-    /// structured [`RouteError`] on every rank instead of a panic.
+    /// Run this algorithm on the calling rank — the SPMD entry point,
+    /// [`engine::drive`] over the algorithm's pipeline. Returns the
+    /// global result on the lowest surviving rank and `None` elsewhere
+    /// (a rank killed by the fault layer's schedule also holds `None`);
+    /// an armed [`pgr_mpi::ResourceBudget`] breach surfaces as the
+    /// identical structured [`RouteError`] on every rank.
     pub fn try_route(
         self,
         circuit: &Circuit,
@@ -68,17 +53,26 @@ impl Algorithm {
         comm: &mut Comm,
     ) -> Result<Option<RoutingResult>, RouteError> {
         match self {
-            Algorithm::RowWise => rowwise::try_route_rowwise(circuit, cfg, kind, comm),
-            Algorithm::NetWise => netwise::try_route_netwise(circuit, cfg, kind, comm),
-            Algorithm::Hybrid => hybrid::try_route_hybrid(circuit, cfg, kind, comm),
+            Algorithm::RowWise => {
+                engine::drive::<rowwise::RowWisePipeline>(circuit, cfg, kind, comm)
+            }
+            Algorithm::NetWise => {
+                engine::drive::<netwise::NetWisePipeline>(circuit, cfg, kind, comm)
+            }
+            Algorithm::Hybrid => engine::drive::<hybrid::HybridPipeline>(circuit, cfg, kind, comm),
         }
     }
 }
 
-/// The outcome of one parallel routing run.
+/// The outcome of one parallel routing run. A resource-budget breach
+/// lands in `result` as a structured [`RouteError`]; the timing, stats,
+/// traces, and metric shards of the partial run are still returned for
+/// post-mortem analysis.
 #[derive(Debug)]
-pub struct ParallelOutcome {
-    pub result: RoutingResult,
+pub struct GuardedOutcome {
+    /// The assembled route, or the agreed budget breach (identical on
+    /// every rank of the run).
+    pub result: Result<RoutingResult, RouteError>,
     /// Simulated wall-clock (the slowest rank's virtual time).
     pub time: f64,
     /// Real host makespan in seconds — `Some` only when the run used
@@ -105,89 +99,17 @@ pub struct ParallelOutcome {
     pub budget_degraded: bool,
 }
 
-/// The outcome of one *guarded* parallel routing run: identical to
-/// [`ParallelOutcome`], except a resource-budget breach lands in
-/// `result` as a structured [`RouteError`] instead of a panic — the
-/// timing, stats, traces, and metric shards of the partial run are
-/// still returned for post-mortem analysis.
-#[derive(Debug)]
-pub struct GuardedOutcome {
-    /// The assembled route, or the agreed budget breach (identical on
-    /// every rank of the run).
-    pub result: Result<RoutingResult, RouteError>,
-    /// Simulated wall-clock (the slowest rank's virtual time).
-    pub time: f64,
-    /// Real host makespan — `Some` only under [`pgr_mpi::ClockMode::Wall`].
-    pub wall_time: Option<f64>,
-    pub stats: Vec<RankStats>,
-    pub fits_memory: bool,
-    pub traces: Vec<RankTrace>,
-    pub metrics: Vec<RankMetrics>,
-    /// Completed by the serial fallback after recovery gave up.
-    pub degraded: bool,
-    /// Completed, but only by shedding optional refinement work.
-    pub budget_degraded: bool,
-}
-
-/// Route `circuit` with `procs` ranks of `machine`, returning rank 0's
-/// assembled result plus simulated timing. No tracing, no metrics.
-pub fn route_parallel(
-    circuit: &Circuit,
-    cfg: &RouterConfig,
-    algorithm: Algorithm,
-    kind: PartitionKind,
-    procs: usize,
-    machine: MachineModel,
-) -> ParallelOutcome {
-    route_parallel_instrumented(
-        circuit,
-        cfg,
-        algorithm,
-        kind,
-        procs,
-        machine,
-        InstrumentConfig::off(),
-    )
-}
-
-/// [`route_parallel`] with instrumentation: per-rank traces and metric
-/// shards per the [`InstrumentConfig`]. When metrics are on, rank 0's
+/// The harness: runs `algorithm` over `procs` simulated ranks of
+/// `machine` and returns either rank 0's assembled (and, when shed or
+/// recovered, *verified*) route or the structured [`RouteError`] the
+/// world agreed on, plus simulated timing. Never panics on a breach.
+/// `instr` selects per-rank traces and metric shards
+/// ([`InstrumentConfig::off`] for neither); when metrics are on, rank 0's
 /// shard additionally carries the post-run
 /// [`parallel.load_imbalance`](names::LOAD_IMBALANCE) gauge
 /// (max rank time / mean rank time — 1.0 is a perfectly balanced run).
 /// No single rank can see that number during the run, so it is derived
 /// here from the per-rank virtual clocks.
-pub fn route_parallel_instrumented(
-    circuit: &Circuit,
-    cfg: &RouterConfig,
-    algorithm: Algorithm,
-    kind: PartitionKind,
-    procs: usize,
-    machine: MachineModel,
-    instr: InstrumentConfig,
-) -> ParallelOutcome {
-    let out = route_parallel_guarded(circuit, cfg, algorithm, kind, procs, machine, instr);
-    ParallelOutcome {
-        result: out
-            .result
-            .expect("budgeted run breached its budget — use route_parallel_guarded"),
-        time: out.time,
-        wall_time: out.wall_time,
-        stats: out.stats,
-        fits_memory: out.fits_memory,
-        traces: out.traces,
-        metrics: out.metrics,
-        degraded: out.degraded,
-        budget_degraded: out.budget_degraded,
-    }
-}
-
-/// The budget-aware harness every other entry point wraps: runs
-/// `algorithm` over `procs` simulated ranks and returns either the
-/// assembled (and, when shed or recovered, *verified*) route or the
-/// structured [`RouteError`] the world agreed on. Never panics on a
-/// breach, and an unlimited `cfg.budget` makes it bit-identical to
-/// [`route_parallel_instrumented`].
 pub fn route_parallel_guarded(
     circuit: &Circuit,
     cfg: &RouterConfig,
@@ -217,35 +139,24 @@ pub fn route_parallel_guarded(
     }
     // Every surviving rank returns the identical Err on a breach (the
     // engine's agreement collective guarantees it); otherwise exactly
-    // the lowest surviving rank returns Some.
-    let mut result: Result<Option<RoutingResult>, RouteError> = Ok(None);
-    for r in report.results {
-        match r {
-            Err(e) => {
-                result = Err(e);
-                break;
-            }
-            Ok(Some(route)) if matches!(result, Ok(None)) => result = Ok(Some(route)),
-            Ok(_) => {}
-        }
-    }
-    let result = result.map(|r| r.expect("the lowest surviving rank returns the assembled result"));
-    let degraded = metrics
-        .iter()
-        .any(|m| m.counter(names::DEGRADED_SERIAL).unwrap_or(0) > 0);
-    let budget_degraded = metrics
-        .iter()
-        .any(|m| m.counter(budget_names::SHED_EVENTS).unwrap_or(0) > 0);
+    // the lowest surviving rank returns Some. Either way the first rank
+    // that holds anything holds the run's verdict.
+    let result = report
+        .results
+        .into_iter()
+        .find_map(Result::transpose)
+        .expect("the lowest surviving rank returns the assembled result or the agreed error");
+    let counted = |name| metrics.iter().any(|m| m.counter(name).unwrap_or(0) > 0);
     GuardedOutcome {
         result,
         time,
         wall_time,
         stats: report.stats,
         fits_memory,
+        degraded: counted(names::DEGRADED_SERIAL),
+        budget_degraded: counted(budget_names::SHED_EVENTS),
         traces,
         metrics,
-        degraded,
-        budget_degraded,
     }
 }
 
@@ -259,15 +170,20 @@ mod tests {
         let c = generate(&GeneratorConfig::small("wrap", 8));
         let cfg = RouterConfig::with_seed(1);
         for algo in Algorithm::ALL {
-            let out = route_parallel(
+            let out = route_parallel_guarded(
                 &c,
                 &cfg,
                 algo,
                 PartitionKind::PinWeight,
                 2,
                 MachineModel::sparc_center_1000(),
+                InstrumentConfig::off(),
             );
-            assert!(out.result.track_count() > 0, "{}", algo.name());
+            assert!(
+                out.result.as_ref().unwrap().track_count() > 0,
+                "{}",
+                algo.name()
+            );
             assert!(out.time > 0.0);
             assert_eq!(out.stats.len(), 2);
             assert!(out.fits_memory, "SMP has no memory cap");
@@ -286,7 +202,7 @@ mod tests {
         let c = generate(&GeneratorConfig::small("instr", 8));
         let cfg = RouterConfig::with_seed(1);
         for algo in Algorithm::ALL {
-            let out = route_parallel_instrumented(
+            let out = route_parallel_guarded(
                 &c,
                 &cfg,
                 algo,
@@ -302,12 +218,12 @@ mod tests {
             let root = &out.metrics[0];
             assert_eq!(
                 root.counter(names::TRACKS),
-                Some(out.result.track_count() as u64),
+                Some(out.result.as_ref().unwrap().track_count() as u64),
                 "{name}: tracks metric matches the result"
             );
             assert_eq!(
                 root.counter(names::SPANS),
-                Some(out.result.span_count() as u64)
+                Some(out.result.as_ref().unwrap().span_count() as u64)
             );
             let imb = root.gauge(names::LOAD_IMBALANCE).expect("imbalance gauge");
             assert!(imb >= 1.0, "{name}: max/mean is at least 1, got {imb}");
@@ -332,20 +248,25 @@ mod tests {
                 c.num_rows() as u64,
                 "{name}: every row observed once"
             );
-            assert_eq!(ft_rows.sum, out.result.feedthroughs, "{name}");
+            assert_eq!(
+                ft_rows.sum,
+                out.result.as_ref().unwrap().feedthroughs,
+                "{name}"
+            );
         }
     }
 
     #[test]
     fn uninstrumented_run_collects_nothing() {
         let c = generate(&GeneratorConfig::small("instr-off", 8));
-        let out = route_parallel(
+        let out = route_parallel_guarded(
             &c,
             &RouterConfig::with_seed(1),
             Algorithm::RowWise,
             PartitionKind::PinWeight,
             2,
             MachineModel::ideal(),
+            InstrumentConfig::off(),
         );
         assert!(out.metrics.is_empty());
         assert!(out.traces.is_empty());
@@ -355,15 +276,16 @@ mod tests {
     fn instrumentation_does_not_change_results_or_timing() {
         let c = generate(&GeneratorConfig::small("instr-same", 8));
         let cfg = RouterConfig::with_seed(3);
-        let plain = route_parallel(
+        let plain = route_parallel_guarded(
             &c,
             &cfg,
             Algorithm::Hybrid,
             PartitionKind::PinWeight,
             3,
             MachineModel::sparc_center_1000(),
+            InstrumentConfig::off(),
         );
-        let full = route_parallel_instrumented(
+        let full = route_parallel_guarded(
             &c,
             &cfg,
             Algorithm::Hybrid,
@@ -372,7 +294,10 @@ mod tests {
             MachineModel::sparc_center_1000(),
             InstrumentConfig::full(),
         );
-        assert_eq!(plain.result, full.result);
+        assert_eq!(
+            plain.result.as_ref().unwrap(),
+            full.result.as_ref().unwrap()
+        );
         assert_eq!(plain.time, full.time, "observation is free in virtual time");
     }
 
@@ -385,24 +310,30 @@ mod tests {
             ..cfg.clone()
         };
         for algo in Algorithm::ALL {
-            let virt = route_parallel(
+            let virt = route_parallel_guarded(
                 &c,
                 &cfg,
                 algo,
                 PartitionKind::PinWeight,
                 3,
                 MachineModel::sparc_center_1000(),
+                InstrumentConfig::off(),
             );
-            let wall = route_parallel(
+            let wall = route_parallel_guarded(
                 &c,
                 &wall_cfg,
                 algo,
                 PartitionKind::PinWeight,
                 3,
                 MachineModel::sparc_center_1000(),
+                InstrumentConfig::off(),
             );
             let name = algo.name();
-            assert_eq!(virt.result, wall.result, "{name}: results are clock-blind");
+            assert_eq!(
+                virt.result.as_ref().unwrap(),
+                wall.result.as_ref().unwrap(),
+                "{name}: results are clock-blind"
+            );
             assert_eq!(virt.time, wall.time, "{name}: virtual makespan unchanged");
             assert_eq!(virt.wall_time, None, "{name}");
             let wt = wall.wall_time.expect("wall makespan under Wall mode");

@@ -15,23 +15,22 @@
 //! processors share all channels) is its documented runtime problem
 //! (§7.2): quality degradation with poor speedups.
 
-use crate::config::RouterConfig;
 use crate::cost;
-use crate::engine::{self, Phase, Pipeline, RouteCtx};
+use crate::engine::{Phase, Pipeline, RouteCtx};
 use crate::metrics::{names, record_ft_plan, RoutingResult};
 use crate::parallel::common::{
     distribute, gather_result, merge_steiner_payloads, owned_ckpt, steiner_snapshot,
     PORTABLE_HORIZON,
 };
-use crate::parallel::partition::{partition_nets, PartitionKind};
+use crate::parallel::partition::partition_nets;
 use crate::route::coarse::{CoarseDeltas, CoarseState};
-use crate::route::connect::{connect_net_with, ConnectArena};
+use crate::route::connect::connect_all;
 use crate::route::feedthrough::{assign, Crossing, FtPlan};
 use crate::route::serial::{attach_feedthroughs, crossings_of, shift_pins};
 use crate::route::state::{Node, Orientation, Segment, Span, WorkNet};
 use crate::route::steiner::{build_segments_with, whole_net};
 use crate::route::switchable::{optimize_slice, switchable_candidates, ChannelState, SpanDelta};
-use pgr_circuit::{Circuit, NetId, RowId};
+use pgr_circuit::{NetId, RowId};
 use pgr_geom::shuffled_indices;
 use pgr_mpi::Comm;
 
@@ -141,38 +140,16 @@ fn sync_chans(chans: &mut ChannelState, exact: bool, comm: &mut Comm) {
     comm.compute(cost::MERGE_COL * chans.width() as u64 * chans.num_channels() as u64 / 8);
 }
 
-/// Run the net-wise algorithm on the calling rank. Returns the global
-/// result on the lowest surviving rank, `None` elsewhere.
-///
-/// Phase boundaries are recovery checkpoints (see
-/// [`crate::engine::with_recovery`]): a rank killed there unwinds with
-/// `None`, the survivors re-deal the nets over the shrunken world, and
-/// the logical rank 0 — the lowest surviving physical rank — takes over
-/// the master roles (snapshot hub, final assembly).
-pub fn route_netwise(
-    circuit: &Circuit,
-    cfg: &RouterConfig,
-    kind: PartitionKind,
-    comm: &mut Comm,
-) -> Option<RoutingResult> {
-    try_route_netwise(circuit, cfg, kind, comm)
-        .expect("budgeted run breached its budget — use try_route_netwise")
-}
-
-/// [`route_netwise`], but an armed [`pgr_mpi::ResourceBudget`] breach
-/// returns the agreed structured error instead of panicking.
-pub fn try_route_netwise(
-    circuit: &Circuit,
-    cfg: &RouterConfig,
-    kind: PartitionKind,
-    comm: &mut Comm,
-) -> Result<Option<RoutingResult>, crate::engine::RouteError> {
-    engine::drive::<NetWisePipeline>(circuit, cfg, kind, comm)
-}
-
-/// Pipeline state carried between the net-wise passes.
+/// Pipeline state carried between the net-wise passes. Driven by
+/// [`crate::engine::drive`] through
+/// [`Algorithm::NetWise`](crate::parallel::Algorithm). Phase boundaries
+/// are recovery checkpoints (see [`crate::engine::with_recovery`]): a
+/// rank killed there holds no result, the survivors re-deal the nets over
+/// the shrunken world, and the logical rank 0 — the lowest surviving
+/// physical rank — takes over the master roles (snapshot hub, final
+/// assembly).
 #[derive(Default)]
-struct NetWisePipeline {
+pub(crate) struct NetWisePipeline {
     /// Owned nets with their Steiner segments, retained (only when a
     /// checkpoint store is attached) for the portable phase-boundary
     /// snapshot. Net-wise nets are never split, so these are the same
@@ -333,18 +310,7 @@ impl Pipeline for NetWisePipeline {
                 let mut chans = ChannelState::new(0, all_rows + 1, self.chip_width);
                 comm.charge_alloc(chans.modeled_bytes());
                 chans.enable_logging();
-                let mut arena = ConnectArena::default();
-                for w in &self.works {
-                    // Mandatory work: stop on a latched breach (the
-                    // engine aborts at the next boundary).
-                    if comm.budget_poll_abort() {
-                        break;
-                    }
-                    let conn = connect_net_with(w, comm, &mut arena);
-                    debug_assert!(conn.spanning, "whole net must span");
-                    self.wirelength += conn.wirelength;
-                    self.spans.extend(conn.spans);
-                }
+                (self.spans, self.wirelength) = connect_all(&self.works, true, comm);
                 comm.compute(cost::SPAN_APPLY * self.spans.len() as u64);
                 for s in &self.spans {
                     chans.add_span(s, 1);
@@ -398,7 +364,6 @@ impl Pipeline for NetWisePipeline {
                 let ft_total = if ctx.rank == 0 { plan.total() } else { 0 };
                 self.result = gather_result(
                     circuit,
-                    cfg,
                     std::mem::take(&mut self.spans),
                     self.wirelength,
                     ft_total,
@@ -457,8 +422,10 @@ impl Pipeline for NetWisePipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::route::route_serial;
-    use pgr_circuit::{generate, GeneratorConfig};
+    use crate::config::RouterConfig;
+    use crate::parallel::{Algorithm, PartitionKind};
+    use crate::route::try_route_serial;
+    use pgr_circuit::{generate, Circuit, GeneratorConfig};
     use pgr_mpi::{run, MachineModel};
 
     fn small() -> Circuit {
@@ -472,7 +439,9 @@ mod tests {
         kind: PartitionKind,
     ) -> (RoutingResult, f64) {
         let report = run(procs, MachineModel::sparc_center_1000(), |comm| {
-            route_netwise(circuit, cfg, kind, comm)
+            Algorithm::NetWise
+                .try_route(circuit, cfg, kind, comm)
+                .unwrap()
         });
         let result = report
             .results
@@ -488,7 +457,7 @@ mod tests {
     fn single_rank_matches_serial_exactly() {
         let c = small();
         let cfg = RouterConfig::with_seed(5);
-        let serial = route_serial(&c, &cfg, &mut Comm::solo(MachineModel::ideal()));
+        let serial = try_route_serial(&c, &cfg, &mut Comm::solo(MachineModel::ideal())).unwrap();
         let (par, _) = run_netwise(&c, &cfg, 1, PartitionKind::PinWeight);
         assert_eq!(par, serial, "P=1 net-wise is the serial algorithm");
     }
@@ -497,7 +466,7 @@ mod tests {
     fn multi_rank_routes_with_degradation() {
         let c = small();
         let cfg = RouterConfig::with_seed(5);
-        let serial = route_serial(&c, &cfg, &mut Comm::solo(MachineModel::ideal()));
+        let serial = try_route_serial(&c, &cfg, &mut Comm::solo(MachineModel::ideal())).unwrap();
         for procs in [2, 4] {
             let (par, _) = run_netwise(&c, &cfg, procs, PartitionKind::PinWeight);
             let scaled = par.scaled_tracks(&serial);
@@ -531,7 +500,9 @@ mod tests {
         };
         let run_with = |cfg: &RouterConfig| {
             run(4, MachineModel::sparc_center_1000(), |comm| {
-                route_netwise(&c, cfg, PartitionKind::PinWeight, comm)
+                Algorithm::NetWise
+                    .try_route(&c, cfg, PartitionKind::PinWeight, comm)
+                    .unwrap()
             })
         };
         let rep_tight = run_with(&tight);
@@ -568,7 +539,9 @@ mod tests {
         let c = small();
         let cfg = RouterConfig::with_seed(1);
         let four = run(4, MachineModel::sparc_center_1000(), |comm| {
-            route_netwise(&c, &cfg, PartitionKind::PinWeight, comm)
+            Algorithm::NetWise
+                .try_route(&c, &cfg, PartitionKind::PinWeight, comm)
+                .unwrap()
         });
         let est = c.estimated_routing_bytes();
         for s in &four.stats {

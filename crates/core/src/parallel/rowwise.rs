@@ -17,171 +17,41 @@
 //!    neighbors, then switchable segments are optimized row-locally;
 //! 5. rank 0 gathers all spans and assembles the global result.
 
-use crate::config::RouterConfig;
 use crate::cost;
-use crate::engine::{self, Phase, Pipeline, RouteCtx};
-use crate::metrics::{names, record_ft_plan, RoutingResult};
-use crate::parallel::common::{
-    assemble_works, distribute, gather_result, merge_steiner_payloads, owned_ckpt,
-    replay_split_arrival, split_segment, steiner_snapshot, sync_boundaries, PORTABLE_HORIZON,
-};
-use crate::parallel::partition::{partition_nets, PartitionKind};
-use crate::route::coarse::CoarseState;
-use crate::route::connect::{connect_net_with, ConnectArena};
-use crate::route::feedthrough::{assign, FtPlan};
-use crate::route::serial::{attach_feedthroughs, crossings_of, shift_pins};
-use crate::route::state::{Segment, Span, WorkNet};
-use crate::route::steiner::{build_segments_with, whole_net};
+use crate::engine::{Phase, Pipeline, RouteCtx};
+use crate::metrics::{names, RoutingResult};
+use crate::parallel::common::{sync_boundaries, RowBand};
+use crate::route::connect::connect_all;
 use crate::route::switchable::{optimize, ChannelState};
-use pgr_circuit::{Circuit, RowId};
 use pgr_mpi::Comm;
 
-/// Run the row-wise algorithm on the calling rank. Returns the global
-/// result on the lowest surviving rank, `None` elsewhere.
-///
-/// Phase boundaries are recovery checkpoints (driven by
-/// [`crate::engine`]): if a fault layer's kill schedule fires at one,
-/// survivors shrink the world and restart the attempt (re-deriving the
-/// row partition and rank-seeded RNG streams for the smaller world), the
-/// victim unwinds with `None`, and the run completes in degraded mode
-/// instead of panicking.
-pub fn route_rowwise(
-    circuit: &Circuit,
-    cfg: &RouterConfig,
-    kind: PartitionKind,
-    comm: &mut Comm,
-) -> Option<RoutingResult> {
-    try_route_rowwise(circuit, cfg, kind, comm)
-        .expect("budgeted run breached its budget — use try_route_rowwise")
-}
-
-/// [`route_rowwise`], but an armed [`pgr_mpi::ResourceBudget`] breach
-/// returns the agreed structured error instead of panicking.
-pub fn try_route_rowwise(
-    circuit: &Circuit,
-    cfg: &RouterConfig,
-    kind: PartitionKind,
-    comm: &mut Comm,
-) -> Result<Option<RoutingResult>, crate::engine::RouteError> {
-    engine::drive::<RowWisePipeline>(circuit, cfg, kind, comm)
-}
-
-/// Pipeline state carried between the row-wise passes.
+/// The row-wise pipeline: the shared row-band front half
+/// ([`RowBand`]) plus independent per-band connection. Driven by
+/// [`crate::engine::drive`] through
+/// [`Algorithm::RowWise`](crate::parallel::Algorithm): phase boundaries
+/// are recovery checkpoints — if a fault layer's kill schedule fires at
+/// one, survivors shrink the world and resume (re-deriving the row
+/// partition and rank-seeded RNG streams for the smaller world) and the
+/// run completes in degraded mode instead of panicking.
 #[derive(Default)]
-struct RowWisePipeline {
-    /// Owned nets with their unsplit Steiner segments, retained (only
-    /// when a checkpoint store is attached) for the portable
-    /// phase-boundary snapshot.
-    ckpt: Vec<(u32, Vec<Segment>)>,
-    segments: Vec<Segment>,
-    works: Vec<WorkNet>,
-    orients: Vec<crate::route::state::Orientation>,
-    coarse: Option<CoarseState>,
-    plan: Option<FtPlan>,
-    chip_width: i64,
+pub(crate) struct RowWisePipeline {
+    band: RowBand,
     chans: Option<ChannelState>,
-    spans: Vec<Span>,
-    wirelength: u64,
-    result: Option<RoutingResult>,
 }
 
 impl Pipeline for RowWisePipeline {
     fn pass(&mut self, phase: Phase, ctx: &mut RouteCtx<'_>, comm: &mut Comm) {
-        let (circuit, cfg) = (ctx.circuit, ctx.cfg);
+        let band = &mut self.band;
         match phase {
-            // Front end + distribution (rank 0 is the master that read
-            // the file).
-            Phase::Setup => distribute(circuit, false, comm),
-
-            // Step 1 (net-parallel): Steiner trees for owned nets, split
-            // at partition boundaries, dealt to the rank owning each
-            // piece's rows.
-            Phase::Steiner => {
-                let owners =
-                    partition_nets(circuit, ctx.kind, &ctx.rows, ctx.size, cfg.pin_weight_beta);
-                let owned = owners.iter().filter(|&&o| o as usize == ctx.rank).count();
-                comm.metric_add(names::NETS_OWNED, owned as u64);
-                let keep = comm.checkpointing();
-                let mut outgoing: Vec<Vec<Segment>> = vec![Vec::new(); ctx.size];
-                for net in circuit.nets_chunks().flat_map(|c| c.net_ids()) {
-                    let i = net.index();
-                    if owners[i] as usize != ctx.rank {
-                        continue;
-                    }
-                    // Mandatory work: a latched breach stops local
-                    // building; the alltoall below still runs (walking
-                    // away would deadlock peers) and the engine aborts
-                    // at the next phase boundary.
-                    if comm.budget_poll_abort() {
-                        break;
-                    }
-                    let w = whole_net(circuit, net);
-                    if w.nodes.len() < 2 {
-                        continue;
-                    }
-                    let segs = build_segments_with(&w, cfg.steiner_refine, comm);
-                    for seg in &segs {
-                        for (part, piece) in split_segment(seg, &ctx.rows) {
-                            outgoing[part].push(piece);
-                        }
-                    }
-                    if keep {
-                        self.ckpt.push((i as u32, segs));
-                    }
-                }
-                let incoming = comm.alltoall(outgoing);
-                self.segments = incoming.into_iter().flatten().collect();
-                comm.metric_add(names::SEGMENTS_OWNED, self.segments.len() as u64);
-                self.works = assemble_works(&self.segments);
-            }
-
-            // Step 2: coarse global routing on the local row band.
-            Phase::Coarse => {
-                comm.metric_add(names::ROWS_OWNED, ctx.nrows() as u64);
-                let mut coarse =
-                    CoarseState::new(ctx.row0(), ctx.nrows(), circuit.width, cfg.grid_w);
-                comm.charge_alloc(coarse.modeled_bytes());
-                self.orients = coarse.route(&self.segments, cfg, &mut ctx.rng, comm);
-                self.coarse = Some(coarse);
-            }
-
-            // Step 3: feedthrough insertion + assignment for the local
-            // rows, then the global chip width (the widest row anywhere).
-            Phase::Feedthrough => {
-                let demand = self.coarse.take().expect("coarse pass ran").into_demand();
-                let plan = FtPlan::new(ctx.row0(), demand, cfg.grid_w, cfg.ft_width);
-                let local_cells: usize = ctx
-                    .rows
-                    .range(ctx.rank)
-                    .map(|r| circuit.row_cells(RowId(r as u32)).len())
-                    .sum();
-                comm.compute(cost::FT_INSERT_CELL * local_cells as u64);
-                let crossings = crossings_of(&self.segments, &self.orients);
-                let ft_nodes = assign(&plan, &crossings, comm);
-                record_ft_plan(&plan, comm);
-                shift_pins(&mut self.works, &plan);
-                attach_feedthroughs(&mut self.works, ft_nodes);
-                self.chip_width = comm.allreduce(circuit.width + plan.max_growth(), i64::max);
-                self.plan = Some(plan);
-            }
-
             // Step 4: connect each sub-net independently.
             Phase::Connect => {
-                let mut chans = ChannelState::new(ctx.row0(), ctx.nrows() + 1, self.chip_width);
+                let mut chans = ChannelState::new(ctx.row0(), ctx.nrows() + 1, band.chip_width);
                 comm.charge_alloc(chans.modeled_bytes());
-                let mut arena = ConnectArena::default();
-                for w in &self.works {
-                    // Mandatory work: stop on a latched breach (the
-                    // engine aborts at the next boundary).
-                    if comm.budget_poll_abort() {
-                        break;
-                    }
-                    let conn = connect_net_with(w, comm, &mut arena);
-                    self.wirelength += conn.wirelength;
-                    self.spans.extend(conn.spans);
-                }
-                comm.compute(cost::SPAN_APPLY * self.spans.len() as u64);
-                for s in &self.spans {
+                // Sub-net fragments may be forests: their components
+                // meet through fake pins on other ranks.
+                (band.spans, band.wirelength) = connect_all(&band.works, false, comm);
+                comm.compute(cost::SPAN_APPLY * band.spans.len() as u64);
+                for s in &band.spans {
                     chans.add_span(s, 1);
                 }
                 self.chans = Some(chans);
@@ -191,56 +61,34 @@ impl Pipeline for RowWisePipeline {
             Phase::Switchable => {
                 let chans = self.chans.as_mut().expect("connect pass ran");
                 sync_boundaries(chans, &ctx.rows, comm);
-                let flips = optimize(chans, &mut self.spans, cfg, &mut ctx.rng, comm);
+                let flips = optimize(chans, &mut band.spans, ctx.cfg, &mut ctx.rng, comm);
                 comm.metric_add(names::SEGMENTS_FLIPPED, flips as u64);
             }
 
-            // Back end: gather everything at the lowest surviving rank.
-            Phase::Assemble => {
-                self.result = gather_result(
-                    circuit,
-                    cfg,
-                    std::mem::take(&mut self.spans),
-                    self.wirelength,
-                    self.plan.as_ref().expect("feedthrough pass ran").total(),
-                    self.chip_width,
-                    comm,
-                );
-            }
+            _ => band.pass(phase, ctx, comm),
         }
     }
 
     fn snapshot(&self, at: Phase, _ctx: &RouteCtx<'_>) -> Option<Vec<u8>> {
-        steiner_snapshot(at, &self.ckpt)
+        self.band.snapshot(at)
     }
 
     fn restore(&mut self, at: Phase, payloads: &[Vec<u8>], ctx: &mut RouteCtx<'_>) {
-        if at.index() != PORTABLE_HORIZON {
-            return; // resuming at Steiner: default state, setup re-runs
-        }
-        let owners = partition_nets(
-            ctx.circuit,
-            ctx.kind,
-            &ctx.rows,
-            ctx.size,
-            ctx.cfg.pin_weight_beta,
-        );
-        let by_net = merge_steiner_payloads(payloads, ctx.circuit.num_nets());
-        self.segments = replay_split_arrival(&by_net, &owners, &ctx.rows, ctx.size, ctx.rank);
-        self.works = assemble_works(&self.segments);
-        self.ckpt = owned_ckpt(&by_net, &owners, ctx.rank);
+        self.band.restore(at, payloads, ctx);
     }
 
     fn take_result(&mut self) -> Option<RoutingResult> {
-        self.result.take()
+        self.band.take_result()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::route::route_serial;
-    use pgr_circuit::{generate, GeneratorConfig};
+    use crate::config::RouterConfig;
+    use crate::parallel::{Algorithm, PartitionKind};
+    use crate::route::try_route_serial;
+    use pgr_circuit::{generate, Circuit, GeneratorConfig};
     use pgr_mpi::{run, MachineModel};
 
     fn small() -> Circuit {
@@ -249,7 +97,9 @@ mod tests {
 
     fn run_rowwise(circuit: &Circuit, cfg: &RouterConfig, procs: usize) -> (RoutingResult, f64) {
         let report = run(procs, MachineModel::sparc_center_1000(), |comm| {
-            route_rowwise(circuit, cfg, PartitionKind::PinWeight, comm)
+            Algorithm::RowWise
+                .try_route(circuit, cfg, PartitionKind::PinWeight, comm)
+                .unwrap()
         });
         let result = report
             .results
@@ -265,7 +115,7 @@ mod tests {
     fn single_rank_matches_serial_exactly() {
         let c = small();
         let cfg = RouterConfig::with_seed(5);
-        let serial = route_serial(&c, &cfg, &mut Comm::solo(MachineModel::ideal()));
+        let serial = try_route_serial(&c, &cfg, &mut Comm::solo(MachineModel::ideal())).unwrap();
         let (par, _) = run_rowwise(&c, &cfg, 1);
         assert_eq!(par, serial, "P=1 row-wise is the serial algorithm");
     }
@@ -274,7 +124,7 @@ mod tests {
     fn multi_rank_connects_everything_with_bounded_degradation() {
         let c = small();
         let cfg = RouterConfig::with_seed(5);
-        let serial = route_serial(&c, &cfg, &mut Comm::solo(MachineModel::ideal()));
+        let serial = try_route_serial(&c, &cfg, &mut Comm::solo(MachineModel::ideal())).unwrap();
         for procs in [2, 4] {
             let (par, _) = run_rowwise(&c, &cfg, procs);
             assert_eq!(par.channel_density.len(), c.num_rows() + 1);
@@ -319,10 +169,14 @@ mod tests {
         let c = small();
         let cfg = RouterConfig::with_seed(1);
         let solo = run(1, MachineModel::sparc_center_1000(), |comm| {
-            route_rowwise(&c, &cfg, PartitionKind::PinWeight, comm)
+            Algorithm::RowWise
+                .try_route(&c, &cfg, PartitionKind::PinWeight, comm)
+                .unwrap()
         });
         let four = run(4, MachineModel::sparc_center_1000(), |comm| {
-            route_rowwise(&c, &cfg, PartitionKind::PinWeight, comm)
+            Algorithm::RowWise
+                .try_route(&c, &cfg, PartitionKind::PinWeight, comm)
+                .unwrap()
         });
         // Non-root ranks hold roughly a quarter of the serial footprint.
         let serial_mem = solo.stats[0].peak_mem;

@@ -100,18 +100,19 @@ pub fn render_svg(result: &RoutingResult, opts: &PlotOptions) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::route::route_serial;
+    use crate::route::try_route_serial;
     use crate::RouterConfig;
     use pgr_circuit::{generate, GeneratorConfig};
     use pgr_mpi::{Comm, MachineModel};
 
     fn routed() -> RoutingResult {
         let c = generate(&GeneratorConfig::small("plot", 3));
-        route_serial(
+        try_route_serial(
             &c,
             &RouterConfig::with_seed(1),
             &mut Comm::solo(MachineModel::ideal()),
         )
+        .unwrap()
     }
 
     #[test]

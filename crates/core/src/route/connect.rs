@@ -45,6 +45,36 @@ pub fn connect_net(work: &WorkNet, comm: &mut Comm) -> Connection {
     connect_net_with(work, comm, &mut ConnectArena::default())
 }
 
+/// The Connect-phase loop every driver runs: connect each of `works` in
+/// order through one shared [`ConnectArena`], returning all spans and the
+/// summed wirelength. This is mandatory work, so a latched budget breach
+/// stops it early (the engine aborts at the next phase boundary; any
+/// collective the caller still owes its peers must run regardless).
+/// `whole_nets` asserts that every net spans — true wherever a rank
+/// connects complete nets rather than row-band fragments.
+pub(crate) fn connect_all(
+    works: &[WorkNet],
+    whole_nets: bool,
+    comm: &mut Comm,
+) -> (Vec<Span>, u64) {
+    let mut arena = ConnectArena::default();
+    let (mut spans, mut wirelength) = (Vec::new(), 0);
+    for w in works {
+        if comm.budget_poll_abort() {
+            break;
+        }
+        let conn = connect_net_with(w, comm, &mut arena);
+        debug_assert!(
+            conn.spanning || !whole_nets,
+            "whole net {} must span after feedthrough assignment",
+            w.net
+        );
+        wirelength += conn.wirelength;
+        spans.extend(conn.spans);
+    }
+    (spans, wirelength)
+}
+
 /// [`connect_net`] with caller-owned scratch — the Connect-phase loops
 /// pass one [`ConnectArena`] across all of their nets.
 pub fn connect_net_with(work: &WorkNet, comm: &mut Comm, arena: &mut ConnectArena) -> Connection {

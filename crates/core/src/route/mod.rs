@@ -10,7 +10,7 @@
 //! 5. [`switchable`] — switchable net segments flipped between the
 //!    channels above/below their row to minimize peak density.
 //!
-//! [`serial::route_serial`] chains them; the [`crate::parallel`]
+//! [`serial::try_route_serial`] chains them; the [`crate::parallel`]
 //! algorithms re-use the same pieces across ranks.
 
 pub mod coarse;
@@ -21,7 +21,7 @@ pub mod state;
 pub mod steiner;
 pub mod switchable;
 
-pub use serial::{route_serial, try_route_serial};
+pub use serial::try_route_serial;
 pub use state::{ChannelPref, Node, NodeKind, Orientation, Segment, Span, WorkNet};
 
 /// Iterations between budget polls inside the optional refinement

@@ -8,11 +8,11 @@
 
 use crate::config::RouterConfig;
 use crate::cost;
-use crate::engine::{run_attempt, Phase, Pipeline, RouteAbort, RouteCtx, RouteError};
+use crate::engine::{self, Phase, Pipeline, RouteCtx, RouteError};
 use crate::metrics::{names, record_ft_plan, record_quality, RoutingResult};
 use crate::parallel::partition::PartitionKind;
 use crate::route::coarse::CoarseState;
-use crate::route::connect::{connect_net_with, ConnectArena};
+use crate::route::connect::connect_all;
 use crate::route::feedthrough::{assign, Crossing, FtPlan};
 use crate::route::state::{Node, NodeKind, Orientation, Segment, Span, WorkNet};
 use crate::route::steiner::{build_segments_with, whole_net};
@@ -94,65 +94,28 @@ pub fn attach_feedthroughs(works: &mut [WorkNet], ft_nodes: Vec<(NetId, Node)>) 
     }
 }
 
-/// Run the full serial router.
+/// Run the full serial router on a one-rank communicator.
 ///
-/// Drives a [`SerialPipeline`] through the phase-pipeline engine
-/// ([`crate::engine`]), which stamps the phase marks and rotates the
-/// per-phase metric windows. Serial runs have no fault layer, so the
-/// single attempt always completes — unless `cfg.budget` is armed and
-/// breached, which this convenience wrapper surfaces as a panic. Runs
-/// that set a budget should call [`try_route_serial`] instead.
-pub fn route_serial(circuit: &Circuit, cfg: &RouterConfig, comm: &mut Comm) -> RoutingResult {
-    try_route_serial(circuit, cfg, comm)
-        .expect("budgeted serial run breached its budget — use try_route_serial")
-}
-
-/// Budget-aware serial router: like [`route_serial`], but an armed
-/// [`pgr_mpi::ResourceBudget`] breach comes back as a structured
-/// [`RouteError::BudgetExceeded`] instead of a panic, and a run that
-/// shed optional passes under time pressure completes with a
+/// This is [`engine::drive`] over a [`SerialPipeline`] — the same
+/// driver, phase boundaries, budget gate and verify-on-shed epilogue as
+/// the parallel algorithms, so a serial run's phase marks, metric
+/// windows and virtual account are those of a P = 1 parallel run. An
+/// armed [`pgr_mpi::ResourceBudget`] breach comes back as a structured
+/// [`RouteError::BudgetExceeded`] instead of a panic, and a run that shed
+/// optional passes under time pressure completes with a
 /// [`crate::verify::check`] proof (its violations counter stays zero).
 pub fn try_route_serial(
     circuit: &Circuit,
     cfg: &RouterConfig,
     comm: &mut Comm,
 ) -> Result<RoutingResult, RouteError> {
-    if cfg.budget.is_limited() {
-        comm.set_budget(cfg.budget);
-    }
-    let mut ctx = RouteCtx::new(circuit, cfg, PartitionKind::PinWeight, comm);
-    let mut pipe = SerialPipeline::default();
-    match run_attempt(&mut pipe, &mut ctx, comm, None) {
-        Ok(result) => {
-            let shed = comm.budget_shed_any();
-            let result = result.expect("the serial pipeline always assembles a result");
-            if shed {
-                // Assemble-window scope keeps the verify counter inside
-                // the per-phase partition of the run totals.
-                comm.metric_window_open(pgr_mpi::Phase::Assemble);
-                crate::verify::check(circuit, &result, comm);
-                comm.metric_window_close();
-            }
-            comm.clear_budget();
-            Ok(result)
-        }
-        Err(RouteAbort::Budget { rank, at, breach }) => {
-            comm.clear_budget();
-            Err(RouteError::BudgetExceeded {
-                rank,
-                phase: at,
-                budget: breach.kind,
-                limit: breach.limit,
-                observed: breach.observed,
-            })
-        }
-        Err(_) => unreachable!("serial comms carry no kill schedule"),
-    }
+    engine::drive::<SerialPipeline>(circuit, cfg, PartitionKind::PinWeight, comm)
+        .map(|result| result.expect("the serial pipeline always assembles a result"))
 }
 
 /// Pipeline state carried between the serial passes. Crate-visible so
-/// the engine's bounded-recovery fallback ([`crate::engine::drive`]) can
-/// run the same pipeline to complete a degraded parallel run serially.
+/// the engine's bounded-recovery fallback ([`engine::drive`]) can run
+/// the same pipeline to complete a degraded parallel run serially.
 #[derive(Default)]
 pub(crate) struct SerialPipeline {
     works: Vec<WorkNet>,
@@ -235,22 +198,7 @@ impl Pipeline for SerialPipeline {
                 self.chip_width = circuit.width + plan.max_growth();
                 let mut chans = ChannelState::new(0, rows + 1, self.chip_width);
                 comm.charge_alloc(chans.modeled_bytes());
-                let mut arena = ConnectArena::default();
-                for w in &self.works {
-                    // Mandatory work: stop on a latched breach (the
-                    // engine aborts at the next boundary).
-                    if comm.budget_poll_abort() {
-                        break;
-                    }
-                    let conn = connect_net_with(w, comm, &mut arena);
-                    debug_assert!(
-                        conn.spanning,
-                        "whole net {} must span after feedthrough assignment",
-                        w.net
-                    );
-                    self.wirelength += conn.wirelength;
-                    self.spans.extend(conn.spans);
-                }
+                (self.spans, self.wirelength) = connect_all(&self.works, true, comm);
                 comm.compute(cost::SPAN_APPLY * self.spans.len() as u64);
                 for s in &self.spans {
                     chans.add_span(s, 1);
@@ -302,7 +250,7 @@ mod tests {
     fn serial_route_produces_sane_result() {
         let c = small();
         let mut comm = Comm::solo(MachineModel::ideal());
-        let r = route_serial(&c, &RouterConfig::with_seed(7), &mut comm);
+        let r = try_route_serial(&c, &RouterConfig::with_seed(7), &mut comm).unwrap();
         assert_eq!(r.channel_density.len(), c.num_rows() + 1);
         assert!(r.track_count() > 0, "routing a real circuit uses tracks");
         assert!(r.chip_width >= c.width, "feedthroughs only grow the chip");
@@ -315,24 +263,26 @@ mod tests {
     fn serial_route_is_deterministic() {
         let c = small();
         let cfg = RouterConfig::with_seed(9);
-        let a = route_serial(&c, &cfg, &mut Comm::solo(MachineModel::ideal()));
-        let b = route_serial(&c, &cfg, &mut Comm::solo(MachineModel::ideal()));
+        let a = try_route_serial(&c, &cfg, &mut Comm::solo(MachineModel::ideal())).unwrap();
+        let b = try_route_serial(&c, &cfg, &mut Comm::solo(MachineModel::ideal())).unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
     fn different_seeds_give_different_routings_same_circuit() {
         let c = small();
-        let a = route_serial(
+        let a = try_route_serial(
             &c,
             &RouterConfig::with_seed(1),
             &mut Comm::solo(MachineModel::ideal()),
-        );
-        let b = route_serial(
+        )
+        .unwrap();
+        let b = try_route_serial(
             &c,
             &RouterConfig::with_seed(2),
             &mut Comm::solo(MachineModel::ideal()),
-        );
+        )
+        .unwrap();
         // Random orders differ; quality should be in the same ballpark
         // (TWGR's key property: solution quality is order-independent).
         assert!(a.track_count() > 0 && b.track_count() > 0);
@@ -344,7 +294,7 @@ mod tests {
     fn virtual_time_accrues() {
         let c = small();
         let mut comm = Comm::solo(MachineModel::sparc_center_1000());
-        route_serial(&c, &RouterConfig::default(), &mut comm);
+        try_route_serial(&c, &RouterConfig::default(), &mut comm).unwrap();
         assert!(comm.now() > 0.0);
         assert!(comm.peak_mem() > 0);
     }
@@ -369,10 +319,12 @@ mod tests {
                 switch_passes: 4,
                 ..Default::default()
             };
-            tracks_1 +=
-                route_serial(&c, &short, &mut Comm::solo(MachineModel::ideal())).track_count();
-            tracks_4 +=
-                route_serial(&c, &long, &mut Comm::solo(MachineModel::ideal())).track_count();
+            tracks_1 += try_route_serial(&c, &short, &mut Comm::solo(MachineModel::ideal()))
+                .unwrap()
+                .track_count();
+            tracks_4 += try_route_serial(&c, &long, &mut Comm::solo(MachineModel::ideal()))
+                .unwrap()
+                .track_count();
         }
         assert!(
             tracks_4 <= tracks_1,
@@ -389,16 +341,18 @@ mod tests {
         let mut cfg_none = cfg_many.clone();
         cfg_none.name = "noeq".into();
         cfg_none.equivalent_fraction = 0.0;
-        let many = route_serial(
+        let many = try_route_serial(
             &generate(&cfg_many),
             &RouterConfig::with_seed(5),
             &mut Comm::solo(MachineModel::ideal()),
-        );
-        let none = route_serial(
+        )
+        .unwrap();
+        let none = try_route_serial(
             &generate(&cfg_none),
             &RouterConfig::with_seed(5),
             &mut Comm::solo(MachineModel::ideal()),
-        );
+        )
+        .unwrap();
         // Same seed, same sizes: the switchable-rich circuit routes with
         // no more tracks (usually strictly fewer).
         assert!(many.track_count() <= none.track_count() + none.track_count() / 10);

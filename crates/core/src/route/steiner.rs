@@ -214,15 +214,15 @@ mod tests {
 
     #[test]
     fn refined_serial_route_improves_wirelength() {
-        use crate::route::route_serial;
+        use crate::route::try_route_serial;
         let c = generate(&GeneratorConfig::small("t", 7));
         let plain_cfg = crate::RouterConfig::with_seed(5);
         let refined_cfg = crate::RouterConfig {
             steiner_refine: true,
             ..plain_cfg.clone()
         };
-        let plain = route_serial(&c, &plain_cfg, &mut comm());
-        let refined = route_serial(&c, &refined_cfg, &mut comm());
+        let plain = try_route_serial(&c, &plain_cfg, &mut comm()).unwrap();
+        let refined = try_route_serial(&c, &refined_cfg, &mut comm()).unwrap();
         assert!(
             refined.wirelength < plain.wirelength,
             "{} vs {}",

@@ -223,19 +223,20 @@ pub fn check(circuit: &Circuit, result: &RoutingResult, comm: &mut Comm) -> usiz
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::route::route_serial;
     use crate::route::state::Span;
+    use crate::route::try_route_serial;
     use crate::RouterConfig;
     use pgr_circuit::{generate, GeneratorConfig, NetId};
     use pgr_mpi::{Comm, MachineModel};
 
     fn routed() -> (pgr_circuit::Circuit, RoutingResult) {
         let c = generate(&GeneratorConfig::small("verify", 4));
-        let r = route_serial(
+        let r = try_route_serial(
             &c,
             &RouterConfig::with_seed(2),
             &mut Comm::solo(MachineModel::ideal()),
-        );
+        )
+        .unwrap();
         (c, r)
     }
 
@@ -353,26 +354,26 @@ mod tests {
 
     #[test]
     fn parallel_results_verify_clean() {
-        use crate::parallel::{route_parallel, Algorithm};
+        use crate::parallel::{route_parallel_guarded, Algorithm};
         use crate::PartitionKind;
+        use pgr_mpi::InstrumentConfig;
         let c = generate(&GeneratorConfig::small("verify-par", 6));
         let cfg = RouterConfig::with_seed(3);
         for algo in Algorithm::ALL {
-            let out = route_parallel(
+            let out = route_parallel_guarded(
                 &c,
                 &cfg,
                 algo,
                 PartitionKind::PinWeight,
                 3,
                 MachineModel::sparc_center_1000(),
+                InstrumentConfig::off(),
             );
-            assert_verified(&c, &out.result);
+            let result = out.result.unwrap();
+            assert_verified(&c, &result);
             // Spans must reference real nets.
             assert!(
-                out.result
-                    .spans
-                    .iter()
-                    .all(|s| (s.net.index()) < c.num_nets()),
+                result.spans.iter().all(|s| (s.net.index()) < c.num_nets()),
                 "{}",
                 algo.name()
             );

@@ -441,3 +441,57 @@ fn recovery_round_budget_is_a_structured_error_not_a_fallback() {
         );
     }
 }
+
+/// The serial router runs through `engine::drive` like every parallel
+/// pipeline. This row pins its budget behaviour to what the hand-rolled
+/// serial driver before it produced (values recorded at that commit):
+/// the breach payload bit for bit, and a shed run's route, clock and
+/// `verify.violations: 0` proof inside the assemble window.
+#[test]
+fn serial_breach_payload_and_shed_proof_are_pinned() {
+    use pgr_obs::budget_names;
+    use pgr_router::metrics::names;
+
+    let circuit = small("budget-pin");
+    let run = |max_phase_seconds: f64| {
+        let cfg = cfg_with(ResourceBudget {
+            max_phase_seconds: Some(max_phase_seconds),
+            ..ResourceBudget::unlimited()
+        });
+        let (mut report, _, mut metrics) = run_instrumented(1, machine(), metrics_on(), |comm| {
+            try_route_serial(&circuit, &cfg, comm)
+        });
+        (
+            report.results.remove(0),
+            report.stats[0].time.to_bits(),
+            metrics.remove(0),
+        )
+    };
+
+    // Setup alone takes 0.7 virtual seconds: a 0.5 s lever breaches at
+    // the first boundary that closes its books.
+    let (routed, time_bits, metrics) = run(0.5);
+    assert_eq!(
+        routed,
+        Err(RouteError::BudgetExceeded {
+            rank: 0,
+            phase: Phase::Steiner,
+            budget: BudgetKind::PhaseSeconds,
+            limit: 0.5,
+            observed: 0.7,
+        })
+    );
+    assert_eq!(time_bits, 0x3fe6_6666_6666_6666);
+    assert_eq!(metrics.counter(budget_names::BREACHES), Some(1));
+    assert_eq!(metrics.counter(names::VERIFY_VIOLATIONS), None);
+
+    // A 1 s lever clears every mandatory phase; coarse (3.4 s unbudgeted)
+    // sheds its refinement and the run completes with the proof.
+    let (routed, time_bits, metrics) = run(1.0);
+    assert_eq!(routed.expect("shed, not breached").track_count(), 89);
+    assert_eq!(time_bits, 0x4007_5b32_f2ac_185a);
+    assert_eq!(metrics.counter(budget_names::SHED_EVENTS), Some(1));
+    assert_eq!(metrics.counter(budget_names::BREACHES), None);
+    let assemble = metrics.window(Phase::Assemble.name()).expect("window");
+    assert_eq!(assemble.counter(names::VERIFY_VIOLATIONS), Some(0));
+}

@@ -23,7 +23,7 @@ use pgr_mpi::{
 };
 use pgr_obs::{BlameClass, Profile};
 use pgr_router::{
-    route_parallel_instrumented, route_serial, Algorithm, ParallelOutcome, PartitionKind,
+    route_parallel_guarded, try_route_serial, Algorithm, GuardedOutcome, PartitionKind,
     RouterConfig,
 };
 use std::sync::Arc;
@@ -45,8 +45,8 @@ fn route(
     algo: Algorithm,
     procs: usize,
     instr: InstrumentConfig,
-) -> ParallelOutcome {
-    route_parallel_instrumented(
+) -> GuardedOutcome {
+    route_parallel_guarded(
         circuit,
         &RouterConfig::with_seed(4),
         algo,
@@ -95,7 +95,7 @@ fn lossless_runs_partition_makespan_exactly() {
     // Serial driver.
     let cfg = RouterConfig::with_seed(4);
     let (report, traces, _) = run_instrumented(1, m, full(), |comm| {
-        route_serial(&c, &cfg, comm);
+        try_route_serial(&c, &cfg, comm).unwrap();
     });
     let p = build_profile(&traces, &m);
     assert_exact(&p, "serial");

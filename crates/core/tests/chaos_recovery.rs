@@ -21,7 +21,7 @@ use pgr_mpi::{
 use pgr_router::metrics::names;
 use pgr_router::verify::assert_verified;
 use pgr_router::{
-    route_parallel_instrumented, route_serial, Algorithm, ParallelOutcome, PartitionKind,
+    route_parallel_guarded, try_route_serial, Algorithm, GuardedOutcome, PartitionKind,
     RecoveryPolicy, RouterConfig,
 };
 use std::sync::Arc;
@@ -64,8 +64,8 @@ fn route(
     algo: Algorithm,
     procs: usize,
     instr: InstrumentConfig,
-) -> ParallelOutcome {
-    route_parallel_instrumented(
+) -> GuardedOutcome {
+    route_parallel_guarded(
         circuit,
         &RouterConfig::with_seed(9),
         algo,
@@ -76,13 +76,13 @@ fn route(
     )
 }
 
-fn counter_sum(out: &ParallelOutcome, name: &'static str) -> u64 {
+fn counter_sum(out: &GuardedOutcome, name: &'static str) -> u64 {
     out.metrics.iter().filter_map(|m| m.counter(name)).sum()
 }
 
-fn emitted_stats(out: &ParallelOutcome, algo: Algorithm) -> String {
+fn emitted_stats(out: &GuardedOutcome, algo: Algorithm) -> String {
     let meta = RunMeta {
-        circuit: out.result.circuit.clone(),
+        circuit: out.result.as_ref().unwrap().circuit.clone(),
         algorithm: algo.name().to_string(),
         procs: out.stats.len(),
         machine: "sparc-center-1000".to_string(),
@@ -139,8 +139,8 @@ fn route_with_policy(
     procs: usize,
     instr: InstrumentConfig,
     recovery: RecoveryPolicy,
-) -> ParallelOutcome {
-    route_parallel_instrumented(
+) -> GuardedOutcome {
+    route_parallel_guarded(
         circuit,
         &RouterConfig {
             recovery,
@@ -157,18 +157,19 @@ fn route_with_policy(
 /// What the serial fallback must reproduce bit-for-bit: the pure serial
 /// run of the same circuit and seed.
 fn serial_reference(circuit: &Circuit) -> pgr_router::RoutingResult {
-    route_serial(
+    try_route_serial(
         circuit,
         &RouterConfig::with_seed(9),
         &mut Comm::solo(MachineModel::sparc_center_1000()),
     )
+    .unwrap()
 }
 
 /// Shared assertions on a run that breached its recovery policy: the
 /// route completed via the serial fallback, the fallback's result is
 /// bit-identical to the pure serial run, the degraded flag reaches the
 /// stats schema, and the automatic self-check ran clean.
-fn assert_degraded_to_serial(c: &Circuit, out: &ParallelOutcome, name: &str) {
+fn assert_degraded_to_serial(c: &Circuit, out: &GuardedOutcome, name: &str) {
     assert!(out.degraded, "{name}: outcome carries the degraded flag");
     assert_eq!(
         counter_sum(out, names::DEGRADED_SERIAL),
@@ -177,7 +178,7 @@ fn assert_degraded_to_serial(c: &Circuit, out: &ParallelOutcome, name: &str) {
     );
     assert_eq!(
         out.result,
-        serial_reference(c),
+        Ok(serial_reference(c)),
         "{name}: fallback equals the pure serial run"
     );
     assert!(
@@ -195,7 +196,7 @@ fn assert_degraded_to_serial(c: &Circuit, out: &ParallelOutcome, name: &str) {
         emitted_stats(out, Algorithm::Hybrid).contains("\"degraded\":true"),
         "{name}: the degraded flag reaches stats.json"
     );
-    assert_verified(c, &out.result);
+    assert_verified(c, out.result.as_ref().unwrap());
 }
 
 /// A kill breaching the min-ranks floor stops the retry loop: the
@@ -292,7 +293,7 @@ fn surviving_within_policy_bounds_stays_parallel() {
     assert_eq!(counter_sum(&out, names::DEGRADED_SERIAL), 0);
     assert!(counter_sum(&out, names::RECOVERY_EVENTS) >= 1);
     assert!(!emitted_stats(&out, Algorithm::Hybrid).contains("degraded"));
-    assert_verified(&c, &out.result);
+    assert_verified(&c, out.result.as_ref().unwrap());
 }
 
 #[test]
@@ -303,8 +304,8 @@ fn one_rank_kill_completes_with_valid_routing_and_recovery_metrics() {
         // chaos still raging underneath.
         let out = route(&c, algo, 4, kill_chaos(3, 2, false));
         let name = algo.name();
-        assert_verified(&c, &out.result);
-        assert!(out.result.span_count() > 0, "{name}");
+        assert_verified(&c, out.result.as_ref().unwrap());
+        assert!(out.result.as_ref().unwrap().span_count() > 0, "{name}");
         assert!(
             counter_sum(&out, names::RECOVERY_EVENTS) >= 1,
             "{name}: survivors count the recovery round"
@@ -360,7 +361,7 @@ fn rank_zero_kill_moves_assembly_to_lowest_survivor() {
         // after setup; physical rank 1 becomes logical rank 0.
         let out = route(&c, algo, 3, kill_chaos(0, 1, true));
         let name = algo.name();
-        assert_verified(&c, &out.result);
+        assert_verified(&c, out.result.as_ref().unwrap());
         // The re-run over 2 survivors makes the same routing decisions
         // as a fresh 2-rank run (clocks differ: setup work was lost).
         let fresh = route(&c, algo, 2, InstrumentConfig::off());

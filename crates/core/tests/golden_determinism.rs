@@ -16,8 +16,8 @@ use pgr_circuit::{generate, Circuit, GeneratorConfig};
 use pgr_mpi::{ClockMode, Comm, InstrumentConfig, MachineModel, RankStats};
 use pgr_obs::metrics::MetricsConfig;
 use pgr_router::{
-    route_parallel, route_parallel_instrumented, route_serial, Algorithm, ParallelOutcome,
-    PartitionKind, RouterConfig, RoutingResult,
+    route_parallel_guarded, try_route_serial, Algorithm, GuardedOutcome, PartitionKind,
+    RouterConfig, RoutingResult,
 };
 
 /// Serial result fingerprint and final virtual-clock bits on the
@@ -80,14 +80,15 @@ fn cfg() -> RouterConfig {
     RouterConfig::with_seed(11)
 }
 
-fn route(c: &Circuit, algo: Algorithm, procs: usize) -> ParallelOutcome {
-    route_parallel(
+fn route(c: &Circuit, algo: Algorithm, procs: usize) -> GuardedOutcome {
+    route_parallel_guarded(
         c,
         &cfg(),
         algo,
         PartitionKind::PinWeight,
         procs,
         MachineModel::sparc_center_1000(),
+        InstrumentConfig::off(),
     )
 }
 
@@ -141,7 +142,7 @@ fn stats_fingerprint(stats: &[RankStats]) -> u64 {
 fn serial_run_matches_pre_refactor_fingerprint() {
     let c = golden_circuit();
     let mut comm = Comm::solo(MachineModel::sparc_center_1000());
-    let serial = route_serial(&c, &cfg(), &mut comm);
+    let serial = try_route_serial(&c, &cfg(), &mut comm).unwrap();
     assert_eq!(
         result_fingerprint(&serial),
         SERIAL_RESULT,
@@ -157,11 +158,11 @@ fn serial_run_matches_pre_refactor_fingerprint() {
 #[test]
 fn one_rank_parallel_runs_equal_the_serial_run() {
     let c = golden_circuit();
-    let serial = route_serial(&c, &cfg(), &mut Comm::solo(MachineModel::ideal()));
+    let serial = try_route_serial(&c, &cfg(), &mut Comm::solo(MachineModel::ideal())).unwrap();
     for algo in Algorithm::ALL {
         let out = route(&c, algo, 1);
         assert_eq!(
-            out.result,
+            out.result.unwrap(),
             serial,
             "{}: P=1 must be the serial algorithm",
             algo.name()
@@ -176,7 +177,7 @@ fn every_pipeline_matches_its_pre_refactor_fingerprints() {
         let out = route(&c, algo, procs);
         let name = algo.name();
         assert_eq!(
-            result_fingerprint(&out.result),
+            result_fingerprint(out.result.as_ref().unwrap()),
             result_fp,
             "{name} P={procs}: routing decisions changed"
         );
@@ -212,10 +213,10 @@ fn clock_modes_agree_on_everything_but_wall_measurements() {
 
     // Serial driver under both clock strategies.
     let machine = MachineModel::sparc_center_1000;
-    let mut virt_comm = Comm::solo_clocked(machine(), MetricsConfig::on(), ClockMode::Virtual);
-    let virt = route_serial(&c, &cfg(), &mut virt_comm);
-    let mut wall_comm = Comm::solo_clocked(machine(), MetricsConfig::on(), ClockMode::Wall);
-    let wall = route_serial(&c, &cfg(), &mut wall_comm);
+    let mut virt_comm = Comm::solo_with(machine(), MetricsConfig::on(), ClockMode::Virtual);
+    let virt = try_route_serial(&c, &cfg(), &mut virt_comm).unwrap();
+    let mut wall_comm = Comm::solo_with(machine(), MetricsConfig::on(), ClockMode::Wall);
+    let wall = try_route_serial(&c, &cfg(), &mut wall_comm).unwrap();
     assert_eq!(virt, wall, "serial: wall clock changed routing decisions");
     assert_eq!(
         virt_comm.now().to_bits(),
@@ -234,7 +235,7 @@ fn clock_modes_agree_on_everything_but_wall_measurements() {
             let name = algo.name();
             let run = |clock: ClockMode| {
                 let cfg = RouterConfig { clock, ..cfg() };
-                route_parallel_instrumented(
+                route_parallel_guarded(
                     &c,
                     &cfg,
                     algo,

@@ -33,9 +33,7 @@ use pgr_mpi::{
 use pgr_obs::{recovery_names, BlameClass};
 use pgr_router::metrics::names;
 use pgr_router::verify::assert_verified;
-use pgr_router::{
-    route_parallel_instrumented, Algorithm, ParallelOutcome, PartitionKind, RouterConfig,
-};
+use pgr_router::{route_parallel_guarded, Algorithm, GuardedOutcome, PartitionKind, RouterConfig};
 use std::sync::Arc;
 
 fn small(tag: &str) -> Circuit {
@@ -75,8 +73,8 @@ fn route(
     algo: Algorithm,
     procs: usize,
     instr: InstrumentConfig,
-) -> ParallelOutcome {
-    route_parallel_instrumented(
+) -> GuardedOutcome {
+    route_parallel_guarded(
         circuit,
         &RouterConfig::with_seed(9),
         algo,
@@ -87,12 +85,12 @@ fn route(
     )
 }
 
-fn counter_sum(out: &ParallelOutcome, name: &'static str) -> u64 {
+fn counter_sum(out: &GuardedOutcome, name: &'static str) -> u64 {
     out.metrics.iter().filter_map(|m| m.counter(name)).sum()
 }
 
 /// Sum of `name` inside the window of `phase` across all rank shards.
-fn window_sum(out: &ParallelOutcome, phase: Phase, name: &'static str) -> u64 {
+fn window_sum(out: &GuardedOutcome, phase: Phase, name: &'static str) -> u64 {
     out.metrics
         .iter()
         .filter_map(|m| m.window(phase.name()).and_then(|w| w.counter(name)))
@@ -197,7 +195,7 @@ fn double_kill_attributes_each_round_to_its_failed_phase_window() {
         // coarse again, redoing 4 phases each.
         let out = route(&c, algo, 4, instr(quiet_chaos(vec![(3, 2), (2, 7)])));
         assert!(!out.degraded, "{name}: degraded instead of recovering");
-        assert_verified(&c, &out.result);
+        assert_verified(&c, out.result.as_ref().unwrap());
 
         let fresh = route(&c, algo, 2, metrics_only());
         assert_eq!(out.result, fresh.result, "{name}: result diverged");
@@ -254,7 +252,7 @@ fn kill_during_resume_recovers_from_the_recommitted_checkpoint() {
         let name = algo.name();
         let out = route(&c, algo, 4, instr(quiet_chaos(vec![(3, 3), (2, 4)])));
         assert!(!out.degraded, "{name}: degraded instead of recovering");
-        assert_verified(&c, &out.result);
+        assert_verified(&c, out.result.as_ref().unwrap());
 
         let fresh = route(&c, algo, 2, metrics_only());
         assert_eq!(out.result, fresh.result, "{name}: result diverged");

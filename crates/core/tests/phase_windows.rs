@@ -21,9 +21,7 @@ use pgr_mpi::{
 };
 use pgr_obs::Histogram;
 use pgr_router::metrics::names;
-use pgr_router::{
-    route_parallel_instrumented, Algorithm, ParallelOutcome, PartitionKind, RouterConfig,
-};
+use pgr_router::{route_parallel_guarded, Algorithm, GuardedOutcome, PartitionKind, RouterConfig};
 use std::sync::Arc;
 
 fn small(tag: &str) -> Circuit {
@@ -42,8 +40,8 @@ fn route(
     algo: Algorithm,
     procs: usize,
     instr: InstrumentConfig,
-) -> ParallelOutcome {
-    route_parallel_instrumented(
+) -> GuardedOutcome {
+    route_parallel_guarded(
         circuit,
         &RouterConfig::with_seed(4),
         algo,

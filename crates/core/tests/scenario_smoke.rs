@@ -5,7 +5,7 @@
 use pgr_circuit::scenarios::{ScenarioFamily, ScenarioSpec};
 use pgr_mpi::{Comm, InstrumentConfig, MachineModel};
 use pgr_router::{
-    route_parallel_instrumented, route_serial, verify, Algorithm, PartitionKind, RouterConfig,
+    route_parallel_guarded, try_route_serial, verify, Algorithm, PartitionKind, RouterConfig,
 };
 
 #[test]
@@ -17,7 +17,7 @@ fn all_families_route_under_all_drivers() {
         circuit.validate().expect("valid scenario");
 
         let mut comm = Comm::solo(MachineModel::ideal());
-        let serial = route_serial(&circuit, &cfg, &mut comm);
+        let serial = try_route_serial(&circuit, &cfg, &mut comm).unwrap();
         assert_eq!(
             verify::check(&circuit, &serial, &mut comm),
             0,
@@ -27,7 +27,7 @@ fn all_families_route_under_all_drivers() {
         for algo in Algorithm::ALL {
             for procs in [1usize, 3] {
                 let p = procs.min(circuit.num_rows());
-                let out = route_parallel_instrumented(
+                let out = route_parallel_guarded(
                     &circuit,
                     &cfg,
                     algo,
@@ -38,7 +38,7 @@ fn all_families_route_under_all_drivers() {
                 );
                 let mut check = Comm::solo(MachineModel::ideal());
                 assert_eq!(
-                    verify::check(&circuit, &out.result, &mut check),
+                    verify::check(&circuit, out.result.as_ref().unwrap(), &mut check),
                     0,
                     "{family}: {} P={p} violations",
                     algo.name()

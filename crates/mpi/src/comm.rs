@@ -19,8 +19,8 @@
 //! stall) produces a structured [`CommError`] naming the blocked rank,
 //! the expected `(src, tag)`, and the pending-queue contents — via
 //! [`Comm::try_recv_bytes`]/[`Comm::try_recv`], or as the panic message
-//! of the infallible wrappers. With [`TraceConfig`] enabled ([`run_traced`]),
-//! errors also carry the rank's recent event trace.
+//! of the infallible wrappers. With [`TraceConfig`] enabled (see
+//! [`run_instrumented`]), errors also carry the rank's recent event trace.
 //!
 //! Reliability and rank death: with
 //! [`ReliabilityConfig::enabled`](crate::reliable::ReliabilityConfig)
@@ -28,7 +28,7 @@
 //! per-source order, suppresses duplicates, and retransmits drops (see
 //! [`crate::reliable`]) — injected message faults become invisible to
 //! callers. A fault layer's kill schedule takes effect at phase
-//! boundaries ([`Comm::phase_adv`]): the victim sees
+//! boundaries ([`Comm::phase_enter`]): the victim sees
 //! [`PhaseControl::SelfKilled`], survivors see
 //! [`PhaseControl::PeersDied`], shrink the world with
 //! [`Comm::remove_dead`], and continue on dense *logical* ranks. A
@@ -111,8 +111,8 @@ pub struct RankStats {
     /// High-water mark of modeled memory (bytes).
     pub peak_mem: u64,
     /// Named phase durations in virtual seconds, in execution order
-    /// (from [`Comm::phase`] markers; the last phase ends at the final
-    /// clock).
+    /// (from [`Comm::phase_enter`] / [`Comm::phase_mark`]; the last phase
+    /// ends at the final clock).
     pub phases: Vec<(&'static str, f64)>,
     /// Host-time measurements — `Some` only under [`ClockMode::Wall`].
     /// Everything else in the record stays the deterministic virtual
@@ -301,7 +301,7 @@ struct RetryState {
     corrupt_dropped: u64,
 }
 
-/// Outcome of a phase boundary ([`Comm::phase_adv`]) under a fault
+/// Outcome of a phase boundary ([`Comm::phase_enter`]) under a fault
 /// layer's kill schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PhaseControl {
@@ -382,53 +382,67 @@ impl Comm {
     /// A single-rank communicator without any threads — for serial runs
     /// that still charge virtual time (the baseline of every speedup).
     pub fn solo(machine: MachineModel) -> Self {
-        Comm::solo_instrumented(machine, MetricsConfig::off())
+        Comm::solo_with(machine, MetricsConfig::off(), ClockMode::default())
     }
 
-    /// A solo communicator with metric collection configured — the
-    /// serial-baseline entry point for `--trace-out` runs.
-    pub fn solo_instrumented(machine: MachineModel, metrics: MetricsConfig) -> Self {
-        Comm::solo_clocked(machine, metrics, ClockMode::default())
+    /// [`Comm::solo`] with metric collection and the [`ClockMode`]
+    /// configured: under [`ClockMode::Wall`] the epoch starts here and
+    /// [`Comm::stats`] reports host seconds alongside the virtual
+    /// account.
+    pub fn solo_with(machine: MachineModel, metrics: MetricsConfig, clock: ClockMode) -> Self {
+        let instr = InstrumentConfig {
+            metrics,
+            clock,
+            ..InstrumentConfig::off()
+        };
+        Comm::unconnected(0, 1, machine, &instr, Instant::now())
     }
 
-    /// A solo communicator with an explicit [`ClockMode`]: under
-    /// [`ClockMode::Wall`] the epoch starts here and [`Comm::stats`]
-    /// reports host seconds alongside the virtual account.
-    pub fn solo_clocked(machine: MachineModel, metrics: MetricsConfig, clock: ClockMode) -> Self {
+    /// The one place a `Comm` is built: rank `rank` of `size` with the
+    /// per-rank parts of `instr` applied and nothing shared attached —
+    /// no channels, trace hub, failure detector or checkpoint store.
+    /// That is already a complete solo communicator: with no receiver a
+    /// solo rank can only ever receive its own buffered self-sends, and
+    /// a recv that finds none is reported as unsatisfiable instead of
+    /// blocking on a channel no one can write to. [`run_instrumented`]
+    /// attaches the shared parts.
+    fn unconnected(
+        rank: usize,
+        size: usize,
+        machine: MachineModel,
+        instr: &InstrumentConfig,
+        wall_epoch: Instant,
+    ) -> Self {
         Comm {
-            rank: 0,
-            size: 1,
+            rank,
+            size,
             machine,
-            txs: vec![None],
-            // No receiver at all: a solo rank can only ever receive its
-            // own buffered self-sends, and a recv that finds none is
-            // reported as unsatisfiable instead of blocking on a channel
-            // no one can write to.
+            txs: (0..size).map(|_| None).collect(),
             rx: None,
-            pending: vec![VecDeque::new()],
+            pending: (0..size).map(|_| VecDeque::new()).collect(),
             clock: 0.0,
-            clock_mode: clock,
-            wall_epoch: Instant::now(),
+            clock_mode: instr.clock,
+            wall_epoch,
             wall_marks: Vec::new(),
             ops: 0,
             msgs_sent: 0,
             bytes_sent: 0,
-            bytes_to: vec![0],
+            bytes_to: vec![0; size],
             cur_mem: 0,
             peak_mem: 0,
             coll_seq: 0,
             phase_marks: Vec::new(),
             trace: None,
-            metrics: MetricsShard::new(metrics),
-            fault: None,
+            metrics: MetricsShard::new(instr.metrics),
+            fault: instr.fault.clone(),
             send_seq: 0,
-            world: vec![0],
-            lrank: 0,
+            world: (0..size).collect(),
+            lrank: rank,
             boundary: 0,
-            reliability: ReliabilityConfig::default(),
-            rel_next_seq: vec![0],
-            rel_holdback: vec![None],
-            rel_rx: vec![ReorderBuffer::new()],
+            reliability: instr.reliability,
+            rel_next_seq: vec![0; size],
+            rel_holdback: (0..size).map(|_| None).collect(),
+            rel_rx: (0..size).map(|_| ReorderBuffer::new()).collect(),
             rel_retry: RetryState::default(),
             corrupt_stash: None,
             failure: None,
@@ -467,10 +481,6 @@ impl Comm {
     /// The live logical → physical rank map.
     pub fn world(&self) -> &[usize] {
         &self.world
-    }
-
-    pub fn machine(&self) -> &MachineModel {
-        &self.machine
     }
 
     /// Current virtual time in seconds (advances identically in both
@@ -608,10 +618,18 @@ impl Comm {
         self.peak_mem
     }
 
-    /// Mark the start of a named phase at the current virtual time.
-    /// Phase durations (this mark to the next, the last to the final
-    /// clock) are reported in [`RankStats::phases`].
-    pub fn phase(&mut self, name: &'static str) {
+    /// Mark the start of registry [`Phase`] `phase` at the current
+    /// virtual time *without* evaluating anything: the metric shard's
+    /// per-phase window is rotated to `phase` and the trace/stats mark is
+    /// stamped, but neither the kill schedule nor the budget is
+    /// consulted. This is how the degraded-serial fallback enters its
+    /// passes — the schedule that forced the degradation must not be
+    /// able to kill the fallback too. Phase durations (this mark to the
+    /// next, the last to the final clock) are reported in
+    /// [`RankStats::phases`].
+    pub fn phase_mark(&mut self, phase: Phase) {
+        self.metrics.open_window(phase);
+        let name = phase.name();
         self.phase_marks.push((name, self.clock));
         if self.clock_mode == ClockMode::Wall {
             self.wall_marks.push(self.wall_now());
@@ -619,9 +637,15 @@ impl Comm {
         self.record(TraceEventKind::Phase { name }, self.clock, self.clock);
     }
 
-    /// [`Comm::phase`] plus the failure protocol: heartbeat this rank,
-    /// flush reorder holdbacks, and evaluate the fault layer's kill
-    /// schedule at this boundary.
+    /// Enter a registry [`Phase`]: the one entry point the routing
+    /// engine drives phase boundaries through. [`Comm::phase_mark`] plus
+    /// the failure protocol — heartbeat this rank, flush reorder
+    /// holdbacks, evaluate the fault layer's kill schedule at this
+    /// boundary — and, on `Continue`, the armed budget's boundary check.
+    /// The window is rotated *before* the schedule is evaluated, so if a
+    /// kill fires here the recovery accounting that follows the abort
+    /// lands in the window of the phase whose boundary failed, keeping
+    /// per-phase windows an exact partition of the run totals.
     ///
     /// Kills only ever take effect here, and every rank evaluates the
     /// shared schedule against its own SPMD-lockstep boundary counter,
@@ -629,60 +653,41 @@ impl Comm {
     /// — no racy detector reads decide membership. The detector exists
     /// for diagnostics: a recv blocked on the victim reports
     /// [`CommError::RankDead`] with the victim's last heartbeat.
-    pub fn phase_adv(&mut self, name: &'static str) -> PhaseControl {
-        self.phase(name);
+    pub fn phase_enter(&mut self, phase: Phase) -> PhaseControl {
+        self.phase_mark(phase);
         if self.fault.is_some() {
             self.flush_holdbacks();
         }
         self.boundary += 1;
-        let (Some(fault), Some(det)) = (self.fault.clone(), self.failure.clone()) else {
-            return PhaseControl::Continue;
-        };
-        det.heartbeat(self.rank, self.clock, name, self.boundary);
-        if fault
-            .kill_at_boundary(self.rank)
-            .is_some_and(|b| b < self.boundary)
-        {
-            det.mark_dead(self.rank, name, self.boundary);
-            return PhaseControl::SelfKilled;
+        if let (Some(fault), Some(det)) = (self.fault.clone(), self.failure.clone()) {
+            let boundary = self.boundary;
+            let killed = |p| fault.kill_at_boundary(p).is_some_and(|b| b < boundary);
+            det.heartbeat(self.rank, self.clock, phase.name(), boundary);
+            if killed(self.rank) {
+                det.mark_dead(self.rank, phase.name(), boundary);
+                return PhaseControl::SelfKilled;
+            }
+            // Survivors learn of deaths from the schedule alone — they
+            // must NOT write the detector: only the victim marks itself
+            // dead, *after* flushing its sends at its own boundary, so a
+            // receiver that observes "dead" knows every frame the victim
+            // ever sent is already in flight (a fast survivor crossing
+            // this boundary first must keep receiving from a victim still
+            // finishing the previous phase).
+            let (me, world) = (self.rank, &self.world);
+            let dead: Vec<usize> = world
+                .iter()
+                .copied()
+                .filter(|&p| p != me && killed(p))
+                .collect();
+            if !dead.is_empty() {
+                return PhaseControl::PeersDied(dead);
+            }
         }
-        // Survivors learn of deaths from the schedule alone — they must
-        // NOT write the detector: only the victim marks itself dead,
-        // *after* flushing its sends at its own boundary, so a receiver
-        // that observes "dead" knows every frame the victim ever sent is
-        // already in flight (a fast survivor crossing this boundary
-        // first must keep receiving from a victim still finishing the
-        // previous phase).
-        let dead: Vec<usize> = self
-            .world
-            .iter()
-            .copied()
-            .filter(|&p| {
-                p != self.rank && fault.kill_at_boundary(p).is_some_and(|b| b < self.boundary)
-            })
-            .collect();
-        if dead.is_empty() {
-            PhaseControl::Continue
-        } else {
-            PhaseControl::PeersDied(dead)
-        }
-    }
-
-    /// Enter a registry [`Phase`]: the typed entry point the routing
-    /// engine drives phase boundaries through. The trace/stats mark and
-    /// the failure-protocol boundary of [`Comm::phase_adv`] take their
-    /// name from the enum, and the metric shard's per-phase window is
-    /// rotated to `phase` first — so if the kill schedule fires at this
-    /// boundary, the recovery accounting that follows the abort lands in
-    /// the window of the phase whose boundary failed, keeping per-phase
-    /// windows an exact partition of the run totals.
-    pub fn phase_enter(&mut self, phase: Phase) -> PhaseControl {
-        self.metrics.open_window(phase);
-        let control = self.phase_adv(phase.name());
-        if control == PhaseControl::Continue && self.budget.is_limited() {
+        if self.budget.is_limited() {
             self.budget_boundary_check();
         }
-        control
+        PhaseControl::Continue
     }
 
     // ----- resource budgets -----
@@ -711,11 +716,6 @@ impl Comm {
         self.budget.is_limited()
     }
 
-    /// The armed budget (unlimited when none was set).
-    pub fn budget(&self) -> ResourceBudget {
-        self.budget
-    }
-
     /// The latched hard breach, if any. Latching is local; the engine
     /// agrees on it collectively before acting.
     pub fn budget_breach(&self) -> Option<BudgetBreach> {
@@ -738,6 +738,18 @@ impl Comm {
         }
     }
 
+    /// Latch a hard breach — the first one of a run wins — and count it.
+    fn latch_breach(&mut self, kind: BudgetKind, limit: f64, observed: f64) {
+        if self.budget_breach.is_none() {
+            self.budget_breach = Some(BudgetBreach {
+                kind,
+                limit,
+                observed,
+            });
+            self.metrics.add(budget_names::BREACHES, 1);
+        }
+    }
+
     /// Phase-boundary budget check (from [`Comm::phase_enter`]): close
     /// the books on the phase just ended and start the next one's
     /// account. An overrun of a phase that *shed* is tolerated — the
@@ -747,23 +759,13 @@ impl Comm {
         let now = self.active_now();
         if let Some(limit) = self.budget.max_phase_seconds {
             let elapsed = now - self.budget_phase_start;
-            if elapsed > limit && !self.budget_shed && self.budget_breach.is_none() {
-                self.budget_breach = Some(BudgetBreach {
-                    kind: BudgetKind::PhaseSeconds,
-                    limit,
-                    observed: elapsed,
-                });
-                self.metrics.add(budget_names::BREACHES, 1);
+            if elapsed > limit && !self.budget_shed {
+                self.latch_breach(BudgetKind::PhaseSeconds, limit, elapsed);
             }
         }
         if let Some(limit) = self.budget.max_rank_bytes {
-            if self.cur_mem > limit && self.budget_breach.is_none() {
-                self.budget_breach = Some(BudgetBreach {
-                    kind: BudgetKind::RankBytes,
-                    limit: limit as f64,
-                    observed: self.cur_mem as f64,
-                });
-                self.metrics.add(budget_names::BREACHES, 1);
+            if self.cur_mem > limit {
+                self.latch_breach(BudgetKind::RankBytes, limit as f64, self.cur_mem as f64);
             }
         }
         self.budget_phase_start = now;
@@ -788,23 +790,13 @@ impl Comm {
         if let Some(limit) = self.budget.max_phase_seconds {
             let elapsed = self.active_now() - self.budget_phase_start;
             if elapsed > limit {
-                self.budget_breach = Some(BudgetBreach {
-                    kind: BudgetKind::PhaseSeconds,
-                    limit,
-                    observed: elapsed,
-                });
-                self.metrics.add(budget_names::BREACHES, 1);
+                self.latch_breach(BudgetKind::PhaseSeconds, limit, elapsed);
                 return true;
             }
         }
         if let Some(limit) = self.budget.max_rank_bytes {
             if self.cur_mem > limit {
-                self.budget_breach = Some(BudgetBreach {
-                    kind: BudgetKind::RankBytes,
-                    limit: limit as f64,
-                    observed: self.cur_mem as f64,
-                });
-                self.metrics.add(budget_names::BREACHES, 1);
+                self.latch_breach(BudgetKind::RankBytes, limit as f64, self.cur_mem as f64);
                 return true;
             }
         }
@@ -826,12 +818,7 @@ impl Comm {
         }
         if let Some(limit) = self.budget.max_rank_bytes {
             if self.cur_mem > limit {
-                self.budget_breach = Some(BudgetBreach {
-                    kind: BudgetKind::RankBytes,
-                    limit: limit as f64,
-                    observed: self.cur_mem as f64,
-                });
-                self.metrics.add(budget_names::BREACHES, 1);
+                self.latch_breach(BudgetKind::RankBytes, limit as f64, self.cur_mem as f64);
                 return true;
             }
         }
@@ -1787,38 +1774,7 @@ where
     R: Send,
     F: Fn(&mut Comm) -> R + Send + Sync,
 {
-    run_traced(size, machine, TraceConfig::off(), f).0
-}
-
-/// [`run`] with event tracing: returns the report plus one [`RankTrace`]
-/// per rank (empty traces when `trace.enabled` is false).
-///
-/// ```
-/// use pgr_mpi::{run_traced, MachineModel, TraceConfig};
-/// let (report, traces) = run_traced(2, MachineModel::ideal(), TraceConfig::on(), |comm| {
-///     comm.phase("work");
-///     comm.compute(100);
-///     comm.barrier();
-/// });
-/// assert_eq!(traces.len(), 2);
-/// assert_eq!(traces[0].phase_durations().len(), report.stats[0].phases.len());
-/// ```
-pub fn run_traced<R, F>(
-    size: usize,
-    machine: MachineModel,
-    trace: TraceConfig,
-    f: F,
-) -> (RunReport<R>, Vec<RankTrace>)
-where
-    R: Send,
-    F: Fn(&mut Comm) -> R + Send + Sync,
-{
-    let instr = InstrumentConfig {
-        trace,
-        ..InstrumentConfig::off()
-    };
-    let (report, traces, _) = run_instrumented(size, machine, instr, f);
-    (report, traces)
+    run_instrumented(size, machine, InstrumentConfig::off(), f).0
 }
 
 /// [`run`] with the full instrumentation bundle: event tracing, per-rank
@@ -1882,52 +1838,19 @@ where
     let mut comms: Vec<Comm> = rxs
         .into_iter()
         .enumerate()
-        .map(|(rank, rx)| Comm {
-            rank,
-            size,
-            machine,
-            txs: txs
+        .map(|(rank, rx)| {
+            let mut comm = Comm::unconnected(rank, size, machine, &instr, wall_epoch);
+            comm.txs = txs
                 .iter()
                 .enumerate()
                 .map(|(i, tx)| (i != rank).then(|| tx.clone()))
-                .collect(),
-            rx: Some(rx),
-            pending: (0..size).map(|_| VecDeque::new()).collect(),
-            clock: 0.0,
-            clock_mode: instr.clock,
-            wall_epoch,
-            wall_marks: Vec::new(),
-            ops: 0,
-            msgs_sent: 0,
-            bytes_sent: 0,
-            bytes_to: vec![0; size],
-            cur_mem: 0,
-            peak_mem: 0,
-            coll_seq: 0,
-            phase_marks: Vec::new(),
-            trace: hub.clone(),
-            metrics: MetricsShard::new(instr.metrics),
-            fault: instr.fault.clone(),
-            send_seq: 0,
-            world: (0..size).collect(),
-            lrank: rank,
-            boundary: 0,
-            reliability: instr.reliability,
-            rel_next_seq: vec![0; size],
-            rel_holdback: (0..size).map(|_| None).collect(),
-            rel_rx: (0..size).map(|_| ReorderBuffer::new()).collect(),
-            rel_retry: RetryState::default(),
-            corrupt_stash: None,
-            failure: failure.clone(),
-            kills_scheduled,
-            checkpoints: checkpoints.clone(),
-            run_attempt: 0,
-            portable_boundary: None,
-            budget: ResourceBudget::unlimited(),
-            budget_phase_start: 0.0,
-            budget_breach: None,
-            budget_shed: false,
-            budget_shed_any: false,
+                .collect();
+            comm.rx = Some(rx);
+            comm.trace = hub.clone();
+            comm.failure = failure.clone();
+            comm.kills_scheduled = kills_scheduled;
+            comm.checkpoints = checkpoints.clone();
+            comm
         })
         .collect();
     drop(txs);
@@ -2317,15 +2240,19 @@ mod tests {
     #[test]
     fn traced_run_matches_untraced_clocks() {
         let body = |c: &mut Comm| {
-            c.phase("compute");
+            c.phase_mark(Phase::Coarse);
             c.compute(5_000 * (c.rank() as u64 + 1));
-            c.phase("sync");
+            c.phase_mark(Phase::Assemble);
             c.allreduce(c.rank() as u64, |a, b| a + b);
             c.now()
         };
         let plain = run(3, MachineModel::intel_paragon(), body);
-        let (traced, traces) =
-            run_traced(3, MachineModel::intel_paragon(), TraceConfig::on(), body);
+        let (traced, traces, _) = run_instrumented(
+            3,
+            MachineModel::intel_paragon(),
+            InstrumentConfig::full(),
+            body,
+        );
         assert_eq!(
             plain.results, traced.results,
             "tracing must not perturb virtual time"
@@ -2347,16 +2274,19 @@ mod tests {
 
     #[test]
     fn untraced_run_returns_no_traces() {
-        let (_, traces) = run_traced(2, MachineModel::ideal(), TraceConfig::off(), |c| c.rank());
+        let (_, traces, _) =
+            run_instrumented(2, MachineModel::ideal(), InstrumentConfig::off(), |c| {
+                c.rank()
+            });
         assert!(traces.is_empty());
     }
 
     #[test]
     fn wall_mode_adds_measurements_without_touching_the_virtual_account() {
         let body = |c: &mut Comm| {
-            c.phase("compute");
+            c.phase_mark(Phase::Coarse);
             c.compute(10_000 * (c.rank() as u64 + 1));
-            c.phase("sync");
+            c.phase_mark(Phase::Assemble);
             c.allreduce(c.rank() as u64, |a, b| a + b)
         };
         let virt = run_instrumented(
@@ -2400,14 +2330,14 @@ mod tests {
     }
 
     #[test]
-    fn solo_clocked_reports_wall_stats() {
-        let mut c = Comm::solo_clocked(
+    fn wall_clocked_solo_reports_wall_stats() {
+        let mut c = Comm::solo_with(
             MachineModel::sparc_center_1000(),
             MetricsConfig::off(),
             ClockMode::Wall,
         );
         assert_eq!(c.clock_mode(), ClockMode::Wall);
-        c.phase("work");
+        c.phase_mark(Phase::Setup);
         c.compute(1_000);
         let s = c.stats();
         let ws = s.wall.expect("solo wall stats");

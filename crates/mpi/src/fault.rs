@@ -27,8 +27,8 @@
 //! parallel algorithms' phase-boundary recovery is driven by.
 //!
 //! The hook is test/bench-only by convention: production entry points
-//! ([`run`](crate::run), [`run_traced`](crate::run_traced)) never attach
-//! a layer; callers go through
+//! ([`run`](crate::run), [`Comm::solo`](crate::comm::Comm::solo)) never
+//! attach a layer; callers go through
 //! [`run_instrumented`](crate::run_instrumented) with
 //! [`InstrumentConfig::fault`](crate::comm::InstrumentConfig) set.
 //! Injections are observable: the sender's metrics shard counts
@@ -113,7 +113,7 @@ pub trait FaultLayer: Send + Sync {
 
     /// Rank-death schedule: `Some(b)` means `rank` dies at the `b`-th
     /// phase boundary it reaches (0-based count of
-    /// [`Comm::phase_adv`](crate::comm::Comm::phase_adv) calls). The
+    /// [`Comm::phase_enter`](crate::comm::Comm::phase_enter) calls). The
     /// default layer kills nobody.
     fn kill_at_boundary(&self, _rank: usize) -> Option<u64> {
         None

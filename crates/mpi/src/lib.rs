@@ -27,9 +27,10 @@
 //! runs are detected.
 
 //!
-//! Observability: [`run_traced`] records per-rank [`TraceEvent`] streams
-//! (exportable via [`chrome_trace_json`] / [`stats_json`]),
-//! [`run_instrumented`] additionally collects per-rank metric shards
+//! Observability: [`run_instrumented`] — the one configured way to run a
+//! world ([`run`] is its zero-config shorthand) — records per-rank
+//! [`TraceEvent`] streams (exportable via [`chrome_trace_json`] /
+//! [`stats_json`]), collects per-rank metric shards
 //! (counters/gauges/histograms from `pgr-obs`) and can attach a
 //! [`fault`] layer that drops, delays, reorders, or duplicates messages,
 //! and failed communication patterns surface as structured [`CommError`]
@@ -40,7 +41,7 @@
 //! backoff) masks injected message faults bit-deterministically, and a
 //! fault layer's kill schedule plus the heartbeat [`failure`] detector
 //! let SPMD programs survive rank death: the victim unwinds at a phase
-//! boundary ([`Comm::phase_adv`]), survivors shrink the world
+//! boundary ([`Comm::phase_enter`]), survivors shrink the world
 //! ([`Comm::remove_dead`]) and continue on dense logical ranks, and a
 //! recv blocked on the victim reports [`CommError::RankDead`].
 //!
@@ -65,8 +66,8 @@ pub mod wire;
 pub use budget::{BudgetBreach, BudgetKind, ResourceBudget};
 pub use checkpoint::{CheckpointStore, Snapshot};
 pub use comm::{
-    run, run_instrumented, run_traced, Comm, InstrumentConfig, PhaseControl, RankStats, RunReport,
-    WallStats, COLLECTIVE_TAG_BASE, RECV_WAIT_MICROS,
+    run, run_instrumented, Comm, InstrumentConfig, PhaseControl, RankStats, RunReport, WallStats,
+    COLLECTIVE_TAG_BASE, RECV_WAIT_MICROS,
 };
 pub use error::{CommError, PendingMsg, TransportSnapshot};
 pub use failure::{FailureDetector, FailureInfo};

@@ -385,7 +385,7 @@ mod tests {
     use super::*;
     use crate::comm::{run_instrumented, InstrumentConfig};
     use crate::trace::TraceConfig;
-    use pgr_obs::MetricsConfig;
+    use pgr_obs::{MetricsConfig, Phase};
 
     fn machine() -> MachineModel {
         MachineModel::sparc_center_1000()
@@ -492,7 +492,7 @@ mod tests {
             ..InstrumentConfig::default()
         };
         let (_, traces, metrics) = run_instrumented(2, m, cfg, |comm| {
-            comm.phase("setup");
+            comm.phase_mark(Phase::Setup);
             for i in 0..10 {
                 let peer = 1 - comm.rank();
                 if comm.rank() == 0 {

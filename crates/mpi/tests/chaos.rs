@@ -15,10 +15,10 @@ use pgr_mpi::fault::{
 };
 use pgr_mpi::{
     reliable, run, run_instrumented, ChaosConfig, ChaosLayer, Comm, CommError, FaultAction,
-    InstrumentConfig, MachineModel, MetricsConfig, MsgCtx, PhaseControl, RankMetrics,
+    InstrumentConfig, MachineModel, MetricsConfig, MsgCtx, Phase, PhaseControl, RankMetrics,
     ReliabilityConfig, TraceConfig,
 };
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 const DATA: u32 = 3;
@@ -31,7 +31,7 @@ const RELEASE: u32 = 8;
 /// full collective set, and some compute.
 fn busy_body(comm: &mut Comm) -> (u64, u64) {
     let (rank, size) = (comm.rank(), comm.size());
-    comm.phase("work");
+    comm.phase_mark(Phase::Setup);
     let next = (rank + 1) % size;
     let prev = (rank + size - 1) % size;
     for i in 0..8u64 {
@@ -358,6 +358,18 @@ fn adversarial_drop_exhausts_retries_but_delivers() {
     assert_eq!(metrics[0].counter(FAULTS_DROPPED), Some(4));
 }
 
+/// Rank 1 of the watchdog-stall tests: alive but silent, *outside* any
+/// receive, until rank 0 has its `Stalled`. Both ranks arm the same
+/// real-time watchdog, so a rank 1 parked in `recv(RELEASE)` would race
+/// rank 0's timer and stall first about one run in three. The barrier is
+/// signalled after rank 0 has sent both frames, so the receives below
+/// find them already delivered and never wait.
+fn await_stall_then_drain(comm: &mut Comm, stalled: &Barrier) {
+    stalled.wait();
+    let _: u8 = comm.recv(0, PING);
+    let _: u8 = comm.recv(0, RELEASE);
+}
+
 /// Satellite: a watchdog firing while the transport has retry state
 /// reports that state (retransmits, backoff, reorder windows) in the
 /// `Stalled` diagnostic instead of a bare pending-queue dump.
@@ -377,15 +389,16 @@ fn watchdog_stall_reports_retry_and_backoff_state() {
         reliability: ReliabilityConfig::on(),
         ..InstrumentConfig::off()
     };
+    let stalled = Barrier::new(2);
     let (report, _, _) = run_instrumented(2, MachineModel::ideal(), instr, |comm| {
         if comm.rank() == 0 {
             // One retransmitted send, then a wait that can never be
             // satisfied: the watchdog fires mid-protocol.
             comm.send(1, PING, &1u8);
-            let err = comm
-                .try_recv_bytes(1, NEVER)
-                .expect_err("nobody sends NEVER");
+            let err = comm.try_recv_bytes(1, NEVER);
             comm.send(1, RELEASE, &1u8);
+            stalled.wait();
+            let err = err.expect_err("nobody sends NEVER");
             let msg = err.to_string();
             match err {
                 CommError::Stalled { transport, .. } => {
@@ -398,8 +411,7 @@ fn watchdog_stall_reports_retry_and_backoff_state() {
                 other => panic!("expected Stalled, got {other}"),
             }
         } else {
-            let _: u8 = comm.recv(0, PING);
-            let _: u8 = comm.recv(0, RELEASE);
+            await_stall_then_drain(comm, &stalled);
             true
         }
     });
@@ -425,13 +437,14 @@ fn watchdog_stall_reports_corruption_counters() {
         reliability: ReliabilityConfig::on(),
         ..InstrumentConfig::off()
     };
+    let stalled = Barrier::new(2);
     let (report, _, _) = run_instrumented(2, MachineModel::ideal(), instr, |comm| {
         if comm.rank() == 0 {
             comm.send(1, PING, &1u8);
-            let err = comm
-                .try_recv_bytes(1, NEVER)
-                .expect_err("nobody sends NEVER");
+            let err = comm.try_recv_bytes(1, NEVER);
             comm.send(1, RELEASE, &1u8);
+            stalled.wait();
+            let err = err.expect_err("nobody sends NEVER");
             let msg = err.to_string();
             match err {
                 CommError::Stalled { transport, .. } => {
@@ -444,8 +457,7 @@ fn watchdog_stall_reports_corruption_counters() {
                 other => panic!("expected Stalled, got {other}"),
             }
         } else {
-            let _: u8 = comm.recv(0, PING);
-            let _: u8 = comm.recv(0, RELEASE);
+            await_stall_then_drain(comm, &stalled);
             true
         }
     });
@@ -468,7 +480,7 @@ fn phase_kill_surfaces_rank_dead_and_world_remaps() {
         ..InstrumentConfig::off()
     };
     let (report, _, _) = run_instrumented(4, MachineModel::ideal(), instr, |comm| {
-        match comm.phase_adv("setup") {
+        match comm.phase_enter(Phase::Setup) {
             PhaseControl::SelfKilled => {
                 assert_eq!(comm.physical_rank(), 1, "only rank 1 is scheduled");
                 return (Vec::new(), Vec::new());
@@ -534,10 +546,10 @@ fn multi_kill_is_deterministic() {
             ..InstrumentConfig::off()
         };
         run_instrumented(5, MachineModel::sparc_center_1000(), instr, |comm| {
-            assert_eq!(comm.phase_adv("warmup"), PhaseControl::Continue);
+            assert_eq!(comm.phase_enter(Phase::Setup), PhaseControl::Continue);
             let all = comm.allreduce(1u64, |a, b| a + b);
             assert_eq!(all, 5);
-            match comm.phase_adv("main") {
+            match comm.phase_enter(Phase::Steiner) {
                 PhaseControl::SelfKilled => return 0,
                 PhaseControl::PeersDied(dead) => {
                     assert_eq!(dead, vec![1, 3]);
@@ -568,8 +580,11 @@ fn multi_kill_is_deterministic() {
 fn send_racing_peer_exit_is_dropped_not_fatal() {
     // No probabilistic faults, no kills: the layer's mere presence
     // selects the tolerant path. Rank 1 exits immediately; rank 0
-    // sends after a real-time delay so the frame reliably meets a
-    // closed channel.
+    // first blocks until rank 1's sender handles are gone (the receive
+    // below can only end in `PeersDisconnected`), then sends — rank 1
+    // drops its receiver right after its senders, so the short sleep
+    // only has to cover those two adjacent statements, not the peer
+    // thread's whole scheduling delay on a loaded host.
     let instr = InstrumentConfig {
         metrics: MetricsConfig::on(),
         fault: Some(Arc::new(ChaosLayer::new(ChaosConfig {
@@ -585,6 +600,8 @@ fn send_racing_peer_exit_is_dropped_not_fatal() {
     let (report, _, metrics) =
         run_instrumented(2, MachineModel::sparc_center_1000(), instr, |comm| {
             if comm.rank() == 0 {
+                let gone = comm.try_recv_bytes(1, NEVER);
+                assert!(matches!(gone, Err(CommError::PeersDisconnected { .. })));
                 std::thread::sleep(Duration::from_millis(100));
                 comm.send(1, DATA, &1u32);
             }

@@ -7,7 +7,7 @@ use pgr_mpi::{
     run, run_instrumented, CommError, FaultAction, InstrumentConfig, MachineModel, MetricsConfig,
     MsgCtx, TraceConfig,
 };
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 const DATA: u32 = 7;
@@ -15,8 +15,8 @@ const RELEASE: u32 = 8;
 
 /// A dropped message stalls the receiver; the watchdog turns the stall
 /// into a structured `CommError::Stalled`, and the sender's metrics
-/// count the injected drop. Rank 1 stays alive (blocked on a release
-/// message) so the stall is a genuine timeout, not a peer disconnect.
+/// count the injected drop. Rank 1 stays alive (parked on a barrier) so
+/// the stall is a genuine timeout, not a peer disconnect.
 #[test]
 fn dropped_message_is_seen_by_watchdog_and_metrics() {
     let instr = InstrumentConfig {
@@ -29,18 +29,23 @@ fn dropped_message_is_seen_by_watchdog_and_metrics() {
         })),
         ..InstrumentConfig::off()
     };
+    // Rank 1 waits for rank 0's verdict on this barrier, not in a
+    // receive: both ranks arm the same real-time watchdog, and a rank 1
+    // parked in `recv(RELEASE)` could stall first.
+    let verdict = Barrier::new(2);
     let (report, _traces, metrics) = run_instrumented(2, MachineModel::ideal(), instr, |comm| {
         if comm.rank() == 0 {
             // The payload never arrives: the fault layer ate it.
-            let err = comm
-                .try_recv_bytes(1, DATA)
-                .expect_err("dropped message cannot arrive");
-            let stalled = matches!(err, CommError::Stalled { .. });
+            let err = comm.try_recv_bytes(1, DATA);
             // Unblock rank 1 so the run finishes cleanly.
             comm.send_bytes(1, RELEASE, vec![1]);
+            verdict.wait();
+            let err = err.expect_err("dropped message cannot arrive");
+            let stalled = matches!(err, CommError::Stalled { .. });
             (stalled, err.to_string())
         } else {
             comm.send_bytes(0, DATA, vec![42; 64]);
+            verdict.wait();
             let _ = comm.recv_bytes(0, RELEASE);
             (true, String::new())
         }

@@ -16,9 +16,11 @@
 
 use pgr::circuit::mcnc::Mcnc;
 use pgr::circuit::RowPartition;
-use pgr::mpi::{Comm, MachineModel};
+use pgr::mpi::{Comm, InstrumentConfig, MachineModel};
 use pgr::router::parallel::partition::{partition_nets, pins_per_owner, steiner_cost_per_owner};
-use pgr::router::{route_parallel, route_serial, Algorithm, PartitionKind, RouterConfig};
+use pgr::router::{
+    route_parallel_guarded, try_route_serial, Algorithm, PartitionKind, RouterConfig,
+};
 
 fn main() {
     let circuit = Mcnc::AvqLarge.circuit_scaled(0.25);
@@ -58,7 +60,7 @@ fn main() {
     let cfg = RouterConfig::with_seed(1997);
     let machine = MachineModel::sparc_center_1000();
     let mut comm = Comm::solo(machine);
-    let serial = route_serial(&circuit, &cfg, &mut comm);
+    let serial = try_route_serial(&circuit, &cfg, &mut comm).unwrap();
     let t_serial = comm.now();
     println!();
     println!("hybrid algorithm, 8 ranks:");
@@ -67,13 +69,21 @@ fn main() {
         "partition", "time(s)", "speedup", "sc.tracks"
     );
     for kind in PartitionKind::ALL {
-        let out = route_parallel(&circuit, &cfg, Algorithm::Hybrid, kind, parts, machine);
+        let out = route_parallel_guarded(
+            &circuit,
+            &cfg,
+            Algorithm::Hybrid,
+            kind,
+            parts,
+            machine,
+            InstrumentConfig::off(),
+        );
         println!(
             "{:<12} {:>9.1} {:>9.2} {:>10.3}",
             kind.name(),
             out.time,
             t_serial / out.time,
-            out.result.scaled_tracks(&serial)
+            out.result.as_ref().unwrap().scaled_tracks(&serial)
         );
     }
     println!();

@@ -10,7 +10,7 @@
 use pgr::circuit::format::{from_text, to_text};
 use pgr::circuit::{generate, GeneratorConfig};
 use pgr::mpi::{Comm, MachineModel};
-use pgr::router::{route_serial, RouterConfig};
+use pgr::router::{try_route_serial, RouterConfig};
 
 fn main() {
     let path = std::env::args()
@@ -36,8 +36,8 @@ fn main() {
     );
 
     let cfg = RouterConfig::with_seed(5);
-    let a = route_serial(&circuit, &cfg, &mut Comm::solo(MachineModel::ideal()));
-    let b = route_serial(&reloaded, &cfg, &mut Comm::solo(MachineModel::ideal()));
+    let a = try_route_serial(&circuit, &cfg, &mut Comm::solo(MachineModel::ideal())).unwrap();
+    let b = try_route_serial(&reloaded, &cfg, &mut Comm::solo(MachineModel::ideal())).unwrap();
     assert_eq!(a, b, "identical circuits route identically");
 
     println!("reloaded circuit routes to the identical solution:");

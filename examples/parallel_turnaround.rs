@@ -14,8 +14,10 @@
 //! 0.25 for a quicker, smaller run.
 
 use pgr::circuit::mcnc::Mcnc;
-use pgr::mpi::{Comm, MachineModel};
-use pgr::router::{route_parallel, route_serial, Algorithm, PartitionKind, RouterConfig};
+use pgr::mpi::{Comm, InstrumentConfig, MachineModel};
+use pgr::router::{
+    route_parallel_guarded, try_route_serial, Algorithm, PartitionKind, RouterConfig,
+};
 
 fn main() {
     let scale: f64 = std::env::args()
@@ -31,7 +33,7 @@ fn main() {
     let machine = MachineModel::sparc_center_1000();
 
     let mut comm = Comm::solo(machine);
-    let serial = route_serial(&circuit, &cfg, &mut comm);
+    let serial = try_route_serial(&circuit, &cfg, &mut comm).unwrap();
     let t_serial = comm.now();
     println!(
         "serial baseline on {}: {} tracks, {:.1} s simulated",
@@ -48,13 +50,14 @@ fn main() {
     for algo in Algorithm::ALL {
         for procs in [2usize, 4, 8] {
             let procs = procs.min(circuit.num_rows());
-            let out = route_parallel(
+            let out = route_parallel_guarded(
                 &circuit,
                 &cfg,
                 algo,
                 PartitionKind::PinWeight,
                 procs,
                 machine,
+                InstrumentConfig::off(),
             );
             println!(
                 "{:<10} {:>6} {:>10.1} {:>10.2} {:>10} {:>11.1}%",
@@ -62,8 +65,8 @@ fn main() {
                 procs,
                 out.time,
                 t_serial / out.time,
-                out.result.track_count(),
-                (out.result.scaled_tracks(&serial) - 1.0) * 100.0
+                out.result.as_ref().unwrap().track_count(),
+                (out.result.as_ref().unwrap().scaled_tracks(&serial) - 1.0) * 100.0
             );
         }
         println!();

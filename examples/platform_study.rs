@@ -10,8 +10,10 @@
 //! ```
 
 use pgr::circuit::mcnc::Mcnc;
-use pgr::mpi::{Comm, MachineModel};
-use pgr::router::{route_parallel, route_serial, Algorithm, PartitionKind, RouterConfig};
+use pgr::mpi::{Comm, InstrumentConfig, MachineModel};
+use pgr::router::{
+    route_parallel_guarded, try_route_serial, Algorithm, PartitionKind, RouterConfig,
+};
 
 fn main() {
     let scale: f64 = std::env::args()
@@ -38,7 +40,7 @@ fn main() {
         ideal_net,
     ] {
         let mut comm = Comm::solo(machine);
-        let _serial = route_serial(&circuit, &cfg, &mut comm);
+        let _serial = try_route_serial(&circuit, &cfg, &mut comm).unwrap();
         let t_serial = comm.now();
         let serial_fits = machine.fits_in_node(comm.peak_mem());
         println!("=== {} ===", machine.name);
@@ -58,13 +60,14 @@ fn main() {
         );
         for procs in [2usize, 4, 8, 16] {
             let procs = procs.min(circuit.num_rows());
-            let out = route_parallel(
+            let out = route_parallel_guarded(
                 &circuit,
                 &cfg,
                 Algorithm::Hybrid,
                 PartitionKind::PinWeight,
                 procs,
                 machine,
+                InstrumentConfig::off(),
             );
             println!(
                 "{:>6} {:>10.1} {:>9.2} {:>11.1} MB{}",
@@ -78,7 +81,7 @@ fn main() {
         println!();
     }
     println!("serial tracks: {} — identical routing problem on every platform; only time and memory differ.", {
-        let r = route_serial(&circuit, &cfg, &mut Comm::solo(MachineModel::ideal()));
+        let r = try_route_serial(&circuit, &cfg, &mut Comm::solo(MachineModel::ideal())).unwrap();
         r.track_count()
     });
 }

@@ -7,7 +7,7 @@
 
 use pgr::circuit::{generate, GeneratorConfig};
 use pgr::mpi::{Comm, MachineModel};
-use pgr::router::{route_serial, RouterConfig};
+use pgr::router::{try_route_serial, RouterConfig};
 
 fn main() {
     // A ~900-pin circuit with 8 cell rows. Fully deterministic per seed.
@@ -21,7 +21,7 @@ fn main() {
     // Route serially on the simulated SparcCenter 1000; the communicator
     // tracks virtual time and modeled memory as it goes.
     let mut comm = Comm::solo(MachineModel::sparc_center_1000());
-    let result = route_serial(&circuit, &RouterConfig::with_seed(7), &mut comm);
+    let result = try_route_serial(&circuit, &RouterConfig::with_seed(7), &mut comm).unwrap();
 
     println!();
     println!("routing finished:");

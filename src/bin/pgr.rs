@@ -21,9 +21,10 @@
 use pgr::circuit::format::from_text;
 use pgr::circuit::mcnc::{Mcnc, ALL};
 use pgr::circuit::{format, Circuit};
-use pgr::mpi::{Comm, MachineModel};
+use pgr::mpi::{Comm, InstrumentConfig, MachineModel};
 use pgr::router::{
-    route_parallel, route_serial, verify, Algorithm, PartitionKind, RouterConfig, RoutingResult,
+    route_parallel_guarded, try_route_serial, verify, Algorithm, PartitionKind, RouterConfig,
+    RoutingResult,
 };
 use std::process::exit;
 
@@ -214,7 +215,7 @@ fn cmd_route() {
     let (result, time, procs) = match algo_name.as_str() {
         "serial" => {
             let mut comm = Comm::solo(machine);
-            let r = route_serial(&circuit, &cfg, &mut comm);
+            let r = try_route_serial(&circuit, &cfg, &mut comm);
             (r, comm.now(), 1)
         }
         other => {
@@ -227,7 +228,15 @@ fn cmd_route() {
                     ))
                 });
             let procs = procs.min(circuit.num_rows()).max(1);
-            let out = route_parallel(&circuit, &cfg, algo, partition, procs, machine);
+            let out = route_parallel_guarded(
+                &circuit,
+                &cfg,
+                algo,
+                partition,
+                procs,
+                machine,
+                InstrumentConfig::off(),
+            );
             if !out.fits_memory {
                 eprintln!(
                     "warning: a rank's modeled working set exceeds the machine's node memory"
@@ -236,6 +245,8 @@ fn cmd_route() {
             (out.result, out.time, procs)
         }
     };
+
+    let result = result.unwrap_or_else(|e| die(&e.to_string()));
 
     if args.switches.contains("verify") {
         verify::assert_verified(&circuit, &result);

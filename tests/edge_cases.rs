@@ -2,8 +2,10 @@
 //! them all without panicking and with verifiable solutions.
 
 use pgr::circuit::{generate, CircuitBuilder, GeneratorConfig, PinSide, RowId};
-use pgr::mpi::{Comm, MachineModel};
-use pgr::router::{route_parallel, route_serial, verify, Algorithm, PartitionKind, RouterConfig};
+use pgr::mpi::{Comm, InstrumentConfig, MachineModel};
+use pgr::router::{
+    route_parallel_guarded, try_route_serial, verify, Algorithm, PartitionKind, RouterConfig,
+};
 
 fn cfg() -> RouterConfig {
     RouterConfig::with_seed(99)
@@ -23,7 +25,7 @@ fn single_row_circuit_routes() {
         b.add_net("n", chunk.to_vec());
     }
     let c = b.finish().unwrap();
-    let r = route_serial(&c, &cfg(), &mut Comm::solo(MachineModel::ideal()));
+    let r = try_route_serial(&c, &cfg(), &mut Comm::solo(MachineModel::ideal())).unwrap();
     verify::assert_verified(&c, &r);
     assert_eq!(r.feedthroughs, 0, "same-row nets never cross rows");
     assert_eq!(r.channel_density.len(), 2);
@@ -38,18 +40,19 @@ fn two_row_circuit_routes_and_parallelizes() {
     cfg_gen.nets = 40;
     cfg_gen.pins = 120;
     let c = generate(&cfg_gen);
-    let serial = route_serial(&c, &cfg(), &mut Comm::solo(MachineModel::ideal()));
+    let serial = try_route_serial(&c, &cfg(), &mut Comm::solo(MachineModel::ideal())).unwrap();
     verify::assert_verified(&c, &serial);
     for algo in Algorithm::ALL {
-        let out = route_parallel(
+        let out = route_parallel_guarded(
             &c,
             &cfg(),
             algo,
             PartitionKind::PinWeight,
             2,
             MachineModel::sparc_center_1000(),
+            InstrumentConfig::off(),
         );
-        verify::assert_verified(&c, &out.result);
+        verify::assert_verified(&c, out.result.as_ref().unwrap());
     }
 }
 
@@ -59,7 +62,7 @@ fn all_two_pin_nets() {
     g.pins = g.nets * 2; // exactly two pins per net
     let c = generate(&g);
     assert!(c.nets().all(|n| n.degree() == 2));
-    let r = route_serial(&c, &cfg(), &mut Comm::solo(MachineModel::ideal()));
+    let r = try_route_serial(&c, &cfg(), &mut Comm::solo(MachineModel::ideal())).unwrap();
     verify::assert_verified(&c, &r);
 }
 
@@ -71,18 +74,19 @@ fn one_giant_net_dominates() {
     g.pins = 600;
     g.clock_nets = vec![200];
     let c = generate(&g);
-    let r = route_serial(&c, &cfg(), &mut Comm::solo(MachineModel::ideal()));
+    let r = try_route_serial(&c, &cfg(), &mut Comm::solo(MachineModel::ideal())).unwrap();
     verify::assert_verified(&c, &r);
     for algo in Algorithm::ALL {
-        let out = route_parallel(
+        let out = route_parallel_guarded(
             &c,
             &cfg(),
             algo,
             PartitionKind::PinWeight,
             4,
             MachineModel::sparc_center_1000(),
+            InstrumentConfig::off(),
         );
-        verify::assert_verified(&c, &out.result);
+        verify::assert_verified(&c, out.result.as_ref().unwrap());
     }
 }
 
@@ -91,7 +95,7 @@ fn zero_equivalence_means_no_switchables_but_valid_routing() {
     let mut g = GeneratorConfig::small("rigid", 8);
     g.equivalent_fraction = 0.0;
     let c = generate(&g);
-    let r = route_serial(&c, &cfg(), &mut Comm::solo(MachineModel::ideal()));
+    let r = try_route_serial(&c, &cfg(), &mut Comm::solo(MachineModel::ideal())).unwrap();
     verify::assert_verified(&c, &r);
     assert!(r
         .spans
@@ -103,7 +107,7 @@ fn zero_equivalence_means_no_switchables_but_valid_routing() {
     g2.name = "flexible".into();
     g2.equivalent_fraction = 1.0;
     let c2 = generate(&g2);
-    let r2 = route_serial(&c2, &cfg(), &mut Comm::solo(MachineModel::ideal()));
+    let r2 = try_route_serial(&c2, &cfg(), &mut Comm::solo(MachineModel::ideal())).unwrap();
     let count =
         |r: &pgr::router::RoutingResult| r.spans.iter().filter(|s| s.switch_row.is_some()).count();
     assert!(count(&r2) >= count(&r));
@@ -114,7 +118,7 @@ fn zero_locality_global_nets() {
     let mut g = GeneratorConfig::small("global-nets", 9);
     g.locality = 0.0;
     let c = generate(&g);
-    let r = route_serial(&c, &cfg(), &mut Comm::solo(MachineModel::ideal()));
+    let r = try_route_serial(&c, &cfg(), &mut Comm::solo(MachineModel::ideal())).unwrap();
     verify::assert_verified(&c, &r);
     assert!(r.feedthroughs > 0, "global nets must cross rows");
 }
@@ -124,28 +128,35 @@ fn steiner_refinement_verifies_on_every_algorithm() {
     let c = generate(&GeneratorConfig::small("steiner-par", 10));
     let mut rcfg = cfg();
     rcfg.steiner_refine = true;
-    let serial = route_serial(&c, &rcfg, &mut Comm::solo(MachineModel::ideal()));
+    let serial = try_route_serial(&c, &rcfg, &mut Comm::solo(MachineModel::ideal())).unwrap();
     verify::assert_verified(&c, &serial);
     for algo in Algorithm::ALL {
-        let out = route_parallel(
+        let out = route_parallel_guarded(
             &c,
             &rcfg,
             algo,
             PartitionKind::PinWeight,
             3,
             MachineModel::sparc_center_1000(),
+            InstrumentConfig::off(),
         );
-        verify::assert_verified(&c, &out.result);
+        verify::assert_verified(&c, out.result.as_ref().unwrap());
         // P=1 equivalence must hold with refinement too.
-        let one = route_parallel(
+        let one = route_parallel_guarded(
             &c,
             &rcfg,
             algo,
             PartitionKind::PinWeight,
             1,
             MachineModel::sparc_center_1000(),
+            InstrumentConfig::off(),
         );
-        assert_eq!(one.result, serial, "{} refined P=1", algo.name());
+        assert_eq!(
+            one.result.as_ref(),
+            Ok(&serial),
+            "{} refined P=1",
+            algo.name()
+        );
     }
 }
 
@@ -156,15 +167,16 @@ fn max_ranks_equals_rows() {
     g.cells = 120;
     let c = generate(&g);
     for algo in Algorithm::ALL {
-        let out = route_parallel(
+        let out = route_parallel_guarded(
             &c,
             &cfg(),
             algo,
             PartitionKind::PinWeight,
             6,
             MachineModel::sparc_center_1000(),
+            InstrumentConfig::off(),
         );
-        verify::assert_verified(&c, &out.result);
+        verify::assert_verified(&c, out.result.as_ref().unwrap());
     }
 }
 
@@ -177,7 +189,7 @@ fn wide_flat_circuit() {
     g.nets = 200;
     g.pins = 700;
     let c = generate(&g);
-    let r = route_serial(&c, &cfg(), &mut Comm::solo(MachineModel::ideal()));
+    let r = try_route_serial(&c, &cfg(), &mut Comm::solo(MachineModel::ideal())).unwrap();
     verify::assert_verified(&c, &r);
     let d = pgr::router::detailed::route_channels(&r);
     assert!(d.validate());
@@ -194,7 +206,7 @@ fn tall_narrow_circuit() {
     g.pins = 300;
     g.locality = 0.3;
     let c = generate(&g);
-    let r = route_serial(&c, &cfg(), &mut Comm::solo(MachineModel::ideal()));
+    let r = try_route_serial(&c, &cfg(), &mut Comm::solo(MachineModel::ideal())).unwrap();
     verify::assert_verified(&c, &r);
     assert!(r.feedthroughs > 0);
     // Heavier feedthrough use per pin than a square circuit.
@@ -204,9 +216,9 @@ fn tall_narrow_circuit() {
 #[test]
 fn repeated_routing_of_the_same_instance_is_stable() {
     let c = generate(&GeneratorConfig::small("stable", 14));
-    let first = route_serial(&c, &cfg(), &mut Comm::solo(MachineModel::ideal()));
+    let first = try_route_serial(&c, &cfg(), &mut Comm::solo(MachineModel::ideal())).unwrap();
     for _ in 0..3 {
-        let again = route_serial(&c, &cfg(), &mut Comm::solo(MachineModel::ideal()));
+        let again = try_route_serial(&c, &cfg(), &mut Comm::solo(MachineModel::ideal())).unwrap();
         assert_eq!(again, first);
     }
 }

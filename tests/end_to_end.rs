@@ -3,8 +3,10 @@
 //! algorithms (each must degenerate to the serial algorithm exactly).
 
 use pgr::circuit::mcnc::{Mcnc, ALL};
-use pgr::mpi::{Comm, MachineModel};
-use pgr::router::{route_parallel, route_serial, Algorithm, PartitionKind, RouterConfig};
+use pgr::mpi::{Comm, InstrumentConfig, MachineModel};
+use pgr::router::{
+    route_parallel_guarded, try_route_serial, Algorithm, PartitionKind, RouterConfig,
+};
 
 const SCALE: f64 = 0.08;
 
@@ -12,11 +14,12 @@ const SCALE: f64 = 0.08;
 fn serial_routes_every_benchmark_shape() {
     for m in ALL {
         let c = m.circuit_scaled(SCALE);
-        let r = route_serial(
+        let r = try_route_serial(
             &c,
             &RouterConfig::with_seed(1997),
             &mut Comm::solo(MachineModel::ideal()),
-        );
+        )
+        .unwrap();
         assert_eq!(r.circuit, m.name());
         assert_eq!(r.channel_density.len(), c.num_rows() + 1, "{}", m.name());
         assert!(r.track_count() > 0, "{}", m.name());
@@ -35,17 +38,24 @@ fn every_algorithm_at_one_rank_is_the_serial_algorithm() {
     for m in [Mcnc::Primary2, Mcnc::Industry3] {
         let c = m.circuit_scaled(SCALE);
         let cfg = RouterConfig::with_seed(7);
-        let serial = route_serial(&c, &cfg, &mut Comm::solo(MachineModel::ideal()));
+        let serial = try_route_serial(&c, &cfg, &mut Comm::solo(MachineModel::ideal())).unwrap();
         for algo in Algorithm::ALL {
-            let out = route_parallel(
+            let out = route_parallel_guarded(
                 &c,
                 &cfg,
                 algo,
                 PartitionKind::PinWeight,
                 1,
                 MachineModel::sparc_center_1000(),
+                InstrumentConfig::off(),
             );
-            assert_eq!(out.result, serial, "{} at P=1 on {}", algo.name(), m.name());
+            assert_eq!(
+                out.result.as_ref(),
+                Ok(&serial),
+                "{} at P=1 on {}",
+                algo.name(),
+                m.name()
+            );
         }
     }
 }
@@ -57,7 +67,7 @@ fn serial_virtual_time_scales_with_circuit_size() {
     let cfg = RouterConfig::with_seed(1);
     let t = |c: &pgr::circuit::Circuit| {
         let mut comm = Comm::solo(MachineModel::sparc_center_1000());
-        route_serial(c, &cfg, &mut comm);
+        try_route_serial(c, &cfg, &mut comm).unwrap();
         comm.now()
     };
     assert!(
@@ -71,9 +81,9 @@ fn serial_is_platform_independent_in_results() {
     // Machine models change time and memory, never routing decisions.
     let c = Mcnc::Biomed.circuit_scaled(SCALE);
     let cfg = RouterConfig::with_seed(11);
-    let a = route_serial(&c, &cfg, &mut Comm::solo(MachineModel::sparc_center_1000()));
-    let b = route_serial(&c, &cfg, &mut Comm::solo(MachineModel::intel_paragon()));
-    let i = route_serial(&c, &cfg, &mut Comm::solo(MachineModel::ideal()));
+    let a = try_route_serial(&c, &cfg, &mut Comm::solo(MachineModel::sparc_center_1000())).unwrap();
+    let b = try_route_serial(&c, &cfg, &mut Comm::solo(MachineModel::intel_paragon())).unwrap();
+    let i = try_route_serial(&c, &cfg, &mut Comm::solo(MachineModel::ideal())).unwrap();
     assert_eq!(a, b);
     assert_eq!(a, i);
 }
@@ -83,21 +93,23 @@ fn parallel_results_are_platform_independent_too() {
     let c = Mcnc::Biomed.circuit_scaled(SCALE);
     let cfg = RouterConfig::with_seed(13);
     for algo in Algorithm::ALL {
-        let smp = route_parallel(
+        let smp = route_parallel_guarded(
             &c,
             &cfg,
             algo,
             PartitionKind::PinWeight,
             3,
             MachineModel::sparc_center_1000(),
+            InstrumentConfig::off(),
         );
-        let dmp = route_parallel(
+        let dmp = route_parallel_guarded(
             &c,
             &cfg,
             algo,
             PartitionKind::PinWeight,
             3,
             MachineModel::intel_paragon(),
+            InstrumentConfig::off(),
         );
         assert_eq!(
             smp.result,
@@ -121,11 +133,12 @@ fn quality_is_stable_across_seeds() {
     let c = Mcnc::Primary2.circuit_scaled(SCALE);
     let tracks: Vec<i64> = (0..4)
         .map(|seed| {
-            route_serial(
+            try_route_serial(
                 &c,
                 &RouterConfig::with_seed(seed),
                 &mut Comm::solo(MachineModel::ideal()),
             )
+            .unwrap()
             .track_count()
         })
         .collect();
@@ -139,11 +152,12 @@ fn quality_is_stable_across_seeds() {
 #[test]
 fn feedthroughs_grow_the_chip() {
     let c = Mcnc::Industry2.circuit_scaled(SCALE);
-    let r = route_serial(
+    let r = try_route_serial(
         &c,
         &RouterConfig::with_seed(3),
         &mut Comm::solo(MachineModel::ideal()),
-    );
+    )
+    .unwrap();
     assert!(r.feedthroughs > 0, "multi-row nets need feedthroughs");
     assert!(r.chip_width > c.width, "feedthrough cells widen rows");
     let growth = (r.chip_width - c.width) as u64;

@@ -9,8 +9,10 @@
 
 use pgr::circuit::{generate, GeneratorConfig};
 use pgr::geom::rng::rng_from_seed;
-use pgr::mpi::{Comm, MachineModel};
-use pgr::router::{route_parallel, route_serial, Algorithm, PartitionKind, RouterConfig};
+use pgr::mpi::{run_instrumented, InstrumentConfig, MachineModel};
+use pgr::router::{
+    route_parallel_guarded, try_route_serial, Algorithm, PartitionKind, RouterConfig,
+};
 
 #[test]
 fn one_rank_is_bit_identical_to_serial() {
@@ -33,16 +35,49 @@ fn one_rank_is_bit_identical_to_serial() {
             steiner_refine: refine,
             ..Default::default()
         };
-        let serial = route_serial(&c, &cfg, &mut Comm::solo(MachineModel::ideal()));
+        // The serial router runs through the same engine driver as the
+        // parallel pipelines, so beyond the result a P=1 run must also
+        // enter the same phases in the same order and open the same
+        // metric windows.
+        let machine = MachineModel::sparc_center_1000();
+        let (serial, _, serial_metrics) =
+            run_instrumented(1, machine, InstrumentConfig::metered(), |comm| {
+                try_route_serial(&c, &cfg, comm)
+            });
+        let phase_names =
+            |phases: &[(&'static str, f64)]| phases.iter().map(|(n, _)| *n).collect::<Vec<_>>();
+        let window_names = |m: &pgr::mpi::RankMetrics| {
+            m.windows.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>()
+        };
         for algo in Algorithm::ALL {
-            let out = route_parallel(&c, &cfg, algo, kind, 1, MachineModel::sparc_center_1000());
-            assert_eq!(
-                out.result,
-                serial,
+            let out = route_parallel_guarded(
+                &c,
+                &cfg,
+                algo,
+                kind,
+                1,
+                machine,
+                InstrumentConfig::metered(),
+            );
+            let ctx = format!(
                 "case {case}: {} (refine={refine}, kind={}, circuit_seed={circuit_seed}, \
-                 router_seed={router_seed}) diverged from serial at P=1",
+                 router_seed={router_seed})",
                 algo.name(),
                 kind.name()
+            );
+            assert_eq!(
+                out.result, serial.results[0],
+                "{ctx} diverged from serial at P=1"
+            );
+            assert_eq!(
+                phase_names(&out.stats[0].phases),
+                phase_names(&serial.stats[0].phases),
+                "{ctx}: phase marks differ from serial"
+            );
+            assert_eq!(
+                window_names(&out.metrics[0]),
+                window_names(&serial_metrics[0]),
+                "{ctx}: metric windows differ from serial"
             );
         }
     }
@@ -59,20 +94,21 @@ fn multi_rank_solutions_always_verify() {
 
         let c = generate(&GeneratorConfig::small("mverify", circuit_seed));
         let cfg = RouterConfig::with_seed(router_seed);
-        let out = route_parallel(
+        let out = route_parallel_guarded(
             &c,
             &cfg,
             algo,
             PartitionKind::PinWeight,
             procs,
             MachineModel::sparc_center_1000(),
+            InstrumentConfig::off(),
         );
-        let violations = pgr::router::verify::verify(&c, &out.result);
+        let violations = pgr::router::verify::verify(&c, out.result.as_ref().unwrap());
         assert!(
             violations.is_empty(),
             "case {case}: {}@{procs} (circuit_seed={circuit_seed}): {violations:?}",
             algo.name()
         );
-        assert!(out.result.track_count() > 0);
+        assert!(out.result.as_ref().unwrap().track_count() > 0);
     }
 }
