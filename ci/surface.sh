@@ -2,28 +2,48 @@
 # Size of the code the substrate/router/harness crates expose: per crate,
 # lines of every file under src/ (in-file test modules included), the
 # same without those test modules (each file up to its first
-# `#[cfg(test)]`), and the number of `pub fn`; then the same for the two
-# largest files. Informational — CHANGES.md quotes these numbers
+# `#[cfg(test)]`), and the number of `pub fn`; then the same for the
+# crate's five largest files. CHANGES.md quotes these numbers
 # before → after.
+#
+# Also a ratchet: exits non-zero when any file under crates/*/src has
+# more than MAX_FILE non-test lines, so no file grows back into the
+# 1 919-line `comm.rs` this limit was introduced after splitting.
 set -eu
 cd "$(dirname "$0")/.."
+MAX_FILE=1600
 
-surface() {
-    label=$1
-    shift
-    awk -v label="$label" '
+# One "<non-test> <lines> <pub fn> <file>" row per file.
+per_file() {
+    awk '
         FNR == 1 { in_tests = 0 }
         /^#\[cfg\(test\)\]/ { in_tests = 1 }
-        { lines++ }
-        !in_tests { src++ }
-        /pub fn / { fns++ }
-        END { printf "%-28s %6d lines %6d non-test %4d pub fn\n", label, lines, src, fns }
-    ' "$@"
+        { lines[FILENAME]++ }
+        !in_tests { src[FILENAME]++ }
+        /pub fn / { fns[FILENAME]++ }
+        END { for (f in lines) printf "%d %d %d %s\n", src[f], lines[f], fns[f], f }
+    ' "$@" | sort -rn
+}
+
+row() {
+    printf '%-36s %6d lines %6d non-test %4d pub fn\n' "$1" "$2" "$3" "$4"
 }
 
 for crate in mpi core bench; do
     # shellcheck disable=SC2046 # file names under src/ carry no spaces
-    surface "crates/$crate/src" $(find "crates/$crate/src" -name '*.rs' | sort)
+    files=$(per_file $(find "crates/$crate/src" -name '*.rs'))
+    echo "$files" | awk -v label="crates/$crate/src" '
+        { src += $1; lines += $2; fns += $3 }
+        END { printf "%-36s %6d lines %6d non-test %4d pub fn\n", label, lines, src, fns }'
+    echo "$files" | head -5 | while read -r src lines fns file; do
+        row "  $file" "$lines" "$src" "$fns"
+    done
 done
-surface crates/mpi/src/comm.rs crates/mpi/src/comm.rs
-surface crates/bench/src/tables.rs crates/bench/src/tables.rs
+
+# shellcheck disable=SC2046
+over=$(per_file $(find crates/*/src -name '*.rs') | awk -v max="$MAX_FILE" '$1 > max')
+if [ -n "$over" ]; then
+    echo "surface: files over $MAX_FILE non-test lines (split them along their seams):" >&2
+    echo "$over" | while read -r src _ _ file; do echo "  $file: $src" >&2; done
+    exit 1
+fi

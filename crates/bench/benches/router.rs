@@ -11,8 +11,8 @@ use pgr_circuit::{generate, Circuit, GeneratorConfig, NetId};
 use pgr_geom::rng::rng_from_seed;
 use pgr_mpi::{Comm, InstrumentConfig, MachineModel};
 use pgr_router::route::coarse::CoarseState;
-use pgr_router::route::connect::connect_net;
-use pgr_router::route::steiner::{build_segments, whole_net};
+use pgr_router::route::connect::{connect_net_with, ConnectArena};
+use pgr_router::route::steiner::{build_segments_with, whole_net};
 use pgr_router::{
     route_parallel_guarded, try_route_serial, Algorithm, PartitionKind, RouterConfig,
 };
@@ -46,7 +46,7 @@ fn bench_steps(h: &mut Harness) {
             let mut total = 0usize;
             for i in 0..circuit.num_nets() {
                 let w = whole_net(&circuit, NetId::from_index(i));
-                total += build_segments(&w, &mut comm).len();
+                total += build_segments_with(&w, false, &mut comm).len();
             }
             black_box(total)
         })
@@ -56,7 +56,7 @@ fn bench_steps(h: &mut Harness) {
     let segments: Vec<_> = (0..circuit.num_nets())
         .flat_map(|i| {
             let w = whole_net(&circuit, NetId::from_index(i));
-            build_segments(&w, &mut Comm::solo(MachineModel::ideal()))
+            build_segments_with(&w, false, &mut Comm::solo(MachineModel::ideal()))
         })
         .collect();
     let cfg = RouterConfig::with_seed(1);
@@ -79,8 +79,9 @@ fn bench_steps(h: &mut Harness) {
             .collect();
         b.iter(|| {
             let mut spans = 0usize;
+            let mut arena = ConnectArena::default();
             for w in &works {
-                spans += connect_net(w, &mut Comm::solo(MachineModel::ideal()))
+                spans += connect_net_with(w, &mut Comm::solo(MachineModel::ideal()), &mut arena)
                     .spans
                     .len();
             }

@@ -21,7 +21,11 @@
 //! virtual time from the deterministic simulation, baselines are stable
 //! across hosts: any drift is a real behavior change.
 
+use pgr_mpi::RECV_WAIT_MICROS;
+use pgr_obs::budget_names::SHED_EVENTS;
+use pgr_obs::recovery_names::REDONE_PHASES;
 use pgr_obs::{json_escape, merge_ranks, Json, Phase, RankMetrics, RunMeta, SCHEMA_VERSION};
+use pgr_router::metrics::names::{FEEDTHROUGHS, LOAD_IMBALANCE, TRACKS, WIRELENGTH};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -413,20 +417,6 @@ pub struct AggRecord {
 pub struct Aggregate {
     pub records: Vec<AggRecord>,
 }
-
-/// Metric names mirrored from the router (kept as literals so the
-/// aggregator builds without a `pgr-router` dependency).
-const TRACKS: &str = "route.tracks";
-const WIRELENGTH: &str = "route.wirelength";
-const FEEDTHROUGHS: &str = "route.feedthroughs";
-const LOAD_IMBALANCE: &str = "parallel.load_imbalance";
-/// Mirrored from `pgr_mpi::RECV_WAIT_MICROS` (same literal-over-import
-/// rationale as the router names above).
-const RECV_WAIT_MICROS: &str = "mpi.recv_wait_micros";
-/// Mirrored from `pgr_obs::recovery_names::REDONE_PHASES`.
-const REDONE_PHASES: &str = "recovery.redone_phases";
-/// Mirrored from `pgr_obs::budget_names::SHED_EVENTS`.
-const SHED_EVENTS: &str = "budget.shed_events";
 
 /// Derive the cross-run series from loaded records: speedups and quality
 /// scaled against each series' `"serial"` run.

@@ -87,18 +87,7 @@ impl Opts {
         procs: usize,
         machine: &MachineModel,
     ) -> RunMeta {
-        RunMeta {
-            circuit: circuit.to_string(),
-            algorithm: algorithm.to_string(),
-            procs,
-            machine: machine.name.to_string(),
-            scale: self.scale,
-            seed: SEED,
-            degraded: false,
-            clock: "virtual".into(),
-            scenario: String::new(),
-            budget_degraded: false,
-        }
+        RunMeta::new(circuit, algorithm, procs, machine.name, self.scale, SEED)
     }
 }
 

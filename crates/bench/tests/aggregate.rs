@@ -21,18 +21,7 @@ fn tmp_dir(tag: &str) -> PathBuf {
 }
 
 fn meta(algorithm: &str, procs: usize) -> RunMeta {
-    RunMeta {
-        circuit: "fixture".into(),
-        algorithm: algorithm.into(),
-        procs,
-        machine: "TestBox".into(),
-        scale: 1.0,
-        seed: 7,
-        degraded: false,
-        clock: "virtual".into(),
-        scenario: String::new(),
-        budget_degraded: false,
-    }
+    RunMeta::new("fixture", algorithm, procs, "TestBox", 1.0, 7)
 }
 
 /// Hand-built stats dump with a chosen makespan (one rank, one phase).
@@ -350,18 +339,7 @@ fn trace_out_artifacts_round_trip_through_aggregate() {
         run_instrumented(1, machine, InstrumentConfig::full(), move |comm| {
             try_route_serial(&circuit, &cfg, comm).unwrap();
         });
-    let run = RunMeta {
-        circuit: "primary2".into(),
-        algorithm: "serial".into(),
-        procs: 1,
-        machine: machine.name.into(),
-        scale: 0.05,
-        seed: 0,
-        degraded: false,
-        clock: "virtual".into(),
-        scenario: String::new(),
-        budget_degraded: false,
-    };
+    let run = RunMeta::new("primary2", "serial", 1, machine.name, 0.05, 0);
     write_traces(
         &dir_serial,
         "primary2_serial",

@@ -26,18 +26,7 @@ fn tmp_dir(tag: &str) -> PathBuf {
 }
 
 fn meta(algorithm: &str, procs: usize) -> RunMeta {
-    RunMeta {
-        circuit: "fixture".into(),
-        algorithm: algorithm.into(),
-        procs,
-        machine: "TestBox".into(),
-        scale: 1.0,
-        seed: 7,
-        degraded: false,
-        clock: "virtual".into(),
-        scenario: String::new(),
-        budget_degraded: false,
-    }
+    RunMeta::new("fixture", algorithm, procs, "TestBox", 1.0, 7)
 }
 
 fn stats_fixture(run: &RunMeta, makespan: f64) -> String {

@@ -26,18 +26,14 @@ fn serial_and_parallel_cells_take_their_clock_from_the_router_config() {
         let name = driver.map_or("serial", |(a, _, _)| a.name());
         // The instrumentation bundle says nothing about the clock.
         let instr = InstrumentConfig::metered();
-        let run = RunMeta {
-            circuit: circuit.name.clone(),
-            algorithm: name.into(),
-            procs: driver.map_or(1, |(_, _, p)| p),
-            machine: machine.name.into(),
-            scale: 0.05,
-            seed: SEED,
-            degraded: false,
-            clock: "virtual".into(),
-            scenario: String::new(),
-            budget_degraded: false,
-        };
+        let run = RunMeta::new(
+            &circuit.name,
+            name,
+            driver.map_or(1, |(_, _, p)| p),
+            machine.name,
+            0.05,
+            SEED,
+        );
         let virt = run_cell(&circuit, &virt_cfg, driver, machine, instr.clone(), None);
         let emit = Some((dir.as_path(), name, run));
         let wall = run_cell(&circuit, &wall_cfg, driver, machine, instr, emit);

@@ -10,18 +10,7 @@ use pgr_router::{Algorithm, PartitionKind, RouterConfig};
 use std::path::PathBuf;
 
 fn meta(procs: usize) -> RunMeta {
-    RunMeta {
-        circuit: "primary2".into(),
-        algorithm: "row-wise".into(),
-        procs,
-        machine: "SparcCenter 1000".into(),
-        scale: 0.05,
-        seed: 0,
-        degraded: false,
-        clock: "virtual".into(),
-        scenario: String::new(),
-        budget_degraded: false,
-    }
+    RunMeta::new("primary2", "row-wise", procs, "SparcCenter 1000", 0.05, 0)
 }
 
 fn traced_route(procs: usize) -> (Vec<RankStats>, Vec<pgr_mpi::RankTrace>, MachineModel) {

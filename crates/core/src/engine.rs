@@ -10,17 +10,18 @@
 //!   rank-seeded RNG stream, re-derived over the logical world on every
 //!   recovery attempt;
 //! * **phase boundaries**: each pass is entered through
-//!   [`Comm::phase_enter`], which stamps the trace/stats mark, rotates
-//!   the per-phase metric window, and evaluates the fault layer's kill
-//!   schedule — a kill surfaces as [`RouteAbort`] instead of running the
-//!   pass;
+//!   [`Comm::boundary`], which commits the pipeline's snapshot, stamps
+//!   the trace/stats mark, rotates the per-phase metric window,
+//!   evaluates the fault layer's kill schedule and runs the budget
+//!   agreement — a kill or an agreed breach surfaces as [`RouteAbort`]
+//!   instead of running the pass;
 //! * **checkpointed recovery** ([`with_recovery`]): at every phase
 //!   boundary past the first, each rank commits a CRC-32-stamped
 //!   snapshot of its pipeline state into the shared checkpoint store
 //!   (`pgr_mpi::CheckpointStore`); on `PeersDied` the survivors count
-//!   the recovery, shrink the world, agree on the last globally
-//!   committed restorable boundary (an allreduce over the survivors —
-//!   the commit protocol), restore from the snapshots, and **resume**
+//!   the recovery, shrink the world and agree on the last globally
+//!   committed restorable boundary ([`Comm::shrink_world`] — the commit
+//!   protocol), restore from the snapshots, and **resume**
 //!   from that boundary instead of redoing the whole attempt. When no
 //!   common committed boundary exists (a kill entering the very first
 //!   phase, or a snapshot failing its integrity check) the round falls
@@ -313,71 +314,27 @@ pub fn run_attempt<P: Pipeline>(
                 comm.trace_mark(pgr_obs::MARK_RECOVERY_CAUGHT_UP);
             }
         }
-        // Commit the snapshot *before* the boundary: a victim deposits
-        // and then dies entering the phase, so the boundary it died at
-        // is globally committed and the survivors can resume from it.
-        // The first boundary carries no state and is never deposited —
-        // a kill there has nothing to resume from (full restart).
-        if comm.checkpointing() && phase.index() > 0 {
-            comm.checkpoint_commit(phase, pipe.snapshot(phase, ctx));
-        }
-        match comm.phase_enter(phase) {
-            PhaseControl::Continue => {}
-            PhaseControl::SelfKilled => return Err(RouteAbort::SelfKilled),
-            PhaseControl::PeersDied(dead) => return Err(RouteAbort::PeersDied { dead, at: phase }),
-        }
-        budget_gate(comm, phase)?;
+        proceed_past(phase, comm.boundary(phase, || pipe.snapshot(phase, ctx)))?;
         pipe.pass(phase, ctx, comm);
     }
     // A breach latched inside the final pass has no later boundary to
-    // surface it — gate once more before declaring the attempt complete.
+    // surface it — agree once more before declaring the attempt complete.
     if let Some(&last) = P::PASSES.last() {
-        budget_gate(comm, last)?;
+        proceed_past(last, comm.budget_agree())?;
     }
     comm.metric_window_close();
     Ok(pipe.take_result())
 }
 
-/// The budget agreement collective, run right after every phase
-/// boundary (and once after the final pass). Breaches are *latched*
-/// rank-locally — by the boundary check inside [`Comm::phase_enter`] or
-/// by a mid-phase [`Comm::budget_poll_abort`] — because a rank that
-/// walks away from a pass unilaterally deadlocks its peers. Here the
-/// world agrees: an allreduce-max over the breach flags, then (only
-/// when someone breached) an allgather of the wire-flattened reports,
-/// with the lowest breaching logical rank's report winning on every
-/// rank. An **unbudgeted run never reaches the collectives** — the
-/// gate short-circuits on `budget_limited`, so golden determinism of
-/// pre-budget traces is untouched.
-fn budget_gate(comm: &mut Comm, phase: Phase) -> Result<(), RouteAbort> {
-    if !comm.budget_limited() {
-        return Ok(());
-    }
-    let local = comm.budget_breach();
-    if comm.size() > 1 {
-        if comm.allreduce(local.is_some() as u64, u64::max) == 0 {
-            return Ok(());
-        }
-        let reports = comm.allgather(local.map(|b| b.to_wire()));
-        let (rank, wire) = reports
-            .into_iter()
-            .enumerate()
-            .find_map(|(r, w)| w.map(|w| (r, w)))
-            .expect("the allreduce said at least one rank latched a breach");
-        let breach = BudgetBreach::from_wire(wire).expect("wire tags roundtrip");
-        Err(RouteAbort::Budget {
-            rank,
-            at: phase,
-            breach,
-        })
-    } else {
-        match local {
-            None => Ok(()),
-            Some(breach) => Err(RouteAbort::Budget {
-                rank: comm.rank(),
-                at: phase,
-                breach,
-            }),
+/// Whether the attempt goes on past the `at` boundary, given what the
+/// boundary reported.
+fn proceed_past(at: Phase, outcome: PhaseControl) -> Result<(), RouteAbort> {
+    match outcome {
+        PhaseControl::Continue => Ok(()),
+        PhaseControl::SelfKilled => Err(RouteAbort::SelfKilled),
+        PhaseControl::PeersDied(dead) => Err(RouteAbort::PeersDied { dead, at }),
+        PhaseControl::BudgetExceeded { rank, breach } => {
+            Err(RouteAbort::Budget { rank, at, breach })
         }
     }
 }
@@ -395,17 +352,11 @@ fn budget_gate(comm: &mut Comm, phase: Phase) -> Result<(), RouteAbort> {
 /// the metrics shard (inside the window of the phase whose boundary
 /// failed), so degraded runs are distinguishable in `*.metrics.json`.
 ///
-/// The commit protocol: every survivor votes its *own* highest portable
-/// deposit of the failed attempt (deterministic local knowledge — the
-/// shared store fills from free-running peer threads, so reading it
-/// directly would race) and the survivors agree via an allreduce-min
-/// over the shrunken world. When the kill fired entering the very first
-/// phase no boundary exists, and the round restarts from scratch
-/// *without any collective* — a boundary-0 kill stays bit-identical to
-/// the fresh smaller-world run, virtual time included. An agreed
-/// boundary whose payloads then fail their CRC re-verification also
-/// falls back to the full restart (counted in
-/// `recovery.checkpoint.crc_failures`).
+/// Where to resume is [`Comm::shrink_world`]'s verdict (the commit
+/// protocol lives there): a last globally committed restorable boundary
+/// with its CRC-verified payloads, or `None` — a kill entering the very
+/// first phase, no common portable deposit, or a snapshot failing its
+/// integrity check — which falls back to the full restart.
 ///
 /// The loop is bounded by `policy`: once the round budget is spent or
 /// the survivors fall below the floor, it stops retrying and returns
@@ -425,7 +376,7 @@ where
             Ok(result) => return RecoveryFlow::Completed { result, rounds },
             Err(RouteAbort::SelfKilled) => return RecoveryFlow::SelfKilled,
             Err(RouteAbort::Budget { rank, at, breach }) => {
-                // Already agreed world-wide by the gate: every rank takes
+                // Already agreed world-wide at the boundary: every rank takes
                 // this arm with the identical payload.
                 return RecoveryFlow::BudgetExceeded(RouteError::BudgetExceeded {
                     rank,
@@ -438,34 +389,16 @@ where
             Err(RouteAbort::PeersDied { dead, at }) => {
                 comm.metric_add(names::RECOVERY_EVENTS, 1);
                 comm.metric_add(names::RANKS_LOST, dead.len() as u64);
-                let failed_attempt = comm.run_attempt();
-                let vote = comm.checkpoint_portable_boundary();
-                comm.remove_dead(&dead);
                 let killed_at = at.index();
-                // Every rank aborts at the same schedule boundary, so
-                // `killed_at` — and with it the choice to run the
-                // collective — is agreed without communication. A
-                // boundary-0 kill skips the protocol entirely.
-                plan = if killed_at == 0 {
-                    None
-                } else {
-                    // 0 encodes "no portable deposit"; the allreduce-min
-                    // runs before the restart mark, so its cost is
-                    // blamed on recovery, not on the resumed work.
-                    let agreed = comm.allreduce(vote.map_or(0, |b| b as u64 + 1), u64::min);
-                    match agreed {
-                        0 => None,
-                        b => {
-                            let from = (b - 1) as usize;
-                            comm.checkpoint_fetch(failed_attempt, from)
-                                .map(|payloads| ResumePlan {
-                                    from,
-                                    killed_at,
-                                    payloads,
-                                })
-                        }
-                    }
-                };
+                // The agreement runs before the restart mark, so its
+                // cost is blamed on recovery, not on the resumed work.
+                plan = comm
+                    .shrink_world(&dead, at)
+                    .map(|(from, payloads)| ResumePlan {
+                        from,
+                        killed_at,
+                        payloads,
+                    });
                 // Causal-profiler anchor: everything on this rank's
                 // timeline before this mark is restart-tainted work and
                 // gets blamed on the recovery class.
@@ -512,22 +445,6 @@ fn degraded_serial(circuit: &Circuit, cfg: &RouterConfig, comm: &mut Comm) -> Ro
     comm.metric_window_close();
     pipe.take_result()
         .expect("the serial pipeline always assembles a result")
-}
-
-/// Whether any rank of the surviving world shed optional work under
-/// budget pressure — the run-wide `budget_degraded` stamp. Collective
-/// (allreduce-max over the local flags) only when a budget is armed and
-/// more than one rank runs; an unbudgeted run adds nothing.
-fn agree_shed(comm: &mut Comm) -> bool {
-    if !comm.budget_limited() {
-        return false;
-    }
-    let local = comm.budget_shed_any() as u64;
-    if comm.size() > 1 {
-        comm.allreduce(local, u64::max) != 0
-    } else {
-        local != 0
-    }
 }
 
 /// The SPMD entry point the serial router and every parallel algorithm
@@ -602,7 +519,7 @@ pub fn drive<P: Pipeline + Default>(
             // The shed agreement must run on *every* survivor, before
             // the non-root ranks exit below (the post-match agreement
             // sees a cleared budget here and short-circuits).
-            let _ = agree_shed(comm);
+            let _ = comm.budget_shed_agree();
             // Every survivor reached this decision from the same
             // deterministic state; only the lowest logical rank routes,
             // the rest hold no result and exit.
@@ -625,7 +542,7 @@ pub fn drive<P: Pipeline + Default>(
     // windows stay an exact partition of the run totals on budgeted
     // and recovered runs alike.
     comm.metric_window_open(Phase::Assemble);
-    let shed = agree_shed(comm);
+    let shed = comm.budget_shed_agree();
     if recovered || shed {
         if let Some(result) = &result {
             crate::verify::check(circuit, result, comm);

@@ -288,8 +288,7 @@ pub fn gather_result(
     let spans: Vec<Span> = all_spans.into_iter().flatten().collect();
 
     let rows = circuit.num_rows();
-    let mut chans = ChannelState::new(0, rows + 1, chip_width);
-    comm.charge_alloc(chans.modeled_bytes());
+    let mut chans = ChannelState::charged(0, rows + 1, chip_width, comm);
     comm.compute(
         cost::SPAN_APPLY * spans.len() as u64 + cost::SETUP_ITEM * circuit.num_nets() as u64,
     );
@@ -402,8 +401,7 @@ impl RowBand {
             Phase::Coarse => {
                 comm.metric_add(names::ROWS_OWNED, ctx.nrows() as u64);
                 let mut coarse =
-                    CoarseState::new(ctx.row0(), ctx.nrows(), circuit.width, cfg.grid_w);
-                comm.charge_alloc(coarse.modeled_bytes());
+                    CoarseState::charged(ctx.row0(), ctx.nrows(), circuit.width, cfg.grid_w, comm);
                 self.orients = coarse.route(&self.segments, cfg, &mut ctx.rng, comm);
                 self.coarse = Some(coarse);
             }

@@ -15,7 +15,6 @@
 //! (≈2 % track degradation), at slightly lower speedups than row-wise
 //! because of the extra fragment/span exchange.
 
-use crate::cost;
 use crate::engine::{Phase, Pipeline, RouteCtx};
 use crate::metrics::{names, RoutingResult};
 use crate::parallel::common::{group_nodes, sync_boundaries, RowBand};
@@ -82,12 +81,9 @@ impl Pipeline for HybridPipeline {
             // Step 5: row-local switchable optimization with boundary
             // sync.
             Phase::Switchable => {
-                let mut chans = ChannelState::new(ctx.row0(), ctx.nrows() + 1, band.chip_width);
-                comm.charge_alloc(chans.modeled_bytes());
-                comm.compute(cost::SPAN_APPLY * band.spans.len() as u64);
-                for s in &band.spans {
-                    chans.add_span(s, 1);
-                }
+                let mut chans =
+                    ChannelState::charged(ctx.row0(), ctx.nrows() + 1, band.chip_width, comm);
+                chans.load_spans(&band.spans, comm);
                 sync_boundaries(&mut chans, &ctx.rows, comm);
                 let flips = optimize(&mut chans, &mut band.spans, ctx.cfg, &mut ctx.rng, comm);
                 comm.metric_add(names::SEGMENTS_FLIPPED, flips as u64);

@@ -225,8 +225,8 @@ impl Pipeline for NetWisePipeline {
                 } else {
                     cfg.grid_w
                 };
-                let mut coarse = CoarseState::new(0, all_rows, circuit.width, self.grid_w);
-                comm.charge_alloc(coarse.modeled_bytes());
+                let mut coarse =
+                    CoarseState::charged(0, all_rows, circuit.width, self.grid_w, comm);
                 coarse.enable_logging();
                 let mut orients = coarse.init_random(&self.segments, &mut ctx.rng, comm);
                 for _ in 0..cfg.coarse_passes {
@@ -307,14 +307,10 @@ impl Pipeline for NetWisePipeline {
             // Step 4: connect owned nets against the replicated channel
             // state.
             Phase::Connect => {
-                let mut chans = ChannelState::new(0, all_rows + 1, self.chip_width);
-                comm.charge_alloc(chans.modeled_bytes());
+                let mut chans = ChannelState::charged(0, all_rows + 1, self.chip_width, comm);
                 chans.enable_logging();
                 (self.spans, self.wirelength) = connect_all(&self.works, true, comm);
-                comm.compute(cost::SPAN_APPLY * self.spans.len() as u64);
-                for s in &self.spans {
-                    chans.add_span(s, 1);
-                }
+                chans.load_spans(&self.spans, comm);
                 self.chans = Some(chans);
             }
 

@@ -17,7 +17,6 @@
 //!    neighbors, then switchable segments are optimized row-locally;
 //! 5. rank 0 gathers all spans and assembles the global result.
 
-use crate::cost;
 use crate::engine::{Phase, Pipeline, RouteCtx};
 use crate::metrics::{names, RoutingResult};
 use crate::parallel::common::{sync_boundaries, RowBand};
@@ -45,15 +44,12 @@ impl Pipeline for RowWisePipeline {
         match phase {
             // Step 4: connect each sub-net independently.
             Phase::Connect => {
-                let mut chans = ChannelState::new(ctx.row0(), ctx.nrows() + 1, band.chip_width);
-                comm.charge_alloc(chans.modeled_bytes());
+                let mut chans =
+                    ChannelState::charged(ctx.row0(), ctx.nrows() + 1, band.chip_width, comm);
                 // Sub-net fragments may be forests: their components
                 // meet through fake pins on other ranks.
                 (band.spans, band.wirelength) = connect_all(&band.works, false, comm);
-                comm.compute(cost::SPAN_APPLY * band.spans.len() as u64);
-                for s in &band.spans {
-                    chans.add_span(s, 1);
-                }
+                chans.load_spans(&band.spans, comm);
                 self.chans = Some(chans);
             }
 

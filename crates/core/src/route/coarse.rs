@@ -46,21 +46,6 @@ impl CoarseDeltas {
             && self.demand.iter().all(|v| v.iter().all(|&x| x == 0))
     }
 
-    /// Elementwise sum (the allreduce combiner).
-    pub fn merged_with(mut self, other: CoarseDeltas) -> CoarseDeltas {
-        for (a, b) in self.chan.iter_mut().zip(&other.chan) {
-            for (x, y) in a.iter_mut().zip(b) {
-                *x += *y;
-            }
-        }
-        for (a, b) in self.demand.iter_mut().zip(&other.demand) {
-            for (x, y) in a.iter_mut().zip(b) {
-                *x += *y;
-            }
-        }
-        self
-    }
-
     /// Elementwise difference: `self - other` (to exclude a rank's own
     /// contribution from an allreduced total).
     pub fn minus(mut self, other: &CoarseDeltas) -> CoarseDeltas {
@@ -118,6 +103,20 @@ impl CoarseState {
             demand: vec![vec![0; gcols]; nrows],
             log: None,
         }
+    }
+
+    /// [`CoarseState::new`], registered with `comm`'s modeled-memory
+    /// account — how every driver builds its coarse grid.
+    pub(crate) fn charged(
+        row0: u32,
+        nrows: usize,
+        width: i64,
+        grid_w: i64,
+        comm: &mut Comm,
+    ) -> Self {
+        let coarse = CoarseState::new(row0, nrows, width, grid_w);
+        comm.charge_alloc(coarse.modeled_bytes());
+        coarse
     }
 
     pub fn gcols(&self) -> usize {
@@ -405,32 +404,9 @@ impl CoarseState {
         let mut orients = self.init_random(segments, rng, comm);
         for _ in 0..cfg.coarse_passes {
             let order = pgr_geom::shuffled_indices(segments.len(), rng);
-            // The improvement sweeps are *optional* refinement: under an
-            // armed budget each sweep runs in chunks with a shed poll
-            // between them (and one after the last, so an overrun inside
-            // the final chunk registers as a shed — not as a hard breach
-            // at the next phase boundary), dropping the remaining
-            // iterations when the phase overruns. Unbudgeted runs take
-            // the single-call path — bit-identical (virtual clock
-            // included) to the pre-budget code.
-            let changed = if comm.budget_limited() {
-                let chunk_len = crate::route::shed_chunk_len(order.len());
-                let mut changed = 0;
-                let mut shed = false;
-                for chunk in order.chunks(chunk_len) {
-                    if comm.budget_poll_shed() {
-                        shed = true;
-                        break;
-                    }
-                    changed += self.improve_slice(segments, &mut orients, chunk, cfg, comm);
-                }
-                if !shed && !order.is_empty() {
-                    comm.budget_poll_shed();
-                }
-                changed
-            } else {
-                self.improve_slice(segments, &mut orients, &order, cfg, comm)
-            };
+            let changed = crate::route::shed_sweep(&order, comm, |chunk, comm| {
+                self.improve_slice(segments, &mut orients, chunk, cfg, comm)
+            });
             if changed == 0 {
                 break;
             }
@@ -672,7 +648,9 @@ mod tests {
         let mut b = CoarseDeltas::zero(2, 1, 4);
         b.chan[0][1] = 2;
         b.demand[0][0] = 5;
-        let sum = a.clone().merged_with(b.clone());
+        let mut sum = a.clone();
+        sum.chan[0][1] += b.chan[0][1];
+        sum.demand[0][0] += b.demand[0][0];
         assert_eq!(sum.chan[0][1], 5);
         assert_eq!(sum.demand[0][0], 5);
         let diff = sum.minus(&b);

@@ -39,12 +39,6 @@ pub struct ConnectArena {
     rows: Vec<i64>,
 }
 
-/// Connect one work net. Nodes must already be at their post-insertion
-/// positions and include the net's assigned feedthroughs.
-pub fn connect_net(work: &WorkNet, comm: &mut Comm) -> Connection {
-    connect_net_with(work, comm, &mut ConnectArena::default())
-}
-
 /// The Connect-phase loop every driver runs: connect each of `works` in
 /// order through one shared [`ConnectArena`], returning all spans and the
 /// summed wirelength. This is mandatory work, so a latched budget breach
@@ -75,8 +69,10 @@ pub(crate) fn connect_all(
     (spans, wirelength)
 }
 
-/// [`connect_net`] with caller-owned scratch — the Connect-phase loops
-/// pass one [`ConnectArena`] across all of their nets.
+/// Connect one work net. Nodes must already be at their post-insertion
+/// positions and include the net's assigned feedthroughs. The scratch is
+/// caller-owned — the Connect-phase loops pass one [`ConnectArena`]
+/// across all of their nets.
 pub fn connect_net_with(work: &WorkNet, comm: &mut Comm, arena: &mut ConnectArena) -> Connection {
     let n = work.nodes.len();
     if n < 2 {
@@ -190,6 +186,11 @@ mod tests {
         Comm::solo(MachineModel::ideal())
     }
 
+    /// Connect `nodes` as one net on a fresh comm with fresh scratch.
+    fn connect(nodes: Vec<Node>) -> Connection {
+        connect_net_with(&work(nodes), &mut comm(), &mut ConnectArena::default())
+    }
+
     fn work(nodes: Vec<Node>) -> WorkNet {
         WorkNet {
             net: NetId(1),
@@ -199,15 +200,15 @@ mod tests {
 
     #[test]
     fn trivial_nets() {
-        let c = connect_net(&work(vec![]), &mut comm());
+        let c = connect(vec![]);
         assert!(c.spans.is_empty() && c.spanning);
-        let c = connect_net(&work(vec![Node::fake(3, 1)]), &mut comm());
+        let c = connect(vec![Node::fake(3, 1)]);
         assert!(c.spans.is_empty() && c.spanning);
     }
 
     #[test]
     fn same_row_pair_switchable() {
-        let c = connect_net(&work(vec![Node::fake(2, 3), Node::fake(9, 3)]), &mut comm());
+        let c = connect(vec![Node::fake(2, 3), Node::fake(9, 3)]);
         assert!(c.spanning);
         assert_eq!(c.spans.len(), 1);
         let s = &c.spans[0];
@@ -222,7 +223,7 @@ mod tests {
         let mut a = Node::fake(2, 3);
         a.pref = ChannelPref::Upper;
         a.kind = NodeKind::Pin(0);
-        let c = connect_net(&work(vec![a, Node::fake(9, 3)]), &mut comm());
+        let c = connect(vec![a, Node::fake(9, 3)]);
         let s = &c.spans[0];
         assert_eq!(s.channel, 4, "fixed top-side pin forces the upper channel");
         assert_eq!(s.switch_row, None);
@@ -230,7 +231,7 @@ mod tests {
 
     #[test]
     fn adjacent_row_pair_uses_between_channel() {
-        let c = connect_net(&work(vec![Node::fake(2, 3), Node::fake(9, 4)]), &mut comm());
+        let c = connect(vec![Node::fake(2, 3), Node::fake(9, 4)]);
         let s = &c.spans[0];
         assert_eq!(s.channel, 4, "channel between rows 3 and 4");
         assert_eq!(s.switch_row, None);
@@ -239,7 +240,7 @@ mod tests {
 
     #[test]
     fn vertical_hop_produces_no_span_but_counts_length() {
-        let c = connect_net(&work(vec![Node::fake(5, 1), Node::fake(5, 2)]), &mut comm());
+        let c = connect(vec![Node::fake(5, 1), Node::fake(5, 2)]);
         assert!(c.spans.is_empty());
         assert_eq!(c.wirelength, ROW_HEIGHT as u64);
         assert!(c.spanning);
@@ -255,7 +256,7 @@ mod tests {
             Node::feedthrough(4, 2),
             Node::pin(1, 10, 3, ChannelPref::Either),
         ];
-        let c = connect_net(&work(nodes), &mut comm());
+        let c = connect(nodes);
         assert!(c.spanning);
         // Vertical hops 0-1, 1-2 are spanless; the 2-3 edge has dx=6.
         assert_eq!(c.spans.len(), 1);
@@ -273,7 +274,7 @@ mod tests {
             Node::fake(0, 5),
             Node::fake(4, 5),
         ];
-        let c = connect_net(&work(nodes), &mut comm());
+        let c = connect(nodes);
         assert!(!c.spanning);
         assert_eq!(c.spans.len(), 2, "each cluster still connects internally");
     }
@@ -292,7 +293,11 @@ mod tests {
         connect_net_with(&work(big), &mut comm(), &mut arena);
 
         let mut fresh = comm();
-        let want = connect_net(&work(small.clone()), &mut fresh);
+        let want = connect_net_with(
+            &work(small.clone()),
+            &mut fresh,
+            &mut ConnectArena::default(),
+        );
         let mut reused = comm();
         let got = connect_net_with(&work(small), &mut reused, &mut arena);
         assert_eq!(got.spans, want.spans);
@@ -310,8 +315,8 @@ mod tests {
         let nodes: Vec<Node> = (0..12)
             .map(|i| Node::fake((i * 7) % 23, (i % 4) as u32))
             .collect();
-        let a = connect_net(&work(nodes.clone()), &mut comm());
-        let b = connect_net(&work(nodes), &mut comm());
+        let a = connect(nodes.clone());
+        let b = connect(nodes);
         assert_eq!(a.spans, b.spans);
         assert_eq!(a.wirelength, b.wirelength);
     }

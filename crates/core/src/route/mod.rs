@@ -33,6 +33,36 @@ pub const SHED_CHUNK: usize = 256;
 /// [`SHED_CHUNK`], but never fewer than eight polls per sweep (floor 16),
 /// so small workloads — whose whole sweep fits inside one `SHED_CHUNK` —
 /// still get mid-sweep shed opportunities. Deterministic in `n`.
-pub fn shed_chunk_len(n: usize) -> usize {
+fn shed_chunk_len(n: usize) -> usize {
     SHED_CHUNK.min((n / 8).max(16))
+}
+
+/// One *optional* refinement sweep over `order` (a coarse improvement
+/// pass, a switchable pass): `step` does the work of one slice and
+/// returns how much it changed; the sum comes back. Under an armed
+/// budget the sweep runs in chunks with a shed poll between them (and
+/// one after the last, so an overrun inside the final chunk registers as
+/// a shed — not as a hard breach at the next phase boundary), dropping
+/// the remaining iterations when the phase overruns. Unbudgeted runs
+/// take the single-call path — bit-identical (virtual clock included)
+/// to the pre-budget code.
+pub(crate) fn shed_sweep(
+    order: &[u32],
+    comm: &mut pgr_mpi::Comm,
+    mut step: impl FnMut(&[u32], &mut pgr_mpi::Comm) -> usize,
+) -> usize {
+    if !comm.budget_limited() {
+        return step(order, comm);
+    }
+    let mut changed = 0;
+    for chunk in order.chunks(shed_chunk_len(order.len())) {
+        if comm.budget_poll_shed() {
+            return changed;
+        }
+        changed += step(chunk, comm);
+    }
+    if !order.is_empty() {
+        comm.budget_poll_shed();
+    }
+    changed
 }

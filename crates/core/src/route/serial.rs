@@ -173,8 +173,7 @@ impl Pipeline for SerialPipeline {
 
             // Step 2: coarse global routing.
             Phase::Coarse => {
-                let mut coarse = CoarseState::new(0, rows, circuit.width, cfg.grid_w);
-                comm.charge_alloc(coarse.modeled_bytes());
+                let mut coarse = CoarseState::charged(0, rows, circuit.width, cfg.grid_w, comm);
                 self.orients = coarse.route(&self.segments, cfg, &mut ctx.rng, comm);
                 self.coarse = Some(coarse);
             }
@@ -196,13 +195,9 @@ impl Pipeline for SerialPipeline {
             Phase::Connect => {
                 let plan = self.plan.as_ref().expect("feedthrough pass ran");
                 self.chip_width = circuit.width + plan.max_growth();
-                let mut chans = ChannelState::new(0, rows + 1, self.chip_width);
-                comm.charge_alloc(chans.modeled_bytes());
+                let mut chans = ChannelState::charged(0, rows + 1, self.chip_width, comm);
                 (self.spans, self.wirelength) = connect_all(&self.works, true, comm);
-                comm.compute(cost::SPAN_APPLY * self.spans.len() as u64);
-                for s in &self.spans {
-                    chans.add_span(s, 1);
-                }
+                chans.load_spans(&self.spans, comm);
                 self.chans = Some(chans);
             }
 

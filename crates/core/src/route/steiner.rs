@@ -30,7 +30,7 @@ pub fn pin_pref(circuit: &Circuit, pin: u32) -> ChannelPref {
 /// Connection nodes of a whole net (its pins, at initial positions).
 /// Positions come from one batch column sweep ([`Circuit::pin_points_into`])
 /// over the net's slice of the shared pin-index arena.
-pub fn net_nodes(circuit: &Circuit, net: NetId) -> Vec<Node> {
+fn net_nodes(circuit: &Circuit, net: NetId) -> Vec<Node> {
     let pins = circuit.net_pins(net);
     let mut points = Vec::new();
     circuit.pin_points_into(pins, &mut points);
@@ -48,17 +48,13 @@ pub fn whole_net(circuit: &Circuit, net: NetId) -> WorkNet {
     }
 }
 
-/// Build the MST segments of one work net, charging MST cost.
+/// Build the MST segments of one work net, charging MST cost. Rows are
+/// weighted like columns on the coarse lattice, matching the grid TWGR
+/// estimates on.
 ///
-/// Rows are weighted like columns on the coarse lattice, matching the
-/// grid TWGR estimates on.
-pub fn build_segments(work: &WorkNet, comm: &mut Comm) -> Vec<Segment> {
-    build_segments_with(work, false, comm)
-}
-
-/// Like [`build_segments`], optionally refining the MST with median
-/// Steiner junctions first (`RouterConfig::steiner_refine` — an
-/// extension beyond the paper's plain MST approximation). Junctions
+/// `refine` first improves the MST with median Steiner junctions
+/// (`RouterConfig::steiner_refine` — an extension beyond the paper's
+/// plain MST approximation). Junctions
 /// enter the segment graph as [`crate::route::state::NodeKind::Steiner`]
 /// nodes: switchable, grid-tracking, feedthrough-free endpoints.
 pub fn build_segments_with(work: &WorkNet, refine: bool, comm: &mut Comm) -> Vec<Segment> {
@@ -96,13 +92,6 @@ pub fn build_segments_with(work: &WorkNet, refine: bool, comm: &mut Comm) -> Vec
         .collect()
 }
 
-/// The MST cost weight of a net for load balancing: building a `d`-pin
-/// tree is Θ(d²), which is what the pin-number-weight partition (§5)
-/// needs to equalize.
-pub fn steiner_cost(degree: usize) -> u64 {
-    (degree * degree) as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,7 +121,7 @@ mod tests {
         let mut cm = comm();
         for i in 0..c.num_nets() {
             let w = whole_net(&c, NetId::from_index(i));
-            let segs = build_segments(&w, &mut cm);
+            let segs = build_segments_with(&w, false, &mut cm);
             assert_eq!(segs.len(), w.nodes.len() - 1, "net {i}");
             // Tree connectivity over node positions.
             let mut uf = pgr_geom::UnionFind::new(w.nodes.len());
@@ -156,7 +145,7 @@ mod tests {
             .find(|&i| c.net_degree(NetId::from_index(i)) == 2)
             .expect("some 2-pin net");
         let w = whole_net(&c, NetId::from_index(two));
-        let segs = build_segments(&w, &mut comm());
+        let segs = build_segments_with(&w, false, &mut comm());
         assert_eq!(segs.len(), 1);
         assert!(segs[0].lower.row <= segs[0].upper.row);
     }
@@ -167,7 +156,7 @@ mod tests {
         let m = MachineModel::sparc_center_1000();
         let mut cm = Comm::solo(m);
         let w = whole_net(&c, NetId(0));
-        build_segments(&w, &mut cm);
+        build_segments_with(&w, false, &mut cm);
         let d = w.nodes.len() as u64;
         let expect = m.compute_time(cost::MST_PAIR * d * d + cost::MST_NODE * d);
         assert!((cm.now() - expect).abs() < 1e-12);

@@ -67,6 +67,22 @@ impl ChannelState {
         }
     }
 
+    /// [`ChannelState::new`], registered with `comm`'s modeled-memory
+    /// account — how every driver builds its channel state.
+    pub(crate) fn charged(chan0: u32, nchannels: usize, width: i64, comm: &mut Comm) -> Self {
+        let chans = ChannelState::new(chan0, nchannels, width);
+        comm.charge_alloc(chans.modeled_bytes());
+        chans
+    }
+
+    /// Add every span of `spans`, charging the application work.
+    pub(crate) fn load_spans(&mut self, spans: &[Span], comm: &mut Comm) {
+        comm.compute(cost::SPAN_APPLY * spans.len() as u64);
+        for s in spans {
+            self.add_span(s, 1);
+        }
+    }
+
     pub fn chan0(&self) -> u32 {
         self.chan0
     }
@@ -257,30 +273,9 @@ pub fn optimize(
     for _ in 0..cfg.switch_passes {
         let perm = pgr_geom::shuffled_indices(candidates.len(), rng);
         let order: Vec<u32> = perm.iter().map(|&k| candidates[k as usize]).collect();
-        // Optional refinement: under an armed budget the sweep sheds its
-        // remaining chunks when the phase overruns, with a trailing poll
-        // so an overrun inside the final chunk registers as a shed — not
-        // as a hard breach at the next phase boundary. Unbudgeted runs
-        // take the single-call path — bit-identical to the pre-budget
-        // code.
-        let flips = if comm.budget_limited() {
-            let chunk_len = crate::route::shed_chunk_len(order.len());
-            let mut flips = 0;
-            let mut shed = false;
-            for chunk in order.chunks(chunk_len) {
-                if comm.budget_poll_shed() {
-                    shed = true;
-                    break;
-                }
-                flips += optimize_slice(chans, spans, chunk, comm);
-            }
-            if !shed && !order.is_empty() {
-                comm.budget_poll_shed();
-            }
-            flips
-        } else {
-            optimize_slice(chans, spans, &order, comm)
-        };
+        let flips = crate::route::shed_sweep(&order, comm, |chunk, comm| {
+            optimize_slice(chans, spans, chunk, comm)
+        });
         total += flips;
         if flips == 0 {
             break;

@@ -182,18 +182,7 @@ fn kill_schedule_surfaces_recovery_blame_and_still_sums() {
 
     // The rendered blame table carries the recovery class and the phase
     // rows still partition the path (checked internally by class sums).
-    let run = pgr_obs::RunMeta {
-        circuit: "profile-kill".into(),
-        algorithm: "hybrid".into(),
-        procs: 4,
-        machine: "sparc_center_1000".into(),
-        scale: 1.0,
-        seed: 4,
-        degraded: false,
-        clock: "virtual".into(),
-        scenario: String::new(),
-        budget_degraded: false,
-    };
+    let run = pgr_obs::RunMeta::new("profile-kill", "hybrid", 4, "sparc_center_1000", 1.0, 4);
     let table = p.blame_markdown(&run);
     assert!(
         table.contains("recovery"),

@@ -82,16 +82,15 @@ fn counter_sum(out: &GuardedOutcome, name: &'static str) -> u64 {
 
 fn emitted_stats(out: &GuardedOutcome, algo: Algorithm) -> String {
     let meta = RunMeta {
-        circuit: out.result.as_ref().unwrap().circuit.clone(),
-        algorithm: algo.name().to_string(),
-        procs: out.stats.len(),
-        machine: "sparc-center-1000".to_string(),
-        scale: 1.0,
-        seed: 9,
         degraded: out.degraded,
-        clock: "virtual".into(),
-        scenario: String::new(),
-        budget_degraded: false,
+        ..RunMeta::new(
+            &out.result.as_ref().unwrap().circuit,
+            algo.name(),
+            out.stats.len(),
+            "sparc-center-1000",
+            1.0,
+            9,
+        )
     };
     stats_json(&out.stats, &MachineModel::sparc_center_1000(), &meta)
 }

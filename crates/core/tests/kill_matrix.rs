@@ -367,18 +367,7 @@ fn resume_blame_telescopes_exactly_and_surfaces_its_own_class() {
             "{name}: replayed work must blame resume"
         );
 
-        let run = pgr_obs::RunMeta {
-            circuit: "kill-blame".into(),
-            algorithm: name.to_string(),
-            procs: 4,
-            machine: "sparc_center_1000".into(),
-            scale: 1.0,
-            seed: 9,
-            degraded: false,
-            clock: "virtual".into(),
-            scenario: String::new(),
-            budget_degraded: false,
-        };
+        let run = pgr_obs::RunMeta::new("kill-blame", name, 4, "sparc_center_1000", 1.0, 9);
         let table = p.blame_markdown(&run);
         assert!(table.contains("resume"), "{name}: blame table lost resume");
     }

@@ -7,11 +7,11 @@
 //! and wherever a pipeline polls at chunk granularity inside its hot
 //! loops — and *latches* a [`BudgetBreach`] instead of acting on it
 //! unilaterally: in an SPMD program a rank that walks away from a pass
-//! mid-loop leaves its peers blocked in matching sends/recvs. The engine
-//! surfaces the latch through an agreement collective at the next phase
-//! boundary, so every rank aborts (or sheds) the same way at the same
-//! point, and a breach becomes a structured error rather than a panic or
-//! a hang.
+//! mid-loop leaves its peers blocked in matching sends/recvs. The next
+//! [`crate::Comm::boundary`] surfaces the latch through an agreement
+//! collective ([`crate::Comm::budget_agree`]), so every rank aborts (or
+//! sheds) the same way at the same point, and a breach becomes a
+//! structured error rather than a panic or a hang.
 //!
 //! Two breach severities exist by design:
 //!
@@ -28,6 +28,8 @@
 //! On the virtual clock every check is bit-deterministic for a fixed
 //! input and seed; on the wall clock ([`crate::ClockMode::Wall`]) the
 //! time checks are best-effort by nature.
+
+use crate::wire::{Reader, Wire, WireError};
 
 /// Resource limits for one routing run. The default has every limit off,
 /// costs nothing to check, and adds no collectives — an unbudgeted run
@@ -60,7 +62,7 @@ impl ResourceBudget {
     }
 
     /// Whether any limit is set. When false, every check short-circuits
-    /// and the engine skips the per-boundary agreement collective.
+    /// and [`crate::Comm::boundary`] skips its agreement collective.
     pub fn is_limited(&self) -> bool {
         self.max_phase_seconds.is_some()
             || self.max_rank_bytes.is_some()
@@ -72,11 +74,11 @@ impl ResourceBudget {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BudgetKind {
     /// [`ResourceBudget::max_phase_seconds`].
-    PhaseSeconds,
+    PhaseSeconds = 0,
     /// [`ResourceBudget::max_rank_bytes`].
-    RankBytes,
+    RankBytes = 1,
     /// [`ResourceBudget::max_recovery_rounds`].
-    RecoveryRounds,
+    RecoveryRounds = 2,
 }
 
 impl BudgetKind {
@@ -85,24 +87,6 @@ impl BudgetKind {
             BudgetKind::PhaseSeconds => "max_phase_seconds",
             BudgetKind::RankBytes => "max_rank_bytes",
             BudgetKind::RecoveryRounds => "max_recovery_rounds",
-        }
-    }
-
-    /// Stable wire tag (for the engine's agreement allgather).
-    pub fn tag(&self) -> u8 {
-        match self {
-            BudgetKind::PhaseSeconds => 0,
-            BudgetKind::RankBytes => 1,
-            BudgetKind::RecoveryRounds => 2,
-        }
-    }
-
-    pub fn from_tag(tag: u8) -> Option<Self> {
-        match tag {
-            0 => Some(BudgetKind::PhaseSeconds),
-            1 => Some(BudgetKind::RankBytes),
-            2 => Some(BudgetKind::RecoveryRounds),
-            _ => None,
         }
     }
 }
@@ -124,18 +108,25 @@ pub struct BudgetBreach {
     pub observed: f64,
 }
 
-impl BudgetBreach {
-    /// Flatten for the agreement allgather (`(kind tag, limit, observed)`).
-    pub fn to_wire(&self) -> (u8, f64, f64) {
-        (self.kind.tag(), self.limit, self.observed)
+/// Travels in the agreement allgather as `(kind, limit, observed)`,
+/// the kind as its stable discriminant byte.
+impl Wire for BudgetBreach {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (self.kind as u8, self.limit, self.observed).encode(out);
     }
 
-    /// Inverse of [`BudgetBreach::to_wire`]; `None` on an unknown tag.
-    pub fn from_wire(w: (u8, f64, f64)) -> Option<Self> {
-        Some(BudgetBreach {
-            kind: BudgetKind::from_tag(w.0)?,
-            limit: w.1,
-            observed: w.2,
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let (tag, limit, observed) = <(u8, f64, f64)>::decode(r)?;
+        let kind = match tag {
+            0 => BudgetKind::PhaseSeconds,
+            1 => BudgetKind::RankBytes,
+            2 => BudgetKind::RecoveryRounds,
+            t => return Err(WireError::BadTag(t)),
+        };
+        Ok(BudgetBreach {
+            kind,
+            limit,
+            observed,
         })
     }
 }
@@ -188,8 +179,11 @@ mod tests {
                 limit: 1.5,
                 observed: 2.25,
             };
-            assert_eq!(BudgetBreach::from_wire(b.to_wire()), Some(b));
+            assert_eq!(BudgetBreach::from_bytes(&b.to_bytes()), Ok(b));
         }
-        assert_eq!(BudgetBreach::from_wire((9, 0.0, 0.0)), None);
+        assert_eq!(
+            BudgetBreach::from_bytes(&(9u8, 0.0, 0.0).to_bytes()),
+            Err(WireError::BadTag(9))
+        );
     }
 }

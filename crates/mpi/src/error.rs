@@ -30,7 +30,7 @@ impl fmt::Display for PendingMsg {
 /// Reliable-transport state captured when a diagnostic fires, so a
 /// watchdog stall during a retransmit/reorder wait is distinguishable
 /// from a plain mismatched send/recv pattern.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TransportSnapshot {
     /// Retransmits this rank's sender has performed so far.
     pub retransmits: u64,

@@ -1,7 +1,8 @@
 //! Heartbeat-based failure detector shared by all ranks of one run.
 //!
 //! Every rank heartbeats at each phase boundary
-//! ([`Comm::phase_enter`](crate::comm::Comm::phase_enter)), stamping its
+//! ([`Comm::phase_enter`](crate::comm::Comm::phase_enter), and through
+//! it [`Comm::boundary`](crate::comm::Comm::boundary)), stamping its
 //! virtual clock, phase name, and boundary count into its slot. When a
 //! fault layer's kill schedule fires, the victim (and every survivor
 //! that reaches the same boundary) marks the slot dead; a receive

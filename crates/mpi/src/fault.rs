@@ -24,7 +24,9 @@
 //! [`FaultLayer::kill_at_boundary`]: the victim observes
 //! [`PhaseControl::SelfKilled`](crate::comm::PhaseControl) at the given
 //! phase boundary and survivors observe `PeersDied`, which is what the
-//! parallel algorithms' phase-boundary recovery is driven by.
+//! parallel algorithms' phase-boundary recovery
+//! ([`Comm::boundary`](crate::comm::Comm::boundary) →
+//! [`Comm::shrink_world`](crate::comm::Comm::shrink_world)) is driven by.
 //!
 //! The hook is test/bench-only by convention: production entry points
 //! ([`run`](crate::run), [`Comm::solo`](crate::comm::Comm::solo)) never
@@ -76,9 +78,10 @@ pub struct MsgCtx {
 }
 
 /// What to do with one message.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum FaultAction {
     /// Deliver normally.
+    #[default]
     Deliver,
     /// Deliver, but add this many *virtual* seconds of extra latency.
     /// Masked (metrics-only) when the reliable transport is on.
@@ -139,101 +142,38 @@ where
     }
 }
 
-fn hits(ctx: &MsgCtx, src: Option<usize>, dst: Option<usize>, tag: Option<u32>) -> bool {
-    src.is_none_or(|s| s == ctx.src)
-        && dst.is_none_or(|d| d == ctx.dst)
-        && tag.is_none_or(|t| t == ctx.tag)
-}
-
-/// Drop every message matching `(src, dst, tag)` (any field `None` =
-/// wildcard) — the simplest way to simulate a lost message on one edge.
+/// Apply `action` to every message matching `(src, dst, tag)` (any
+/// field `None` = wildcard) and deliver the rest — the simplest way to
+/// put one fault on one edge: `FaultAction::Drop` simulates a lost
+/// message, `FaultAction::Delay(s)` a slow link, `FaultAction::Reorder`
+/// lets the sender's next frame to the same destination overtake the
+/// matching one, and so on.
+///
+/// ```
+/// use pgr_mpi::fault::{FaultAction, Matching};
+/// let lossy_edge = Matching {
+///     src: Some(1),
+///     dst: Some(0),
+///     action: FaultAction::Drop,
+///     ..Default::default()
+/// };
+/// # let _ = lossy_edge;
+/// ```
 #[derive(Debug, Clone, Default)]
-pub struct DropMatching {
+pub struct Matching {
     pub src: Option<usize>,
     pub dst: Option<usize>,
     pub tag: Option<u32>,
+    pub action: FaultAction,
 }
 
-impl FaultLayer for DropMatching {
+impl FaultLayer for Matching {
     fn on_send(&self, ctx: &MsgCtx) -> FaultAction {
-        if hits(ctx, self.src, self.dst, self.tag) {
-            FaultAction::Drop
-        } else {
-            FaultAction::Deliver
-        }
-    }
-}
-
-/// Delay every message matching `(src, dst, tag)` by a fixed number of
-/// virtual seconds.
-#[derive(Debug, Clone)]
-pub struct DelayMatching {
-    pub src: Option<usize>,
-    pub dst: Option<usize>,
-    pub tag: Option<u32>,
-    pub seconds: f64,
-}
-
-impl FaultLayer for DelayMatching {
-    fn on_send(&self, ctx: &MsgCtx) -> FaultAction {
-        if hits(ctx, self.src, self.dst, self.tag) {
-            FaultAction::Delay(self.seconds)
-        } else {
-            FaultAction::Deliver
-        }
-    }
-}
-
-/// Reorder every message matching `(src, dst, tag)`: the matching frame
-/// is overtaken by the sender's next frame to the same destination.
-/// Filters follow the drop/delay wildcard convention.
-#[derive(Debug, Clone, Default)]
-pub struct ReorderMatching {
-    pub src: Option<usize>,
-    pub dst: Option<usize>,
-    pub tag: Option<u32>,
-}
-
-impl FaultLayer for ReorderMatching {
-    fn on_send(&self, ctx: &MsgCtx) -> FaultAction {
-        if hits(ctx, self.src, self.dst, self.tag) {
-            FaultAction::Reorder
-        } else {
-            FaultAction::Deliver
-        }
-    }
-}
-
-/// Duplicate every message matching `(src, dst, tag)`.
-#[derive(Debug, Clone, Default)]
-pub struct DuplicateMatching {
-    pub src: Option<usize>,
-    pub dst: Option<usize>,
-    pub tag: Option<u32>,
-}
-
-impl FaultLayer for DuplicateMatching {
-    fn on_send(&self, ctx: &MsgCtx) -> FaultAction {
-        if hits(ctx, self.src, self.dst, self.tag) {
-            FaultAction::Duplicate
-        } else {
-            FaultAction::Deliver
-        }
-    }
-}
-
-/// Corrupt (bit-flip) every message matching `(src, dst, tag)`.
-#[derive(Debug, Clone, Default)]
-pub struct CorruptMatching {
-    pub src: Option<usize>,
-    pub dst: Option<usize>,
-    pub tag: Option<u32>,
-}
-
-impl FaultLayer for CorruptMatching {
-    fn on_send(&self, ctx: &MsgCtx) -> FaultAction {
-        if hits(ctx, self.src, self.dst, self.tag) {
-            FaultAction::Corrupt
+        let hit = self.src.is_none_or(|s| s == ctx.src)
+            && self.dst.is_none_or(|d| d == ctx.dst)
+            && self.tag.is_none_or(|t| t == ctx.tag);
+        if hit {
+            self.action
         } else {
             FaultAction::Deliver
         }
@@ -299,6 +239,15 @@ impl ChaosConfig {
     }
 }
 
+/// SplitMix64 finalizer — the mixer behind every per-message chaos
+/// decision, and behind the transport's choice of which payload bit a
+/// corruption fault flips (a pure function of the frame's identity).
+pub(crate) fn splitmix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// Seeded chaos layer: deterministic randomized message faults plus a
 /// rank-death schedule.
 ///
@@ -328,7 +277,7 @@ impl ChaosLayer {
 
     /// Uniform sample in [0, 1) for one message.
     fn unit(&self, ctx: &MsgCtx) -> f64 {
-        let mut z = self
+        let z = self
             .cfg
             .seed
             .wrapping_add((ctx.src as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
@@ -336,11 +285,7 @@ impl ChaosLayer {
             .wrapping_add((ctx.tag as u64).wrapping_mul(0x1656_67B1_9E37_79F9))
             .wrapping_add(ctx.seq.wrapping_mul(0x2545_F491_4F6C_DD1D))
             .wrapping_add(ctx.attempt as u64);
-        // SplitMix64 finalizer.
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        (z >> 11) as f64 / (1u64 << 53) as f64
+        (splitmix64(z) >> 11) as f64 / (1u64 << 53) as f64
     }
 }
 
@@ -348,25 +293,20 @@ impl FaultLayer for ChaosLayer {
     fn on_send(&self, ctx: &MsgCtx) -> FaultAction {
         let u = self.unit(ctx);
         let c = &self.cfg;
-        let mut edge = c.drop;
-        if u < edge {
-            return FaultAction::Drop;
-        }
-        edge += c.reorder;
-        if u < edge {
-            return FaultAction::Reorder;
-        }
-        edge += c.duplicate;
-        if u < edge {
-            return FaultAction::Duplicate;
-        }
-        edge += c.delay;
-        if u < edge {
-            return FaultAction::Delay(c.delay_secs);
-        }
-        edge += c.corrupt;
-        if u < edge {
-            return FaultAction::Corrupt;
+        // Consecutive slices of [0, 1), in this order; what is left over
+        // is clean delivery.
+        let mut edge = 0.0;
+        for (p, action) in [
+            (c.drop, FaultAction::Drop),
+            (c.reorder, FaultAction::Reorder),
+            (c.duplicate, FaultAction::Duplicate),
+            (c.delay, FaultAction::Delay(c.delay_secs)),
+            (c.corrupt, FaultAction::Corrupt),
+        ] {
+            edge += p;
+            if u < edge {
+                return action;
+            }
         }
         FaultAction::Deliver
     }
@@ -400,20 +340,29 @@ mod tests {
         }
     }
 
+    /// `action` on every message (all three filters wildcard).
+    fn matching(action: FaultAction) -> Matching {
+        Matching {
+            action,
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn drop_matching_wildcards() {
         let c = ctx();
-        let all = DropMatching::default();
+        let all = matching(FaultAction::Drop);
         assert_eq!(all.on_send(&c), FaultAction::Drop);
-        let tag_only = DropMatching {
+        let tag_only = Matching {
             tag: Some(8),
-            ..Default::default()
+            ..matching(FaultAction::Drop)
         };
         assert_eq!(tag_only.on_send(&c), FaultAction::Deliver);
-        let edge = DropMatching {
+        let edge = Matching {
             src: Some(1),
             dst: Some(0),
             tag: Some(7),
+            action: FaultAction::Drop,
         };
         assert_eq!(edge.on_send(&c), FaultAction::Drop);
     }
@@ -421,14 +370,17 @@ mod tests {
     #[test]
     fn reorder_and_duplicate_matching() {
         let c = ctx();
-        assert_eq!(ReorderMatching::default().on_send(&c), FaultAction::Reorder);
         assert_eq!(
-            DuplicateMatching::default().on_send(&c),
+            matching(FaultAction::Reorder).on_send(&c),
+            FaultAction::Reorder
+        );
+        assert_eq!(
+            matching(FaultAction::Duplicate).on_send(&c),
             FaultAction::Duplicate
         );
-        let miss = ReorderMatching {
+        let miss = Matching {
             dst: Some(5),
-            ..Default::default()
+            ..matching(FaultAction::Reorder)
         };
         assert_eq!(miss.on_send(&c), FaultAction::Deliver);
     }
@@ -527,16 +479,20 @@ mod tests {
     #[test]
     fn corrupt_matching_wildcards() {
         let c = ctx();
-        assert_eq!(CorruptMatching::default().on_send(&c), FaultAction::Corrupt);
-        let miss = CorruptMatching {
+        assert_eq!(
+            matching(FaultAction::Corrupt).on_send(&c),
+            FaultAction::Corrupt
+        );
+        let miss = Matching {
             src: Some(9),
-            ..Default::default()
+            ..matching(FaultAction::Corrupt)
         };
         assert_eq!(miss.on_send(&c), FaultAction::Deliver);
-        let edge = CorruptMatching {
+        let edge = Matching {
             src: Some(1),
             dst: Some(0),
             tag: Some(7),
+            action: FaultAction::Corrupt,
         };
         assert_eq!(edge.on_send(&c), FaultAction::Corrupt);
     }

@@ -41,15 +41,23 @@
 //! backoff) masks injected message faults bit-deterministically, and a
 //! fault layer's kill schedule plus the heartbeat [`failure`] detector
 //! let SPMD programs survive rank death: the victim unwinds at a phase
-//! boundary ([`Comm::phase_enter`]), survivors shrink the world
-//! ([`Comm::remove_dead`]) and continue on dense logical ranks, and a
+//! boundary ([`Comm::boundary`]), survivors shrink the world
+//! ([`Comm::shrink_world`]) and continue on dense logical ranks, and a
 //! recv blocked on the victim reports [`CommError::RankDead`].
 //!
 //! Checkpointed recovery: when a kill is scheduled, every rank commits
 //! a CRC-32-stamped snapshot of its pipeline state into a shared
-//! [`checkpoint::CheckpointStore`] at each phase boundary, so a
+//! [`checkpoint::CheckpointStore`] at each phase boundary — inside
+//! [`Comm::boundary`], *before* the kill schedule is evaluated — so a
 //! recovery round can resume from the last globally committed boundary
-//! instead of redoing the whole attempt.
+//! ([`Comm::shrink_world`] agrees on it) instead of redoing the whole
+//! attempt.
+//!
+//! Layout: [`comm`] is a facade over three layers whose state is private
+//! to their modules — `transport` (frames, fault hook, reliable windows),
+//! `account` (clock, counters, modeled memory), `control` (world map,
+//! kill schedule, budget latch, checkpoints) — with the collectives
+//! written purely against the facade's send/recv.
 
 pub mod budget;
 pub mod checkpoint;

@@ -62,16 +62,7 @@ pub struct MatchedMessage {
 /// or in-flight frames a victim never drained — and are not warned
 /// about.
 pub fn match_messages(traces: &[RankTrace]) -> (Vec<MatchedMessage>, Vec<String>) {
-    let mut sends: HashMap<(usize, usize, u64), (f64, f64)> = HashMap::new();
-    for t in traces {
-        for e in &t.events {
-            if let TraceEventKind::Send { dst, seq, .. } = e.kind {
-                if seq != u64::MAX {
-                    sends.insert((t.rank, dst, seq), (e.t0, e.t1));
-                }
-            }
-        }
-    }
+    let sends = send_index(traces);
     let mut matches = Vec::new();
     let mut warnings = Vec::new();
     for t in traces {
@@ -110,6 +101,22 @@ pub fn match_messages(traces: &[RankTrace]) -> (Vec<MatchedMessage>, Vec<String>
         }
     }
     (matches, warnings)
+}
+
+/// Every traced send that reached the wire, keyed by `(src, dst, seq)`,
+/// with its `(t0, t1)` interval.
+fn send_index(traces: &[RankTrace]) -> HashMap<(usize, usize, u64), (f64, f64)> {
+    let mut sends = HashMap::new();
+    for t in traces {
+        for e in &t.events {
+            if let TraceEventKind::Send { dst, seq, .. } = e.kind {
+                if seq != u64::MAX {
+                    sends.insert((t.rank, dst, seq), (e.t0, e.t1));
+                }
+            }
+        }
+    }
+    sends
 }
 
 /// Per-rank derived view used by the walk and the phase tables.
@@ -260,16 +267,7 @@ pub fn build_profile(traces: &[RankTrace], machine: &MachineModel) -> Profile {
     }
 
     // --- critical-path walk ---
-    let mut sends: HashMap<(usize, usize, u64), (usize, f64, f64)> = HashMap::new();
-    for t in traces {
-        for e in &t.events {
-            if let TraceEventKind::Send { dst, seq, .. } = e.kind {
-                if seq != u64::MAX {
-                    sends.insert((t.rank, dst, seq), (t.rank, e.t0, e.t1));
-                }
-            }
-        }
-    }
+    let sends = send_index(traces);
     let mut segs: Vec<PathSegment> = Vec::new();
     let push = |segs: &mut Vec<PathSegment>, rank: usize, t0: f64, t1: f64, class: BlameClass| {
         if t1 > t0 {
@@ -312,7 +310,7 @@ pub fn build_profile(traces: &[RankTrace], machine: &MachineModel) -> Profile {
                 if start > ready {
                     // The sender was binding: transfer, then the wire,
                     // then hop to the send's completion.
-                    let Some(&(sr, _s0, s1)) = sends.get(&(src, r, seq)) else {
+                    let Some(&(_s0, s1)) = sends.get(&(src, r, seq)) else {
                         failure = Some(format!(
                             "recv on rank {r} from {src} seq {seq} has no matching send"
                         ));
@@ -323,7 +321,7 @@ pub fn build_profile(traces: &[RankTrace], machine: &MachineModel) -> Profile {
                     if stamp > s1 {
                         push(&mut segs, r, s1, stamp, BlameClass::Transport);
                     }
-                    r = sr;
+                    r = src;
                     t = s1;
                 } else {
                     // The receiver's own overhead/backlog was binding:

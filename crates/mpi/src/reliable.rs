@@ -30,8 +30,8 @@
 //! effort shows up only in the metrics shards ([`RETRANSMITS`],
 //! [`DUPLICATES_DROPPED`], [`REORDER_DEPTH`], …).
 //!
-//! A fault layer that drops a message on *every* attempt (e.g.
-//! [`DropMatching`](crate::fault::DropMatching)) would retry forever;
+//! A fault layer that drops a message on *every* attempt (e.g. a
+//! [`Matching`](crate::fault::Matching) drop rule) would retry forever;
 //! after `max_attempts` the transport forces delivery and counts it in
 //! [`RETRANSMIT_EXHAUSTED`]. Genuine unrecoverable loss is modeled by
 //! rank death (see [`FaultLayer::kill_at_boundary`](crate::fault::FaultLayer)),

@@ -62,7 +62,7 @@ pub enum TraceEventKind {
     Collective { op: &'static str },
     /// Explicitly charged computation.
     Compute { ops: u64 },
-    /// A [`Comm::phase`](crate::Comm::phase) marker.
+    /// A [`Comm::phase_mark`](crate::Comm::phase_mark) marker.
     Phase { name: &'static str },
     /// An instantaneous annotation from algorithm code.
     Mark { name: &'static str },
@@ -133,9 +133,8 @@ impl TraceConfig {
     /// Tracing on with a real-time receive watchdog.
     pub const fn with_watchdog(budget: Duration) -> Self {
         TraceConfig {
-            enabled: true,
-            capacity: 65_536,
             watchdog: Some(budget),
+            ..TraceConfig::on()
         }
     }
 }
@@ -164,23 +163,26 @@ impl RankTrace {
     /// to the next, the last to `final_time`. Matches
     /// [`RankStats::phases`] exactly when the ring did not overflow.
     pub fn phase_durations(&self) -> Vec<(&'static str, f64)> {
-        let marks: Vec<(&'static str, f64)> = self
+        let (names, starts): (Vec<&'static str>, Vec<f64>) = self
             .events
             .iter()
             .filter_map(|e| match e.kind {
                 TraceEventKind::Phase { name } => Some((name, e.t0)),
                 _ => None,
             })
-            .collect();
-        marks
-            .iter()
-            .enumerate()
-            .map(|(i, &(name, start))| {
-                let end = marks.get(i + 1).map(|&(_, t)| t).unwrap_or(self.final_time);
-                (name, end - start)
-            })
+            .unzip();
+        names
+            .into_iter()
+            .zip(mark_spans(&starts, self.final_time))
             .collect()
     }
+}
+
+/// Durations between consecutive marks: each of `starts` to the next,
+/// the last to `end`.
+pub(crate) fn mark_spans(starts: &[f64], end: f64) -> Vec<f64> {
+    let ends = starts.iter().skip(1).chain([&end]);
+    starts.iter().zip(ends).map(|(s, e)| e - s).collect()
 }
 
 /// Shared per-run sink: one slot per rank, lockable from any rank so a
@@ -460,17 +462,8 @@ pub fn stats_json(stats: &[RankStats], machine: &MachineModel, run: &RunMeta) ->
     // `wall_makespan` appears only when every rank carried a wall
     // measurement — virtual-mode dumps stay byte-identical to those of
     // writers predating the field.
-    let wall_makespan = stats
-        .iter()
-        .map(|s| s.wall.as_ref().map(|w| w.time))
-        .collect::<Option<Vec<f64>>>()
-        .filter(|ts| !ts.is_empty())
-        .map(|ts| {
-            format!(
-                ",\"wall_makespan\":{:.9}",
-                ts.into_iter().fold(0.0, f64::max)
-            )
-        })
+    let wall_makespan = crate::comm::wall_makespan(stats)
+        .map(|t| format!(",\"wall_makespan\":{t:.9}"))
         .unwrap_or_default();
     format!(
         "{{\"schema_version\":{},\"kind\":\"stats\",\"run\":{},\"machine\":\"{}\",\"makespan\":{:.9}{},\"ranks\":[\n{}\n]}}\n",
@@ -677,18 +670,7 @@ mod tests {
             phases: vec![("setup", 0.5), ("route", 0.75)],
             wall: None,
         }];
-        let run = RunMeta {
-            circuit: "t".into(),
-            algorithm: "serial".into(),
-            procs: 1,
-            machine: "ideal".into(),
-            scale: 1.0,
-            seed: 7,
-            degraded: false,
-            clock: "virtual".into(),
-            scenario: String::new(),
-            budget_degraded: false,
-        };
+        let run = RunMeta::new("t", "serial", 1, "ideal", 1.0, 7);
         let json = stats_json(&stats, &MachineModel::ideal(), &run);
         assert!(json.contains(&format!("\"schema_version\":{SCHEMA_VERSION}")));
         assert!(json.contains("\"kind\":\"stats\""));
@@ -723,16 +705,8 @@ mod tests {
             }),
         }];
         let run = RunMeta {
-            circuit: "t".into(),
-            algorithm: "serial".into(),
-            procs: 1,
-            machine: "ideal".into(),
-            scale: 1.0,
-            seed: 7,
-            degraded: false,
             clock: "wall".into(),
-            scenario: String::new(),
-            budget_degraded: false,
+            ..RunMeta::new("t", "serial", 1, "ideal", 1.0, 7)
         };
         let json = stats_json(&stats, &MachineModel::ideal(), &run);
         let v = pgr_obs::Json::parse(&json).expect("stats_json parses");

@@ -10,8 +10,7 @@
 //! deterministically.
 
 use pgr_mpi::fault::{
-    DropMatching, DuplicateMatching, FAULTS_CORRUPTED, FAULTS_DELAYED, FAULTS_DROPPED,
-    FAULTS_DUPLICATED, FAULTS_REORDERED,
+    Matching, FAULTS_CORRUPTED, FAULTS_DELAYED, FAULTS_DROPPED, FAULTS_DUPLICATED, FAULTS_REORDERED,
 };
 use pgr_mpi::{
     reliable, run, run_instrumented, ChaosConfig, ChaosLayer, Comm, CommError, FaultAction,
@@ -242,8 +241,9 @@ fn reorder_is_visible_raw_and_masked_reliably() {
 /// second copy is suppressed by its sequence number.
 #[test]
 fn duplicate_is_visible_raw_and_suppressed_reliably() {
-    let dup = DuplicateMatching {
+    let dup = Matching {
         tag: Some(DATA),
+        action: FaultAction::Duplicate,
         ..Default::default()
     };
     let body_raw = |comm: &mut Comm| {
@@ -333,8 +333,9 @@ fn retransmit_recovers_drop_with_identical_timing() {
 fn adversarial_drop_exhausts_retries_but_delivers() {
     let instr = InstrumentConfig {
         metrics: MetricsConfig::on(),
-        fault: Some(Arc::new(DropMatching {
+        fault: Some(Arc::new(Matching {
             tag: Some(DATA),
+            action: FaultAction::Drop,
             ..Default::default()
         })),
         reliability: ReliabilityConfig {
@@ -356,6 +357,88 @@ fn adversarial_drop_exhausts_retries_but_delivers() {
     assert_eq!(metrics[0].counter(reliable::RETRANSMITS), Some(3));
     assert_eq!(metrics[0].counter(reliable::RETRANSMIT_EXHAUSTED), Some(1));
     assert_eq!(metrics[0].counter(FAULTS_DROPPED), Some(4));
+}
+
+/// Under the reliable transport a corrupted frame is "handled exactly
+/// like a drop": the same schedule on the same edge, once dropping and
+/// once corrupting, costs the protocol the same retransmits, the same
+/// backoff waits and the same exhausted frames, and delivers the same
+/// bytes — the two runs differ only in which fault they say they saw.
+#[test]
+fn drop_and_corrupt_schedules_cost_the_reliable_transport_the_same() {
+    // DATA heals on its second retransmit; BULK never heals and is
+    // force-delivered once the four attempts are spent.
+    fn lossy_edge(fault: FaultAction) -> impl Fn(&MsgCtx) -> FaultAction + Send + Sync {
+        move |ctx: &MsgCtx| match (ctx.src, ctx.dst, ctx.tag) {
+            (0, 1, DATA) if ctx.attempt < 2 => fault,
+            (0, 1, BULK) => fault,
+            _ => FaultAction::Deliver,
+        }
+    }
+    // Everything a shard recorded except the counters that name the fault.
+    fn protocol_view(m: &RankMetrics) -> RankMetrics {
+        const FAULT_NAMES: [&str; 3] =
+            [FAULTS_DROPPED, FAULTS_CORRUPTED, reliable::CORRUPT_DROPPED];
+        let mut view = m.clone();
+        view.counters
+            .retain(|(name, _)| !FAULT_NAMES.contains(&name.as_str()));
+        for (_, window) in &mut view.windows {
+            *window = protocol_view(window);
+        }
+        view
+    }
+    let run_under = |fault: FaultAction| {
+        let instr = InstrumentConfig {
+            metrics: MetricsConfig::on(),
+            fault: Some(Arc::new(lossy_edge(fault))),
+            reliability: ReliabilityConfig {
+                max_attempts: 4,
+                ..ReliabilityConfig::on()
+            },
+            ..InstrumentConfig::off()
+        };
+        run_instrumented(2, MachineModel::sparc_center_1000(), instr, |comm| {
+            comm.phase_mark(Phase::Setup);
+            if comm.rank() == 0 {
+                for i in 0..5u8 {
+                    comm.send_bytes(1, DATA, vec![i; 24]);
+                }
+                for i in 0..3u8 {
+                    comm.send_bytes(1, BULK, vec![i; 300]);
+                }
+                Vec::new()
+            } else {
+                let mut got: Vec<Vec<u8>> = (0..5).map(|_| comm.recv_bytes(0, DATA)).collect();
+                got.extend((0..3).map(|_| comm.recv_bytes(0, BULK)));
+                got
+            }
+        })
+    };
+    let (dropped, _, drop_metrics) = run_under(FaultAction::Drop);
+    let (corrupted, _, corrupt_metrics) = run_under(FaultAction::Corrupt);
+    assert_eq!(dropped.results, corrupted.results, "delivered bytes");
+    assert_eq!(dropped.results[1].len(), 8);
+    assert_eq!(dropped.stats, corrupted.stats, "virtual account");
+
+    let sender = &drop_metrics[0];
+    assert_eq!(sender.counter(reliable::RETRANSMITS), Some(5 * 2 + 3 * 3));
+    assert_eq!(sender.counter(reliable::RETRANSMIT_EXHAUSTED), Some(3));
+    assert_eq!(
+        sender.histogram(reliable::BACKOFF_MICROS).map(|h| h.count),
+        Some(19)
+    );
+    for (d, c) in drop_metrics.iter().zip(&corrupt_metrics) {
+        assert_eq!(protocol_view(d), protocol_view(c), "rank {}", d.rank);
+    }
+    // What does differ: the fault each run reports having seen.
+    let faults = 5 * 2 + 3 * 4;
+    assert_eq!(sender.counter(FAULTS_DROPPED), Some(faults));
+    assert_eq!(sender.counter(FAULTS_CORRUPTED), None);
+    assert_eq!(sender.counter(reliable::CORRUPT_DROPPED), None);
+    let sender = &corrupt_metrics[0];
+    assert_eq!(sender.counter(FAULTS_DROPPED), None);
+    assert_eq!(sender.counter(FAULTS_CORRUPTED), Some(faults));
+    assert_eq!(sender.counter(reliable::CORRUPT_DROPPED), Some(faults));
 }
 
 /// Rank 1 of the watchdog-stall tests: alive but silent, *outside* any
@@ -510,7 +593,7 @@ fn phase_kill_surfaces_rank_dead_and_world_remaps() {
                 }
                 comm.remove_dead(&dead);
             }
-            PhaseControl::Continue => panic!("a peer died at this boundary"),
+            other => panic!("a peer died at this boundary, got {other:?}"),
         }
         // Survivors renumber densely in physical order and all
         // collectives keep working over the shrunken world.
@@ -555,7 +638,7 @@ fn multi_kill_is_deterministic() {
                     assert_eq!(dead, vec![1, 3]);
                     comm.remove_dead(&dead);
                 }
-                PhaseControl::Continue => panic!("two peers died here"),
+                other => panic!("two peers died here, got {other:?}"),
             }
             comm.allreduce(comm.physical_rank() as u64, |a, b| a + b)
         })

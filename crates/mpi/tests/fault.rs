@@ -2,7 +2,7 @@
 //! observable through the structured diagnostics (recv watchdog) and the
 //! metrics shards.
 
-use pgr_mpi::fault::{DelayMatching, DropMatching, FAULTS_DELAYED, FAULTS_DROPPED};
+use pgr_mpi::fault::{Matching, FAULTS_DELAYED, FAULTS_DROPPED};
 use pgr_mpi::{
     run, run_instrumented, CommError, FaultAction, InstrumentConfig, MachineModel, MetricsConfig,
     MsgCtx, TraceConfig,
@@ -22,10 +22,11 @@ fn dropped_message_is_seen_by_watchdog_and_metrics() {
     let instr = InstrumentConfig {
         trace: TraceConfig::with_watchdog(Duration::from_millis(200)),
         metrics: MetricsConfig::on(),
-        fault: Some(Arc::new(DropMatching {
+        fault: Some(Arc::new(Matching {
             src: Some(1),
             dst: Some(0),
             tag: Some(DATA),
+            action: FaultAction::Drop,
         })),
         ..InstrumentConfig::off()
     };
@@ -86,11 +87,11 @@ fn delayed_message_shifts_virtual_time_and_is_counted() {
     let instr = InstrumentConfig {
         trace: TraceConfig::off(),
         metrics: MetricsConfig::on(),
-        fault: Some(Arc::new(DelayMatching {
+        fault: Some(Arc::new(Matching {
             src: None,
             dst: None,
             tag: Some(DATA),
-            seconds: EXTRA,
+            action: FaultAction::Delay(EXTRA),
         })),
         ..InstrumentConfig::off()
     };

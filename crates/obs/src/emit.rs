@@ -88,6 +88,31 @@ pub struct RunMeta {
 }
 
 impl RunMeta {
+    /// The coordinates every run has; the four stamps that are emitted
+    /// only when set start unset — not degraded, virtual clock, no
+    /// scenario, not budget-degraded.
+    pub fn new(
+        circuit: &str,
+        algorithm: &str,
+        procs: usize,
+        machine: &str,
+        scale: f64,
+        seed: u64,
+    ) -> Self {
+        RunMeta {
+            circuit: circuit.to_string(),
+            algorithm: algorithm.to_string(),
+            procs,
+            machine: machine.to_string(),
+            scale,
+            seed,
+            degraded: false,
+            clock: "virtual".into(),
+            scenario: String::new(),
+            budget_degraded: false,
+        }
+    }
+
     /// The `"run":{…}` JSON fragment shared by every emitter.
     pub fn to_json(&self) -> String {
         format!(
@@ -192,18 +217,7 @@ mod tests {
     use crate::metrics::{Histogram, MetricsConfig, MetricsShard};
 
     fn meta() -> RunMeta {
-        RunMeta {
-            circuit: "primary1".into(),
-            algorithm: "hybrid".into(),
-            procs: 8,
-            machine: "SparcCenter 1000".into(),
-            scale: 0.25,
-            seed: 1997,
-            degraded: false,
-            clock: "virtual".into(),
-            scenario: String::new(),
-            budget_degraded: false,
-        }
+        RunMeta::new("primary1", "hybrid", 8, "SparcCenter 1000", 0.25, 1997)
     }
 
     #[test]

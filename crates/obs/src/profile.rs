@@ -355,18 +355,7 @@ mod tests {
     use crate::json::Json;
 
     fn run() -> RunMeta {
-        RunMeta {
-            circuit: "primary1".into(),
-            algorithm: "hybrid".into(),
-            procs: 3,
-            machine: "SparcCenter 1000".into(),
-            scale: 0.25,
-            seed: 1997,
-            degraded: false,
-            clock: "virtual".into(),
-            scenario: String::new(),
-            budget_degraded: false,
-        }
+        RunMeta::new("primary1", "hybrid", 3, "SparcCenter 1000", 0.25, 1997)
     }
 
     fn sample() -> Profile {
