@@ -8,7 +8,10 @@
 #
 # Also a ratchet: exits non-zero when any file under crates/*/src has
 # more than MAX_FILE non-test lines, so no file grows back into the
-# 1 919-line `comm.rs` this limit was introduced after splitting.
+# 1 919-line `comm.rs` this limit was introduced after splitting — and
+# when anything under crates/core/src hands `send_bytes` a zero-filled
+# placeholder: bytes that exist only to be charged for are a
+# `send_modeled`, which charges the same and moves none.
 set -eu
 cd "$(dirname "$0")/.."
 MAX_FILE=1600
@@ -45,5 +48,12 @@ over=$(per_file $(find crates/*/src -name '*.rs') | awk -v max="$MAX_FILE" '$1 >
 if [ -n "$over" ]; then
     echo "surface: files over $MAX_FILE non-test lines (split them along their seams):" >&2
     echo "$over" | while read -r src _ _ file; do echo "  $file: $src" >&2; done
+    exit 1
+fi
+
+placeholders=$(grep -rnE 'send_bytes\(.*vec!\[0u8;' crates/core/src || true)
+if [ -n "$placeholders" ]; then
+    echo "surface: zero-filled placeholder frames (use Comm::send_modeled):" >&2
+    echo "$placeholders" >&2
     exit 1
 fi

@@ -1,8 +1,9 @@
 //! Micro-benchmarks of the computational kernels under the router:
 //! rectilinear MSTs (step 1 and 4's dominant work), the lazy segment-tree
 //! density profile (the structure every coarse/switchable decision
-//! probes), union-find, the wire codec the ranks serialize with, and the
-//! columnar circuit store's per-net sweep paths.
+//! probes), union-find, the wire codec the ranks serialize with, the
+//! frame checksum and the modeled transfer beside the real frame it
+//! stands in for, and the columnar circuit store's per-net sweep paths.
 
 use pgr_bench::harness::{black_box, Harness};
 use pgr_geom::rng::{rng_from_seed, shuffled_indices};
@@ -131,6 +132,43 @@ fn bench_wire(h: &mut Harness) {
     });
 }
 
+fn bench_crc32(h: &mut Harness) {
+    use pgr_mpi::wire::crc32;
+
+    // Every frame is hashed once on each side of the wire: a small
+    // control message, a page, and a bulk payload.
+    for &n in &[64usize, 4096, 1 << 20] {
+        let mut rng = rng_from_seed(0xC3C);
+        let data: Vec<u8> = (0..n).map(|_| rng.gen_range(0..256u32) as u8).collect();
+        h.bench(&format!("wire/crc32/{n}"), |b| {
+            b.iter(|| black_box(crc32(black_box(&data))))
+        });
+    }
+}
+
+fn bench_modeled_transfer(h: &mut Harness) {
+    use pgr_mpi::{Comm, MachineModel};
+
+    // The same 256 KiB transfer (the net-wise snapshot's order of
+    // magnitude) as a zero-filled real frame and as a modeled one, on a
+    // solo communicator's self-delivery: send, both CRC passes, match.
+    const N: usize = 256 * 1024;
+    h.bench(&format!("mpi/send_modeled_vs_bytes/{N}/bytes"), |b| {
+        let mut comm = Comm::solo(MachineModel::ideal());
+        b.iter(|| {
+            comm.send_bytes(0, 1, vec![0u8; N]);
+            black_box(comm.recv_bytes(0, 1).len())
+        })
+    });
+    h.bench(&format!("mpi/send_modeled_vs_bytes/{N}/modeled"), |b| {
+        let mut comm = Comm::solo(MachineModel::ideal());
+        b.iter(|| {
+            comm.send_modeled(0, 1, N);
+            black_box(comm.recv_modeled(0, 1))
+        })
+    });
+}
+
 fn bench_channel_router(h: &mut Harness) {
     use pgr_channel::{assign_tracks, merge_net_intervals, Interval};
     for &n in &[100usize, 2000] {
@@ -236,6 +274,8 @@ fn main() {
     bench_coarse_eval(&mut h);
     bench_unionfind(&mut h);
     bench_wire(&mut h);
+    bench_crc32(&mut h);
+    bench_modeled_transfer(&mut h);
     bench_channel_router(&mut h);
     bench_circuit_store(&mut h);
     bench_scenarios(&mut h);

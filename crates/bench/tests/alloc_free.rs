@@ -2,6 +2,8 @@
 //! off (a disabled shard is one branch, no bookkeeping) and the density
 //! profile's read path (the eval loops query it per candidate, so a
 //! single allocation there multiplies by every span of every sweep).
+//! And one that must not allocate *in proportion*: a modeled transfer's
+//! heap bytes are independent of the size it models.
 //! This runs as a harness-less test (`harness = false` in Cargo.toml):
 //! the libtest harness spawns helper threads whose own allocations would
 //! race the process-wide counter, so the check must be the only thread
@@ -16,10 +18,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 struct Counting;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -27,6 +31,7 @@ unsafe impl GlobalAlloc for Counting {
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -36,6 +41,13 @@ static ALLOCATOR: Counting = Counting;
 
 fn allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+/// Heap bytes requested while `f` runs.
+fn bytes_allocated_by(f: impl FnOnce()) -> u64 {
+    let before = ALLOC_BYTES.load(Ordering::Relaxed);
+    f();
+    ALLOC_BYTES.load(Ordering::Relaxed) - before
 }
 
 // One scenario, plain `main`: disabled path, enabled first touch,
@@ -124,4 +136,24 @@ fn main() {
         before,
         "density profile reads and updates must not allocate"
     );
+
+    // A modeled transfer and its receive move a fixed-size header: the
+    // heap bytes they ask for do not depend on the size modeled, where
+    // the zero-filled frame they replace allocates every byte of it.
+    const MIB: usize = 1 << 20;
+    let mut comm = Comm::solo(MachineModel::ideal());
+    let mut modeled_roundtrip = |n: usize| {
+        comm.send_modeled(0, 1, n);
+        assert_eq!(comm.recv_modeled(0, 1), n);
+    };
+    modeled_roundtrip(1); // warm: the pending queue's first growth
+    let small = bytes_allocated_by(|| modeled_roundtrip(8));
+    let large = bytes_allocated_by(|| modeled_roundtrip(MIB));
+    assert_eq!(small, large, "modeled transfer heap bytes depend on N");
+    assert!(large < 64, "a modeled transfer allocates {large} B");
+    let real = bytes_allocated_by(|| {
+        comm.send_bytes(0, 1, vec![0u8; MIB]);
+        assert_eq!(comm.recv_bytes(0, 1).len(), MIB);
+    });
+    assert!(real >= MIB as u64, "the real frame allocates its payload");
 }

@@ -31,10 +31,10 @@ pub mod tag {
 /// Model the serial front end plus circuit distribution.
 ///
 /// Rank 0 plays the master that loaded the netlist: it charges the full
-/// build cost and ships every other rank its share (a size-faithful
-/// placeholder payload — ranks read the actual circuit from shared
-/// memory, but the simulated transfer pays for the real volume an MPI
-/// implementation would move). With `replicated`, every rank additionally
+/// build cost and ships every other rank its share (a modeled transfer
+/// — ranks read the actual circuit from shared memory, but the
+/// simulated machine pays for the real volume an MPI implementation
+/// would move). With `replicated`, every rank additionally
 /// charges the full structure-build cost (the net-wise algorithm keeps
 /// whole-circuit state everywhere).
 pub fn distribute(circuit: &Circuit, replicated: bool, comm: &mut Comm) {
@@ -55,10 +55,10 @@ pub fn distribute(circuit: &Circuit, replicated: bool, comm: &mut Comm) {
     if comm.rank() == 0 {
         comm.compute(cost::SETUP_ITEM * entities);
         for dst in 1..size {
-            comm.send_bytes(dst, tag::DISTRIBUTE, vec![0u8; local_bytes as usize]);
+            comm.send_modeled(dst, tag::DISTRIBUTE, local_bytes as usize);
         }
     } else {
-        let _ = comm.recv_bytes(0, tag::DISTRIBUTE);
+        comm.recv_modeled(0, tag::DISTRIBUTE);
         let local_entities = if replicated {
             entities
         } else {

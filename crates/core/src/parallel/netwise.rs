@@ -48,15 +48,14 @@ fn sync_coarse(coarse: &mut CoarseState, exact: bool, comm: &mut Comm) {
         let _ = coarse.take_deltas();
         return;
     }
-    let own = coarse.take_deltas();
-    let all: Vec<CoarseDeltas> = comm.allgather(own.clone());
+    let all: Vec<CoarseDeltas> = comm.allgather(coarse.take_deltas());
     let rank = comm.rank();
-    for (r, d) in all.into_iter().enumerate() {
+    for (r, d) in all.iter().enumerate() {
         if r != rank {
             if exact {
-                coarse.merge_external(&d, comm);
+                coarse.merge_external(d, comm);
             } else {
-                coarse.merge_external_masked(&d, &own, comm);
+                coarse.merge_external_masked(d, &all[rank], comm);
             }
         }
     }
@@ -72,9 +71,9 @@ const SNAPSHOT_TAG: u32 = 3;
 
 /// The naive all-channel snapshot exchange of the 1997 implementation:
 /// every rank ships its full channel-state snapshot to rank 0, which
-/// redistributes the combined state. The payload is a size-faithful
-/// placeholder (the actual reconciliation travels as deltas alongside);
-/// what matters to the simulation is that every synchronization moves
+/// redistributes the combined state. The transfers are modeled (the
+/// actual reconciliation travels as deltas alongside); what matters to
+/// the simulation is that every synchronization moves
 /// `state_bytes × P` bytes through the network — "this is because all
 /// the processors will share all the channels and communication is more
 /// costly than computation" (§5).
@@ -85,14 +84,14 @@ fn exchange_snapshot(state_bytes: usize, comm: &mut Comm) {
     }
     if comm.rank() == 0 {
         for src in 1..size {
-            let _ = comm.recv_bytes(src, SNAPSHOT_TAG);
+            comm.recv_modeled(src, SNAPSHOT_TAG);
         }
         for dst in 1..size {
-            comm.send_bytes(dst, SNAPSHOT_TAG, vec![0u8; state_bytes]);
+            comm.send_modeled(dst, SNAPSHOT_TAG, state_bytes);
         }
     } else {
-        comm.send_bytes(0, SNAPSHOT_TAG, vec![0u8; state_bytes]);
-        let _ = comm.recv_bytes(0, SNAPSHOT_TAG);
+        comm.send_modeled(0, SNAPSHOT_TAG, state_bytes);
+        comm.recv_modeled(0, SNAPSHOT_TAG);
     }
 }
 
@@ -113,13 +112,12 @@ fn sync_chans(chans: &mut ChannelState, exact: bool, comm: &mut Comm) {
         let _ = chans.take_deltas();
         return;
     }
-    let own = chans.take_deltas();
-    let all: Vec<Vec<SpanDelta>> = comm.allgather(own.clone());
+    let all: Vec<Vec<SpanDelta>> = comm.allgather(chans.take_deltas());
     let rank = comm.rank();
     let touched: std::collections::HashSet<(u32, i64)> = if exact {
         std::collections::HashSet::new()
     } else {
-        own.iter().flat_map(span_buckets).collect()
+        all[rank].iter().flat_map(span_buckets).collect()
     };
     for (r, d) in all.into_iter().enumerate() {
         if r != rank {

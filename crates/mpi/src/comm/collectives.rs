@@ -7,7 +7,7 @@
 //! collectives own is `coll_seq`, the counter that keeps successive
 //! operations' internal tags apart.
 
-use super::{Comm, COLLECTIVE_TAG_BASE};
+use super::{Body, Comm, COLLECTIVE_TAG_BASE};
 use crate::trace::TraceEventKind;
 use crate::wire::Wire;
 
@@ -25,7 +25,7 @@ impl Comm {
     }
 
     fn send_tagged<T: Wire>(&mut self, dst: usize, tag: u32, value: &T) {
-        self.post(dst, tag, value.to_bytes());
+        self.post(dst, tag, Body::Bytes(value.to_bytes()));
     }
 
     /// Collective-internal receive: like [`Comm::recv`] but the panic
@@ -143,8 +143,8 @@ impl Comm {
     }
 
     /// The root loop under `gather` and `allgather`: everyone but `root`
-    /// sends its value there; `root` receives in rank order, its own
-    /// value taking the same encode/decode round trip as the others.
+    /// sends its value there; `root` receives in rank order and moves
+    /// its own value into its slot.
     fn gather_to<T: Wire>(&mut self, op: &'static str, root: usize, value: T) -> Option<Vec<T>> {
         let tag = self.next_coll_tag();
         if self.rank() != root {
@@ -152,13 +152,9 @@ impl Comm {
             return None;
         }
         let mut out = Vec::with_capacity(self.size());
-        for src in 0..self.size() {
-            out.push(if src == root {
-                T::from_bytes(&value.to_bytes()).expect("self roundtrip")
-            } else {
-                self.coll_recv(op, src, tag)
-            });
-        }
+        out.extend((0..root).map(|src| self.coll_recv(op, src, tag)));
+        out.push(value);
+        out.extend((root + 1..self.size()).map(|src| self.coll_recv(op, src, tag)));
         Some(out)
     }
 

@@ -58,7 +58,7 @@ use control::Control;
 use pgr_obs::{MetricsConfig, MetricsShard, Phase, RankMetrics};
 use std::sync::Arc;
 use std::time::Instant;
-use transport::{Envelope, Transport};
+use transport::{Body, Envelope, Transport};
 
 /// Tags at or above this value are reserved for collectives.
 pub const COLLECTIVE_TAG_BASE: u32 = 0x8000_0000;
@@ -312,18 +312,19 @@ impl Comm {
 
     // ----- point to point -----
 
-    /// The one send entry — typed sends, raw sends and the collectives'
-    /// internal traffic all come through here: check the destination,
-    /// charge the sender, hand the frame to the transport.
-    fn post(&mut self, dst: usize, tag: u32, payload: Vec<u8>) {
+    /// The one send entry — typed sends, raw sends, modeled transfers
+    /// and the collectives' internal traffic all come through here:
+    /// check the destination, charge the sender, hand the frame to the
+    /// transport.
+    fn post(&mut self, dst: usize, tag: u32, body: Body) {
         assert!(dst < self.size(), "send to rank {dst} of {}", self.size());
         let dst = self.world()[dst];
-        let bytes = payload.len();
+        let bytes = body.bytes();
         let t0 = self.now();
         let stamp = self.account.charge_send(dst, bytes);
         let seq = self
             .transport
-            .send(dst, tag, stamp, payload, &mut self.metrics);
+            .send(dst, tag, stamp, body, &mut self.metrics);
         if self.tracing() {
             let kind = TraceEventKind::Send {
                 dst,
@@ -339,32 +340,42 @@ impl Comm {
     /// non-blocking.
     pub fn send_bytes(&mut self, dst: usize, tag: u32, payload: Vec<u8>) {
         assert_user_tag(tag);
-        self.post(dst, tag, payload);
+        self.post(dst, tag, Body::Bytes(payload));
     }
 
     /// Send a typed message.
     pub fn send<T: Wire>(&mut self, dst: usize, tag: u32, value: &T) {
         assert_user_tag(tag);
-        self.post(dst, tag, value.to_bytes());
+        self.post(dst, tag, Body::Bytes(value.to_bytes()));
     }
 
-    /// Blocking receive of the next message from logical rank `src` with
-    /// `tag` (FIFO per `(src, tag)` pair), reporting an unsatisfiable or
-    /// mismatched pattern as a structured [`CommError`] instead of
-    /// panicking.
-    pub fn try_recv_bytes(&mut self, src: usize, tag: u32) -> Result<Vec<u8>, CommError> {
+    /// Model the transfer of `bytes` bytes to logical rank `dst` without
+    /// materialising them: for data the receiver already holds (the
+    /// ranks share the host's memory) whose *cost* the simulated machine
+    /// must still pay. Clocks, counters, traces, the comm matrix, the
+    /// fault hook and the reliable transport all see a `bytes`-long
+    /// frame; the host moves a fixed-size header. Receive it with
+    /// [`Comm::recv_modeled`].
+    pub fn send_modeled(&mut self, dst: usize, tag: u32, bytes: usize) {
+        assert_user_tag(tag);
+        self.post(dst, tag, Body::Modeled(bytes));
+    }
+
+    /// Match the next frame from logical rank `src` with `tag` (FIFO per
+    /// `(src, tag)` pair) and charge its delivery. A frame of the other
+    /// kind than the caller asked for — a modeled transfer where bytes
+    /// were expected or the reverse — is a sender/receiver mismatch and
+    /// comes back as [`CommError::KindMismatch`], never as an empty
+    /// payload or a made-up size.
+    fn accept(&mut self, src: usize, tag: u32, modeled: bool) -> Result<Envelope, CommError> {
         assert!(src < self.size(), "recv from rank {src} of {}", self.size());
-        let src = self.world()[src];
+        let from = self.world()[src];
         let env = self
             .transport
-            .recv(src, tag, &mut self.metrics, self.trace.as_deref())?;
-        Ok(self.accept(env))
-    }
-
-    /// Charge a matched frame's delivery and unwrap its payload.
-    fn accept(&mut self, env: Envelope) -> Vec<u8> {
+            .recv(from, tag, &mut self.metrics, self.trace.as_deref())?;
+        let bytes = env.bytes();
         let t0 = self.now();
-        let wait = self.account.charge_recv(env.stamp, env.payload.len());
+        let wait = self.account.charge_recv(env.stamp, bytes);
         // Metrics only; the clock charge is the account's.
         if wait > 0.0 {
             self.metrics.add(RECV_WAIT_MICROS, (wait * 1e6) as u64);
@@ -373,13 +384,31 @@ impl Comm {
             let kind = TraceEventKind::Recv {
                 src: env.src as usize,
                 tag: env.tag,
-                bytes: env.payload.len(),
+                bytes,
                 seq: env.seq,
                 stamp: env.stamp,
             };
             self.record(kind, t0, self.now());
         }
-        env.payload.into_vec()
+        if env.modeled.is_some() != modeled {
+            return Err(CommError::KindMismatch {
+                rank: self.physical_rank(),
+                src,
+                tag,
+                modeled: env.modeled.is_some(),
+                bytes,
+                wire_bytes: env.payload.len(),
+            });
+        }
+        Ok(env)
+    }
+
+    /// Blocking receive of the next message from logical rank `src` with
+    /// `tag` (FIFO per `(src, tag)` pair), reporting an unsatisfiable or
+    /// mismatched pattern as a structured [`CommError`] instead of
+    /// panicking.
+    pub fn try_recv_bytes(&mut self, src: usize, tag: u32) -> Result<Vec<u8>, CommError> {
+        Ok(self.accept(src, tag, false)?.payload.into_vec())
     }
 
     /// Blocking receive of the next message from `src` with `tag`.
@@ -390,6 +419,20 @@ impl Comm {
     /// same structured error.
     pub fn recv_bytes(&mut self, src: usize, tag: u32) -> Vec<u8> {
         self.try_recv_bytes(src, tag)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Blocking receive of the next [`Comm::send_modeled`] transfer from
+    /// `src` with `tag`: returns the modeled size, with the structured
+    /// errors of [`Comm::try_recv_bytes`].
+    pub fn try_recv_modeled(&mut self, src: usize, tag: u32) -> Result<usize, CommError> {
+        Ok(self.accept(src, tag, true)?.bytes())
+    }
+
+    /// [`Comm::try_recv_modeled`], panicking with the [`CommError`]
+    /// diagnosis like [`Comm::recv_bytes`].
+    pub fn recv_modeled(&mut self, src: usize, tag: u32) -> usize {
+        self.try_recv_modeled(src, tag)
             .unwrap_or_else(|e| panic!("{e}"))
     }
 

@@ -49,7 +49,38 @@ pub(super) struct Envelope {
     /// verifies it, so in-transit corruption is detected instead of
     /// handed to the algorithm as valid data.
     crc: u32,
+    /// `Some(n)` marks a modeled transfer of `n` bytes: `payload` is
+    /// then only its length header.
+    pub(super) modeled: Option<usize>,
     pub(super) payload: Box<[u8]>,
+}
+
+impl Envelope {
+    /// The size every account sees: the payload's, or the modeled one.
+    pub(super) fn bytes(&self) -> usize {
+        self.modeled.unwrap_or(self.payload.len())
+    }
+}
+
+/// What a frame carries, as handed to [`Transport::send`].
+pub(super) enum Body {
+    /// A real frame: these bytes travel and reach the receiver.
+    Bytes(Vec<u8>),
+    /// A modeled transfer of this many bytes. The fault hook, the
+    /// sequence numbers, the receive windows and every account treat it
+    /// as a frame of that size; the host moves (and checksums) only a
+    /// fixed-size length header, so its cost does not depend on the
+    /// size.
+    Modeled(usize),
+}
+
+impl Body {
+    pub(super) fn bytes(&self) -> usize {
+        match self {
+            Body::Bytes(payload) => payload.len(),
+            Body::Modeled(bytes) => *bytes,
+        }
+    }
 }
 
 /// One rank's end of the simulated network, addressed by physical rank.
@@ -166,7 +197,7 @@ impl Transport {
         dst: usize,
         tag: u32,
         mut stamp: f64,
-        mut payload: Vec<u8>,
+        body: Body,
         m: &mut MetricsShard,
     ) -> u64 {
         // What the network ends up doing with the frame: the hook's
@@ -179,7 +210,7 @@ impl Transport {
                 src: self.rank,
                 dst,
                 tag,
-                bytes: payload.len(),
+                bytes: body.bytes(),
                 seq: self.send_seq,
                 attempt: 0,
             };
@@ -257,6 +288,10 @@ impl Transport {
         }
         let seq = self.next_seq[dst];
         self.next_seq[dst] += 1;
+        let (modeled, mut payload) = match body {
+            Body::Bytes(payload) => (None, payload),
+            Body::Modeled(bytes) => (Some(bytes), (bytes as u64).to_le_bytes().to_vec()),
+        };
         // The checksum is always over the *original* payload: a wire
         // flip after it (below) is exactly what delivery detects.
         let mut crc = crc32(&payload);
@@ -281,6 +316,7 @@ impl Transport {
             seq,
             stamp,
             crc,
+            modeled,
             payload: payload.into_boxed_slice(),
         };
         // At most one frame is ever held per destination: whatever was
@@ -307,7 +343,7 @@ impl Transport {
             self.ingest(env, m);
             return;
         }
-        let (tag, bytes) = (env.tag, env.payload.len());
+        let (tag, bytes) = (env.tag, env.bytes());
         let tx = self.txs[dst].as_ref().expect("peer sender");
         if tx.send(env).is_err() {
             // Without faults this is always a mismatched pattern — the
@@ -525,7 +561,7 @@ impl Transport {
             .map(|e| PendingMsg {
                 src: e.src as usize,
                 tag: e.tag,
-                bytes: e.payload.len(),
+                bytes: e.bytes(),
             })
             .collect()
     }
@@ -604,8 +640,8 @@ mod tests {
             _ => FaultAction::Deliver,
         };
         let [(mut a, mut ma), (mut b, mut mb)] = pair(dup_first, ReliabilityConfig::on());
-        assert_eq!(a.send(1, TAG, 0.0, vec![1], &mut ma), 0);
-        assert_eq!(a.send(1, TAG, 0.0, vec![2], &mut ma), 1);
+        assert_eq!(a.send(1, TAG, 0.0, Body::Bytes(vec![1]), &mut ma), 0);
+        assert_eq!(a.send(1, TAG, 0.0, Body::Bytes(vec![2]), &mut ma), 1);
         // Three frames are on the wire (seq 0 twice, then seq 1); the
         // receiver hands out two.
         assert_eq!(payload_of(b.recv(0, TAG, &mut mb, None)), vec![1]);
@@ -632,16 +668,16 @@ mod tests {
         };
         // Raw: the second frame overtakes the held first one, visibly.
         let [(mut a, mut ma), (mut b, mut mb)] = pair(hold_first, ReliabilityConfig::off());
-        a.send(1, TAG, 0.0, vec![1], &mut ma);
-        a.send(1, TAG, 0.0, vec![2], &mut ma);
+        a.send(1, TAG, 0.0, Body::Bytes(vec![1]), &mut ma);
+        a.send(1, TAG, 0.0, Body::Bytes(vec![2]), &mut ma);
         assert_eq!(payload_of(b.recv(0, TAG, &mut mb, None)), vec![2]);
         assert_eq!(payload_of(b.recv(0, TAG, &mut mb, None)), vec![1]);
 
         // Reliable: same wire order, but the window parks the early
         // frame and releases both in sequence.
         let [(mut a, mut ma), (mut b, mut mb)] = pair(hold_first, ReliabilityConfig::on());
-        a.send(1, TAG, 0.0, vec![1], &mut ma);
-        a.send(1, TAG, 0.0, vec![2], &mut ma);
+        a.send(1, TAG, 0.0, Body::Bytes(vec![1]), &mut ma);
+        a.send(1, TAG, 0.0, Body::Bytes(vec![2]), &mut ma);
         assert_eq!(payload_of(b.recv(0, TAG, &mut mb, None)), vec![1]);
         assert_eq!(payload_of(b.recv(0, TAG, &mut mb, None)), vec![2]);
         assert_eq!(mb.snapshot(1).counter(reliable::REORDER_BUFFERED), Some(1));
@@ -652,7 +688,7 @@ mod tests {
     fn held_frame_goes_out_at_close_even_with_nothing_to_overtake_it() {
         let [(mut a, mut ma), (mut b, mut mb)] =
             pair(|_| FaultAction::Reorder, ReliabilityConfig::off());
-        a.send(1, TAG, 0.0, vec![7], &mut ma);
+        a.send(1, TAG, 0.0, Body::Bytes(vec![7]), &mut ma);
         a.close(&mut ma);
         assert_eq!(payload_of(b.recv(0, TAG, &mut mb, None)), vec![7]);
     }
@@ -661,7 +697,7 @@ mod tests {
     fn flipped_frame_is_rejected_by_crc_never_delivered() {
         let [(mut a, mut ma), (mut b, mut mb)] =
             pair(|_| FaultAction::Corrupt, ReliabilityConfig::off());
-        a.send(1, TAG, 0.0, vec![0xAB; 16], &mut ma);
+        a.send(1, TAG, 0.0, Body::Bytes(vec![0xAB; 16]), &mut ma);
         match b.recv(0, TAG, &mut mb, None) {
             Err(CommError::Corrupt {
                 src: 0,
@@ -676,10 +712,86 @@ mod tests {
         assert_eq!(b.snapshot().expect("layer attached").corrupt_seen, 1);
         // An empty payload has no bit to flip: the checksum field is
         // corrupted instead, and still rejected.
-        a.send(1, TAG, 0.0, Vec::new(), &mut ma);
+        a.send(1, TAG, 0.0, Body::Bytes(Vec::new()), &mut ma);
         assert!(matches!(
             b.recv(0, TAG, &mut mb, None),
             Err(CommError::Corrupt { .. })
         ));
+    }
+
+    /// What the modeled-transfer tests ship: far more than the header
+    /// that actually travels.
+    const MODELED: usize = 1 << 20;
+
+    #[test]
+    fn modeled_frame_is_its_full_size_to_the_hook_and_a_header_on_the_wire() {
+        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let log = seen.clone();
+        let hook = move |c: &MsgCtx| {
+            log.lock().expect("hook log").push(c.bytes);
+            FaultAction::Deliver
+        };
+        let [(mut a, mut ma), (mut b, mut mb)] = pair(hook, ReliabilityConfig::off());
+        a.send(1, TAG, 0.0, Body::Modeled(MODELED), &mut ma);
+        assert_eq!(*seen.lock().expect("hook log"), vec![MODELED]);
+        // Unmatched in the pending queue it still reports its full size.
+        b.drain_rx(&mut mb);
+        let pending = b.pending_snapshot();
+        assert_eq!((pending.len(), pending[0].bytes), (1, MODELED));
+        let env = b.recv(0, TAG, &mut mb, None).expect("frame delivered");
+        assert_eq!((env.bytes(), env.modeled), (MODELED, Some(MODELED)));
+        assert_eq!(*env.payload, (MODELED as u64).to_le_bytes());
+    }
+
+    #[test]
+    fn duplicate_modeled_frame_is_suppressed_by_sequence_number() {
+        let dup_first = |c: &MsgCtx| match c.seq {
+            0 => FaultAction::Duplicate,
+            _ => FaultAction::Deliver,
+        };
+        let [(mut a, mut ma), (mut b, mut mb)] = pair(dup_first, ReliabilityConfig::on());
+        a.send(1, TAG, 0.0, Body::Modeled(MODELED), &mut ma);
+        a.send(1, TAG, 0.0, Body::Modeled(7), &mut ma);
+        let sizes: Vec<usize> = (0..2)
+            .map(|_| b.recv(0, TAG, &mut mb, None).expect("delivered").bytes())
+            .collect();
+        assert_eq!(sizes, vec![MODELED, 7]);
+        assert_eq!(
+            mb.snapshot(1).counter(reliable::DUPLICATES_DROPPED),
+            Some(1)
+        );
+    }
+
+    #[test]
+    fn held_modeled_frame_goes_out_at_close() {
+        let [(mut a, mut ma), (mut b, mut mb)] =
+            pair(|_| FaultAction::Reorder, ReliabilityConfig::off());
+        a.send(1, TAG, 0.0, Body::Modeled(MODELED), &mut ma);
+        a.close(&mut ma);
+        let env = b.recv(0, TAG, &mut mb, None).expect("released at close");
+        assert_eq!(env.bytes(), MODELED);
+    }
+
+    #[test]
+    fn flipped_modeled_frame_is_rejected_by_its_header_crc() {
+        let [(mut a, mut ma), (mut b, mut mb)] =
+            pair(|_| FaultAction::Corrupt, ReliabilityConfig::off());
+        // Whatever the modeled size — zero included — the header has
+        // bits to flip and the checksum covers them.
+        for bytes in [MODELED, 0] {
+            a.send(1, TAG, 0.0, Body::Modeled(bytes), &mut ma);
+            match b.recv(0, TAG, &mut mb, None) {
+                Err(CommError::Corrupt {
+                    src: 0,
+                    dst: 1,
+                    tag: TAG,
+                    expected,
+                    got,
+                }) => assert_ne!(expected, got),
+                Err(e) => panic!("expected Corrupt, got {e}"),
+                Ok(env) => panic!("expected Corrupt, got {} B delivered", env.bytes()),
+            }
+        }
+        assert_eq!(b.snapshot().expect("layer attached").corrupt_seen, 2);
     }
 }

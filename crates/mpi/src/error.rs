@@ -152,6 +152,23 @@ pub enum CommError {
         tag: u32,
         error: WireError,
     },
+    /// A receive matched a frame of the other kind: `recv_bytes`/`recv`
+    /// found a modeled transfer (which carries no payload to hand over),
+    /// or `recv_modeled` found a real frame. Like [`CommError::Decode`],
+    /// a sender/receiver mismatch — a programming error with a
+    /// diagnosis.
+    KindMismatch {
+        rank: usize,
+        src: usize,
+        tag: u32,
+        /// Whether the matched frame was a modeled transfer (the
+        /// receive asked for the opposite).
+        modeled: bool,
+        /// The size the frame is accounted at.
+        bytes: usize,
+        /// The bytes it actually carried.
+        wire_bytes: usize,
+    },
     /// A send found the destination rank already exited.
     PeerGone {
         rank: usize,
@@ -169,6 +186,7 @@ impl CommError {
             | CommError::PeersDisconnected { rank, .. }
             | CommError::Stalled { rank, .. }
             | CommError::Decode { rank, .. }
+            | CommError::KindMismatch { rank, .. }
             | CommError::PeerGone { rank, .. }
             | CommError::RankDead { rank, .. } => *rank,
             // The receiver detects the corruption.
@@ -311,6 +329,35 @@ impl fmt::Display for CommError {
                 write!(
                     f,
                     "rank {rank}: payload from src={src} tag={tag} failed to decode: {error}"
+                )
+            }
+            CommError::KindMismatch {
+                rank,
+                src,
+                tag,
+                modeled,
+                bytes,
+                wire_bytes,
+            } => {
+                let (asked, found, sent, fix) = if *modeled {
+                    (
+                        "recv_bytes",
+                        "a modeled transfer",
+                        "send_modeled",
+                        "recv_modeled",
+                    )
+                } else {
+                    (
+                        "recv_modeled",
+                        "a real frame",
+                        "send/send_bytes",
+                        "recv/recv_bytes",
+                    )
+                };
+                write!(
+                    f,
+                    "rank {rank}: {asked}(src={src}, tag={tag}) matched {found} of {bytes} B \
+                     ({wire_bytes} B on the wire) — the sender used {sent}; receive it with {fix}"
                 )
             }
             CommError::PeerGone {

@@ -441,6 +441,99 @@ fn drop_and_corrupt_schedules_cost_the_reliable_transport_the_same() {
     assert_eq!(sender.counter(reliable::CORRUPT_DROPPED), Some(faults));
 }
 
+/// A modeled transfer goes through the fault hook as the frame it
+/// stands for: the hook is shown its modeled size, and a drop schedule
+/// under the reliable transport costs the same retransmits, backoff
+/// waits and exhausted frames — and leaves the same virtual account —
+/// as it does on a real frame of that size.
+#[test]
+fn dropped_modeled_transfer_costs_the_retransmits_of_a_real_frame() {
+    const N: usize = 300_000;
+    let run_with = |modeled: bool| {
+        let lossy = |ctx: &MsgCtx| {
+            assert_eq!(ctx.bytes, N, "the hook sees the frame's modeled size");
+            match ctx.tag {
+                DATA if ctx.attempt < 2 => FaultAction::Drop,
+                BULK => FaultAction::Drop,
+                _ => FaultAction::Deliver,
+            }
+        };
+        let instr = InstrumentConfig {
+            metrics: MetricsConfig::on(),
+            fault: Some(Arc::new(lossy)),
+            reliability: ReliabilityConfig {
+                max_attempts: 4,
+                ..ReliabilityConfig::on()
+            },
+            ..InstrumentConfig::off()
+        };
+        run_instrumented(2, MachineModel::sparc_center_1000(), instr, move |comm| {
+            comm.phase_mark(Phase::Setup);
+            for tag in [DATA, BULK] {
+                match (comm.rank(), modeled) {
+                    (0, true) => comm.send_modeled(1, tag, N),
+                    (0, false) => comm.send_bytes(1, tag, vec![0; N]),
+                    (_, true) => assert_eq!(comm.recv_modeled(0, tag), N),
+                    (_, false) => assert_eq!(comm.recv_bytes(0, tag).len(), N),
+                }
+            }
+        })
+    };
+    let (real, _, real_metrics) = run_with(false);
+    let (modeled, _, modeled_metrics) = run_with(true);
+    assert_eq!(real.stats, modeled.stats, "virtual account");
+    assert_eq!(real_metrics, modeled_metrics, "every transport counter");
+    let sender = &modeled_metrics[0];
+    assert_eq!(sender.counter(reliable::RETRANSMITS), Some(2 + 3));
+    assert_eq!(sender.counter(reliable::RETRANSMIT_EXHAUSTED), Some(1));
+    assert_eq!(
+        sender.histogram(reliable::BACKOFF_MICROS).map(|h| h.count),
+        Some(5)
+    );
+    assert_eq!(sender.counter(FAULTS_DROPPED), Some(2 + 4));
+}
+
+/// Without reliability a corrupted modeled transfer fails the CRC over
+/// its length header: the receive surfaces `CommError::Corrupt`, no
+/// size is delivered, and the next transfer on the stream still is.
+#[test]
+fn raw_corruption_of_a_modeled_transfer_surfaces_crc_error() {
+    let corrupt_first = |ctx: &MsgCtx| match ctx.seq {
+        0 => FaultAction::Corrupt,
+        _ => FaultAction::Deliver,
+    };
+    let instr = InstrumentConfig {
+        metrics: MetricsConfig::on(),
+        fault: Some(Arc::new(corrupt_first)),
+        ..InstrumentConfig::off()
+    };
+    let (report, _, metrics) = run_instrumented(2, MachineModel::ideal(), instr, |comm| {
+        if comm.rank() == 0 {
+            comm.send_modeled(1, DATA, 1 << 20);
+            comm.send_modeled(1, DATA, 77);
+            None
+        } else {
+            let first = comm.try_recv_modeled(0, DATA);
+            Some((first, comm.recv_modeled(0, DATA)))
+        }
+    });
+    let (first, second) = report.results[1].as_ref().expect("rank 1 reports");
+    assert!(
+        matches!(
+            first,
+            Err(CommError::Corrupt {
+                src: 0,
+                dst: 1,
+                tag: DATA,
+                ..
+            })
+        ),
+        "{first:?}"
+    );
+    assert_eq!(*second, 77);
+    assert_eq!(metrics[0].counter(FAULTS_CORRUPTED), Some(1));
+}
+
 /// Rank 1 of the watchdog-stall tests: alive but silent, *outside* any
 /// receive, until rank 0 has its `Stalled`. Both ranks arm the same
 /// real-time watchdog, so a rank 1 parked in `recv(RELEASE)` would race

@@ -73,6 +73,22 @@ fn gather_scatter_are_inverse() {
     }
 }
 
+/// The root's own contribution is moved into its slot, not re-encoded:
+/// what `gather`/`allgather` hand back at the root's index is `==` what
+/// the root passed in (the peers' slots are what the wire round trip
+/// pins).
+#[test]
+fn gather_and_allgather_return_the_roots_own_value_unchanged() {
+    let value = |rank: usize| (vec![-1i64, rank as i64, i64::MAX], Some(format!("r{rank}")));
+    let report = run(3, MachineModel::ideal(), |c| {
+        let gathered = c.gather(1, value(c.rank()));
+        (gathered, c.allgather(value(c.rank())))
+    });
+    let expect: Vec<_> = (0..3).map(value).collect();
+    assert_eq!(report.results[1].0.as_ref(), Some(&expect));
+    assert!(report.results.iter().all(|(_, all)| *all == expect));
+}
+
 #[test]
 #[should_panic]
 fn mismatched_pattern_is_detected_not_hung() {

@@ -129,3 +129,76 @@ fn passthrough_layer_preserves_virtual_time() {
         .iter()
         .all(|m| m.counter(FAULTS_DROPPED).is_none() && m.counter(FAULTS_DELAYED).is_none()));
 }
+
+/// `recv_bytes` (and the typed `recv` on top of it) matching a modeled
+/// transfer is a sender/receiver mismatch with a diagnosis — never a
+/// zero-length payload handed to the caller.
+#[test]
+fn payload_receive_matching_a_modeled_transfer_is_a_structured_error() {
+    let report = run(2, MachineModel::ideal(), |comm| {
+        if comm.rank() == 0 {
+            comm.send_modeled(1, DATA, 4096);
+            comm.send_modeled(1, DATA, 4096);
+            None
+        } else {
+            let raw = comm.try_recv_bytes(0, DATA).expect_err("no payload exists");
+            let typed = comm.try_recv::<Vec<u8>>(0, DATA).expect_err("nor a value");
+            Some((raw, typed))
+        }
+    });
+    let (raw, typed) = report.results[1].as_ref().expect("rank 1 reports");
+    for err in [raw, typed] {
+        assert!(
+            matches!(
+                err,
+                CommError::KindMismatch {
+                    rank: 1,
+                    src: 0,
+                    tag: DATA,
+                    modeled: true,
+                    bytes: 4096,
+                    wire_bytes: 8,
+                }
+            ),
+            "{err:?}"
+        );
+        assert_eq!(err.rank(), 1);
+        let msg = err.to_string();
+        for part in ["rank 1", "src=0", "tag=7", "4096 B", "8 B", "recv_modeled"] {
+            assert!(msg.contains(part), "diagnosis lacks {part:?}: {msg}");
+        }
+    }
+}
+
+/// The other direction: `recv_modeled` matching a real frame reports
+/// the frame it found instead of inventing a size for it.
+#[test]
+fn modeled_receive_matching_a_real_frame_is_a_structured_error() {
+    let report = run(2, MachineModel::ideal(), |comm| {
+        if comm.rank() == 0 {
+            comm.send_bytes(1, DATA, vec![5; 48]);
+            None
+        } else {
+            Some(comm.try_recv_modeled(0, DATA).expect_err("a real frame"))
+        }
+    });
+    let err = report.results[1].as_ref().expect("rank 1 reports");
+    assert!(
+        matches!(
+            err,
+            CommError::KindMismatch {
+                rank: 1,
+                src: 0,
+                tag: DATA,
+                modeled: false,
+                bytes: 48,
+                wire_bytes: 48,
+            }
+        ),
+        "{err:?}"
+    );
+    let msg = err.to_string();
+    for part in ["rank 1", "recv_modeled(src=0, tag=7)", "48 B", "recv_bytes"] {
+        assert!(msg.contains(part), "diagnosis lacks {part:?}: {msg}");
+    }
+}
