@@ -11,7 +11,9 @@
 # 1 919-line `comm.rs` this limit was introduced after splitting — and
 # when anything under crates/core/src hands `send_bytes` a zero-filled
 # placeholder: bytes that exist only to be charged for are a
-# `send_modeled`, which charges the same and moves none.
+# `send_modeled`, which charges the same and moves none — and when a
+# second measurement path reappears beside `benchmark/`: a kernel
+# snapshot at the root or a `[[bench]]` target in any manifest.
 set -eu
 cd "$(dirname "$0")/.."
 MAX_FILE=1600
@@ -55,5 +57,15 @@ placeholders=$(grep -rnE 'send_bytes\(.*vec!\[0u8;' crates/core/src || true)
 if [ -n "$placeholders" ]; then
     echo "surface: zero-filled placeholder frames (use Comm::send_modeled):" >&2
     echo "$placeholders" >&2
+    exit 1
+fi
+
+# (`[_]` so that a grep of the tree for the old snapshot name finds
+# nothing, this file included.)
+# shellcheck disable=SC2046
+second_path=$(find . -maxdepth 1 -name 'BENCH[_]*.json'; grep -l '^\[\[bench\]\]' Cargo.toml $(find crates -name Cargo.toml) || true)
+if [ -n "$second_path" ]; then
+    echo "surface: host time is measured by benchmark/ only (benchmark/README.md); remove:" >&2
+    echo "$second_path" | while read -r file; do echo "  $file" >&2; done
     exit 1
 fi

@@ -58,12 +58,6 @@
 //! serially — the smoke test that the chunked columnar circuit store
 //! holds up past the MCNC sizes.
 //!
-//! `repro bench-check` validates `BENCH_*.json` kernel-bench snapshots
-//! (as written by `BENCH_JSON=path cargo bench`): schema version, kind
-//! tag, and at least `--min-kernels` entries with positive timings. CI
-//! runs it over both the freshly measured file and the committed
-//! snapshots, so a truncated or hand-mangled baseline fails fast.
-//!
 //! `repro aggregate` merges any number of such dumps — files or
 //! directories, typically from several independent `--trace-out` runs —
 //! into one cross-run report (speedup curves, phase-time trends,
@@ -74,7 +68,6 @@
 //! (relative, default 0.02) makes the command exit non-zero.
 
 use pgr_bench::aggregate::{aggregate, check_baseline, load_paths};
-use pgr_bench::harness::check_bench_json;
 use pgr_bench::tables::{self, Opts};
 use pgr_circuit::scenarios::ScenarioFamily;
 use pgr_mpi::Phase;
@@ -87,8 +80,7 @@ fn usage() -> ! {
          targets: table1 table2 table3 table4 table5 partition-ablation sync-sweep\n          machine-sweep exact-sync-ablation beta-sweep phase-breakdown detailed-refinement steiner-ablation comm-matrix chaos wall-clock big-circuit stress profile all\n\
          chaos:  --kill R@B kills rank R at phase boundary B (registry name or index);\n         --max-rounds / --min-ranks bound the recovery policy\n\
          stress: --family restricts the adversarial-workload matrix (repeatable)\n\
-         or:    repro aggregate [--out FILE] [--md FILE] [--baseline FILE] [--tolerance F] <path>...\n\
-         or:    repro bench-check [--min-kernels N] <file>..."
+         or:    repro aggregate [--out FILE] [--md FILE] [--baseline FILE] [--tolerance F] <path>..."
     );
     std::process::exit(2);
 }
@@ -206,47 +198,11 @@ fn aggregate_main(args: impl Iterator<Item = String>) -> ! {
     std::process::exit(0);
 }
 
-fn bench_check_main(args: impl Iterator<Item = String>) -> ! {
-    let mut min_kernels = 3usize;
-    let mut files: Vec<PathBuf> = Vec::new();
-    let mut args = args.peekable();
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--min-kernels" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                min_kernels = v.parse().unwrap_or_else(|_| usage());
-            }
-            "-h" | "--help" => usage(),
-            f if f.starts_with('-') => fail(&format!("unknown flag '{f}'")),
-            p => files.push(p.into()),
-        }
-    }
-    if files.is_empty() {
-        usage();
-    }
-    for p in &files {
-        let text = std::fs::read_to_string(p)
-            .unwrap_or_else(|e| fail(&format!("cannot read {}: {e}", p.display())));
-        match check_bench_json(&text, min_kernels) {
-            Ok(kernels) => eprintln!("{}: ok ({} kernels)", p.display(), kernels.len()),
-            Err(e) => {
-                eprintln!("{}: INVALID: {e}", p.display());
-                std::process::exit(1);
-            }
-        }
-    }
-    std::process::exit(0);
-}
-
 fn main() {
     let mut args = std::env::args().skip(1).peekable();
     if args.peek().map(String::as_str) == Some("aggregate") {
         args.next();
         aggregate_main(args);
-    }
-    if args.peek().map(String::as_str) == Some("bench-check") {
-        args.next();
-        bench_check_main(args);
     }
     let mut opts = Opts::default();
     let mut targets: Vec<String> = Vec::new();

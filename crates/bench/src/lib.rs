@@ -1,14 +1,13 @@
-//! Benchmark harness: regenerates every table and figure of the paper.
+//! Reproduction driver: regenerates every table and figure of the paper.
 //!
-//! The `repro` binary drives [`tables`]; wall-clock micro-benches (see
-//! [`harness`]) live in `benches/`. Everything runs on synthetic
-//! MCNC-shaped circuits (see
-//! `pgr-circuit::mcnc`) over the simulated SparcCenter 1000 / Paragon
-//! machine models, so all reported runtimes and speedups are
-//! deterministic virtual times.
+//! The `repro` binary drives [`tables`] and [`aggregate`]. Everything
+//! runs on synthetic MCNC-shaped circuits (see `pgr-circuit::mcnc`) over
+//! the simulated SparcCenter 1000 / Paragon machine models, so all
+//! reported runtimes and speedups are deterministic virtual times. What
+//! a route costs on the *host* is `benchmark/`'s question, not this
+//! crate's — see `benchmark/README.md`.
 
 pub mod aggregate;
-pub mod harness;
 pub mod tables;
 
 use pgr_circuit::mcnc::ALL;

@@ -2,9 +2,16 @@
 //!
 //! Adversarial inputs must produce a structured [`FormatError`] or a
 //! valid circuit — never a panic, abort, or runaway allocation. Each
-//! seed mutates a canonical serialized circuit 10 000 times; any panic
-//! is minimized by greedy line removal before being reported, so the
-//! failure message carries a small reproducer.
+//! seed mutates a canonical serialized circuit; any panic is minimized
+//! by greedy line removal before being reported, so the failure message
+//! carries a small reproducer.
+//!
+//! Tier-1 (`cargo test`) runs the first 1 000 mutations of each seed and
+//! every truncation of a quarter-size text, about 2 s in the dev
+//! profile. The full-size cases — 10 000 mutations a seed, every
+//! truncation of the 21 KB text, half a minute together — are
+//! `#[ignore]`d and run by CI's `test` job with `--ignored`; the tier-1
+//! mutations are a prefix of theirs (same seeds, same operators).
 
 use pgr_circuit::format::{from_text, to_text};
 use pgr_circuit::{generate, GeneratorConfig};
@@ -12,6 +19,7 @@ use pgr_geom::rng::{rng_from_seed, SmallRng};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 const MUTATIONS_PER_SEED: usize = 10_000;
+const TIER1_MUTATIONS_PER_SEED: usize = 1_000;
 const SEEDS: [u64; 3] = [1997, 4242, 909_090];
 
 /// Bytes worth splicing in: structural characters, digits, keywords'
@@ -81,8 +89,7 @@ fn mutate(base: &[u8], rng: &mut SmallRng) -> Vec<u8> {
     bytes
 }
 
-#[test]
-fn parser_never_panics_on_mutated_input() {
+fn mutated_input_never_panics(mutations_per_seed: usize) {
     let base = to_text(&generate(&GeneratorConfig::small("fuzz", 11)));
     // The pristine text must parse — otherwise every mutation result
     // is meaningless.
@@ -90,7 +97,7 @@ fn parser_never_panics_on_mutated_input() {
 
     for seed in SEEDS {
         let mut rng = rng_from_seed(seed);
-        for case in 0..MUTATIONS_PER_SEED {
+        for case in 0..mutations_per_seed {
             let bytes = mutate(base.as_bytes(), &mut rng);
             // Mutations may break UTF-8; the parser API takes &str, so
             // lossy-decode the way any file loader would.
@@ -108,8 +115,18 @@ fn parser_never_panics_on_mutated_input() {
 }
 
 #[test]
-fn truncations_of_canonical_text_never_panic() {
-    let base = to_text(&generate(&GeneratorConfig::small("trunc", 3)));
+fn parser_never_panics_on_mutated_input() {
+    mutated_input_never_panics(TIER1_MUTATIONS_PER_SEED);
+}
+
+#[test]
+#[ignore = "13 s in the dev profile; CI runs it with --ignored"]
+fn parser_never_panics_on_30k_mutations() {
+    mutated_input_never_panics(MUTATIONS_PER_SEED);
+}
+
+fn truncations_never_panic(cfg: &GeneratorConfig) {
+    let base = to_text(&generate(cfg));
     for end in 0..base.len() {
         if !base.is_char_boundary(end) {
             continue;
@@ -119,4 +136,23 @@ fn truncations_of_canonical_text_never_panic() {
             panic!("parser panicked on truncation at byte {end}: {panic_msg}");
         }
     }
+}
+
+/// Parsing every prefix is quadratic in the text: a quarter of
+/// `GeneratorConfig::small` (same record kinds, same row count) costs a
+/// sixteenth.
+#[test]
+fn truncations_of_canonical_text_never_panic() {
+    truncations_never_panic(&GeneratorConfig {
+        cells: 60,
+        pins: 225,
+        nets: 65,
+        ..GeneratorConfig::small("trunc", 3)
+    });
+}
+
+#[test]
+#[ignore = "16 s in the dev profile; CI runs it with --ignored"]
+fn truncations_of_full_size_text_never_panic() {
+    truncations_never_panic(&GeneratorConfig::small("trunc", 3));
 }

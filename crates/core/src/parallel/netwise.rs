@@ -27,12 +27,14 @@ use crate::route::coarse::{CoarseDeltas, CoarseState};
 use crate::route::connect::connect_all;
 use crate::route::feedthrough::{assign, Crossing, FtPlan};
 use crate::route::serial::{attach_feedthroughs, crossings_of, shift_pins};
+use crate::route::shed_sweep;
 use crate::route::state::{Node, Orientation, Segment, Span, WorkNet};
 use crate::route::steiner::{build_segments_with, whole_net};
 use crate::route::switchable::{optimize_slice, switchable_candidates, ChannelState, SpanDelta};
 use pgr_circuit::{NetId, RowId};
 use pgr_geom::shuffled_indices;
 use pgr_mpi::Comm;
+use std::collections::HashSet;
 
 /// Allgather every rank's coarse deltas and merge the remote ones.
 /// Every sync also charges a full refresh of the replicated grid arrays
@@ -41,7 +43,7 @@ use pgr_mpi::Comm;
 ///
 /// With `exact = false` (the default), remote density updates to grid
 /// cells this rank also wrote are lost (snapshot-overwrite semantics);
-/// see [`CoarseState::merge_external_masked`].
+/// see [`CoarseState::merge_external`].
 fn sync_coarse(coarse: &mut CoarseState, exact: bool, comm: &mut Comm) {
     if comm.size() == 1 {
         // Nothing is replicated: drain the log and return.
@@ -50,13 +52,10 @@ fn sync_coarse(coarse: &mut CoarseState, exact: bool, comm: &mut Comm) {
     }
     let all: Vec<CoarseDeltas> = comm.allgather(coarse.take_deltas());
     let rank = comm.rank();
+    let own = (!exact).then(|| &all[rank]);
     for (r, d) in all.iter().enumerate() {
         if r != rank {
-            if exact {
-                coarse.merge_external(d, comm);
-            } else {
-                coarse.merge_external_masked(d, &all[rank], comm);
-            }
+            coarse.merge_external(d, own, comm);
         }
     }
     comm.compute(
@@ -114,28 +113,30 @@ fn sync_chans(chans: &mut ChannelState, exact: bool, comm: &mut Comm) {
     }
     let all: Vec<Vec<SpanDelta>> = comm.allgather(chans.take_deltas());
     let rank = comm.rank();
-    let touched: std::collections::HashSet<(u32, i64)> = if exact {
-        std::collections::HashSet::new()
-    } else {
-        all[rank].iter().flat_map(span_buckets).collect()
-    };
-    for (r, d) in all.into_iter().enumerate() {
+    let own: Option<HashSet<(u32, i64)>> =
+        (!exact).then(|| all[rank].iter().flat_map(span_buckets).collect());
+    for (r, mut d) in all.into_iter().enumerate() {
         if r != rank {
-            if exact {
-                chans.merge_external(&d, comm);
-            } else {
-                let kept: Vec<SpanDelta> = d
-                    .into_iter()
-                    .filter(|sd| !span_buckets(sd).any(|k| touched.contains(&k)))
-                    .collect();
-                chans.merge_external(&kept, comm);
+            if let Some(own) = &own {
+                d.retain(|sd| !span_buckets(sd).any(|k| own.contains(&k)));
             }
+            chans.merge_external(&d, comm);
         }
     }
     // The full channel state travels every sync (one track count per
     // channel column).
     exchange_snapshot(chans.num_channels() * chans.width() as usize * 4, comm);
     comm.compute(cost::MERGE_COL * chans.width() as u64 * chans.num_channels() as u64 / 8);
+}
+
+/// Net-wise slicing of a refinement sweep over `n` local items for
+/// [`shed_sweep`]: one sync every `sync_period` decisions, and as many
+/// rounds as the busiest rank needs — every rank joins every sync, with
+/// empty slices once its own items run out.
+fn synced_slices(n: usize, sync_period: usize, comm: &mut Comm) -> (usize, usize) {
+    let sp = sync_period.max(1);
+    let rounds = comm.allreduce(n.div_ceil(sp) as u64, u64::max);
+    (sp, rounds as usize)
 }
 
 /// Pipeline state carried between the net-wise passes. Driven by
@@ -173,7 +174,6 @@ impl Pipeline for NetWisePipeline {
     fn pass(&mut self, phase: Phase, ctx: &mut RouteCtx<'_>, comm: &mut Comm) {
         let (circuit, cfg) = (ctx.circuit, ctx.cfg);
         let all_rows = circuit.num_rows();
-        let sp = cfg.sync_period.max(1);
         match phase {
             // Replicated front end: every rank builds whole-circuit
             // structures.
@@ -229,34 +229,17 @@ impl Pipeline for NetWisePipeline {
                 let mut orients = coarse.init_random(&self.segments, &mut ctx.rng, comm);
                 for _ in 0..cfg.coarse_passes {
                     let order = shuffled_indices(self.segments.len(), &mut ctx.rng);
-                    let rounds = comm.allreduce(order.len().div_ceil(sp) as u64, u64::max);
-                    let mut changed = 0u64;
-                    for r in 0..rounds as usize {
-                        let chunk =
-                            &order[(r * sp).min(order.len())..((r + 1) * sp).min(order.len())];
-                        // Budget shed skips only the *local* slice work:
-                        // every sync round and allreduce below still runs,
-                        // because the peers committed to that collective
-                        // sequence — a rank that walks away deadlocks the
-                        // world.
-                        if !comm.budget_poll_shed() {
-                            changed += coarse.improve_slice(
-                                &self.segments,
-                                &mut orients,
-                                chunk,
-                                cfg,
-                                comm,
-                            ) as u64;
-                        }
-                        sync_coarse(&mut coarse, cfg.netwise_exact_sync, comm);
-                    }
-                    // Trailing poll: an overrun inside the last round
-                    // registers as a shed, not as a hard breach at the
-                    // next phase boundary. Local-only — no collective.
-                    if rounds > 0 {
-                        comm.budget_poll_shed();
-                    }
-                    if comm.allreduce(changed, |a, b| a + b) == 0 {
+                    let changed = shed_sweep(
+                        &mut coarse,
+                        &order,
+                        synced_slices(order.len(), cfg.sync_period, comm),
+                        comm,
+                        |coarse, chunk, comm| {
+                            coarse.improve_slice(&self.segments, &mut orients, chunk, cfg, comm)
+                        },
+                        |coarse, comm| sync_coarse(coarse, cfg.netwise_exact_sync, comm),
+                    );
+                    if comm.allreduce(changed as u64, |a, b| a + b) == 0 {
                         break;
                     }
                 }
@@ -325,23 +308,14 @@ impl Pipeline for NetWisePipeline {
                 for _ in 0..cfg.switch_passes {
                     let perm = shuffled_indices(candidates.len(), &mut ctx.rng);
                     let order: Vec<u32> = perm.iter().map(|&k| candidates[k as usize]).collect();
-                    let rounds = comm.allreduce(order.len().div_ceil(sp) as u64, u64::max);
-                    let mut flips = 0u64;
-                    for r in 0..rounds as usize {
-                        let chunk =
-                            &order[(r * sp).min(order.len())..((r + 1) * sp).min(order.len())];
-                        // Shed drops only the local slice; the sync
-                        // rounds and allreduces stay (see the coarse
-                        // pass).
-                        if !comm.budget_poll_shed() {
-                            flips += optimize_slice(chans, &mut self.spans, chunk, comm) as u64;
-                        }
-                        sync_chans(chans, cfg.netwise_exact_sync, comm);
-                    }
-                    // Trailing poll — see the coarse pass.
-                    if rounds > 0 {
-                        comm.budget_poll_shed();
-                    }
+                    let flips = shed_sweep(
+                        chans,
+                        &order,
+                        synced_slices(order.len(), cfg.sync_period, comm),
+                        comm,
+                        |chans, chunk, comm| optimize_slice(chans, &mut self.spans, chunk, comm),
+                        |chans, comm| sync_chans(chans, cfg.netwise_exact_sync, comm),
+                    ) as u64;
                     comm.metric_add(names::SEGMENTS_FLIPPED, flips);
                     if comm.allreduce(flips, |a, b| a + b) == 0 {
                         break;

@@ -40,27 +40,6 @@ impl CoarseDeltas {
             demand: vec![vec![0; gcols]; nrows],
         }
     }
-
-    pub fn is_zero(&self) -> bool {
-        self.chan.iter().all(|v| v.iter().all(|&x| x == 0))
-            && self.demand.iter().all(|v| v.iter().all(|&x| x == 0))
-    }
-
-    /// Elementwise difference: `self - other` (to exclude a rank's own
-    /// contribution from an allreduced total).
-    pub fn minus(mut self, other: &CoarseDeltas) -> CoarseDeltas {
-        for (a, b) in self.chan.iter_mut().zip(&other.chan) {
-            for (x, y) in a.iter_mut().zip(b) {
-                *x -= *y;
-            }
-        }
-        for (a, b) in self.demand.iter_mut().zip(&other.demand) {
-            for (x, y) in a.iter_mut().zip(b) {
-                *x -= *y;
-            }
-        }
-        self
-    }
 }
 
 impl pgr_mpi::Wire for CoarseDeltas {
@@ -153,47 +132,30 @@ impl CoarseState {
 
     /// Apply another rank's deltas (not logged). Charges a scan over the
     /// delta arrays plus per-nonzero update work.
-    pub fn merge_external(&mut self, d: &CoarseDeltas, comm: &mut Comm) {
-        assert_eq!(d.chan.len(), self.profiles.len());
-        assert_eq!(d.demand.len(), self.demand.len());
-        let mut nonzero = 0u64;
-        for (prof, dc) in self.profiles.iter_mut().zip(&d.chan) {
-            for (g, &v) in dc.iter().enumerate() {
-                if v != 0 {
-                    nonzero += 1;
-                    prof.add_span(g as i64, g as i64, v);
-                }
-            }
-        }
-        for (row, dr) in self.demand.iter_mut().zip(&d.demand) {
-            for (x, &v) in row.iter_mut().zip(dr) {
-                if v != 0 {
-                    nonzero += 1;
-                }
-                *x += v;
-            }
-        }
-        let entries = ((d.chan.len() + d.demand.len()) * self.gcols) as u64;
-        comm.compute(entries / 8 + cost::MERGE_COL * nonzero);
-    }
-
-    /// Apply another rank's deltas under snapshot-overwrite semantics:
-    /// a remote *density* update to a grid cell this rank also wrote
-    /// since the last sync (`own` nonzero there) is **dropped** — the
-    /// write-write conflict resolution of a periodic full-state
-    /// exchange. Lost updates under-count congestion on exactly the
-    /// contended cells, which is the net-wise algorithm's quality
-    /// failure mode (§5). Feedthrough *demand* merges exactly — it is
-    /// physical bookkeeping the row owners keep authoritative, and an
-    /// inconsistent copy would desynchronize insertion, not just degrade
-    /// decisions.
-    pub fn merge_external_masked(&mut self, d: &CoarseDeltas, own: &CoarseDeltas, comm: &mut Comm) {
+    ///
+    /// With `own` (this rank's deltas of the same sync period) the merge
+    /// has snapshot-overwrite semantics: a remote *density* update to a
+    /// grid cell this rank also wrote since the last sync (`own` nonzero
+    /// there) is **dropped** — the write-write conflict resolution of a
+    /// periodic full-state exchange. Lost updates under-count congestion
+    /// on exactly the contended cells, which is the net-wise algorithm's
+    /// quality failure mode (§5). Feedthrough *demand* merges exactly
+    /// either way — it is physical bookkeeping the row owners keep
+    /// authoritative, and an inconsistent copy would desynchronize
+    /// insertion, not just degrade decisions.
+    pub fn merge_external(
+        &mut self,
+        d: &CoarseDeltas,
+        own: Option<&CoarseDeltas>,
+        comm: &mut Comm,
+    ) {
         assert_eq!(d.chan.len(), self.profiles.len());
         assert_eq!(d.demand.len(), self.demand.len());
         let mut nonzero = 0u64;
         for (ci, (prof, dc)) in self.profiles.iter_mut().zip(&d.chan).enumerate() {
+            let mine = own.map(|o| &o.chan[ci]);
             for (g, &v) in dc.iter().enumerate() {
-                if v != 0 && own.chan[ci][g] == 0 {
+                if v != 0 && mine.is_none_or(|m| m[g] == 0) {
                     nonzero += 1;
                     prof.add_span(g as i64, g as i64, v);
                 }
@@ -404,9 +366,14 @@ impl CoarseState {
         let mut orients = self.init_random(segments, rng, comm);
         for _ in 0..cfg.coarse_passes {
             let order = pgr_geom::shuffled_indices(segments.len(), rng);
-            let changed = crate::route::shed_sweep(&order, comm, |chunk, comm| {
-                self.improve_slice(segments, &mut orients, chunk, cfg, comm)
-            });
+            let changed = crate::route::shed_sweep(
+                self,
+                &order,
+                crate::route::local_slices(order.len(), comm),
+                comm,
+                |st, chunk, comm| st.improve_slice(segments, &mut orients, chunk, cfg, comm),
+                |_, _| {},
+            );
             if changed == 0 {
                 break;
             }
@@ -617,10 +584,11 @@ mod tests {
         let s = seg(0, 0, 40, 2);
         st.apply(&s, Orientation::VertAtLower, 1);
         let d = st.take_deltas();
-        assert!(!d.is_zero());
+        let zero = CoarseDeltas::zero(4, 3, 8);
+        assert_ne!(d, zero);
         assert_eq!(d.chan[2][0], 1, "channel 2 gcol 0 gained a span");
         assert_eq!(d.demand[1][0], 1);
-        assert!(st.take_deltas().is_zero(), "drained");
+        assert_eq!(st.take_deltas(), zero, "drained");
     }
 
     #[test]
@@ -634,7 +602,7 @@ mod tests {
         let d = a.take_deltas();
 
         let mut b = CoarseState::new(0, 3, 64, 8);
-        b.merge_external(&d, &mut comm());
+        b.merge_external(&d, None, &mut comm());
         for ch in 0..=3 {
             assert_eq!(a.channel_max(ch), b.channel_max(ch), "channel {ch}");
         }
@@ -643,18 +611,33 @@ mod tests {
 
     #[test]
     fn deltas_add_and_sub() {
-        let mut a = CoarseDeltas::zero(2, 1, 4);
-        a.chan[0][1] = 3;
-        let mut b = CoarseDeltas::zero(2, 1, 4);
-        b.chan[0][1] = 2;
-        b.demand[0][0] = 5;
-        let mut sum = a.clone();
-        sum.chan[0][1] += b.chan[0][1];
-        sum.demand[0][0] += b.demand[0][0];
-        assert_eq!(sum.chan[0][1], 5);
-        assert_eq!(sum.demand[0][0], 5);
-        let diff = sum.minus(&b);
-        assert_eq!(diff, a);
+        // Merging a delta and then its negation restores the state;
+        // under `own`, the density update on a cell this rank also wrote
+        // is dropped while the demand update still lands.
+        let mut d = CoarseDeltas::zero(4, 3, 8);
+        d.chan[1][2] = 3;
+        d.chan[2][5] = 1;
+        d.demand[0][2] = 5;
+        let mut neg = d.clone();
+        for x in neg.chan.iter_mut().chain(&mut neg.demand).flatten() {
+            *x = -*x;
+        }
+
+        let mut st = CoarseState::new(0, 3, 64, 8);
+        st.merge_external(&d, None, &mut comm());
+        assert_eq!((st.channel_max(1), st.channel_max(2)), (3, 1));
+        assert_eq!(st.demand()[0][2], 5);
+        st.merge_external(&neg, None, &mut comm());
+        assert!((0..=3).all(|c| st.channel_max(c) == 0));
+        assert!(st.demand().iter().flatten().all(|&x| x == 0));
+
+        let mut own = CoarseDeltas::zero(4, 3, 8);
+        own.chan[1][2] = -1;
+        own.demand[0][2] = 1;
+        st.merge_external(&d, Some(&own), &mut comm());
+        assert_eq!(st.channel_max(1), 0, "contended cell: remote update lost");
+        assert_eq!(st.channel_max(2), 1, "uncontended cell merges");
+        assert_eq!(st.demand()[0][2], 5, "demand merges exactly");
     }
 
     #[test]

@@ -37,32 +37,130 @@ fn shed_chunk_len(n: usize) -> usize {
     SHED_CHUNK.min((n / 8).max(16))
 }
 
-/// One *optional* refinement sweep over `order` (a coarse improvement
-/// pass, a switchable pass): `step` does the work of one slice and
-/// returns how much it changed; the sum comes back. Under an armed
-/// budget the sweep runs in chunks with a shed poll between them (and
-/// one after the last, so an overrun inside the final chunk registers as
-/// a shed — not as a hard breach at the next phase boundary), dropping
-/// the remaining iterations when the phase overruns. Unbudgeted runs
-/// take the single-call path — bit-identical (virtual clock included)
-/// to the pre-budget code.
-pub(crate) fn shed_sweep(
-    order: &[u32],
-    comm: &mut pgr_mpi::Comm,
-    mut step: impl FnMut(&[u32], &mut pgr_mpi::Comm) -> usize,
-) -> usize {
+/// How a local (serial, row-wise, hybrid) refinement sweep over `n`
+/// items is sliced: `(slice length, rounds)` for [`shed_sweep`]. One
+/// slice spanning everything when unbudgeted — a single `step` call even
+/// for `n = 0`, bit-identical (virtual clock and trace included) to the
+/// pre-budget code; [`shed_chunk_len`] chunks under an armed budget.
+pub(crate) fn local_slices(n: usize, comm: &pgr_mpi::Comm) -> (usize, usize) {
     if !comm.budget_limited() {
-        return step(order, comm);
+        return (n, 1);
     }
+    let len = shed_chunk_len(n);
+    (len, n.div_ceil(len))
+}
+
+/// One *optional* refinement sweep over `order` (a coarse improvement
+/// pass, a switchable pass) of the congestion `state`, cut into `rounds`
+/// slices of `slice` items (slices past the end of `order` are empty):
+/// `step` does the work of one slice and returns how much it changed;
+/// the sum comes back. `between` runs after every slice — net-wise's
+/// replicated-state sync, nothing for the local drivers
+/// ([`local_slices`]).
+///
+/// A shed poll precedes every slice and one follows the last, so an
+/// overrun inside the final slice registers as a shed — not as a hard
+/// breach at the next phase boundary. Once the phase overruns, the
+/// remaining slices skip `step` only: `between` still runs every round,
+/// because the peers committed to its collectives — a rank that walks
+/// away deadlocks the world. The polls are local and free when no
+/// budget is armed.
+pub(crate) fn shed_sweep<S>(
+    state: &mut S,
+    order: &[u32],
+    (slice, rounds): (usize, usize),
+    comm: &mut pgr_mpi::Comm,
+    mut step: impl FnMut(&mut S, &[u32], &mut pgr_mpi::Comm) -> usize,
+    mut between: impl FnMut(&mut S, &mut pgr_mpi::Comm),
+) -> usize {
+    let n = order.len();
     let mut changed = 0;
-    for chunk in order.chunks(shed_chunk_len(order.len())) {
-        if comm.budget_poll_shed() {
-            return changed;
+    for r in 0..rounds {
+        if !comm.budget_poll_shed() {
+            let chunk = &order[(r * slice).min(n)..((r + 1) * slice).min(n)];
+            changed += step(state, chunk, comm);
         }
-        changed += step(chunk, comm);
+        between(state, comm);
     }
-    if !order.is_empty() {
+    if rounds > 0 {
         comm.budget_poll_shed();
     }
     changed
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pgr_mpi::{Comm, MachineModel, ResourceBudget};
+
+    #[derive(Debug, PartialEq)]
+    enum Call {
+        Step(usize),
+        Between,
+    }
+
+    /// One virtual second per charged op.
+    fn comm() -> Comm {
+        Comm::solo(MachineModel {
+            sec_per_op: 1.0,
+            ..MachineModel::ideal()
+        })
+    }
+
+    /// Run a sweep whose every step charges a second of work, logging
+    /// the calls it makes.
+    fn logged(order: &[u32], slices: (usize, usize), comm: &mut Comm) -> (Vec<Call>, usize) {
+        let mut log = Vec::new();
+        let changed = shed_sweep(
+            &mut log,
+            order,
+            slices,
+            comm,
+            |log, chunk, comm| {
+                log.push(Call::Step(chunk.len()));
+                comm.compute(1);
+                chunk.len()
+            },
+            |log, _| log.push(Call::Between),
+        );
+        (log, changed)
+    }
+
+    #[test]
+    fn unbudgeted_local_sweep_is_one_step_even_when_empty() {
+        let mut comm = comm();
+        for n in [0usize, 5] {
+            let order: Vec<u32> = (0..n as u32).collect();
+            let (log, changed) = logged(&order, local_slices(n, &comm), &mut comm);
+            assert_eq!(log, [Call::Step(n), Call::Between]);
+            assert_eq!(changed, n);
+        }
+    }
+
+    #[test]
+    fn rounds_past_the_end_get_empty_slices() {
+        let mut comm = comm();
+        let (log, changed) = logged(&[7, 8, 9, 10, 11], (4, 3), &mut comm);
+        use Call::{Between as B, Step as S};
+        assert_eq!(log, [S(4), B, S(1), B, S(0), B]);
+        assert_eq!(changed, 5);
+    }
+
+    #[test]
+    fn a_shed_skips_the_steps_but_never_the_hook() {
+        let mut comm = comm();
+        comm.set_budget(ResourceBudget {
+            max_phase_seconds: Some(1.5),
+            ..ResourceBudget::unlimited()
+        });
+        let order: Vec<u32> = (0..40).collect();
+        assert_eq!(local_slices(40, &comm), (16, 3), "armed: shed chunks");
+        // Two one-second steps overrun the 1.5 s phase limit: the third
+        // poll sheds, and every later round still runs its hook.
+        let (log, changed) = logged(&order, (8, 5), &mut comm);
+        use Call::{Between as B, Step as S};
+        assert_eq!(log, [S(8), B, S(8), B, B, B, B]);
+        assert_eq!(changed, 16);
+        assert!(comm.budget_shed_any());
+    }
 }

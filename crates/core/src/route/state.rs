@@ -284,14 +284,6 @@ impl Segment {
             _ => row,
         }
     }
-
-    /// Whether step 5 may flip this same-row segment between channels:
-    /// both endpoints must reach either channel (equivalent pins — "a
-    /// segment with two of this kind of pins is called a switchable net
-    /// segment", §2).
-    pub fn is_switchable(&self) -> bool {
-        !self.is_cross_row() && self.lower.switchable() && self.upper.switchable()
-    }
 }
 
 impl Wire for Segment {
@@ -410,24 +402,15 @@ mod tests {
         let mut b = node(5, 3);
         let s = Segment::new(NetId(0), a, b);
         assert_eq!(s.same_row_channel(), 3, "either+either defaults to lower");
-        assert!(s.is_switchable());
 
         a.pref = ChannelPref::Upper;
         let s = Segment::new(NetId(0), a, b);
         assert_eq!(s.same_row_channel(), 4);
-        assert!(!s.is_switchable());
 
         a.pref = ChannelPref::Lower;
         b.pref = ChannelPref::Lower;
         let s = Segment::new(NetId(0), a, b);
         assert_eq!(s.same_row_channel(), 3);
-        assert!(!s.is_switchable());
-    }
-
-    #[test]
-    fn cross_row_is_never_switchable() {
-        let s = Segment::new(NetId(0), node(0, 1), node(0, 2));
-        assert!(!s.is_switchable());
     }
 
     #[test]

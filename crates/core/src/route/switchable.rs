@@ -142,12 +142,6 @@ impl ChannelState {
         self.profiles[self.idx(channel)].counts()
     }
 
-    /// Per-column counts of a channel written into a caller-owned buffer —
-    /// the allocation-free twin of [`Self::counts`] for repeated reads.
-    pub fn counts_into(&self, channel: u32, out: &mut [i64]) {
-        self.profiles[self.idx(channel)].counts_into(out);
-    }
-
     /// Record the remove/re-insert delta pair the optimizer historically
     /// emitted for a span it evaluated but did not move. The replicated
     /// delta stream (net-wise sync, §5) must stay byte-identical whether or
@@ -273,9 +267,14 @@ pub fn optimize(
     for _ in 0..cfg.switch_passes {
         let perm = pgr_geom::shuffled_indices(candidates.len(), rng);
         let order: Vec<u32> = perm.iter().map(|&k| candidates[k as usize]).collect();
-        let flips = crate::route::shed_sweep(&order, comm, |chunk, comm| {
-            optimize_slice(chans, spans, chunk, comm)
-        });
+        let flips = crate::route::shed_sweep(
+            chans,
+            &order,
+            crate::route::local_slices(order.len(), comm),
+            comm,
+            |chans, chunk, comm| optimize_slice(chans, spans, chunk, comm),
+            |_, _| {},
+        );
         total += flips;
         if flips == 0 {
             break;

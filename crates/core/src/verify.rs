@@ -5,9 +5,14 @@
 //! between the incremental bookkeeping the routers maintain and the
 //! solution they report. The parallel drivers in particular merge spans
 //! produced on many ranks; these checks guard that assembly.
+//!
+//! It shares no code with the phases it judges: a checker that recounted
+//! with the routers' own `ChannelState` / `DensityProfile` would inherit
+//! their bugs, so density is recounted by a plain endpoint sweep
+//! ([`peak_overlap`]) over the reported spans. What these checks cannot
+//! see is listed in DESIGN.md §4.
 
 use crate::metrics::RoutingResult;
-use crate::route::switchable::ChannelState;
 use pgr_circuit::Circuit;
 use pgr_mpi::Comm;
 use std::fmt;
@@ -143,17 +148,14 @@ pub fn verify(circuit: &Circuit, result: &RoutingResult) -> Vec<Violation> {
         return out; // recounting with broken spans would double-report
     }
 
-    // Recount densities from scratch.
-    let mut chans = ChannelState::new(0, channels, result.chip_width.max(1));
+    // Recount densities from scratch: every span's two endpoints, bucketed
+    // by channel.
+    let mut ends: Vec<Vec<(i64, i64)>> = vec![Vec::new(); channels];
     for s in &result.spans {
-        chans.add_span(s, 1);
+        ends[s.channel as usize].extend([(s.lo, 1), (s.hi + 1, -1)]);
     }
-    for (c, (&reported, recount)) in result
-        .channel_density
-        .iter()
-        .zip(chans.densities())
-        .enumerate()
-    {
+    for (c, (&reported, ends)) in result.channel_density.iter().zip(&mut ends).enumerate() {
+        let recount = peak_overlap(ends);
         if reported != recount {
             out.push(Violation::DensityMismatch {
                 channel: c,
@@ -170,6 +172,20 @@ pub fn verify(circuit: &Circuit, result: &RoutingResult) -> Vec<Violation> {
         });
     }
     out
+}
+
+/// Largest number of intervals covering one column, from their endpoint
+/// events `(column, +1)` at each `lo` and `(column, -1)` one past each
+/// `hi` (spans are closed intervals). Sorting puts a `-1` before a `+1`
+/// at the same column, so abutting spans do not count as overlapping.
+fn peak_overlap(ends: &mut [(i64, i64)]) -> i64 {
+    ends.sort_unstable();
+    let (mut open, mut peak) = (0, 0);
+    for &(_, d) in ends.iter() {
+        open += d;
+        peak = peak.max(open);
+    }
+    peak
 }
 
 /// Panic with a readable report if `result` fails verification.
@@ -257,6 +273,86 @@ mod tests {
                 .any(|x| matches!(x, Violation::DensityMismatch { channel: 3, .. })),
             "{v:?}"
         );
+    }
+
+    /// Per-column span counts of `channel`, counted the slow way.
+    fn columns(r: &RoutingResult, channel: u32) -> Vec<i64> {
+        let mut cols = vec![0i64; r.chip_width as usize];
+        for s in r.spans.iter().filter(|s| s.channel == channel) {
+            for x in s.lo..=s.hi {
+                cols[x as usize] += 1;
+            }
+        }
+        cols
+    }
+
+    fn density_mismatches(v: &[Violation]) -> Vec<(usize, i64, i64)> {
+        v.iter()
+            .map(|x| match *x {
+                Violation::DensityMismatch {
+                    channel,
+                    reported,
+                    recount,
+                } => (channel, reported, recount),
+                ref other => panic!("unexpected violation {other}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn detects_span_dropped_at_the_peak() {
+        let (c, mut r) = routed();
+        // A span covering every peak column of its channel: without it
+        // the channel needs one track fewer than reported.
+        let (idx, peak) = (0..r.spans.len())
+            .find_map(|i| {
+                let s = r.spans[i];
+                let cols = columns(&r, s.channel);
+                let peak = *cols.iter().max().unwrap();
+                let covers_all_peaks = (0..cols.len() as i64)
+                    .all(|x| cols[x as usize] < peak || (s.lo..=s.hi).contains(&x));
+                covers_all_peaks.then_some((i, peak))
+            })
+            .expect("some span covers its channel's whole peak");
+        let dropped = r.spans.remove(idx);
+        assert_eq!(
+            density_mismatches(&verify(&c, &r)),
+            [(dropped.channel as usize, peak, peak - 1)]
+        );
+    }
+
+    #[test]
+    fn detects_swapped_channels() {
+        let (c, r) = routed();
+        let peaks = |r: &RoutingResult| -> Vec<i64> {
+            (0..=c.num_rows() as u32)
+                .map(|ch| columns(r, ch).into_iter().max().unwrap_or(0))
+                .collect()
+        };
+        assert_eq!(peaks(&r), r.channel_density, "fixture sanity");
+        // Two fixed-channel spans trading channels: every channel whose
+        // slow recount moves must be reported, with that recount.
+        let fixed: Vec<usize> = (0..r.spans.len())
+            .filter(|&i| r.spans[i].switch_row.is_none())
+            .collect();
+        let mut caught = 0;
+        for (&i, &j) in fixed.iter().zip(&fixed[1..]).take(64) {
+            let mut m = r.clone();
+            (m.spans[i].channel, m.spans[j].channel) = (r.spans[j].channel, r.spans[i].channel);
+            let expected: Vec<(usize, i64, i64)> = peaks(&m)
+                .into_iter()
+                .enumerate()
+                .filter(|&(ch, p)| p != r.channel_density[ch])
+                .map(|(ch, p)| (ch, r.channel_density[ch], p))
+                .collect();
+            assert_eq!(
+                density_mismatches(&verify(&c, &m)),
+                expected,
+                "spans {i},{j}"
+            );
+            caught += usize::from(!expected.is_empty());
+        }
+        assert!(caught > 0, "fixture must contain a density-changing swap");
     }
 
     #[test]

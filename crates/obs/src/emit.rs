@@ -18,8 +18,8 @@ use crate::metrics::RankMetrics;
 /// v3: new `"profile"` dump kind (causal critical-path profiles, see
 /// [`crate::profile`]); metrics windows gained the per-phase
 /// `mpi.recv_wait_micros` and `trace.dropped` counters; aggregate dumps
-/// gained wait-fraction / imbalance series. (Bench snapshots version
-/// independently — see `pgr-bench`'s `BENCH_SCHEMA_VERSION`.)
+/// gained wait-fraction / imbalance series. (The benchmark's result
+/// files are a separate format — see `benchmark/README.md`.)
 ///
 /// v5: [`RunMeta`] gained the adversarial-scenario name (`scenario`,
 /// emitted only when non-empty) and the `budget_degraded` stamp

@@ -115,17 +115,6 @@ pub fn bucket_index(v: u64) -> usize {
     (u64::BITS - v.leading_zeros()) as usize
 }
 
-/// Human-readable range of bucket `i` (`"0"` or `"[lo,hi)"`).
-pub fn bucket_label(i: usize) -> String {
-    if i == 0 {
-        "0".to_string()
-    } else if i >= HIST_BUCKETS - 1 {
-        format!("[{},∞)", 1u64 << (i - 1))
-    } else {
-        format!("[{},{})", 1u64 << (i - 1), 1u64 << i)
-    }
-}
-
 impl Histogram {
     pub fn new() -> Self {
         Histogram {
