@@ -6,17 +6,22 @@
 # crate's five largest files. CHANGES.md quotes these numbers
 # before → after.
 #
-# Also a ratchet: exits non-zero when any file under crates/*/src has
-# more than MAX_FILE non-test lines, so no file grows back into the
-# 1 919-line `comm.rs` this limit was introduced after splitting — and
-# when anything under crates/core/src hands `send_bytes` a zero-filled
-# placeholder: bytes that exist only to be charged for are a
-# `send_modeled`, which charges the same and moves none — and when a
-# second measurement path reappears beside `benchmark/`: a kernel
-# snapshot at the root or a `[[bench]]` target in any manifest.
+# Also a ratchet, exiting non-zero:
+# - when any file under crates/*/src has more than MAX_FILE non-test
+#   lines, so no file grows back into the 1 919-line `comm.rs` or the
+#   1 501-line `tables.rs` the limit was tightened after splitting;
+# - when anything under crates/core/src hands `send_bytes` a zero-filled
+#   placeholder: bytes that exist only to be charged for are a
+#   `send_modeled`, which charges the same and moves none;
+# - when a second measurement path reappears beside `benchmark/`: a
+#   kernel snapshot at the root or a `[[bench]]` target in any manifest;
+# - when the harness grows a second runner: `tables::run_cell` (through
+#   `route_parallel_guarded`) is how every `repro` target runs all four
+#   drivers, so nothing under crates/bench/src spawns a world or calls
+#   the serial entry itself.
 set -eu
 cd "$(dirname "$0")/.."
-MAX_FILE=1600
+MAX_FILE=1000
 
 # One "<non-test> <lines> <pub fn> <file>" row per file.
 per_file() {
@@ -57,6 +62,13 @@ placeholders=$(grep -rnE 'send_bytes\(.*vec!\[0u8;' crates/core/src || true)
 if [ -n "$placeholders" ]; then
     echo "surface: zero-filled placeholder frames (use Comm::send_modeled):" >&2
     echo "$placeholders" >&2
+    exit 1
+fi
+
+second_runner=$(grep -rnE 'try_route_serial|run_instrumented' crates/bench/src || true)
+if [ -n "$second_runner" ]; then
+    echo "surface: repro targets run routes through tables::run_cell only:" >&2
+    echo "$second_runner" >&2
     exit 1
 fi
 

@@ -3,84 +3,44 @@
 //! ```text
 //! repro [--scale F] [--circuits a,b,c] [--trace-out DIR] <target>...
 //!
-//! targets: table1 table2 table3 table4 table5
-//!          partition-ablation sync-sweep machine-sweep
-//!          exact-sync-ablation beta-sweep phase-breakdown
-//!          detailed-refinement steiner-ablation comm-matrix
-//!          chaos wall-clock profile all
-//!
 //! repro aggregate [--out FILE] [--md FILE] [--baseline FILE]
 //!                 [--tolerance F] <path>...
 //! ```
 //!
-//! `table2`/`table3`/`table4` also emit figures 4/5/6 (the speedup
-//! series). `--scale 0.1` runs 10 %-size circuits for a quick look;
-//! the default regenerates the full-size evaluation. `--trace-out DIR`
-//! makes instrumented targets (`phase-breakdown`, `table2`–`table4`)
-//! write per-run Chrome traces (`*.trace.json`, load in
-//! `chrome://tracing` or Perfetto), per-rank stats (`*.stats.json`),
-//! and per-rank metrics (`*.metrics.json`) into DIR (created if
-//! missing).
-//!
-//! `wall-clock` runs all four drivers in wall-clock execution mode
-//! ([`pgr_mpi::ClockMode::Wall`]): ranks run free, and the table shows
-//! the deterministic virtual seconds next to the real host seconds of
-//! the same run. Results are bit-identical to virtual mode — only the
-//! wall measurements are host-dependent. Under `--trace-out` the stats
-//! dumps are stamped `"clock":"wall"`.
-//!
-//! `chaos` is the robustness smoke: every algorithm routed under a
-//! seeded drop/delay/reorder/duplicate schedule with the reliable
-//! transport on, plus one rank killed at a phase boundary; each
-//! degraded result is verified and the recovery counters — including
-//! the checkpoint-resume accounting (`recovery.redone_phases`,
-//! `recovery.checkpoint.restores`) — are printed (and written to
-//! `*.metrics.json` under `--trace-out`). The schedule is overridable:
-//! `--kill R@B` (repeatable) kills rank R at phase boundary B, where B
-//! is a registry phase name (`coarse`) or its index (`2`) — anything
-//! outside the registry is rejected with the valid range and exit
-//! code 2 — and `--max-rounds N` / `--min-ranks N` override the
-//! recovery-policy bounds, so a single command can demonstrate resume,
-//! multi-round recovery, or the forced serial fallback.
-//!
-//! `profile` is the causal profiler: every driver runs fully
-//! instrumented, each run's send→recv matched happens-before DAG yields
-//! the critical path of the makespan, and every second on it is blamed
-//! on compute, recv-wait, transport, recovery, or the degraded
-//! fallback. The summary table and per-phase × rank blame tables print
-//! to stdout; under `--trace-out` each run also writes
-//! `*.profile.json`, `*.blame.md`, and a Chrome trace with flow arrows
-//! plus color-tagged critical-path slices. The path-sum-equals-makespan
-//! invariant is asserted in-process on every lossless run.
-//!
-//! `big-circuit` generates a synthetic instance an order of magnitude
-//! beyond the paper's largest (~200k nets at scale 1.0) and routes it
-//! serially — the smoke test that the chunked columnar circuit store
-//! holds up past the MCNC sizes.
-//!
-//! `repro aggregate` merges any number of such dumps — files or
-//! directories, typically from several independent `--trace-out` runs —
-//! into one cross-run report (speedup curves, phase-time trends,
-//! quality deltas) printed as markdown (or written with `--md`) and
-//! optionally written as JSON with `--out`. With `--baseline FILE` the
-//! fresh aggregate is compared against a committed report; any run
-//! whose makespan, tracks, or wirelength regresses beyond `--tolerance`
-//! (relative, default 0.02) makes the command exit non-zero.
+//! The targets are the rows of [`pgr_bench::tables::TARGETS`] — `repro
+//! --help` lists them — plus `all`, which runs every one the table marks
+//! as part of it; what each prints, writes and gates is documented on its
+//! function in [`pgr_bench::tables`], and `repro aggregate` in
+//! [`pgr_bench::aggregate`]. `--scale 0.1` runs 10 %-size circuits for a
+//! quick look; the default regenerates the full-size evaluation.
+//! `--trace-out DIR` makes every target that instruments its runs write
+//! per-run Chrome traces (`*.trace.json`, load in `chrome://tracing` or
+//! Perfetto), per-rank stats (`*.stats.json`) and per-rank metrics
+//! (`*.metrics.json`) into DIR (created if missing). `--kill R@B` names
+//! the boundary B by registry phase name (`coarse`) or index (`2`);
+//! anything outside the registry is rejected with the valid range and
+//! exit code 2.
 
 use pgr_bench::aggregate::{aggregate, check_baseline, load_paths};
-use pgr_bench::tables::{self, Opts};
+use pgr_bench::tables::{Opts, Target, TARGETS};
 use pgr_circuit::scenarios::ScenarioFamily;
 use pgr_mpi::Phase;
-use pgr_router::Algorithm;
 use std::path::PathBuf;
 
 fn usage() -> ! {
+    let names = |keep: fn(&Target) -> bool| -> String {
+        let kept = TARGETS.iter().filter(|t| keep(t));
+        kept.map(|t| t.0).collect::<Vec<_>>().join(" ")
+    };
     eprintln!(
         "usage: repro [--scale F] [--circuits a,b,c] [--trace-out DIR]\n             [--kill R@B]... [--max-rounds N] [--min-ranks N]\n             [--family NAME]... <target>...\n\
-         targets: table1 table2 table3 table4 table5 partition-ablation sync-sweep\n          machine-sweep exact-sync-ablation beta-sweep phase-breakdown detailed-refinement steiner-ablation comm-matrix chaos wall-clock big-circuit stress profile all\n\
+         targets: {} all\n\
+         all:    every target but {}\n\
          chaos:  --kill R@B kills rank R at phase boundary B (registry name or index);\n         --max-rounds / --min-ranks bound the recovery policy\n\
          stress: --family restricts the adversarial-workload matrix (repeatable)\n\
-         or:    repro aggregate [--out FILE] [--md FILE] [--baseline FILE] [--tolerance F] <path>..."
+         or:    repro aggregate [--out FILE] [--md FILE] [--baseline FILE] [--tolerance F] <path>...",
+        names(|_| true),
+        names(|t| !t.3),
     );
     std::process::exit(2);
 }
@@ -90,7 +50,7 @@ fn usage() -> ! {
 /// registry phase name (`coarse`) or its numeric index (`2`) — and is
 /// validated against [`Phase::ALL`]; anything outside the registry is a
 /// structured error listing the valid boundaries.
-fn parse_kill(spec: &str) -> Result<(usize, usize), String> {
+fn parse_kill(spec: &str) -> Result<(usize, u64), String> {
     let registry = || {
         Phase::ALL
             .iter()
@@ -122,12 +82,21 @@ fn parse_kill(spec: &str) -> Result<(usize, usize), String> {
                 )
             })?,
     };
-    Ok((rank, idx))
+    Ok((rank, idx as u64))
 }
 
 fn fail(msg: &str) -> ! {
     eprintln!("repro: {msg}");
     std::process::exit(2);
+}
+
+/// The value of `flag` as an integer ≥ 1.
+fn at_least_one<T: std::str::FromStr + PartialOrd + From<u8>>(flag: &str, v: Option<String>) -> T {
+    match v.unwrap_or_else(|| usage()).parse::<T>() {
+        Ok(n) if n >= T::from(1) => n,
+        Ok(_) => fail(&format!("{flag} must be at least 1")),
+        Err(_) => fail(&format!("{flag} must be a positive integer")),
+    }
 }
 
 fn aggregate_main(args: impl Iterator<Item = String>) -> ! {
@@ -231,39 +200,19 @@ fn main() {
                 let v = args.next().unwrap_or_else(|| usage());
                 opts.kills.push(parse_kill(&v).unwrap_or_else(|e| fail(&e)));
             }
-            "--max-rounds" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                let n: u32 = v
-                    .parse()
-                    .unwrap_or_else(|_| fail("--max-rounds must be a positive integer"));
-                if n == 0 {
-                    fail("--max-rounds must be at least 1");
-                }
-                opts.max_rounds = Some(n);
-            }
-            "--min-ranks" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                let n: usize = v
-                    .parse()
-                    .unwrap_or_else(|_| fail("--min-ranks must be a positive integer"));
-                if n == 0 {
-                    fail("--min-ranks must be at least 1");
-                }
-                opts.min_ranks = Some(n);
-            }
+            "--max-rounds" => opts.recovery.max_rounds = at_least_one(&a, args.next()),
+            "--min-ranks" => opts.recovery.min_ranks = at_least_one(&a, args.next()),
             "--family" => {
                 let v = args.next().unwrap_or_else(|| usage());
-                if ScenarioFamily::from_name(&v).is_none() {
-                    let registry = ScenarioFamily::ALL
-                        .iter()
-                        .map(|f| f.name())
-                        .collect::<Vec<_>>()
-                        .join(", ");
+                let family = ScenarioFamily::from_name(&v).unwrap_or_else(|| {
+                    let registry: Vec<&str> =
+                        ScenarioFamily::ALL.iter().map(|f| f.name()).collect();
                     fail(&format!(
-                        "--family '{v}' is not an adversarial workload family; valid: {registry}"
-                    ));
-                }
-                opts.families.get_or_insert_with(Vec::new).push(v);
+                        "--family '{v}' is not an adversarial workload family; valid: {}",
+                        registry.join(", ")
+                    ))
+                });
+                opts.families.get_or_insert_with(Vec::new).push(family);
             }
             "-h" | "--help" => usage(),
             f if f.starts_with('-') => fail(&format!("unknown flag '{f}'")),
@@ -273,55 +222,19 @@ fn main() {
     if targets.is_empty() {
         usage();
     }
-    if targets.iter().any(|t| t == "all") {
-        targets = [
-            "table1",
-            "table2",
-            "table3",
-            "table4",
-            "table5",
-            "partition-ablation",
-            "sync-sweep",
-            "machine-sweep",
-            "exact-sync-ablation",
-            "beta-sweep",
-            "phase-breakdown",
-            "detailed-refinement",
-            "steiner-ablation",
-            "comm-matrix",
-            "chaos",
-            "wall-clock",
-            "profile",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    }
-    for t in &targets {
-        match t.as_str() {
-            "table1" => tables::table1(&opts),
-            "table2" | "figure4" => tables::quality_and_speedup(Algorithm::RowWise, &opts),
-            "table3" | "figure5" => tables::quality_and_speedup(Algorithm::NetWise, &opts),
-            "table4" | "figure6" => tables::quality_and_speedup(Algorithm::Hybrid, &opts),
-            "table5" => tables::table5(&opts),
-            "partition-ablation" => tables::partition_ablation(&opts),
-            "sync-sweep" => tables::sync_sweep(&opts),
-            "machine-sweep" => tables::machine_sweep(&opts),
-            "exact-sync-ablation" => tables::exact_sync_ablation(&opts),
-            "beta-sweep" => tables::beta_sweep(&opts),
-            "phase-breakdown" => tables::phase_breakdown(&opts),
-            "detailed-refinement" => tables::detailed_refinement(&opts),
-            "steiner-ablation" => tables::steiner_ablation(&opts),
-            "comm-matrix" => tables::comm_matrix(&opts),
-            "chaos" => tables::chaos_smoke(&opts),
-            "stress" => tables::stress(&opts),
-            "wall-clock" => tables::wall_clock(&opts),
-            "big-circuit" => tables::big_circuit(&opts),
-            "profile" => tables::profile(&opts),
-            other => {
-                eprintln!("unknown target '{other}'");
-                usage();
-            }
-        }
+    let find = |t: &String| {
+        let named = |(name, aliases, ..): &&Target| name == t || aliases.contains(&t.as_str());
+        TARGETS.iter().find(named).unwrap_or_else(|| {
+            eprintln!("unknown target '{t}'");
+            usage()
+        })
+    };
+    let runs: Vec<&Target> = if targets.iter().any(|t| t == "all") {
+        TARGETS.iter().filter(|t| t.3).collect()
+    } else {
+        targets.iter().map(find).collect()
+    };
+    for (_, _, run, _) in runs {
+        run(&opts);
     }
 }

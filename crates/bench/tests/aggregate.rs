@@ -6,6 +6,7 @@
 use pgr_bench::aggregate::{aggregate, check_baseline, load_paths};
 use pgr_bench::tables::write_traces;
 use pgr_circuit::mcnc::Mcnc;
+use pgr_mpi::trace::chrome_trace_json;
 use pgr_mpi::{run_instrumented, InstrumentConfig, MachineModel, RunMeta};
 use pgr_obs::{metrics_json, RankMetrics, SCHEMA_VERSION};
 use pgr_router::{
@@ -343,7 +344,7 @@ fn trace_out_artifacts_round_trip_through_aggregate() {
     write_traces(
         &dir_serial,
         "primary2_serial",
-        &traces,
+        chrome_trace_json(&traces),
         &report.stats,
         &machine,
         &run,
@@ -371,7 +372,7 @@ fn trace_out_artifacts_round_trip_through_aggregate() {
     write_traces(
         &dir_par,
         "primary2_row-wise_p4",
-        &out.traces,
+        chrome_trace_json(&out.traces),
         &out.stats,
         &machine,
         &run,

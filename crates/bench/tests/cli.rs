@@ -86,6 +86,36 @@ fn unknown_target_and_empty_invocations_exit_2() {
     assert_eq!(repro(&["aggregate"]).status.code(), Some(2));
 }
 
+/// The usage text, `all` and the dispatch are generated from one table:
+/// no target can be runnable but undocumented, and what `all` leaves out
+/// is stated, not implied.
+#[test]
+fn help_lists_every_target_and_all_omits_exactly_the_two_smokes() {
+    use pgr_bench::tables::TARGETS;
+    let out = repro(&["--help"]);
+    assert_eq!(out.status.code(), Some(2));
+    let help = stderr(&out);
+    let listed = help
+        .lines()
+        .find_map(|l| l.strip_prefix("targets: "))
+        .expect("a targets line");
+    let listed: Vec<&str> = listed.split(' ').collect();
+    let mut names: Vec<&str> = TARGETS.iter().map(|t| t.0).collect();
+    names.push("all");
+    assert_eq!(listed, names);
+    let omitted: Vec<&str> = TARGETS.iter().filter(|t| !t.3).map(|t| t.0).collect();
+    assert_eq!(omitted, ["stress", "big-circuit"]);
+    assert!(
+        help.contains("every target but stress big-circuit"),
+        "{help}"
+    );
+    // Lookup takes the first row that matches: an alias must not shadow
+    // another row's name.
+    for alias in TARGETS.iter().flat_map(|t| t.1) {
+        assert!(!names.contains(alias), "{alias} shadows a target");
+    }
+}
+
 #[test]
 fn trace_out_creates_missing_directories_at_parse_time() {
     let root = tmp_dir("trace-out");

@@ -1,5 +1,5 @@
-//! `run_cell` is the one way the harness runs a route: serial or
-//! parallel, the cell takes its clock from the router config.
+//! `run_cell` is the one way the harness runs a route: whichever of the
+//! four drivers, the cell takes its clock from the router config.
 
 use pgr_bench::tables::run_cell;
 use pgr_bench::SEED;
@@ -22,18 +22,12 @@ fn serial_and_parallel_cells_take_their_clock_from_the_router_config() {
         ..virt_cfg.clone()
     };
     let dir = std::env::temp_dir().join(format!("pgr-run-cell-{}", std::process::id()));
-    for driver in [None, Some((Algorithm::Hybrid, PartitionKind::PinWeight, 2))] {
-        let name = driver.map_or("serial", |(a, _, _)| a.name());
+    for (algo, procs) in [(Algorithm::Serial, 1), (Algorithm::Hybrid, 2)] {
+        let driver = (algo, PartitionKind::PinWeight, procs);
+        let name = algo.name();
         // The instrumentation bundle says nothing about the clock.
         let instr = InstrumentConfig::metered();
-        let run = RunMeta::new(
-            &circuit.name,
-            name,
-            driver.map_or(1, |(_, _, p)| p),
-            machine.name,
-            0.05,
-            SEED,
-        );
+        let run = RunMeta::new(&circuit.name, name, procs, machine.name, 0.05, SEED);
         let virt = run_cell(&circuit, &virt_cfg, driver, machine, instr.clone(), None);
         let emit = Some((dir.as_path(), name, run));
         let wall = run_cell(&circuit, &wall_cfg, driver, machine, instr, emit);

@@ -5,6 +5,7 @@
 
 use pgr_bench::tables::write_traces;
 use pgr_circuit::mcnc::Mcnc;
+use pgr_mpi::trace::chrome_trace_json;
 use pgr_mpi::{run_instrumented, InstrumentConfig, MachineModel, RankStats, RunMeta, TraceConfig};
 use pgr_router::{Algorithm, PartitionKind, RouterConfig};
 use std::path::PathBuf;
@@ -97,7 +98,7 @@ fn write_traces_emits_both_artifacts() {
     let trace_path = write_traces(
         &dir,
         "primary2_row",
-        &traces,
+        chrome_trace_json(&traces),
         &stats,
         &machine,
         &meta(2),

@@ -18,11 +18,6 @@ pub struct DetailedRouting {
 }
 
 impl DetailedRouting {
-    /// Tracks needed per channel.
-    pub fn tracks_per_channel(&self) -> Vec<usize> {
-        self.channels.iter().map(TrackAssignment::count).collect()
-    }
-
     /// Total tracks across all channels — the detailed refinement of
     /// [`RoutingResult::track_count`].
     pub fn track_count(&self) -> usize {
@@ -94,7 +89,7 @@ mod tests {
         for (c, (&density, tracks)) in r
             .channel_density
             .iter()
-            .zip(d.tracks_per_channel())
+            .zip(d.channels.iter().map(TrackAssignment::count))
             .enumerate()
         {
             assert!(

@@ -13,9 +13,9 @@
 //!   [`Comm::boundary`], which commits the pipeline's snapshot, stamps
 //!   the trace/stats mark, rotates the per-phase metric window,
 //!   evaluates the fault layer's kill schedule and runs the budget
-//!   agreement — a kill or an agreed breach surfaces as [`RouteAbort`]
-//!   instead of running the pass;
-//! * **checkpointed recovery** ([`with_recovery`]): at every phase
+//!   agreement — a kill or an agreed breach aborts the attempt instead
+//!   of running the pass;
+//! * **checkpointed recovery** ([`drive`]'s loop): at every phase
 //!   boundary past the first, each rank commits a CRC-32-stamped
 //!   snapshot of its pipeline state into the shared checkpoint store
 //!   (`pgr_mpi::CheckpointStore`); on `PeersDied` the survivors count
@@ -65,8 +65,7 @@ pub use pgr_obs::Phase;
 /// Why one routing attempt could not run to completion: the fault
 /// layer's kill schedule fired at a phase boundary, or a resource
 /// budget was breached and the world agreed to stop.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RouteAbort {
+enum RouteAbort {
     /// This rank is the victim — unwind without touching the network.
     SelfKilled,
     /// Peers (physical rank ids) died entering phase `at`; the
@@ -130,21 +129,20 @@ impl std::error::Error for RouteError {}
 
 /// How a recovery round continues the route: resume the pipeline from
 /// phase index `from` (a registry index), seeded from the failed
-/// attempt's checkpoint payloads. Built by [`with_recovery`], consumed
-/// by [`run_attempt`].
-#[derive(Debug, Clone)]
-pub struct ResumePlan {
+/// attempt's checkpoint payloads. Built by [`drive`]'s recovery arm,
+/// consumed by [`run_attempt`].
+struct ResumePlan {
     /// Registry index of the first phase the resumed attempt executes —
     /// the agreed last globally committed restorable boundary.
-    pub from: usize,
+    from: usize,
     /// Registry index of the phase whose boundary the previous attempt
     /// died entering. Phases in `from..killed_at` are the redone work;
     /// reaching `killed_at` again is the caught-up point the profiler's
     /// `resume` blame class ends at.
-    pub killed_at: usize,
+    killed_at: usize,
     /// The failed world's snapshot payloads at `from`, in that world's
     /// logical-rank order (CRC-verified at fetch).
-    pub payloads: Vec<Vec<u8>>,
+    payloads: Vec<Vec<u8>>,
 }
 
 /// Bounds on the recovery loop. Every survivor evaluates the policy
@@ -169,24 +167,6 @@ impl Default for RecoveryPolicy {
             min_ranks: 1,
         }
     }
-}
-
-/// What the bounded recovery loop decided.
-#[derive(Debug)]
-pub enum RecoveryFlow {
-    /// An attempt ran to completion; `rounds` recoveries preceded it.
-    Completed {
-        result: Option<RoutingResult>,
-        rounds: u32,
-    },
-    /// This rank is a scheduled victim — it holds no result.
-    SelfKilled,
-    /// The policy's bounds were breached after `rounds` recoveries; the
-    /// caller must finish the route by other means (serial fallback).
-    Degraded { rounds: u32 },
-    /// A resource budget was breached and agreed on — the run ends with
-    /// this structured error on every rank.
-    BudgetExceeded(RouteError),
 }
 
 /// Per-attempt context the engine derives once, before the first pass:
@@ -245,19 +225,14 @@ impl<'a> RouteCtx<'a> {
 
 /// One routing algorithm, expressed as phase bodies the engine drives.
 ///
-/// The engine calls [`pass`](Pipeline::pass) once per entry of
-/// [`PASSES`](Pipeline::PASSES), in order, entering each through a
-/// recovery checkpoint first. Pass bodies are infallible — only the
+/// The engine calls [`pass`](Pipeline::pass) once per phase of
+/// [`Phase::ALL`], in order, entering each through a recovery checkpoint
+/// first. Pass bodies are infallible — only the
 /// checkpoints abort — and hand intermediate state to later passes
 /// through `self`. After the final pass the engine collects the result
 /// via [`take_result`](Pipeline::take_result) (`Some` on the rank that
 /// assembled the global solution).
 pub trait Pipeline {
-    /// The declared pass sequence. Every current pipeline runs the full
-    /// registry; a subset (e.g. a coarse-only experiment) is legal as
-    /// long as it stays in registry order on every rank.
-    const PASSES: &'static [Phase] = &Phase::ALL;
-
     /// Execute the body of one phase.
     fn pass(&mut self, phase: Phase, ctx: &mut RouteCtx<'_>, comm: &mut Comm);
 
@@ -294,13 +269,13 @@ pub trait Pipeline {
 /// boundary the previous attempt died at. Each executed boundary past
 /// the first re-commits its snapshot under the current attempt, so a
 /// later kill can resume again.
-pub fn run_attempt<P: Pipeline>(
+fn run_attempt<P: Pipeline>(
     pipe: &mut P,
     ctx: &mut RouteCtx<'_>,
     comm: &mut Comm,
     plan: Option<&ResumePlan>,
 ) -> Result<Option<RoutingResult>, RouteAbort> {
-    for &phase in P::PASSES {
+    for phase in Phase::ALL {
         if let Some(plan) = plan {
             if phase.index() < plan.from {
                 continue;
@@ -319,9 +294,7 @@ pub fn run_attempt<P: Pipeline>(
     }
     // A breach latched inside the final pass has no later boundary to
     // surface it — agree once more before declaring the attempt complete.
-    if let Some(&last) = P::PASSES.last() {
-        proceed_past(last, comm.budget_agree())?;
-    }
+    proceed_past(Phase::Assemble, comm.budget_agree())?;
     comm.metric_window_close();
     Ok(pipe.take_result())
 }
@@ -339,46 +312,140 @@ fn proceed_past(at: Phase, outcome: PhaseControl) -> Result<(), RouteAbort> {
     }
 }
 
-/// Recovery driver shared by the parallel algorithms: run attempts
-/// until one completes, removing dead ranks at every
-/// [`RouteAbort::PeersDied`] and continuing — by **checkpoint resume**
-/// when the failed attempt left a globally committed restorable
-/// boundary, by full restart otherwise. A victim returns
-/// [`RecoveryFlow::SelfKilled`] (it holds no result); survivors renumber
-/// densely, so the continuation *is* the algorithm on a fresh
-/// (P − killed)-rank world — partitions, rank-derived RNG streams, and
-/// the rank-0 assembly role all follow the logical ranks. Recovery
-/// rounds, ranks lost, and the redone-phase accounting are counted into
-/// the metrics shard (inside the window of the phase whose boundary
-/// failed), so degraded runs are distinguishable in `*.metrics.json`.
+/// Complete the route serially on the lowest surviving rank after the
+/// recovery policy gave up on the parallel pipeline. The fallback runs
+/// the serial pipeline over a solo-shaped context — rank 0's RNG stream
+/// (`derive_seed(cfg.seed, 0)`) is exactly the pure serial run's, so the
+/// degraded result is bit-identical to `try_route_serial` on the same
+/// circuit. Passes are entered through [`Comm::phase_mark`] — the phase
+/// mark and metric-window rotation of a boundary but *no* kill
+/// checkpoint: the schedule that forced the degradation must not be able
+/// to kill the fallback too.
+fn degraded_serial(circuit: &Circuit, cfg: &RouterConfig, comm: &mut Comm) -> RoutingResult {
+    let mut ctx = RouteCtx {
+        circuit,
+        cfg,
+        kind: PartitionKind::PinWeight,
+        rows: RowPartition::balanced(circuit, 1),
+        rng: rng_from_seed(derive_seed(cfg.seed, 0)),
+        size: 1,
+        rank: 0,
+    };
+    let mut pipe = crate::route::serial::SerialPipeline::default();
+    for phase in Phase::ALL {
+        comm.phase_mark(phase);
+        pipe.pass(phase, &mut ctx, comm);
+    }
+    comm.metric_window_close();
+    pipe.take_result()
+        .expect("the serial pipeline always assembles a result")
+}
+
+/// The SPMD entry point the serial router and every parallel algorithm
+/// share ([`crate::route::try_route_serial`] is
+/// `drive::<SerialPipeline>`, [`crate::parallel::Algorithm::try_route`]
+/// picks the pipeline): the bounded recovery loop around engine-driven
+/// attempts, each over a freshly derived [`RouteCtx`] and a fresh
+/// pipeline; the serial fallback when the loop gives up (stamping
+/// [`names::DEGRADED_SERIAL`] and the `degraded` stats flag downstream);
+/// and the automatic post-recovery self-check — any run that recovered,
+/// degraded, **or shed budgeted work** re-verifies its result via
+/// [`crate::verify::check`] on the rank holding it, so every chaos
+/// schedule and every shed ends in a *verified* completed route.
 ///
-/// Where to resume is [`Comm::shrink_world`]'s verdict (the commit
-/// protocol lives there): a last globally committed restorable boundary
-/// with its CRC-verified payloads, or `None` — a kill entering the very
-/// first phase, no common portable deposit, or a snapshot failing its
-/// integrity check — which falls back to the full restart.
+/// Recovery: attempts run until one completes, removing dead ranks at
+/// every `PeersDied` abort and continuing — by **checkpoint resume** when
+/// the failed attempt left a globally committed restorable boundary, by
+/// full restart otherwise. A victim returns `Ok(None)` (it holds no
+/// result); survivors renumber densely, so the continuation *is* the
+/// algorithm on a fresh (P − killed)-rank world — partitions,
+/// rank-derived RNG streams, and the rank-0 assembly role all follow the
+/// logical ranks. Recovery rounds, ranks lost, and the redone-phase
+/// accounting are counted into the metrics shard (inside the window of
+/// the phase whose boundary failed), so degraded runs are
+/// distinguishable in `*.metrics.json`. Where to resume is
+/// [`Comm::shrink_world`]'s verdict (the commit protocol lives there): a
+/// last globally committed restorable boundary with its CRC-verified
+/// payloads, or `None` — a kill entering the very first phase, no common
+/// portable deposit, or a snapshot failing its integrity check — which
+/// falls back to the full restart. The loop is bounded by
+/// `cfg.recovery`: once the round budget is spent or the survivors fall
+/// below the floor, the lowest surviving rank completes the route with
+/// the serial fallback.
 ///
-/// The loop is bounded by `policy`: once the round budget is spent or
-/// the survivors fall below the floor, it stops retrying and returns
-/// [`RecoveryFlow::Degraded`] — the caller (normally [`drive`]) then
-/// completes the route with the serial fallback.
-pub fn with_recovery<F>(comm: &mut Comm, policy: RecoveryPolicy, mut attempt: F) -> RecoveryFlow
-where
-    F: FnMut(&mut Comm, Option<&ResumePlan>) -> Result<Option<RoutingResult>, RouteAbort>,
-{
+/// Budgets: `cfg.budget` is armed on the communicator for the duration
+/// of the parallel attempts. `max_recovery_rounds` folds into the
+/// recovery policy (the tighter bound wins); exhausting the *budget's*
+/// bound is a structured [`RouteError::BudgetExceeded`] on every rank,
+/// not a silent serial fallback. The fallback itself always runs
+/// unbudgeted — a degraded completion is strictly better than a hang,
+/// and the shed stamp survives into the result's verification.
+pub fn drive<P: Pipeline + Default>(
+    circuit: &Circuit,
+    cfg: &RouterConfig,
+    kind: PartitionKind,
+    comm: &mut Comm,
+) -> Result<Option<RoutingResult>, RouteError> {
+    if cfg.budget.is_limited() {
+        comm.set_budget(cfg.budget);
+    }
+    let mut policy = cfg.recovery;
+    let budget_rounds = cfg.budget.max_recovery_rounds;
+    if let Some(b) = budget_rounds {
+        policy.max_rounds = policy.max_rounds.min(b);
+    }
     let mut rounds = 0u32;
     let mut plan: Option<ResumePlan> = None;
-    loop {
+    // The phase whose boundary the last kill fired at — stamps the
+    // recovery-rounds budget error with where the run actually died.
+    let mut last_abort = Phase::ALL[0];
+    let (result, recovered) = loop {
         if rounds >= policy.max_rounds || comm.size() < policy.min_ranks {
-            return RecoveryFlow::Degraded { rounds };
+            // Exhaustion under the *budget's* rounds bound is a breach:
+            // every survivor computes the same verdict from the same
+            // SPMD state, so all ranks return the identical error.
+            if let Some(b) = budget_rounds {
+                if b < cfg.recovery.max_rounds && rounds >= b {
+                    comm.clear_budget();
+                    return Err(RouteError::BudgetExceeded {
+                        rank: 0,
+                        phase: last_abort,
+                        budget: BudgetKind::RecoveryRounds,
+                        limit: b as f64,
+                        observed: rounds as f64,
+                    });
+                }
+            }
+            // The shed agreement must run on *every* survivor, before
+            // the non-root ranks exit below (the epilogue's agreement
+            // sees a cleared budget here and short-circuits).
+            let _ = comm.budget_shed_agree();
+            // Every survivor reached this decision from the same
+            // deterministic state; only the lowest logical rank routes,
+            // the rest hold no result and exit.
+            if comm.rank() != 0 {
+                comm.clear_budget();
+                return Ok(None);
+            }
+            comm.metric_add(names::DEGRADED_SERIAL, 1);
+            // Causal-profiler anchor: path segments after this mark are
+            // blamed on the degraded fallback. The fallback itself runs
+            // unbudgeted (clear before, so its phases are never timed),
+            // but a pre-fallback shed still stamps the run.
+            comm.trace_mark(pgr_obs::MARK_DEGRADED_SERIAL);
+            comm.clear_budget();
+            break (Some(degraded_serial(circuit, cfg, comm)), true);
         }
-        match attempt(comm, plan.as_ref()) {
-            Ok(result) => return RecoveryFlow::Completed { result, rounds },
-            Err(RouteAbort::SelfKilled) => return RecoveryFlow::SelfKilled,
+        let mut ctx = RouteCtx::new(circuit, cfg, kind, comm);
+        let mut pipe = P::default();
+        match run_attempt(&mut pipe, &mut ctx, comm, plan.as_ref()) {
+            Ok(result) => break (result, rounds > 0),
+            Err(RouteAbort::SelfKilled) => return Ok(None),
             Err(RouteAbort::Budget { rank, at, breach }) => {
-                // Already agreed world-wide at the boundary: every rank takes
-                // this arm with the identical payload.
-                return RecoveryFlow::BudgetExceeded(RouteError::BudgetExceeded {
+                // Already agreed world-wide at the boundary: every rank
+                // takes this arm with the identical payload.
+                comm.clear_budget();
+                return Err(RouteError::BudgetExceeded {
                     rank,
                     phase: at,
                     budget: breach.kind,
@@ -387,6 +454,7 @@ where
                 });
             }
             Err(RouteAbort::PeersDied { dead, at }) => {
+                last_abort = at;
                 comm.metric_add(names::RECOVERY_EVENTS, 1);
                 comm.metric_add(names::RANKS_LOST, dead.len() as u64);
                 let killed_at = at.index();
@@ -414,127 +482,6 @@ where
                 }
                 rounds += 1;
             }
-        }
-    }
-}
-
-/// Complete the route serially on the lowest surviving rank after the
-/// recovery policy gave up on the parallel pipeline. The fallback runs
-/// the serial pipeline over a solo-shaped context — rank 0's RNG stream
-/// (`derive_seed(cfg.seed, 0)`) is exactly the pure serial run's, so the
-/// degraded result is bit-identical to `try_route_serial` on the same
-/// circuit. Passes are entered through [`Comm::phase_mark`] — the phase
-/// mark and metric-window rotation of a boundary but *no* kill
-/// checkpoint: the schedule that forced the degradation must not be able
-/// to kill the fallback too.
-fn degraded_serial(circuit: &Circuit, cfg: &RouterConfig, comm: &mut Comm) -> RoutingResult {
-    let mut ctx = RouteCtx {
-        circuit,
-        cfg,
-        kind: PartitionKind::PinWeight,
-        rows: RowPartition::balanced(circuit, 1),
-        rng: rng_from_seed(derive_seed(cfg.seed, 0)),
-        size: 1,
-        rank: 0,
-    };
-    let mut pipe = crate::route::serial::SerialPipeline::default();
-    for &phase in <crate::route::serial::SerialPipeline as Pipeline>::PASSES {
-        comm.phase_mark(phase);
-        pipe.pass(phase, &mut ctx, comm);
-    }
-    comm.metric_window_close();
-    pipe.take_result()
-        .expect("the serial pipeline always assembles a result")
-}
-
-/// The SPMD entry point the serial router and every parallel algorithm
-/// share ([`crate::route::try_route_serial`] is
-/// `drive::<SerialPipeline>`, [`crate::parallel::Algorithm::try_route`]
-/// picks the parallel pipeline): the bounded
-/// recovery loop around engine-driven attempts, each over a freshly
-/// derived [`RouteCtx`] and a fresh pipeline; the serial fallback when
-/// the loop gives up (stamping [`names::DEGRADED_SERIAL`] and the
-/// `degraded` stats flag downstream); and the automatic post-recovery
-/// self-check — any run that recovered, degraded, **or shed budgeted
-/// work** re-verifies its result via [`crate::verify::check`] on the
-/// rank holding it, so every chaos schedule and every shed ends in a
-/// *verified* completed route.
-///
-/// Budgets: `cfg.budget` is armed on the communicator for the duration
-/// of the parallel attempts. `max_recovery_rounds` folds into the
-/// recovery policy (the tighter bound wins); exhausting the *budget's*
-/// bound is a structured [`RouteError::BudgetExceeded`] on every rank,
-/// not a silent serial fallback. The fallback itself always runs
-/// unbudgeted — a degraded completion is strictly better than a hang,
-/// and the shed stamp survives into the result's verification.
-pub fn drive<P: Pipeline + Default>(
-    circuit: &Circuit,
-    cfg: &RouterConfig,
-    kind: PartitionKind,
-    comm: &mut Comm,
-) -> Result<Option<RoutingResult>, RouteError> {
-    if cfg.budget.is_limited() {
-        comm.set_budget(cfg.budget);
-    }
-    let mut policy = cfg.recovery;
-    let budget_rounds = cfg.budget.max_recovery_rounds;
-    if let Some(b) = budget_rounds {
-        policy.max_rounds = policy.max_rounds.min(b);
-    }
-    // The phase whose boundary the last kill fired at — stamps the
-    // recovery-rounds budget error with where the run actually died.
-    let mut last_abort = Phase::ALL[0];
-    let flow = with_recovery(comm, policy, |comm, plan| {
-        let mut ctx = RouteCtx::new(circuit, cfg, kind, comm);
-        let mut pipe = P::default();
-        let r = run_attempt(&mut pipe, &mut ctx, comm, plan);
-        if let Err(RouteAbort::PeersDied { at, .. }) = &r {
-            last_abort = *at;
-        }
-        r
-    });
-    let (result, recovered) = match flow {
-        RecoveryFlow::SelfKilled => return Ok(None),
-        RecoveryFlow::BudgetExceeded(err) => {
-            comm.clear_budget();
-            return Err(err);
-        }
-        RecoveryFlow::Completed { result, rounds } => (result, rounds > 0),
-        RecoveryFlow::Degraded { rounds } => {
-            // Exhaustion under the *budget's* rounds bound is a breach:
-            // every survivor computes the same verdict from the same
-            // SPMD state, so all ranks return the identical error.
-            if let Some(b) = budget_rounds {
-                if b < cfg.recovery.max_rounds && rounds >= b {
-                    comm.clear_budget();
-                    return Err(RouteError::BudgetExceeded {
-                        rank: 0,
-                        phase: last_abort,
-                        budget: BudgetKind::RecoveryRounds,
-                        limit: b as f64,
-                        observed: rounds as f64,
-                    });
-                }
-            }
-            // The shed agreement must run on *every* survivor, before
-            // the non-root ranks exit below (the post-match agreement
-            // sees a cleared budget here and short-circuits).
-            let _ = comm.budget_shed_agree();
-            // Every survivor reached this decision from the same
-            // deterministic state; only the lowest logical rank routes,
-            // the rest hold no result and exit.
-            if comm.rank() != 0 {
-                comm.clear_budget();
-                return Ok(None);
-            }
-            comm.metric_add(names::DEGRADED_SERIAL, 1);
-            // Causal-profiler anchor: path segments after this mark are
-            // blamed on the degraded fallback. The fallback itself runs
-            // unbudgeted (clear before, so its phases are never timed),
-            // but a pre-fallback shed still stamps the run.
-            comm.trace_mark(pgr_obs::MARK_DEGRADED_SERIAL);
-            comm.clear_budget();
-            (Some(degraded_serial(circuit, cfg, comm)), true)
         }
     };
     // The post-run epilogue — the shed agreement and the self-check

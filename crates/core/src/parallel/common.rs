@@ -4,7 +4,7 @@
 //! boundaries with fake-pin insertion (§4, Figure 2), sub-net assembly
 //! from received fragments, the final solution gather, the portable
 //! phase-boundary checkpoint payloads all three pipelines deposit for
-//! [`crate::engine::with_recovery`]'s resume path, and [`RowBand`] — the
+//! [`crate::engine::drive`]'s resume path, and [`RowBand`] — the
 //! row-partitioned front half the row-wise and hybrid algorithms share.
 
 use crate::cost;
@@ -288,13 +288,9 @@ pub fn gather_result(
     let spans: Vec<Span> = all_spans.into_iter().flatten().collect();
 
     let rows = circuit.num_rows();
-    let mut chans = ChannelState::charged(0, rows + 1, chip_width, comm);
-    comm.compute(
-        cost::SPAN_APPLY * spans.len() as u64 + cost::SETUP_ITEM * circuit.num_nets() as u64,
-    );
-    for s in &spans {
-        chans.add_span(s, 1);
-    }
+    let emit_ops = cost::SETUP_ITEM * circuit.num_nets() as u64;
+    let chans =
+        ChannelState::from_spans((0, rows + 1, chip_width), false, emit_ops, comm, |_| &spans);
     let result = RoutingResult {
         circuit: circuit.name.clone(),
         channel_density: chans.densities(),

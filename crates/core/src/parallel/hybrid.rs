@@ -28,7 +28,7 @@ use pgr_mpi::Comm;
 /// shared [`RowBand`] front half, fake pins and all); connection is
 /// per whole net. Driven by [`crate::engine::drive`] through
 /// [`Algorithm::Hybrid`](crate::parallel::Algorithm); phase boundaries
-/// are recovery checkpoints (see [`crate::engine::with_recovery`]).
+/// are recovery checkpoints (see [`crate::engine::drive`]).
 #[derive(Default)]
 pub(crate) struct HybridPipeline {
     band: RowBand,
@@ -81,9 +81,8 @@ impl Pipeline for HybridPipeline {
             // Step 5: row-local switchable optimization with boundary
             // sync.
             Phase::Switchable => {
-                let mut chans =
-                    ChannelState::charged(ctx.row0(), ctx.nrows() + 1, band.chip_width, comm);
-                chans.load_spans(&band.spans, comm);
+                let shape = (ctx.row0(), ctx.nrows() + 1, band.chip_width);
+                let mut chans = ChannelState::from_spans(shape, false, 0, comm, |_| &band.spans);
                 sync_boundaries(&mut chans, &ctx.rows, comm);
                 let flips = optimize(&mut chans, &mut band.spans, ctx.cfg, &mut ctx.rng, comm);
                 comm.metric_add(names::SEGMENTS_FLIPPED, flips as u64);

@@ -1,5 +1,6 @@
 //! The three parallel global-routing algorithms (§4–§6) and the harness
-//! that runs them over [`pgr_mpi`] ranks.
+//! that runs them — and the serial router they are scaled to — over
+//! [`pgr_mpi`] ranks.
 
 pub mod common;
 pub mod hybrid;
@@ -10,6 +11,7 @@ pub mod rowwise;
 use crate::config::RouterConfig;
 use crate::engine::{self, RouteError};
 use crate::metrics::{names, RoutingResult};
+use crate::route::serial::SerialPipeline;
 use partition::PartitionKind;
 use pgr_circuit::Circuit;
 use pgr_mpi::{
@@ -17,9 +19,14 @@ use pgr_mpi::{
 };
 use pgr_obs::budget_names;
 
-/// Which parallel algorithm to run.
+/// Which driver to run: the serial router or one of the paper's three
+/// parallel algorithms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algorithm {
+    /// The serial TWGR router (§2) — the run every speedup and scaled
+    /// track count of Tables 2–5 is relative to. Always one rank; the
+    /// net partition is ignored.
+    Serial,
     /// Row-wise pin partition (§4): fastest, ≈3 % quality loss.
     RowWise,
     /// Net-wise pin partition (§5): poor speedups, largest quality loss.
@@ -29,18 +36,38 @@ pub enum Algorithm {
 }
 
 impl Algorithm {
+    /// The paper's three parallel algorithms.
     pub const ALL: [Algorithm; 3] = [Algorithm::RowWise, Algorithm::NetWise, Algorithm::Hybrid];
+
+    /// All four drivers: the serial baseline, then [`Algorithm::ALL`].
+    pub const DRIVERS: [Algorithm; 4] = [
+        Algorithm::Serial,
+        Algorithm::RowWise,
+        Algorithm::NetWise,
+        Algorithm::Hybrid,
+    ];
 
     pub fn name(self) -> &'static str {
         match self {
+            Algorithm::Serial => "serial",
             Algorithm::RowWise => "row-wise",
             Algorithm::NetWise => "net-wise",
             Algorithm::Hybrid => "hybrid",
         }
     }
 
-    /// Run this algorithm on the calling rank — the SPMD entry point,
-    /// [`engine::drive`] over the algorithm's pipeline. Returns the
+    /// The world size a `procs`-rank run of this driver has: the serial
+    /// router's is always one.
+    pub fn ranks(self, procs: usize) -> usize {
+        match self {
+            Algorithm::Serial => 1,
+            _ => procs,
+        }
+    }
+
+    /// Run this driver on the calling rank — the SPMD entry point,
+    /// [`engine::drive`] over the driver's pipeline ([`Algorithm::Serial`]
+    /// expects a one-rank world). Returns the
     /// global result on the lowest surviving rank and `None` elsewhere
     /// (a rank killed by the fault layer's schedule also holds `None`);
     /// an armed [`pgr_mpi::ResourceBudget`] breach surfaces as the
@@ -53,6 +80,7 @@ impl Algorithm {
         comm: &mut Comm,
     ) -> Result<Option<RoutingResult>, RouteError> {
         match self {
+            Algorithm::Serial => engine::drive::<SerialPipeline>(circuit, cfg, kind, comm),
             Algorithm::RowWise => {
                 engine::drive::<rowwise::RowWisePipeline>(circuit, cfg, kind, comm)
             }
@@ -64,7 +92,7 @@ impl Algorithm {
     }
 }
 
-/// The outcome of one parallel routing run. A resource-budget breach
+/// The outcome of one routing run. A resource-budget breach
 /// lands in `result` as a structured [`RouteError`]; the timing, stats,
 /// traces, and metric shards of the partial run are still returned for
 /// post-mortem analysis.
@@ -100,16 +128,18 @@ pub struct GuardedOutcome {
 }
 
 /// The harness: runs `algorithm` over `procs` simulated ranks of
-/// `machine` and returns either rank 0's assembled (and, when shed or
-/// recovered, *verified*) route or the structured [`RouteError`] the
-/// world agreed on, plus simulated timing. Never panics on a breach.
+/// `machine` ([`Algorithm::Serial`] over one, whatever `procs` says) and
+/// returns either rank 0's assembled (and, when shed or recovered,
+/// *verified*) route or the structured [`RouteError`] the world agreed
+/// on, plus simulated timing. Never panics on a breach.
 /// `instr` selects per-rank traces and metric shards
 /// ([`InstrumentConfig::off`] for neither); when metrics are on, rank 0's
-/// shard additionally carries the post-run
+/// shard of a parallel run additionally carries the post-run
 /// [`parallel.load_imbalance`](names::LOAD_IMBALANCE) gauge
 /// (max rank time / mean rank time — 1.0 is a perfectly balanced run).
 /// No single rank can see that number during the run, so it is derived
-/// here from the per-rank virtual clocks.
+/// here from the per-rank virtual clocks; a serial run has no partition
+/// to be imbalanced and gets none.
 pub fn route_parallel_guarded(
     circuit: &Circuit,
     cfg: &RouterConfig,
@@ -125,13 +155,15 @@ pub fn route_parallel_guarded(
         clock: cfg.clock,
         ..instr
     };
-    let (report, traces, mut metrics) = run_instrumented(procs, machine, instr, |comm| {
+    let ranks = algorithm.ranks(procs);
+    let (report, traces, mut metrics) = run_instrumented(ranks, machine, instr, |comm| {
         algorithm.try_route(circuit, cfg, kind, comm)
     });
     let fits_memory = report.fits_memory();
     let time = report.makespan();
     let wall_time = report.wall_makespan();
-    if let Some(root) = metrics.first_mut() {
+    let parallel = algorithm != Algorithm::Serial;
+    if let Some(root) = metrics.first_mut().filter(|_| parallel) {
         let mean = report.stats.iter().map(|s| s.time).sum::<f64>() / report.stats.len() as f64;
         if mean > 0.0 {
             root.set_gauge(names::LOAD_IMBALANCE, time / mean);
@@ -169,7 +201,7 @@ mod tests {
     fn route_parallel_wraps_all_algorithms() {
         let c = generate(&GeneratorConfig::small("wrap", 8));
         let cfg = RouterConfig::with_seed(1);
-        for algo in Algorithm::ALL {
+        for algo in Algorithm::DRIVERS {
             let out = route_parallel_guarded(
                 &c,
                 &cfg,
@@ -185,13 +217,14 @@ mod tests {
                 algo.name()
             );
             assert!(out.time > 0.0);
-            assert_eq!(out.stats.len(), 2);
+            assert_eq!(out.stats.len(), algo.ranks(2), "{}", algo.name());
             assert!(out.fits_memory, "SMP has no memory cap");
         }
     }
 
     #[test]
     fn algorithm_names() {
+        assert_eq!(Algorithm::Serial.name(), "serial");
         assert_eq!(Algorithm::RowWise.name(), "row-wise");
         assert_eq!(Algorithm::NetWise.name(), "net-wise");
         assert_eq!(Algorithm::Hybrid.name(), "hybrid");

@@ -142,7 +142,7 @@ fn synced_slices(n: usize, sync_period: usize, comm: &mut Comm) -> (usize, usize
 /// Pipeline state carried between the net-wise passes. Driven by
 /// [`crate::engine::drive`] through
 /// [`Algorithm::NetWise`](crate::parallel::Algorithm). Phase boundaries
-/// are recovery checkpoints (see [`crate::engine::with_recovery`]): a
+/// are recovery checkpoints (see [`crate::engine::drive`]): a
 /// rank killed there holds no result, the survivors re-deal the nets over
 /// the shrunken world, and the logical rank 0 — the lowest surviving
 /// physical rank — takes over the master roles (snapshot hub, final
@@ -288,11 +288,11 @@ impl Pipeline for NetWisePipeline {
             // Step 4: connect owned nets against the replicated channel
             // state.
             Phase::Connect => {
-                let mut chans = ChannelState::charged(0, all_rows + 1, self.chip_width, comm);
-                chans.enable_logging();
-                (self.spans, self.wirelength) = connect_all(&self.works, true, comm);
-                chans.load_spans(&self.spans, comm);
-                self.chans = Some(chans);
+                let shape = (0, all_rows + 1, self.chip_width);
+                self.chans = Some(ChannelState::from_spans(shape, true, 0, comm, |comm| {
+                    (self.spans, self.wirelength) = connect_all(&self.works, true, comm);
+                    &self.spans
+                }));
             }
 
             // Step 5: switchable optimization on owned nets, replicated
@@ -477,11 +477,14 @@ mod tests {
         let rep_loose = run_with(&loose);
         // Distribution and the final gather are a fixed floor; the sync
         // traffic on top must grow clearly with the frequency.
+        let bytes = |rep: &pgr_mpi::RunReport<Option<RoutingResult>>| -> u64 {
+            rep.stats.iter().map(|s| s.bytes_sent).sum()
+        };
         assert!(
-            rep_tight.total_bytes_sent() as f64 > 1.2 * rep_loose.total_bytes_sent() as f64,
+            bytes(&rep_tight) as f64 > 1.2 * bytes(&rep_loose) as f64,
             "frequent sync moves more data: {} vs {}",
-            rep_tight.total_bytes_sent(),
-            rep_loose.total_bytes_sent()
+            bytes(&rep_tight),
+            bytes(&rep_loose)
         );
         let tracks = |rep: &pgr_mpi::RunReport<Option<RoutingResult>>| {
             rep.results.iter().flatten().next().unwrap().track_count()

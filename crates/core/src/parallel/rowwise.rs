@@ -44,13 +44,13 @@ impl Pipeline for RowWisePipeline {
         match phase {
             // Step 4: connect each sub-net independently.
             Phase::Connect => {
-                let mut chans =
-                    ChannelState::charged(ctx.row0(), ctx.nrows() + 1, band.chip_width, comm);
-                // Sub-net fragments may be forests: their components
-                // meet through fake pins on other ranks.
-                (band.spans, band.wirelength) = connect_all(&band.works, false, comm);
-                chans.load_spans(&band.spans, comm);
-                self.chans = Some(chans);
+                let shape = (ctx.row0(), ctx.nrows() + 1, band.chip_width);
+                self.chans = Some(ChannelState::from_spans(shape, false, 0, comm, |comm| {
+                    // Sub-net fragments may be forests: their components
+                    // meet through fake pins on other ranks.
+                    (band.spans, band.wirelength) = connect_all(&band.works, false, comm);
+                    &band.spans
+                }));
             }
 
             // Boundary synchronization, then step 5 on the local rows.

@@ -221,7 +221,11 @@ impl CoarseState {
     /// Cost of inserting `seg` with `orient` into the *current* state
     /// (the segment must currently be removed): weighted channel peak
     /// increase plus weighted feedthrough crowding along the vertical.
-    pub fn eval(&self, seg: &Segment, orient: Orientation, cfg: &RouterConfig) -> f64 {
+    /// The reference the tests hold [`CoarseState::improve_slice`]'s
+    /// incremental scoring to; the router itself never removes a segment
+    /// to score it.
+    #[cfg(test)]
+    fn eval(&self, seg: &Segment, orient: Orientation, cfg: &RouterConfig) -> f64 {
         let (lo, hi) = seg.x_span();
         let (glo, ghi) = (self.gcol(lo), self.gcol(hi));
         let channel = if seg.is_cross_row() {

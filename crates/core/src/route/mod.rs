@@ -161,6 +161,6 @@ mod tests {
         use Call::{Between as B, Step as S};
         assert_eq!(log, [S(8), B, S(8), B, B, B, B]);
         assert_eq!(changed, 16);
-        assert!(comm.budget_shed_any());
+        assert!(comm.budget_shed_agree());
     }
 }

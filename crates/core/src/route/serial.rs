@@ -195,10 +195,11 @@ impl Pipeline for SerialPipeline {
             Phase::Connect => {
                 let plan = self.plan.as_ref().expect("feedthrough pass ran");
                 self.chip_width = circuit.width + plan.max_growth();
-                let mut chans = ChannelState::charged(0, rows + 1, self.chip_width, comm);
-                (self.spans, self.wirelength) = connect_all(&self.works, true, comm);
-                chans.load_spans(&self.spans, comm);
-                self.chans = Some(chans);
+                let shape = (0, rows + 1, self.chip_width);
+                self.chans = Some(ChannelState::from_spans(shape, false, 0, comm, |comm| {
+                    (self.spans, self.wirelength) = connect_all(&self.works, true, comm);
+                    &self.spans
+                }));
             }
 
             // Step 5: switchable-segment optimization.

@@ -224,17 +224,12 @@ impl Segment {
         }
     }
 
-    /// Rows strictly between the endpoints.
-    pub fn crossed_rows(&self) -> std::ops::Range<u32> {
-        self.lower.row + 1..self.upper.row
-    }
-
     /// Rows where this segment needs a feedthrough: every row strictly
     /// between the endpoints, plus a *fake-pin* endpoint's own row — a
     /// fake pin marks where the net passes through towards the
     /// neighboring partition, so the wire crosses that row too. For
-    /// whole-net segments (no fake endpoints) this equals
-    /// [`Segment::crossed_rows`]; across a split, the pieces' demand
+    /// whole-net segments (no fake endpoints) these are exactly the rows
+    /// the edge crosses; across a split, the pieces' demand
     /// rows exactly tile the original edge's crossed rows, keeping the
     /// per-row feedthrough profile (and hence cell shifting) identical
     /// to the serial router's.
@@ -374,7 +369,6 @@ mod tests {
         let s = Segment::new(NetId(0), node(5, 3), node(2, 1));
         assert_eq!(s.lower.row, 1);
         assert_eq!(s.upper.row, 3);
-        assert_eq!(s.crossed_rows().collect::<Vec<_>>(), vec![2]);
     }
 
     #[test]
@@ -393,7 +387,6 @@ mod tests {
         // Both orientations use the single channel between rows 1 and 2.
         assert_eq!(s.horizontal_channel(Orientation::VertAtLower), 2);
         assert_eq!(s.horizontal_channel(Orientation::VertAtUpper), 2);
-        assert!(s.crossed_rows().is_empty());
     }
 
     #[test]

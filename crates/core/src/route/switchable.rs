@@ -67,20 +67,33 @@ impl ChannelState {
         }
     }
 
-    /// [`ChannelState::new`], registered with `comm`'s modeled-memory
-    /// account — how every driver builds its channel state.
-    pub(crate) fn charged(chan0: u32, nchannels: usize, width: i64, comm: &mut Comm) -> Self {
-        let chans = ChannelState::new(chan0, nchannels, width);
+    /// How every driver builds its channel state — the one place a span
+    /// list becomes column densities. In modeled order: the empty
+    /// `(chan0, nchannels, width)` state goes on `comm`'s memory account;
+    /// `spans` runs (Connect passes route in it — the spans do not exist
+    /// before, and the budget polls of the connect loop must already see
+    /// the allocation); what it yields is applied under one
+    /// `compute(SPAN_APPLY · spans + extra_ops)` charge (two charges
+    /// round differently in `f64`). With `logged`, delta logging starts
+    /// before the load, so the loaded spans are the first deltas.
+    pub(crate) fn from_spans<'s>(
+        (chan0, nchannels, width): (u32, usize, i64),
+        logged: bool,
+        extra_ops: u64,
+        comm: &mut Comm,
+        spans: impl FnOnce(&mut Comm) -> &'s [Span],
+    ) -> Self {
+        let mut chans = ChannelState::new(chan0, nchannels, width);
         comm.charge_alloc(chans.modeled_bytes());
-        chans
-    }
-
-    /// Add every span of `spans`, charging the application work.
-    pub(crate) fn load_spans(&mut self, spans: &[Span], comm: &mut Comm) {
-        comm.compute(cost::SPAN_APPLY * spans.len() as u64);
-        for s in spans {
-            self.add_span(s, 1);
+        if logged {
+            chans.enable_logging();
         }
+        let spans = spans(comm);
+        comm.compute(cost::SPAN_APPLY * spans.len() as u64 + extra_ops);
+        for s in spans {
+            chans.add_span(s, 1);
+        }
+        chans
     }
 
     pub fn chan0(&self) -> u32 {

@@ -1,7 +1,8 @@
 //! Resource-budget guardrails across every driver and phase boundary.
 //!
-//! For each driver (budget-aware serial plus the three parallel
-//! algorithms, the latter at P ∈ {1, 3}) the suite probes an unbudgeted
+//! For each driver (serial plus the three parallel algorithms, the
+//! latter at P ∈ {1, 3}, all through the one guarded harness) the suite
+//! probes an unbudgeted
 //! run, then arms a time lever targeted at each of the seven pipeline
 //! phases in turn. Contracts:
 //!
@@ -26,8 +27,8 @@ use pgr_mpi::{
     MetricsConfig, Phase, RankMetrics, ReliabilityConfig, ResourceBudget,
 };
 use pgr_router::{
-    route_parallel_guarded, try_route_serial, verify, Algorithm, PartitionKind, RouteError,
-    RouterConfig,
+    route_parallel_guarded, try_route_serial, verify, Algorithm, GuardedOutcome, PartitionKind,
+    RouteError, RouterConfig,
 };
 use std::sync::Arc;
 
@@ -80,130 +81,85 @@ impl Outcome {
     }
 }
 
-/// One driver column of the matrix.
+/// One driver column of the matrix: any of the four drivers, and its
+/// rank count (serial is always one).
 #[derive(Debug, Clone, Copy)]
-enum Driver {
-    Serial,
-    Parallel(Algorithm, usize),
-}
+struct Driver(Algorithm, usize);
 
 impl Driver {
     fn label(&self) -> String {
-        match self {
-            Driver::Serial => "serial".into(),
-            Driver::Parallel(a, p) => format!("{} P={p}", a.name()),
-        }
+        format!("{} P={}", self.0.name(), self.1)
     }
 
     fn procs(&self) -> usize {
-        match self {
-            Driver::Serial => 1,
-            Driver::Parallel(_, p) => *p,
-        }
+        self.1
+    }
+
+    fn route(
+        &self,
+        circuit: &Circuit,
+        cfg: &RouterConfig,
+        instr: InstrumentConfig,
+    ) -> GuardedOutcome {
+        let Driver(algo, procs) = *self;
+        route_parallel_guarded(
+            circuit,
+            cfg,
+            algo,
+            PartitionKind::PinWeight,
+            procs,
+            machine(),
+            instr,
+        )
     }
 
     /// Run the driver under `budget` (with optional kill chaos for the
     /// recovery-round lever), asserting the structural contracts that
     /// hold for every cell, and return the comparable outcome.
     fn run(&self, circuit: &Circuit, budget: ResourceBudget, kill: bool) -> Outcome {
-        let cfg = cfg_with(budget);
-        match *self {
-            Driver::Serial => {
-                assert!(!kill, "serial comms carry no kill schedule");
-                let (report, _, metrics) = run_instrumented(1, machine(), metrics_on(), |comm| {
-                    let routed = try_route_serial(circuit, &cfg, comm);
-                    let shed = comm.budget_shed_any();
-                    let violations = routed
-                        .as_ref()
-                        .ok()
-                        .map(|r| verify::check(circuit, r, comm));
-                    (routed, shed, violations)
-                });
-                for m in &metrics {
-                    assert_counter_windows_partition(m, "serial");
-                }
-                let (routed, shed, violations) =
-                    report.results.into_iter().next().expect("one rank");
-                match routed {
-                    Ok(result) => {
-                        assert_eq!(violations, Some(0), "serial Ok must verify clean");
-                        Outcome::Routed {
-                            tracks: result.track_count(),
-                            shed,
-                            time_bits: report.stats[0].time.to_bits(),
-                        }
-                    }
-                    Err(e) => Outcome::Exceeded(e),
-                }
-            }
-            Driver::Parallel(algo, procs) => {
-                let mut instr = metrics_on();
-                if kill {
-                    // Kills only: the lever under test is the recovery
-                    // budget, not message chaos.
-                    let mut chaos = ChaosConfig::messages_only(SEED);
-                    chaos.drop = 0.0;
-                    chaos.reorder = 0.0;
-                    chaos.duplicate = 0.0;
-                    chaos.delay = 0.0;
-                    chaos.kills = vec![(procs - 1, 2)];
-                    instr.fault = Some(Arc::new(ChaosLayer::new(chaos)));
-                    instr.reliability = ReliabilityConfig::on();
-                }
-                let out = route_parallel_guarded(
-                    circuit,
-                    &cfg,
-                    algo,
-                    PartitionKind::PinWeight,
-                    procs,
-                    machine(),
-                    instr,
-                );
-                for m in &out.metrics {
-                    assert_counter_windows_partition(m, &self.label());
-                }
-                match out.result {
-                    Ok(result) => {
-                        verify::assert_verified(circuit, &result);
-                        Outcome::Routed {
-                            tracks: result.track_count(),
-                            shed: out.budget_degraded,
-                            time_bits: out.time.to_bits(),
-                        }
-                    }
-                    Err(e) => Outcome::Exceeded(e),
+        let mut instr = metrics_on();
+        if kill {
+            // Kills only: the lever under test is the recovery
+            // budget, not message chaos.
+            let mut chaos = ChaosConfig::messages_only(SEED);
+            chaos.drop = 0.0;
+            chaos.reorder = 0.0;
+            chaos.duplicate = 0.0;
+            chaos.delay = 0.0;
+            chaos.kills = vec![(self.procs() - 1, 2)];
+            instr.fault = Some(Arc::new(ChaosLayer::new(chaos)));
+            instr.reliability = ReliabilityConfig::on();
+        }
+        let out = self.route(circuit, &cfg_with(budget), instr);
+        for m in &out.metrics {
+            assert_counter_windows_partition(m, &self.label());
+        }
+        match out.result {
+            Ok(result) => {
+                verify::assert_verified(circuit, &result);
+                Outcome::Routed {
+                    tracks: result.track_count(),
+                    // `budget.shed_events` > 0 on some rank — for the
+                    // one-rank serial driver, exactly the rank's own
+                    // `budget_shed_any()`.
+                    shed: out.budget_degraded,
+                    time_bits: out.time.to_bits(),
                 }
             }
+            Err(e) => Outcome::Exceeded(e),
         }
     }
 
     /// Unbudgeted probe: per-phase durations (first-appearance order,
     /// re-entries accumulated) and the largest per-rank peak footprint.
     fn probe(&self, circuit: &Circuit) -> (Vec<(Phase, f64)>, u64) {
-        let cfg = cfg_with(ResourceBudget::unlimited());
-        let stats = match *self {
-            Driver::Serial => {
-                let (report, _, _) = run_instrumented(1, machine(), metrics_on(), |comm| {
-                    let result =
-                        try_route_serial(circuit, &cfg, comm).expect("unbudgeted never errors");
-                    verify::assert_verified(circuit, &result);
-                });
-                report.stats
-            }
-            Driver::Parallel(algo, procs) => {
-                let out = route_parallel_guarded(
-                    circuit,
-                    &cfg,
-                    algo,
-                    PartitionKind::PinWeight,
-                    procs,
-                    machine(),
-                    metrics_on(),
-                );
-                out.result.expect("unbudgeted never errors");
-                out.stats
-            }
-        };
+        let out = self.route(
+            circuit,
+            &cfg_with(ResourceBudget::unlimited()),
+            metrics_on(),
+        );
+        verify::assert_verified(circuit, &out.result.expect("unbudgeted never errors"));
+        let stats = out.stats;
         let peak = stats.iter().map(|s| s.peak_mem).max().unwrap_or(0);
         // Per-phase duration = the max across ranks of each rank's
         // accumulated time in that phase; the per-phase lever applies on
@@ -246,10 +202,10 @@ fn assert_counter_windows_partition(m: &RankMetrics, ctx: &str) {
 }
 
 fn drivers() -> Vec<Driver> {
-    let mut d = vec![Driver::Serial];
+    let mut d = vec![Driver(Algorithm::Serial, 1)];
     for algo in Algorithm::ALL {
         for procs in [1, 3] {
-            d.push(Driver::Parallel(algo, procs));
+            d.push(Driver(algo, procs));
         }
     }
     d
@@ -410,7 +366,7 @@ fn byte_caps_trip_as_rank_bytes_and_generous_budgets_change_nothing() {
 fn recovery_round_budget_is_a_structured_error_not_a_fallback() {
     let circuit = small("budget-rounds");
     for algo in Algorithm::ALL {
-        let driver = Driver::Parallel(algo, 3);
+        let driver = Driver(algo, 3);
         // A kill with zero recovery rounds allowed: the engine must
         // surface the exhaustion as the agreed RecoveryRounds error.
         let exhausted = ResourceBudget {

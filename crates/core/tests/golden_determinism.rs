@@ -13,8 +13,9 @@
 //!   refactor, not a behaviour change.
 
 use pgr_circuit::{generate, Circuit, GeneratorConfig};
-use pgr_mpi::{ClockMode, Comm, InstrumentConfig, MachineModel, RankStats};
+use pgr_mpi::{ClockMode, Comm, InstrumentConfig, MachineModel, RankMetrics, RankStats};
 use pgr_obs::metrics::MetricsConfig;
+use pgr_router::metrics::names;
 use pgr_router::{
     route_parallel_guarded, try_route_serial, Algorithm, GuardedOutcome, PartitionKind,
     RouterConfig, RoutingResult,
@@ -153,6 +154,25 @@ fn serial_run_matches_pre_refactor_fingerprint() {
         SERIAL_CLOCK,
         "serial virtual clock changed"
     );
+    // The same run as the guarded harness's fourth driver, traces and
+    // metrics off and on (`procs` and the net partition are ignored).
+    for instr in [InstrumentConfig::off(), InstrumentConfig::full()] {
+        let out = route_parallel_guarded(
+            &c,
+            &cfg(),
+            Algorithm::Serial,
+            PartitionKind::Center,
+            3,
+            MachineModel::sparc_center_1000(),
+            instr,
+        );
+        assert_eq!(out.result.as_ref(), Ok(&serial), "guarded serial result");
+        assert_eq!(out.time.to_bits(), SERIAL_CLOCK, "guarded serial clock");
+        assert_eq!(out.stats.len(), 1, "serial is one rank");
+        // One rank has no partition to be imbalanced.
+        let imbalance = |m: &RankMetrics| m.gauge(names::LOAD_IMBALANCE);
+        assert!(out.metrics.iter().all(|m| imbalance(m).is_none()));
+    }
 }
 
 #[test]

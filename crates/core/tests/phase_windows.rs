@@ -163,3 +163,37 @@ fn recovery_counters_land_inside_a_phase_window() {
         );
     }
 }
+
+/// Receive-side transport counters (acks, suppressed duplicates, parked
+/// frames) are recorded when a frame *arrives*, which is host
+/// scheduling — but into the window of the phase it was *sent* in, which
+/// is not: the same seeded schedule must write the same dump every run.
+#[test]
+fn seeded_message_chaos_writes_the_same_dump_every_run() {
+    let c = small("windows-chaos");
+    let run = pgr_mpi::RunMeta::new(&c.name, "chaos", 4, "SparcCenter 1000", 1.0, 4);
+    for algo in Algorithm::ALL {
+        let dump = || {
+            let instr = InstrumentConfig {
+                metrics: MetricsConfig::on(),
+                fault: Some(Arc::new(ChaosLayer::new(
+                    ChaosConfig::messages_with_corruption(31),
+                ))),
+                reliability: ReliabilityConfig::on(),
+                ..InstrumentConfig::off()
+            };
+            let out = route(&c, algo, 4, instr);
+            for m in &out.metrics {
+                let ctx = format!("{} under chaos, rank {}", algo.name(), m.rank);
+                assert_windows_partition_totals(m, &ctx);
+            }
+            let acked = pgr_obs::merge_ranks(&out.metrics).counter(pgr_mpi::reliable::ACKS);
+            assert!(acked.unwrap_or(0) > 0, "{}: the transport ran", algo.name());
+            pgr_obs::metrics_json(&run, &out.metrics)
+        };
+        let first = dump();
+        for _ in 0..3 {
+            assert_eq!(dump(), first, "{}: dumps differ run to run", algo.name());
+        }
+    }
+}

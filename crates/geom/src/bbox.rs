@@ -35,13 +35,6 @@ impl BBox {
         }
     }
 
-    /// A box containing exactly `p`.
-    pub fn from_point(p: Point) -> Self {
-        let mut b = Self::new();
-        b.expand(p);
-        b
-    }
-
     /// A box containing all points of `it`; empty if `it` is empty.
     pub fn from_points<I: IntoIterator<Item = Point>>(it: I) -> Self {
         let mut b = Self::new();
@@ -128,7 +121,7 @@ mod tests {
 
     #[test]
     fn single_point_box() {
-        let b = BBox::from_point(Point::new(4, -2));
+        let b = BBox::from_points([Point::new(4, -2)]);
         assert!(!b.is_empty());
         assert!(b.contains(Point::new(4, -2)));
         assert_eq!(b.half_perimeter(), 0);
@@ -137,7 +130,7 @@ mod tests {
 
     #[test]
     fn expand_grows_monotonically() {
-        let mut b = BBox::from_point(Point::new(0, 0));
+        let mut b = BBox::from_points([Point::new(0, 0)]);
         b.expand(Point::new(10, 5));
         assert!(b.contains(Point::new(3, 3)));
         assert_eq!(b.half_perimeter(), 15);
@@ -147,7 +140,7 @@ mod tests {
 
     #[test]
     fn union_with_empty_is_identity() {
-        let mut b = BBox::from_point(Point::new(1, 1));
+        let mut b = BBox::from_points([Point::new(1, 1)]);
         let before = b;
         b.union(&BBox::new());
         assert_eq!(b, before);
@@ -155,7 +148,7 @@ mod tests {
 
     #[test]
     fn union_covers_both() {
-        let mut a = BBox::from_point(Point::new(0, 0));
+        let mut a = BBox::from_points([Point::new(0, 0)]);
         let b = BBox::from_points([Point::new(5, 5), Point::new(7, 2)]);
         a.union(&b);
         assert!(a.contains(Point::new(7, 5)));

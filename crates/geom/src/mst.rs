@@ -154,17 +154,16 @@ pub fn mst_adjacency_limited(points: &[Point], rows: &[i64]) -> LimitedMst {
     LimitedMst { edges, spanning }
 }
 
-/// Total weight of a set of edges.
-pub fn total_weight(edges: &[MstEdge]) -> u64 {
-    edges.iter().map(|e| e.weight).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn pts(v: &[(i64, i64)]) -> Vec<Point> {
         v.iter().map(|&(x, y)| Point::new(x, y)).collect()
+    }
+
+    fn total_weight(edges: &[MstEdge]) -> u64 {
+        edges.iter().map(|e| e.weight).sum()
     }
 
     #[test]

@@ -18,11 +18,6 @@ impl Point {
     pub const fn new(x: i64, y: i64) -> Self {
         Point { x, y }
     }
-
-    /// Rectilinear (L1) distance to `other`.
-    pub fn dist(&self, other: &Point) -> u64 {
-        manhattan(*self, *other)
-    }
 }
 
 /// Rectilinear (L1) distance between two lattice points.

@@ -100,18 +100,6 @@ impl SmallRng {
         assert!((0.0..=1.0).contains(&p), "probability {p} out of range");
         self.gen_f64() < p
     }
-
-    /// The raw xoshiro256++ state, for checkpointing a stream mid-run.
-    /// Round-trips exactly through [`SmallRng::from_state`].
-    pub fn state(&self) -> [u64; 4] {
-        self.s
-    }
-
-    /// Rebuild a generator from a captured [`SmallRng::state`]. The
-    /// restored stream continues bit-identically from the capture point.
-    pub fn from_state(s: [u64; 4]) -> Self {
-        SmallRng { s }
-    }
 }
 
 /// Integer types [`SmallRng::gen_range`] can sample uniformly.

@@ -63,17 +63,6 @@ impl UnionFind {
         self.components -= 1;
         true
     }
-
-    /// Whether `a` and `b` are in the same set.
-    pub fn connected(&mut self, a: usize, b: usize) -> bool {
-        self.find(a) == self.find(b)
-    }
-
-    /// Size of the set containing `x`.
-    pub fn set_size(&mut self, x: usize) -> usize {
-        let r = self.find(x);
-        self.size[r] as usize
-    }
 }
 
 #[cfg(test)]
@@ -86,7 +75,6 @@ mod tests {
         assert_eq!(uf.components(), 5);
         for i in 0..5 {
             assert_eq!(uf.find(i), i);
-            assert_eq!(uf.set_size(i), 1);
         }
     }
 
@@ -99,8 +87,7 @@ mod tests {
         assert!(!uf.union(1, 0), "already merged");
         assert!(uf.union(0, 3));
         assert_eq!(uf.components(), 1);
-        assert!(uf.connected(1, 2));
-        assert_eq!(uf.set_size(2), 4);
+        assert_eq!(uf.find(1), uf.find(2));
     }
 
     #[test]
@@ -111,7 +98,6 @@ mod tests {
             uf.union(i - 1, i);
         }
         assert_eq!(uf.components(), 1);
-        assert_eq!(uf.set_size(0), n);
         // After finds, paths are halved: every find terminates fast.
         for i in 0..n {
             assert_eq!(uf.find(i), uf.find(0));

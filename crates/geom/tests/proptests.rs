@@ -146,7 +146,7 @@ fn unionfind_matches_naive_labels() {
         for i in 0..n {
             for j in 0..n {
                 assert_eq!(
-                    uf.connected(i, j),
+                    uf.find(i) == uf.find(j),
                     labels[i] == labels[j],
                     "pair ({i}, {j})"
                 );

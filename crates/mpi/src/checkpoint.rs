@@ -21,10 +21,8 @@
 //!   function of the circuit and config only, not of the rank count);
 //! * **non-portable** — a metadata-only commit record: it participates
 //!   in the commit protocol (proving the boundary was reached) but
-//!   cannot seed a differently-sized world, so [`last_restorable`]
-//!   skips it.
-//!
-//! [`last_restorable`]: CheckpointStore::last_restorable
+//!   cannot seed a differently-sized world, so
+//!   [`CheckpointStore::fetch`] refuses it.
 
 use crate::wire::crc32;
 use std::collections::BTreeMap;
@@ -95,30 +93,6 @@ impl CheckpointStore {
         slots[lrank] = Some(snap);
         drop(inner);
         self.filled.notify_all();
-    }
-
-    /// The last globally committed restorable boundary of `attempt`:
-    /// the highest phase index where every member of the depositing
-    /// world committed a portable snapshot and all deposits agree on
-    /// the world. `None` when no boundary qualifies (e.g. the attempt
-    /// died entering its first phase) — the caller must fall back to a
-    /// full restart.
-    pub fn last_restorable(&self, attempt: u32) -> Option<usize> {
-        let inner = self.inner.lock().expect("checkpoint store poisoned");
-        inner
-            .range((attempt, 0)..=(attempt, usize::MAX))
-            .filter(|(_, slots)| {
-                let world = match slots.first().and_then(|s| s.as_ref()) {
-                    Some(first) => &first.world,
-                    None => return false,
-                };
-                slots.len() == world.len()
-                    && slots
-                        .iter()
-                        .all(|s| s.as_ref().is_some_and(|s| s.portable && s.world == *world))
-            })
-            .map(|(&(_, phase_idx), _)| phase_idx)
-            .next_back()
     }
 
     /// Read back every rank's payload at `(attempt, phase_idx)`, in
@@ -216,16 +190,16 @@ mod tests {
     }
 
     #[test]
-    fn last_restorable_needs_every_rank() {
+    fn fetch_needs_every_rank() {
         let store = CheckpointStore::new();
-        assert_eq!(store.last_restorable(0), None);
+        assert_eq!(store.fetch(0, 1), None);
         let world = [0, 1, 2];
         store.deposit(0, 1, 0, &world, true, vec![1], 0.0);
         store.deposit(0, 1, 2, &world, true, vec![3], 0.0);
         // Rank 1's deposit is missing: not globally committed.
-        assert_eq!(store.last_restorable(0), None);
+        assert_eq!(store.fetch(0, 1), None);
         store.deposit(0, 1, 1, &world, true, vec![2], 0.0);
-        assert_eq!(store.last_restorable(0), Some(1));
+        assert_eq!(store.fetch(0, 1), Some(vec![vec![1], vec![2], vec![3]]));
     }
 
     #[test]
@@ -236,10 +210,11 @@ mod tests {
         full_boundary(&store, 0, 2, &world);
         // Boundary 3 is only half committed.
         store.deposit(0, 3, 0, &world, true, vec![9], 0.0);
-        assert_eq!(store.last_restorable(0), Some(2));
-        assert_eq!(store.last_restorable(1), None);
+        assert!(store.fetch(0, 2).is_some());
+        assert_eq!(store.fetch(0, 3), None);
+        assert_eq!(store.fetch(1, 2), None);
         full_boundary(&store, 1, 2, &[0]);
-        assert_eq!(store.last_restorable(1), Some(2));
+        assert_eq!(store.fetch(1, 2), Some(vec![vec![0, 2]]));
         assert_eq!(store.len(), 6);
     }
 
@@ -253,7 +228,7 @@ mod tests {
         }
         // Boundary 3 is committed by everyone but metadata-only: the
         // best *restorable* boundary stays 2, and fetching 3 fails.
-        assert_eq!(store.last_restorable(0), Some(2));
+        assert!(store.fetch(0, 2).is_some());
         assert_eq!(store.fetch(0, 3), None);
     }
 
@@ -274,9 +249,6 @@ mod tests {
         assert!(store.fetch(0, 2).is_some());
         store.corrupt(0, 2);
         assert_eq!(store.fetch(0, 2), None);
-        // The boundary still *looks* committed (the commit protocol
-        // sees deposits), which is exactly why fetch re-verifies.
-        assert_eq!(store.last_restorable(0), Some(2));
     }
 
     #[test]
@@ -287,13 +259,5 @@ mod tests {
         assert!(store.fetch(0, 1).is_some());
         store.corrupt(0, 1);
         assert_eq!(store.fetch(0, 1), None);
-    }
-
-    #[test]
-    fn mismatched_worlds_never_globally_commit() {
-        let store = CheckpointStore::new();
-        store.deposit(0, 1, 0, &[0, 1], true, vec![1], 0.0);
-        store.deposit(0, 1, 1, &[0, 2], true, vec![2], 0.0);
-        assert_eq!(store.last_restorable(0), None);
     }
 }

@@ -210,15 +210,11 @@ impl Comm {
     }
 
     /// Register `bytes` of modeled allocation (for the per-node memory
-    /// gate). Pair with [`Comm::release_alloc`].
+    /// gate).
     pub fn charge_alloc(&mut self, bytes: u64) {
         let acct = &mut self.account;
         acct.cur_mem += bytes;
         acct.peak_mem = acct.peak_mem.max(acct.cur_mem);
-    }
-
-    pub fn release_alloc(&mut self, bytes: u64) {
-        self.account.cur_mem = self.account.cur_mem.saturating_sub(bytes);
     }
 
     pub fn peak_mem(&self) -> u64 {

@@ -419,12 +419,6 @@ impl Comm {
         self.control.budget.is_limited()
     }
 
-    /// Whether any phase of this run shed optional work under time
-    /// pressure on *this rank* (survives [`Comm::clear_budget`]).
-    pub fn budget_shed_any(&self) -> bool {
-        self.control.shed_any
-    }
-
     /// Mid-phase cooperative poll for *mandatory* work (Steiner, eval,
     /// connect chunk loops): latches a hard breach when the phase has
     /// overrun its time limit or the rank its byte cap, and reports

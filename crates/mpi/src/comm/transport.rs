@@ -16,7 +16,7 @@ use crate::fault::{
 use crate::reliable::{self, backoff_delay, Ingest, ReliabilityConfig, ReorderBuffer};
 use crate::trace::{TraceEvent, TraceHub};
 use crate::wire::crc32;
-use pgr_obs::MetricsShard;
+use pgr_obs::{MetricsShard, Phase};
 use std::collections::VecDeque;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
@@ -45,6 +45,18 @@ pub(super) struct Envelope {
     pub(super) seq: u64,
     /// Sender's clock at send time (after send overhead).
     pub(super) stamp: f64,
+    /// The sender's open metric window at send time. Host-side only —
+    /// not a wire byte, in no account. The receiver counts what the
+    /// reliable transport did with the frame into this phase's window:
+    /// its own open window at arrival depends on host scheduling, and
+    /// would make two runs of one binary write different dumps.
+    phase: Option<Phase>,
+    /// The network duplicated this frame: the receiver ingests it twice.
+    /// Both copies travel as one channel message, so the second is never
+    /// left unread behind the receiver's last receive — whether a
+    /// duplicate gets suppressed (and counted) must not depend on what
+    /// the receiver happens to pull before it exits.
+    duplicated: bool,
     /// CRC-32 the sender computed over the original payload; delivery
     /// verifies it, so in-transit corruption is detected instead of
     /// handed to the algorithm as valid data.
@@ -315,6 +327,8 @@ impl Transport {
             tag,
             seq,
             stamp,
+            phase: m.open_phase(),
+            duplicated: fate == FaultAction::Duplicate,
             crc,
             modeled,
             payload: payload.into_boxed_slice(),
@@ -325,9 +339,6 @@ impl Transport {
         let overtaken = if fate == FaultAction::Reorder {
             self.holdback[dst].replace(env)
         } else {
-            if fate == FaultAction::Duplicate {
-                self.transmit(dst, env.clone(), m);
-            }
             self.transmit(dst, env, m);
             self.holdback[dst].take()
         };
@@ -372,7 +383,10 @@ impl Transport {
     /// A frame failing its checksum is discarded — the wrong payload is
     /// never delivered — and the failure is stashed for the next
     /// receive call to surface as [`CommError::Corrupt`].
-    fn ingest(&mut self, env: Envelope, m: &mut MetricsShard) {
+    fn ingest(&mut self, mut env: Envelope, m: &mut MetricsShard) {
+        if std::mem::take(&mut env.duplicated) {
+            self.ingest(env.clone(), m);
+        }
         let src = env.src as usize;
         let got = crc32(&env.payload);
         if got != env.crc {
@@ -396,16 +410,22 @@ impl Transport {
             return;
         }
         let mut released = Vec::new();
+        let sent_in = env.phase;
         match self.windows[src].ingest(env.seq, env, &mut released) {
             Ingest::Duplicate => {
-                m.add(reliable::DUPLICATES_DROPPED, 1);
+                m.add_in(sent_in, reliable::DUPLICATES_DROPPED, 1);
             }
             Ingest::Buffered => {
-                m.add(reliable::REORDER_BUFFERED, 1);
-                m.observe(reliable::REORDER_DEPTH, self.windows[src].depth() as u64);
+                m.add_in(sent_in, reliable::REORDER_BUFFERED, 1);
+                let depth = self.windows[src].depth() as u64;
+                m.observe_in(sent_in, reliable::REORDER_DEPTH, depth);
             }
             Ingest::Delivered => {
-                m.add(reliable::ACKS, released.len() as u64);
+                // One ack per frame, each in its own sender's phase: a
+                // parked frame may be released by one sent a phase later.
+                for e in &released {
+                    m.add_in(e.phase, reliable::ACKS, 1);
+                }
             }
         }
         self.pending[src].extend(released);
@@ -640,15 +660,25 @@ mod tests {
             _ => FaultAction::Deliver,
         };
         let [(mut a, mut ma), (mut b, mut mb)] = pair(dup_first, ReliabilityConfig::on());
+        ma.open_window(Phase::Coarse);
         assert_eq!(a.send(1, TAG, 0.0, Body::Bytes(vec![1]), &mut ma), 0);
         assert_eq!(a.send(1, TAG, 0.0, Body::Bytes(vec![2]), &mut ma), 1);
-        // Three frames are on the wire (seq 0 twice, then seq 1); the
-        // receiver hands out two.
+        // Three frames arrive (seq 0 twice, then seq 1); the receiver
+        // hands out two.
+        mb.open_window(Phase::Connect);
         assert_eq!(payload_of(b.recv(0, TAG, &mut mb, None)), vec![1]);
         assert_eq!(payload_of(b.recv(0, TAG, &mut mb, None)), vec![2]);
         let seen = mb.snapshot(1);
         assert_eq!(seen.counter(reliable::DUPLICATES_DROPPED), Some(1));
         assert_eq!(seen.counter(reliable::ACKS), Some(2));
+        // Counted in the window of the phase the frames were *sent* in:
+        // which window the receiver has open when they arrive is host
+        // scheduling, and must not show in the dump.
+        let sent_in = seen.window("coarse").expect("the sender's phase");
+        assert_eq!(sent_in.counter(reliable::DUPLICATES_DROPPED), Some(1));
+        assert_eq!(sent_in.counter(reliable::ACKS), Some(2));
+        let open = seen.window("connect").expect("the receiver's phase");
+        assert!(open.counters.is_empty(), "{open:?}");
         assert_eq!(ma.snapshot(0).counter(FAULTS_DUPLICATED), Some(1));
         // Nothing else is buffered: once the sender is gone the next
         // receive reports the disconnect, not a second copy.
@@ -676,11 +706,24 @@ mod tests {
         // Reliable: same wire order, but the window parks the early
         // frame and releases both in sequence.
         let [(mut a, mut ma), (mut b, mut mb)] = pair(hold_first, ReliabilityConfig::on());
+        ma.open_window(Phase::Steiner);
         a.send(1, TAG, 0.0, Body::Bytes(vec![1]), &mut ma);
+        ma.open_window(Phase::Coarse);
         a.send(1, TAG, 0.0, Body::Bytes(vec![2]), &mut ma);
         assert_eq!(payload_of(b.recv(0, TAG, &mut mb, None)), vec![1]);
         assert_eq!(payload_of(b.recv(0, TAG, &mut mb, None)), vec![2]);
-        assert_eq!(mb.snapshot(1).counter(reliable::REORDER_BUFFERED), Some(1));
+        let seen = mb.snapshot(1);
+        assert_eq!(seen.counter(reliable::REORDER_BUFFERED), Some(1));
+        // The early frame was parked — and is acked — in its own
+        // sender's phase, though the late one's arrival released it.
+        let (early, late) = (
+            seen.window("coarse").unwrap(),
+            seen.window("steiner").unwrap(),
+        );
+        assert_eq!(early.counter(reliable::REORDER_BUFFERED), Some(1));
+        assert_eq!(early.counter(reliable::ACKS), Some(1));
+        assert_eq!(late.counter(reliable::REORDER_BUFFERED), None);
+        assert_eq!(late.counter(reliable::ACKS), Some(1));
         assert!(b.snapshot().expect("layer attached").reorder.is_empty());
     }
 

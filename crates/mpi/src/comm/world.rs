@@ -32,14 +32,6 @@ impl<R> RunReport<R> {
         wall_makespan(&self.stats)
     }
 
-    pub fn total_bytes_sent(&self) -> u64 {
-        self.stats.iter().map(|s| s.bytes_sent).sum()
-    }
-
-    pub fn total_msgs_sent(&self) -> u64 {
-        self.stats.iter().map(|s| s.msgs_sent).sum()
-    }
-
     pub fn max_peak_mem(&self) -> u64 {
         self.stats.iter().map(|s| s.peak_mem).max().unwrap_or(0)
     }

@@ -102,11 +102,6 @@ impl MachineModel {
         }
     }
 
-    /// Transfer cost of a `bytes`-sized message, excluding overheads.
-    pub fn transfer_time(&self, bytes: usize) -> f64 {
-        self.latency + bytes as f64 * self.sec_per_byte
-    }
-
     /// Compute cost of `ops` abstract operations.
     pub fn compute_time(&self, ops: u64) -> f64 {
         ops as f64 * self.sec_per_op
@@ -136,19 +131,8 @@ mod tests {
     }
 
     #[test]
-    fn transfer_time_is_affine_in_bytes() {
-        let m = MachineModel::sparc_center_1000();
-        let t0 = m.transfer_time(0);
-        let t1k = m.transfer_time(1024);
-        assert!((t0 - m.latency).abs() < 1e-12);
-        assert!(t1k > t0);
-        assert!((t1k - t0 - 1024.0 * m.sec_per_byte).abs() < 1e-12);
-    }
-
-    #[test]
     fn ideal_machine_is_free() {
         let m = MachineModel::ideal();
-        assert_eq!(m.transfer_time(1 << 20), 0.0);
         assert_eq!(m.compute_time(u64::MAX / 2), 0.0);
         assert!(m.fits_in_node(u64::MAX));
     }

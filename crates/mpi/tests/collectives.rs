@@ -437,10 +437,9 @@ mod edge_cases {
                     }
                 }
             });
-            let sent: u64 = report.stats.iter().map(|s| s.msgs_sent).sum();
+            let sent: u64 = report.stats.iter().map(|s| s.bytes_sent).sum();
             let matrix_total: u64 = report.comm_matrix().iter().flatten().sum();
-            assert_eq!(matrix_total, report.total_bytes_sent());
-            assert_eq!(sent, report.total_msgs_sent());
+            assert_eq!(matrix_total, sent);
         }
     }
 

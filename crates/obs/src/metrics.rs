@@ -282,22 +282,32 @@ impl MetricsShard {
         }
     }
 
-    /// A shard that records nothing (and never allocates).
-    pub fn disabled() -> Self {
-        MetricsShard::new(MetricsConfig::off())
-    }
-
     pub fn enabled(&self) -> bool {
         self.enabled
     }
 
     /// Add `delta` to the counter `name`.
     pub fn add(&mut self, name: &'static str, delta: u64) {
+        self.add_at(self.open, name, delta);
+    }
+
+    /// [`MetricsShard::add`] into the totals and `phase`'s window
+    /// (totals only for `None`), whichever window is open: for an event
+    /// whose phase is a property of the event, not of the moment it is
+    /// recorded — a frame counted at arrival belongs to the phase its
+    /// sender was in, which is the same on every run, where the
+    /// receiver's open window depends on host scheduling.
+    pub fn add_in(&mut self, phase: Option<Phase>, name: &'static str, delta: u64) {
+        let at = self.window_of(phase);
+        self.add_at(at, name, delta);
+    }
+
+    fn add_at(&mut self, at: Option<usize>, name: &'static str, delta: u64) {
         if !self.enabled {
             return;
         }
         *slot(&mut self.total.counters, name) += delta;
-        if let Some(i) = self.open {
+        if let Some(i) = at {
             *slot(&mut self.windows[i].1.counters, name) += delta;
         }
     }
@@ -315,30 +325,49 @@ impl MetricsShard {
 
     /// Record one observation into the histogram `name`.
     pub fn observe(&mut self, name: &'static str, v: u64) {
+        self.observe_at(self.open, name, v);
+    }
+
+    /// [`MetricsShard::observe`] into `phase`'s window — see
+    /// [`MetricsShard::add_in`].
+    pub fn observe_in(&mut self, phase: Option<Phase>, name: &'static str, v: u64) {
+        let at = self.window_of(phase);
+        self.observe_at(at, name, v);
+    }
+
+    fn observe_at(&mut self, at: Option<usize>, name: &'static str, v: u64) {
         if !self.enabled {
             return;
         }
         slot::<Histogram>(&mut self.total.histograms, name).observe(v);
-        if let Some(i) = self.open {
+        if let Some(i) = at {
             slot::<Histogram>(&mut self.windows[i].1.histograms, name).observe(v);
         }
+    }
+
+    /// The phase whose window is open, if any.
+    pub fn open_phase(&self) -> Option<Phase> {
+        self.open.map(|i| self.windows[i].0)
+    }
+
+    /// Index of `phase`'s window, created on first use; `None` for no
+    /// phase or a disabled shard.
+    fn window_of(&mut self, phase: Option<Phase>) -> Option<usize> {
+        let phase = phase.filter(|_| self.enabled)?;
+        Some(match self.windows.iter().position(|(p, _)| *p == phase) {
+            Some(i) => i,
+            None => {
+                self.windows.push((phase, Store::default()));
+                self.windows.len() - 1
+            }
+        })
     }
 
     /// Route subsequent records into `phase`'s window (as well as the
     /// totals) until the next `open_window`/[`close_window`] call.
     /// Re-opening a phase accumulates into its existing window.
     pub fn open_window(&mut self, phase: Phase) {
-        if !self.enabled {
-            return;
-        }
-        let i = match self.windows.iter().position(|(p, _)| *p == phase) {
-            Some(i) => i,
-            None => {
-                self.windows.push((phase, Store::default()));
-                self.windows.len() - 1
-            }
-        };
-        self.open = Some(i);
+        self.open = self.window_of(Some(phase));
     }
 
     /// Stop routing records into any window (totals still accumulate).
@@ -560,11 +589,14 @@ mod tests {
 
     #[test]
     fn disabled_shard_records_nothing() {
-        let mut s = MetricsShard::disabled();
+        let mut s = MetricsShard::new(MetricsConfig::off());
         s.open_window(Phase::Setup);
         s.add("a", 5);
         s.gauge("g", 1.5);
         s.observe("h", 3);
+        s.add_in(Some(Phase::Coarse), "a", 1);
+        s.observe_in(Some(Phase::Coarse), "h", 1);
+        assert_eq!(s.open_phase(), None);
         s.close_window();
         let snap = s.snapshot(0);
         assert!(snap.counters.is_empty());
@@ -580,17 +612,26 @@ mod tests {
         s.add("c", 2);
         s.observe("h", 4);
         s.open_window(Phase::Connect);
+        assert_eq!(s.open_phase(), Some(Phase::Connect));
         s.add("c", 5);
         s.add("only_connect", 1);
         s.observe("h", 900);
+        // Stamped records go to the named window, not the open one —
+        // and to the totals only when stamped with no phase.
+        s.add_in(Some(Phase::Steiner), "c", 10);
+        s.observe_in(Some(Phase::Steiner), "h", 7);
+        s.add_in(None, "unphased", 1);
         s.close_window();
         let snap = s.snapshot(0);
         // Window values sum back to the cumulative totals.
-        assert_eq!(snap.counter("c"), Some(7));
+        assert_eq!(snap.counter("c"), Some(17));
         let st = snap.window("steiner").expect("steiner window");
         let cn = snap.window("connect").expect("connect window");
-        assert_eq!(st.counter("c"), Some(2));
+        assert_eq!(st.counter("c"), Some(12));
+        assert_eq!(st.histogram("h").unwrap().count, 2);
         assert_eq!(cn.counter("c"), Some(5));
+        assert_eq!(snap.counter("unphased"), Some(1));
+        assert_eq!(cn.counter("unphased"), None);
         assert_eq!(cn.counter("only_connect"), Some(1));
         let mut merged = Histogram::new();
         merged.merge(st.histogram("h").unwrap());

@@ -21,10 +21,9 @@
 use pgr::circuit::format::from_text;
 use pgr::circuit::mcnc::{Mcnc, ALL};
 use pgr::circuit::{format, Circuit};
-use pgr::mpi::{Comm, InstrumentConfig, MachineModel};
+use pgr::mpi::{InstrumentConfig, MachineModel};
 use pgr::router::{
-    route_parallel_guarded, try_route_serial, verify, Algorithm, PartitionKind, RouterConfig,
-    RoutingResult,
+    route_parallel_guarded, verify, Algorithm, PartitionKind, RouterConfig, RoutingResult,
 };
 use std::process::exit;
 
@@ -209,44 +208,31 @@ fn cmd_route() {
         .flags
         .get("algorithm")
         .map(String::as_str)
-        .unwrap_or("serial")
-        .to_string();
+        .unwrap_or("serial");
 
-    let (result, time, procs) = match algo_name.as_str() {
-        "serial" => {
-            let mut comm = Comm::solo(machine);
-            let r = try_route_serial(&circuit, &cfg, &mut comm);
-            (r, comm.now(), 1)
-        }
-        other => {
-            let algo = Algorithm::ALL
-                .into_iter()
-                .find(|a| a.name() == other)
-                .unwrap_or_else(|| {
-                    die(&format!(
-                        "unknown algorithm '{other}' (serial|row-wise|net-wise|hybrid)"
-                    ))
-                });
-            let procs = procs.min(circuit.num_rows()).max(1);
-            let out = route_parallel_guarded(
-                &circuit,
-                &cfg,
-                algo,
-                partition,
-                procs,
-                machine,
-                InstrumentConfig::off(),
-            );
-            if !out.fits_memory {
-                eprintln!(
-                    "warning: a rank's modeled working set exceeds the machine's node memory"
-                );
-            }
-            (out.result, out.time, procs)
-        }
-    };
-
-    let result = result.unwrap_or_else(|e| die(&e.to_string()));
+    let algo = Algorithm::DRIVERS
+        .into_iter()
+        .find(|a| a.name() == algo_name)
+        .unwrap_or_else(|| {
+            die(&format!(
+                "unknown algorithm '{algo_name}' (serial|row-wise|net-wise|hybrid)"
+            ))
+        });
+    let procs = algo.ranks(procs.min(circuit.num_rows()).max(1));
+    let out = route_parallel_guarded(
+        &circuit,
+        &cfg,
+        algo,
+        partition,
+        procs,
+        machine,
+        InstrumentConfig::off(),
+    );
+    if !out.fits_memory {
+        eprintln!("warning: a rank's modeled working set exceeds the machine's node memory");
+    }
+    let time = out.time;
+    let result = out.result.unwrap_or_else(|e| die(&e.to_string()));
 
     if args.switches.contains("verify") {
         verify::assert_verified(&circuit, &result);
@@ -259,7 +245,7 @@ fn cmd_route() {
         &result,
         time,
         procs,
-        &algo_name,
+        algo_name,
         args.switches.contains("csv"),
     );
     if let Some(svg_path) = args.flags.get("svg") {
