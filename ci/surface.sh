@@ -18,7 +18,15 @@
 # - when the harness grows a second runner: `tables::run_cell` (through
 #   `route_parallel_guarded`) is how every `repro` target runs all four
 #   drivers, so nothing under crates/bench/src spawns a world or calls
-#   the serial entry itself.
+#   the serial entry itself;
+# - when crates/core/src/parallel re-spells a step: `route/` owns every
+#   step's loop and every state's delta format, `parallel/` partition and
+#   exchange only, so nothing there names `shed_sweep`, `shuffled_indices`,
+#   `improve_slice`, `optimize_slice`, `take_deltas`, `merge_external` or
+#   `enable_logging`;
+# - when routing state stops being flat: a non-test line under
+#   crates/core/src that contains `Vec<Vec<i64>>` (grids are one `Grid`),
+#   `HashMap` or `HashSet` (nets are dense ids: `NetSlots`, sorted lists).
 set -eu
 cd "$(dirname "$0")/.."
 MAX_FILE=1000
@@ -69,6 +77,25 @@ second_runner=$(grep -rnE 'try_route_serial|run_instrumented' crates/bench/src |
 if [ -n "$second_runner" ]; then
     echo "surface: repro targets run routes through tables::run_cell only:" >&2
     echo "$second_runner" >&2
+    exit 1
+fi
+
+respelled=$(grep -rnE 'shed_sweep|shuffled_indices|improve_slice|optimize_slice|take_deltas|merge_external|enable_logging' crates/core/src/parallel || true)
+if [ -n "$respelled" ]; then
+    echo "surface: crates/core/src/parallel re-spells a step (call CoarseState::route / switchable::optimize):" >&2
+    echo "$respelled" >&2
+    exit 1
+fi
+
+# shellcheck disable=SC2046
+nested=$(awk '
+    FNR == 1 { in_tests = 0 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests && /Vec<Vec<i64>>|HashMap|HashSet/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+' $(find crates/core/src -name '*.rs'))
+if [ -n "$nested" ]; then
+    echo "surface: nested or hashed routing state (use route::state::Grid / NetSlots / a sorted list):" >&2
+    echo "$nested" >&2
     exit 1
 fi
 

@@ -14,7 +14,7 @@ use crate::parallel::partition::partition_nets;
 use crate::route::coarse::CoarseState;
 use crate::route::feedthrough::{assign, FtPlan};
 use crate::route::serial::{attach_feedthroughs, crossings_of, shift_pins};
-use crate::route::state::{Node, Orientation, Segment, Span, WorkNet};
+use crate::route::state::{NetSlots, Node, Orientation, Segment, Span, WorkNet};
 use crate::route::steiner::{build_segments_with, whole_net};
 use crate::route::switchable::ChannelState;
 use pgr_circuit::{Circuit, NetId, RowId, RowPartition};
@@ -125,16 +125,16 @@ pub(crate) fn group_nodes<N: IntoIterator<Item = Node>>(
     parts: impl IntoIterator<Item = (NetId, N)>,
 ) -> Vec<WorkNet> {
     let mut works: Vec<WorkNet> = Vec::new();
-    let mut index = std::collections::HashMap::new();
+    let mut slots = NetSlots::default();
     for (net, nodes) in parts {
-        let &mut i = index.entry(net).or_insert_with(|| {
+        let i = *slots.of(net).get_or_insert_with(|| {
             works.push(WorkNet {
                 net,
                 nodes: Vec::new(),
             });
-            works.len() - 1
+            works.len() as u32 - 1
         });
-        works[i].nodes.extend(nodes);
+        works[i as usize].nodes.extend(nodes);
     }
     for w in &mut works {
         w.nodes.sort_unstable_by_key(|n| n.sort_key());
@@ -222,22 +222,6 @@ pub fn replay_split_arrival(
         }
     }
     segments
-}
-
-/// Rebuild the Steiner-pass checkpoint retention for the calling rank
-/// under the *current* net partition, so a resumed attempt re-deposits
-/// valid portable snapshots at its own boundaries.
-pub fn owned_ckpt(
-    by_net: &[Option<Vec<Segment>>],
-    owners: &[u32],
-    rank: usize,
-) -> Vec<(u32, Vec<Segment>)> {
-    owners
-        .iter()
-        .enumerate()
-        .filter(|&(i, &o)| o as usize == rank && by_net[i].is_some())
-        .map(|(i, _)| (i as u32, by_net[i].clone().expect("filtered to Some")))
-        .collect()
 }
 
 /// Exchange boundary-channel counts with row-partition neighbors and
@@ -405,8 +389,8 @@ impl RowBand {
             // Step 3: feedthrough insertion + assignment for the local
             // rows, then the global chip width (the widest row anywhere).
             Phase::Feedthrough => {
-                let demand = self.coarse.take().expect("coarse pass ran").into_demand();
-                let plan = FtPlan::new(ctx.row0(), demand, cfg.grid_w, cfg.ft_width);
+                let coarse = self.coarse.take().expect("coarse pass ran");
+                let plan = coarse.into_plan(cfg.ft_width);
                 let local_cells: usize = ctx
                     .rows
                     .range(ctx.rank)
@@ -462,7 +446,11 @@ impl RowBand {
         let by_net = merge_steiner_payloads(payloads, ctx.circuit.num_nets());
         self.segments = replay_split_arrival(&by_net, &self.owners, &ctx.rows, ctx.size, ctx.rank);
         self.works = assemble_works(&self.segments);
-        self.ckpt = owned_ckpt(&by_net, &self.owners, ctx.rank);
+        // Retained under the *current* net partition, to re-deposit them.
+        self.ckpt = (0..by_net.len())
+            .filter(|&i| self.owners[i] as usize == ctx.rank)
+            .filter_map(|i| Some((i as u32, by_net[i].clone()?)))
+            .collect();
     }
 
     /// The assembled result, after the assemble pass (rank 0 only).
@@ -563,5 +551,54 @@ mod tests {
     #[test]
     fn assemble_empty() {
         assert!(assemble_works(&[]).is_empty());
+    }
+
+    #[test]
+    fn group_nodes_matches_the_hash_map_reference() {
+        use std::collections::HashMap;
+        // The hashed grouping the slot table replaced.
+        fn reference(parts: Vec<(NetId, Vec<Node>)>) -> Vec<WorkNet> {
+            let mut works: Vec<WorkNet> = Vec::new();
+            let mut index = HashMap::new();
+            for (net, nodes) in parts {
+                let &mut i = index.entry(net).or_insert_with(|| {
+                    works.push(WorkNet {
+                        net,
+                        nodes: Vec::new(),
+                    });
+                    works.len() - 1
+                });
+                works[i].nodes.extend(nodes);
+            }
+            for w in &mut works {
+                w.nodes.sort_unstable_by_key(|n| n.sort_key());
+                w.nodes.dedup();
+            }
+            works
+        }
+        // Non-contiguous, unsorted net ids, contributions interleaved and
+        // overlapping (duplicates must collapse), some empty.
+        let nets = [907u32, 3, 41, 40, 100_000, 0];
+        let mut rng = pgr_geom::rng::rng_from_seed(0x6E0D);
+        let parts: Vec<(NetId, Vec<Node>)> = (0..80)
+            .map(|_| {
+                let net = nets[rng.gen_range(0..nets.len())];
+                let n = rng.gen_range(0..4usize);
+                let nodes = (0..n)
+                    .map(|_| fake(rng.gen_range(0..6i64), rng.gen_range(0..3u32)))
+                    .collect();
+                (NetId(net), nodes)
+            })
+            .collect();
+        let works = group_nodes(parts.clone());
+        assert_eq!(works, reference(parts.clone()));
+        // Order is first appearance, not id order.
+        let mut first_seen: Vec<NetId> = Vec::new();
+        for (net, _) in &parts {
+            if !first_seen.contains(net) {
+                first_seen.push(*net);
+            }
+        }
+        assert_eq!(works.iter().map(|w| w.net).collect::<Vec<_>>(), first_seen);
     }
 }

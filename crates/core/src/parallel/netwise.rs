@@ -19,124 +19,25 @@ use crate::cost;
 use crate::engine::{Phase, Pipeline, RouteCtx};
 use crate::metrics::{names, record_ft_plan, RoutingResult};
 use crate::parallel::common::{
-    distribute, gather_result, merge_steiner_payloads, owned_ckpt, steiner_snapshot,
-    PORTABLE_HORIZON,
+    distribute, gather_result, merge_steiner_payloads, steiner_snapshot, PORTABLE_HORIZON,
 };
 use crate::parallel::partition::partition_nets;
-use crate::route::coarse::{CoarseDeltas, CoarseState};
+use crate::route::coarse::CoarseState;
 use crate::route::connect::connect_all;
 use crate::route::feedthrough::{assign, Crossing, FtPlan};
-use crate::route::serial::{attach_feedthroughs, crossings_of, shift_pins};
-use crate::route::shed_sweep;
+use crate::route::serial::{attach_feedthroughs, crossings_of, register_steiner_nodes, shift_pins};
 use crate::route::state::{Node, Orientation, Segment, Span, WorkNet};
 use crate::route::steiner::{build_segments_with, whole_net};
-use crate::route::switchable::{optimize_slice, switchable_candidates, ChannelState, SpanDelta};
+use crate::route::switchable::{optimize, ChannelState};
 use pgr_circuit::{NetId, RowId};
-use pgr_geom::shuffled_indices;
 use pgr_mpi::Comm;
-use std::collections::HashSet;
 
-/// Allgather every rank's coarse deltas and merge the remote ones.
-/// Every sync also charges a full refresh of the replicated grid arrays
-/// — "all the processors will share all the channels and communication
-/// is more costly than computation" (§5).
-///
-/// With `exact = false` (the default), remote density updates to grid
-/// cells this rank also wrote are lost (snapshot-overwrite semantics);
-/// see [`CoarseState::merge_external`].
-fn sync_coarse(coarse: &mut CoarseState, exact: bool, comm: &mut Comm) {
-    if comm.size() == 1 {
-        // Nothing is replicated: drain the log and return.
-        let _ = coarse.take_deltas();
-        return;
-    }
-    let all: Vec<CoarseDeltas> = comm.allgather(coarse.take_deltas());
-    let rank = comm.rank();
-    let own = (!exact).then(|| &all[rank]);
-    for (r, d) in all.iter().enumerate() {
-        if r != rank {
-            coarse.merge_external(d, own, comm);
-        }
-    }
-    comm.compute(
-        cost::MERGE_COL
-            * coarse.gcols() as u64
-            * (coarse.num_channels() + coarse.num_rows()) as u64,
-    );
-}
-
-/// Tag of the snapshot-exchange payloads.
-const SNAPSHOT_TAG: u32 = 3;
-
-/// The naive all-channel snapshot exchange of the 1997 implementation:
-/// every rank ships its full channel-state snapshot to rank 0, which
-/// redistributes the combined state. The transfers are modeled (the
-/// actual reconciliation travels as deltas alongside); what matters to
-/// the simulation is that every synchronization moves
-/// `state_bytes × P` bytes through the network — "this is because all
-/// the processors will share all the channels and communication is more
-/// costly than computation" (§5).
-fn exchange_snapshot(state_bytes: usize, comm: &mut Comm) {
-    let size = comm.size();
-    if size == 1 {
-        return;
-    }
-    if comm.rank() == 0 {
-        for src in 1..size {
-            comm.recv_modeled(src, SNAPSHOT_TAG);
-        }
-        for dst in 1..size {
-            comm.send_modeled(dst, SNAPSHOT_TAG, state_bytes);
-        }
-    } else {
-        comm.send_modeled(0, SNAPSHOT_TAG, state_bytes);
-        comm.recv_modeled(0, SNAPSHOT_TAG);
-    }
-}
-
-/// Column bucket used for write-write conflict detection on the
-/// full-resolution channel state.
-const CONFLICT_BUCKET: i64 = 256;
-
-fn span_buckets(d: &SpanDelta) -> impl Iterator<Item = (u32, i64)> + '_ {
-    (d.lo / CONFLICT_BUCKET..=d.hi / CONFLICT_BUCKET).map(move |b| (d.chan, b))
-}
-
-/// Allgather every rank's channel deltas and merge the remote ones, plus
-/// the full-resolution replicated-array refresh every sync pays. With
-/// `exact = false`, a remote update overlapping a (channel, column
-/// bucket) this rank also wrote since the last sync is dropped.
-fn sync_chans(chans: &mut ChannelState, exact: bool, comm: &mut Comm) {
-    if comm.size() == 1 {
-        let _ = chans.take_deltas();
-        return;
-    }
-    let all: Vec<Vec<SpanDelta>> = comm.allgather(chans.take_deltas());
-    let rank = comm.rank();
-    let own: Option<HashSet<(u32, i64)>> =
-        (!exact).then(|| all[rank].iter().flat_map(span_buckets).collect());
-    for (r, mut d) in all.into_iter().enumerate() {
-        if r != rank {
-            if let Some(own) = &own {
-                d.retain(|sd| !span_buckets(sd).any(|k| own.contains(&k)));
-            }
-            chans.merge_external(&d, comm);
-        }
-    }
-    // The full channel state travels every sync (one track count per
-    // channel column).
-    exchange_snapshot(chans.num_channels() * chans.width() as usize * 4, comm);
-    comm.compute(cost::MERGE_COL * chans.width() as u64 * chans.num_channels() as u64 / 8);
-}
-
-/// Net-wise slicing of a refinement sweep over `n` local items for
-/// [`shed_sweep`]: one sync every `sync_period` decisions, and as many
-/// rounds as the busiest rank needs — every rank joins every sync, with
-/// empty slices once its own items run out.
-fn synced_slices(n: usize, sync_period: usize, comm: &mut Comm) -> (usize, usize) {
-    let sp = sync_period.max(1);
-    let rounds = comm.allreduce(n.div_ceil(sp) as u64, u64::max);
-    (sp, rounds as usize)
+/// Where an owned net's Steiner segments come from.
+enum SegmentSource<'a> {
+    /// The Steiner pass builds them (and polls the budget as it goes).
+    Build(&'a mut Comm),
+    /// A resume takes them from the failed world's checkpoint table.
+    Checkpoint(&'a [Option<Vec<Segment>>]),
 }
 
 /// Pipeline state carried between the net-wise passes. Driven by
@@ -159,15 +60,56 @@ pub(crate) struct NetWisePipeline {
     segments: Vec<Segment>,
     orients: Vec<Orientation>,
     coarse: Option<CoarseState>,
-    /// Replicated-grid width (coarser than serial at P > 1), computed in
-    /// the coarse pass and reused by feedthrough planning.
-    grid_w: i64,
     plan: Option<FtPlan>,
     chip_width: i64,
     chans: Option<ChannelState>,
     spans: Vec<Span>,
     wirelength: u64,
     result: Option<RoutingResult>,
+}
+
+impl NetWisePipeline {
+    /// Deal the nets and walk the owned ones in net-id order: the work
+    /// record of every multi-pin net (`whole_net` and the Steiner-junction
+    /// registration are pure), its segments from `source`, and with `keep`
+    /// the per-net copy the portable snapshot deposits. The one loop of
+    /// the Steiner pass and of its resume, so a resumed run cannot drift
+    /// from a fresh one.
+    fn build_owned(&mut self, ctx: &RouteCtx<'_>, keep: bool, mut source: SegmentSource<'_>) {
+        let (circuit, cfg) = (ctx.circuit, ctx.cfg);
+        self.owners = partition_nets(circuit, ctx.kind, &ctx.rows, ctx.size, cfg.pin_weight_beta);
+        for net in circuit.nets_chunks().flat_map(|c| c.net_ids()) {
+            let i = net.index();
+            if self.owners[i] as usize != ctx.rank {
+                continue;
+            }
+            // Mandatory work: a latched breach stops local building; the
+            // engine aborts at the next boundary.
+            if let SegmentSource::Build(comm) = &mut source {
+                if comm.budget_poll_abort() {
+                    break;
+                }
+            }
+            let mut w = whole_net(circuit, net);
+            if w.nodes.len() < 2 {
+                continue;
+            }
+            let segs = match &mut source {
+                SegmentSource::Build(comm) => build_segments_with(&w, cfg.steiner_refine, comm),
+                SegmentSource::Checkpoint(by_net) => by_net[i]
+                    .clone()
+                    .expect("every multi-pin net was checkpointed by its dead-world owner"),
+            };
+            if cfg.steiner_refine {
+                register_steiner_nodes(&mut w, &segs);
+            }
+            if keep {
+                self.ckpt.push((i as u32, segs.clone()));
+            }
+            self.segments.extend(segs);
+            self.works.push(w);
+        }
+    }
 }
 
 impl Pipeline for NetWisePipeline {
@@ -181,69 +123,27 @@ impl Pipeline for NetWisePipeline {
 
             // Step 1: Steiner trees for owned (whole) nets.
             Phase::Steiner => {
-                self.owners =
-                    partition_nets(circuit, ctx.kind, &ctx.rows, ctx.size, cfg.pin_weight_beta);
                 let keep = comm.checkpointing();
-                for net in circuit.nets_chunks().flat_map(|c| c.net_ids()) {
-                    let i = net.index();
-                    if self.owners[i] as usize != ctx.rank {
-                        continue;
-                    }
-                    // Mandatory work: a latched breach stops local
-                    // building; the engine aborts at the next boundary.
-                    if comm.budget_poll_abort() {
-                        break;
-                    }
-                    let mut w = whole_net(circuit, net);
-                    if w.nodes.len() >= 2 {
-                        let segs = build_segments_with(&w, cfg.steiner_refine, comm);
-                        if cfg.steiner_refine {
-                            crate::route::serial::register_steiner_nodes(&mut w, &segs);
-                        }
-                        if keep {
-                            self.ckpt.push((i as u32, segs.clone()));
-                        }
-                        self.segments.extend(segs);
-                        self.works.push(w);
-                    }
-                }
+                self.build_owned(ctx, keep, SegmentSource::Build(comm));
                 comm.metric_add(names::NETS_OWNED, self.works.len() as u64);
                 comm.metric_add(names::SEGMENTS_OWNED, self.segments.len() as u64);
                 comm.metric_add(names::ROWS_OWNED, ctx.nrows() as u64);
             }
 
             // Step 2: coarse routing against a replicated global grid,
-            // with periodic synchronization every `sync_period` decisions.
+            // which synchronizes itself every `sync_period` decisions.
             // The replicated copy is kept coarser than the serial grid to
             // bound the per-rank state and the all-channel
             // synchronization volume.
             Phase::Coarse => {
-                self.grid_w = if ctx.size > 1 {
+                let grid_w = if ctx.size > 1 {
                     cfg.grid_w * cfg.netwise_grid_factor.max(1)
                 } else {
                     cfg.grid_w
                 };
                 let mut coarse =
-                    CoarseState::charged(0, all_rows, circuit.width, self.grid_w, comm);
-                coarse.enable_logging();
-                let mut orients = coarse.init_random(&self.segments, &mut ctx.rng, comm);
-                for _ in 0..cfg.coarse_passes {
-                    let order = shuffled_indices(self.segments.len(), &mut ctx.rng);
-                    let changed = shed_sweep(
-                        &mut coarse,
-                        &order,
-                        synced_slices(order.len(), cfg.sync_period, comm),
-                        comm,
-                        |coarse, chunk, comm| {
-                            coarse.improve_slice(&self.segments, &mut orients, chunk, cfg, comm)
-                        },
-                        |coarse, comm| sync_coarse(coarse, cfg.netwise_exact_sync, comm),
-                    );
-                    if comm.allreduce(changed as u64, |a, b| a + b) == 0 {
-                        break;
-                    }
-                }
-                self.orients = orients;
+                    CoarseState::charged(0, all_rows, circuit.width, grid_w, comm).replicated();
+                self.orients = coarse.route(&self.segments, cfg, &mut ctx.rng, comm);
                 self.coarse = Some(coarse);
             }
 
@@ -253,8 +153,8 @@ impl Pipeline for NetWisePipeline {
             // has to own a copy of all the segments which cross its
             // rows"), assignments come back to the net owner.
             Phase::Feedthrough => {
-                let demand = self.coarse.take().expect("coarse pass ran").into_demand();
-                let plan = FtPlan::new(0, demand, self.grid_w, cfg.ft_width);
+                let coarse = self.coarse.take().expect("coarse pass ran");
+                let plan = coarse.into_plan(cfg.ft_width);
                 comm.compute(cost::FT_INSERT_CELL * circuit.num_cells() as u64);
                 let mut cross_out: Vec<Vec<Crossing>> = vec![Vec::new(); ctx.size];
                 for c in crossings_of(&self.segments, &self.orients) {
@@ -295,32 +195,14 @@ impl Pipeline for NetWisePipeline {
                 }));
             }
 
-            // Step 5: switchable optimization on owned nets, replicated
-            // state, periodic sync. There is no full baseline exchange —
-            // a rank sees remote spans only once a periodic sync delivers
-            // them (the paper describes exactly this blindness: "all
-            // processors could assign the same switchable net segments to
-            // the same channel"), and the stale views between syncs are
-            // the interference it blames for the quality loss.
+            // Step 5: switchable optimization on owned nets against the
+            // replicated state, which synchronizes itself. There is no
+            // full baseline exchange: the stale views between syncs are
+            // the interference the paper blames for the quality loss.
             Phase::Switchable => {
                 let chans = self.chans.as_mut().expect("connect pass ran");
-                let candidates = switchable_candidates(&self.spans);
-                for _ in 0..cfg.switch_passes {
-                    let perm = shuffled_indices(candidates.len(), &mut ctx.rng);
-                    let order: Vec<u32> = perm.iter().map(|&k| candidates[k as usize]).collect();
-                    let flips = shed_sweep(
-                        chans,
-                        &order,
-                        synced_slices(order.len(), cfg.sync_period, comm),
-                        comm,
-                        |chans, chunk, comm| optimize_slice(chans, &mut self.spans, chunk, comm),
-                        |chans, comm| sync_chans(chans, cfg.netwise_exact_sync, comm),
-                    ) as u64;
-                    comm.metric_add(names::SEGMENTS_FLIPPED, flips);
-                    if comm.allreduce(flips, |a, b| a + b) == 0 {
-                        break;
-                    }
-                }
+                let flips = optimize(chans, &mut self.spans, cfg, &mut ctx.rng, comm);
+                comm.metric_add(names::SEGMENTS_FLIPPED, flips as u64);
             }
 
             // The feedthrough plan is replicated: every rank's total
@@ -350,36 +232,10 @@ impl Pipeline for NetWisePipeline {
         if at.index() != PORTABLE_HORIZON {
             return; // resuming at Steiner: default state, setup re-runs
         }
-        // Nets are whole here: rebuild the owned work records exactly as
-        // the skipped Steiner pass would have (whole_net and the
-        // steiner-node registration are pure), seeding the segments from
-        // the checkpoint instead of re-deriving the trees.
-        self.owners = partition_nets(
-            ctx.circuit,
-            ctx.kind,
-            &ctx.rows,
-            ctx.size,
-            ctx.cfg.pin_weight_beta,
-        );
+        // Nets are whole here: the skipped Steiner pass's own walk, fed the
+        // checkpointed segments (retained: this attempt re-deposits them).
         let by_net = merge_steiner_payloads(payloads, ctx.circuit.num_nets());
-        for net in ctx.circuit.nets_chunks().flat_map(|c| c.net_ids()) {
-            let i = net.index();
-            if self.owners[i] as usize != ctx.rank {
-                continue;
-            }
-            let mut w = whole_net(ctx.circuit, net);
-            if w.nodes.len() >= 2 {
-                let segs = by_net[i]
-                    .clone()
-                    .expect("every multi-pin net was checkpointed by its dead-world owner");
-                if ctx.cfg.steiner_refine {
-                    crate::route::serial::register_steiner_nodes(&mut w, &segs);
-                }
-                self.segments.extend(segs);
-                self.works.push(w);
-            }
-        }
-        self.ckpt = owned_ckpt(&by_net, &self.owners, ctx.rank);
+        self.build_owned(ctx, true, SegmentSource::Checkpoint(&by_net));
     }
 
     fn take_result(&mut self) -> Option<RoutingResult> {

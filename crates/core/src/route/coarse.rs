@@ -11,49 +11,31 @@
 //! [`CoarseState`] holds the grid-resolution channel-density profiles and
 //! the per-(row, grid-column) feedthrough demand. The improvement loop
 //! removes one segment, scores both L orientations (density delta plus
-//! feedthrough crowding), and re-inserts the better one. The state
-//! optionally logs deltas so the net-wise parallel algorithm can
-//! synchronize replicated copies (§5).
+//! feedthrough crowding), and re-inserts the better one. A state built
+//! *replicated* (net-wise, §5) logs its own changes and synchronizes the
+//! copies itself, between the slices of [`CoarseState::route`] — the one
+//! sweep driver of every algorithm.
 
 use crate::config::RouterConfig;
 use crate::cost;
-use crate::route::state::{Orientation, Segment};
+use crate::route::feedthrough::FtPlan;
+use crate::route::refine;
+use crate::route::state::{Grid, Orientation, Segment};
 use pgr_geom::rng::SmallRng;
 use pgr_geom::DensityProfile;
 use pgr_mpi::Comm;
 
-/// Delta log for replicated-state synchronization: per-channel
-/// grid-column count changes and per-row feedthrough demand changes
-/// since the last [`CoarseState::take_deltas`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CoarseDeltas {
-    /// `chan[c][g]` — change of channel `chan0 + c` at grid column `g`.
-    pub chan: Vec<Vec<i64>>,
-    /// `demand[r][g]` — change of row `row0 + r` at grid column `g`.
-    pub demand: Vec<Vec<i64>>,
-}
-
-impl CoarseDeltas {
-    fn zero(nchan: usize, nrows: usize, gcols: usize) -> Self {
-        CoarseDeltas {
-            chan: vec![vec![0; gcols]; nchan],
-            demand: vec![vec![0; gcols]; nrows],
-        }
+pgr_mpi::wire_struct!(
+    /// Delta log for replicated-state synchronization: the changes since
+    /// the last [`CoarseState::take_deltas`], two [`Grid`]s on the wire.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct CoarseDeltas {
+        /// `chan[c][g]` — change of channel `chan0 + c` at grid column `g`.
+        chan: Grid,
+        /// `demand[r][g]` — change of row `row0 + r` at grid column `g`.
+        demand: Grid,
     }
-}
-
-impl pgr_mpi::Wire for CoarseDeltas {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.chan.encode(out);
-        self.demand.encode(out);
-    }
-    fn decode(r: &mut pgr_mpi::Reader<'_>) -> Result<Self, pgr_mpi::WireError> {
-        Ok(CoarseDeltas {
-            chan: Vec::decode(r)?,
-            demand: Vec::decode(r)?,
-        })
-    }
-}
+);
 
 /// Coarse-grid routing state over channels `chan0 ..= chan0 + nchan - 1`
 /// and rows `row0 ..= row0 + nrows - 1`.
@@ -63,7 +45,8 @@ pub struct CoarseState {
     chan0: u32,
     row0: u32,
     profiles: Vec<DensityProfile>,
-    demand: Vec<Vec<i64>>,
+    demand: Grid,
+    /// `Some` on a replicated state: what changed since the last sync.
     log: Option<CoarseDeltas>,
 }
 
@@ -79,7 +62,7 @@ impl CoarseState {
             chan0: row0,
             row0,
             profiles: (0..=nrows).map(|_| DensityProfile::new(gcols)).collect(),
-            demand: vec![vec![0; gcols]; nrows],
+            demand: Grid::new(nrows, gcols),
             log: None,
         }
     }
@@ -98,36 +81,52 @@ impl CoarseState {
         coarse
     }
 
-    pub fn gcols(&self) -> usize {
-        self.gcols
-    }
-
-    pub fn num_channels(&self) -> usize {
-        self.profiles.len()
-    }
-
-    pub fn num_rows(&self) -> usize {
-        self.demand.len()
+    /// Make this one copy of a grid every rank holds (net-wise, §5): it
+    /// logs its changes and [`CoarseState::route`] synchronizes the copies.
+    pub(crate) fn replicated(mut self) -> Self {
+        self.log = Some(self.zero_deltas());
+        self
     }
 
     /// Modeled memory footprint (for the per-node memory gate).
     pub fn modeled_bytes(&self) -> u64 {
-        (self.profiles.len() as u64 * 2 + self.demand.len() as u64) * self.gcols as u64 * 16
+        (self.profiles.len() * 2 + self.demand.shape().0) as u64 * self.gcols as u64 * 16
     }
 
-    /// Start logging deltas for replicated-state sync.
-    pub fn enable_logging(&mut self) {
-        self.log = Some(CoarseDeltas::zero(
-            self.profiles.len(),
-            self.demand.len(),
-            self.gcols,
-        ));
+    fn zero_deltas(&self) -> CoarseDeltas {
+        CoarseDeltas {
+            chan: Grid::new(self.profiles.len(), self.gcols),
+            demand: Grid::new(self.demand.shape().0, self.gcols),
+        }
     }
 
-    /// Drain the delta log (resets it to zero).
-    pub fn take_deltas(&mut self) -> CoarseDeltas {
-        let fresh = CoarseDeltas::zero(self.profiles.len(), self.demand.len(), self.gcols);
+    /// Drain the delta log (two zeroed buffers, whatever the row count).
+    fn take_deltas(&mut self) -> CoarseDeltas {
+        let fresh = self.zero_deltas();
         std::mem::replace(self.log.as_mut().expect("logging enabled"), fresh)
+    }
+
+    /// Between two slices of a sweep, on a replicated state: allgather
+    /// every rank's deltas and merge the remote ones. Every sync also
+    /// charges a full refresh of the replicated grid arrays — "all the
+    /// processors will share all the channels and communication is more
+    /// costly than computation" (§5). Unless `exact`, remote density
+    /// updates to cells this rank also wrote are lost
+    /// ([`CoarseState::merge_external`]).
+    fn sync(&mut self, exact: bool, comm: &mut Comm) {
+        let mine = self.take_deltas();
+        if comm.size() == 1 {
+            return; // nothing is replicated: the log is drained, that is all
+        }
+        let all: Vec<CoarseDeltas> = comm.allgather(mine);
+        let own = (!exact).then(|| &all[comm.rank()]);
+        for (r, d) in all.iter().enumerate() {
+            if r != comm.rank() {
+                self.merge_external(d, own, comm);
+            }
+        }
+        let entries = self.gcols * (self.profiles.len() + self.demand.shape().0);
+        comm.compute(cost::MERGE_COL * entries as u64);
     }
 
     /// Apply another rank's deltas (not logged). Charges a scan over the
@@ -143,33 +142,26 @@ impl CoarseState {
     /// either way — it is physical bookkeeping the row owners keep
     /// authoritative, and an inconsistent copy would desynchronize
     /// insertion, not just degrade decisions.
-    pub fn merge_external(
-        &mut self,
-        d: &CoarseDeltas,
-        own: Option<&CoarseDeltas>,
-        comm: &mut Comm,
-    ) {
-        assert_eq!(d.chan.len(), self.profiles.len());
-        assert_eq!(d.demand.len(), self.demand.len());
+    fn merge_external(&mut self, d: &CoarseDeltas, own: Option<&CoarseDeltas>, comm: &mut Comm) {
+        assert_eq!(d.chan.shape(), (self.profiles.len(), self.gcols));
+        assert_eq!(d.demand.shape(), self.demand.shape());
         let mut nonzero = 0u64;
-        for (ci, (prof, dc)) in self.profiles.iter_mut().zip(&d.chan).enumerate() {
+        for (ci, prof) in self.profiles.iter_mut().enumerate() {
             let mine = own.map(|o| &o.chan[ci]);
-            for (g, &v) in dc.iter().enumerate() {
+            for (g, &v) in d.chan[ci].iter().enumerate() {
                 if v != 0 && mine.is_none_or(|m| m[g] == 0) {
                     nonzero += 1;
                     prof.add_span(g as i64, g as i64, v);
                 }
             }
         }
-        for (row, dr) in self.demand.iter_mut().zip(&d.demand) {
-            for (x, &v) in row.iter_mut().zip(dr) {
-                if v != 0 {
-                    nonzero += 1;
-                }
+        for r in 0..self.demand.shape().0 {
+            for (x, &v) in self.demand[r].iter_mut().zip(&d.demand[r]) {
+                nonzero += u64::from(v != 0);
                 *x += v;
             }
         }
-        let entries = ((d.chan.len() + d.demand.len()) * self.gcols) as u64;
+        let entries = (d.chan.cells().len() + d.demand.cells().len()) as u64;
         comm.compute(entries / 8 + cost::MERGE_COL * nonzero);
     }
 
@@ -187,7 +179,7 @@ impl CoarseState {
 
     fn row_idx(&self, row: u32) -> usize {
         let i = row.checked_sub(self.row0).expect("row below range") as usize;
-        assert!(i < self.demand.len(), "row {row} above range");
+        assert!(i < self.demand.shape().0, "row {row} above range");
         i
     }
 
@@ -246,7 +238,7 @@ impl CoarseState {
     /// Initialize orientations randomly (cross-row) and insert every
     /// segment into the state. Same-row segments get their side-derived
     /// channel and a placeholder orientation.
-    pub fn init_random(
+    fn init_random(
         &mut self,
         segments: &[Segment],
         rng: &mut SmallRng,
@@ -281,7 +273,7 @@ impl CoarseState {
     /// peaks, same integer-valued f64 sums), so decisions — and the
     /// virtual-clock charges — are unchanged; the state now mutates only
     /// when a segment actually flips.
-    pub fn improve_slice(
+    fn improve_slice(
         &mut self,
         segments: &[Segment],
         orients: &mut [Orientation],
@@ -358,8 +350,9 @@ impl CoarseState {
         changed
     }
 
-    /// The full serial driver: random init plus up to `coarse_passes`
-    /// randomly ordered improvement sweeps with early exit.
+    /// Step 2's driver, for every algorithm: random init, then the
+    /// improvement sweeps of `route::refine` — synchronized ones when this
+    /// state is replicated.
     pub fn route(
         &mut self,
         segments: &[Segment],
@@ -368,20 +361,15 @@ impl CoarseState {
         comm: &mut Comm,
     ) -> Vec<Orientation> {
         let mut orients = self.init_random(segments, rng, comm);
-        for _ in 0..cfg.coarse_passes {
-            let order = pgr_geom::shuffled_indices(segments.len(), rng);
-            let changed = crate::route::shed_sweep(
-                self,
-                &order,
-                crate::route::local_slices(order.len(), comm),
-                comm,
-                |st, chunk, comm| st.improve_slice(segments, &mut orients, chunk, cfg, comm),
-                |_, _| {},
-            );
-            if changed == 0 {
-                break;
-            }
-        }
+        let sync_period = self.log.is_some().then_some(cfg.sync_period);
+        refine(
+            self,
+            (cfg.coarse_passes, sync_period),
+            comm,
+            || pgr_geom::shuffled_indices(segments.len(), rng),
+            |st, chunk, comm| st.improve_slice(segments, &mut orients, chunk, cfg, comm),
+            |st, comm| st.sync(cfg.netwise_exact_sync, comm),
+        );
         orients
     }
 
@@ -391,13 +379,14 @@ impl CoarseState {
     }
 
     /// Final feedthrough demand, indexed `[row - row0][gcol]`.
-    pub fn demand(&self) -> &[Vec<i64>] {
+    pub fn demand(&self) -> &Grid {
         &self.demand
     }
 
-    /// Consume the state, returning the demand grid for step 3.
-    pub fn into_demand(self) -> Vec<Vec<i64>> {
-        self.demand
+    /// Consume the state into step 3's insertion plan: the demand grid
+    /// with the rows and grid width it was built for.
+    pub fn into_plan(self, ft_width: i64) -> FtPlan {
+        FtPlan::new(self.row0, self.demand, self.grid_w, ft_width)
     }
 }
 
@@ -433,7 +422,7 @@ mod tests {
         assert_eq!(st.demand()[2][0], 1);
         st.apply(&s, Orientation::VertAtLower, -1);
         assert_eq!(st.channel_max(3), 0);
-        assert!(st.demand().iter().all(|r| r.iter().all(|&d| d == 0)));
+        assert!(st.demand().cells().iter().all(|&d| d == 0));
     }
 
     #[test]
@@ -457,7 +446,7 @@ mod tests {
             1,
             "either-pref defaults to lower channel"
         );
-        assert!(st.demand().iter().all(|r| r.iter().all(|&d| d == 0)));
+        assert!(st.demand().cells().iter().all(|&d| d == 0));
     }
 
     #[test]
@@ -578,17 +567,16 @@ mod tests {
         assert_eq!(st.demand()[3][0], 1, "fake upper endpoint row");
         assert_eq!(st.demand()[0][0], 0);
         st.apply(&piece, Orientation::VertAtLower, -1);
-        assert!(st.demand().iter().all(|r| r.iter().all(|&d| d == 0)));
+        assert!(st.demand().cells().iter().all(|&d| d == 0));
     }
 
     #[test]
     fn delta_logging_captures_changes() {
-        let mut st = CoarseState::new(0, 3, 64, 8);
-        st.enable_logging();
+        let mut st = CoarseState::new(0, 3, 64, 8).replicated();
         let s = seg(0, 0, 40, 2);
         st.apply(&s, Orientation::VertAtLower, 1);
         let d = st.take_deltas();
-        let zero = CoarseDeltas::zero(4, 3, 8);
+        let zero = st.zero_deltas();
         assert_ne!(d, zero);
         assert_eq!(d.chan[2][0], 1, "channel 2 gcol 0 gained a span");
         assert_eq!(d.demand[1][0], 1);
@@ -600,8 +588,7 @@ mod tests {
         // Rank A applies a segment with logging; rank B merges the deltas
         // and must end up with identical probe results.
         let s = seg(8, 0, 40, 2);
-        let mut a = CoarseState::new(0, 3, 64, 8);
-        a.enable_logging();
+        let mut a = CoarseState::new(0, 3, 64, 8).replicated();
         a.apply(&s, Orientation::VertAtUpper, 1);
         let d = a.take_deltas();
 
@@ -618,24 +605,26 @@ mod tests {
         // Merging a delta and then its negation restores the state;
         // under `own`, the density update on a cell this rank also wrote
         // is dropped while the demand update still lands.
-        let mut d = CoarseDeltas::zero(4, 3, 8);
+        let mut st = CoarseState::new(0, 3, 64, 8);
+        let mut d = st.zero_deltas();
         d.chan[1][2] = 3;
         d.chan[2][5] = 1;
         d.demand[0][2] = 5;
         let mut neg = d.clone();
-        for x in neg.chan.iter_mut().chain(&mut neg.demand).flatten() {
-            *x = -*x;
+        for grid in [&mut neg.chan, &mut neg.demand] {
+            for r in 0..grid.shape().0 {
+                grid[r].iter_mut().for_each(|x| *x = -*x);
+            }
         }
 
-        let mut st = CoarseState::new(0, 3, 64, 8);
         st.merge_external(&d, None, &mut comm());
         assert_eq!((st.channel_max(1), st.channel_max(2)), (3, 1));
         assert_eq!(st.demand()[0][2], 5);
         st.merge_external(&neg, None, &mut comm());
         assert!((0..=3).all(|c| st.channel_max(c) == 0));
-        assert!(st.demand().iter().flatten().all(|&x| x == 0));
+        assert!(st.demand().cells().iter().all(|&x| x == 0));
 
-        let mut own = CoarseDeltas::zero(4, 3, 8);
+        let mut own = st.zero_deltas();
         own.chan[1][2] = -1;
         own.demand[0][2] = 1;
         st.merge_external(&d, Some(&own), &mut comm());
@@ -680,8 +669,7 @@ mod tests {
             .collect();
         let cfg = RouterConfig::default();
         let build = || {
-            let mut st = CoarseState::new(0, 6, 160, 8);
-            st.enable_logging();
+            let mut st = CoarseState::new(0, 6, 160, 8).replicated();
             let init = st.init_random(&segs, &mut rng_from_seed(7), &mut comm());
             st.take_deltas();
             (st, init)
@@ -730,5 +718,58 @@ mod tests {
             "aggregated delta arrays must cancel identically"
         );
         assert!(changed_inc > 0, "instance must exercise the flip path");
+    }
+
+    #[test]
+    fn merging_a_grid_of_another_shape_panics() {
+        // One column or one row more or less than this state's grids: the
+        // nested vectors used to truncate the demand merge silently and
+        // index the density merge unchecked.
+        for (nchan, nrows, gcols) in [(4, 3, 7), (4, 3, 9), (3, 3, 8), (4, 4, 8)] {
+            let remote = CoarseDeltas {
+                chan: Grid::new(nchan, gcols),
+                demand: Grid::new(nrows, gcols),
+            };
+            let merged = std::panic::catch_unwind(|| {
+                CoarseState::new(0, 3, 64, 8).merge_external(&remote, None, &mut comm());
+            });
+            assert!(merged.is_err(), "{nchan} + {nrows} rows × {gcols}");
+        }
+        let same = CoarseState::new(0, 3, 64, 8).zero_deltas();
+        CoarseState::new(0, 3, 64, 8).merge_external(&same, None, &mut comm());
+    }
+
+    #[test]
+    fn deltas_travel_as_two_grids() {
+        use pgr_mpi::Wire;
+        let mut st = CoarseState::new(0, 3, 64, 8).replicated();
+        st.apply(&seg(8, 0, 40, 2), Orientation::VertAtUpper, 1);
+        let d = st.take_deltas();
+        let mut bytes = d.chan.to_bytes();
+        bytes.extend(d.demand.to_bytes());
+        assert_eq!(d.to_bytes(), bytes);
+        assert_eq!(CoarseDeltas::from_bytes(&bytes).unwrap(), d);
+    }
+
+    #[test]
+    fn a_replicated_state_alone_routes_like_a_local_one() {
+        // At P = 1 nothing is replicated: the synchronized driver drains
+        // its log and decides exactly as the local one.
+        let cfg = RouterConfig::default();
+        let segs: Vec<Segment> = (0..25).map(|i| seg(i * 5, 0, 120 - i * 4, 2)).collect();
+        let run = |replicated: bool| {
+            let mut st = CoarseState::new(0, 3, 160, 8);
+            if replicated {
+                st = st.replicated();
+            }
+            let o = st.route(&segs, &cfg, &mut rng_from_seed(5), &mut comm());
+            (
+                o,
+                st.channel_max(1),
+                st.channel_max(2),
+                st.into_plan(2).total(),
+            )
+        };
+        assert_eq!(run(true), run(false));
     }
 }

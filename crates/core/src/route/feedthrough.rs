@@ -15,7 +15,7 @@
 //! was built from the same crossings).
 
 use crate::cost;
-use crate::route::state::Node;
+use crate::route::state::{Grid, Node};
 use pgr_circuit::NetId;
 use pgr_mpi::wire::{Reader, Wire, WireError};
 use pgr_mpi::Comm;
@@ -51,27 +51,27 @@ pub struct FtPlan {
     row0: u32,
     /// `demand[r][g]`: feedthroughs at the left edge of grid column `g`
     /// of row `row0 + r`.
-    demand: Vec<Vec<i64>>,
+    demand: Grid,
     /// Inclusive prefix sums of `demand` per row.
-    cum: Vec<Vec<i64>>,
+    cum: Grid,
 }
 
 impl FtPlan {
     /// Build the plan from the coarse router's final demand grid.
-    pub fn new(row0: u32, demand: Vec<Vec<i64>>, grid_w: i64, ft_width: i64) -> Self {
+    pub fn new(row0: u32, demand: Grid, grid_w: i64, ft_width: i64) -> Self {
         assert!(grid_w > 0 && ft_width > 0);
-        let cum = demand
-            .iter()
-            .map(|row| {
-                debug_assert!(row.iter().all(|&d| d >= 0), "demand must be non-negative");
-                row.iter()
-                    .scan(0i64, |acc, &d| {
-                        *acc += d;
-                        Some(*acc)
-                    })
-                    .collect()
-            })
-            .collect();
+        debug_assert!(
+            demand.cells().iter().all(|&d| d >= 0),
+            "demand must be non-negative"
+        );
+        let mut cum = demand.clone();
+        for r in 0..cum.shape().0 {
+            let mut acc = 0;
+            for c in &mut cum[r] {
+                acc += *c;
+                *c = acc;
+            }
+        }
         FtPlan {
             grid_w,
             ft_width,
@@ -86,17 +86,17 @@ impl FtPlan {
     }
 
     pub fn num_rows(&self) -> usize {
-        self.demand.len()
+        self.demand.shape().0
     }
 
     fn gcol(&self, x: i64) -> usize {
         let g = (x / self.grid_w).max(0) as usize;
-        g.min(self.demand.first().map(|r| r.len() - 1).unwrap_or(0))
+        g.min(self.demand.shape().1 - 1)
     }
 
     fn row_idx(&self, row: u32) -> usize {
         let i = row.checked_sub(self.row0).expect("row below plan range") as usize;
-        assert!(i < self.demand.len(), "row {row} above plan range");
+        assert!(i < self.num_rows(), "row {row} above plan range");
         i
     }
 
@@ -112,7 +112,7 @@ impl FtPlan {
 
     /// Largest row growth across the plan (drives chip width).
     pub fn max_growth(&self) -> i64 {
-        (0..self.demand.len())
+        (0..self.num_rows())
             .map(|i| self.row_growth(self.row0 + i as u32))
             .max()
             .unwrap_or(0)
@@ -120,9 +120,8 @@ impl FtPlan {
 
     /// Total feedthroughs inserted.
     pub fn total(&self) -> u64 {
-        self.cum
-            .iter()
-            .map(|row| *row.last().unwrap_or(&0) as u64)
+        (0..self.num_rows())
+            .map(|r| *self.cum[r].last().unwrap_or(&0) as u64)
             .sum()
     }
 
@@ -191,13 +190,13 @@ mod tests {
         Comm::solo(MachineModel::ideal())
     }
 
-    fn plan(demand: Vec<Vec<i64>>) -> FtPlan {
-        FtPlan::new(0, demand, 8, 2)
+    fn plan(demand: &[&[i64]]) -> FtPlan {
+        FtPlan::new(0, Grid::from_rows(demand), 8, 2)
     }
 
     #[test]
     fn empty_plan_is_a_no_op() {
-        let p = plan(vec![vec![0, 0, 0], vec![0, 0, 0]]);
+        let p = plan(&[&[0, 0, 0], &[0, 0, 0]]);
         assert_eq!(p.total(), 0);
         assert_eq!(p.max_growth(), 0);
         assert_eq!(p.shifted_x(1, 17), 17);
@@ -207,7 +206,7 @@ mod tests {
     #[test]
     fn shifts_accumulate_left_to_right() {
         // Row 0: 2 fts at gcol 0, 1 ft at gcol 2. ft_width = 2.
-        let p = plan(vec![vec![2, 0, 1, 0]]);
+        let p = plan(&[&[2, 0, 1, 0]]);
         assert_eq!(p.row_count(0), 3);
         assert_eq!(p.row_growth(0), 6);
         // x = 4 (gcol 0): shifted by the 2 fts at gcol 0 → +4.
@@ -220,7 +219,7 @@ mod tests {
 
     #[test]
     fn ft_positions_interleave_with_shifts() {
-        let p = plan(vec![vec![2, 0, 1, 0]]);
+        let p = plan(&[&[2, 0, 1, 0]]);
         // gcol 0 fts at columns 0 and 2 (nothing shifted before them).
         assert_eq!(p.ft_x(0, 0, 0), 0);
         assert_eq!(p.ft_x(0, 0, 1), 2);
@@ -230,7 +229,7 @@ mod tests {
 
     #[test]
     fn assignment_matches_sorted_order() {
-        let p = plan(vec![vec![0, 2, 0, 0]]);
+        let p = plan(&[&[0, 2, 0, 0]]);
         let crossings = vec![
             Crossing {
                 net: NetId(5),
@@ -256,7 +255,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "must equal planned demand")]
     fn mismatched_crossings_panic() {
-        let p = plan(vec![vec![1, 0, 0, 0]]);
+        let p = plan(&[&[1, 0, 0, 0]]);
         let crossings = vec![
             Crossing {
                 net: NetId(0),
@@ -274,7 +273,7 @@ mod tests {
 
     #[test]
     fn multi_row_plans_are_independent() {
-        let p = FtPlan::new(3, vec![vec![1, 0], vec![0, 2]], 8, 2);
+        let p = FtPlan::new(3, Grid::from_rows(&[&[1, 0], &[0, 2]]), 8, 2);
         assert_eq!(p.row_count(3), 1);
         assert_eq!(p.row_count(4), 2);
         assert_eq!(p.max_growth(), 4);
@@ -287,7 +286,7 @@ mod tests {
 
     #[test]
     fn out_of_range_x_clamps_to_last_gcol() {
-        let p = plan(vec![vec![0, 0, 0, 1]]);
+        let p = plan(&[&[0, 0, 0, 1]]);
         // Column beyond the grid is treated as the last gcol.
         assert_eq!(p.shifted_x(0, 10_000), 10_002);
     }

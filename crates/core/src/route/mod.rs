@@ -11,7 +11,9 @@
 //!    channels above/below their row to minimize peak density.
 //!
 //! [`serial::try_route_serial`] chains them; the [`crate::parallel`]
-//! algorithms re-use the same pieces across ranks.
+//! algorithms re-use the same pieces across ranks: this module owns
+//! every step's loop and every state's format (replication of the two
+//! congestion states included), `crate::parallel` partition and exchange.
 
 pub mod coarse;
 pub mod connect;
@@ -29,24 +31,19 @@ pub use state::{ChannelPref, Node, NodeKind, Orientation, Segment, Span, WorkNet
 /// to shed promptly, large enough to keep the poll off the hot path.
 pub const SHED_CHUNK: usize = 256;
 
-/// Chunk length for a budgeted refinement sweep over `n` items: caps at
-/// [`SHED_CHUNK`], but never fewer than eight polls per sweep (floor 16),
-/// so small workloads — whose whole sweep fits inside one `SHED_CHUNK` —
-/// still get mid-sweep shed opportunities. Deterministic in `n`.
-fn shed_chunk_len(n: usize) -> usize {
-    SHED_CHUNK.min((n / 8).max(16))
-}
-
 /// How a local (serial, row-wise, hybrid) refinement sweep over `n`
 /// items is sliced: `(slice length, rounds)` for [`shed_sweep`]. One
 /// slice spanning everything when unbudgeted — a single `step` call even
 /// for `n = 0`, bit-identical (virtual clock and trace included) to the
-/// pre-budget code; [`shed_chunk_len`] chunks under an armed budget.
-pub(crate) fn local_slices(n: usize, comm: &pgr_mpi::Comm) -> (usize, usize) {
+/// pre-budget code. Under an armed budget, chunks of [`SHED_CHUNK`] but
+/// never fewer than eight polls per sweep (floor 16), so small workloads —
+/// whose whole sweep fits inside one `SHED_CHUNK` — still get mid-sweep
+/// shed opportunities. Deterministic in `n`.
+fn local_slices(n: usize, comm: &pgr_mpi::Comm) -> (usize, usize) {
     if !comm.budget_limited() {
         return (n, 1);
     }
-    let len = shed_chunk_len(n);
+    let len = SHED_CHUNK.min((n / 8).max(16));
     (len, n.div_ceil(len))
 }
 
@@ -54,9 +51,8 @@ pub(crate) fn local_slices(n: usize, comm: &pgr_mpi::Comm) -> (usize, usize) {
 /// pass, a switchable pass) of the congestion `state`, cut into `rounds`
 /// slices of `slice` items (slices past the end of `order` are empty):
 /// `step` does the work of one slice and returns how much it changed;
-/// the sum comes back. `between` runs after every slice — net-wise's
-/// replicated-state sync, nothing for the local drivers
-/// ([`local_slices`]).
+/// the sum comes back. `between` runs after every slice — a replicated
+/// state's sync ([`refine`]).
 ///
 /// A shed poll precedes every slice and one follows the last, so an
 /// overrun inside the final slice registers as a shed — not as a hard
@@ -65,7 +61,7 @@ pub(crate) fn local_slices(n: usize, comm: &pgr_mpi::Comm) -> (usize, usize) {
 /// because the peers committed to its collectives — a rank that walks
 /// away deadlocks the world. The polls are local and free when no
 /// budget is armed.
-pub(crate) fn shed_sweep<S>(
+fn shed_sweep<S>(
     state: &mut S,
     order: &[u32],
     (slice, rounds): (usize, usize),
@@ -86,6 +82,47 @@ pub(crate) fn shed_sweep<S>(
         comm.budget_poll_shed();
     }
     changed
+}
+
+/// The refinement driver of steps 2 and 5: up to `passes` [`shed_sweep`]s
+/// of `state`, each over a fresh random `order`, until one changes
+/// nothing; returns the total change. A local state (no `sync_period`) is
+/// sliced by [`local_slices`]; a replicated one (§5) runs `sync` every
+/// `sync_period` decisions — as many rounds as the busiest rank needs, with
+/// empty slices once a rank's own items run out — until no rank changes any.
+fn refine<S>(
+    state: &mut S,
+    (passes, sync_period): (usize, Option<usize>),
+    comm: &mut pgr_mpi::Comm,
+    mut order: impl FnMut() -> Vec<u32>,
+    mut step: impl FnMut(&mut S, &[u32], &mut pgr_mpi::Comm) -> usize,
+    mut sync: impl FnMut(&mut S, &mut pgr_mpi::Comm),
+) -> usize {
+    let mut total = 0;
+    for _ in 0..passes {
+        let order = order();
+        let slices = match sync_period.map(|sp| sp.max(1)) {
+            Some(sp) => {
+                let rounds = comm.allreduce(order.len().div_ceil(sp) as u64, u64::max);
+                (sp, rounds as usize)
+            }
+            None => local_slices(order.len(), comm),
+        };
+        let changed = shed_sweep(state, &order, slices, comm, &mut step, |state, comm| {
+            if sync_period.is_some() {
+                sync(state, comm);
+            }
+        });
+        total += changed;
+        let anywhere = match sync_period {
+            Some(_) => comm.allreduce(changed as u64, |a, b| a + b),
+            None => changed as u64,
+        };
+        if anywhere == 0 {
+            break;
+        }
+    }
+    total
 }
 
 #[cfg(test)]

@@ -14,12 +14,11 @@ use crate::parallel::partition::PartitionKind;
 use crate::route::coarse::CoarseState;
 use crate::route::connect::connect_all;
 use crate::route::feedthrough::{assign, Crossing, FtPlan};
-use crate::route::state::{Node, NodeKind, Orientation, Segment, Span, WorkNet};
+use crate::route::state::{NetSlots, Node, NodeKind, Orientation, Segment, Span, WorkNet};
 use crate::route::steiner::{build_segments_with, whole_net};
 use crate::route::switchable::{optimize, ChannelState};
 use pgr_circuit::{Circuit, NetId};
 use pgr_mpi::Comm;
-use std::collections::HashMap;
 
 /// Vertical-crossing requests implied by the chosen L orientations.
 /// Uses [`Segment::demand_rows`], so fake-pin endpoints (partition
@@ -85,12 +84,15 @@ pub fn register_steiner_nodes(work: &mut WorkNet, segs: &[Segment]) {
 
 /// Attach assigned feedthrough nodes to their nets' work records.
 pub fn attach_feedthroughs(works: &mut [WorkNet], ft_nodes: Vec<(NetId, Node)>) {
-    let index: HashMap<NetId, usize> = works.iter().enumerate().map(|(i, w)| (w.net, i)).collect();
+    let mut slots = NetSlots::default();
+    for (i, w) in works.iter().enumerate() {
+        *slots.of(w.net) = Some(i as u32);
+    }
     for (net, node) in ft_nodes {
-        let &i = index
-            .get(&net)
+        let i = slots
+            .of(net)
             .expect("feedthrough for a net this rank does not own");
-        works[i].nodes.push(node);
+        works[i as usize].nodes.push(node);
     }
 }
 
@@ -180,8 +182,8 @@ impl Pipeline for SerialPipeline {
 
             // Step 3: feedthrough insertion + assignment.
             Phase::Feedthrough => {
-                let demand = self.coarse.take().expect("coarse pass ran").into_demand();
-                let plan = FtPlan::new(0, demand, cfg.grid_w, cfg.ft_width);
+                let coarse = self.coarse.take().expect("coarse pass ran");
+                let plan = coarse.into_plan(cfg.ft_width);
                 comm.compute(cost::FT_INSERT_CELL * circuit.num_cells() as u64);
                 let crossings = crossings_of(&self.segments, &self.orients);
                 let ft_nodes = assign(&plan, &crossings, comm);
@@ -374,5 +376,51 @@ mod tests {
             cr.iter().map(|c| c.row).collect::<Vec<_>>(),
             vec![0, 1, 2, 3]
         );
+    }
+
+    #[test]
+    fn attach_feedthroughs_matches_the_hash_map_reference() {
+        use std::collections::HashMap;
+        // The hashed lookup the slot table replaced.
+        fn reference(works: &mut [WorkNet], ft_nodes: Vec<(NetId, Node)>) {
+            let index: HashMap<NetId, usize> =
+                works.iter().enumerate().map(|(i, w)| (w.net, i)).collect();
+            for (net, node) in ft_nodes {
+                works[index[&net]].nodes.push(node);
+            }
+        }
+        // Non-contiguous, unsorted net ids; several feedthroughs a net,
+        // interleaved; one net without any.
+        let nets = [907u32, 3, 41, 40, 100_000, 0];
+        let works: Vec<WorkNet> = nets
+            .iter()
+            .map(|&n| WorkNet {
+                net: NetId(n),
+                nodes: vec![Node::fake(n as i64, 1)],
+            })
+            .collect();
+        let mut rng = pgr_geom::rng::rng_from_seed(0xA77A);
+        let ft_nodes: Vec<(NetId, Node)> = (0..64)
+            .map(|i| {
+                let net = nets[rng.gen_range(0..nets.len() - 1)];
+                (NetId(net), Node::feedthrough(i, rng.gen_range(0..9u32)))
+            })
+            .collect();
+        let (mut dense, mut hashed) = (works.clone(), works);
+        attach_feedthroughs(&mut dense, ft_nodes.clone());
+        reference(&mut hashed, ft_nodes);
+        assert_eq!(dense, hashed);
+        assert_eq!(dense[5].nodes.len(), 1, "net 0 got no feedthrough");
+        assert_eq!(dense.iter().map(|w| w.nodes.len()).sum::<usize>(), 6 + 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "feedthrough for a net this rank does not own")]
+    fn attaching_to_an_unknown_net_panics() {
+        let mut works = vec![WorkNet {
+            net: NetId(7),
+            nodes: Vec::new(),
+        }];
+        attach_feedthroughs(&mut works, vec![(NetId(6), Node::feedthrough(0, 0))]);
     }
 }

@@ -356,6 +356,102 @@ impl Wire for WorkNet {
     }
 }
 
+/// A `rows × cols` table of counts in one row-major buffer (the demand
+/// grid, its prefix sums, the coarse delta logs); `grid[r]` is row `r`.
+/// On the wire it is what the nested vectors it replaced were — a u32
+/// row count, then per row a u32 length and the values: no frame resized.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Grid {
+    rows: usize,
+    cols: usize,
+    cells: Vec<i64>,
+}
+
+impl Grid {
+    /// An all-zero grid.
+    pub fn new(rows: usize, cols: usize) -> Self {
+        let cells = vec![0; rows * cols];
+        Grid { rows, cols, cells }
+    }
+
+    /// A grid holding `rows`, which must be equally long.
+    pub fn from_rows<R: AsRef<[i64]>>(rows: &[R]) -> Self {
+        let mut grid = Grid::new(rows.len(), rows.first().map_or(0, |r| r.as_ref().len()));
+        for (r, row) in rows.iter().enumerate() {
+            grid[r].copy_from_slice(row.as_ref());
+        }
+        grid
+    }
+
+    /// `(rows, cols)` — the one dimension check of every merge.
+    pub fn shape(&self) -> (usize, usize) {
+        (self.rows, self.cols)
+    }
+
+    /// Every cell, row after row.
+    pub fn cells(&self) -> &[i64] {
+        &self.cells
+    }
+}
+
+impl std::ops::Index<usize> for Grid {
+    type Output = [i64];
+    fn index(&self, r: usize) -> &[i64] {
+        &self.cells[r * self.cols..(r + 1) * self.cols]
+    }
+}
+
+impl std::ops::IndexMut<usize> for Grid {
+    fn index_mut(&mut self, r: usize) -> &mut [i64] {
+        &mut self.cells[r * self.cols..(r + 1) * self.cols]
+    }
+}
+
+impl Wire for Grid {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.reserve(4 + self.rows * (4 + self.cols * 8));
+        (self.rows as u32).encode(out);
+        for r in 0..self.rows {
+            (self.cols as u32).encode(out);
+            self[r].iter().for_each(|v| v.encode(out));
+        }
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let rows = u32::decode(r)? as usize;
+        let (mut expected, mut cells) = (0, Vec::new());
+        for row in 0..rows {
+            let got = u32::decode(r)? as usize;
+            // Both the reservation and `take` are bounded by what the frame
+            // holds: a corrupt length cannot OOM the decoder.
+            if row == 0 {
+                cells.reserve((rows * got).min(r.remaining() / 8));
+                expected = got;
+            } else if got != expected {
+                return Err(WireError::Ragged { expected, got });
+            }
+            let row = r.take(got * 8)?.chunks_exact(8);
+            cells.extend(row.map(|b| i64::from_le_bytes(b.try_into().expect("exact chunk"))));
+        }
+        let cols = expected;
+        Ok(Grid { rows, cols, cells })
+    }
+}
+
+/// Where each net's record sits in a work list, indexed by [`NetId`]
+/// (small dense integers: a flat table does what a hash map would).
+#[derive(Default)]
+pub(crate) struct NetSlots(Vec<Option<u32>>);
+
+impl NetSlots {
+    /// The slot of `net`: `None` until assigned.
+    pub(crate) fn of(&mut self, net: NetId) -> &mut Option<u32> {
+        if net.index() >= self.0.len() {
+            self.0.resize(net.index() + 1, None);
+        }
+        &mut self.0[net.index()]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -445,5 +541,80 @@ mod tests {
             switch_row: None,
         };
         assert_eq!(pt.width(), 0);
+    }
+
+    /// Seeded `rows × cols` counts as the nested vectors [`Grid`] replaced.
+    fn nested(rows: usize, cols: usize) -> Vec<Vec<i64>> {
+        let mut rng = pgr_geom::rng::rng_from_seed((rows * 1000 + cols) as u64);
+        (0..rows)
+            .map(|_| (0..cols).map(|_| rng.gen_range(-9i64..10)).collect())
+            .collect()
+    }
+
+    #[test]
+    fn grid_wire_bytes_are_the_nested_vectors_bytes() {
+        // 81 / 80 × 270 is avq.small's coarse shape (channels / rows ×
+        // grid columns at `grid_w` 8).
+        for (rows, cols) in [(0, 0), (1, 1), (1, 17), (23, 1), (81, 270), (80, 270)] {
+            let nested = nested(rows, cols);
+            let grid = Grid::from_rows(&nested);
+            assert_eq!(grid.shape(), (rows, cols));
+            assert_eq!(grid.to_bytes(), nested.to_bytes(), "{rows} × {cols}");
+            assert_eq!(Grid::from_bytes(&nested.to_bytes()).unwrap(), grid);
+            for (r, row) in nested.iter().enumerate() {
+                assert_eq!(&grid[r], &row[..]);
+            }
+            assert_eq!(grid.cells(), nested.concat());
+            assert_eq!(
+                Grid::new(rows, cols).to_bytes().len(),
+                nested.to_bytes().len()
+            );
+        }
+    }
+
+    #[test]
+    fn grid_decode_rejects_ragged_truncated_and_over_long_input() {
+        for (rows, expected, got) in [
+            (vec![vec![1i64, 2, 3], vec![4, 5]], 3, 2),
+            (vec![vec![1], vec![4, 5], vec![6]], 1, 2),
+            (vec![vec![], vec![7]], 0, 1),
+        ] {
+            assert_eq!(
+                Grid::from_bytes(&rows.to_bytes()),
+                Err(WireError::Ragged { expected, got })
+            );
+        }
+        let whole = Grid::from_rows(&[[1i64, 2], [3, 4]]).to_bytes();
+        assert!(matches!(
+            Grid::from_bytes(&whole[..whole.len() - 1]),
+            Err(WireError::Truncated { .. })
+        ));
+        let mut trailing = whole.clone();
+        trailing.push(0);
+        assert_eq!(
+            Grid::from_bytes(&trailing),
+            Err(WireError::TrailingBytes(1))
+        );
+        // A row length the frame cannot hold is refused before anything
+        // is allocated for it.
+        let mut huge = 1u32.to_bytes();
+        u32::MAX.encode(&mut huge);
+        assert!(matches!(
+            Grid::from_bytes(&huge),
+            Err(WireError::Truncated { .. })
+        ));
+    }
+
+    #[test]
+    fn net_slots_grow_on_demand_and_last_write_wins() {
+        let mut slots = NetSlots::default();
+        assert_eq!(*slots.of(NetId(40)), None);
+        *slots.of(NetId(40)) = Some(3);
+        *slots.of(NetId(2)) = Some(0);
+        *slots.of(NetId(40)) = Some(5);
+        assert_eq!(*slots.of(NetId(40)), Some(5));
+        assert_eq!(*slots.of(NetId(2)), Some(0));
+        assert_eq!(*slots.of(NetId(39)), None);
+        assert_eq!(*slots.of(NetId(41)), None);
     }
 }

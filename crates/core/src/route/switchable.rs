@@ -9,40 +9,51 @@
 //!
 //! [`ChannelState`] is the column-resolution congestion state of a range
 //! of channels. It supports background merging (row-wise boundary
-//! synchronization, §4) and sparse delta logging (net-wise replicated
-//! state synchronization, §5).
+//! synchronization, §4); built *replicated* (net-wise, §5) it logs
+//! sparse deltas and synchronizes the copies itself, between the slices
+//! of [`optimize`] — the one sweep driver of every algorithm.
 
 use crate::config::RouterConfig;
 use crate::cost;
+use crate::route::refine;
 use crate::route::state::Span;
 use pgr_geom::rng::SmallRng;
 use pgr_geom::DensityProfile;
-use pgr_mpi::wire::{Reader, Wire, WireError};
 use pgr_mpi::Comm;
 
-/// One logged channel update: `sign` added over `[lo, hi]` of `chan`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpanDelta {
-    pub chan: u32,
-    pub lo: i64,
-    pub hi: i64,
-    pub sign: i32,
-}
-
-impl Wire for SpanDelta {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.chan.encode(out);
-        self.lo.encode(out);
-        self.hi.encode(out);
-        self.sign.encode(out);
+pgr_mpi::wire_struct!(
+    /// One logged channel update: `sign` added over `[lo, hi]` of `chan`.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct SpanDelta {
+        chan: u32,
+        lo: i64,
+        hi: i64,
+        sign: i32,
     }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(SpanDelta {
-            chan: u32::decode(r)?,
-            lo: i64::decode(r)?,
-            hi: i64::decode(r)?,
-            sign: i32::decode(r)?,
-        })
+);
+
+/// Tag of the snapshot-exchange payloads.
+const SNAPSHOT_TAG: u32 = 3;
+
+/// Column bucket used for write-write conflict detection on the
+/// full-resolution channel state.
+const CONFLICT_BUCKET: i64 = 256;
+
+/// Drop from the `remote` ranks' deltas those overlapping a `(channel,
+/// column bucket)` that `own` — this rank's deltas of the same sync
+/// period — also wrote: the keys of `own` as one sorted list, one binary
+/// search per remote delta (whose keys are a contiguous run of that order).
+fn drop_conflicts(remote: &mut [Vec<SpanDelta>], own: &[SpanDelta]) {
+    let buckets = |d: &SpanDelta| (d.lo / CONFLICT_BUCKET, d.hi / CONFLICT_BUCKET);
+    let keys_of = |d| (buckets(d).0..=buckets(d).1).map(move |b| (d.chan, b));
+    let mut keys: Vec<(u32, i64)> = own.iter().flat_map(keys_of).collect();
+    keys.sort_unstable();
+    keys.dedup();
+    for deltas in remote {
+        deltas.retain(|d| {
+            let first = keys.partition_point(|&k| k < (d.chan, buckets(d).0));
+            keys.get(first).is_none_or(|&k| k > (d.chan, buckets(d).1))
+        });
     }
 }
 
@@ -51,6 +62,7 @@ pub struct ChannelState {
     chan0: u32,
     width: i64,
     profiles: Vec<DensityProfile>,
+    /// `Some` on a replicated state: the updates since the last sync.
     log: Option<Vec<SpanDelta>>,
 }
 
@@ -74,38 +86,25 @@ impl ChannelState {
     /// before, and the budget polls of the connect loop must already see
     /// the allocation); what it yields is applied under one
     /// `compute(SPAN_APPLY · spans + extra_ops)` charge (two charges
-    /// round differently in `f64`). With `logged`, delta logging starts
-    /// before the load, so the loaded spans are the first deltas.
+    /// round differently in `f64`). `replicated` makes it one copy of a
+    /// state every rank holds: delta logging starts before the load, so
+    /// the loaded spans are the first deltas [`optimize`] synchronizes.
     pub(crate) fn from_spans<'s>(
         (chan0, nchannels, width): (u32, usize, i64),
-        logged: bool,
+        replicated: bool,
         extra_ops: u64,
         comm: &mut Comm,
         spans: impl FnOnce(&mut Comm) -> &'s [Span],
     ) -> Self {
         let mut chans = ChannelState::new(chan0, nchannels, width);
         comm.charge_alloc(chans.modeled_bytes());
-        if logged {
-            chans.enable_logging();
-        }
+        chans.log = replicated.then(Vec::new);
         let spans = spans(comm);
         comm.compute(cost::SPAN_APPLY * spans.len() as u64 + extra_ops);
         for s in spans {
             chans.add_span(s, 1);
         }
         chans
-    }
-
-    pub fn chan0(&self) -> u32 {
-        self.chan0
-    }
-
-    pub fn num_channels(&self) -> usize {
-        self.profiles.len()
-    }
-
-    pub fn width(&self) -> i64 {
-        self.width
     }
 
     /// Modeled memory footprint (for the per-node memory gate).
@@ -161,18 +160,12 @@ impl ChannelState {
     /// not the local sweep short-circuits the tree mutation.
     fn log_touch(&mut self, span: &Span) {
         if let Some(log) = &mut self.log {
-            log.push(SpanDelta {
+            log.extend([-1, 1].map(|sign| SpanDelta {
                 chan: span.channel,
                 lo: span.lo,
                 hi: span.hi,
-                sign: -1,
-            });
-            log.push(SpanDelta {
-                chan: span.channel,
-                lo: span.lo,
-                hi: span.hi,
-                sign: 1,
-            });
+                sign,
+            }));
         }
     }
 
@@ -189,19 +182,62 @@ impl ChannelState {
         self.profiles[i].merge_counts(counts);
     }
 
-    /// Start sparse delta logging (net-wise replicated-state sync).
-    pub fn enable_logging(&mut self) {
-        self.log = Some(Vec::new());
+    /// Drain the delta log.
+    fn take_deltas(&mut self) -> Vec<SpanDelta> {
+        std::mem::take(self.log.as_mut().expect("logging enabled"))
     }
 
-    /// Drain the delta log.
-    pub fn take_deltas(&mut self) -> Vec<SpanDelta> {
-        std::mem::take(self.log.as_mut().expect("logging enabled"))
+    /// Between two slices of a sweep, on a replicated state: allgather
+    /// every rank's deltas and merge the remote ones, plus the
+    /// full-resolution replicated-array refresh every sync pays. Unless
+    /// `exact`, a remote update overlapping a (channel, column bucket)
+    /// this rank also wrote since the last sync is dropped.
+    fn sync(&mut self, exact: bool, comm: &mut Comm) {
+        let mine = self.take_deltas();
+        if comm.size() == 1 {
+            return; // nothing is replicated: the log is drained, that is all
+        }
+        let mut all: Vec<Vec<SpanDelta>> = comm.allgather(mine);
+        if !exact {
+            let own = std::mem::take(&mut all[comm.rank()]);
+            drop_conflicts(&mut all, &own);
+        }
+        for (r, d) in all.iter().enumerate() {
+            if r != comm.rank() {
+                self.merge_external(d, comm);
+            }
+        }
+        self.exchange_snapshot(comm);
+        comm.compute(cost::MERGE_COL * self.width as u64 * self.profiles.len() as u64 / 8);
+    }
+
+    /// The naive all-channel snapshot exchange of the 1997 implementation:
+    /// every rank ships its full channel-state snapshot to rank 0, which
+    /// redistributes the combined state. The transfers are modeled (the
+    /// actual reconciliation travels as deltas alongside); what matters to
+    /// the simulation is that every synchronization moves
+    /// `state_bytes × P` bytes through the network — "this is because all
+    /// the processors will share all the channels and communication is more
+    /// costly than computation" (§5).
+    fn exchange_snapshot(&self, comm: &mut Comm) {
+        // One track count per channel column.
+        let state_bytes = self.profiles.len() * self.width as usize * 4;
+        if comm.rank() == 0 {
+            for src in 1..comm.size() {
+                comm.recv_modeled(src, SNAPSHOT_TAG);
+            }
+            for dst in 1..comm.size() {
+                comm.send_modeled(dst, SNAPSHOT_TAG, state_bytes);
+            }
+        } else {
+            comm.send_modeled(0, SNAPSHOT_TAG, state_bytes);
+            comm.recv_modeled(0, SNAPSHOT_TAG);
+        }
     }
 
     /// Apply another rank's deltas (not logged). Charges per-delta update
     /// work plus a small fixed replicated-array touch.
-    pub fn merge_external(&mut self, deltas: &[SpanDelta], comm: &mut Comm) {
+    fn merge_external(&mut self, deltas: &[SpanDelta], comm: &mut Comm) {
         comm.compute(cost::MERGE_COL * deltas.len() as u64 + self.width as u64 / 8);
         for d in deltas {
             let i = self.idx(d.chan);
@@ -211,7 +247,7 @@ impl ChannelState {
 }
 
 /// Indices of the spans step 5 may flip.
-pub fn switchable_candidates(spans: &[Span]) -> Vec<u32> {
+fn switchable_candidates(spans: &[Span]) -> Vec<u32> {
     spans
         .iter()
         .enumerate()
@@ -233,7 +269,7 @@ pub fn switchable_candidates(spans: &[Span]) -> Vec<u32> {
 /// two read-only queries per span and mutates the tree only on an actual
 /// flip — same decisions, same i64 comparisons, no per-segment
 /// remove/re-insert churn.
-pub fn optimize_slice(
+fn optimize_slice(
     chans: &mut ChannelState,
     spans: &mut [Span],
     order: &[u32],
@@ -266,8 +302,11 @@ pub fn optimize_slice(
     flips
 }
 
-/// The full serial driver: up to `switch_passes` randomly ordered sweeps
-/// with early exit once a sweep flips nothing.
+/// Step 5's driver, for every algorithm: the sweeps of `route::refine` over
+/// the switchable spans; returns this rank's flips. With replicated
+/// `chans` the sweeps are synchronized ones — a rank sees remote spans
+/// only when a sync delivers them ("all processors could assign the same
+/// switchable net segments to the same channel", §5).
 pub fn optimize(
     chans: &mut ChannelState,
     spans: &mut [Span],
@@ -276,24 +315,18 @@ pub fn optimize(
     comm: &mut Comm,
 ) -> usize {
     let candidates = switchable_candidates(spans);
-    let mut total = 0;
-    for _ in 0..cfg.switch_passes {
-        let perm = pgr_geom::shuffled_indices(candidates.len(), rng);
-        let order: Vec<u32> = perm.iter().map(|&k| candidates[k as usize]).collect();
-        let flips = crate::route::shed_sweep(
-            chans,
-            &order,
-            crate::route::local_slices(order.len(), comm),
-            comm,
-            |chans, chunk, comm| optimize_slice(chans, spans, chunk, comm),
-            |_, _| {},
-        );
-        total += flips;
-        if flips == 0 {
-            break;
-        }
-    }
-    total
+    let sync_period = chans.log.is_some().then_some(cfg.sync_period);
+    refine(
+        chans,
+        (cfg.switch_passes, sync_period),
+        comm,
+        || {
+            let perm = pgr_geom::shuffled_indices(candidates.len(), rng);
+            perm.iter().map(|&k| candidates[k as usize]).collect()
+        },
+        |chans, chunk, comm| optimize_slice(chans, spans, chunk, comm),
+        |chans, comm| chans.sync(cfg.netwise_exact_sync, comm),
+    )
 }
 
 #[cfg(test)]
@@ -301,7 +334,8 @@ mod tests {
     use super::*;
     use pgr_circuit::NetId;
     use pgr_geom::rng::rng_from_seed;
-    use pgr_mpi::MachineModel;
+    use pgr_mpi::{MachineModel, Wire};
+    use std::collections::HashSet;
 
     fn comm() -> Comm {
         Comm::solo(MachineModel::ideal())
@@ -427,7 +461,7 @@ mod tests {
     #[test]
     fn delta_log_replays_remotely() {
         let mut a = ChannelState::new(0, 3, 32);
-        a.enable_logging();
+        a.log = Some(Vec::new());
         a.add_span(&span(1, 2, 9, None), 1);
         a.add_span(&span(2, 0, 31, None), 1);
         a.add_span(&span(1, 2, 9, None), -1);
@@ -460,7 +494,7 @@ mod tests {
         // and (with logging on) the same replicated delta stream.
         let build = || {
             let mut ch = ChannelState::new(0, 4, 64);
-            ch.enable_logging();
+            ch.log = Some(Vec::new());
             let mut rng = rng_from_seed(0xD1CE);
             let spans: Vec<Span> = (0..40)
                 .map(|_| {
@@ -528,5 +562,56 @@ mod tests {
             sign: -1,
         };
         assert_eq!(SpanDelta::from_bytes(&d.to_bytes()).unwrap(), d);
+    }
+
+    /// The conflict rule as the hash set that stated it: a remote delta
+    /// is dropped when any `(channel, column bucket)` it writes is one
+    /// this rank also wrote. The reference [`drop_conflicts`] is held to.
+    fn drop_conflicts_reference(remote: &mut Vec<SpanDelta>, own: &[SpanDelta]) {
+        fn buckets(d: &SpanDelta) -> impl Iterator<Item = (u32, i64)> + '_ {
+            (d.lo / CONFLICT_BUCKET..=d.hi / CONFLICT_BUCKET).map(move |b| (d.chan, b))
+        }
+        let own: HashSet<(u32, i64)> = own.iter().flat_map(buckets).collect();
+        remote.retain(|d| !buckets(d).any(|k| own.contains(&k)));
+    }
+
+    #[test]
+    fn sorted_conflict_filter_matches_the_hash_set_rule() {
+        let mut rng = rng_from_seed(0xB0C4);
+        let mut dropped = 0;
+        for case in 0..200 {
+            // Narrow and bucket-straddling spans, a few channels, columns
+            // on both sides of zero (the division truncates towards it).
+            let mut deltas = |n: usize| -> Vec<SpanDelta> {
+                (0..n)
+                    .map(|_| {
+                        let lo = rng.gen_range(-300i64..3000);
+                        SpanDelta {
+                            chan: rng.gen_range(0..4u32),
+                            lo,
+                            hi: lo + rng.gen_range(0i64..700),
+                            sign: if rng.gen_bool(0.5) { 1 } else { -1 },
+                        }
+                    })
+                    .collect()
+            };
+            let own = deltas(case % 7);
+            let remote = deltas(1 + case % 23);
+            // Two remote ranks sent `remote` (the slot between them is this
+            // rank's own, taken out); both are filtered alike.
+            let mut all = [remote.clone(), Vec::new(), remote.clone()];
+            drop_conflicts(&mut all, &own);
+            let mut reference = remote.clone();
+            drop_conflicts_reference(&mut reference, &own);
+            let [fast, taken, last] = all;
+            assert_eq!(fast, reference, "case {case}");
+            assert_eq!(last, reference, "case {case}: every remote rank");
+            assert!(taken.is_empty());
+            dropped += remote.len() - fast.len();
+            if own.is_empty() {
+                assert_eq!(fast, remote, "nothing written, nothing dropped");
+            }
+        }
+        assert!(dropped > 0, "the cases must exercise the drop path");
     }
 }

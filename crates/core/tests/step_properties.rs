@@ -9,7 +9,7 @@ use pgr_mpi::{Comm, MachineModel};
 use pgr_router::route::coarse::CoarseState;
 use pgr_router::route::feedthrough::{assign, FtPlan};
 use pgr_router::route::serial::crossings_of;
-use pgr_router::route::state::{ChannelPref, Node, Orientation, Segment};
+use pgr_router::route::state::{ChannelPref, Grid, Node, Orientation, Segment};
 use pgr_router::RouterConfig;
 
 fn comm() -> Comm {
@@ -27,7 +27,7 @@ fn ftplan_shift_is_monotone_and_bounded() {
         let demand: Vec<Vec<i64>> = (0..nrows)
             .map(|_| (0..gcols).map(|_| rng.gen_range(0i64..4)).collect())
             .collect();
-        let plan = FtPlan::new(0, demand.clone(), grid_w, ft_w);
+        let plan = FtPlan::new(0, Grid::from_rows(&demand), grid_w, ft_w);
         for (ri, row) in demand.iter().enumerate() {
             let row_total: i64 = row.iter().sum();
             assert_eq!(plan.row_growth(ri as u32), row_total * ft_w);
@@ -63,7 +63,7 @@ fn ft_positions_are_distinct_and_ordered_within_a_row() {
         let grid_w = rng.gen_range(2i64..12);
         let ft_w = rng.gen_range(1i64..4);
         let demand_row: Vec<i64> = (0..cols).map(|_| rng.gen_range(0i64..5)).collect();
-        let plan = FtPlan::new(0, vec![demand_row.clone()], grid_w, ft_w);
+        let plan = FtPlan::new(0, Grid::from_rows(&[&demand_row]), grid_w, ft_w);
         let mut xs = Vec::new();
         for (g, &d) in demand_row.iter().enumerate() {
             for i in 0..d {
@@ -111,7 +111,7 @@ fn demand_always_matches_crossings() {
         let mut st = CoarseState::new(0, rows as usize, width, cfg.grid_w);
         let orients = st.route(&segs, &cfg, &mut rng_from_seed(seed ^ 1), &mut comm());
         let crossings = crossings_of(&segs, &orients);
-        let plan = FtPlan::new(0, st.into_demand(), cfg.grid_w, cfg.ft_width);
+        let plan = st.into_plan(cfg.ft_width);
         assert_eq!(crossings.len() as u64, plan.total());
         // assign() asserts per-(row, gcol) equality internally.
         let nodes = assign(&plan, &crossings, &mut comm());
@@ -167,7 +167,7 @@ fn coarse_apply_remove_is_involutive() {
         for ch in 0..=6u32 {
             assert_eq!(st.channel_max(ch), 0, "channel {ch} clean");
         }
-        assert!(st.demand().iter().all(|r| r.iter().all(|&d| d == 0)));
+        assert!(st.demand().cells().iter().all(|&d| d == 0));
     }
 }
 

@@ -76,8 +76,8 @@ pub(super) struct Account {
     bytes_sent: u64,
     /// Indexed by physical destination rank.
     bytes_to: Vec<u64>,
-    cur_mem: u64,
-    peak_mem: u64,
+    /// Modeled allocation; nothing releases it, so the total is the peak.
+    pub(super) peak_mem: u64,
     phase_marks: Vec<(&'static str, f64)>,
 }
 
@@ -98,7 +98,6 @@ impl Account {
             msgs_sent: 0,
             bytes_sent: 0,
             bytes_to: vec![0; size],
-            cur_mem: 0,
             peak_mem: 0,
             phase_marks: Vec::new(),
         }
@@ -143,10 +142,6 @@ impl Account {
         let start = ready.max(stamp + self.machine.latency);
         self.clock = start + bytes as f64 * self.machine.sec_per_byte;
         start - ready
-    }
-
-    pub(super) fn cur_mem(&self) -> u64 {
-        self.cur_mem
     }
 
     /// Stamp the start of phase `name` at the current virtual time (and
@@ -212,9 +207,7 @@ impl Comm {
     /// Register `bytes` of modeled allocation (for the per-node memory
     /// gate).
     pub fn charge_alloc(&mut self, bytes: u64) {
-        let acct = &mut self.account;
-        acct.cur_mem += bytes;
-        acct.peak_mem = acct.peak_mem.max(acct.cur_mem);
+        self.account.peak_mem += bytes;
     }
 
     pub fn peak_mem(&self) -> u64 {

@@ -297,7 +297,7 @@ impl Comm {
             if let Some(b) = ctl.over_time(now).filter(|_| !ctl.shed) {
                 ctl.latch(b, &mut self.metrics);
             }
-            if let Some(b) = ctl.over_bytes(self.account.cur_mem()) {
+            if let Some(b) = ctl.over_bytes(self.account.peak_mem) {
                 ctl.latch(b, &mut self.metrics);
             }
             ctl.phase_start = now;
@@ -434,7 +434,7 @@ impl Comm {
         if ctl.breach.is_none() {
             let over = ctl
                 .over_time(self.account.active_now())
-                .or_else(|| ctl.over_bytes(self.account.cur_mem()));
+                .or_else(|| ctl.over_bytes(self.account.peak_mem));
             if let Some(b) = over {
                 ctl.latch(b, &mut self.metrics);
             }
@@ -456,7 +456,7 @@ impl Comm {
         if ctl.breach.is_some() || ctl.shed {
             return true;
         }
-        if let Some(b) = ctl.over_bytes(self.account.cur_mem()) {
+        if let Some(b) = ctl.over_bytes(self.account.peak_mem) {
             ctl.latch(b, &mut self.metrics);
             return true;
         }

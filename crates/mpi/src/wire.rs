@@ -19,6 +19,8 @@ pub enum WireError {
     BadTag(u8),
     /// Trailing bytes after a complete decode (indicates a type mismatch).
     TrailingBytes(usize),
+    /// A row of a rectangular table is not as long as its first row.
+    Ragged { expected: usize, got: usize },
 }
 
 impl fmt::Display for WireError {
@@ -32,6 +34,9 @@ impl fmt::Display for WireError {
             }
             WireError::BadTag(t) => write!(f, "invalid tag byte {t}"),
             WireError::TrailingBytes(n) => write!(f, "{n} trailing bytes after decode"),
+            WireError::Ragged { expected, got } => {
+                write!(f, "ragged table: a row of {got} after rows of {expected}")
+            }
         }
     }
 }
@@ -284,10 +289,12 @@ wire_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4, F: 5);
 /// ```
 #[macro_export]
 macro_rules! wire_struct {
-    ($(#[$meta:meta])* $vis:vis struct $name:ident { $($fvis:vis $field:ident : $ty:ty),* $(,)? }) => {
+    ($(#[$meta:meta])* $vis:vis struct $name:ident {
+        $($(#[$fmeta:meta])* $fvis:vis $field:ident : $ty:ty),* $(,)?
+    }) => {
         $(#[$meta])*
         $vis struct $name {
-            $($fvis $field: $ty),*
+            $($(#[$fmeta])* $fvis $field: $ty),*
         }
 
         impl $crate::wire::Wire for $name {
