@@ -26,7 +26,15 @@
 #   `enable_logging`;
 # - when routing state stops being flat: a non-test line under
 #   crates/core/src that contains `Vec<Vec<i64>>` (grids are one `Grid`),
-#   `HashMap` or `HashSet` (nets are dense ids: `NetSlots`, sorted lists).
+#   `HashMap` or `HashSet` (nets are dense ids: `NetSlots`, sorted lists);
+# - when a step body gets a second home: `route::serial::RouteState` holds
+#   the one body of steps 2-5 and of the gather, so among the non-test
+#   code lines of crates/core/src `CoarseState::charged(` is called once,
+#   `connect_all(` twice (that body and the hybrid's whole-net Connect) and
+#   `ChannelState::from_spans(` three times (that body, the hybrid's
+#   Switchable, `RouteState::gather_result`);
+# - when anything under crates/core/src names `RouteAbort`: the engine
+#   matches `pgr_mpi::PhaseControl` itself.
 set -eu
 cd "$(dirname "$0")/.."
 MAX_FILE=1000
@@ -96,6 +104,33 @@ nested=$(awk '
 if [ -n "$nested" ]; then
     echo "surface: nested or hashed routing state (use route::state::Grid / NetSlots / a sorted list):" >&2
     echo "$nested" >&2
+    exit 1
+fi
+
+# "<file>:<line>:<text>" of every non-test, non-comment line under
+# crates/core/src that calls (not defines) $1.
+calls() {
+    # shellcheck disable=SC2046
+    awk -v call="$1" '
+        FNR == 1 { in_tests = 0 }
+        /^#\[cfg\(test\)\]/ { in_tests = 1 }
+        !in_tests && !/^[ \t]*\/\// && !/fn / && index($0, call) { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+    ' $(find crates/core/src -name '*.rs')
+}
+for want in 'CoarseState::charged( 1' 'connect_all( 2' 'ChannelState::from_spans( 3'; do
+    call=${want% *}
+    sites=$(calls "$call")
+    if [ "$(echo "$sites" | grep -c .)" -ne "${want#* }" ]; then
+        echo "surface: $call must have ${want#* } call site(s) under crates/core/src (the step bodies live in route::serial::RouteState):" >&2
+        echo "$sites" >&2
+        exit 1
+    fi
+done
+
+respelled_control=$(grep -rn 'RouteAbort' crates/core/src || true)
+if [ -n "$respelled_control" ]; then
+    echo "surface: crates/core/src re-spells pgr_mpi::PhaseControl (match it directly):" >&2
+    echo "$respelled_control" >&2
     exit 1
 fi
 

@@ -77,55 +77,10 @@ fn ctx(path: &Path, what: &str) -> String {
     format!("{}: {what}", path.display())
 }
 
+/// The [`RunMeta`] of a dump or of a baseline record.
 fn parse_run_meta(v: &Json, path: &Path) -> Result<RunMeta, String> {
     let run = v.get("run").ok_or_else(|| ctx(path, "missing \"run\""))?;
-    let str_field = |name: &str| -> Result<String, String> {
-        run.get(name)
-            .and_then(|f| f.as_str())
-            .map(str::to_string)
-            .ok_or_else(|| ctx(path, &format!("run.{name} missing or not a string")))
-    };
-    Ok(RunMeta {
-        circuit: str_field("circuit")?,
-        algorithm: str_field("algorithm")?,
-        procs: run
-            .get("procs")
-            .and_then(|f| f.as_u64())
-            .ok_or_else(|| ctx(path, "run.procs missing"))? as usize,
-        machine: str_field("machine")?,
-        scale: run
-            .get("scale")
-            .and_then(|f| f.as_f64())
-            .ok_or_else(|| ctx(path, "run.scale missing"))?,
-        seed: run
-            .get("seed")
-            .and_then(|f| f.as_u64())
-            .ok_or_else(|| ctx(path, "run.seed missing"))?,
-        // Absent in dumps from writers predating the flag — and in every
-        // fault-free dump, which omits it.
-        degraded: run
-            .get("degraded")
-            .and_then(|f| f.as_bool())
-            .unwrap_or(false),
-        // Absent in dumps from writers predating the field — and in every
-        // virtual-mode dump, which omits it.
-        clock: run
-            .get("clock")
-            .and_then(|f| f.as_str())
-            .unwrap_or("virtual")
-            .to_string(),
-        // Absent in every dump not produced by the scenario generator.
-        scenario: run
-            .get("scenario")
-            .and_then(|f| f.as_str())
-            .unwrap_or("")
-            .to_string(),
-        // Absent in every run that stayed inside its budget.
-        budget_degraded: run
-            .get("budget_degraded")
-            .and_then(|f| f.as_bool())
-            .unwrap_or(false),
-    })
+    RunMeta::from_json(run).map_err(|e| ctx(path, &e))
 }
 
 /// Parse one dump file, checking `schema_version` and `kind`. Files an
@@ -185,34 +140,31 @@ fn apply_stats(rec: &mut RunRecord, v: &Json, path: &Path) -> Result<(), String>
         .get("ranks")
         .and_then(|f| f.as_arr())
         .ok_or_else(|| ctx(path, "stats missing \"ranks\""))?;
+    // Every field below is one a v5 writer always emits: a dump without
+    // it is rejected by file and field, not read as zero or skipped.
+    let missing = |what: &str| ctx(path, &format!("stats {what} missing or mistyped"));
     rec.bytes_sent = 0;
-    let mut slowest: Option<(f64, Vec<(String, f64)>)> = None;
+    let mut slowest: Option<(f64, &[Json])> = None;
     for r in ranks {
-        rec.bytes_sent += r.get("bytes_sent").and_then(|f| f.as_u64()).unwrap_or(0);
-        let time = r.get("time").and_then(|f| f.as_f64()).unwrap_or(0.0);
-        if slowest.as_ref().is_none_or(|(t, _)| time > *t) {
-            let phases: Vec<(String, f64)> = r
-                .get("phases")
-                .and_then(|f| f.as_arr())
-                .map(|ps| {
-                    ps.iter()
-                        .filter_map(|p| {
-                            Some((
-                                p.get("name")?.as_str()?.to_string(),
-                                p.get("seconds")?.as_f64()?,
-                            ))
-                        })
-                        .collect()
-                })
-                .unwrap_or_default();
-            slowest = Some((time, phases));
+        let bytes = r.get("bytes_sent").and_then(|f| f.as_u64());
+        rec.bytes_sent += bytes.ok_or_else(|| missing("ranks[].bytes_sent"))?;
+        let time = r.get("time").and_then(|f| f.as_f64());
+        let time = time.ok_or_else(|| missing("ranks[].time"))?;
+        if slowest.is_none_or(|(t, _)| time > t) {
+            let phases = r.get("phases").and_then(|f| f.as_arr());
+            slowest = Some((time, phases.ok_or_else(|| missing("ranks[].phases"))?));
         }
     }
     if let Some((_, phases)) = slowest {
-        for (name, _) in &phases {
+        rec.phases.clear();
+        for p in phases {
+            let name = p.get("name").and_then(|f| f.as_str());
+            let name = name.ok_or_else(|| missing("ranks[].phases[].name"))?;
             check_registry_phase(name, path)?;
+            let seconds = p.get("seconds").and_then(|f| f.as_f64());
+            let seconds = seconds.ok_or_else(|| missing("ranks[].phases[].seconds"))?;
+            rec.phases.push((name.to_string(), seconds));
         }
-        rec.phases = phases;
     }
     Ok(())
 }
@@ -766,7 +718,8 @@ impl std::fmt::Display for Regression {
 /// Compare a fresh aggregate against a committed baseline (the JSON
 /// produced by [`Aggregate::to_json`]). A run regresses when its
 /// makespan, tracks, or wirelength exceeds the baseline by more than
-/// `tolerance` (relative), or when a baseline run is missing entirely.
+/// `tolerance` (relative), or when a baseline run — or one gated series
+/// of a run — is missing entirely.
 /// Improvements never flag. Returns the regression list; an error means
 /// the baseline file itself is unusable.
 pub fn check_baseline(
@@ -806,18 +759,22 @@ pub fn check_baseline(
             });
             continue;
         };
+        // A series the baseline holds and this aggregate does not (its
+        // dump was not written, say) regressed like a missing run did.
         let mut check_f = |what: &str, base: Option<f64>, now: Option<f64>| {
-            if let (Some(b), Some(n)) = (base, now) {
-                if b > 0.0 && n > b * (1.0 + tolerance) {
-                    regressions.push(Regression {
-                        run: run.clone(),
-                        what: format!(
-                            "{what} {n:.6} exceeds baseline {b:.6} by more than {:.1} %",
-                            tolerance * 100.0
-                        ),
-                    });
-                }
-            }
+            let Some(b) = base else { return };
+            let what = match now {
+                None => format!("{what} (baseline {b:.6}) missing from this aggregate"),
+                Some(n) if b > 0.0 && n > b * (1.0 + tolerance) => format!(
+                    "{what} {n:.6} exceeds baseline {b:.6} by more than {:.1} %",
+                    tolerance * 100.0
+                ),
+                Some(_) => return,
+            };
+            regressions.push(Regression {
+                run: run.clone(),
+                what,
+            });
         };
         check_f(
             "makespan",

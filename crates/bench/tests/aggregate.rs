@@ -125,7 +125,24 @@ fn unparseable_and_mismatched_schema_are_rejected_by_name() {
     assert!(err.contains("future.stats.json"), "{err}");
     assert!(err.contains("schema_version 999"), "{err}");
 
+    // A field every v5 writer emits is required, by file and field —
+    // not read as zero (a rank's bytes) or skipped (a phase entry).
     std::fs::remove_file(dir.join("future.stats.json")).unwrap();
+    let whole = stats_fixture(&meta("serial", 1), 1.0);
+    for (field, gone) in [
+        ("ranks[].bytes_sent", "\"bytes_sent\":64,"),
+        ("ranks[].time", "\"time\":1,"),
+        ("ranks[].phases[].seconds", ",\"seconds\":1"),
+        ("run.seed", ",\"seed\":7"),
+    ] {
+        assert!(whole.contains(gone), "fixture lost {gone}");
+        write(&dir, "holed.stats.json", &whole.replace(gone, ""));
+        let err = load_paths(std::slice::from_ref(&dir)).unwrap_err();
+        assert!(err.contains("holed.stats.json"), "{err}");
+        assert!(err.contains(field), "{err}");
+    }
+
+    std::fs::remove_file(dir.join("holed.stats.json")).unwrap();
     write(
         &dir,
         "odd.stats.json",
@@ -312,6 +329,18 @@ fn baseline_check_passes_on_self_and_flags_injected_regression() {
             .any(|r| r.run.algorithm == "net-wise" && r.what.contains("missing")),
         "{regs:?}"
     );
+
+    // So is a gated series that vanished from a run still present: the
+    // hybrid run's metrics dump was not written, so it has no tracks.
+    std::fs::remove_file(dir.join("p.metrics.json")).unwrap();
+    let blind = aggregate(&load_paths(std::slice::from_ref(&dir)).unwrap());
+    let regs = check_baseline(&blind, &agg.to_json(), 0.02).unwrap();
+    assert!(
+        regs.iter()
+            .any(|r| r.what.contains("tracks") && r.what.contains("missing")),
+        "{regs:?}"
+    );
+    assert!(regs.iter().all(|r| r.run.algorithm == "hybrid"), "{regs:?}");
 
     // An unusable baseline is an error, not an empty regression list.
     assert!(check_baseline(&agg, "{ nope", 0.02).is_err());

@@ -29,9 +29,8 @@ pub struct CircuitBuilder {
     width: i64,
     num_rows: usize,
     store: CircuitStore,
-    /// Next free x per row (cells are packed with `spacing` gap).
+    /// Next free x per row (cells are packed edge to edge).
     cursor: Vec<i64>,
-    spacing: i64,
 }
 
 impl CircuitBuilder {
@@ -44,23 +43,11 @@ impl CircuitBuilder {
             num_rows,
             store: CircuitStore::new(),
             cursor: vec![0; num_rows],
-            spacing: 0,
         }
-    }
-
-    /// Gap inserted between consecutive cells in a row (default 0).
-    pub fn with_spacing(mut self, spacing: i64) -> Self {
-        self.spacing = spacing;
-        self
     }
 
     pub fn num_rows(&self) -> usize {
         self.num_rows
-    }
-
-    /// Free columns remaining in `row`.
-    pub fn remaining_in_row(&self, row: RowId) -> i64 {
-        self.width - self.cursor[row.index()]
     }
 
     /// Append a cell of `width` columns to `row`, packed after the previous
@@ -74,7 +61,7 @@ impl CircuitBuilder {
             self.width
         );
         let id = self.store.push_cell(row, x, width);
-        self.cursor[row.index()] = x + width as i64 + self.spacing;
+        self.cursor[row.index()] = x + width as i64;
         id
     }
 
@@ -124,18 +111,6 @@ mod tests {
     }
 
     #[test]
-    fn spacing_is_respected() {
-        let mut b = CircuitBuilder::new("t", 1, 100).with_spacing(3);
-        let a = b.add_cell(RowId(0), 10);
-        let c = b.add_cell(RowId(0), 5);
-        let pa = b.add_pin(a, 0, PinSide::Top, false);
-        let pc = b.add_pin(c, 0, PinSide::Top, false);
-        b.add_net("n", vec![pa, pc]);
-        let circuit = b.finish().unwrap();
-        assert_eq!(circuit.cell(CellId(1)).x, 13);
-    }
-
-    #[test]
     #[should_panic(expected = "overflows core width")]
     fn overflow_panics() {
         let mut b = CircuitBuilder::new("t", 1, 8);
@@ -156,15 +131,6 @@ mod tests {
         assert_eq!(circuit.pin(PinId(0)).offset, 1);
         assert_eq!(circuit.cell(CellId(0)).pins.len(), 2);
         circuit.validate().unwrap();
-    }
-
-    #[test]
-    fn remaining_in_row_tracks_cursor() {
-        let mut b = CircuitBuilder::new("t", 2, 50);
-        assert_eq!(b.remaining_in_row(RowId(0)), 50);
-        b.add_cell(RowId(0), 20);
-        assert_eq!(b.remaining_in_row(RowId(0)), 30);
-        assert_eq!(b.remaining_in_row(RowId(1)), 50);
     }
 
     #[test]

@@ -250,7 +250,8 @@ mod tests {
         let cl = generate(&loose);
         let avg_hp = |c: &Circuit| -> f64 {
             let total: u64 = (0..c.num_nets())
-                .map(|i| c.net_bbox(crate::NetId::from_index(i)).half_perimeter())
+                .map(|i| c.net_bbox(crate::NetId::from_index(i)))
+                .map(|bb| bb.width() + bb.height())
                 .sum();
             total as f64 / c.num_nets() as f64
         };

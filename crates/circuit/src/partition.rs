@@ -100,13 +100,6 @@ impl RowPartition {
         // bounds is sorted; partition_point gives the first bound > r.
         self.bounds.partition_point(|&b| b <= r) - 1
     }
-
-    /// Whether `row` is the last row of its part (its upper channel is
-    /// shared with the next part).
-    pub fn is_upper_boundary(&self, row: RowId) -> bool {
-        let p = self.owner(row);
-        p + 1 < self.parts() && row.index() + 1 == self.end(p)
-    }
 }
 
 #[cfg(test)]
@@ -132,10 +125,6 @@ mod tests {
         let p = RowPartition::uniform(5, 1);
         assert_eq!(p.range(0), 0..5);
         assert_eq!(p.owner(RowId(4)), 0);
-        assert!(
-            !p.is_upper_boundary(RowId(4)),
-            "top row of the last part is not a boundary"
-        );
     }
 
     #[test]
@@ -174,17 +163,6 @@ mod tests {
                 assert!(!p.range(i).is_empty(), "part {i} empty for {parts} parts");
             }
         }
-    }
-
-    #[test]
-    fn boundary_detection() {
-        let p = RowPartition::uniform(6, 2); // parts: 0..3, 3..6
-        assert!(p.is_upper_boundary(RowId(2)));
-        assert!(!p.is_upper_boundary(RowId(1)));
-        assert!(
-            !p.is_upper_boundary(RowId(5)),
-            "top of last part is chip edge, not a partition boundary"
-        );
     }
 
     #[test]

@@ -57,31 +57,10 @@ use crate::metrics::{names, RoutingResult};
 use crate::parallel::partition::PartitionKind;
 use pgr_circuit::{Circuit, RowPartition};
 use pgr_geom::rng::{derive_seed, rng_from_seed, SmallRng};
-use pgr_mpi::{BudgetBreach, BudgetKind, Comm, PhaseControl};
+use pgr_mpi::{BudgetKind, Comm, PhaseControl};
 use pgr_obs::recovery_names;
 
 pub use pgr_obs::Phase;
-
-/// Why one routing attempt could not run to completion: the fault
-/// layer's kill schedule fired at a phase boundary, or a resource
-/// budget was breached and the world agreed to stop.
-enum RouteAbort {
-    /// This rank is the victim — unwind without touching the network.
-    SelfKilled,
-    /// Peers (physical rank ids) died entering phase `at`; the
-    /// survivors must shrink the world and retry — resuming from the
-    /// last committed checkpoint when one exists.
-    PeersDied { dead: Vec<usize>, at: Phase },
-    /// The agreement collective at the `at` boundary surfaced a latched
-    /// [`BudgetBreach`] — every rank aborts with the identical payload
-    /// (the lowest breaching logical rank's report), so the abort is
-    /// SPMD-consistent by construction.
-    Budget {
-        rank: usize,
-        at: Phase,
-        breach: BudgetBreach,
-    },
-}
 
 /// A structured, non-panicking routing failure. Today the only variant
 /// is a resource-budget breach; kill-schedule deaths stay `Option`-shaped
@@ -127,24 +106,6 @@ impl std::fmt::Display for RouteError {
 
 impl std::error::Error for RouteError {}
 
-/// How a recovery round continues the route: resume the pipeline from
-/// phase index `from` (a registry index), seeded from the failed
-/// attempt's checkpoint payloads. Built by [`drive`]'s recovery arm,
-/// consumed by [`run_attempt`].
-struct ResumePlan {
-    /// Registry index of the first phase the resumed attempt executes —
-    /// the agreed last globally committed restorable boundary.
-    from: usize,
-    /// Registry index of the phase whose boundary the previous attempt
-    /// died entering. Phases in `from..killed_at` are the redone work;
-    /// reaching `killed_at` again is the caught-up point the profiler's
-    /// `resume` blame class ends at.
-    killed_at: usize,
-    /// The failed world's snapshot payloads at `from`, in that world's
-    /// logical-rank order (CRC-verified at fetch).
-    payloads: Vec<Vec<u8>>,
-}
-
 /// Bounds on the recovery loop. Every survivor evaluates the policy
 /// against the same SPMD-deterministic state (round count, logical
 /// world size), so all ranks agree on when to stop retrying.
@@ -173,7 +134,7 @@ impl Default for RecoveryPolicy {
 /// the inputs every pipeline reads and the two pieces of rank-local
 /// state whose derivation must track the *logical* world so recovery
 /// attempts equal fresh smaller runs.
-pub struct RouteCtx<'a> {
+pub(crate) struct RouteCtx<'a> {
     pub circuit: &'a Circuit,
     pub cfg: &'a RouterConfig,
     /// Net-partition heuristic (ignored by the serial pipeline).
@@ -188,15 +149,14 @@ pub struct RouteCtx<'a> {
 }
 
 impl<'a> RouteCtx<'a> {
-    /// Derive the context for one attempt over `comm`'s current world.
-    pub fn new(
+    /// Derive the context of logical rank `rank` for one attempt over a
+    /// world of `size` ranks.
+    fn new(
         circuit: &'a Circuit,
         cfg: &'a RouterConfig,
         kind: PartitionKind,
-        comm: &Comm,
+        (size, rank): (usize, usize),
     ) -> Self {
-        let size = comm.size();
-        let rank = comm.rank();
         assert!(
             size <= circuit.num_rows(),
             "row partitioning needs at least one row per rank"
@@ -212,9 +172,9 @@ impl<'a> RouteCtx<'a> {
         }
     }
 
-    /// First row of this rank's band.
-    pub fn row0(&self) -> u32 {
-        self.rows.start(self.rank) as u32
+    /// This rank's band: its first row and its row count.
+    pub fn band(&self) -> (u32, usize) {
+        (self.rows.start(self.rank) as u32, self.nrows())
     }
 
     /// Number of rows in this rank's band.
@@ -232,7 +192,7 @@ impl<'a> RouteCtx<'a> {
 /// through `self`. After the final pass the engine collects the result
 /// via [`take_result`](Pipeline::take_result) (`Some` on the rank that
 /// assembled the global solution).
-pub trait Pipeline {
+pub(crate) trait Pipeline {
     /// Execute the body of one phase.
     fn pass(&mut self, phase: Phase, ctx: &mut RouteCtx<'_>, comm: &mut Comm);
 
@@ -242,7 +202,7 @@ pub trait Pipeline {
     /// a metadata-only record that proves it was reached but cannot
     /// seed a shrunken world. Must be communication-free. The default
     /// commits metadata only (the serial pipeline never resumes).
-    fn snapshot(&self, _at: Phase, _ctx: &RouteCtx<'_>) -> Option<Vec<u8>> {
+    fn snapshot(&self, _at: Phase) -> Option<Vec<u8>> {
         None
     }
 
@@ -260,56 +220,52 @@ pub trait Pipeline {
 
 /// Run one attempt of `pipe` over the current world: every pass entered
 /// through its phase boundary (trace mark, metric window rotation, kill
-/// evaluation), aborts propagated to the caller.
+/// evaluation), a boundary's stop verdict handed to the caller with the
+/// phase it was reached at.
 ///
-/// With a [`ResumePlan`], phases before `plan.from` are skipped (their
-/// windows never open — the resumed attempt genuinely does not run
-/// them), the pipeline state is restored from the plan's payloads, and
-/// the caught-up trace mark is dropped when execution reaches the
-/// boundary the previous attempt died at. Each executed boundary past
-/// the first re-commits its snapshot under the current attempt, so a
-/// later kill can resume again.
+/// `resume` is [`Comm::shrink_world`]'s verdict on the previous attempt,
+/// which died entering `killed_at`: the registry index of the boundary
+/// to resume from and the failed world's snapshot payloads there. Phases
+/// before it are skipped (their windows never open — the resumed attempt
+/// genuinely does not run them), the pipeline state is restored from the
+/// payloads, and the caught-up trace mark is dropped when execution
+/// reaches `killed_at` again (the phases in between are the redone work).
+/// Each executed boundary past the first re-commits its snapshot under
+/// the current attempt, so a later kill can resume again.
 fn run_attempt<P: Pipeline>(
     pipe: &mut P,
     ctx: &mut RouteCtx<'_>,
     comm: &mut Comm,
-    plan: Option<&ResumePlan>,
-) -> Result<Option<RoutingResult>, RouteAbort> {
+    resume: Option<&(usize, Vec<Vec<u8>>)>,
+    killed_at: Phase,
+) -> Result<Option<RoutingResult>, (Phase, PhaseControl)> {
     for phase in Phase::ALL {
-        if let Some(plan) = plan {
-            if phase.index() < plan.from {
+        if let Some((from, payloads)) = resume {
+            if phase.index() < *from {
                 continue;
             }
-            if phase.index() == plan.from {
-                pipe.restore(phase, &plan.payloads, ctx);
+            if phase.index() == *from {
+                pipe.restore(phase, payloads, ctx);
             }
-            if phase.index() == plan.killed_at {
+            if phase == killed_at {
                 // Causal-profiler anchor: segments between the restart
                 // mark and this one are the resume's replay.
                 comm.trace_mark(pgr_obs::MARK_RECOVERY_CAUGHT_UP);
             }
         }
-        proceed_past(phase, comm.boundary(phase, || pipe.snapshot(phase, ctx)))?;
-        pipe.pass(phase, ctx, comm);
+        match comm.boundary(phase, || pipe.snapshot(phase)) {
+            PhaseControl::Continue => pipe.pass(phase, ctx, comm),
+            stop => return Err((phase, stop)),
+        }
     }
     // A breach latched inside the final pass has no later boundary to
     // surface it — agree once more before declaring the attempt complete.
-    proceed_past(Phase::Assemble, comm.budget_agree())?;
+    match comm.budget_agree() {
+        PhaseControl::Continue => {}
+        stop => return Err((Phase::Assemble, stop)),
+    }
     comm.metric_window_close();
     Ok(pipe.take_result())
-}
-
-/// Whether the attempt goes on past the `at` boundary, given what the
-/// boundary reported.
-fn proceed_past(at: Phase, outcome: PhaseControl) -> Result<(), RouteAbort> {
-    match outcome {
-        PhaseControl::Continue => Ok(()),
-        PhaseControl::SelfKilled => Err(RouteAbort::SelfKilled),
-        PhaseControl::PeersDied(dead) => Err(RouteAbort::PeersDied { dead, at }),
-        PhaseControl::BudgetExceeded { rank, breach } => {
-            Err(RouteAbort::Budget { rank, at, breach })
-        }
-    }
 }
 
 /// Complete the route serially on the lowest surviving rank after the
@@ -322,15 +278,7 @@ fn proceed_past(at: Phase, outcome: PhaseControl) -> Result<(), RouteAbort> {
 /// checkpoint: the schedule that forced the degradation must not be able
 /// to kill the fallback too.
 fn degraded_serial(circuit: &Circuit, cfg: &RouterConfig, comm: &mut Comm) -> RoutingResult {
-    let mut ctx = RouteCtx {
-        circuit,
-        cfg,
-        kind: PartitionKind::PinWeight,
-        rows: RowPartition::balanced(circuit, 1),
-        rng: rng_from_seed(derive_seed(cfg.seed, 0)),
-        size: 1,
-        rank: 0,
-    };
+    let mut ctx = RouteCtx::new(circuit, cfg, PartitionKind::PinWeight, (1, 0));
     let mut pipe = crate::route::serial::SerialPipeline::default();
     for phase in Phase::ALL {
         comm.phase_mark(phase);
@@ -380,7 +328,7 @@ fn degraded_serial(circuit: &Circuit, cfg: &RouterConfig, comm: &mut Comm) -> Ro
 /// not a silent serial fallback. The fallback itself always runs
 /// unbudgeted — a degraded completion is strictly better than a hang,
 /// and the shed stamp survives into the result's verification.
-pub fn drive<P: Pipeline + Default>(
+pub(crate) fn drive<P: Pipeline + Default>(
     circuit: &Circuit,
     cfg: &RouterConfig,
     kind: PartitionKind,
@@ -395,8 +343,10 @@ pub fn drive<P: Pipeline + Default>(
         policy.max_rounds = policy.max_rounds.min(b);
     }
     let mut rounds = 0u32;
-    let mut plan: Option<ResumePlan> = None;
-    // The phase whose boundary the last kill fired at — stamps the
+    // Where the next attempt resumes: `shrink_world`'s verdict on the last
+    // one (`None`: from scratch).
+    let mut resume: Option<(usize, Vec<Vec<u8>>)> = None;
+    // The phase whose boundary the last kill fired at — also stamps the
     // recovery-rounds budget error with where the run actually died.
     let mut last_abort = Phase::ALL[0];
     let (result, recovered) = loop {
@@ -436,12 +386,14 @@ pub fn drive<P: Pipeline + Default>(
             comm.clear_budget();
             break (Some(degraded_serial(circuit, cfg, comm)), true);
         }
-        let mut ctx = RouteCtx::new(circuit, cfg, kind, comm);
+        let mut ctx = RouteCtx::new(circuit, cfg, kind, (comm.size(), comm.rank()));
         let mut pipe = P::default();
-        match run_attempt(&mut pipe, &mut ctx, comm, plan.as_ref()) {
+        match run_attempt(&mut pipe, &mut ctx, comm, resume.as_ref(), last_abort) {
             Ok(result) => break (result, rounds > 0),
-            Err(RouteAbort::SelfKilled) => return Ok(None),
-            Err(RouteAbort::Budget { rank, at, breach }) => {
+            // This rank is the victim — unwind without touching the
+            // network.
+            Err((_, PhaseControl::SelfKilled)) => return Ok(None),
+            Err((at, PhaseControl::BudgetExceeded { rank, breach })) => {
                 // Already agreed world-wide at the boundary: every rank
                 // takes this arm with the identical payload.
                 comm.clear_budget();
@@ -453,27 +405,23 @@ pub fn drive<P: Pipeline + Default>(
                     observed: breach.observed,
                 });
             }
-            Err(RouteAbort::PeersDied { dead, at }) => {
+            // Peers died entering `at`: shrink the world and retry —
+            // resuming from the last committed checkpoint when one exists.
+            Err((at, PhaseControl::PeersDied(dead))) => {
                 last_abort = at;
                 comm.metric_add(names::RECOVERY_EVENTS, 1);
                 comm.metric_add(names::RANKS_LOST, dead.len() as u64);
                 let killed_at = at.index();
                 // The agreement runs before the restart mark, so its
                 // cost is blamed on recovery, not on the resumed work.
-                plan = comm
-                    .shrink_world(&dead, at)
-                    .map(|(from, payloads)| ResumePlan {
-                        from,
-                        killed_at,
-                        payloads,
-                    });
+                resume = comm.shrink_world(&dead, at);
                 // Causal-profiler anchor: everything on this rank's
                 // timeline before this mark is restart-tainted work and
                 // gets blamed on the recovery class.
                 comm.trace_mark(pgr_obs::MARK_RECOVERY_RESTART);
-                match &plan {
-                    Some(p) => {
-                        comm.metric_add(recovery_names::REDONE_PHASES, (killed_at - p.from) as u64);
+                match &resume {
+                    Some((from, _)) => {
+                        comm.metric_add(recovery_names::REDONE_PHASES, (killed_at - from) as u64);
                     }
                     None => {
                         comm.metric_add(recovery_names::REDONE_PHASES, killed_at as u64);
@@ -482,6 +430,7 @@ pub fn drive<P: Pipeline + Default>(
                 }
                 rounds += 1;
             }
+            Err((_, PhaseControl::Continue)) => unreachable!("an attempt only stops on a verdict"),
         }
     };
     // The post-run epilogue — the shed agreement and the self-check

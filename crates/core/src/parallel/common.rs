@@ -2,22 +2,15 @@
 //!
 //! Circuit distribution, Steiner-segment splitting at partition
 //! boundaries with fake-pin insertion (§4, Figure 2), sub-net assembly
-//! from received fragments, the final solution gather, the portable
-//! phase-boundary checkpoint payloads all three pipelines deposit for
-//! [`crate::engine::drive`]'s resume path, and [`RowBand`] — the
-//! row-partitioned front half the row-wise and hybrid algorithms share.
+//! from received fragments, the boundary-channel exchange, and the
+//! portable phase-boundary checkpoint payloads all three pipelines
+//! deposit for [`crate::engine::drive`]'s resume path.
 
 use crate::cost;
-use crate::engine::{Phase, RouteCtx};
-use crate::metrics::{names, record_ft_plan, RoutingResult};
-use crate::parallel::partition::partition_nets;
-use crate::route::coarse::CoarseState;
-use crate::route::feedthrough::{assign, FtPlan};
-use crate::route::serial::{attach_feedthroughs, crossings_of, shift_pins};
-use crate::route::state::{NetSlots, Node, Orientation, Segment, Span, WorkNet};
-use crate::route::steiner::{build_segments_with, whole_net};
+use crate::engine::Phase;
+use crate::route::state::{NetSlots, Node, Segment, WorkNet};
 use crate::route::switchable::ChannelState;
-use pgr_circuit::{Circuit, NetId, RowId, RowPartition};
+use pgr_circuit::{Circuit, NetId, RowPartition};
 use pgr_mpi::{Comm, Reader, Wire};
 
 /// User-space message tags.
@@ -250,212 +243,6 @@ pub fn sync_boundaries(chans: &mut ChannelState, rows: &RowPartition, comm: &mut
     if rank + 1 < comm.size() {
         let theirs: Vec<i64> = comm.recv(rank + 1, tag::BOUNDARY);
         chans.merge_background(upper_shared, &theirs, comm);
-    }
-}
-
-/// Gather every rank's spans and scalar tallies at rank 0 and assemble
-/// the global [`RoutingResult`] (the serial back end of every parallel
-/// run). Returns `Some` on rank 0.
-pub fn gather_result(
-    circuit: &Circuit,
-    spans: Vec<Span>,
-    wirelength: u64,
-    feedthroughs: u64,
-    chip_width: i64,
-    comm: &mut Comm,
-) -> Option<RoutingResult> {
-    comm.trace_mark("gather_result");
-    let wirelength = comm.reduce(0, wirelength, |a, b| a + b);
-    let feedthroughs = comm.reduce(0, feedthroughs, |a, b| a + b);
-    let all_spans = comm.gather(0, spans);
-    let all_spans = all_spans?; // non-roots are done
-    let spans: Vec<Span> = all_spans.into_iter().flatten().collect();
-
-    let rows = circuit.num_rows();
-    let emit_ops = cost::SETUP_ITEM * circuit.num_nets() as u64;
-    let chans =
-        ChannelState::from_spans((0, rows + 1, chip_width), false, emit_ops, comm, |_| &spans);
-    let result = RoutingResult {
-        circuit: circuit.name.clone(),
-        channel_density: chans.densities(),
-        chip_width,
-        rows,
-        wirelength: wirelength.expect("rank 0 holds the reduction"),
-        feedthroughs: feedthroughs.expect("rank 0 holds the reduction"),
-        spans,
-    };
-    crate::metrics::record_quality(&result, comm);
-    Some(result)
-}
-
-/// The row-partitioned front half of the row-wise (§4) and hybrid (§6)
-/// algorithms, plus the back-end gather both end with. The paper defines
-/// the hybrid as the row-wise algorithm up to feedthrough assignment —
-/// rows, cells and pins partitioned row-wise, fake pins keeping sub-nets
-/// connected — and only the final connection differs, so the two
-/// pipelines embed this state and run [`RowBand::pass`] for every phase
-/// but [`Phase::Connect`] and [`Phase::Switchable`], which they implement
-/// themselves against the public fields.
-#[derive(Default)]
-pub(crate) struct RowBand {
-    /// Owned nets with their unsplit Steiner segments, retained (only
-    /// when a checkpoint store is attached) for the portable
-    /// phase-boundary snapshot.
-    ckpt: Vec<(u32, Vec<Segment>)>,
-    /// The §5 net partition: which rank built (and, in the hybrid,
-    /// connects) each net.
-    pub(crate) owners: Vec<u32>,
-    segments: Vec<Segment>,
-    /// This band's sub-nets, with feedthroughs attached once the
-    /// feedthrough pass ran.
-    pub(crate) works: Vec<WorkNet>,
-    orients: Vec<Orientation>,
-    coarse: Option<CoarseState>,
-    plan: Option<FtPlan>,
-    /// Global chip width (the widest row anywhere), known after the
-    /// feedthrough pass.
-    pub(crate) chip_width: i64,
-    /// Connect's product, refined in place by the switchable pass and
-    /// gathered by assemble.
-    pub(crate) spans: Vec<Span>,
-    pub(crate) wirelength: u64,
-    result: Option<RoutingResult>,
-}
-
-impl RowBand {
-    /// Execute one of the shared phases. Connect and switchable are the
-    /// embedding pipeline's own.
-    pub(crate) fn pass(&mut self, phase: Phase, ctx: &mut RouteCtx<'_>, comm: &mut Comm) {
-        let (circuit, cfg) = (ctx.circuit, ctx.cfg);
-        match phase {
-            // Front end + distribution (rank 0 is the master that read
-            // the file).
-            Phase::Setup => distribute(circuit, false, comm),
-
-            // Step 1 (net-parallel): Steiner trees for owned nets, split
-            // at partition boundaries, dealt to the rank owning each
-            // piece's rows.
-            Phase::Steiner => {
-                self.owners =
-                    partition_nets(circuit, ctx.kind, &ctx.rows, ctx.size, cfg.pin_weight_beta);
-                let owned = self
-                    .owners
-                    .iter()
-                    .filter(|&&o| o as usize == ctx.rank)
-                    .count();
-                comm.metric_add(names::NETS_OWNED, owned as u64);
-                let keep = comm.checkpointing();
-                let mut outgoing: Vec<Vec<Segment>> = vec![Vec::new(); ctx.size];
-                for net in circuit.nets_chunks().flat_map(|c| c.net_ids()) {
-                    let i = net.index();
-                    if self.owners[i] as usize != ctx.rank {
-                        continue;
-                    }
-                    // Mandatory work: a latched breach stops local
-                    // building; the alltoall below still runs (walking
-                    // away would deadlock peers) and the engine aborts
-                    // at the next phase boundary.
-                    if comm.budget_poll_abort() {
-                        break;
-                    }
-                    let w = whole_net(circuit, net);
-                    if w.nodes.len() < 2 {
-                        continue;
-                    }
-                    let segs = build_segments_with(&w, cfg.steiner_refine, comm);
-                    for seg in &segs {
-                        for (part, piece) in split_segment(seg, &ctx.rows) {
-                            outgoing[part].push(piece);
-                        }
-                    }
-                    if keep {
-                        self.ckpt.push((i as u32, segs));
-                    }
-                }
-                self.segments = comm.alltoall(outgoing).into_iter().flatten().collect();
-                comm.metric_add(names::SEGMENTS_OWNED, self.segments.len() as u64);
-                self.works = assemble_works(&self.segments);
-            }
-
-            // Step 2: coarse global routing on the local row band.
-            Phase::Coarse => {
-                comm.metric_add(names::ROWS_OWNED, ctx.nrows() as u64);
-                let mut coarse =
-                    CoarseState::charged(ctx.row0(), ctx.nrows(), circuit.width, cfg.grid_w, comm);
-                self.orients = coarse.route(&self.segments, cfg, &mut ctx.rng, comm);
-                self.coarse = Some(coarse);
-            }
-
-            // Step 3: feedthrough insertion + assignment for the local
-            // rows, then the global chip width (the widest row anywhere).
-            Phase::Feedthrough => {
-                let coarse = self.coarse.take().expect("coarse pass ran");
-                let plan = coarse.into_plan(cfg.ft_width);
-                let local_cells: usize = ctx
-                    .rows
-                    .range(ctx.rank)
-                    .map(|r| circuit.row_cells(RowId(r as u32)).len())
-                    .sum();
-                comm.compute(cost::FT_INSERT_CELL * local_cells as u64);
-                let crossings = crossings_of(&self.segments, &self.orients);
-                let ft_nodes = assign(&plan, &crossings, comm);
-                record_ft_plan(&plan, comm);
-                shift_pins(&mut self.works, &plan);
-                attach_feedthroughs(&mut self.works, ft_nodes);
-                self.chip_width = comm.allreduce(circuit.width + plan.max_growth(), i64::max);
-                self.plan = Some(plan);
-            }
-
-            Phase::Connect | Phase::Switchable => {
-                unreachable!("{} is the embedding pipeline's own pass", phase.name())
-            }
-
-            // Back end: gather everything at the lowest surviving rank.
-            Phase::Assemble => {
-                self.result = gather_result(
-                    circuit,
-                    std::mem::take(&mut self.spans),
-                    self.wirelength,
-                    self.plan.as_ref().expect("feedthrough pass ran").total(),
-                    self.chip_width,
-                    comm,
-                );
-            }
-        }
-    }
-
-    /// The portable snapshot entering `at` — see [`steiner_snapshot`].
-    pub(crate) fn snapshot(&self, at: Phase) -> Option<Vec<u8>> {
-        steiner_snapshot(at, &self.ckpt)
-    }
-
-    /// Rebuild the state entering `at` from the failed world's payloads,
-    /// re-partitioned over the current world (net partition included —
-    /// the hybrid's connect pass ships fragments to net owners).
-    pub(crate) fn restore(&mut self, at: Phase, payloads: &[Vec<u8>], ctx: &mut RouteCtx<'_>) {
-        if at.index() != PORTABLE_HORIZON {
-            return; // resuming at Steiner: default state, setup re-runs
-        }
-        self.owners = partition_nets(
-            ctx.circuit,
-            ctx.kind,
-            &ctx.rows,
-            ctx.size,
-            ctx.cfg.pin_weight_beta,
-        );
-        let by_net = merge_steiner_payloads(payloads, ctx.circuit.num_nets());
-        self.segments = replay_split_arrival(&by_net, &self.owners, &ctx.rows, ctx.size, ctx.rank);
-        self.works = assemble_works(&self.segments);
-        // Retained under the *current* net partition, to re-deposit them.
-        self.ckpt = (0..by_net.len())
-            .filter(|&i| self.owners[i] as usize == ctx.rank)
-            .filter_map(|i| Some((i as u32, by_net[i].clone()?)))
-            .collect();
-    }
-
-    /// The assembled result, after the assemble pass (rank 0 only).
-    pub(crate) fn take_result(&mut self) -> Option<RoutingResult> {
-        self.result.take()
     }
 }
 

@@ -16,34 +16,35 @@
 //! because of the extra fragment/span exchange.
 
 use crate::engine::{Phase, Pipeline, RouteCtx};
-use crate::metrics::{names, RoutingResult};
-use crate::parallel::common::{group_nodes, sync_boundaries, RowBand};
+use crate::metrics::RoutingResult;
+use crate::parallel::common::{group_nodes, sync_boundaries};
+use crate::parallel::rowwise::RowWisePipeline;
 use crate::route::connect::connect_all;
 use crate::route::state::{Span, WorkNet};
-use crate::route::switchable::{optimize, ChannelState};
+use crate::route::switchable::ChannelState;
 use pgr_circuit::RowId;
 use pgr_mpi::Comm;
 
 /// The hybrid pipeline: steps 1–3 are exactly the row-wise flow (the
-/// shared [`RowBand`] front half, fake pins and all); connection is
-/// per whole net. Driven by [`crate::engine::drive`] through
+/// embedded [`RowWisePipeline`]'s passes, fake pins and all); connection
+/// is per whole net. Driven by [`crate::engine::drive`] through
 /// [`Algorithm::Hybrid`](crate::parallel::Algorithm); phase boundaries
 /// are recovery checkpoints (see [`crate::engine::drive`]).
 #[derive(Default)]
 pub(crate) struct HybridPipeline {
-    band: RowBand,
+    rowwise: RowWisePipeline,
 }
 
 impl Pipeline for HybridPipeline {
     fn pass(&mut self, phase: Phase, ctx: &mut RouteCtx<'_>, comm: &mut Comm) {
-        let band = &mut self.band;
+        let (owners, st) = (&self.rowwise.owners, &mut self.rowwise.st);
         match phase {
             // Step 4 (the hybrid difference): ship each net's fragment to
             // the net's owner, merge, and connect the whole net there.
             Phase::Connect => {
                 let mut work_out: Vec<Vec<WorkNet>> = vec![Vec::new(); ctx.size];
-                for w in std::mem::take(&mut band.works) {
-                    work_out[band.owners[w.net.index()] as usize].push(w);
+                for w in std::mem::take(&mut st.works) {
+                    work_out[owners[w.net.index()] as usize].push(w);
                 }
                 let fragments = comm.alltoall(work_out).into_iter().flatten();
                 let mut merged = group_nodes(fragments.map(|f: WorkNet| (f.net, f.nodes)));
@@ -51,7 +52,7 @@ impl Pipeline for HybridPipeline {
                 merged.sort_unstable_by_key(|w| w.net);
 
                 let (all_spans, wirelength) = connect_all(&merged, true, comm);
-                band.wirelength = wirelength;
+                st.wirelength = wirelength;
 
                 // Deal spans back to channel owners: switchable spans
                 // follow their row (the owner covers both candidate
@@ -75,33 +76,34 @@ impl Pipeline for HybridPipeline {
                 // sender-rank order, each sender's list is
                 // deterministic), and at P = 1 it is exactly the serial
                 // span order.
-                band.spans = comm.alltoall(span_out).into_iter().flatten().collect();
+                st.spans = comm.alltoall(span_out).into_iter().flatten().collect();
             }
 
-            // Step 5: row-local switchable optimization with boundary
-            // sync.
+            // Step 5 on the local rows, against the channel state of the
+            // spans dealt back, boundary-synchronized first.
             Phase::Switchable => {
-                let shape = (ctx.row0(), ctx.nrows() + 1, band.chip_width);
-                let mut chans = ChannelState::from_spans(shape, false, 0, comm, |_| &band.spans);
+                let (row0, nrows) = ctx.band();
+                let shape = (row0, nrows + 1, st.chip_width);
+                let mut chans = ChannelState::from_spans(shape, false, 0, comm, |_| &st.spans);
                 sync_boundaries(&mut chans, &ctx.rows, comm);
-                let flips = optimize(&mut chans, &mut band.spans, ctx.cfg, &mut ctx.rng, comm);
-                comm.metric_add(names::SEGMENTS_FLIPPED, flips as u64);
+                st.chans = Some(chans);
+                st.switchable(ctx, comm);
             }
 
-            _ => band.pass(phase, ctx, comm),
+            _ => self.rowwise.pass(phase, ctx, comm),
         }
     }
 
-    fn snapshot(&self, at: Phase, _ctx: &RouteCtx<'_>) -> Option<Vec<u8>> {
-        self.band.snapshot(at)
+    fn snapshot(&self, at: Phase) -> Option<Vec<u8>> {
+        self.rowwise.snapshot(at)
     }
 
     fn restore(&mut self, at: Phase, payloads: &[Vec<u8>], ctx: &mut RouteCtx<'_>) {
-        self.band.restore(at, payloads, ctx);
+        self.rowwise.restore(at, payloads, ctx);
     }
 
     fn take_result(&mut self) -> Option<RoutingResult> {
-        self.band.take_result()
+        self.rowwise.take_result()
     }
 }
 

@@ -15,20 +15,16 @@
 //! processors share all channels) is its documented runtime problem
 //! (§7.2): quality degradation with poor speedups.
 
-use crate::cost;
 use crate::engine::{Phase, Pipeline, RouteCtx};
 use crate::metrics::{names, record_ft_plan, RoutingResult};
 use crate::parallel::common::{
-    distribute, gather_result, merge_steiner_payloads, steiner_snapshot, PORTABLE_HORIZON,
+    distribute, merge_steiner_payloads, steiner_snapshot, PORTABLE_HORIZON,
 };
 use crate::parallel::partition::partition_nets;
-use crate::route::coarse::CoarseState;
-use crate::route::connect::connect_all;
 use crate::route::feedthrough::{assign, Crossing, FtPlan};
-use crate::route::serial::{attach_feedthroughs, crossings_of, register_steiner_nodes, shift_pins};
-use crate::route::state::{Node, Orientation, Segment, Span, WorkNet};
+use crate::route::serial::{register_steiner_nodes, RouteState};
+use crate::route::state::{Node, Segment};
 use crate::route::steiner::{build_segments_with, whole_net};
-use crate::route::switchable::{optimize, ChannelState};
 use pgr_circuit::{NetId, RowId};
 use pgr_mpi::Comm;
 
@@ -56,16 +52,8 @@ pub(crate) struct NetWisePipeline {
     /// segments as `segments`, grouped per net.
     ckpt: Vec<(u32, Vec<Segment>)>,
     owners: Vec<u32>,
-    works: Vec<WorkNet>,
-    segments: Vec<Segment>,
-    orients: Vec<Orientation>,
-    coarse: Option<CoarseState>,
-    plan: Option<FtPlan>,
-    chip_width: i64,
-    chans: Option<ChannelState>,
-    spans: Vec<Span>,
-    wirelength: u64,
-    result: Option<RoutingResult>,
+    /// Owned whole nets against replicated whole-chip congestion state.
+    st: RouteState,
 }
 
 impl NetWisePipeline {
@@ -106,16 +94,46 @@ impl NetWisePipeline {
             if keep {
                 self.ckpt.push((i as u32, segs.clone()));
             }
-            self.segments.extend(segs);
-            self.works.push(w);
+            self.st.segments.extend(segs);
+            self.st.works.push(w);
         }
     }
+}
+
+/// Step 3's assignment over a net partition: crossings go to the rank
+/// owning their row ("each processor has to own a copy of all the
+/// segments which cross its rows"), assignments come back to the net
+/// owner.
+fn assign_exchanged(
+    plan: &FtPlan,
+    crossings: Vec<Crossing>,
+    owners: &[u32],
+    ctx: &RouteCtx<'_>,
+    comm: &mut Comm,
+) -> Vec<(NetId, Node)> {
+    let mut cross_out: Vec<Vec<Crossing>> = vec![Vec::new(); ctx.size];
+    for c in crossings {
+        cross_out[ctx.rows.owner(RowId(c.row))].push(c);
+    }
+    let my_crossings: Vec<Crossing> = comm.alltoall(cross_out).into_iter().flatten().collect();
+    let assigned = assign(plan, &my_crossings, comm);
+    // The plan is replicated (every rank covers all rows): record it once
+    // so the merged histogram still covers the chip exactly once.
+    if ctx.rank == 0 {
+        record_ft_plan(plan, comm);
+    }
+    let mut ft_out: Vec<Vec<(u32, Node)>> = vec![Vec::new(); ctx.size];
+    for (net, node) in assigned {
+        ft_out[owners[net.index()] as usize].push((net.0, node));
+    }
+    let ft_in = comm.alltoall(ft_out).into_iter().flatten();
+    ft_in.map(|(n, nd)| (NetId(n), nd)).collect()
 }
 
 impl Pipeline for NetWisePipeline {
     fn pass(&mut self, phase: Phase, ctx: &mut RouteCtx<'_>, comm: &mut Comm) {
         let (circuit, cfg) = (ctx.circuit, ctx.cfg);
-        let all_rows = circuit.num_rows();
+        let all_rows = (0, circuit.num_rows());
         match phase {
             // Replicated front end: every rank builds whole-circuit
             // structures.
@@ -125,106 +143,56 @@ impl Pipeline for NetWisePipeline {
             Phase::Steiner => {
                 let keep = comm.checkpointing();
                 self.build_owned(ctx, keep, SegmentSource::Build(comm));
-                comm.metric_add(names::NETS_OWNED, self.works.len() as u64);
-                comm.metric_add(names::SEGMENTS_OWNED, self.segments.len() as u64);
+                comm.metric_add(names::NETS_OWNED, self.st.works.len() as u64);
+                comm.metric_add(names::SEGMENTS_OWNED, self.st.segments.len() as u64);
                 comm.metric_add(names::ROWS_OWNED, ctx.nrows() as u64);
             }
 
-            // Step 2: coarse routing against a replicated global grid,
-            // which synchronizes itself every `sync_period` decisions.
-            // The replicated copy is kept coarser than the serial grid to
-            // bound the per-rank state and the all-channel
-            // synchronization volume.
+            // Step 2 against a replicated global grid, which synchronizes
+            // itself every `sync_period` decisions. The replicated copy
+            // is kept coarser than the serial grid to bound the per-rank
+            // state and the all-channel synchronization volume.
             Phase::Coarse => {
                 let grid_w = if ctx.size > 1 {
                     cfg.grid_w * cfg.netwise_grid_factor.max(1)
                 } else {
                     cfg.grid_w
                 };
-                let mut coarse =
-                    CoarseState::charged(0, all_rows, circuit.width, grid_w, comm).replicated();
-                self.orients = coarse.route(&self.segments, cfg, &mut ctx.rng, comm);
-                self.coarse = Some(coarse);
+                self.st.coarse_route(all_rows, grid_w, true, ctx, comm);
             }
 
             // Step 3: the demand grid is now consistent on every rank;
             // the insertion bookkeeping is replicated (not parallelized).
-            // Crossings go to the rank owning their row ("each processor
-            // has to own a copy of all the segments which cross its
-            // rows"), assignments come back to the net owner.
             Phase::Feedthrough => {
-                let coarse = self.coarse.take().expect("coarse pass ran");
-                let plan = coarse.into_plan(cfg.ft_width);
-                comm.compute(cost::FT_INSERT_CELL * circuit.num_cells() as u64);
-                let mut cross_out: Vec<Vec<Crossing>> = vec![Vec::new(); ctx.size];
-                for c in crossings_of(&self.segments, &self.orients) {
-                    cross_out[ctx.rows.owner(RowId(c.row))].push(c);
-                }
-                let my_crossings: Vec<Crossing> =
-                    comm.alltoall(cross_out).into_iter().flatten().collect();
-                let assigned = assign(&plan, &my_crossings, comm);
-                // The plan is replicated (every rank covers all rows):
-                // record it once so the merged histogram still covers the
-                // chip exactly once.
-                if ctx.rank == 0 {
-                    record_ft_plan(&plan, comm);
-                }
-                let mut ft_out: Vec<Vec<(u32, Node)>> = vec![Vec::new(); ctx.size];
-                for (net, node) in assigned {
-                    ft_out[self.owners[net.index()] as usize].push((net.0, node));
-                }
-                let ft_nodes: Vec<(NetId, Node)> = comm
-                    .alltoall(ft_out)
-                    .into_iter()
-                    .flatten()
-                    .map(|(n, nd)| (NetId(n), nd))
-                    .collect();
-                shift_pins(&mut self.works, &plan);
-                attach_feedthroughs(&mut self.works, ft_nodes);
-                self.chip_width = circuit.width + plan.max_growth();
-                self.plan = Some(plan);
+                let owners = &self.owners;
+                self.st
+                    .feedthroughs(circuit.num_cells(), ctx, comm, |plan, crossings, comm| {
+                        assign_exchanged(plan, crossings, owners, ctx, comm)
+                    });
             }
 
-            // Step 4: connect owned nets against the replicated channel
-            // state.
-            Phase::Connect => {
-                let shape = (0, all_rows + 1, self.chip_width);
-                self.chans = Some(ChannelState::from_spans(shape, true, 0, comm, |comm| {
-                    (self.spans, self.wirelength) = connect_all(&self.works, true, comm);
-                    &self.spans
-                }));
-            }
+            // Step 4: owned nets against the replicated channel state.
+            Phase::Connect => self.st.connect(all_rows, true, true, comm),
 
-            // Step 5: switchable optimization on owned nets against the
-            // replicated state, which synchronizes itself. There is no
-            // full baseline exchange: the stale views between syncs are
-            // the interference the paper blames for the quality loss.
-            Phase::Switchable => {
-                let chans = self.chans.as_mut().expect("connect pass ran");
-                let flips = optimize(chans, &mut self.spans, cfg, &mut ctx.rng, comm);
-                comm.metric_add(names::SEGMENTS_FLIPPED, flips as u64);
-            }
+            // Step 5 on owned nets against the replicated state, which
+            // synchronizes itself. There is no full baseline exchange:
+            // the stale views between syncs are the interference the
+            // paper blames for the quality loss.
+            Phase::Switchable => self.st.switchable(ctx, comm),
 
             // The feedthrough plan is replicated: every rank's total
             // already counts the whole chip, so only rank 0 contributes
             // it to the gather reduction (the partitioned algorithms sum
             // disjoint per-band totals there instead).
             Phase::Assemble => {
-                let plan = self.plan.as_ref().expect("feedthrough pass ran");
-                let ft_total = if ctx.rank == 0 { plan.total() } else { 0 };
-                self.result = gather_result(
-                    circuit,
-                    std::mem::take(&mut self.spans),
-                    self.wirelength,
-                    ft_total,
-                    self.chip_width,
-                    comm,
-                );
+                let plan = self.st.plan.as_ref().expect("feedthrough pass ran");
+                let feedthroughs = if ctx.rank == 0 { plan.total() } else { 0 };
+                self.st.gather_result(circuit, feedthroughs, comm);
             }
         }
     }
 
-    fn snapshot(&self, at: Phase, _ctx: &RouteCtx<'_>) -> Option<Vec<u8>> {
+    fn snapshot(&self, at: Phase) -> Option<Vec<u8>> {
         steiner_snapshot(at, &self.ckpt)
     }
 
@@ -239,7 +207,7 @@ impl Pipeline for NetWisePipeline {
     }
 
     fn take_result(&mut self) -> Option<RoutingResult> {
-        self.result.take()
+        self.st.result.take()
     }
 }
 

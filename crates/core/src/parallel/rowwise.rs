@@ -19,62 +19,165 @@
 
 use crate::engine::{Phase, Pipeline, RouteCtx};
 use crate::metrics::{names, RoutingResult};
-use crate::parallel::common::{sync_boundaries, RowBand};
-use crate::route::connect::connect_all;
-use crate::route::switchable::{optimize, ChannelState};
+use crate::parallel::common::{
+    assemble_works, distribute, merge_steiner_payloads, replay_split_arrival, split_segment,
+    steiner_snapshot, sync_boundaries, PORTABLE_HORIZON,
+};
+use crate::parallel::partition::partition_nets;
+use crate::route::serial::{assign_recorded, RouteState};
+use crate::route::state::Segment;
+use crate::route::steiner::{build_segments_with, whole_net};
+use pgr_circuit::RowId;
 use pgr_mpi::Comm;
 
-/// The row-wise pipeline: the shared row-band front half
-/// ([`RowBand`]) plus independent per-band connection. Driven by
-/// [`crate::engine::drive`] through
+/// The row-wise pipeline: the shared [`RouteState`] over one row band's
+/// sub-nets. Driven by [`crate::engine::drive`] through
 /// [`Algorithm::RowWise`](crate::parallel::Algorithm): phase boundaries
 /// are recovery checkpoints — if a fault layer's kill schedule fires at
 /// one, survivors shrink the world and resume (re-deriving the row
 /// partition and rank-seeded RNG streams for the smaller world) and the
 /// run completes in degraded mode instead of panicking.
+///
+/// The paper defines the hybrid (§6) as this algorithm up to feedthrough
+/// assignment, so [`HybridPipeline`](crate::parallel::hybrid::HybridPipeline)
+/// embeds this pipeline and runs its passes for every phase but
+/// [`Phase::Connect`] and [`Phase::Switchable`].
 #[derive(Default)]
 pub(crate) struct RowWisePipeline {
-    band: RowBand,
-    chans: Option<ChannelState>,
+    /// Owned nets with their unsplit Steiner segments, retained (only
+    /// when a checkpoint store is attached) for the portable
+    /// phase-boundary snapshot.
+    ckpt: Vec<(u32, Vec<Segment>)>,
+    /// The §5 net partition: which rank built (and, in the hybrid,
+    /// connects) each net.
+    pub(crate) owners: Vec<u32>,
+    /// This band's sub-nets and segments; `chip_width` is the global one
+    /// (the widest row anywhere) once the feedthrough pass ran.
+    pub(crate) st: RouteState,
 }
 
 impl Pipeline for RowWisePipeline {
     fn pass(&mut self, phase: Phase, ctx: &mut RouteCtx<'_>, comm: &mut Comm) {
-        let band = &mut self.band;
+        let (circuit, cfg, st) = (ctx.circuit, ctx.cfg, &mut self.st);
         match phase {
-            // Step 4: connect each sub-net independently.
-            Phase::Connect => {
-                let shape = (ctx.row0(), ctx.nrows() + 1, band.chip_width);
-                self.chans = Some(ChannelState::from_spans(shape, false, 0, comm, |comm| {
-                    // Sub-net fragments may be forests: their components
-                    // meet through fake pins on other ranks.
-                    (band.spans, band.wirelength) = connect_all(&band.works, false, comm);
-                    &band.spans
-                }));
+            // Front end + distribution (rank 0 is the master that read
+            // the file).
+            Phase::Setup => distribute(circuit, false, comm),
+
+            // Step 1 (net-parallel): Steiner trees for owned nets, split
+            // at partition boundaries, dealt to the rank owning each
+            // piece's rows.
+            Phase::Steiner => {
+                self.owners =
+                    partition_nets(circuit, ctx.kind, &ctx.rows, ctx.size, cfg.pin_weight_beta);
+                let owned = self
+                    .owners
+                    .iter()
+                    .filter(|&&o| o as usize == ctx.rank)
+                    .count();
+                comm.metric_add(names::NETS_OWNED, owned as u64);
+                let keep = comm.checkpointing();
+                let mut outgoing: Vec<Vec<Segment>> = vec![Vec::new(); ctx.size];
+                for net in circuit.nets_chunks().flat_map(|c| c.net_ids()) {
+                    let i = net.index();
+                    if self.owners[i] as usize != ctx.rank {
+                        continue;
+                    }
+                    // Mandatory work: a latched breach stops local
+                    // building; the alltoall below still runs (walking
+                    // away would deadlock peers) and the engine aborts
+                    // at the next phase boundary.
+                    if comm.budget_poll_abort() {
+                        break;
+                    }
+                    let w = whole_net(circuit, net);
+                    if w.nodes.len() < 2 {
+                        continue;
+                    }
+                    let segs = build_segments_with(&w, cfg.steiner_refine, comm);
+                    for seg in &segs {
+                        for (part, piece) in split_segment(seg, &ctx.rows) {
+                            outgoing[part].push(piece);
+                        }
+                    }
+                    if keep {
+                        self.ckpt.push((i as u32, segs));
+                    }
+                }
+                st.segments = comm.alltoall(outgoing).into_iter().flatten().collect();
+                comm.metric_add(names::SEGMENTS_OWNED, st.segments.len() as u64);
+                st.works = assemble_works(&st.segments);
             }
+
+            // Step 2 on the local row band.
+            Phase::Coarse => {
+                comm.metric_add(names::ROWS_OWNED, ctx.nrows() as u64);
+                st.coarse_route(ctx.band(), cfg.grid_w, false, ctx, comm);
+            }
+
+            // Step 3 for the local rows, then the global chip width (the
+            // widest row anywhere).
+            Phase::Feedthrough => {
+                let local_cells: usize = ctx
+                    .rows
+                    .range(ctx.rank)
+                    .map(|r| circuit.row_cells(RowId(r as u32)).len())
+                    .sum();
+                st.feedthroughs(local_cells, ctx, comm, assign_recorded);
+                st.chip_width = comm.allreduce(st.chip_width, i64::max);
+            }
+
+            // Step 4: connect each band's sub-nets independently.
+            Phase::Connect => st.connect(ctx.band(), false, false, comm),
 
             // Boundary synchronization, then step 5 on the local rows.
             Phase::Switchable => {
-                let chans = self.chans.as_mut().expect("connect pass ran");
+                let chans = st.chans.as_mut().expect("connect pass ran");
                 sync_boundaries(chans, &ctx.rows, comm);
-                let flips = optimize(chans, &mut band.spans, ctx.cfg, &mut ctx.rng, comm);
-                comm.metric_add(names::SEGMENTS_FLIPPED, flips as u64);
+                st.switchable(ctx, comm);
             }
 
-            _ => band.pass(phase, ctx, comm),
+            // Back end: gather everything at the lowest surviving rank
+            // (the bands' feedthrough totals are disjoint).
+            Phase::Assemble => {
+                let feedthroughs = st.plan.as_ref().expect("feedthrough pass ran").total();
+                st.gather_result(circuit, feedthroughs, comm);
+            }
         }
     }
 
-    fn snapshot(&self, at: Phase, _ctx: &RouteCtx<'_>) -> Option<Vec<u8>> {
-        self.band.snapshot(at)
+    /// The portable snapshot entering `at` — see [`steiner_snapshot`].
+    fn snapshot(&self, at: Phase) -> Option<Vec<u8>> {
+        steiner_snapshot(at, &self.ckpt)
     }
 
+    /// Rebuild the state entering `at` from the failed world's payloads,
+    /// re-partitioned over the current world (net partition included —
+    /// the hybrid's connect pass ships fragments to net owners).
     fn restore(&mut self, at: Phase, payloads: &[Vec<u8>], ctx: &mut RouteCtx<'_>) {
-        self.band.restore(at, payloads, ctx);
+        if at.index() != PORTABLE_HORIZON {
+            return; // resuming at Steiner: default state, setup re-runs
+        }
+        self.owners = partition_nets(
+            ctx.circuit,
+            ctx.kind,
+            &ctx.rows,
+            ctx.size,
+            ctx.cfg.pin_weight_beta,
+        );
+        let by_net = merge_steiner_payloads(payloads, ctx.circuit.num_nets());
+        self.st.segments =
+            replay_split_arrival(&by_net, &self.owners, &ctx.rows, ctx.size, ctx.rank);
+        self.st.works = assemble_works(&self.st.segments);
+        // Retained under the *current* net partition, to re-deposit them.
+        self.ckpt = (0..by_net.len())
+            .filter(|&i| self.owners[i] as usize == ctx.rank)
+            .filter_map(|i| Some((i as u32, by_net[i].clone()?)))
+            .collect();
     }
 
     fn take_result(&mut self) -> Option<RoutingResult> {
-        self.band.take_result()
+        self.st.result.take()
     }
 }
 

@@ -11,9 +11,10 @@
 //!    channels above/below their row to minimize peak density.
 //!
 //! [`serial::try_route_serial`] chains them; the [`crate::parallel`]
-//! algorithms re-use the same pieces across ranks: this module owns
-//! every step's loop and every state's format (replication of the two
-//! congestion states included), `crate::parallel` partition and exchange.
+//! algorithms run the same step bodies (`serial::RouteState`, the state
+//! every driver embeds) across ranks: this module owns every step's
+//! loop, body and state format (replication of the two congestion states
+//! included), `crate::parallel` partition and exchange.
 
 pub mod coarse;
 pub mod connect;

@@ -48,7 +48,7 @@ pub fn crossings_of(segments: &[Segment], orients: &[Orientation]) -> Vec<Crossi
 /// continue the same vertical on the rows below/above; otherwise every
 /// boundary crossing would manufacture a spurious horizontal jog as long
 /// as the row's cumulative feedthrough shift.
-pub fn shift_pins(works: &mut [WorkNet], plan: &FtPlan) {
+fn shift_pins(works: &mut [WorkNet], plan: &FtPlan) {
     let lo = plan.row0();
     let hi = lo + plan.num_rows() as u32;
     for w in works {
@@ -83,7 +83,7 @@ pub fn register_steiner_nodes(work: &mut WorkNet, segs: &[Segment]) {
 }
 
 /// Attach assigned feedthrough nodes to their nets' work records.
-pub fn attach_feedthroughs(works: &mut [WorkNet], ft_nodes: Vec<(NetId, Node)>) {
+fn attach_feedthroughs(works: &mut [WorkNet], ft_nodes: Vec<(NetId, Node)>) {
     let mut slots = NetSlots::default();
     for (i, w) in works.iter().enumerate() {
         *slots.of(w.net) = Some(i as u32);
@@ -115,27 +115,167 @@ pub fn try_route_serial(
         .map(|result| result.expect("the serial pipeline always assembles a result"))
 }
 
-/// Pipeline state carried between the serial passes. Crate-visible so
-/// the engine's bounded-recovery fallback ([`engine::drive`]) can run
-/// the same pipeline to complete a degraded parallel run serially.
+/// The routing state every driver carries between its passes, and the
+/// communication-free body of steps 2–5 — each written once, so at P = 1
+/// all four drivers charge the same virtual seconds by construction.
+/// The methods take the values their callees take (a row range, a grid
+/// width, `replicated`, `whole_nets`, a cell count), never the
+/// [`Algorithm`](crate::parallel::Algorithm): what differs between the
+/// drivers — distribution, the exchanges, boundary sync — stays in the
+/// pipeline that embeds this state.
 #[derive(Default)]
-pub(crate) struct SerialPipeline {
-    works: Vec<WorkNet>,
-    segments: Vec<Segment>,
+pub(crate) struct RouteState {
+    /// This rank's nets (whole, or row-band sub-nets), with feedthroughs
+    /// attached once step 3 ran.
+    pub(crate) works: Vec<WorkNet>,
+    /// The Steiner segments steps 2 and 3 route.
+    pub(crate) segments: Vec<Segment>,
     orients: Vec<Orientation>,
     coarse: Option<CoarseState>,
-    plan: Option<FtPlan>,
-    chip_width: i64,
-    chans: Option<ChannelState>,
-    spans: Vec<Span>,
-    wirelength: u64,
-    result: Option<RoutingResult>,
+    pub(crate) plan: Option<FtPlan>,
+    /// Chip width after feedthrough insertion: the widest local row until
+    /// a row-partitioned driver all-reduces it.
+    pub(crate) chip_width: i64,
+    pub(crate) chans: Option<ChannelState>,
+    /// Step 4's product, refined in place by step 5.
+    pub(crate) spans: Vec<Span>,
+    pub(crate) wirelength: u64,
+    pub(crate) result: Option<RoutingResult>,
+}
+
+impl RouteState {
+    /// Step 2: coarse global routing of `segments` on a grid of `grid_w`
+    /// columns a cell over `nrows` rows from `row0`; `replicated` makes
+    /// the grid one copy of a state every rank holds (§5).
+    pub(crate) fn coarse_route(
+        &mut self,
+        (row0, nrows): (u32, usize),
+        grid_w: i64,
+        replicated: bool,
+        ctx: &mut RouteCtx<'_>,
+        comm: &mut Comm,
+    ) {
+        let mut coarse = CoarseState::charged(row0, nrows, ctx.circuit.width, grid_w, comm);
+        if replicated {
+            coarse = coarse.replicated();
+        }
+        self.orients = coarse.route(&self.segments, ctx.cfg, &mut ctx.rng, comm);
+        self.coarse = Some(coarse);
+    }
+
+    /// Step 3: the insertion plan from the coarse demand (shifting `cells`
+    /// cells) and the crossings the chosen orientations request of it;
+    /// `assign` turns those into this rank's nets' feedthroughs — locally
+    /// ([`assign_recorded`]) or through the driver's exchanges; then the
+    /// nodes move to their post-insertion columns, the feedthroughs are
+    /// attached and the local chip width is taken.
+    pub(crate) fn feedthroughs(
+        &mut self,
+        cells: usize,
+        ctx: &RouteCtx<'_>,
+        comm: &mut Comm,
+        assign: impl FnOnce(&FtPlan, Vec<Crossing>, &mut Comm) -> Vec<(NetId, Node)>,
+    ) {
+        let coarse = self.coarse.take().expect("coarse pass ran");
+        let plan = self.plan.insert(coarse.into_plan(ctx.cfg.ft_width));
+        comm.compute(cost::FT_INSERT_CELL * cells as u64);
+        let ft_nodes = assign(plan, crossings_of(&self.segments, &self.orients), comm);
+        shift_pins(&mut self.works, plan);
+        attach_feedthroughs(&mut self.works, ft_nodes);
+        self.chip_width = ctx.circuit.width + plan.max_growth();
+    }
+
+    /// Step 4: connect `works` into the channels of `nrows` rows from
+    /// `row0`. `whole_nets` asserts every net spans (row-band fragments
+    /// may be forests: their components meet through fake pins on other
+    /// ranks); `replicated` as in step 2.
+    pub(crate) fn connect(
+        &mut self,
+        (row0, nrows): (u32, usize),
+        replicated: bool,
+        whole_nets: bool,
+        comm: &mut Comm,
+    ) {
+        let shape = (row0, nrows + 1, self.chip_width);
+        let chans = ChannelState::from_spans(shape, replicated, 0, comm, |comm| {
+            (self.spans, self.wirelength) = connect_all(&self.works, whole_nets, comm);
+            &self.spans
+        });
+        self.chans = Some(chans);
+    }
+
+    /// Step 5: switchable-segment optimization of `spans` against `chans`.
+    pub(crate) fn switchable(&mut self, ctx: &mut RouteCtx<'_>, comm: &mut Comm) {
+        let chans = self.chans.as_mut().expect("channel state was built");
+        let flips = optimize(chans, &mut self.spans, ctx.cfg, &mut ctx.rng, comm);
+        comm.metric_add(names::SEGMENTS_FLIPPED, flips as u64);
+    }
+
+    /// Back end of a parallel run: gather every rank's spans and scalar
+    /// tallies at rank 0 — which then holds the whole chip's `spans`,
+    /// `wirelength` and `chans` — and assemble the global result there
+    /// (`result` stays `None` elsewhere). `feedthroughs` is this rank's
+    /// share of the chip total.
+    pub(crate) fn gather_result(&mut self, circuit: &Circuit, feedthroughs: u64, comm: &mut Comm) {
+        comm.trace_mark("gather_result");
+        self.chans = None; // this rank's channels are spent: free them first
+        let wirelength = comm.reduce(0, self.wirelength, |a, b| a + b);
+        let feedthroughs = comm.reduce(0, feedthroughs, |a, b| a + b);
+        let Some(all_spans) = comm.gather(0, std::mem::take(&mut self.spans)) else {
+            return; // non-roots are done
+        };
+        self.spans = all_spans.into_iter().flatten().collect();
+        self.wirelength = wirelength.expect("rank 0 holds the reduction");
+        let shape = (0, circuit.num_rows() + 1, self.chip_width);
+        let emit_ops = cost::SETUP_ITEM * circuit.num_nets() as u64;
+        let chans = ChannelState::from_spans(shape, false, emit_ops, comm, |_| &self.spans);
+        self.chans = Some(chans);
+        let feedthroughs = feedthroughs.expect("rank 0 holds the reduction");
+        self.emit(circuit, feedthroughs, comm);
+    }
+
+    /// Assemble the global result from the whole chip's `chans`.
+    fn emit(&mut self, circuit: &Circuit, feedthroughs: u64, comm: &mut Comm) {
+        let result = RoutingResult {
+            circuit: circuit.name.clone(),
+            channel_density: self.chans.as_ref().expect("connect pass ran").densities(),
+            chip_width: self.chip_width,
+            rows: circuit.num_rows(),
+            wirelength: self.wirelength,
+            feedthroughs,
+            spans: std::mem::take(&mut self.spans),
+        };
+        record_quality(&result, comm);
+        self.result = Some(result);
+    }
+}
+
+/// Step 3's assignment where the rank that routed a crossing owns its
+/// row and its net (serial, row bands): assign locally, and record the
+/// plan's feedthroughs-per-row histogram.
+pub(crate) fn assign_recorded(
+    plan: &FtPlan,
+    crossings: Vec<Crossing>,
+    comm: &mut Comm,
+) -> Vec<(NetId, Node)> {
+    let ft_nodes = assign(plan, &crossings, comm);
+    record_ft_plan(plan, comm);
+    ft_nodes
+}
+
+/// The serial pipeline: the shared [`RouteState`] over whole nets and all
+/// rows. Crate-visible so the engine's bounded-recovery fallback
+/// ([`engine::drive`]) can run the same pipeline to complete a degraded
+/// parallel run serially.
+#[derive(Default)]
+pub(crate) struct SerialPipeline {
+    st: RouteState,
 }
 
 impl Pipeline for SerialPipeline {
     fn pass(&mut self, phase: Phase, ctx: &mut RouteCtx<'_>, comm: &mut Comm) {
-        let (circuit, cfg) = (ctx.circuit, ctx.cfg);
-        let rows = circuit.num_rows();
+        let (circuit, cfg, st) = (ctx.circuit, ctx.cfg, &mut self.st);
+        let all_rows = (0, circuit.num_rows());
         match phase {
             // Front end: build the routing data structures.
             Phase::Setup => {
@@ -151,13 +291,13 @@ impl Pipeline for SerialPipeline {
                 // the net id space in order, so the work list is identical
                 // to a flat 0..n loop while touching one chunk's columns
                 // at a time.
-                self.works = Vec::with_capacity(circuit.num_nets());
+                st.works = Vec::with_capacity(circuit.num_nets());
                 for chunk in circuit.nets_chunks() {
-                    self.works
+                    st.works
                         .extend(chunk.net_ids().map(|n| whole_net(circuit, n)));
                 }
-                self.segments = Vec::with_capacity(circuit.num_pins());
-                for w in &mut self.works {
+                st.segments = Vec::with_capacity(circuit.num_pins());
+                for w in &mut st.works {
                     // Mandatory work: a latched breach stops further
                     // local building; the engine turns it into a
                     // structured abort at the next phase boundary.
@@ -168,69 +308,28 @@ impl Pipeline for SerialPipeline {
                     if cfg.steiner_refine {
                         register_steiner_nodes(w, &segs);
                     }
-                    self.segments.extend(segs);
+                    st.segments.extend(segs);
                 }
-                comm.metric_add(names::SEGMENTS, self.segments.len() as u64);
+                comm.metric_add(names::SEGMENTS, st.segments.len() as u64);
             }
 
-            // Step 2: coarse global routing.
-            Phase::Coarse => {
-                let mut coarse = CoarseState::charged(0, rows, circuit.width, cfg.grid_w, comm);
-                self.orients = coarse.route(&self.segments, cfg, &mut ctx.rng, comm);
-                self.coarse = Some(coarse);
-            }
+            Phase::Coarse => st.coarse_route(all_rows, cfg.grid_w, false, ctx, comm),
+            Phase::Feedthrough => st.feedthroughs(circuit.num_cells(), ctx, comm, assign_recorded),
+            Phase::Connect => st.connect(all_rows, false, true, comm),
+            Phase::Switchable => st.switchable(ctx, comm),
 
-            // Step 3: feedthrough insertion + assignment.
-            Phase::Feedthrough => {
-                let coarse = self.coarse.take().expect("coarse pass ran");
-                let plan = coarse.into_plan(cfg.ft_width);
-                comm.compute(cost::FT_INSERT_CELL * circuit.num_cells() as u64);
-                let crossings = crossings_of(&self.segments, &self.orients);
-                let ft_nodes = assign(&plan, &crossings, comm);
-                record_ft_plan(&plan, comm);
-                shift_pins(&mut self.works, &plan);
-                attach_feedthroughs(&mut self.works, ft_nodes);
-                self.plan = Some(plan);
-            }
-
-            // Step 4: final connection.
-            Phase::Connect => {
-                let plan = self.plan.as_ref().expect("feedthrough pass ran");
-                self.chip_width = circuit.width + plan.max_growth();
-                let shape = (0, rows + 1, self.chip_width);
-                self.chans = Some(ChannelState::from_spans(shape, false, 0, comm, |comm| {
-                    (self.spans, self.wirelength) = connect_all(&self.works, true, comm);
-                    &self.spans
-                }));
-            }
-
-            // Step 5: switchable-segment optimization.
-            Phase::Switchable => {
-                let chans = self.chans.as_mut().expect("connect pass ran");
-                let flips = optimize(chans, &mut self.spans, cfg, &mut ctx.rng, comm);
-                comm.metric_add(names::SEGMENTS_FLIPPED, flips as u64);
-            }
-
-            // Back end: emit the solution.
+            // Back end: emit the solution (nothing to gather — step 5's
+            // channel state is already the whole chip's).
             Phase::Assemble => {
                 comm.compute(cost::SETUP_ITEM * circuit.num_nets() as u64);
-                let result = RoutingResult {
-                    circuit: circuit.name.clone(),
-                    channel_density: self.chans.as_ref().expect("connect pass ran").densities(),
-                    chip_width: self.chip_width,
-                    rows,
-                    wirelength: self.wirelength,
-                    feedthroughs: self.plan.as_ref().expect("feedthrough pass ran").total(),
-                    spans: std::mem::take(&mut self.spans),
-                };
-                record_quality(&result, comm);
-                self.result = Some(result);
+                let feedthroughs = st.plan.as_ref().expect("feedthrough pass ran").total();
+                st.emit(circuit, feedthroughs, comm);
             }
         }
     }
 
     fn take_result(&mut self) -> Option<RoutingResult> {
-        self.result.take()
+        self.st.result.take()
     }
 }
 

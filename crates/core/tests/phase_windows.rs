@@ -127,6 +127,49 @@ fn every_algorithm_emits_exactly_partitioned_phase_windows() {
     }
 }
 
+/// The step bodies are one body each (`route::serial::RouteState`), so at
+/// P = 1 the drivers charge serial's virtual seconds bit for bit through
+/// every phase they share with it: row-wise up to switchable, the hybrid
+/// up to feedthrough (its own Connect ships fragments to itself), net-wise
+/// wherever its replicated state does not slice a sweep at `sync_period`
+/// (one `compute` per slice rounds differently from one per sweep — this
+/// pins the default config's period). Assemble is excluded: the gather
+/// re-applies every span, serial emits from the state it has.
+#[test]
+fn single_rank_drivers_charge_serials_phase_seconds_bit_for_bit() {
+    use Phase::{Coarse, Connect, Feedthrough, Setup, Steiner, Switchable};
+    let c = small("windows-p1");
+    let phases_of = |algo| {
+        let out = route(&c, algo, 1, InstrumentConfig::off());
+        out.stats[0].phases.clone()
+    };
+    let serial = phases_of(Algorithm::Serial);
+    assert_eq!(serial.len(), Phase::ALL.len(), "one entry a phase");
+    let shared: [(Algorithm, &[Phase]); 3] = [
+        (
+            Algorithm::RowWise,
+            &[Setup, Steiner, Coarse, Feedthrough, Connect, Switchable],
+        ),
+        (Algorithm::Hybrid, &[Setup, Steiner, Coarse, Feedthrough]),
+        (Algorithm::NetWise, &[Setup, Steiner, Feedthrough, Connect]),
+    ];
+    for (algo, phases) in shared {
+        let own = phases_of(algo);
+        for phase in phases {
+            let (name, seconds) = own[phase.index()];
+            assert_eq!(name, phase.name());
+            assert!(seconds > 0.0, "{} {phase}: charged nothing", algo.name());
+            assert_eq!(
+                seconds.to_bits(),
+                serial[phase.index()].1.to_bits(),
+                "{} P=1 {phase}: {seconds} vs serial {}",
+                algo.name(),
+                serial[phase.index()].1
+            );
+        }
+    }
+}
+
 #[test]
 fn recovery_counters_land_inside_a_phase_window() {
     let c = small("windows-kill");

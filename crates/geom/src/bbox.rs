@@ -81,15 +81,6 @@ impl BBox {
         Point::new(self.min_x, self.min_y)
     }
 
-    /// Half-perimeter wire length of the box (the classical HPWL estimate).
-    pub fn half_perimeter(&self) -> u64 {
-        if self.empty {
-            0
-        } else {
-            self.max_x.abs_diff(self.min_x) + self.max_y.abs_diff(self.min_y)
-        }
-    }
-
     pub fn width(&self) -> u64 {
         if self.empty {
             0
@@ -116,7 +107,7 @@ mod tests {
         let b = BBox::new();
         assert!(b.is_empty());
         assert!(!b.contains(Point::new(0, 0)));
-        assert_eq!(b.half_perimeter(), 0);
+        assert_eq!(b.width() + b.height(), 0);
     }
 
     #[test]
@@ -124,7 +115,7 @@ mod tests {
         let b = BBox::from_points([Point::new(4, -2)]);
         assert!(!b.is_empty());
         assert!(b.contains(Point::new(4, -2)));
-        assert_eq!(b.half_perimeter(), 0);
+        assert_eq!(b.width() + b.height(), 0);
         assert_eq!(b.lower_left(), Point::new(4, -2));
     }
 
@@ -133,7 +124,6 @@ mod tests {
         let mut b = BBox::from_points([Point::new(0, 0)]);
         b.expand(Point::new(10, 5));
         assert!(b.contains(Point::new(3, 3)));
-        assert_eq!(b.half_perimeter(), 15);
         assert_eq!(b.width(), 10);
         assert_eq!(b.height(), 5);
     }

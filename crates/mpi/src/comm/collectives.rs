@@ -166,29 +166,6 @@ impl Comm {
         self.bcast_tagged(0, g, tag)
     }
 
-    /// Scatter one value per rank from `root` (which must pass a vector of
-    /// exactly `size` entries).
-    pub fn scatter<T: Wire>(&mut self, root: usize, values: Option<Vec<T>>) -> T {
-        self.coll_enter("scatter");
-        let tag = self.next_coll_tag();
-        let (rank, size) = (self.rank(), self.size());
-        if rank == root {
-            let values = values.expect("root must supply scatter values");
-            assert_eq!(values.len(), size, "scatter needs one value per rank");
-            let mut own = None;
-            for (dst, v) in values.into_iter().enumerate() {
-                if dst == root {
-                    own = Some(v);
-                } else {
-                    self.send_tagged(dst, tag, &v);
-                }
-            }
-            own.expect("root keeps its own slice")
-        } else {
-            self.coll_recv("scatter", root, tag)
-        }
-    }
-
     /// Personalized all-to-all: `data[dst]` goes to rank `dst`; returns
     /// the vector received from each source (own slice passes through).
     pub fn alltoall<T: Wire>(&mut self, data: Vec<Vec<T>>) -> Vec<Vec<T>> {

@@ -578,19 +578,6 @@ mod tests {
     }
 
     #[test]
-    fn scatter_distributes() {
-        let report = run(3, MachineModel::ideal(), |c| {
-            let vals = if c.rank() == 1 {
-                Some(vec![100u32, 101, 102])
-            } else {
-                None
-            };
-            c.scatter(1, vals)
-        });
-        assert_eq!(report.results, vec![100, 101, 102]);
-    }
-
-    #[test]
     fn alltoall_permutes() {
         let report = run(3, MachineModel::ideal(), |c| {
             let data: Vec<Vec<u32>> = (0..3)

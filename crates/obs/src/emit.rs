@@ -8,6 +8,7 @@
 //! version it does not understand, so the schema can evolve without old
 //! readers silently mis-parsing new dumps.
 
+use crate::json::Json;
 use crate::metrics::RankMetrics;
 
 /// Version stamped into (and required of) every stats/metrics dump.
@@ -113,6 +114,45 @@ impl RunMeta {
         }
     }
 
+    /// Read a dump's `"run"` object back — the inverse of
+    /// [`RunMeta::to_json`]. The six coordinates are always written, so a
+    /// missing or mistyped one is an error naming the field; the four
+    /// stamps are written only when set, so an absent one reads as unset
+    /// (and a mistyped one is an error all the same).
+    pub fn from_json(run: &Json) -> Result<RunMeta, String> {
+        let need = |name: &str, kind: &str| format!("run.{name} missing or not {kind}");
+        let text = |name: &str| {
+            let s = run.get(name).and_then(Json::as_str);
+            s.ok_or_else(|| need(name, "a string"))
+        };
+        let number = |name: &str| {
+            let n = run.get(name).and_then(Json::as_u64);
+            n.ok_or_else(|| need(name, "an unsigned integer"))
+        };
+        let scale = run.get("scale").and_then(Json::as_f64);
+        let mut meta = RunMeta::new(
+            text("circuit")?,
+            text("algorithm")?,
+            number("procs")? as usize,
+            text("machine")?,
+            scale.ok_or_else(|| need("scale", "a number"))?,
+            number("seed")?,
+        );
+        let flag = |name: &str| match run.get(name) {
+            None => Ok(false),
+            Some(v) => v.as_bool().ok_or_else(|| need(name, "a boolean")),
+        };
+        meta.degraded = flag("degraded")?;
+        meta.budget_degraded = flag("budget_degraded")?;
+        if run.get("clock").is_some() {
+            meta.clock = text("clock")?.to_string();
+        }
+        if run.get("scenario").is_some() {
+            meta.scenario = text("scenario")?.to_string();
+        }
+        Ok(meta)
+    }
+
     /// The `"run":{…}` JSON fragment shared by every emitter.
     pub fn to_json(&self) -> String {
         format!(
@@ -213,11 +253,16 @@ pub fn metrics_json(run: &RunMeta, ranks: &[RankMetrics]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::Json;
     use crate::metrics::{Histogram, MetricsConfig, MetricsShard};
 
     fn meta() -> RunMeta {
         RunMeta::new("primary1", "hybrid", 8, "SparcCenter 1000", 0.25, 1997)
+    }
+
+    /// What a reader gets back from the `"run"` object of `run`'s dump.
+    fn reread(run: &RunMeta) -> RunMeta {
+        let doc = Json::parse(&metrics_json(run, &[])).expect("emitter output parses");
+        RunMeta::from_json(doc.get("run").unwrap()).expect("the run object reads back")
     }
 
     #[test]
@@ -225,16 +270,11 @@ mod tests {
         let clean = meta();
         assert!(!clean.to_json().contains("scenario"));
         assert!(!clean.to_json().contains("budget_degraded"));
+        assert_eq!(reread(&clean), clean);
         let mut stressed = meta();
         stressed.scenario = "congestion-stress/s0.25/seed7".into();
         stressed.budget_degraded = true;
-        let v = Json::parse(&metrics_json(&stressed, &[])).expect("stressed output parses");
-        let run = v.get("run").unwrap();
-        assert_eq!(
-            run.get("scenario").unwrap().as_str(),
-            Some("congestion-stress/s0.25/seed7")
-        );
-        assert_eq!(run.get("budget_degraded").unwrap().as_bool(), Some(true));
+        assert_eq!(reread(&stressed), stressed);
     }
 
     #[test]
@@ -243,11 +283,8 @@ mod tests {
         assert!(!virt.to_json().contains("clock"));
         let mut wall = meta();
         wall.clock = "wall".into();
-        let v = Json::parse(&metrics_json(&wall, &[])).expect("wall output parses");
-        assert_eq!(
-            v.get("run").unwrap().get("clock").unwrap().as_str(),
-            Some("wall")
-        );
+        assert!(wall.to_json().contains("\"clock\":\"wall\""));
+        assert_eq!(reread(&wall), wall);
     }
 
     #[test]
@@ -256,12 +293,26 @@ mod tests {
         assert!(!clean.to_json().contains("degraded"));
         let mut fallen = meta();
         fallen.degraded = true;
-        let doc = metrics_json(&fallen, &[]);
-        let v = Json::parse(&doc).expect("degraded output parses");
-        assert_eq!(
-            v.get("run").unwrap().get("degraded").unwrap().as_bool(),
-            Some(true)
-        );
+        assert!(fallen.to_json().contains("\"degraded\":true"));
+        assert_eq!(reread(&fallen), fallen);
+    }
+
+    #[test]
+    fn a_missing_or_mistyped_run_field_is_an_error_naming_it() {
+        let without = |field: &str| {
+            let json = meta().to_json().replace(field, "\"x\":0");
+            RunMeta::from_json(&Json::parse(&json).unwrap()).unwrap_err()
+        };
+        assert!(without("\"procs\":8").contains("run.procs"));
+        assert!(without("\"machine\":\"SparcCenter 1000\"").contains("run.machine"));
+        assert!(without("\"scale\":0.25").contains("run.scale"));
+        let mut fallen = meta();
+        fallen.degraded = true;
+        let mistyped = fallen
+            .to_json()
+            .replace("\"degraded\":true", "\"degraded\":1");
+        let err = RunMeta::from_json(&Json::parse(&mistyped).unwrap()).unwrap_err();
+        assert!(err.contains("run.degraded"), "{err}");
     }
 
     #[test]
