@@ -1,5 +1,6 @@
 #!/bin/sh
-# Size of the code the substrate/router/harness crates expose: per crate,
+# Size of the code the substrate/router/harness crates (and the geometry
+# kernels every phase runs on) expose: per crate,
 # lines of every file under src/ (in-file test modules included), the
 # same without those test modules (each file up to its first
 # `#[cfg(test)]`), and the number of `pub fn`; then the same for the
@@ -34,7 +35,12 @@
 #   `ChannelState::from_spans(` three times (that body, the hybrid's
 #   Switchable, `RouteState::gather_result`);
 # - when anything under crates/core/src names `RouteAbort`: the engine
-#   matches `pgr_mpi::PhaseControl` itself.
+#   matches `pgr_mpi::PhaseControl` itself;
+# - when `DensityProfile` stops storing each column once: a non-test line
+#   of crates/geom/src/profile.rs that names `self.lazy`, `PHANTOM` or
+#   `next_power_of_two` is a second per-node vector, or the padding to a
+#   power of two, coming back (the pending add is derived from the node
+#   and its children; the tree is `2 * width - 1` nodes for any width).
 set -eu
 cd "$(dirname "$0")/.."
 MAX_FILE=1000
@@ -55,7 +61,7 @@ row() {
     printf '%-36s %6d lines %6d non-test %4d pub fn\n' "$1" "$2" "$3" "$4"
 }
 
-for crate in mpi core bench; do
+for crate in mpi core bench geom; do
     # shellcheck disable=SC2046 # file names under src/ carry no spaces
     files=$(per_file $(find "crates/$crate/src" -name '*.rs'))
     echo "$files" | awk -v label="crates/$crate/src" '
@@ -131,6 +137,16 @@ respelled_control=$(grep -rn 'RouteAbort' crates/core/src || true)
 if [ -n "$respelled_control" ]; then
     echo "surface: crates/core/src re-spells pgr_mpi::PhaseControl (match it directly):" >&2
     echo "$respelled_control" >&2
+    exit 1
+fi
+
+twice_stored=$(awk '
+    /^#\[cfg\(test\)\]/ { exit }
+    /self\.lazy|PHANTOM|next_power_of_two/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+' crates/geom/src/profile.rs)
+if [ -n "$twice_stored" ]; then
+    echo "surface: DensityProfile is one vector of 2 * width - 1 nodes (derive the pending add; no padding):" >&2
+    echo "$twice_stored" >&2
     exit 1
 fi
 

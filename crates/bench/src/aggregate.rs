@@ -330,38 +330,84 @@ pub struct PhaseAgg {
     pub counters: Vec<(String, u64)>,
 }
 
+/// A run-level series: its key in the aggregate JSON, whether
+/// [`check_baseline`] gates it (every gated series is higher-is-worse),
+/// and its value for a run given the `"serial"` run of the same
+/// (circuit, machine, scale, seed), when that one was loaded.
+type RunSeries = (
+    &'static str,
+    bool,
+    fn(&RunRecord, Option<&RunRecord>) -> Option<f64>,
+);
+
+/// Every run-level series, in JSON order: the one declaration
+/// [`aggregate`], [`Aggregate::to_json`] and [`check_baseline`] loop over.
+/// Counters are exact in `f64` and print as the integers they are.
+const RUN_SERIES: [RunSeries; 10] = [
+    ("makespan", true, |r, _| r.makespan),
+    // `serial makespan / this makespan`.
+    ("speedup", false, |r, base| {
+        let (b, t) = (base?.makespan?, r.makespan?);
+        (t > 0.0).then(|| b / t)
+    }),
+    ("tracks", true, |r, _| counter(r, TRACKS)),
+    // `tracks / serial tracks` (the paper's scaled-track quality).
+    ("scaled_tracks", false, |r, base| {
+        let (t, b) = (counter(r, TRACKS)?, counter(base?, TRACKS)?);
+        (b > 0.0).then(|| t / b)
+    }),
+    ("wirelength", true, |r, _| counter(r, WIRELENGTH)),
+    ("feedthroughs", false, |r, _| counter(r, FEEDTHROUGHS)),
+    // Phases recovery rounds had to re-run, rank-summed. Absent on
+    // fault-free runs; a chaos run that redoes more of them than the
+    // baseline lost resume coverage (e.g. a boundary stopped committing
+    // portably and the round fell back to a restart).
+    ("redone_phases", true, |r, _| counter(r, REDONE_PHASES)),
+    // Refinement chunks dropped under a `max_phase_seconds` budget,
+    // rank-summed. Absent on runs that never shed; a budgeted run that
+    // drops more than its baseline lost quality headroom even though it
+    // still completed inside its budget.
+    ("shed_events", true, |r, _| counter(r, SHED_EVENTS)),
+    // With `wait_fraction`, the efficiency series: a run that balances
+    // worse or waits longer than the baseline regressed even if quality
+    // and makespan stayed inside tolerance.
+    ("load_imbalance", true, |r, _| {
+        r.metrics.as_ref()?.gauge(LOAD_IMBALANCE)
+    }),
+    // Fraction of the run's total rank-seconds spent blocked in recv
+    // past the modeled overhead: `Σ mpi.recv_wait_micros / 1e6` divided
+    // by `procs × makespan`. Needs both dump kinds; 0 for a run that
+    // never waited.
+    ("wait_fraction", true, |r, _| {
+        let (m, t) = (r.metrics.as_ref()?, r.makespan?);
+        let waited = m.counter(RECV_WAIT_MICROS).unwrap_or(0) as f64 / 1e6;
+        (t > 0.0 && r.run.procs > 0).then(|| waited / (r.run.procs as f64 * t))
+    }),
+];
+
+/// A rank-merged counter of `r`'s metrics dump.
+fn counter(r: &RunRecord, name: &str) -> Option<f64> {
+    Some(r.metrics.as_ref()?.counter(name)? as f64)
+}
+
 /// One aggregated row: a run plus its derived cross-run numbers.
 #[derive(Debug, Clone)]
 pub struct AggRecord {
     pub run: RunMeta,
-    pub makespan: Option<f64>,
-    /// `serial makespan / this makespan`, when the matching serial run
-    /// is present in the input set.
-    pub speedup: Option<f64>,
-    pub tracks: Option<u64>,
-    /// `tracks / serial tracks` (the paper's scaled-track quality).
-    pub scaled_tracks: Option<f64>,
-    pub wirelength: Option<u64>,
-    pub feedthroughs: Option<u64>,
-    /// Phases recovery rounds had to re-run, rank-summed
-    /// (`recovery.redone_phases`). Absent on fault-free runs; on chaos
-    /// runs it trends how much work checkpoint resume saved over a full
-    /// restart.
-    pub redone_phases: Option<u64>,
-    /// Refinement chunks dropped under a `max_phase_seconds` budget,
-    /// rank-summed (`budget.shed_events`). Absent on runs that never
-    /// shed; together with the `budget_degraded` stamp in [`RunMeta`]
-    /// this is the graceful-shedding trend the stress matrix feeds.
-    pub shed_events: Option<u64>,
-    pub load_imbalance: Option<f64>,
-    /// Fraction of the run's total rank-seconds spent blocked in recv
-    /// past the modeled overhead: `Σ mpi.recv_wait_micros / 1e6`
-    /// divided by `procs × makespan`. Needs both dump kinds; 0 for a
-    /// run that never waited.
-    pub wait_fraction: Option<f64>,
+    /// One value per row of [`RUN_SERIES`], in its order.
+    series: Vec<Option<f64>>,
     pub bytes_sent: u64,
     /// Per-phase trend series, in [`Phase`] registry order.
     pub phases: Vec<PhaseAgg>,
+}
+
+impl AggRecord {
+    /// The run-level series named `key` (a [`RUN_SERIES`] key): `None`
+    /// when the dumps it derives from were not loaded.
+    pub fn get(&self, key: &str) -> Option<f64> {
+        let at = RUN_SERIES.iter().position(|s| s.0 == key);
+        self.series[at.expect("a RUN_SERIES key")]
+    }
 }
 
 /// The cross-run report.
@@ -381,10 +427,8 @@ pub fn aggregate(records: &[RunRecord]) -> Aggregate {
     let rows = records
         .iter()
         .map(|r| {
-            let base = serial.get(&series_key(&r.run));
+            let base = serial.get(&series_key(&r.run)).copied();
             let m = r.metrics.as_ref();
-            let tracks = m.and_then(|m| m.counter(TRACKS));
-            let base_tracks = base.and_then(|b| b.metrics.as_ref()?.counter(TRACKS));
             // Join the stats-side phase seconds with the metrics-side
             // phase windows, in registry order.
             let phases: Vec<PhaseAgg> = Phase::ALL
@@ -401,12 +445,8 @@ pub fn aggregate(records: &[RunRecord]) -> Aggregate {
                     }
                     let counters: Vec<(String, u64)> =
                         window.map(|w| w.counters.clone()).unwrap_or_default();
-                    let wait_seconds = window.map(|w| {
-                        w.counters
-                            .iter()
-                            .find(|(n, _)| n == RECV_WAIT_MICROS)
-                            .map_or(0.0, |(_, v)| *v as f64 / 1e6)
-                    });
+                    let wait_seconds =
+                        window.map(|w| w.counter(RECV_WAIT_MICROS).unwrap_or(0) as f64 / 1e6);
                     Some(PhaseAgg {
                         name: p.name().to_string(),
                         seconds,
@@ -417,39 +457,13 @@ pub fn aggregate(records: &[RunRecord]) -> Aggregate {
                 .collect();
             AggRecord {
                 run: r.run.clone(),
-                makespan: r.makespan,
-                speedup: match (base.and_then(|b| b.makespan), r.makespan) {
-                    (Some(b), Some(t)) if t > 0.0 => Some(b / t),
-                    _ => None,
-                },
-                tracks,
-                scaled_tracks: match (tracks, base_tracks) {
-                    (Some(t), Some(b)) if b > 0 => Some(t as f64 / b as f64),
-                    _ => None,
-                },
-                wirelength: m.and_then(|m| m.counter(WIRELENGTH)),
-                feedthroughs: m.and_then(|m| m.counter(FEEDTHROUGHS)),
-                redone_phases: m.and_then(|m| m.counter(REDONE_PHASES)),
-                shed_events: m.and_then(|m| m.counter(SHED_EVENTS)),
-                load_imbalance: m.and_then(|m| m.gauge(LOAD_IMBALANCE)),
-                wait_fraction: match (m, r.makespan) {
-                    (Some(mm), Some(t)) if t > 0.0 && r.run.procs > 0 => Some(
-                        mm.counter(RECV_WAIT_MICROS).unwrap_or(0) as f64
-                            / 1e6
-                            / (r.run.procs as f64 * t),
-                    ),
-                    _ => None,
-                },
+                series: RUN_SERIES.iter().map(|(_, _, of)| of(r, base)).collect(),
                 bytes_sent: r.bytes_sent,
                 phases,
             }
         })
         .collect();
     Aggregate { records: rows }
-}
-
-fn opt_u64(v: Option<u64>) -> String {
-    v.map_or("null".to_string(), |x| x.to_string())
 }
 
 fn opt_f64(v: Option<f64>) -> String {
@@ -485,19 +499,14 @@ impl Aggregate {
                         )
                     })
                     .collect();
+                let series: String = RUN_SERIES
+                    .iter()
+                    .zip(&r.series)
+                    .map(|((key, ..), v)| format!("\"{key}\":{},", opt_f64(*v)))
+                    .collect();
                 format!(
-                    "{{\"run\":{},\"makespan\":{},\"speedup\":{},\"tracks\":{},\"scaled_tracks\":{},\"wirelength\":{},\"feedthroughs\":{},\"redone_phases\":{},\"shed_events\":{},\"load_imbalance\":{},\"wait_fraction\":{},\"bytes_sent\":{},\"phases\":[{}]}}",
+                    "{{\"run\":{},{series}\"bytes_sent\":{},\"phases\":[{}]}}",
                     r.run.to_json(),
-                    opt_f64(r.makespan),
-                    opt_f64(r.speedup),
-                    opt_u64(r.tracks),
-                    opt_f64(r.scaled_tracks),
-                    opt_u64(r.wirelength),
-                    opt_u64(r.feedthroughs),
-                    opt_u64(r.redone_phases),
-                    opt_u64(r.shed_events),
-                    opt_f64(r.load_imbalance),
-                    opt_f64(r.wait_fraction),
                     r.bytes_sent,
                     phases.join(",")
                 )
@@ -559,17 +568,13 @@ impl Aggregate {
                 out.push_str(&format!("| {algo} |"));
                 let cell =
                     |v: Option<f64>| v.map_or(" — |".to_string(), |x| format!(" {x:.2} |"));
-                for &p in &procs {
-                    let rec = rows
-                        .iter()
-                        .find(|r| r.run.algorithm == algo && r.run.procs == p);
-                    out.push_str(&cell(rec.and_then(|r| r.speedup)));
-                }
-                for &p in &procs {
-                    let rec = rows
-                        .iter()
-                        .find(|r| r.run.algorithm == algo && r.run.procs == p);
-                    out.push_str(&cell(rec.and_then(|r| r.scaled_tracks)));
+                for key in ["speedup", "scaled_tracks"] {
+                    for &p in &procs {
+                        let rec = rows
+                            .iter()
+                            .find(|r| r.run.algorithm == algo && r.run.procs == p);
+                        out.push_str(&cell(rec.and_then(|r| r.get(key))));
+                    }
                 }
                 out.push('\n');
             }
@@ -578,7 +583,7 @@ impl Aggregate {
             // partition was — the two levers behind every lost speedup.
             let mut with_wait: Vec<&&AggRecord> = rows
                 .iter()
-                .filter(|r| r.wait_fraction.is_some() || r.load_imbalance.is_some())
+                .filter(|r| r.get("wait_fraction").is_some() || r.get("load_imbalance").is_some())
                 .collect();
             with_wait.sort_by_key(|r| (r.run.algorithm.clone(), r.run.procs));
             if !with_wait.is_empty() {
@@ -588,9 +593,9 @@ impl Aggregate {
                         "| {} | {} | {} | {} |\n",
                         r.run.algorithm,
                         r.run.procs,
-                        r.wait_fraction
+                        r.get("wait_fraction")
                             .map_or("—".to_string(), |w| format!("{:.1}", w * 100.0)),
-                        r.load_imbalance
+                        r.get("load_imbalance")
                             .map_or("—".to_string(), |x| format!("{x:.2}")),
                     ));
                 }
@@ -603,7 +608,9 @@ impl Aggregate {
             let mut with_shed: Vec<&&AggRecord> = rows
                 .iter()
                 .filter(|r| {
-                    r.run.budget_degraded || r.shed_events.is_some() || !r.run.scenario.is_empty()
+                    r.run.budget_degraded
+                        || r.get("shed_events").is_some()
+                        || !r.run.scenario.is_empty()
                 })
                 .collect();
             with_shed
@@ -627,7 +634,8 @@ impl Aggregate {
                         } else {
                             &r.run.scenario
                         },
-                        r.shed_events.map_or("—".to_string(), |s| s.to_string()),
+                        r.get("shed_events")
+                            .map_or("—".to_string(), |s| s.to_string()),
                         if r.run.budget_degraded { "yes" } else { "no" },
                     ));
                 }
@@ -698,6 +706,26 @@ impl Aggregate {
     }
 }
 
+/// A gated per-phase series: its name in a regression, its path inside a
+/// baseline phase object, and its value in a fresh [`PhaseAgg`].
+type PhaseSeries = (
+    &'static str,
+    &'static [&'static str],
+    fn(&PhaseAgg) -> Option<f64>,
+);
+
+/// Virtual seconds and the phase-scoped wirelength must not drift past
+/// tolerance either — a regression hiding inside one phase while the
+/// totals stay flat is exactly what the windows exist to catch.
+const PHASE_SERIES: [PhaseSeries; 3] = [
+    ("seconds", &["seconds"], |p| p.seconds),
+    ("wait seconds", &["wait_seconds"], |p| p.wait_seconds),
+    ("wirelength", &["counters", WIRELENGTH], |p| {
+        let found = p.counters.iter().find(|(n, _)| n == WIRELENGTH);
+        found.map(|(_, v)| *v as f64)
+    }),
+];
+
 /// One regression found by [`check_baseline`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Regression {
@@ -716,10 +744,11 @@ impl std::fmt::Display for Regression {
 }
 
 /// Compare a fresh aggregate against a committed baseline (the JSON
-/// produced by [`Aggregate::to_json`]). A run regresses when its
-/// makespan, tracks, or wirelength exceeds the baseline by more than
-/// `tolerance` (relative), or when a baseline run — or one gated series
-/// of a run — is missing entirely.
+/// produced by [`Aggregate::to_json`]). A run regresses when a
+/// gated series ([`RUN_SERIES`], [`PHASE_SERIES`]) exceeds the baseline by
+/// more than `tolerance` (relative; above a baseline of 0, any value
+/// does), or when a baseline run — or one gated series of a run — is
+/// missing entirely.
 /// Improvements never flag. Returns the regression list; an error means
 /// the baseline file itself is unusable.
 pub fn check_baseline(
@@ -760,12 +789,13 @@ pub fn check_baseline(
             continue;
         };
         // A series the baseline holds and this aggregate does not (its
-        // dump was not written, say) regressed like a missing run did.
+        // dump was not written, say) regressed like a missing run did; so
+        // did one the baseline holds at 0 that is above 0 now.
         let mut check_f = |what: &str, base: Option<f64>, now: Option<f64>| {
             let Some(b) = base else { return };
             let what = match now {
                 None => format!("{what} (baseline {b:.6}) missing from this aggregate"),
-                Some(n) if b > 0.0 && n > b * (1.0 + tolerance) => format!(
+                Some(n) if n > b * (1.0 + tolerance) => format!(
                     "{what} {n:.6} exceeds baseline {b:.6} by more than {:.1} %",
                     tolerance * 100.0
                 ),
@@ -776,81 +806,24 @@ pub fn check_baseline(
                 what,
             });
         };
-        check_f(
-            "makespan",
-            b.get("makespan").and_then(|f| f.as_f64()),
-            cur.makespan,
-        );
-        check_f(
-            "tracks",
-            b.get("tracks").and_then(|f| f.as_f64()),
-            cur.tracks.map(|t| t as f64),
-        );
-        check_f(
-            "wirelength",
-            b.get("wirelength").and_then(|f| f.as_f64()),
-            cur.wirelength.map(|w| w as f64),
-        );
-        // Higher-is-worse efficiency series: a run that waits longer or
-        // balances worse than the baseline regressed even if quality and
-        // makespan stayed inside tolerance.
-        check_f(
-            "wait_fraction",
-            b.get("wait_fraction").and_then(|f| f.as_f64()),
-            cur.wait_fraction,
-        );
-        check_f(
-            "load_imbalance",
-            b.get("load_imbalance").and_then(|f| f.as_f64()),
-            cur.load_imbalance,
-        );
-        // Robustness series: a chaos run that redoes more phases than
-        // the baseline lost resume coverage (e.g. a boundary stopped
-        // committing portably and the round fell back to a restart).
-        check_f(
-            "redone_phases",
-            b.get("redone_phases").and_then(|f| f.as_f64()),
-            cur.redone_phases.map(|x| x as f64),
-        );
-        // Graceful-shedding series: a budgeted run that drops more
-        // refinement chunks than its baseline lost quality headroom
-        // even though it still completed inside its budget.
-        check_f(
-            "shed_events",
-            b.get("shed_events").and_then(|f| f.as_f64()),
-            cur.shed_events.map(|x| x as f64),
-        );
-        // Per-phase series: virtual seconds and the phase-scoped
-        // wirelength must not drift past tolerance either — a regression
-        // hiding inside one phase while the totals stay flat is exactly
-        // what the windows exist to catch.
+        for ((key, gated, _), now) in RUN_SERIES.iter().zip(&cur.series) {
+            if *gated {
+                check_f(key, b.get(key).and_then(|f| f.as_f64()), *now);
+            }
+        }
         for bp in b.get("phases").and_then(|f| f.as_arr()).unwrap_or(&[]) {
             let Some(name) = bp.get("name").and_then(|f| f.as_str()) else {
                 continue;
             };
             let cp = cur.phases.iter().find(|p| p.name == name);
-            check_f(
-                &format!("phase {name} seconds"),
-                bp.get("seconds").and_then(|f| f.as_f64()),
-                cp.and_then(|p| p.seconds),
-            );
-            check_f(
-                &format!("phase {name} wait seconds"),
-                bp.get("wait_seconds").and_then(|f| f.as_f64()),
-                cp.and_then(|p| p.wait_seconds),
-            );
-            check_f(
-                &format!("phase {name} wirelength"),
-                bp.get("counters")
-                    .and_then(|c| c.get(WIRELENGTH))
-                    .and_then(|f| f.as_f64()),
-                cp.and_then(|p| {
-                    p.counters
-                        .iter()
-                        .find(|(n, _)| n == WIRELENGTH)
-                        .map(|(_, v)| *v as f64)
-                }),
-            );
+            for (what, path, of) in PHASE_SERIES {
+                let base = path.iter().try_fold(bp, |v, key| v.get(key));
+                check_f(
+                    &format!("phase {name} {what}"),
+                    base.and_then(|f| f.as_f64()),
+                    cp.and_then(of),
+                );
+            }
         }
     }
     Ok(regressions)

@@ -3,8 +3,7 @@
 //! ```text
 //! repro [--scale F] [--circuits a,b,c] [--trace-out DIR] <target>...
 //!
-//! repro aggregate [--out FILE] [--md FILE] [--baseline FILE]
-//!                 [--tolerance F] <path>...
+//! repro aggregate [--out FILE] [--md FILE] [--baseline FILE] <path>...
 //! ```
 //!
 //! The targets are the rows of [`pgr_bench::tables::TARGETS`] — `repro
@@ -33,14 +32,16 @@ fn usage() -> ! {
         kept.map(|t| t.0).collect::<Vec<_>>().join(" ")
     };
     eprintln!(
-        "usage: repro [--scale F] [--circuits a,b,c] [--trace-out DIR]\n             [--kill R@B]... [--max-rounds N] [--min-ranks N]\n             [--family NAME]... <target>...\n\
+        "usage: repro [--scale F] [--circuits a,b,c] [--trace-out DIR]\n             [--kill R@B]... [--family NAME]... <target>...\n\
          targets: {} all\n\
          all:    every target but {}\n\
-         chaos:  --kill R@B kills rank R at phase boundary B (registry name or index);\n         --max-rounds / --min-ranks bound the recovery policy\n\
+         chaos:  --kill R@B kills rank R at phase boundary B (registry name or index)\n\
          stress: --family restricts the adversarial-workload matrix (repeatable)\n\
-         or:    repro aggregate [--out FILE] [--md FILE] [--baseline FILE] [--tolerance F] <path>...",
+         or:    repro aggregate [--out FILE] [--md FILE] [--baseline FILE] <path>...\n\
+         baseline: a gated series more than {:.0} % above its baseline value exits 1",
         names(|_| true),
         names(|t| !t.3),
+        TOLERANCE * 100.0,
     );
     std::process::exit(2);
 }
@@ -90,20 +91,14 @@ fn fail(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// The value of `flag` as an integer ≥ 1.
-fn at_least_one<T: std::str::FromStr + PartialOrd + From<u8>>(flag: &str, v: Option<String>) -> T {
-    match v.unwrap_or_else(|| usage()).parse::<T>() {
-        Ok(n) if n >= T::from(1) => n,
-        Ok(_) => fail(&format!("{flag} must be at least 1")),
-        Err(_) => fail(&format!("{flag} must be a positive integer")),
-    }
-}
+/// Relative rise of a gated series that `repro aggregate --baseline` lets
+/// pass: the CI gate (the series are virtual, so equal on every host).
+const TOLERANCE: f64 = 0.02;
 
 fn aggregate_main(args: impl Iterator<Item = String>) -> ! {
     let mut out: Option<PathBuf> = None;
     let mut md: Option<PathBuf> = None;
     let mut baseline: Option<PathBuf> = None;
-    let mut tolerance = 0.02f64;
     let mut paths: Vec<PathBuf> = Vec::new();
     let mut args = args.peekable();
     while let Some(a) = args.next() {
@@ -111,13 +106,6 @@ fn aggregate_main(args: impl Iterator<Item = String>) -> ! {
             "--out" => out = Some(args.next().unwrap_or_else(|| usage()).into()),
             "--md" => md = Some(args.next().unwrap_or_else(|| usage()).into()),
             "--baseline" => baseline = Some(args.next().unwrap_or_else(|| usage()).into()),
-            "--tolerance" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                tolerance = v.parse().unwrap_or_else(|_| usage());
-                if !(tolerance >= 0.0 && tolerance.is_finite()) {
-                    fail("--tolerance must be a non-negative number");
-                }
-            }
             "-h" | "--help" => usage(),
             f if f.starts_with('-') => fail(&format!("unknown flag '{f}'")),
             p => paths.push(p.into()),
@@ -150,11 +138,11 @@ fn aggregate_main(args: impl Iterator<Item = String>) -> ! {
     if let Some(p) = &baseline {
         let text = std::fs::read_to_string(p)
             .unwrap_or_else(|e| fail(&format!("cannot read baseline {}: {e}", p.display())));
-        let regressions = check_baseline(&agg, &text, tolerance).unwrap_or_else(|e| fail(&e));
+        let regressions = check_baseline(&agg, &text, TOLERANCE).unwrap_or_else(|e| fail(&e));
         if regressions.is_empty() {
             eprintln!(
                 "baseline check passed (tolerance {:.1} %)",
-                tolerance * 100.0
+                TOLERANCE * 100.0
             );
         } else {
             eprintln!("baseline check FAILED:");
@@ -200,8 +188,6 @@ fn main() {
                 let v = args.next().unwrap_or_else(|| usage());
                 opts.kills.push(parse_kill(&v).unwrap_or_else(|e| fail(&e)));
             }
-            "--max-rounds" => opts.recovery.max_rounds = at_least_one(&a, args.next()),
-            "--min-ranks" => opts.recovery.min_ranks = at_least_one(&a, args.next()),
             "--family" => {
                 let v = args.next().unwrap_or_else(|| usage());
                 let family = ScenarioFamily::from_name(&v).unwrap_or_else(|| {

@@ -9,8 +9,7 @@ use pgr_mpi::{ClockMode, InstrumentConfig, MachineModel, RankMetrics, RankStats,
 use pgr_obs::metrics_json;
 use pgr_router::verify::assert_verified;
 use pgr_router::{
-    route_parallel_guarded, Algorithm, GuardedOutcome, PartitionKind, RecoveryPolicy, RouterConfig,
-    RoutingResult,
+    route_parallel_guarded, Algorithm, GuardedOutcome, PartitionKind, RouterConfig, RoutingResult,
 };
 use std::path::{Path, PathBuf};
 
@@ -24,9 +23,6 @@ pub struct Opts {
     /// Directory to write per-run Chrome traces and stats JSON into
     /// (`--trace-out`). None = tracing off, zero overhead.
     pub trace_out: Option<PathBuf>,
-    /// `chaos` target: the recovery policy (`--max-rounds`,
-    /// `--min-ranks`; the router's default otherwise).
-    pub recovery: RecoveryPolicy,
     /// `chaos` target: kill-schedule override (`--kill R@B`, repeatable)
     /// as `(rank, phase-boundary index)`; boundaries are validated
     /// against the [`pgr_mpi::Phase`] registry at parse time. Empty =
@@ -44,7 +40,6 @@ impl Default for Opts {
             scale: 1.0,
             filter: None,
             trace_out: None,
-            recovery: RecoveryPolicy::default(),
             kills: Vec::new(),
             families: None,
         }

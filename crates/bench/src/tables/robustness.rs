@@ -28,19 +28,15 @@ use std::sync::Arc;
 /// `repro aggregate` can trend robustness separately from the clean
 /// runs.
 ///
-/// The schedule and the recovery policy are overridable from the CLI:
-/// `--kill R@B` (repeatable) replaces the default one-kill schedule,
-/// `--max-rounds` / `--min-ranks` override the [`RecoveryPolicy`]
-/// bounds. The printed `redone` / `restore` columns expose the
-/// checkpoint-resume accounting (`recovery.redone_phases`,
+/// The schedule is overridable from the CLI: `--kill R@B` (repeatable)
+/// replaces the default one-kill schedule; the first pass runs under the
+/// router's default [`RecoveryPolicy`]. The printed `redone` / `restore`
+/// columns expose the checkpoint-resume accounting (`recovery.redone_phases`,
 /// `recovery.checkpoint.restores`): a resumed round redoes only the
 /// phases past the agreed boundary, a full restart redoes them all.
 pub fn chaos_smoke(opts: &Opts) {
     let machine = MachineModel::sparc_center_1000();
-    let cfg = RouterConfig {
-        recovery: opts.recovery,
-        ..cfg()
-    };
+    let cfg = cfg();
     println!("Chaos smoke: message faults + rank kills, reliable transport on");
     opts.note_scale();
     // The protocol-effort and recovery columns: `(title, width, counter

@@ -69,13 +69,13 @@ fn speedup_and_quality_from_hand_built_fixtures() {
             .clone()
     };
     let s = row("serial");
-    assert_eq!(s.speedup, Some(1.0));
-    assert_eq!(s.scaled_tracks, Some(1.0));
+    assert_eq!(s.get("speedup"), Some(1.0));
+    assert_eq!(s.get("scaled_tracks"), Some(1.0));
     let p = row("row-wise");
-    assert_eq!(p.makespan, Some(2.5));
-    assert_eq!(p.speedup, Some(4.0), "10.0 / 2.5");
-    assert_eq!(p.tracks, Some(110));
-    assert_eq!(p.scaled_tracks, Some(1.1));
+    assert_eq!(p.get("makespan"), Some(2.5));
+    assert_eq!(p.get("speedup"), Some(4.0), "10.0 / 2.5");
+    assert_eq!(p.get("tracks"), Some(110.0));
+    assert_eq!(p.get("scaled_tracks"), Some(1.1));
     assert_eq!(p.bytes_sent, 64);
     assert_eq!(p.phases.len(), 1);
     assert_eq!(p.phases[0].name, "setup");
@@ -246,7 +246,7 @@ fn wait_fraction_and_phase_wait_series_derive_and_gate() {
 
     let agg = aggregate(&load_paths(std::slice::from_ref(&dir)).unwrap());
     let rec = &agg.records[0];
-    assert_eq!(rec.wait_fraction, Some(0.2));
+    assert_eq!(rec.get("wait_fraction"), Some(0.2));
     let connect = rec.phases.iter().find(|p| p.name == "connect").unwrap();
     assert_eq!(connect.wait_seconds, Some(1.5));
     // A phase with stats seconds but no metrics window carries no wait
@@ -342,6 +342,23 @@ fn baseline_check_passes_on_self_and_flags_injected_regression() {
     );
     assert!(regs.iter().all(|r| r.run.algorithm == "hybrid"), "{regs:?}");
 
+    // And so is a gated series the baseline holds at 0 that is above 0
+    // now, at any tolerance: a chaos run that redid no phase then and
+    // redoes four today lost its resume coverage.
+    let mut redoing = RankMetrics::empty(0);
+    redoing.counters.push(("route.tracks".into(), 104));
+    redoing.counters.push(("recovery.redone_phases".into(), 4));
+    write(&dir, "p.metrics.json", &metrics_json(&par, &[redoing]));
+    let now = aggregate(&load_paths(std::slice::from_ref(&dir)).unwrap());
+    let clean = now
+        .to_json()
+        .replace("\"redone_phases\":4,", "\"redone_phases\":0,");
+    assert_ne!(clean, now.to_json(), "fixture lost its redone_phases");
+    let regs = check_baseline(&now, &clean, 0.25).unwrap();
+    assert_eq!(regs.len(), 1, "{regs:?}");
+    assert!(regs[0].what.contains("redone_phases 4"), "{}", regs[0].what);
+    assert_eq!(check_baseline(&now, &now.to_json(), 0.0).unwrap(), vec![]);
+
     // An unusable baseline is an error, not an empty regression list.
     assert!(check_baseline(&agg, "{ nope", 0.02).is_err());
     assert!(check_baseline(
@@ -417,20 +434,20 @@ fn trace_out_artifacts_round_trip_through_aggregate() {
         .iter()
         .find(|r| r.run.algorithm == "row-wise")
         .unwrap();
-    assert!(par.speedup.is_some(), "speedup derived across runs");
-    assert!(par.speedup.unwrap() > 0.0);
+    assert!(par.get("speedup").is_some(), "speedup derived across runs");
+    assert!(par.get("speedup").unwrap() > 0.0);
     assert_eq!(
-        par.tracks,
-        Some(out.result.as_ref().unwrap().track_count().max(0) as u64)
+        par.get("tracks"),
+        Some(out.result.as_ref().unwrap().track_count().max(0) as f64)
     );
-    assert!(par.load_imbalance.is_some_and(|x| x >= 1.0));
+    assert!(par.get("load_imbalance").is_some_and(|x| x >= 1.0));
     assert!(!par.phases.is_empty(), "phase trend carried through");
     let serial = agg
         .records
         .iter()
         .find(|r| r.run.algorithm == "serial")
         .unwrap();
-    assert_eq!(serial.speedup, Some(1.0));
+    assert_eq!(serial.get("speedup"), Some(1.0));
 
     // And the aggregate gates cleanly against itself.
     assert_eq!(check_baseline(&agg, &agg.to_json(), 0.0).unwrap(), vec![]);

@@ -107,7 +107,9 @@ impl ChannelState {
         chans
     }
 
-    /// Modeled memory footprint (for the per-node memory gate).
+    /// Modeled memory footprint (for the per-node memory gate): the 1997
+    /// structure at 32 B a column, which the virtual results are pinned
+    /// to — not what [`DensityProfile`] allocates (16 B a column).
     pub fn modeled_bytes(&self) -> u64 {
         self.profiles.len() as u64 * (self.width as u64) * 32
     }

@@ -24,7 +24,7 @@
 use pgr_circuit::{generate, Circuit, GeneratorConfig};
 use pgr_mpi::{
     run_instrumented, BudgetKind, ChaosConfig, ChaosLayer, InstrumentConfig, MachineModel,
-    MetricsConfig, Phase, RankMetrics, ReliabilityConfig, ResourceBudget,
+    MetricsConfig, Phase, ReliabilityConfig, ResourceBudget,
 };
 use pgr_router::{
     route_parallel_guarded, try_route_serial, verify, Algorithm, GuardedOutcome, PartitionKind,
@@ -131,8 +131,11 @@ impl Driver {
             instr.reliability = ReliabilityConfig::on();
         }
         let out = self.route(circuit, &cfg_with(budget), instr);
+        // Totals are exactly the sum of the per-phase windows — including
+        // `budget.breaches` / `budget.shed_events` recorded on the way down.
         for m in &out.metrics {
-            assert_counter_windows_partition(m, &self.label());
+            m.windows_partition_totals()
+                .unwrap_or_else(|broken| panic!("{}: {broken}", self.label()));
         }
         match out.result {
             Ok(result) => {
@@ -184,20 +187,6 @@ impl Driver {
             }
         }
         (phases, peak)
-    }
-}
-
-/// Counter totals must be exactly the sum of the per-phase windows —
-/// including `budget.breaches` / `budget.shed_events` recorded on the
-/// way down.
-fn assert_counter_windows_partition(m: &RankMetrics, ctx: &str) {
-    for (name, total) in &m.counters {
-        let windowed: u64 = m.windows.iter().filter_map(|(_, w)| w.counter(name)).sum();
-        assert_eq!(
-            windowed, *total,
-            "{ctx} rank {}: counter {name} windows must sum to the total",
-            m.rank
-        );
     }
 }
 

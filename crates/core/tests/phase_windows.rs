@@ -19,7 +19,6 @@ use pgr_mpi::{
     ChaosConfig, ChaosLayer, InstrumentConfig, MachineModel, MetricsConfig, Phase, RankMetrics,
     ReliabilityConfig,
 };
-use pgr_obs::Histogram;
 use pgr_router::metrics::names;
 use pgr_router::{route_parallel_guarded, Algorithm, GuardedOutcome, PartitionKind, RouterConfig};
 use std::sync::Arc;
@@ -53,28 +52,49 @@ fn route(
 }
 
 /// Every counter and histogram total must be exactly the sum/merge of
-/// its per-window slices. (Gauges are last-write-wins and derived gauges
-/// are stamped after the run, so they carry no sum invariant.)
+/// its per-window slices ([`RankMetrics::windows_partition_totals`]).
 fn assert_windows_partition_totals(m: &RankMetrics, ctx: &str) {
-    for (name, total) in &m.counters {
-        let windowed: u64 = m.windows.iter().filter_map(|(_, w)| w.counter(name)).sum();
-        assert_eq!(
-            windowed, *total,
-            "{ctx}: counter {name} windows sum to the total"
-        );
-    }
-    for (name, total) in &m.histograms {
-        let mut merged = Histogram::new();
-        for (_, w) in &m.windows {
-            if let Some(h) = w.histogram(name) {
-                merged.merge(h);
-            }
-        }
-        assert_eq!(
-            &merged, total,
-            "{ctx}: histogram {name} windows merge to the total"
-        );
-    }
+    m.windows_partition_totals()
+        .unwrap_or_else(|broken| panic!("{ctx}: {broken}"));
+}
+
+/// The checker is shown failing: a real shard doctored either way is
+/// refused, and the error names the metric.
+#[test]
+fn doctored_shards_fail_the_partition_check_by_metric_name() {
+    let out = route(
+        &small("windows-doctored"),
+        Algorithm::RowWise,
+        3,
+        metrics_on(),
+    );
+    let honest = &out.metrics[0];
+    assert_eq!(honest.windows_partition_totals(), Ok(()));
+
+    // A counter moved out of its window (recorded with no phase open).
+    let mut escaped = honest.clone();
+    let steiner = &mut escaped.windows[Phase::Steiner.index()];
+    assert_eq!(steiner.0, Phase::Steiner.name());
+    let held = steiner.1.counters.len();
+    steiner.1.counters.retain(|(n, _)| n != names::NETS_OWNED);
+    assert_eq!(steiner.1.counters.len(), held - 1, "steiner counts nets");
+    let err = escaped.windows_partition_totals().unwrap_err();
+    assert!(err.contains(names::NETS_OWNED), "{err}");
+
+    // One observation moved to the next bucket in one window: count,
+    // sum, min and max all still agree with the total.
+    let mut skewed = honest.clone();
+    let mut hists = skewed
+        .windows
+        .iter_mut()
+        .flat_map(|(_, w)| &mut w.histograms);
+    let (name, h) = hists.next().expect("a window holds a histogram");
+    let full = h.buckets.iter().position(|&n| n > 0).expect("observed");
+    h.buckets[full] -= 1;
+    h.buckets[full + 1] += 1;
+    let name = name.clone();
+    let err = skewed.windows_partition_totals().unwrap_err();
+    assert!(err.contains(&format!("histogram {name}")), "{err}");
 }
 
 fn assert_registry_coverage(m: &RankMetrics, ctx: &str) {

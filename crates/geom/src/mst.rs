@@ -11,7 +11,8 @@
 //!   nodes on the same or vertically adjacent rows (step 4: final
 //!   connection of pins and feedthroughs; a wire may only live in the
 //!   channel between the rows it connects). Kruskal over the restricted
-//!   edge set. Feedthrough insertion guarantees the restricted graph is
+//!   edge set, one row's pairs in memory at a time. Feedthrough insertion
+//!   guarantees the restricted graph is
 //!   connected; if it is not (a router bug), the function reports a forest.
 
 use crate::point::{manhattan, Point};
@@ -113,34 +114,44 @@ pub fn mst_adjacency_limited(points: &[Point], rows: &[i64]) -> LimitedMst {
         buckets[(r - min_row) as usize].push(i as u32);
     }
 
+    // Kruskal in two rounds. An edge left out of the minimum spanning
+    // forest of a subgraph is the largest on a cycle there, so it is not
+    // in the forest of the whole graph either (`(weight, a, b)` is a
+    // strict order). Each row's block — its same-row pairs and its pairs
+    // with the next row — is reduced to its own forest first, and only
+    // those survivors, fewer than 2n, meet in the final round: the edges
+    // one sort of every pair would pick, in the same order, without ever
+    // holding every pair of a clock net at once (avq.large's largest:
+    // 6 370 nodes, 898 558 pairs, 14 MB; its largest block is 3 MB).
+    let key = |e: &MstEdge| (e.weight, e.a, e.b);
+    let edge = |a: u32, b: u32| MstEdge {
+        a,
+        b,
+        weight: manhattan(points[a as usize], points[b as usize]),
+    };
+    let mut uf = UnionFind::new(n);
+    let mut block: Vec<MstEdge> = Vec::new();
     let mut cand: Vec<MstEdge> = Vec::new();
     for (bi, bucket) in buckets.iter().enumerate() {
-        // Same-row pairs.
+        block.clear();
         for (k, &a) in bucket.iter().enumerate() {
-            for &b in &bucket[k + 1..] {
-                cand.push(MstEdge {
-                    a,
-                    b,
-                    weight: manhattan(points[a as usize], points[b as usize]),
-                });
-            }
+            block.extend(bucket[k + 1..].iter().map(|&b| edge(a, b)));
         }
-        // Adjacent-row pairs.
-        if bi + 1 < span {
+        if let Some(next) = buckets.get(bi + 1) {
             for &a in bucket {
-                for &b in &buckets[bi + 1] {
-                    cand.push(MstEdge {
-                        a,
-                        b,
-                        weight: manhattan(points[a as usize], points[b as usize]),
-                    });
-                }
+                block.extend(next.iter().map(|&b| edge(a, b)));
             }
         }
+        block.sort_unstable_by_key(key);
+        cand.extend(
+            block
+                .iter()
+                .filter(|e| uf.union(e.a as usize, e.b as usize)),
+        );
+        uf.reset();
     }
-    cand.sort_unstable_by_key(|e| (e.weight, e.a, e.b));
+    cand.sort_unstable_by_key(key);
 
-    let mut uf = UnionFind::new(n);
     let mut edges = Vec::with_capacity(n - 1);
     for e in cand {
         if uf.union(e.a as usize, e.b as usize) {

@@ -4,9 +4,21 @@
 //! wire spans covering `x`; the channel needs `max_x density(x)` tracks.
 //! The TimberWolf coarse router and the switchable-segment optimizer both
 //! evaluate "what does the peak density become if this span moves here?"
-//! millions of times, so the profile is a lazy range-add / range-max segment
+//! millions of times, so the profile is a range-add / range-max segment
 //! tree: span insertion, removal, and hypothetical-peak queries are all
 //! O(log W) in the channel width W.
+//!
+//! **Layout.** One vector of exactly `2·W − 1` node maxima in preorder:
+//! the node over `lo..=hi` at index `i` has its left child (`lo..=mid`) at
+//! `i + 1` and its right child just past the left subtree, at
+//! `i + 2·(mid − lo + 1)`; the root is index 0. Any width splits this way,
+//! so there is no padding and every leaf is a real column.
+//!
+//! **Pending adds are derived, not stored.** An add covering a node's whole
+//! span stops there and raises that node only, so an internal node always
+//! holds `max(left, right) + pending`: the pending add is the node minus
+//! its larger child, and a second per-node vector would only repeat it.
+//! Nothing is pushed down, which is why queries take `&self`.
 
 /// A density profile over columns `0..width`.
 ///
@@ -22,36 +34,17 @@
 #[derive(Debug, Clone)]
 pub struct DensityProfile {
     width: usize,
-    /// Segment tree node maxima (1-indexed, size 2*cap).
+    /// Node maxima in preorder, `2 * width - 1` of them (see the module doc).
     tree: Vec<i64>,
-    /// Pending lazy additions per internal node.
-    lazy: Vec<i64>,
-    cap: usize,
 }
 
 impl DensityProfile {
     /// An all-zero profile over `width` columns. `width` must be > 0.
     pub fn new(width: usize) -> Self {
         assert!(width > 0, "DensityProfile needs at least one column");
-        let cap = width.next_power_of_two();
-        let mut tree = vec![0i64; 2 * cap];
-        // Phantom columns (width..cap) must never win a max query — a
-        // profile driven negative everywhere would otherwise report 0.
-        // They are never targeted by updates, so a sentinel suffices.
-        const PHANTOM: i64 = i64::MIN / 4;
-        if cap > width {
-            for leaf in tree[cap + width..2 * cap].iter_mut() {
-                *leaf = PHANTOM;
-            }
-            for node in (1..cap).rev() {
-                tree[node] = tree[2 * node].max(tree[2 * node + 1]);
-            }
-        }
         DensityProfile {
             width,
-            tree,
-            lazy: vec![0; 2 * cap],
-            cap,
+            tree: vec![0; 2 * width - 1],
         }
     }
 
@@ -80,19 +73,19 @@ impl DensityProfile {
             return;
         }
         if let Some((lo, hi)) = self.clamp(lo, hi) {
-            self.update(1, 0, self.cap - 1, lo, hi, delta);
+            self.update(0, 0, self.width - 1, lo, hi, delta);
         }
     }
 
     /// Current peak density over the whole channel.
     pub fn max(&self) -> i64 {
-        self.tree[1]
+        self.tree[0]
     }
 
     /// Peak density over the inclusive span `[lo, hi]` (clamped).
     pub fn max_in(&self, lo: i64, hi: i64) -> i64 {
         match self.clamp(lo, hi) {
-            Some((lo, hi)) => self.query(1, 0, self.cap - 1, lo, hi),
+            Some((lo, hi)) => self.query(0, 0, self.width - 1, lo, hi),
             None => 0,
         }
     }
@@ -112,7 +105,7 @@ impl DensityProfile {
     /// Density at a single column.
     pub fn at(&self, col: usize) -> i64 {
         assert!(col < self.width);
-        self.query(1, 0, self.cap - 1, col, col)
+        self.query(0, 0, self.width - 1, col, col)
     }
 
     /// Materialize per-column densities (used when merging profiles across
@@ -128,7 +121,7 @@ impl DensityProfile {
     /// the assemble/verify hot path.
     pub fn counts_into(&self, out: &mut [i64]) {
         assert_eq!(out.len(), self.width, "counts_into buffer width mismatch");
-        self.collect(1, 0, self.cap - 1, 0, out);
+        self.collect(0, 0, self.width - 1, 0, out);
     }
 
     /// Pointwise-add another profile's counts into this one.
@@ -146,49 +139,54 @@ impl DensityProfile {
         }
     }
 
+    /// Split the internal node `node` over `nlo..=nhi`: the last column of
+    /// its left half, its left and right children, and the addition pending
+    /// on it — what it holds above the larger child.
+    fn split(&self, node: usize, nlo: usize, nhi: usize) -> (usize, usize, usize, i64) {
+        let mid = (nlo + nhi) / 2;
+        let (left, right) = (node + 1, node + 2 * (mid - nlo + 1));
+        let pending = self.tree[node] - self.tree[left].max(self.tree[right]);
+        (mid, left, right, pending)
+    }
+
     fn update(&mut self, node: usize, nlo: usize, nhi: usize, lo: usize, hi: usize, delta: i64) {
         if lo <= nlo && nhi <= hi {
             self.tree[node] += delta;
-            self.lazy[node] += delta;
             return;
         }
-        let mid = (nlo + nhi) / 2;
+        let (mid, left, right, pending) = self.split(node, nlo, nhi);
         if lo <= mid {
-            self.update(2 * node, nlo, mid, lo, hi.min(mid), delta);
+            self.update(left, nlo, mid, lo, hi.min(mid), delta);
         }
         if hi > mid {
-            self.update(2 * node + 1, mid + 1, nhi, lo.max(mid + 1), hi, delta);
+            self.update(right, mid + 1, nhi, lo.max(mid + 1), hi, delta);
         }
-        self.tree[node] = self.tree[2 * node].max(self.tree[2 * node + 1]) + self.lazy[node];
+        self.tree[node] = self.tree[left].max(self.tree[right]) + pending;
     }
 
     fn query(&self, node: usize, nlo: usize, nhi: usize, lo: usize, hi: usize) -> i64 {
         if lo <= nlo && nhi <= hi {
             return self.tree[node];
         }
-        let mid = (nlo + nhi) / 2;
+        let (mid, left, right, pending) = self.split(node, nlo, nhi);
         let mut m = i64::MIN;
         if lo <= mid {
-            m = m.max(self.query(2 * node, nlo, mid, lo, hi.min(mid)));
+            m = m.max(self.query(left, nlo, mid, lo, hi.min(mid)));
         }
         if hi > mid {
-            m = m.max(self.query(2 * node + 1, mid + 1, nhi, lo.max(mid + 1), hi));
+            m = m.max(self.query(right, mid + 1, nhi, lo.max(mid + 1), hi));
         }
-        m + self.lazy[node]
+        m + pending
     }
 
     fn collect(&self, node: usize, nlo: usize, nhi: usize, acc: i64, out: &mut [i64]) {
-        if nlo >= self.width {
-            return;
-        }
         if nlo == nhi {
             out[nlo] = acc + self.tree[node];
             return;
         }
-        let acc = acc + self.lazy[node];
-        let mid = (nlo + nhi) / 2;
-        self.collect(2 * node, nlo, mid, acc, out);
-        self.collect(2 * node + 1, mid + 1, nhi, acc, out);
+        let (mid, left, right, pending) = self.split(node, nlo, nhi);
+        self.collect(left, nlo, mid, acc + pending, out);
+        self.collect(right, mid + 1, nhi, acc + pending, out);
     }
 }
 
@@ -291,8 +289,8 @@ mod tests {
 
     #[test]
     fn all_negative_profile_reports_negative_max() {
-        // Regression: phantom columns beyond a non-power-of-two width
-        // must not clamp the max at 0.
+        // Contract: the max is over real columns only — nothing outside
+        // `0..width` may clamp an all-negative profile's max at 0.
         let mut p = DensityProfile::new(3);
         p.add_span(0, 2, -1);
         assert_eq!(p.max(), -1);
@@ -351,7 +349,6 @@ mod tests {
         p.add_span(4, 4, 0);
         p.add_span(-5, 50, 0);
         assert_eq!(p.tree, before.tree, "zero delta must not touch the tree");
-        assert_eq!(p.lazy, before.lazy, "zero delta must not touch lazy tags");
     }
 
     #[test]
@@ -366,7 +363,18 @@ mod tests {
             p.tree, before.tree,
             "clamped-away spans must not touch the tree"
         );
-        assert_eq!(p.lazy, before.lazy);
+    }
+
+    /// Widths either side of a power of two, and avq.large's chip.
+    const WIDTHS: [usize; 13] = [1, 2, 3, 7, 13, 16, 27, 100, 255, 256, 257, 1_000, 8_365];
+
+    #[test]
+    fn one_vector_of_two_width_minus_one_nodes() {
+        for width in WIDTHS {
+            let p = DensityProfile::new(width);
+            assert_eq!(p.tree.len(), 2 * width - 1, "width {width}");
+            assert_eq!(p.tree.capacity(), p.tree.len(), "width {width}");
+        }
     }
 
     /// Property check against a naive dense model: random spans (including
@@ -375,7 +383,7 @@ mod tests {
     #[test]
     fn random_spans_match_naive_model() {
         use crate::rng::rng_from_seed;
-        for &width in &[1usize, 3, 7, 13, 16, 27, 100] {
+        for width in WIDTHS {
             let mut rng = rng_from_seed(0x5EED_0000 + width as u64);
             let mut p = DensityProfile::new(width);
             let mut naive = vec![0i64; width];
@@ -396,6 +404,8 @@ mod tests {
                 let mut buf = vec![0i64; width];
                 p.counts_into(&mut buf);
                 assert_eq!(buf, naive, "width {width} step {step}");
+                let col = rng.gen_range(0..width);
+                assert_eq!(p.at(col), naive[col], "width {width} step {step}");
                 // Random max_in / max_if_added probes, again unclamped.
                 let qlo = rng.gen_range(-w - 2..=2 * w + 2);
                 let qhi = rng.gen_range(-w - 2..=2 * w + 2);

@@ -23,6 +23,15 @@ impl UnionFind {
         }
     }
 
+    /// Back to `len` singleton sets, keeping the allocation.
+    pub fn reset(&mut self) {
+        for (i, p) in self.parent.iter_mut().enumerate() {
+            *p = i as u32;
+        }
+        self.size.fill(1);
+        self.components = self.parent.len();
+    }
+
     pub fn len(&self) -> usize {
         self.parent.len()
     }
@@ -109,5 +118,18 @@ mod tests {
         let uf = UnionFind::new(0);
         assert!(uf.is_empty());
         assert_eq!(uf.components(), 0);
+    }
+
+    #[test]
+    fn reset_returns_to_singletons() {
+        let mut uf = UnionFind::new(4);
+        uf.union(0, 1);
+        uf.union(1, 3);
+        uf.reset();
+        assert_eq!(uf.components(), 4);
+        for i in 0..4 {
+            assert_eq!(uf.find(i), i);
+        }
+        assert!(uf.union(0, 1), "separate again");
     }
 }

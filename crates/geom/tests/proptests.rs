@@ -106,6 +106,42 @@ fn limited_mst_never_beats_unrestricted() {
 }
 
 #[test]
+fn limited_mst_equals_one_sort_of_every_admissible_pair() {
+    // The oracle is the kernel as it was before it worked a row block at
+    // a time: every same-row and adjacent-row pair (lower row first, then
+    // lower index), one sort by `(weight, a, b)`, one Kruskal pass. Few
+    // columns in even rounds, so ties abound; every third round leaves
+    // the odd rows empty, so the answer is a forest.
+    let mut rng = rng_from_seed(0x6E08);
+    for round in 0..400 {
+        let n = rng.gen_range(2usize..60);
+        let cols = if round % 2 == 0 { 6 } else { 200 };
+        let row_step = if round % 3 == 0 { 2 } else { 1 };
+        let rows: Vec<i64> = (0..n).map(|_| rng.gen_range(0i64..5) * row_step).collect();
+        let pts: Vec<Point> = rows
+            .iter()
+            .map(|&r| Point::new(rng.gen_range(0i64..cols), r))
+            .collect();
+        let mut all = Vec::new();
+        for a in 0..n {
+            for b in 0..n {
+                if (rows[a] == rows[b] && a < b) || rows[a] + 1 == rows[b] {
+                    all.push((manhattan(pts[a], pts[b]), a as u32, b as u32));
+                }
+            }
+        }
+        all.sort_unstable();
+        let mut uf = UnionFind::new(n);
+        all.retain(|&(_, a, b)| uf.union(a as usize, b as usize));
+
+        let got = mst_adjacency_limited(&pts, &rows);
+        let got_keys: Vec<_> = got.edges.iter().map(|e| (e.weight, e.a, e.b)).collect();
+        assert_eq!(got_keys, all, "round {round}, n {n}");
+        assert_eq!(got.spanning, all.len() == n - 1);
+    }
+}
+
+#[test]
 fn bbox_contains_all_inputs() {
     let mut rng = rng_from_seed(0x6E06);
     for _ in 0..256 {

@@ -443,6 +443,38 @@ impl RankMetrics {
         self.windows.iter().find(|(n, _)| n == name).map(|(_, m)| m)
     }
 
+    /// The window invariant: every counter total is exactly the sum, and
+    /// every histogram total exactly the merge, of its per-window slices
+    /// — no record escaped phase scoping, none was counted twice. (Gauges
+    /// are last-write-wins and derived gauges are stamped after the run,
+    /// so they carry no sum invariant.) The error names the rank and the
+    /// first metric that breaks it.
+    pub fn windows_partition_totals(&self) -> Result<(), String> {
+        let windows = || self.windows.iter().map(|(_, w)| w);
+        for (name, total) in &self.counters {
+            let windowed: u64 = windows().filter_map(|w| w.counter(name)).sum();
+            if windowed != *total {
+                return Err(format!(
+                    "rank {}: counter {name} totals {total}, its windows sum to {windowed}",
+                    self.rank
+                ));
+            }
+        }
+        for (name, total) in &self.histograms {
+            let mut merged = Histogram::new();
+            for h in windows().filter_map(|w| w.histogram(name)) {
+                merged.merge(h);
+            }
+            if merged != *total {
+                return Err(format!(
+                    "rank {}: histogram {name} totals {total:?}, its windows merge to {merged:?}",
+                    self.rank
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Set (or overwrite) a gauge after the fact — used for derived
     /// whole-run figures like load imbalance that no single rank can
     /// compute during the run.

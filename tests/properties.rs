@@ -45,13 +45,20 @@ fn random_op(rng: &mut SmallRng, width: i64) -> ProfileOp {
 #[test]
 fn profile_matches_naive_model() {
     let mut rng = rng_from_seed(0xD301);
-    for case in 0..64 {
-        let width = rng.gen_range(1usize..200);
+    // 64 drawn widths, then the edges of a power of two and avq.large's chip.
+    let fixed = [2usize, 255, 256, 257, 1_000, 8_365];
+    for case in 0..64 + fixed.len() {
+        let width = if case < 64 {
+            rng.gen_range(1usize..200)
+        } else {
+            fixed[case - 64]
+        };
         let n_ops = rng.gen_range(1usize..80);
         let mut profile = DensityProfile::new(width);
         let mut naive = vec![0i64; width];
         for _ in 0..n_ops {
-            match random_op(&mut rng, 200) {
+            // Operands overshoot the profile, so some spans clamp.
+            match random_op(&mut rng, 200.max(width as i64 + 8)) {
                 ProfileOp::Add { lo, hi, delta } => {
                     profile.add_span(lo, hi, delta);
                     let (a, b) = if lo <= hi { (lo, hi) } else { (hi, lo) };
