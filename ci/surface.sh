@@ -34,6 +34,12 @@
 #   `connect_all(` twice (that body and the hybrid's whole-net Connect) and
 #   `ChannelState::from_spans(` three times (that body, the hybrid's
 #   Switchable, `RouteState::gather_result`);
+# - when a span list is loaded span by span again: `from_spans` and
+#   `analysis::analyze` go through `DensityProfile::load_spans`, so the
+#   non-test code lines of crates/core/src that call `.add_span(` are six,
+#   each one update to a state already loaded: `ChannelState::add_span`,
+#   `CoarseState::apply`, the two `merge_external`s and the flip (remove,
+#   re-add) of `optimize_slice`;
 # - when anything under crates/core/src names `RouteAbort`: the engine
 #   matches `pgr_mpi::PhaseControl` itself;
 # - when `DensityProfile` stops storing each column once: a non-test line
@@ -123,11 +129,11 @@ calls() {
         !in_tests && !/^[ \t]*\/\// && !/fn / && index($0, call) { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
     ' $(find crates/core/src -name '*.rs')
 }
-for want in 'CoarseState::charged( 1' 'connect_all( 2' 'ChannelState::from_spans( 3'; do
+for want in 'CoarseState::charged( 1' 'connect_all( 2' 'ChannelState::from_spans( 3' '.add_span( 6'; do
     call=${want% *}
     sites=$(calls "$call")
     if [ "$(echo "$sites" | grep -c .)" -ne "${want#* }" ]; then
-        echo "surface: $call must have ${want#* } call site(s) under crates/core/src (the step bodies live in route::serial::RouteState):" >&2
+        echo "surface: $call must have ${want#* } call site(s) under crates/core/src (the step bodies live in route::serial::RouteState; span lists load through DensityProfile::load_spans):" >&2
         echo "$sites" >&2
         exit 1
     fi

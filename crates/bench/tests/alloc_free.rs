@@ -2,8 +2,9 @@
 //! off (a disabled shard is one branch, no bookkeeping) and the density
 //! profile's read path (the eval loops query it per candidate, so a
 //! single allocation there multiplies by every span of every sweep).
-//! And one that must not allocate *in proportion*: a modeled transfer's
-//! heap bytes are independent of the size it models.
+//! And two that must not allocate *in proportion*: the profiles' bulk load
+//! makes the same allocations however many spans it loads, and a modeled
+//! transfer's heap bytes are independent of the size it models.
 //! This runs as a harness-less test (`harness = false` in Cargo.toml):
 //! the libtest harness spawns helper threads whose own allocations would
 //! race the process-wide counter, so the check must be the only thread
@@ -112,14 +113,14 @@ fn main() {
 
     // The density profile's read path: `counts()` allocates a fresh
     // vector per call, `counts_into` fills a caller-owned buffer — along
-    // with the point/range queries it must stay allocation-free no
-    // matter how the lazy tree has been exercised.
+    // with the point/range queries and the updates it must stay
+    // allocation-free whatever adds are pending in the tree.
     let mut p = DensityProfile::new(4096);
     for i in 0..500i64 {
         p.add_span((i * 7) % 4000, (i * 7) % 4000 + 60, 1);
     }
     let mut out = vec![0i64; p.width()];
-    p.counts_into(&mut out); // warm: flush any one-time laziness
+    p.counts_into(&mut out);
     let before = allocs();
     for i in 0..1_000i64 {
         p.add_span((i * 11) % 4000, (i * 11) % 4000 + 30, 1);
@@ -136,6 +137,21 @@ fn main() {
         before,
         "density profile reads and updates must not allocate"
     );
+
+    // The bulk load stages its spans in the profiles' own vectors and
+    // shares one width-long scratch: the allocations it makes do not
+    // depend on how many spans it loads (nor, beyond that scratch, on how
+    // many profiles).
+    let load_allocs = |nspans: i64| {
+        let mut profiles = vec![DensityProfile::new(4096); 8];
+        let spans = (0..nspans).map(|i| ((i % 8) as usize, (i * 7) % 4000, (i * 7) % 4000 + 60, 1));
+        let before = allocs();
+        DensityProfile::load_spans(&mut profiles, spans);
+        std::hint::black_box(profiles[3].max());
+        allocs() - before
+    };
+    assert_eq!(load_allocs(0), 1, "the scratch, once for all profiles");
+    assert_eq!(load_allocs(10), load_allocs(50_000));
 
     // A modeled transfer and its receive move a fixed-size header: the
     // heap bytes they ask for do not depend on the size modeled, where

@@ -61,10 +61,11 @@ pub fn analyze(result: &RoutingResult) -> CongestionReport {
         .map(|_| DensityProfile::new(width as usize))
         .collect();
     let mut span_count = vec![0usize; nchan];
-    for s in &result.spans {
-        profiles[s.channel as usize].add_span(s.lo, s.hi, 1);
+    let spans = result.spans.iter().map(|s| {
         span_count[s.channel as usize] += 1;
-    }
+        (s.channel as usize, s.lo, s.hi, 1)
+    });
+    DensityProfile::load_spans(&mut profiles, spans);
     // One counts buffer reused across channels — the per-channel
     // allocation showed up on the analysis path for wide chips.
     let mut counts = vec![0i64; width as usize];

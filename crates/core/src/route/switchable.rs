@@ -57,6 +57,13 @@ fn drop_conflicts(remote: &mut [Vec<SpanDelta>], own: &[SpanDelta]) {
     }
 }
 
+/// Position of `channel` in a state over `chan0 ..= chan0 + n - 1`.
+fn chan_idx(chan0: u32, n: usize, channel: u32) -> usize {
+    let i = channel.checked_sub(chan0).expect("channel below range") as usize;
+    assert!(i < n, "channel {channel} above range");
+    i
+}
+
 /// Column-resolution congestion over channels `chan0 ..= chan0 + n - 1`.
 pub struct ChannelState {
     chan0: u32,
@@ -80,15 +87,15 @@ impl ChannelState {
     }
 
     /// How every driver builds its channel state — the one place a span
-    /// list becomes column densities. In modeled order: the empty
-    /// `(chan0, nchannels, width)` state goes on `comm`'s memory account;
-    /// `spans` runs (Connect passes route in it — the spans do not exist
-    /// before, and the budget polls of the connect loop must already see
-    /// the allocation); what it yields is applied under one
-    /// `compute(SPAN_APPLY · spans + extra_ops)` charge (two charges
-    /// round differently in `f64`). `replicated` makes it one copy of a
-    /// state every rank holds: delta logging starts before the load, so
-    /// the loaded spans are the first deltas [`optimize`] synchronizes.
+    /// list becomes column densities, in one [`DensityProfile::load_spans`].
+    /// In modeled order: the empty `(chan0, nchannels, width)` state goes
+    /// on `comm`'s memory account; `spans` runs (Connect passes route in
+    /// it — the spans do not exist before, and the budget polls of the
+    /// connect loop must already see the allocation); what it yields is
+    /// charged as one `compute(SPAN_APPLY · spans + extra_ops)` (two
+    /// charges round differently in `f64`). `replicated` makes it one copy
+    /// of a state every rank holds: delta logging starts before the load,
+    /// so the loaded spans are the first deltas [`optimize`] synchronizes.
     pub(crate) fn from_spans<'s>(
         (chan0, nchannels, width): (u32, usize, i64),
         replicated: bool,
@@ -101,9 +108,11 @@ impl ChannelState {
         chans.log = replicated.then(Vec::new);
         let spans = spans(comm);
         comm.compute(cost::SPAN_APPLY * spans.len() as u64 + extra_ops);
-        for s in spans {
-            chans.add_span(s, 1);
-        }
+        // Span by span, as `add_span` logs: how the log grows is part of
+        // the measured peak heap.
+        spans.iter().for_each(|s| chans.record(s, &[1]));
+        let placed = |s: &Span| (chan_idx(chan0, nchannels, s.channel), s.lo, s.hi, 1);
+        DensityProfile::load_spans(&mut chans.profiles, spans.iter().map(placed));
         chans
     }
 
@@ -115,11 +124,7 @@ impl ChannelState {
     }
 
     fn idx(&self, channel: u32) -> usize {
-        let i = channel
-            .checked_sub(self.chan0)
-            .expect("channel below range") as usize;
-        assert!(i < self.profiles.len(), "channel {channel} above range");
-        i
+        chan_idx(self.chan0, self.profiles.len(), channel)
     }
 
     pub fn covers(&self, channel: u32) -> bool {
@@ -130,14 +135,7 @@ impl ChannelState {
     pub fn add_span(&mut self, span: &Span, sign: i32) {
         let i = self.idx(span.channel);
         self.profiles[i].add_span(span.lo, span.hi, sign as i64);
-        if let Some(log) = &mut self.log {
-            log.push(SpanDelta {
-                chan: span.channel,
-                lo: span.lo,
-                hi: span.hi,
-                sign,
-            });
-        }
+        self.record(span, &[sign]);
     }
 
     /// Peak density of a channel.
@@ -156,13 +154,10 @@ impl ChannelState {
         self.profiles[self.idx(channel)].counts()
     }
 
-    /// Record the remove/re-insert delta pair the optimizer historically
-    /// emitted for a span it evaluated but did not move. The replicated
-    /// delta stream (net-wise sync, §5) must stay byte-identical whether or
-    /// not the local sweep short-circuits the tree mutation.
-    fn log_touch(&mut self, span: &Span) {
+    /// On a replicated state, log `span` as added with each of `signs`.
+    fn record(&mut self, span: &Span, signs: &[i32]) {
         if let Some(log) = &mut self.log {
-            log.extend([-1, 1].map(|sign| SpanDelta {
+            log.extend(signs.iter().map(|&sign| SpanDelta {
                 chan: span.channel,
                 lo: span.lo,
                 hi: span.hi,
@@ -297,7 +292,11 @@ fn optimize_slice(
             spans[i as usize].channel = other;
             chans.add_span(&spans[i as usize], 1);
         } else {
-            chans.log_touch(&span);
+            // The remove / re-insert pair the optimizer historically emitted
+            // for a span it scored but did not move: the replicated delta
+            // stream (net-wise sync, §5) stays byte-identical whether or not
+            // the sweep short-circuits the tree mutation.
+            chans.record(&span, &[-1, 1]);
         }
     }
     comm.compute(ops);
@@ -476,6 +475,61 @@ mod tests {
             assert_eq!(a.channel_max(c), b.channel_max(c), "channel {c}");
         }
         assert!(a.take_deltas().is_empty(), "drained");
+    }
+
+    /// Seeded spans on channels 2..=5 of a 40-column chip, some reaching
+    /// past either edge.
+    fn seeded_spans(n: usize) -> Vec<Span> {
+        let mut rng = rng_from_seed(0x10AD);
+        (0..n)
+            .map(|_| {
+                let lo = rng.gen_range(-5..44i64);
+                span(
+                    rng.gen_range(2..6u32),
+                    lo,
+                    lo + rng.gen_range(0..30i64),
+                    None,
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn from_spans_is_new_plus_add_span_per_span() {
+        let spans = seeded_spans(200);
+        let (shape, extra_ops) = ((2, 4, 40), 77);
+        for replicated in [false, true] {
+            let mut comm = Comm::solo(MachineModel::sparc_center_1000());
+            let built =
+                ChannelState::from_spans(shape, replicated, extra_ops, &mut comm, |_| &spans);
+
+            let mut ref_comm = Comm::solo(MachineModel::sparc_center_1000());
+            let mut reference = ChannelState::new(shape.0, shape.1, shape.2);
+            ref_comm.charge_alloc(reference.modeled_bytes());
+            reference.log = replicated.then(Vec::new);
+            ref_comm.compute(cost::SPAN_APPLY * spans.len() as u64 + extra_ops);
+            for s in &spans {
+                reference.add_span(s, 1);
+            }
+
+            assert_eq!(built.densities(), reference.densities());
+            for c in 2..6 {
+                assert_eq!(built.counts(c), reference.counts(c), "channel {c}");
+            }
+            assert_eq!(built.log, reference.log, "replicated = {replicated}");
+            assert_eq!(built.log.as_ref().map(Vec::len), replicated.then_some(200));
+            assert_eq!(built.modeled_bytes(), reference.modeled_bytes());
+            assert!(comm.now() > 0.0, "the load is charged");
+            assert_eq!(comm.now(), ref_comm.now());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "channel 6 above range")]
+    fn from_spans_rejects_a_span_outside_the_state() {
+        let mut spans = seeded_spans(10);
+        spans.push(span(6, 0, 3, None));
+        ChannelState::from_spans((2, 4, 40), false, 0, &mut comm(), |_| &spans);
     }
 
     #[test]

@@ -19,6 +19,20 @@
 //! holds `max(left, right) + pending`: the pending add is the node minus
 //! its larger child, and a second per-node vector would only repeat it.
 //! Nothing is pushed down, which is why queries take `&self`.
+//!
+//! **Bulk load.** Loading a span list one [`DensityProfile::add_span`] at
+//! a time costs O(log W) a span, into a tree that is empty.
+//! [`DensityProfile::load_spans`] stages each span in O(1) as a difference
+//! (`+delta` at `lo`, `−delta` past `hi`) in the first `W` slots of the
+//! profile's own vector — free while the profile is all zero — then, per
+//! profile, one prefix sum moves the column densities into a `W`-long
+//! scratch shared by every profile of the call, and one pass (`settle`)
+//! writes each leaf its column and each internal node the larger of its
+//! children. A node that holds exactly `max(left, right)` has no add
+//! pending, so the loaded profile answers every later update and query as
+//! the span-by-span one does: their nodes may differ, their columns do not.
+//! [`DensityProfile::merge_counts`] is the same pass over a profile that is
+//! not empty, carrying each node's pending add down to the leaves on the way.
 
 /// A density profile over columns `0..width`.
 ///
@@ -124,18 +138,50 @@ impl DensityProfile {
         self.collect(0, 0, self.width - 1, 0, out);
     }
 
-    /// Pointwise-add another profile's counts into this one.
-    /// Both profiles must have the same width.
+    /// Pointwise-add another profile's counts into this one, in one
+    /// O(width) pass. Both profiles must have the same width.
     pub fn merge_counts(&mut self, counts: &[i64]) {
         assert_eq!(
             counts.len(),
             self.width,
             "merging mismatched profile widths"
         );
-        for (col, &c) in counts.iter().enumerate() {
-            if c != 0 {
-                self.add_span(col as i64, col as i64, c);
+        self.settle(0, 0, self.width - 1, 0, counts);
+    }
+
+    /// Add every `(profile, lo, hi, delta)` of `spans` to `profiles`, all of
+    /// them empty (as [`Self::new`] leaves them): the profiles one
+    /// [`Self::add_span`] per span would give, clamping and all, in
+    /// O(spans + Σ width) and one allocation, the size of the widest
+    /// profile's columns (see the module doc). A `profile` index out of
+    /// range panics.
+    pub fn load_spans(
+        profiles: &mut [DensityProfile],
+        spans: impl IntoIterator<Item = (usize, i64, i64, i64)>,
+    ) {
+        debug_assert!(
+            profiles.iter().all(|p| p.tree.iter().all(|&v| v == 0)),
+            "load_spans needs empty profiles"
+        );
+        for (i, lo, hi, delta) in spans {
+            let p = &mut profiles[i];
+            if let Some((lo, hi)) = p.clamp(lo, hi) {
+                p.tree[lo] += delta;
+                if hi + 1 < p.width {
+                    p.tree[hi + 1] -= delta;
+                }
             }
+        }
+        let widest = profiles.iter().map(|p| p.width).max().unwrap_or(0);
+        let mut scratch = vec![0i64; widest];
+        for p in profiles {
+            let counts = &mut scratch[..p.width];
+            let mut density = 0;
+            for (diff, count) in p.tree.iter_mut().zip(counts.iter_mut()) {
+                density += std::mem::take(diff);
+                *count = density;
+            }
+            p.settle(0, 0, p.width - 1, 0, counts);
         }
     }
 
@@ -147,6 +193,23 @@ impl DensityProfile {
         let (left, right) = (node + 1, node + 2 * (mid - nlo + 1));
         let pending = self.tree[node] - self.tree[left].max(self.tree[right]);
         (mid, left, right, pending)
+    }
+
+    /// Rebuild the subtree of `node` over `nlo..=nhi` with no add pending
+    /// anywhere in it: every leaf takes `acc` (the adds pending above it),
+    /// the adds pending on its way down and `add[column]`, every internal
+    /// node the larger of its children. Returns the node's new maximum.
+    fn settle(&mut self, node: usize, nlo: usize, nhi: usize, acc: i64, add: &[i64]) -> i64 {
+        let max = if nlo == nhi {
+            self.tree[node] + acc + add[nlo]
+        } else {
+            let (mid, left, right, pending) = self.split(node, nlo, nhi);
+            let l = self.settle(left, nlo, mid, acc + pending, add);
+            let r = self.settle(right, mid + 1, nhi, acc + pending, add);
+            l.max(r)
+        };
+        self.tree[node] = max;
+        max
     }
 
     fn update(&mut self, node: usize, nlo: usize, nhi: usize, lo: usize, hi: usize, delta: i64) {
@@ -375,6 +438,145 @@ mod tests {
             assert_eq!(p.tree.len(), 2 * width - 1, "width {width}");
             assert_eq!(p.tree.capacity(), p.tree.len(), "width {width}");
         }
+    }
+
+    /// Every observable of `a` equals `b`'s: the peak, each column, the
+    /// materialized counts, and unclamped `max_in` / `max_if_added` probes.
+    fn assert_same_observables(a: &DensityProfile, b: &DensityProfile, seed: u64, ctx: &str) {
+        let mut rng = crate::rng::rng_from_seed(seed);
+        let w = a.width() as i64;
+        assert_eq!(a.width(), b.width(), "{ctx}");
+        assert_eq!(a.max(), b.max(), "{ctx}");
+        assert_eq!(a.counts(), b.counts(), "{ctx}");
+        for col in 0..a.width() {
+            assert_eq!(a.at(col), b.at(col), "{ctx} column {col}");
+        }
+        for _ in 0..64 {
+            let lo = rng.gen_range(-w - 2..=2 * w + 2);
+            let hi = rng.gen_range(-w - 2..=2 * w + 2);
+            assert_eq!(a.max_in(lo, hi), b.max_in(lo, hi), "{ctx} [{lo}, {hi}]");
+            assert_eq!(
+                a.max_if_added(lo, hi),
+                b.max_if_added(lo, hi),
+                "{ctx} [{lo}, {hi}]"
+            );
+        }
+    }
+
+    /// Seeded spans over three profiles of `width` columns: clamped at
+    /// either end, inverted, single-column, fully out of range, and of
+    /// zero and negative delta.
+    fn seeded_spans(width: usize, seed: u64, n: usize) -> Vec<(usize, i64, i64, i64)> {
+        let mut rng = crate::rng::rng_from_seed(seed);
+        let w = width as i64;
+        (0..n)
+            .map(|k| {
+                let lo = rng.gen_range(-w - 2..=2 * w + 2);
+                let hi = match k % 4 {
+                    0 => lo, // single column (or none, out of range)
+                    _ => rng.gen_range(-w - 2..=2 * w + 2),
+                };
+                (rng.gen_range(0..3usize), lo, hi, rng.gen_range(-2..=3i64))
+            })
+            .collect()
+    }
+
+    /// The bulk load is the `add_span` loop: same observables right after
+    /// it, and — what catches a node left with a pending add, or a staged
+    /// difference left behind — after a further round of adds and
+    /// removals, a `merge_counts`, and another round, applied to both.
+    #[test]
+    fn load_spans_matches_the_add_span_loop() {
+        for width in WIDTHS {
+            let seed = 0xB01C_0000 + width as u64;
+            let fresh = || vec![DensityProfile::new(width); 3];
+            let spans = seeded_spans(width, seed, 300);
+            let w = width as i64;
+            type Kind = fn(i64, i64, i64, i64) -> bool;
+            let kinds: [(&str, Kind); 6] = [
+                ("clamped", |w, lo, hi, _| lo < 0 && (0..w).contains(&hi)),
+                ("inverted", |_, lo, hi, _| lo > hi),
+                ("single-column", |w, lo, hi, _| {
+                    lo == hi && (0..w).contains(&lo)
+                }),
+                ("out-of-range", |w, lo, hi, _| {
+                    lo.min(hi) >= w || lo.max(hi) < 0
+                }),
+                ("zero-delta", |_, _, _, delta| delta == 0),
+                ("negative-delta", |_, _, _, delta| delta < 0),
+            ];
+            for (kind, is) in kinds {
+                assert!(
+                    spans.iter().any(|&(_, lo, hi, delta)| is(w, lo, hi, delta)),
+                    "width {width}: no {kind} span in the seeded set"
+                );
+            }
+            let (mut bulk, mut looped) = (fresh(), fresh());
+            DensityProfile::load_spans(&mut bulk, spans.iter().copied());
+            for &(i, lo, hi, delta) in &spans {
+                looped[i].add_span(lo, hi, delta);
+            }
+            let same = |bulk: &[DensityProfile], looped: &[DensityProfile], stage: &str| {
+                for (i, (a, b)) in bulk.iter().zip(looped).enumerate() {
+                    assert_same_observables(
+                        a,
+                        b,
+                        seed + i as u64,
+                        &format!("width {width} profile {i} {stage}"),
+                    );
+                }
+            };
+            same(&bulk, &looped, "after the load");
+            // Nothing pending anywhere in a loaded profile: each internal
+            // node is exactly the larger of its children.
+            for p in &bulk {
+                let mut stack = vec![(0, 0, width - 1)];
+                while let Some((node, nlo, nhi)) = stack.pop() {
+                    if nlo < nhi {
+                        let (mid, left, right, pending) = p.split(node, nlo, nhi);
+                        assert_eq!(pending, 0, "width {width} node {node}");
+                        stack.extend([(left, nlo, mid), (right, mid + 1, nhi)]);
+                    }
+                }
+            }
+            for (round, stage) in ["after more adds", "after the merge and more adds"]
+                .iter()
+                .enumerate()
+            {
+                if round == 1 {
+                    // The reference merge is the point-update loop
+                    // `merge_counts` used to be.
+                    let counts: Vec<i64> = (0..width as i64).map(|c| (c * 7 + 3) % 5 - 2).collect();
+                    for (a, b) in bulk.iter_mut().zip(looped.iter_mut()) {
+                        a.merge_counts(&counts);
+                        for (col, &c) in counts.iter().enumerate() {
+                            b.add_span(col as i64, col as i64, c);
+                        }
+                    }
+                    same(&bulk, &looped, "after the merge");
+                }
+                for &(i, lo, hi, delta) in &seeded_spans(width, seed + 17 + round as u64, 120) {
+                    bulk[i].add_span(lo, hi, delta);
+                    looped[i].add_span(lo, hi, delta);
+                }
+                same(&bulk, &looped, stage);
+            }
+        }
+    }
+
+    #[test]
+    fn load_spans_of_nothing_leaves_empty_profiles() {
+        let mut ps = vec![DensityProfile::new(5), DensityProfile::new(1)];
+        DensityProfile::load_spans(&mut ps, []);
+        assert!(ps.iter().all(|p| p.tree.iter().all(|&v| v == 0)));
+        DensityProfile::load_spans(&mut [], []);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn load_spans_rejects_a_profile_out_of_range() {
+        let mut ps = vec![DensityProfile::new(4); 2];
+        DensityProfile::load_spans(&mut ps, [(2, 0, 1, 1)]);
     }
 
     /// Property check against a naive dense model: random spans (including
