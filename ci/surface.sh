@@ -47,6 +47,14 @@
 #   `next_power_of_two` is a second per-node vector, or the padding to a
 #   power of two, coming back (the pending add is derived from the node
 #   and its children; the tree is `2 * width - 1` nodes for any width).
+# - when Connect's kernel enumerates pairs or allocates per net again: a
+#   non-test line of crates/geom/src/mst.rs that names `Vec<Vec<` or
+#   `buckets` is the row-bucketed every-pair scan coming back (the
+#   candidates are fewer than 3n, found in one pass over the sorted
+#   nodes), and a non-test line of crates/core/src/route/connect.rs that
+#   constructs a vector (`Vec::new()`, `Vec::with_capacity(`, `vec![`) is
+#   a per-net allocation unless it is `connect_all`'s one output (every
+#   other buffer lives in `ConnectArena`).
 set -eu
 cd "$(dirname "$0")/.."
 MAX_FILE=1000
@@ -153,6 +161,26 @@ twice_stored=$(awk '
 if [ -n "$twice_stored" ]; then
     echo "surface: DensityProfile is one vector of 2 * width - 1 nodes (derive the pending add; no padding):" >&2
     echo "$twice_stored" >&2
+    exit 1
+fi
+
+every_pair=$(awk '
+    /^#\[cfg\(test\)\]/ { exit }
+    /Vec<Vec<|buckets/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+' crates/geom/src/mst.rs)
+if [ -n "$every_pair" ]; then
+    echo "surface: mst_adjacency_limited works on column heads in one sorted pass (no row buckets, no nested vectors):" >&2
+    echo "$every_pair" >&2
+    exit 1
+fi
+
+per_net=$(awk '
+    /^#\[cfg\(test\)\]/ { exit }
+    /Vec::new\(\)|Vec::with_capacity\(|vec!\[/ && !/let \(mut spans, mut wirelength\) = \(Vec::with_capacity\(edges\), 0\);/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+' crates/core/src/route/connect.rs)
+if [ -n "$per_net" ]; then
+    echo "surface: route/connect.rs constructs one vector, the output of connect_all (per-net buffers live in ConnectArena):" >&2
+    echo "$per_net" >&2
     exit 1
 fi
 

@@ -4,7 +4,9 @@
 //! single allocation there multiplies by every span of every sweep).
 //! And two that must not allocate *in proportion*: the profiles' bulk load
 //! makes the same allocations however many spans it loads, and a modeled
-//! transfer's heap bytes are independent of the size it models.
+//! transfer's heap bytes are independent of the size it models. And one
+//! that must not allocate once warm: Connect's per-net kernel, whose
+//! every buffer lives in the caller's `ConnectArena`.
 //! This runs as a harness-less test (`harness = false` in Cargo.toml):
 //! the libtest harness spawns helper threads whose own allocations would
 //! race the process-wide counter, so the check must be the only thread
@@ -13,6 +15,8 @@
 use pgr_geom::DensityProfile;
 use pgr_mpi::{ClockMode, Comm, MachineModel, Phase};
 use pgr_obs::MetricsConfig;
+use pgr_router::route::connect::{connect_net_with, ConnectArena};
+use pgr_router::route::state::{Node, WorkNet};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -152,6 +156,35 @@ fn main() {
     };
     assert_eq!(load_allocs(0), 1, "the scratch, once for all profiles");
     assert_eq!(load_allocs(10), load_allocs(50_000));
+
+    // Connect: a first pass grows the arena to the largest net and the
+    // span vector to its final length; a second pass over the same nets,
+    // through the same arena into the same (cleared) vector, allocates
+    // nothing — sort, candidates, union-find and tree are all in place.
+    let works: Vec<WorkNet> = (0..200u32)
+        .map(|k| WorkNet {
+            net: pgr_circuit::NetId(k),
+            nodes: (0..2 + (k * 37) % 90)
+                .map(|i| Node::fake(((i * 13 + k) % 41) as i64, (i * 7 + k) % 6))
+                .collect(),
+        })
+        .collect();
+    let mut comm = Comm::solo(MachineModel::ideal());
+    let mut arena = ConnectArena::default();
+    let mut spans = Vec::new();
+    let mut pass = |spans: &mut Vec<_>| -> u64 {
+        spans.clear();
+        works
+            .iter()
+            .map(|w| connect_net_with(w, &mut comm, &mut arena, spans).0)
+            .sum()
+    };
+    let warm = pass(&mut spans);
+    assert!(warm > 0 && !spans.is_empty());
+    let before = allocs();
+    let again = pass(&mut spans);
+    assert_eq!(allocs(), before, "a warm Connect pass must not allocate");
+    assert_eq!(again, warm);
 
     // A modeled transfer and its receive move a fixed-size header: the
     // heap bytes they ask for do not depend on the size modeled, where

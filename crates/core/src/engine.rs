@@ -151,7 +151,7 @@ pub(crate) struct RouteCtx<'a> {
 impl<'a> RouteCtx<'a> {
     /// Derive the context of logical rank `rank` for one attempt over a
     /// world of `size` ranks.
-    fn new(
+    pub(crate) fn new(
         circuit: &'a Circuit,
         cfg: &'a RouterConfig,
         kind: PartitionKind,

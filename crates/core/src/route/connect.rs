@@ -14,29 +14,20 @@
 use crate::cost;
 use crate::metrics::ROW_HEIGHT;
 use crate::route::state::{ChannelPref, Node, Span, WorkNet};
-use pgr_geom::{mst_adjacency_limited, Point};
+use pgr_geom::{LimitedMstScratch, Point};
 use pgr_mpi::Comm;
 
-/// The routed form of one work net.
-#[derive(Debug, Clone)]
-pub struct Connection {
-    pub spans: Vec<Span>,
-    pub wirelength: u64,
-    /// Whether the restricted MST spanned all nodes. Whole nets must
-    /// span; a sub-net fragment may legitimately be a forest (its
-    /// components meet through fake pins on other ranks).
-    pub spanning: bool,
-}
-
 /// Reusable per-net scratch for [`connect_net_with`]: the sorted node
-/// copy and the point/row views handed to the MST. One arena serves
-/// every net a rank connects — the buffers grow to the largest net seen
-/// and stay allocated, instead of three fresh vectors per net.
+/// copy, the point/row views handed to the MST and the MST's own
+/// buffers. One arena serves every net a rank connects — everything
+/// grows to the largest net seen and stays allocated, so a net costs no
+/// allocation once the arena is warm.
 #[derive(Debug, Default)]
 pub struct ConnectArena {
     nodes: Vec<Node>,
     points: Vec<Point>,
     rows: Vec<i64>,
+    mst: LimitedMstScratch,
 }
 
 /// The Connect-phase loop every driver runs: connect each of `works` in
@@ -52,35 +43,42 @@ pub(crate) fn connect_all(
     comm: &mut Comm,
 ) -> (Vec<Span>, u64) {
     let mut arena = ConnectArena::default();
-    let (mut spans, mut wirelength) = (Vec::new(), 0);
+    // A tree of n nodes has at most n - 1 edges and an edge at most one
+    // span: sized once, the vector never moves, and it ends within a few
+    // per cent of full (only zero-extent edges leave no span).
+    let edges = works.iter().map(|w| w.nodes.len().saturating_sub(1)).sum();
+    let (mut spans, mut wirelength) = (Vec::with_capacity(edges), 0);
     for w in works {
         if comm.budget_poll_abort() {
             break;
         }
-        let conn = connect_net_with(w, comm, &mut arena);
+        let (length, spanning) = connect_net_with(w, comm, &mut arena, &mut spans);
         debug_assert!(
-            conn.spanning || !whole_nets,
+            spanning || !whole_nets,
             "whole net {} must span after feedthrough assignment",
             w.net
         );
-        wirelength += conn.wirelength;
-        spans.extend(conn.spans);
+        wirelength += length;
     }
     (spans, wirelength)
 }
 
-/// Connect one work net. Nodes must already be at their post-insertion
-/// positions and include the net's assigned feedthroughs. The scratch is
-/// caller-owned — the Connect-phase loops pass one [`ConnectArena`]
-/// across all of their nets.
-pub fn connect_net_with(work: &WorkNet, comm: &mut Comm, arena: &mut ConnectArena) -> Connection {
+/// Connect one work net: append its spans to `spans` and return its
+/// wirelength and whether the restricted MST spanned all nodes. Whole
+/// nets must span; a sub-net fragment may legitimately be a forest (its
+/// components meet through fake pins on other ranks). Nodes must already
+/// be at their post-insertion positions and include the net's assigned
+/// feedthroughs. The scratch is caller-owned — the Connect-phase loops
+/// pass one [`ConnectArena`] across all of their nets.
+pub fn connect_net_with(
+    work: &WorkNet,
+    comm: &mut Comm,
+    arena: &mut ConnectArena,
+    spans: &mut Vec<Span>,
+) -> (u64, bool) {
     let n = work.nodes.len();
     if n < 2 {
-        return Connection {
-            spans: Vec::new(),
-            wirelength: 0,
-            spanning: true,
-        };
+        return (0, true);
     }
     // Canonical node order: the result must not depend on which rank
     // assembled the node list or in what order fragments arrived.
@@ -89,9 +87,11 @@ pub fn connect_net_with(work: &WorkNet, comm: &mut Comm, arena: &mut ConnectAren
     arena.nodes.sort_unstable_by_key(|nd| nd.sort_key());
     let nodes = &arena.nodes;
 
-    // Charge the candidate-edge work the bucketed Kruskal actually does:
-    // same-row pairs plus adjacent-row pairs. Nodes are sorted by row,
-    // so one run-length scan yields the per-row counts.
+    // Charge the candidate-edge work of the 1997 scan the clock models:
+    // every same-row pair plus every adjacent-row pair. The host looks at
+    // fewer than 3n of them (`LimitedMstScratch::build`); the two are
+    // allowed to differ. Nodes are sorted by row, so one run-length scan
+    // yields the per-row counts.
     let mut cand: u64 = 0;
     let mut prev: Option<(u32, u64)> = None;
     let mut i = 0;
@@ -119,11 +119,10 @@ pub fn connect_net_with(work: &WorkNet, comm: &mut Comm, arena: &mut ConnectAren
         .extend(nodes.iter().map(|nd| Point::new(nd.x, nd.row as i64)));
     arena.rows.clear();
     arena.rows.extend(nodes.iter().map(|nd| nd.row as i64));
-    let mst = mst_adjacency_limited(&arena.points, &arena.rows);
+    let (edges, spanning) = arena.mst.build(&arena.points, &arena.rows);
 
-    let mut spans = Vec::with_capacity(mst.edges.len());
     let mut wirelength = 0u64;
-    for e in &mst.edges {
+    for e in edges {
         let a = &nodes[e.a as usize];
         let b = &nodes[e.b as usize];
         let (lo, hi) = (a.x.min(b.x), a.x.max(b.x));
@@ -168,11 +167,7 @@ pub fn connect_net_with(work: &WorkNet, comm: &mut Comm, arena: &mut ConnectAren
             });
         }
     }
-    Connection {
-        spans,
-        wirelength,
-        spanning: mst.spanning,
-    }
+    (wirelength, spanning)
 }
 
 #[cfg(test)]
@@ -186,9 +181,26 @@ mod tests {
         Comm::solo(MachineModel::ideal())
     }
 
+    /// One net's spans, wirelength and whether its tree spanned.
+    struct Connection {
+        spans: Vec<Span>,
+        wirelength: u64,
+        spanning: bool,
+    }
+
+    fn connect_in(work: &WorkNet, comm: &mut Comm, arena: &mut ConnectArena) -> Connection {
+        let mut spans = Vec::new();
+        let (wirelength, spanning) = connect_net_with(work, comm, arena, &mut spans);
+        Connection {
+            spans,
+            wirelength,
+            spanning,
+        }
+    }
+
     /// Connect `nodes` as one net on a fresh comm with fresh scratch.
     fn connect(nodes: Vec<Node>) -> Connection {
-        connect_net_with(&work(nodes), &mut comm(), &mut ConnectArena::default())
+        connect_in(&work(nodes), &mut comm(), &mut ConnectArena::default())
     }
 
     fn work(nodes: Vec<Node>) -> WorkNet {
@@ -290,16 +302,16 @@ mod tests {
             .map(|i| Node::fake((i * 5) % 31, (i % 3) as u32))
             .collect();
         let mut arena = ConnectArena::default();
-        connect_net_with(&work(big), &mut comm(), &mut arena);
+        connect_in(&work(big), &mut comm(), &mut arena);
 
         let mut fresh = comm();
-        let want = connect_net_with(
+        let want = connect_in(
             &work(small.clone()),
             &mut fresh,
             &mut ConnectArena::default(),
         );
         let mut reused = comm();
-        let got = connect_net_with(&work(small), &mut reused, &mut arena);
+        let got = connect_in(&work(small), &mut reused, &mut arena);
         assert_eq!(got.spans, want.spans);
         assert_eq!(got.wirelength, want.wirelength);
         assert_eq!(got.spanning, want.spanning);
@@ -319,5 +331,124 @@ mod tests {
         let b = connect(nodes);
         assert_eq!(a.spans, b.spans);
         assert_eq!(a.wirelength, b.wirelength);
+    }
+
+    /// Step 4 as it was before the kernel pruned its candidates, written
+    /// out independently: every same-row and adjacent-row pair of the
+    /// canonically ordered nodes (lower row first, then lower index),
+    /// charged, sorted once by `(weight, a, b)` and run through one
+    /// Kruskal pass, each accepted edge materialised on the spot.
+    fn reference_connect(work: &WorkNet, comm: &mut Comm, spans: &mut Vec<Span>) -> u64 {
+        let mut nodes = work.nodes.clone();
+        let n = nodes.len();
+        if n < 2 {
+            return 0;
+        }
+        nodes.sort_unstable_by_key(Node::sort_key);
+        let mut pairs = Vec::new();
+        for (a, na) in nodes.iter().enumerate() {
+            for (b, nb) in nodes.iter().enumerate() {
+                if (na.row == nb.row && a < b) || na.row + 1 == nb.row {
+                    pairs.push((na.x.abs_diff(nb.x) + (nb.row - na.row) as u64, a, b));
+                }
+            }
+        }
+        comm.compute(cost::CONNECT_PAIR * pairs.len() as u64 + cost::MST_NODE * n as u64);
+        pairs.sort_unstable();
+        let mut uf = pgr_geom::UnionFind::new(n);
+        let mut wirelength = 0;
+        for (_, a, b) in pairs {
+            if !uf.union(a, b) {
+                continue;
+            }
+            let (a, b) = (&nodes[a], &nodes[b]);
+            let (lo, hi) = (a.x.min(b.x), a.x.max(b.x));
+            wirelength += (hi - lo) as u64 + ((b.row - a.row) * ROW_HEIGHT as u32) as u64;
+            if lo == hi {
+                continue;
+            }
+            let either = |pref| a.pref == pref || b.pref == pref;
+            let (channel, switch_row) = if a.row != b.row {
+                (b.row, None)
+            } else if a.switchable() && b.switchable() {
+                (a.row, Some(a.row))
+            } else {
+                (a.row + either(ChannelPref::Upper) as u32, None)
+            };
+            spans.push(Span {
+                net: work.net,
+                channel,
+                lo,
+                hi,
+                switch_row,
+            });
+        }
+        wirelength
+    }
+
+    #[test]
+    fn connect_all_equals_the_all_pairs_reference() {
+        use crate::route::serial::works_after_feedthrough;
+        use pgr_circuit::{generate, GeneratorConfig};
+
+        let mut gen = GeneratorConfig::small("connect-freeze", 11);
+        gen.clock_nets = vec![220];
+        let circuit = generate(&gen);
+        let mut works = works_after_feedthrough(&circuit, &crate::RouterConfig::with_seed(5));
+        assert!(works.iter().any(|w| w.nodes.len() > 220), "the clock net");
+        // Coincident nodes that differ in `pref` or `kind`: which of them
+        // the tree attaches decides the channel of the span to the third
+        // node, so these pin the tie rule, not just the tree's weight.
+        let (upper, lower, either) = (ChannelPref::Upper, ChannelPref::Lower, ChannelPref::Either);
+        for nodes in [
+            vec![
+                Node::pin(0, 5, 2, upper),
+                Node::pin(1, 5, 2, either),
+                Node::fake(9, 2),
+            ],
+            vec![
+                Node::pin(0, 5, 2, either),
+                Node::pin(1, 5, 2, upper),
+                Node::fake(9, 2),
+            ],
+            vec![
+                Node::pin(3, 5, 2, lower),
+                Node::feedthrough(5, 2),
+                Node::fake(1, 2),
+            ],
+            vec![
+                Node::pin(0, 4, 1, upper),
+                Node::feedthrough(4, 1),
+                Node::steiner(4, 1),
+                Node::feedthrough(4, 2),
+                Node::pin(1, 4, 2, lower),
+                Node::fake(7, 1),
+                Node::fake(7, 2),
+            ],
+        ] {
+            works.push(work(nodes));
+        }
+
+        let (mut got_comm, mut want_comm) = (comm(), comm());
+        let (got_spans, got_length) = connect_all(&works, true, &mut got_comm);
+        let mut want_spans = Vec::new();
+        let mut want_length = 0;
+        for w in &works {
+            want_length += reference_connect(w, &mut want_comm, &mut want_spans);
+        }
+        let differs = got_spans.iter().zip(&want_spans).find(|(g, w)| g != w);
+        assert_eq!(differs, None, "first span that differs");
+        assert_eq!(got_spans.len(), want_spans.len());
+        assert_eq!(got_length, want_length);
+        assert_eq!(got_comm.now().to_bits(), want_comm.now().to_bits());
+        let tail: Vec<_> = got_spans[got_spans.len() - 4..]
+            .iter()
+            .map(|s| (s.channel, s.switch_row))
+            .collect();
+        assert_eq!(
+            tail,
+            [(3, None), (2, Some(2)), (2, None), (2, None)],
+            "the lowest sort key of a column is what the tree attaches"
+        );
     }
 }

@@ -333,6 +333,24 @@ impl Pipeline for SerialPipeline {
     }
 }
 
+/// The work nets Connect receives: the serial pipeline run up to and
+/// including the feedthrough pass.
+#[cfg(test)]
+pub(crate) fn works_after_feedthrough(circuit: &Circuit, cfg: &RouterConfig) -> Vec<WorkNet> {
+    let mut comm = Comm::solo(pgr_mpi::MachineModel::ideal());
+    let mut ctx = RouteCtx::new(circuit, cfg, PartitionKind::PinWeight, (1, 0));
+    let mut pipe = SerialPipeline::default();
+    for phase in [
+        Phase::Setup,
+        Phase::Steiner,
+        Phase::Coarse,
+        Phase::Feedthrough,
+    ] {
+        pipe.pass(phase, &mut ctx, &mut comm);
+    }
+    pipe.st.works
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -10,13 +10,18 @@
 //! * [`mst_adjacency_limited`] — MST where edges are only allowed between
 //!   nodes on the same or vertically adjacent rows (step 4: final
 //!   connection of pins and feedthroughs; a wire may only live in the
-//!   channel between the rows it connects). Kruskal over the restricted
-//!   edge set, one row's pairs in memory at a time. Feedthrough insertion
-//!   guarantees the restricted graph is
+//!   channel between the rows it connects). Kruskal, O(n log n): of the
+//!   admissible pairs only fewer than 3n can be in the tree — a column's
+//!   lowest index to the rest of its column, to the next column of its
+//!   row, and to the nearest unblocked column of the adjacent rows — and
+//!   only those are built and sorted ([`LimitedMstScratch::build`] has the
+//!   rule and why it returns the tree one sort of every pair would, tie
+//!   for tie). Feedthrough insertion guarantees the restricted graph is
 //!   connected; if it is not (a router bug), the function reports a forest.
 
 use crate::point::{manhattan, Point};
 use crate::unionfind::UnionFind;
+use std::cmp::Ordering;
 
 /// An MST edge between node indices `a` and `b` with rectilinear weight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,78 +96,178 @@ pub struct LimitedMst {
 }
 
 /// Kruskal MST where an edge `(i, j)` is admissible only if
-/// `|rows[i] - rows[j]| <= 1`. `rows[i]` is the row index of `points[i]`.
+/// `|rows[i] - rows[j]| <= 1`. `rows[i]` is the row index of `points[i]`,
+/// and the points of one row share a `y` that differs from the next
+/// row's (every caller passes `y = row`).
 ///
-/// Weights are rectilinear distances over `points`. Ties are broken by
-/// `(weight, a, b)` order, making the result deterministic.
+/// Weights are rectilinear distances over `points`. Edges are named
+/// lower row first, then lower index, and ties are broken by
+/// `(weight, a, b)` order, making the result deterministic: it is the
+/// list one sort of every admissible pair would pick, in that order.
+/// One-shot form of [`LimitedMstScratch::build`].
 pub fn mst_adjacency_limited(points: &[Point], rows: &[i64]) -> LimitedMst {
-    assert_eq!(points.len(), rows.len());
-    let n = points.len();
-    if n <= 1 {
-        return LimitedMst {
-            edges: Vec::new(),
-            spanning: true,
-        };
+    let mut scratch = LimitedMstScratch::default();
+    let (_, spanning) = scratch.build(points, rows);
+    LimitedMst {
+        edges: scratch.cand,
+        spanning,
     }
-    // Bucket node indices by row so candidate generation touches only
-    // same-row and adjacent-row pairs instead of all n² pairs.
-    let min_row = *rows.iter().min().expect("nonempty");
-    let max_row = *rows.iter().max().expect("nonempty");
-    let span = (max_row - min_row) as usize + 1;
-    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); span];
-    for (i, &r) in rows.iter().enumerate() {
-        buckets[(r - min_row) as usize].push(i as u32);
-    }
+}
 
-    // Kruskal in two rounds. An edge left out of the minimum spanning
-    // forest of a subgraph is the largest on a cycle there, so it is not
-    // in the forest of the whole graph either (`(weight, a, b)` is a
-    // strict order). Each row's block — its same-row pairs and its pairs
-    // with the next row — is reduced to its own forest first, and only
-    // those survivors, fewer than 2n, meet in the final round: the edges
-    // one sort of every pair would pick, in the same order, without ever
-    // holding every pair of a clock net at once (avq.large's largest:
-    // 6 370 nodes, 898 558 pairs, 14 MB; its largest block is 3 MB).
-    let key = |e: &MstEdge| (e.weight, e.a, e.b);
-    let edge = |a: u32, b: u32| MstEdge {
+/// The buffers of [`LimitedMstScratch::build`]. They grow to the largest
+/// net seen and stay allocated: a caller that keeps one across its nets
+/// pays no allocation per net.
+#[derive(Debug, Default)]
+pub struct LimitedMstScratch {
+    /// Node indices in `(row, x, index)` order.
+    order: Vec<u32>,
+    /// The column heads, in that order.
+    heads: Vec<u32>,
+    /// The candidate edges; after the Kruskal pass, the tree.
+    cand: Vec<MstEdge>,
+    uf: UnionFind,
+}
+
+impl LimitedMstScratch {
+    /// The tree of [`mst_adjacency_limited`] and whether it spans, the
+    /// edges borrowed from the scratch until the next build.
+    ///
+    /// Nodes of one row at one x form a *column group*; its *head* is
+    /// its lowest index. The candidates are
+    ///
+    /// 1. head to every other node of its group (weight 0),
+    /// 2. head to the head of the row's next group in x,
+    /// 3. for rows r and r + 1, a head of one to a head of the other when
+    ///    no third head of the two rows has its x in the closed interval
+    ///    between theirs (found by one merge of the two rows' heads)
+    ///
+    /// — fewer than 3n edges. Every other admissible edge is strictly the
+    /// largest of a triangle under `(weight, a, b)`, so it is in no
+    /// minimum spanning forest, and one Kruskal pass over the candidates
+    /// accepts what a pass over every pair would, in the same order:
+    ///
+    /// * `v` not a head, `h` its head, `u` any third node: `(h, v)` weighs
+    ///   0, and `(u, h)` weighs what `(u, v)` does and sorts before it,
+    ///   `h < v` being the only name that differs;
+    /// * two heads of one row with a head `c` of that row between them:
+    ///   `(a, c)` and `(c, b)` are both shorter;
+    /// * heads `a`, `b` of adjacent rows with such a third head `c`: of
+    ///   `(a, c)` and `(c, b)` one runs along a row and is shorter than
+    ///   `(a, b)` by the row hop at least, the other crosses and is
+    ///   shorter by the distance from `c` to the end in its own row.
+    ///
+    /// The first case is why ties are exact: coincident nodes weigh the
+    /// same to everything, so which of them the tree attaches is decided
+    /// by index alone, and the head is the index that wins.
+    pub fn build(&mut self, points: &[Point], rows: &[i64]) -> (&[MstEdge], bool) {
+        assert_eq!(points.len(), rows.len());
+        let n = points.len();
+        let LimitedMstScratch {
+            order,
+            heads,
+            cand,
+            uf,
+        } = self;
+        uf.reset(n); // also the bound that lets `n` name nodes in a u32
+        order.clear();
+        order.extend(0..n as u32);
+        order.sort_unstable_by_key(|&i| (rows[i as usize], points[i as usize].x, i));
+        debug_assert!(
+            order.windows(2).all(|w| {
+                let (a, b) = (w[0] as usize, w[1] as usize);
+                match rows[b].checked_sub(rows[a]) {
+                    Some(0) => points[a].y == points[b].y,
+                    Some(1) => points[a].y != points[b].y,
+                    _ => true,
+                }
+            }),
+            "one y a row, another for the next row"
+        );
+        let at = |k: usize| {
+            let i = order[k] as usize;
+            (rows[i], points[i].x)
+        };
+
+        heads.clear();
+        cand.clear();
+        // The row below the current one and where its heads start.
+        let mut below: Option<(i64, usize)> = None;
+        let mut k = 0;
+        while k < n {
+            let row = at(k).0;
+            let first = heads.len();
+            while k < n && at(k).0 == row {
+                let (head, x) = (order[k], at(k).1);
+                if let Some(&prev) = heads[first..].last() {
+                    cand.push(edge(points, prev.min(head), prev.max(head)));
+                }
+                heads.push(head);
+                k += 1;
+                while k < n && at(k) == (row, x) {
+                    cand.push(edge(points, head, order[k]));
+                    k += 1;
+                }
+            }
+            if let Some((r, start)) = below {
+                if r.checked_add(1) == Some(row) {
+                    cross_row_candidates(&heads[start..first], &heads[first..], points, cand);
+                }
+            }
+            below = Some((row, first));
+        }
+
+        cand.sort_unstable_by_key(|e| (e.weight, e.a, e.b));
+        cand.retain(|e| uf.union(e.a as usize, e.b as usize));
+        let spanning = cand.len() + 1 >= n;
+        (cand, spanning)
+    }
+}
+
+fn edge(points: &[Point], a: u32, b: u32) -> MstEdge {
+    MstEdge {
         a,
         b,
         weight: manhattan(points[a as usize], points[b as usize]),
-    };
-    let mut uf = UnionFind::new(n);
-    let mut block: Vec<MstEdge> = Vec::new();
-    let mut cand: Vec<MstEdge> = Vec::new();
-    for (bi, bucket) in buckets.iter().enumerate() {
-        block.clear();
-        for (k, &a) in bucket.iter().enumerate() {
-            block.extend(bucket[k + 1..].iter().map(|&b| edge(a, b)));
-        }
-        if let Some(next) = buckets.get(bi + 1) {
-            for &a in bucket {
-                block.extend(next.iter().map(|&b| edge(a, b)));
-            }
-        }
-        block.sort_unstable_by_key(key);
-        cand.extend(
-            block
-                .iter()
-                .filter(|e| uf.union(e.a as usize, e.b as usize)),
-        );
-        uf.reset();
     }
-    cand.sort_unstable_by_key(key);
+}
 
-    let mut edges = Vec::with_capacity(n - 1);
-    for e in cand {
-        if uf.union(e.a as usize, e.b as usize) {
-            edges.push(e);
-            if edges.len() == n - 1 {
-                break;
+/// Rule 3 of [`LimitedMstScratch::build`]: merge the heads of row r
+/// (`lower`) and row r + 1 (`upper`), each ascending in x, and push the
+/// pairs no third head blocks, the lower row's node first.
+fn cross_row_candidates(lower: &[u32], upper: &[u32], points: &[Point], cand: &mut Vec<MstEdge>) {
+    let x = |h: u32| points[h as usize].x;
+    // The head at the last x passed, unless both rows have one there, and
+    // whether it is the lower row's.
+    let mut alone: Option<(bool, u32)> = None;
+    let (mut i, mut j) = (0, 0);
+    while i < lower.len() || j < upper.len() {
+        let next = match (lower.get(i), upper.get(j)) {
+            (Some(&l), Some(&u)) => x(l).cmp(&x(u)),
+            (Some(_), None) => Ordering::Less,
+            _ => Ordering::Greater,
+        };
+        match next {
+            Ordering::Equal => {
+                cand.push(edge(points, lower[i], upper[j]));
+                alone = None;
+                (i, j) = (i + 1, j + 1);
+            }
+            Ordering::Less => {
+                if let Some((false, u)) = alone {
+                    cand.push(edge(points, lower[i], u));
+                }
+                alone = Some((true, lower[i]));
+                i += 1;
+            }
+            Ordering::Greater => {
+                if let Some((true, l)) = alone {
+                    cand.push(edge(points, l, upper[j]));
+                }
+                alone = Some((false, upper[j]));
+                j += 1;
             }
         }
     }
-    let spanning = edges.len() == n - 1;
-    LimitedMst { edges, spanning }
 }
 
 #[cfg(test)]
@@ -249,6 +354,83 @@ mod tests {
         assert_eq!(lm.edges.len(), 4);
         // The two unit edges must be chosen.
         assert!(lm.edges.iter().filter(|e| e.weight == 1).count() >= 2);
+    }
+
+    /// Every same-row and adjacent-row pair (lower row first, then lower
+    /// index), one sort by `(weight, a, b)`, one Kruskal pass.
+    fn all_pairs_tree(p: &[Point], rows: &[i64]) -> Vec<(u64, u32, u32)> {
+        let n = p.len();
+        let mut all = Vec::new();
+        for a in 0..n {
+            for b in 0..n {
+                if (rows[a] == rows[b] && a < b) || rows[a] + 1 == rows[b] {
+                    all.push((manhattan(p[a], p[b]), a as u32, b as u32));
+                }
+            }
+        }
+        all.sort_unstable();
+        let mut uf = UnionFind::new(n);
+        all.retain(|&(_, a, b)| uf.union(a as usize, b as usize));
+        all
+    }
+
+    /// The kernel's tree as `(weight, a, b)` keys, checked against the
+    /// all-pairs oracle on the way.
+    fn limited_tree(v: &[(i64, i64)]) -> Vec<(u64, u32, u32)> {
+        let p = pts(v);
+        let rows: Vec<i64> = v.iter().map(|&(_, row)| row).collect();
+        let got: Vec<_> = mst_adjacency_limited(&p, &rows)
+            .edges
+            .iter()
+            .map(|e| (e.weight, e.a, e.b))
+            .collect();
+        assert_eq!(got, all_pairs_tree(&p, &rows));
+        got
+    }
+
+    #[test]
+    fn limited_shared_column_attaches_by_its_head() {
+        // Nodes 0 and 1 share a column, node 2 stands to their right:
+        // (0, 2) and (1, 2) weigh the same and the lower name wins.
+        let tree = limited_tree(&[(3, 0), (3, 0), (7, 0)]);
+        assert_eq!(tree, [(0, 0, 1), (4, 0, 2)]);
+        // The head is the lowest index, wherever it sits in the input.
+        let tree = limited_tree(&[(7, 0), (3, 0), (3, 0)]);
+        assert_eq!(tree, [(0, 1, 2), (4, 0, 1)]);
+    }
+
+    #[test]
+    fn limited_column_shared_across_rows_pairs_heads_only() {
+        // Two nodes at x = 4 in row 0 (1 and 3) and two in row 1 (0 and
+        // 2): of the four hops only (1, 0), head to head, is taken.
+        let tree = limited_tree(&[(4, 1), (4, 0), (4, 1), (4, 0)]);
+        assert_eq!(tree, [(0, 0, 2), (0, 1, 3), (1, 1, 0)]);
+    }
+
+    #[test]
+    fn limited_cross_edge_past_a_shared_column_is_pruned() {
+        // Row 0 holds x = 5; row 1 holds x = 5 and x = 8. The 5 -> 8 cross
+        // edge (weight 4) loses to the hop (1) plus the row-1 edge (3),
+        // in the kernel's candidates and in the oracle's tree alike.
+        let tree = limited_tree(&[(5, 0), (5, 1), (8, 1)]);
+        assert_eq!(tree, [(1, 0, 1), (3, 1, 2)]);
+        let p = pts(&[(5, 0), (5, 1), (8, 1)]);
+        let mut scratch = LimitedMstScratch::default();
+        scratch.build(&p, &[0, 1, 1]);
+        assert_eq!(scratch.cand.len(), 2, "never a candidate");
+    }
+
+    #[test]
+    fn limited_scratch_forgets_the_previous_net() {
+        let mut scratch = LimitedMstScratch::default();
+        let big = pts(&[(0, 0), (9, 0), (9, 1), (2, 1), (2, 2), (5, 2)]);
+        scratch.build(&big, &[0, 0, 1, 1, 2, 2]);
+        let small = pts(&[(1, 0), (6, 1)]);
+        let (edges, spanning) = scratch.build(&small, &[0, 1]);
+        assert_eq!(edges, mst_adjacency_limited(&small, &[0, 1]).edges);
+        assert!(spanning);
+        let (edges, spanning) = scratch.build(&[], &[]);
+        assert!(edges.is_empty() && spanning);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! component after final connection).
 
 /// A disjoint-set forest over `0..len`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct UnionFind {
     parent: Vec<u32>,
     size: Vec<u32>,
@@ -15,21 +15,20 @@ pub struct UnionFind {
 impl UnionFind {
     /// `len` singleton sets.
     pub fn new(len: usize) -> Self {
-        assert!(len <= u32::MAX as usize, "UnionFind capped at u32 elements");
-        UnionFind {
-            parent: (0..len as u32).collect(),
-            size: vec![1; len],
-            components: len,
-        }
+        let mut uf = UnionFind::default();
+        uf.reset(len);
+        uf
     }
 
-    /// Back to `len` singleton sets, keeping the allocation.
-    pub fn reset(&mut self) {
-        for (i, p) in self.parent.iter_mut().enumerate() {
-            *p = i as u32;
-        }
-        self.size.fill(1);
-        self.components = self.parent.len();
+    /// `len` singleton sets again, whatever the size before, keeping the
+    /// allocation.
+    pub fn reset(&mut self, len: usize) {
+        assert!(len <= u32::MAX as usize, "UnionFind capped at u32 elements");
+        self.parent.clear();
+        self.parent.extend(0..len as u32);
+        self.size.clear();
+        self.size.resize(len, 1);
+        self.components = len;
     }
 
     pub fn len(&self) -> usize {
@@ -125,11 +124,13 @@ mod tests {
         let mut uf = UnionFind::new(4);
         uf.union(0, 1);
         uf.union(1, 3);
-        uf.reset();
-        assert_eq!(uf.components(), 4);
-        for i in 0..4 {
-            assert_eq!(uf.find(i), i);
+        for len in [4, 2, 7] {
+            uf.reset(len);
+            assert_eq!((uf.len(), uf.components()), (len, len));
+            for i in 0..len {
+                assert_eq!(uf.find(i), i);
+            }
+            assert!(uf.union(0, 1), "separate again");
         }
-        assert!(uf.union(0, 1), "separate again");
     }
 }

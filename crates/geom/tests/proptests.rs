@@ -107,21 +107,29 @@ fn limited_mst_never_beats_unrestricted() {
 
 #[test]
 fn limited_mst_equals_one_sort_of_every_admissible_pair() {
-    // The oracle is the kernel as it was before it worked a row block at
-    // a time: every same-row and adjacent-row pair (lower row first, then
-    // lower index), one sort by `(weight, a, b)`, one Kruskal pass. Few
-    // columns in even rounds, so ties abound; every third round leaves
-    // the odd rows empty, so the answer is a forest.
+    // The oracle is the kernel as it was before it pruned: every same-row
+    // and adjacent-row pair (lower row first, then lower index), one sort
+    // by `(weight, a, b)`, one Kruskal pass. The pruning rule turns on
+    // ties, so the column count is drawn from 2, 3 (column groups of
+    // five and more), 6 and 200; every third round leaves the odd rows
+    // empty, so the answer is a forest; half the inputs arrive
+    // `(row, x)`-sorted, as Connect hands them over.
     let mut rng = rng_from_seed(0x6E08);
-    for round in 0..400 {
-        let n = rng.gen_range(2usize..60);
-        let cols = if round % 2 == 0 { 6 } else { 200 };
+    for round in 0..5000 {
+        let n = match round % 10 {
+            0 => rng.gen_range(2usize..300),
+            _ => rng.gen_range(2usize..60),
+        };
+        let cols = [2, 3, 6, 200][rng.gen_range(0usize..4)];
         let row_step = if round % 3 == 0 { 2 } else { 1 };
-        let rows: Vec<i64> = (0..n).map(|_| rng.gen_range(0i64..5) * row_step).collect();
-        let pts: Vec<Point> = rows
-            .iter()
-            .map(|&r| Point::new(rng.gen_range(0i64..cols), r))
+        let mut nodes: Vec<(i64, i64)> = (0..n)
+            .map(|_| (rng.gen_range(0i64..5) * row_step, rng.gen_range(0i64..cols)))
             .collect();
+        if rng.gen_range(0..2) == 1 {
+            nodes.sort_unstable();
+        }
+        let rows: Vec<i64> = nodes.iter().map(|&(r, _)| r).collect();
+        let pts: Vec<Point> = nodes.iter().map(|&(r, x)| Point::new(x, r)).collect();
         let mut all = Vec::new();
         for a in 0..n {
             for b in 0..n {
@@ -136,7 +144,7 @@ fn limited_mst_equals_one_sort_of_every_admissible_pair() {
 
         let got = mst_adjacency_limited(&pts, &rows);
         let got_keys: Vec<_> = got.edges.iter().map(|e| (e.weight, e.a, e.b)).collect();
-        assert_eq!(got_keys, all, "round {round}, n {n}");
+        assert_eq!(got_keys, all, "round {round}, n {n}, cols {cols}");
         assert_eq!(got.spanning, all.len() == n - 1);
     }
 }
