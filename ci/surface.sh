@@ -55,6 +55,10 @@
 #   constructs a vector (`Vec::new()`, `Vec::with_capacity(`, `vec![`) is
 #   a per-net allocation unless it is `connect_all`'s one output (every
 #   other buffer lives in `ConnectArena`).
+# - when the net-wise coarse sync ships dense frames again: a non-test
+#   line of crates/core/src/route/coarse.rs that calls `comm.allgather(`
+#   moves the two delta grids cell by cell; the sync sends their nonzero
+#   cells with `Comm::allgather_charged`, billed as the dense grids.
 set -eu
 cd "$(dirname "$0")/.."
 MAX_FILE=1000
@@ -181,6 +185,16 @@ per_net=$(awk '
 if [ -n "$per_net" ]; then
     echo "surface: route/connect.rs constructs one vector, the output of connect_all (per-net buffers live in ConnectArena):" >&2
     echo "$per_net" >&2
+    exit 1
+fi
+
+dense_sync=$(awk '
+    /^#\[cfg\(test\)\]/ { exit }
+    /comm\.allgather\(/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+' crates/core/src/route/coarse.rs)
+if [ -n "$dense_sync" ]; then
+    echo "surface: the coarse sync ships nonzero cells billed as dense grids (Comm::allgather_charged):" >&2
+    echo "$dense_sync" >&2
     exit 1
 fi
 

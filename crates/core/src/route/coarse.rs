@@ -19,23 +19,84 @@
 use crate::config::RouterConfig;
 use crate::cost;
 use crate::route::feedthrough::FtPlan;
-use crate::route::refine;
 use crate::route::state::{Grid, Orientation, Segment};
+use crate::route::{chan_idx, refine};
 use pgr_geom::rng::SmallRng;
 use pgr_geom::DensityProfile;
+use pgr_mpi::wire::{Reader, Wire, WireError};
 use pgr_mpi::Comm;
 
-pgr_mpi::wire_struct!(
-    /// Delta log for replicated-state synchronization: the changes since
-    /// the last [`CoarseState::take_deltas`], two [`Grid`]s on the wire.
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    struct CoarseDeltas {
-        /// `chan[c][g]` — change of channel `chan0 + c` at grid column `g`.
-        chan: Grid,
-        /// `demand[r][g]` — change of row `row0 + r` at grid column `g`.
-        demand: Grid,
+/// Delta log for replicated-state synchronization: the changes since
+/// the last [`CoarseState::take_deltas`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct CoarseDeltas {
+    /// `chan[c][g]` — change of channel `chan0 + c` at grid column `g`.
+    chan: Grid,
+    /// `demand[r][g]` — change of row `row0 + r` at grid column `g`.
+    demand: Grid,
+}
+
+impl CoarseDeltas {
+    /// The log as it travels: the nonzero cells of each grid.
+    fn sparse(&self) -> (SparseGrid, SparseGrid) {
+        (SparseGrid::of(&self.chan), SparseGrid::of(&self.demand))
     }
-);
+
+    /// What a sync bills the log at: its two grids encoded dense, as the
+    /// 1997 implementation shipped them.
+    fn dense_len(&self) -> usize {
+        self.chan.wire_len() + self.demand.wire_len()
+    }
+}
+
+/// The nonzero cells of a `rows × cols` [`Grid`], `(cell, value)` with
+/// `cell` the row-major index, in cell order. On the wire: `rows`,
+/// `cols`, the nonzero count, the pairs. A delta grid holds 1–2 % nonzero
+/// cells between two syncs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct SparseGrid {
+    rows: u32,
+    cols: u32,
+    cells: Vec<(u32, i64)>,
+}
+
+impl SparseGrid {
+    fn of(grid: &Grid) -> Self {
+        let nonzero = grid.cells().iter().enumerate().filter(|&(_, &v)| v != 0);
+        SparseGrid {
+            rows: grid.rows() as u32,
+            cols: grid.shape().1 as u32,
+            cells: nonzero.map(|(cell, &v)| (cell as u32, v)).collect(),
+        }
+    }
+
+    fn shape(&self) -> (usize, usize) {
+        (self.rows as usize, self.cols as usize)
+    }
+}
+
+impl Wire for SparseGrid {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.rows.encode(out);
+        self.cols.encode(out);
+        self.cells.encode(out);
+    }
+
+    /// Total: a cell outside the shape is an error, and nothing is
+    /// allocated for the shape — only for the pairs the frame holds.
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let (rows, cols) = (u32::decode(r)?, u32::decode(r)?);
+        let cells = Vec::<(u32, i64)>::decode(r)?;
+        let len = u64::from(rows) * u64::from(cols);
+        match cells.iter().find(|&&(cell, _)| u64::from(cell) >= len) {
+            Some(&(cell, _)) => Err(WireError::OutOfRange {
+                index: cell.into(),
+                len,
+            }),
+            None => Ok(SparseGrid { rows, cols, cells }),
+        }
+    }
+}
 
 /// Coarse-grid routing state over channels `chan0 ..= chan0 + nchan - 1`
 /// and rows `row0 ..= row0 + nrows - 1`.
@@ -93,13 +154,13 @@ impl CoarseState {
     /// which the virtual results are pinned to — not what
     /// [`DensityProfile`] allocates (16 B a column).
     pub fn modeled_bytes(&self) -> u64 {
-        (self.profiles.len() * 2 + self.demand.shape().0) as u64 * self.gcols as u64 * 16
+        (self.profiles.len() * 2 + self.demand.rows()) as u64 * self.gcols as u64 * 16
     }
 
     fn zero_deltas(&self) -> CoarseDeltas {
         CoarseDeltas {
             chan: Grid::new(self.profiles.len(), self.gcols),
-            demand: Grid::new(self.demand.shape().0, self.gcols),
+            demand: Grid::new(self.demand.rows(), self.gcols),
         }
     }
 
@@ -110,30 +171,33 @@ impl CoarseState {
     }
 
     /// Between two slices of a sweep, on a replicated state: allgather
-    /// every rank's deltas and merge the remote ones. Every sync also
-    /// charges a full refresh of the replicated grid arrays — "all the
-    /// processors will share all the channels and communication is more
-    /// costly than computation" (§5). Unless `exact`, remote density
-    /// updates to cells this rank also wrote are lost
-    /// ([`CoarseState::merge_external`]).
+    /// every rank's deltas and merge the remote ones. The allgather is
+    /// billed as the two dense grids every rank ships (§5: "synchronize
+    /// the information of each grid point periodically"), while only their
+    /// nonzero cells travel. Every sync also charges a full refresh of the
+    /// replicated grid arrays — "all the processors will share all the
+    /// channels and communication is more costly than computation" (§5).
+    /// Unless `exact`, remote density updates to cells this rank also
+    /// wrote are lost ([`CoarseState::merge_external`]).
     fn sync(&mut self, exact: bool, comm: &mut Comm) {
         let mine = self.take_deltas();
         if comm.size() == 1 {
             return; // nothing is replicated: the log is drained, that is all
         }
-        let all: Vec<CoarseDeltas> = comm.allgather(mine);
-        let own = (!exact).then(|| &all[comm.rank()]);
+        let all = comm.allgather_charged(mine.sparse(), mine.dense_len());
+        let own = (!exact).then_some(&mine);
         for (r, d) in all.iter().enumerate() {
             if r != comm.rank() {
                 self.merge_external(d, own, comm);
             }
         }
-        let entries = self.gcols * (self.profiles.len() + self.demand.shape().0);
+        let entries = self.gcols * (self.profiles.len() + self.demand.rows());
         comm.compute(cost::MERGE_COL * entries as u64);
     }
 
-    /// Apply another rank's deltas (not logged). Charges a scan over the
-    /// delta arrays plus per-nonzero update work.
+    /// Apply another rank's deltas (not logged), cell by nonzero cell.
+    /// Charges a scan over the dense delta arrays plus per-nonzero update
+    /// work.
     ///
     /// With `own` (this rank's deltas of the same sync period) the merge
     /// has snapshot-overwrite semantics: a remote *density* update to a
@@ -145,27 +209,31 @@ impl CoarseState {
     /// either way — it is physical bookkeeping the row owners keep
     /// authoritative, and an inconsistent copy would desynchronize
     /// insertion, not just degrade decisions.
-    fn merge_external(&mut self, d: &CoarseDeltas, own: Option<&CoarseDeltas>, comm: &mut Comm) {
-        assert_eq!(d.chan.shape(), (self.profiles.len(), self.gcols));
-        assert_eq!(d.demand.shape(), self.demand.shape());
+    fn merge_external(
+        &mut self,
+        (chan, demand): &(SparseGrid, SparseGrid),
+        own: Option<&CoarseDeltas>,
+        comm: &mut Comm,
+    ) {
+        assert_eq!(chan.shape(), (self.profiles.len(), self.gcols));
+        assert_eq!(demand.shape(), self.demand.shape());
+        let gcols = self.gcols;
         let mut nonzero = 0u64;
-        for (ci, prof) in self.profiles.iter_mut().enumerate() {
-            let mine = own.map(|o| &o.chan[ci]);
-            for (g, &v) in d.chan[ci].iter().enumerate() {
-                if v != 0 && mine.is_none_or(|m| m[g] == 0) {
-                    nonzero += 1;
-                    prof.add_span(g as i64, g as i64, v);
-                }
+        for &(cell, v) in &chan.cells {
+            let cell = cell as usize;
+            if v != 0 && own.is_none_or(|o| o.chan.cells()[cell] == 0) {
+                nonzero += 1;
+                let g = (cell % gcols) as i64;
+                self.profiles[cell / gcols].add_span(g, g, v);
             }
         }
-        for r in 0..self.demand.shape().0 {
-            for (x, &v) in self.demand[r].iter_mut().zip(&d.demand[r]) {
-                nonzero += u64::from(v != 0);
-                *x += v;
-            }
+        for &(cell, v) in &demand.cells {
+            let cell = cell as usize;
+            nonzero += u64::from(v != 0);
+            self.demand[cell / gcols][cell % gcols] += v;
         }
-        let entries = (d.chan.cells().len() + d.demand.cells().len()) as u64;
-        comm.compute(entries / 8 + cost::MERGE_COL * nonzero);
+        let entries = (self.profiles.len() + self.demand.rows()) * gcols;
+        comm.compute(entries as u64 / 8 + cost::MERGE_COL * nonzero);
     }
 
     fn gcol(&self, x: i64) -> i64 {
@@ -173,16 +241,12 @@ impl CoarseState {
     }
 
     fn chan_idx(&self, channel: u32) -> usize {
-        let i = channel
-            .checked_sub(self.chan0)
-            .expect("channel below range") as usize;
-        assert!(i < self.profiles.len(), "channel {channel} above range");
-        i
+        chan_idx(self.chan0, self.profiles.len(), channel)
     }
 
     fn row_idx(&self, row: u32) -> usize {
         let i = row.checked_sub(self.row0).expect("row below range") as usize;
-        assert!(i < self.demand.shape().0, "row {row} above range");
+        assert!(i < self.demand.rows(), "row {row} above range");
         i
     }
 
@@ -589,11 +653,13 @@ mod tests {
     #[test]
     fn merge_external_reproduces_remote_state() {
         // Rank A applies a segment with logging; rank B merges the deltas
-        // and must end up with identical probe results.
+        // as they arrive off the wire and must end up with identical probe
+        // results.
         let s = seg(8, 0, 40, 2);
         let mut a = CoarseState::new(0, 3, 64, 8).replicated();
         a.apply(&s, Orientation::VertAtUpper, 1);
-        let d = a.take_deltas();
+        let d = <(SparseGrid, SparseGrid)>::from_bytes(&a.take_deltas().sparse().to_bytes());
+        let d = d.expect("a sparse log decodes");
 
         let mut b = CoarseState::new(0, 3, 64, 8);
         b.merge_external(&d, None, &mut comm());
@@ -615,22 +681,22 @@ mod tests {
         d.demand[0][2] = 5;
         let mut neg = d.clone();
         for grid in [&mut neg.chan, &mut neg.demand] {
-            for r in 0..grid.shape().0 {
+            for r in 0..grid.rows() {
                 grid[r].iter_mut().for_each(|x| *x = -*x);
             }
         }
 
-        st.merge_external(&d, None, &mut comm());
+        st.merge_external(&d.sparse(), None, &mut comm());
         assert_eq!((st.channel_max(1), st.channel_max(2)), (3, 1));
         assert_eq!(st.demand()[0][2], 5);
-        st.merge_external(&neg, None, &mut comm());
+        st.merge_external(&neg.sparse(), None, &mut comm());
         assert!((0..=3).all(|c| st.channel_max(c) == 0));
         assert!(st.demand().cells().iter().all(|&x| x == 0));
 
         let mut own = st.zero_deltas();
         own.chan[1][2] = -1;
         own.demand[0][2] = 1;
-        st.merge_external(&d, Some(&own), &mut comm());
+        st.merge_external(&d.sparse(), Some(&own), &mut comm());
         assert_eq!(st.channel_max(1), 0, "contended cell: remote update lost");
         assert_eq!(st.channel_max(2), 1, "uncontended cell merges");
         assert_eq!(st.demand()[0][2], 5, "demand merges exactly");
@@ -732,26 +798,80 @@ mod tests {
             let remote = CoarseDeltas {
                 chan: Grid::new(nchan, gcols),
                 demand: Grid::new(nrows, gcols),
-            };
+            }
+            .sparse();
             let merged = std::panic::catch_unwind(|| {
                 CoarseState::new(0, 3, 64, 8).merge_external(&remote, None, &mut comm());
             });
             assert!(merged.is_err(), "{nchan} + {nrows} rows × {gcols}");
         }
-        let same = CoarseState::new(0, 3, 64, 8).zero_deltas();
+        let same = CoarseState::new(0, 3, 64, 8).zero_deltas().sparse();
         CoarseState::new(0, 3, 64, 8).merge_external(&same, None, &mut comm());
     }
 
+    /// The dense grid a sparse one lists the nonzero cells of.
+    fn densify(sparse: &SparseGrid) -> Grid {
+        let (rows, cols) = sparse.shape();
+        let mut grid = Grid::new(rows, cols);
+        for &(cell, v) in &sparse.cells {
+            let cell = cell as usize;
+            grid[cell / cols][cell % cols] = v;
+        }
+        grid
+    }
+
     #[test]
-    fn deltas_travel_as_two_grids() {
-        use pgr_mpi::Wire;
+    fn deltas_travel_sparse_and_are_billed_as_two_dense_grids() {
+        type Sent = (SparseGrid, SparseGrid);
         let mut st = CoarseState::new(0, 3, 64, 8).replicated();
         st.apply(&seg(8, 0, 40, 2), Orientation::VertAtUpper, 1);
-        let d = st.take_deltas();
-        let mut bytes = d.chan.to_bytes();
-        bytes.extend(d.demand.to_bytes());
-        assert_eq!(d.to_bytes(), bytes);
-        assert_eq!(CoarseDeltas::from_bytes(&bytes).unwrap(), d);
+        let mut d = st.take_deltas();
+        // Negative values and the last cell of each grid travel too.
+        d.chan[3][7] = -4;
+        d.demand[1][0] = -1;
+        d.demand[2][7] = 9;
+        let zero = st.zero_deltas();
+        for log in [&d, &zero] {
+            // Billed at exactly what the two grids took on the wire dense.
+            let dense = log.chan.to_bytes().len() + log.demand.to_bytes().len();
+            assert_eq!(log.dense_len(), dense);
+            let sent = log.sparse();
+            let nonzero = log.chan.cells().iter().chain(log.demand.cells());
+            let pairs = nonzero.filter(|&&v| v != 0).count();
+            let bytes = sent.to_bytes();
+            assert_eq!(bytes.len(), 2 * 12 + 12 * pairs, "shape, count, pairs");
+            let back = Sent::from_bytes(&bytes).expect("a sparse log decodes");
+            assert_eq!(back, sent);
+            assert_eq!(
+                (densify(&back.0), densify(&back.1)),
+                (log.chan.clone(), log.demand.clone())
+            );
+        }
+
+        // Malformed frames are errors, never panics.
+        let sent = d.sparse();
+        let mut out_of_range = sent.clone();
+        out_of_range.0.cells[0].0 = 4 * 8;
+        assert_eq!(
+            Sent::from_bytes(&out_of_range.to_bytes()),
+            Err(WireError::OutOfRange { index: 32, len: 32 })
+        );
+        let mut overcounted = sent.to_bytes();
+        overcounted[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            Sent::from_bytes(&overcounted),
+            Err(WireError::Truncated { .. })
+        ));
+        let whole = sent.to_bytes();
+        for cut in 1..whole.len() {
+            assert!(
+                matches!(
+                    Sent::from_bytes(&whole[..cut]),
+                    Err(WireError::Truncated { .. })
+                ),
+                "cut at {cut}"
+            );
+        }
     }
 
     #[test]

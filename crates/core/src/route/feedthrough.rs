@@ -65,7 +65,7 @@ impl FtPlan {
             "demand must be non-negative"
         );
         let mut cum = demand.clone();
-        for r in 0..cum.shape().0 {
+        for r in 0..cum.rows() {
             let mut acc = 0;
             for c in &mut cum[r] {
                 acc += *c;
@@ -86,7 +86,7 @@ impl FtPlan {
     }
 
     pub fn num_rows(&self) -> usize {
-        self.demand.shape().0
+        self.demand.rows()
     }
 
     fn gcol(&self, x: i64) -> usize {

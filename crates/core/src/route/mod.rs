@@ -27,6 +27,14 @@ pub mod switchable;
 pub use serial::try_route_serial;
 pub use state::{ChannelPref, Node, NodeKind, Orientation, Segment, Span, WorkNet};
 
+/// Position of `channel` in a congestion state over channels
+/// `chan0 ..= chan0 + n - 1` (coarse or full-resolution).
+fn chan_idx(chan0: u32, n: usize, channel: u32) -> usize {
+    let i = channel.checked_sub(chan0).expect("channel below range") as usize;
+    assert!(i < n, "channel {channel} above range");
+    i
+}
+
 /// Iterations between budget polls inside the optional refinement
 /// sweeps (coarse improvement, switchable optimization): small enough
 /// to shed promptly, large enough to keep the poll off the hot path.

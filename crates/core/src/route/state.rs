@@ -358,8 +358,6 @@ impl Wire for WorkNet {
 
 /// A `rows × cols` table of counts in one row-major buffer (the demand
 /// grid, its prefix sums, the coarse delta logs); `grid[r]` is row `r`.
-/// On the wire it is what the nested vectors it replaced were — a u32
-/// row count, then per row a u32 length and the values: no frame resized.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Grid {
     rows: usize,
@@ -375,6 +373,7 @@ impl Grid {
     }
 
     /// A grid holding `rows`, which must be equally long.
+    #[cfg(test)]
     pub fn from_rows<R: AsRef<[i64]>>(rows: &[R]) -> Self {
         let mut grid = Grid::new(rows.len(), rows.first().map_or(0, |r| r.as_ref().len()));
         for (r, row) in rows.iter().enumerate() {
@@ -386,6 +385,18 @@ impl Grid {
     /// `(rows, cols)` — the one dimension check of every merge.
     pub fn shape(&self) -> (usize, usize) {
         (self.rows, self.cols)
+    }
+
+    /// The row count.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// The bytes the grid takes on the wire dense, as the nested vectors
+    /// it replaced did — a u32 row count, then per row a u32 length and
+    /// the values: what a coarse sync is billed per grid.
+    pub fn wire_len(&self) -> usize {
+        4 + self.rows * (4 + self.cols * 8)
     }
 
     /// Every cell, row after row.
@@ -404,36 +415,6 @@ impl std::ops::Index<usize> for Grid {
 impl std::ops::IndexMut<usize> for Grid {
     fn index_mut(&mut self, r: usize) -> &mut [i64] {
         &mut self.cells[r * self.cols..(r + 1) * self.cols]
-    }
-}
-
-impl Wire for Grid {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.reserve(4 + self.rows * (4 + self.cols * 8));
-        (self.rows as u32).encode(out);
-        for r in 0..self.rows {
-            (self.cols as u32).encode(out);
-            self[r].iter().for_each(|v| v.encode(out));
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let rows = u32::decode(r)? as usize;
-        let (mut expected, mut cells) = (0, Vec::new());
-        for row in 0..rows {
-            let got = u32::decode(r)? as usize;
-            // Both the reservation and `take` are bounded by what the frame
-            // holds: a corrupt length cannot OOM the decoder.
-            if row == 0 {
-                cells.reserve((rows * got).min(r.remaining() / 8));
-                expected = got;
-            } else if got != expected {
-                return Err(WireError::Ragged { expected, got });
-            }
-            let row = r.take(got * 8)?.chunks_exact(8);
-            cells.extend(row.map(|b| i64::from_le_bytes(b.try_into().expect("exact chunk"))));
-        }
-        let cols = expected;
-        Ok(Grid { rows, cols, cells })
     }
 }
 
@@ -543,6 +524,38 @@ mod tests {
         assert_eq!(pt.width(), 0);
     }
 
+    /// The dense encoding [`Grid::wire_len`] measures — the reference the
+    /// billed size is pinned to; only the tests encode a grid this way.
+    impl Wire for Grid {
+        fn encode(&self, out: &mut Vec<u8>) {
+            out.reserve(self.wire_len());
+            (self.rows as u32).encode(out);
+            for r in 0..self.rows {
+                (self.cols as u32).encode(out);
+                self[r].iter().for_each(|v| v.encode(out));
+            }
+        }
+        fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+            let rows = u32::decode(r)? as usize;
+            let (mut expected, mut cells) = (0, Vec::new());
+            for row in 0..rows {
+                let got = u32::decode(r)? as usize;
+                // Both the reservation and `take` are bounded by what the frame
+                // holds: a corrupt length cannot OOM the decoder.
+                if row == 0 {
+                    cells.reserve((rows * got).min(r.remaining() / 8));
+                    expected = got;
+                } else if got != expected {
+                    return Err(WireError::Ragged { expected, got });
+                }
+                let row = r.take(got * 8)?.chunks_exact(8);
+                cells.extend(row.map(|b| i64::from_le_bytes(b.try_into().expect("exact chunk"))));
+            }
+            let cols = expected;
+            Ok(Grid { rows, cols, cells })
+        }
+    }
+
     /// Seeded `rows × cols` counts as the nested vectors [`Grid`] replaced.
     fn nested(rows: usize, cols: usize) -> Vec<Vec<i64>> {
         let mut rng = pgr_geom::rng::rng_from_seed((rows * 1000 + cols) as u64);
@@ -560,6 +573,7 @@ mod tests {
             let grid = Grid::from_rows(&nested);
             assert_eq!(grid.shape(), (rows, cols));
             assert_eq!(grid.to_bytes(), nested.to_bytes(), "{rows} × {cols}");
+            assert_eq!(grid.wire_len(), nested.to_bytes().len());
             assert_eq!(Grid::from_bytes(&nested.to_bytes()).unwrap(), grid);
             for (r, row) in nested.iter().enumerate() {
                 assert_eq!(&grid[r], &row[..]);

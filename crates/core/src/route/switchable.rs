@@ -15,8 +15,8 @@
 
 use crate::config::RouterConfig;
 use crate::cost;
-use crate::route::refine;
-use crate::route::state::Span;
+use crate::route::state::{Grid, Span};
+use crate::route::{chan_idx, refine};
 use pgr_geom::rng::SmallRng;
 use pgr_geom::DensityProfile;
 use pgr_mpi::Comm;
@@ -41,27 +41,35 @@ const CONFLICT_BUCKET: i64 = 256;
 
 /// Drop from the `remote` ranks' deltas those overlapping a `(channel,
 /// column bucket)` that `own` — this rank's deltas of the same sync
-/// period — also wrote: the keys of `own` as one sorted list, one binary
-/// search per remote delta (whose keys are a contiguous run of that order).
+/// period — also wrote. The buckets `own` wrote are marked in one table
+/// over the channels and buckets it spans: a few kilobytes whatever the
+/// log's length. (A list of keys is as long as the log — at the first
+/// sync the largest transient of a rank, and whether it overlapped the
+/// peer decoding the broadcast decided the net-wise peak heap.)
 fn drop_conflicts(remote: &mut [Vec<SpanDelta>], own: &[SpanDelta]) {
     let buckets = |d: &SpanDelta| (d.lo / CONFLICT_BUCKET, d.hi / CONFLICT_BUCKET);
-    let keys_of = |d| (buckets(d).0..=buckets(d).1).map(move |b| (d.chan, b));
-    let mut keys: Vec<(u32, i64)> = own.iter().flat_map(keys_of).collect();
-    keys.sort_unstable();
-    keys.dedup();
-    for deltas in remote {
-        deltas.retain(|d| {
-            let first = keys.partition_point(|&k| k < (d.chan, buckets(d).0));
-            keys.get(first).is_none_or(|&k| k > (d.chan, buckets(d).1))
-        });
+    let Some(first) = own.first() else { return };
+    // Channels `c.0 ..= c.1` and buckets `b.0 ..= b.1`.
+    let (mut c, mut b) = ((first.chan, first.chan), buckets(first));
+    for d in own {
+        c = (c.0.min(d.chan), c.1.max(d.chan));
+        b = (b.0.min(buckets(d).0), b.1.max(buckets(d).1));
     }
-}
-
-/// Position of `channel` in a state over `chan0 ..= chan0 + n - 1`.
-fn chan_idx(chan0: u32, n: usize, channel: u32) -> usize {
-    let i = channel.checked_sub(chan0).expect("channel below range") as usize;
-    assert!(i < n, "channel {channel} above range");
-    i
+    let mut written = Grid::new((c.1 - c.0) as usize + 1, (b.1 - b.0) as usize + 1);
+    for d in own {
+        let row = &mut written[(d.chan - c.0) as usize];
+        (buckets(d).0..=buckets(d).1).for_each(|k| row[(k - b.0) as usize] = 1);
+    }
+    let conflicts = |d: &SpanDelta| {
+        let row = (c.0..=c.1)
+            .contains(&d.chan)
+            .then(|| &written[(d.chan - c.0) as usize]);
+        let (lo, hi) = (buckets(d).0.max(b.0), buckets(d).1.min(b.1));
+        row.is_some_and(|row| (lo..=hi).any(|k| row[(k - b.0) as usize] != 0))
+    };
+    for deltas in remote {
+        deltas.retain(|d| !conflicts(d));
+    }
 }
 
 /// Column-resolution congestion over channels `chan0 ..= chan0 + n - 1`.

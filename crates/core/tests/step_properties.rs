@@ -16,6 +16,15 @@ fn comm() -> Comm {
     Comm::solo(MachineModel::ideal())
 }
 
+/// A grid holding `rows`, which must be equally long.
+fn grid<R: AsRef<[i64]>>(rows: &[R]) -> Grid {
+    let mut grid = Grid::new(rows.len(), rows[0].as_ref().len());
+    for (r, row) in rows.iter().enumerate() {
+        grid[r].copy_from_slice(row.as_ref());
+    }
+    grid
+}
+
 #[test]
 fn ftplan_shift_is_monotone_and_bounded() {
     let mut rng = rng_from_seed(0x5701);
@@ -27,7 +36,7 @@ fn ftplan_shift_is_monotone_and_bounded() {
         let demand: Vec<Vec<i64>> = (0..nrows)
             .map(|_| (0..gcols).map(|_| rng.gen_range(0i64..4)).collect())
             .collect();
-        let plan = FtPlan::new(0, Grid::from_rows(&demand), grid_w, ft_w);
+        let plan = FtPlan::new(0, grid(&demand), grid_w, ft_w);
         for (ri, row) in demand.iter().enumerate() {
             let row_total: i64 = row.iter().sum();
             assert_eq!(plan.row_growth(ri as u32), row_total * ft_w);
@@ -63,7 +72,7 @@ fn ft_positions_are_distinct_and_ordered_within_a_row() {
         let grid_w = rng.gen_range(2i64..12);
         let ft_w = rng.gen_range(1i64..4);
         let demand_row: Vec<i64> = (0..cols).map(|_| rng.gen_range(0i64..5)).collect();
-        let plan = FtPlan::new(0, Grid::from_rows(&[&demand_row]), grid_w, ft_w);
+        let plan = FtPlan::new(0, grid(&[&demand_row]), grid_w, ft_w);
         let mut xs = Vec::new();
         for (g, &d) in demand_row.iter().enumerate() {
             for i in 0..d {

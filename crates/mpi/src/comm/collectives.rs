@@ -24,16 +24,23 @@ impl Comm {
         }
     }
 
-    fn send_tagged<T: Wire>(&mut self, dst: usize, tag: u32, value: &T) {
-        self.post(dst, tag, Body::Bytes(value.to_bytes()));
+    /// Collective-internal send: `value` travels, billed at `charge` bytes if given.
+    fn send_tagged<T: Wire>(&mut self, dst: usize, tag: u32, value: &T, charge: Option<usize>) {
+        let payload = value.to_bytes();
+        let body = match charge {
+            None => Body::Bytes(payload),
+            Some(bytes) => Body::Modeled { bytes, payload },
+        };
+        self.post(dst, tag, body);
     }
 
-    /// Collective-internal receive: like [`Comm::recv`] but the panic
-    /// names the collective whose internal exchange failed, so a corrupt
-    /// frame or dead peer inside e.g. an `allgather` is attributed to
-    /// the operation the caller actually invoked.
-    fn coll_recv<T: Wire>(&mut self, op: &'static str, src: usize, tag: u32) -> T {
-        self.try_recv(src, tag)
+    /// Collective-internal receive (of a charged frame if `charged`):
+    /// like [`Comm::recv`] but the panic names the collective whose
+    /// internal exchange failed, so a corrupt frame or dead peer inside
+    /// e.g. an `allgather` is attributed to the operation the caller
+    /// actually invoked.
+    fn coll_recv<T: Wire>(&mut self, op: &'static str, src: usize, tag: u32, charged: bool) -> T {
+        self.recv_as(src, tag, charged)
             .unwrap_or_else(|e| panic!("collective {op} failed: {e}"))
     }
 
@@ -44,7 +51,7 @@ impl Comm {
         let tag = self.next_coll_tag();
         self.reduce_tagged(0, (), |_, _| (), tag);
         let tag2 = self.next_coll_tag();
-        self.bcast_tagged(0, Some(()), tag2);
+        self.bcast_tagged(0, Some(()), tag2, None);
     }
 
     /// Broadcast `value` from `root`. `value` must be `Some` on the root
@@ -52,10 +59,17 @@ impl Comm {
     pub fn bcast<T: Wire>(&mut self, root: usize, value: Option<T>) -> T {
         self.coll_enter("bcast");
         let tag = self.next_coll_tag();
-        self.bcast_tagged(root, value, tag)
+        self.bcast_tagged(root, value, tag, None)
     }
 
-    fn bcast_tagged<T: Wire>(&mut self, root: usize, value: Option<T>, tag: u32) -> T {
+    /// The binomial tree under every broadcast, its frames billed at `charge`.
+    fn bcast_tagged<T: Wire>(
+        &mut self,
+        root: usize,
+        value: Option<T>,
+        tag: u32,
+        charge: Option<usize>,
+    ) -> T {
         let (rank, size) = (self.rank(), self.size());
         assert!(root < size);
         let rel = (rank + size - root) % size;
@@ -71,11 +85,11 @@ impl Comm {
                 if dst_rel < size {
                     let dst = (dst_rel + root) % size;
                     let v = value.as_ref().expect("already received");
-                    self.send_tagged(dst, tag, v);
+                    self.send_tagged(dst, tag, v, charge);
                 }
             } else if rel < 2 * step {
                 let src = (rel - step + root) % size;
-                value = Some(self.coll_recv("bcast", src, tag));
+                value = Some(self.coll_recv("bcast", src, tag, charge.is_some()));
             }
             step <<= 1;
         }
@@ -111,12 +125,12 @@ impl Comm {
         while step < size {
             if rel & step != 0 {
                 let dst = (rel - step + root) % size;
-                self.send_tagged(dst, tag, &acc);
+                self.send_tagged(dst, tag, &acc, None);
                 return None;
             }
             if rel + step < size {
                 let src = (rel + step + root) % size;
-                let other: T = self.coll_recv("reduce", src, tag);
+                let other: T = self.coll_recv("reduce", src, tag, false);
                 acc = op(acc, other);
             }
             step <<= 1;
@@ -133,37 +147,57 @@ impl Comm {
             self.reduce_tagged(0, value, op, tag)
         };
         let tag = self.next_coll_tag();
-        self.bcast_tagged(0, r, tag)
+        self.bcast_tagged(0, r, tag, None)
     }
 
     /// Gather all ranks' values at `root`, in rank order.
     pub fn gather<T: Wire>(&mut self, root: usize, value: T) -> Option<Vec<T>> {
         self.coll_enter("gather");
-        self.gather_to("gather", root, value)
+        self.gather_to("gather", root, value, None)
     }
 
     /// The root loop under `gather` and `allgather`: everyone but `root`
-    /// sends its value there; `root` receives in rank order and moves
-    /// its own value into its slot.
-    fn gather_to<T: Wire>(&mut self, op: &'static str, root: usize, value: T) -> Option<Vec<T>> {
+    /// sends its value there (billed at `charge` bytes, if given); `root`
+    /// receives in rank order and moves its own value into its slot.
+    fn gather_to<T: Wire>(
+        &mut self,
+        op: &'static str,
+        root: usize,
+        value: T,
+        charge: Option<usize>,
+    ) -> Option<Vec<T>> {
         let tag = self.next_coll_tag();
         if self.rank() != root {
-            self.send_tagged(root, tag, &value);
+            self.send_tagged(root, tag, &value, charge);
             return None;
         }
+        let charged = charge.is_some();
         let mut out = Vec::with_capacity(self.size());
-        out.extend((0..root).map(|src| self.coll_recv(op, src, tag)));
+        out.extend((0..root).map(|src| self.coll_recv(op, src, tag, charged)));
         out.push(value);
-        out.extend((root + 1..self.size()).map(|src| self.coll_recv(op, src, tag)));
+        out.extend((root + 1..self.size()).map(|src| self.coll_recv(op, src, tag, charged)));
         Some(out)
     }
 
     /// Gather at rank 0 then broadcast the whole vector.
     pub fn allgather<T: Wire>(&mut self, value: T) -> Vec<T> {
+        self.allgather_billed(value, None)
+    }
+
+    /// [`Comm::allgather`] of compact values standing for `bytes_each`
+    /// dense bytes on every rank: every account bills each gather frame at
+    /// `bytes_each` and the broadcast at `4 + P · bytes_each`, as
+    /// `allgather` of the dense values does; the host moves what `T` encodes.
+    pub fn allgather_charged<T: Wire>(&mut self, value: T, bytes_each: usize) -> Vec<T> {
+        self.allgather_billed(value, Some(bytes_each))
+    }
+
+    fn allgather_billed<T: Wire>(&mut self, value: T, each: Option<usize>) -> Vec<T> {
         self.coll_enter("allgather");
-        let g = self.gather_to("allgather", 0, value);
+        let g = self.gather_to("allgather", 0, value, each);
         let tag = self.next_coll_tag();
-        self.bcast_tagged(0, g, tag)
+        let all = each.map(|n| 4 + self.size() * n); // a u32 count, then the values
+        self.bcast_tagged(0, g, tag, all)
     }
 
     /// Personalized all-to-all: `data[dst]` goes to rank `dst`; returns
@@ -180,7 +214,7 @@ impl Comm {
             if dst == rank {
                 own = bucket;
             } else {
-                self.send_tagged(dst, tag, &bucket);
+                self.send_tagged(dst, tag, &bucket, None);
             }
         }
         let mut out: Vec<Vec<T>> = Vec::with_capacity(size);
@@ -188,7 +222,7 @@ impl Comm {
             if src == rank {
                 out.push(std::mem::take(&mut own));
             } else {
-                out.push(self.coll_recv("alltoall", src, tag));
+                out.push(self.coll_recv("alltoall", src, tag, false));
             }
         }
         out

@@ -358,7 +358,8 @@ impl Comm {
     /// [`Comm::recv_modeled`].
     pub fn send_modeled(&mut self, dst: usize, tag: u32, bytes: usize) {
         assert_user_tag(tag);
-        self.post(dst, tag, Body::Modeled(bytes));
+        let payload = Vec::new();
+        self.post(dst, tag, Body::Modeled { bytes, payload });
     }
 
     /// Match the next frame from logical rank `src` with `tag` (FIFO per
@@ -439,8 +440,14 @@ impl Comm {
     /// Blocking typed receive with structured errors: decode failures
     /// and unsatisfiable patterns both surface as [`CommError`].
     pub fn try_recv<T: Wire>(&mut self, src: usize, tag: u32) -> Result<T, CommError> {
-        let bytes = self.try_recv_bytes(src, tag)?;
-        T::from_bytes(&bytes).map_err(|error| CommError::Decode {
+        self.recv_as(src, tag, false)
+    }
+
+    /// [`Comm::try_recv`] of a real frame, or (`charged`) of a modeled
+    /// frame's payload: a charged frame is decoded from what travelled.
+    fn recv_as<T: Wire>(&mut self, src: usize, tag: u32, charged: bool) -> Result<T, CommError> {
+        let env = self.accept(src, tag, charged)?;
+        T::from_bytes(env.data()).map_err(|error| CommError::Decode {
             rank: self.physical_rank(),
             src,
             tag,

@@ -61,16 +61,25 @@ pub(super) struct Envelope {
     /// verifies it, so in-transit corruption is detected instead of
     /// handed to the algorithm as valid data.
     crc: u32,
-    /// `Some(n)` marks a modeled transfer of `n` bytes: `payload` is
-    /// then only its length header.
+    /// `Some(n)` marks a modeled frame accounted at `n` bytes: `payload`
+    /// is then its length header followed by what the sender handed over.
     pub(super) modeled: Option<usize>,
     pub(super) payload: Box<[u8]>,
 }
+
+/// The length header leading a modeled frame's payload.
+const MODELED_HEADER: usize = 8;
 
 impl Envelope {
     /// The size every account sees: the payload's, or the modeled one.
     pub(super) fn bytes(&self) -> usize {
         self.modeled.unwrap_or(self.payload.len())
+    }
+
+    /// What the sender handed over: a modeled frame's payload without its
+    /// length header.
+    pub(super) fn data(&self) -> &[u8] {
+        &self.payload[self.modeled.map_or(0, |_| MODELED_HEADER)..]
     }
 }
 
@@ -78,19 +87,20 @@ impl Envelope {
 pub(super) enum Body {
     /// A real frame: these bytes travel and reach the receiver.
     Bytes(Vec<u8>),
-    /// A modeled transfer of this many bytes. The fault hook, the
-    /// sequence numbers, the receive windows and every account treat it
-    /// as a frame of that size; the host moves (and checksums) only a
-    /// fixed-size length header, so its cost does not depend on the
-    /// size.
-    Modeled(usize),
+    /// A frame of `bytes` bytes that carries only `payload`. The fault
+    /// hook, the sequence numbers, the receive windows and every account
+    /// treat it as a frame of `bytes`; the host moves (and checksums) a
+    /// fixed-size length header and `payload`, so its cost does not
+    /// depend on `bytes`. An empty payload is a modeled transfer; a
+    /// charged frame carries a compact encoding of the `bytes` it bills.
+    Modeled { bytes: usize, payload: Vec<u8> },
 }
 
 impl Body {
     pub(super) fn bytes(&self) -> usize {
         match self {
             Body::Bytes(payload) => payload.len(),
-            Body::Modeled(bytes) => *bytes,
+            Body::Modeled { bytes, .. } => *bytes,
         }
     }
 }
@@ -302,7 +312,10 @@ impl Transport {
         self.next_seq[dst] += 1;
         let (modeled, mut payload) = match body {
             Body::Bytes(payload) => (None, payload),
-            Body::Modeled(bytes) => (Some(bytes), (bytes as u64).to_le_bytes().to_vec()),
+            Body::Modeled { bytes, payload } => {
+                let header = (bytes as u64).to_le_bytes();
+                (Some(bytes), [&header[..], &payload].concat())
+            }
         };
         // The checksum is always over the *original* payload: a wire
         // flip after it (below) is exactly what delivery detects.
@@ -766,6 +779,13 @@ mod tests {
     /// that actually travels.
     const MODELED: usize = 1 << 20;
 
+    fn modeled(bytes: usize) -> Body {
+        Body::Modeled {
+            bytes,
+            payload: Vec::new(),
+        }
+    }
+
     #[test]
     fn modeled_frame_is_its_full_size_to_the_hook_and_a_header_on_the_wire() {
         let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
@@ -775,7 +795,7 @@ mod tests {
             FaultAction::Deliver
         };
         let [(mut a, mut ma), (mut b, mut mb)] = pair(hook, ReliabilityConfig::off());
-        a.send(1, TAG, 0.0, Body::Modeled(MODELED), &mut ma);
+        a.send(1, TAG, 0.0, modeled(MODELED), &mut ma);
         assert_eq!(*seen.lock().expect("hook log"), vec![MODELED]);
         // Unmatched in the pending queue it still reports its full size.
         b.drain_rx(&mut mb);
@@ -787,14 +807,37 @@ mod tests {
     }
 
     #[test]
+    fn charged_frame_bills_its_size_and_its_crc_covers_the_payload() {
+        let [(mut a, mut ma), (mut b, mut mb)] =
+            pair(|_| FaultAction::Deliver, ReliabilityConfig::off());
+        let charged = |payload: &[u8]| Body::Modeled {
+            bytes: MODELED,
+            payload: payload.to_vec(),
+        };
+        a.send(1, TAG, 0.0, charged(&[1, 2, 3]), &mut ma);
+        let env = b.recv(0, TAG, &mut mb, None).expect("frame delivered");
+        assert_eq!((env.bytes(), env.data()), (MODELED, &[1, 2, 3][..]));
+        // A bit flipped past the length header, in what the sender handed
+        // over, fails the checksum.
+        a.send(1, TAG, 0.0, charged(&[1, 2, 3]), &mut ma);
+        let mut env = b.rx.as_ref().expect("connected").recv().expect("sent");
+        env.payload[MODELED_HEADER + 2] ^= 4;
+        b.ingest(env, &mut mb);
+        assert!(matches!(
+            b.recv(0, TAG, &mut mb, None),
+            Err(CommError::Corrupt { .. })
+        ));
+    }
+
+    #[test]
     fn duplicate_modeled_frame_is_suppressed_by_sequence_number() {
         let dup_first = |c: &MsgCtx| match c.seq {
             0 => FaultAction::Duplicate,
             _ => FaultAction::Deliver,
         };
         let [(mut a, mut ma), (mut b, mut mb)] = pair(dup_first, ReliabilityConfig::on());
-        a.send(1, TAG, 0.0, Body::Modeled(MODELED), &mut ma);
-        a.send(1, TAG, 0.0, Body::Modeled(7), &mut ma);
+        a.send(1, TAG, 0.0, modeled(MODELED), &mut ma);
+        a.send(1, TAG, 0.0, modeled(7), &mut ma);
         let sizes: Vec<usize> = (0..2)
             .map(|_| b.recv(0, TAG, &mut mb, None).expect("delivered").bytes())
             .collect();
@@ -809,7 +852,7 @@ mod tests {
     fn held_modeled_frame_goes_out_at_close() {
         let [(mut a, mut ma), (mut b, mut mb)] =
             pair(|_| FaultAction::Reorder, ReliabilityConfig::off());
-        a.send(1, TAG, 0.0, Body::Modeled(MODELED), &mut ma);
+        a.send(1, TAG, 0.0, modeled(MODELED), &mut ma);
         a.close(&mut ma);
         let env = b.recv(0, TAG, &mut mb, None).expect("released at close");
         assert_eq!(env.bytes(), MODELED);
@@ -822,7 +865,7 @@ mod tests {
         // Whatever the modeled size — zero included — the header has
         // bits to flip and the checksum covers them.
         for bytes in [MODELED, 0] {
-            a.send(1, TAG, 0.0, Body::Modeled(bytes), &mut ma);
+            a.send(1, TAG, 0.0, modeled(bytes), &mut ma);
             match b.recv(0, TAG, &mut mb, None) {
                 Err(CommError::Corrupt {
                     src: 0,

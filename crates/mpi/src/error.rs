@@ -153,10 +153,10 @@ pub enum CommError {
         error: WireError,
     },
     /// A receive matched a frame of the other kind: `recv_bytes`/`recv`
-    /// found a modeled transfer (which carries no payload to hand over),
-    /// or `recv_modeled` found a real frame. Like [`CommError::Decode`],
-    /// a sender/receiver mismatch — a programming error with a
-    /// diagnosis.
+    /// found a modeled transfer or a charged frame (whose payload is not
+    /// the size it is billed at), or `recv_modeled` found a real frame.
+    /// Like [`CommError::Decode`], a sender/receiver mismatch — a
+    /// programming error with a diagnosis.
     KindMismatch {
         rank: usize,
         src: usize,

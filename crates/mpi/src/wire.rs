@@ -21,6 +21,8 @@ pub enum WireError {
     TrailingBytes(usize),
     /// A row of a rectangular table is not as long as its first row.
     Ragged { expected: usize, got: usize },
+    /// An index names no entry of a table of `len` entries.
+    OutOfRange { index: u64, len: u64 },
 }
 
 impl fmt::Display for WireError {
@@ -36,6 +38,9 @@ impl fmt::Display for WireError {
             WireError::TrailingBytes(n) => write!(f, "{n} trailing bytes after decode"),
             WireError::Ragged { expected, got } => {
                 write!(f, "ragged table: a row of {got} after rows of {expected}")
+            }
+            WireError::OutOfRange { index, len } => {
+                write!(f, "index {index} out of range for {len} entries")
             }
         }
     }
@@ -143,6 +148,10 @@ impl<'a> Reader<'a> {
 
 /// A type that can be encoded to / decoded from a message buffer.
 pub trait Wire: Sized {
+    /// The bytes every value encodes to, if that is one number: a `Vec`
+    /// of such values reserves its frame exactly instead of doubling.
+    const SIZE: Option<usize> = None;
+
     fn encode(&self, out: &mut Vec<u8>);
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError>;
 
@@ -167,6 +176,7 @@ pub trait Wire: Sized {
 macro_rules! wire_primitive {
     ($($t:ty),*) => {$(
         impl Wire for $t {
+            const SIZE: Option<usize> = Some(std::mem::size_of::<$t>());
             fn encode(&self, out: &mut Vec<u8>) {
                 out.extend_from_slice(&self.to_le_bytes());
             }
@@ -182,6 +192,7 @@ macro_rules! wire_primitive {
 wire_primitive!(u8, u16, u32, u64, i8, i16, i32, i64, f32, f64);
 
 impl Wire for usize {
+    const SIZE: Option<usize> = Some(8);
     fn encode(&self, out: &mut Vec<u8>) {
         (*self as u64).encode(out);
     }
@@ -191,6 +202,7 @@ impl Wire for usize {
 }
 
 impl Wire for bool {
+    const SIZE: Option<usize> = Some(1);
     fn encode(&self, out: &mut Vec<u8>) {
         out.push(u8::from(*self));
     }
@@ -225,6 +237,9 @@ impl Wire for String {
 impl<T: Wire> Wire for Vec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         (self.len() as u32).encode(out);
+        if let Some(size) = T::SIZE {
+            out.reserve(size * self.len());
+        }
         for item in self {
             item.encode(out);
         }
@@ -262,6 +277,7 @@ impl<T: Wire> Wire for Option<T> {
 macro_rules! wire_tuple {
     ($($name:ident : $idx:tt),+) => {
         impl<$($name: Wire),+> Wire for ($($name,)+) {
+            const SIZE: Option<usize> = $crate::wire::fixed_size(&[$($name::SIZE),+]);
             fn encode(&self, out: &mut Vec<u8>) {
                 $(self.$idx.encode(out);)+
             }
@@ -278,6 +294,18 @@ wire_tuple!(A: 0, B: 1, C: 2);
 wire_tuple!(A: 0, B: 1, C: 2, D: 3);
 wire_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4);
 wire_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4, F: 5);
+
+/// [`Wire::SIZE`] of a record of `parts`: `None` if one of them varies.
+pub const fn fixed_size(parts: &[Option<usize>]) -> Option<usize> {
+    match parts {
+        [] => Some(0),
+        [Some(n), rest @ ..] => match fixed_size(rest) {
+            Some(m) => Some(*n + m),
+            None => None,
+        },
+        [None, ..] => None,
+    }
+}
 
 /// Derive [`Wire`] for a plain struct by listing its fields.
 ///
@@ -298,6 +326,8 @@ macro_rules! wire_struct {
         }
 
         impl $crate::wire::Wire for $name {
+            const SIZE: Option<usize> =
+                $crate::wire::fixed_size(&[$(<$ty as $crate::wire::Wire>::SIZE),*]);
             fn encode(&self, out: &mut Vec<u8>) {
                 $(self.$field.encode(out);)*
             }
@@ -406,6 +436,27 @@ mod tests {
             b: vec![],
             c: None,
         });
+    }
+
+    wire_struct!(
+        struct Fixed {
+            a: u32,
+            b: (i64, bool),
+        }
+    );
+
+    #[test]
+    fn fixed_size_records_are_framed_exactly() {
+        assert_eq!(Fixed::SIZE, Some(13));
+        assert_eq!(Demo::SIZE, None, "a Vec or an Option field varies");
+        let records: Vec<Fixed> = (0..1000).map(|a| Fixed { a, b: (-1, true) }).collect();
+        let bytes = records.to_bytes();
+        assert_eq!(bytes.len(), 4 + 13 * 1000);
+        assert_eq!(
+            bytes.capacity(),
+            bytes.len(),
+            "reserved once, never doubled"
+        );
     }
 
     #[test]

@@ -441,3 +441,191 @@ mod edge_cases {
         assert_eq!(c.try_recv_bytes(0, 1).unwrap(), vec![9]);
     }
 }
+
+// ----- charged allgather: a compact payload billed as the dense one -----
+
+mod charged {
+    use pgr_mpi::fault::FAULTS_CORRUPTED;
+    use pgr_mpi::{
+        reliable, run_instrumented, ChaosConfig, ChaosLayer, Comm, CommError, FaultAction,
+        InstrumentConfig, MachineModel, MetricsConfig, MsgCtx, Phase, ReliabilityConfig,
+        TraceEventKind, Wire, COLLECTIVE_TAG_BASE,
+    };
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::Arc;
+
+    const SIZES: [usize; 5] = [1, 2, 3, 5, 8];
+    const WORDS: usize = 300;
+    const ROUNDS: u64 = 6;
+
+    /// The dense value rank `rank` stands for: `WORDS` words, the first
+    /// its rank — what the compact value (the rank alone) is billed as.
+    fn dense(rank: u64) -> Vec<u64> {
+        let mut words = vec![0; WORDS];
+        words[0] = rank;
+        words
+    }
+
+    fn dense_len() -> usize {
+        dense(0).to_bytes().len()
+    }
+
+    /// `ROUNDS` allgathers with uneven compute between them, each rank's
+    /// value shipped compact and charged (`charged`) or dense.
+    fn rounds(comm: &mut Comm, charged: bool) -> Vec<Vec<u64>> {
+        comm.phase_mark(Phase::Coarse);
+        (0..ROUNDS)
+            .map(|round| {
+                let me = comm.rank() as u64;
+                comm.compute(300 * (me + 1) * (round + 1));
+                if charged {
+                    comm.allgather_charged(me + round, dense_len())
+                } else {
+                    let all = comm.allgather(dense(me + round));
+                    all.into_iter().map(|words| words[0]).collect()
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn charged_allgather_matches_the_dense_one_in_every_account() {
+        let machine = MachineModel::sparc_center_1000();
+        for size in SIZES {
+            let run_as = |charged: bool| {
+                run_instrumented(size, machine, InstrumentConfig::full(), move |comm| {
+                    rounds(comm, charged)
+                })
+            };
+            let (dense_run, dense_traces, dense_metrics) = run_as(false);
+            let (charged_run, charged_traces, charged_metrics) = run_as(true);
+            let expect: Vec<Vec<u64>> = (0..ROUNDS)
+                .map(|round| (0..size as u64).map(|r| r + round).collect())
+                .collect();
+            assert!(charged_run.results.iter().all(|r| *r == expect), "P={size}");
+            assert_eq!(dense_run.results, charged_run.results, "P={size}");
+            // Clock to the bit, messages, bytes, phases.
+            assert_eq!(dense_run.stats, charged_run.stats, "P={size}: rank stats");
+            assert_eq!(
+                dense_run.comm_matrix(),
+                charged_run.comm_matrix(),
+                "P={size}"
+            );
+            // Every event, the Send/Recv bytes among them.
+            assert_eq!(dense_traces, charged_traces, "P={size}: traces");
+            assert_eq!(dense_metrics, charged_metrics, "P={size}: metrics");
+            let sent: Vec<usize> = charged_traces
+                .iter()
+                .flat_map(|t| &t.events)
+                .filter_map(|e| match e.kind {
+                    TraceEventKind::Send { bytes, .. } => Some(bytes),
+                    _ => None,
+                })
+                .collect();
+            // P − 1 gather frames and P − 1 broadcast frames a round.
+            assert_eq!(sent.len(), 2 * (size - 1) * ROUNDS as usize, "P={size}");
+            let bcast = 4 + size * dense_len();
+            assert!(sent.iter().all(|&b| b == dense_len() || b == bcast));
+        }
+    }
+
+    #[test]
+    fn charged_allgather_matches_the_dense_one_under_masked_chaos() {
+        let machine = MachineModel::sparc_center_1000();
+        let mut injected = 0;
+        for size in [2, 3, 5] {
+            for seed in [1u64, 7, 1997] {
+                let run_as = |charged: bool| {
+                    let instr = InstrumentConfig {
+                        metrics: MetricsConfig::on(),
+                        fault: Some(Arc::new(ChaosLayer::new(
+                            ChaosConfig::messages_with_corruption(seed),
+                        ))),
+                        reliability: ReliabilityConfig::on(),
+                        ..InstrumentConfig::off()
+                    };
+                    run_instrumented(size, machine, instr, move |comm| rounds(comm, charged))
+                };
+                let (dense_run, _, dense_metrics) = run_as(false);
+                let (charged_run, _, charged_metrics) = run_as(true);
+                let what = format!("P={size} seed {seed}");
+                assert_eq!(dense_run.results, charged_run.results, "{what}");
+                assert_eq!(dense_run.stats, charged_run.stats, "{what}");
+                assert_eq!(dense_metrics, charged_metrics, "{what}: transport counters");
+                injected += charged_metrics
+                    .iter()
+                    .filter_map(|m| m.counter(reliable::RETRANSMITS))
+                    .sum::<u64>();
+                injected += charged_metrics
+                    .iter()
+                    .filter_map(|m| m.counter(FAULTS_CORRUPTED))
+                    .sum::<u64>();
+            }
+        }
+        assert!(injected > 0, "the schedules must exercise the fault paths");
+    }
+
+    #[test]
+    fn corrupted_charged_frame_fails_the_crc_over_its_payload() {
+        // Reliability off: the root's flipped broadcast frame reaches rank
+        // 1, whose CRC check rejects it — the collective fails with the
+        // diagnosis. (The root is done by then: a rank that panicked
+        // mid-collective would leave its peers waiting.)
+        let corrupt_bcast = |ctx: &MsgCtx| match ctx.tag {
+            t if t == COLLECTIVE_TAG_BASE | 1 => FaultAction::Corrupt,
+            _ => FaultAction::Deliver,
+        };
+        let instr = InstrumentConfig {
+            fault: Some(Arc::new(corrupt_bcast)),
+            ..InstrumentConfig::off()
+        };
+        let failed = catch_unwind(AssertUnwindSafe(|| {
+            run_instrumented(2, MachineModel::ideal(), instr, |comm| {
+                comm.allgather_charged(comm.rank() as u64, dense_len())
+            })
+        }))
+        .expect_err("rank 1 receives a corrupt frame");
+        let msg = failed
+            .downcast_ref::<String>()
+            .expect("a formatted panic message");
+        // The broadcast half of the allgather names itself.
+        assert!(msg.contains("collective bcast failed"), "{msg}");
+        assert!(msg.contains("CRC-32"), "{msg}");
+    }
+
+    #[test]
+    fn plain_receive_matching_a_charged_frame_is_a_kind_mismatch() {
+        let n = dense_len();
+        let (report, ..) = run_instrumented(
+            2,
+            MachineModel::ideal(),
+            InstrumentConfig::off(),
+            move |comm| {
+                if comm.rank() == 0 {
+                    // The gather frame of rank 1's allgather, taken as a
+                    // typed payload.
+                    Some(comm.try_recv::<u64>(1, COLLECTIVE_TAG_BASE))
+                } else {
+                    // Its broadcast never comes: the root has moved on.
+                    let _ = catch_unwind(AssertUnwindSafe(|| comm.allgather_charged(7u64, n)));
+                    None
+                }
+            },
+        );
+        let err = report.results[0].clone().expect("rank 0 reports");
+        assert!(
+            matches!(
+                err,
+                Err(CommError::KindMismatch {
+                    rank: 0,
+                    src: 1,
+                    modeled: true,
+                    bytes,
+                    wire_bytes: 16,
+                    ..
+                }) if bytes == n
+            ),
+            "{err:?}"
+        );
+    }
+}
