@@ -42,11 +42,13 @@
 #   re-add) of `optimize_slice`;
 # - when anything under crates/core/src names `RouteAbort`: the engine
 #   matches `pgr_mpi::PhaseControl` itself;
-# - when `DensityProfile` stops storing each column once: a non-test line
-#   of crates/geom/src/profile.rs that names `self.lazy`, `PHANTOM` or
-#   `next_power_of_two` is a second per-node vector, or the padding to a
-#   power of two, coming back (the pending add is derived from the node
-#   and its children; the tree is `2 * width - 1` nodes for any width).
+# - when `DensityProfile` grows a tree again: a non-test line of
+#   crates/geom/src/profile.rs that names `fn settle`, `fn split`,
+#   `pending` or `2 * width` is the range-add / range-max tree coming back
+#   (the profile is its `width` columns, the peak and the peak count), and
+#   a non-test line of crates/core/src/route/coarse.rs that calls
+#   `.max_in(` is the withdrawn peak rebuilt from side walks again (it is
+#   one `max_if_removed` scan of the segment's span).
 # - when Connect's kernel enumerates pairs or allocates per net again: a
 #   non-test line of crates/geom/src/mst.rs that names `Vec<Vec<` or
 #   `buckets` is the row-bucketed every-pair scan coming back (the
@@ -158,13 +160,23 @@ if [ -n "$respelled_control" ]; then
     exit 1
 fi
 
-twice_stored=$(awk '
+tree=$(awk '
     /^#\[cfg\(test\)\]/ { exit }
-    /self\.lazy|PHANTOM|next_power_of_two/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+    /fn settle|fn split|pending|2 \* width/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
 ' crates/geom/src/profile.rs)
-if [ -n "$twice_stored" ]; then
-    echo "surface: DensityProfile is one vector of 2 * width - 1 nodes (derive the pending add; no padding):" >&2
-    echo "$twice_stored" >&2
+if [ -n "$tree" ]; then
+    echo "surface: DensityProfile is its columns, the peak and the peak count (no tree):" >&2
+    echo "$tree" >&2
+    exit 1
+fi
+
+side_walks=$(awk '
+    /^#\[cfg\(test\)\]/ { exit }
+    /\.max_in\(/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+' crates/core/src/route/coarse.rs)
+if [ -n "$side_walks" ]; then
+    echo "surface: the withdrawn peak is one DensityProfile::max_if_removed scan (no max_in side walks):" >&2
+    echo "$side_walks" >&2
     exit 1
 fi
 

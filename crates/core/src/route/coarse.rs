@@ -152,7 +152,7 @@ impl CoarseState {
     /// Modeled memory footprint (for the per-node memory gate): the 1997
     /// structure at 32 B a grid column per profile plus the demand rows,
     /// which the virtual results are pinned to — not what
-    /// [`DensityProfile`] allocates (16 B a column).
+    /// [`DensityProfile`] allocates (8 B a column).
     pub fn modeled_bytes(&self) -> u64 {
         (self.profiles.len() * 2 + self.demand.rows()) as u64 * self.gcols as u64 * 16
     }
@@ -333,8 +333,9 @@ impl CoarseState {
     ///
     /// The sweep scores both shapes incrementally from the *current*
     /// state instead of physically removing and re-inserting the segment:
-    /// the withdrawn channel's peak is reconstructed from three range-max
-    /// queries, and withdrawn feedthrough demand is the stored count minus
+    /// the withdrawn channel's peak is one
+    /// [`DensityProfile::max_if_removed`] scan of the segment's own grid
+    /// columns, and withdrawn feedthrough demand is the stored count minus
     /// one at the segment's present vertical column. The arithmetic
     /// reproduces the remove-eval-reinsert numbers exactly (same i64
     /// peaks, same integer-valued f64 sums), so decisions — and the
@@ -350,7 +351,6 @@ impl CoarseState {
     ) -> usize {
         let mut changed = 0;
         let mut ops = 0u64;
-        let gmax = self.gcols as i64 - 1;
         for &i in order {
             let seg = &segments[i as usize];
             if !seg.is_cross_row() {
@@ -361,22 +361,10 @@ impl CoarseState {
             let (glo, ghi) = (self.gcol(lo), self.gcol(hi));
             let cur_chan = seg.horizontal_channel(cur);
             let cur_prof = &self.profiles[self.chan_idx(cur_chan)];
-            // Peak of the current channel with this segment withdrawn:
-            // inside its span the density drops by one, outside it is
-            // untouched. Side ranges are included only when non-empty (an
-            // empty `max_in` would report 0, which is not an identity for
-            // the max).
-            let mut without_max = cur_prof.max_in(glo, ghi) - 1;
-            if glo > 0 {
-                without_max = without_max.max(cur_prof.max_in(0, glo - 1));
-            }
-            if ghi < gmax {
-                without_max = without_max.max(cur_prof.max_in(ghi + 1, gmax));
-            }
             // Re-adding the span over its own range restores exactly the
             // current peak, so the withdrawn-state `max_if_added` is
             // `cur_prof.max()` — the rise telescopes to one subtraction.
-            let rise_cur = cur_prof.max() - without_max;
+            let rise_cur = cur_prof.max() - cur_prof.max_if_removed(glo, ghi);
             let g_cur = self.gcol(seg.vertical_x(cur)) as usize;
             let cost_of = |orient: Orientation| -> f64 {
                 let chan = seg.horizontal_channel(orient);

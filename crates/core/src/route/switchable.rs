@@ -126,7 +126,7 @@ impl ChannelState {
 
     /// Modeled memory footprint (for the per-node memory gate): the 1997
     /// structure at 32 B a column, which the virtual results are pinned
-    /// to — not what [`DensityProfile`] allocates (16 B a column).
+    /// to — not what [`DensityProfile`] allocates (8 B a column).
     pub fn modeled_bytes(&self) -> u64 {
         self.profiles.len() as u64 * (self.width as u64) * 32
     }

@@ -4,35 +4,35 @@
 //! wire spans covering `x`; the channel needs `max_x density(x)` tracks.
 //! The TimberWolf coarse router and the switchable-segment optimizer both
 //! evaluate "what does the peak density become if this span moves here?"
-//! millions of times, so the profile is a range-add / range-max segment
-//! tree: span insertion, removal, and hypothetical-peak queries are all
-//! O(log W) in the channel width W.
+//! millions of times.
 //!
-//! **Layout.** One vector of exactly `2·W − 1` node maxima in preorder:
-//! the node over `lo..=hi` at index `i` has its left child (`lo..=mid`) at
-//! `i + 1` and its right child just past the left subtree, at
-//! `i + 2·(mid − lo + 1)`; the root is index 0. Any width splits this way,
-//! so there is no padding and every leaf is a real column.
+//! **Layout.** The columns themselves: one vector of exactly `W` densities,
+//! plus the peak and `npeak`, the number of columns at the peak. Every
+//! operation leaves both exact.
 //!
-//! **Pending adds are derived, not stored.** An add covering a node's whole
-//! span stops there and raises that node only, so an internal node always
-//! holds `max(left, right) + pending`: the pending add is the node minus
-//! its larger child, and a second per-node vector would only repeat it.
-//! Nothing is pushed down, which is why queries take `&self`.
+//! **Costs.** [`DensityProfile::max`] is O(1). An update
+//! ([`DensityProfile::add_span`]) and a query over a span
+//! ([`DensityProfile::max_in`], [`DensityProfile::max_if_added`],
+//! [`DensityProfile::max_if_removed`]) scan the span's own columns:
+//! O(span). The one O(W) step is a decrement that takes the last peak
+//! column below the peak, after which the new peak may be anywhere and the
+//! profile recounts. The count is what makes a withdrawal a count instead
+//! of a search: removing a unit span lowers the peak exactly when the span
+//! holds every peak column.
 //!
-//! **Bulk load.** Loading a span list one [`DensityProfile::add_span`] at
-//! a time costs O(log W) a span, into a tree that is empty.
-//! [`DensityProfile::load_spans`] stages each span in O(1) as a difference
-//! (`+delta` at `lo`, `−delta` past `hi`) in the first `W` slots of the
-//! profile's own vector — free while the profile is all zero — then, per
-//! profile, one prefix sum moves the column densities into a `W`-long
-//! scratch shared by every profile of the call, and one pass (`settle`)
-//! writes each leaf its column and each internal node the larger of its
-//! children. A node that holds exactly `max(left, right)` has no add
-//! pending, so the loaded profile answers every later update and query as
-//! the span-by-span one does: their nodes may differ, their columns do not.
-//! [`DensityProfile::merge_counts`] is the same pass over a profile that is
-//! not empty, carrying each node's pending add down to the leaves on the way.
+//! **Why a scan beats a tree here.** A range-add / range-max tree would
+//! answer each of these in O(log W), but a walk is a chain of dependent
+//! loads and branches, while the spans the router scores are short and
+//! contiguous. Coarse's profiles are `width / grid_w` columns, built
+//! before feedthroughs widen the chip: 288 on avq.large and 863 at 100k
+//! nets, and a scored span covers 11.2 and 24.9 of them on average.
+//!
+//! **Bulk load.** [`DensityProfile::load_spans`] stages each span in O(1)
+//! as a difference (`+delta` at `lo`, `−delta` past `hi`) in the empty
+//! profile's own columns; per profile, one in-place prefix sum turns the
+//! differences into densities and one pass recounts the peak — O(spans +
+//! Σ W), nothing allocated. [`DensityProfile::merge_counts`] is a
+//! pointwise add and the same recount.
 
 /// A density profile over columns `0..width`.
 ///
@@ -44,12 +44,16 @@
 /// assert_eq!(p.max(), 2);                  // the spans overlap on [30, 40]
 /// assert_eq!(p.max_if_added(0, 9), 2);     // adding off-peak changes nothing
 /// assert_eq!(p.max_if_added(35, 36), 3);   // adding on-peak raises it
+/// assert_eq!(p.max_if_removed(10, 40), 1); // [10, 40] holds the whole peak
 /// ```
 #[derive(Debug, Clone)]
 pub struct DensityProfile {
-    width: usize,
-    /// Node maxima in preorder, `2 * width - 1` of them (see the module doc).
-    tree: Vec<i64>,
+    /// The density of each column, exactly `width` of them.
+    cols: Vec<i64>,
+    /// The largest density.
+    peak: i64,
+    /// How many columns hold `peak` (at least one).
+    npeak: usize,
 }
 
 impl DensityProfile {
@@ -57,20 +61,21 @@ impl DensityProfile {
     pub fn new(width: usize) -> Self {
         assert!(width > 0, "DensityProfile needs at least one column");
         DensityProfile {
-            width,
-            tree: vec![0; 2 * width - 1],
+            cols: vec![0; width],
+            peak: 0,
+            npeak: width,
         }
     }
 
     pub fn width(&self) -> usize {
-        self.width
+        self.cols.len()
     }
 
     /// Clamp an inclusive span to the profile and normalize ordering.
     fn clamp(&self, lo: i64, hi: i64) -> Option<(usize, usize)> {
         let (lo, hi) = if lo <= hi { (lo, hi) } else { (hi, lo) };
         let lo = lo.max(0);
-        let hi = hi.min(self.width as i64 - 1);
+        let hi = hi.min(self.cols.len() as i64 - 1);
         if lo > hi {
             None
         } else {
@@ -78,30 +83,72 @@ impl DensityProfile {
         }
     }
 
+    /// The columns of an inclusive span (clamped; empty if none remain).
+    fn cols_in(&self, lo: i64, hi: i64) -> &[i64] {
+        match self.clamp(lo, hi) {
+            Some((lo, hi)) => &self.cols[lo..=hi],
+            None => &[],
+        }
+    }
+
+    /// Set the peak and its count from the columns, in O(width).
+    fn recount(&mut self) {
+        let peak = *self.cols.iter().max().expect("width > 0");
+        self.npeak = self.cols.iter().filter(|&&c| c == peak).count();
+        self.peak = peak;
+    }
+
     /// Add `delta` over the inclusive column span `[lo, hi]`.
     /// Spans are clamped to the profile; a fully out-of-range span or a
-    /// zero delta is an exact no-op (the tree is untouched).
+    /// zero delta is an exact no-op (the profile is untouched).
     /// `lo > hi` is treated as the span `[hi, lo]`.
     pub fn add_span(&mut self, lo: i64, hi: i64, delta: i64) {
         if delta == 0 {
             return;
         }
-        if let Some((lo, hi)) = self.clamp(lo, hi) {
-            self.update(0, 0, self.width - 1, lo, hi, delta);
+        let Some((lo, hi)) = self.clamp(lo, hi) else {
+            return;
+        };
+        let span = &mut self.cols[lo..=hi];
+        if delta > 0 {
+            let mut top = i64::MIN;
+            for c in span.iter_mut() {
+                *c += delta;
+                top = top.max(*c);
+            }
+            // A column that held the peak now stands above it, so a span
+            // top equal to the peak is made only of columns that rose to it.
+            if top >= self.peak {
+                let at_top = span.iter().filter(|&&c| c == top).count();
+                if top > self.peak {
+                    (self.peak, self.npeak) = (top, at_top);
+                } else {
+                    self.npeak += at_top;
+                }
+            }
+        } else {
+            let mut dropped = 0;
+            for c in span.iter_mut() {
+                dropped += usize::from(*c == self.peak);
+                *c += delta;
+            }
+            if dropped == self.npeak {
+                self.recount();
+            } else {
+                self.npeak -= dropped;
+            }
         }
     }
 
     /// Current peak density over the whole channel.
     pub fn max(&self) -> i64 {
-        self.tree[0]
+        self.peak
     }
 
-    /// Peak density over the inclusive span `[lo, hi]` (clamped).
+    /// Peak density over the inclusive span `[lo, hi]` (clamped; 0 when
+    /// no column remains).
     pub fn max_in(&self, lo: i64, hi: i64) -> i64 {
-        match self.clamp(lo, hi) {
-            Some((lo, hi)) => self.query(0, 0, self.width - 1, lo, hi),
-            None => 0,
-        }
+        self.cols_in(lo, hi).iter().copied().max().unwrap_or(0)
     }
 
     /// Peak density the channel would have after adding a unit span over
@@ -110,32 +157,42 @@ impl DensityProfile {
     /// Correct because a unit add only raises columns inside the span:
     /// `new_max = max(old_global_max, span_max + 1)`.
     pub fn max_if_added(&self, lo: i64, hi: i64) -> i64 {
-        if self.clamp(lo, hi).is_none() {
-            return self.max();
+        match self.cols_in(lo, hi).iter().copied().max() {
+            Some(span_max) => self.peak.max(span_max + 1),
+            None => self.peak,
         }
-        self.max().max(self.max_in(lo, hi) + 1)
+    }
+
+    /// Peak density the channel would have after withdrawing a unit span
+    /// over `[lo, hi]` — `add_span(lo, hi, -1)` then [`Self::max`], without
+    /// mutating the profile.
+    ///
+    /// Correct because densities are integers: every column outside the
+    /// span is at most `peak − 1` when the span holds all `npeak` peak
+    /// columns, so the peak drops by one then; otherwise a peak column
+    /// outside the span keeps it.
+    pub fn max_if_removed(&self, lo: i64, hi: i64) -> i64 {
+        let at_peak = self.cols_in(lo, hi).iter().filter(|&&c| c == self.peak);
+        self.peak - i64::from(at_peak.count() == self.npeak)
     }
 
     /// Density at a single column.
     pub fn at(&self, col: usize) -> i64 {
-        assert!(col < self.width);
-        self.query(0, 0, self.width - 1, col, col)
+        self.cols[col]
     }
 
     /// Materialize per-column densities (used when merging profiles across
     /// partition boundaries).
     pub fn counts(&self) -> Vec<i64> {
-        let mut out = vec![0; self.width];
-        self.counts_into(&mut out);
-        out
+        self.cols.clone()
     }
 
     /// Write per-column densities into a caller-owned buffer of length
     /// [`Self::width`] — the allocation-free twin of [`Self::counts`] for
     /// the assemble/verify hot path.
     pub fn counts_into(&self, out: &mut [i64]) {
-        assert_eq!(out.len(), self.width, "counts_into buffer width mismatch");
-        self.collect(0, 0, self.width - 1, 0, out);
+        assert_eq!(out.len(), self.width(), "counts_into buffer width mismatch");
+        out.copy_from_slice(&self.cols);
     }
 
     /// Pointwise-add another profile's counts into this one, in one
@@ -143,113 +200,45 @@ impl DensityProfile {
     pub fn merge_counts(&mut self, counts: &[i64]) {
         assert_eq!(
             counts.len(),
-            self.width,
+            self.width(),
             "merging mismatched profile widths"
         );
-        self.settle(0, 0, self.width - 1, 0, counts);
+        for (c, add) in self.cols.iter_mut().zip(counts) {
+            *c += add;
+        }
+        self.recount();
     }
 
     /// Add every `(profile, lo, hi, delta)` of `spans` to `profiles`, all of
     /// them empty (as [`Self::new`] leaves them): the profiles one
     /// [`Self::add_span`] per span would give, clamping and all, in
-    /// O(spans + Σ width) and one allocation, the size of the widest
-    /// profile's columns (see the module doc). A `profile` index out of
-    /// range panics.
+    /// O(spans + Σ width) and no allocation (see the module doc). A
+    /// `profile` index out of range panics.
     pub fn load_spans(
         profiles: &mut [DensityProfile],
         spans: impl IntoIterator<Item = (usize, i64, i64, i64)>,
     ) {
         debug_assert!(
-            profiles.iter().all(|p| p.tree.iter().all(|&v| v == 0)),
+            profiles.iter().all(|p| p.peak == 0 && p.npeak == p.width()),
             "load_spans needs empty profiles"
         );
         for (i, lo, hi, delta) in spans {
             let p = &mut profiles[i];
             if let Some((lo, hi)) = p.clamp(lo, hi) {
-                p.tree[lo] += delta;
-                if hi + 1 < p.width {
-                    p.tree[hi + 1] -= delta;
+                p.cols[lo] += delta;
+                if let Some(past) = p.cols.get_mut(hi + 1) {
+                    *past -= delta;
                 }
             }
         }
-        let widest = profiles.iter().map(|p| p.width).max().unwrap_or(0);
-        let mut scratch = vec![0i64; widest];
         for p in profiles {
-            let counts = &mut scratch[..p.width];
             let mut density = 0;
-            for (diff, count) in p.tree.iter_mut().zip(counts.iter_mut()) {
-                density += std::mem::take(diff);
-                *count = density;
+            for c in &mut p.cols {
+                density += *c;
+                *c = density;
             }
-            p.settle(0, 0, p.width - 1, 0, counts);
+            p.recount();
         }
-    }
-
-    /// Split the internal node `node` over `nlo..=nhi`: the last column of
-    /// its left half, its left and right children, and the addition pending
-    /// on it — what it holds above the larger child.
-    fn split(&self, node: usize, nlo: usize, nhi: usize) -> (usize, usize, usize, i64) {
-        let mid = (nlo + nhi) / 2;
-        let (left, right) = (node + 1, node + 2 * (mid - nlo + 1));
-        let pending = self.tree[node] - self.tree[left].max(self.tree[right]);
-        (mid, left, right, pending)
-    }
-
-    /// Rebuild the subtree of `node` over `nlo..=nhi` with no add pending
-    /// anywhere in it: every leaf takes `acc` (the adds pending above it),
-    /// the adds pending on its way down and `add[column]`, every internal
-    /// node the larger of its children. Returns the node's new maximum.
-    fn settle(&mut self, node: usize, nlo: usize, nhi: usize, acc: i64, add: &[i64]) -> i64 {
-        let max = if nlo == nhi {
-            self.tree[node] + acc + add[nlo]
-        } else {
-            let (mid, left, right, pending) = self.split(node, nlo, nhi);
-            let l = self.settle(left, nlo, mid, acc + pending, add);
-            let r = self.settle(right, mid + 1, nhi, acc + pending, add);
-            l.max(r)
-        };
-        self.tree[node] = max;
-        max
-    }
-
-    fn update(&mut self, node: usize, nlo: usize, nhi: usize, lo: usize, hi: usize, delta: i64) {
-        if lo <= nlo && nhi <= hi {
-            self.tree[node] += delta;
-            return;
-        }
-        let (mid, left, right, pending) = self.split(node, nlo, nhi);
-        if lo <= mid {
-            self.update(left, nlo, mid, lo, hi.min(mid), delta);
-        }
-        if hi > mid {
-            self.update(right, mid + 1, nhi, lo.max(mid + 1), hi, delta);
-        }
-        self.tree[node] = self.tree[left].max(self.tree[right]) + pending;
-    }
-
-    fn query(&self, node: usize, nlo: usize, nhi: usize, lo: usize, hi: usize) -> i64 {
-        if lo <= nlo && nhi <= hi {
-            return self.tree[node];
-        }
-        let (mid, left, right, pending) = self.split(node, nlo, nhi);
-        let mut m = i64::MIN;
-        if lo <= mid {
-            m = m.max(self.query(left, nlo, mid, lo, hi.min(mid)));
-        }
-        if hi > mid {
-            m = m.max(self.query(right, mid + 1, nhi, lo.max(mid + 1), hi));
-        }
-        m + pending
-    }
-
-    fn collect(&self, node: usize, nlo: usize, nhi: usize, acc: i64, out: &mut [i64]) {
-        if nlo == nhi {
-            out[nlo] = acc + self.tree[node];
-            return;
-        }
-        let (mid, left, right, pending) = self.split(node, nlo, nhi);
-        self.collect(left, nlo, mid, acc + pending, out);
-        self.collect(right, mid + 1, nhi, acc + pending, out);
     }
 }
 
@@ -257,9 +246,24 @@ impl DensityProfile {
 mod tests {
     use super::*;
 
+    impl DensityProfile {
+        /// The invariant every operation keeps: `peak` is the largest
+        /// column and `npeak` counts the columns that hold it.
+        fn check(&self) {
+            let max = *self.cols.iter().max().expect("width > 0");
+            let at_max = self.cols.iter().filter(|&&c| c == max).count();
+            assert_eq!((self.peak, self.npeak), (max, at_max), "{:?}", self.cols);
+        }
+
+        fn state(&self) -> (&[i64], i64, usize) {
+            (&self.cols, self.peak, self.npeak)
+        }
+    }
+
     #[test]
     fn empty_profile_is_zero() {
         let p = DensityProfile::new(16);
+        p.check();
         assert_eq!(p.max(), 0);
         assert_eq!(p.at(7), 0);
         assert_eq!(p.counts(), vec![0; 16]);
@@ -319,6 +323,7 @@ mod tests {
         p.add_span(50, 60, 1); // entirely outside: no-op
         assert_eq!(p.max(), 1);
         assert_eq!(p.max_if_added(50, 60), 1);
+        assert_eq!(p.max_if_removed(50, 60), 1);
     }
 
     #[test]
@@ -337,8 +342,13 @@ mod tests {
         let mut b = DensityProfile::new(6);
         b.add_span(2, 5, 3);
         a.merge_counts(&b.counts());
+        a.check();
         assert_eq!(a.counts(), vec![1, 1, 4, 3, 3, 3]);
         assert_eq!(a.max(), 4);
+        // A merge that lowers every column below the old peak.
+        a.merge_counts(&[-2, -2, -5, -4, -4, -4]);
+        a.check();
+        assert_eq!(a.state(), (&[-1, -1, -1, -1, -1, -1][..], -1, 6));
     }
 
     #[test]
@@ -356,6 +366,7 @@ mod tests {
         // `0..width` may clamp an all-negative profile's max at 0.
         let mut p = DensityProfile::new(3);
         p.add_span(0, 2, -1);
+        p.check();
         assert_eq!(p.max(), -1);
         assert_eq!(p.max_in(0, 2), -1);
         assert_eq!(
@@ -363,17 +374,27 @@ mod tests {
             -1,
             "out-of-range hypothetical keeps the real max"
         );
+        assert_eq!(p.max_if_removed(0, 2), -2);
         assert_eq!(p.counts(), vec![-1, -1, -1]);
         p.add_span(1, 1, 3);
+        p.check();
         assert_eq!(p.max(), 2);
+        p.add_span(0, 1, -4);
+        p.check();
+        assert_eq!(p.state(), (&[-5, -2, -1][..], -1, 1));
     }
 
     #[test]
     fn width_one() {
         let mut p = DensityProfile::new(1);
         p.add_span(0, 0, 7);
+        p.check();
         assert_eq!(p.max(), 7);
+        assert_eq!(p.max_if_removed(0, 0), 6);
         assert_eq!(p.counts(), vec![7]);
+        p.add_span(-3, 3, -9);
+        p.check();
+        assert_eq!(p.state(), (&[-2][..], -2, 1));
     }
 
     #[test]
@@ -411,7 +432,7 @@ mod tests {
         p.add_span(0, 10, 0);
         p.add_span(4, 4, 0);
         p.add_span(-5, 50, 0);
-        assert_eq!(p.tree, before.tree, "zero delta must not touch the tree");
+        assert_eq!(p.state(), before.state(), "zero delta must not touch it");
     }
 
     #[test]
@@ -423,8 +444,9 @@ mod tests {
         p.add_span(-9, -1, 1); // ends exactly before 0
         p.add_span(i64::MAX - 1, i64::MAX, 1);
         assert_eq!(
-            p.tree, before.tree,
-            "clamped-away spans must not touch the tree"
+            p.state(),
+            before.state(),
+            "clamped-away spans must not touch it"
         );
     }
 
@@ -432,16 +454,18 @@ mod tests {
     const WIDTHS: [usize; 13] = [1, 2, 3, 7, 13, 16, 27, 100, 255, 256, 257, 1_000, 8_365];
 
     #[test]
-    fn one_vector_of_two_width_minus_one_nodes() {
+    fn one_vector_of_width_columns() {
         for width in WIDTHS {
             let p = DensityProfile::new(width);
-            assert_eq!(p.tree.len(), 2 * width - 1, "width {width}");
-            assert_eq!(p.tree.capacity(), p.tree.len(), "width {width}");
+            assert_eq!(p.cols.len(), width, "width {width}");
+            assert_eq!(p.cols.capacity(), width, "width {width}");
+            p.check();
         }
     }
 
     /// Every observable of `a` equals `b`'s: the peak, each column, the
-    /// materialized counts, and unclamped `max_in` / `max_if_added` probes.
+    /// materialized counts, and unclamped `max_in` / `max_if_added` /
+    /// `max_if_removed` probes.
     fn assert_same_observables(a: &DensityProfile, b: &DensityProfile, seed: u64, ctx: &str) {
         let mut rng = crate::rng::rng_from_seed(seed);
         let w = a.width() as i64;
@@ -458,6 +482,11 @@ mod tests {
             assert_eq!(
                 a.max_if_added(lo, hi),
                 b.max_if_added(lo, hi),
+                "{ctx} [{lo}, {hi}]"
+            );
+            assert_eq!(
+                a.max_if_removed(lo, hi),
+                b.max_if_removed(lo, hi),
                 "{ctx} [{lo}, {hi}]"
             );
         }
@@ -482,9 +511,9 @@ mod tests {
     }
 
     /// The bulk load is the `add_span` loop: same observables right after
-    /// it, and — what catches a node left with a pending add, or a staged
-    /// difference left behind — after a further round of adds and
-    /// removals, a `merge_counts`, and another round, applied to both.
+    /// it, and — what catches a staged difference left behind or a peak
+    /// count gone stale — after a further round of adds and removals, a
+    /// `merge_counts`, and another round, applied to both.
     #[test]
     fn load_spans_matches_the_add_span_loop() {
         for width in WIDTHS {
@@ -518,6 +547,8 @@ mod tests {
             }
             let same = |bulk: &[DensityProfile], looped: &[DensityProfile], stage: &str| {
                 for (i, (a, b)) in bulk.iter().zip(looped).enumerate() {
+                    a.check();
+                    b.check();
                     assert_same_observables(
                         a,
                         b,
@@ -527,25 +558,12 @@ mod tests {
                 }
             };
             same(&bulk, &looped, "after the load");
-            // Nothing pending anywhere in a loaded profile: each internal
-            // node is exactly the larger of its children.
-            for p in &bulk {
-                let mut stack = vec![(0, 0, width - 1)];
-                while let Some((node, nlo, nhi)) = stack.pop() {
-                    if nlo < nhi {
-                        let (mid, left, right, pending) = p.split(node, nlo, nhi);
-                        assert_eq!(pending, 0, "width {width} node {node}");
-                        stack.extend([(left, nlo, mid), (right, mid + 1, nhi)]);
-                    }
-                }
-            }
             for (round, stage) in ["after more adds", "after the merge and more adds"]
                 .iter()
                 .enumerate()
             {
                 if round == 1 {
-                    // The reference merge is the point-update loop
-                    // `merge_counts` used to be.
+                    // The reference merge is a point-update loop.
                     let counts: Vec<i64> = (0..width as i64).map(|c| (c * 7 + 3) % 5 - 2).collect();
                     for (a, b) in bulk.iter_mut().zip(looped.iter_mut()) {
                         a.merge_counts(&counts);
@@ -558,6 +576,7 @@ mod tests {
                 for &(i, lo, hi, delta) in &seeded_spans(width, seed + 17 + round as u64, 120) {
                     bulk[i].add_span(lo, hi, delta);
                     looped[i].add_span(lo, hi, delta);
+                    bulk[i].check();
                 }
                 same(&bulk, &looped, stage);
             }
@@ -568,7 +587,10 @@ mod tests {
     fn load_spans_of_nothing_leaves_empty_profiles() {
         let mut ps = vec![DensityProfile::new(5), DensityProfile::new(1)];
         DensityProfile::load_spans(&mut ps, []);
-        assert!(ps.iter().all(|p| p.tree.iter().all(|&v| v == 0)));
+        for p in &ps {
+            p.check();
+            assert_eq!(p.state(), (&vec![0; p.width()][..], 0, p.width()));
+        }
         DensityProfile::load_spans(&mut [], []);
     }
 
@@ -595,6 +617,7 @@ mod tests {
                 let hi = rng.gen_range(-w - 2..=2 * w + 2);
                 let delta = rng.gen_range(-2..=2i64);
                 p.add_span(lo, hi, delta);
+                p.check();
                 let (nlo, nhi) = if lo <= hi { (lo, hi) } else { (hi, lo) };
                 for (col, v) in naive.iter_mut().enumerate() {
                     if nlo <= col as i64 && col as i64 <= nhi {
@@ -631,6 +654,76 @@ mod tests {
                     assert_eq!(p.max_if_added(qlo, qhi), naive_max.max(span_max + 1));
                 }
             }
+        }
+    }
+
+    /// `max_if_removed` against the naive model and against an actual
+    /// removal, for every present unit span: seeded ones, then ones built
+    /// to hold all (the full width), some (one of two peak columns) and
+    /// none of the peak columns.
+    #[test]
+    fn max_if_removed_matches_remove_then_max() {
+        fn add(
+            p: &mut DensityProfile,
+            naive: &mut [i64],
+            spans: &mut Vec<(i64, i64)>,
+            span: (i64, i64),
+        ) {
+            p.add_span(span.0, span.1, 1);
+            naive[span.0 as usize..=span.1 as usize]
+                .iter_mut()
+                .for_each(|c| *c += 1);
+            spans.push(span);
+        }
+        for width in WIDTHS {
+            let mut rng = crate::rng::rng_from_seed(0x0DD5_0000 + width as u64);
+            let w = width as i64;
+            let (mut p, mut naive, mut spans) =
+                (DensityProfile::new(width), vec![0i64; width], vec![]);
+            for _ in 0..40 {
+                let lo = rng.gen_range(0..w);
+                let hi = rng.gen_range(lo..w.min(lo + 30));
+                add(&mut p, &mut naive, &mut spans, (lo, hi));
+            }
+            // Raise the two end columns two above the rest: they stay the
+            // only peak columns (one, at width 1) through the two spans
+            // added next.
+            let top = naive.iter().max().expect("width > 0") + 2;
+            for end in [0, w - 1] {
+                while naive[end as usize] < top {
+                    add(&mut p, &mut naive, &mut spans, (end, end));
+                }
+            }
+            add(&mut p, &mut naive, &mut spans, (0, w - 1));
+            if width > 2 {
+                add(&mut p, &mut naive, &mut spans, (1, w - 2));
+            }
+            p.check();
+            let mut held = [false; 3]; // none, some, all of the peak columns
+            for &(lo, hi) in &spans {
+                let at_peak = naive[lo as usize..=hi as usize]
+                    .iter()
+                    .filter(|&&c| c == p.max());
+                let at_peak = at_peak.count();
+                held[usize::from(at_peak > 0) + usize::from(at_peak == p.npeak)] = true;
+                let mut removed = naive.clone();
+                removed[lo as usize..=hi as usize]
+                    .iter_mut()
+                    .for_each(|c| *c -= 1);
+                let expect = *removed.iter().max().expect("width > 0");
+                let ctx = format!("width {width} [{lo}, {hi}]");
+                assert_eq!(p.max_if_removed(lo, hi), expect, "{ctx}");
+                let mut q = p.clone();
+                q.add_span(lo, hi, -1);
+                q.check();
+                assert_eq!(q.max(), expect, "{ctx}");
+            }
+            let want = match width {
+                1 => [false, false, true],
+                2 => [false, true, true],
+                _ => [true, true, true],
+            };
+            assert_eq!(held, want, "width {width}");
         }
     }
 }

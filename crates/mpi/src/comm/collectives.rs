@@ -49,9 +49,9 @@ impl Comm {
     pub fn barrier(&mut self) {
         self.coll_enter("barrier");
         let tag = self.next_coll_tag();
-        self.reduce_tagged(0, (), |_, _| (), tag);
+        self.reduce_tagged("barrier", 0, (), |_, _| (), tag);
         let tag2 = self.next_coll_tag();
-        self.bcast_tagged(0, Some(()), tag2, None);
+        self.bcast_tagged("barrier", 0, Some(()), tag2, None);
     }
 
     /// Broadcast `value` from `root`. `value` must be `Some` on the root
@@ -59,12 +59,14 @@ impl Comm {
     pub fn bcast<T: Wire>(&mut self, root: usize, value: Option<T>) -> T {
         self.coll_enter("bcast");
         let tag = self.next_coll_tag();
-        self.bcast_tagged(root, value, tag, None)
+        self.bcast_tagged("bcast", root, value, tag, None)
     }
 
-    /// The binomial tree under every broadcast, its frames billed at `charge`.
+    /// The binomial tree under every broadcast, its frames billed at
+    /// `charge`; a failed receive names `op`, the collective invoked.
     fn bcast_tagged<T: Wire>(
         &mut self,
+        op: &'static str,
         root: usize,
         value: Option<T>,
         tag: u32,
@@ -89,7 +91,7 @@ impl Comm {
                 }
             } else if rel < 2 * step {
                 let src = (rel - step + root) % size;
-                value = Some(self.coll_recv("bcast", src, tag, charge.is_some()));
+                value = Some(self.coll_recv(op, src, tag, charge.is_some()));
             }
             step <<= 1;
         }
@@ -107,14 +109,17 @@ impl Comm {
     ) -> Option<T> {
         self.coll_enter("reduce");
         let tag = self.next_coll_tag();
-        self.reduce_tagged(root, value, op, tag)
+        self.reduce_tagged("reduce", root, value, op, tag)
     }
 
+    /// The binomial tree under every reduction; a failed receive names
+    /// `op`, the collective invoked.
     fn reduce_tagged<T: Wire, F: FnMut(T, T) -> T>(
         &mut self,
+        op: &'static str,
         root: usize,
         value: T,
-        mut op: F,
+        mut combine: F,
         tag: u32,
     ) -> Option<T> {
         let (rank, size) = (self.rank(), self.size());
@@ -130,8 +135,8 @@ impl Comm {
             }
             if rel + step < size {
                 let src = (rel + step + root) % size;
-                let other: T = self.coll_recv("reduce", src, tag, false);
-                acc = op(acc, other);
+                let other: T = self.coll_recv(op, src, tag, false);
+                acc = combine(acc, other);
             }
             step <<= 1;
         }
@@ -144,10 +149,10 @@ impl Comm {
         self.coll_enter("allreduce");
         let r = {
             let tag = self.next_coll_tag();
-            self.reduce_tagged(0, value, op, tag)
+            self.reduce_tagged("allreduce", 0, value, op, tag)
         };
         let tag = self.next_coll_tag();
-        self.bcast_tagged(0, r, tag, None)
+        self.bcast_tagged("allreduce", 0, r, tag, None)
     }
 
     /// Gather all ranks' values at `root`, in rank order.
@@ -197,7 +202,7 @@ impl Comm {
         let g = self.gather_to("allgather", 0, value, each);
         let tag = self.next_coll_tag();
         let all = each.map(|n| 4 + self.size() * n); // a u32 count, then the values
-        self.bcast_tagged(0, g, tag, all)
+        self.bcast_tagged("allgather", 0, g, tag, all)
     }
 
     /// Personalized all-to-all: `data[dst]` goes to rank `dst`; returns

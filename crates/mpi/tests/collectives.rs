@@ -588,8 +588,8 @@ mod charged {
         let msg = failed
             .downcast_ref::<String>()
             .expect("a formatted panic message");
-        // The broadcast half of the allgather names itself.
-        assert!(msg.contains("collective bcast failed"), "{msg}");
+        // The broadcast half names the collective the caller invoked.
+        assert!(msg.contains("collective allgather failed"), "{msg}");
         assert!(msg.contains("CRC-32"), "{msg}");
     }
 
