@@ -1,7 +1,10 @@
 #!/bin/sh
-# Runs the real-time-sensitive pgr-mpi suites (recv watchdog, peer-exit
-# races) RUNS times with the host oversubscribed by 2 x nproc busy
-# loops, and fails on the first failing run.
+# Runs the pgr-mpi suites that still touch real time RUNS times with the
+# host oversubscribed by 2 x nproc busy loops, and fails on the first
+# failing run. Two things run on real time: a blocked receive polls the
+# failure detector every DETECTOR_POLL (20 ms) while a kill is
+# scheduled, and the peer-exit paths race a sender against a receiver's
+# exit.
 set -eu
 cd "$(dirname "$0")/.."
 runs=${RUNS:-20}

@@ -61,6 +61,15 @@
 #   line of crates/core/src/route/coarse.rs that calls `comm.allgather(`
 #   moves the two delta grids cell by cell; the sync sends their nonzero
 #   cells with `Comm::allgather_charged`, billed as the dense grids.
+# - when an option only tests set comes back: a non-test line under
+#   crates/mpi/src that names `watchdog`, `Stalled` or `TransportSnapshot`
+#   (no receive runs on a real-time budget), a `pub` field of
+#   crates/mpi/src/reliable.rs other than `enabled` (the retransmit
+#   deadline, backoff and attempt budget are constants), a non-test line
+#   under crates/*/src that names `min_ranks` (the recovery policy is its
+#   round budget), or a `grid_w`, `ft_width`, `coarse_passes` or
+#   `switch_passes` field in crates/core/src/config.rs (they are the
+#   constants `GRID_W`, `FT_WIDTH`, `COARSE_PASSES`, `SWITCH_PASSES`).
 set -eu
 cd "$(dirname "$0")/.."
 MAX_FILE=1000
@@ -207,6 +216,30 @@ dense_sync=$(awk '
 if [ -n "$dense_sync" ]; then
     echo "surface: the coarse sync ships nonzero cells billed as dense grids (Comm::allgather_charged):" >&2
     echo "$dense_sync" >&2
+    exit 1
+fi
+
+# "<file>:<line>:<text>" of every non-test line of the files $2... that
+# matches the extended regular expression $1.
+nontest() {
+    re=$1
+    shift
+    RE=$re awk '
+        FNR == 1 { in_tests = 0 }
+        /^#\[cfg\(test\)\]/ { in_tests = 1 }
+        !in_tests && $0 ~ ENVIRON["RE"] { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+    ' "$@"
+}
+# shellcheck disable=SC2046
+test_only=$(
+    nontest 'watchdog|Stalled|TransportSnapshot' $(find crates/mpi/src -name '*.rs')
+    nontest '^[ \t]+pub [a-z_]+:' crates/mpi/src/reliable.rs | grep -v 'pub enabled:' || true
+    nontest 'min_ranks' $(find crates/*/src -name '*.rs')
+    nontest '^[ \t]+(pub )?(grid_w|ft_width|coarse_passes|switch_passes):' crates/core/src/config.rs
+)
+if [ -n "$test_only" ]; then
+    echo "surface: an option only tests set is back (the recv watchdog, a reliable-transport tunable, the recovery floor, a router tunable):" >&2
+    echo "$test_only" >&2
     exit 1
 fi
 

@@ -142,10 +142,7 @@ pub fn chaos_smoke(opts: &Opts) {
             let mut chaos = ChaosConfig::messages_with_corruption(SEED);
             chaos.kills = vec![(p - 1, 1)];
             let fallback_cfg = RouterConfig {
-                recovery: RecoveryPolicy {
-                    max_rounds: 1,
-                    min_ranks: 1,
-                },
+                recovery: RecoveryPolicy { max_rounds: 1 },
                 ..cfg.clone()
             };
             let out = chaos_cell(&c, &fallback_cfg, Algorithm::Hybrid, p, chaos, true);

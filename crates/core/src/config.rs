@@ -3,6 +3,15 @@
 use crate::engine::RecoveryPolicy;
 use pgr_mpi::{ClockMode, ResourceBudget};
 
+/// Columns per coarse-grid cell (step 2 routes on this grid).
+pub const GRID_W: i64 = 8;
+/// Maximum improvement passes of coarse global routing.
+pub const COARSE_PASSES: usize = 4;
+/// Maximum improvement passes of switchable-segment optimization.
+pub const SWITCH_PASSES: usize = 4;
+/// Width of an inserted feedthrough cell, in columns.
+pub const FT_WIDTH: i64 = 2;
+
 /// Tunables of the TWGR-style router. Defaults reproduce the paper's
 /// setup; the benchmark harness overrides `seed` and the parallel knobs.
 #[derive(Debug, Clone)]
@@ -10,14 +19,6 @@ pub struct RouterConfig {
     /// Master seed for every randomized ordering (coarse segment order,
     /// switchable-segment order). Parallel ranks derive per-rank streams.
     pub seed: u64,
-    /// Columns per coarse-grid cell (step 2 routes on this grid).
-    pub grid_w: i64,
-    /// Maximum improvement passes of coarse global routing.
-    pub coarse_passes: usize,
-    /// Maximum improvement passes of switchable-segment optimization.
-    pub switch_passes: usize,
-    /// Width of an inserted feedthrough cell, in columns.
-    pub ft_width: i64,
     /// Weight of channel-density change in the coarse cost function.
     pub w_density: f64,
     /// Weight of feedthrough crowding in the coarse cost function.
@@ -57,10 +58,9 @@ pub struct RouterConfig {
     /// paper's TWGR uses the plain MST approximation; the
     /// `steiner-ablation` benchmark quantifies what refinement buys.
     pub steiner_refine: bool,
-    /// Bounds on the rank-failure recovery loop: how many restart rounds
-    /// the engine attempts and how many survivors it requires before
-    /// degrading to a serial completion on the lowest surviving rank
-    /// (see [`crate::engine::RecoveryPolicy`]).
+    /// Bound on the rank-failure recovery loop: how many restart rounds
+    /// the engine attempts before degrading to a serial completion on
+    /// the lowest surviving rank (see [`crate::engine::RecoveryPolicy`]).
     pub recovery: RecoveryPolicy,
     /// Clock strategy of the run. `Virtual` (default) is the
     /// deterministic CI/reproduction mode; `Wall` lets ranks run free and
@@ -83,10 +83,6 @@ impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
             seed: 1,
-            grid_w: 8,
-            coarse_passes: 4,
-            switch_passes: 4,
-            ft_width: 2,
             w_density: 1.0,
             w_feedthrough: 0.35,
             sync_period: 128,
@@ -117,13 +113,9 @@ mod tests {
     #[test]
     fn defaults_are_sane() {
         let c = RouterConfig::default();
-        assert!(c.grid_w > 0);
-        assert!(c.coarse_passes >= 1);
-        assert!(c.ft_width > 0);
         assert!(c.sync_period > 0);
         assert!(c.pin_weight_beta > 0.0);
         assert!(c.recovery.max_rounds >= 1);
-        assert!(c.recovery.min_ranks >= 1);
         assert!(!c.budget.is_limited());
     }
 }

@@ -27,9 +27,8 @@
 //!   phase, or a snapshot failing its integrity check) the round falls
 //!   back to the full restart from a fresh context. Either way the loop
 //!   is bounded by a [`RecoveryPolicy`]: when the round budget is
-//!   exhausted or the survivors fall below the floor, the lowest
-//!   surviving rank deterministically completes the route with the
-//!   serial pipeline instead of retrying forever;
+//!   exhausted, the lowest surviving rank deterministically completes
+//!   the route with the serial pipeline instead of retrying forever;
 //! * **self-verification**: any run that recovered or degraded re-checks
 //!   its result with [`crate::verify::check`] before returning it.
 //!
@@ -106,27 +105,19 @@ impl std::fmt::Display for RouteError {
 
 impl std::error::Error for RouteError {}
 
-/// Bounds on the recovery loop. Every survivor evaluates the policy
-/// against the same SPMD-deterministic state (round count, logical
-/// world size), so all ranks agree on when to stop retrying.
+/// Bound on the recovery loop. Every survivor evaluates the policy
+/// against the same SPMD-deterministic round count, so all ranks agree
+/// on when to stop retrying.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryPolicy {
     /// Recovery rounds (world-shrinking restarts) allowed before the
     /// run degrades to the serial fallback.
     pub max_rounds: u32,
-    /// Minimum surviving ranks required to keep running the parallel
-    /// pipeline; fewer survivors degrade to the serial fallback. The
-    /// default of 1 never triggers (at least one rank always survives —
-    /// a kill schedule cannot remove the whole world).
-    pub min_ranks: usize,
 }
 
 impl Default for RecoveryPolicy {
     fn default() -> Self {
-        RecoveryPolicy {
-            max_rounds: 8,
-            min_ranks: 1,
-        }
+        RecoveryPolicy { max_rounds: 8 }
     }
 }
 
@@ -317,9 +308,8 @@ fn degraded_serial(circuit: &Circuit, cfg: &RouterConfig, comm: &mut Comm) -> Ro
 /// payloads, or `None` — a kill entering the very first phase, no common
 /// portable deposit, or a snapshot failing its integrity check — which
 /// falls back to the full restart. The loop is bounded by
-/// `cfg.recovery`: once the round budget is spent or the survivors fall
-/// below the floor, the lowest surviving rank completes the route with
-/// the serial fallback.
+/// `cfg.recovery`: once the round budget is spent, the lowest surviving
+/// rank completes the route with the serial fallback.
 ///
 /// Budgets: `cfg.budget` is armed on the communicator for the duration
 /// of the parallel attempts. `max_recovery_rounds` folds into the
@@ -337,11 +327,9 @@ pub(crate) fn drive<P: Pipeline + Default>(
     if cfg.budget.is_limited() {
         comm.set_budget(cfg.budget);
     }
-    let mut policy = cfg.recovery;
     let budget_rounds = cfg.budget.max_recovery_rounds;
-    if let Some(b) = budget_rounds {
-        policy.max_rounds = policy.max_rounds.min(b);
-    }
+    let max_rounds =
+        budget_rounds.map_or(cfg.recovery.max_rounds, |b| b.min(cfg.recovery.max_rounds));
     let mut rounds = 0u32;
     // Where the next attempt resumes: `shrink_world`'s verdict on the last
     // one (`None`: from scratch).
@@ -350,7 +338,7 @@ pub(crate) fn drive<P: Pipeline + Default>(
     // recovery-rounds budget error with where the run actually died.
     let mut last_abort = Phase::ALL[0];
     let (result, recovered) = loop {
-        if rounds >= policy.max_rounds || comm.size() < policy.min_ranks {
+        if rounds >= max_rounds {
             // Exhaustion under the *budget's* rounds bound is a breach:
             // every survivor computes the same verdict from the same
             // SPMD state, so all ranks return the identical error.

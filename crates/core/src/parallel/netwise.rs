@@ -15,6 +15,7 @@
 //! processors share all channels) is its documented runtime problem
 //! (§7.2): quality degradation with poor speedups.
 
+use crate::config::GRID_W;
 use crate::engine::{Phase, Pipeline, RouteCtx};
 use crate::metrics::{names, record_ft_plan, RoutingResult};
 use crate::parallel::common::{
@@ -154,9 +155,9 @@ impl Pipeline for NetWisePipeline {
             // state and the all-channel synchronization volume.
             Phase::Coarse => {
                 let grid_w = if ctx.size > 1 {
-                    cfg.grid_w * cfg.netwise_grid_factor.max(1)
+                    GRID_W * cfg.netwise_grid_factor.max(1)
                 } else {
-                    cfg.grid_w
+                    GRID_W
                 };
                 self.st.coarse_route(all_rows, grid_w, true, ctx, comm);
             }

@@ -17,6 +17,7 @@
 //!    neighbors, then switchable segments are optimized row-locally;
 //! 5. rank 0 gathers all spans and assembles the global result.
 
+use crate::config::GRID_W;
 use crate::engine::{Phase, Pipeline, RouteCtx};
 use crate::metrics::{names, RoutingResult};
 use crate::parallel::common::{
@@ -112,7 +113,7 @@ impl Pipeline for RowWisePipeline {
             // Step 2 on the local row band.
             Phase::Coarse => {
                 comm.metric_add(names::ROWS_OWNED, ctx.nrows() as u64);
-                st.coarse_route(ctx.band(), cfg.grid_w, false, ctx, comm);
+                st.coarse_route(ctx.band(), GRID_W, false, ctx, comm);
             }
 
             // Step 3 for the local rows, then the global chip width (the

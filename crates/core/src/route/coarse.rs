@@ -16,7 +16,7 @@
 //! copies itself, between the slices of [`CoarseState::route`] — the one
 //! sweep driver of every algorithm.
 
-use crate::config::RouterConfig;
+use crate::config::{RouterConfig, COARSE_PASSES, FT_WIDTH};
 use crate::cost;
 use crate::route::feedthrough::FtPlan;
 use crate::route::state::{Grid, Orientation, Segment};
@@ -419,7 +419,7 @@ impl CoarseState {
         let sync_period = self.log.is_some().then_some(cfg.sync_period);
         refine(
             self,
-            (cfg.coarse_passes, sync_period),
+            (COARSE_PASSES, sync_period),
             comm,
             || pgr_geom::shuffled_indices(segments.len(), rng),
             |st, chunk, comm| st.improve_slice(segments, &mut orients, chunk, cfg, comm),
@@ -440,8 +440,8 @@ impl CoarseState {
 
     /// Consume the state into step 3's insertion plan: the demand grid
     /// with the rows and grid width it was built for.
-    pub fn into_plan(self, ft_width: i64) -> FtPlan {
-        FtPlan::new(self.row0, self.demand, self.grid_w, ft_width)
+    pub fn into_plan(self) -> FtPlan {
+        FtPlan::new(self.row0, self.demand, self.grid_w, FT_WIDTH)
     }
 }
 
@@ -878,7 +878,7 @@ mod tests {
                 o,
                 st.channel_max(1),
                 st.channel_max(2),
-                st.into_plan(2).total(),
+                st.into_plan().total(),
             )
         };
         assert_eq!(run(true), run(false));

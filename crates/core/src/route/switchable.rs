@@ -13,7 +13,7 @@
 //! sparse deltas and synchronizes the copies itself, between the slices
 //! of [`optimize`] — the one sweep driver of every algorithm.
 
-use crate::config::RouterConfig;
+use crate::config::{RouterConfig, SWITCH_PASSES};
 use crate::cost;
 use crate::route::state::{Grid, Span};
 use crate::route::{chan_idx, refine};
@@ -327,7 +327,7 @@ pub fn optimize(
     let sync_period = chans.log.is_some().then_some(cfg.sync_period);
     refine(
         chans,
-        (cfg.switch_passes, sync_period),
+        (SWITCH_PASSES, sync_period),
         comm,
         || {
             let perm = pgr_geom::shuffled_indices(candidates.len(), rng);

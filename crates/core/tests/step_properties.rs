@@ -6,6 +6,7 @@
 use pgr_circuit::NetId;
 use pgr_geom::rng::rng_from_seed;
 use pgr_mpi::{Comm, MachineModel};
+use pgr_router::config::GRID_W;
 use pgr_router::route::coarse::CoarseState;
 use pgr_router::route::feedthrough::{assign, FtPlan};
 use pgr_router::route::serial::crossings_of;
@@ -117,10 +118,10 @@ fn demand_always_matches_crossings() {
             })
             .collect();
         let cfg = RouterConfig::with_seed(seed);
-        let mut st = CoarseState::new(0, rows as usize, width, cfg.grid_w);
+        let mut st = CoarseState::new(0, rows as usize, width, GRID_W);
         let orients = st.route(&segs, &cfg, &mut rng_from_seed(seed ^ 1), &mut comm());
         let crossings = crossings_of(&segs, &orients);
-        let plan = st.into_plan(cfg.ft_width);
+        let plan = st.into_plan();
         assert_eq!(crossings.len() as u64, plan.total());
         // assign() asserts per-(row, gcol) equality internally.
         let nodes = assign(&plan, &crossings, &mut comm());

@@ -15,8 +15,8 @@
 //! threads.
 //!
 //! Failure behavior: a receive that can never complete (every peer
-//! exited, a self-recv with nothing buffered, or a watchdog-detected
-//! stall) produces a structured [`CommError`] naming the blocked rank,
+//! exited, a peer's closure panicked, or a self-recv with nothing
+//! buffered) produces a structured [`CommError`] naming the blocked rank,
 //! the expected `(src, tag)`, and the pending-queue contents — via
 //! [`Comm::try_recv_bytes`]/[`Comm::try_recv`], or as the panic message
 //! of the infallible wrappers. With [`TraceConfig`] enabled (see
@@ -164,7 +164,7 @@ impl InstrumentConfig {
         }
     }
 
-    /// Metrics only (no event ring, no watchdog).
+    /// Metrics only (no event ring).
     pub fn metered() -> Self {
         InstrumentConfig {
             metrics: MetricsConfig::on(),

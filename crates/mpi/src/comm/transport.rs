@@ -7,13 +7,15 @@
 //! goes into the metrics shard the caller passes; what a frame *costs*
 //! is the facade's business (`Comm::post` / `Comm::accept`).
 
-use crate::error::{CommError, PendingMsg, TransportSnapshot};
+use crate::error::{CommError, PendingMsg};
 use crate::failure::FailureDetector;
 use crate::fault::{
     splitmix64, FaultAction, FaultLayer, MsgCtx, FAULTS_CORRUPTED, FAULTS_DELAYED, FAULTS_DROPPED,
     FAULTS_DUPLICATED, FAULTS_REORDERED, SENDS_TO_EXITED,
 };
-use crate::reliable::{self, backoff_delay, Ingest, ReliabilityConfig, ReorderBuffer};
+use crate::reliable::{
+    self, backoff_delay, Ingest, ReliabilityConfig, ReorderBuffer, MAX_ATTEMPTS,
+};
 use crate::trace::{TraceEvent, TraceHub};
 use crate::wire::crc32;
 use pgr_obs::{MetricsShard, Phase};
@@ -26,10 +28,14 @@ use std::time::Duration;
 const ERR_PENDING_CAP: usize = 64;
 /// How many recent trace events a [`CommError`] carries.
 const ERR_TRACE_TAIL: usize = 16;
-/// How many events per rank a watchdog all-ranks dump shows.
-const DUMP_TAIL: usize = 12;
 /// How often a blocked recv re-checks the failure detector.
 const DETECTOR_POLL: Duration = Duration::from_millis(20);
+
+/// The tag of the frame a rank whose closure panicked sends each peer
+/// ([`Transport::abort`]). No collective tag reaches it (they wrap
+/// below), and it never enters a fault hook, a receive window or a
+/// pending queue.
+pub(super) const ABORT_TAG: u32 = u32::MAX;
 
 /// Sequence number traced for a frame the fault layer dropped before it
 /// reached the wire: it consumed no transport sequence number (a gap
@@ -37,7 +43,7 @@ const DETECTOR_POLL: Duration = Duration::from_millis(20);
 /// unmatchable.
 pub(super) const SEQ_NEVER_SENT: u64 = u64::MAX;
 
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub(super) struct Envelope {
     pub(super) src: u32,
     pub(super) tag: u32,
@@ -130,10 +136,6 @@ pub(super) struct Transport {
     holdback: Vec<Option<Envelope>>,
     /// Per-source receive windows (reliable transport).
     windows: Vec<ReorderBuffer<Envelope>>,
-    /// Retransmit and corruption counters, kept in the shape the
-    /// diagnostics report them (`reorder` is filled in at snapshot
-    /// time, from `windows`).
-    retry: TransportSnapshot,
     /// A CRC failure detected while ingesting a frame (reliability
     /// off). Held until the next receive call can surface it — frames
     /// arrive outside any receive (drains, self-delivery), where there
@@ -193,6 +195,22 @@ impl Transport {
         self.flush_holdbacks(m);
         self.txs.clear();
         self.rx = None;
+    }
+
+    /// This rank's closure panicked: send every peer an [`ABORT_TAG`]
+    /// frame, past the fault hook, so a peer blocked on this rank — or on
+    /// one still running — reports [`CommError::PeersDisconnected`]
+    /// instead of waiting for the last sender to close. A peer that has
+    /// already exited needs none.
+    pub(super) fn abort(&mut self) {
+        for tx in self.txs.iter().flatten() {
+            let frame = Envelope {
+                src: self.rank as u32,
+                tag: ABORT_TAG,
+                ..Envelope::default()
+            };
+            let _ = tx.send(frame);
+        }
     }
 
     /// Discard everything buffered from or held for the `dead` ranks.
@@ -269,7 +287,6 @@ impl Transport {
                     }
                     FaultAction::Corrupt => {
                         m.add(FAULTS_CORRUPTED, 1);
-                        self.retry.corrupt_seen += 1;
                         if !reliable_on {
                             // The flipped frame goes on the wire; the
                             // receiver's CRC check rejects it.
@@ -279,7 +296,6 @@ impl Transport {
                         // frame leaves the NIC — handled exactly like a
                         // drop, so a retransmit heals it and corruption
                         // schedules stay byte-invisible.
-                        self.retry.corrupt_dropped += 1;
                         m.add(reliable::CORRUPT_DROPPED, 1);
                     }
                 }
@@ -287,12 +303,11 @@ impl Transport {
                 // transport — dropped, or flipped and caught by the
                 // sender's own checksum.
                 ctx.attempt += 1;
-                if ctx.attempt >= self.reliability.max_attempts {
+                if ctx.attempt >= MAX_ATTEMPTS {
                     // The layer is adversarial (loses every attempt);
                     // force delivery rather than spin — unrecoverable
                     // loss is modeled by rank death, not infinite
                     // message loss.
-                    self.retry.exhausted += 1;
                     m.add(reliable::RETRANSMIT_EXHAUSTED, 1);
                     break FaultAction::Deliver;
                 }
@@ -301,9 +316,7 @@ impl Transport {
                 // attempt. The wait is NIC-level bookkeeping overlapping
                 // the latency already charged for the message, so it
                 // shows up in metrics, not on the virtual clock.
-                let wait = backoff_delay(&self.reliability, ctx.attempt);
-                self.retry.retransmits += 1;
-                self.retry.last_backoff = wait;
+                let wait = backoff_delay(ctx.attempt);
                 m.add(reliable::RETRANSMITS, 1);
                 m.observe(reliable::BACKOFF_MICROS, (wait * 1e6) as u64);
             };
@@ -406,7 +419,6 @@ impl Transport {
             // Only reachable with reliability off: the reliable sender
             // intercepts corruption before transmitting. Keep the first
             // failure if several frames arrive corrupt.
-            self.retry.corrupt_seen += 1;
             if self.corrupt_stash.is_none() {
                 self.corrupt_stash = Some(CommError::Corrupt {
                     src,
@@ -478,7 +490,7 @@ impl Transport {
     /// Block until the next frame from `src` with `tag` (FIFO per
     /// `(src, tag)` pair) can be matched, reporting a receive that can
     /// never complete as a structured [`CommError`]. `trace` supplies
-    /// the watchdog deadline and the event tails errors carry.
+    /// the event tails errors carry.
     pub(super) fn recv(
         &mut self,
         src: usize,
@@ -507,63 +519,33 @@ impl Transport {
                 recent: self.recent_events(trace),
             });
         }
-        let watchdog = trace.and_then(|h| h.config.watchdog);
+        // Only a run that can lose a rank wakes up to poll the detector.
         let poll = self.liveness.is_some().then_some(DETECTOR_POLL);
-        let mut waited = Duration::ZERO;
         loop {
             // A dead expected source can never satisfy this receive.
             // Drain anything already in flight (frames it sent before
             // dying) first, then report the death.
             if self.liveness.as_ref().is_some_and(|d| !d.is_alive(src)) {
-                self.drain_rx(m);
+                if !self.drain_rx(m) {
+                    return Err(self.disconnected(src, tag, trace));
+                }
                 return match self.take_matching(src, tag)? {
                     Some(env) => Ok(env),
                     None => Err(self.rank_dead_error(src, tag)),
                 };
             }
-            // Wake for whichever comes first: the detector poll or what
-            // is left of the watchdog's budget.
-            let slice = [poll, watchdog.map(|w| w.saturating_sub(waited))]
-                .into_iter()
-                .flatten()
-                .min();
             let rx = self.rx.as_ref().expect("communicator active");
-            let arrived = match slice {
+            let arrived = match poll {
                 None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-                Some(slice) => rx.recv_timeout(slice),
+                Some(poll) => rx.recv_timeout(poll),
             };
             let env = match arrived {
-                Ok(env) => env,
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(CommError::PeersDisconnected {
-                        rank: self.rank,
-                        src,
-                        tag,
-                        pending: self.pending_snapshot(),
-                        recent: self.recent_events(trace),
-                    })
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    waited += slice.expect("only a bounded wait times out");
-                    if watchdog.is_some_and(|w| waited >= w) {
-                        return Err(CommError::Stalled {
-                            rank: self.rank,
-                            src,
-                            tag,
-                            waited,
-                            pending: self.pending_snapshot(),
-                            recent: self.recent_events(trace),
-                            all_ranks: trace.map(|h| h.dump_all(DUMP_TAIL)),
-                            transport: self.snapshot(),
-                        });
-                    }
-                    continue;
-                }
+                Ok(env) if env.tag != ABORT_TAG => env,
+                Err(RecvTimeoutError::Timeout) => continue,
+                // Every peer exited, or one unwound (its abort frame).
+                _ => return Err(self.disconnected(src, tag, trace)),
             };
             self.ingest(env, m);
-            // Progress resets the watchdog (it guards against a silent
-            // stall, not total elapsed time).
-            waited = Duration::ZERO;
             if let Some(env) = self.take_matching(src, tag)? {
                 return Ok(env);
             }
@@ -571,10 +553,24 @@ impl Transport {
     }
 
     /// Non-blocking: pull everything already delivered into the pending
-    /// queues.
-    fn drain_rx(&mut self, m: &mut MetricsShard) {
+    /// queues. `false` when a peer's abort frame was among it.
+    fn drain_rx(&mut self, m: &mut MetricsShard) -> bool {
         while let Some(env) = self.rx.as_ref().and_then(|rx| rx.try_recv().ok()) {
+            if env.tag == ABORT_TAG {
+                return false;
+            }
             self.ingest(env, m);
+        }
+        true
+    }
+
+    fn disconnected(&self, src: usize, tag: u32, trace: Option<&TraceHub>) -> CommError {
+        CommError::PeersDisconnected {
+            rank: self.rank,
+            src,
+            tag,
+            pending: self.pending_snapshot(),
+            recent: self.recent_events(trace),
         }
     }
 
@@ -613,27 +609,6 @@ impl Transport {
             phase: info.phase,
             boundary: info.boundary,
         }
-    }
-
-    /// Transport state for diagnostics; `None` when there is nothing to
-    /// report (reliability off and no fault layer attached — with a
-    /// layer attached the corruption counters are meaningful even
-    /// without the reliable transport, and distinguish a
-    /// corruption-induced stall from a drop-induced one).
-    fn snapshot(&self) -> Option<Box<TransportSnapshot>> {
-        if !self.reliability.enabled && self.fault.is_none() {
-            return None;
-        }
-        Some(Box::new(TransportSnapshot {
-            reorder: self
-                .windows
-                .iter()
-                .enumerate()
-                .filter(|(_, b)| b.depth() > 0)
-                .map(|(s, b)| (s, b.depth(), b.expected()))
-                .collect(),
-            ..self.retry.clone()
-        }))
     }
 }
 
@@ -737,7 +712,34 @@ mod tests {
         assert_eq!(early.counter(reliable::ACKS), Some(1));
         assert_eq!(late.counter(reliable::REORDER_BUFFERED), None);
         assert_eq!(late.counter(reliable::ACKS), Some(1));
-        assert!(b.snapshot().expect("layer attached").reorder.is_empty());
+        assert_eq!(b.windows[0].depth(), 0, "nothing left parked");
+    }
+
+    #[test]
+    fn abort_frame_ends_a_blocked_receive_while_the_sender_is_still_open() {
+        let [(mut a, mut ma), (mut b, mut mb)] =
+            pair(|_| FaultAction::Deliver, ReliabilityConfig::on());
+        a.send(1, TAG, 0.0, Body::Bytes(vec![1]), &mut ma);
+        a.abort();
+        // What arrived before the abort is still delivered.
+        assert_eq!(payload_of(b.recv(0, TAG, &mut mb, None)), vec![1]);
+        let err = b.recv(0, TAG, &mut mb, None).err().expect("rank 0 unwound");
+        assert!(
+            matches!(
+                err,
+                CommError::PeersDisconnected {
+                    rank: 1,
+                    src: 0,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        assert_eq!(
+            mb.snapshot(1).counter(reliable::ACKS),
+            Some(1),
+            "abort is never acked"
+        );
     }
 
     #[test]
@@ -765,7 +767,7 @@ mod tests {
             Err(e) => panic!("expected Corrupt, got {e}"),
             Ok(_) => panic!("expected Corrupt, got a payload"),
         }
-        assert_eq!(b.snapshot().expect("layer attached").corrupt_seen, 1);
+        assert_eq!(ma.snapshot(0).counter(FAULTS_CORRUPTED), Some(1));
         // An empty payload has no bit to flip: the checksum field is
         // corrupted instead, and still rejected.
         a.send(1, TAG, 0.0, Body::Bytes(Vec::new()), &mut ma);
@@ -798,7 +800,7 @@ mod tests {
         a.send(1, TAG, 0.0, modeled(MODELED), &mut ma);
         assert_eq!(*seen.lock().expect("hook log"), vec![MODELED]);
         // Unmatched in the pending queue it still reports its full size.
-        b.drain_rx(&mut mb);
+        assert!(b.drain_rx(&mut mb));
         let pending = b.pending_snapshot();
         assert_eq!((pending.len(), pending[0].bytes), (1, MODELED));
         let env = b.recv(0, TAG, &mut mb, None).expect("frame delivered");
@@ -878,6 +880,6 @@ mod tests {
                 Ok(env) => panic!("expected Corrupt, got {} B delivered", env.bytes()),
             }
         }
-        assert_eq!(b.snapshot().expect("layer attached").corrupt_seen, 2);
+        assert_eq!(ma.snapshot(0).counter(FAULTS_CORRUPTED), Some(2));
     }
 }

@@ -8,6 +8,8 @@ use crate::failure::FailureDetector;
 use crate::machine::MachineModel;
 use crate::trace::{RankTrace, TraceHub};
 use pgr_obs::RankMetrics;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::time::Instant;
@@ -51,7 +53,9 @@ impl<R> RunReport<R> {
 /// Execute `f` as an SPMD program over `size` ranks on the given machine.
 ///
 /// One OS thread per rank; returns every rank's result plus timing stats.
-/// Panics in any rank propagate.
+/// A panic in any rank propagates: its peers' blocked receives end in
+/// [`CommError::PeersDisconnected`](crate::CommError), and the payload
+/// of the rank that panicked first is re-raised.
 ///
 /// ```
 /// use pgr_mpi::{run, MachineModel};
@@ -98,8 +102,7 @@ where
 {
     assert!(size > 0, "need at least one rank");
     let trace = instr.trace;
-    let hub =
-        (trace.enabled || trace.watchdog.is_some()).then(|| Arc::new(TraceHub::new(size, trace)));
+    let hub = trace.enabled.then(|| Arc::new(TraceHub::new(size, trace)));
     // The failure detector only exists when faults can happen.
     let failure = instr
         .fault
@@ -149,33 +152,51 @@ where
     drop(failure);
 
     let f = &f;
-    let outcomes: Vec<(R, RankStats, RankMetrics)> = std::thread::scope(|scope| {
+    // The rank whose closure unwound first. It claims this before its
+    // abort frames go out, so no panic they set off can claim it.
+    let first_unwound = &AtomicUsize::new(usize::MAX);
+    let mut outcomes: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = comms
             .iter_mut()
             .map(|comm| {
                 scope.spawn(move || {
-                    let result = f(comm);
+                    let result = catch_unwind(AssertUnwindSafe(|| f(comm)));
+                    if result.is_err() {
+                        let rank = comm.physical_rank();
+                        let _ = first_unwound.compare_exchange(usize::MAX, rank, SeqCst, SeqCst);
+                        comm.transport.abort();
+                    }
                     comm.transport.close(&mut comm.metrics);
                     if let Some(hub) = &comm.trace {
                         hub.set_final_time(comm.physical_rank(), comm.now());
                     }
-                    (result, comm.stats(), comm.metrics_snapshot())
+                    result.map(|r| (r, comm.stats(), comm.metrics_snapshot()))
                 })
             })
             .collect();
-        // Re-raise the original payload so a rank's diagnostic message
-        // (e.g. a `CommError` display) survives to the caller verbatim.
         handles
             .into_iter()
-            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .map(|h| h.join().unwrap_or_else(|e| resume_unwind(e)))
             .collect()
     });
+    // Re-raise the original payload, not one of the `PeersDisconnected`
+    // panics it cascaded into, so a rank's diagnostic message (e.g. a
+    // `CommError` display) survives to the caller verbatim.
+    let first = first_unwound.load(SeqCst);
+    if first < size {
+        if let Err(payload) = outcomes.swap_remove(first) {
+            resume_unwind(payload);
+        }
+    }
 
     let metrics_on = instr.metrics.enabled;
     let mut results = Vec::with_capacity(size);
     let mut stats = Vec::with_capacity(size);
     let mut metrics = Vec::with_capacity(if metrics_on { size } else { 0 });
-    for (r, s, m) in outcomes {
+    for outcome in outcomes {
+        let Ok((r, s, m)) = outcome else {
+            unreachable!("no rank unwound")
+        };
         results.push(r);
         stats.push(s);
         if metrics_on {

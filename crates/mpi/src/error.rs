@@ -11,7 +11,6 @@
 use crate::trace::TraceEvent;
 use crate::wire::WireError;
 use std::fmt;
-use std::time::Duration;
 
 /// A received-but-unmatched message sitting in a rank's pending queue.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,54 +23,6 @@ pub struct PendingMsg {
 impl fmt::Display for PendingMsg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "src={} tag={} ({} B)", self.src, self.tag, self.bytes)
-    }
-}
-
-/// Reliable-transport state captured when a diagnostic fires, so a
-/// watchdog stall during a retransmit/reorder wait is distinguishable
-/// from a plain mismatched send/recv pattern.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TransportSnapshot {
-    /// Retransmits this rank's sender has performed so far.
-    pub retransmits: u64,
-    /// Virtual-seconds backoff of the most recent retransmit (0 if none).
-    pub last_backoff: f64,
-    /// Frames force-delivered after exhausting the retry budget.
-    pub exhausted: u64,
-    /// Corrupt frames this rank has seen (send-side interceptions plus
-    /// receive-side CRC rejections).
-    pub corrupt_seen: u64,
-    /// Corrupt frames healed by retransmission (reliability on).
-    pub corrupt_dropped: u64,
-    /// Non-empty reorder buffers: `(src, parked frames, next expected seq)`.
-    pub reorder: Vec<(usize, usize, u64)>,
-}
-
-impl fmt::Display for TransportSnapshot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "reliable transport: {} retransmit(s), last backoff {:.6}s, {} exhausted",
-            self.retransmits, self.last_backoff, self.exhausted
-        )?;
-        if self.corrupt_seen > 0 || self.corrupt_dropped > 0 {
-            write!(
-                f,
-                ", {} corrupt frame(s) seen ({} healed by retransmit)",
-                self.corrupt_seen, self.corrupt_dropped
-            )?;
-        }
-        if self.reorder.is_empty() {
-            write!(f, "; all reorder buffers in sequence")
-        } else {
-            for (src, depth, expected) in &self.reorder {
-                write!(
-                    f,
-                    "; src={src} holds {depth} frame(s) awaiting seq {expected}"
-                )?;
-            }
-            Ok(())
-        }
     }
 }
 
@@ -90,28 +41,14 @@ pub enum CommError {
         recent: Vec<TraceEvent>,
     },
     /// Every peer exited while this rank still expected a message — the
-    /// canonical mismatched send/recv pattern.
+    /// canonical mismatched send/recv pattern — or a peer's closure
+    /// panicked, after which the world can never complete.
     PeersDisconnected {
         rank: usize,
         src: usize,
         tag: u32,
         pending: Vec<PendingMsg>,
         recent: Vec<TraceEvent>,
-    },
-    /// The watchdog found the rank blocked in `recv` past its real-time
-    /// budget. `all_ranks` carries the formatted trace tails of every
-    /// rank (deadlock triage), when tracing is enabled; `transport`
-    /// carries the reliable-transport retry/backoff/reorder state, when
-    /// the reliability layer is on.
-    Stalled {
-        rank: usize,
-        src: usize,
-        tag: u32,
-        waited: Duration,
-        pending: Vec<PendingMsg>,
-        recent: Vec<TraceEvent>,
-        all_ranks: Option<String>,
-        transport: Option<Box<TransportSnapshot>>,
     },
     /// The peer this rank is receiving from has been declared dead by
     /// the failure detector; the message will never arrive. Carries the
@@ -184,7 +121,6 @@ impl CommError {
         match self {
             CommError::Unsatisfiable { rank, .. }
             | CommError::PeersDisconnected { rank, .. }
-            | CommError::Stalled { rank, .. }
             | CommError::Decode { rank, .. }
             | CommError::KindMismatch { rank, .. }
             | CommError::PeerGone { rank, .. }
@@ -198,8 +134,7 @@ impl CommError {
     pub fn pending(&self) -> &[PendingMsg] {
         match self {
             CommError::Unsatisfiable { pending, .. }
-            | CommError::PeersDisconnected { pending, .. }
-            | CommError::Stalled { pending, .. } => pending,
+            | CommError::PeersDisconnected { pending, .. } => pending,
             _ => &[],
         }
     }
@@ -266,30 +201,6 @@ impl fmt::Display for CommError {
                      mismatched send/recv pattern"
                 )?;
                 fmt_context(f, pending, recent)
-            }
-            CommError::Stalled {
-                rank,
-                src,
-                tag,
-                waited,
-                pending,
-                recent,
-                all_ranks,
-                transport,
-            } => {
-                write!(
-                    f,
-                    "rank {rank}: watchdog — blocked in recv(src={src}, tag={tag}) for {waited:?} \
-                     (real time) with peers still running; likely deadlock"
-                )?;
-                fmt_context(f, pending, recent)?;
-                if let Some(t) = transport {
-                    write!(f, "\n  {t}")?;
-                }
-                if let Some(dump) = all_ranks {
-                    write!(f, "\n  all ranks' trace tails:\n{dump}")?;
-                }
-                Ok(())
             }
             CommError::RankDead {
                 rank,
@@ -425,52 +336,6 @@ mod tests {
         assert!(s.contains("boundary 4"), "{s}");
         assert_eq!(e.rank(), 0);
         assert!(e.pending().is_empty());
-    }
-
-    #[test]
-    fn stalled_display_includes_transport_snapshot() {
-        let e = CommError::Stalled {
-            rank: 1,
-            src: 0,
-            tag: 5,
-            waited: Duration::from_millis(250),
-            pending: vec![],
-            recent: vec![],
-            all_ranks: None,
-            transport: Some(Box::new(TransportSnapshot {
-                retransmits: 3,
-                last_backoff: 0.004,
-                exhausted: 0,
-                corrupt_seen: 0,
-                corrupt_dropped: 0,
-                reorder: vec![(2, 1, 7)],
-            })),
-        };
-        let s = e.to_string();
-        assert!(s.contains("3 retransmit(s)"), "{s}");
-        assert!(s.contains("0.004000s"), "{s}");
-        assert!(s.contains("src=2 holds 1 frame(s) awaiting seq 7"), "{s}");
-        assert!(
-            !s.contains("corrupt frame(s)"),
-            "corruption line omitted when no corruption was seen: {s}"
-        );
-    }
-
-    #[test]
-    fn transport_snapshot_reports_corruption_counters() {
-        let t = TransportSnapshot {
-            retransmits: 5,
-            last_backoff: 0.002,
-            exhausted: 0,
-            corrupt_seen: 4,
-            corrupt_dropped: 3,
-            reorder: vec![],
-        };
-        let s = t.to_string();
-        assert!(
-            s.contains("4 corrupt frame(s) seen (3 healed by retransmit)"),
-            "{s}"
-        );
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub struct MsgCtx {
     /// transport on every retransmit of the same message. Layers that
     /// drop unconditionally regardless of `attempt` exhaust the
     /// transport's retry budget (see
-    /// [`ReliabilityConfig::max_attempts`](crate::reliable::ReliabilityConfig)).
+    /// [`MAX_ATTEMPTS`](crate::reliable::MAX_ATTEMPTS)).
     pub attempt: u32,
 }
 

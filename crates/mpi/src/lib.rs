@@ -77,7 +77,7 @@ pub use comm::{
     run, run_instrumented, Comm, InstrumentConfig, PhaseControl, RankStats, RunReport, WallStats,
     COLLECTIVE_TAG_BASE, RECV_WAIT_MICROS,
 };
-pub use error::{CommError, PendingMsg, TransportSnapshot};
+pub use error::{CommError, PendingMsg};
 pub use failure::{FailureDetector, FailureInfo};
 pub use fault::{ChaosConfig, ChaosLayer, FaultAction, FaultLayer, MsgCtx};
 pub use machine::{ClockMode, MachineModel};

@@ -484,7 +484,6 @@ mod tests {
             trace: TraceConfig {
                 enabled: true,
                 capacity: 4,
-                watchdog: None,
             },
             metrics: MetricsConfig::on(),
             ..InstrumentConfig::default()

@@ -14,10 +14,10 @@
 //!   number is a duplicate and is suppressed;
 //! - a dropped frame is retransmitted: the sender re-offers it to the
 //!   fault layer with a bumped [`MsgCtx::attempt`](crate::fault::MsgCtx)
-//!   after a virtual backoff of `retransmit_deadline * backoff^(attempt-1)`
-//!   seconds, up to [`max_attempts`](ReliabilityConfig::max_attempts)
-//!   tries. The simulated network acks every frame that actually gets
-//!   through, which is what terminates the retry loop.
+//!   after a virtual backoff of [`RETRANSMIT_DEADLINE`] ×
+//!   [`BACKOFF`]^(attempt−1) seconds, up to [`MAX_ATTEMPTS`] tries. The
+//!   simulated network acks every frame that actually gets through,
+//!   which is what terminates the retry loop.
 //!
 //! The protocol is **timing-transparent**: retransmits and backoff are
 //! modeled as NIC-level bookkeeping that overlaps the latency already
@@ -32,7 +32,7 @@
 //!
 //! A fault layer that drops a message on *every* attempt (e.g. a
 //! [`Matching`](crate::fault::Matching) drop rule) would retry forever;
-//! after `max_attempts` the transport forces delivery and counts it in
+//! after [`MAX_ATTEMPTS`] the transport forces delivery and counts it in
 //! [`RETRANSMIT_EXHAUSTED`]. Genuine unrecoverable loss is modeled by
 //! rank death (see [`FaultLayer::kill_at_boundary`](crate::fault::FaultLayer)),
 //! not by infinite message loss.
@@ -60,51 +60,37 @@ pub const MASKED_DELAYS: &str = "mpi.reliable.masked_delays";
 /// corruption schedules stay byte-invisible to the algorithms.
 pub const CORRUPT_DROPPED: &str = "mpi.reliable.corrupt_dropped";
 
-/// Switches and tuning for the reliable transport. Off by default:
-/// PR 2 fault semantics (visible drops/delays) are preserved unless a
-/// caller opts in.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Virtual seconds before the first retransmit of an unacked frame.
+pub const RETRANSMIT_DEADLINE: f64 = 1e-3;
+/// Exponential backoff multiplier between retransmit attempts.
+pub const BACKOFF: f64 = 2.0;
+/// Total transmission attempts per frame before the transport forces
+/// delivery (and counts [`RETRANSMIT_EXHAUSTED`]).
+pub const MAX_ATTEMPTS: u32 = 16;
+
+/// The reliable transport's switch. Off by default: injected drops and
+/// delays stay visible unless a caller opts in.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ReliabilityConfig {
     pub enabled: bool,
-    /// Virtual seconds before the first retransmit of an unacked frame.
-    pub retransmit_deadline: f64,
-    /// Exponential backoff multiplier between retransmit attempts.
-    pub backoff: f64,
-    /// Total transmission attempts per frame before the transport forces
-    /// delivery (and counts [`RETRANSMIT_EXHAUSTED`]).
-    pub max_attempts: u32,
-}
-
-impl Default for ReliabilityConfig {
-    fn default() -> Self {
-        ReliabilityConfig {
-            enabled: false,
-            retransmit_deadline: 1e-3,
-            backoff: 2.0,
-            max_attempts: 16,
-        }
-    }
 }
 
 impl ReliabilityConfig {
-    /// The transport with default tuning, enabled.
+    /// The transport enabled.
     pub fn on() -> Self {
-        ReliabilityConfig {
-            enabled: true,
-            ..Default::default()
-        }
+        ReliabilityConfig { enabled: true }
     }
 
-    /// Disabled (raw PR 2 fault semantics). Same as `default()`.
+    /// Disabled (raw fault semantics). Same as `default()`.
     pub fn off() -> Self {
         ReliabilityConfig::default()
     }
 }
 
-/// Backoff before retransmit attempt `attempt` (1-based): deadline for
-/// the first retry, multiplied by `backoff` for each further one.
-pub fn backoff_delay(cfg: &ReliabilityConfig, attempt: u32) -> f64 {
-    cfg.retransmit_deadline * cfg.backoff.powi(attempt.saturating_sub(1) as i32)
+/// Backoff before retransmit attempt `attempt` (1-based): the deadline
+/// for the first retry, multiplied by [`BACKOFF`] for each further one.
+pub fn backoff_delay(attempt: u32) -> f64 {
+    RETRANSMIT_DEADLINE * BACKOFF.powi(attempt.saturating_sub(1) as i32)
 }
 
 /// Outcome of ingesting one frame into a [`ReorderBuffer`].
@@ -218,15 +204,11 @@ mod tests {
 
     #[test]
     fn backoff_grows_exponentially() {
-        let cfg = ReliabilityConfig {
-            enabled: true,
-            retransmit_deadline: 0.5,
-            backoff: 2.0,
-            max_attempts: 8,
-        };
-        assert!((backoff_delay(&cfg, 1) - 0.5).abs() < 1e-12);
-        assert!((backoff_delay(&cfg, 2) - 1.0).abs() < 1e-12);
-        assert!((backoff_delay(&cfg, 4) - 4.0).abs() < 1e-12);
+        assert_eq!(backoff_delay(1), 1e-3);
+        assert_eq!(backoff_delay(2), 2e-3);
+        assert_eq!(backoff_delay(4), 8e-3);
+        // The last retransmit before delivery is forced.
+        assert_eq!(backoff_delay(MAX_ATTEMPTS - 1), 1e-3 * 16_384.0);
     }
 
     #[test]

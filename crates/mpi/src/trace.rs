@@ -17,14 +17,13 @@
 //! The same ring buffers feed the structured
 //! [`CommError`](crate::error::CommError) diagnostics: when a receive can
 //! never complete, the error carries the last events of the blocked
-//! rank, and the opt-in watchdog dumps every rank's tail.
+//! rank.
 
 use crate::comm::RankStats;
 use crate::machine::MachineModel;
 use pgr_obs::{json_escape, RunMeta, SCHEMA_VERSION};
 use std::collections::VecDeque;
 use std::sync::Mutex;
-use std::time::Duration;
 
 /// Metric counting events evicted from a rank's trace ring — incremented
 /// at eviction time so it lands in the phase window that overflowed.
@@ -104,20 +103,14 @@ pub struct TraceConfig {
     pub enabled: bool,
     /// Events retained per rank (a ring: oldest evicted first).
     pub capacity: usize,
-    /// Real-time budget a rank may sit blocked in one `recv` before the
-    /// watchdog flags it and dumps every rank's trace tail. `None`
-    /// disables the watchdog (a mismatched pattern is still detected
-    /// eagerly when all peers exit).
-    pub watchdog: Option<Duration>,
 }
 
 impl TraceConfig {
-    /// No tracing, no watchdog, no allocations: the default.
+    /// No tracing, no allocations: the default.
     pub const fn off() -> Self {
         TraceConfig {
             enabled: false,
             capacity: 0,
-            watchdog: None,
         }
     }
 
@@ -126,15 +119,6 @@ impl TraceConfig {
         TraceConfig {
             enabled: true,
             capacity: 65_536,
-            watchdog: None,
-        }
-    }
-
-    /// Tracing on with a real-time receive watchdog.
-    pub const fn with_watchdog(budget: Duration) -> Self {
-        TraceConfig {
-            watchdog: Some(budget),
-            ..TraceConfig::on()
         }
     }
 }
@@ -185,9 +169,9 @@ pub(crate) fn mark_spans(starts: &[f64], end: f64) -> Vec<f64> {
     starts.iter().zip(ends).map(|(s, e)| e - s).collect()
 }
 
-/// Shared per-run sink: one slot per rank, lockable from any rank so a
-/// watchdog can snapshot everyone's tail. Each slot is only ever written
-/// by its own rank, so the mutexes are uncontended in steady state.
+/// Shared per-run sink: one slot per rank. Each slot is only ever
+/// written by its own rank, so the mutexes are uncontended in steady
+/// state.
 #[derive(Debug)]
 pub(crate) struct TraceHub {
     pub(crate) config: TraceConfig,
@@ -236,19 +220,6 @@ impl TraceHub {
     pub(crate) fn tail(&self, rank: usize, n: usize) -> Vec<TraceEvent> {
         let slot = self.slots[rank].lock().expect("trace slot poisoned");
         slot.events.iter().rev().take(n).rev().cloned().collect()
-    }
-
-    /// Snapshot every rank's tail, formatted for a watchdog dump.
-    pub(crate) fn dump_all(&self, per_rank: usize) -> String {
-        let mut out = String::new();
-        for rank in 0..self.slots.len() {
-            let tail = self.tail(rank, per_rank);
-            out.push_str(&format!("  rank {rank} (last {} events):\n", tail.len()));
-            for e in &tail {
-                out.push_str(&format!("    [{:.6}s..{:.6}s] {}\n", e.t0, e.t1, e.label()));
-            }
-        }
-        out
     }
 
     pub(crate) fn into_traces(self) -> Vec<RankTrace> {
@@ -509,7 +480,6 @@ mod tests {
             TraceConfig {
                 enabled: true,
                 capacity: 3,
-                watchdog: None,
             },
         );
         for i in 0..5 {

@@ -12,19 +12,17 @@
 use pgr_mpi::fault::{
     Matching, FAULTS_CORRUPTED, FAULTS_DELAYED, FAULTS_DROPPED, FAULTS_DUPLICATED, FAULTS_REORDERED,
 };
+use pgr_mpi::reliable::{self, MAX_ATTEMPTS};
 use pgr_mpi::{
-    reliable, run, run_instrumented, ChaosConfig, ChaosLayer, Comm, CommError, FaultAction,
-    InstrumentConfig, MachineModel, MetricsConfig, MsgCtx, Phase, PhaseControl, RankMetrics,
-    ReliabilityConfig, TraceConfig,
+    run, run_instrumented, ChaosConfig, ChaosLayer, Comm, CommError, FaultAction, InstrumentConfig,
+    MachineModel, MetricsConfig, MsgCtx, Phase, PhaseControl, RankMetrics, ReliabilityConfig,
 };
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 use std::time::Duration;
 
 const DATA: u32 = 3;
 const BULK: u32 = 4;
-const PING: u32 = 5;
 const NEVER: u32 = 99;
-const RELEASE: u32 = 8;
 
 /// A communication-heavy SPMD body: two p2p streams around a ring, the
 /// full collective set, and some compute.
@@ -338,11 +336,7 @@ fn adversarial_drop_exhausts_retries_but_delivers() {
             action: FaultAction::Drop,
             ..Default::default()
         })),
-        reliability: ReliabilityConfig {
-            enabled: true,
-            max_attempts: 4,
-            ..ReliabilityConfig::on()
-        },
+        reliability: ReliabilityConfig::on(),
         ..InstrumentConfig::off()
     };
     let (report, _, metrics) = run_instrumented(2, MachineModel::ideal(), instr, |comm| {
@@ -353,10 +347,19 @@ fn adversarial_drop_exhausts_retries_but_delivers() {
             comm.recv::<u32>(0, DATA)
         }
     });
+    let attempts = u64::from(MAX_ATTEMPTS);
     assert_eq!(report.results[1], 1234, "payload still arrives");
-    assert_eq!(metrics[0].counter(reliable::RETRANSMITS), Some(3));
+    assert_eq!(
+        metrics[0].counter(reliable::RETRANSMITS),
+        Some(attempts - 1)
+    );
     assert_eq!(metrics[0].counter(reliable::RETRANSMIT_EXHAUSTED), Some(1));
-    assert_eq!(metrics[0].counter(FAULTS_DROPPED), Some(4));
+    assert_eq!(metrics[0].counter(FAULTS_DROPPED), Some(attempts));
+    // The last wait before delivery is forced: 1 ms doubled 14 times.
+    let waits = metrics[0]
+        .histogram(reliable::BACKOFF_MICROS)
+        .expect("waits");
+    assert_eq!((waits.count, waits.max), (attempts - 1, 1_000 << 14));
 }
 
 /// Under the reliable transport a corrupted frame is "handled exactly
@@ -367,7 +370,7 @@ fn adversarial_drop_exhausts_retries_but_delivers() {
 #[test]
 fn drop_and_corrupt_schedules_cost_the_reliable_transport_the_same() {
     // DATA heals on its second retransmit; BULK never heals and is
-    // force-delivered once the four attempts are spent.
+    // force-delivered once all `MAX_ATTEMPTS` attempts are spent.
     fn lossy_edge(fault: FaultAction) -> impl Fn(&MsgCtx) -> FaultAction + Send + Sync {
         move |ctx: &MsgCtx| match (ctx.src, ctx.dst, ctx.tag) {
             (0, 1, DATA) if ctx.attempt < 2 => fault,
@@ -391,10 +394,7 @@ fn drop_and_corrupt_schedules_cost_the_reliable_transport_the_same() {
         let instr = InstrumentConfig {
             metrics: MetricsConfig::on(),
             fault: Some(Arc::new(lossy_edge(fault))),
-            reliability: ReliabilityConfig {
-                max_attempts: 4,
-                ..ReliabilityConfig::on()
-            },
+            reliability: ReliabilityConfig::on(),
             ..InstrumentConfig::off()
         };
         run_instrumented(2, MachineModel::sparc_center_1000(), instr, |comm| {
@@ -420,18 +420,20 @@ fn drop_and_corrupt_schedules_cost_the_reliable_transport_the_same() {
     assert_eq!(dropped.results[1].len(), 8);
     assert_eq!(dropped.stats, corrupted.stats, "virtual account");
 
+    let attempts = u64::from(MAX_ATTEMPTS);
     let sender = &drop_metrics[0];
-    assert_eq!(sender.counter(reliable::RETRANSMITS), Some(5 * 2 + 3 * 3));
+    let retransmits = 5 * 2 + 3 * (attempts - 1);
+    assert_eq!(sender.counter(reliable::RETRANSMITS), Some(retransmits));
     assert_eq!(sender.counter(reliable::RETRANSMIT_EXHAUSTED), Some(3));
     assert_eq!(
         sender.histogram(reliable::BACKOFF_MICROS).map(|h| h.count),
-        Some(19)
+        Some(retransmits)
     );
     for (d, c) in drop_metrics.iter().zip(&corrupt_metrics) {
         assert_eq!(protocol_view(d), protocol_view(c), "rank {}", d.rank);
     }
     // What does differ: the fault each run reports having seen.
-    let faults = 5 * 2 + 3 * 4;
+    let faults = 5 * 2 + 3 * attempts;
     assert_eq!(sender.counter(FAULTS_DROPPED), Some(faults));
     assert_eq!(sender.counter(FAULTS_CORRUPTED), None);
     assert_eq!(sender.counter(reliable::CORRUPT_DROPPED), None);
@@ -461,10 +463,7 @@ fn dropped_modeled_transfer_costs_the_retransmits_of_a_real_frame() {
         let instr = InstrumentConfig {
             metrics: MetricsConfig::on(),
             fault: Some(Arc::new(lossy)),
-            reliability: ReliabilityConfig {
-                max_attempts: 4,
-                ..ReliabilityConfig::on()
-            },
+            reliability: ReliabilityConfig::on(),
             ..InstrumentConfig::off()
         };
         run_instrumented(2, MachineModel::sparc_center_1000(), instr, move |comm| {
@@ -483,14 +482,18 @@ fn dropped_modeled_transfer_costs_the_retransmits_of_a_real_frame() {
     let (modeled, _, modeled_metrics) = run_with(true);
     assert_eq!(real.stats, modeled.stats, "virtual account");
     assert_eq!(real_metrics, modeled_metrics, "every transport counter");
+    let attempts = u64::from(MAX_ATTEMPTS);
     let sender = &modeled_metrics[0];
-    assert_eq!(sender.counter(reliable::RETRANSMITS), Some(2 + 3));
+    assert_eq!(
+        sender.counter(reliable::RETRANSMITS),
+        Some(2 + attempts - 1)
+    );
     assert_eq!(sender.counter(reliable::RETRANSMIT_EXHAUSTED), Some(1));
     assert_eq!(
         sender.histogram(reliable::BACKOFF_MICROS).map(|h| h.count),
-        Some(5)
+        Some(2 + attempts - 1)
     );
-    assert_eq!(sender.counter(FAULTS_DROPPED), Some(2 + 4));
+    assert_eq!(sender.counter(FAULTS_DROPPED), Some(2 + attempts));
 }
 
 /// Without reliability a corrupted modeled transfer fails the CRC over
@@ -532,112 +535,6 @@ fn raw_corruption_of_a_modeled_transfer_surfaces_crc_error() {
     );
     assert_eq!(*second, 77);
     assert_eq!(metrics[0].counter(FAULTS_CORRUPTED), Some(1));
-}
-
-/// Rank 1 of the watchdog-stall tests: alive but silent, *outside* any
-/// receive, until rank 0 has its `Stalled`. Both ranks arm the same
-/// real-time watchdog, so a rank 1 parked in `recv(RELEASE)` would race
-/// rank 0's timer and stall first about one run in three. The barrier is
-/// signalled after rank 0 has sent both frames, so the receives below
-/// find them already delivered and never wait.
-fn await_stall_then_drain(comm: &mut Comm, stalled: &Barrier) {
-    stalled.wait();
-    let _: u8 = comm.recv(0, PING);
-    let _: u8 = comm.recv(0, RELEASE);
-}
-
-/// Satellite: a watchdog firing while the transport has retry state
-/// reports that state (retransmits, backoff, reorder windows) in the
-/// `Stalled` diagnostic instead of a bare pending-queue dump.
-#[test]
-fn watchdog_stall_reports_retry_and_backoff_state() {
-    let drop_first_ping = |ctx: &MsgCtx| {
-        if ctx.tag == PING && ctx.attempt == 0 {
-            FaultAction::Drop
-        } else {
-            FaultAction::Deliver
-        }
-    };
-    let instr = InstrumentConfig {
-        trace: TraceConfig::with_watchdog(Duration::from_millis(200)),
-        metrics: MetricsConfig::on(),
-        fault: Some(Arc::new(drop_first_ping)),
-        reliability: ReliabilityConfig::on(),
-        ..InstrumentConfig::off()
-    };
-    let stalled = Barrier::new(2);
-    let (report, _, _) = run_instrumented(2, MachineModel::ideal(), instr, |comm| {
-        if comm.rank() == 0 {
-            // One retransmitted send, then a wait that can never be
-            // satisfied: the watchdog fires mid-protocol.
-            comm.send(1, PING, &1u8);
-            let err = comm.try_recv_bytes(1, NEVER);
-            comm.send(1, RELEASE, &1u8);
-            stalled.wait();
-            let err = err.expect_err("nobody sends NEVER");
-            let msg = err.to_string();
-            match err {
-                CommError::Stalled { transport, .. } => {
-                    let t = transport.expect("reliability on ⇒ snapshot present");
-                    assert_eq!(t.retransmits, 1, "{msg}");
-                    assert!(t.last_backoff > 0.0, "{msg}");
-                    assert!(msg.contains("retransmit(s)"), "{msg}");
-                    true
-                }
-                other => panic!("expected Stalled, got {other}"),
-            }
-        } else {
-            await_stall_then_drain(comm, &stalled);
-            true
-        }
-    });
-    assert!(report.results.iter().all(|&ok| ok));
-}
-
-/// Satellite: a stall after a corruption repair reports the corruption
-/// counters in the `Stalled` transport snapshot alongside the retry
-/// state, so a hung run shows how much integrity trouble preceded it.
-#[test]
-fn watchdog_stall_reports_corruption_counters() {
-    let corrupt_first_ping = |ctx: &MsgCtx| {
-        if ctx.tag == PING && ctx.attempt == 0 {
-            FaultAction::Corrupt
-        } else {
-            FaultAction::Deliver
-        }
-    };
-    let instr = InstrumentConfig {
-        trace: TraceConfig::with_watchdog(Duration::from_millis(200)),
-        metrics: MetricsConfig::on(),
-        fault: Some(Arc::new(corrupt_first_ping)),
-        reliability: ReliabilityConfig::on(),
-        ..InstrumentConfig::off()
-    };
-    let stalled = Barrier::new(2);
-    let (report, _, _) = run_instrumented(2, MachineModel::ideal(), instr, |comm| {
-        if comm.rank() == 0 {
-            comm.send(1, PING, &1u8);
-            let err = comm.try_recv_bytes(1, NEVER);
-            comm.send(1, RELEASE, &1u8);
-            stalled.wait();
-            let err = err.expect_err("nobody sends NEVER");
-            let msg = err.to_string();
-            match err {
-                CommError::Stalled { transport, .. } => {
-                    let t = transport.expect("reliability on ⇒ snapshot present");
-                    assert_eq!(t.corrupt_seen, 1, "{msg}");
-                    assert_eq!(t.corrupt_dropped, 1, "{msg}");
-                    assert!(msg.contains("corrupt frame(s) seen"), "{msg}");
-                    true
-                }
-                other => panic!("expected Stalled, got {other}"),
-            }
-        } else {
-            await_stall_then_drain(comm, &stalled);
-            true
-        }
-    });
-    assert!(report.results.iter().all(|&ok| ok));
 }
 
 /// Satellite: `CommError::RankDead` carries the dead rank id, its last

@@ -404,6 +404,30 @@ mod edge_cases {
     }
 
     #[test]
+    fn rank_panicking_before_a_collective_unblocks_its_peers() {
+        // Rank 1 never reaches the allgather its peers block in. Its
+        // abort frame ends their receives (`PeersDisconnected`), and the
+        // run re-raises rank 1's own payload, not theirs.
+        for size in [2, 3] {
+            let err = std::panic::catch_unwind(|| {
+                run(size, MachineModel::ideal(), |c| {
+                    if c.rank() == 1 {
+                        panic!("boom");
+                    }
+                    c.allgather(c.rank() as u32)
+                })
+            })
+            .expect_err("rank 1 panics");
+            let msg = err
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| err.downcast_ref::<String>().cloned())
+                .expect("panic payload is a string");
+            assert!(msg.contains("boom"), "P={size}: {msg}");
+        }
+    }
+
+    #[test]
     fn send_accounting_is_exact_under_random_traffic() {
         let mut mix = Mix(0xA105);
         for _ in 0..8 {

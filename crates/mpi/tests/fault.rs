@@ -1,26 +1,24 @@
 //! Fault-injection layer: injected message drops and delays are
-//! observable through the structured diagnostics (recv watchdog) and the
-//! metrics shards.
+//! observable through the structured diagnostics and the metrics
+//! shards.
 
 use pgr_mpi::fault::{Matching, FAULTS_DELAYED, FAULTS_DROPPED};
 use pgr_mpi::{
     run, run_instrumented, CommError, FaultAction, InstrumentConfig, MachineModel, MetricsConfig,
     MsgCtx, TraceConfig,
 };
-use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use std::sync::Arc;
 
 const DATA: u32 = 7;
-const RELEASE: u32 = 8;
 
-/// A dropped message stalls the receiver; the watchdog turns the stall
-/// into a structured `CommError::Stalled`, and the sender's metrics
-/// count the injected drop. Rank 1 stays alive (parked on a barrier) so
-/// the stall is a genuine timeout, not a peer disconnect.
+/// A dropped message never reaches the receiver: once the sender has
+/// exited, the blocked receive reports a structured
+/// `CommError::PeersDisconnected`, and the sender's metrics count the
+/// injected drop. (The name predates the removal of the real-time recv
+/// watchdog that used to report this stall.)
 #[test]
 fn dropped_message_is_seen_by_watchdog_and_metrics() {
     let instr = InstrumentConfig {
-        trace: TraceConfig::with_watchdog(Duration::from_millis(200)),
         metrics: MetricsConfig::on(),
         fault: Some(Arc::new(Matching {
             src: Some(1),
@@ -30,30 +28,32 @@ fn dropped_message_is_seen_by_watchdog_and_metrics() {
         })),
         ..InstrumentConfig::off()
     };
-    // Rank 1 waits for rank 0's verdict on this barrier, not in a
-    // receive: both ranks arm the same real-time watchdog, and a rank 1
-    // parked in `recv(RELEASE)` could stall first.
-    let verdict = Barrier::new(2);
     let (report, _traces, metrics) = run_instrumented(2, MachineModel::ideal(), instr, |comm| {
         if comm.rank() == 0 {
             // The payload never arrives: the fault layer ate it.
             let err = comm.try_recv_bytes(1, DATA);
-            // Unblock rank 1 so the run finishes cleanly.
-            comm.send_bytes(1, RELEASE, vec![1]);
-            verdict.wait();
-            let err = err.expect_err("dropped message cannot arrive");
-            let stalled = matches!(err, CommError::Stalled { .. });
-            (stalled, err.to_string())
+            Some(err.expect_err("dropped message cannot arrive"))
         } else {
             comm.send_bytes(0, DATA, vec![42; 64]);
-            verdict.wait();
-            let _ = comm.recv_bytes(0, RELEASE);
-            (true, String::new())
+            None
         }
     });
 
-    let (stalled, msg) = &report.results[0];
-    assert!(stalled, "watchdog must report Stalled, got: {msg}");
+    let err = report.results[0].as_ref().expect("rank 0 reports");
+    assert!(
+        matches!(
+            err,
+            CommError::PeersDisconnected {
+                rank: 0,
+                src: 1,
+                tag: DATA,
+                ..
+            }
+        ),
+        "{err:?}"
+    );
+    assert!(err.pending().is_empty(), "nothing arrived: {err}");
+    let msg = err.to_string();
     assert!(
         msg.contains("rank 0"),
         "diagnosis names the blocked rank: {msg}"
