@@ -57,6 +57,15 @@
 #   constructs a vector (`Vec::new()`, `Vec::with_capacity(`, `vec![`) is
 #   a per-net allocation unless it is `connect_all`'s one output (every
 #   other buffer lives in `ConnectArena`).
+# - when the work nets stop being one flat store: a non-test line under
+#   crates/core/src that declares a `nodes: Vec<Node>` field anywhere but
+#   in `WorkNets` (the CSR store) is a per-net node vector coming back; a
+#   non-test line of crates/core/src/route/connect.rs that calls a sort
+#   re-sorts what the store keeps canonical from step 3 on; and a
+#   non-test line of crates/core/src/route/feedthrough.rs that calls
+#   `sort_unstable_by_key(` or `sort_by_key(` is the keyed whole-list
+#   sort of the crossings coming back (`assign` is a counting sort over
+#   the plan's buckets, each sorted alone).
 # - when the net-wise coarse sync ships dense frames again: a non-test
 #   line of crates/core/src/route/coarse.rs that calls `comm.allgather(`
 #   moves the two delta grids cell by cell; the sync sends their nonzero
@@ -206,6 +215,27 @@ per_net=$(awk '
 if [ -n "$per_net" ]; then
     echo "surface: route/connect.rs constructs one vector, the output of connect_all (per-net buffers live in ConnectArena):" >&2
     echo "$per_net" >&2
+    exit 1
+fi
+
+# shellcheck disable=SC2046
+flat_store=$(
+    awk '
+        FNR == 1 { in_tests = 0; name = "" }
+        /^#\[cfg\(test\)\]/ { in_tests = 1 }
+        match($0, /struct [A-Za-z_]+/) { name = substr($0, RSTART + 7, RLENGTH - 7) }
+        !in_tests && /^[ \t]*(pub(\([a-z]+\))? )?nodes: Vec<Node>,/ && name != "WorkNets" {
+            printf "%s:%d:%s\n", FILENAME, FNR, $0
+        }
+    ' $(find crates/core/src -name '*.rs')
+    awk '/^#\[cfg\(test\)\]/ { exit } /\.sort[a-z_]*\(/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }' \
+        crates/core/src/route/connect.rs
+    awk '/^#\[cfg\(test\)\]/ { exit } /sort_unstable_by_key\(|sort_by_key\(/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }' \
+        crates/core/src/route/feedthrough.rs
+)
+if [ -n "$flat_store" ]; then
+    echo "surface: work nets are one WorkNets store kept canonical from step 3 on (no per-net node vectors, no sort in Connect, no keyed whole-list sort in assign):" >&2
+    echo "$flat_store" >&2
     exit 1
 fi
 

@@ -6,17 +6,21 @@
 //! not allocate *in proportion*: a modeled transfer's heap bytes are
 //! independent of the size it models. And one
 //! that must not allocate once warm: Connect's per-net kernel, whose
-//! every buffer lives in the caller's `ConnectArena`.
+//! every buffer lives in the caller's `ConnectArena`. And step 3's
+//! rebuild of the node store, which allocates the same few buffers for
+//! any number of nets.
 //! This runs as a harness-less test (`harness = false` in Cargo.toml):
 //! the libtest harness spawns helper threads whose own allocations would
 //! race the process-wide counter, so the check must be the only thread
 //! alive.
 
+use pgr_circuit::NetId;
 use pgr_geom::DensityProfile;
 use pgr_mpi::{ClockMode, Comm, MachineModel, Phase};
 use pgr_obs::MetricsConfig;
 use pgr_router::route::connect::{connect_net_with, ConnectArena};
-use pgr_router::route::state::{Node, WorkNet};
+use pgr_router::route::feedthrough::{assign, Crossing, FtPlan};
+use pgr_router::route::state::{Grid, Node, WorkNets};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -159,16 +163,17 @@ fn main() {
 
     // Connect: a first pass grows the arena to the largest net and the
     // span vector to its final length; a second pass over the same nets,
-    // through the same arena into the same (cleared) vector, allocates
-    // nothing — sort, candidates, union-find and tree are all in place.
-    let works: Vec<WorkNet> = (0..200u32)
-        .map(|k| WorkNet {
-            net: pgr_circuit::NetId(k),
-            nodes: (0..2 + (k * 37) % 90)
-                .map(|i| Node::fake(((i * 13 + k) % 41) as i64, (i * 7 + k) % 6))
-                .collect(),
-        })
-        .collect();
+    // read in place from the store, through the same arena into the same
+    // (cleared) vector, allocates nothing — candidates, union-find and
+    // tree are all in place.
+    let mut works = WorkNets::default();
+    for k in 0..200u32 {
+        let mut nodes: Vec<Node> = (0..2 + (k * 37) % 90)
+            .map(|i| Node::fake(((i * 13 + k) % 41) as i64, (i * 7 + k) % 6))
+            .collect();
+        nodes.sort_unstable_by_key(Node::sort_key); // the store's order
+        works.push(NetId(k), nodes);
+    }
     let mut comm = Comm::solo(MachineModel::ideal());
     let mut arena = ConnectArena::default();
     let mut spans = Vec::new();
@@ -176,7 +181,7 @@ fn main() {
         spans.clear();
         works
             .iter()
-            .map(|w| connect_net_with(w, &mut comm, &mut arena, spans).0)
+            .map(|(net, nodes)| connect_net_with(net, nodes, &mut comm, &mut arena, spans).0)
             .sum()
     };
     let warm = pass(&mut spans);
@@ -185,6 +190,49 @@ fn main() {
     let again = pass(&mut spans);
     assert_eq!(allocs(), before, "a warm Connect pass must not allocate");
     assert_eq!(again, warm);
+
+    // Step 3's rebuild — the assignment's counting sort and the attach
+    // that writes the new store — allocates a fixed handful of buffers,
+    // however many nets it rebuilds: nothing per net.
+    let rebuild_allocs = |nets: u32| {
+        let (rows, gcols, grid_w) = (6, 16, 8);
+        let (mut works, mut crossings) = (WorkNets::default(), Vec::new());
+        let mut demand = Grid::new(rows, gcols);
+        for k in 0..nets {
+            let pin = |i: u32| Node::fake(((k * 7 + i * 13) % 140) as i64, (k + i) % 6);
+            works.push(NetId(k), [pin(0), pin(1), pin(2)]);
+            for row in 1..4 {
+                let x = ((k * 5) % 150) as i64;
+                demand[row as usize][((x / grid_w) as usize).min(gcols - 1)] += 1;
+                crossings.push(Crossing {
+                    net: NetId(k),
+                    row,
+                    x,
+                });
+            }
+        }
+        let plan = FtPlan::new(0, demand, grid_w, 2);
+        let mut comm = Comm::solo(MachineModel::ideal());
+        let before = allocs();
+        works.attach(
+            |nd| nd.x = plan.shifted_x(nd.row, nd.x),
+            crossings.iter().map(|c| c.net),
+            |sink| {
+                assign(&plan, crossings.iter().copied(), &mut comm, |net, nd| {
+                    sink.put(net, nd)
+                })
+            },
+        );
+        let made = allocs() - before;
+        assert_eq!(
+            works.iter().map(|w| w.1.len()).sum::<usize>(),
+            6 * nets as usize
+        );
+        made
+    };
+    let (small, large) = (rebuild_allocs(200), rebuild_allocs(2_000));
+    assert_eq!(small, large, "step 3's rebuild allocates per net");
+    assert!(large <= 8, "step 3's rebuild makes {large} allocations");
 
     // A modeled transfer and its receive move a fixed-size header: the
     // heap bytes they ask for do not depend on the size modeled, where

@@ -8,7 +8,7 @@
 
 use crate::cost;
 use crate::engine::Phase;
-use crate::route::state::{NetSlots, Node, Segment, WorkNet};
+use crate::route::state::{NetSlots, Node, Segment, WorkNets};
 use crate::route::switchable::ChannelState;
 use pgr_circuit::{Circuit, NetId, RowPartition};
 use pgr_mpi::{Comm, Reader, Wire};
@@ -111,35 +111,34 @@ pub fn split_segment(seg: &Segment, rows: &RowPartition) -> Vec<(usize, Segment)
     out
 }
 
-/// Group `(net, nodes)` contributions into one work record per net.
-/// Nodes are sorted and deduplicated; the net order follows first
-/// appearance.
-pub(crate) fn group_nodes<N: IntoIterator<Item = Node>>(
-    parts: impl IntoIterator<Item = (NetId, N)>,
-) -> Vec<WorkNet> {
-    let mut works: Vec<WorkNet> = Vec::new();
-    let mut slots = NetSlots::default();
-    for (net, nodes) in parts {
-        let i = *slots.of(net).get_or_insert_with(|| {
-            works.push(WorkNet {
-                net,
-                nodes: Vec::new(),
-            });
-            works.len() as u32 - 1
-        });
-        works[i as usize].nodes.extend(nodes);
+/// Group the `(net, node)` pairs `pairs` yields (on each of three
+/// walks) into one store, every net's nodes sorted and deduplicated.
+/// Nets come in order of first appearance, or in id order with `by_id`.
+pub(crate) fn group_nodes<I>(pairs: impl Fn() -> I, by_id: bool) -> WorkNets
+where
+    I: Iterator<Item = (NetId, Node)>,
+{
+    let (mut seen, mut nets) = (NetSlots::default(), Vec::new());
+    for (net, _) in pairs() {
+        if seen.of(net).replace(0).is_none() {
+            nets.push(net);
+        }
     }
-    for w in &mut works {
-        w.nodes.sort_unstable_by_key(|n| n.sort_key());
-        w.nodes.dedup();
+    if by_id {
+        nets.sort_unstable();
     }
-    works
+    WorkNets::group(nets, pairs)
 }
 
 /// Group a rank's received segments into per-net work records (net-id
 /// order when the sender iterated nets in order).
-pub fn assemble_works(segments: &[Segment]) -> Vec<WorkNet> {
-    group_nodes(segments.iter().map(|s| (s.net, [s.lower, s.upper])))
+pub fn assemble_works(segments: &[Segment]) -> WorkNets {
+    let ends = || {
+        segments
+            .iter()
+            .flat_map(|s| [(s.net, s.lower), (s.net, s.upper)])
+    };
+    group_nodes(ends, false)
 }
 
 /// The last phase boundary whose pipeline state is *portable* — restorable
@@ -327,12 +326,11 @@ mod tests {
             Segment::new(NetId(3), b, c),
             Segment::new(NetId(7), a, c),
         ];
-        let works = assemble_works(&segs);
-        assert_eq!(works.len(), 2);
-        assert_eq!(works[0].net, NetId(3));
-        assert_eq!(works[0].nodes.len(), 3, "b deduplicated");
-        assert_eq!(works[1].net, NetId(7));
-        assert_eq!(works[1].nodes.len(), 2);
+        let works: Vec<_> = assemble_works(&segs)
+            .iter()
+            .map(|(n, s)| (n, s.len()))
+            .collect();
+        assert_eq!(works, [(NetId(3), 3), (NetId(7), 2)], "b deduplicated");
     }
 
     #[test]
@@ -343,26 +341,27 @@ mod tests {
     #[test]
     fn group_nodes_matches_the_hash_map_reference() {
         use std::collections::HashMap;
-        // The hashed grouping the slot table replaced.
-        fn reference(parts: Vec<(NetId, Vec<Node>)>) -> Vec<WorkNet> {
-            let mut works: Vec<WorkNet> = Vec::new();
+        // The hashed grouping the slot table replaced, per-net vectors
+        // pushed, then sorted and deduplicated.
+        fn reference(parts: Vec<(NetId, Vec<Node>)>) -> Vec<(NetId, Vec<Node>)> {
+            let mut works: Vec<(NetId, Vec<Node>)> = Vec::new();
             let mut index = HashMap::new();
             for (net, nodes) in parts {
                 let &mut i = index.entry(net).or_insert_with(|| {
-                    works.push(WorkNet {
-                        net,
-                        nodes: Vec::new(),
-                    });
+                    works.push((net, Vec::new()));
                     works.len() - 1
                 });
-                works[i].nodes.extend(nodes);
+                works[i].1.extend(nodes);
             }
-            for w in &mut works {
-                w.nodes.sort_unstable_by_key(|n| n.sort_key());
-                w.nodes.dedup();
+            for (_, nodes) in &mut works {
+                nodes.sort_unstable_by_key(|n| n.sort_key());
+                nodes.dedup();
             }
             works
         }
+        let listed = |works: WorkNets| -> Vec<(NetId, Vec<Node>)> {
+            works.iter().map(|(n, s)| (n, s.to_vec())).collect()
+        };
         // Non-contiguous, unsorted net ids, contributions interleaved and
         // overlapping (duplicates must collapse), some empty.
         let nets = [907u32, 3, 41, 40, 100_000, 0];
@@ -377,15 +376,23 @@ mod tests {
                 (NetId(net), nodes)
             })
             .collect();
-        let works = group_nodes(parts.clone());
-        assert_eq!(works, reference(parts.clone()));
-        // Order is first appearance, not id order.
+        let each =
+            || (parts.iter()).flat_map(|(net, nodes)| nodes.iter().map(move |&nd| (*net, nd)));
+        let works = listed(group_nodes(each, false));
+        // A net that contributes no node gets no record.
+        let mut want = reference(parts.clone());
+        want.retain(|w| !w.1.is_empty());
+        assert_eq!(works, want);
+        // Order is first appearance, not id order...
         let mut first_seen: Vec<NetId> = Vec::new();
-        for (net, _) in &parts {
-            if !first_seen.contains(net) {
+        for (net, nodes) in &parts {
+            if !nodes.is_empty() && !first_seen.contains(net) {
                 first_seen.push(*net);
             }
         }
-        assert_eq!(works.iter().map(|w| w.net).collect::<Vec<_>>(), first_seen);
+        assert_eq!(works.iter().map(|w| w.0).collect::<Vec<_>>(), first_seen);
+        // ...unless asked for id order.
+        want.sort_unstable_by_key(|w| w.0);
+        assert_eq!(listed(group_nodes(each, true)), want);
     }
 }

@@ -20,10 +20,36 @@ use crate::metrics::RoutingResult;
 use crate::parallel::common::{group_nodes, sync_boundaries};
 use crate::parallel::rowwise::RowWisePipeline;
 use crate::route::connect::connect_all;
-use crate::route::state::{Span, WorkNet};
+use crate::route::state::{Span, WorkNets};
 use crate::route::switchable::ChannelState;
-use pgr_circuit::RowId;
+use pgr_circuit::{NetId, RowId};
 use pgr_mpi::Comm;
+
+/// Ship every net fragment of `works` to the net's owner, one store per
+/// owner, and merge what each owner receives into whole nets in id order
+/// (whatever order the fragments arrive in).
+pub(crate) fn gather_at_owners(works: WorkNets, owners: &[u32], comm: &mut Comm) -> WorkNets {
+    let owner = |net: NetId| owners[net.index()] as usize;
+    let mut sizes = vec![(0, 0); comm.size()];
+    for (net, nodes) in works.iter() {
+        let (nets, len) = sizes[owner(net)];
+        sizes[owner(net)] = (nets + 1, len + nodes.len());
+    }
+    let mut work_out: Vec<_> = sizes
+        .iter()
+        .map(|&(n, len)| WorkNets::with_capacity(n, len))
+        .collect();
+    for (net, nodes) in works.iter() {
+        work_out[owner(net)].push(net, nodes.iter().copied());
+    }
+    drop(works);
+    let fragments = comm.alltoall(work_out);
+    let nets = || fragments.iter().flat_map(WorkNets::iter);
+    group_nodes(
+        || nets().flat_map(|(net, n)| n.iter().map(move |&nd| (net, nd))),
+        true,
+    )
+}
 
 /// The hybrid pipeline: steps 1–3 are exactly the row-wise flow (the
 /// embedded [`RowWisePipeline`]'s passes, fake pins and all); connection
@@ -42,15 +68,7 @@ impl Pipeline for HybridPipeline {
             // Step 4 (the hybrid difference): ship each net's fragment to
             // the net's owner, merge, and connect the whole net there.
             Phase::Connect => {
-                let mut work_out: Vec<Vec<WorkNet>> = vec![Vec::new(); ctx.size];
-                for w in std::mem::take(&mut st.works) {
-                    work_out[owners[w.net.index()] as usize].push(w);
-                }
-                let fragments = comm.alltoall(work_out).into_iter().flatten();
-                let mut merged = group_nodes(fragments.map(|f: WorkNet| (f.net, f.nodes)));
-                // Deterministic order regardless of fragment arrival.
-                merged.sort_unstable_by_key(|w| w.net);
-
+                let merged = gather_at_owners(std::mem::take(&mut st.works), owners, comm);
                 let (all_spans, wirelength) = connect_all(&merged, true, comm);
                 st.wirelength = wirelength;
 

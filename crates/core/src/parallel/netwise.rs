@@ -23,9 +23,9 @@ use crate::parallel::common::{
 };
 use crate::parallel::partition::partition_nets;
 use crate::route::feedthrough::{assign, Crossing, FtPlan};
-use crate::route::serial::{register_steiner_nodes, RouteState};
-use crate::route::state::{Node, Segment};
-use crate::route::steiner::{build_segments_with, whole_net};
+use crate::route::serial::{crossings_of, register_steiner_nodes, Feedthroughs, RouteState};
+use crate::route::state::{Orientation, Segment};
+use crate::route::steiner::{build_segments_with, pin_nodes};
 use pgr_circuit::{NetId, RowId};
 use pgr_mpi::Comm;
 
@@ -59,7 +59,7 @@ pub(crate) struct NetWisePipeline {
 
 impl NetWisePipeline {
     /// Deal the nets and walk the owned ones in net-id order: the work
-    /// record of every multi-pin net (`whole_net` and the Steiner-junction
+    /// record of every multi-pin net (`pin_nodes` and the Steiner-junction
     /// registration are pure), its segments from `source`, and with `keep`
     /// the per-net copy the portable snapshot deposits. The one loop of
     /// the Steiner pass and of its resume, so a resumed run cannot drift
@@ -67,6 +67,7 @@ impl NetWisePipeline {
     fn build_owned(&mut self, ctx: &RouteCtx<'_>, keep: bool, mut source: SegmentSource<'_>) {
         let (circuit, cfg) = (ctx.circuit, ctx.cfg);
         self.owners = partition_nets(circuit, ctx.kind, &ctx.rows, ctx.size, cfg.pin_weight_beta);
+        let mut points = Vec::new();
         for net in circuit.nets_chunks().flat_map(|c| c.net_ids()) {
             let i = net.index();
             if self.owners[i] as usize != ctx.rank {
@@ -79,24 +80,29 @@ impl NetWisePipeline {
                     break;
                 }
             }
-            let mut w = whole_net(circuit, net);
-            if w.nodes.len() < 2 {
+            if circuit.net_degree(net) < 2 {
                 continue;
             }
-            let segs = match &mut source {
-                SegmentSource::Build(comm) => build_segments_with(&w, cfg.steiner_refine, comm),
-                SegmentSource::Checkpoint(by_net) => by_net[i]
-                    .clone()
-                    .expect("every multi-pin net was checkpointed by its dead-world owner"),
-            };
+            let (works, segments) = (&mut self.st.works, &mut self.st.segments);
+            works.push(net, pin_nodes(circuit, net, &mut points));
+            let first = segments.len();
+            match &mut source {
+                SegmentSource::Build(comm) => {
+                    let refine = cfg.steiner_refine;
+                    build_segments_with(net, works.last(), refine, comm, &mut points, segments)
+                }
+                SegmentSource::Checkpoint(by_net) => segments.extend_from_slice(
+                    by_net[i]
+                        .as_ref()
+                        .expect("every multi-pin net was checkpointed by its dead-world owner"),
+                ),
+            }
             if cfg.steiner_refine {
-                register_steiner_nodes(&mut w, &segs);
+                register_steiner_nodes(works, &segments[first..]);
             }
             if keep {
-                self.ckpt.push((i as u32, segs.clone()));
+                self.ckpt.push((i as u32, segments[first..].to_vec()));
             }
-            self.st.segments.extend(segs);
-            self.st.works.push(w);
         }
     }
 }
@@ -105,30 +111,43 @@ impl NetWisePipeline {
 /// owning their row ("each processor has to own a copy of all the
 /// segments which cross its rows"), assignments come back to the net
 /// owner.
+///
+/// Both exchanges arrive in sender-rank order, and the row bands ascend
+/// with the rank, so each net's feedthroughs still come in the canonical
+/// order [`assign`] emits them in.
 fn assign_exchanged(
     plan: &FtPlan,
-    crossings: Vec<Crossing>,
+    (segments, orients): (&[Segment], &[Orientation]),
     owners: &[u32],
     ctx: &RouteCtx<'_>,
     comm: &mut Comm,
-) -> Vec<(NetId, Node)> {
-    let mut cross_out: Vec<Vec<Crossing>> = vec![Vec::new(); ctx.size];
+) -> Feedthroughs {
+    let row_owner = |c: &Crossing| ctx.rows.owner(RowId(c.row));
+    let crossings = crossings_of(segments, orients);
+    let mut cross_out = buckets(ctx.size, crossings.clone().map(|c| row_owner(&c)));
     for c in crossings {
-        cross_out[ctx.rows.owner(RowId(c.row))].push(c);
+        cross_out[row_owner(&c)].push(c);
     }
-    let my_crossings: Vec<Crossing> = comm.alltoall(cross_out).into_iter().flatten().collect();
-    let assigned = assign(plan, &my_crossings, comm);
+    let my_crossings = comm.alltoall(cross_out).concat();
+    let net_owner = |net: NetId| owners[net.index()] as usize;
+    let mut ft_out = buckets(ctx.size, my_crossings.iter().map(|c| net_owner(c.net)));
+    assign(plan, my_crossings.iter().copied(), comm, |net, node| {
+        ft_out[net_owner(net)].push((net.0, node))
+    });
     // The plan is replicated (every rank covers all rows): record it once
     // so the merged histogram still covers the chip exactly once.
     if ctx.rank == 0 {
         record_ft_plan(plan, comm);
     }
-    let mut ft_out: Vec<Vec<(u32, Node)>> = vec![Vec::new(); ctx.size];
-    for (net, node) in assigned {
-        ft_out[owners[net.index()] as usize].push((net.0, node));
-    }
-    let ft_in = comm.alltoall(ft_out).into_iter().flatten();
-    ft_in.map(|(n, nd)| (NetId(n), nd)).collect()
+    Feedthroughs::Received(comm.alltoall(ft_out).concat())
+}
+
+/// One empty vector per rank, each sized exactly for the items `dests`
+/// sends it.
+fn buckets<T>(size: usize, dests: impl Iterator<Item = usize>) -> Vec<Vec<T>> {
+    let mut counts = vec![0; size];
+    dests.for_each(|d| counts[d] += 1);
+    counts.into_iter().map(Vec::with_capacity).collect()
 }
 
 impl Pipeline for NetWisePipeline {

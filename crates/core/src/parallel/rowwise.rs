@@ -25,9 +25,9 @@ use crate::parallel::common::{
     steiner_snapshot, sync_boundaries, PORTABLE_HORIZON,
 };
 use crate::parallel::partition::partition_nets;
-use crate::route::serial::{assign_recorded, RouteState};
+use crate::route::serial::{local_feedthroughs, RouteState};
 use crate::route::state::Segment;
-use crate::route::steiner::{build_segments_with, whole_net};
+use crate::route::steiner::{build_segments_with, pin_nodes};
 use pgr_circuit::RowId;
 use pgr_mpi::Comm;
 
@@ -79,6 +79,7 @@ impl Pipeline for RowWisePipeline {
                 comm.metric_add(names::NETS_OWNED, owned as u64);
                 let keep = comm.checkpointing();
                 let mut outgoing: Vec<Vec<Segment>> = vec![Vec::new(); ctx.size];
+                let (mut points, mut nodes, mut segs) = (Vec::new(), Vec::new(), Vec::new());
                 for net in circuit.nets_chunks().flat_map(|c| c.net_ids()) {
                     let i = net.index();
                     if self.owners[i] as usize != ctx.rank {
@@ -91,18 +92,27 @@ impl Pipeline for RowWisePipeline {
                     if comm.budget_poll_abort() {
                         break;
                     }
-                    let w = whole_net(circuit, net);
-                    if w.nodes.len() < 2 {
+                    if circuit.net_degree(net) < 2 {
                         continue;
                     }
-                    let segs = build_segments_with(&w, cfg.steiner_refine, comm);
+                    nodes.clear();
+                    nodes.extend(pin_nodes(circuit, net, &mut points));
+                    segs.clear();
+                    build_segments_with(
+                        net,
+                        &nodes,
+                        cfg.steiner_refine,
+                        comm,
+                        &mut points,
+                        &mut segs,
+                    );
                     for seg in &segs {
                         for (part, piece) in split_segment(seg, &ctx.rows) {
                             outgoing[part].push(piece);
                         }
                     }
                     if keep {
-                        self.ckpt.push((i as u32, segs));
+                        self.ckpt.push((i as u32, segs.clone()));
                     }
                 }
                 st.segments = comm.alltoall(outgoing).into_iter().flatten().collect();
@@ -124,7 +134,7 @@ impl Pipeline for RowWisePipeline {
                     .range(ctx.rank)
                     .map(|r| circuit.row_cells(RowId(r as u32)).len())
                     .sum();
-                st.feedthroughs(local_cells, ctx, comm, assign_recorded);
+                st.feedthroughs(local_cells, ctx, comm, local_feedthroughs);
                 st.chip_width = comm.allreduce(st.chip_width, i64::max);
             }
 

@@ -13,79 +13,79 @@
 
 use crate::cost;
 use crate::metrics::ROW_HEIGHT;
-use crate::route::state::{ChannelPref, Node, Span, WorkNet};
+use crate::route::state::{ChannelPref, Node, Span, WorkNets};
+use pgr_circuit::NetId;
 use pgr_geom::{LimitedMstScratch, Point};
 use pgr_mpi::Comm;
 
-/// Reusable per-net scratch for [`connect_net_with`]: the sorted node
-/// copy, the point/row views handed to the MST and the MST's own
-/// buffers. One arena serves every net a rank connects — everything
-/// grows to the largest net seen and stays allocated, so a net costs no
-/// allocation once the arena is warm.
+/// Reusable per-net scratch for [`connect_net_with`]: the point/row
+/// views handed to the MST and the MST's own buffers. One arena serves
+/// every net a rank connects — everything grows to the largest net seen
+/// and stays allocated, so a net costs no allocation once the arena is
+/// warm.
 #[derive(Debug, Default)]
 pub struct ConnectArena {
-    nodes: Vec<Node>,
     points: Vec<Point>,
     rows: Vec<i64>,
     mst: LimitedMstScratch,
 }
 
-/// The Connect-phase loop every driver runs: connect each of `works` in
-/// order through one shared [`ConnectArena`], returning all spans and the
-/// summed wirelength. This is mandatory work, so a latched budget breach
-/// stops it early (the engine aborts at the next phase boundary; any
-/// collective the caller still owes its peers must run regardless).
+/// The Connect-phase loop every driver runs: connect each net of `works`
+/// in order through one shared [`ConnectArena`], returning all spans and
+/// the summed wirelength. This is mandatory work, so a latched budget
+/// breach stops it early (the engine aborts at the next phase boundary;
+/// any collective the caller still owes its peers must run regardless).
 /// `whole_nets` asserts that every net spans — true wherever a rank
 /// connects complete nets rather than row-band fragments.
-pub(crate) fn connect_all(
-    works: &[WorkNet],
-    whole_nets: bool,
-    comm: &mut Comm,
-) -> (Vec<Span>, u64) {
+pub(crate) fn connect_all(works: &WorkNets, whole_nets: bool, comm: &mut Comm) -> (Vec<Span>, u64) {
     let mut arena = ConnectArena::default();
     // A tree of n nodes has at most n - 1 edges and an edge at most one
     // span: sized once, the vector never moves, and it ends within a few
     // per cent of full (only zero-extent edges leave no span).
-    let edges = works.iter().map(|w| w.nodes.len().saturating_sub(1)).sum();
+    let edges = works
+        .iter()
+        .map(|(_, nodes)| nodes.len().saturating_sub(1))
+        .sum();
     let (mut spans, mut wirelength) = (Vec::with_capacity(edges), 0);
-    for w in works {
+    for (net, nodes) in works.iter() {
         if comm.budget_poll_abort() {
             break;
         }
-        let (length, spanning) = connect_net_with(w, comm, &mut arena, &mut spans);
+        let (length, spanning) = connect_net_with(net, nodes, comm, &mut arena, &mut spans);
         debug_assert!(
             spanning || !whole_nets,
-            "whole net {} must span after feedthrough assignment",
-            w.net
+            "whole net {net} must span after feedthrough assignment"
         );
         wirelength += length;
     }
     (spans, wirelength)
 }
 
-/// Connect one work net: append its spans to `spans` and return its
-/// wirelength and whether the restricted MST spanned all nodes. Whole
-/// nets must span; a sub-net fragment may legitimately be a forest (its
-/// components meet through fake pins on other ranks). Nodes must already
-/// be at their post-insertion positions and include the net's assigned
-/// feedthroughs. The scratch is caller-owned — the Connect-phase loops
-/// pass one [`ConnectArena`] across all of their nets.
+/// Connect net `net` over `nodes`: append its spans to `spans` and
+/// return its wirelength and whether the restricted MST spanned all
+/// nodes. Whole nets must span; a sub-net fragment may legitimately be a
+/// forest (its components meet through fake pins on other ranks). Nodes
+/// must already be at their post-insertion positions, include the net's
+/// assigned feedthroughs and be in canonical [`Node::sort_key`] order —
+/// the order a [`WorkNets`] store keeps from step 3 on — so the result
+/// does not depend on which rank assembled the list or in what order
+/// fragments arrived. The scratch is caller-owned — the Connect-phase
+/// loops pass one [`ConnectArena`] across all of their nets.
 pub fn connect_net_with(
-    work: &WorkNet,
+    net: NetId,
+    nodes: &[Node],
     comm: &mut Comm,
     arena: &mut ConnectArena,
     spans: &mut Vec<Span>,
 ) -> (u64, bool) {
-    let n = work.nodes.len();
+    let n = nodes.len();
     if n < 2 {
         return (0, true);
     }
-    // Canonical node order: the result must not depend on which rank
-    // assembled the node list or in what order fragments arrived.
-    arena.nodes.clear();
-    arena.nodes.extend_from_slice(&work.nodes);
-    arena.nodes.sort_unstable_by_key(|nd| nd.sort_key());
-    let nodes = &arena.nodes;
+    debug_assert!(
+        nodes.is_sorted_by_key(Node::sort_key),
+        "net {net}'s nodes are in canonical order"
+    );
 
     // Charge the candidate-edge work of the 1997 scan the clock models:
     // every same-row pair plus every adjacent-row pair. The host looks at
@@ -144,7 +144,7 @@ pub fn connect_net_with(
                 row
             };
             spans.push(Span {
-                net: work.net,
+                net,
                 channel,
                 lo,
                 hi,
@@ -159,7 +159,7 @@ pub fn connect_net_with(
             }
             let channel = a.row.max(b.row);
             spans.push(Span {
-                net: work.net,
+                net,
                 channel,
                 lo,
                 hi,
@@ -188,9 +188,9 @@ mod tests {
         spanning: bool,
     }
 
-    fn connect_in(work: &WorkNet, comm: &mut Comm, arena: &mut ConnectArena) -> Connection {
+    fn connect_in(nodes: &[Node], comm: &mut Comm, arena: &mut ConnectArena) -> Connection {
         let mut spans = Vec::new();
-        let (wirelength, spanning) = connect_net_with(work, comm, arena, &mut spans);
+        let (wirelength, spanning) = connect_net_with(NetId(1), nodes, comm, arena, &mut spans);
         Connection {
             spans,
             wirelength,
@@ -203,11 +203,10 @@ mod tests {
         connect_in(&work(nodes), &mut comm(), &mut ConnectArena::default())
     }
 
-    fn work(nodes: Vec<Node>) -> WorkNet {
-        WorkNet {
-            net: NetId(1),
-            nodes,
-        }
+    /// `nodes` as a store keeps them: in canonical order.
+    fn work(mut nodes: Vec<Node>) -> Vec<Node> {
+        nodes.sort_unstable_by_key(Node::sort_key);
+        nodes
     }
 
     #[test]
@@ -338,8 +337,13 @@ mod tests {
     /// canonically ordered nodes (lower row first, then lower index),
     /// charged, sorted once by `(weight, a, b)` and run through one
     /// Kruskal pass, each accepted edge materialised on the spot.
-    fn reference_connect(work: &WorkNet, comm: &mut Comm, spans: &mut Vec<Span>) -> u64 {
-        let mut nodes = work.nodes.clone();
+    fn reference_connect(
+        net: NetId,
+        nodes: &[Node],
+        comm: &mut Comm,
+        spans: &mut Vec<Span>,
+    ) -> u64 {
+        let mut nodes = nodes.to_vec();
         let n = nodes.len();
         if n < 2 {
             return 0;
@@ -376,7 +380,7 @@ mod tests {
                 (a.row + either(ChannelPref::Upper) as u32, None)
             };
             spans.push(Span {
-                net: work.net,
+                net,
                 channel,
                 lo,
                 hi,
@@ -395,7 +399,10 @@ mod tests {
         gen.clock_nets = vec![220];
         let circuit = generate(&gen);
         let mut works = works_after_feedthrough(&circuit, &crate::RouterConfig::with_seed(5));
-        assert!(works.iter().any(|w| w.nodes.len() > 220), "the clock net");
+        assert!(
+            works.iter().any(|(_, nodes)| nodes.len() > 220),
+            "the clock net"
+        );
         // Coincident nodes that differ in `pref` or `kind`: which of them
         // the tree attaches decides the channel of the span to the third
         // node, so these pin the tie rule, not just the tree's weight.
@@ -426,15 +433,15 @@ mod tests {
                 Node::fake(7, 2),
             ],
         ] {
-            works.push(work(nodes));
+            works.push(NetId(1), work(nodes));
         }
 
         let (mut got_comm, mut want_comm) = (comm(), comm());
         let (got_spans, got_length) = connect_all(&works, true, &mut got_comm);
         let mut want_spans = Vec::new();
         let mut want_length = 0;
-        for w in &works {
-            want_length += reference_connect(w, &mut want_comm, &mut want_spans);
+        for (net, nodes) in works.iter() {
+            want_length += reference_connect(net, nodes, &mut want_comm, &mut want_spans);
         }
         let differs = got_spans.iter().zip(&want_spans).find(|(g, w)| g != w);
         assert_eq!(differs, None, "first span that differs");

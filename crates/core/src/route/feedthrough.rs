@@ -143,31 +143,89 @@ impl FtPlan {
 /// row. Requests are matched left-to-right within each grid column, which
 /// is the order-optimal non-crossing matching.
 ///
-/// Returns one feedthrough [`Node`] per crossing, tagged with its net.
+/// Walks `crossings` three times (count, bucket, place) and hands `put`
+/// one feedthrough [`Node`] per crossing, with its net, in
+/// `(row, gcol, x, net)` order, so each net's feedthroughs come in
+/// canonical order. A counting sort over the plan's `(row, gcol)`
+/// buckets: each crossing's bucket is computed once, a histogram's prefix
+/// sums place its `(x, net)` there, and each bucket (about ten crossings)
+/// is sorted alone; its `k`-th feedthrough sits `k · ft_width` right of
+/// the bucket's first.
 ///
 /// # Panics
-/// Panics if the crossings are inconsistent with the plan's demand (a
-/// router bug — demand was derived from the same crossings).
-pub fn assign(plan: &FtPlan, crossings: &[Crossing], comm: &mut Comm) -> Vec<(NetId, Node)> {
-    comm.compute(cost::FT_ASSIGN * crossings.len() as u64);
-    // Sort requests by (row, gcol, x, net) — deterministic.
+/// Panics if a bucket's crossings do not match its planned demand (a
+/// router bug — demand was derived from the same crossings). A bucket
+/// with demand but no crossings here is fine: net-wise ranks assign only
+/// their own rows of a replicated plan.
+pub fn assign(
+    plan: &FtPlan,
+    crossings: impl Iterator<Item = Crossing> + Clone,
+    comm: &mut Comm,
+    mut put: impl FnMut(NetId, Node),
+) {
+    let n = crossings.clone().count();
+    comm.compute(cost::FT_ASSIGN * n as u64);
+    let mut bucket = Vec::with_capacity(n);
+    let gcols = plan.demand.shape().1;
+    let bucket_of = |c: Crossing| (plan.row_idx(c.row) * gcols + plan.gcol(c.x)) as u32;
+    bucket.extend(crossings.clone().map(bucket_of));
+    // `end[b]` is bucket b's count, then where it starts, then where it ends.
+    let mut end = vec![0u32; plan.demand.cells().len()];
+    bucket.iter().for_each(|&b| end[b as usize] += 1);
+    let mut at = 0;
+    for e in &mut end {
+        let n = *e;
+        *e = at;
+        at += n;
+    }
+    let mut runs = vec![(0i64, 0u32); bucket.len()];
+    for (c, &b) in crossings.zip(&bucket) {
+        let e = &mut end[b as usize];
+        runs[*e as usize] = (c.x, c.net.0);
+        *e += 1;
+    }
+    drop(bucket);
+    let mut lo = 0;
+    for (b, &hi) in end.iter().enumerate() {
+        let run = &mut runs[lo..hi as usize];
+        lo = hi as usize;
+        if run.is_empty() {
+            continue;
+        }
+        let (r, gcol) = (b / gcols, b % gcols);
+        let row = plan.row0 + r as u32;
+        assert_eq!(
+            run.len() as i64,
+            plan.demand[r][gcol],
+            "crossings at (row {row}, gcol {gcol}) must equal planned demand"
+        );
+        run.sort_unstable();
+        let first = plan.ft_x(row, gcol, 0);
+        for (k, &(_, net)) in run.iter().enumerate() {
+            let x = first + k as i64 * plan.ft_width;
+            put(NetId(net), Node::feedthrough(x, row));
+        }
+    }
+}
+
+/// Step 3's assignment as a comparison sort, the way it was before the
+/// counting sort: every crossing sorted by `(row, gcol, x, net)`, then
+/// matched bucket by bucket — the reference [`assign`] must equal.
+#[cfg(test)]
+pub(crate) fn reference_assign(plan: &FtPlan, crossings: &[Crossing]) -> Vec<(NetId, Node)> {
     let mut sorted: Vec<&Crossing> = crossings.iter().collect();
     sorted.sort_unstable_by_key(|c| (c.row, plan.gcol(c.x), c.x, c.net.0));
-
     let mut out = Vec::with_capacity(sorted.len());
     let mut i = 0;
     while i < sorted.len() {
-        let row = sorted[i].row;
-        let gcol = plan.gcol(sorted[i].x);
-        // Consume the run of crossings in this (row, gcol) bucket.
+        let (row, gcol) = (sorted[i].row, plan.gcol(sorted[i].x));
         let mut j = i;
         while j < sorted.len() && sorted[j].row == row && plan.gcol(sorted[j].x) == gcol {
             j += 1;
         }
-        let count = (j - i) as i64;
-        let avail = plan.demand[plan.row_idx(row)][gcol];
         assert_eq!(
-            count, avail,
+            (j - i) as i64,
+            plan.demand[plan.row_idx(row)][gcol],
             "crossings at (row {row}, gcol {gcol}) must equal planned demand"
         );
         for (k, c) in sorted[i..j].iter().enumerate() {
@@ -194,13 +252,23 @@ mod tests {
         FtPlan::new(0, Grid::from_rows(demand), 8, 2)
     }
 
+    /// [`assign`]'s feedthroughs as a list.
+    fn assigned(plan: &FtPlan, crossings: &[Crossing]) -> Vec<(NetId, Node)> {
+        let mut out = Vec::new();
+        let crossings = crossings.iter().copied();
+        assign(plan, crossings, &mut comm(), |net, node| {
+            out.push((net, node))
+        });
+        out
+    }
+
     #[test]
     fn empty_plan_is_a_no_op() {
         let p = plan(&[&[0, 0, 0], &[0, 0, 0]]);
         assert_eq!(p.total(), 0);
         assert_eq!(p.max_growth(), 0);
         assert_eq!(p.shifted_x(1, 17), 17);
-        assert!(assign(&p, &[], &mut comm()).is_empty());
+        assert!(assigned(&p, &[]).is_empty());
     }
 
     #[test]
@@ -242,7 +310,7 @@ mod tests {
                 x: 9,
             },
         ];
-        let out = assign(&p, &crossings, &mut comm());
+        let out = assigned(&p, &crossings);
         assert_eq!(out.len(), 2);
         // Net 3 (x=9) comes first within the gcol; gets the left ft.
         assert_eq!(out[0].0, NetId(3));
@@ -268,7 +336,64 @@ mod tests {
                 x: 1,
             },
         ];
-        assign(&p, &crossings, &mut comm());
+        assigned(&p, &crossings);
+    }
+
+    #[test]
+    #[should_panic(expected = "crossings at (row 4, gcol 1) must equal planned demand")]
+    fn fewer_crossings_than_demand_panic() {
+        let p = FtPlan::new(3, Grid::from_rows(&[&[1, 0], &[0, 2]]), 8, 2);
+        let crossing = |row, x| Crossing {
+            net: NetId(0),
+            row,
+            x,
+        };
+        assigned(&p, &[crossing(4, 9), crossing(3, 2)]);
+    }
+
+    #[test]
+    fn assign_equals_the_comparison_sort_reference() {
+        for seed in 0..600u64 {
+            let mut rng = pgr_geom::rng::rng_from_seed(0xA551_0000 + seed);
+            let (nrows, gcols) = (rng.gen_range(1usize..6), rng.gen_range(1usize..12));
+            let (grid_w, ft_width) = (rng.gen_range(1i64..10), rng.gen_range(1i64..4));
+            let row0 = rng.gen_range(0u32..5);
+            // A narrow x range makes duplicate `(x, net)` pairs common; the
+            // wide one reaches below 0 and past the last grid column.
+            let (xlo, xhi) = if rng.gen_bool(0.3) {
+                (0, 2 * grid_w)
+            } else {
+                (-2 * grid_w, (gcols as i64 + 2) * grid_w)
+            };
+            let mut demand = Grid::new(nrows, gcols);
+            let mut crossings = Vec::new();
+            for r in 0..nrows {
+                let row = row0 + r as u32;
+                // Rows without crossings here but with demand: a net-wise
+                // rank's share of a replicated plan.
+                if rng.gen_bool(0.25) {
+                    demand[r]
+                        .iter_mut()
+                        .for_each(|d| *d = rng.gen_range(0i64..3));
+                    continue;
+                }
+                for _ in 0..rng.gen_range(0usize..30) {
+                    let x = rng.gen_range(xlo..xhi);
+                    let net = NetId(rng.gen_range(0u32..6));
+                    demand[r][((x / grid_w).max(0) as usize).min(gcols - 1)] += 1;
+                    crossings.push(Crossing { net, row, x });
+                }
+            }
+            // Arrival in any order, as row bands deliver them.
+            let order = pgr_geom::shuffled_indices(crossings.len(), &mut rng);
+            let crossings: Vec<Crossing> = order.iter().map(|&i| crossings[i as usize]).collect();
+            let p = FtPlan::new(row0, demand, grid_w, ft_width);
+            assert_eq!(
+                assigned(&p, &crossings),
+                reference_assign(&p, &crossings),
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub mod steiner;
 pub mod switchable;
 
 pub use serial::try_route_serial;
-pub use state::{ChannelPref, Node, NodeKind, Orientation, Segment, Span, WorkNet};
+pub use state::{ChannelPref, Node, NodeKind, Orientation, Segment, Span, WorkNets};
 
 /// Position of `channel` in a congestion state over channels
 /// `chan0 ..= chan0 + n - 1` (coarse or full-resolution).

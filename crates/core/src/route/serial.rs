@@ -14,33 +14,31 @@ use crate::parallel::partition::PartitionKind;
 use crate::route::coarse::CoarseState;
 use crate::route::connect::connect_all;
 use crate::route::feedthrough::{assign, Crossing, FtPlan};
-use crate::route::state::{NetSlots, Node, NodeKind, Orientation, Segment, Span, WorkNet};
-use crate::route::steiner::{build_segments_with, whole_net};
+use crate::route::state::{Node, NodeKind, Orientation, Segment, Span, WorkNets};
+use crate::route::steiner::{build_segments_with, pin_nodes};
 use crate::route::switchable::{optimize, ChannelState};
 use pgr_circuit::{Circuit, NetId};
 use pgr_mpi::Comm;
 
-/// Vertical-crossing requests implied by the chosen L orientations.
-/// Uses [`Segment::demand_rows`], so fake-pin endpoints (partition
-/// boundaries) request the feedthrough the net's pass-through needs.
-pub fn crossings_of(segments: &[Segment], orients: &[Orientation]) -> Vec<Crossing> {
-    let mut out = Vec::new();
-    for (seg, &orient) in segments.iter().zip(orients) {
-        let x = seg.vertical_x(orient);
-        for row in seg.demand_rows() {
-            out.push(Crossing {
-                net: seg.net,
-                row,
-                x,
-            });
-        }
-    }
-    out
+/// Vertical-crossing requests implied by the chosen L orientations, in
+/// segment order, made as they are walked: step 3 walks them a few times
+/// rather than store 16 B a crossing. Uses [`Segment::demand_rows`], so
+/// fake-pin endpoints (partition boundaries) request the feedthrough the
+/// net's pass-through needs.
+pub fn crossings_of<'a>(
+    segments: &'a [Segment],
+    orients: &'a [Orientation],
+) -> impl Iterator<Item = Crossing> + Clone + 'a {
+    segments.iter().zip(orients).flat_map(|(seg, &orient)| {
+        let (net, x) = (seg.net, seg.vertical_x(orient));
+        seg.demand_rows().map(move |row| Crossing { net, row, x })
+    })
 }
 
-/// Shift every pin and fake-pin node of `works` whose row lies in
-/// `plan`'s range to its post-insertion column. Feedthrough nodes are
-/// created in post-insertion coordinates already and stay put.
+/// Move a pin, fake-pin or Steiner node whose row lies in `plan`'s range
+/// to its post-insertion column. Feedthrough nodes are created in
+/// post-insertion coordinates already and stay put. The shift is
+/// strictly increasing in `x` within a row, so it keeps a row's order.
 ///
 /// Fake pins are "not attached to any cells" (§4) — no cell drags them —
 /// but their column marks the net's vertical at a partition boundary, so
@@ -48,51 +46,56 @@ pub fn crossings_of(segments: &[Segment], orients: &[Orientation]) -> Vec<Crossi
 /// continue the same vertical on the rows below/above; otherwise every
 /// boundary crossing would manufacture a spurious horizontal jog as long
 /// as the row's cumulative feedthrough shift.
-fn shift_pins(works: &mut [WorkNet], plan: &FtPlan) {
-    let lo = plan.row0();
-    let hi = lo + plan.num_rows() as u32;
-    for w in works {
-        for node in &mut w.nodes {
-            if matches!(
-                node.kind,
-                NodeKind::Pin(_) | NodeKind::Fake | NodeKind::Steiner
-            ) && node.row >= lo
-                && node.row < hi
-            {
-                node.x = plan.shifted_x(node.row, node.x);
-            }
-        }
+fn shift_pin(plan: &FtPlan, node: &mut Node) {
+    let rows = plan.row0()..plan.row0() + plan.num_rows() as u32;
+    if !matches!(node.kind, NodeKind::Feedthrough) && rows.contains(&node.row) {
+        node.x = plan.shifted_x(node.row, node.x);
     }
 }
 
-/// Add any Steiner junctions appearing in `segs` to the work net's node
-/// list — junctions are connection points of the net exactly like pins
-/// and feedthroughs, so step 4's MST must see them. (The row-partitioned
-/// algorithms get this for free: their node lists are assembled from
-/// segment endpoints.)
-pub fn register_steiner_nodes(work: &mut WorkNet, segs: &[Segment]) {
-    for s in segs {
-        for nd in [s.lower, s.upper] {
-            if matches!(nd.kind, NodeKind::Steiner) {
-                work.nodes.push(nd);
-            }
-        }
-    }
-    work.nodes.sort_unstable_by_key(|n| n.sort_key());
-    work.nodes.dedup();
+/// Add any Steiner junctions appearing in `segs` to the last net of
+/// `works` — junctions are connection points of the net exactly like
+/// pins and feedthroughs, so step 4's MST must see them. (The
+/// row-partitioned algorithms get this for free: their node lists are
+/// assembled from segment endpoints.)
+pub fn register_steiner_nodes(works: &mut WorkNets, segs: &[Segment]) {
+    let ends = segs.iter().flat_map(|s| [s.lower, s.upper]);
+    works.extend_last(ends.filter(|nd| matches!(nd.kind, NodeKind::Steiner)));
 }
 
-/// Attach assigned feedthrough nodes to their nets' work records.
-fn attach_feedthroughs(works: &mut [WorkNet], ft_nodes: Vec<(NetId, Node)>) {
-    let mut slots = NetSlots::default();
-    for (i, w) in works.iter().enumerate() {
-        *slots.of(w.net) = Some(i as u32);
-    }
-    for (net, node) in ft_nodes {
-        let i = slots
-            .of(net)
-            .expect("feedthrough for a net this rank does not own");
-        works[i as usize].nodes.push(node);
+/// This rank's feedthroughs, as step 3's exchange leaves them.
+pub(crate) enum Feedthroughs {
+    /// This rank assigns its own crossings: it owns their rows and their
+    /// nets (serial, row bands).
+    Local,
+    /// Feedthroughs the rows' owners assigned, `(net, node)` in arrival
+    /// order — sender rank, then the sender's [`assign`] order (net-wise).
+    Received(Vec<(u32, Node)>),
+}
+
+/// Step 3's attach, which is the store's rebuild: `works`' own nodes
+/// shifted by `plan`, merged with `fts` assigned here from `crossings` or
+/// as received.
+fn attach_feedthroughs(
+    works: &mut WorkNets,
+    (plan, crossings): (&FtPlan, impl Iterator<Item = Crossing> + Clone),
+    fts: Feedthroughs,
+    comm: &mut Comm,
+) {
+    let shift = |node: &mut Node| shift_pin(plan, node);
+    match fts {
+        Feedthroughs::Local => {
+            let nets = crossings.clone().map(|c| c.net);
+            works.attach(shift, nets, |sink| {
+                assign(plan, crossings, comm, |net, nd| sink.put(net, nd))
+            });
+        }
+        Feedthroughs::Received(fts) => {
+            let nets = fts.iter().map(|&(net, _)| NetId(net));
+            works.attach(shift, nets, |sink| {
+                fts.iter().for_each(|&(net, nd)| sink.put(NetId(net), nd))
+            });
+        }
     }
 }
 
@@ -127,7 +130,7 @@ pub fn try_route_serial(
 pub(crate) struct RouteState {
     /// This rank's nets (whole, or row-band sub-nets), with feedthroughs
     /// attached once step 3 ran.
-    pub(crate) works: Vec<WorkNet>,
+    pub(crate) works: WorkNets,
     /// The Steiner segments steps 2 and 3 route.
     pub(crate) segments: Vec<Segment>,
     orients: Vec<Orientation>,
@@ -165,23 +168,24 @@ impl RouteState {
 
     /// Step 3: the insertion plan from the coarse demand (shifting `cells`
     /// cells) and the crossings the chosen orientations request of it;
-    /// `assign` turns those into this rank's nets' feedthroughs — locally
-    /// ([`assign_recorded`]) or through the driver's exchanges; then the
-    /// nodes move to their post-insertion columns, the feedthroughs are
-    /// attached and the local chip width is taken.
+    /// `exchange` makes those this rank's nets' feedthroughs — to assign
+    /// here ([`local_feedthroughs`]) or assigned through the driver's
+    /// exchanges; then the store is rebuilt with every node at its
+    /// post-insertion column and the feedthroughs attached, and the local
+    /// chip width is taken.
     pub(crate) fn feedthroughs(
         &mut self,
         cells: usize,
         ctx: &RouteCtx<'_>,
         comm: &mut Comm,
-        assign: impl FnOnce(&FtPlan, Vec<Crossing>, &mut Comm) -> Vec<(NetId, Node)>,
+        exchange: impl FnOnce(&FtPlan, (&[Segment], &[Orientation]), &mut Comm) -> Feedthroughs,
     ) {
         let coarse = self.coarse.take().expect("coarse pass ran");
         let plan = self.plan.insert(coarse.into_plan());
         comm.compute(cost::FT_INSERT_CELL * cells as u64);
-        let ft_nodes = assign(plan, crossings_of(&self.segments, &self.orients), comm);
-        shift_pins(&mut self.works, plan);
-        attach_feedthroughs(&mut self.works, ft_nodes);
+        let fts = exchange(plan, (&self.segments, &self.orients), comm);
+        let crossings = crossings_of(&self.segments, &self.orients);
+        attach_feedthroughs(&mut self.works, (plan, crossings), fts, comm);
         self.chip_width = ctx.circuit.width + plan.max_growth();
     }
 
@@ -250,17 +254,17 @@ impl RouteState {
     }
 }
 
-/// Step 3's assignment where the rank that routed a crossing owns its
-/// row and its net (serial, row bands): assign locally, and record the
-/// plan's feedthroughs-per-row histogram.
-pub(crate) fn assign_recorded(
+/// Step 3's exchange where the rank that routed a crossing owns its row
+/// and its net (serial, row bands): nothing moves — the crossings are
+/// assigned here — and the plan's feedthroughs-per-row histogram is
+/// recorded.
+pub(crate) fn local_feedthroughs(
     plan: &FtPlan,
-    crossings: Vec<Crossing>,
+    _: (&[Segment], &[Orientation]),
     comm: &mut Comm,
-) -> Vec<(NetId, Node)> {
-    let ft_nodes = assign(plan, &crossings, comm);
+) -> Feedthroughs {
     record_ft_plan(plan, comm);
-    ft_nodes
+    Feedthroughs::Local
 }
 
 /// The serial pipeline: the shared [`RouteState`] over whole nets and all
@@ -291,30 +295,32 @@ impl Pipeline for SerialPipeline {
                 // the net id space in order, so the work list is identical
                 // to a flat 0..n loop while touching one chunk's columns
                 // at a time.
-                st.works = Vec::with_capacity(circuit.num_nets());
-                for chunk in circuit.nets_chunks() {
-                    st.works
-                        .extend(chunk.net_ids().map(|n| whole_net(circuit, n)));
-                }
+                let pins = circuit.nets_chunks().map(|c| c.pins as usize).sum();
+                st.works = WorkNets::with_capacity(circuit.num_nets(), pins);
                 st.segments = Vec::with_capacity(circuit.num_pins());
-                for w in &mut st.works {
+                let mut points = Vec::new();
+                for net in circuit.nets_chunks().flat_map(|c| c.net_ids()) {
                     // Mandatory work: a latched breach stops further
                     // local building; the engine turns it into a
                     // structured abort at the next phase boundary.
                     if comm.budget_poll_abort() {
                         break;
                     }
-                    let segs = build_segments_with(w, cfg.steiner_refine, comm);
-                    if cfg.steiner_refine {
-                        register_steiner_nodes(w, &segs);
+                    st.works.push(net, pin_nodes(circuit, net, &mut points));
+                    let (refine, first) = (cfg.steiner_refine, st.segments.len());
+                    let (nodes, segs) = (st.works.last(), &mut st.segments);
+                    build_segments_with(net, nodes, refine, comm, &mut points, segs);
+                    if refine {
+                        register_steiner_nodes(&mut st.works, &st.segments[first..]);
                     }
-                    st.segments.extend(segs);
                 }
                 comm.metric_add(names::SEGMENTS, st.segments.len() as u64);
             }
 
             Phase::Coarse => st.coarse_route(all_rows, GRID_W, false, ctx, comm),
-            Phase::Feedthrough => st.feedthroughs(circuit.num_cells(), ctx, comm, assign_recorded),
+            Phase::Feedthrough => {
+                st.feedthroughs(circuit.num_cells(), ctx, comm, local_feedthroughs)
+            }
             Phase::Connect => st.connect(all_rows, false, true, comm),
             Phase::Switchable => st.switchable(ctx, comm),
 
@@ -336,7 +342,7 @@ impl Pipeline for SerialPipeline {
 /// The work nets Connect receives: the serial pipeline run up to and
 /// including the feedthrough pass.
 #[cfg(test)]
-pub(crate) fn works_after_feedthrough(circuit: &Circuit, cfg: &RouterConfig) -> Vec<WorkNet> {
+pub(crate) fn works_after_feedthrough(circuit: &Circuit, cfg: &RouterConfig) -> WorkNets {
     let mut comm = Comm::solo(pgr_mpi::MachineModel::ideal());
     let mut ctx = RouteCtx::new(circuit, cfg, PartitionKind::PinWeight, (1, 0));
     let mut pipe = SerialPipeline::default();
@@ -446,7 +452,7 @@ mod tests {
         let a = Node::pin(0, 2, 0, ChannelPref::Either);
         let b = Node::pin(1, 10, 3, ChannelPref::Either);
         let seg = Segment::new(NetId(0), a, b);
-        let cr = crossings_of(&[seg], &[Orientation::VertAtUpper]);
+        let cr: Vec<_> = crossings_of(&[seg], &[Orientation::VertAtUpper]).collect();
         assert_eq!(cr.len(), 2);
         assert!(cr.iter().all(|c| c.x == 10));
         assert_eq!(cr[0].row, 1);
@@ -455,56 +461,185 @@ mod tests {
         // Fake endpoints (partition boundaries) additionally demand their
         // own rows: the pieces of a split edge tile the whole crossing.
         let piece = Segment::new(NetId(0), Node::fake(2, 0), Node::fake(2, 3));
-        let cr = crossings_of(&[piece], &[Orientation::VertAtLower]);
+        let cr: Vec<_> = crossings_of(&[piece], &[Orientation::VertAtLower]).collect();
         assert_eq!(
             cr.iter().map(|c| c.row).collect::<Vec<_>>(),
             vec![0, 1, 2, 3]
         );
     }
 
+    /// Step 3 as it was, per net: the own nodes shifted, the feedthroughs
+    /// of the comparison-sort assignment pushed through a hashed net
+    /// lookup, then the list sorted (Connect's sort, before the store
+    /// kept the order).
+    fn push_then_sort(
+        pre: &WorkNets,
+        plan: &FtPlan,
+        crossings: &[Crossing],
+    ) -> Vec<(NetId, Vec<Node>)> {
+        use std::collections::HashMap;
+        let mut nets: Vec<(NetId, Vec<Node>)> = pre
+            .iter()
+            .map(|(net, nodes)| {
+                let mut nodes = nodes.to_vec();
+                nodes.iter_mut().for_each(|nd| shift_pin(plan, nd));
+                (net, nodes)
+            })
+            .collect();
+        let index: HashMap<NetId, usize> = nets.iter().enumerate().map(|(i, w)| (w.0, i)).collect();
+        for (net, node) in crate::route::feedthrough::reference_assign(plan, crossings) {
+            nets[index[&net]].1.push(node);
+        }
+        for (_, nodes) in &mut nets {
+            nodes.sort_unstable_by_key(Node::sort_key);
+        }
+        nets
+    }
+
+    fn listed(works: &WorkNets) -> Vec<(NetId, Vec<Node>)> {
+        works
+            .iter()
+            .map(|(net, nodes)| (net, nodes.to_vec()))
+            .collect()
+    }
+
+    /// Every net's slice strictly increases in `sort_key`: canonical and
+    /// free of duplicates.
+    fn assert_canonical(works: &WorkNets) {
+        for (net, nodes) in works.iter() {
+            let keys: Vec<_> = nodes.iter().map(Node::sort_key).collect();
+            assert!(keys.windows(2).all(|k| k[0] < k[1]), "net {net}: {nodes:?}");
+        }
+    }
+
     #[test]
     fn attach_feedthroughs_matches_the_hash_map_reference() {
-        use std::collections::HashMap;
-        // The hashed lookup the slot table replaced.
-        fn reference(works: &mut [WorkNet], ft_nodes: Vec<(NetId, Node)>) {
-            let index: HashMap<NetId, usize> =
-                works.iter().enumerate().map(|(i, w)| (w.net, i)).collect();
-            for (net, node) in ft_nodes {
-                works[index[&net]].nodes.push(node);
-            }
-        }
-        // Non-contiguous, unsorted net ids; several feedthroughs a net,
-        // interleaved; one net without any.
+        // Non-contiguous, unsorted net ids, each with pins out of order;
+        // several crossings a net, interleaved, some past the last grid
+        // column; one net without any.
         let nets = [907u32, 3, 41, 40, 100_000, 0];
-        let works: Vec<WorkNet> = nets
-            .iter()
-            .map(|&n| WorkNet {
-                net: NetId(n),
-                nodes: vec![Node::fake(n as i64, 1)],
-            })
-            .collect();
         let mut rng = pgr_geom::rng::rng_from_seed(0xA77A);
-        let ft_nodes: Vec<(NetId, Node)> = (0..64)
-            .map(|i| {
-                let net = nets[rng.gen_range(0..nets.len() - 1)];
-                (NetId(net), Node::feedthrough(i, rng.gen_range(0..9u32)))
+        let mut works = WorkNets::default();
+        for &n in &nets {
+            let pin = |i: u32, rng: &mut pgr_geom::rng::SmallRng| {
+                let pref = crate::route::state::ChannelPref::Either;
+                Node::pin(n + i, rng.gen_range(0..40i64), rng.gen_range(0..9u32), pref)
+            };
+            works.push(NetId(n), [pin(1, &mut rng), pin(0, &mut rng)]);
+        }
+        let (grid_w, gcols) = (8, 4);
+        let mut demand = crate::route::state::Grid::new(9, gcols);
+        let crossings: Vec<Crossing> = (0..64)
+            .map(|_| {
+                let (row, x) = (rng.gen_range(0..9u32), rng.gen_range(0..40i64));
+                demand[row as usize][((x / grid_w) as usize).min(gcols - 1)] += 1;
+                let net = NetId(nets[rng.gen_range(0..nets.len() - 1)]);
+                Crossing { net, row, x }
             })
             .collect();
-        let (mut dense, mut hashed) = (works.clone(), works);
-        attach_feedthroughs(&mut dense, ft_nodes.clone());
-        reference(&mut hashed, ft_nodes);
-        assert_eq!(dense, hashed);
-        assert_eq!(dense[5].nodes.len(), 1, "net 0 got no feedthrough");
-        assert_eq!(dense.iter().map(|w| w.nodes.len()).sum::<usize>(), 6 + 64);
+        let plan = FtPlan::new(0, demand, grid_w, 2);
+        let pre = works.clone();
+        let mut comm = Comm::solo(MachineModel::ideal());
+        let local = (&plan, crossings.iter().copied());
+        attach_feedthroughs(&mut works, local, Feedthroughs::Local, &mut comm);
+        assert_eq!(listed(&works), push_then_sort(&pre, &plan, &crossings));
+        assert_canonical(&works);
+        assert_eq!(
+            works.iter().nth(5).unwrap().1.len(),
+            2,
+            "net 0 got no feedthrough"
+        );
+        assert_eq!(works.iter().map(|w| w.1.len()).sum::<usize>(), 12 + 64);
     }
 
     #[test]
     #[should_panic(expected = "feedthrough for a net this rank does not own")]
     fn attaching_to_an_unknown_net_panics() {
-        let mut works = vec![WorkNet {
-            net: NetId(7),
-            nodes: Vec::new(),
-        }];
-        attach_feedthroughs(&mut works, vec![(NetId(6), Node::feedthrough(0, 0))]);
+        let mut works = WorkNets::default();
+        works.push(NetId(7), []);
+        let plan = FtPlan::new(0, crate::route::state::Grid::new(1, 1), 8, 2);
+        let fts = Feedthroughs::Received(vec![(6, Node::feedthrough(0, 0))]);
+        let none = (&plan, std::iter::empty());
+        attach_feedthroughs(
+            &mut works,
+            none,
+            fts,
+            &mut Comm::solo(MachineModel::ideal()),
+        );
+    }
+
+    /// Run `pipe` through step 3 on `ctx`'s rank and check the store step
+    /// 3 left: every net canonical, and what step 3 used to build.
+    fn check_step3<P: crate::engine::Pipeline>(
+        pipe: &mut P,
+        st: fn(&mut P) -> &mut RouteState,
+        ctx: &mut RouteCtx<'_>,
+        comm: &mut Comm,
+    ) {
+        for phase in [Phase::Setup, Phase::Steiner, Phase::Coarse] {
+            pipe.pass(phase, ctx, comm);
+        }
+        let s = st(pipe);
+        let crossings: Vec<_> = crossings_of(&s.segments, &s.orients).collect();
+        let pre = s.works.clone();
+        assert!(!crossings.is_empty());
+        pipe.pass(Phase::Feedthrough, ctx, comm);
+        let s = st(pipe);
+        let plan = s.plan.as_ref().expect("feedthrough pass ran");
+        assert_eq!(listed(&s.works), push_then_sort(&pre, plan, &crossings));
+        assert_canonical(&s.works);
+    }
+
+    #[test]
+    fn step3_leaves_every_net_canonical_at_p1_on_a_row_band_and_at_the_hybrids_owners() {
+        use crate::parallel::rowwise::RowWisePipeline;
+        let c = small();
+        for refine in [false, true] {
+            let cfg = RouterConfig {
+                steiner_refine: refine,
+                ..RouterConfig::with_seed(3)
+            };
+            let mut comm = Comm::solo(MachineModel::ideal());
+            let mut ctx = RouteCtx::new(&c, &cfg, PartitionKind::PinWeight, (1, 0));
+            check_step3(
+                &mut SerialPipeline::default(),
+                |p| &mut p.st,
+                &mut ctx,
+                &mut comm,
+            );
+
+            pgr_mpi::run(2, MachineModel::ideal(), |comm| {
+                let mut ctx = RouteCtx::new(&c, &cfg, PartitionKind::PinWeight, (2, comm.rank()));
+                let mut pipe = RowWisePipeline::default();
+                check_step3(&mut pipe, |p| &mut p.st, &mut ctx, comm);
+                // The hybrid's Connect: every fragment of a net gathered
+                // at its owner, against "concatenate, sort, deduplicate",
+                // nets in id order.
+                let all = comm.allgather(pipe.st.works.clone());
+                let merged = crate::parallel::hybrid::gather_at_owners(
+                    std::mem::take(&mut pipe.st.works),
+                    &pipe.owners,
+                    comm,
+                );
+                let mut want: Vec<(NetId, Vec<Node>)> = Vec::new();
+                for id in 0..c.num_nets() {
+                    let net = NetId::from_index(id);
+                    let parts: Vec<&[Node]> = all
+                        .iter()
+                        .flat_map(|w| w.iter())
+                        .filter(|&(n, _)| n == net)
+                        .map(|(_, nodes)| nodes)
+                        .collect();
+                    if pipe.owners[id] as usize == comm.rank() && !parts.is_empty() {
+                        let mut nodes = parts.concat();
+                        nodes.sort_unstable_by_key(Node::sort_key);
+                        nodes.dedup();
+                        want.push((net, nodes));
+                    }
+                }
+                assert_eq!(listed(&merged), want);
+                assert_canonical(&merged);
+            });
+        }
     }
 }

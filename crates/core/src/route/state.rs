@@ -335,24 +335,217 @@ impl Span {
     }
 }
 
-/// A net fragment to be routed by one rank: the nodes a sub-net must
-/// connect (for the serial router: the whole net's pins).
-#[derive(Debug, Clone, PartialEq)]
-pub struct WorkNet {
-    pub net: NetId,
-    pub nodes: Vec<Node>,
+/// The net fragments a rank routes, in one flat store as `CircuitStore`
+/// keeps pins: net `nets[i]` connects `nodes[start[i]..]` up to the next
+/// net's start. From step 3 on every slice is in canonical
+/// [`Node::sort_key`] order without duplicates, and Connect reads it as
+/// it stands; before, a whole net's pins keep netlist order (step 1's
+/// MST breaks ties by it).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct WorkNets {
+    nets: Vec<NetId>,
+    start: Vec<u32>,
+    nodes: Vec<Node>,
 }
 
-impl Wire for WorkNet {
+impl WorkNets {
+    pub fn with_capacity(nets: usize, nodes: usize) -> Self {
+        let start = Vec::with_capacity(nets);
+        let (nets, nodes) = (Vec::with_capacity(nets), Vec::with_capacity(nodes));
+        WorkNets { nets, start, nodes }
+    }
+
+    pub fn len(&self) -> usize {
+        self.nets.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.nets.is_empty()
+    }
+
+    fn range(&self, i: usize) -> std::ops::Range<usize> {
+        let end = self
+            .start
+            .get(i + 1)
+            .map_or(self.nodes.len(), |&e| e as usize);
+        self.start[i] as usize..end
+    }
+
+    pub fn iter(&self) -> impl Iterator<Item = (NetId, &[Node])> {
+        (0..self.len()).map(|i| (self.nets[i], &self.nodes[self.range(i)]))
+    }
+
+    /// The nodes of the last net pushed.
+    pub fn last(&self) -> &[Node] {
+        &self.nodes[self.start.last().map_or(0, |&s| s as usize)..]
+    }
+
+    pub fn push(&mut self, net: NetId, nodes: impl IntoIterator<Item = Node>) {
+        self.nets.push(net);
+        self.start.push(self.nodes.len() as u32);
+        self.nodes.extend(nodes);
+    }
+
+    /// Add `nodes` to the last net pushed, then make its slice canonical.
+    pub(crate) fn extend_last(&mut self, nodes: impl IntoIterator<Item = Node>) {
+        self.nodes.extend(nodes);
+        let s = self.start.last().map_or(0, |&s| s as usize);
+        let n = canonicalize(&mut self.nodes[s..]);
+        self.nodes.truncate(s + n);
+    }
+
+    /// The store of `nets` holding the `(net, node)` pairs `pairs` yields
+    /// (twice: a count, then the copy), every net made canonical.
+    pub(crate) fn group<I>(nets: Vec<NetId>, pairs: impl Fn() -> I) -> Self
+    where
+        I: Iterator<Item = (NetId, Node)>,
+    {
+        let fill = |sink: &mut FtSink<'_>| pairs().for_each(|(n, nd)| sink.put(n, nd));
+        let mut store = scatter(nets, |_| 0, pairs().map(|p| p.0), fill);
+        // Canonicalize each net and close the gap its duplicates leave.
+        let mut w = 0;
+        for i in 0..store.len() {
+            let range = store.range(i);
+            let n = canonicalize(&mut store.nodes[range.clone()]);
+            store.nodes.copy_within(range.start..range.start + n, w);
+            store.start[i] = w as u32;
+            w += n;
+        }
+        store.nodes.truncate(w);
+        store
+    }
+
+    /// Step 3's rebuild, the feedthroughs' attach: every net's own nodes
+    /// move by `shift` (which must keep each row's order) and merge with
+    /// the feedthroughs `fill` puts into its [`FtSink`], into one exactly
+    /// sized store. `ft_nets` names each feedthrough's net; a net's
+    /// feedthroughs must come in canonical order, as [`assign`] emits
+    /// them. A fixed handful of allocations, however many nets.
+    ///
+    /// [`assign`]: crate::route::feedthrough::assign
+    pub fn attach(
+        &mut self,
+        shift: impl Fn(&mut Node),
+        ft_nets: impl Iterator<Item = NetId>,
+        fill: impl FnOnce(&mut FtSink<'_>),
+    ) {
+        let nets = std::mem::take(&mut self.nets);
+        let mut store = scatter(nets, |i| self.range(i).len(), ft_nets, fill);
+        for i in 0..store.len() {
+            let (range, slice) = (self.range(i), store.range(i));
+            let own = &mut self.nodes[range];
+            own.iter_mut().for_each(&shift);
+            own.sort_unstable_by_key(Node::sort_key);
+            let (fts, slice) = (slice.len() - own.len(), &mut store.nodes[slice]);
+            debug_assert!(slice[..fts].is_sorted_by_key(Node::sort_key));
+            merge_from_back(slice, fts, own);
+        }
+        *self = store;
+    }
+}
+
+/// A store of `nets` whose net `i` opens with the nodes `fill` puts for
+/// it, in the order put (`nets_put` names each one's net), followed by
+/// `extra(i)` places left to the caller.
+fn scatter(
+    nets: Vec<NetId>,
+    extra: impl Fn(usize) -> usize,
+    nets_put: impl Iterator<Item = NetId>,
+    fill: impl FnOnce(&mut FtSink<'_>),
+) -> WorkNets {
+    let slots = NetSlots::indexing(&nets);
+    let mut count = vec![0u32; nets.len()];
+    nets_put.for_each(|net| count[slot(&slots, net)] += 1);
+    let (mut start, mut total) = (Vec::with_capacity(nets.len()), 0);
+    for (i, &n) in count.iter().enumerate() {
+        start.push(total);
+        total += n + extra(i) as u32;
+    }
+    let nodes = vec![Node::fake(0, 0); total as usize];
+    let store = WorkNets { nets, start, nodes };
+    let mut sink = FtSink {
+        slots: &slots,
+        next: store.start.clone(),
+        store,
+    };
+    fill(&mut sink);
+    sink.store
+}
+
+/// Where [`WorkNets::attach`]'s `fill` puts feedthroughs: each at its
+/// net's next free place in the store being built.
+pub struct FtSink<'a> {
+    slots: &'a NetSlots,
+    next: Vec<u32>,
+    store: WorkNets,
+}
+
+impl FtSink<'_> {
+    pub fn put(&mut self, net: NetId, node: Node) {
+        let at = &mut self.next[slot(self.slots, net)];
+        self.store.nodes[*at as usize] = node;
+        *at += 1;
+    }
+}
+
+fn slot(slots: &NetSlots, net: NetId) -> usize {
+    let slot = slots.get(net);
+    slot.expect("feedthrough for a net this rank does not own") as usize
+}
+
+/// Sort `nodes` canonically and move the distinct ones to the front;
+/// returns how many there are.
+fn canonicalize(nodes: &mut [Node]) -> usize {
+    nodes.sort_unstable_by_key(Node::sort_key);
+    let mut n = 0;
+    for i in 0..nodes.len() {
+        if n == 0 || nodes[i] != nodes[n - 1] {
+            nodes[n] = nodes[i];
+            n += 1;
+        }
+    }
+    n
+}
+
+/// Merge the sorted runs `slice[..head]` and `tail` into `slice`, from
+/// the back: `tail[j]` lands at `head + j` or later, past every unread
+/// node of the first run.
+fn merge_from_back(slice: &mut [Node], mut head: usize, tail: &[Node]) {
+    for j in (0..tail.len()).rev() {
+        while head > 0 && slice[head - 1].sort_key() > tail[j].sort_key() {
+            slice[head + j] = slice[head - 1];
+            head -= 1;
+        }
+        slice[head + j] = tail[j];
+    }
+}
+
+/// In the bytes of the per-net records the store replaced: a `u32` net
+/// count, then per net a `u32` id, a `u32` length and the nodes.
+impl Wire for WorkNets {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.net.0.encode(out);
-        self.nodes.encode(out);
+        let pins = self
+            .nodes
+            .iter()
+            .filter(|n| matches!(n.kind, NodeKind::Pin(_)));
+        out.reserve(4 + 8 * self.len() + 14 * self.nodes.len() + 4 * pins.count());
+        (self.len() as u32).encode(out);
+        for (net, nodes) in self.iter() {
+            (net.0, nodes.len() as u32).encode(out);
+            nodes.iter().for_each(|n| n.encode(out));
+        }
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(WorkNet {
-            net: NetId(u32::decode(r)?),
-            nodes: Vec::<Node>::decode(r)?,
-        })
+        // A node takes 14 bytes or more: a corrupt count cannot OOM.
+        let mut store = WorkNets::with_capacity(0, r.remaining() / 14);
+        for _ in 0..u32::decode(r)? {
+            let (net, len) = <(u32, u32)>::decode(r)?;
+            store.push(NetId(net), []);
+            for _ in 0..len {
+                store.nodes.push(Node::decode(r)?);
+            }
+        }
+        Ok(store)
     }
 }
 
@@ -431,6 +624,22 @@ impl NetSlots {
         }
         &mut self.0[net.index()]
     }
+
+    /// The table that puts each of `nets` at its index in the list, sized
+    /// once.
+    pub(crate) fn indexing(nets: &[NetId]) -> Self {
+        let len = nets.iter().map(|n| n.index() + 1).max().unwrap_or(0);
+        let mut slots = NetSlots(vec![None; len]);
+        for (i, net) in nets.iter().enumerate() {
+            slots.0[net.index()] = Some(i as u32);
+        }
+        slots
+    }
+
+    /// The slot of `net`, if it was assigned one.
+    pub(crate) fn get(&self, net: NetId) -> Option<u32> {
+        self.0.get(net.index()).copied().flatten()
+    }
 }
 
 #[cfg(test)]
@@ -497,11 +706,72 @@ mod tests {
             switch_row: Some(2),
         };
         assert_eq!(Span::from_bytes(&sp.to_bytes()).unwrap(), sp);
-        let w = WorkNet {
-            net: NetId(4),
-            nodes: vec![n, Node::fake(0, 0)],
-        };
-        assert_eq!(WorkNet::from_bytes(&w.to_bytes()).unwrap(), w);
+        let mut w = WorkNets::default();
+        w.push(NetId(4), [n, Node::fake(0, 0)]);
+        w.push(NetId(2), []);
+        w.push(NetId(9), [Node::feedthrough(3, 1)]);
+        let bytes = w.to_bytes();
+        assert_eq!(WorkNets::from_bytes(&bytes).unwrap(), w);
+        // The bytes of the per-net records the store replaced, reserved
+        // once.
+        let records = vec![
+            (4u32, vec![n, Node::fake(0, 0)]),
+            (2, vec![]),
+            (9, vec![Node::feedthrough(3, 1)]),
+        ];
+        assert_eq!(bytes, records.to_bytes());
+        assert_eq!(bytes.capacity(), bytes.len());
+    }
+
+    #[test]
+    fn group_canonicalizes_each_net_and_keeps_the_given_net_order() {
+        let (a, b, c) = (node(1, 0), node(5, 1), node(9, 1));
+        let pairs = [(7, c), (7, a), (3, b), (7, a), (7, b)].map(|(n, nd)| (NetId(n), nd));
+        let works = WorkNets::group(vec![NetId(7), NetId(3)], || pairs.iter().copied());
+        let got: Vec<_> = works.iter().map(|(n, s)| (n, s.to_vec())).collect();
+        assert_eq!(got, [(NetId(7), vec![a, b, c]), (NetId(3), vec![b])]);
+        assert_eq!(works.nodes.len(), 4, "duplicates close up");
+    }
+
+    #[test]
+    fn attach_merges_shifted_nodes_with_feedthroughs_in_canonical_order() {
+        let mut works = WorkNets::default();
+        works.push(NetId(0), [node(9, 2), node(4, 0), node(2, 2)]);
+        works.push(NetId(5), []);
+        works.push(NetId(1), [node(3, 1)]);
+        let fts = [
+            (NetId(0), Node::feedthrough(1, 1)),
+            (NetId(1), Node::feedthrough(0, 0)),
+            (NetId(0), Node::feedthrough(7, 1)),
+            (NetId(0), Node::feedthrough(3, 2)),
+            (NetId(5), Node::feedthrough(6, 2)),
+        ];
+        // Rows 1 and up shift right by 10.
+        let shift = |nd: &mut Node| nd.x += 10 * i64::from(nd.row >= 1);
+        works.attach(shift, fts.iter().map(|f| f.0), |sink| {
+            fts.iter().for_each(|&(net, nd)| sink.put(net, nd))
+        });
+        let got: Vec<_> = works.iter().map(|(n, s)| (n, s.to_vec())).collect();
+        let ft = Node::feedthrough;
+        assert_eq!(
+            got,
+            [
+                (
+                    NetId(0),
+                    vec![
+                        node(4, 0),
+                        ft(1, 1),
+                        ft(7, 1),
+                        ft(3, 2),
+                        node(12, 2),
+                        node(19, 2)
+                    ]
+                ),
+                (NetId(5), vec![ft(6, 2)]),
+                (NetId(1), vec![ft(0, 0), node(13, 1)]),
+            ]
+        );
+        assert_eq!(works.nodes.capacity(), 9, "one exactly sized allocation");
     }
 
     #[test]

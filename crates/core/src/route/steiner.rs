@@ -9,7 +9,7 @@
 //! trees are independent per net.
 
 use crate::cost;
-use crate::route::state::{ChannelPref, Node, Segment, WorkNet};
+use crate::route::state::{ChannelPref, Node, Segment};
 use pgr_circuit::{Circuit, NetId, PinId, PinSide};
 use pgr_geom::{mst_prim, Point};
 use pgr_mpi::Comm;
@@ -27,69 +27,67 @@ pub fn pin_pref(circuit: &Circuit, pin: u32) -> ChannelPref {
     }
 }
 
-/// Connection nodes of a whole net (its pins, at initial positions).
+/// Connection nodes of whole net `net`: its pins at their initial
+/// positions, in netlist order (step 1's MST breaks ties by it).
 /// Positions come from one batch column sweep ([`Circuit::pin_points_into`])
-/// over the net's slice of the shared pin-index arena.
-fn net_nodes(circuit: &Circuit, net: NetId) -> Vec<Node> {
+/// over the net's slice of the shared pin-index arena, into the
+/// caller's `points` scratch.
+pub fn pin_nodes<'a>(
+    circuit: &'a Circuit,
+    net: NetId,
+    points: &'a mut Vec<Point>,
+) -> impl ExactSizeIterator<Item = Node> + 'a {
     let pins = circuit.net_pins(net);
-    let mut points = Vec::new();
-    circuit.pin_points_into(pins, &mut points);
+    points.clear();
+    circuit.pin_points_into(pins, points);
     pins.iter()
-        .zip(&points)
+        .zip(points.iter())
         .map(|(&pid, pt)| Node::pin(pid.0, pt.x, pt.y as u32, pin_pref(circuit, pid.0)))
-        .collect()
 }
 
-/// A whole net as a unit of routing work.
-pub fn whole_net(circuit: &Circuit, net: NetId) -> WorkNet {
-    WorkNet {
-        net,
-        nodes: net_nodes(circuit, net),
-    }
-}
-
-/// Build the MST segments of one work net, charging MST cost. Rows are
-/// weighted like columns on the coarse lattice, matching the grid TWGR
-/// estimates on.
+/// Append the MST segments of net `net` over `nodes` to `out`, charging
+/// MST cost; `points` is the caller's scratch. Rows are weighted like
+/// columns on the coarse lattice, matching the grid TWGR estimates on.
 ///
 /// `refine` first improves the MST with median Steiner junctions
 /// (`RouterConfig::steiner_refine` — an extension beyond the paper's
 /// plain MST approximation). Junctions
 /// enter the segment graph as [`crate::route::state::NodeKind::Steiner`]
 /// nodes: switchable, grid-tracking, feedthrough-free endpoints.
-pub fn build_segments_with(work: &WorkNet, refine: bool, comm: &mut Comm) -> Vec<Segment> {
-    let n = work.nodes.len();
+pub fn build_segments_with(
+    net: NetId,
+    nodes: &[Node],
+    refine: bool,
+    comm: &mut Comm,
+    points: &mut Vec<Point>,
+    out: &mut Vec<Segment>,
+) {
+    let n = nodes.len();
     if n < 2 {
-        return Vec::new();
+        return;
     }
     comm.compute(cost::MST_PAIR * (n * n) as u64 + cost::MST_NODE * n as u64);
-    let points: Vec<Point> = work
-        .nodes
-        .iter()
-        .map(|nd| Point::new(nd.x, nd.row as i64))
-        .collect();
-    let mst = mst_prim(&points);
+    points.clear();
+    points.extend(nodes.iter().map(|nd| Point::new(nd.x, nd.row as i64)));
+    let mst = mst_prim(points);
     if !refine {
-        return mst
-            .into_iter()
-            .map(|e| Segment::new(work.net, work.nodes[e.a as usize], work.nodes[e.b as usize]))
-            .collect();
+        let segment =
+            |e: &pgr_geom::MstEdge| Segment::new(net, nodes[e.a as usize], nodes[e.b as usize]);
+        out.extend(mst.iter().map(segment));
+        return;
     }
     comm.compute(cost::MST_NODE * n as u64); // elbow scan + rewrite
-    let refined = pgr_geom::refine_mst(&points, &mst);
+    let refined = pgr_geom::refine_mst(points, &mst);
     let node_at = |i: u32| -> Node {
-        if (i as usize) < work.nodes.len() {
-            work.nodes[i as usize]
+        if (i as usize) < n {
+            nodes[i as usize]
         } else {
-            let p = refined.steiner_points[i as usize - work.nodes.len()];
+            let p = refined.steiner_points[i as usize - n];
             Node::steiner(p.x, p.y as u32)
         }
     };
-    refined
-        .edges
-        .into_iter()
-        .map(|e| Segment::new(work.net, node_at(e.a), node_at(e.b)))
-        .collect()
+    let segment = |e: &pgr_geom::MstEdge| Segment::new(net, node_at(e.a), node_at(e.b));
+    out.extend(refined.edges.iter().map(segment));
 }
 
 #[cfg(test)]
@@ -103,12 +101,25 @@ mod tests {
         Comm::solo(MachineModel::ideal())
     }
 
+    /// The segments [`build_segments_with`] appends for `nodes`.
+    fn segments(net: NetId, nodes: &[Node], refine: bool, comm: &mut Comm) -> Vec<Segment> {
+        let mut out = Vec::new();
+        build_segments_with(net, nodes, refine, comm, &mut Vec::new(), &mut out);
+        out
+    }
+
+    /// Net `i`'s id and its pin nodes.
+    fn whole_net(c: &Circuit, i: usize) -> (NetId, Vec<Node>) {
+        let net = NetId::from_index(i);
+        (net, pin_nodes(c, net, &mut Vec::new()).collect())
+    }
+
     #[test]
     fn whole_net_nodes_match_pins() {
         let c = generate(&GeneratorConfig::small("t", 1));
-        let w = whole_net(&c, NetId(0));
-        assert_eq!(w.nodes.len(), c.net_pins(NetId(0)).len());
-        for (node, &pid) in w.nodes.iter().zip(c.net_pins(NetId(0))) {
+        let (_, nodes) = whole_net(&c, 0);
+        assert_eq!(nodes.len(), c.net_pins(NetId(0)).len());
+        for (node, &pid) in nodes.iter().zip(c.net_pins(NetId(0))) {
             assert_eq!(node.x, c.pin_x(pid));
             assert_eq!(node.row as usize, c.pin_row(pid).index());
             assert!(matches!(node.kind, NodeKind::Pin(p) if p == pid.0));
@@ -120,13 +131,13 @@ mod tests {
         let c = generate(&GeneratorConfig::small("t", 2));
         let mut cm = comm();
         for i in 0..c.num_nets() {
-            let w = whole_net(&c, NetId::from_index(i));
-            let segs = build_segments_with(&w, false, &mut cm);
-            assert_eq!(segs.len(), w.nodes.len() - 1, "net {i}");
+            let (net, nodes) = whole_net(&c, i);
+            let segs = segments(net, &nodes, false, &mut cm);
+            assert_eq!(segs.len(), nodes.len() - 1, "net {i}");
             // Tree connectivity over node positions.
-            let mut uf = pgr_geom::UnionFind::new(w.nodes.len());
+            let mut uf = pgr_geom::UnionFind::new(nodes.len());
             let find_node = |nd: &Node| {
-                w.nodes
+                nodes
                     .iter()
                     .position(|m| m == nd)
                     .expect("endpoint is a node")
@@ -144,8 +155,8 @@ mod tests {
         let two = (0..c.num_nets())
             .find(|&i| c.net_degree(NetId::from_index(i)) == 2)
             .expect("some 2-pin net");
-        let w = whole_net(&c, NetId::from_index(two));
-        let segs = build_segments_with(&w, false, &mut comm());
+        let (net, nodes) = whole_net(&c, two);
+        let segs = segments(net, &nodes, false, &mut comm());
         assert_eq!(segs.len(), 1);
         assert!(segs[0].lower.row <= segs[0].upper.row);
     }
@@ -155,9 +166,9 @@ mod tests {
         let c = generate(&GeneratorConfig::small("t", 4));
         let m = MachineModel::sparc_center_1000();
         let mut cm = Comm::solo(m);
-        let w = whole_net(&c, NetId(0));
-        build_segments_with(&w, false, &mut cm);
-        let d = w.nodes.len() as u64;
+        let (net, nodes) = whole_net(&c, 0);
+        segments(net, &nodes, false, &mut cm);
+        let d = nodes.len() as u64;
         let expect = m.compute_time(cost::MST_PAIR * d * d + cost::MST_NODE * d);
         assert!((cm.now() - expect).abs() < 1e-12);
     }
@@ -174,9 +185,9 @@ mod tests {
         let mut plain_total = 0u64;
         let mut refined_total = 0u64;
         for i in 0..c.num_nets() {
-            let w = whole_net(&c, NetId::from_index(i));
-            let plain = build_segments_with(&w, false, &mut cm);
-            let refined = build_segments_with(&w, true, &mut cm);
+            let (net, nodes) = whole_net(&c, i);
+            let plain = segments(net, &nodes, false, &mut cm);
+            let refined = segments(net, &nodes, true, &mut cm);
             plain_total += total_len(&plain);
             refined_total += total_len(&refined);
             // Refinement keeps the tree property over nodes ∪ junctions.

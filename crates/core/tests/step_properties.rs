@@ -120,11 +120,17 @@ fn demand_always_matches_crossings() {
         let cfg = RouterConfig::with_seed(seed);
         let mut st = CoarseState::new(0, rows as usize, width, GRID_W);
         let orients = st.route(&segs, &cfg, &mut rng_from_seed(seed ^ 1), &mut comm());
-        let crossings = crossings_of(&segs, &orients);
+        let crossings: Vec<_> = crossings_of(&segs, &orients).collect();
         let plan = st.into_plan();
         assert_eq!(crossings.len() as u64, plan.total());
         // assign() asserts per-(row, gcol) equality internally.
-        let nodes = assign(&plan, &crossings, &mut comm());
+        let mut nodes = Vec::new();
+        assign(
+            &plan,
+            crossings.iter().copied(),
+            &mut comm(),
+            |net, node| nodes.push((net, node)),
+        );
         assert_eq!(nodes.len(), crossings.len());
         // Every assigned feedthrough row matches its crossing's row set.
         let mut want: Vec<u32> = crossings.iter().map(|c| c.row).collect();
@@ -209,8 +215,8 @@ fn crossing_count_is_orientation_invariant() {
         let lower = vec![Orientation::VertAtLower; segs.len()];
         let upper = vec![Orientation::VertAtUpper; segs.len()];
         assert_eq!(
-            crossings_of(&segs, &lower).len(),
-            crossings_of(&segs, &upper).len()
+            crossings_of(&segs, &lower).count(),
+            crossings_of(&segs, &upper).count()
         );
     }
 }

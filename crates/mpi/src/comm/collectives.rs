@@ -207,15 +207,17 @@ impl Comm {
     }
 
     /// Personalized all-to-all: `data[dst]` goes to rank `dst`; returns
-    /// the vector received from each source (own slice passes through).
-    pub fn alltoall<T: Wire>(&mut self, data: Vec<Vec<T>>) -> Vec<Vec<T>> {
+    /// the bucket received from each source (own bucket passes through).
+    /// A bucket is usually a `Vec`, but any value that encodes itself
+    /// will do.
+    pub fn alltoall<B: Wire + Default>(&mut self, data: Vec<B>) -> Vec<B> {
         let (rank, size) = (self.rank(), self.size());
         assert_eq!(data.len(), size, "alltoall needs one bucket per rank");
         self.coll_enter("alltoall");
         let tag = self.next_coll_tag();
         // Eager sends first (channels are unbounded, so this cannot block),
         // then receive in rank order for determinism.
-        let mut own: Vec<T> = Vec::new();
+        let mut own = B::default();
         for (dst, bucket) in data.into_iter().enumerate() {
             if dst == rank {
                 own = bucket;
@@ -223,7 +225,7 @@ impl Comm {
                 self.send_tagged(dst, tag, &bucket, None);
             }
         }
-        let mut out: Vec<Vec<T>> = Vec::with_capacity(size);
+        let mut out: Vec<B> = Vec::with_capacity(size);
         for src in 0..size {
             if src == rank {
                 out.push(std::mem::take(&mut own));
