@@ -1,15 +1,24 @@
 #!/bin/sh
-# Runs the pgr-mpi suites that still touch real time RUNS times with the
-# host oversubscribed by 2 x nproc busy loops, and fails on the first
-# failing run. Two things run on real time: a blocked receive polls the
-# failure detector every DETECTOR_POLL (20 ms) while a kill is
-# scheduled, and the peer-exit paths race a sender against a receiver's
-# exit.
+# Runs the suites whose host interleavings real time can change RUNS
+# times with the host oversubscribed by 2 x nproc busy loops, and fails
+# on the first failing run. Three things run on real time: a blocked
+# receive polls the failure detector every DETECTOR_POLL (20 ms) while a
+# kill is scheduled; a receive polls its channel for POLL_WINDOW before
+# it parks, when the world has no more ranks than the host has cores;
+# and the peer-exit paths race a sender against a receiver's exit. The
+# suites: pgr-mpi's chaos and fault suites, and pgr-router's net-wise
+# driver and sync tests, kill matrix and chaos recovery.
 set -eu
 cd "$(dirname "$0")/.."
 runs=${RUNS:-20}
 
-cargo test -q --locked -p pgr-mpi --test chaos --test fault --no-run
+suites() {
+    cargo test -q --locked -p pgr-mpi --test chaos --test fault "$@" &&
+        cargo test -q --locked -p pgr-router --test kill_matrix --test chaos_recovery "$@" &&
+        cargo test -q --locked -p pgr-router --lib "$@" -- parallel::netwise route::switchable route::coarse
+}
+
+suites --no-run
 
 hogs=""
 trap 'kill $hogs 2>/dev/null || true' EXIT INT TERM
@@ -22,9 +31,9 @@ done
 
 i=1
 while [ "$i" -le "$runs" ]; do
-    cargo test -q --locked -p pgr-mpi --test chaos --test fault >/dev/null 2>&1 || {
+    suites >/dev/null 2>&1 || {
         echo "flake-hunt: run $i of $runs failed" >&2
-        cargo test --locked -p pgr-mpi --test chaos --test fault
+        suites
         exit 1
     }
     i=$((i + 1))

@@ -38,8 +38,8 @@
 #   `analysis::analyze` go through `DensityProfile::load_spans`, so the
 #   non-test code lines of crates/core/src that call `.add_span(` are six,
 #   each one update to a state already loaded: `ChannelState::add_span`,
-#   `CoarseState::apply`, the two `merge_external`s and the flip (remove,
-#   re-add) of `optimize_slice`;
+#   `CoarseState::apply`, the two `merge_external`s and the remove and
+#   re-add of `ChannelState::flip`;
 # - when anything under crates/core/src names `RouteAbort`: the engine
 #   matches `pgr_mpi::PhaseControl` itself;
 # - when `DensityProfile` grows a tree again: a non-test line of
@@ -66,10 +66,16 @@
 #   `sort_unstable_by_key(` or `sort_by_key(` is the keyed whole-list
 #   sort of the crossings coming back (`assign` is a counting sort over
 #   the plan's buckets, each sorted alone).
-# - when the net-wise coarse sync ships dense frames again: a non-test
-#   line of crates/core/src/route/coarse.rs that calls `comm.allgather(`
-#   moves the two delta grids cell by cell; the sync sends their nonzero
-#   cells with `Comm::allgather_charged`, billed as the dense grids.
+# - when a net-wise sync ships dense frames again: a non-test line of
+#   crates/core/src/route/coarse.rs or crates/core/src/route/switchable.rs
+#   that calls `comm.allgather(` moves the coarse delta grids cell by cell
+#   or the switchable log `SpanDelta` by `SpanDelta`; each sync sends a
+#   compact value with `Comm::allgather_charged`, billed as the dense one
+#   (the grids' nonzero cells; the log's records);
+# - when the coarse sync allocates or scans its log again: a line of
+#   `CoarseState::sync` that names `Grid::new`, `DeltaGrid::new` or
+#   `zero_deltas(` (the log's two grids live for the whole phase, and a
+#   sync zeroes the cells it listed).
 # - when an option only tests set comes back: a non-test line under
 #   crates/mpi/src that names `watchdog`, `Stalled` or `TransportSnapshot`
 #   (no receive runs on a real-time budget), a `pub` field of
@@ -240,12 +246,24 @@ if [ -n "$flat_store" ]; then
 fi
 
 dense_sync=$(awk '
-    /^#\[cfg\(test\)\]/ { exit }
-    /comm\.allgather\(/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
-' crates/core/src/route/coarse.rs)
+    FNR == 1 { in_tests = 0 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests && /comm\.allgather\(/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+' crates/core/src/route/coarse.rs crates/core/src/route/switchable.rs)
 if [ -n "$dense_sync" ]; then
-    echo "surface: the coarse sync ships nonzero cells billed as dense grids (Comm::allgather_charged):" >&2
+    echo "surface: a net-wise sync ships a compact value billed as the dense one (Comm::allgather_charged):" >&2
     echo "$dense_sync" >&2
+    exit 1
+fi
+
+fresh_log=$(awk '
+    /^    fn sync\(/ { in_sync = 1 }
+    in_sync && /Grid::new|DeltaGrid::new|zero_deltas\(/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+    in_sync && /^    }$/ { in_sync = 0 }
+' crates/core/src/route/coarse.rs)
+if [ -n "$fresh_log" ]; then
+    echo "surface: the coarse sync zeroes the cells it listed (no grid allocated or scanned per sync):" >&2
+    echo "$fresh_log" >&2
     exit 1
 fi
 

@@ -25,7 +25,7 @@ use crate::parallel::partition::partition_nets;
 use crate::route::feedthrough::{assign, Crossing, FtPlan};
 use crate::route::serial::{crossings_of, register_steiner_nodes, Feedthroughs, RouteState};
 use crate::route::state::{Orientation, Segment};
-use crate::route::steiner::{build_segments_with, pin_nodes};
+use crate::route::steiner::{build_segments_with, pin_nodes, SteinerScratch};
 use pgr_circuit::{NetId, RowId};
 use pgr_mpi::Comm;
 
@@ -67,7 +67,7 @@ impl NetWisePipeline {
     fn build_owned(&mut self, ctx: &RouteCtx<'_>, keep: bool, mut source: SegmentSource<'_>) {
         let (circuit, cfg) = (ctx.circuit, ctx.cfg);
         self.owners = partition_nets(circuit, ctx.kind, &ctx.rows, ctx.size, cfg.pin_weight_beta);
-        let mut points = Vec::new();
+        let mut scratch = SteinerScratch::default();
         for net in circuit.nets_chunks().flat_map(|c| c.net_ids()) {
             let i = net.index();
             if self.owners[i] as usize != ctx.rank {
@@ -84,12 +84,12 @@ impl NetWisePipeline {
                 continue;
             }
             let (works, segments) = (&mut self.st.works, &mut self.st.segments);
-            works.push(net, pin_nodes(circuit, net, &mut points));
+            works.push(net, pin_nodes(circuit, net, &mut scratch.points));
             let first = segments.len();
             match &mut source {
                 SegmentSource::Build(comm) => {
                     let refine = cfg.steiner_refine;
-                    build_segments_with(net, works.last(), refine, comm, &mut points, segments)
+                    build_segments_with(net, works.last(), refine, comm, &mut scratch, segments)
                 }
                 SegmentSource::Checkpoint(by_net) => segments.extend_from_slice(
                     by_net[i]

@@ -27,7 +27,7 @@ use crate::parallel::common::{
 use crate::parallel::partition::partition_nets;
 use crate::route::serial::{local_feedthroughs, RouteState};
 use crate::route::state::Segment;
-use crate::route::steiner::{build_segments_with, pin_nodes};
+use crate::route::steiner::{build_segments_with, pin_nodes, SteinerScratch};
 use pgr_circuit::RowId;
 use pgr_mpi::Comm;
 
@@ -79,7 +79,8 @@ impl Pipeline for RowWisePipeline {
                 comm.metric_add(names::NETS_OWNED, owned as u64);
                 let keep = comm.checkpointing();
                 let mut outgoing: Vec<Vec<Segment>> = vec![Vec::new(); ctx.size];
-                let (mut points, mut nodes, mut segs) = (Vec::new(), Vec::new(), Vec::new());
+                let (mut scratch, mut nodes, mut segs) =
+                    (SteinerScratch::default(), Vec::new(), Vec::new());
                 for net in circuit.nets_chunks().flat_map(|c| c.net_ids()) {
                     let i = net.index();
                     if self.owners[i] as usize != ctx.rank {
@@ -96,14 +97,14 @@ impl Pipeline for RowWisePipeline {
                         continue;
                     }
                     nodes.clear();
-                    nodes.extend(pin_nodes(circuit, net, &mut points));
+                    nodes.extend(pin_nodes(circuit, net, &mut scratch.points));
                     segs.clear();
                     build_segments_with(
                         net,
                         &nodes,
                         cfg.steiner_refine,
                         comm,
-                        &mut points,
+                        &mut scratch,
                         &mut segs,
                     );
                     for seg in &segs {

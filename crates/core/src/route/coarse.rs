@@ -27,25 +27,87 @@ use pgr_mpi::wire::{Reader, Wire, WireError};
 use pgr_mpi::Comm;
 
 /// Delta log for replicated-state synchronization: the changes since
-/// the last [`CoarseState::take_deltas`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// the last sync.
+#[derive(Debug, Clone)]
 struct CoarseDeltas {
     /// `chan[c][g]` — change of channel `chan0 + c` at grid column `g`.
-    chan: Grid,
+    chan: DeltaGrid,
     /// `demand[r][g]` — change of row `row0 + r` at grid column `g`.
-    demand: Grid,
+    demand: DeltaGrid,
 }
 
 impl CoarseDeltas {
     /// The log as it travels: the nonzero cells of each grid.
-    fn sparse(&self) -> (SparseGrid, SparseGrid) {
-        (SparseGrid::of(&self.chan), SparseGrid::of(&self.demand))
+    fn sparse(&mut self) -> (SparseGrid, SparseGrid) {
+        (self.chan.sparse(), self.demand.sparse())
     }
 
     /// What a sync bills the log at: its two grids encoded dense, as the
     /// 1997 implementation shipped them.
     fn dense_len(&self) -> usize {
-        self.chan.wire_len() + self.demand.wire_len()
+        self.chan.grid.wire_len() + self.demand.grid.wire_len()
+    }
+
+    /// Zero the log where it was written.
+    fn clear(&mut self) {
+        self.chan.clear();
+        self.demand.clear();
+    }
+}
+
+/// A delta [`Grid`] kept for a whole phase, and the cells written since
+/// it was last cleared: a sync lists and zeroes those cells only, so no
+/// sync allocates a grid or scans one.
+#[derive(Debug, Clone)]
+struct DeltaGrid {
+    grid: Grid,
+    /// The row-major index of every cell written while it held 0 — each
+    /// cell the first time it is written after a clear, and again if it
+    /// went back to 0 and was written anew. Every nonzero cell is listed.
+    written: Vec<u32>,
+}
+
+impl DeltaGrid {
+    fn new(rows: usize, cols: usize) -> Self {
+        DeltaGrid {
+            grid: Grid::new(rows, cols),
+            written: Vec::new(),
+        }
+    }
+
+    /// Add `v` to cell `(r, g)`.
+    fn add(&mut self, r: usize, g: usize, v: i64) {
+        let cell = r * self.grid.shape().1 + g;
+        let at = &mut self.grid[r][g];
+        if *at == 0 {
+            self.written.push(cell as u32);
+        }
+        *at += v;
+    }
+
+    /// The nonzero cells in cell order, as a scan of the whole grid finds
+    /// them: the written list sorted and deduplicated, cells back at 0
+    /// left out.
+    fn sparse(&mut self) -> SparseGrid {
+        self.written.sort_unstable();
+        self.written.dedup();
+        let (rows, cols) = self.grid.shape();
+        let value = |cell: u32| self.grid.cells()[cell as usize];
+        let nonzero = self.written.iter().filter(|&&cell| value(cell) != 0);
+        SparseGrid {
+            rows: rows as u32,
+            cols: cols as u32,
+            cells: nonzero.map(|&cell| (cell, value(cell))).collect(),
+        }
+    }
+
+    /// Zero the written cells: the grid is all zeros again.
+    fn clear(&mut self) {
+        let cols = self.grid.shape().1;
+        for cell in self.written.drain(..) {
+            let cell = cell as usize;
+            self.grid[cell / cols][cell % cols] = 0;
+        }
     }
 }
 
@@ -61,6 +123,9 @@ struct SparseGrid {
 }
 
 impl SparseGrid {
+    /// The reference [`DeltaGrid::sparse`] is held to: one scan of the
+    /// whole grid.
+    #[cfg(test)]
     fn of(grid: &Grid) -> Self {
         let nonzero = grid.cells().iter().enumerate().filter(|&(_, &v)| v != 0);
         SparseGrid {
@@ -159,15 +224,18 @@ impl CoarseState {
 
     fn zero_deltas(&self) -> CoarseDeltas {
         CoarseDeltas {
-            chan: Grid::new(self.profiles.len(), self.gcols),
-            demand: Grid::new(self.demand.rows(), self.gcols),
+            chan: DeltaGrid::new(self.profiles.len(), self.gcols),
+            demand: DeltaGrid::new(self.demand.rows(), self.gcols),
         }
     }
 
-    /// Drain the delta log (two zeroed buffers, whatever the row count).
-    fn take_deltas(&mut self) -> CoarseDeltas {
-        let fresh = self.zero_deltas();
-        std::mem::replace(self.log.as_mut().expect("logging enabled"), fresh)
+    /// Drain the delta log: what a sync ships, the log zeroed after.
+    #[cfg(test)]
+    fn take_deltas(&mut self) -> (SparseGrid, SparseGrid) {
+        let log = self.log.as_mut().expect("logging enabled");
+        let sent = log.sparse();
+        log.clear();
+        sent
     }
 
     /// Between two slices of a sweep, on a replicated state: allgather
@@ -178,21 +246,24 @@ impl CoarseState {
     /// replicated grid arrays — "all the processors will share all the
     /// channels and communication is more costly than computation" (§5).
     /// Unless `exact`, remote density updates to cells this rank also
-    /// wrote are lost ([`CoarseState::merge_external`]).
+    /// wrote are lost ([`CoarseState::merge_external`]). The log is then
+    /// zeroed in place, where it was written.
     fn sync(&mut self, exact: bool, comm: &mut Comm) {
-        let mine = self.take_deltas();
-        if comm.size() == 1 {
-            return; // nothing is replicated: the log is drained, that is all
-        }
-        let all = comm.allgather_charged(mine.sparse(), mine.dense_len());
-        let own = (!exact).then_some(&mine);
-        for (r, d) in all.iter().enumerate() {
-            if r != comm.rank() {
-                self.merge_external(d, own, comm);
+        let mut mine = self.log.take().expect("logging enabled");
+        if comm.size() > 1 {
+            let dense_len = mine.dense_len();
+            let all = comm.allgather_charged(mine.sparse(), |_| dense_len);
+            let own = (!exact).then_some(&mine);
+            for (r, d) in all.iter().enumerate() {
+                if r != comm.rank() {
+                    self.merge_external(d, own, comm);
+                }
             }
-        }
-        let entries = self.gcols * (self.profiles.len() + self.demand.rows());
-        comm.compute(cost::MERGE_COL * entries as u64);
+            let entries = self.gcols * (self.profiles.len() + self.demand.rows());
+            comm.compute(cost::MERGE_COL * entries as u64);
+        } // else nothing is replicated: the log is cleared, that is all
+        mine.clear();
+        self.log = Some(mine);
     }
 
     /// Apply another rank's deltas (not logged), cell by nonzero cell.
@@ -221,7 +292,7 @@ impl CoarseState {
         let mut nonzero = 0u64;
         for &(cell, v) in &chan.cells {
             let cell = cell as usize;
-            if v != 0 && own.is_none_or(|o| o.chan.cells()[cell] == 0) {
+            if v != 0 && own.is_none_or(|o| o.chan.grid.cells()[cell] == 0) {
                 nonzero += 1;
                 let g = (cell % gcols) as i64;
                 self.profiles[cell / gcols].add_span(g, g, v);
@@ -264,7 +335,7 @@ impl CoarseState {
         self.profiles[ci].add_span(glo, ghi, sign);
         if let Some(log) = &mut self.log {
             for g in glo..=ghi {
-                log.chan[ci][g as usize] += sign;
+                log.chan.add(ci, g as usize, sign);
             }
         }
         let g = self.gcol(seg.vertical_x(orient)) as usize;
@@ -272,7 +343,7 @@ impl CoarseState {
             let ri = self.row_idx(row);
             self.demand[ri][g] += sign;
             if let Some(log) = &mut self.log {
-                log.demand[ri][g] += sign;
+                log.demand.add(ri, g, sign);
             }
         }
     }
@@ -631,11 +702,12 @@ mod tests {
         let s = seg(0, 0, 40, 2);
         st.apply(&s, Orientation::VertAtLower, 1);
         let d = st.take_deltas();
-        let zero = st.zero_deltas();
+        let zero = st.zero_deltas().sparse();
         assert_ne!(d, zero);
-        assert_eq!(d.chan[2][0], 1, "channel 2 gcol 0 gained a span");
-        assert_eq!(d.demand[1][0], 1);
+        assert_eq!(densify(&d.0)[2][0], 1, "channel 2 gcol 0 gained a span");
+        assert_eq!(densify(&d.1)[1][0], 1);
         assert_eq!(st.take_deltas(), zero, "drained");
+        assert_eq!(st.log.as_ref().map(|l| l.chan.written.len()), Some(0));
     }
 
     #[test]
@@ -646,7 +718,7 @@ mod tests {
         let s = seg(8, 0, 40, 2);
         let mut a = CoarseState::new(0, 3, 64, 8).replicated();
         a.apply(&s, Orientation::VertAtUpper, 1);
-        let d = <(SparseGrid, SparseGrid)>::from_bytes(&a.take_deltas().sparse().to_bytes());
+        let d = <(SparseGrid, SparseGrid)>::from_bytes(&a.take_deltas().to_bytes());
         let d = d.expect("a sparse log decodes");
 
         let mut b = CoarseState::new(0, 3, 64, 8);
@@ -663,16 +735,14 @@ mod tests {
         // under `own`, the density update on a cell this rank also wrote
         // is dropped while the demand update still lands.
         let mut st = CoarseState::new(0, 3, 64, 8);
-        let mut d = st.zero_deltas();
-        d.chan[1][2] = 3;
-        d.chan[2][5] = 1;
-        d.demand[0][2] = 5;
-        let mut neg = d.clone();
-        for grid in [&mut neg.chan, &mut neg.demand] {
-            for r in 0..grid.rows() {
-                grid[r].iter_mut().for_each(|x| *x = -*x);
-            }
-        }
+        let deltas = |sign: i64| {
+            let mut d = st.zero_deltas();
+            d.chan.add(1, 2, 3 * sign);
+            d.chan.add(2, 5, sign);
+            d.demand.add(0, 2, 5 * sign);
+            d
+        };
+        let (mut d, mut neg) = (deltas(1), deltas(-1));
 
         st.merge_external(&d.sparse(), None, &mut comm());
         assert_eq!((st.channel_max(1), st.channel_max(2)), (3, 1));
@@ -682,12 +752,34 @@ mod tests {
         assert!(st.demand().cells().iter().all(|&x| x == 0));
 
         let mut own = st.zero_deltas();
-        own.chan[1][2] = -1;
-        own.demand[0][2] = 1;
+        own.chan.add(1, 2, -1);
+        own.demand.add(0, 2, 1);
         st.merge_external(&d.sparse(), Some(&own), &mut comm());
         assert_eq!(st.channel_max(1), 0, "contended cell: remote update lost");
         assert_eq!(st.channel_max(2), 1, "uncontended cell merges");
         assert_eq!(st.demand()[0][2], 5, "demand merges exactly");
+    }
+
+    #[test]
+    fn written_cells_give_the_full_scan_and_clear_the_grid() {
+        // Seeded writes over several sync periods, cells driven back to 0
+        // and written anew among them: each period's list is the scan's.
+        let mut rng = rng_from_seed(0xDE17);
+        let mut log = DeltaGrid::new(5, 11);
+        let mut listed = 0;
+        for period in 0..300 {
+            for _ in 0..rng.gen_range(0..40usize) {
+                let (r, g) = (rng.gen_range(0..5usize), rng.gen_range(0..11usize));
+                log.add(r, g, if rng.gen_bool(0.5) { 1 } else { -1 });
+            }
+            let reference = SparseGrid::of(&log.grid);
+            listed += log.written.len();
+            assert_eq!(log.sparse(), reference, "period {period}");
+            log.clear();
+            assert!(log.grid.cells().iter().all(|&v| v == 0), "period {period}");
+            assert!(log.written.is_empty());
+        }
+        assert!(listed > 0);
     }
 
     #[test]
@@ -784,8 +876,8 @@ mod tests {
         // index the density merge unchecked.
         for (nchan, nrows, gcols) in [(4, 3, 7), (4, 3, 9), (3, 3, 8), (4, 4, 8)] {
             let remote = CoarseDeltas {
-                chan: Grid::new(nchan, gcols),
-                demand: Grid::new(nrows, gcols),
+                chan: DeltaGrid::new(nchan, gcols),
+                demand: DeltaGrid::new(nrows, gcols),
             }
             .sparse();
             let merged = std::panic::catch_unwind(|| {
@@ -813,18 +905,18 @@ mod tests {
         type Sent = (SparseGrid, SparseGrid);
         let mut st = CoarseState::new(0, 3, 64, 8).replicated();
         st.apply(&seg(8, 0, 40, 2), Orientation::VertAtUpper, 1);
-        let mut d = st.take_deltas();
+        let mut d = st.log.take().expect("logging enabled");
         // Negative values and the last cell of each grid travel too.
-        d.chan[3][7] = -4;
-        d.demand[1][0] = -1;
-        d.demand[2][7] = 9;
-        let zero = st.zero_deltas();
-        for log in [&d, &zero] {
+        d.chan.add(3, 7, -4);
+        d.demand.add(1, 0, -1);
+        d.demand.add(2, 7, 9);
+        let mut zero = st.zero_deltas();
+        for log in [&mut d, &mut zero] {
             // Billed at exactly what the two grids took on the wire dense.
-            let dense = log.chan.to_bytes().len() + log.demand.to_bytes().len();
+            let dense = log.chan.grid.to_bytes().len() + log.demand.grid.to_bytes().len();
             assert_eq!(log.dense_len(), dense);
             let sent = log.sparse();
-            let nonzero = log.chan.cells().iter().chain(log.demand.cells());
+            let nonzero = log.chan.grid.cells().iter().chain(log.demand.grid.cells());
             let pairs = nonzero.filter(|&&v| v != 0).count();
             let bytes = sent.to_bytes();
             assert_eq!(bytes.len(), 2 * 12 + 12 * pairs, "shape, count, pairs");
@@ -832,7 +924,7 @@ mod tests {
             assert_eq!(back, sent);
             assert_eq!(
                 (densify(&back.0), densify(&back.1)),
-                (log.chan.clone(), log.demand.clone())
+                (log.chan.grid.clone(), log.demand.grid.clone())
             );
         }
 

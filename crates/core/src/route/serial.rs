@@ -15,7 +15,7 @@ use crate::route::coarse::CoarseState;
 use crate::route::connect::connect_all;
 use crate::route::feedthrough::{assign, Crossing, FtPlan};
 use crate::route::state::{Node, NodeKind, Orientation, Segment, Span, WorkNets};
-use crate::route::steiner::{build_segments_with, pin_nodes};
+use crate::route::steiner::{build_segments_with, pin_nodes, SteinerScratch};
 use crate::route::switchable::{optimize, ChannelState};
 use pgr_circuit::{Circuit, NetId};
 use pgr_mpi::Comm;
@@ -298,7 +298,7 @@ impl Pipeline for SerialPipeline {
                 let pins = circuit.nets_chunks().map(|c| c.pins as usize).sum();
                 st.works = WorkNets::with_capacity(circuit.num_nets(), pins);
                 st.segments = Vec::with_capacity(circuit.num_pins());
-                let mut points = Vec::new();
+                let mut scratch = SteinerScratch::default();
                 for net in circuit.nets_chunks().flat_map(|c| c.net_ids()) {
                     // Mandatory work: a latched breach stops further
                     // local building; the engine turns it into a
@@ -306,10 +306,11 @@ impl Pipeline for SerialPipeline {
                     if comm.budget_poll_abort() {
                         break;
                     }
-                    st.works.push(net, pin_nodes(circuit, net, &mut points));
+                    st.works
+                        .push(net, pin_nodes(circuit, net, &mut scratch.points));
                     let (refine, first) = (cfg.steiner_refine, st.segments.len());
                     let (nodes, segs) = (st.works.last(), &mut st.segments);
-                    build_segments_with(net, nodes, refine, comm, &mut points, segs);
+                    build_segments_with(net, nodes, refine, comm, &mut scratch, segs);
                     if refine {
                         register_steiner_nodes(&mut st.works, &st.segments[first..]);
                     }

@@ -11,7 +11,7 @@
 use crate::cost;
 use crate::route::state::{ChannelPref, Node, Segment};
 use pgr_circuit::{Circuit, NetId, PinId, PinSide};
-use pgr_geom::{mst_prim, Point};
+use pgr_geom::{Point, PrimScratch};
 use pgr_mpi::Comm;
 
 /// Channel preference of a circuit pin.
@@ -45,8 +45,16 @@ pub fn pin_nodes<'a>(
         .map(|(&pid, pt)| Node::pin(pid.0, pt.x, pt.y as u32, pin_pref(circuit, pid.0)))
 }
 
+/// Step 1's buffers, kept across the nets of one pass and dropped with
+/// it: the point list ([`pin_nodes`] fills it too) and Prim's.
+#[derive(Default)]
+pub struct SteinerScratch {
+    pub points: Vec<Point>,
+    prim: PrimScratch,
+}
+
 /// Append the MST segments of net `net` over `nodes` to `out`, charging
-/// MST cost; `points` is the caller's scratch. Rows are weighted like
+/// MST cost; `scratch` is the caller's. Rows are weighted like
 /// columns on the coarse lattice, matching the grid TWGR estimates on.
 ///
 /// `refine` first improves the MST with median Steiner junctions
@@ -59,7 +67,7 @@ pub fn build_segments_with(
     nodes: &[Node],
     refine: bool,
     comm: &mut Comm,
-    points: &mut Vec<Point>,
+    scratch: &mut SteinerScratch,
     out: &mut Vec<Segment>,
 ) {
     let n = nodes.len();
@@ -67,9 +75,10 @@ pub fn build_segments_with(
         return;
     }
     comm.compute(cost::MST_PAIR * (n * n) as u64 + cost::MST_NODE * n as u64);
+    let SteinerScratch { points, prim } = scratch;
     points.clear();
     points.extend(nodes.iter().map(|nd| Point::new(nd.x, nd.row as i64)));
-    let mst = mst_prim(points);
+    let mst = prim.build(points);
     if !refine {
         let segment =
             |e: &pgr_geom::MstEdge| Segment::new(net, nodes[e.a as usize], nodes[e.b as usize]);
@@ -77,7 +86,7 @@ pub fn build_segments_with(
         return;
     }
     comm.compute(cost::MST_NODE * n as u64); // elbow scan + rewrite
-    let refined = pgr_geom::refine_mst(points, &mst);
+    let refined = pgr_geom::refine_mst(points, mst);
     let node_at = |i: u32| -> Node {
         if (i as usize) < n {
             nodes[i as usize]
@@ -104,7 +113,14 @@ mod tests {
     /// The segments [`build_segments_with`] appends for `nodes`.
     fn segments(net: NetId, nodes: &[Node], refine: bool, comm: &mut Comm) -> Vec<Segment> {
         let mut out = Vec::new();
-        build_segments_with(net, nodes, refine, comm, &mut Vec::new(), &mut out);
+        build_segments_with(
+            net,
+            nodes,
+            refine,
+            comm,
+            &mut SteinerScratch::default(),
+            &mut out,
+        );
         out
     }
 

@@ -15,7 +15,7 @@ pub mod steiner;
 pub mod unionfind;
 
 pub use bbox::BBox;
-pub use mst::{mst_adjacency_limited, mst_prim, LimitedMstScratch, MstEdge};
+pub use mst::{mst_adjacency_limited, mst_prim, LimitedMstScratch, MstEdge, PrimScratch};
 pub use point::{manhattan, Point};
 pub use profile::DensityProfile;
 pub use rng::{derive_seed, shuffled_indices};

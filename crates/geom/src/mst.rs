@@ -35,7 +35,8 @@ pub struct MstEdge {
 ///
 /// Returns `points.len().saturating_sub(1)` edges. Deterministic: ties are
 /// broken towards the lowest-index node, so identical inputs yield identical
-/// trees on every platform.
+/// trees on every platform. One-shot form of [`PrimScratch::build`], which
+/// the router keeps across its nets.
 ///
 /// ```
 /// use pgr_geom::{mst_prim, Point};
@@ -45,46 +46,76 @@ pub struct MstEdge {
 /// assert_eq!(edges.iter().map(|e| e.weight).sum::<u64>(), 8);
 /// ```
 pub fn mst_prim(points: &[Point]) -> Vec<MstEdge> {
-    let n = points.len();
-    if n <= 1 {
-        return Vec::new();
-    }
-    let mut in_tree = vec![false; n];
-    // best[i] = (weight, tree node) of the cheapest edge connecting i to the tree.
-    let mut best = vec![(u64::MAX, 0u32); n];
-    let mut edges = Vec::with_capacity(n - 1);
+    let mut scratch = PrimScratch::default();
+    scratch.build(points);
+    scratch.edges
+}
 
-    in_tree[0] = true;
-    for (i, p) in points.iter().enumerate().skip(1) {
-        best[i] = (manhattan(points[0], *p), 0);
-    }
-    for _ in 1..n {
-        // Pick the non-tree node with the cheapest connecting edge.
-        let mut pick = usize::MAX;
-        let mut pick_w = u64::MAX;
-        for i in 0..n {
-            if !in_tree[i] && best[i].0 < pick_w {
-                pick = i;
-                pick_w = best[i].0;
-            }
+/// The buffers of [`PrimScratch::build`]. They grow to the largest net
+/// seen and stay allocated: a caller that keeps one across its nets pays
+/// no allocation per net.
+#[derive(Debug, Default)]
+pub struct PrimScratch {
+    in_tree: Vec<bool>,
+    /// `best[i]` = (weight, tree node) of the cheapest edge connecting `i`
+    /// to the tree.
+    best: Vec<(u64, u32)>,
+    edges: Vec<MstEdge>,
+}
+
+impl PrimScratch {
+    /// The tree of [`mst_prim`], borrowed from the scratch until the next
+    /// build.
+    pub fn build(&mut self, points: &[Point]) -> &[MstEdge] {
+        let n = points.len();
+        let PrimScratch {
+            in_tree,
+            best,
+            edges,
+        } = self;
+        edges.clear();
+        if n <= 1 {
+            return edges;
         }
-        debug_assert!(pick != usize::MAX);
-        in_tree[pick] = true;
-        edges.push(MstEdge {
-            a: best[pick].1,
-            b: pick as u32,
-            weight: pick_w,
-        });
-        for i in 0..n {
-            if !in_tree[i] {
-                let w = manhattan(points[pick], points[i]);
-                if w < best[i].0 {
-                    best[i] = (w, pick as u32);
+        edges.reserve(n - 1);
+        in_tree.clear();
+        in_tree.resize(n, false);
+        best.clear();
+        best.resize(n, (u64::MAX, 0));
+        // Slices of length n: the buffers may be longer.
+        let (in_tree, best) = (&mut in_tree[..n], &mut best[..n]);
+        in_tree[0] = true;
+        for (i, p) in points.iter().enumerate().skip(1) {
+            best[i] = (manhattan(points[0], *p), 0);
+        }
+        for _ in 1..n {
+            // Pick the non-tree node with the cheapest connecting edge.
+            let mut pick = usize::MAX;
+            let mut pick_w = u64::MAX;
+            for i in 0..n {
+                if !in_tree[i] && best[i].0 < pick_w {
+                    pick = i;
+                    pick_w = best[i].0;
+                }
+            }
+            debug_assert!(pick != usize::MAX);
+            in_tree[pick] = true;
+            edges.push(MstEdge {
+                a: best[pick].1,
+                b: pick as u32,
+                weight: pick_w,
+            });
+            for i in 0..n {
+                if !in_tree[i] {
+                    let w = manhattan(points[pick], points[i]);
+                    if w < best[i].0 {
+                        best[i] = (w, pick as u32);
+                    }
                 }
             }
         }
+        edges
     }
-    edges
 }
 
 /// Result of an adjacency-limited spanning-tree construction.
@@ -431,6 +462,81 @@ mod tests {
         assert!(spanning);
         let (edges, spanning) = scratch.build(&[], &[]);
         assert!(edges.is_empty() && spanning);
+    }
+
+    /// Prim over fresh vectors, ties to the lowest index: what
+    /// [`PrimScratch::build`] must return edge for edge.
+    fn mst_prim_reference(points: &[Point]) -> Vec<MstEdge> {
+        let n = points.len();
+        if n <= 1 {
+            return Vec::new();
+        }
+        let mut in_tree = vec![false; n];
+        // best[i] = (weight, tree node) of the cheapest edge connecting i to the tree.
+        let mut best = vec![(u64::MAX, 0u32); n];
+        let mut edges = Vec::with_capacity(n - 1);
+
+        in_tree[0] = true;
+        for (i, p) in points.iter().enumerate().skip(1) {
+            best[i] = (manhattan(points[0], *p), 0);
+        }
+        for _ in 1..n {
+            // Pick the non-tree node with the cheapest connecting edge.
+            let mut pick = usize::MAX;
+            let mut pick_w = u64::MAX;
+            for i in 0..n {
+                if !in_tree[i] && best[i].0 < pick_w {
+                    pick = i;
+                    pick_w = best[i].0;
+                }
+            }
+            in_tree[pick] = true;
+            edges.push(MstEdge {
+                a: best[pick].1,
+                b: pick as u32,
+                weight: pick_w,
+            });
+            for i in 0..n {
+                if !in_tree[i] {
+                    let w = manhattan(points[pick], points[i]);
+                    if w < best[i].0 {
+                        best[i] = (w, pick as u32);
+                    }
+                }
+            }
+        }
+        edges
+    }
+
+    #[test]
+    fn prim_scratch_builds_the_reference_tree_edge_for_edge() {
+        // One scratch across every set, so each build starts from the
+        // buffers a larger or smaller one left behind. Few distinct
+        // coordinates: duplicate points and equal-weight ties abound.
+        let mut rng = crate::rng::rng_from_seed(0x9121);
+        let mut scratch = PrimScratch::default();
+        let mut ties = 0;
+        for case in 0..600 {
+            let n = match case % 6 {
+                0 => rng.gen_range(0..3usize),
+                5 => rng.gen_range(40..120usize),
+                _ => rng.gen_range(2..24usize),
+            };
+            let span = [2i64, 5, 40][case % 3];
+            let p: Vec<Point> = (0..n)
+                .map(|_| Point::new(rng.gen_range(0..span), rng.gen_range(0..span.min(6))))
+                .collect();
+            let reference = mst_prim_reference(&p);
+            assert_eq!(scratch.build(&p), &reference[..], "case {case}: {p:?}");
+            assert_eq!(mst_prim(&p), reference, "case {case}: one-shot");
+            let weights: Vec<u64> = reference.iter().map(|e| e.weight).collect();
+            ties += weights.len()
+                - weights
+                    .iter()
+                    .collect::<std::collections::BTreeSet<_>>()
+                    .len();
+        }
+        assert!(ties > 0, "the sets must hold equal-weight edges");
     }
 
     #[test]

@@ -63,15 +63,16 @@ impl Comm {
         self.bcast_tagged("bcast", root, value, tag, None)
     }
 
-    /// The binomial tree under every broadcast, its frames billed at
-    /// `charge`; a failed receive names `op`, the collective invoked.
+    /// The binomial tree under every broadcast, each frame billed at
+    /// `charge` of the value it carries; a failed receive names `op`, the
+    /// collective invoked.
     fn bcast_tagged<T: Wire>(
         &mut self,
         op: &'static str,
         root: usize,
         value: Option<T>,
         tag: u32,
-        charge: Option<usize>,
+        charge: Option<&dyn Fn(&T) -> usize>,
     ) -> T {
         let (rank, size) = (self.rank(), self.size());
         assert!(root < size);
@@ -88,7 +89,7 @@ impl Comm {
                 if dst_rel < size {
                     let dst = (dst_rel + root) % size;
                     let v = value.as_ref().expect("already received");
-                    self.send_tagged(dst, tag, v, charge);
+                    self.send_tagged(dst, tag, v, charge.map(|bill| bill(v)));
                 }
             } else if rel < 2 * step {
                 let src = (rel - step + root) % size;
@@ -163,18 +164,18 @@ impl Comm {
     }
 
     /// The root loop under `gather` and `allgather`: everyone but `root`
-    /// sends its value there (billed at `charge` bytes, if given); `root`
+    /// sends its value there (billed at `charge` of it, if given); `root`
     /// receives in rank order and moves its own value into its slot.
     fn gather_to<T: Wire>(
         &mut self,
         op: &'static str,
         root: usize,
         value: T,
-        charge: Option<usize>,
+        charge: Option<&dyn Fn(&T) -> usize>,
     ) -> Option<Vec<T>> {
         let tag = self.next_coll_tag();
         if self.rank() != root {
-            self.send_tagged(root, tag, &value, charge);
+            self.send_tagged(root, tag, &value, charge.map(|bill| bill(&value)));
             return None;
         }
         let charged = charge.is_some();
@@ -190,19 +191,27 @@ impl Comm {
         self.allgather_billed(value, None)
     }
 
-    /// [`Comm::allgather`] of compact values standing for `bytes_each`
-    /// dense bytes on every rank: every account bills each gather frame at
-    /// `bytes_each` and the broadcast at `4 + P · bytes_each`, as
-    /// `allgather` of the dense values does; the host moves what `T` encodes.
-    pub fn allgather_charged<T: Wire>(&mut self, value: T, bytes_each: usize) -> Vec<T> {
-        self.allgather_billed(value, Some(bytes_each))
+    /// [`Comm::allgather`] of compact values, each standing for a dense
+    /// value that encodes to `bill` of it: every account bills each rank's
+    /// gather frame at `bill` of its value and the broadcast at
+    /// `4 + Σ bill`, as `allgather` of the dense values does; the host
+    /// moves what `T` encodes. A rank forwarding the broadcast sums the
+    /// bills of the values it holds.
+    pub fn allgather_charged<T: Wire>(&mut self, value: T, bill: impl Fn(&T) -> usize) -> Vec<T> {
+        self.allgather_billed(value, Some(&bill))
     }
 
-    fn allgather_billed<T: Wire>(&mut self, value: T, each: Option<usize>) -> Vec<T> {
+    fn allgather_billed<T: Wire>(
+        &mut self,
+        value: T,
+        bill: Option<&dyn Fn(&T) -> usize>,
+    ) -> Vec<T> {
         self.coll_enter("allgather");
-        let g = self.gather_to("allgather", 0, value, each);
+        let g = self.gather_to("allgather", 0, value, bill);
         let tag = self.next_coll_tag();
-        let all = each.map(|n| 4 + self.size() * n); // a u32 count, then the values
+        // A u32 count, then the values.
+        let all = bill.map(|bill| move |all: &Vec<T>| 4 + all.iter().map(bill).sum::<usize>());
+        let all = all.as_ref().map(|f| f as &dyn Fn(&Vec<T>) -> usize);
         self.bcast_tagged("allgather", 0, g, tag, all)
     }
 

@@ -20,9 +20,9 @@ use crate::trace::{TraceEvent, TraceHub};
 use crate::wire::crc32;
 use pgr_obs::{MetricsShard, Phase};
 use std::collections::VecDeque;
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 /// How many pending-queue entries a [`CommError`] snapshot retains.
 const ERR_PENDING_CAP: usize = 64;
@@ -30,6 +30,21 @@ const ERR_PENDING_CAP: usize = 64;
 const ERR_TRACE_TAIL: usize = 16;
 /// How often a blocked recv re-checks the failure detector.
 const DETECTOR_POLL: Duration = Duration::from_millis(20);
+/// How long a receive polls its channel before it parks on it: a frame
+/// that lands within it costs no thread park and wake. Real time, but
+/// it decides only *when* the host sees a frame, never which frame a
+/// receive matches, so no result, clock or count depends on it.
+const POLL_WINDOW: Duration = Duration::from_micros(50);
+
+/// Whether the receives of a world of `size` ranks poll before they
+/// park: only when every rank can have a core to itself. An
+/// oversubscribed world parks at once, so a polling receiver never
+/// holds the core its sender is waiting for.
+pub(super) fn polls(size: usize) -> bool {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores = CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    size <= *cores
+}
 
 /// The tag of the frame a rank whose closure panicked sends each peer
 /// ([`Transport::abort`]). No collective tag reaches it (they wrap
@@ -146,6 +161,9 @@ pub(super) struct Transport {
     /// block undisturbed (no timing jitter added to runs that cannot
     /// lose a rank).
     liveness: Option<Arc<FailureDetector>>,
+    /// Whether a receive polls for [`POLL_WINDOW`] before it parks
+    /// ([`polls`] of the world's size).
+    polls: bool,
 }
 
 impl Transport {
@@ -169,6 +187,7 @@ impl Transport {
             next_seq: vec![0; size],
             holdback: (0..size).map(|_| None).collect(),
             windows: (0..size).map(|_| ReorderBuffer::new()).collect(),
+            polls: polls(size),
             ..Transport::default()
         }
     }
@@ -520,7 +539,7 @@ impl Transport {
             });
         }
         // Only a run that can lose a rank wakes up to poll the detector.
-        let poll = self.liveness.is_some().then_some(DETECTOR_POLL);
+        let detector = self.liveness.is_some();
         loop {
             // A dead expected source can never satisfy this receive.
             // Drain anything already in flight (frames it sent before
@@ -535,9 +554,10 @@ impl Transport {
                 };
             }
             let rx = self.rx.as_ref().expect("communicator active");
-            let arrived = match poll {
+            let arrived = match self.poll_window(rx) {
+                Some(env) => Ok(env),
+                None if detector => rx.recv_timeout(DETECTOR_POLL),
                 None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-                Some(poll) => rx.recv_timeout(poll),
             };
             let env = match arrived {
                 Ok(env) if env.tag != ABORT_TAG => env,
@@ -548,6 +568,23 @@ impl Transport {
             self.ingest(env, m);
             if let Some(env) = self.take_matching(src, tag)? {
                 return Ok(env);
+            }
+        }
+    }
+
+    /// The first frame to arrive within [`POLL_WINDOW`], if this
+    /// transport polls; `None` sends the caller to its blocking wait,
+    /// which also reports a disconnected channel.
+    fn poll_window(&self, rx: &Receiver<Envelope>) -> Option<Envelope> {
+        if !self.polls {
+            return None;
+        }
+        let start = Instant::now();
+        loop {
+            match rx.try_recv() {
+                Ok(env) => return Some(env),
+                Err(TryRecvError::Empty) if start.elapsed() < POLL_WINDOW => std::hint::spin_loop(),
+                Err(_) => return None,
             }
         }
     }
@@ -775,6 +812,120 @@ mod tests {
             b.recv(0, TAG, &mut mb, None),
             Err(CommError::Corrupt { .. })
         ));
+    }
+
+    /// Each receive-ending case met by a receive that parks at once and
+    /// by one that polls first (whatever the host's cores): both must
+    /// end alike.
+    const POLLING: [bool; 2] = [false, true];
+
+    #[test]
+    fn a_world_larger_than_the_host_never_polls() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert!(polls(1) && polls(cores));
+        assert!(!polls(cores + 1) && !polls(8 * cores));
+        assert!(!Transport::new(0, cores + 1, None, ReliabilityConfig::off()).polls);
+        assert!(Transport::new(0, cores, None, ReliabilityConfig::off()).polls);
+    }
+
+    #[test]
+    fn a_frame_arriving_after_the_poll_window_is_still_delivered() {
+        for polling in POLLING {
+            let [(mut a, mut ma), (mut b, mut mb)] =
+                pair(|_| FaultAction::Deliver, ReliabilityConfig::on());
+            b.polls = polling;
+            let sender = std::thread::spawn(move || {
+                std::thread::sleep(POLL_WINDOW * 40);
+                a.send(1, TAG, 0.0, Body::Bytes(vec![9]), &mut ma);
+                a // the channel stays open until the receive is done
+            });
+            assert_eq!(payload_of(b.recv(0, TAG, &mut mb, None)), vec![9]);
+            drop(sender.join().expect("sender"));
+        }
+    }
+
+    #[test]
+    fn abort_frame_caught_while_polling_is_peers_disconnected() {
+        for polling in POLLING {
+            let [(mut a, _), (mut b, mut mb)] =
+                pair(|_| FaultAction::Deliver, ReliabilityConfig::on());
+            b.polls = polling;
+            a.abort();
+            let err = b.recv(0, TAG, &mut mb, None).err().expect("rank 0 unwound");
+            assert!(
+                matches!(
+                    err,
+                    CommError::PeersDisconnected {
+                        rank: 1,
+                        src: 0,
+                        ..
+                    }
+                ),
+                "polling {polling}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn corrupt_frame_caught_while_polling_is_corrupt() {
+        for polling in POLLING {
+            let [(mut a, mut ma), (mut b, mut mb)] =
+                pair(|_| FaultAction::Corrupt, ReliabilityConfig::off());
+            b.polls = polling;
+            a.send(1, TAG, 0.0, Body::Bytes(vec![0xAB; 16]), &mut ma);
+            let err = b
+                .recv(0, TAG, &mut mb, None)
+                .err()
+                .expect("never delivered");
+            assert!(
+                matches!(
+                    err,
+                    CommError::Corrupt {
+                        src: 0,
+                        dst: 1,
+                        tag: TAG,
+                        ..
+                    }
+                ),
+                "polling {polling}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn source_killed_during_a_polling_receive_is_rank_dead() {
+        for polling in POLLING {
+            let (tx0, rx0) = channel();
+            let (tx1, rx1) = channel();
+            let detector = Arc::new(FailureDetector::new(2));
+            let mut a = Transport::new(0, 2, None, ReliabilityConfig::off());
+            let mut b = Transport::new(1, 2, None, ReliabilityConfig::off());
+            a.connect(vec![None, Some(tx1)], rx0, Some(detector.clone()));
+            b.connect(vec![Some(tx0), None], rx1, Some(detector.clone()));
+            b.polls = polling;
+            // Rank 0 stays connected (its sender open) and dies silent.
+            let killer = std::thread::spawn(move || {
+                std::thread::sleep(POLL_WINDOW * 40);
+                detector.mark_dead(0, "coarse", 3);
+            });
+            let mut mb = MetricsShard::new(MetricsConfig::on());
+            let err = b.recv(0, TAG, &mut mb, None).err().expect("source died");
+            assert!(
+                matches!(
+                    err,
+                    CommError::RankDead {
+                        rank: 1,
+                        dead: 0,
+                        tag: TAG,
+                        boundary: 3,
+                        ..
+                    }
+                ),
+                "polling {polling}: {err}"
+            );
+            killer.join().expect("killer");
+            drop(a);
+        }
     }
 
     /// What the modeled-transfer tests ship: far more than the header

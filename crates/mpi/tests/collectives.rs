@@ -503,7 +503,7 @@ mod charged {
                 let me = comm.rank() as u64;
                 comm.compute(300 * (me + 1) * (round + 1));
                 if charged {
-                    comm.allgather_charged(me + round, dense_len())
+                    comm.allgather_charged(me + round, |_| dense_len())
                 } else {
                     let all = comm.allgather(dense(me + round));
                     all.into_iter().map(|words| words[0]).collect()
@@ -550,6 +550,90 @@ mod charged {
             assert_eq!(sent.len(), 2 * (size - 1) * ROUNDS as usize, "P={size}");
             let bcast = 4 + size * dense_len();
             assert!(sent.iter().all(|&b| b == dense_len() || b == bcast));
+        }
+    }
+
+    /// A dense log of `n` records of 24 bytes — what a compact `n` stands
+    /// for in [`charged_allgather_with_unequal_bills_matches_the_dense_one`].
+    fn records(n: u32) -> Vec<(u64, u64, u64)> {
+        (0..u64::from(n))
+            .map(|i| (i, i ^ 0xA5, u64::from(n)))
+            .collect()
+    }
+
+    /// The bytes `records(n)` encodes to: a `u32` count, then the records.
+    fn bill(n: &u32) -> usize {
+        4 + 24 * *n as usize
+    }
+
+    #[test]
+    fn charged_allgather_with_unequal_bills_matches_the_dense_one() {
+        let machine = MachineModel::sparc_center_1000();
+        assert_eq!(records(7).to_bytes().len(), bill(&7));
+        for size in SIZES {
+            // Rank r ships a 4-byte count and bills 4 + 24 · (3r + round).
+            let run_as = |charged: bool| {
+                run_instrumented(size, machine, InstrumentConfig::full(), move |comm| {
+                    comm.phase_mark(Phase::Switchable);
+                    let me = comm.rank() as u64;
+                    (0..ROUNDS)
+                        .map(|round| {
+                            let n = (3 * me + round) as u32;
+                            comm.compute(300 * (me + 1) * (round + 1));
+                            if charged {
+                                comm.allgather_charged(n, bill)
+                            } else {
+                                let all = comm.allgather(records(n));
+                                all.iter().map(|r| r.len() as u32).collect()
+                            }
+                        })
+                        .collect::<Vec<Vec<u32>>>()
+                })
+            };
+            let (dense_run, dense_traces, dense_metrics) = run_as(false);
+            let (charged_run, charged_traces, charged_metrics) = run_as(true);
+            let expect: Vec<Vec<u32>> = (0..ROUNDS as u32)
+                .map(|round| (0..size as u32).map(|r| 3 * r + round).collect())
+                .collect();
+            assert!(charged_run.results.iter().all(|r| *r == expect), "P={size}");
+            for (d, c) in dense_run.stats.iter().zip(&charged_run.stats) {
+                let rank = d.rank;
+                assert_eq!(
+                    d.time.to_bits(),
+                    c.time.to_bits(),
+                    "P={size} rank {rank}: clock"
+                );
+                assert_eq!(d.msgs_sent, c.msgs_sent, "P={size} rank {rank}: messages");
+                assert_eq!(d.bytes_sent, c.bytes_sent, "P={size} rank {rank}: bytes");
+            }
+            let max_rank_bytes = |run: &pgr_mpi::RunReport<Vec<Vec<u32>>>| {
+                run.stats.iter().map(|s| s.bytes_sent).max()
+            };
+            assert_eq!(max_rank_bytes(&dense_run), max_rank_bytes(&charged_run));
+            assert_eq!(dense_run.stats, charged_run.stats, "P={size}: rank stats");
+            assert_eq!(
+                dense_run.comm_matrix(),
+                charged_run.comm_matrix(),
+                "P={size}"
+            );
+            assert_eq!(dense_traces, charged_traces, "P={size}: traces");
+            assert_eq!(dense_metrics, charged_metrics, "P={size}: metrics");
+            // Rank 0 sends only broadcast frames, each billed 4 + Σ bill.
+            let bcasts: std::collections::BTreeSet<usize> = charged_traces[0]
+                .events
+                .iter()
+                .filter_map(|e| match e.kind {
+                    TraceEventKind::Send { bytes, .. } => Some(bytes),
+                    _ => None,
+                })
+                .collect();
+            let billed = (0..ROUNDS as u32).map(|round| {
+                4 + (0..size as u32)
+                    .map(|r| bill(&(3 * r + round)))
+                    .sum::<usize>()
+            });
+            let billed = billed.filter(|_| size > 1).collect();
+            assert_eq!(bcasts, billed, "P={size}");
         }
     }
 
@@ -605,7 +689,7 @@ mod charged {
         };
         let failed = catch_unwind(AssertUnwindSafe(|| {
             run_instrumented(2, MachineModel::ideal(), instr, |comm| {
-                comm.allgather_charged(comm.rank() as u64, dense_len())
+                comm.allgather_charged(comm.rank() as u64, |_| dense_len())
             })
         }))
         .expect_err("rank 1 receives a corrupt frame");
@@ -631,7 +715,7 @@ mod charged {
                     Some(comm.try_recv::<u64>(1, COLLECTIVE_TAG_BASE))
                 } else {
                     // Its broadcast never comes: the root has moved on.
-                    let _ = catch_unwind(AssertUnwindSafe(|| comm.allgather_charged(7u64, n)));
+                    let _ = catch_unwind(AssertUnwindSafe(|| comm.allgather_charged(7u64, |_| n)));
                     None
                 }
             },
