@@ -1,13 +1,14 @@
 #!/bin/sh
 # Runs the suites whose host interleavings real time can change RUNS
 # times with the host oversubscribed by 2 x nproc busy loops, and fails
-# on the first failing run. Three things run on real time: a blocked
-# receive polls the failure detector every DETECTOR_POLL (20 ms) while a
-# kill is scheduled; a receive polls its channel for POLL_WINDOW before
-# it parks, when the world has no more ranks than the host has cores;
-# and the peer-exit paths race a sender against a receiver's exit. The
-# suites: pgr-mpi's chaos and fault suites, and pgr-router's net-wise
-# driver and sync tests, kill matrix and chaos recovery.
+# on the first failing run. No receive waits on a timer: a rank's exit
+# reaches its peers as an exit notice behind every frame it sent. Two
+# things still depend on host timing: a receive polls its channel for
+# POLL_WINDOW before it parks, when the world has no more ranks than the
+# host has cores; and the peer-exit paths race a sender against a
+# receiver's exit (a redundant copy reaching a rank that already left).
+# The suites: pgr-mpi's chaos and fault suites, and pgr-router's
+# net-wise driver and sync tests, kill matrix and chaos recovery.
 set -eu
 cd "$(dirname "$0")/.."
 runs=${RUNS:-20}

@@ -85,6 +85,11 @@
 #   round budget), or a `grid_w`, `ft_width`, `coarse_passes` or
 #   `switch_passes` field in crates/core/src/config.rs (they are the
 #   constants `GRID_W`, `FT_WIDTH`, `COARSE_PASSES`, `SWITCH_PASSES`).
+# - when the substrate waits on a clock for a peer again: a non-test line
+#   under crates/mpi/src that names `FailureDetector`, `recv_timeout`,
+#   `wait_timeout`, `Condvar` or `DETECTOR_POLL` (a rank's exit travels
+#   in-band as its exit notice; the only real time left is the receive's
+#   `POLL_WINDOW`, which decides no result).
 set -eu
 cd "$(dirname "$0")/.."
 MAX_FILE=1000
@@ -288,6 +293,14 @@ test_only=$(
 if [ -n "$test_only" ]; then
     echo "surface: an option only tests set is back (the recv watchdog, a reliable-transport tunable, the recovery floor, a router tunable):" >&2
     echo "$test_only" >&2
+    exit 1
+fi
+
+# shellcheck disable=SC2046
+timed=$(nontest 'FailureDetector|recv_timeout|wait_timeout|Condvar|DETECTOR_POLL' $(find crates/mpi/src -name '*.rs'))
+if [ -n "$timed" ]; then
+    echo "surface: crates/mpi/src waits on a clock for a peer (a rank's exit is its exit notice):" >&2
+    echo "$timed" >&2
     exit 1
 fi
 

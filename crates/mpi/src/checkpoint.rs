@@ -4,11 +4,15 @@
 //! snapshot of its pipeline-visible state into this store, keyed by
 //! `(run attempt, phase index)`. The store stands in for the parallel
 //! filesystem of a real cluster: it is shared across ranks behind an
-//! `Arc` and survives rank death, exactly like the trace hub and the
-//! failure detector. When a recovery round needs to resume instead of
+//! `Arc` and survives rank death, exactly like the trace hub. When a
+//! recovery round needs to resume instead of
 //! restarting from scratch, survivors read back the *last globally
 //! committed boundary* — the highest phase index at which **every**
 //! member of the failed attempt's world deposited a restorable snapshot.
+//! The store never waits: the recovery protocol reads a boundary only
+//! once every depositor is known to be done
+//! ([`Comm::shrink_world`](crate::Comm::shrink_world)), so a boundary is
+//! complete or it never will be.
 //!
 //! Every payload is stamped with a CRC-32 (same polynomial as the frame
 //! integrity check in [`crate::wire`]) at deposit and re-verified at
@@ -26,8 +30,7 @@
 
 use crate::wire::crc32;
 use std::collections::BTreeMap;
-use std::sync::{Condvar, Mutex};
-use std::time::Duration;
+use std::sync::Mutex;
 
 /// One rank's committed snapshot at one boundary.
 #[derive(Debug, Clone)]
@@ -38,11 +41,6 @@ pub struct Snapshot {
     pub crc: u32,
     /// Whether the payload can seed a world of a different size.
     pub portable: bool,
-    /// The logical → physical world map at deposit time; all deposits
-    /// at one key must agree on it.
-    pub world: Vec<usize>,
-    /// Depositing rank's virtual clock at the boundary.
-    pub clock: f64,
 }
 
 /// One deposit slot per logical rank of a boundary's world.
@@ -54,9 +52,6 @@ type BoundarySlots = Vec<Option<Snapshot>>;
 #[derive(Debug, Default)]
 pub struct CheckpointStore {
     inner: Mutex<BTreeMap<(u32, usize), BoundarySlots>>,
-    /// Signalled on every deposit; [`CheckpointStore::fetch_wait`]
-    /// blocks on it until a boundary's slots fill up.
-    filled: Condvar,
 }
 
 impl CheckpointStore {
@@ -64,35 +59,31 @@ impl CheckpointStore {
         CheckpointStore::default()
     }
 
-    /// Commit one rank's snapshot at `(attempt, phase_idx)`. The CRC
-    /// stamp is computed here, over the payload as deposited.
-    #[allow(clippy::too_many_arguments)]
+    /// Commit logical rank `lrank`'s snapshot at `(attempt, phase_idx)`
+    /// of a world of `size` ranks (one world per attempt, so every
+    /// deposit at one key agrees on it). The CRC stamp is computed here,
+    /// over the payload as deposited.
     pub fn deposit(
         &self,
         attempt: u32,
         phase_idx: usize,
         lrank: usize,
-        world: &[usize],
+        size: usize,
         portable: bool,
         payload: Vec<u8>,
-        clock: f64,
     ) {
-        assert!(lrank < world.len(), "lrank {lrank} outside world {world:?}");
+        assert!(lrank < size, "lrank {lrank} outside a world of {size}");
         let snap = Snapshot {
             crc: crc32(&payload),
             payload,
             portable,
-            world: world.to_vec(),
-            clock,
         };
         let mut inner = self.inner.lock().expect("checkpoint store poisoned");
         let slots = inner.entry((attempt, phase_idx)).or_default();
-        if slots.len() < world.len() {
-            slots.resize(world.len(), None);
+        if slots.len() < size {
+            slots.resize(size, None);
         }
         slots[lrank] = Some(snap);
-        drop(inner);
-        self.filled.notify_all();
     }
 
     /// Read back every rank's payload at `(attempt, phase_idx)`, in
@@ -109,38 +100,6 @@ impl CheckpointStore {
                 (s.portable && crc32(&s.payload) == s.crc).then(|| s.payload.clone())
             })
             .collect()
-    }
-
-    /// Block until every rank of the depositing world has committed
-    /// `(attempt, phase_idx)`. Ranks run on free-running OS threads, so
-    /// a survivor can reach the recovery protocol in real time before a
-    /// slower peer — or the victim itself — has deposited the agreed
-    /// boundary. Every member of the failed world deposits all
-    /// boundaries up to the one it aborted at *before* unwinding (the
-    /// victim included: it commits, then dies entering the phase), so
-    /// the wait always terminates; the timeout panic only fires on a
-    /// protocol bug, never on a legal schedule.
-    ///
-    /// After this returns, the slot set is frozen — a subsequent
-    /// [`CheckpointStore::fetch`] gives every caller the same verdict.
-    pub fn wait_complete(&self, attempt: u32, phase_idx: usize) {
-        let complete = |map: &BTreeMap<(u32, usize), BoundarySlots>| {
-            map.get(&(attempt, phase_idx))
-                .is_some_and(|slots| !slots.is_empty() && slots.iter().all(|s| s.is_some()))
-        };
-        let mut inner = self.inner.lock().expect("checkpoint store poisoned");
-        while !complete(&inner) {
-            let (guard, timeout) = self
-                .filled
-                .wait_timeout(inner, Duration::from_secs(60))
-                .expect("checkpoint store poisoned");
-            inner = guard;
-            assert!(
-                !timeout.timed_out() || complete(&inner),
-                "checkpoint boundary (attempt {attempt}, phase {phase_idx}) never \
-                 fully committed: a rank aborted without depositing"
-            );
-        }
     }
 
     /// Chaos/test support: break the CRC stamp of every snapshot stored
@@ -181,10 +140,9 @@ mod tests {
                 attempt,
                 phase_idx,
                 lrank,
-                world,
+                world.len(),
                 true,
                 vec![lrank as u8, phase_idx as u8],
-                1.5,
             );
         }
     }
@@ -194,11 +152,11 @@ mod tests {
         let store = CheckpointStore::new();
         assert_eq!(store.fetch(0, 1), None);
         let world = [0, 1, 2];
-        store.deposit(0, 1, 0, &world, true, vec![1], 0.0);
-        store.deposit(0, 1, 2, &world, true, vec![3], 0.0);
+        store.deposit(0, 1, 0, world.len(), true, vec![1]);
+        store.deposit(0, 1, 2, world.len(), true, vec![3]);
         // Rank 1's deposit is missing: not globally committed.
         assert_eq!(store.fetch(0, 1), None);
-        store.deposit(0, 1, 1, &world, true, vec![2], 0.0);
+        store.deposit(0, 1, 1, world.len(), true, vec![2]);
         assert_eq!(store.fetch(0, 1), Some(vec![vec![1], vec![2], vec![3]]));
     }
 
@@ -209,7 +167,7 @@ mod tests {
         full_boundary(&store, 0, 1, &world);
         full_boundary(&store, 0, 2, &world);
         // Boundary 3 is only half committed.
-        store.deposit(0, 3, 0, &world, true, vec![9], 0.0);
+        store.deposit(0, 3, 0, world.len(), true, vec![9]);
         assert!(store.fetch(0, 2).is_some());
         assert_eq!(store.fetch(0, 3), None);
         assert_eq!(store.fetch(1, 2), None);
@@ -224,7 +182,7 @@ mod tests {
         let world = [0, 1];
         full_boundary(&store, 0, 2, &world);
         for lrank in 0..world.len() {
-            store.deposit(0, 3, lrank, &world, false, Vec::new(), 2.0);
+            store.deposit(0, 3, lrank, world.len(), false, Vec::new());
         }
         // Boundary 3 is committed by everyone but metadata-only: the
         // best *restorable* boundary stays 2, and fetching 3 fails.
@@ -255,7 +213,7 @@ mod tests {
     fn corrupting_an_empty_payload_breaks_the_stamp() {
         let store = CheckpointStore::new();
         let world = [0];
-        store.deposit(0, 1, 0, &world, true, Vec::new(), 0.0);
+        store.deposit(0, 1, 0, world.len(), true, Vec::new());
         assert!(store.fetch(0, 1).is_some());
         store.corrupt(0, 1);
         assert_eq!(store.fetch(0, 1), None);

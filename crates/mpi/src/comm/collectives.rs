@@ -12,7 +12,7 @@ use crate::trace::TraceEventKind;
 use crate::wire::Wire;
 
 impl Comm {
-    /// Wraps one short of the top tag, which is the abort frame's.
+    /// Wraps one short of the top tag, which is the exit notice's.
     fn next_coll_tag(&mut self) -> u32 {
         let tag = COLLECTIVE_TAG_BASE | (self.coll_seq % 0x7FFF_FFFF);
         self.coll_seq = self.coll_seq.wrapping_add(1);

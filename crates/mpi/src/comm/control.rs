@@ -11,10 +11,10 @@
 //! world-wide agreement sit in the `impl Comm` below, each next to the
 //! reading it agrees on.
 
+use super::transport::Death;
 use super::{Comm, PhaseControl};
 use crate::budget::{BudgetBreach, BudgetKind, ResourceBudget};
 use crate::checkpoint::CheckpointStore;
-use crate::failure::FailureDetector;
 use crate::fault::FaultLayer;
 use pgr_obs::{budget_names, recovery_names, MetricsShard, Phase};
 use std::sync::Arc;
@@ -24,9 +24,9 @@ pub(super) struct Control {
     /// This rank's immutable physical id.
     rank: usize,
     fault: Option<Arc<dyn FaultLayer>>,
-    /// Shared liveness table; present whenever a fault layer is
-    /// attached to a spawned world.
-    failure: Option<Arc<FailureDetector>>,
+    /// Set when the kill schedule fired on this rank: what its exit
+    /// notice tells its peers.
+    death: Option<Death>,
     /// Logical → physical rank map; identity until ranks die. All
     /// public rank/size arithmetic is logical; channels, stats, pending
     /// queues, and traces stay physical.
@@ -82,42 +82,39 @@ impl Control {
         }
     }
 
-    /// Attach the shared parts of a spawned world.
-    pub(super) fn connect(
-        &mut self,
-        failure: Option<Arc<FailureDetector>>,
-        checkpoints: Option<Arc<CheckpointStore>>,
-    ) {
-        self.failure = failure;
+    /// Attach the shared checkpoint store of a spawned world.
+    pub(super) fn connect(&mut self, checkpoints: Option<Arc<CheckpointStore>>) {
         self.checkpoints = checkpoints;
     }
 
-    /// Cross one phase boundary: heartbeat this rank and evaluate the
-    /// fault layer's kill schedule there.
+    /// How this rank died, if the kill schedule fired on it.
+    pub(super) fn death(&self) -> Option<Death> {
+        self.death
+    }
+
+    /// Cross one phase boundary: evaluate the fault layer's kill
+    /// schedule there, recording this rank's death (clock `now`) when it
+    /// is the victim.
     ///
     /// Kills only ever take effect here, and every rank evaluates the
     /// shared schedule against its own SPMD-lockstep boundary counter,
     /// so all survivors agree on the post-death world deterministically
-    /// — no racy detector reads decide membership. The detector exists
-    /// for diagnostics: a recv blocked on the victim reports
-    /// `CommError::RankDead` with the victim's last heartbeat.
+    /// without hearing from the victim. The death record is diagnostic:
+    /// it travels in the victim's exit notice, and a recv blocked on the
+    /// victim reports it as `CommError::RankDead`.
     fn cross(&mut self, phase: Phase, now: f64) -> PhaseControl {
         self.boundary += 1;
-        if let (Some(fault), Some(det)) = (&self.fault, &self.failure) {
+        if let Some(fault) = &self.fault {
             let boundary = self.boundary;
             let killed = |p| fault.kill_at_boundary(p).is_some_and(|b| b < boundary);
-            det.heartbeat(self.rank, now, phase.name(), boundary);
             if killed(self.rank) {
-                det.mark_dead(self.rank, phase.name(), boundary);
+                self.death = Some(Death {
+                    clock: now,
+                    phase,
+                    boundary,
+                });
                 return PhaseControl::SelfKilled;
             }
-            // Survivors learn of deaths from the schedule alone — they
-            // must NOT write the detector: only the victim marks itself
-            // dead, *after* flushing its sends at its own boundary, so a
-            // receiver that observes "dead" knows every frame the victim
-            // ever sent is already in flight (a fast survivor crossing
-            // this boundary first must keep receiving from a victim still
-            // finishing the previous phase).
             let dead: Vec<usize> = self
                 .world
                 .iter()
@@ -153,11 +150,11 @@ impl Control {
     }
 
     /// Commit this rank's snapshot for the upcoming `phase` boundary
-    /// into the shared store, stamped `now`. `Some(payload)` commits a
+    /// into the shared store. `Some(payload)` commits a
     /// portable (restorable-anywhere) snapshot; `None` commits a
     /// metadata-only record that proves the boundary was reached but
     /// cannot seed a shrunken world. No-op without a store.
-    fn commit(&mut self, phase: Phase, payload: Option<Vec<u8>>, now: f64, m: &mut MetricsShard) {
+    fn commit(&mut self, phase: Phase, payload: Option<Vec<u8>>, m: &mut MetricsShard) {
         let Some(store) = &self.checkpoints else {
             return;
         };
@@ -175,25 +172,21 @@ impl Control {
             self.attempt,
             phase.index(),
             self.lrank,
-            &self.world,
+            self.world.len(),
             portable,
             payload,
-            now,
         );
     }
 
     /// Fetch all payloads of `attempt`'s snapshot at `phase_idx`, in
     /// the failed world's logical-rank order, re-verifying every CRC-32
-    /// stamp. Blocks until every member of the failed world has
-    /// deposited the boundary (free-running threads may still be
-    /// unwinding toward their own aborts — every one of them commits
-    /// this boundary first, so the wait terminates). Counts a restore on
-    /// success; a `None` on a boundary the commit protocol agreed on
-    /// means an integrity failure — counted, and the caller must fall
-    /// back to a full restart.
+    /// stamp. The caller has made sure every member of the failed world
+    /// deposited the boundary (see [`Comm::shrink_world`]). Counts a
+    /// restore on success; a `None` on a boundary the commit protocol
+    /// agreed on means an integrity failure — counted, and the caller
+    /// must fall back to a full restart.
     fn fetch(&self, attempt: u32, phase_idx: usize, m: &mut MetricsShard) -> Option<Vec<Vec<u8>>> {
         let store = self.checkpoints.as_ref()?;
-        store.wait_complete(attempt, phase_idx);
         // Scheduled checkpoint rot fires between completeness and
         // verification — the deterministic window a real parallel
         // filesystem would corrupt in. The store's corruption is
@@ -272,8 +265,8 @@ impl Comm {
     // ----- phase boundaries -----
 
     /// Enter a registry [`Phase`]: [`Comm::phase_mark`] plus the
-    /// failure protocol — flush reorder holdbacks, heartbeat this rank,
-    /// evaluate the fault layer's kill schedule at this boundary — and,
+    /// failure protocol — flush reorder holdbacks, evaluate the fault
+    /// layer's kill schedule at this boundary — and,
     /// on `Continue`, the armed budget's boundary check, which only
     /// *latches*. The window is rotated *before* the schedule is
     /// evaluated, so if a kill fires here the recovery accounting that
@@ -327,9 +320,7 @@ impl Comm {
         snapshot: impl FnOnce() -> Option<Vec<u8>>,
     ) -> PhaseControl {
         if self.checkpointing() && phase.index() > 0 {
-            let now = self.now();
-            self.control
-                .commit(phase, snapshot(), now, &mut self.metrics);
+            self.control.commit(phase, snapshot(), &mut self.metrics);
         }
         match self.phase_enter(phase) {
             PhaseControl::Continue => self.budget_agree(),
@@ -365,6 +356,11 @@ impl Comm {
     /// smaller-world run, virtual time included. An agreed boundary
     /// whose payloads then fail their CRC re-verification also yields
     /// `None` (counted in `recovery.checkpoint.crc_failures`).
+    ///
+    /// Before it fetches, every survivor has deposited (each reached the
+    /// allreduce past its own deposits) and so has every dead rank: each
+    /// deposits before it dies, and its exit notice, which the fetch
+    /// waits for, is sent after its closure ends.
     pub fn shrink_world(
         &mut self,
         dead: &[usize],
@@ -378,6 +374,9 @@ impl Comm {
         // 0 encodes "no portable deposit".
         let agreed = self.allreduce(vote.map_or(0, |b| b as u64 + 1), u64::min);
         let from = agreed.checked_sub(1)? as usize;
+        for &p in dead {
+            self.transport.await_exit(p, &mut self.metrics);
+        }
         let payloads = self
             .control
             .fetch(failed_attempt, from, &mut self.metrics)?;

@@ -14,7 +14,7 @@
 //! maximum) are deterministic regardless of how the host schedules the
 //! threads.
 //!
-//! Failure behavior: a receive that can never complete (every peer
+//! Failure behavior: a receive that can never complete (its source
 //! exited, a peer's closure panicked, or a self-recv with nothing
 //! buffered) produces a structured [`CommError`] naming the blocked rank,
 //! the expected `(src, tag)`, and the pending-queue contents — via
@@ -31,9 +31,17 @@
 //! boundaries ([`Comm::phase_enter`]): the victim sees
 //! [`PhaseControl::SelfKilled`], survivors see
 //! [`PhaseControl::PeersDied`], shrink the world with
-//! [`Comm::remove_dead`], and continue on dense *logical* ranks. A
-//! receive blocked on a dead peer reports
-//! [`CommError::RankDead`] with the victim's last heartbeat.
+//! [`Comm::remove_dead`], and continue on dense *logical* ranks.
+//!
+//! Exit notices: when a rank's closure ends it sends each peer one
+//! notice saying how — returned, panicked, or killed with its death
+//! record (clock, phase, boundary). Channels are FIFO per sender, so the
+//! notice lands behind every frame its sender ever sent: a receive whose
+//! source's notice is in, with nothing matching buffered, ends at once
+//! ([`CommError::RankDead`] for a killed source,
+//! [`CommError::PeersDisconnected`] otherwise), and a panicked notice
+//! ends any receive that would block. Notices are never counted or
+//! traced. Nothing here waits on a timer.
 
 mod account;
 mod collectives;
@@ -202,7 +210,7 @@ impl Comm {
 
     /// The one place a `Comm` is built: rank `rank` of `size` with the
     /// per-rank parts of `instr` applied and nothing shared attached —
-    /// no channels, trace hub, failure detector or checkpoint store.
+    /// no channels, trace hub or checkpoint store.
     /// That is already a complete solo communicator (see
     /// [`Transport::new`]); [`run_instrumented`] attaches the shared
     /// parts.

@@ -8,7 +8,6 @@
 //! is the facade's business (`Comm::post` / `Comm::accept`).
 
 use crate::error::{CommError, PendingMsg};
-use crate::failure::FailureDetector;
 use crate::fault::{
     splitmix64, FaultAction, FaultLayer, MsgCtx, FAULTS_CORRUPTED, FAULTS_DELAYED, FAULTS_DROPPED,
     FAULTS_DUPLICATED, FAULTS_REORDERED, SENDS_TO_EXITED,
@@ -20,7 +19,7 @@ use crate::trace::{TraceEvent, TraceHub};
 use crate::wire::crc32;
 use pgr_obs::{MetricsShard, Phase};
 use std::collections::VecDeque;
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -28,8 +27,6 @@ use std::time::{Duration, Instant};
 const ERR_PENDING_CAP: usize = 64;
 /// How many recent trace events a [`CommError`] carries.
 const ERR_TRACE_TAIL: usize = 16;
-/// How often a blocked recv re-checks the failure detector.
-const DETECTOR_POLL: Duration = Duration::from_millis(20);
 /// How long a receive polls its channel before it parks on it: a frame
 /// that lands within it costs no thread park and wake. Real time, but
 /// it decides only *when* the host sees a frame, never which frame a
@@ -46,11 +43,63 @@ pub(super) fn polls(size: usize) -> bool {
     size <= *cores
 }
 
-/// The tag of the frame a rank whose closure panicked sends each peer
-/// ([`Transport::abort`]). No collective tag reaches it (they wrap
-/// below), and it never enters a fault hook, a receive window or a
-/// pending queue.
-pub(super) const ABORT_TAG: u32 = u32::MAX;
+/// The tag of the exit notice a rank sends each peer when its closure
+/// ends ([`Transport::close`]). No collective tag reaches it (they wrap
+/// below), and a notice never enters a fault hook, a receive window, a
+/// pending queue or any account.
+const EXIT_TAG: u32 = u32::MAX;
+
+/// How a rank's closure ended: what its exit notice tells each peer.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(super) enum Exit {
+    Returned,
+    Panicked,
+    /// Killed by the fault layer's schedule at a phase boundary.
+    Killed(Death),
+}
+
+/// A killed rank's death record: its clock, the phase it was entering
+/// and the boundary count, as it crossed the boundary it died at.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(super) struct Death {
+    pub(super) clock: f64,
+    pub(super) phase: Phase,
+    pub(super) boundary: u64,
+}
+
+impl Exit {
+    /// `src`'s notice: the kind is the one payload byte, and a death
+    /// record rides in the stamp, sequence and phase fields.
+    fn notice(self, src: usize) -> Envelope {
+        let kind = match self {
+            Exit::Returned => 0,
+            Exit::Panicked => 1,
+            Exit::Killed(_) => 2,
+        };
+        let mut env = Envelope {
+            src: src as u32,
+            tag: EXIT_TAG,
+            payload: Box::new([kind]),
+            ..Envelope::default()
+        };
+        if let Exit::Killed(death) = self {
+            (env.stamp, env.phase, env.seq) = (death.clock, Some(death.phase), death.boundary);
+        }
+        env
+    }
+
+    fn of(notice: &Envelope) -> Exit {
+        match notice.payload[0] {
+            0 => Exit::Returned,
+            1 => Exit::Panicked,
+            _ => Exit::Killed(Death {
+                clock: notice.stamp,
+                phase: notice.phase.expect("a death record names its phase"),
+                boundary: notice.seq,
+            }),
+        }
+    }
+}
 
 /// Sequence number traced for a frame the fault layer dropped before it
 /// reached the wire: it consumed no transport sequence number (a gap
@@ -132,10 +181,7 @@ pub(super) struct Transport {
     rank: usize,
     /// Senders to every peer; `txs[self.rank]` is `None` — self-sends
     /// bypass the channel (directly into `pending`), so a rank never
-    /// holds its own channel open. That is what lets a blocked `recv`
-    /// detect a mismatched communication pattern (every peer exited ⇒
-    /// channel disconnects ⇒ structured [`CommError`]) instead of
-    /// hanging forever.
+    /// holds its own channel open.
     txs: Vec<Option<Sender<Envelope>>>,
     rx: Option<Receiver<Envelope>>,
     /// Received-but-unmatched messages, per source rank.
@@ -156,11 +202,9 @@ pub(super) struct Transport {
     /// arrive outside any receive (drains, self-delivery), where there
     /// is no caller to hand the error to.
     corrupt_stash: Option<CommError>,
-    /// The shared liveness table, present only when the fault layer
-    /// schedules a rank death. Blocked receives poll it; otherwise they
-    /// block undisturbed (no timing jitter added to runs that cannot
-    /// lose a rank).
-    liveness: Option<Arc<FailureDetector>>,
+    /// Each peer's exit notice, once it has arrived. Channels are FIFO
+    /// per sender, so every frame a peer ever sent arrived before it.
+    exits: Vec<Option<Exit>>,
     /// Whether a receive polls for [`POLL_WINDOW`] before it parks
     /// ([`polls`] of the world's size).
     polls: bool,
@@ -187,48 +231,30 @@ impl Transport {
             next_seq: vec![0; size],
             holdback: (0..size).map(|_| None).collect(),
             windows: (0..size).map(|_| ReorderBuffer::new()).collect(),
+            exits: vec![None; size],
             polls: polls(size),
             ..Transport::default()
         }
     }
 
     /// Attach the shared parts of a spawned world: the peers' senders
-    /// (`None` at this rank's own index), this rank's receiver, and the
-    /// liveness table when a rank can die.
-    pub(super) fn connect(
-        &mut self,
-        txs: Vec<Option<Sender<Envelope>>>,
-        rx: Receiver<Envelope>,
-        liveness: Option<Arc<FailureDetector>>,
-    ) {
+    /// (`None` at this rank's own index) and this rank's receiver.
+    pub(super) fn connect(&mut self, txs: Vec<Option<Sender<Envelope>>>, rx: Receiver<Envelope>) {
         self.txs = txs;
         self.rx = Some(rx);
-        self.liveness = liveness;
     }
 
     /// Rank exit: release any reorder-held frames (no peer may be left
-    /// waiting on a frame parked in this rank's holdback), then drop the
-    /// sender handles so blocked peers can detect a mismatched
-    /// communication pattern instead of hanging forever.
-    pub(super) fn close(&mut self, m: &mut MetricsShard) {
+    /// waiting on a frame parked in this rank's holdback), drop the
+    /// receiver, then send every peer one exit notice saying how the
+    /// closure ended, past the fault hook. It lands behind every frame
+    /// this rank sent, so a peer blocked on it learns that nothing more
+    /// will come; by then nothing sent here has a consumer either.
+    pub(super) fn close(&mut self, exit: Exit, m: &mut MetricsShard) {
         self.flush_holdbacks(m);
-        self.txs.clear();
         self.rx = None;
-    }
-
-    /// This rank's closure panicked: send every peer an [`ABORT_TAG`]
-    /// frame, past the fault hook, so a peer blocked on this rank — or on
-    /// one still running — reports [`CommError::PeersDisconnected`]
-    /// instead of waiting for the last sender to close. A peer that has
-    /// already exited needs none.
-    pub(super) fn abort(&mut self) {
-        for tx in self.txs.iter().flatten() {
-            let frame = Envelope {
-                src: self.rank as u32,
-                tag: ABORT_TAG,
-                ..Envelope::default()
-            };
-            let _ = tx.send(frame);
+        for tx in self.txs.drain(..).flatten() {
+            let _ = tx.send(exit.notice(self.rank));
         }
     }
 
@@ -429,6 +455,10 @@ impl Transport {
     /// never delivered — and the failure is stashed for the next
     /// receive call to surface as [`CommError::Corrupt`].
     fn ingest(&mut self, mut env: Envelope, m: &mut MetricsShard) {
+        if env.tag == EXIT_TAG {
+            self.exits[env.src as usize] = Some(Exit::of(&env));
+            return;
+        }
         if std::mem::take(&mut env.duplicated) {
             self.ingest(env.clone(), m);
         }
@@ -508,8 +538,11 @@ impl Transport {
 
     /// Block until the next frame from `src` with `tag` (FIFO per
     /// `(src, tag)` pair) can be matched, reporting a receive that can
-    /// never complete as a structured [`CommError`]. `trace` supplies
-    /// the event tails errors carry.
+    /// never complete as a structured [`CommError`]: nothing matching is
+    /// buffered and `src`'s exit notice is in ([`CommError::RankDead`]
+    /// when it was killed), a peer's notice says it panicked, or the
+    /// receive waits on this rank itself. `trace` supplies the event
+    /// tails errors carry.
     pub(super) fn recv(
         &mut self,
         src: usize,
@@ -521,84 +554,65 @@ impl Transport {
         // peer needs before it can send us ours: release them all before
         // any chance of blocking.
         self.flush_holdbacks(m);
-        if let Some(env) = self.take_matching(src, tag)? {
-            return Ok(env);
-        }
-        // A receive from this rank itself can only match a buffered
-        // self-send (self-sends never travel the channel): nothing
-        // buffered means nothing can ever arrive. This also covers every
-        // recv on a solo communicator.
-        if src == self.rank || self.rx.is_none() {
-            return Err(CommError::Unsatisfiable {
-                rank: self.rank,
-                size: self.pending.len(),
-                src,
-                tag,
-                pending: self.pending_snapshot(),
-                recent: self.recent_events(trace),
-            });
-        }
-        // Only a run that can lose a rank wakes up to poll the detector.
-        let detector = self.liveness.is_some();
         loop {
-            // A dead expected source can never satisfy this receive.
-            // Drain anything already in flight (frames it sent before
-            // dying) first, then report the death.
-            if self.liveness.as_ref().is_some_and(|d| !d.is_alive(src)) {
-                if !self.drain_rx(m) {
-                    return Err(self.disconnected(src, tag, trace));
-                }
-                return match self.take_matching(src, tag)? {
-                    Some(env) => Ok(env),
-                    None => Err(self.rank_dead_error(src, tag)),
-                };
-            }
-            let rx = self.rx.as_ref().expect("communicator active");
-            let arrived = match self.poll_window(rx) {
-                Some(env) => Ok(env),
-                None if detector => rx.recv_timeout(DETECTOR_POLL),
-                None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-            };
-            let env = match arrived {
-                Ok(env) if env.tag != ABORT_TAG => env,
-                Err(RecvTimeoutError::Timeout) => continue,
-                // Every peer exited, or one unwound (its abort frame).
-                _ => return Err(self.disconnected(src, tag, trace)),
-            };
-            self.ingest(env, m);
             if let Some(env) = self.take_matching(src, tag)? {
                 return Ok(env);
             }
-        }
-    }
-
-    /// The first frame to arrive within [`POLL_WINDOW`], if this
-    /// transport polls; `None` sends the caller to its blocking wait,
-    /// which also reports a disconnected channel.
-    fn poll_window(&self, rx: &Receiver<Envelope>) -> Option<Envelope> {
-        if !self.polls {
-            return None;
-        }
-        let start = Instant::now();
-        loop {
-            match rx.try_recv() {
-                Ok(env) => return Some(env),
-                Err(TryRecvError::Empty) if start.elapsed() < POLL_WINDOW => std::hint::spin_loop(),
-                Err(_) => return None,
+            // A receive from this rank itself can only match a buffered
+            // self-send (self-sends never travel the channel): nothing
+            // buffered means nothing can ever arrive. This also covers
+            // every recv on a solo communicator.
+            if src == self.rank || self.rx.is_none() {
+                return Err(CommError::Unsatisfiable {
+                    rank: self.rank,
+                    size: self.pending.len(),
+                    src,
+                    tag,
+                    pending: self.pending_snapshot(),
+                    recent: self.recent_events(trace),
+                });
             }
-        }
-    }
-
-    /// Non-blocking: pull everything already delivered into the pending
-    /// queues. `false` when a peer's abort frame was among it.
-    fn drain_rx(&mut self, m: &mut MetricsShard) -> bool {
-        while let Some(env) = self.rx.as_ref().and_then(|rx| rx.try_recv().ok()) {
-            if env.tag == ABORT_TAG {
-                return false;
+            if let Some(Exit::Killed(death)) = self.exits[src] {
+                return Err(self.rank_dead(src, tag, death));
             }
+            if self.exits[src].is_some() || self.exits.contains(&Some(Exit::Panicked)) {
+                return Err(self.disconnected(src, tag, trace));
+            }
+            let Some(env) = self.next_frame() else {
+                return Err(self.disconnected(src, tag, trace));
+            };
             self.ingest(env, m);
         }
-        true
+    }
+
+    /// Block until `peer`'s exit notice is in, ingesting whatever
+    /// arrives before it: past this, every frame `peer` sent, and
+    /// everything it did before its closure ended, has happened.
+    pub(super) fn await_exit(&mut self, peer: usize, m: &mut MetricsShard) {
+        while self.exits[peer].is_none() {
+            let Some(env) = self.next_frame() else { return };
+            self.ingest(env, m);
+        }
+    }
+
+    /// The next frame off the channel: polled for [`POLL_WINDOW`] when
+    /// this transport polls, then waited for. `None` once every peer
+    /// has dropped its sender.
+    fn next_frame(&self) -> Option<Envelope> {
+        let rx = self.rx.as_ref()?;
+        if self.polls {
+            let start = Instant::now();
+            loop {
+                match rx.try_recv() {
+                    Ok(env) => return Some(env),
+                    Err(TryRecvError::Empty) if start.elapsed() < POLL_WINDOW => {
+                        std::hint::spin_loop()
+                    }
+                    Err(_) => break,
+                }
+            }
+        }
+        rx.recv().ok()
     }
 
     fn disconnected(&self, src: usize, tag: u32, trace: Option<&TraceHub>) -> CommError {
@@ -632,19 +646,14 @@ impl Transport {
             .collect()
     }
 
-    fn rank_dead_error(&self, dead: usize, tag: u32) -> CommError {
-        let info = self
-            .liveness
-            .as_ref()
-            .expect("detector present when a death is observed")
-            .snapshot(dead);
+    fn rank_dead(&self, dead: usize, tag: u32, death: Death) -> CommError {
         CommError::RankDead {
             rank: self.rank,
             dead,
             tag,
-            last_heartbeat: info.last_heartbeat,
-            phase: info.phase,
-            boundary: info.boundary,
+            last_heartbeat: death.clock,
+            phase: death.phase.name(),
+            boundary: death.boundary,
         }
     }
 }
@@ -657,22 +666,33 @@ mod tests {
 
     const TAG: u32 = 5;
 
-    /// Ranks 0 and 1 wired back to back — no threads, no `Comm`: each
-    /// transport and its metric shard, rank 0 sending through `fault`.
-    fn pair(
+    /// Ranks `0..N` wired to one another — no threads, no `Comm`: each
+    /// transport and its metric shard, every rank sending through `fault`.
+    fn world<const N: usize>(
         fault: impl Fn(&MsgCtx) -> FaultAction + Send + Sync + 'static,
         reliability: ReliabilityConfig,
-    ) -> [(Transport, MetricsShard); 2] {
+    ) -> [(Transport, MetricsShard); N] {
         let fault: Arc<dyn FaultLayer> = Arc::new(fault);
-        let (tx0, rx0) = channel();
-        let (tx1, rx1) = channel();
-        let mut a = Transport::new(0, 2, Some(fault.clone()), reliability);
-        let mut b = Transport::new(1, 2, Some(fault), reliability);
-        a.connect(vec![None, Some(tx1)], rx0, None);
-        b.connect(vec![Some(tx0), None], rx1, None);
-        let shard = || MetricsShard::new(MetricsConfig::on());
-        [(a, shard()), (b, shard())]
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..N).map(|_| channel()).unzip();
+        let ranks: Vec<_> = rxs
+            .into_iter()
+            .enumerate()
+            .map(|(rank, rx)| {
+                let mut t = Transport::new(rank, N, Some(fault.clone()), reliability);
+                let peers = (0..N).map(|i| (i != rank).then(|| txs[i].clone()));
+                t.connect(peers.collect(), rx);
+                (t, MetricsShard::new(MetricsConfig::on()))
+            })
+            .collect();
+        ranks.try_into().ok().expect("N ranks")
     }
+
+    /// What a killed rank's notice tells its peers.
+    const DEATH: Death = Death {
+        clock: 2.5,
+        phase: Phase::Coarse,
+        boundary: 3,
+    };
 
     fn payload_of(r: Result<Envelope, CommError>) -> Vec<u8> {
         r.expect("frame delivered").payload.into_vec()
@@ -684,7 +704,7 @@ mod tests {
             0 => FaultAction::Duplicate,
             _ => FaultAction::Deliver,
         };
-        let [(mut a, mut ma), (mut b, mut mb)] = pair(dup_first, ReliabilityConfig::on());
+        let [(mut a, mut ma), (mut b, mut mb)] = world(dup_first, ReliabilityConfig::on());
         ma.open_window(Phase::Coarse);
         assert_eq!(a.send(1, TAG, 0.0, Body::Bytes(vec![1]), &mut ma), 0);
         assert_eq!(a.send(1, TAG, 0.0, Body::Bytes(vec![2]), &mut ma), 1);
@@ -707,7 +727,7 @@ mod tests {
         assert_eq!(ma.snapshot(0).counter(FAULTS_DUPLICATED), Some(1));
         // Nothing else is buffered: once the sender is gone the next
         // receive reports the disconnect, not a second copy.
-        a.close(&mut ma);
+        a.close(Exit::Returned, &mut ma);
         let err = b.recv(0, TAG, &mut mb, None).err().expect("no third frame");
         assert!(
             matches!(err, CommError::PeersDisconnected { rank: 1, .. }),
@@ -722,7 +742,7 @@ mod tests {
             _ => FaultAction::Deliver,
         };
         // Raw: the second frame overtakes the held first one, visibly.
-        let [(mut a, mut ma), (mut b, mut mb)] = pair(hold_first, ReliabilityConfig::off());
+        let [(mut a, mut ma), (mut b, mut mb)] = world(hold_first, ReliabilityConfig::off());
         a.send(1, TAG, 0.0, Body::Bytes(vec![1]), &mut ma);
         a.send(1, TAG, 0.0, Body::Bytes(vec![2]), &mut ma);
         assert_eq!(payload_of(b.recv(0, TAG, &mut mb, None)), vec![2]);
@@ -730,7 +750,7 @@ mod tests {
 
         // Reliable: same wire order, but the window parks the early
         // frame and releases both in sequence.
-        let [(mut a, mut ma), (mut b, mut mb)] = pair(hold_first, ReliabilityConfig::on());
+        let [(mut a, mut ma), (mut b, mut mb)] = world(hold_first, ReliabilityConfig::on());
         ma.open_window(Phase::Steiner);
         a.send(1, TAG, 0.0, Body::Bytes(vec![1]), &mut ma);
         ma.open_window(Phase::Coarse);
@@ -753,14 +773,16 @@ mod tests {
     }
 
     #[test]
-    fn abort_frame_ends_a_blocked_receive_while_the_sender_is_still_open() {
-        let [(mut a, mut ma), (mut b, mut mb)] =
-            pair(|_| FaultAction::Deliver, ReliabilityConfig::on());
+    fn panic_notice_ends_a_blocked_receive_on_a_live_source() {
+        let [(mut a, mut ma), (mut b, mut mb), (mut c, mut mc)] =
+            world(|_| FaultAction::Deliver, ReliabilityConfig::on());
         a.send(1, TAG, 0.0, Body::Bytes(vec![1]), &mut ma);
-        a.abort();
-        // What arrived before the abort is still delivered.
+        c.close(Exit::Panicked, &mut mc);
+        // What arrived before the notice is still delivered.
         assert_eq!(payload_of(b.recv(0, TAG, &mut mb, None)), vec![1]);
-        let err = b.recv(0, TAG, &mut mb, None).err().expect("rank 0 unwound");
+        // Rank 0 is still open, but rank 2 unwound: the world can never
+        // complete.
+        let err = b.recv(0, TAG, &mut mb, None).err().expect("rank 2 unwound");
         assert!(
             matches!(
                 err,
@@ -775,23 +797,24 @@ mod tests {
         assert_eq!(
             mb.snapshot(1).counter(reliable::ACKS),
             Some(1),
-            "abort is never acked"
+            "a notice is never acked"
         );
+        drop(a);
     }
 
     #[test]
     fn held_frame_goes_out_at_close_even_with_nothing_to_overtake_it() {
         let [(mut a, mut ma), (mut b, mut mb)] =
-            pair(|_| FaultAction::Reorder, ReliabilityConfig::off());
+            world(|_| FaultAction::Reorder, ReliabilityConfig::off());
         a.send(1, TAG, 0.0, Body::Bytes(vec![7]), &mut ma);
-        a.close(&mut ma);
+        a.close(Exit::Returned, &mut ma);
         assert_eq!(payload_of(b.recv(0, TAG, &mut mb, None)), vec![7]);
     }
 
     #[test]
     fn flipped_frame_is_rejected_by_crc_never_delivered() {
         let [(mut a, mut ma), (mut b, mut mb)] =
-            pair(|_| FaultAction::Corrupt, ReliabilityConfig::off());
+            world(|_| FaultAction::Corrupt, ReliabilityConfig::off());
         a.send(1, TAG, 0.0, Body::Bytes(vec![0xAB; 16]), &mut ma);
         match b.recv(0, TAG, &mut mb, None) {
             Err(CommError::Corrupt {
@@ -832,7 +855,7 @@ mod tests {
     fn a_frame_arriving_after_the_poll_window_is_still_delivered() {
         for polling in POLLING {
             let [(mut a, mut ma), (mut b, mut mb)] =
-                pair(|_| FaultAction::Deliver, ReliabilityConfig::on());
+                world(|_| FaultAction::Deliver, ReliabilityConfig::on());
             b.polls = polling;
             let sender = std::thread::spawn(move || {
                 std::thread::sleep(POLL_WINDOW * 40);
@@ -845,12 +868,12 @@ mod tests {
     }
 
     #[test]
-    fn abort_frame_caught_while_polling_is_peers_disconnected() {
+    fn panic_notice_caught_while_polling_is_peers_disconnected() {
         for polling in POLLING {
-            let [(mut a, _), (mut b, mut mb)] =
-                pair(|_| FaultAction::Deliver, ReliabilityConfig::on());
+            let [(mut a, mut ma), (mut b, mut mb)] =
+                world(|_| FaultAction::Deliver, ReliabilityConfig::on());
             b.polls = polling;
-            a.abort();
+            a.close(Exit::Panicked, &mut ma);
             let err = b.recv(0, TAG, &mut mb, None).err().expect("rank 0 unwound");
             assert!(
                 matches!(
@@ -870,7 +893,7 @@ mod tests {
     fn corrupt_frame_caught_while_polling_is_corrupt() {
         for polling in POLLING {
             let [(mut a, mut ma), (mut b, mut mb)] =
-                pair(|_| FaultAction::Corrupt, ReliabilityConfig::off());
+                world(|_| FaultAction::Corrupt, ReliabilityConfig::off());
             b.polls = polling;
             a.send(1, TAG, 0.0, Body::Bytes(vec![0xAB; 16]), &mut ma);
             let err = b
@@ -895,20 +918,10 @@ mod tests {
     #[test]
     fn source_killed_during_a_polling_receive_is_rank_dead() {
         for polling in POLLING {
-            let (tx0, rx0) = channel();
-            let (tx1, rx1) = channel();
-            let detector = Arc::new(FailureDetector::new(2));
-            let mut a = Transport::new(0, 2, None, ReliabilityConfig::off());
-            let mut b = Transport::new(1, 2, None, ReliabilityConfig::off());
-            a.connect(vec![None, Some(tx1)], rx0, Some(detector.clone()));
-            b.connect(vec![Some(tx0), None], rx1, Some(detector.clone()));
+            let [(mut a, mut ma), (mut b, mut mb)] =
+                world(|_| FaultAction::Deliver, ReliabilityConfig::off());
             b.polls = polling;
-            // Rank 0 stays connected (its sender open) and dies silent.
-            let killer = std::thread::spawn(move || {
-                std::thread::sleep(POLL_WINDOW * 40);
-                detector.mark_dead(0, "coarse", 3);
-            });
-            let mut mb = MetricsShard::new(MetricsConfig::on());
+            a.close(Exit::Killed(DEATH), &mut ma);
             let err = b.recv(0, TAG, &mut mb, None).err().expect("source died");
             assert!(
                 matches!(
@@ -917,15 +930,48 @@ mod tests {
                         rank: 1,
                         dead: 0,
                         tag: TAG,
+                        last_heartbeat: 2.5,
+                        phase: "coarse",
                         boundary: 3,
-                        ..
                     }
                 ),
                 "polling {polling}: {err}"
             );
-            killer.join().expect("killer");
-            drop(a);
         }
+    }
+
+    #[test]
+    fn frames_a_killed_rank_sent_are_delivered_before_rank_dead() {
+        // The second frame is held back; the victim's close releases it
+        // ahead of the notice.
+        let hold_second = |c: &MsgCtx| match c.seq {
+            1 => FaultAction::Reorder,
+            _ => FaultAction::Deliver,
+        };
+        for reliability in [ReliabilityConfig::off(), ReliabilityConfig::on()] {
+            let [(mut a, mut ma), (mut b, mut mb)] = world(hold_second, reliability);
+            a.send(1, TAG, 0.0, Body::Bytes(vec![1]), &mut ma);
+            a.send(1, TAG, 0.0, Body::Bytes(vec![2]), &mut ma);
+            a.close(Exit::Killed(DEATH), &mut ma);
+            assert_eq!(payload_of(b.recv(0, TAG, &mut mb, None)), vec![1]);
+            assert_eq!(payload_of(b.recv(0, TAG, &mut mb, None)), vec![2]);
+            let err = b.recv(0, TAG, &mut mb, None).err().expect("nothing more");
+            assert!(
+                matches!(err, CommError::RankDead { boundary: 3, .. }),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn awaiting_an_exit_buffers_what_came_before_it() {
+        let [(mut a, mut ma), (mut b, mut mb)] =
+            world(|_| FaultAction::Deliver, ReliabilityConfig::on());
+        a.send(1, TAG, 0.0, Body::Bytes(vec![4]), &mut ma);
+        a.close(Exit::Killed(DEATH), &mut ma);
+        b.await_exit(0, &mut mb);
+        assert_eq!(b.exits[0], Some(Exit::Killed(DEATH)));
+        assert_eq!(payload_of(b.recv(0, TAG, &mut mb, None)), vec![4]);
     }
 
     /// What the modeled-transfer tests ship: far more than the header
@@ -947,11 +993,12 @@ mod tests {
             log.lock().expect("hook log").push(c.bytes);
             FaultAction::Deliver
         };
-        let [(mut a, mut ma), (mut b, mut mb)] = pair(hook, ReliabilityConfig::off());
+        let [(mut a, mut ma), (mut b, mut mb)] = world(hook, ReliabilityConfig::off());
         a.send(1, TAG, 0.0, modeled(MODELED), &mut ma);
         assert_eq!(*seen.lock().expect("hook log"), vec![MODELED]);
         // Unmatched in the pending queue it still reports its full size.
-        assert!(b.drain_rx(&mut mb));
+        let env = b.rx.as_ref().expect("connected").recv().expect("sent");
+        b.ingest(env, &mut mb);
         let pending = b.pending_snapshot();
         assert_eq!((pending.len(), pending[0].bytes), (1, MODELED));
         let env = b.recv(0, TAG, &mut mb, None).expect("frame delivered");
@@ -962,7 +1009,7 @@ mod tests {
     #[test]
     fn charged_frame_bills_its_size_and_its_crc_covers_the_payload() {
         let [(mut a, mut ma), (mut b, mut mb)] =
-            pair(|_| FaultAction::Deliver, ReliabilityConfig::off());
+            world(|_| FaultAction::Deliver, ReliabilityConfig::off());
         let charged = |payload: &[u8]| Body::Modeled {
             bytes: MODELED,
             payload: payload.to_vec(),
@@ -988,7 +1035,7 @@ mod tests {
             0 => FaultAction::Duplicate,
             _ => FaultAction::Deliver,
         };
-        let [(mut a, mut ma), (mut b, mut mb)] = pair(dup_first, ReliabilityConfig::on());
+        let [(mut a, mut ma), (mut b, mut mb)] = world(dup_first, ReliabilityConfig::on());
         a.send(1, TAG, 0.0, modeled(MODELED), &mut ma);
         a.send(1, TAG, 0.0, modeled(7), &mut ma);
         let sizes: Vec<usize> = (0..2)
@@ -1004,9 +1051,9 @@ mod tests {
     #[test]
     fn held_modeled_frame_goes_out_at_close() {
         let [(mut a, mut ma), (mut b, mut mb)] =
-            pair(|_| FaultAction::Reorder, ReliabilityConfig::off());
+            world(|_| FaultAction::Reorder, ReliabilityConfig::off());
         a.send(1, TAG, 0.0, modeled(MODELED), &mut ma);
-        a.close(&mut ma);
+        a.close(Exit::Returned, &mut ma);
         let env = b.recv(0, TAG, &mut mb, None).expect("released at close");
         assert_eq!(env.bytes(), MODELED);
     }
@@ -1014,7 +1061,7 @@ mod tests {
     #[test]
     fn flipped_modeled_frame_is_rejected_by_its_header_crc() {
         let [(mut a, mut ma), (mut b, mut mb)] =
-            pair(|_| FaultAction::Corrupt, ReliabilityConfig::off());
+            world(|_| FaultAction::Corrupt, ReliabilityConfig::off());
         // Whatever the modeled size — zero included — the header has
         // bits to flip and the checksum covers them.
         for bytes in [MODELED, 0] {

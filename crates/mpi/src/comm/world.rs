@@ -2,9 +2,9 @@
 //! wired to its peers, and the [`RunReport`] that comes back.
 
 use super::account::{wall_makespan, RankStats};
+use super::transport::Exit;
 use super::{Comm, InstrumentConfig};
 use crate::checkpoint::CheckpointStore;
-use crate::failure::FailureDetector;
 use crate::machine::MachineModel;
 use crate::trace::{RankTrace, TraceHub};
 use pgr_obs::RankMetrics;
@@ -53,9 +53,12 @@ impl<R> RunReport<R> {
 /// Execute `f` as an SPMD program over `size` ranks on the given machine.
 ///
 /// One OS thread per rank; returns every rank's result plus timing stats.
-/// A panic in any rank propagates: its peers' blocked receives end in
-/// [`CommError::PeersDisconnected`](crate::CommError), and the payload
-/// of the rank that panicked first is re-raised.
+/// When a rank's closure ends it sends each peer an exit notice, so a
+/// receive whose source has ended, with nothing matching buffered,
+/// reports [`CommError::PeersDisconnected`](crate::CommError) (or
+/// `RankDead` for a killed source) instead of waiting. A panic in any
+/// rank propagates: its notice ends its peers' blocked receives the same
+/// way, and the payload of the rank that panicked first is re-raised.
 ///
 /// ```
 /// use pgr_mpi::{run, MachineModel};
@@ -103,11 +106,6 @@ where
     assert!(size > 0, "need at least one rank");
     let trace = instr.trace;
     let hub = trace.enabled.then(|| Arc::new(TraceHub::new(size, trace)));
-    // The failure detector only exists when faults can happen.
-    let failure = instr
-        .fault
-        .is_some()
-        .then(|| Arc::new(FailureDetector::new(size)));
     let kills_scheduled = instr
         .fault
         .as_ref()
@@ -142,18 +140,16 @@ where
                 .map(|(i, tx)| (i != rank).then(|| tx.clone()))
                 .collect();
             comm.trace = hub.clone();
-            comm.transport
-                .connect(peers, rx, failure.clone().filter(|_| kills_scheduled));
-            comm.control.connect(failure.clone(), checkpoints.clone());
+            comm.transport.connect(peers, rx);
+            comm.control.connect(checkpoints.clone());
             comm
         })
         .collect();
     drop(txs);
-    drop(failure);
 
     let f = &f;
     // The rank whose closure unwound first. It claims this before its
-    // abort frames go out, so no panic they set off can claim it.
+    // exit notices go out, so no panic they set off can claim it.
     let first_unwound = &AtomicUsize::new(usize::MAX);
     let mut outcomes: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = comms
@@ -161,12 +157,14 @@ where
             .map(|comm| {
                 scope.spawn(move || {
                     let result = catch_unwind(AssertUnwindSafe(|| f(comm)));
-                    if result.is_err() {
+                    let exit = if result.is_err() {
                         let rank = comm.physical_rank();
                         let _ = first_unwound.compare_exchange(usize::MAX, rank, SeqCst, SeqCst);
-                        comm.transport.abort();
-                    }
-                    comm.transport.close(&mut comm.metrics);
+                        Exit::Panicked
+                    } else {
+                        comm.control.death().map_or(Exit::Returned, Exit::Killed)
+                    };
+                    comm.transport.close(exit, &mut comm.metrics);
                     if let Some(hub) = &comm.trace {
                         hub.set_final_time(comm.physical_rank(), comm.now());
                     }

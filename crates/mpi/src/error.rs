@@ -40,9 +40,9 @@ pub enum CommError {
         pending: Vec<PendingMsg>,
         recent: Vec<TraceEvent>,
     },
-    /// Every peer exited while this rank still expected a message — the
-    /// canonical mismatched send/recv pattern — or a peer's closure
-    /// panicked, after which the world can never complete.
+    /// The source exited while this rank still expected a message from
+    /// it — the canonical mismatched send/recv pattern — or a peer's
+    /// closure panicked, after which the world can never complete.
     PeersDisconnected {
         rank: usize,
         src: usize,
@@ -50,16 +50,17 @@ pub enum CommError {
         pending: Vec<PendingMsg>,
         recent: Vec<TraceEvent>,
     },
-    /// The peer this rank is receiving from has been declared dead by
-    /// the failure detector; the message will never arrive. Carries the
-    /// victim's last recorded heartbeat so the death is triageable.
+    /// The peer this rank is receiving from was killed by the fault
+    /// layer's schedule; the message will never arrive. Carries the death
+    /// record from the victim's exit notice so the death is triageable.
     RankDead {
         /// The observing (blocked) rank.
         rank: usize,
         /// The dead peer (physical rank id).
         dead: usize,
         tag: u32,
-        /// Virtual clock of the victim's last heartbeat.
+        /// Virtual clock of the victim's last sign of life: the
+        /// boundary crossing it died at.
         last_heartbeat: f64,
         /// Phase the victim died at.
         phase: &'static str,
@@ -197,8 +198,8 @@ impl fmt::Display for CommError {
             } => {
                 write!(
                     f,
-                    "rank {rank}: blocked in recv(src={src}, tag={tag}) but every peer has exited — \
-                     mismatched send/recv pattern"
+                    "rank {rank}: blocked in recv(src={src}, tag={tag}) but its source has exited \
+                     or a peer panicked — mismatched send/recv pattern"
                 )?;
                 fmt_context(f, pending, recent)
             }
@@ -213,7 +214,7 @@ impl fmt::Display for CommError {
                 write!(
                     f,
                     "rank {rank}: recv(src={dead}, tag={tag}) — peer rank {dead} is dead \
-                     (last heartbeat at {last_heartbeat:.6}s virtual, died in phase \
+                     (killed at {last_heartbeat:.6}s virtual, entering phase \
                      \"{phase}\" at boundary {boundary})"
                 )
             }

@@ -39,18 +39,22 @@
 //! Robustness: the [`reliable`] transport (sequence numbers, reorder
 //! buffer, duplicate suppression, ack-based retransmit with exponential
 //! backoff) masks injected message faults bit-deterministically, and a
-//! fault layer's kill schedule plus the heartbeat [`failure`] detector
-//! let SPMD programs survive rank death: the victim unwinds at a phase
-//! boundary ([`Comm::boundary`]), survivors shrink the world
-//! ([`Comm::shrink_world`]) and continue on dense logical ranks, and a
-//! recv blocked on the victim reports [`CommError::RankDead`].
+//! fault layer's kill schedule lets SPMD programs survive rank death:
+//! the victim unwinds at a phase boundary ([`Comm::boundary`]),
+//! survivors shrink the world ([`Comm::shrink_world`]) and continue on
+//! dense logical ranks. Every rank whose closure ends — returned,
+//! panicked or killed — sends each peer one exit notice behind every
+//! frame it sent, so a recv whose source is gone ends without a timer:
+//! [`CommError::RankDead`] with the death record of a killed source,
+//! [`CommError::PeersDisconnected`] otherwise or once any peer panicked.
 //!
 //! Checkpointed recovery: when a kill is scheduled, every rank commits
 //! a CRC-32-stamped snapshot of its pipeline state into a shared
 //! [`checkpoint::CheckpointStore`] at each phase boundary — inside
 //! [`Comm::boundary`], *before* the kill schedule is evaluated — so a
 //! recovery round can resume from the last globally committed boundary
-//! ([`Comm::shrink_world`] agrees on it) instead of redoing the whole
+//! ([`Comm::shrink_world`] agrees on it, and takes each dead rank's exit
+//! notice before it reads the store) instead of redoing the whole
 //! attempt.
 //!
 //! Layout: [`comm`] is a facade over three layers whose state is private
@@ -63,7 +67,6 @@ pub mod budget;
 pub mod checkpoint;
 pub mod comm;
 pub mod error;
-pub mod failure;
 pub mod fault;
 pub mod machine;
 pub mod profile;
@@ -78,7 +81,6 @@ pub use comm::{
     COLLECTIVE_TAG_BASE, RECV_WAIT_MICROS,
 };
 pub use error::{CommError, PendingMsg};
-pub use failure::{FailureDetector, FailureInfo};
 pub use fault::{ChaosConfig, ChaosLayer, FaultAction, FaultLayer, MsgCtx};
 pub use machine::{ClockMode, MachineModel};
 pub use pgr_obs::{MetricsConfig, Phase, RankMetrics, RunMeta};

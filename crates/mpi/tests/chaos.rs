@@ -18,7 +18,6 @@ use pgr_mpi::{
     MachineModel, MetricsConfig, MsgCtx, Phase, PhaseControl, RankMetrics, ReliabilityConfig,
 };
 use std::sync::Arc;
-use std::time::Duration;
 
 const DATA: u32 = 3;
 const BULK: u32 = 4;
@@ -537,9 +536,9 @@ fn raw_corruption_of_a_modeled_transfer_surfaces_crc_error() {
     assert_eq!(metrics[0].counter(FAULTS_CORRUPTED), Some(1));
 }
 
-/// Satellite: `CommError::RankDead` carries the dead rank id, its last
-/// heartbeat tick, and the phase/boundary it died at; survivors shrink
-/// the world deterministically and keep communicating.
+/// `CommError::RankDead` carries the dead rank id and the death record
+/// from its exit notice (its clock, and the phase/boundary it died at);
+/// survivors shrink the world deterministically and keep communicating.
 #[test]
 fn phase_kill_surfaces_rank_dead_and_world_remaps() {
     let chaos = ChaosLayer::new(ChaosConfig {
@@ -653,11 +652,9 @@ fn multi_kill_is_deterministic() {
 fn send_racing_peer_exit_is_dropped_not_fatal() {
     // No probabilistic faults, no kills: the layer's mere presence
     // selects the tolerant path. Rank 1 exits immediately; rank 0
-    // first blocks until rank 1's sender handles are gone (the receive
-    // below can only end in `PeersDisconnected`), then sends — rank 1
-    // drops its receiver right after its senders, so the short sleep
-    // only has to cover those two adjacent statements, not the peer
-    // thread's whole scheduling delay on a loaded host.
+    // first blocks until rank 1's exit notice is in (the receive below
+    // can only end in `PeersDisconnected`), then sends. A rank drops its
+    // receiver before its notices go out, so the send finds it gone.
     let instr = InstrumentConfig {
         metrics: MetricsConfig::on(),
         fault: Some(Arc::new(ChaosLayer::new(ChaosConfig {
@@ -675,7 +672,6 @@ fn send_racing_peer_exit_is_dropped_not_fatal() {
             if comm.rank() == 0 {
                 let gone = comm.try_recv_bytes(1, NEVER);
                 assert!(matches!(gone, Err(CommError::PeersDisconnected { .. })));
-                std::thread::sleep(Duration::from_millis(100));
                 comm.send(1, DATA, &1u32);
             }
             comm.rank()

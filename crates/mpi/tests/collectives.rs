@@ -406,7 +406,7 @@ mod edge_cases {
     #[test]
     fn rank_panicking_before_a_collective_unblocks_its_peers() {
         // Rank 1 never reaches the allgather its peers block in. Its
-        // abort frame ends their receives (`PeersDisconnected`), and the
+        // panicked exit notice ends their receives (`PeersDisconnected`), and the
         // run re-raises rank 1's own payload, not theirs.
         for size in [2, 3] {
             let err = std::panic::catch_unwind(|| {
@@ -425,6 +425,25 @@ mod edge_cases {
                 .expect("panic payload is a string");
             assert!(msg.contains("boom"), "P={size}: {msg}");
         }
+    }
+
+    #[test]
+    fn an_early_exit_ends_every_receive_it_strands() {
+        // Rank 1 exits without sending what rank 0 waits for, while rank 2
+        // waits on rank 0. Rank 1's exit notice ends rank 0's receive,
+        // and rank 0's own exit then ends rank 2's: no rank hangs.
+        let report = run(3, MachineModel::ideal(), |c| match c.rank() {
+            0 => c.try_recv_bytes(1, 7).err(),
+            2 => c.try_recv_bytes(0, 8).err(),
+            _ => None,
+        });
+        let ended = |r: usize| match &report.results[r] {
+            Some(CommError::PeersDisconnected { rank, src, tag, .. }) => (*rank, *src, *tag),
+            other => panic!("rank {r}: expected PeersDisconnected, got {other:?}"),
+        };
+        assert_eq!(ended(0), (0, 1, 7));
+        assert_eq!(ended(2), (2, 0, 8));
+        assert!(report.results[1].is_none());
     }
 
     #[test]

@@ -186,17 +186,19 @@ impl Profile {
         }
     }
 
-    /// True when the path segments abut pairwise and span `[0, makespan]`.
+    /// True when every path segment runs forward, the segments abut
+    /// pairwise and they span `[0, makespan]`.
     pub fn is_contiguous(&self) -> bool {
-        if self.critical_path.is_empty() {
-            return false;
+        let path = &self.critical_path;
+        match (path.first(), path.last()) {
+            (Some(first), Some(last)) => {
+                first.t0 == 0.0
+                    && last.t1 == self.makespan
+                    && path.iter().all(|s| s.t1 >= s.t0)
+                    && path.windows(2).all(|w| w[0].t1 == w[1].t0)
+            }
+            _ => false,
         }
-        self.critical_path[0].t0 == 0.0
-            && self.critical_path.last().expect("non-empty").t1 == self.makespan
-            && self
-                .critical_path
-                .windows(2)
-                .all(|w| w[0].t1 == w[1].t0 && w[0].t1 >= w[0].t0)
     }
 
     /// Versioned JSON dump: `{"schema_version":…,"kind":"profile",…}`.
@@ -424,6 +426,27 @@ mod tests {
         p.critical_path[1].t0 = 0.5;
         assert!(!p.is_contiguous());
         assert!(Profile::default().critical_path_seconds() == 0.0);
+        // Abutting segments that span `[0, makespan]` are not enough:
+        // every one, the last included, must run forward.
+        let segment = |t0, t1| PathSegment {
+            rank: 0,
+            t0,
+            t1,
+            class: BlameClass::Compute,
+            phase: None,
+        };
+        let p = Profile {
+            makespan: 3.0,
+            critical_path: vec![segment(0.0, 5.0), segment(5.0, 3.0)],
+            ..sample()
+        };
+        assert!(!p.is_contiguous());
+        let alone = Profile {
+            makespan: -1.0,
+            critical_path: vec![segment(0.0, -1.0)],
+            ..sample()
+        };
+        assert!(!alone.is_contiguous());
     }
 
     #[test]
