@@ -40,6 +40,11 @@
 #   each one update to a state already loaded: `ChannelState::add_span`,
 #   `CoarseState::apply`, the two `merge_external`s and the remove and
 #   re-add of `ChannelState::flip`;
+# - when the robustness matrices grow a second cell runner: `chaos` and
+#   `stress` list their cells as values and run each through `Cell::run`,
+#   so crates/bench/src/tables/robustness.rs has at most one non-test
+#   call site of `run_cell(` (that method) and one of `catch_unwind(`
+#   (the stress loop's panic-to-outcome guard);
 # - when anything under crates/core/src names `RouteAbort`: the engine
 #   matches `pgr_mpi::PhaseControl` itself;
 # - when `DensityProfile` grows a tree again: a non-test line of
@@ -162,21 +167,32 @@ if [ -n "$nested" ]; then
     exit 1
 fi
 
-# "<file>:<line>:<text>" of every non-test, non-comment line under
-# crates/core/src that calls (not defines) $1.
+# "<file>:<line>:<text>" of every non-test, non-comment line of the files
+# $2... that calls (not defines) $1.
 calls() {
-    # shellcheck disable=SC2046
-    awk -v call="$1" '
+    call=$1
+    shift
+    awk -v call="$call" '
         FNR == 1 { in_tests = 0 }
         /^#\[cfg\(test\)\]/ { in_tests = 1 }
         !in_tests && !/^[ \t]*\/\// && !/fn / && index($0, call) { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
-    ' $(find crates/core/src -name '*.rs')
+    ' "$@"
 }
 for want in 'CoarseState::charged( 1' 'connect_all( 2' 'ChannelState::from_spans( 3' '.add_span( 6'; do
     call=${want% *}
-    sites=$(calls "$call")
+    # shellcheck disable=SC2046
+    sites=$(calls "$call" $(find crates/core/src -name '*.rs'))
     if [ "$(echo "$sites" | grep -c .)" -ne "${want#* }" ]; then
         echo "surface: $call must have ${want#* } call site(s) under crates/core/src (the step bodies live in route::serial::RouteState; span lists load through DensityProfile::load_spans):" >&2
+        echo "$sites" >&2
+        exit 1
+    fi
+done
+
+for call in 'run_cell(' 'catch_unwind('; do
+    sites=$(calls "$call" crates/bench/src/tables/robustness.rs)
+    if [ "$(echo "$sites" | grep -c .)" -gt 1 ]; then
+        echo "surface: the robustness matrices run every cell through Cell::run (one $call call site in tables/robustness.rs):" >&2
         echo "$sites" >&2
         exit 1
     fi

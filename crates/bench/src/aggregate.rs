@@ -83,10 +83,11 @@ fn parse_run_meta(v: &Json, path: &Path) -> Result<RunMeta, String> {
     RunMeta::from_json(run).map_err(|e| ctx(path, &e))
 }
 
-/// Parse one dump file, checking `schema_version` and `kind`. Files an
-/// older (or newer) writer produced are rejected with a clear error
-/// instead of being silently mis-read.
-fn parse_dump(path: &Path, text: &str) -> Result<(RunMeta, Json, String), String> {
+/// Parse a dump or baseline file and check its header: a
+/// `schema_version` this reader understands, and a `kind`, returned.
+/// Files an older (or newer) writer produced are rejected with a clear
+/// error naming `path` instead of being silently mis-read.
+fn parse_header(path: &Path, text: &str) -> Result<(Json, String), String> {
     let v = Json::parse(text).map_err(|e| ctx(path, &format!("unparseable JSON ({e})")))?;
     let version = v
         .get("schema_version")
@@ -108,8 +109,7 @@ fn parse_dump(path: &Path, text: &str) -> Result<(RunMeta, Json, String), String
         .and_then(|f| f.as_str())
         .ok_or_else(|| ctx(path, "missing \"kind\""))?
         .to_string();
-    let run = parse_run_meta(&v, path)?;
-    Ok((run, v, kind))
+    Ok((v, kind))
 }
 
 /// Reject phase names outside the [`Phase`] registry: a dump naming an
@@ -292,7 +292,8 @@ pub fn load_paths(paths: &[PathBuf]) -> Result<Vec<RunRecord>, String> {
     let mut by_key: BTreeMap<RunKey, RunRecord> = BTreeMap::new();
     for f in &files {
         let text = std::fs::read_to_string(f).map_err(|e| ctx(f, &format!("unreadable ({e})")))?;
-        let (run, v, kind) = parse_dump(f, &text)?;
+        let (v, kind) = parse_header(f, &text)?;
+        let run = parse_run_meta(&v, f)?;
         let rec = by_key.entry(run_key(&run)).or_insert_with(|| RunRecord {
             run,
             makespan: None,
@@ -756,24 +757,18 @@ pub fn check_baseline(
     baseline_text: &str,
     tolerance: f64,
 ) -> Result<Vec<Regression>, String> {
-    let v = Json::parse(baseline_text).map_err(|e| format!("baseline unparseable: {e}"))?;
-    match v.get("schema_version").and_then(|f| f.as_u64()) {
-        Some(ver) if ver == SCHEMA_VERSION as u64 => {}
-        Some(ver) => {
-            return Err(format!(
-                "baseline schema_version {ver} (this reader understands {SCHEMA_VERSION})"
-            ))
-        }
-        None => return Err("baseline missing schema_version".to_string()),
-    }
-    if v.get("kind").and_then(|f| f.as_str()) != Some("aggregate") {
-        return Err("baseline is not an aggregate report".to_string());
+    let path = Path::new("<baseline>");
+    let (v, kind) = parse_header(path, baseline_text)?;
+    if kind != "aggregate" {
+        return Err(ctx(
+            path,
+            &format!("kind \"{kind}\", not an aggregate report"),
+        ));
     }
     let base_records = v
         .get("records")
         .and_then(|f| f.as_arr())
-        .ok_or_else(|| "baseline missing records".to_string())?;
-    let path = Path::new("<baseline>");
+        .ok_or_else(|| ctx(path, "missing \"records\""))?;
     let mut regressions = Vec::new();
     for b in base_records {
         let run = parse_run_meta(b, path)?;

@@ -1,17 +1,60 @@
 //! Robustness smokes: message faults and rank kills (`chaos`), the
 //! adversarial workload × chaos × budget matrix (`stress`), and routing
 //! an instance an order of magnitude past the paper's (`big-circuit`).
+//! `chaos` and `stress` each list their [`Cell`]s, then one loop runs
+//! and prints them.
 
 use super::cell::{cfg, clamp_procs, phase_seconds, routed, run_cell, Opts};
 use crate::{fmt_secs, SEED};
 use pgr_circuit::Circuit;
 use pgr_mpi::{
     ChaosConfig, ChaosLayer, InstrumentConfig, MachineModel, MetricsConfig, ReliabilityConfig,
+    ResourceBudget, RunMeta,
 };
 use pgr_obs::recovery_names;
 use pgr_router::metrics::names;
-use pgr_router::{Algorithm, PartitionKind, RecoveryPolicy, RouterConfig};
+use pgr_router::{Algorithm, GuardedOutcome, PartitionKind, RecoveryPolicy, RouterConfig};
+use std::rc::Rc;
 use std::sync::Arc;
+
+/// One cell of a robustness matrix, as a value: the route (circuit,
+/// driver, ranks), the router configuration with the cell's budget or
+/// recovery policy already applied, the fault schedule it runs under,
+/// and the label and stamped [`RunMeta`] its artefacts are written
+/// under. `key` holds the target's own row coordinates.
+struct Cell<K> {
+    key: K,
+    circuit: Rc<Circuit>,
+    algo: Algorithm,
+    p: usize,
+    cfg: RouterConfig,
+    chaos: Option<ChaosConfig>,
+    label: String,
+    run: RunMeta,
+}
+
+impl<K> Cell<K> {
+    /// Route the cell through [`run_cell`] on the SparcCenter model, with
+    /// metrics on for every cell (serial ones included: the serial time
+    /// lever is the stress cell that actually sheds, so its dumps carry
+    /// the shed-rate series the aggregator trends). A fault schedule
+    /// brings its [`ChaosLayer`] and the reliable transport. The cell's
+    /// artefacts are written (under `--trace-out`) only when `emit`.
+    fn run(&self, opts: &Opts, emit: bool) -> GuardedOutcome {
+        let mut instr = InstrumentConfig {
+            metrics: MetricsConfig::on(),
+            ..opts.instrument()
+        };
+        if let Some(chaos) = &self.chaos {
+            instr.fault = Some(Arc::new(ChaosLayer::new(chaos.clone())));
+            instr.reliability = ReliabilityConfig::on();
+        }
+        let driver = (self.algo, PartitionKind::PinWeight, self.p);
+        let emit = opts.emit(&self.label, self.run.clone()).filter(|_| emit);
+        let machine = MachineModel::sparc_center_1000();
+        run_cell(&self.circuit, &self.cfg, driver, machine, instr, emit)
+    }
+}
 
 /// Beyond the paper: chaos smoke — every algorithm routed under a seeded
 /// fault schedule (drop + delay + reorder + duplicate + corruption) with
@@ -36,7 +79,6 @@ use std::sync::Arc;
 /// phases past the agreed boundary, a full restart redoes them all.
 pub fn chaos_smoke(opts: &Opts) {
     let machine = MachineModel::sparc_center_1000();
-    let cfg = cfg();
     println!("Chaos smoke: message faults + rank kills, reliable transport on");
     opts.note_scale();
     // The protocol-effort and recovery columns: `(title, width, counter
@@ -59,164 +101,91 @@ pub fn chaos_smoke(opts: &Opts) {
         print!(" {title:>width$}");
     }
     println!();
-    // One chaos cell: run under `chaos` with the reliable transport on
-    // and metrics collected, then print the protocol-effort row.
-    // `fallback` only picks the row's labels.
-    let chaos_cell = |c: &Circuit,
-                      cfg: &RouterConfig,
-                      algo: Algorithm,
-                      p: usize,
-                      chaos: ChaosConfig,
-                      fallback: bool| {
-        let killed: Vec<String> = chaos.kills.iter().map(|(r, _)| r.to_string()).collect();
-        let killed = if killed.is_empty() {
-            "-".into()
-        } else {
-            killed.join("+")
-        };
-        let instr = InstrumentConfig {
-            metrics: MetricsConfig::on(),
-            fault: Some(Arc::new(ChaosLayer::new(chaos))),
-            reliability: ReliabilityConfig::on(),
-            ..opts.instrument()
-        };
-        let tag = if fallback { "fallback" } else { "chaos" };
-        let label = format!("{}_{}_{tag}_p{p}", c.name, algo.name());
-        let stamp = format!("{}-{tag}", algo.name());
-        let out = run_cell(
-            c,
-            cfg,
-            (algo, PartitionKind::PinWeight, p),
-            machine,
-            instr,
-            opts.emit(&label, opts.run_meta(&c.name, &stamp, p, &machine)),
-        );
-        print!(
-            "{:<12} {:<10} {:>2} {:>6} {:>8}",
-            c.name,
-            if fallback { tag } else { algo.name() },
-            p,
-            killed,
-            routed(&out).track_count(),
-        );
-        for (_, width, counter) in effort {
-            let sum: u64 = out.metrics.iter().filter_map(|m| m.counter(counter)).sum();
-            print!(" {sum:>width$}");
-        }
-        println!(
-            "{}",
-            if fallback {
-                "  (serial fallback, verified)"
-            } else {
-                ""
-            }
-        );
-        out
-    };
-    for c in opts.circuits() {
+
+    // The cells, keyed by the row's algorithm column: every algorithm
+    // under the message faults and a kill schedule (tag `chaos`), then
+    // the fallback cell (tag `fallback`).
+    let mut cells = Vec::new();
+    for c in opts.circuits().into_iter().map(Rc::new) {
         let p = clamp_procs(4, &c);
         if let Some((rank, _)) = opts.kills.iter().find(|(rank, _)| *rank >= p) {
             let name = &c.name;
             eprintln!("repro: --kill rank {rank} is out of range for circuit {name} (P = {p})");
             std::process::exit(2);
         }
+        let cell = |algo: Algorithm, cfg, kills, tag| Cell {
+            key: if tag == "chaos" { algo.name() } else { tag },
+            circuit: c.clone(),
+            algo,
+            p,
+            cfg,
+            chaos: Some(ChaosConfig {
+                kills,
+                ..ChaosConfig::messages_with_corruption(SEED)
+            }),
+            label: format!("{}_{}_{tag}_p{p}", c.name, algo.name()),
+            run: opts.run_meta(&c.name, &format!("{}-{tag}", algo.name()), p, &machine),
+        };
+        // Default schedule: the highest rank dies entering its third
+        // phase; the survivors restore its coarse-boundary snapshot and
+        // resume on P-1. `--kill` replaces the schedule wholesale.
+        let kills = match p {
+            1 => Vec::new(),
+            _ if opts.kills.is_empty() => vec![(p - 1, 2)],
+            _ => opts.kills.clone(),
+        };
         for algo in Algorithm::ALL {
-            let mut chaos = ChaosConfig::messages_with_corruption(SEED);
-            // Default schedule: the highest rank dies entering its third
-            // phase; the survivors restore its coarse-boundary snapshot
-            // and resume on P-1. `--kill` replaces the schedule wholesale.
-            if p > 1 {
-                chaos.kills = if opts.kills.is_empty() {
-                    vec![(p - 1, 2)]
-                } else {
-                    opts.kills.clone()
-                };
-            }
-            chaos_cell(&c, &cfg, algo, p, chaos, false);
+            cells.push(cell(algo, cfg(), kills.clone(), "chaos"));
         }
-
         // Kill-heavy pass: the same schedule under a one-round recovery
         // budget breaches the policy, so the run must finish via the
         // serial fallback — degraded, stamped, and auto-verified.
         if p > 1 {
-            let mut chaos = ChaosConfig::messages_with_corruption(SEED);
-            chaos.kills = vec![(p - 1, 1)];
-            let fallback_cfg = RouterConfig {
-                recovery: RecoveryPolicy { max_rounds: 1 },
-                ..cfg.clone()
-            };
-            let out = chaos_cell(&c, &fallback_cfg, Algorithm::Hybrid, p, chaos, true);
-            assert!(out.degraded, "{}: the one-round budget must breach", c.name);
+            let kills = vec![(p - 1, 1)];
+            let mut one_round = cfg();
+            one_round.recovery = RecoveryPolicy { max_rounds: 1 };
+            cells.push(cell(Algorithm::Hybrid, one_round, kills, "fallback"));
+        }
+    }
+
+    for cell in &cells {
+        let out = cell.run(opts, true);
+        let kills = cell.chaos.iter().flat_map(|c| &c.kills);
+        let killed: Vec<String> = kills.map(|(rank, _)| rank.to_string()).collect();
+        let killed = killed.join("+");
+        print!(
+            "{:<12} {:<10} {:>2} {:>6} {:>8}",
+            cell.circuit.name,
+            cell.key,
+            cell.p,
+            if killed.is_empty() { "-" } else { &killed },
+            routed(&out).track_count(),
+        );
+        for (_, width, counter) in effort {
+            let sum: u64 = out.metrics.iter().filter_map(|m| m.counter(counter)).sum();
+            print!(" {sum:>width$}");
+        }
+        if cell.key == "fallback" {
+            println!("  (serial fallback, verified)");
+            let name = &cell.circuit.name;
+            assert!(out.degraded, "{name}: the one-round budget must breach");
+        } else {
+            println!();
         }
     }
     println!();
 }
 
-/// One stress-matrix cell's observed result, compared bit-for-bit
-/// across the determinism re-run.
-#[derive(Debug, Clone, PartialEq)]
-struct StressCell {
-    /// `routed` | `degraded` | `budget_exceeded` | `panic`.
-    outcome: &'static str,
-    /// Track count of a completed route (None on error/panic).
-    tracks: Option<i64>,
-    /// Virtual makespan bits (0 on panic).
-    time_bits: u64,
-    /// Breach / shed / recovery detail for the table.
-    note: String,
-}
-
-/// Budget lever applied to one stress cell. `Time` and `Mem` are
-/// derived from the family's own unbudgeted serial probe, so the matrix
-/// self-calibrates across scales; `Rounds` arms
-/// [`pgr_mpi::ResourceBudget::max_recovery_rounds`] `= 0` under a kill
-/// schedule.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum StressBudget {
-    Unlimited,
-    Time,
-    Mem,
-    Rounds,
-}
-
-impl StressBudget {
-    fn name(self) -> &'static str {
-        match self {
-            StressBudget::Unlimited => "unlimited",
-            StressBudget::Time => "time",
-            StressBudget::Mem => "mem",
-            StressBudget::Rounds => "rounds",
-        }
-    }
-
-    /// Materialize against the family's serial probe.
-    fn materialize(self, probe: &StressProbe) -> pgr_mpi::ResourceBudget {
-        let mut b = pgr_mpi::ResourceBudget::unlimited();
-        match self {
-            StressBudget::Unlimited => {}
-            StressBudget::Time => b.max_phase_seconds = Some(probe.time_limit),
-            StressBudget::Mem => b.max_rank_bytes = Some((probe.peak_mem / 2).max(1)),
-            StressBudget::Rounds => b.max_recovery_rounds = Some(0),
-        }
-        b
-    }
-}
-
-/// One family's unbudgeted serial probe: the self-calibration every
-/// budget lever of its row block derives from.
-struct StressProbe {
-    peak_mem: u64,
-    /// The per-phase time lever. When the optional coarse phase is the
-    /// slowest phase of the probe, the lever lands midway between it and
-    /// the slowest mandatory phase — mandatory phases fit, coarse
-    /// overruns and *sheds*, and the run completes `budget_degraded`.
-    /// On families whose mandatory work dominates, the lever falls back
-    /// to a third of the total, and the overrun lands in a mandatory
-    /// phase as the structured hard breach.
-    time_limit: f64,
-}
-
-fn stress_probe(opts: &Opts, circuit: &Circuit, machine: MachineModel) -> StressProbe {
+/// The budget levers of a stress family's row block — `unlimited`,
+/// `time`, `mem` and `rounds` — self-calibrated from the family's unbudgeted serial probe so the
+/// matrix holds across scales. `mem` is half the probe's peak. `time`
+/// lands midway between the coarse phase and the slowest mandatory one
+/// when coarse is the slowest (mandatory phases fit, coarse overruns and
+/// *sheds*: the run completes `budget_degraded`), else at a third of the
+/// total (the overrun is a mandatory phase's structured hard breach).
+/// `rounds` arms [`ResourceBudget::max_recovery_rounds`] `= 0`.
+fn levers(opts: &Opts, circuit: &Circuit) -> [ResourceBudget; 4] {
+    let machine = MachineModel::sparc_center_1000();
     let probe = opts.cell(circuit, &cfg(), Algorithm::Serial, 1, machine, None);
     let s = &probe.stats[0];
     let coarse = phase_seconds(s, "coarse");
@@ -231,28 +200,36 @@ fn stress_probe(opts: &Opts, circuit: &Circuit, machine: MachineModel) -> Stress
     } else {
         s.time / 3.0
     };
-    StressProbe {
-        peak_mem: s.peak_mem,
-        time_limit,
-    }
+    let unlimited = ResourceBudget::unlimited();
+    let mut time = unlimited;
+    time.max_phase_seconds = Some(time_limit);
+    let mut mem = unlimited;
+    mem.max_rank_bytes = Some((s.peak_mem / 2).max(1));
+    let mut rounds = unlimited;
+    rounds.max_recovery_rounds = Some(0);
+    [unlimited, time, mem, rounds]
 }
 
-/// Chaos schedule applied to one stress cell (parallel cells only).
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum StressChaos {
-    None,
-    Messages,
-    Kill,
-}
-
-impl StressChaos {
-    fn name(self) -> &'static str {
-        match self {
-            StressChaos::None => "none",
-            StressChaos::Messages => "messages",
-            StressChaos::Kill => "kill",
-        }
-    }
+/// What a stress cell ended as, compared bit for bit across its two runs:
+/// `(outcome, tracks, makespan bits, detail)`. The outcome is `routed`,
+/// `degraded` (completed by shedding refinement or by the recovery
+/// fallback, verified) or `budget_exceeded`; `killed` says the cell ran
+/// under a kill schedule, so a clean finish means it recovered.
+fn observe(out: &GuardedOutcome, killed: bool) -> (&'static str, Option<i64>, u64, String) {
+    use pgr_router::RouteError;
+    let notes = [
+        (out.budget_degraded, "shed refinement"),
+        (out.degraded, "serial fallback"),
+        (killed && !out.degraded, "recovered"),
+    ];
+    let notes: Vec<&str> = notes.iter().filter(|n| n.0).map(|n| n.1).collect();
+    let (outcome, note) = match &out.result {
+        Ok(_) if out.degraded || out.budget_degraded => ("degraded", notes.join(", ")),
+        Ok(_) => ("routed", notes.join(", ")),
+        Err(e @ RouteError::BudgetExceeded { .. }) => ("budget_exceeded", e.to_string()),
+    };
+    let tracks = out.result.as_ref().ok().map(|r| r.track_count());
+    (outcome, tracks, out.time.to_bits(), note)
 }
 
 /// `repro stress`: the adversarial workload × chaos × algorithm matrix.
@@ -272,13 +249,11 @@ impl StressChaos {
 /// can trend shed rates.
 pub fn stress(opts: &Opts) {
     use pgr_circuit::scenarios::{ScenarioFamily, ScenarioSpec};
-    use pgr_router::RouteError;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     let machine = MachineModel::sparc_center_1000();
     let full_matrix = opts.families.is_none();
-    let all = ScenarioFamily::ALL.to_vec();
-    let families = opts.families.clone().unwrap_or(all);
+    let families = opts.families.as_deref().unwrap_or(&ScenarioFamily::ALL);
     println!("Stress matrix: adversarial workloads × chaos × drivers (SparcCenter model)");
     opts.note_scale();
     println!(
@@ -286,169 +261,103 @@ pub fn stress(opts: &Opts) {
         "family", "algorithm", "P", "chaos", "budget", "outcome", "tracks"
     );
 
-    let mut panics = 0usize;
+    // The cells, keyed by `(family, chaos, budget)`. Serial takes the
+    // budget levers without chaos; every parallel driver takes budgets,
+    // message chaos, and — where the clamped world is big enough to lose
+    // a rank (never serial's one) — kill chaos with the recovery-round
+    // budget. The cell coordinates ride in the scenario stamp: every
+    // other RunMeta field is shared across a family's budget/chaos
+    // cells, and the aggregator keys records by it.
+    let mut cells = Vec::new();
+    for &family in families {
+        let spec = ScenarioSpec::new(family, opts.scale, SEED);
+        let circuit = Rc::new(spec.generate());
+        circuit
+            .validate()
+            .unwrap_or_else(|e| panic!("{}: generated circuit invalid: {e:?}", spec.name()));
+        let [unlimited, time, mem, rounds] = levers(opts, &circuit);
+        for algo in Algorithm::DRIVERS {
+            let p = clamp_procs(algo.ranks(3), &circuit);
+            let msgs = ChaosConfig::messages_with_corruption(SEED);
+            // Kills only, no message faults: the cell isolates recovery.
+            let kill = ChaosConfig {
+                drop: 0.0,
+                reorder: 0.0,
+                duplicate: 0.0,
+                delay: 0.0,
+                kills: vec![(p - 1, 2)],
+                ..ChaosConfig::messages_only(SEED)
+            };
+            let parallel = algo != Algorithm::Serial;
+            let grid = [
+                (true, "none", None, "unlimited", unlimited),
+                (true, "none", None, "time", time),
+                (true, "none", None, "mem", mem),
+                (parallel, "messages", Some(&msgs), "unlimited", unlimited),
+                (parallel, "messages", Some(&msgs), "time", time),
+                (p > 1, "kill", Some(&kill), "unlimited", unlimited),
+                (p > 1, "kill", Some(&kill), "rounds", rounds),
+            ];
+            for (_, chaos, schedule, lever, budget) in grid.into_iter().filter(|g| g.0) {
+                let algo_name = algo.name();
+                let mut run = opts.run_meta(&circuit.name, algo_name, p, &machine);
+                run.scenario = format!("{}/{chaos}/{lever}", spec.name());
+                let label = format!("stress_{}_{algo_name}_{chaos}_{lever}_p{p}", family.name());
+                cells.push(Cell {
+                    key: (family, chaos, lever),
+                    circuit: circuit.clone(),
+                    algo,
+                    p,
+                    cfg: RouterConfig { budget, ..cfg() },
+                    chaos: schedule.cloned(),
+                    label,
+                    run,
+                });
+            }
+        }
+    }
+
     let mut divergent = 0usize;
     // Outcomes some cell ended in, plus "shed" once congestion-stress
     // degrades under the time lever.
     let mut seen: Vec<&str> = Vec::new();
-
-    for family in families {
-        let spec = ScenarioSpec::new(family, opts.scale, SEED);
-        let circuit = spec.generate();
-        circuit
-            .validate()
-            .unwrap_or_else(|e| panic!("{}: generated circuit invalid: {e:?}", spec.name()));
-        let probe = stress_probe(opts, &circuit, machine);
-
-        // (algorithm, procs, chaos, budget) cells of this family's row
-        // block. Serial takes the budget levers without chaos; every
-        // parallel driver takes budgets, message chaos, and — where the
-        // clamped world is big enough to lose a rank — kill chaos with
-        // the recovery-round budget.
-        let mut cells: Vec<(Algorithm, usize, StressChaos, StressBudget)> = Vec::new();
-        for algo in Algorithm::DRIVERS {
-            let p = clamp_procs(algo.ranks(3), &circuit);
-            for budget in [
-                StressBudget::Unlimited,
-                StressBudget::Time,
-                StressBudget::Mem,
-            ] {
-                cells.push((algo, p, StressChaos::None, budget));
+    for cell in &cells {
+        let (family, chaos, budget) = cell.key;
+        let [first, second] = [true, false].map(|emit| {
+            catch_unwind(AssertUnwindSafe(|| {
+                observe(&cell.run(opts, emit), chaos == "kill")
+            }))
+        });
+        let (outcome, tracks, _, note) = match (first, second) {
+            (Ok(a), Ok(b)) => {
+                if a != b {
+                    divergent += 1;
+                    let label = &cell.label;
+                    eprintln!("stress: NONDETERMINISTIC cell {label}: {a:?} vs {b:?}");
+                }
+                a
             }
-            if algo == Algorithm::Serial {
-                continue;
-            }
-            for budget in [StressBudget::Unlimited, StressBudget::Time] {
-                cells.push((algo, p, StressChaos::Messages, budget));
-            }
-            if p > 1 {
-                cells.push((algo, p, StressChaos::Kill, StressBudget::Unlimited));
-                cells.push((algo, p, StressChaos::Kill, StressBudget::Rounds));
-            }
+            _ => ("panic", None, 0, "routing panicked — see stderr".into()),
+        };
+        seen.push(outcome);
+        if outcome == "degraded" && family == ScenarioFamily::CongestionStress && budget == "time" {
+            seen.push("shed");
         }
-
-        for (algo, p, chaos, budget) in cells {
-            let algo_name = algo.name();
-            let cell = |write_artifacts: bool| -> StressCell {
-                let cfg = RouterConfig {
-                    budget: budget.materialize(&probe),
-                    ..cfg()
-                };
-                // Metrics on for every cell, serial included: the serial
-                // time lever is the cell that actually sheds (parallel
-                // gate collectives resync every boundary), so its dumps
-                // carry the shed-rate series the aggregator trends.
-                let mut instr = InstrumentConfig {
-                    metrics: MetricsConfig::on(),
-                    ..opts.instrument()
-                };
-                let schedule = match chaos {
-                    StressChaos::None => None,
-                    StressChaos::Messages => Some(ChaosConfig::messages_with_corruption(SEED)),
-                    // Kills only: no message faults, so the cell
-                    // isolates the recovery path.
-                    StressChaos::Kill => Some(ChaosConfig {
-                        drop: 0.0,
-                        reorder: 0.0,
-                        duplicate: 0.0,
-                        delay: 0.0,
-                        kills: vec![(p - 1, 2)],
-                        ..ChaosConfig::messages_only(SEED)
-                    }),
-                };
-                if let Some(schedule) = schedule {
-                    instr.fault = Some(Arc::new(ChaosLayer::new(schedule)));
-                    instr.reliability = ReliabilityConfig::on();
-                }
-                let label = format!(
-                    "stress_{}_{algo_name}_{}_{}_p{p}",
-                    family.name(),
-                    chaos.name(),
-                    budget.name()
-                );
-                let mut run = opts.run_meta(&circuit.name, algo_name, p, &machine);
-                // The cell coordinates ride in the scenario stamp: every
-                // other RunMeta field is shared across this family's
-                // budget/chaos cells, and the aggregator keys records by
-                // it.
-                run.scenario = format!("{}/{}/{}", spec.name(), chaos.name(), budget.name());
-                let out = run_cell(
-                    &circuit,
-                    &cfg,
-                    (algo, PartitionKind::PinWeight, p),
-                    machine,
-                    instr,
-                    opts.emit(&label, run).filter(|_| write_artifacts),
-                );
-                let notes = [
-                    (out.budget_degraded, "shed refinement"),
-                    (out.degraded, "serial fallback"),
-                    (chaos == StressChaos::Kill && !out.degraded, "recovered"),
-                ];
-                let notes: Vec<&str> = notes.iter().filter(|n| n.0).map(|n| n.1).collect();
-                let (outcome, note) = match &out.result {
-                    Ok(_) if out.degraded || out.budget_degraded => ("degraded", notes.join(", ")),
-                    Ok(_) => ("routed", notes.join(", ")),
-                    Err(e @ RouteError::BudgetExceeded { .. }) => {
-                        ("budget_exceeded", e.to_string())
-                    }
-                };
-                StressCell {
-                    outcome,
-                    tracks: out.result.as_ref().ok().map(|r| r.track_count()),
-                    time_bits: out.time.to_bits(),
-                    note,
-                }
-            };
-
-            let first = catch_unwind(AssertUnwindSafe(|| cell(true)));
-            let second = catch_unwind(AssertUnwindSafe(|| cell(false)));
-            let cell = match (&first, &second) {
-                (Ok(a), Ok(b)) => {
-                    if a != b {
-                        divergent += 1;
-                        eprintln!(
-                            "stress: NONDETERMINISTIC cell {} {} {} {}: {a:?} vs {b:?}",
-                            spec.name(),
-                            algo_name,
-                            chaos.name(),
-                            budget.name()
-                        );
-                    }
-                    a.clone()
-                }
-                _ => {
-                    panics += 1;
-                    StressCell {
-                        outcome: "panic",
-                        tracks: None,
-                        time_bits: 0,
-                        note: "routing panicked — see stderr".into(),
-                    }
-                }
-            };
-            seen.push(cell.outcome);
-            if cell.outcome == "degraded"
-                && family == ScenarioFamily::CongestionStress
-                && budget == StressBudget::Time
-            {
-                seen.push("shed");
-            }
-            println!(
-                "{:<20} {:<9} {:>2} {:<9} {:<10} {:<16} {:>7}  {}",
-                family.name(),
-                algo_name,
-                p,
-                chaos.name(),
-                budget.name(),
-                cell.outcome,
-                cell.tracks.map_or("-".to_string(), |t| t.to_string()),
-                cell.note
-            );
-        }
+        println!(
+            "{:<20} {:<9} {:>2} {:<9} {:<10} {:<16} {:>7}  {}",
+            family.name(),
+            cell.algo.name(),
+            cell.p,
+            chaos,
+            budget,
+            outcome,
+            tracks.map_or("-".to_string(), |t| t.to_string()),
+            note
+        );
     }
 
     let mut failures = Vec::new();
+    let panics = seen.iter().filter(|&&outcome| outcome == "panic").count();
     if panics > 0 {
         failures.push(format!("{panics} cell(s) panicked"));
     }

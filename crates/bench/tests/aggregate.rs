@@ -367,6 +367,14 @@ fn baseline_check_passes_on_self_and_flags_injected_regression() {
         0.02
     )
     .is_err());
+    // So is a current-schema file of another kind: a stats dump is no
+    // baseline, however well it parses.
+    let stats = agg
+        .to_json()
+        .replace("\"kind\":\"aggregate\"", "\"kind\":\"stats\"");
+    assert_ne!(stats, agg.to_json(), "fixture lost its kind");
+    let err = check_baseline(&agg, &stats, 0.02).unwrap_err();
+    assert!(err.contains("not an aggregate report"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -651,7 +651,7 @@ impl Transport {
             rank: self.rank,
             dead,
             tag,
-            last_heartbeat: death.clock,
+            died_at: death.clock,
             phase: death.phase.name(),
             boundary: death.boundary,
         }
@@ -930,7 +930,7 @@ mod tests {
                         rank: 1,
                         dead: 0,
                         tag: TAG,
-                        last_heartbeat: 2.5,
+                        died_at: 2.5,
                         phase: "coarse",
                         boundary: 3,
                     }

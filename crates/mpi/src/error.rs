@@ -59,9 +59,9 @@ pub enum CommError {
         /// The dead peer (physical rank id).
         dead: usize,
         tag: u32,
-        /// Virtual clock of the victim's last sign of life: the
-        /// boundary crossing it died at.
-        last_heartbeat: f64,
+        /// The victim's virtual clock at death: the boundary crossing
+        /// it died at.
+        died_at: f64,
         /// Phase the victim died at.
         phase: &'static str,
         /// Phase-boundary count the victim died at.
@@ -207,14 +207,14 @@ impl fmt::Display for CommError {
                 rank,
                 dead,
                 tag,
-                last_heartbeat,
+                died_at,
                 phase,
                 boundary,
             } => {
                 write!(
                     f,
                     "rank {rank}: recv(src={dead}, tag={tag}) — peer rank {dead} is dead \
-                     (killed at {last_heartbeat:.6}s virtual, entering phase \
+                     (killed at {died_at:.6}s virtual, entering phase \
                      \"{phase}\" at boundary {boundary})"
                 )
             }
@@ -320,12 +320,12 @@ mod tests {
     }
 
     #[test]
-    fn rank_dead_display_carries_heartbeat_and_phase() {
+    fn rank_dead_display_carries_death_clock_and_phase() {
         let e = CommError::RankDead {
             rank: 0,
             dead: 3,
             tag: 11,
-            last_heartbeat: 1.25,
+            died_at: 1.25,
             phase: "coarse",
             boundary: 4,
         };

@@ -567,14 +567,14 @@ fn phase_kill_surfaces_rank_dead_and_world_remaps() {
                         rank,
                         dead,
                         tag,
-                        last_heartbeat,
+                        died_at,
                         phase,
                         boundary,
                     } => {
                         assert_eq!(rank, comm.physical_rank());
                         assert_eq!(dead, 1);
                         assert_eq!(tag, DATA);
-                        assert!(last_heartbeat >= 0.0 && last_heartbeat.is_finite());
+                        assert!(died_at >= 0.0 && died_at.is_finite());
                         assert_eq!(phase, "setup");
                         assert_eq!(boundary, 1);
                     }

@@ -14,10 +14,9 @@ const DATA: u32 = 7;
 /// A dropped message never reaches the receiver: once the sender has
 /// exited, the blocked receive reports a structured
 /// `CommError::PeersDisconnected`, and the sender's metrics count the
-/// injected drop. (The name predates the removal of the real-time recv
-/// watchdog that used to report this stall.)
+/// injected drop.
 #[test]
-fn dropped_message_is_seen_by_watchdog_and_metrics() {
+fn dropped_message_is_seen_by_exit_notice_and_metrics() {
     let instr = InstrumentConfig {
         metrics: MetricsConfig::on(),
         fault: Some(Arc::new(Matching {
