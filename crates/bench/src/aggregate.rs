@@ -15,11 +15,11 @@
 //!   merged metric shards, scaled against the serial run.
 //!
 //! The report renders as JSON (machine-readable, and itself versioned)
-//! and as a markdown table. [`check_baseline`] compares a fresh
-//! aggregate against a committed one and reports regressions beyond a
-//! relative tolerance — the CI gate. Because every number here is
-//! virtual time from the deterministic simulation, baselines are stable
-//! across hosts: any drift is a real behavior change.
+//! and as a markdown table. Every number here is virtual time or a
+//! counter of the deterministic simulation, so the JSON is the same bytes
+//! on every host: `ci/baseline-aggregate.json` is a golden file, and a
+//! fresh aggregate must equal it byte for byte (regenerate it to change
+//! a virtual result).
 
 use pgr_mpi::RECV_WAIT_MICROS;
 use pgr_obs::budget_names::SHED_EVENTS;
@@ -77,13 +77,13 @@ fn ctx(path: &Path, what: &str) -> String {
     format!("{}: {what}", path.display())
 }
 
-/// The [`RunMeta`] of a dump or of a baseline record.
+/// The [`RunMeta`] of a dump.
 fn parse_run_meta(v: &Json, path: &Path) -> Result<RunMeta, String> {
     let run = v.get("run").ok_or_else(|| ctx(path, "missing \"run\""))?;
     RunMeta::from_json(run).map_err(|e| ctx(path, &e))
 }
 
-/// Parse a dump or baseline file and check its header: a
+/// Parse a dump file and check its header: a
 /// `schema_version` this reader understands, and a `kind`, returned.
 /// Files an older (or newer) writer produced are rejected with a clear
 /// error naming `path` instead of being silently mis-read.
@@ -331,55 +331,53 @@ pub struct PhaseAgg {
     pub counters: Vec<(String, u64)>,
 }
 
-/// A run-level series: its key in the aggregate JSON, whether
-/// [`check_baseline`] gates it (every gated series is higher-is-worse),
-/// and its value for a run given the `"serial"` run of the same
-/// (circuit, machine, scale, seed), when that one was loaded.
+/// A run-level series: its key in the aggregate JSON and its value for a
+/// run given the `"serial"` run of the same (circuit, machine, scale,
+/// seed), when that one was loaded.
 type RunSeries = (
     &'static str,
-    bool,
     fn(&RunRecord, Option<&RunRecord>) -> Option<f64>,
 );
 
 /// Every run-level series, in JSON order: the one declaration
-/// [`aggregate`], [`Aggregate::to_json`] and [`check_baseline`] loop over.
-/// Counters are exact in `f64` and print as the integers they are.
+/// [`aggregate`] and [`Aggregate::to_json`] loop over. Counters are exact
+/// in `f64` and print as the integers they are.
 const RUN_SERIES: [RunSeries; 10] = [
-    ("makespan", true, |r, _| r.makespan),
+    ("makespan", |r, _| r.makespan),
     // `serial makespan / this makespan`.
-    ("speedup", false, |r, base| {
+    ("speedup", |r, base| {
         let (b, t) = (base?.makespan?, r.makespan?);
         (t > 0.0).then(|| b / t)
     }),
-    ("tracks", true, |r, _| counter(r, TRACKS)),
+    ("tracks", |r, _| counter(r, TRACKS)),
     // `tracks / serial tracks` (the paper's scaled-track quality).
-    ("scaled_tracks", false, |r, base| {
+    ("scaled_tracks", |r, base| {
         let (t, b) = (counter(r, TRACKS)?, counter(base?, TRACKS)?);
         (b > 0.0).then(|| t / b)
     }),
-    ("wirelength", true, |r, _| counter(r, WIRELENGTH)),
-    ("feedthroughs", false, |r, _| counter(r, FEEDTHROUGHS)),
+    ("wirelength", |r, _| counter(r, WIRELENGTH)),
+    ("feedthroughs", |r, _| counter(r, FEEDTHROUGHS)),
     // Phases recovery rounds had to re-run, rank-summed. Absent on
-    // fault-free runs; a chaos run that redoes more of them than the
-    // baseline lost resume coverage (e.g. a boundary stopped committing
-    // portably and the round fell back to a restart).
-    ("redone_phases", true, |r, _| counter(r, REDONE_PHASES)),
+    // fault-free runs; a chaos run that redoes more of them lost resume
+    // coverage (e.g. a boundary stopped committing portably and the
+    // round fell back to a restart).
+    ("redone_phases", |r, _| counter(r, REDONE_PHASES)),
     // Refinement chunks dropped under a `max_phase_seconds` budget,
     // rank-summed. Absent on runs that never shed; a budgeted run that
-    // drops more than its baseline lost quality headroom even though it
-    // still completed inside its budget.
-    ("shed_events", true, |r, _| counter(r, SHED_EVENTS)),
+    // drops more lost quality headroom even though it still completed
+    // inside its budget.
+    ("shed_events", |r, _| counter(r, SHED_EVENTS)),
     // With `wait_fraction`, the efficiency series: a run that balances
-    // worse or waits longer than the baseline regressed even if quality
-    // and makespan stayed inside tolerance.
-    ("load_imbalance", true, |r, _| {
+    // worse or waits longer lost speedup even if quality and makespan
+    // stayed put.
+    ("load_imbalance", |r, _| {
         r.metrics.as_ref()?.gauge(LOAD_IMBALANCE)
     }),
     // Fraction of the run's total rank-seconds spent blocked in recv
     // past the modeled overhead: `Σ mpi.recv_wait_micros / 1e6` divided
     // by `procs × makespan`. Needs both dump kinds; 0 for a run that
     // never waited.
-    ("wait_fraction", true, |r, _| {
+    ("wait_fraction", |r, _| {
         let (m, t) = (r.metrics.as_ref()?, r.makespan?);
         let waited = m.counter(RECV_WAIT_MICROS).unwrap_or(0) as f64 / 1e6;
         (t > 0.0 && r.run.procs > 0).then(|| waited / (r.run.procs as f64 * t))
@@ -458,7 +456,7 @@ pub fn aggregate(records: &[RunRecord]) -> Aggregate {
                 .collect();
             AggRecord {
                 run: r.run.clone(),
-                series: RUN_SERIES.iter().map(|(_, _, of)| of(r, base)).collect(),
+                series: RUN_SERIES.iter().map(|(_, of)| of(r, base)).collect(),
                 bytes_sent: r.bytes_sent,
                 phases,
             }
@@ -475,8 +473,9 @@ fn opt_f64(v: Option<f64>) -> String {
 }
 
 impl Aggregate {
-    /// Machine-readable report, itself schema-versioned so a future
-    /// aggregator can gate on it.
+    /// Machine-readable report, itself schema-versioned: one record per
+    /// line, so a line diff against the golden file names the run and the
+    /// field that changed.
     pub fn to_json(&self) -> String {
         let rows: Vec<String> = self
             .records
@@ -705,121 +704,4 @@ impl Aggregate {
         }
         out
     }
-}
-
-/// A gated per-phase series: its name in a regression, its path inside a
-/// baseline phase object, and its value in a fresh [`PhaseAgg`].
-type PhaseSeries = (
-    &'static str,
-    &'static [&'static str],
-    fn(&PhaseAgg) -> Option<f64>,
-);
-
-/// Virtual seconds and the phase-scoped wirelength must not drift past
-/// tolerance either — a regression hiding inside one phase while the
-/// totals stay flat is exactly what the windows exist to catch.
-const PHASE_SERIES: [PhaseSeries; 3] = [
-    ("seconds", &["seconds"], |p| p.seconds),
-    ("wait seconds", &["wait_seconds"], |p| p.wait_seconds),
-    ("wirelength", &["counters", WIRELENGTH], |p| {
-        let found = p.counters.iter().find(|(n, _)| n == WIRELENGTH);
-        found.map(|(_, v)| *v as f64)
-    }),
-];
-
-/// One regression found by [`check_baseline`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct Regression {
-    pub run: RunMeta,
-    pub what: String,
-}
-
-impl std::fmt::Display for Regression {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}/{} P={} ({}): {}",
-            self.run.circuit, self.run.algorithm, self.run.procs, self.run.machine, self.what
-        )
-    }
-}
-
-/// Compare a fresh aggregate against a committed baseline (the JSON
-/// produced by [`Aggregate::to_json`]). A run regresses when a
-/// gated series ([`RUN_SERIES`], [`PHASE_SERIES`]) exceeds the baseline by
-/// more than `tolerance` (relative; above a baseline of 0, any value
-/// does), or when a baseline run — or one gated series of a run — is
-/// missing entirely.
-/// Improvements never flag. Returns the regression list; an error means
-/// the baseline file itself is unusable.
-pub fn check_baseline(
-    current: &Aggregate,
-    baseline_text: &str,
-    tolerance: f64,
-) -> Result<Vec<Regression>, String> {
-    let path = Path::new("<baseline>");
-    let (v, kind) = parse_header(path, baseline_text)?;
-    if kind != "aggregate" {
-        return Err(ctx(
-            path,
-            &format!("kind \"{kind}\", not an aggregate report"),
-        ));
-    }
-    let base_records = v
-        .get("records")
-        .and_then(|f| f.as_arr())
-        .ok_or_else(|| ctx(path, "missing \"records\""))?;
-    let mut regressions = Vec::new();
-    for b in base_records {
-        let run = parse_run_meta(b, path)?;
-        let Some(cur) = current
-            .records
-            .iter()
-            .find(|r| run_key(&r.run) == run_key(&run))
-        else {
-            regressions.push(Regression {
-                run,
-                what: "present in baseline but missing from this aggregate".to_string(),
-            });
-            continue;
-        };
-        // A series the baseline holds and this aggregate does not (its
-        // dump was not written, say) regressed like a missing run did; so
-        // did one the baseline holds at 0 that is above 0 now.
-        let mut check_f = |what: &str, base: Option<f64>, now: Option<f64>| {
-            let Some(b) = base else { return };
-            let what = match now {
-                None => format!("{what} (baseline {b:.6}) missing from this aggregate"),
-                Some(n) if n > b * (1.0 + tolerance) => format!(
-                    "{what} {n:.6} exceeds baseline {b:.6} by more than {:.1} %",
-                    tolerance * 100.0
-                ),
-                Some(_) => return,
-            };
-            regressions.push(Regression {
-                run: run.clone(),
-                what,
-            });
-        };
-        for ((key, gated, _), now) in RUN_SERIES.iter().zip(&cur.series) {
-            if *gated {
-                check_f(key, b.get(key).and_then(|f| f.as_f64()), *now);
-            }
-        }
-        for bp in b.get("phases").and_then(|f| f.as_arr()).unwrap_or(&[]) {
-            let Some(name) = bp.get("name").and_then(|f| f.as_str()) else {
-                continue;
-            };
-            let cp = cur.phases.iter().find(|p| p.name == name);
-            for (what, path, of) in PHASE_SERIES {
-                let base = path.iter().try_fold(bp, |v, key| v.get(key));
-                check_f(
-                    &format!("phase {name} {what}"),
-                    base.and_then(|f| f.as_f64()),
-                    cp.and_then(of),
-                );
-            }
-        }
-    }
-    Ok(regressions)
 }

@@ -3,7 +3,7 @@
 //! ```text
 //! repro [--scale F] [--circuits a,b,c] [--trace-out DIR] <target>...
 //!
-//! repro aggregate [--out FILE] [--md FILE] [--baseline FILE] <path>...
+//! repro aggregate [--out FILE] [--md FILE] <path>...
 //! ```
 //!
 //! The targets are the rows of [`pgr_bench::tables::TARGETS`] — `repro
@@ -20,7 +20,7 @@
 //! anything outside the registry is rejected with the valid range and
 //! exit code 2.
 
-use pgr_bench::aggregate::{aggregate, check_baseline, load_paths};
+use pgr_bench::aggregate::{aggregate, load_paths};
 use pgr_bench::tables::{Opts, Target, TARGETS};
 use pgr_circuit::scenarios::ScenarioFamily;
 use pgr_mpi::Phase;
@@ -37,11 +37,9 @@ fn usage() -> ! {
          all:    every target but {}\n\
          chaos:  --kill R@B kills rank R at phase boundary B (registry name or index)\n\
          stress: --family restricts the adversarial-workload matrix (repeatable)\n\
-         or:    repro aggregate [--out FILE] [--md FILE] [--baseline FILE] <path>...\n\
-         baseline: a gated series more than {:.0} % above its baseline value exits 1",
+         or:    repro aggregate [--out FILE] [--md FILE] <path>...",
         names(|_| true),
         names(|t| !t.3),
-        TOLERANCE * 100.0,
     );
     std::process::exit(2);
 }
@@ -91,21 +89,15 @@ fn fail(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Relative rise of a gated series that `repro aggregate --baseline` lets
-/// pass: the CI gate (the series are virtual, so equal on every host).
-const TOLERANCE: f64 = 0.02;
-
 fn aggregate_main(args: impl Iterator<Item = String>) -> ! {
     let mut out: Option<PathBuf> = None;
     let mut md: Option<PathBuf> = None;
-    let mut baseline: Option<PathBuf> = None;
     let mut paths: Vec<PathBuf> = Vec::new();
     let mut args = args.peekable();
     while let Some(a) = args.next() {
         match a.as_str() {
             "--out" => out = Some(args.next().unwrap_or_else(|| usage()).into()),
             "--md" => md = Some(args.next().unwrap_or_else(|| usage()).into()),
-            "--baseline" => baseline = Some(args.next().unwrap_or_else(|| usage()).into()),
             "-h" | "--help" => usage(),
             f if f.starts_with('-') => fail(&format!("unknown flag '{f}'")),
             p => paths.push(p.into()),
@@ -134,23 +126,6 @@ fn aggregate_main(args: impl Iterator<Item = String>) -> ! {
             eprintln!("aggregate markdown written: {}", p.display());
         }
         None => print!("{markdown}"),
-    }
-    if let Some(p) = &baseline {
-        let text = std::fs::read_to_string(p)
-            .unwrap_or_else(|e| fail(&format!("cannot read baseline {}: {e}", p.display())));
-        let regressions = check_baseline(&agg, &text, TOLERANCE).unwrap_or_else(|e| fail(&e));
-        if regressions.is_empty() {
-            eprintln!(
-                "baseline check passed (tolerance {:.1} %)",
-                TOLERANCE * 100.0
-            );
-        } else {
-            eprintln!("baseline check FAILED:");
-            for r in &regressions {
-                eprintln!("  regression: {r}");
-            }
-            std::process::exit(1);
-        }
     }
     std::process::exit(0);
 }

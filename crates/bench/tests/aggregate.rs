@@ -1,9 +1,8 @@
 //! Aggregator integration tests: hand-built fixture dumps through
-//! [`load_paths`] / [`aggregate`] / [`check_baseline`], plus a full
-//! round trip proving the artifacts `--trace-out` writes are accepted
-//! back by `repro aggregate`.
+//! [`load_paths`] / [`aggregate`], plus a full round trip proving the
+//! artifacts `--trace-out` writes are accepted back by `repro aggregate`.
 
-use pgr_bench::aggregate::{aggregate, check_baseline, load_paths};
+use pgr_bench::aggregate::{aggregate, load_paths};
 use pgr_bench::tables::write_traces;
 use pgr_circuit::mcnc::Mcnc;
 use pgr_mpi::trace::chrome_trace_json;
@@ -181,7 +180,7 @@ fn phases_outside_the_registry_are_rejected_by_name() {
 }
 
 #[test]
-fn phase_windows_round_trip_and_gate_against_the_baseline() {
+fn phase_windows_round_trip_through_the_json() {
     let dir = tmp_dir("phase-gate");
     let run = meta("row-wise", 4);
     let mut m = RankMetrics::empty(0);
@@ -204,34 +203,11 @@ fn phase_windows_round_trip_and_gate_against_the_baseline() {
         agg.to_json().contains("\"name\":\"connect\""),
         "per-phase series emitted"
     );
-
-    // Self-comparison is clean; a baseline that expected a cheaper
-    // connect phase flags a per-phase regression even though no total
-    // moved.
-    assert_eq!(check_baseline(&agg, &agg.to_json(), 0.0).unwrap(), vec![]);
-    let tighter = agg
-        .to_json()
-        .replace("\"route.wirelength\":1000", "\"route.wirelength\":800");
-    let regs = check_baseline(&agg, &tighter, 0.02).unwrap();
-    assert!(
-        regs.iter()
-            .any(|r| r.what.contains("phase connect wirelength")),
-        "{regs:?}"
-    );
-    let slower = agg.to_json().replace(
-        "\"name\":\"setup\",\"seconds\":2",
-        "\"name\":\"setup\",\"seconds\":1",
-    );
-    let regs = check_baseline(&agg, &slower, 0.02).unwrap();
-    assert!(
-        regs.iter().any(|r| r.what.contains("phase setup seconds")),
-        "{regs:?}"
-    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn wait_fraction_and_phase_wait_series_derive_and_gate() {
+fn wait_fraction_and_phase_wait_series_derive() {
     let dir = tmp_dir("wait");
     let run = meta("hybrid", 4);
     // 2.0 rank-seconds blocked out of 4 ranks × 2.5 s makespan = 20 %,
@@ -259,122 +235,6 @@ fn wait_fraction_and_phase_wait_series_derive_and_gate() {
     let md = agg.to_markdown();
     assert!(md.contains("wait %"), "{md}");
     assert!(md.contains("20.0"), "{md}");
-
-    // Self-comparison stays clean; a baseline that waited less (or was
-    // better balanced) flags the efficiency regression.
-    assert_eq!(check_baseline(&agg, &json, 0.0).unwrap(), vec![]);
-    let better = json.replace("\"wait_fraction\":0.2", "\"wait_fraction\":0.1");
-    let regs = check_baseline(&agg, &better, 0.02).unwrap();
-    assert!(
-        regs.iter().any(|r| r.what.contains("wait_fraction")),
-        "{regs:?}"
-    );
-    let better_phase = json.replace("\"wait_seconds\":1.5", "\"wait_seconds\":1.2");
-    let regs = check_baseline(&agg, &better_phase, 0.02).unwrap();
-    assert!(
-        regs.iter()
-            .any(|r| r.what.contains("phase connect wait seconds")),
-        "{regs:?}"
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn baseline_check_passes_on_self_and_flags_injected_regression() {
-    let dir = tmp_dir("baseline");
-    let serial = meta("serial", 1);
-    let par = meta("hybrid", 4);
-    write(&dir, "s.stats.json", &stats_fixture(&serial, 10.0));
-    write(&dir, "s.metrics.json", &metrics_fixture(&serial, 100));
-    write(&dir, "p.stats.json", &stats_fixture(&par, 3.0));
-    write(&dir, "p.metrics.json", &metrics_fixture(&par, 104));
-    let agg = aggregate(&load_paths(std::slice::from_ref(&dir)).unwrap());
-
-    // Pass path: an aggregate never regresses against itself.
-    assert_eq!(check_baseline(&agg, &agg.to_json(), 0.0).unwrap(), vec![]);
-
-    // Fail path: a baseline whose hybrid makespan was 20 % faster.
-    let tighter = agg
-        .to_json()
-        .replace("\"makespan\":3,", "\"makespan\":2.5,");
-    let regs = check_baseline(&agg, &tighter, 0.02).unwrap();
-    assert_eq!(regs.len(), 1, "{regs:?}");
-    assert_eq!(regs[0].run.algorithm, "hybrid");
-    assert!(regs[0].what.contains("makespan"), "{}", regs[0].what);
-
-    // Tolerance wide enough swallows the same delta.
-    assert_eq!(check_baseline(&agg, &tighter, 0.25).unwrap(), vec![]);
-
-    // Quality regression: baseline expected fewer tracks.
-    let fewer = agg.to_json().replace("\"tracks\":104,", "\"tracks\":90,");
-    let regs = check_baseline(&agg, &fewer, 0.02).unwrap();
-    assert!(regs.iter().any(|r| r.what.contains("tracks")), "{regs:?}");
-
-    // A baseline run missing from the fresh aggregate is itself a
-    // regression (a silently dropped benchmark must not pass CI).
-    let extra = meta("net-wise", 8);
-    let missing = agg.to_json().replace(
-        "\"records\":[\n",
-        &format!(
-            "\"records\":[\n{{\"run\":{},\"makespan\":1.0,\"speedup\":null,\
-             \"tracks\":null,\"scaled_tracks\":null,\"wirelength\":null,\
-             \"feedthroughs\":null,\"load_imbalance\":null,\"bytes_sent\":0,\
-             \"phases\":[]}},\n",
-            extra.to_json()
-        ),
-    );
-    let regs = check_baseline(&agg, &missing, 0.02).unwrap();
-    assert!(
-        regs.iter()
-            .any(|r| r.run.algorithm == "net-wise" && r.what.contains("missing")),
-        "{regs:?}"
-    );
-
-    // So is a gated series that vanished from a run still present: the
-    // hybrid run's metrics dump was not written, so it has no tracks.
-    std::fs::remove_file(dir.join("p.metrics.json")).unwrap();
-    let blind = aggregate(&load_paths(std::slice::from_ref(&dir)).unwrap());
-    let regs = check_baseline(&blind, &agg.to_json(), 0.02).unwrap();
-    assert!(
-        regs.iter()
-            .any(|r| r.what.contains("tracks") && r.what.contains("missing")),
-        "{regs:?}"
-    );
-    assert!(regs.iter().all(|r| r.run.algorithm == "hybrid"), "{regs:?}");
-
-    // And so is a gated series the baseline holds at 0 that is above 0
-    // now, at any tolerance: a chaos run that redid no phase then and
-    // redoes four today lost its resume coverage.
-    let mut redoing = RankMetrics::empty(0);
-    redoing.counters.push(("route.tracks".into(), 104));
-    redoing.counters.push(("recovery.redone_phases".into(), 4));
-    write(&dir, "p.metrics.json", &metrics_json(&par, &[redoing]));
-    let now = aggregate(&load_paths(std::slice::from_ref(&dir)).unwrap());
-    let clean = now
-        .to_json()
-        .replace("\"redone_phases\":4,", "\"redone_phases\":0,");
-    assert_ne!(clean, now.to_json(), "fixture lost its redone_phases");
-    let regs = check_baseline(&now, &clean, 0.25).unwrap();
-    assert_eq!(regs.len(), 1, "{regs:?}");
-    assert!(regs[0].what.contains("redone_phases 4"), "{}", regs[0].what);
-    assert_eq!(check_baseline(&now, &now.to_json(), 0.0).unwrap(), vec![]);
-
-    // An unusable baseline is an error, not an empty regression list.
-    assert!(check_baseline(&agg, "{ nope", 0.02).is_err());
-    assert!(check_baseline(
-        &agg,
-        "{\"schema_version\":999,\"kind\":\"aggregate\"}",
-        0.02
-    )
-    .is_err());
-    // So is a current-schema file of another kind: a stats dump is no
-    // baseline, however well it parses.
-    let stats = agg
-        .to_json()
-        .replace("\"kind\":\"aggregate\"", "\"kind\":\"stats\"");
-    assert_ne!(stats, agg.to_json(), "fixture lost its kind");
-    let err = check_baseline(&agg, &stats, 0.02).unwrap_err();
-    assert!(err.contains("not an aggregate report"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -456,9 +316,6 @@ fn trace_out_artifacts_round_trip_through_aggregate() {
         .find(|r| r.run.algorithm == "serial")
         .unwrap();
     assert_eq!(serial.get("speedup"), Some(1.0));
-
-    // And the aggregate gates cleanly against itself.
-    assert_eq!(check_baseline(&agg, &agg.to_json(), 0.0).unwrap(), vec![]);
     std::fs::remove_dir_all(&dir_serial).ok();
     std::fs::remove_dir_all(&dir_par).ok();
 }
