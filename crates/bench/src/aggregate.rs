@@ -344,9 +344,14 @@ type RunSeries = (
 /// in `f64` and print as the integers they are.
 const RUN_SERIES: [RunSeries; 10] = [
     ("makespan", |r, _| r.makespan),
-    // `serial makespan / this makespan`.
+    // `serial makespan / this makespan`, between complete routes only
+    // (both carry tracks, as for `scaled_tracks`): a run a budget breach
+    // cut short ends early, and its makespan is no speed.
     ("speedup", |r, base| {
-        let (b, t) = (base?.makespan?, r.makespan?);
+        let base = base?;
+        counter(r, TRACKS)?;
+        counter(base, TRACKS)?;
+        let (b, t) = (base.makespan?, r.makespan?);
         (t > 0.0).then(|| b / t)
     }),
     ("tracks", |r, _| counter(r, TRACKS)),

@@ -56,9 +56,18 @@ fn speedup_and_quality_from_hand_built_fixtures() {
     write(&dir, "serial.metrics.json", &metrics_fixture(&serial, 100));
     write(&dir, "par.stats.json", &stats_fixture(&par, 2.5));
     write(&dir, "par.metrics.json", &metrics_fixture(&par, 110));
+    // A parallel run a budget breach cut short: its metrics dump holds
+    // no tracks counter.
+    let cut = meta("net-wise", 4);
+    write(&dir, "cut.stats.json", &stats_fixture(&cut, 1.25));
+    write(
+        &dir,
+        "cut.metrics.json",
+        &metrics_json(&cut, &[RankMetrics::empty(0)]),
+    );
 
     let records = load_paths(std::slice::from_ref(&dir)).unwrap();
-    assert_eq!(records.len(), 2, "two distinct run identities");
+    assert_eq!(records.len(), 3, "three distinct run identities");
     let agg = aggregate(&records);
     let row = |a: &str| {
         agg.records
@@ -79,12 +88,22 @@ fn speedup_and_quality_from_hand_built_fixtures() {
     assert_eq!(p.phases.len(), 1);
     assert_eq!(p.phases[0].name, "setup");
     assert_eq!(p.phases[0].seconds, Some(2.5));
+    // No speedup for a route that never completed, however short it ran.
+    let c = row("net-wise");
+    assert_eq!(c.get("makespan"), Some(1.25));
+    assert_eq!(c.get("tracks"), None);
+    assert_eq!(c.get("speedup"), None);
+    assert_eq!(c.get("scaled_tracks"), None);
 
     // The markdown report names the series and carries both numbers.
     let md = agg.to_markdown();
     assert!(md.contains("fixture — TestBox"), "{md}");
     assert!(md.contains("4.00"), "{md}");
     assert!(md.contains("1.10"), "{md}");
+    assert!(
+        !md.contains("8.00"),
+        "the cut-short run's 10.0 / 1.25: {md}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
