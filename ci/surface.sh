@@ -95,6 +95,10 @@
 #   `wait_timeout`, `Condvar` or `DETECTOR_POLL` (a rank's exit travels
 #   in-band as its exit notice; the only real time left is the receive's
 #   `POLL_WINDOW`, which decides no result).
+# - when the aggregate grows a tolerance checker again: a non-test line
+#   under crates/bench/src that names `check_baseline`, `TOLERANCE` or
+#   `"--baseline"` (`ci/baseline-aggregate.json` is a golden file that a
+#   fresh aggregate must equal byte for byte).
 set -eu
 cd "$(dirname "$0")/.."
 MAX_FILE=1000
@@ -317,6 +321,14 @@ timed=$(nontest 'FailureDetector|recv_timeout|wait_timeout|Condvar|DETECTOR_POLL
 if [ -n "$timed" ]; then
     echo "surface: crates/mpi/src waits on a clock for a peer (a rank's exit is its exit notice):" >&2
     echo "$timed" >&2
+    exit 1
+fi
+
+# shellcheck disable=SC2046
+tolerance=$(nontest 'check_baseline|TOLERANCE|"--baseline"' $(find crates/bench/src -name '*.rs'))
+if [ -n "$tolerance" ]; then
+    echo "surface: the committed aggregate is a golden file (a fresh one must equal it byte for byte; no tolerance checker):" >&2
+    echo "$tolerance" >&2
     exit 1
 fi
 

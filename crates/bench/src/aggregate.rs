@@ -346,7 +346,7 @@ const RUN_SERIES: [RunSeries; 10] = [
     ("makespan", |r, _| r.makespan),
     // `serial makespan / this makespan`, between complete routes only
     // (both carry tracks, as for `scaled_tracks`): a run a budget breach
-    // cut short ends early, and its makespan is no speed.
+    // cut short ended early, so its makespan measures no speed.
     ("speedup", |r, base| {
         let base = base?;
         counter(r, TRACKS)?;
@@ -373,8 +373,8 @@ const RUN_SERIES: [RunSeries; 10] = [
     // inside its budget.
     ("shed_events", |r, _| counter(r, SHED_EVENTS)),
     // With `wait_fraction`, the efficiency series: a run that balances
-    // worse or waits longer lost speedup even if quality and makespan
-    // stayed put.
+    // worse or waits longer shows it here even when quality and makespan
+    // stay put.
     ("load_imbalance", |r, _| {
         r.metrics.as_ref()?.gauge(LOAD_IMBALANCE)
     }),

@@ -146,8 +146,8 @@ fn aggregate_exit_codes_cover_clean_and_error() {
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
     assert!(agg_json.is_file());
 
-    // There is no tolerance gate to ask for: a fresh aggregate is compared
-    // byte for byte with the golden file instead.
+    // `--out` and `--md` are the only flags: the golden aggregate is
+    // compared byte for byte outside `repro` (tests/golden_aggregate.rs).
     let out = repro(&["aggregate", "--baseline", agg_json.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(2));
     assert!(

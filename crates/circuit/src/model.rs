@@ -284,10 +284,9 @@ impl Circuit {
     }
 
     /// Iterate the nets in fixed-size chunks with precomputed summaries
-    /// (pin totals, max degree, pin-position bbox). Chunks partition the
-    /// net id space in order, so `for chunk { for net in chunk.net_ids() }`
-    /// visits every net exactly once, in id order — and a region shard can
-    /// test `chunk.bbox()` first and skip whole chunks it cannot touch.
+    /// (member range, pin total). Chunks partition the net id space in
+    /// order, so `for chunk { for net in chunk.net_ids() }` visits every
+    /// net exactly once, in id order.
     pub fn nets_chunks(&self) -> impl Iterator<Item = &ChunkSummary> {
         self.store.chunks.iter()
     }

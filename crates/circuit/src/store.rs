@@ -10,12 +10,9 @@
 //! past the paper's ~25k-net circuits.
 //!
 //! Nets are additionally grouped into fixed-size chunks
-//! ([`NET_CHUNK_SIZE`]) with per-chunk summaries ([`ChunkSummary`]): pin
-//! totals, maximum degree, and the bounding box of the member nets'
-//! initial pin positions. A region-sharded router can inspect a summary
-//! and load or skip a whole chunk without touching its nets — the
-//! substrate for streaming million-net circuits under a per-rank memory
-//! budget.
+//! ([`NET_CHUNK_SIZE`]), each summarized by its member range and pin
+//! total ([`ChunkSummary`]), so a sweep over every net walks the columns
+//! one cache-sized run at a time.
 //!
 //! The store is *immutable after finalization*: routers never mutate it
 //! (feedthrough insertion and cell shifting live in router-owned state),
@@ -24,7 +21,6 @@
 
 use crate::ids::{CellId, NetId, PinId, RowId};
 use crate::model::PinSide;
-use pgr_geom::{BBox, Point};
 
 /// Nets per chunk. Chosen so a chunk's column slices (~degree ≈ 3 pins
 /// per net) stay comfortably inside L2 while keeping per-chunk summary
@@ -42,10 +38,6 @@ pub(crate) fn pack_flags(side: PinSide, equivalent: bool) -> u8 {
 }
 
 /// Summary of one fixed-size run of nets, precomputed at finalization.
-///
-/// `bbox` covers exactly the initial pin positions of the member nets —
-/// no more, no less — so a geometric shard can prove "nothing in this
-/// chunk intersects my region" without reading a single net.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkSummary {
     /// First net of the chunk; members are `first_net .. first_net + len`.
@@ -54,13 +46,6 @@ pub struct ChunkSummary {
     pub len: u32,
     /// Total pin count over member nets.
     pub pins: u32,
-    /// Largest net degree in the chunk.
-    pub max_degree: u32,
-    /// Bounding box of member pins' initial positions (column, row).
-    pub min_x: i64,
-    pub max_x: i64,
-    pub min_row: u32,
-    pub max_row: u32,
 }
 
 impl ChunkSummary {
@@ -68,14 +53,6 @@ impl ChunkSummary {
     pub fn net_ids(&self) -> impl Iterator<Item = NetId> {
         let first = self.first_net.0;
         (first..first + self.len).map(NetId)
-    }
-
-    /// The summary bbox as a geometry box.
-    pub fn bbox(&self) -> BBox {
-        let mut b = BBox::new();
-        b.expand(Point::new(self.min_x, self.min_row as i64));
-        b.expand(Point::new(self.max_x, self.max_row as i64));
-        b
     }
 }
 
@@ -280,48 +257,22 @@ impl CircuitStore {
         self.rebuild_chunks();
     }
 
-    /// Recompute the chunk summaries from the net and pin columns.
+    /// Recompute the chunk summaries from the net columns: a chunk's
+    /// pin total is the span of its nets in the `pin_index` arena.
     pub(crate) fn rebuild_chunks(&mut self) {
-        self.chunks.clear();
         let n = self.num_nets();
-        let mut first = 0usize;
-        while first < n {
-            let len = NET_CHUNK_SIZE.min(n - first);
-            let mut pins = 0u32;
-            let mut max_degree = 0u32;
-            let (mut min_x, mut max_x) = (i64::MAX, i64::MIN);
-            let (mut min_row, mut max_row) = (u32::MAX, 0u32);
-            for net in first..first + len {
-                let lo = self.net_pin_start[net] as usize;
-                let hi = self.net_pin_start[net + 1] as usize;
-                let degree = (hi - lo) as u32;
-                pins += degree;
-                max_degree = max_degree.max(degree);
-                for &p in &self.pin_index[lo..hi] {
-                    let cell = self.pin_cell[p.index()];
-                    if cell.index() >= self.num_cells() {
-                        continue; // dangling; validation reports it
-                    }
-                    let x = self.cell_x[cell.index()] + self.pin_offset[p.index()] as i64;
-                    let row = self.cell_row[cell.index()].0;
-                    min_x = min_x.min(x);
-                    max_x = max_x.max(x);
-                    min_row = min_row.min(row);
-                    max_row = max_row.max(row);
+        let start = &self.net_pin_start;
+        self.chunks = (0..n)
+            .step_by(NET_CHUNK_SIZE)
+            .map(|first| {
+                let end = n.min(first + NET_CHUNK_SIZE);
+                ChunkSummary {
+                    first_net: NetId::from_index(first),
+                    len: (end - first) as u32,
+                    pins: start[end] - start[first],
                 }
-            }
-            self.chunks.push(ChunkSummary {
-                first_net: NetId::from_index(first),
-                len: len as u32,
-                pins,
-                max_degree,
-                min_x,
-                max_x,
-                min_row,
-                max_row,
-            });
-            first += len;
-        }
+            })
+            .collect();
     }
 
     // --- Column accessors. ---
@@ -444,10 +395,6 @@ mod tests {
         let ch = s.chunks[0];
         assert_eq!(ch.len, 2);
         assert_eq!(ch.pins, 4);
-        assert_eq!(ch.max_degree, 2);
-        // Pins at x ∈ {1, 3} (cell 0) and {2, 4} (cell 1), rows 0 and 1.
-        assert_eq!((ch.min_x, ch.max_x), (1, 4));
-        assert_eq!((ch.min_row, ch.max_row), (0, 1));
         assert_eq!(ch.net_ids().collect::<Vec<_>>(), vec![NetId(0), NetId(1)]);
     }
 

@@ -11,7 +11,6 @@
 use pgr_circuit::format::{from_text, to_text};
 use pgr_circuit::mcnc::ALL;
 use pgr_circuit::{Circuit, NetId, PinId, RowId, RowPartition, NET_CHUNK_SIZE};
-use pgr_geom::BBox;
 
 fn clones() -> impl Iterator<Item = Circuit> {
     ALL.iter().map(|m| m.circuit_scaled(0.05))
@@ -113,21 +112,13 @@ fn chunk_summaries_cover_exactly_their_member_nets() {
         let mut total_pins = 0usize;
         for chunk in c.nets_chunks() {
             assert!(chunk.len as usize <= NET_CHUNK_SIZE);
-            let mut bbox = BBox::new();
             let mut pins = 0usize;
-            let mut max_degree = 0usize;
             for net in chunk.net_ids() {
                 assert!(!seen[net.index()], "{}: net chunked once", c.name);
                 seen[net.index()] = true;
-                bbox.union(&c.net_bbox(net));
                 pins += c.net_degree(net);
-                max_degree = max_degree.max(c.net_degree(net));
             }
-            // The summary bbox covers exactly the member nets' pins: same
-            // extremes as the union of the members' bboxes, no slack.
-            assert_eq!(chunk.bbox(), bbox, "{} chunk {:?}", c.name, chunk.first_net);
             assert_eq!(chunk.pins as usize, pins, "{}", c.name);
-            assert_eq!(chunk.max_degree as usize, max_degree, "{}", c.name);
             total_pins += pins;
         }
         assert!(seen.iter().all(|&s| s), "{}: chunks cover all nets", c.name);

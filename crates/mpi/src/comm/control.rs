@@ -328,18 +328,12 @@ impl Comm {
         }
     }
 
-    /// Shrink the world after peer deaths: the dead physical ranks
-    /// leave the logical rank space, their unmatched frames are
-    /// discarded, and survivors renumber densely in physical-id order.
-    pub fn remove_dead(&mut self, dead: &[usize]) {
-        self.transport.forget(dead);
-        self.control.remove_dead(dead);
-    }
-
-    /// [`Comm::remove_dead`] plus the recovery commit protocol: shrink
-    /// the world after the `dead` ranks were lost entering `killed_at`,
-    /// and agree with the other survivors on where the next attempt can
-    /// resume. Returns the registry index of the last globally
+    /// Shrink the world after the `dead` ranks were lost entering
+    /// `killed_at`: the dead physical ranks leave the logical rank space,
+    /// their unmatched frames are discarded, and survivors renumber
+    /// densely in physical-id order. Then agree with the other survivors
+    /// on where the next attempt can resume (the recovery commit
+    /// protocol). Returns the registry index of the last globally
     /// committed restorable boundary with the failed world's snapshot
     /// payloads there (that world's logical-rank order, CRC-verified),
     /// or `None` when the next attempt must restart from scratch.

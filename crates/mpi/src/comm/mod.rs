@@ -31,7 +31,7 @@
 //! boundaries ([`Comm::phase_enter`]): the victim sees
 //! [`PhaseControl::SelfKilled`], survivors see
 //! [`PhaseControl::PeersDied`], shrink the world with
-//! [`Comm::remove_dead`], and continue on dense *logical* ranks.
+//! [`Comm::shrink_world`], and continue on dense *logical* ranks.
 //!
 //! Exit notices: when a rank's closure ends it sends each peer one
 //! notice saying how — returned, panicked, or killed with its death
@@ -105,9 +105,8 @@ pub enum PhaseControl {
     /// Everyone scheduled to be here still is.
     Continue,
     /// These peers (physical rank ids) died at this boundary. The
-    /// caller should [`Comm::shrink_world`] (or [`Comm::remove_dead`])
-    /// them out, redistribute their work, and continue with the
-    /// survivors.
+    /// caller should [`Comm::shrink_world`] them out, redistribute their
+    /// work, and continue with the survivors.
     PeersDied(Vec<usize>),
     /// This rank itself is scheduled dead: unwind quietly without
     /// touching the communicator again.

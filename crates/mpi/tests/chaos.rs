@@ -580,7 +580,9 @@ fn phase_kill_surfaces_rank_dead_and_world_remaps() {
                     }
                     other => panic!("expected RankDead, got {other}"),
                 }
-                comm.remove_dead(&dead);
+                // A kill entering the first phase has no boundary behind
+                // it: no collective, a restart.
+                assert_eq!(comm.shrink_world(&dead, Phase::Setup), None);
             }
             other => panic!("a peer died at this boundary, got {other:?}"),
         }
@@ -625,7 +627,9 @@ fn multi_kill_is_deterministic() {
                 PhaseControl::SelfKilled => return 0,
                 PhaseControl::PeersDied(dead) => {
                     assert_eq!(dead, vec![1, 3]);
-                    comm.remove_dead(&dead);
+                    // `phase_enter` deposits no snapshot: one allreduce
+                    // agrees on a restart.
+                    assert_eq!(comm.shrink_world(&dead, Phase::Steiner), None);
                 }
                 other => panic!("two peers died here, got {other:?}"),
             }
