@@ -95,6 +95,11 @@
 #   `wait_timeout`, `Condvar` or `DETECTOR_POLL` (a rank's exit travels
 #   in-band as its exit notice; the only real time left is the receive's
 #   `POLL_WINDOW`, which decides no result).
+# - when a random-order sweep loads its items one decision at a time
+#   again: a non-test `for &i in order` in crates/core/src/route/coarse.rs
+#   or crates/core/src/route/switchable.rs (both sweeps read their
+#   segments or spans through `route::gather`, a block of 16 at a time,
+#   so the cache misses of the shuffled order overlap).
 # - when the aggregate grows a tolerance checker again: a non-test line
 #   under crates/bench/src that names `check_baseline`, `TOLERANCE` or
 #   `"--baseline"` (`ci/baseline-aggregate.json` is a golden file that a
@@ -321,6 +326,13 @@ timed=$(nontest 'FailureDetector|recv_timeout|wait_timeout|Condvar|DETECTOR_POLL
 if [ -n "$timed" ]; then
     echo "surface: crates/mpi/src waits on a clock for a peer (a rank's exit is its exit notice):" >&2
     echo "$timed" >&2
+    exit 1
+fi
+
+per_item=$(nontest 'for &i in order' crates/core/src/route/coarse.rs crates/core/src/route/switchable.rs)
+if [ -n "$per_item" ]; then
+    echo "surface: a random-order sweep reads its items through route::gather (a block at a time, so the misses overlap):" >&2
+    echo "$per_item" >&2
     exit 1
 fi
 

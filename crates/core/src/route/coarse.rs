@@ -20,7 +20,7 @@ use crate::config::{RouterConfig, COARSE_PASSES, FT_WIDTH};
 use crate::cost;
 use crate::route::feedthrough::FtPlan;
 use crate::route::state::{Grid, Orientation, Segment};
-use crate::route::{chan_idx, refine};
+use crate::route::{chan_idx, gather, refine};
 use pgr_geom::rng::SmallRng;
 use pgr_geom::DensityProfile;
 use pgr_mpi::wire::{Reader, Wire, WireError};
@@ -422,12 +422,13 @@ impl CoarseState {
     ) -> usize {
         let mut changed = 0;
         let mut ops = 0u64;
-        for &i in order {
-            let seg = &segments[i as usize];
+        // `order` is a permutation (`shuffled_indices`), and the sweep
+        // never writes `segments`.
+        gather(segments, order, |_, i, seg| {
             if !seg.is_cross_row() {
-                continue;
+                return;
             }
-            let cur = orients[i as usize];
+            let cur = orients[i];
             let (lo, hi) = seg.x_span();
             let (glo, ghi) = (self.gcol(lo), self.gcol(hi));
             let cur_chan = seg.horizontal_channel(cur);
@@ -467,11 +468,11 @@ impl CoarseState {
             };
             if best != cur {
                 changed += 1;
-                self.apply(seg, cur, -1);
-                orients[i as usize] = best;
-                self.apply(seg, best, 1);
+                self.apply(&seg, cur, -1);
+                orients[i] = best;
+                self.apply(&seg, best, 1);
             }
-        }
+        });
         comm.compute(ops);
         changed
     }

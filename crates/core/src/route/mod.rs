@@ -35,6 +35,33 @@ fn chan_idx(chan0: u32, n: usize, channel: u32) -> usize {
     i
 }
 
+/// Block length of [`gather`].
+const GATHER: usize = 16;
+
+/// Visit `order` (indices into `items`) in order, calling `visit` with
+/// `items`, `i` and a copy of `items[i]`, but copy each block of up to
+/// [`GATHER`] items onto the stack before visiting any of them. The loads
+/// of a random order miss the cache; since they do not depend on the
+/// routing state, the CPU overlaps a block's misses instead of waiting
+/// out one per decision. `visit` may write the item it is visiting only,
+/// and no index may appear twice in one block: an earlier visit's write
+/// would leave the later copy stale. A permutation satisfies both.
+fn gather<T: Copy, S: std::ops::Deref<Target = [T]>>(
+    mut items: S,
+    order: &[u32],
+    mut visit: impl FnMut(&mut S, usize, T),
+) {
+    for block in order.chunks(GATHER) {
+        let mut copies = [items[block[0] as usize]; GATHER];
+        for (copy, &i) in copies.iter_mut().zip(block) {
+            *copy = items[i as usize];
+        }
+        for (&i, &item) in block.iter().zip(&copies) {
+            visit(&mut items, i as usize, item);
+        }
+    }
+}
+
 /// Iterations between budget polls inside the optional refinement
 /// sweeps (coarse improvement, switchable optimization): small enough
 /// to shed promptly, large enough to keep the poll off the hot path.
@@ -170,6 +197,22 @@ mod tests {
             |log, _| log.push(Call::Between),
         );
         (log, changed)
+    }
+
+    #[test]
+    fn gather_visits_the_order_with_its_items() {
+        let items: Vec<u64> = (0..40).map(|i| i * i + 7).collect();
+        for n in [0u32, 1, 15, 16, 17, 40] {
+            // A permutation of the first n indices, not in index order.
+            let order: Vec<u32> = (0..n).map(|k| (k * 7 + 3) % n).collect();
+            let mut seen = Vec::new();
+            gather(&items[..], &order, |_, i, item| seen.push((i, item)));
+            let want: Vec<(usize, u64)> = order
+                .iter()
+                .map(|&i| (i as usize, items[i as usize]))
+                .collect();
+            assert_eq!(seen, want, "order of length {n}");
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 use crate::config::{RouterConfig, SWITCH_PASSES};
 use crate::cost;
 use crate::route::state::{Grid, Span};
-use crate::route::{chan_idx, refine};
+use crate::route::{chan_idx, gather, refine};
 use pgr_geom::rng::SmallRng;
 use pgr_geom::DensityProfile;
 use pgr_mpi::wire::{Reader, Wire, WireError};
@@ -539,8 +539,9 @@ fn optimize_slice(
 ) -> usize {
     let mut flips = 0;
     let mut ops = 0u64;
-    for &i in order {
-        let span = spans[i as usize];
+    // `order` is `candidates` permuted, and a visit writes only its own
+    // span's channel.
+    gather(spans, order, |spans, i, span| {
         let row = span.switch_row.expect("candidate is switchable");
         let (lower, upper) = (row, row + 1);
         debug_assert!(
@@ -554,7 +555,7 @@ fn optimize_slice(
         if m_other < m_cur {
             flips += 1;
             chans.flip(&span, other);
-            spans[i as usize].channel = other;
+            spans[i].channel = other;
         } else {
             // The remove / re-insert pair the optimizer historically emitted
             // for a span it scored but did not move: the replicated stream
@@ -563,7 +564,7 @@ fn optimize_slice(
             let (chan, lo, hi) = (span.channel, span.lo, span.hi);
             chans.record(Record::Kept { chan, lo, hi });
         }
-    }
+    });
     comm.compute(ops);
     flips
 }
@@ -995,6 +996,51 @@ mod tests {
         assert_eq!(ch_inc.densities(), ch_ref.densities());
         assert_eq!(log_inc, log_ref, "replicated delta stream must not change");
         assert!(flips_inc > 0, "instance must exercise the flip path");
+    }
+
+    #[test]
+    fn gathered_sweep_matches_a_per_index_loop() {
+        // `optimize_slice` copies each block of the order before scoring
+        // it; a loop that reads each span as it visits it must decide the
+        // same, over more than three blocks of a shuffled order.
+        let mut rng = rng_from_seed(0x6A7E);
+        let spans: Vec<Span> = (0..3 * crate::route::GATHER + 13)
+            .map(|_| {
+                let row = rng.gen_range(0..3u32);
+                let lo = rng.gen_range(0..50i64);
+                let chan = row + rng.gen_range(0..2u32);
+                span(chan, lo, lo + rng.gen_range(0..14i64), Some(row))
+            })
+            .collect();
+        let order = pgr_geom::shuffled_indices(spans.len(), &mut rng);
+        let load = |spans: &[Span]| {
+            let mut ch = ChannelState::new(0, 4, 64);
+            spans.iter().for_each(|s| ch.add_span(s, 1));
+            ch
+        };
+
+        let (mut ch_got, mut got) = (load(&spans), spans.clone());
+        let flips_got = optimize_slice(&mut ch_got, &mut got, &order, &mut comm());
+
+        let (mut ch_want, mut want) = (load(&spans), spans);
+        let mut flips_want = 0;
+        for &i in &order {
+            let s = want[i as usize];
+            let row = s.switch_row.unwrap();
+            let other = if s.channel == row { row + 1 } else { row };
+            if ch_want.max_if_added(other, s.lo, s.hi) < ch_want.channel_max(s.channel) {
+                flips_want += 1;
+                ch_want.flip(&s, other);
+                want[i as usize].channel = other;
+            }
+        }
+
+        assert!(flips_got > 0, "instance must flip in its first sweep");
+        assert_eq!(flips_got, flips_want);
+        assert_eq!(got, want, "every span's channel");
+        for c in 0..4 {
+            assert_eq!(ch_got.channel_max(c), ch_want.channel_max(c), "channel {c}");
+        }
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub(super) struct Account {
     /// Which clock is authoritative for reporting. The virtual clock
     /// advances in both modes (it is free and deterministic); `Wall`
     /// additionally measures host time against `wall_epoch`.
-    clock_mode: ClockMode,
+    pub(super) clock_mode: ClockMode,
     /// Shared run epoch for wall measurements (one `Instant` taken
     /// before any rank spawns, so per-rank wall times are makespan-
     /// compatible).
@@ -186,11 +186,6 @@ impl Comm {
     /// clock modes; never consulted by routing decisions).
     pub fn now(&self) -> f64 {
         self.account.clock
-    }
-
-    /// The run's clock strategy.
-    pub fn clock_mode(&self) -> ClockMode {
-        self.account.clock_mode
     }
 
     /// Charge `ops` abstract operations of computation.

@@ -876,7 +876,7 @@ mod tests {
             MetricsConfig::off(),
             ClockMode::Wall,
         );
-        assert_eq!(c.clock_mode(), ClockMode::Wall);
+        assert_eq!(c.account.clock_mode, ClockMode::Wall);
         c.phase_mark(Phase::Setup);
         c.compute(1_000);
         let s = c.stats();
@@ -887,7 +887,7 @@ mod tests {
         assert!(s.time > 0.0);
 
         let plain = Comm::solo(MachineModel::sparc_center_1000());
-        assert_eq!(plain.clock_mode(), ClockMode::Virtual);
+        assert_eq!(plain.account.clock_mode, ClockMode::Virtual);
         assert!(plain.stats().wall.is_none());
     }
     #[test]

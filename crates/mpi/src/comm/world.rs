@@ -34,7 +34,7 @@ impl<R> RunReport<R> {
         wall_makespan(&self.stats)
     }
 
-    pub fn max_peak_mem(&self) -> u64 {
+    pub(crate) fn max_peak_mem(&self) -> u64 {
         self.stats.iter().map(|s| s.peak_mem).max().unwrap_or(0)
     }
 

@@ -89,7 +89,7 @@ impl ReliabilityConfig {
 
 /// Backoff before retransmit attempt `attempt` (1-based): the deadline
 /// for the first retry, multiplied by [`BACKOFF`] for each further one.
-pub fn backoff_delay(attempt: u32) -> f64 {
+pub(crate) fn backoff_delay(attempt: u32) -> f64 {
     RETRANSMIT_DEADLINE * BACKOFF.powi(attempt.saturating_sub(1) as i32)
 }
 
@@ -123,7 +123,7 @@ impl<T> ReorderBuffer<T> {
 
     /// Ingest a frame with sequence number `seq`; in-order releases are
     /// appended to `out`.
-    pub fn ingest(&mut self, seq: u64, frame: T, out: &mut Vec<T>) -> Ingest {
+    pub(crate) fn ingest(&mut self, seq: u64, frame: T, out: &mut Vec<T>) -> Ingest {
         if seq < self.expected || self.parked.contains_key(&seq) {
             return Ingest::Duplicate;
         }
@@ -141,7 +141,7 @@ impl<T> ReorderBuffer<T> {
     }
 
     /// Frames currently parked out of order.
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         self.parked.len()
     }
 

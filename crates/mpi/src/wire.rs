@@ -99,7 +99,7 @@ fn crc32_bytewise(mut c: u32, data: &[u8]) -> u32 {
 /// Slice-by-8: eight bytes per step through eight tables, the byte loop
 /// only for the tail of fewer than eight — every frame is hashed once
 /// on each side of the wire, so the per-byte cost is the transport's.
-pub fn crc32(data: &[u8]) -> u32 {
+pub(crate) fn crc32(data: &[u8]) -> u32 {
     let t = &CRC32_TABLES;
     let mut c = 0xFFFF_FFFFu32;
     let mut words = data.chunks_exact(8);
