@@ -46,7 +46,7 @@ fn lane_max(cols: &[i64]) -> Option<i64> {
             *lane = (*lane).max(c);
         }
     }
-    let tail = chunks.remainder().iter().copied().max();
+    let tail = chunks.remainder().iter().copied();
     (!cols.is_empty()).then(|| lanes.into_iter().chain(tail).fold(i64::MIN, i64::max))
 }
 
