@@ -192,18 +192,25 @@ fn peak_overlap(ends: &mut [(i64, i64)]) -> i64 {
 pub fn assert_verified(circuit: &Circuit, result: &RoutingResult) {
     let violations = verify(circuit, result);
     if !violations.is_empty() {
-        let mut msg = format!(
-            "routing result for '{}' failed verification:\n",
+        let header = format!(
+            "routing result for '{}' failed verification:",
             result.circuit
         );
-        for v in violations.iter().take(20) {
-            msg.push_str(&format!("  - {v}\n"));
-        }
-        if violations.len() > 20 {
-            msg.push_str(&format!("  … and {} more\n", violations.len() - 20));
-        }
-        panic!("{msg}");
+        fail(header, &violations);
     }
+}
+
+/// Panic with `header` on its own line, then the first 20 `violations`,
+/// one per line, and a count of the rest.
+fn fail(header: String, violations: &[Violation]) -> ! {
+    let mut msg = header + "\n";
+    for v in violations.iter().take(20) {
+        msg.push_str(&format!("  - {v}\n"));
+    }
+    if violations.len() > 20 {
+        msg.push_str(&format!("  … and {} more\n", violations.len() - 20));
+    }
+    panic!("{msg}");
 }
 
 /// The engine's post-recovery self-check: verify `result`, count the
@@ -220,18 +227,12 @@ pub fn check(circuit: &Circuit, result: &RoutingResult, comm: &mut Comm) -> usiz
         violations.len() as u64,
     );
     if !violations.is_empty() {
-        let mut msg = format!(
-            "post-recovery verification of '{}' failed ({} violation(s)):\n",
+        let header = format!(
+            "post-recovery verification of '{}' failed ({} violation(s)):",
             result.circuit,
             violations.len()
         );
-        for v in violations.iter().take(20) {
-            msg.push_str(&format!("  - {v}\n"));
-        }
-        if violations.len() > 20 {
-            msg.push_str(&format!("  … and {} more\n", violations.len() - 20));
-        }
-        panic!("{msg}");
+        fail(header, &violations);
     }
     violations.len()
 }
@@ -242,7 +243,7 @@ mod tests {
     use crate::route::state::Span;
     use crate::route::try_route_serial;
     use crate::RouterConfig;
-    use pgr_circuit::{generate, GeneratorConfig, NetId};
+    use pgr_circuit::{generate, GeneratorConfig};
     use pgr_mpi::{Comm, MachineModel};
 
     fn routed() -> (pgr_circuit::Circuit, RoutingResult) {
@@ -446,34 +447,5 @@ mod tests {
         let (c, mut r) = routed();
         r.channel_density[0] += 7;
         assert_verified(&c, &r);
-    }
-
-    #[test]
-    fn parallel_results_verify_clean() {
-        use crate::parallel::{route_parallel_guarded, Algorithm};
-        use crate::PartitionKind;
-        use pgr_mpi::InstrumentConfig;
-        let c = generate(&GeneratorConfig::small("verify-par", 6));
-        let cfg = RouterConfig::with_seed(3);
-        for algo in Algorithm::ALL {
-            let out = route_parallel_guarded(
-                &c,
-                &cfg,
-                algo,
-                PartitionKind::PinWeight,
-                3,
-                MachineModel::sparc_center_1000(),
-                InstrumentConfig::off(),
-            );
-            let result = out.result.unwrap();
-            assert_verified(&c, &result);
-            // Spans must reference real nets.
-            assert!(
-                result.spans.iter().all(|s| (s.net.index()) < c.num_nets()),
-                "{}",
-                algo.name()
-            );
-            let _ = NetId(0);
-        }
     }
 }

@@ -287,8 +287,9 @@ pub fn chrome_trace_with_path(
             t.rank, t.rank
         ));
         // Phase spans: marker-to-marker, the last closing at final_time.
-        for (i, (name, dur)) in t.phase_durations().iter().enumerate() {
-            let start: f64 = t.phase_durations()[..i].iter().map(|(_, d)| d).sum();
+        let phases = t.phase_durations();
+        for (i, (name, dur)) in phases.iter().enumerate() {
+            let start: f64 = phases[..i].iter().map(|(_, d)| d).sum();
             ev.push(format!(
                 r#"{{"name":"phase:{}","cat":"phase","ph":"X","ts":{:.3},"dur":{:.3},"pid":0,"tid":{}}}"#,
                 json_escape(name),
