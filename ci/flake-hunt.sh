@@ -8,15 +8,14 @@
 # host has cores; and the peer-exit paths race a sender against a
 # receiver's exit (a redundant copy reaching a rank that already left).
 # The suites: pgr-mpi's chaos and fault suites, and pgr-router's
-# net-wise driver and sync tests and differential oracle (its kill,
-# chaos and budget relations).
+# net-wise driver and sync tests, kill matrix and chaos recovery.
 set -eu
 cd "$(dirname "$0")/.."
 runs=${RUNS:-20}
 
 suites() {
     cargo test -q --locked -p pgr-mpi --test chaos --test fault "$@" &&
-        cargo test -q --locked -p pgr-router --test oracle "$@" &&
+        cargo test -q --locked -p pgr-router --test kill_matrix --test chaos_recovery "$@" &&
         cargo test -q --locked -p pgr-router --lib "$@" -- parallel::netwise route::switchable route::coarse
 }
 

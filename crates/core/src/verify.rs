@@ -243,7 +243,7 @@ mod tests {
     use crate::route::state::Span;
     use crate::route::try_route_serial;
     use crate::RouterConfig;
-    use pgr_circuit::{generate, GeneratorConfig};
+    use pgr_circuit::{generate, GeneratorConfig, NetId};
     use pgr_mpi::{Comm, MachineModel};
 
     fn routed() -> (pgr_circuit::Circuit, RoutingResult) {
@@ -447,5 +447,34 @@ mod tests {
         let (c, mut r) = routed();
         r.channel_density[0] += 7;
         assert_verified(&c, &r);
+    }
+
+    #[test]
+    fn parallel_results_verify_clean() {
+        use crate::parallel::{route_parallel_guarded, Algorithm};
+        use crate::PartitionKind;
+        use pgr_mpi::InstrumentConfig;
+        let c = generate(&GeneratorConfig::small("verify-par", 6));
+        let cfg = RouterConfig::with_seed(3);
+        for algo in Algorithm::ALL {
+            let out = route_parallel_guarded(
+                &c,
+                &cfg,
+                algo,
+                PartitionKind::PinWeight,
+                3,
+                MachineModel::sparc_center_1000(),
+                InstrumentConfig::off(),
+            );
+            let result = out.result.unwrap();
+            assert_verified(&c, &result);
+            // Spans must reference real nets.
+            assert!(
+                result.spans.iter().all(|s| (s.net.index()) < c.num_nets()),
+                "{}",
+                algo.name()
+            );
+            let _ = NetId(0);
+        }
     }
 }

@@ -8,232 +8,77 @@
 //!
 //! * every budgeted run ends **structured** — `Ok` (possibly
 //!   `budget_degraded` after shedding optional refinement) or the agreed
-//!   [`RouteError::BudgetExceeded`] — never a panic;
+//!   `RouteError::BudgetExceeded` — never a panic;
 //! * outcomes are **bit-deterministic**: the same lever run twice gives
 //!   the identical error or the identical result and virtual clock;
 //! * a targetable phase (longer than everything before it) reports its
 //!   breach no earlier than itself;
-//! * `Ok` results always carry a [`verify`] proof with zero violations,
+//! * `Ok` results always carry a `verify` proof with zero violations,
 //!   shed or not;
 //! * metric windows still partition the totals exactly, breach or shed
 //!   counters included;
 //! * the byte cap and the recovery-round bound trip as their own
-//!   [`BudgetKind`]s, and generous limits reproduce the unbudgeted
+//!   `BudgetKind`s, and generous limits reproduce the unbudgeted
 //!   route bit-for-bit.
 
-use pgr_circuit::{generate, Circuit, GeneratorConfig};
-use pgr_mpi::{
-    run_instrumented, BudgetKind, ChaosConfig, ChaosLayer, InstrumentConfig, MachineModel,
-    MetricsConfig, Phase, ReliabilityConfig, ResourceBudget,
+mod harness;
+
+use harness::{
+    budget, cases, check, generous_budget, grid, kills, one_and_three, outcome, tight_bytes,
+    Relation, Run, Setup,
 };
-use pgr_router::{
-    route_parallel_guarded, try_route_serial, verify, Algorithm, GuardedOutcome, PartitionKind,
-    RouteError, RouterConfig,
-};
-use std::sync::Arc;
+use pgr_mpi::{BudgetKind, Phase, ResourceBudget};
+use pgr_obs::budget_names;
+use pgr_router::metrics::names;
+use pgr_router::{Algorithm, GuardedOutcome, RouteError};
 
-const SEED: u64 = 1997;
-
-fn small(tag: &str) -> Circuit {
-    generate(&GeneratorConfig::small(tag, 13))
-}
-
-fn machine() -> MachineModel {
-    MachineModel::sparc_center_1000()
-}
-
-fn cfg_with(budget: ResourceBudget) -> RouterConfig {
-    RouterConfig {
-        budget,
-        ..RouterConfig::with_seed(SEED)
-    }
-}
-
-fn metrics_on() -> InstrumentConfig {
-    InstrumentConfig {
-        metrics: MetricsConfig::on(),
-        ..InstrumentConfig::off()
-    }
-}
-
-/// Comparable summary of one budgeted run: exact on both arms, so two
-/// runs of the same cell can be asserted bit-identical.
-#[derive(Debug, Clone, PartialEq)]
-enum Outcome {
-    Routed {
-        tracks: i64,
-        shed: bool,
-        time_bits: u64,
-    },
-    Exceeded(RouteError),
-}
-
-impl Outcome {
-    fn err(&self) -> Option<&RouteError> {
-        match self {
-            Outcome::Exceeded(e) => Some(e),
-            Outcome::Routed { .. } => None,
-        }
-    }
-
-    fn shed(&self) -> bool {
-        matches!(self, Outcome::Routed { shed: true, .. })
-    }
-}
-
-/// One driver column of the matrix: any of the four drivers, and its
-/// rank count (serial is always one).
-#[derive(Debug, Clone, Copy)]
-struct Driver(Algorithm, usize);
-
-impl Driver {
-    fn label(&self) -> String {
-        format!("{} P={}", self.0.name(), self.1)
-    }
-
-    fn procs(&self) -> usize {
-        self.1
-    }
-
-    fn route(
-        &self,
-        circuit: &Circuit,
-        cfg: &RouterConfig,
-        instr: InstrumentConfig,
-    ) -> GuardedOutcome {
-        let Driver(algo, procs) = *self;
-        route_parallel_guarded(
-            circuit,
-            cfg,
-            algo,
-            PartitionKind::PinWeight,
-            procs,
-            machine(),
-            instr,
-        )
-    }
-
-    /// Run the driver under `budget` (with optional kill chaos for the
-    /// recovery-round lever), asserting the structural contracts that
-    /// hold for every cell, and return the comparable outcome.
-    fn run(&self, circuit: &Circuit, budget: ResourceBudget, kill: bool) -> Outcome {
-        let mut instr = metrics_on();
-        if kill {
-            // Kills only: the lever under test is the recovery
-            // budget, not message chaos.
-            let mut chaos = ChaosConfig::messages_only(SEED);
-            chaos.drop = 0.0;
-            chaos.reorder = 0.0;
-            chaos.duplicate = 0.0;
-            chaos.delay = 0.0;
-            chaos.kills = vec![(self.procs() - 1, 2)];
-            instr.fault = Some(Arc::new(ChaosLayer::new(chaos)));
-            instr.reliability = ReliabilityConfig::on();
-        }
-        let out = self.route(circuit, &cfg_with(budget), instr);
-        // Totals are exactly the sum of the per-phase windows — including
-        // `budget.breaches` / `budget.shed_events` recorded on the way down.
-        for m in &out.metrics {
-            m.windows_partition_totals()
-                .unwrap_or_else(|broken| panic!("{}: {broken}", self.label()));
-        }
-        match out.result {
-            Ok(result) => {
-                verify::assert_verified(circuit, &result);
-                Outcome::Routed {
-                    tracks: result.track_count(),
-                    // `budget.shed_events` > 0 on some rank — for the
-                    // one-rank serial driver, exactly the rank's own
-                    // `budget_shed_any()`.
-                    shed: out.budget_degraded,
-                    time_bits: out.time.to_bits(),
-                }
-            }
-            Err(e) => Outcome::Exceeded(e),
-        }
-    }
-
-    /// Unbudgeted probe: per-phase durations (first-appearance order,
-    /// re-entries accumulated) and the largest per-rank peak footprint.
-    fn probe(&self, circuit: &Circuit) -> (Vec<(Phase, f64)>, u64) {
-        let out = self.route(
-            circuit,
-            &cfg_with(ResourceBudget::unlimited()),
-            metrics_on(),
-        );
-        verify::assert_verified(circuit, &out.result.expect("unbudgeted never errors"));
-        let stats = out.stats;
-        let peak = stats.iter().map(|s| s.peak_mem).max().unwrap_or(0);
-        // Per-phase duration = the max across ranks of each rank's
-        // accumulated time in that phase; the per-phase lever applies on
-        // every rank, so targeting a phase means clearing the slowest
-        // rank of every earlier phase. Order by first appearance on
-        // rank 0 (all ranks share the pipeline's pass order).
-        let mut phases: Vec<(Phase, f64)> = Vec::new();
-        for s in &stats {
-            let mut local: Vec<(Phase, f64)> = Vec::new();
-            for (name, secs) in &s.phases {
-                let phase = Phase::from_name(name).expect("stats use registry phases");
-                match local.iter_mut().find(|(p, _)| *p == phase) {
-                    Some((_, acc)) => *acc += secs,
-                    None => local.push((phase, *secs)),
-                }
-            }
-            for (phase, secs) in local {
-                match phases.iter_mut().find(|(p, _)| *p == phase) {
-                    Some((_, max)) => *max = max.max(secs),
-                    None => phases.push((phase, secs)),
-                }
+/// Per-phase durations of an unbudgeted run (first-appearance order,
+/// re-entries accumulated): the max across ranks of each rank's
+/// accumulated time in that phase. The per-phase lever applies on every
+/// rank, so targeting a phase means clearing the slowest rank of every
+/// earlier phase.
+fn phase_durations(out: &GuardedOutcome) -> Vec<(Phase, f64)> {
+    let mut phases: Vec<(Phase, f64)> = Vec::new();
+    for s in &out.stats {
+        let mut local: Vec<(Phase, f64)> = Vec::new();
+        for (name, secs) in &s.phases {
+            let phase = Phase::from_name(name).expect("stats use registry phases");
+            match local.iter_mut().find(|(p, _)| *p == phase) {
+                Some((_, acc)) => *acc += secs,
+                None => local.push((phase, *secs)),
             }
         }
-        (phases, peak)
-    }
-}
-
-fn drivers() -> Vec<Driver> {
-    let mut d = vec![Driver(Algorithm::Serial, 1)];
-    for algo in Algorithm::ALL {
-        for procs in [1, 3] {
-            d.push(Driver(algo, procs));
+        for (phase, secs) in local {
+            match phases.iter_mut().find(|(p, _)| *p == phase) {
+                Some((_, max)) => *max = max.max(secs),
+                None => phases.push((phase, secs)),
+            }
         }
     }
-    d
+    phases
 }
 
-/// Run one budgeted cell twice and insist on a bit-identical outcome.
-fn run_twice(driver: &Driver, circuit: &Circuit, budget: ResourceBudget, kill: bool) -> Outcome {
-    let a = driver.run(circuit, budget, kill);
-    let b = driver.run(circuit, budget, kill);
-    assert_eq!(
-        a,
-        b,
-        "{}: budgeted runs must be bit-deterministic",
-        driver.label()
-    );
-    a
-}
-
+/// For every driver, a time lever aimed at each pipeline phase in turn
+/// ends structured: `Ok` (shed or not) or the agreed
+/// `BudgetExceeded { budget: PhaseSeconds }`, and a targetable phase
+/// reports its breach no earlier than itself.
 #[test]
 fn time_levers_breach_structurally_at_every_phase_boundary() {
-    let circuit = small("budget-matrix");
     let mut any_exceeded = false;
     let mut any_shed = false;
-    for driver in drivers() {
-        let (phases, _) = driver.probe(&circuit);
-        // All seven registry phases must have crossed a boundary (and so
-        // a budget check) in this driver's pipeline.
+    let mut levers = Vec::new();
+    for cell in one_and_three(&cases().budget) {
+        let phases = phase_durations(&outcome(&Run::plain(cell)));
         for phase in Phase::ALL {
             assert!(
                 phases.iter().any(|(p, _)| p == &phase),
-                "{}: phase {phase} never entered",
-                driver.label()
+                "{cell}: phase {phase} never entered"
             );
         }
-        let self_is_solo = driver.procs() == 1;
+        let solo = cell.procs == 1;
         let mut prefix_max = 0.0f64;
-        for (k, (target, secs)) in phases.iter().enumerate() {
-            if *secs <= 0.0 {
-                prefix_max = prefix_max.max(*secs);
+        for (k, &(target, secs)) in phases.iter().enumerate() {
+            if secs <= 0.0 {
                 continue;
             }
             // A phase longer than everything before it can be targeted
@@ -246,178 +91,122 @@ fn time_levers_breach_structurally_at_every_phase_boundary() {
             // per-phase accounts (the gate collectives resync every
             // boundary), and a lever below a probe duration may
             // legitimately fit — or trip a different phase.
-            let targetable = self_is_solo && k > 0 && *secs > prefix_max;
+            let targetable = solo && k > 0 && secs > prefix_max;
             let lever = if targetable {
                 (prefix_max + secs) / 2.0
             } else {
                 secs * 0.999
             };
-            let budget = ResourceBudget {
-                max_phase_seconds: Some(lever),
-                ..ResourceBudget::unlimited()
-            };
-            let outcome = run_twice(&driver, &circuit, budget, false);
-            let ctx = format!("{} lever at {target}", driver.label());
-            match outcome.err() {
-                Some(RouteError::BudgetExceeded { phase, budget, .. }) => {
+            let run = Run::new(
+                cell,
+                budget(ResourceBudget {
+                    max_phase_seconds: Some(lever),
+                    ..ResourceBudget::unlimited()
+                }),
+            );
+            let out = outcome(&run);
+            match &out.result {
+                Err(RouteError::BudgetExceeded { phase, budget, .. }) => {
                     any_exceeded = true;
-                    assert_eq!(
-                        *budget,
-                        BudgetKind::PhaseSeconds,
-                        "{ctx}: a time lever trips the time kind"
+                    assert_eq!(*budget, BudgetKind::PhaseSeconds, "{run} at {target}");
+                    assert!(
+                        !targetable || phase.index() >= target.index(),
+                        "{run}: breach reported at {phase}, before the target {target}"
                     );
-                    if targetable {
-                        assert!(
-                            phase.index() >= target.index(),
-                            "{ctx}: breach reported at {phase}, before the target"
-                        );
-                    }
                 }
-                None => {
+                Ok(_) => {
                     // On a solo run the probe timing is exact, so a
                     // completed run must have shed its way under the
                     // lever. At P > 1 the budgeted run's resynced phases
                     // may fit outright (see `targetable` above).
-                    if self_is_solo {
-                        assert!(
-                            outcome.shed(),
-                            "{ctx}: overrun completed without a budget_degraded stamp"
-                        );
-                    }
-                    if outcome.shed() {
-                        any_shed = true;
-                    }
+                    assert!(
+                        !solo || out.budget_degraded,
+                        "{run}: overran without shedding"
+                    );
+                    any_shed |= out.budget_degraded;
                 }
             }
-            prefix_max = prefix_max.max(*secs);
+            prefix_max = prefix_max.max(secs);
+            levers.push(run);
         }
     }
     assert!(any_exceeded, "no lever produced a structured budget error");
     assert!(any_shed, "no lever produced a graceful shed");
+    // Outcomes are bit-deterministic: each lever run twice is the same.
+    check(Relation::rerun(levers));
 }
 
 #[test]
 fn byte_caps_trip_as_rank_bytes_and_generous_budgets_change_nothing() {
-    let circuit = small("budget-bytes");
-    for driver in drivers() {
-        let (phases, peak) = driver.probe(&circuit);
-        assert!(peak > 0, "{}: probe saw no footprint", driver.label());
-        let total: f64 = phases.iter().map(|(_, s)| s).sum();
-
-        let tight = ResourceBudget {
-            max_rank_bytes: Some(peak / 2),
-            ..ResourceBudget::unlimited()
-        };
-        let outcome = run_twice(&driver, &circuit, tight, false);
-        match outcome.err() {
-            Some(RouteError::BudgetExceeded { budget, .. }) => assert_eq!(
-                *budget,
-                BudgetKind::RankBytes,
-                "{}: a byte cap trips the byte kind",
-                driver.label()
-            ),
-            None => panic!(
-                "{}: half the probe's peak footprint must breach",
-                driver.label()
-            ),
-        }
-
-        // Generous limits on every axis must behave as if unlimited:
-        // same tracks, no shed, no error.
-        let generous = ResourceBudget {
-            max_phase_seconds: Some(total * 10.0 + 1.0),
-            max_rank_bytes: Some(peak * 4),
-            max_recovery_rounds: Some(8),
-        };
-        let unbudgeted = run_twice(&driver, &circuit, ResourceBudget::unlimited(), false);
-        let budgeted = run_twice(&driver, &circuit, generous, false);
-        match (&unbudgeted, &budgeted) {
-            (
-                Outcome::Routed { tracks: a, .. },
-                Outcome::Routed {
-                    tracks: b, shed, ..
-                },
-            ) => {
-                assert_eq!(
-                    a,
-                    b,
-                    "{}: generous budget altered the route",
-                    driver.label()
-                );
-                assert!(!shed, "{}: generous budget shed work", driver.label());
+    let cells = one_and_three(&cases().budget);
+    let mut runs = Vec::new();
+    for &cell in &cells {
+        let run = Run::new(cell, tight_bytes(cell));
+        match &outcome(&run).result {
+            Err(RouteError::BudgetExceeded { budget, .. }) => {
+                assert_eq!(*budget, BudgetKind::RankBytes, "{run}")
             }
-            _ => panic!("{}: generous budget errored", driver.label()),
+            Ok(_) => panic!("{run}: half the probe's peak footprint must breach"),
         }
+        runs.push(run);
+        runs.push(Run::plain(cell));
+        runs.push(Run::new(cell, generous_budget(cell)));
     }
+    // Generous limits on every axis behave as if unlimited: the same
+    // result, no shed, no error.
+    check(Relation::generous_budget(cells));
+    check(Relation::rerun(runs));
 }
 
 #[test]
 fn recovery_round_budget_is_a_structured_error_not_a_fallback() {
-    let circuit = small("budget-rounds");
-    for algo in Algorithm::ALL {
-        let driver = Driver(algo, 3);
-        // A kill with zero recovery rounds allowed: the engine must
-        // surface the exhaustion as the agreed RecoveryRounds error.
-        let exhausted = ResourceBudget {
-            max_recovery_rounds: Some(0),
-            ..ResourceBudget::unlimited()
+    let mut runs = Vec::new();
+    for cell in grid([&cases().budget], &[3], &Algorithm::ALL) {
+        let rounds = |max_recovery_rounds| {
+            let budget = ResourceBudget {
+                max_recovery_rounds: Some(max_recovery_rounds),
+                ..ResourceBudget::unlimited()
+            };
+            let kill = kills(vec![(cell.procs - 1, 2)]);
+            Run::new(cell, Setup { budget, ..kill })
         };
-        let outcome = run_twice(&driver, &circuit, exhausted, true);
-        match outcome.err() {
-            Some(RouteError::BudgetExceeded { budget, .. }) => assert_eq!(
-                *budget,
-                BudgetKind::RecoveryRounds,
-                "{}: exhaustion reports the rounds kind",
-                driver.label()
-            ),
-            None => panic!("{}: zero recovery rounds must error", driver.label()),
+        // A kill with zero recovery rounds allowed surfaces as the
+        // agreed RecoveryRounds error; with headroom it recovers.
+        let exhausted = rounds(0);
+        match &outcome(&exhausted).result {
+            Err(RouteError::BudgetExceeded { budget, .. }) => {
+                assert_eq!(*budget, BudgetKind::RecoveryRounds, "{exhausted}")
+            }
+            Ok(_) => panic!("{exhausted}: zero recovery rounds must error"),
         }
-
-        // The same kill with headroom recovers and verifies.
-        let headroom = ResourceBudget {
-            max_recovery_rounds: Some(8),
-            ..ResourceBudget::unlimited()
-        };
-        let outcome = run_twice(&driver, &circuit, headroom, true);
-        assert!(
-            outcome.err().is_none(),
-            "{}: recovery within budget must complete",
-            driver.label()
-        );
+        let headroom = rounds(8);
+        assert!(outcome(&headroom).result.is_ok(), "{headroom}");
+        runs.extend([exhausted, headroom]);
     }
+    check(Relation::rerun(runs));
 }
 
-/// The serial router runs through `engine::drive` like every parallel
-/// pipeline. This row pins its budget behaviour to what the hand-rolled
-/// serial driver before it produced (values recorded at that commit):
-/// the breach payload bit for bit, and a shed run's route, clock and
-/// `verify.violations: 0` proof inside the assemble window.
+/// The serial router's budget behaviour, pinned: the breach payload bit
+/// for bit, and a shed run's route, clock and `verify.violations: 0`
+/// proof inside the assemble window.
 #[test]
 fn serial_breach_payload_and_shed_proof_are_pinned() {
-    use pgr_obs::budget_names;
-    use pgr_router::metrics::names;
-
-    let circuit = small("budget-pin");
-    let run = |max_phase_seconds: f64| {
-        let cfg = cfg_with(ResourceBudget {
-            max_phase_seconds: Some(max_phase_seconds),
-            ..ResourceBudget::unlimited()
-        });
-        let (mut report, _, mut metrics) = run_instrumented(1, machine(), metrics_on(), |comm| {
-            try_route_serial(&circuit, &cfg, comm)
-        });
-        (
-            report.results.remove(0),
-            report.stats[0].time.to_bits(),
-            metrics.remove(0),
-        )
+    let lever = |max_phase_seconds| {
+        let serial = grid([&cases().budget], &[1], &[Algorithm::Serial])[0];
+        outcome(&Run::new(
+            serial,
+            budget(ResourceBudget {
+                max_phase_seconds: Some(max_phase_seconds),
+                ..ResourceBudget::unlimited()
+            }),
+        ))
     };
 
     // Setup alone takes 0.7 virtual seconds: a 0.5 s lever breaches at
     // the first boundary that closes its books.
-    let (routed, time_bits, metrics) = run(0.5);
+    let out = lever(0.5);
     assert_eq!(
-        routed,
+        out.result,
         Err(RouteError::BudgetExceeded {
             rank: 0,
             phase: Phase::Steiner,
@@ -426,15 +215,18 @@ fn serial_breach_payload_and_shed_proof_are_pinned() {
             observed: 0.7,
         })
     );
-    assert_eq!(time_bits, 0x3fe6_6666_6666_6666);
+    assert_eq!(out.time.to_bits(), 0x3fe6_6666_6666_6666);
+    let metrics = &out.metrics[0];
     assert_eq!(metrics.counter(budget_names::BREACHES), Some(1));
     assert_eq!(metrics.counter(names::VERIFY_VIOLATIONS), None);
 
     // A 1 s lever clears every mandatory phase; coarse (3.4 s unbudgeted)
     // sheds its refinement and the run completes with the proof.
-    let (routed, time_bits, metrics) = run(1.0);
-    assert_eq!(routed.expect("shed, not breached").track_count(), 89);
-    assert_eq!(time_bits, 0x4007_5b32_f2ac_185a);
+    let out = lever(1.0);
+    let routed = out.result.as_ref().expect("shed, not breached");
+    assert_eq!(routed.track_count(), 89);
+    assert_eq!(out.time.to_bits(), 0x4007_5b32_f2ac_185a);
+    let metrics = &out.metrics[0];
     assert_eq!(metrics.counter(budget_names::SHED_EVENTS), Some(1));
     assert_eq!(metrics.counter(budget_names::BREACHES), None);
     let assemble = metrics.window(Phase::Assemble.name()).expect("window");

@@ -12,86 +12,33 @@
 //!   so driving the pipelines through the shared engine is a pure
 //!   refactor, not a behaviour change.
 
-use pgr_circuit::{generate, Circuit, GeneratorConfig};
-use pgr_mpi::{ClockMode, Comm, InstrumentConfig, MachineModel, RankMetrics, RankStats};
-use pgr_obs::metrics::MetricsConfig;
-use pgr_router::metrics::names;
-use pgr_router::{
-    route_parallel_guarded, try_route_serial, Algorithm, GuardedOutcome, PartitionKind,
-    RouterConfig, RoutingResult,
-};
+mod harness;
 
-/// Serial result fingerprint and final virtual-clock bits on the
-/// SparcCenter 1000 model.
+use harness::{
+    cases, check, golden, grid, one_and_three, outcome, plain, with, Relation, Run, Setup,
+};
+use pgr_mpi::RankStats;
+use pgr_router::metrics::names;
+use pgr_router::{Algorithm, PartitionKind, RoutingResult};
+
+// ------------------------------------------------------ absolute pins
+
+/// Serial result fingerprint and final virtual-clock bits of the golden
+/// circuit on the SparcCenter 1000 model.
 const SERIAL_RESULT: u64 = 0x2dce55bf5935412c;
 const SERIAL_CLOCK: u64 = 0x40165dd576f108a0;
 
-/// `(procs, result fingerprint, makespan bits, stats fingerprint)` per
-/// algorithm, captured before the engine refactor.
+/// `(driver, procs, result fingerprint, makespan bits, stats
+/// fingerprint)` of the golden circuit.
+#[rustfmt::skip]
 const GOLDEN: [(Algorithm, usize, u64, u64, u64); 6] = [
-    (
-        Algorithm::RowWise,
-        1,
-        0x2dce55bf5935412c,
-        0x401775b36fb1dc5b,
-        0xd5fb260c36aa29f9,
-    ),
-    (
-        Algorithm::RowWise,
-        3,
-        0xd753b5d3fc2737c1,
-        0x400a73550f2437dc,
-        0x484abf9841c7af44,
-    ),
-    (
-        Algorithm::NetWise,
-        1,
-        0x2dce55bf5935412c,
-        0x401775b36fb1dc5c,
-        0x00c69ba00435aef0,
-    ),
-    (
-        Algorithm::NetWise,
-        3,
-        0x0b19591bf13d6d9d,
-        0x4013035afb1d0ecb,
-        0xeaf431c4d4ad2bd4,
-    ),
-    (
-        Algorithm::Hybrid,
-        1,
-        0x2dce55bf5935412c,
-        0x401775b36fb1dc5b,
-        0x3701b955fce3b089,
-    ),
-    (
-        Algorithm::Hybrid,
-        3,
-        0x07fe24ca1dbf877e,
-        0x400a0c3d5fa5cf27,
-        0x37b0087eadd42336,
-    ),
+    (Algorithm::RowWise, 1, 0x2dce55bf5935412c, 0x401775b36fb1dc5b, 0xd5fb260c36aa29f9),
+    (Algorithm::RowWise, 3, 0xd753b5d3fc2737c1, 0x400a73550f2437dc, 0x484abf9841c7af44),
+    (Algorithm::NetWise, 1, 0x2dce55bf5935412c, 0x401775b36fb1dc5c, 0x00c69ba00435aef0),
+    (Algorithm::NetWise, 3, 0x0b19591bf13d6d9d, 0x4013035afb1d0ecb, 0xeaf431c4d4ad2bd4),
+    (Algorithm::Hybrid, 1, 0x2dce55bf5935412c, 0x401775b36fb1dc5b, 0x3701b955fce3b089),
+    (Algorithm::Hybrid, 3, 0x07fe24ca1dbf877e, 0x400a0c3d5fa5cf27, 0x37b0087eadd42336),
 ];
-
-fn golden_circuit() -> Circuit {
-    generate(&GeneratorConfig::small("golden", 23))
-}
-
-fn cfg() -> RouterConfig {
-    RouterConfig::with_seed(11)
-}
-
-fn route(c: &Circuit, algo: Algorithm, procs: usize) -> GuardedOutcome {
-    route_parallel_guarded(
-        c,
-        &cfg(),
-        algo,
-        PartitionKind::PinWeight,
-        procs,
-        MachineModel::sparc_center_1000(),
-        InstrumentConfig::off(),
-    )
-}
 
 fn mix(h: &mut u64, v: u64) {
     // FNV-1a over 64-bit words.
@@ -141,171 +88,63 @@ fn stats_fingerprint(stats: &[RankStats]) -> u64 {
 
 #[test]
 fn serial_run_matches_pre_refactor_fingerprint() {
-    let c = golden_circuit();
-    let mut comm = Comm::solo(MachineModel::sparc_center_1000());
-    let serial = try_route_serial(&c, &cfg(), &mut comm).unwrap();
+    let serial = outcome(&Run::plain(golden(Algorithm::Serial, 1)));
+    let result = serial.result.as_ref().unwrap();
     assert_eq!(
-        result_fingerprint(&serial),
+        result_fingerprint(result),
         SERIAL_RESULT,
-        "serial routing decisions changed"
+        "routing decisions"
     );
-    assert_eq!(
-        comm.now().to_bits(),
-        SERIAL_CLOCK,
-        "serial virtual clock changed"
-    );
-    // The same run as the guarded harness's fourth driver, traces and
-    // metrics off and on (`procs` and the net partition are ignored).
-    for instr in [InstrumentConfig::off(), InstrumentConfig::full()] {
-        let out = route_parallel_guarded(
-            &c,
-            &cfg(),
-            Algorithm::Serial,
-            PartitionKind::Center,
-            3,
-            MachineModel::sparc_center_1000(),
-            instr,
+    assert_eq!(serial.time.to_bits(), SERIAL_CLOCK, "virtual clock");
+    // The serial driver ignores `procs` and the net partition, and one
+    // rank has no partition to be imbalanced.
+    let kind = Some(PartitionKind::Center);
+    let ignored = Run::new(golden(Algorithm::Serial, 3), Setup { kind, ..plain() });
+    let out = outcome(&ignored);
+    assert_eq!(out.result, serial.result, "{ignored}");
+    assert_eq!(out.time.to_bits(), SERIAL_CLOCK, "{ignored}");
+    assert_eq!(out.stats.len(), 1, "{ignored}: serial is one rank");
+    assert!(out
+        .metrics
+        .iter()
+        .all(|m| m.gauge(names::LOAD_IMBALANCE).is_none()));
+    // Instrumentation off changes neither the result nor the clock.
+    check(Relation::instrumented(vec![golden(Algorithm::Serial, 1)]));
+}
+
+#[test]
+fn every_pipeline_matches_its_pre_refactor_fingerprints() {
+    for (algo, procs, result_fp, time_bits, stats_fp) in GOLDEN {
+        let cell = golden(algo, procs);
+        let out = outcome(&Run::plain(cell));
+        let result = out.result.as_ref().unwrap();
+        assert_eq!(
+            result_fingerprint(result),
+            result_fp,
+            "{cell}: routing decisions"
         );
-        assert_eq!(out.result.as_ref(), Ok(&serial), "guarded serial result");
-        assert_eq!(out.time.to_bits(), SERIAL_CLOCK, "guarded serial clock");
-        assert_eq!(out.stats.len(), 1, "serial is one rank");
-        // One rank has no partition to be imbalanced.
-        let imbalance = |m: &RankMetrics| m.gauge(names::LOAD_IMBALANCE);
-        assert!(out.metrics.iter().all(|m| imbalance(m).is_none()));
+        assert_eq!(out.time.to_bits(), time_bits, "{cell}: virtual makespan");
+        assert_eq!(
+            stats_fingerprint(&out.stats),
+            stats_fp,
+            "{cell}: per-rank stats"
+        );
     }
 }
 
 #[test]
 fn one_rank_parallel_runs_equal_the_serial_run() {
-    let c = golden_circuit();
-    let serial = try_route_serial(&c, &cfg(), &mut Comm::solo(MachineModel::ideal())).unwrap();
-    for algo in Algorithm::ALL {
-        let out = route(&c, algo, 1);
-        assert_eq!(
-            out.result.unwrap(),
-            serial,
-            "{}: P=1 must be the serial algorithm",
-            algo.name()
-        );
-    }
-}
-
-#[test]
-fn every_pipeline_matches_its_pre_refactor_fingerprints() {
-    let c = golden_circuit();
-    for (algo, procs, result_fp, time_bits, stats_fp) in GOLDEN {
-        let out = route(&c, algo, procs);
-        let name = algo.name();
-        assert_eq!(
-            result_fingerprint(out.result.as_ref().unwrap()),
-            result_fp,
-            "{name} P={procs}: routing decisions changed"
-        );
-        assert_eq!(
-            out.time.to_bits(),
-            time_bits,
-            "{name} P={procs}: virtual makespan changed"
-        );
-        assert_eq!(
-            stats_fingerprint(&out.stats),
-            stats_fp,
-            "{name} P={procs}: per-rank stats changed"
-        );
-    }
-}
-
-/// A rank's stats with the wall measurements removed — the only field a
-/// wall-clock run is allowed to add.
-fn strip_wall(stats: &[RankStats]) -> Vec<RankStats> {
-    stats
-        .iter()
-        .cloned()
-        .map(|mut s| {
-            s.wall = None;
-            s
-        })
-        .collect()
+    let cells = grid([&cases().golden], &[1], &Algorithm::ALL);
+    check(Relation::one_rank_is_serial(cells));
 }
 
 #[test]
 fn clock_modes_agree_on_everything_but_wall_measurements() {
-    let c = golden_circuit();
-
-    // Serial driver under both clock strategies.
-    let machine = MachineModel::sparc_center_1000;
-    let mut virt_comm = Comm::solo_with(machine(), MetricsConfig::on(), ClockMode::Virtual);
-    let virt = try_route_serial(&c, &cfg(), &mut virt_comm).unwrap();
-    let mut wall_comm = Comm::solo_with(machine(), MetricsConfig::on(), ClockMode::Wall);
-    let wall = try_route_serial(&c, &cfg(), &mut wall_comm).unwrap();
-    assert_eq!(virt, wall, "serial: wall clock changed routing decisions");
-    assert_eq!(
-        virt_comm.now().to_bits(),
-        wall_comm.now().to_bits(),
-        "serial: wall clock perturbed the virtual account"
-    );
-    assert_eq!(
-        virt_comm.metrics_snapshot(),
-        wall_comm.metrics_snapshot(),
-        "serial: wall clock perturbed the metric windows"
-    );
-
-    // Every parallel driver at P ∈ {1, 3}.
-    for algo in Algorithm::ALL {
-        for procs in [1usize, 3] {
-            let name = algo.name();
-            let run = |clock: ClockMode| {
-                let cfg = RouterConfig { clock, ..cfg() };
-                route_parallel_guarded(
-                    &c,
-                    &cfg,
-                    algo,
-                    PartitionKind::PinWeight,
-                    procs,
-                    machine(),
-                    InstrumentConfig::metered(),
-                )
-            };
-            let virt = run(ClockMode::Virtual);
-            let wall = run(ClockMode::Wall);
-            assert_eq!(
-                virt.result, wall.result,
-                "{name} P={procs}: wall clock changed routing decisions"
-            );
-            assert_eq!(
-                virt.time.to_bits(),
-                wall.time.to_bits(),
-                "{name} P={procs}: wall clock perturbed the virtual makespan"
-            );
-            assert!(
-                virt.stats.iter().all(|s| s.wall.is_none()),
-                "{name} P={procs}: virtual mode must not carry wall stats"
-            );
-            assert!(
-                wall.stats.iter().all(|s| s.wall.is_some()),
-                "{name} P={procs}: wall mode must measure every rank"
-            );
-            assert_eq!(
-                virt.stats,
-                strip_wall(&wall.stats),
-                "{name} P={procs}: wall clock perturbed the virtual stats"
-            );
-            assert_eq!(
-                virt.metrics, wall.metrics,
-                "{name} P={procs}: wall clock perturbed the metric windows"
-            );
-        }
-    }
+    check(Relation::wall_clock(one_and_three(&cases().golden)));
 }
 
 #[test]
 fn repeated_runs_are_byte_identical() {
-    let c = golden_circuit();
-    for algo in Algorithm::ALL {
-        let a = route(&c, algo, 3);
-        let b = route(&c, algo, 3);
-        let name = algo.name();
-        assert_eq!(a.result, b.result, "{name}: result");
-        assert_eq!(a.time, b.time, "{name}: makespan");
-        assert_eq!(a.stats, b.stats, "{name}: stats");
-    }
+    let cells = grid([&cases().golden], &[3], &Algorithm::ALL);
+    check(Relation::rerun(with(cells, plain())));
 }

@@ -25,84 +25,15 @@
 //!   telescopes to the makespan exactly under kill schedules, with the
 //!   replayed work surfacing under its own `resume` class.
 
-use pgr_circuit::{generate, Circuit, GeneratorConfig};
-use pgr_mpi::{
-    build_profile, ChaosConfig, ChaosLayer, InstrumentConfig, MachineModel, MetricsConfig, Phase,
-    ReliabilityConfig, TraceConfig,
+mod harness;
+
+use harness::{
+    cases, check, counter_sum, grid, kills, outcome, small, window_sum, Relation, Run, KILL_P,
 };
+use pgr_mpi::{build_profile, MachineModel, Phase, RunMeta};
 use pgr_obs::{recovery_names, BlameClass};
 use pgr_router::metrics::names;
-use pgr_router::verify::assert_verified;
-use pgr_router::{route_parallel_guarded, Algorithm, GuardedOutcome, PartitionKind, RouterConfig};
-use std::sync::Arc;
-
-fn small(tag: &str) -> Circuit {
-    generate(&GeneratorConfig::small(tag, 17))
-}
-
-/// A kills-only schedule: no message faults, so survivors' virtual
-/// clocks depend only on the kill schedule and the resume path.
-fn quiet_chaos(kills: Vec<(usize, u64)>) -> ChaosConfig {
-    let mut cfg = ChaosConfig::messages_only(31);
-    cfg.drop = 0.0;
-    cfg.reorder = 0.0;
-    cfg.duplicate = 0.0;
-    cfg.delay = 0.0;
-    cfg.kills = kills;
-    cfg
-}
-
-fn instr(cfg: ChaosConfig) -> InstrumentConfig {
-    InstrumentConfig {
-        metrics: MetricsConfig::on(),
-        fault: Some(Arc::new(ChaosLayer::new(cfg))),
-        reliability: ReliabilityConfig::on(),
-        ..InstrumentConfig::off()
-    }
-}
-
-fn instr_traced(cfg: ChaosConfig) -> InstrumentConfig {
-    InstrumentConfig {
-        trace: TraceConfig::on(),
-        ..instr(cfg)
-    }
-}
-
-fn route(
-    circuit: &Circuit,
-    algo: Algorithm,
-    procs: usize,
-    instr: InstrumentConfig,
-) -> GuardedOutcome {
-    route_parallel_guarded(
-        circuit,
-        &RouterConfig::with_seed(9),
-        algo,
-        PartitionKind::PinWeight,
-        procs,
-        MachineModel::sparc_center_1000(),
-        instr,
-    )
-}
-
-fn counter_sum(out: &GuardedOutcome, name: &'static str) -> u64 {
-    out.metrics.iter().filter_map(|m| m.counter(name)).sum()
-}
-
-/// Sum of `name` inside the window of `phase` across all rank shards.
-fn window_sum(out: &GuardedOutcome, phase: Phase, name: &'static str) -> u64 {
-    out.metrics
-        .iter()
-        .filter_map(|m| m.window(phase.name()).and_then(|w| w.counter(name)))
-        .sum()
-}
-
-fn metrics_only() -> InstrumentConfig {
-    InstrumentConfig {
-        metrics: MetricsConfig::on(),
-        ..InstrumentConfig::off()
-    }
-}
+use pgr_router::{Algorithm, GuardedOutcome};
 
 /// The full matrix: three drivers × P ∈ {3, 4} × a kill at every phase
 /// boundary. Each cell must reproduce the fresh shrunken-world result
@@ -111,70 +42,13 @@ fn metrics_only() -> InstrumentConfig {
 /// restart that redoes nothing (no work had completed).
 #[test]
 fn kill_at_every_boundary_resumes_bit_identically_to_fresh_shrunken_world() {
-    let c = small("kill-matrix");
-    for algo in Algorithm::ALL {
-        for procs in [3usize, 4] {
-            let fresh = route(&c, algo, procs - 1, metrics_only());
-            let survivors = (procs - 1) as u64;
-            for b in 0..Phase::ALL.len() as u64 {
-                let ctx = format!("{} P={procs} kill@{b}", algo.name());
-                let out = route(&c, algo, procs, instr(quiet_chaos(vec![(procs - 1, b)])));
-                assert!(!out.degraded, "{ctx}: degraded instead of recovering");
-                assert_eq!(out.result, fresh.result, "{ctx}: result diverged");
-                // Every recovered run self-verifies before returning.
-                assert!(
-                    out.metrics
-                        .iter()
-                        .any(|m| m.counter(names::VERIFY_VIOLATIONS).is_some()),
-                    "{ctx}: the post-recovery self-check did not run"
-                );
-                assert_eq!(counter_sum(&out, names::VERIFY_VIOLATIONS), 0, "{ctx}");
-                assert_eq!(
-                    counter_sum(&out, recovery_names::CHECKPOINT_CRC_FAILURES),
-                    0,
-                    "{ctx}: spurious CRC failure"
-                );
-                if b == 0 {
-                    // Killed entering the very first phase: no boundary
-                    // was ever committed, the round restarts from
-                    // scratch — but nothing had completed, so nothing
-                    // counts as redone.
-                    assert_eq!(
-                        counter_sum(&out, recovery_names::FULL_RESTARTS),
-                        survivors,
-                        "{ctx}: boundary-0 kill must fully restart"
-                    );
-                    assert_eq!(
-                        counter_sum(&out, recovery_names::CHECKPOINT_RESTORES),
-                        0,
-                        "{ctx}"
-                    );
-                    assert_eq!(counter_sum(&out, recovery_names::REDONE_PHASES), 0, "{ctx}");
-                } else {
-                    let resume_from = b.min(2);
-                    assert_eq!(
-                        counter_sum(&out, recovery_names::FULL_RESTARTS),
-                        0,
-                        "{ctx}: resume fell back to a restart"
-                    );
-                    assert_eq!(
-                        counter_sum(&out, recovery_names::CHECKPOINT_RESTORES),
-                        survivors,
-                        "{ctx}: one restore per survivor"
-                    );
-                    assert_eq!(
-                        counter_sum(&out, recovery_names::REDONE_PHASES),
-                        (b - resume_from) * survivors,
-                        "{ctx}: redone-phase accounting"
-                    );
-                    assert!(
-                        counter_sum(&out, recovery_names::CHECKPOINT_COMMITS) > 0,
-                        "{ctx}: no snapshots were committed"
-                    );
-                }
-            }
+    let mut runs = Vec::new();
+    for cell in grid([&cases().small], &KILL_P, &Algorithm::ALL) {
+        for b in 0..Phase::ALL.len() as u64 {
+            runs.push(Run::new(cell, kills(vec![(cell.procs - 1, b)])));
         }
     }
+    check(Relation::kill_resume(runs));
 }
 
 /// Two ranks die in different phases: the second kill fires during the
@@ -185,58 +59,33 @@ fn kill_at_every_boundary_resumes_bit_identically_to_fresh_shrunken_world() {
 /// numbering — and the final result still equals a fresh 2-rank run.
 #[test]
 fn double_kill_attributes_each_round_to_its_failed_phase_window() {
-    let c = small("kill-double");
     for algo in Algorithm::ALL {
-        let name = algo.name();
         // Round 1: rank 3 dies entering coarse (boundary 3), 3 survivors
         // resume from the coarse checkpoint (nothing redone). Round 2:
         // rank 2 dies entering assemble of the resumed attempt
         // (boundary 8 = 3 + 1 + (6 − 2)), 2 survivors resume from
         // coarse again, redoing 4 phases each.
-        let out = route(&c, algo, 4, instr(quiet_chaos(vec![(3, 2), (2, 7)])));
-        assert!(!out.degraded, "{name}: degraded instead of recovering");
-        assert_verified(&c, out.result.as_ref().unwrap());
-
-        let fresh = route(&c, algo, 2, metrics_only());
-        assert_eq!(out.result, fresh.result, "{name}: result diverged");
-
+        let run = Run::new(small(algo, 4), kills(vec![(3, 2), (2, 7)]));
+        let out = outcome(&run);
+        assert!(!out.degraded, "{run}: degraded instead of recovering");
         assert_eq!(
-            window_sum(&out, Phase::Coarse, names::RECOVERY_EVENTS),
-            3,
-            "{name}: round 1 lands in the coarse window"
+            out.result,
+            outcome(&Run::plain(small(algo, 2))).result,
+            "{run}"
         );
-        assert_eq!(
-            window_sum(&out, Phase::Assemble, names::RECOVERY_EVENTS),
-            2,
-            "{name}: round 2 lands in the assemble window"
-        );
-        assert_eq!(
-            window_sum(&out, Phase::Coarse, names::RANKS_LOST),
-            3,
-            "{name}"
-        );
-        assert_eq!(
-            window_sum(&out, Phase::Assemble, names::RANKS_LOST),
-            2,
-            "{name}"
-        );
-        assert_eq!(counter_sum(&out, names::RECOVERY_EVENTS), 5, "{name}");
+        let window = |phase, name| window_sum(&out, phase, name);
+        assert_eq!(window(Phase::Coarse, names::RECOVERY_EVENTS), 3, "{run}");
+        assert_eq!(window(Phase::Assemble, names::RECOVERY_EVENTS), 2, "{run}");
+        assert_eq!(window(Phase::Coarse, names::RANKS_LOST), 3, "{run}");
+        assert_eq!(window(Phase::Assemble, names::RANKS_LOST), 2, "{run}");
+        assert_eq!(counter_sum(&out, names::RECOVERY_EVENTS), 5, "{run}");
         assert_eq!(
             counter_sum(&out, recovery_names::CHECKPOINT_RESTORES),
             5,
-            "{name}: 3 + 2 restores"
+            "{run}"
         );
-        assert_eq!(
-            counter_sum(&out, recovery_names::REDONE_PHASES),
-            8,
-            "{name}: round 2 redoes coarse..switchable on both survivors"
-        );
-        assert_eq!(
-            counter_sum(&out, recovery_names::FULL_RESTARTS),
-            0,
-            "{name}"
-        );
-        assert_eq!(counter_sum(&out, names::VERIFY_VIOLATIONS), 0, "{name}");
+        assert_eq!(counter_sum(&out, recovery_names::REDONE_PHASES), 8, "{run}");
+        assert_eq!(counter_sum(&out, recovery_names::FULL_RESTARTS), 0, "{run}");
     }
 }
 
@@ -247,33 +96,24 @@ fn double_kill_attributes_each_round_to_its_failed_phase_window() {
 /// from the resumed attempt's own re-committed coarse checkpoint.
 #[test]
 fn kill_during_resume_recovers_from_the_recommitted_checkpoint() {
-    let c = small("kill-nested");
     for algo in Algorithm::ALL {
-        let name = algo.name();
-        let out = route(&c, algo, 4, instr(quiet_chaos(vec![(3, 3), (2, 4)])));
-        assert!(!out.degraded, "{name}: degraded instead of recovering");
-        assert_verified(&c, out.result.as_ref().unwrap());
-
-        let fresh = route(&c, algo, 2, metrics_only());
-        assert_eq!(out.result, fresh.result, "{name}: result diverged");
-
-        assert_eq!(counter_sum(&out, names::RECOVERY_EVENTS), 5, "{name}");
+        let run = Run::new(small(algo, 4), kills(vec![(3, 3), (2, 4)]));
+        let out = outcome(&run);
+        assert!(!out.degraded, "{run}: degraded instead of recovering");
+        assert_eq!(
+            out.result,
+            outcome(&Run::plain(small(algo, 2))).result,
+            "{run}"
+        );
+        assert_eq!(counter_sum(&out, names::RECOVERY_EVENTS), 5, "{run}");
         assert_eq!(
             counter_sum(&out, recovery_names::CHECKPOINT_RESTORES),
             5,
-            "{name}"
+            "{run}"
         );
-        assert_eq!(
-            counter_sum(&out, recovery_names::REDONE_PHASES),
-            3,
-            "{name}: round 1 redoes coarse on 3 survivors, round 2 nothing"
-        );
-        assert_eq!(
-            counter_sum(&out, recovery_names::FULL_RESTARTS),
-            0,
-            "{name}"
-        );
-        assert_eq!(counter_sum(&out, names::VERIFY_VIOLATIONS), 0, "{name}");
+        // Round 1 redoes coarse on 3 survivors, round 2 nothing.
+        assert_eq!(counter_sum(&out, recovery_names::REDONE_PHASES), 3, "{run}");
+        assert_eq!(counter_sum(&out, recovery_names::FULL_RESTARTS), 0, "{run}");
     }
 }
 
@@ -281,50 +121,32 @@ fn kill_during_resume_recovers_from_the_recommitted_checkpoint() {
 /// resume: the round downgrades to a full restart — counted as a CRC
 /// failure plus a restart, never a restore — and the result still
 /// equals the fresh shrunken world. Against the same uncorrupted
-/// schedule, the restart provably redoes strictly more phases.
+/// schedule, the restart redoes strictly more phases.
 #[test]
 fn corrupt_checkpoint_downgrades_to_full_restart() {
-    let c = small("kill-corrupt");
-    let mut corrupted_cfg = quiet_chaos(vec![(3, 4)]);
+    let cell = small(Algorithm::Hybrid, 4);
+    let mut corrupted = kills(vec![(3, 4)]);
     // Break attempt 0's coarse boundary — exactly the one the commit
-    // protocol will agree on after a connect-entry kill.
-    corrupted_cfg.ckpt_corrupt = vec![(0, 2)];
-    let corrupted = route(&c, Algorithm::Hybrid, 4, instr(corrupted_cfg));
-    let resumed = route(&c, Algorithm::Hybrid, 4, instr(quiet_chaos(vec![(3, 4)])));
-    let fresh = route(&c, Algorithm::Hybrid, 3, metrics_only());
+    // protocol agrees on after a connect-entry kill.
+    corrupted.chaos.as_mut().unwrap().ckpt_corrupt = vec![(0, 2)];
+    let corrupted = outcome(&Run::new(cell, corrupted));
+    let resumed = outcome(&Run::new(cell, kills(vec![(3, 4)])));
+    let fresh = outcome(&Run::plain(small(Algorithm::Hybrid, 3)));
 
     assert!(!corrupted.degraded);
     assert_eq!(corrupted.result, fresh.result, "restart result diverged");
     assert_eq!(resumed.result, fresh.result, "resume result diverged");
-
+    let count = |out: &GuardedOutcome, name| counter_sum(out, name);
     assert_eq!(
-        counter_sum(&corrupted, recovery_names::CHECKPOINT_CRC_FAILURES),
-        3,
-        "every survivor rejects the corrupt boundary"
+        count(&corrupted, recovery_names::CHECKPOINT_CRC_FAILURES),
+        3
     );
-    assert_eq!(
-        counter_sum(&corrupted, recovery_names::FULL_RESTARTS),
-        3,
-        "the round falls back to a full restart"
-    );
-    assert_eq!(
-        counter_sum(&corrupted, recovery_names::CHECKPOINT_RESTORES),
-        0,
-        "a corrupt snapshot must never restore"
-    );
-
-    let redone_restart = counter_sum(&corrupted, recovery_names::REDONE_PHASES);
-    let redone_resume = counter_sum(&resumed, recovery_names::REDONE_PHASES);
-    assert_eq!(redone_restart, 12, "restart redoes all 4 lost phases × 3");
-    assert_eq!(
-        redone_resume, 6,
-        "resume redoes only coarse..feedthrough × 3"
-    );
-    assert!(
-        redone_resume < redone_restart,
-        "resume must beat restart on redone work"
-    );
-    assert_eq!(counter_sum(&corrupted, names::VERIFY_VIOLATIONS), 0);
+    assert_eq!(count(&corrupted, recovery_names::FULL_RESTARTS), 3);
+    assert_eq!(count(&corrupted, recovery_names::CHECKPOINT_RESTORES), 0);
+    // The restart redoes all 4 lost phases × 3 survivors, the resume
+    // only coarse..feedthrough × 3.
+    assert_eq!(count(&corrupted, recovery_names::REDONE_PHASES), 12);
+    assert_eq!(count(&resumed, recovery_names::REDONE_PHASES), 6);
 }
 
 /// Under a resumed kill schedule the causal profiler's partition still
@@ -333,14 +155,13 @@ fn corrupt_checkpoint_downgrades_to_full_restart() {
 /// `resume` blame class, distinct from the pre-restart `recovery` loss.
 #[test]
 fn resume_blame_telescopes_exactly_and_surfaces_its_own_class() {
-    let c = small("kill-blame");
     let m = MachineModel::sparc_center_1000();
     for algo in Algorithm::ALL {
         let name = algo.name();
         // Feedthrough-entry kill: resume from coarse, so the replayed
         // coarse pass is a non-empty window between the restart and
         // caught-up marks on every survivor.
-        let out = route(&c, algo, 4, instr_traced(quiet_chaos(vec![(3, 3)])));
+        let out = outcome(&Run::new(small(algo, 4), kills(vec![(3, 3)])));
         assert!(!out.degraded, "{name}: degraded; resume blame untestable");
 
         let p = build_profile(&out.traces, &m);
@@ -366,9 +187,7 @@ fn resume_blame_telescopes_exactly_and_surfaces_its_own_class() {
             p.class_seconds[BlameClass::Resume.index()] > 0.0,
             "{name}: replayed work must blame resume"
         );
-
-        let run = pgr_obs::RunMeta::new("kill-blame", name, 4, "sparc_center_1000", 1.0, 9);
-        let table = p.blame_markdown(&run);
-        assert!(table.contains("resume"), "{name}: blame table lost resume");
+        let run = RunMeta::new("kill-blame", name, 4, "sparc_center_1000", 1.0, 9);
+        assert!(p.blame_markdown(&run).contains("resume"), "{name}");
     }
 }

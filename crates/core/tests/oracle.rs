@@ -1,1152 +1,34 @@
-//! The differential oracle: every equality the router promises, as one
-//! table of relations between runs.
+//! The differential oracle over the scenario families: every relation
+//! of the harness that holds on any circuit, at every driver × P ∈
+//! {1, 2, 3, 4} of the seven families at scale 0.25 (P clamped to the
+//! family's rows).
 //!
-//! A relation pairs a *variant* run with its *reference* run and names
-//! the fields that must be equal. Rows run over a circuit axis (the
-//! seven scenario families at scale 0.25, plus the seeded generator
-//! circuits a row names) × driver × world size P (clamped to the
-//! circuit's rows). Every run, variant or reference,
-//! goes through [`outcome`], which routes it once per process and
-//! checks the cell invariant:
-//!
-//! * it ends in a result or a structured [`RouteError`], never a panic;
-//! * a result passes [`verify::verify`] and names only real nets;
-//! * a recovered, degraded or shed result carries `verify.violations`
-//!   at 0, so the engine's own self-check ran and found nothing;
-//! * every rank's metric windows partition its totals exactly.
-//!
-//! What a table row cannot state — absolute fingerprints, window
-//! attribution of a double kill, budget breach payloads, the degraded
-//! serial fallback — stays a plain `#[test]` on the same [`outcome`].
+//! The robustness suites hold the same relations to the seeded generator
+//! circuits they pin (`golden_determinism`, `kill_matrix`,
+//! `chaos_recovery`, `budget_matrix`), so the relations and the run
+//! helper exist once, in `harness/`.
 
-use pgr_circuit::scenarios::{ScenarioFamily, ScenarioSpec};
-use pgr_circuit::{generate, Circuit, GeneratorConfig};
-use pgr_geom::rng::rng_from_seed;
-use pgr_mpi::fault::{FAULTS_DELAYED, FAULTS_DROPPED, FAULTS_DUPLICATED, FAULTS_REORDERED};
-use pgr_mpi::{
-    build_profile, stats_json, BudgetKind, ChaosConfig, ChaosLayer, ClockMode, InstrumentConfig,
-    MachineModel, Phase, RankStats, ReliabilityConfig, ResourceBudget, RunMeta,
-};
-use pgr_obs::{budget_names, recovery_names, BlameClass};
-use pgr_router::metrics::names;
-use pgr_router::{
-    route_parallel_guarded, verify, Algorithm, GuardedOutcome, PartitionKind, RecoveryPolicy,
-    RouteError, RouterConfig, RoutingResult,
-};
-use std::collections::BTreeMap;
-use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, OnceLock};
+mod harness;
 
-// ---------------------------------------------------------------- axis
+use harness::{cases, check, families, grid, plain, with, Relation};
+use pgr_router::Algorithm;
 
-/// One input of the circuit axis: a circuit and the router settings it
-/// is routed with.
-struct Case {
-    circuit: Circuit,
-    cfg: RouterConfig,
-    kind: PartitionKind,
-}
-
-impl Case {
-    fn new(circuit: Circuit, seed: u64) -> Case {
-        Case {
-            circuit,
-            cfg: RouterConfig::with_seed(seed),
-            kind: PartitionKind::PinWeight,
-        }
-    }
-}
-
-struct Cases {
-    /// `ScenarioFamily::ALL` at scale 0.25, default router settings.
-    families: Vec<Case>,
-    /// Eight seeded random circuits with random `steiner_refine` and
-    /// partition kinds.
-    equivalence: Vec<Case>,
-    /// The circuit the absolute fingerprints are pinned on.
-    golden: Case,
-    /// The circuit of the kill and chaos schedules.
-    small: Case,
-    /// The circuit of the budget levers.
-    budget: Case,
-}
-
-fn cases() -> &'static Cases {
-    static CASES: OnceLock<Cases> = OnceLock::new();
-    CASES.get_or_init(|| {
-        let families = ScenarioFamily::ALL
-            .iter()
-            .map(|&f| {
-                let circuit = ScenarioSpec::new(f, 0.25, 7).generate();
-                circuit.validate().expect("valid scenario");
-                Case::new(circuit, RouterConfig::default().seed)
-            })
-            .collect();
-        let mut rng = rng_from_seed(0xE901);
-        let equivalence = (0..8)
-            .map(|n| {
-                let circuit_seed = rng.gen_range(0u64..10_000);
-                let router_seed = rng.gen_range(0u64..10_000);
-                let steiner_refine = rng.gen_bool(0.5);
-                let rows = rng.gen_range(3usize..10);
-                let kind = PartitionKind::ALL[rng.gen_range(0usize..4)];
-                let mut g = GeneratorConfig::small(format!("equiv{n}"), circuit_seed);
-                g.rows = rows;
-                g.cells = rows * 14;
-                g.nets = 60;
-                g.pins = 200;
-                Case {
-                    circuit: generate(&g),
-                    cfg: RouterConfig {
-                        seed: router_seed,
-                        steiner_refine,
-                        ..RouterConfig::default()
-                    },
-                    kind,
-                }
-            })
-            .collect();
-        let small = |tag: &str, seed| generate(&GeneratorConfig::small(tag, seed));
-        Cases {
-            families,
-            equivalence,
-            golden: Case::new(small("golden", 23), 11),
-            small: Case::new(small("small", 17), 9),
-            budget: Case::new(small("budget", 13), 1997),
-        }
-    })
-}
-
-/// One driver at one world size on one circuit.
-#[derive(Clone, Copy)]
-struct Cell {
-    case: &'static Case,
-    algo: Algorithm,
-    procs: usize,
-}
-
-impl fmt::Display for Cell {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = &self.case.circuit.name;
-        write!(f, "{name} {} P={}", self.algo.name(), self.procs)
-    }
-}
-
-const EVERY_P: [usize; 4] = [1, 2, 3, 4];
-const KILL_P: [usize; 2] = [3, 4];
-
-/// Every `drivers` × `procs` cell of `cases`, each P clamped to the
-/// driver's world and the circuit's rows (duplicates dropped).
-fn grid(
-    cases: impl IntoIterator<Item = &'static Case>,
-    procs: &[usize],
-    drivers: &[Algorithm],
-) -> Vec<Cell> {
-    let mut cells = Vec::new();
-    for case in cases {
-        for &algo in drivers {
-            let mut seen = Vec::new();
-            for &p in procs {
-                let procs = algo.ranks(p).min(case.circuit.num_rows());
-                if !seen.contains(&procs) {
-                    seen.push(procs);
-                    cells.push(Cell { case, algo, procs });
-                }
-            }
-        }
-    }
-    cells
-}
-
-/// The families' full grid: every driver at every P.
-fn families() -> Vec<Cell> {
-    grid(&cases().families, &EVERY_P, &Algorithm::DRIVERS)
-}
-
-/// Serial plus every parallel driver at P ∈ {1, 3}: the cells of the
-/// golden fingerprints and of the budget levers.
-fn one_and_three(case: &'static Case) -> Vec<Cell> {
-    grid([case], &[1, 3], &Algorithm::DRIVERS)
-}
-
-// ---------------------------------------------------------------- runs
-
-/// How a cell is run. `Setup::default()` is the plain run: full
-/// instrumentation, virtual clock, SparcCenter 1000, no budget, no
-/// faults.
-#[derive(Clone, Debug, Default)]
-struct Setup {
-    /// `InstrumentConfig::off()` instead of `full()`.
-    off: bool,
-    wall: bool,
-    machine: Machine,
-    /// The net partition, when not the case's own.
-    kind: Option<PartitionKind>,
-    budget: ResourceBudget,
-    chaos: Option<ChaosConfig>,
-    max_rounds: Option<u32>,
-    /// The second of two identical runs (`rerun` compares it with the
-    /// first).
-    second: bool,
-}
-
-#[derive(Clone, Copy, Debug, Default)]
-enum Machine {
-    #[default]
-    SparcCenter,
-    Paragon,
-    Ideal,
-}
-
-fn plain() -> Setup {
-    Setup::default()
-}
-
-/// Run under `chaos`, with the reliable transport on.
-fn faults(chaos: ChaosConfig) -> Setup {
-    let chaos = Some(chaos);
-    Setup { chaos, ..plain() }
-}
-
-/// Kill each `(rank, boundary)`, no message faults.
-fn kills(kills: Vec<(usize, u64)>) -> Setup {
-    let mut chaos = ChaosConfig::messages_only(31);
-    (chaos.drop, chaos.reorder, chaos.duplicate, chaos.delay) = (0.0, 0.0, 0.0, 0.0);
-    chaos.kills = kills;
-    faults(chaos)
-}
-
-/// Kill `rank` at boundary `b` under the message faults of seed 31.
-fn noisy_kill(rank: usize, b: u64) -> Setup {
-    let mut chaos = ChaosConfig::messages_only(31);
-    chaos.kills = vec![(rank, b)];
-    faults(chaos)
-}
-
-fn budget(budget: ResourceBudget) -> Setup {
-    Setup { budget, ..plain() }
-}
-
-#[derive(Clone)]
-struct Run {
-    cell: Cell,
-    setup: Setup,
-}
-
-impl Run {
-    fn new(cell: Cell, setup: Setup) -> Run {
-        Run { cell, setup }
-    }
-
-    fn plain(cell: Cell) -> Run {
-        Run::new(cell, plain())
-    }
-
-    fn machine(&self) -> MachineModel {
-        match self.setup.machine {
-            Machine::SparcCenter => MachineModel::sparc_center_1000(),
-            Machine::Paragon => MachineModel::intel_paragon(),
-            Machine::Ideal => MachineModel::ideal(),
-        }
-    }
-
-    fn route(&self) -> GuardedOutcome {
-        let (case, s) = (self.cell.case, &self.setup);
-        let cfg = RouterConfig {
-            clock: if s.wall {
-                ClockMode::Wall
-            } else {
-                ClockMode::Virtual
-            },
-            budget: s.budget,
-            recovery: match s.max_rounds {
-                Some(max_rounds) => RecoveryPolicy { max_rounds },
-                None => case.cfg.recovery,
-            },
-            ..case.cfg.clone()
-        };
-        let mut instr = if s.off {
-            InstrumentConfig::off()
-        } else {
-            InstrumentConfig::full()
-        };
-        if let Some(chaos) = &s.chaos {
-            instr.fault = Some(Arc::new(ChaosLayer::new(chaos.clone())));
-            instr.reliability = ReliabilityConfig::on();
-        }
-        route_parallel_guarded(
-            &case.circuit,
-            &cfg,
-            self.cell.algo,
-            s.kind.unwrap_or(case.kind),
-            self.cell.procs,
-            self.machine(),
-            instr,
-        )
-    }
-
-    /// The `stats.json` this run writes.
-    fn dump(&self, out: &GuardedOutcome) -> String {
-        let meta = RunMeta {
-            degraded: out.degraded,
-            ..RunMeta::new(
-                &self.cell.case.circuit.name,
-                self.cell.algo.name(),
-                out.stats.len(),
-                self.machine().name,
-                1.0,
-                self.cell.case.cfg.seed,
-            )
-        };
-        stats_json(&out.stats, &self.machine(), &meta)
-    }
-}
-
-impl fmt::Display for Run {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} {:?}", self.cell, self.setup)
-    }
-}
-
-fn counter_sum(out: &GuardedOutcome, name: &str) -> u64 {
-    out.metrics.iter().filter_map(|m| m.counter(name)).sum()
-}
-
-/// Sum of `name` inside the window of `phase` across all rank shards.
-fn window_sum(out: &GuardedOutcome, phase: Phase, name: &str) -> u64 {
-    out.metrics
-        .iter()
-        .filter_map(|m| m.window(phase.name()).and_then(|w| w.counter(name)))
-        .sum()
-}
-
-/// The outcome of `run`, routed once per process and checked against
-/// the cell invariant.
-fn outcome(run: &Run) -> Arc<GuardedOutcome> {
-    type Slot = Arc<OnceLock<Arc<GuardedOutcome>>>;
-    static RUNS: Mutex<BTreeMap<String, Slot>> = Mutex::new(BTreeMap::new());
-    let key = run.to_string();
-    let slot = RUNS.lock().unwrap().entry(key).or_default().clone();
-    slot.get_or_init(|| {
-        let out = catch_unwind(AssertUnwindSafe(|| run.route())).unwrap_or_else(|_| {
-            panic!("{run}: panicked instead of ending in a result or a RouteError")
-        });
-        invariant(run, &out);
-        Arc::new(out)
-    })
-    .clone()
-}
-
-fn invariant(run: &Run, out: &GuardedOutcome) {
-    let circuit = &run.cell.case.circuit;
-    for m in &out.metrics {
-        m.windows_partition_totals()
-            .unwrap_or_else(|broken| panic!("{run}: {broken}"));
-    }
-    let Ok(result) = &out.result else { return };
-    let violations = verify::verify(circuit, result);
-    assert!(violations.is_empty(), "{run}: {violations:?}");
-    assert!(
-        result
-            .spans
-            .iter()
-            .all(|s| s.net.index() < circuit.num_nets()),
-        "{run}: a span names a net the circuit lacks"
-    );
-    if out.degraded || out.budget_degraded || counter_sum(out, names::RECOVERY_EVENTS) > 0 {
-        assert!(
-            out.metrics
-                .iter()
-                .any(|m| m.counter(names::VERIFY_VIOLATIONS).is_some()),
-            "{run}: the self-check did not run"
-        );
-        assert_eq!(counter_sum(out, names::VERIFY_VIOLATIONS), 0, "{run}");
-    }
-}
-
-// ----------------------------------------------------------- relations
-
-/// A field two runs must agree on, bit for bit.
-#[derive(Clone, Copy, Debug)]
-enum Field {
-    Result,
-    /// `time.to_bits()`.
-    Time,
-    Stats,
-    /// Stats with every rank's `wall` measurement removed.
-    VirtualStats,
-    Metrics,
-    /// The `stats.json` bytes.
-    StatsJson,
-    /// Every rank's phase-mark names, in order.
-    PhaseNames,
-    /// Every rank's metric-window names, in order.
-    WindowNames,
-}
-
-impl Field {
-    fn assert_equal(self, ctx: &str, v: (&Run, &GuardedOutcome), r: (&Run, &GuardedOutcome)) {
-        let strip_wall = |stats: &[RankStats]| -> Vec<RankStats> {
-            let unwalled = |s: &RankStats| RankStats {
-                wall: None,
-                ..s.clone()
-            };
-            stats.iter().map(unwalled).collect()
-        };
-        let phase_names = |o: &GuardedOutcome| -> Vec<Vec<&str>> {
-            let names = |s: &RankStats| s.phases.iter().map(|(n, _)| *n).collect();
-            o.stats.iter().map(names).collect()
-        };
-        let window_names = |o: &GuardedOutcome| -> Vec<Vec<String>> {
-            let names = |m: &pgr_mpi::RankMetrics| m.windows.iter().map(|w| w.0.clone()).collect();
-            o.metrics.iter().map(names).collect()
-        };
-        let ((vrun, v), (rrun, r)) = (v, r);
-        let same = match self {
-            Field::Result => v.result == r.result,
-            Field::Time => v.time.to_bits() == r.time.to_bits(),
-            Field::Stats => v.stats == r.stats,
-            Field::VirtualStats => strip_wall(&v.stats) == strip_wall(&r.stats),
-            Field::Metrics => v.metrics == r.metrics,
-            Field::StatsJson => vrun.dump(v) == rrun.dump(r),
-            Field::PhaseNames => phase_names(v) == phase_names(r),
-            Field::WindowNames => window_names(v) == window_names(r),
-        };
-        assert!(same, "{ctx}: {self:?} differs");
-    }
-}
-
-/// One row of the table.
-struct Relation {
-    /// The variant runs.
-    variants: fn() -> Vec<Run>,
-    /// The run a variant is held to.
-    reference: fn(&Run) -> Run,
-    equal: &'static [Field],
-    /// What else a pair must satisfy: `(context, variant run, variant
-    /// outcome, reference outcome)`.
-    also: fn(&str, &Run, &GuardedOutcome, &GuardedOutcome),
-}
-
-fn check(name: &str, relation: Relation) {
-    for variant in (relation.variants)() {
-        let reference = (relation.reference)(&variant);
-        let (v, r) = (outcome(&variant), outcome(&reference));
-        let ctx = format!("{name}: {variant} against {reference}");
-        for field in relation.equal {
-            field.assert_equal(&ctx, (&variant, &v), (&reference, &r));
-        }
-        (relation.also)(&ctx, &variant, &v, &r);
-    }
-}
-
-/// Each row is its own `#[test]`, named after the relation.
+/// Each relation is its own `#[test]`, named after the relation and
+/// fed the axis given here.
 macro_rules! relations {
-    ($($name:ident: $row:expr,)*) => {
+    ($($name:ident: $axis:expr,)*) => {
         $(#[test]
         fn $name() {
-            check(stringify!($name), $row)
+            check(Relation::$name($axis))
         })*
     };
 }
 
-fn with(cells: Vec<Cell>, setup: Setup) -> Vec<Run> {
-    let run = |cell| Run::new(cell, setup.clone());
-    cells.into_iter().map(run).collect()
-}
-
-fn same_cell(run: &Run) -> Run {
-    Run::plain(run.cell)
-}
-
-/// A fresh fault-free world one rank smaller.
-fn smaller_world(run: &Run) -> Run {
-    Run::plain(Cell {
-        procs: run.cell.procs - 1,
-        ..run.cell
-    })
-}
-
-fn nothing_else(_: &str, _: &Run, _: &GuardedOutcome, _: &GuardedOutcome) {}
-
-/// The largest per-rank modeled footprint of a run.
-fn peak(out: &GuardedOutcome) -> u64 {
-    out.stats.iter().map(|s| s.peak_mem).max().unwrap_or(0)
-}
-
-/// A budget generous on every axis for the run `out` made unbudgeted.
-fn generous(out: &GuardedOutcome) -> ResourceBudget {
-    ResourceBudget {
-        max_phase_seconds: Some(out.time * 10.0 + 1.0),
-        max_rank_bytes: Some(peak(out) * 4),
-        max_recovery_rounds: Some(8),
-    }
-}
-
-/// Half the probe's peak footprint: every driver must breach it.
-fn tight_bytes(cell: Cell) -> Setup {
-    let peak = peak(&outcome(&Run::plain(cell)));
-    assert!(peak > 0, "{cell}: probe saw no footprint");
-    budget(ResourceBudget {
-        max_rank_bytes: Some(peak / 2),
-        ..ResourceBudget::unlimited()
-    })
-}
-
-/// The recovery-policy breach schedules whose serial fallback is pinned
-/// by `exhausting_max_rounds_degrades_to_serial_fallback`.
-fn fallback_runs() -> Vec<Run> {
-    let one_round = |rank, b| Setup {
-        max_rounds: Some(1),
-        ..noisy_kill(rank, b)
-    };
-    vec![
-        Run::new(small(Algorithm::Hybrid, 4), one_round(3, 2)),
-        Run::new(small(Algorithm::RowWise, 4), one_round(1, 1)),
-    ]
-}
-
-/// The message schedules of `chaos_masked` that fire no fault, so their
-/// equality holds vacuously: row-wise at P = 3 sends 22 messages, and
-/// seed 3 spares every one.
-const SPARED: [(Algorithm, usize, u64); 1] = [(Algorithm::RowWise, 3, 3)];
-
 relations! {
-    one_rank_is_serial: Relation {
-        variants: || {
-            let c = cases();
-            let at_one = c.families.iter().chain(&c.equivalence).chain([&c.golden]);
-            with(grid(at_one, &[1], &Algorithm::DRIVERS), plain())
-        },
-        reference: |run| Run::plain(Cell { algo: Algorithm::Serial, ..run.cell }),
-        equal: &[Field::Result, Field::PhaseNames, Field::WindowNames],
-        also: nothing_else,
-    },
-    rerun: Relation {
-        variants: || {
-            let c = cases();
-            let golden = grid([&c.golden], &[3], &Algorithm::ALL);
-            let mut runs = with([families(), golden].concat(), plain());
-            runs.push(Run::new(small(Algorithm::Hybrid, 4), noisy_kill(2, 3)));
-            runs.extend(fallback_runs());
-            let tight = |cell| Run::new(cell, tight_bytes(cell));
-            runs.extend(one_and_three(&c.budget).into_iter().map(tight));
-            for run in &mut runs {
-                run.setup.second = true;
-            }
-            runs
-        },
-        reference: |run| Run::new(run.cell, Setup { second: false, ..run.setup.clone() }),
-        equal: &[Field::Result, Field::Time, Field::Stats, Field::Metrics, Field::StatsJson],
-        also: nothing_else,
-    },
-    wall_clock: Relation {
-        variants: || {
-            let cells = [families(), one_and_three(&cases().golden)].concat();
-            with(cells, Setup { wall: true, ..plain() })
-        },
-        reference: same_cell,
-        equal: &[Field::Result, Field::Time, Field::VirtualStats, Field::Metrics],
-        also: |ctx, _, v, r| {
-            assert!(r.stats.iter().all(|s| s.wall.is_none()), "{ctx}: virtual run measured");
-            assert!(v.stats.iter().all(|s| s.wall.is_some()), "{ctx}: a rank unmeasured");
-        },
-    },
-    instrumented: Relation {
-        variants: || {
-            let golden = grid([&cases().golden], &[1], &[Algorithm::Serial]);
-            with([families(), golden].concat(), Setup { off: true, ..plain() })
-        },
-        reference: same_cell,
-        equal: &[Field::Result, Field::Time],
-        also: nothing_else,
-    },
-    platform: Relation {
-        variants: || {
-            let on = |machine| with(families(), Setup { machine, ..plain() });
-            [on(Machine::Paragon), on(Machine::Ideal)].concat()
-        },
-        reference: same_cell,
-        equal: &[Field::Result],
-        also: |ctx, _, v, r| assert!(v.time != r.time, "{ctx}: the machines' times agree"),
-    },
-    chaos_masked: Relation {
-        variants: || {
-            let cells = grid([&cases().small], &KILL_P, &Algorithm::ALL);
-            let seeds = [3, 77].map(|seed| faults(ChaosConfig::messages_only(seed)));
-            seeds.into_iter().flat_map(|setup| with(cells.clone(), setup)).collect()
-        },
-        reference: same_cell,
-        equal: &[Field::Result, Field::Stats, Field::Time, Field::StatsJson],
-        also: |ctx, run, v, _| {
-            let fired: u64 = [FAULTS_DROPPED, FAULTS_DELAYED, FAULTS_REORDERED, FAULTS_DUPLICATED]
-                .iter()
-                .map(|name| counter_sum(v, name))
-                .sum();
-            let seed = run.setup.chaos.as_ref().unwrap().seed;
-            let spared = SPARED.contains(&(run.cell.algo, run.cell.procs, seed));
-            assert_eq!(fired == 0, spared, "{ctx}: {fired} faults fired");
-            assert_eq!(counter_sum(v, names::RECOVERY_EVENTS), 0, "{ctx}: a recovery ran");
-        },
-    },
-    kill_resume: Relation {
-        variants: || {
-            let mut runs = Vec::new();
-            for cell in grid([&cases().small], &KILL_P, &Algorithm::ALL) {
-                let last = cell.procs - 1;
-                for b in 0..Phase::ALL.len() as u64 {
-                    runs.push(Run::new(cell, kills(vec![(last, b)])));
-                }
-                if cell.procs == 4 {
-                    // The same kill under the message faults of seed 31.
-                    runs.push(Run::new(cell, noisy_kill(last, 2)));
-                }
-            }
-            runs
-        },
-        reference: smaller_world,
-        equal: &[Field::Result],
-        also: |ctx, run, v, r| {
-            let b = run.setup.chaos.as_ref().unwrap().kills[0].1;
-            let survivors = (run.cell.procs - 1) as u64;
-            let count = |name| counter_sum(v, name);
-            assert!(!v.degraded, "{ctx}: degraded instead of recovering");
-            assert_eq!(count(names::RECOVERY_EVENTS), survivors, "{ctx}");
-            assert_eq!(count(names::RANKS_LOST), survivors, "{ctx}");
-            assert_eq!(count(recovery_names::CHECKPOINT_CRC_FAILURES), 0, "{ctx}");
-            if b == 0 {
-                // Killed entering the first phase: nothing was committed,
-                // so the round restarts from scratch — and nothing had
-                // completed, so nothing counts as redone and the clock
-                // is the fresh world's.
-                assert_eq!(v.time.to_bits(), r.time.to_bits(), "{ctx}: work was lost");
-                assert_eq!(count(recovery_names::FULL_RESTARTS), survivors, "{ctx}");
-                assert_eq!(count(recovery_names::CHECKPOINT_RESTORES), 0, "{ctx}");
-                assert_eq!(count(recovery_names::REDONE_PHASES), 0, "{ctx}");
-            } else {
-                // Resume from min(b, 2): the coarse boundary is the
-                // portable horizon.
-                assert_eq!(count(recovery_names::FULL_RESTARTS), 0, "{ctx}");
-                assert_eq!(count(recovery_names::CHECKPOINT_RESTORES), survivors, "{ctx}");
-                let redone = (b - b.min(2)) * survivors;
-                assert_eq!(count(recovery_names::REDONE_PHASES), redone, "{ctx}");
-                assert!(count(recovery_names::CHECKPOINT_COMMITS) > 0, "{ctx}: no commit");
-            }
-        },
-    },
-    root_kill: Relation {
-        // Rank 0 — the distribution master and assembly root — dies
-        // after setup; the lowest survivor takes its place.
-        variants: || {
-            let cells = grid([&cases().small], &KILL_P, &Algorithm::ALL);
-            with(cells, kills(vec![(0, 1)]))
-        },
-        reference: smaller_world,
-        equal: &[Field::Result],
-        also: |ctx, run, v, _| {
-            let survivors = (run.cell.procs - 1) as u64;
-            assert_eq!(counter_sum(v, names::RECOVERY_EVENTS), survivors, "{ctx}");
-        },
-    },
-    generous_budget: Relation {
-        variants: || {
-            let cells = [families(), one_and_three(&cases().budget)].concat();
-            let generous = |cell| budget(generous(&outcome(&Run::plain(cell))));
-            cells.into_iter().map(|cell| Run::new(cell, generous(cell))).collect()
-        },
-        reference: same_cell,
-        equal: &[Field::Result],
-        also: |ctx, _, v, _| {
-            assert!(v.result.is_ok(), "{ctx}: errored");
-            assert!(!v.budget_degraded, "{ctx}: shed work");
-        },
-    },
-}
-
-// ------------------------------------------------------ absolute pins
-
-/// Serial result fingerprint and final virtual-clock bits of the golden
-/// circuit on the SparcCenter 1000 model.
-const SERIAL_RESULT: u64 = 0x2dce55bf5935412c;
-const SERIAL_CLOCK: u64 = 0x40165dd576f108a0;
-
-/// `(driver, procs, result fingerprint, makespan bits, stats
-/// fingerprint)` of the golden circuit.
-#[rustfmt::skip]
-const GOLDEN: [(Algorithm, usize, u64, u64, u64); 6] = [
-    (Algorithm::RowWise, 1, 0x2dce55bf5935412c, 0x401775b36fb1dc5b, 0xd5fb260c36aa29f9),
-    (Algorithm::RowWise, 3, 0xd753b5d3fc2737c1, 0x400a73550f2437dc, 0x484abf9841c7af44),
-    (Algorithm::NetWise, 1, 0x2dce55bf5935412c, 0x401775b36fb1dc5c, 0x00c69ba00435aef0),
-    (Algorithm::NetWise, 3, 0x0b19591bf13d6d9d, 0x4013035afb1d0ecb, 0xeaf431c4d4ad2bd4),
-    (Algorithm::Hybrid, 1, 0x2dce55bf5935412c, 0x401775b36fb1dc5b, 0x3701b955fce3b089),
-    (Algorithm::Hybrid, 3, 0x07fe24ca1dbf877e, 0x400a0c3d5fa5cf27, 0x37b0087eadd42336),
-];
-
-fn mix(h: &mut u64, v: u64) {
-    // FNV-1a over 64-bit words.
-    *h ^= v;
-    *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-}
-
-/// Order-sensitive hash over every field of the routed solution.
-fn result_fingerprint(r: &RoutingResult) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    mix(&mut h, r.chip_width as u64);
-    mix(&mut h, r.rows as u64);
-    mix(&mut h, r.wirelength);
-    mix(&mut h, r.feedthroughs);
-    for &d in &r.channel_density {
-        mix(&mut h, d as u64);
-    }
-    for s in &r.spans {
-        mix(&mut h, s.net.0 as u64);
-        mix(&mut h, s.channel as u64);
-        mix(&mut h, s.lo as u64);
-        mix(&mut h, s.hi as u64);
-        mix(&mut h, s.switch_row.map(|r| r as u64 + 1).unwrap_or(0));
-    }
-    h
-}
-
-/// Hash over per-rank stats: clocks (bit-exact), work, traffic, phases.
-fn stats_fingerprint(stats: &[RankStats]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for s in stats {
-        mix(&mut h, s.rank as u64);
-        mix(&mut h, s.time.to_bits());
-        mix(&mut h, s.ops);
-        mix(&mut h, s.msgs_sent);
-        mix(&mut h, s.bytes_sent);
-        mix(&mut h, s.peak_mem);
-        for (name, secs) in &s.phases {
-            for b in name.bytes() {
-                mix(&mut h, b as u64);
-            }
-            mix(&mut h, secs.to_bits());
-        }
-    }
-    h
-}
-
-fn golden(algo: Algorithm, procs: usize) -> Cell {
-    let case = &cases().golden;
-    Cell { case, algo, procs }
-}
-
-#[test]
-fn serial_run_matches_pre_refactor_fingerprint() {
-    let serial = outcome(&Run::plain(golden(Algorithm::Serial, 1)));
-    let result = serial.result.as_ref().unwrap();
-    assert_eq!(
-        result_fingerprint(result),
-        SERIAL_RESULT,
-        "routing decisions"
-    );
-    assert_eq!(serial.time.to_bits(), SERIAL_CLOCK, "virtual clock");
-    // The serial driver ignores `procs` and the net partition, and one
-    // rank has no partition to be imbalanced.
-    let kind = Some(PartitionKind::Center);
-    let ignored = Run::new(golden(Algorithm::Serial, 3), Setup { kind, ..plain() });
-    let out = outcome(&ignored);
-    assert_eq!(out.result, serial.result, "{ignored}");
-    assert_eq!(out.time.to_bits(), SERIAL_CLOCK, "{ignored}");
-    assert_eq!(out.stats.len(), 1, "{ignored}: serial is one rank");
-    assert!(out
-        .metrics
-        .iter()
-        .all(|m| m.gauge(names::LOAD_IMBALANCE).is_none()));
-}
-
-#[test]
-fn every_pipeline_matches_its_pre_refactor_fingerprints() {
-    for (algo, procs, result_fp, time_bits, stats_fp) in GOLDEN {
-        let cell = golden(algo, procs);
-        let out = outcome(&Run::plain(cell));
-        let result = out.result.as_ref().unwrap();
-        assert_eq!(
-            result_fingerprint(result),
-            result_fp,
-            "{cell}: routing decisions"
-        );
-        assert_eq!(out.time.to_bits(), time_bits, "{cell}: virtual makespan");
-        assert_eq!(
-            stats_fingerprint(&out.stats),
-            stats_fp,
-            "{cell}: per-rank stats"
-        );
-    }
-}
-
-// -------------------------------------------------- kills and resume
-
-fn small(algo: Algorithm, procs: usize) -> Cell {
-    let case = &cases().small;
-    Cell { case, algo, procs }
-}
-
-/// Two ranks die in different phases: the second kill fires during the
-/// *resumed* attempt (the boundary counter is cumulative across
-/// attempts — resume re-enters coarse at boundary 4, so boundary 8 is
-/// the assemble entry). Each round's recovery counters must land in
-/// the window of the phase whose boundary failed, under the resumed
-/// numbering — and the final result still equals a fresh 2-rank run.
-#[test]
-fn double_kill_attributes_each_round_to_its_failed_phase_window() {
-    for algo in Algorithm::ALL {
-        // Round 1: rank 3 dies entering coarse (boundary 3), 3 survivors
-        // resume from the coarse checkpoint (nothing redone). Round 2:
-        // rank 2 dies entering assemble of the resumed attempt
-        // (boundary 8 = 3 + 1 + (6 − 2)), 2 survivors resume from
-        // coarse again, redoing 4 phases each.
-        let run = Run::new(small(algo, 4), kills(vec![(3, 2), (2, 7)]));
-        let out = outcome(&run);
-        assert!(!out.degraded, "{run}: degraded instead of recovering");
-        assert_eq!(
-            out.result,
-            outcome(&Run::plain(small(algo, 2))).result,
-            "{run}"
-        );
-        let window = |phase, name| window_sum(&out, phase, name);
-        assert_eq!(window(Phase::Coarse, names::RECOVERY_EVENTS), 3, "{run}");
-        assert_eq!(window(Phase::Assemble, names::RECOVERY_EVENTS), 2, "{run}");
-        assert_eq!(window(Phase::Coarse, names::RANKS_LOST), 3, "{run}");
-        assert_eq!(window(Phase::Assemble, names::RANKS_LOST), 2, "{run}");
-        assert_eq!(counter_sum(&out, names::RECOVERY_EVENTS), 5, "{run}");
-        assert_eq!(
-            counter_sum(&out, recovery_names::CHECKPOINT_RESTORES),
-            5,
-            "{run}"
-        );
-        assert_eq!(counter_sum(&out, recovery_names::REDONE_PHASES), 8, "{run}");
-        assert_eq!(counter_sum(&out, recovery_names::FULL_RESTARTS), 0, "{run}");
-    }
-}
-
-/// The second victim dies *while replaying* the resumed phases, before
-/// its caught-up mark: round 1 resumes from coarse after a feedthrough
-/// kill; the second kill fires entering coarse of the resumed attempt
-/// (boundary 5). Recovery must nest cleanly: the third world resumes
-/// from the resumed attempt's own re-committed coarse checkpoint.
-#[test]
-fn kill_during_resume_recovers_from_the_recommitted_checkpoint() {
-    for algo in Algorithm::ALL {
-        let run = Run::new(small(algo, 4), kills(vec![(3, 3), (2, 4)]));
-        let out = outcome(&run);
-        assert!(!out.degraded, "{run}: degraded instead of recovering");
-        assert_eq!(
-            out.result,
-            outcome(&Run::plain(small(algo, 2))).result,
-            "{run}"
-        );
-        assert_eq!(counter_sum(&out, names::RECOVERY_EVENTS), 5, "{run}");
-        assert_eq!(
-            counter_sum(&out, recovery_names::CHECKPOINT_RESTORES),
-            5,
-            "{run}"
-        );
-        // Round 1 redoes coarse on 3 survivors, round 2 nothing.
-        assert_eq!(counter_sum(&out, recovery_names::REDONE_PHASES), 3, "{run}");
-        assert_eq!(counter_sum(&out, recovery_names::FULL_RESTARTS), 0, "{run}");
-    }
-}
-
-/// A checkpoint failing its CRC-32 re-verification cannot seed a
-/// resume: the round downgrades to a full restart — counted as a CRC
-/// failure plus a restart, never a restore — and the result still
-/// equals the fresh shrunken world. Against the same uncorrupted
-/// schedule, the restart redoes strictly more phases.
-#[test]
-fn corrupt_checkpoint_downgrades_to_full_restart() {
-    let cell = small(Algorithm::Hybrid, 4);
-    let mut corrupted = kills(vec![(3, 4)]);
-    // Break attempt 0's coarse boundary — exactly the one the commit
-    // protocol agrees on after a connect-entry kill.
-    corrupted.chaos.as_mut().unwrap().ckpt_corrupt = vec![(0, 2)];
-    let corrupted = outcome(&Run::new(cell, corrupted));
-    let resumed = outcome(&Run::new(cell, kills(vec![(3, 4)])));
-    let fresh = outcome(&Run::plain(small(Algorithm::Hybrid, 3)));
-
-    assert!(!corrupted.degraded);
-    assert_eq!(corrupted.result, fresh.result, "restart result diverged");
-    assert_eq!(resumed.result, fresh.result, "resume result diverged");
-    let count = |out: &GuardedOutcome, name| counter_sum(out, name);
-    assert_eq!(
-        count(&corrupted, recovery_names::CHECKPOINT_CRC_FAILURES),
-        3
-    );
-    assert_eq!(count(&corrupted, recovery_names::FULL_RESTARTS), 3);
-    assert_eq!(count(&corrupted, recovery_names::CHECKPOINT_RESTORES), 0);
-    // The restart redoes all 4 lost phases × 3 survivors, the resume
-    // only coarse..feedthrough × 3.
-    assert_eq!(count(&corrupted, recovery_names::REDONE_PHASES), 12);
-    assert_eq!(count(&resumed, recovery_names::REDONE_PHASES), 6);
-}
-
-/// Under a resumed kill schedule the causal profiler's partition still
-/// telescopes to the virtual makespan exactly, and the replayed phases
-/// (between the restart and caught-up marks) surface under their own
-/// `resume` blame class, distinct from the pre-restart `recovery` loss.
-#[test]
-fn resume_blame_telescopes_exactly_and_surfaces_its_own_class() {
-    let m = MachineModel::sparc_center_1000();
-    for algo in Algorithm::ALL {
-        let name = algo.name();
-        // Feedthrough-entry kill: resume from coarse, so the replayed
-        // coarse pass is a non-empty window between the restart and
-        // caught-up marks on every survivor.
-        let out = outcome(&Run::new(small(algo, 4), kills(vec![(3, 3)])));
-        assert!(!out.degraded, "{name}: degraded; resume blame untestable");
-
-        let p = build_profile(&out.traces, &m);
-        assert!(p.warnings.is_empty(), "{name}: warnings {:?}", p.warnings);
-        assert!(!p.truncated, "{name}: truncated");
-        assert!(p.is_contiguous(), "{name}: path not contiguous");
-        assert_eq!(
-            p.critical_path_seconds().to_bits(),
-            p.makespan.to_bits(),
-            "{name}: blame partition no longer telescopes under resume"
-        );
-        let classes: f64 = p.class_seconds.iter().sum();
-        assert!(
-            (classes - p.makespan).abs() <= 1e-9 * p.makespan.max(1.0),
-            "{name}: class sum {classes} != makespan {}",
-            p.makespan
-        );
-        assert!(
-            p.class_seconds[BlameClass::Recovery.index()] > 0.0,
-            "{name}: lost pre-restart work must blame recovery"
-        );
-        assert!(
-            p.class_seconds[BlameClass::Resume.index()] > 0.0,
-            "{name}: replayed work must blame resume"
-        );
-        let run = RunMeta::new("kill-blame", name, 4, "sparc_center_1000", 1.0, 9);
-        assert!(p.blame_markdown(&run).contains("resume"), "{name}");
-    }
-}
-
-// ------------------------------------------------- budgets and fallback
-
-/// Per-phase durations of an unbudgeted run (first-appearance order,
-/// re-entries accumulated): the max across ranks of each rank's
-/// accumulated time in that phase. The per-phase lever applies on every
-/// rank, so targeting a phase means clearing the slowest rank of every
-/// earlier phase.
-fn phase_durations(out: &GuardedOutcome) -> Vec<(Phase, f64)> {
-    let mut phases: Vec<(Phase, f64)> = Vec::new();
-    for s in &out.stats {
-        let mut local: Vec<(Phase, f64)> = Vec::new();
-        for (name, secs) in &s.phases {
-            let phase = Phase::from_name(name).expect("stats use registry phases");
-            match local.iter_mut().find(|(p, _)| *p == phase) {
-                Some((_, acc)) => *acc += secs,
-                None => local.push((phase, *secs)),
-            }
-        }
-        for (phase, secs) in local {
-            match phases.iter_mut().find(|(p, _)| *p == phase) {
-                Some((_, max)) => *max = max.max(secs),
-                None => phases.push((phase, secs)),
-            }
-        }
-    }
-    phases
-}
-
-/// For every driver, a time lever aimed at each pipeline phase in turn
-/// ends structured: `Ok` (shed or not) or the agreed
-/// `BudgetExceeded { budget: PhaseSeconds }`, and a targetable phase
-/// reports its breach no earlier than itself.
-#[test]
-fn time_levers_breach_structurally_at_every_phase_boundary() {
-    let mut any_exceeded = false;
-    let mut any_shed = false;
-    for cell in one_and_three(&cases().budget) {
-        let phases = phase_durations(&outcome(&Run::plain(cell)));
-        for phase in Phase::ALL {
-            assert!(
-                phases.iter().any(|(p, _)| p == &phase),
-                "{cell}: phase {phase} never entered"
-            );
-        }
-        let solo = cell.procs == 1;
-        let mut prefix_max = 0.0f64;
-        for (k, &(target, secs)) in phases.iter().enumerate() {
-            if secs <= 0.0 {
-                continue;
-            }
-            // A phase longer than everything before it can be targeted
-            // exactly: the lever splits the gap, so earlier phases fit
-            // and this one overruns. Otherwise the lever still forces an
-            // overrun — just at the earlier, longer phase. Only sound on
-            // single-rank runs: at P > 1 the unbudgeted probe lets ranks
-            // drift across boundaries, so its per-phase durations
-            // attribute peer waits differently than the budgeted run's
-            // per-phase accounts (the gate collectives resync every
-            // boundary), and a lever below a probe duration may
-            // legitimately fit — or trip a different phase.
-            let targetable = solo && k > 0 && secs > prefix_max;
-            let lever = if targetable {
-                (prefix_max + secs) / 2.0
-            } else {
-                secs * 0.999
-            };
-            let run = Run::new(
-                cell,
-                budget(ResourceBudget {
-                    max_phase_seconds: Some(lever),
-                    ..ResourceBudget::unlimited()
-                }),
-            );
-            let out = outcome(&run);
-            match &out.result {
-                Err(RouteError::BudgetExceeded { phase, budget, .. }) => {
-                    any_exceeded = true;
-                    assert_eq!(*budget, BudgetKind::PhaseSeconds, "{run} at {target}");
-                    assert!(
-                        !targetable || phase.index() >= target.index(),
-                        "{run}: breach reported at {phase}, before the target {target}"
-                    );
-                }
-                Ok(_) => {
-                    // On a solo run the probe timing is exact, so a
-                    // completed run must have shed its way under the
-                    // lever. At P > 1 the budgeted run's resynced phases
-                    // may fit outright (see `targetable` above).
-                    assert!(
-                        !solo || out.budget_degraded,
-                        "{run}: overran without shedding"
-                    );
-                    any_shed |= out.budget_degraded;
-                }
-            }
-            prefix_max = prefix_max.max(secs);
-        }
-    }
-    assert!(any_exceeded, "no lever produced a structured budget error");
-    assert!(any_shed, "no lever produced a graceful shed");
-}
-
-#[test]
-fn byte_caps_trip_as_rank_bytes() {
-    for cell in one_and_three(&cases().budget) {
-        let run = Run::new(cell, tight_bytes(cell));
-        match &outcome(&run).result {
-            Err(RouteError::BudgetExceeded { budget, .. }) => {
-                assert_eq!(*budget, BudgetKind::RankBytes, "{run}")
-            }
-            Ok(_) => panic!("{run}: half the probe's peak footprint must breach"),
-        }
-    }
-}
-
-#[test]
-fn recovery_round_budget_is_a_structured_error_not_a_fallback() {
-    for cell in grid([&cases().budget], &[3], &Algorithm::ALL) {
-        let rounds = |max_recovery_rounds| {
-            let budget = ResourceBudget {
-                max_recovery_rounds: Some(max_recovery_rounds),
-                ..ResourceBudget::unlimited()
-            };
-            let kill = kills(vec![(cell.procs - 1, 2)]);
-            Run::new(cell, Setup { budget, ..kill })
-        };
-        // A kill with zero recovery rounds allowed surfaces as the
-        // agreed RecoveryRounds error; with headroom it recovers.
-        let exhausted = rounds(0);
-        match &outcome(&exhausted).result {
-            Err(RouteError::BudgetExceeded { budget, .. }) => {
-                assert_eq!(*budget, BudgetKind::RecoveryRounds, "{exhausted}")
-            }
-            Ok(_) => panic!("{exhausted}: zero recovery rounds must error"),
-        }
-        let headroom = rounds(8);
-        assert!(outcome(&headroom).result.is_ok(), "{headroom}");
-    }
-}
-
-/// The serial router's budget behaviour, pinned: the breach payload bit
-/// for bit, and a shed run's route, clock and `verify.violations: 0`
-/// proof inside the assemble window.
-#[test]
-fn serial_breach_payload_and_shed_proof_are_pinned() {
-    let lever = |max_phase_seconds| {
-        let serial = grid([&cases().budget], &[1], &[Algorithm::Serial])[0];
-        outcome(&Run::new(
-            serial,
-            budget(ResourceBudget {
-                max_phase_seconds: Some(max_phase_seconds),
-                ..ResourceBudget::unlimited()
-            }),
-        ))
-    };
-
-    // Setup alone takes 0.7 virtual seconds: a 0.5 s lever breaches at
-    // the first boundary that closes its books.
-    let out = lever(0.5);
-    assert_eq!(
-        out.result,
-        Err(RouteError::BudgetExceeded {
-            rank: 0,
-            phase: Phase::Steiner,
-            budget: BudgetKind::PhaseSeconds,
-            limit: 0.5,
-            observed: 0.7,
-        })
-    );
-    assert_eq!(out.time.to_bits(), 0x3fe6_6666_6666_6666);
-    let metrics = &out.metrics[0];
-    assert_eq!(metrics.counter(budget_names::BREACHES), Some(1));
-    assert_eq!(metrics.counter(names::VERIFY_VIOLATIONS), None);
-
-    // A 1 s lever clears every mandatory phase; coarse (3.4 s unbudgeted)
-    // sheds its refinement and the run completes with the proof.
-    let out = lever(1.0);
-    let routed = out.result.as_ref().expect("shed, not breached");
-    assert_eq!(routed.track_count(), 89);
-    assert_eq!(out.time.to_bits(), 0x4007_5b32_f2ac_185a);
-    let metrics = &out.metrics[0];
-    assert_eq!(metrics.counter(budget_names::SHED_EVENTS), Some(1));
-    assert_eq!(metrics.counter(budget_names::BREACHES), None);
-    let assemble = metrics.window(Phase::Assemble.name()).expect("window");
-    assert_eq!(assemble.counter(names::VERIFY_VIOLATIONS), Some(0));
-}
-
-/// Exhausting the round budget stops the retry loop, even with message
-/// chaos still raging underneath the kill: exactly one surviving rank
-/// completes the route serially, the result equals the pure serial run,
-/// and the degraded flag reaches `stats.json`.
-#[test]
-fn exhausting_max_rounds_degrades_to_serial_fallback() {
-    let serial = outcome(&Run::plain(small(Algorithm::Serial, 1)));
-    for run in fallback_runs() {
-        let out = outcome(&run);
-        assert!(out.degraded, "{run}: no degraded flag");
-        assert_eq!(counter_sum(&out, names::DEGRADED_SERIAL), 1, "{run}");
-        assert_eq!(
-            out.result, serial.result,
-            "{run}: fallback differs from serial"
-        );
-        assert!(run.dump(&out).contains("\"degraded\":true"), "{run}");
-    }
-}
-
-/// A policy whose round budget covers the schedule's kills keeps the
-/// parallel pipeline running.
-#[test]
-fn surviving_within_policy_bounds_stays_parallel() {
-    let max_rounds = Some(2);
-    let run = Run::new(
-        small(Algorithm::Hybrid, 4),
-        Setup {
-            max_rounds,
-            ..kills(vec![(3, 1)])
-        },
-    );
-    let out = outcome(&run);
-    assert!(!out.degraded, "one kill is within two rounds");
-    assert_eq!(counter_sum(&out, names::DEGRADED_SERIAL), 0);
-    assert!(counter_sum(&out, names::RECOVERY_EVENTS) >= 1);
-    assert!(!run.dump(&out).contains("degraded"));
+    one_rank_is_serial: grid(&cases().families, &[1], &Algorithm::DRIVERS),
+    rerun: with(families(), plain()),
+    wall_clock: families(),
+    instrumented: families(),
+    platform: families(),
+    generous_budget: families(),
 }

@@ -212,3 +212,13 @@ fn tall_narrow_circuit() {
     // Heavier feedthrough use per pin than a square circuit.
     assert!(r.chip_width > c.width);
 }
+
+#[test]
+fn repeated_routing_of_the_same_instance_is_stable() {
+    let c = generate(&GeneratorConfig::small("stable", 14));
+    let first = try_route_serial(&c, &cfg(), &mut Comm::solo(MachineModel::ideal())).unwrap();
+    for _ in 0..3 {
+        let again = try_route_serial(&c, &cfg(), &mut Comm::solo(MachineModel::ideal())).unwrap();
+        assert_eq!(again, first);
+    }
+}

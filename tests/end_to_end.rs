@@ -1,10 +1,12 @@
 //! End-to-end integration: the serial pipeline on every benchmark
-//! circuit shape. The equalities between drivers, machines and reruns
-//! live in `crates/core/tests/oracle.rs`.
+//! circuit shape, and the P = 1 equivalence of all three parallel
+//! algorithms (each must degenerate to the serial algorithm exactly).
 
 use pgr::circuit::mcnc::{Mcnc, ALL};
-use pgr::mpi::{Comm, MachineModel};
-use pgr::router::{try_route_serial, RouterConfig};
+use pgr::mpi::{Comm, InstrumentConfig, MachineModel};
+use pgr::router::{
+    route_parallel_guarded, try_route_serial, Algorithm, PartitionKind, RouterConfig,
+};
 
 const SCALE: f64 = 0.08;
 
@@ -32,6 +34,33 @@ fn serial_routes_every_benchmark_shape() {
 }
 
 #[test]
+fn every_algorithm_at_one_rank_is_the_serial_algorithm() {
+    for m in [Mcnc::Primary2, Mcnc::Industry3] {
+        let c = m.circuit_scaled(SCALE);
+        let cfg = RouterConfig::with_seed(7);
+        let serial = try_route_serial(&c, &cfg, &mut Comm::solo(MachineModel::ideal())).unwrap();
+        for algo in Algorithm::ALL {
+            let out = route_parallel_guarded(
+                &c,
+                &cfg,
+                algo,
+                PartitionKind::PinWeight,
+                1,
+                MachineModel::sparc_center_1000(),
+                InstrumentConfig::off(),
+            );
+            assert_eq!(
+                out.result.as_ref(),
+                Ok(&serial),
+                "{} at P=1 on {}",
+                algo.name(),
+                m.name()
+            );
+        }
+    }
+}
+
+#[test]
 fn serial_virtual_time_scales_with_circuit_size() {
     let small = Mcnc::Primary2.circuit_scaled(0.05);
     let large = Mcnc::Primary2.circuit_scaled(0.15);
@@ -45,6 +74,55 @@ fn serial_virtual_time_scales_with_circuit_size() {
         t(&large) > 1.5 * t(&small),
         "virtual time grows with problem size"
     );
+}
+
+#[test]
+fn serial_is_platform_independent_in_results() {
+    // Machine models change time and memory, never routing decisions.
+    let c = Mcnc::Biomed.circuit_scaled(SCALE);
+    let cfg = RouterConfig::with_seed(11);
+    let a = try_route_serial(&c, &cfg, &mut Comm::solo(MachineModel::sparc_center_1000())).unwrap();
+    let b = try_route_serial(&c, &cfg, &mut Comm::solo(MachineModel::intel_paragon())).unwrap();
+    let i = try_route_serial(&c, &cfg, &mut Comm::solo(MachineModel::ideal())).unwrap();
+    assert_eq!(a, b);
+    assert_eq!(a, i);
+}
+
+#[test]
+fn parallel_results_are_platform_independent_too() {
+    let c = Mcnc::Biomed.circuit_scaled(SCALE);
+    let cfg = RouterConfig::with_seed(13);
+    for algo in Algorithm::ALL {
+        let smp = route_parallel_guarded(
+            &c,
+            &cfg,
+            algo,
+            PartitionKind::PinWeight,
+            3,
+            MachineModel::sparc_center_1000(),
+            InstrumentConfig::off(),
+        );
+        let dmp = route_parallel_guarded(
+            &c,
+            &cfg,
+            algo,
+            PartitionKind::PinWeight,
+            3,
+            MachineModel::intel_paragon(),
+            InstrumentConfig::off(),
+        );
+        assert_eq!(
+            smp.result,
+            dmp.result,
+            "{}: same decisions on both platforms",
+            algo.name()
+        );
+        assert!(
+            smp.time != dmp.time,
+            "{}: but different simulated times",
+            algo.name()
+        );
+    }
 }
 
 #[test]
