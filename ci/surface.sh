@@ -87,9 +87,17 @@
 #   crates/mpi/src/reliable.rs other than `enabled` (the retransmit
 #   deadline, backoff and attempt budget are constants), a non-test line
 #   under crates/*/src that names `min_ranks` (the recovery policy is its
-#   round budget), or a `grid_w`, `ft_width`, `coarse_passes` or
+#   round budget), a `grid_w`, `ft_width`, `coarse_passes` or
 #   `switch_passes` field in crates/core/src/config.rs (they are the
-#   constants `GRID_W`, `FT_WIDTH`, `COARSE_PASSES`, `SWITCH_PASSES`).
+#   constants `GRID_W`, `FT_WIDTH`, `COARSE_PASSES`, `SWITCH_PASSES`), or
+#   a field of `TraceConfig` other than `enabled` (the ring's size is the
+#   constant `TRACE_CAPACITY`).
+# - when a rank's event trace is shared again: a non-test line of
+#   crates/mpi/src/trace.rs that names `TraceHub` or `Mutex` (each rank's
+#   `Comm` owns its `TraceRing`, as it owns its metric shard, and records
+#   without a lock), or a non-test line of crates/mpi/src/comm/transport.rs
+#   that names `crate::trace` (the transport builds its errors with an
+#   empty tail; the facade attaches the ring's last events).
 # - when the substrate waits on a clock for a peer again: a non-test line
 #   under crates/mpi/src that names `FailureDetector`, `recv_timeout`,
 #   `wait_timeout`, `Condvar` or `DETECTOR_POLL` (a rank's exit travels
@@ -314,10 +322,25 @@ test_only=$(
     nontest '^[ \t]+pub [a-z_]+:' crates/mpi/src/reliable.rs | grep -v 'pub enabled:' || true
     nontest 'min_ranks' $(find crates/*/src -name '*.rs')
     nontest '^[ \t]+(pub )?(grid_w|ft_width|coarse_passes|switch_passes):' crates/core/src/config.rs
+    awk '
+        /^pub struct TraceConfig \{/ { in_cfg = 1; next }
+        in_cfg && /^}/ { in_cfg = 0 }
+        in_cfg && /^[ \t]+(pub )?[a-z_]+:/ && !/^[ \t]+pub enabled:/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+    ' crates/mpi/src/trace.rs
 )
 if [ -n "$test_only" ]; then
-    echo "surface: an option only tests set is back (the recv watchdog, a reliable-transport tunable, the recovery floor, a router tunable):" >&2
+    echo "surface: an option only tests set is back (the recv watchdog, a reliable-transport tunable, the recovery floor, a router tunable, the trace ring's capacity):" >&2
     echo "$test_only" >&2
+    exit 1
+fi
+
+shared_trace=$(
+    nontest 'TraceHub|Mutex' crates/mpi/src/trace.rs
+    nontest 'crate::trace' crates/mpi/src/comm/transport.rs
+)
+if [ -n "$shared_trace" ]; then
+    echo "surface: each rank's Comm owns its trace ring (no shared hub, no lock; the transport knows nothing of traces):" >&2
+    echo "$shared_trace" >&2
     exit 1
 fi
 

@@ -18,10 +18,12 @@
 //! (`*.metrics.json`) into DIR (created if missing). `--kill R@B` names
 //! the boundary B by registry phase name (`coarse`) or index (`2`);
 //! anything outside the registry is rejected with the valid range and
-//! exit code 2.
+//! exit code 2, and so is a `--circuits` or `--family` name that names
+//! no benchmark circuit or workload family.
 
 use pgr_bench::aggregate::{aggregate, load_paths};
 use pgr_bench::tables::{Opts, Target, TARGETS};
+use pgr_circuit::mcnc::{self, Mcnc};
 use pgr_circuit::scenarios::ScenarioFamily;
 use pgr_mpi::Phase;
 use std::path::PathBuf;
@@ -149,7 +151,17 @@ fn main() {
             }
             "--circuits" => {
                 let v = args.next().unwrap_or_else(|| usage());
-                opts.filter = Some(v.split(',').map(str::to_string).collect());
+                let known = |name: &str| match Mcnc::from_name(name) {
+                    Some(m) => m.name().to_string(),
+                    None => {
+                        let valid: Vec<&str> = mcnc::ALL.iter().map(|m| m.name()).collect();
+                        fail(&format!(
+                            "--circuits '{name}' is not a benchmark circuit; valid: {}",
+                            valid.join(", ")
+                        ))
+                    }
+                };
+                opts.filter = Some(v.split(',').map(known).collect());
             }
             "--trace-out" => {
                 let v = args.next().unwrap_or_else(|| usage());

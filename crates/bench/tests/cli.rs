@@ -86,6 +86,23 @@ fn unknown_target_and_empty_invocations_exit_2() {
     assert_eq!(repro(&["aggregate"]).status.code(), Some(2));
 }
 
+#[test]
+fn unknown_circuit_names_exit_2_with_the_valid_list() {
+    for list in ["avq.lrage", "primary2,avq.lrage", "avq.lrage,primary2"] {
+        let out = repro(&["--circuits", list, "table1"]);
+        assert_eq!(out.status.code(), Some(2), "{list}");
+        let err = stderr(&out);
+        assert!(
+            err.contains(
+                "--circuits 'avq.lrage' is not a benchmark circuit; valid: primary2, biomed, \
+                 industry2, industry3, avq.small, avq.large"
+            ),
+            "{list}: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{list}: nothing runs");
+    }
+}
+
 /// The usage text, `all` and the dispatch are generated from one table:
 /// no target can be runnable but undocumented, and what `all` leaves out
 /// is stated, not implied.

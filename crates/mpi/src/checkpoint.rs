@@ -4,11 +4,11 @@
 //! snapshot of its pipeline-visible state into this store, keyed by
 //! `(run attempt, phase index)`. The store stands in for the parallel
 //! filesystem of a real cluster: it is shared across ranks behind an
-//! `Arc` and survives rank death, exactly like the trace hub. When a
-//! recovery round needs to resume instead of
-//! restarting from scratch, survivors read back the *last globally
-//! committed boundary* — the highest phase index at which **every**
-//! member of the failed attempt's world deposited a restorable snapshot.
+//! `Arc` and survives rank death. When a recovery round needs to resume
+//! instead of restarting from scratch, survivors read back the *last
+//! globally committed boundary* — the highest phase index at which
+//! **every** member of the failed attempt's world deposited a restorable
+//! snapshot.
 //! The store never waits: the recovery protocol reads a boundary only
 //! once every depositor is known to be done
 //! ([`Comm::shrink_world`](crate::Comm::shrink_world)), so a boundary is

@@ -20,7 +20,8 @@
 //! the expected `(src, tag)`, and the pending-queue contents — via
 //! [`Comm::try_recv_bytes`]/[`Comm::try_recv`], or as the panic message
 //! of the infallible wrappers. With [`TraceConfig`] enabled (see
-//! [`run_instrumented`]), errors also carry the rank's recent event trace.
+//! [`run_instrumented`]), each rank records into a trace ring it owns,
+//! and those errors also carry the ring's last events.
 //!
 //! Reliability and rank death: with
 //! [`ReliabilityConfig::enabled`](crate::reliable::ReliabilityConfig)
@@ -59,7 +60,7 @@ use crate::error::CommError;
 use crate::fault::FaultLayer;
 use crate::machine::{ClockMode, MachineModel};
 use crate::reliable::ReliabilityConfig;
-use crate::trace::{self, TraceConfig, TraceEvent, TraceEventKind, TraceHub};
+use crate::trace::{self, RankTrace, TraceConfig, TraceEvent, TraceEventKind, TraceRing};
 use crate::wire::Wire;
 use account::Account;
 use control::Control;
@@ -67,6 +68,9 @@ use pgr_obs::{MetricsConfig, MetricsShard, Phase, RankMetrics};
 use std::sync::Arc;
 use std::time::Instant;
 use transport::{Body, Envelope, Transport};
+
+/// How many recent trace events a [`CommError`] carries.
+const ERR_TRACE_TAIL: usize = 16;
 
 /// Tags at or above this value are reserved for collectives.
 pub const COLLECTIVE_TAG_BASE: u32 = 0x8000_0000;
@@ -82,14 +86,15 @@ pub const RECV_WAIT_MICROS: &str = "mpi.recv_wait_micros";
 /// that cannot see each other's state — the `Transport` moves frames,
 /// the `Account` keeps the clock and the counters, the `Control` plane
 /// knows the world, the kill schedule, the budget and the checkpoints —
-/// with the trace hub and the metric shard wired through them from
+/// with the rank's trace ring and metric shard wired through them from
 /// here.
 pub struct Comm {
     transport: Transport,
     account: Account,
     control: Control,
-    /// Shared trace sink; `None` on the untraced (allocation-free) path.
-    trace: Option<Arc<TraceHub>>,
+    /// This rank's event ring — owned outright like the metric shard;
+    /// `None` on the untraced (allocation-free) path.
+    trace: Option<TraceRing>,
     /// This rank's metric shard — owned outright (uncontended), records
     /// nothing and allocates nothing when disabled.
     metrics: MetricsShard,
@@ -208,8 +213,9 @@ impl Comm {
     }
 
     /// The one place a `Comm` is built: rank `rank` of `size` with the
-    /// per-rank parts of `instr` applied and nothing shared attached —
-    /// no channels, trace hub or checkpoint store.
+    /// per-rank parts of `instr` applied (its trace ring and metric
+    /// shard among them) and nothing shared attached — no channels or
+    /// checkpoint store.
     /// That is already a complete solo communicator (see
     /// [`Transport::new`]); [`run_instrumented`] attaches the shared
     /// parts.
@@ -224,7 +230,7 @@ impl Comm {
             transport: Transport::new(rank, size, instr.fault.clone(), instr.reliability),
             account: Account::new(size, machine, instr.clock, wall_epoch),
             control: Control::new(rank, size, instr.fault.clone()),
-            trace: None,
+            trace: instr.trace.enabled.then(TraceRing::default),
             metrics: MetricsShard::new(instr.metrics),
             coll_seq: 0,
         }
@@ -233,15 +239,13 @@ impl Comm {
     // ----- tracing -----
 
     fn tracing(&self) -> bool {
-        self.trace.as_ref().is_some_and(|h| h.config.enabled)
+        self.trace.is_some()
     }
 
     fn record(&mut self, kind: TraceEventKind, t0: f64, t1: f64) {
-        let evicted = match &self.trace {
-            Some(hub) if hub.config.enabled => {
-                hub.record(self.physical_rank(), TraceEvent { kind, t0, t1 })
-            }
-            _ => false,
+        let evicted = match &mut self.trace {
+            Some(ring) => ring.record(TraceEvent { kind, t0, t1 }),
+            None => false,
         };
         if evicted {
             // Surfaced as a counter so exporters and the profiler can
@@ -250,6 +254,13 @@ impl Comm {
             // overflowed the ring.
             self.metrics.add(trace::TRACE_DROPPED, 1);
         }
+    }
+
+    /// Close this rank's ring into its [`RankTrace`], ending at the
+    /// current clock; `None` when tracing is off.
+    fn take_trace(&mut self) -> Option<RankTrace> {
+        let ring = self.trace.take()?;
+        Some(ring.finish(self.physical_rank(), self.now()))
     }
 
     /// Record an instantaneous annotation on this rank's trace (no-op
@@ -378,9 +389,11 @@ impl Comm {
     fn accept(&mut self, src: usize, tag: u32, modeled: bool) -> Result<Envelope, CommError> {
         assert!(src < self.size(), "recv from rank {src} of {}", self.size());
         let from = self.world()[src];
-        let env = self
-            .transport
-            .recv(from, tag, &mut self.metrics, self.trace.as_deref())?;
+        let env = self.transport.recv(from, tag, &mut self.metrics);
+        let env = env.map_err(|e| match &self.trace {
+            Some(ring) => e.with_recent(ring.tail(ERR_TRACE_TAIL)),
+            None => e,
+        })?;
         let bytes = env.bytes();
         let t0 = self.now();
         let wait = self.account.charge_recv(env.stamp, bytes);

@@ -15,7 +15,6 @@ use crate::fault::{
 use crate::reliable::{
     self, backoff_delay, Ingest, ReliabilityConfig, ReorderBuffer, MAX_ATTEMPTS,
 };
-use crate::trace::{TraceEvent, TraceHub};
 use crate::wire::crc32;
 use pgr_obs::{MetricsShard, Phase};
 use std::collections::VecDeque;
@@ -25,8 +24,6 @@ use std::time::{Duration, Instant};
 
 /// How many pending-queue entries a [`CommError`] snapshot retains.
 const ERR_PENDING_CAP: usize = 64;
-/// How many recent trace events a [`CommError`] carries.
-const ERR_TRACE_TAIL: usize = 16;
 /// How long a receive polls its channel before it parks on it: a frame
 /// that lands within it costs no thread park and wake. Real time, but
 /// it decides only *when* the host sees a frame, never which frame a
@@ -541,14 +538,13 @@ impl Transport {
     /// never complete as a structured [`CommError`]: nothing matching is
     /// buffered and `src`'s exit notice is in ([`CommError::RankDead`]
     /// when it was killed), a peer's notice says it panicked, or the
-    /// receive waits on this rank itself. `trace` supplies the event
-    /// tails errors carry.
+    /// receive waits on this rank itself. The errors carry no trace
+    /// tail; the facade attaches its own.
     pub(super) fn recv(
         &mut self,
         src: usize,
         tag: u32,
         m: &mut MetricsShard,
-        trace: Option<&TraceHub>,
     ) -> Result<Envelope, CommError> {
         // A frame we hold back (reorder injection) may be the very one a
         // peer needs before it can send us ours: release them all before
@@ -569,17 +565,17 @@ impl Transport {
                     src,
                     tag,
                     pending: self.pending_snapshot(),
-                    recent: self.recent_events(trace),
+                    recent: Vec::new(),
                 });
             }
             if let Some(Exit::Killed(death)) = self.exits[src] {
                 return Err(self.rank_dead(src, tag, death));
             }
             if self.exits[src].is_some() || self.exits.contains(&Some(Exit::Panicked)) {
-                return Err(self.disconnected(src, tag, trace));
+                return Err(self.disconnected(src, tag));
             }
             let Some(env) = self.next_frame() else {
-                return Err(self.disconnected(src, tag, trace));
+                return Err(self.disconnected(src, tag));
             };
             self.ingest(env, m);
         }
@@ -615,20 +611,13 @@ impl Transport {
         rx.recv().ok()
     }
 
-    fn disconnected(&self, src: usize, tag: u32, trace: Option<&TraceHub>) -> CommError {
+    fn disconnected(&self, src: usize, tag: u32) -> CommError {
         CommError::PeersDisconnected {
             rank: self.rank,
             src,
             tag,
             pending: self.pending_snapshot(),
-            recent: self.recent_events(trace),
-        }
-    }
-
-    fn recent_events(&self, trace: Option<&TraceHub>) -> Vec<TraceEvent> {
-        match trace {
-            Some(hub) if hub.config.enabled => hub.tail(self.rank, ERR_TRACE_TAIL),
-            _ => Vec::new(),
+            recent: Vec::new(),
         }
     }
 
@@ -711,8 +700,8 @@ mod tests {
         // Three frames arrive (seq 0 twice, then seq 1); the receiver
         // hands out two.
         mb.open_window(Phase::Connect);
-        assert_eq!(payload_of(b.recv(0, TAG, &mut mb, None)), vec![1]);
-        assert_eq!(payload_of(b.recv(0, TAG, &mut mb, None)), vec![2]);
+        assert_eq!(payload_of(b.recv(0, TAG, &mut mb)), vec![1]);
+        assert_eq!(payload_of(b.recv(0, TAG, &mut mb)), vec![2]);
         let seen = mb.snapshot(1);
         assert_eq!(seen.counter(reliable::DUPLICATES_DROPPED), Some(1));
         assert_eq!(seen.counter(reliable::ACKS), Some(2));
@@ -728,7 +717,7 @@ mod tests {
         // Nothing else is buffered: once the sender is gone the next
         // receive reports the disconnect, not a second copy.
         a.close(Exit::Returned, &mut ma);
-        let err = b.recv(0, TAG, &mut mb, None).err().expect("no third frame");
+        let err = b.recv(0, TAG, &mut mb).err().expect("no third frame");
         assert!(
             matches!(err, CommError::PeersDisconnected { rank: 1, .. }),
             "{err}"
@@ -745,8 +734,8 @@ mod tests {
         let [(mut a, mut ma), (mut b, mut mb)] = world(hold_first, ReliabilityConfig::off());
         a.send(1, TAG, 0.0, Body::Bytes(vec![1]), &mut ma);
         a.send(1, TAG, 0.0, Body::Bytes(vec![2]), &mut ma);
-        assert_eq!(payload_of(b.recv(0, TAG, &mut mb, None)), vec![2]);
-        assert_eq!(payload_of(b.recv(0, TAG, &mut mb, None)), vec![1]);
+        assert_eq!(payload_of(b.recv(0, TAG, &mut mb)), vec![2]);
+        assert_eq!(payload_of(b.recv(0, TAG, &mut mb)), vec![1]);
 
         // Reliable: same wire order, but the window parks the early
         // frame and releases both in sequence.
@@ -755,8 +744,8 @@ mod tests {
         a.send(1, TAG, 0.0, Body::Bytes(vec![1]), &mut ma);
         ma.open_window(Phase::Coarse);
         a.send(1, TAG, 0.0, Body::Bytes(vec![2]), &mut ma);
-        assert_eq!(payload_of(b.recv(0, TAG, &mut mb, None)), vec![1]);
-        assert_eq!(payload_of(b.recv(0, TAG, &mut mb, None)), vec![2]);
+        assert_eq!(payload_of(b.recv(0, TAG, &mut mb)), vec![1]);
+        assert_eq!(payload_of(b.recv(0, TAG, &mut mb)), vec![2]);
         let seen = mb.snapshot(1);
         assert_eq!(seen.counter(reliable::REORDER_BUFFERED), Some(1));
         // The early frame was parked — and is acked — in its own
@@ -779,10 +768,10 @@ mod tests {
         a.send(1, TAG, 0.0, Body::Bytes(vec![1]), &mut ma);
         c.close(Exit::Panicked, &mut mc);
         // What arrived before the notice is still delivered.
-        assert_eq!(payload_of(b.recv(0, TAG, &mut mb, None)), vec![1]);
+        assert_eq!(payload_of(b.recv(0, TAG, &mut mb)), vec![1]);
         // Rank 0 is still open, but rank 2 unwound: the world can never
         // complete.
-        let err = b.recv(0, TAG, &mut mb, None).err().expect("rank 2 unwound");
+        let err = b.recv(0, TAG, &mut mb).err().expect("rank 2 unwound");
         assert!(
             matches!(
                 err,
@@ -808,7 +797,7 @@ mod tests {
             world(|_| FaultAction::Reorder, ReliabilityConfig::off());
         a.send(1, TAG, 0.0, Body::Bytes(vec![7]), &mut ma);
         a.close(Exit::Returned, &mut ma);
-        assert_eq!(payload_of(b.recv(0, TAG, &mut mb, None)), vec![7]);
+        assert_eq!(payload_of(b.recv(0, TAG, &mut mb)), vec![7]);
     }
 
     #[test]
@@ -816,7 +805,7 @@ mod tests {
         let [(mut a, mut ma), (mut b, mut mb)] =
             world(|_| FaultAction::Corrupt, ReliabilityConfig::off());
         a.send(1, TAG, 0.0, Body::Bytes(vec![0xAB; 16]), &mut ma);
-        match b.recv(0, TAG, &mut mb, None) {
+        match b.recv(0, TAG, &mut mb) {
             Err(CommError::Corrupt {
                 src: 0,
                 dst: 1,
@@ -832,7 +821,7 @@ mod tests {
         // corrupted instead, and still rejected.
         a.send(1, TAG, 0.0, Body::Bytes(Vec::new()), &mut ma);
         assert!(matches!(
-            b.recv(0, TAG, &mut mb, None),
+            b.recv(0, TAG, &mut mb),
             Err(CommError::Corrupt { .. })
         ));
     }
@@ -862,7 +851,7 @@ mod tests {
                 a.send(1, TAG, 0.0, Body::Bytes(vec![9]), &mut ma);
                 a // the channel stays open until the receive is done
             });
-            assert_eq!(payload_of(b.recv(0, TAG, &mut mb, None)), vec![9]);
+            assert_eq!(payload_of(b.recv(0, TAG, &mut mb)), vec![9]);
             drop(sender.join().expect("sender"));
         }
     }
@@ -874,7 +863,7 @@ mod tests {
                 world(|_| FaultAction::Deliver, ReliabilityConfig::on());
             b.polls = polling;
             a.close(Exit::Panicked, &mut ma);
-            let err = b.recv(0, TAG, &mut mb, None).err().expect("rank 0 unwound");
+            let err = b.recv(0, TAG, &mut mb).err().expect("rank 0 unwound");
             assert!(
                 matches!(
                     err,
@@ -896,10 +885,7 @@ mod tests {
                 world(|_| FaultAction::Corrupt, ReliabilityConfig::off());
             b.polls = polling;
             a.send(1, TAG, 0.0, Body::Bytes(vec![0xAB; 16]), &mut ma);
-            let err = b
-                .recv(0, TAG, &mut mb, None)
-                .err()
-                .expect("never delivered");
+            let err = b.recv(0, TAG, &mut mb).err().expect("never delivered");
             assert!(
                 matches!(
                     err,
@@ -922,7 +908,7 @@ mod tests {
                 world(|_| FaultAction::Deliver, ReliabilityConfig::off());
             b.polls = polling;
             a.close(Exit::Killed(DEATH), &mut ma);
-            let err = b.recv(0, TAG, &mut mb, None).err().expect("source died");
+            let err = b.recv(0, TAG, &mut mb).err().expect("source died");
             assert!(
                 matches!(
                     err,
@@ -953,9 +939,9 @@ mod tests {
             a.send(1, TAG, 0.0, Body::Bytes(vec![1]), &mut ma);
             a.send(1, TAG, 0.0, Body::Bytes(vec![2]), &mut ma);
             a.close(Exit::Killed(DEATH), &mut ma);
-            assert_eq!(payload_of(b.recv(0, TAG, &mut mb, None)), vec![1]);
-            assert_eq!(payload_of(b.recv(0, TAG, &mut mb, None)), vec![2]);
-            let err = b.recv(0, TAG, &mut mb, None).err().expect("nothing more");
+            assert_eq!(payload_of(b.recv(0, TAG, &mut mb)), vec![1]);
+            assert_eq!(payload_of(b.recv(0, TAG, &mut mb)), vec![2]);
+            let err = b.recv(0, TAG, &mut mb).err().expect("nothing more");
             assert!(
                 matches!(err, CommError::RankDead { boundary: 3, .. }),
                 "{err}"
@@ -971,7 +957,7 @@ mod tests {
         a.close(Exit::Killed(DEATH), &mut ma);
         b.await_exit(0, &mut mb);
         assert_eq!(b.exits[0], Some(Exit::Killed(DEATH)));
-        assert_eq!(payload_of(b.recv(0, TAG, &mut mb, None)), vec![4]);
+        assert_eq!(payload_of(b.recv(0, TAG, &mut mb)), vec![4]);
     }
 
     /// What the modeled-transfer tests ship: far more than the header
@@ -1001,7 +987,7 @@ mod tests {
         b.ingest(env, &mut mb);
         let pending = b.pending_snapshot();
         assert_eq!((pending.len(), pending[0].bytes), (1, MODELED));
-        let env = b.recv(0, TAG, &mut mb, None).expect("frame delivered");
+        let env = b.recv(0, TAG, &mut mb).expect("frame delivered");
         assert_eq!((env.bytes(), env.modeled), (MODELED, Some(MODELED)));
         assert_eq!(*env.payload, (MODELED as u64).to_le_bytes());
     }
@@ -1015,7 +1001,7 @@ mod tests {
             payload: payload.to_vec(),
         };
         a.send(1, TAG, 0.0, charged(&[1, 2, 3]), &mut ma);
-        let env = b.recv(0, TAG, &mut mb, None).expect("frame delivered");
+        let env = b.recv(0, TAG, &mut mb).expect("frame delivered");
         assert_eq!((env.bytes(), env.data()), (MODELED, &[1, 2, 3][..]));
         // A bit flipped past the length header, in what the sender handed
         // over, fails the checksum.
@@ -1024,7 +1010,7 @@ mod tests {
         env.payload[MODELED_HEADER + 2] ^= 4;
         b.ingest(env, &mut mb);
         assert!(matches!(
-            b.recv(0, TAG, &mut mb, None),
+            b.recv(0, TAG, &mut mb),
             Err(CommError::Corrupt { .. })
         ));
     }
@@ -1039,7 +1025,7 @@ mod tests {
         a.send(1, TAG, 0.0, modeled(MODELED), &mut ma);
         a.send(1, TAG, 0.0, modeled(7), &mut ma);
         let sizes: Vec<usize> = (0..2)
-            .map(|_| b.recv(0, TAG, &mut mb, None).expect("delivered").bytes())
+            .map(|_| b.recv(0, TAG, &mut mb).expect("delivered").bytes())
             .collect();
         assert_eq!(sizes, vec![MODELED, 7]);
         assert_eq!(
@@ -1054,7 +1040,7 @@ mod tests {
             world(|_| FaultAction::Reorder, ReliabilityConfig::off());
         a.send(1, TAG, 0.0, modeled(MODELED), &mut ma);
         a.close(Exit::Returned, &mut ma);
-        let env = b.recv(0, TAG, &mut mb, None).expect("released at close");
+        let env = b.recv(0, TAG, &mut mb).expect("released at close");
         assert_eq!(env.bytes(), MODELED);
     }
 
@@ -1066,7 +1052,7 @@ mod tests {
         // bits to flip and the checksum covers them.
         for bytes in [MODELED, 0] {
             a.send(1, TAG, 0.0, modeled(bytes), &mut ma);
-            match b.recv(0, TAG, &mut mb, None) {
+            match b.recv(0, TAG, &mut mb) {
                 Err(CommError::Corrupt {
                     src: 0,
                     dst: 1,

@@ -6,7 +6,7 @@ use super::transport::Exit;
 use super::{Comm, InstrumentConfig};
 use crate::checkpoint::CheckpointStore;
 use crate::machine::MachineModel;
-use crate::trace::{RankTrace, TraceHub};
+use crate::trace::RankTrace;
 use pgr_obs::RankMetrics;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
@@ -104,8 +104,6 @@ where
     F: Fn(&mut Comm) -> R + Send + Sync,
 {
     assert!(size > 0, "need at least one rank");
-    let trace = instr.trace;
-    let hub = trace.enabled.then(|| Arc::new(TraceHub::new(size, trace)));
     let kills_scheduled = instr
         .fault
         .as_ref()
@@ -139,7 +137,6 @@ where
                 .enumerate()
                 .map(|(i, tx)| (i != rank).then(|| tx.clone()))
                 .collect();
-            comm.trace = hub.clone();
             comm.transport.connect(peers, rx);
             comm.control.connect(checkpoints.clone());
             comm
@@ -165,10 +162,8 @@ where
                         comm.control.death().map_or(Exit::Returned, Exit::Killed)
                     };
                     comm.transport.close(exit, &mut comm.metrics);
-                    if let Some(hub) = &comm.trace {
-                        hub.set_final_time(comm.physical_rank(), comm.now());
-                    }
-                    result.map(|r| (r, comm.stats(), comm.metrics_snapshot()))
+                    let trace = comm.take_trace();
+                    result.map(|r| (r, comm.stats(), comm.metrics_snapshot(), trace))
                 })
             })
             .collect();
@@ -191,8 +186,9 @@ where
     let mut results = Vec::with_capacity(size);
     let mut stats = Vec::with_capacity(size);
     let mut metrics = Vec::with_capacity(if metrics_on { size } else { 0 });
+    let mut traces = Vec::with_capacity(if instr.trace.enabled { size } else { 0 });
     for outcome in outcomes {
-        let Ok((r, s, m)) = outcome else {
+        let Ok((r, s, m, t)) = outcome else {
             unreachable!("no rank unwound")
         };
         results.push(r);
@@ -200,15 +196,8 @@ where
         if metrics_on {
             metrics.push(m);
         }
+        traces.extend(t);
     }
-    // Release the per-rank hub references so the Arc unwraps cleanly.
-    comms.clear();
-    let traces = match hub {
-        Some(hub) => Arc::try_unwrap(hub)
-            .expect("all rank handles dropped")
-            .into_traces(),
-        None => Vec::new(),
-    };
     (
         RunReport {
             results,

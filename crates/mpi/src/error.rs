@@ -139,6 +139,17 @@ impl CommError {
             _ => &[],
         }
     }
+
+    /// This error with `tail` as the blocked rank's recent trace events,
+    /// if it is a failure that carries them.
+    pub(crate) fn with_recent(mut self, tail: Vec<TraceEvent>) -> Self {
+        if let CommError::Unsatisfiable { recent, .. }
+        | CommError::PeersDisconnected { recent, .. } = &mut self
+        {
+            *recent = tail;
+        }
+        self
+    }
 }
 
 fn fmt_context(

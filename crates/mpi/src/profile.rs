@@ -382,7 +382,7 @@ pub fn build_profile(traces: &[RankTrace], machine: &MachineModel) -> Profile {
 mod tests {
     use super::*;
     use crate::comm::{run_instrumented, InstrumentConfig};
-    use crate::trace::TraceConfig;
+    use crate::trace::{TraceConfig, TRACE_CAPACITY};
     use pgr_obs::{MetricsConfig, Phase};
 
     fn machine() -> MachineModel {
@@ -480,16 +480,13 @@ mod tests {
     #[test]
     fn truncated_ring_degrades_to_phase_attribution() {
         let m = machine();
-        let cfg = InstrumentConfig {
-            trace: TraceConfig {
-                enabled: true,
-                capacity: 4,
-            },
-            metrics: MetricsConfig::on(),
-            ..InstrumentConfig::default()
-        };
+        let cfg = instrument();
         let (_, traces, metrics) = run_instrumented(2, m, cfg, |comm| {
             comm.phase_mark(Phase::Setup);
+            // A full ring, so the exchange below evicts.
+            for _ in 0..TRACE_CAPACITY {
+                comm.compute(1);
+            }
             for i in 0..10 {
                 let peer = 1 - comm.rank();
                 if comm.rank() == 0 {

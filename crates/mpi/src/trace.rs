@@ -14,16 +14,16 @@
 //! * [`stats_json`] — a compact machine-readable dump of
 //!   [`RankStats`](crate::RankStats) for cross-run aggregation.
 //!
-//! The same ring buffers feed the structured
-//! [`CommError`](crate::error::CommError) diagnostics: when a receive can
-//! never complete, the error carries the last events of the blocked
-//! rank.
+//! Each rank's ring is its own, held by its [`Comm`](crate::Comm) like
+//! its metric shard, and it also feeds the structured
+//! [`CommError`](crate::error::CommError) diagnostics: when a receive
+//! can never complete, the `Comm` attaches the ring's last events to
+//! the error.
 
 use crate::comm::RankStats;
 use crate::machine::MachineModel;
 use pgr_obs::{json_escape, RunMeta, SCHEMA_VERSION};
 use std::collections::VecDeque;
-use std::sync::Mutex;
 
 /// Metric counting events evicted from a rank's trace ring — incremented
 /// at eviction time so it lands in the phase window that overflowed.
@@ -95,37 +95,28 @@ impl TraceEvent {
     }
 }
 
+/// Events retained per rank: a ring, oldest evicted first. A fully
+/// instrumented route of avq.large, the largest of the paper's circuits,
+/// peaks near 51 000 events; a 100 000-net circuit overflows it.
+pub const TRACE_CAPACITY: usize = 65_536;
+
 /// Tracing configuration for a run. The default ([`TraceConfig::off`])
 /// keeps the communicator allocation-free.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TraceConfig {
     /// Record events at all.
     pub enabled: bool,
-    /// Events retained per rank (a ring: oldest evicted first).
-    pub capacity: usize,
 }
 
 impl TraceConfig {
     /// No tracing, no allocations: the default.
     pub const fn off() -> Self {
-        TraceConfig {
-            enabled: false,
-            capacity: 0,
-        }
+        TraceConfig { enabled: false }
     }
 
-    /// Tracing on with the default per-rank ring capacity.
+    /// Tracing on.
     pub const fn on() -> Self {
-        TraceConfig {
-            enabled: true,
-            capacity: 65_536,
-        }
-    }
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig::off()
+        TraceConfig { enabled: true }
     }
 }
 
@@ -133,8 +124,8 @@ impl Default for TraceConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub struct RankTrace {
     pub rank: usize,
-    /// Events in virtual-time order (ring-limited to the configured
-    /// capacity).
+    /// Events in virtual-time order (the last [`TRACE_CAPACITY`] at
+    /// most).
     pub events: Vec<TraceEvent>,
     /// The rank's final virtual clock — closes the last open phase.
     pub final_time: f64,
@@ -169,73 +160,42 @@ pub(crate) fn mark_spans(starts: &[f64], end: f64) -> Vec<f64> {
     starts.iter().zip(ends).map(|(s, e)| e - s).collect()
 }
 
-/// Shared per-run sink: one slot per rank. Each slot is only ever
-/// written by its own rank, so the mutexes are uncontended in steady
-/// state.
-#[derive(Debug)]
-pub(crate) struct TraceHub {
-    pub(crate) config: TraceConfig,
-    slots: Vec<Mutex<TraceSlot>>,
-}
-
+/// One rank's event ring, owned by its [`Comm`](crate::Comm) like its
+/// metric shard: nothing shares it, so recording takes no lock.
 #[derive(Debug, Default)]
-struct TraceSlot {
+pub(crate) struct TraceRing {
     events: VecDeque<TraceEvent>,
-    final_time: f64,
     dropped: u64,
 }
 
-impl TraceHub {
-    pub(crate) fn new(size: usize, config: TraceConfig) -> Self {
-        TraceHub {
-            config,
-            slots: (0..size)
-                .map(|_| Mutex::new(TraceSlot::default()))
-                .collect(),
-        }
-    }
-
+impl TraceRing {
     /// Record one event; returns `true` when the ring was full and the
     /// oldest event was evicted to make room (the caller surfaces that
     /// as the [`TRACE_DROPPED`] metric).
-    pub(crate) fn record(&self, rank: usize, event: TraceEvent) -> bool {
-        let mut slot = self.slots[rank].lock().expect("trace slot poisoned");
-        let evicted = slot.events.len() >= self.config.capacity;
+    pub(crate) fn record(&mut self, event: TraceEvent) -> bool {
+        let evicted = self.events.len() >= TRACE_CAPACITY;
         if evicted {
-            slot.events.pop_front();
-            slot.dropped += 1;
+            self.events.pop_front();
+            self.dropped += 1;
         }
-        slot.events.push_back(event);
+        self.events.push_back(event);
         evicted
     }
 
-    pub(crate) fn set_final_time(&self, rank: usize, t: f64) {
-        self.slots[rank]
-            .lock()
-            .expect("trace slot poisoned")
-            .final_time = t;
+    /// The last `n` events (for error context).
+    pub(crate) fn tail(&self, n: usize) -> Vec<TraceEvent> {
+        let skip = self.events.len().saturating_sub(n);
+        self.events.iter().skip(skip).cloned().collect()
     }
 
-    /// Snapshot the last `n` events of one rank (for error context).
-    pub(crate) fn tail(&self, rank: usize, n: usize) -> Vec<TraceEvent> {
-        let slot = self.slots[rank].lock().expect("trace slot poisoned");
-        slot.events.iter().rev().take(n).rev().cloned().collect()
-    }
-
-    pub(crate) fn into_traces(self) -> Vec<RankTrace> {
-        self.slots
-            .into_iter()
-            .enumerate()
-            .map(|(rank, slot)| {
-                let slot = slot.into_inner().expect("trace slot poisoned");
-                RankTrace {
-                    rank,
-                    events: slot.events.into(),
-                    final_time: slot.final_time,
-                    dropped: slot.dropped,
-                }
-            })
-            .collect()
+    /// Close the ring into rank `rank`'s trace, ending at `final_time`.
+    pub(crate) fn finish(self, rank: usize, final_time: f64) -> RankTrace {
+        RankTrace {
+            rank,
+            events: self.events.into(),
+            final_time,
+            dropped: self.dropped,
+        }
     }
 }
 
@@ -476,18 +436,12 @@ mod tests {
 
     #[test]
     fn ring_capacity_evicts_oldest() {
-        let hub = TraceHub::new(
-            1,
-            TraceConfig {
-                enabled: true,
-                capacity: 3,
-            },
-        );
-        for i in 0..5 {
-            hub.record(0, phase("x", i as f64));
+        let mut ring = TraceRing::default();
+        for i in 0..TRACE_CAPACITY + 2 {
+            ring.record(phase("x", i as f64));
         }
-        let traces = hub.into_traces();
-        assert_eq!(traces[0].events.len(), 3);
+        let traces = [ring.finish(0, 0.0)];
+        assert_eq!(traces[0].events.len(), TRACE_CAPACITY);
         assert_eq!(traces[0].dropped, 2);
         assert_eq!(traces[0].events[0].t0, 2.0, "oldest two evicted");
     }

@@ -244,7 +244,10 @@ fn comm_matrix_rows_sum_to_bytes_sent() {
 
 mod edge_cases {
     use super::Mix;
-    use pgr_mpi::{run, Comm, CommError, MachineModel, COLLECTIVE_TAG_BASE};
+    use pgr_mpi::{
+        run, run_instrumented, Comm, CommError, InstrumentConfig, MachineModel, TraceConfig,
+        TraceEvent, TraceEventKind, COLLECTIVE_TAG_BASE,
+    };
 
     #[test]
     fn zero_length_payloads_roundtrip() {
@@ -444,6 +447,70 @@ mod edge_cases {
         assert_eq!(ended(0), (0, 1, 7));
         assert_eq!(ended(2), (2, 0, 8));
         assert!(report.results[1].is_none());
+    }
+
+    /// Rank 0 charges `ops` 1..=20, then receives from rank 1 (which
+    /// returns without sending), charges 21 and receives from itself:
+    /// the first ends `PeersDisconnected`, the second `Unsatisfiable`.
+    fn stranded_receives(instr: InstrumentConfig) -> (Vec<TraceEvent>, CommError, CommError) {
+        let (report, traces, _) = run_instrumented(2, MachineModel::ideal(), instr, |c| {
+            if c.rank() == 1 {
+                return None;
+            }
+            (1..=20).for_each(|ops| c.compute(ops));
+            let peer = c.try_recv_bytes(1, 7).expect_err("rank 1 never sends");
+            c.compute(21);
+            let own = c.try_recv_bytes(0, 8).expect_err("nothing buffered");
+            Some((peer, own))
+        });
+        let (peer, own) = report.results[0].clone().expect("rank 0 got both errors");
+        assert!(
+            matches!(peer, CommError::PeersDisconnected { .. }),
+            "{peer:?}"
+        );
+        assert!(matches!(own, CommError::Unsatisfiable { .. }), "{own:?}");
+        let events = traces.first().map_or_else(Vec::new, |t| t.events.clone());
+        (events, peer, own)
+    }
+
+    fn recent(err: &CommError) -> &[TraceEvent] {
+        match err {
+            CommError::Unsatisfiable { recent, .. }
+            | CommError::PeersDisconnected { recent, .. } => recent,
+            other => panic!("expected a failure with a trace tail, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn receive_errors_carry_the_ranks_recent_events_when_traced() {
+        let (events, peer, own) = stranded_receives(InstrumentConfig {
+            trace: TraceConfig::on(),
+            ..InstrumentConfig::off()
+        });
+        // A failed receive records nothing: the peer error's tail ends at
+        // `compute(20)`, the self-receive's one event later, and that is
+        // where the rank's trace ends.
+        let ops = |tail: &[TraceEvent]| -> Vec<u64> {
+            tail.iter()
+                .map(|e| match e.kind {
+                    TraceEventKind::Compute { ops } => ops,
+                    ref other => panic!("rank 0 only computed, got {other:?}"),
+                })
+                .collect()
+        };
+        assert_eq!(ops(recent(&peer)), (5..=20).collect::<Vec<_>>());
+        assert_eq!(ops(recent(&own)), (6..=21).collect::<Vec<_>>());
+        assert_eq!(recent(&own), &events[events.len() - 16..]);
+        for err in [&peer, &own] {
+            let msg = err.to_string();
+            assert!(msg.contains("last 16 trace events:"), "{msg}");
+            assert!(msg.contains("compute 20 ops"), "{msg}");
+        }
+
+        let (events, peer, own) = stranded_receives(InstrumentConfig::off());
+        assert!(events.is_empty());
+        assert!(recent(&peer).is_empty() && recent(&own).is_empty());
+        assert!(!own.to_string().contains("trace events"), "{own}");
     }
 
     #[test]
