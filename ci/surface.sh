@@ -112,6 +112,14 @@
 #   under crates/bench/src that names `check_baseline`, `TOLERANCE` or
 #   `"--baseline"` (`ci/baseline-aggregate.json` is a golden file that a
 #   fresh aggregate must equal byte for byte).
+# - when an exchange grows its output by doubling again: a non-test line
+#   under crates/core/src/parallel or of crates/core/src/route/serial.rs
+#   that contains `flatten().collect()` (an arrival is a `concat()`, a
+#   gather appends to a vector reserved exactly, a dealing counts before
+#   it places), or any line of crates/core/src/parallel/hybrid.rs that
+#   names `group_nodes` (the owners merge the canonical fragments they
+#   receive with `merge_fragments`; they do not regroup them pair by
+#   pair).
 set -eu
 cd "$(dirname "$0")/.."
 MAX_FILE=1000
@@ -364,6 +372,17 @@ tolerance=$(nontest 'check_baseline|TOLERANCE|"--baseline"' $(find crates/bench/
 if [ -n "$tolerance" ]; then
     echo "surface: the committed aggregate is a golden file (a fresh one must equal it byte for byte; no tolerance checker):" >&2
     echo "$tolerance" >&2
+    exit 1
+fi
+
+# shellcheck disable=SC2046
+doubling=$(
+    nontest 'flatten\(\)\.collect\(\)' $(find crates/core/src/parallel -name '*.rs') crates/core/src/route/serial.rs
+    grep -Hn 'group_nodes' crates/core/src/parallel/hybrid.rs || true
+)
+if [ -n "$doubling" ]; then
+    echo "surface: an exchange sizes its output exactly (concat() an arrival, count before dealing, merge canonical fragments):" >&2
+    echo "$doubling" >&2
     exit 1
 fi
 

@@ -112,9 +112,9 @@ pub fn split_segment(seg: &Segment, rows: &RowPartition) -> Vec<(usize, Segment)
 }
 
 /// Group the `(net, node)` pairs `pairs` yields (on each of three
-/// walks) into one store, every net's nodes sorted and deduplicated.
-/// Nets come in order of first appearance, or in id order with `by_id`.
-pub(crate) fn group_nodes<I>(pairs: impl Fn() -> I, by_id: bool) -> WorkNets
+/// walks) into one store, every net's nodes sorted and deduplicated,
+/// nets in order of first appearance.
+pub(crate) fn group_nodes<I>(pairs: impl Fn() -> I) -> WorkNets
 where
     I: Iterator<Item = (NetId, Node)>,
 {
@@ -123,9 +123,6 @@ where
         if seen.of(net).replace(0).is_none() {
             nets.push(net);
         }
-    }
-    if by_id {
-        nets.sort_unstable();
     }
     WorkNets::group(nets, pairs)
 }
@@ -138,7 +135,7 @@ pub fn assemble_works(segments: &[Segment]) -> WorkNets {
             .iter()
             .flat_map(|s| [(s.net, s.lower), (s.net, s.upper)])
     };
-    group_nodes(ends, false)
+    group_nodes(ends)
 }
 
 /// The last phase boundary whose pipeline state is *portable* — restorable
@@ -248,6 +245,7 @@ pub fn sync_boundaries(chans: &mut ChannelState, rows: &RowPartition, comm: &mut
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::hybrid::merge_fragments;
     use crate::route::state::NodeKind;
     use pgr_circuit::NetId;
 
@@ -378,7 +376,7 @@ mod tests {
             .collect();
         let each =
             || (parts.iter()).flat_map(|(net, nodes)| nodes.iter().map(move |&nd| (*net, nd)));
-        let works = listed(group_nodes(each, false));
+        let works = listed(group_nodes(each));
         // A net that contributes no node gets no record.
         let mut want = reference(parts.clone());
         want.retain(|w| !w.1.is_empty());
@@ -391,8 +389,13 @@ mod tests {
             }
         }
         assert_eq!(works.iter().map(|w| w.0).collect::<Vec<_>>(), first_seen);
-        // ...unless asked for id order.
+        // The hybrid's owners merge such stores into id order: deal the
+        // parts to three senders, each grouping its own (first
+        // appearance, so not id order; nets split, nodes shared).
+        let stores: Vec<WorkNets> = (0..3)
+            .map(|sender| group_nodes(|| each().skip(sender).step_by(3)))
+            .collect();
         want.sort_unstable_by_key(|w| w.0);
-        assert_eq!(listed(group_nodes(each, true)), want);
+        assert_eq!(listed(merge_fragments(&stores)), want);
     }
 }

@@ -17,7 +17,7 @@
 
 use crate::engine::{Phase, Pipeline, RouteCtx};
 use crate::metrics::RoutingResult;
-use crate::parallel::common::{group_nodes, sync_boundaries};
+use crate::parallel::common::sync_boundaries;
 use crate::parallel::rowwise::RowWisePipeline;
 use crate::route::connect::connect_all;
 use crate::route::state::{Span, WorkNets};
@@ -43,12 +43,52 @@ pub(crate) fn gather_at_owners(works: WorkNets, owners: &[u32], comm: &mut Comm)
         work_out[owner(net)].push(net, nodes.iter().copied());
     }
     drop(works);
-    let fragments = comm.alltoall(work_out);
-    let nets = || fragments.iter().flat_map(WorkNets::iter);
-    group_nodes(
-        || nets().flat_map(|(net, n)| n.iter().map(move |&nd| (net, nd))),
-        true,
-    )
+    merge_fragments(&comm.alltoall(work_out))
+}
+
+/// One store of the nets `fragments` hold, in id order, each the union of
+/// its fragments' nodes made canonical. Every fragment slice is canonical
+/// already, so a net one store holds is copied as it stands and only a
+/// net several hold is sorted; a net without nodes gets no record.
+pub(crate) fn merge_fragments(fragments: &[WorkNets]) -> WorkNets {
+    // A counting sort of the non-empty slices by net id: net `i`'s are
+    // `pieces[at[i]..at[i + 1]]`, in store order.
+    let all = || (fragments.iter().flat_map(WorkNets::iter)).filter(|(_, s)| !s.is_empty());
+    let mut at = vec![0u32; all().map(|(net, _)| net.index() + 2).max().unwrap_or(1)];
+    all().for_each(|(net, _)| at[net.index() + 1] += 1);
+    for i in 1..at.len() {
+        at[i] += at[i - 1];
+    }
+    let (mut next, mut pieces) = (at.clone(), vec![&[][..]; all().count()]);
+    for (net, nodes) in all() {
+        pieces[next[net.index()] as usize] = nodes;
+        next[net.index()] += 1;
+    }
+    let nets = at.windows(2).filter(|w| w[0] < w[1]).count();
+    let mut store = WorkNets::with_capacity(nets, pieces.iter().map(|p| p.len()).sum());
+    for (i, w) in at.windows(2).enumerate() {
+        if let Some((first, rest)) = pieces[w[0] as usize..w[1] as usize].split_first() {
+            store.push(NetId(i as u32), first.iter().copied());
+            if !rest.is_empty() {
+                store.extend_last(rest.iter().copied().flatten().copied());
+            }
+        }
+    }
+    store
+}
+
+/// `spans` dealt to the `size` ranks `dest` names, each rank's list in
+/// the order given and sized exactly: a count, then the copy.
+pub(crate) fn deal_spans(
+    spans: &[Span],
+    size: usize,
+    dest: impl Fn(&Span) -> usize,
+) -> Vec<Vec<Span>> {
+    let mut count = vec![0; size];
+    spans.iter().for_each(|s| count[dest(s)] += 1);
+    let mut out: Vec<Vec<Span>> = count.into_iter().map(Vec::with_capacity).collect();
+    spans.iter().for_each(|s| out[dest(s)].push(*s));
+    out
 }
 
 /// The hybrid pipeline: steps 1–3 are exactly the row-wise flow (the
@@ -70,31 +110,25 @@ impl Pipeline for HybridPipeline {
             Phase::Connect => {
                 let merged = gather_at_owners(std::mem::take(&mut st.works), owners, comm);
                 let (all_spans, wirelength) = connect_all(&merged, true, comm);
+                // Freed before the dealing, where the heap peaks.
+                drop(merged);
                 st.wirelength = wirelength;
 
                 // Deal spans back to channel owners: switchable spans
                 // follow their row (the owner covers both candidate
                 // channels); fixed spans follow their channel (the top
                 // channel belongs to the last rank).
-                let mut span_out: Vec<Vec<Span>> = vec![Vec::new(); ctx.size];
-                for s in all_spans {
-                    let dest = match s.switch_row {
-                        Some(r) => ctx.rows.owner(RowId(r)),
-                        None => {
-                            if s.channel as usize == ctx.circuit.num_rows() {
-                                ctx.size - 1
-                            } else {
-                                ctx.rows.owner(RowId(s.channel))
-                            }
-                        }
-                    };
-                    span_out[dest].push(s);
-                }
+                let span_out = deal_spans(&all_spans, ctx.size, |s| match s.switch_row {
+                    Some(r) => ctx.rows.owner(RowId(r)),
+                    None if s.channel as usize == ctx.circuit.num_rows() => ctx.size - 1,
+                    None => ctx.rows.owner(RowId(s.channel)),
+                });
+                drop(all_spans);
                 // Arrival order is deterministic (alltoall delivers in
                 // sender-rank order, each sender's list is
                 // deterministic), and at P = 1 it is exactly the serial
                 // span order.
-                st.spans = comm.alltoall(span_out).into_iter().flatten().collect();
+                st.spans = comm.alltoall(span_out).concat();
             }
 
             // Step 5 on the local rows, against the channel state of the
@@ -130,6 +164,7 @@ mod tests {
     use super::*;
     use crate::config::RouterConfig;
     use crate::parallel::{Algorithm, PartitionKind};
+    use crate::route::state::Node;
     use crate::route::try_route_serial;
     use pgr_circuit::{generate, Circuit, GeneratorConfig};
     use pgr_mpi::{run, MachineModel};
@@ -228,5 +263,103 @@ mod tests {
             "simulated hybrid speedup too low: {}",
             t1 / t4
         );
+    }
+
+    fn listed(works: &WorkNets) -> Vec<(NetId, Vec<Node>)> {
+        works.iter().map(|(n, s)| (n, s.to_vec())).collect()
+    }
+
+    /// `procs` random fragment stores as the owners receive them: each
+    /// store's nets in shuffled (not id) order, every slice canonical,
+    /// nets split across stores with shared nodes, empty slices, and
+    /// some stores empty.
+    fn fragment_stores(procs: usize, seed: u64) -> Vec<WorkNets> {
+        let mut rng = pgr_geom::rng::rng_from_seed(seed);
+        let nets = [907u32, 3, 41, 40, 100_000, 0, 12];
+        (0..procs)
+            .map(|_| {
+                let mut store = WorkNets::default();
+                if rng.gen_bool(0.2) {
+                    return store;
+                }
+                let mut order = nets;
+                order.sort_by_cached_key(|_| rng.next_u64());
+                for net in order {
+                    if rng.gen_bool(0.4) {
+                        continue;
+                    }
+                    let n = rng.gen_range(0..5usize);
+                    let mut nodes: Vec<Node> = (0..n)
+                        .map(|_| Node::fake(rng.gen_range(0..4i64), rng.gen_range(0..3u32)))
+                        .collect();
+                    nodes.sort_unstable_by_key(Node::sort_key);
+                    nodes.dedup();
+                    store.push(NetId(net), nodes);
+                }
+                store
+            })
+            .collect()
+    }
+
+    #[test]
+    fn merge_fragments_matches_concatenate_sort_dedup() {
+        for procs in 1..=4 {
+            for seed in 0..40 {
+                let stores = fragment_stores(procs, seed);
+                // The reference: every net's slices concatenated in store
+                // order, then sorted and deduplicated; nets in id order,
+                // a net without nodes dropped.
+                let mut ids: Vec<NetId> =
+                    stores.iter().flat_map(|s| s.iter().map(|w| w.0)).collect();
+                ids.sort_unstable();
+                ids.dedup();
+                let want: Vec<(NetId, Vec<Node>)> = ids
+                    .into_iter()
+                    .map(|net| {
+                        let all = stores.iter().flat_map(WorkNets::iter);
+                        let mut nodes: Vec<Node> = all
+                            .filter(|w| w.0 == net)
+                            .flat_map(|w| w.1.iter().copied())
+                            .collect();
+                        nodes.sort_unstable_by_key(Node::sort_key);
+                        nodes.dedup();
+                        (net, nodes)
+                    })
+                    .filter(|w| !w.1.is_empty())
+                    .collect();
+                assert_eq!(
+                    listed(&merge_fragments(&stores)),
+                    want,
+                    "P={procs} seed {seed}"
+                );
+            }
+        }
+        assert!(merge_fragments(&[]).is_empty());
+        assert!(merge_fragments(&[WorkNets::default(), WorkNets::default()]).is_empty());
+    }
+
+    #[test]
+    fn deal_spans_matches_the_push_loop_and_sizes_each_bucket_exactly() {
+        let mut rng = pgr_geom::rng::rng_from_seed(0xDEA1);
+        for size in 1..=4 {
+            let spans: Vec<Span> = (0..200)
+                .map(|i| Span {
+                    net: NetId(i),
+                    channel: rng.gen_range(0..9u32),
+                    lo: rng.gen_range(0..50i64),
+                    hi: rng.gen_range(50..99i64),
+                    switch_row: rng.gen_bool(0.5).then(|| rng.gen_range(0..8u32)),
+                })
+                .collect();
+            let dest = |s: &Span| (s.channel + s.switch_row.unwrap_or(0)) as usize % size;
+            let mut want: Vec<Vec<Span>> = vec![Vec::new(); size];
+            for s in &spans {
+                want[dest(s)].push(*s);
+            }
+            let dealt = deal_spans(&spans, size, dest);
+            assert_eq!(dealt, want, "size {size}");
+            assert!(dealt.iter().all(|b| b.capacity() == b.len()));
+        }
+        assert_eq!(deal_spans(&[], 3, |_| 0), vec![Vec::<Span>::new(); 3]);
     }
 }

@@ -116,7 +116,7 @@ impl Pipeline for RowWisePipeline {
                         self.ckpt.push((i as u32, segs.clone()));
                     }
                 }
-                st.segments = comm.alltoall(outgoing).into_iter().flatten().collect();
+                st.segments = comm.alltoall(outgoing).concat();
                 comm.metric_add(names::SEGMENTS_OWNED, st.segments.len() as u64);
                 st.works = assemble_works(&st.segments);
             }

@@ -228,7 +228,12 @@ impl RouteState {
         let Some(all_spans) = comm.gather(0, std::mem::take(&mut self.spans)) else {
             return; // non-roots are done
         };
-        self.spans = all_spans.into_iter().flatten().collect();
+        // The root's own spans come first: its peers' append to them.
+        let mut peers = all_spans.into_iter();
+        self.spans = peers.next().expect("the root's own spans");
+        self.spans
+            .reserve_exact(peers.as_slice().iter().map(Vec::len).sum());
+        peers.for_each(|spans| self.spans.extend(spans));
         self.wirelength = wirelength.expect("rank 0 holds the reduction");
         let shape = (0, circuit.num_rows() + 1, self.chip_width);
         let emit_ops = cost::SETUP_ITEM * circuit.num_nets() as u64;
