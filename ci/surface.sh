@@ -29,11 +29,16 @@
 #   crates/core/src that contains `Vec<Vec<i64>>` (grids are one `Grid`),
 #   `HashMap` or `HashSet` (nets are dense ids: `NetSlots`, sorted lists);
 # - when a step body gets a second home: `route::serial::RouteState` holds
-#   the one body of steps 2-5 and of the gather, so among the non-test
+#   the one body of steps 1-5 and of the gather, so among the non-test
 #   code lines of crates/core/src `CoarseState::charged(` is called once,
 #   `connect_all(` twice (that body and the hybrid's whole-net Connect) and
 #   `ChannelState::from_spans(` three times (that body, the hybrid's
 #   Switchable, `RouteState::gather_result`);
+# - when crates/core/src/parallel builds Steiner trees itself again: a
+#   non-test line there that names `build_segments_with`, `pin_nodes`,
+#   `SteinerScratch` or `register_steiner_nodes` is step 1's loop written
+#   beside `RouteState::steiner` (a pipeline calls it with its owner
+#   filter and deals what it built);
 # - when a span list is loaded span by span again: `from_spans` and
 #   `analysis::analyze` go through `DensityProfile::load_spans`, so the
 #   non-test code lines of crates/core/src that call `.add_span(` are six,
@@ -372,6 +377,14 @@ tolerance=$(nontest 'check_baseline|TOLERANCE|"--baseline"' $(find crates/bench/
 if [ -n "$tolerance" ]; then
     echo "surface: the committed aggregate is a golden file (a fresh one must equal it byte for byte; no tolerance checker):" >&2
     echo "$tolerance" >&2
+    exit 1
+fi
+
+# shellcheck disable=SC2046
+step1=$(nontest 'build_segments_with|pin_nodes|SteinerScratch|register_steiner_nodes' $(find crates/core/src/parallel -name '*.rs'))
+if [ -n "$step1" ]; then
+    echo "surface: crates/core/src/parallel builds Steiner trees itself (call RouteState::steiner, then deal its segments):" >&2
+    echo "$step1" >&2
     exit 1
 fi
 

@@ -69,46 +69,32 @@ pub fn distribute(circuit: &Circuit, replicated: bool, comm: &mut Comm) {
 /// around), so both sides of every cut share one column and the cut
 /// itself needs no horizontal wire.
 ///
-/// Returns `(owner_part, piece)` pairs; each piece lies entirely within
-/// one part's rows.
-pub fn split_segment(seg: &Segment, rows: &RowPartition) -> Vec<(usize, Segment)> {
+/// Yields `(owner_part, piece)` pairs, bottom part first; each piece lies
+/// entirely within one part's rows.
+pub fn split_segment<'a>(
+    seg: &Segment,
+    rows: &'a RowPartition,
+) -> impl Iterator<Item = (usize, Segment)> + 'a {
+    let seg = *seg;
     let p_lo = rows.owner(pgr_circuit::RowId(seg.lower.row));
     let p_hi = rows.owner(pgr_circuit::RowId(seg.upper.row));
-    if p_lo == p_hi {
-        return vec![(p_lo, *seg)];
-    }
-    let xcut = seg.lower.x;
-    let mut out = Vec::with_capacity(p_hi - p_lo + 1);
-    // Bottom piece: lower endpoint up to the top row of its part.
-    out.push((
-        p_lo,
-        Segment::new(
-            seg.net,
-            seg.lower,
-            Node::fake(xcut, rows.end(p_lo) as u32 - 1),
-        ),
-    ));
-    // Middle pieces: fake pin to fake pin across whole parts.
-    for p in p_lo + 1..p_hi {
-        out.push((
-            p,
-            Segment::new(
-                seg.net,
-                Node::fake(xcut, rows.start(p) as u32),
-                Node::fake(xcut, rows.end(p) as u32 - 1),
-            ),
-        ));
-    }
-    // Top piece: first row of the top part up to the upper endpoint.
-    out.push((
-        p_hi,
-        Segment::new(
-            seg.net,
-            Node::fake(xcut, rows.start(p_hi) as u32),
-            seg.upper,
-        ),
-    ));
-    out
+    // The bottom piece starts at the lower endpoint, the top one ends at
+    // the upper; every cut is a pair of fake pins at the lower's column.
+    let cut = move |row: usize| Node::fake(seg.lower.x, row as u32);
+    (p_lo..=p_hi).map(move |p| {
+        let (first, last) = (rows.start(p), rows.end(p) - 1);
+        let lower = if p > p_lo { cut(first) } else { seg.lower };
+        let upper = if p < p_hi { cut(last) } else { seg.upper };
+        (p, Segment::new(seg.net, lower, upper))
+    })
+}
+
+/// One empty vector per rank, each sized exactly for the items `dests`
+/// sends it: an exchange counts its items, then places them.
+pub(crate) fn buckets<T>(size: usize, dests: impl Iterator<Item = usize>) -> Vec<Vec<T>> {
+    let mut counts = vec![0; size];
+    dests.for_each(|d| counts[d] += 1);
+    counts.into_iter().map(Vec::with_capacity).collect()
 }
 
 /// Group the `(net, node)` pairs `pairs` yields (on each of three
@@ -149,15 +135,21 @@ pub const PORTABLE_HORIZON: usize = Phase::Coarse.index();
 /// Encode a pipeline's portable checkpoint payload for the boundary
 /// entering `at`, or `None` when the boundary is past the portable
 /// horizon (the engine then records a metadata-only, non-restorable
-/// commit). `ckpt` holds the rank's owned multi-pin nets in ascending
-/// net-id order with their *unsplit* Steiner segments, retained by the
-/// Steiner pass; the boundary entering [`Phase::Steiner`] itself is
-/// portable but stateless (setup re-runs from the shared circuit), so
-/// its payload is empty.
-pub fn steiner_snapshot(at: Phase, ckpt: &Vec<(u32, Vec<Segment>)>) -> Option<Vec<u8>> {
+/// commit). `segments` are the rank's owned multi-pin nets' *unsplit*
+/// Steiner segments in ascending net-id order, as
+/// [`RouteState::steiner`](crate::route::serial::RouteState) builds them;
+/// the payload is them grouped per net, `(net, segments)` records. The
+/// boundary entering [`Phase::Steiner`] itself is portable but stateless
+/// (setup re-runs from the shared circuit), so its payload is empty.
+pub fn steiner_snapshot(at: Phase, segments: &[Segment]) -> Option<Vec<u8>> {
     match at.index() {
         i if i == Phase::Steiner.index() => Some(Vec::new()),
-        i if i == PORTABLE_HORIZON => Some(ckpt.to_bytes()),
+        i if i == PORTABLE_HORIZON => {
+            let by_net = segments.chunk_by(|a, b| a.net == b.net);
+            let records: Vec<(u32, Vec<Segment>)> =
+                by_net.map(|run| (run[0].net.0, run.to_vec())).collect();
+            Some(records.to_bytes())
+        }
         _ => None,
     }
 }
@@ -257,7 +249,7 @@ mod tests {
     fn split_within_one_part_is_identity() {
         let rows = RowPartition::uniform(8, 2); // 0..4, 4..8
         let seg = Segment::new(NetId(0), fake(3, 0), fake(9, 3));
-        let pieces = split_segment(&seg, &rows);
+        let pieces: Vec<_> = split_segment(&seg, &rows).collect();
         assert_eq!(pieces.len(), 1);
         assert_eq!(pieces[0].0, 0);
         assert_eq!(pieces[0].1, seg);
@@ -267,7 +259,7 @@ mod tests {
     fn split_across_one_boundary() {
         let rows = RowPartition::uniform(8, 2);
         let seg = Segment::new(NetId(0), fake(3, 1), fake(9, 6));
-        let pieces = split_segment(&seg, &rows);
+        let pieces: Vec<_> = split_segment(&seg, &rows).collect();
         assert_eq!(pieces.len(), 2);
         let (p0, s0) = &pieces[0];
         let (p1, s1) = &pieces[1];
@@ -285,7 +277,7 @@ mod tests {
     fn split_across_many_parts_produces_middle_pieces() {
         let rows = RowPartition::uniform(9, 3); // 0..3, 3..6, 6..9
         let seg = Segment::new(NetId(2), fake(5, 0), fake(20, 8));
-        let pieces = split_segment(&seg, &rows);
+        let pieces: Vec<_> = split_segment(&seg, &rows).collect();
         assert_eq!(pieces.len(), 3);
         let (p, mid) = &pieces[1];
         assert_eq!(*p, 1);
@@ -307,7 +299,7 @@ mod tests {
         let rows = RowPartition::uniform(8, 2);
         // Lower endpoint sits on part 0's top row.
         let seg = Segment::new(NetId(1), fake(2, 3), fake(7, 5));
-        let pieces = split_segment(&seg, &rows);
+        let pieces: Vec<_> = split_segment(&seg, &rows).collect();
         assert_eq!(pieces.len(), 2);
         // Bottom piece degenerates to a same-row stub carrying the pin.
         assert_eq!(pieces[0].1.lower.row, 3);

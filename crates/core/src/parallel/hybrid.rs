@@ -17,7 +17,7 @@
 
 use crate::engine::{Phase, Pipeline, RouteCtx};
 use crate::metrics::RoutingResult;
-use crate::parallel::common::sync_boundaries;
+use crate::parallel::common::{buckets, sync_boundaries};
 use crate::parallel::rowwise::RowWisePipeline;
 use crate::route::connect::connect_all;
 use crate::route::state::{Span, WorkNets};
@@ -84,9 +84,7 @@ pub(crate) fn deal_spans(
     size: usize,
     dest: impl Fn(&Span) -> usize,
 ) -> Vec<Vec<Span>> {
-    let mut count = vec![0; size];
-    spans.iter().for_each(|s| count[dest(s)] += 1);
-    let mut out: Vec<Vec<Span>> = count.into_iter().map(Vec::with_capacity).collect();
+    let mut out = buckets(size, spans.iter().map(&dest));
     spans.iter().for_each(|s| out[dest(s)].push(*s));
     out
 }

@@ -19,23 +19,14 @@ use crate::config::GRID_W;
 use crate::engine::{Phase, Pipeline, RouteCtx};
 use crate::metrics::{names, record_ft_plan, RoutingResult};
 use crate::parallel::common::{
-    distribute, merge_steiner_payloads, steiner_snapshot, PORTABLE_HORIZON,
+    buckets, distribute, merge_steiner_payloads, steiner_snapshot, PORTABLE_HORIZON,
 };
 use crate::parallel::partition::partition_nets;
 use crate::route::feedthrough::{assign, Crossing, FtPlan};
-use crate::route::serial::{crossings_of, register_steiner_nodes, Feedthroughs, RouteState};
+use crate::route::serial::{crossings_of, Feedthroughs, RouteState, SegmentSource};
 use crate::route::state::{Orientation, Segment};
-use crate::route::steiner::{build_segments_with, pin_nodes, SteinerScratch};
 use pgr_circuit::{NetId, RowId};
 use pgr_mpi::Comm;
-
-/// Where an owned net's Steiner segments come from.
-enum SegmentSource<'a> {
-    /// The Steiner pass builds them (and polls the budget as it goes).
-    Build(&'a mut Comm),
-    /// A resume takes them from the failed world's checkpoint table.
-    Checkpoint(&'a [Option<Vec<Segment>>]),
-}
 
 /// Pipeline state carried between the net-wise passes. Driven by
 /// [`crate::engine::drive`] through
@@ -47,63 +38,22 @@ enum SegmentSource<'a> {
 /// assembly).
 #[derive(Default)]
 pub(crate) struct NetWisePipeline {
-    /// Owned nets with their Steiner segments, retained (only when a
-    /// checkpoint store is attached) for the portable phase-boundary
-    /// snapshot. Net-wise nets are never split, so these are the same
-    /// segments as `segments`, grouped per net.
-    ckpt: Vec<(u32, Vec<Segment>)>,
     owners: Vec<u32>,
     /// Owned whole nets against replicated whole-chip congestion state.
+    /// Net-wise nets are never split, so entering [`Phase::Coarse`] its
+    /// `segments` are the owned nets' unsplit ones in net-id order: the
+    /// portable snapshot.
     st: RouteState,
 }
 
 impl NetWisePipeline {
-    /// Deal the nets and walk the owned ones in net-id order: the work
-    /// record of every multi-pin net (`pin_nodes` and the Steiner-junction
-    /// registration are pure), its segments from `source`, and with `keep`
-    /// the per-net copy the portable snapshot deposits. The one loop of
-    /// the Steiner pass and of its resume, so a resumed run cannot drift
-    /// from a fresh one.
-    fn build_owned(&mut self, ctx: &RouteCtx<'_>, keep: bool, mut source: SegmentSource<'_>) {
-        let (circuit, cfg) = (ctx.circuit, ctx.cfg);
-        self.owners = partition_nets(circuit, ctx.kind, &ctx.rows, ctx.size, cfg.pin_weight_beta);
-        let mut scratch = SteinerScratch::default();
-        for net in circuit.nets_chunks().flat_map(|c| c.net_ids()) {
-            let i = net.index();
-            if self.owners[i] as usize != ctx.rank {
-                continue;
-            }
-            // Mandatory work: a latched breach stops local building; the
-            // engine aborts at the next boundary.
-            if let SegmentSource::Build(comm) = &mut source {
-                if comm.budget_poll_abort() {
-                    break;
-                }
-            }
-            if circuit.net_degree(net) < 2 {
-                continue;
-            }
-            let (works, segments) = (&mut self.st.works, &mut self.st.segments);
-            works.push(net, pin_nodes(circuit, net, &mut scratch.points));
-            let first = segments.len();
-            match &mut source {
-                SegmentSource::Build(comm) => {
-                    let refine = cfg.steiner_refine;
-                    build_segments_with(net, works.last(), refine, comm, &mut scratch, segments)
-                }
-                SegmentSource::Checkpoint(by_net) => segments.extend_from_slice(
-                    by_net[i]
-                        .as_ref()
-                        .expect("every multi-pin net was checkpointed by its dead-world owner"),
-                ),
-            }
-            if cfg.steiner_refine {
-                register_steiner_nodes(works, &segments[first..]);
-            }
-            if keep {
-                self.ckpt.push((i as u32, segments[first..].to_vec()));
-            }
-        }
+    /// Deal the nets and run step 1 over the owned ones, its segments
+    /// from `source`: the Steiner pass and its resume.
+    fn build_owned(&mut self, ctx: &RouteCtx<'_>, source: SegmentSource<'_>) {
+        let (circuit, beta) = (ctx.circuit, ctx.cfg.pin_weight_beta);
+        self.owners = partition_nets(circuit, ctx.kind, &ctx.rows, ctx.size, beta);
+        let (owners, st) = (&self.owners, &mut self.st);
+        st.steiner(ctx, |i| owners[i] as usize == ctx.rank, source);
     }
 }
 
@@ -142,14 +92,6 @@ fn assign_exchanged(
     Feedthroughs::Received(comm.alltoall(ft_out).concat())
 }
 
-/// One empty vector per rank, each sized exactly for the items `dests`
-/// sends it.
-fn buckets<T>(size: usize, dests: impl Iterator<Item = usize>) -> Vec<Vec<T>> {
-    let mut counts = vec![0; size];
-    dests.for_each(|d| counts[d] += 1);
-    counts.into_iter().map(Vec::with_capacity).collect()
-}
-
 impl Pipeline for NetWisePipeline {
     fn pass(&mut self, phase: Phase, ctx: &mut RouteCtx<'_>, comm: &mut Comm) {
         let (circuit, cfg) = (ctx.circuit, ctx.cfg);
@@ -161,8 +103,7 @@ impl Pipeline for NetWisePipeline {
 
             // Step 1: Steiner trees for owned (whole) nets.
             Phase::Steiner => {
-                let keep = comm.checkpointing();
-                self.build_owned(ctx, keep, SegmentSource::Build(comm));
+                self.build_owned(ctx, SegmentSource::Build(comm));
                 comm.metric_add(names::NETS_OWNED, self.st.works.len() as u64);
                 comm.metric_add(names::SEGMENTS_OWNED, self.st.segments.len() as u64);
                 comm.metric_add(names::ROWS_OWNED, ctx.nrows() as u64);
@@ -213,7 +154,7 @@ impl Pipeline for NetWisePipeline {
     }
 
     fn snapshot(&self, at: Phase) -> Option<Vec<u8>> {
-        steiner_snapshot(at, &self.ckpt)
+        steiner_snapshot(at, &self.st.segments)
     }
 
     fn restore(&mut self, at: Phase, payloads: &[Vec<u8>], ctx: &mut RouteCtx<'_>) {
@@ -221,9 +162,9 @@ impl Pipeline for NetWisePipeline {
             return; // resuming at Steiner: default state, setup re-runs
         }
         // Nets are whole here: the skipped Steiner pass's own walk, fed the
-        // checkpointed segments (retained: this attempt re-deposits them).
+        // checkpointed segments (which this attempt re-deposits).
         let by_net = merge_steiner_payloads(payloads, ctx.circuit.num_nets());
-        self.build_owned(ctx, true, SegmentSource::Checkpoint(&by_net));
+        self.build_owned(ctx, SegmentSource::Checkpoint(&by_net));
     }
 
     fn take_result(&mut self) -> Option<RoutingResult> {

@@ -21,13 +21,12 @@ use crate::config::GRID_W;
 use crate::engine::{Phase, Pipeline, RouteCtx};
 use crate::metrics::{names, RoutingResult};
 use crate::parallel::common::{
-    assemble_works, distribute, merge_steiner_payloads, replay_split_arrival, split_segment,
-    steiner_snapshot, sync_boundaries, PORTABLE_HORIZON,
+    assemble_works, buckets, distribute, merge_steiner_payloads, replay_split_arrival,
+    split_segment, steiner_snapshot, sync_boundaries, PORTABLE_HORIZON,
 };
 use crate::parallel::partition::partition_nets;
-use crate::route::serial::{local_feedthroughs, RouteState};
-use crate::route::state::Segment;
-use crate::route::steiner::{build_segments_with, pin_nodes, SteinerScratch};
+use crate::route::serial::{local_feedthroughs, RouteState, SegmentSource};
+use crate::route::state::{Segment, WorkNets};
 use pgr_circuit::RowId;
 use pgr_mpi::Comm;
 
@@ -45,10 +44,10 @@ use pgr_mpi::Comm;
 /// [`Phase::Connect`] and [`Phase::Switchable`].
 #[derive(Default)]
 pub(crate) struct RowWisePipeline {
-    /// Owned nets with their unsplit Steiner segments, retained (only
-    /// when a checkpoint store is attached) for the portable
+    /// The owned nets' unsplit Steiner segments in net-id order, retained
+    /// (only when a checkpoint store is attached) for the portable
     /// phase-boundary snapshot.
-    ckpt: Vec<(u32, Vec<Segment>)>,
+    unsplit: Vec<Segment>,
     /// The §5 net partition: which rank built (and, in the hybrid,
     /// connects) each net.
     pub(crate) owners: Vec<u32>,
@@ -71,50 +70,25 @@ impl Pipeline for RowWisePipeline {
             Phase::Steiner => {
                 self.owners =
                     partition_nets(circuit, ctx.kind, &ctx.rows, ctx.size, cfg.pin_weight_beta);
-                let owned = self
-                    .owners
-                    .iter()
-                    .filter(|&&o| o as usize == ctx.rank)
-                    .count();
-                comm.metric_add(names::NETS_OWNED, owned as u64);
-                let keep = comm.checkpointing();
-                let mut outgoing: Vec<Vec<Segment>> = vec![Vec::new(); ctx.size];
-                let (mut scratch, mut nodes, mut segs) =
-                    (SteinerScratch::default(), Vec::new(), Vec::new());
-                for net in circuit.nets_chunks().flat_map(|c| c.net_ids()) {
-                    let i = net.index();
-                    if self.owners[i] as usize != ctx.rank {
-                        continue;
-                    }
-                    // Mandatory work: a latched breach stops local
-                    // building; the alltoall below still runs (walking
-                    // away would deadlock peers) and the engine aborts
-                    // at the next phase boundary.
-                    if comm.budget_poll_abort() {
-                        break;
-                    }
-                    if circuit.net_degree(net) < 2 {
-                        continue;
-                    }
-                    nodes.clear();
-                    nodes.extend(pin_nodes(circuit, net, &mut scratch.points));
-                    segs.clear();
-                    build_segments_with(
-                        net,
-                        &nodes,
-                        cfg.steiner_refine,
-                        comm,
-                        &mut scratch,
-                        &mut segs,
-                    );
-                    for seg in &segs {
-                        for (part, piece) in split_segment(seg, &ctx.rows) {
-                            outgoing[part].push(piece);
-                        }
-                    }
-                    if keep {
-                        self.ckpt.push((i as u32, segs.clone()));
-                    }
+                let (owners, rank) = (&self.owners, ctx.rank);
+                let owned = |i: usize| owners[i] as usize == rank;
+                let nets_owned = (0..owners.len()).filter(|&i| owned(i)).count();
+                comm.metric_add(names::NETS_OWNED, nets_owned as u64);
+                // A latched budget breach stops the building early; the
+                // alltoall below still runs (walking away would deadlock
+                // peers) and the engine aborts at the next phase boundary.
+                st.steiner(ctx, owned, SegmentSource::Build(comm));
+                st.works = WorkNets::default(); // rebuilt from what arrives
+                let pieces = || (st.segments.iter()).flat_map(|seg| split_segment(seg, &ctx.rows));
+                let mut outgoing = buckets(ctx.size, pieces().map(|(part, _)| part));
+                pieces().for_each(|(part, piece)| outgoing[part].push(piece));
+                // Kept for the portable snapshot, or freed before the
+                // exchange.
+                let unsplit = std::mem::take(&mut st.segments);
+                if comm.checkpointing() {
+                    self.unsplit = unsplit;
+                } else {
+                    drop(unsplit);
                 }
                 st.segments = comm.alltoall(outgoing).concat();
                 comm.metric_add(names::SEGMENTS_OWNED, st.segments.len() as u64);
@@ -160,7 +134,7 @@ impl Pipeline for RowWisePipeline {
 
     /// The portable snapshot entering `at` — see [`steiner_snapshot`].
     fn snapshot(&self, at: Phase) -> Option<Vec<u8>> {
-        steiner_snapshot(at, &self.ckpt)
+        steiner_snapshot(at, &self.unsplit)
     }
 
     /// Rebuild the state entering `at` from the failed world's payloads,
@@ -182,10 +156,11 @@ impl Pipeline for RowWisePipeline {
             replay_split_arrival(&by_net, &self.owners, &ctx.rows, ctx.size, ctx.rank);
         self.st.works = assemble_works(&self.st.segments);
         // Retained under the *current* net partition, to re-deposit them.
-        self.ckpt = (0..by_net.len())
-            .filter(|&i| self.owners[i] as usize == ctx.rank)
-            .filter_map(|i| Some((i as u32, by_net[i].clone()?)))
-            .collect();
+        let owned = (0..by_net.len()).filter(|&i| self.owners[i] as usize == ctx.rank);
+        self.unsplit = owned
+            .filter_map(|i| by_net[i].as_deref())
+            .collect::<Vec<_>>()
+            .concat();
     }
 
     fn take_result(&mut self) -> Option<RoutingResult> {

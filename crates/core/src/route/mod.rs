@@ -11,10 +11,10 @@
 //!    channels above/below their row to minimize peak density.
 //!
 //! [`serial::try_route_serial`] chains them; the [`crate::parallel`]
-//! algorithms run the same step bodies (`serial::RouteState`, the state
-//! every driver embeds) across ranks: this module owns every step's
+//! algorithms run the same bodies of steps 1–5 (`serial::RouteState`, the
+//! state every driver embeds) across ranks: this module owns every step's
 //! loop, body and state format (replication of the two congestion states
-//! included), `crate::parallel` partition and exchange.
+//! included), `crate::parallel` partition and exchange only.
 
 pub mod coarse;
 pub mod connect;

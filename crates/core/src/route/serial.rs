@@ -58,9 +58,18 @@ fn shift_pin(plan: &FtPlan, node: &mut Node) {
 /// pins and feedthroughs, so step 4's MST must see them. (The
 /// row-partitioned algorithms get this for free: their node lists are
 /// assembled from segment endpoints.)
-pub fn register_steiner_nodes(works: &mut WorkNets, segs: &[Segment]) {
+fn register_steiner_nodes(works: &mut WorkNets, segs: &[Segment]) {
     let ends = segs.iter().flat_map(|s| [s.lower, s.upper]);
     works.extend_last(ends.filter(|nd| matches!(nd.kind, NodeKind::Steiner)));
+}
+
+/// Where step 1's Steiner segments come from.
+pub(crate) enum SegmentSource<'a> {
+    /// The Steiner pass builds them (and polls the budget as it goes).
+    Build(&'a mut Comm),
+    /// A resume takes them from the failed world's checkpoint table,
+    /// indexed by net.
+    Checkpoint(&'a [Option<Vec<Segment>>]),
 }
 
 /// This rank's feedthroughs, as step 3's exchange leaves them.
@@ -119,13 +128,14 @@ pub fn try_route_serial(
 }
 
 /// The routing state every driver carries between its passes, and the
-/// communication-free body of steps 2–5 — each written once, so at P = 1
+/// communication-free body of steps 1–5 — each written once, so at P = 1
 /// all four drivers charge the same virtual seconds by construction.
-/// The methods take the values their callees take (a row range, a grid
-/// width, `replicated`, `whole_nets`, a cell count), never the
-/// [`Algorithm`](crate::parallel::Algorithm): what differs between the
-/// drivers — distribution, the exchanges, boundary sync — stays in the
-/// pipeline that embeds this state.
+/// The methods take the values their callees take (an owner filter, a
+/// row range, a grid width, `replicated`, `whole_nets`, a cell count),
+/// never the [`Algorithm`](crate::parallel::Algorithm): what differs
+/// between the drivers — distribution, the exchanges (step 1's dealing of
+/// split segments among them), boundary sync — stays in the pipeline that
+/// embeds this state.
 #[derive(Default)]
 pub(crate) struct RouteState {
     /// This rank's nets (whole, or row-band sub-nets), with feedthroughs
@@ -147,6 +157,61 @@ pub(crate) struct RouteState {
 }
 
 impl RouteState {
+    /// Step 1: the Steiner trees of the multi-pin nets `owned` accepts
+    /// (by net index), walked in net-id order — each net's pin nodes into
+    /// `works`, its segments from `source` into `segments`, and under
+    /// refinement its Steiner junctions into `works` too. Both stores are
+    /// reserved first, exactly when refinement is off. A resume feeds the
+    /// checkpointed segments through this same walk, so it cannot drift
+    /// from a fresh run.
+    pub(crate) fn steiner(
+        &mut self,
+        ctx: &RouteCtx<'_>,
+        owned: impl Fn(usize) -> bool,
+        mut source: SegmentSource<'_>,
+    ) {
+        let (circuit, refine) = (ctx.circuit, ctx.cfg.steiner_refine);
+        // Chunk by chunk over the columnar store: net-id order.
+        let net_ids = || circuit.nets_chunks().flat_map(|c| c.net_ids());
+        let (nets, pins) = net_ids()
+            .filter(|net| owned(net.index()))
+            .map(|net| circuit.net_degree(net))
+            .filter(|&degree| degree >= 2)
+            .fold((0, 0), |(nets, pins), degree| (nets + 1, pins + degree));
+        self.works = WorkNets::with_capacity(nets, pins);
+        self.segments = Vec::with_capacity(pins - nets);
+        let mut scratch = SteinerScratch::default();
+        for net in net_ids().filter(|net| owned(net.index())) {
+            // Mandatory work: a latched breach stops local building; the
+            // engine turns it into a structured abort at the next phase
+            // boundary (a pipeline's exchange still runs first).
+            if let SegmentSource::Build(comm) = &mut source {
+                if comm.budget_poll_abort() {
+                    break;
+                }
+            }
+            if circuit.net_degree(net) < 2 {
+                continue;
+            }
+            let (works, segments) = (&mut self.works, &mut self.segments);
+            works.push(net, pin_nodes(circuit, net, &mut scratch.points));
+            let first = segments.len();
+            match &mut source {
+                SegmentSource::Build(comm) => {
+                    build_segments_with(net, works.last(), refine, comm, &mut scratch, segments)
+                }
+                SegmentSource::Checkpoint(by_net) => segments.extend_from_slice(
+                    by_net[net.index()]
+                        .as_ref()
+                        .expect("every multi-pin net was checkpointed by its dead-world owner"),
+                ),
+            }
+            if refine {
+                register_steiner_nodes(works, &segments[first..]);
+            }
+        }
+    }
+
     /// Step 2: coarse global routing of `segments` on a grid of `grid_w`
     /// columns a cell over `nrows` rows from `row0`; `replicated` makes
     /// the grid one copy of a state every rank holds (§5).
@@ -283,7 +348,7 @@ pub(crate) struct SerialPipeline {
 
 impl Pipeline for SerialPipeline {
     fn pass(&mut self, phase: Phase, ctx: &mut RouteCtx<'_>, comm: &mut Comm) {
-        let (circuit, cfg, st) = (ctx.circuit, ctx.cfg, &mut self.st);
+        let (circuit, st) = (ctx.circuit, &mut self.st);
         let all_rows = (0, circuit.num_rows());
         match phase {
             // Front end: build the routing data structures.
@@ -296,30 +361,7 @@ impl Pipeline for SerialPipeline {
 
             // Step 1: approximate Steiner trees.
             Phase::Steiner => {
-                // Chunked sweep over the columnar store: chunks partition
-                // the net id space in order, so the work list is identical
-                // to a flat 0..n loop while touching one chunk's columns
-                // at a time.
-                let pins = circuit.nets_chunks().map(|c| c.pins as usize).sum();
-                st.works = WorkNets::with_capacity(circuit.num_nets(), pins);
-                st.segments = Vec::with_capacity(circuit.num_pins());
-                let mut scratch = SteinerScratch::default();
-                for net in circuit.nets_chunks().flat_map(|c| c.net_ids()) {
-                    // Mandatory work: a latched breach stops further
-                    // local building; the engine turns it into a
-                    // structured abort at the next phase boundary.
-                    if comm.budget_poll_abort() {
-                        break;
-                    }
-                    st.works
-                        .push(net, pin_nodes(circuit, net, &mut scratch.points));
-                    let (refine, first) = (cfg.steiner_refine, st.segments.len());
-                    let (nodes, segs) = (st.works.last(), &mut st.segments);
-                    build_segments_with(net, nodes, refine, comm, &mut scratch, segs);
-                    if refine {
-                        register_steiner_nodes(&mut st.works, &st.segments[first..]);
-                    }
-                }
+                st.steiner(ctx, |_| true, SegmentSource::Build(comm));
                 comm.metric_add(names::SEGMENTS, st.segments.len() as u64);
             }
 
@@ -647,5 +689,101 @@ mod tests {
                 assert_canonical(&merged);
             });
         }
+    }
+
+    /// Rank `rank`'s context over a world of `size` ranks, and which nets
+    /// the pin-weight partition deals it.
+    fn dealt<'a>(
+        c: &'a Circuit,
+        cfg: &'a RouterConfig,
+        (size, rank): (usize, usize),
+    ) -> (RouteCtx<'a>, Vec<bool>) {
+        use crate::parallel::partition::partition_nets;
+        let ctx = RouteCtx::new(c, cfg, PartitionKind::PinWeight, (size, rank));
+        let owners = partition_nets(c, ctx.kind, &ctx.rows, size, cfg.pin_weight_beta);
+        (ctx, owners.iter().map(|&o| o as usize == rank).collect())
+    }
+
+    /// Every rank's step 1 on `c` over a world of `size` ranks.
+    fn steiner_per_rank(c: &Circuit, cfg: &RouterConfig, size: usize) -> Vec<RouteState> {
+        let build = |rank| {
+            let ((ctx, mine), mut st) = (dealt(c, cfg, (size, rank)), RouteState::default());
+            let mut comm = Comm::solo(MachineModel::ideal());
+            st.steiner(&ctx, |i| mine[i], SegmentSource::Build(&mut comm));
+            st
+        };
+        (0..size).map(build).collect()
+    }
+
+    #[test]
+    fn steiner_from_the_checkpoint_matches_steiner_built() {
+        use crate::parallel::common::{merge_steiner_payloads, steiner_snapshot};
+        let c = small();
+        for refine in [false, true] {
+            let cfg = RouterConfig {
+                steiner_refine: refine,
+                ..RouterConfig::with_seed(4)
+            };
+            for size in 1..=3 {
+                let built = steiner_per_rank(&c, &cfg, size);
+                let payloads: Vec<Vec<u8>> = (built.iter())
+                    .map(|st| steiner_snapshot(Phase::Coarse, &st.segments).unwrap())
+                    .collect();
+                let by_net = merge_steiner_payloads(&payloads, c.num_nets());
+                for (rank, want) in built.iter().enumerate() {
+                    let (ctx, mine) = dealt(&c, &cfg, (size, rank));
+                    let mut st = RouteState::default();
+                    st.steiner(&ctx, |i| mine[i], SegmentSource::Checkpoint(&by_net));
+                    let at = format!("refine {refine}, P={size}, rank {rank}");
+                    assert!(!st.segments.is_empty(), "{at}");
+                    assert_eq!(st.works, want.works, "{at}");
+                    assert_eq!(st.segments, want.segments, "{at}");
+                    // Reserved exactly: refinement adds junctions to both.
+                    for st in [&st, want].iter().filter(|_| !refine) {
+                        assert!(st.works.is_exactly_sized(), "{at}");
+                        assert_eq!(st.segments.capacity(), st.segments.len(), "{at}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn steiner_snapshot_is_the_per_net_table_the_steiner_pass_kept() {
+        use crate::parallel::common::steiner_snapshot;
+        use crate::route::steiner::{build_segments_with, pin_nodes, SteinerScratch};
+        use pgr_mpi::Wire;
+        let c = small();
+        for refine in [false, true] {
+            let cfg = RouterConfig {
+                steiner_refine: refine,
+                ..RouterConfig::with_seed(8)
+            };
+            for (rank, st) in steiner_per_rank(&c, &cfg, 2).iter().enumerate() {
+                // The checkpoint table a parallel Steiner pass kept beside
+                // its segments: every owned multi-pin net in id order with
+                // a copy of the segments built for it.
+                let (_, mine) = dealt(&c, &cfg, (2, rank));
+                let mut comm = Comm::solo(MachineModel::ideal());
+                let mut scratch = SteinerScratch::default();
+                let mut table: Vec<(u32, Vec<Segment>)> = Vec::new();
+                for i in (0..c.num_nets()).filter(|&i| mine[i]) {
+                    let net = NetId::from_index(i);
+                    let nodes: Vec<Node> = pin_nodes(&c, net, &mut Vec::new()).collect();
+                    if nodes.len() < 2 {
+                        continue;
+                    }
+                    let mut segs = Vec::new();
+                    build_segments_with(net, &nodes, refine, &mut comm, &mut scratch, &mut segs);
+                    table.push((i as u32, segs));
+                }
+                assert!(table.len() > 1);
+                let snapshot = steiner_snapshot(Phase::Coarse, &st.segments);
+                let at = format!("refine {refine}, rank {rank}");
+                assert_eq!(snapshot, Some(table.to_bytes()), "{at}");
+            }
+        }
+        assert_eq!(steiner_snapshot(Phase::Steiner, &[]), Some(Vec::new()));
+        assert_eq!(steiner_snapshot(Phase::Connect, &[]), None);
     }
 }

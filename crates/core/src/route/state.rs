@@ -643,6 +643,17 @@ impl NetSlots {
 }
 
 #[cfg(test)]
+impl WorkNets {
+    /// Whether every vector of the store holds exactly what it reserved.
+    pub(crate) fn is_exactly_sized(&self) -> bool {
+        let (nets, start, nodes) = (&self.nets, &self.start, &self.nodes);
+        nets.capacity() == nets.len()
+            && start.capacity() == start.len()
+            && nodes.capacity() == nodes.len()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -115,7 +115,7 @@ fn split_pieces_tile_the_original_demand_rows() {
             Node::pin(0, x1, r1, ChannelPref::Either),
             Node::pin(1, x2, r2, ChannelPref::Either),
         );
-        let pieces = split_segment(&seg, &rp);
+        let pieces: Vec<_> = split_segment(&seg, &rp).collect();
 
         // 1. Every piece stays within one part.
         for (p, piece) in &pieces {
