@@ -1,6 +1,7 @@
 #!/bin/sh
 # Size of the code the substrate/router/harness crates (and the geometry
-# kernels every phase runs on) expose: per crate,
+# kernels every phase runs on, and the root package's facade and `pgr`
+# CLI) expose: per crate,
 # lines of every file under src/ (in-file test modules included), the
 # same without those test modules (each file up to its first
 # `#[cfg(test)]`), and the number of `pub fn`; then the same for the
@@ -39,12 +40,12 @@
 #   `SteinerScratch` or `register_steiner_nodes` is step 1's loop written
 #   beside `RouteState::steiner` (a pipeline calls it with its owner
 #   filter and deals what it built);
-# - when a span list is loaded span by span again: `from_spans` and
-#   `analysis::analyze` go through `DensityProfile::load_spans`, so the
-#   non-test code lines of crates/core/src that call `.add_span(` are six,
-#   each one update to a state already loaded: `ChannelState::add_span`,
-#   `CoarseState::apply`, the two `merge_external`s and the remove and
-#   re-add of `ChannelState::flip`;
+# - when a span list is loaded span by span again: `from_spans` goes
+#   through `DensityProfile::load_spans`, so the non-test code lines of
+#   crates/core/src that call `.add_span(` are six, each one update to a
+#   state already loaded: `ChannelState::add_span`, `CoarseState::apply`,
+#   the two `merge_external`s and the remove and re-add of
+#   `ChannelState::flip`;
 # - when the robustness matrices grow a second cell runner: `chaos` and
 #   `stress` list their cells as values and run each through `Cell::run`,
 #   so crates/bench/src/tables/robustness.rs has at most one non-test
@@ -125,6 +126,11 @@
 #   names `group_nodes` (the owners merge the canonical fragments they
 #   receive with `merge_fragments`; they do not regroup them pair by
 #   pair).
+# - when the router library draws again: a non-test line under
+#   crates/core/src that names `render_svg`, `PlotOptions`,
+#   `CongestionReport` or `fn heatmap` (the SVG plot and the congestion
+#   report are the `pgr` CLI's, in src/bin/pgr/report.rs, read off a
+#   finished `RoutingResult`).
 set -eu
 cd "$(dirname "$0")/.."
 MAX_FILE=1000
@@ -145,10 +151,10 @@ row() {
     printf '%-36s %6d lines %6d non-test %4d pub fn\n' "$1" "$2" "$3" "$4"
 }
 
-for crate in mpi core bench geom; do
+for dir in crates/mpi/src crates/core/src crates/bench/src crates/geom/src src; do
     # shellcheck disable=SC2046 # file names under src/ carry no spaces
-    files=$(per_file $(find "crates/$crate/src" -name '*.rs'))
-    echo "$files" | awk -v label="crates/$crate/src" '
+    files=$(per_file $(find "$dir" -name '*.rs'))
+    echo "$files" | awk -v label="$dir" '
         { src += $1; lines += $2; fns += $3 }
         END { printf "%-36s %6d lines %6d non-test %4d pub fn\n", label, lines, src, fns }'
     echo "$files" | head -5 | while read -r src lines fns file; do
@@ -396,6 +402,14 @@ doubling=$(
 if [ -n "$doubling" ]; then
     echo "surface: an exchange sizes its output exactly (concat() an arrival, count before dealing, merge canonical fragments):" >&2
     echo "$doubling" >&2
+    exit 1
+fi
+
+# shellcheck disable=SC2046
+drawing=$(nontest 'render_svg|PlotOptions|CongestionReport|fn heatmap' $(find crates/core/src -name '*.rs'))
+if [ -n "$drawing" ]; then
+    echo "surface: the router library does not draw (the SVG plot and the congestion report live in src/bin/pgr/report.rs):" >&2
+    echo "$drawing" >&2
     exit 1
 fi
 

@@ -30,14 +30,12 @@
 //! # Ok::<(), pgr_router::RouteError>(())
 //! ```
 
-pub mod analysis;
 pub mod config;
 pub mod cost;
 pub mod detailed;
 pub mod engine;
 pub mod metrics;
 pub mod parallel;
-pub mod plot;
 pub mod route;
 pub mod verify;
 

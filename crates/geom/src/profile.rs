@@ -203,14 +203,6 @@ impl DensityProfile {
         self.cols.clone()
     }
 
-    /// Write per-column densities into a caller-owned buffer of length
-    /// [`Self::width`] — the allocation-free twin of [`Self::counts`] for
-    /// the assemble/verify hot path.
-    pub fn counts_into(&self, out: &mut [i64]) {
-        assert_eq!(out.len(), self.width(), "counts_into buffer width mismatch");
-        out.copy_from_slice(&self.cols);
-    }
-
     /// Pointwise-add another profile's counts into this one, in one
     /// O(width) pass. Both profiles must have the same width.
     pub fn merge_counts(&mut self, counts: &[i64]) {
@@ -425,33 +417,6 @@ mod tests {
     }
 
     #[test]
-    fn counts_into_matches_counts() {
-        let mut p = DensityProfile::new(13);
-        p.add_span(1, 6, 2);
-        p.add_span(4, 12, -1);
-        let mut buf = vec![0i64; 13];
-        p.counts_into(&mut buf);
-        assert_eq!(buf, p.counts());
-    }
-
-    #[test]
-    fn counts_into_overwrites_stale_buffer() {
-        let mut p = DensityProfile::new(5);
-        p.add_span(1, 3, 1);
-        let mut buf = vec![99i64; 5];
-        p.counts_into(&mut buf);
-        assert_eq!(buf, vec![0, 1, 1, 1, 0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "width mismatch")]
-    fn counts_into_rejects_wrong_width() {
-        let p = DensityProfile::new(5);
-        let mut buf = vec![0i64; 4];
-        p.counts_into(&mut buf);
-    }
-
-    #[test]
     fn zero_delta_span_is_exact_noop() {
         let mut p = DensityProfile::new(11);
         p.add_span(2, 9, 3);
@@ -653,9 +618,7 @@ mod tests {
                 }
                 let naive_max = *naive.iter().max().expect("width > 0");
                 assert_eq!(p.max(), naive_max, "width {width} step {step}");
-                let mut buf = vec![0i64; width];
-                p.counts_into(&mut buf);
-                assert_eq!(buf, naive, "width {width} step {step}");
+                assert_eq!(p.counts(), naive, "width {width} step {step}");
                 let col = rng.gen_range(0..width);
                 assert_eq!(p.at(col), naive[col], "width {width} step {step}");
                 // Random max_in / max_if_added probes, again unclamped.

@@ -27,6 +27,8 @@ use pgr::router::{
 };
 use std::process::exit;
 
+mod report;
+
 fn die(msg: &str) -> ! {
     eprintln!("pgr: {msg}");
     exit(2)
@@ -34,7 +36,7 @@ fn die(msg: &str) -> ! {
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  pgr generate <circuit> [--scale F] [--seed N] -o FILE\n  pgr stats <FILE>\n  pgr route <FILE> [--algorithm A] [--procs N] [--machine M] [--partition P] [--seed N] [--csv] [--verify]\n\ncircuits: {}",
+        "usage:\n  pgr generate <circuit> [--scale F] [--seed N] -o FILE\n  pgr stats <FILE>\n  pgr route <FILE> [--algorithm A] [--procs N] [--machine M] [--partition P] [--seed N] [--csv] [--detailed] [--heatmap] [--svg FILE] [--verify]\n\ncircuits: {}",
         ALL.map(|m| m.name()).join(", ")
     );
     exit(2)
@@ -44,6 +46,19 @@ struct Args {
     positional: Vec<String>,
     flags: std::collections::HashMap<String, String>,
     switches: std::collections::HashSet<String>,
+}
+
+impl Args {
+    /// The value of `--name`, or `default`.
+    fn flag<'a>(&'a self, name: &str, default: &'a str) -> &'a str {
+        self.flags.get(name).map_or(default, String::as_str)
+    }
+
+    /// The value of `--name` parsed, or `default`; an unparsable one dies.
+    fn parsed<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
+        let parse = |s: &String| s.parse().unwrap_or_else(|_| die(&format!("bad --{name}")));
+        self.flags.get(name).map_or(default, parse)
+    }
 }
 
 fn parse_args(valued: &[&str], boolean: &[&str]) -> Args {
@@ -87,19 +102,16 @@ fn cmd_generate() {
     let args = parse_args(&["scale", "seed"], &[]);
     let name = args.positional.first().unwrap_or_else(|| usage());
     let m = Mcnc::from_name(name).unwrap_or_else(|| die(&format!("unknown circuit '{name}'")));
-    let scale: f64 = args
-        .flags
-        .get("scale")
-        .map(|s| s.parse().unwrap_or_else(|_| die("bad --scale")))
-        .unwrap_or(1.0);
-    let mut cfg = if scale >= 1.0 {
+    let scale: f64 = args.parsed("scale", 1.0);
+    if !(scale > 0.0 && scale <= 1.0) {
+        die("--scale must be in (0, 1]");
+    }
+    let mut cfg = if scale == 1.0 {
         m.config()
     } else {
         m.config_scaled(scale)
     };
-    if let Some(seed) = args.flags.get("seed") {
-        cfg.seed = seed.parse().unwrap_or_else(|_| die("bad --seed"));
-    }
+    cfg.seed = args.parsed("seed", cfg.seed);
     let circuit = pgr::circuit::generate(&cfg);
     let out = args
         .flags
@@ -170,45 +182,22 @@ fn cmd_route() {
     let path = args.positional.first().unwrap_or_else(|| usage());
     let circuit = load(path);
 
-    let machine = match args
-        .flags
-        .get("machine")
-        .map(String::as_str)
-        .unwrap_or("smp")
-    {
+    let machine = match args.flag("machine", "smp") {
         "smp" => MachineModel::sparc_center_1000(),
         "dmp" => MachineModel::intel_paragon(),
         "ideal" => MachineModel::ideal(),
         m => die(&format!("unknown machine '{m}' (smp|dmp|ideal)")),
     };
-    let partition = match args
-        .flags
-        .get("partition")
-        .map(String::as_str)
-        .unwrap_or("pin-weight")
-    {
+    let partition = match args.flag("partition", "pin-weight") {
         "center" => PartitionKind::Center,
         "locus" => PartitionKind::Locus,
         "density" => PartitionKind::Density,
         "pin-weight" => PartitionKind::PinWeight,
         p => die(&format!("unknown partition '{p}'")),
     };
-    let seed: u64 = args
-        .flags
-        .get("seed")
-        .map(|s| s.parse().unwrap_or_else(|_| die("bad --seed")))
-        .unwrap_or(1);
-    let procs: usize = args
-        .flags
-        .get("procs")
-        .map(|s| s.parse().unwrap_or_else(|_| die("bad --procs")))
-        .unwrap_or(4);
-    let cfg = RouterConfig::with_seed(seed);
-    let algo_name = args
-        .flags
-        .get("algorithm")
-        .map(String::as_str)
-        .unwrap_or("serial");
+    let cfg = RouterConfig::with_seed(args.parsed("seed", 1));
+    let procs: usize = args.parsed("procs", 4);
+    let algo_name = args.flag("algorithm", "serial");
 
     let algo = Algorithm::DRIVERS
         .into_iter()
@@ -249,28 +238,13 @@ fn cmd_route() {
         args.switches.contains("csv"),
     );
     if let Some(svg_path) = args.flags.get("svg") {
-        let svg =
-            pgr::router::plot::render_svg(&result, &pgr::router::plot::PlotOptions::default());
+        let svg = report::render_svg(&result);
         std::fs::write(svg_path, &svg)
             .unwrap_or_else(|e| die(&format!("cannot write {svg_path}: {e}")));
         eprintln!("wrote chip plot to {svg_path} ({} bytes)", svg.len());
     }
     if args.switches.contains("heatmap") {
-        println!("congestion heatmap (channels bottom-up, 0-9 scaled to the chip peak):");
-        print!("{}", pgr::router::analysis::heatmap(&result, 96));
-        let report = pgr::router::analysis::analyze(&result);
-        let hot = report.hotspots();
-        println!("hottest channels:");
-        for c in hot.iter().take(3) {
-            println!(
-                "  channel {:>3}: peak {} (column {}), mean {:.1}, {} spans",
-                c.channel, c.peak, c.peak_column, c.mean, c.spans
-            );
-        }
-        match report.worst_spikiness() {
-            Some(s) => println!("worst channel spikiness (peak/mean): {s:.2}"),
-            None => println!("worst channel spikiness: n/a (no routed wire)"),
-        }
+        print!("{}", report::congestion(&result));
     }
     if args.switches.contains("detailed") {
         let d = pgr::router::detailed::route_channels(&result);

@@ -154,4 +154,21 @@ fn helpful_errors() {
         .unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown algorithm"));
+
+    for scale in ["0", "-1", "nan"] {
+        let out = pgr()
+            .args(["generate", "biomed", "--scale", scale, "-o", &tmp("x")])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "--scale {scale}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("--scale must be in (0, 1]"), "{err}");
+    }
+
+    let out = pgr().arg("--help").output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    for flag in ["--detailed", "--heatmap", "--svg FILE"] {
+        assert!(err.contains(flag), "usage names {flag}: {err}");
+    }
 }
