@@ -40,6 +40,11 @@
 #   `SteinerScratch` or `register_steiner_nodes` is step 1's loop written
 #   beside `RouteState::steiner` (a pipeline calls it with its owner
 #   filter and deals what it built);
+# - when channel profiles are allocated outside the one builder again: a
+#   non-test `ChannelState::new(` under crates/core/src anywhere but in
+#   `ChannelState::from_spans`, which charges the modeled state before its
+#   span closure runs and allocates the profiles only after it returns (so
+#   they never share the heap with the work nets a Connect pass frees);
 # - when a span list is loaded span by span again: `from_spans` goes
 #   through `DensityProfile::load_spans`, so the non-test code lines of
 #   crates/core/src that call `.add_span(` are six, each one update to a
@@ -224,6 +229,21 @@ for want in 'CoarseState::charged( 1' 'connect_all( 2' 'ChannelState::from_spans
         exit 1
     fi
 done
+
+# shellcheck disable=SC2046
+stray_state=$(awk '
+    FNR == 1 { in_tests = 0; fn = "" }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    match($0, /fn [a-z_]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+    !in_tests && !/^[ \t]*\/\// && index($0, "ChannelState::new(") && fn != "from_spans" {
+        printf "%s:%d:%s\n", FILENAME, FNR, $0
+    }
+' $(find crates/core/src -name '*.rs'))
+if [ -n "$stray_state" ]; then
+    echo "surface: channel state is built by ChannelState::from_spans only (it allocates the profiles after the spans exist):" >&2
+    echo "$stray_state" >&2
+    exit 1
+fi
 
 for call in 'run_cell(' 'catch_unwind('; do
     sites=$(calls "$call" crates/bench/src/tables/robustness.rs)

@@ -8,39 +8,57 @@
 //! that must not allocate once warm: Connect's per-net kernel, whose
 //! every buffer lives in the caller's `ConnectArena`. And step 3's
 //! rebuild of the node store, which allocates the same few buffers for
-//! any number of nets.
+//! any number of nets. And the serial route's heap peak: the work nets,
+//! the spans and the channel profiles — the three largest stores of
+//! Connect — are never live at once.
 //! This runs as a harness-less test (`harness = false` in Cargo.toml):
 //! the libtest harness spawns helper threads whose own allocations would
 //! race the process-wide counter, so the check must be the only thread
 //! alive.
 
-use pgr_circuit::NetId;
+use pgr_circuit::{generate, GeneratorConfig, NetId};
 use pgr_geom::DensityProfile;
 use pgr_mpi::{ClockMode, Comm, MachineModel, Phase};
 use pgr_obs::MetricsConfig;
 use pgr_router::route::connect::{connect_net_with, ConnectArena};
 use pgr_router::route::feedthrough::{assign, Crossing, FtPlan};
-use pgr_router::route::state::{Grid, Node, WorkNets};
+use pgr_router::route::state::{Grid, Node, Span, WorkNets};
+use pgr_router::{try_route_serial, RouterConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 struct Counting;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+/// Bytes allocated and not yet freed, and the most of them seen at once.
+static LIVE: AtomicI64 = AtomicI64::new(0);
+static PEAK: AtomicI64 = AtomicI64::new(0);
 
+fn grew(bytes: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    ALLOC_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    let live = LIVE.fetch_add(bytes as i64, Ordering::Relaxed) + bytes as i64;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged; the counters never influence what is allocated or freed.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        grew(layout.size());
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as i64, Ordering::Relaxed);
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        LIVE.fetch_sub(layout.size() as i64, Ordering::Relaxed);
+        grew(new_size);
+        // SAFETY: as above, and the caller upholds `realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -57,6 +75,15 @@ fn bytes_allocated_by(f: impl FnOnce()) -> u64 {
     let before = ALLOC_BYTES.load(Ordering::Relaxed);
     f();
     ALLOC_BYTES.load(Ordering::Relaxed) - before
+}
+
+/// What `f` returns, and the most heap bytes live at once while it ran
+/// above those live when it began.
+fn peak_above_start<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let start = LIVE.load(Ordering::Relaxed);
+    PEAK.store(start, Ordering::Relaxed);
+    let out = f();
+    (out, (PEAK.load(Ordering::Relaxed) - start) as u64)
 }
 
 // One scenario, plain `main`: disabled path, enabled first touch,
@@ -247,4 +274,41 @@ fn main() {
         assert_eq!(comm.recv_bytes(0, 1).len(), MIB);
     });
     assert!(real >= MIB as u64, "the real frame allocates its payload");
+
+    // Each of Connect's stores is freed by its last reader: the work nets
+    // when `connect_all` returns, before the channel profiles exist. So the
+    // route's heap peak stays below the three of them together, each
+    // counted from the circuit and the result at its smallest: every pin of
+    // a multi-pin net and every feedthrough a node, every span the result
+    // holds, each channel of the final chip width one `i64` a column. The
+    // circuit is the `repro big-circuit` shape at 4 000 nets over 113 rows
+    // (as `serial_big_100k`), where feedthroughs outnumber pins.
+    let (nets, clock_nets) = (4_000, vec![64, 32]);
+    let circuit = generate(&GeneratorConfig {
+        rows: 113,
+        cells: nets,
+        pins: nets * 3 + nets / 2 + clock_nets.iter().sum::<usize>(),
+        nets,
+        locality: 0.85,
+        clock_nets,
+        ..GeneratorConfig::small("heap-peak", 7)
+    });
+    let mut comm = Comm::solo(MachineModel::ideal());
+    let (result, peak) =
+        peak_above_start(|| try_route_serial(&circuit, &RouterConfig::with_seed(3), &mut comm));
+    let result = result.expect("the serial route completes");
+    let pins: usize = (0..circuit.num_nets())
+        .map(|i| circuit.net_degree(NetId::from_index(i)))
+        .filter(|&degree| degree >= 2)
+        .sum();
+    let nodes = pins + result.feedthroughs as usize;
+    let works = nodes * std::mem::size_of::<Node>();
+    let spans = result.spans.len() * std::mem::size_of::<Span>();
+    let columns = (circuit.num_rows() + 1) * result.chip_width as usize;
+    let profiles = columns * std::mem::size_of::<i64>();
+    assert!(
+        peak < (works + spans + profiles) as u64,
+        "heap peak {peak} B holds the work nets ({works} B), the spans ({spans} B) \
+         and the profiles ({profiles} B) at once"
+    );
 }

@@ -43,7 +43,7 @@ pub(crate) struct NetWisePipeline {
     /// Net-wise nets are never split, so entering [`Phase::Coarse`] its
     /// `segments` are the owned nets' unsplit ones in net-id order: the
     /// portable snapshot.
-    st: RouteState,
+    pub(crate) st: RouteState,
 }
 
 impl NetWisePipeline {

@@ -37,6 +37,12 @@ pub struct ConnectArena {
 /// any collective the caller still owes its peers must run regardless).
 /// `whole_nets` asserts that every net spans — true wherever a rank
 /// connects complete nets rather than row-band fragments.
+///
+/// Memory: the host allocates the span vector once here and reads `works`
+/// in place; this is `works`' last read, and every caller frees the store
+/// as soon as this returns. The model charges nothing here — the channel
+/// state's charge is on the account before this runs
+/// ([`ChannelState::from_spans`](crate::route::switchable::ChannelState)).
 pub(crate) fn connect_all(works: &WorkNets, whole_nets: bool, comm: &mut Comm) -> (Vec<Span>, u64) {
     let mut arena = ConnectArena::default();
     // A tree of n nodes has at most n - 1 edges and an edge at most one

@@ -139,9 +139,13 @@ pub fn try_route_serial(
 #[derive(Default)]
 pub(crate) struct RouteState {
     /// This rank's nets (whole, or row-band sub-nets), with feedthroughs
-    /// attached once step 3 ran.
+    /// attached once step 3 ran. Connect is its last reader: step 4 takes
+    /// the store and frees it as soon as `connect_all` returns, before the
+    /// channel profiles are allocated.
     pub(crate) works: WorkNets,
-    /// The Steiner segments steps 2 and 3 route.
+    /// The Steiner segments steps 2 and 3 route, and step 2's orientation
+    /// of each. Step 3's attach is their last reader: both are freed as it
+    /// returns, so neither is live in Connect.
     pub(crate) segments: Vec<Segment>,
     orients: Vec<Orientation>,
     coarse: Option<CoarseState>,
@@ -237,7 +241,9 @@ impl RouteState {
     /// here ([`local_feedthroughs`]) or assigned through the driver's
     /// exchanges; then the store is rebuilt with every node at its
     /// post-insertion column and the feedthroughs attached, and the local
-    /// chip width is taken.
+    /// chip width is taken. The attach is the last read of `segments` and
+    /// `orients`: both are freed before this returns (a row-wise
+    /// checkpoint keeps its own copy of the unsplit segments).
     pub(crate) fn feedthroughs(
         &mut self,
         cells: usize,
@@ -251,6 +257,7 @@ impl RouteState {
         let fts = exchange(plan, (&self.segments, &self.orients), comm);
         let crossings = crossings_of(&self.segments, &self.orients);
         attach_feedthroughs(&mut self.works, (plan, crossings), fts, comm);
+        (self.segments, self.orients) = (Vec::new(), Vec::new());
         self.chip_width = ctx.circuit.width + plan.max_growth();
     }
 
@@ -258,6 +265,12 @@ impl RouteState {
     /// `row0`. `whole_nets` asserts every net spans (row-band fragments
     /// may be forests: their components meet through fake pins on other
     /// ranks); `replicated` as in step 2.
+    ///
+    /// Memory, in host order: the channel state's modeled bytes are charged
+    /// first (the connect loop's budget polls see them); `works` moves into
+    /// the Connect closure and is freed when `connect_all` returns, so the
+    /// host allocates the profiles only once the store is gone — the store,
+    /// the spans and the profiles are never live at once.
     pub(crate) fn connect(
         &mut self,
         (row0, nrows): (u32, usize),
@@ -266,8 +279,10 @@ impl RouteState {
         comm: &mut Comm,
     ) {
         let shape = (row0, nrows + 1, self.chip_width);
+        let works = std::mem::take(&mut self.works);
         let chans = ChannelState::from_spans(shape, replicated, 0, comm, |comm| {
-            (self.spans, self.wirelength) = connect_all(&self.works, whole_nets, comm);
+            (self.spans, self.wirelength) = connect_all(&works, whole_nets, comm);
+            drop(works);
             &self.spans
         });
         self.chans = Some(chans);
@@ -713,6 +728,85 @@ mod tests {
             st
         };
         (0..size).map(build).collect()
+    }
+
+    /// Run `pipe` through Connect on `ctx`'s rank and check that each
+    /// store is freed by the pass that reads it last: `segments` and
+    /// `orients` by step 3's attach, `works` by step 4. Returns the
+    /// portable snapshot taken where the engine takes it, entering Coarse,
+    /// and the one the pipeline would give for that boundary after Connect.
+    fn check_lifetimes<P: crate::engine::Pipeline>(
+        pipe: &mut P,
+        st: fn(&mut P) -> &mut RouteState,
+        ctx: &mut RouteCtx<'_>,
+        comm: &mut Comm,
+    ) -> (Option<Vec<u8>>, Option<Vec<u8>>) {
+        for phase in [Phase::Setup, Phase::Steiner] {
+            pipe.pass(phase, ctx, comm);
+        }
+        let entering_coarse = pipe.snapshot(Phase::Coarse);
+        let s = st(pipe);
+        assert!(!s.segments.is_empty());
+        for phase in [Phase::Coarse, Phase::Feedthrough] {
+            pipe.pass(phase, ctx, comm);
+        }
+        let s = st(pipe);
+        assert!(!s.works.is_empty());
+        assert_eq!(s.segments.capacity(), 0, "segments outlive step 3");
+        assert_eq!(s.orients.capacity(), 0, "orientations outlive step 3");
+        pipe.pass(Phase::Connect, ctx, comm);
+        let s = st(pipe);
+        assert!(!s.spans.is_empty());
+        assert!(
+            s.works.is_empty() && s.works.is_exactly_sized(),
+            "works outlive step 4"
+        );
+        (entering_coarse, pipe.snapshot(Phase::Coarse))
+    }
+
+    #[test]
+    fn each_store_is_freed_by_its_last_reader_in_every_driver() {
+        use crate::parallel::common::steiner_snapshot;
+        use crate::parallel::netwise::NetWisePipeline;
+        use crate::parallel::rowwise::RowWisePipeline;
+        use pgr_mpi::{run_instrumented, CheckpointStore, InstrumentConfig};
+        let c = small();
+        for refine in [false, true] {
+            let cfg = RouterConfig {
+                steiner_refine: refine,
+                ..RouterConfig::with_seed(6)
+            };
+            let mut comm = Comm::solo(MachineModel::ideal());
+            let mut ctx = RouteCtx::new(&c, &cfg, PartitionKind::PinWeight, (1, 0));
+            let mut serial = SerialPipeline::default();
+            check_lifetimes(&mut serial, |p| &mut p.st, &mut ctx, &mut comm);
+
+            // Under a checkpoint store, so row-wise keeps its unsplit copy.
+            let built = steiner_per_rank(&c, &cfg, 2);
+            let instr = InstrumentConfig {
+                checkpoints: Some(std::sync::Arc::new(CheckpointStore::new())),
+                ..InstrumentConfig::off()
+            };
+            run_instrumented(2, MachineModel::ideal(), instr, |comm| {
+                assert!(comm.checkpointing());
+                let rank = comm.rank();
+                let at = format!("refine {refine}, rank {rank}");
+                let want = steiner_snapshot(Phase::Coarse, &built[rank].segments);
+                assert!(want.as_ref().is_some_and(|w| !w.is_empty()), "{at}");
+
+                let mut ctx = RouteCtx::new(&c, &cfg, PartitionKind::PinWeight, (2, rank));
+                let mut rowwise = RowWisePipeline::default();
+                let (entering, after) =
+                    check_lifetimes(&mut rowwise, |p| &mut p.st, &mut ctx, comm);
+                assert_eq!(entering, want, "row-wise, {at}");
+                assert_eq!(after, want, "row-wise keeps its own copy, {at}");
+
+                let mut ctx = RouteCtx::new(&c, &cfg, PartitionKind::PinWeight, (2, rank));
+                let mut netwise = NetWisePipeline::default();
+                let (entering, _) = check_lifetimes(&mut netwise, |p| &mut p.st, &mut ctx, comm);
+                assert_eq!(entering, want, "net-wise, {at}");
+            });
+        }
     }
 
     #[test]

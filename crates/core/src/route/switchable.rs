@@ -309,6 +309,12 @@ impl Written {
     }
 }
 
+/// The modeled footprint of `nchannels` channels of `width` columns: the
+/// 1997 structure at 32 B a column.
+fn modeled_bytes(nchannels: usize, width: i64) -> u64 {
+    nchannels as u64 * (width as u64) * 32
+}
+
 /// Column-resolution congestion over channels `chan0 ..= chan0 + n - 1`.
 pub struct ChannelState {
     chan0: u32,
@@ -341,6 +347,10 @@ impl ChannelState {
     /// charges round differently in `f64`). `replicated` makes it one copy
     /// of a state every rank holds: every loaded span is logged, so the
     /// loads are the first records [`optimize`] synchronizes.
+    ///
+    /// The model charges the state before `spans` runs; the host allocates
+    /// its profiles only after `spans` returns, so they never share the
+    /// heap with what a Connect pass frees inside it (the work nets).
     pub(crate) fn from_spans<'s>(
         (chan0, nchannels, width): (u32, usize, i64),
         replicated: bool,
@@ -348,9 +358,9 @@ impl ChannelState {
         comm: &mut Comm,
         spans: impl FnOnce(&mut Comm) -> &'s [Span],
     ) -> Self {
-        let mut chans = ChannelState::new(chan0, nchannels, width);
-        comm.charge_alloc(chans.modeled_bytes());
+        comm.charge_alloc(modeled_bytes(nchannels, width));
         let spans = spans(comm);
+        let mut chans = ChannelState::new(chan0, nchannels, width);
         comm.compute(cost::SPAN_APPLY * spans.len() as u64 + extra_ops);
         if replicated {
             let mut log = SwitchLog::default();
@@ -369,7 +379,7 @@ impl ChannelState {
     /// structure at 32 B a column, which the virtual results are pinned
     /// to — not what [`DensityProfile`] allocates (8 B a column).
     pub fn modeled_bytes(&self) -> u64 {
-        self.profiles.len() as u64 * (self.width as u64) * 32
+        modeled_bytes(self.profiles.len(), self.width)
     }
 
     fn idx(&self, channel: u32) -> usize {
