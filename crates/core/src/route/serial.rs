@@ -82,9 +82,8 @@ pub(crate) enum Feedthroughs {
     Received(Vec<(u32, Node)>),
 }
 
-/// Step 3's attach, which is the store's rebuild: `works`' own nodes
-/// shifted by `plan`, merged with `fts` assigned here from `crossings` or
-/// as received.
+/// Step 3's attach: `works`' own nodes shifted by `plan`, merged in place
+/// with `fts` assigned here from `crossings` or as received.
 fn attach_feedthroughs(
     works: &mut WorkNets,
     (plan, crossings): (&FtPlan, impl Iterator<Item = Crossing> + Clone),
@@ -239,7 +238,7 @@ impl RouteState {
     /// cells) and the crossings the chosen orientations request of it;
     /// `exchange` makes those this rank's nets' feedthroughs — to assign
     /// here ([`local_feedthroughs`]) or assigned through the driver's
-    /// exchanges; then the store is rebuilt with every node at its
+    /// exchanges; then the store grows in place with every node at its
     /// post-insertion column and the feedthroughs attached, and the local
     /// chip width is taken. The attach is the last read of `segments` and
     /// `orients`: both are freed before this returns (a row-wise

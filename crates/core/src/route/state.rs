@@ -401,7 +401,7 @@ impl WorkNets {
         I: Iterator<Item = (NetId, Node)>,
     {
         let fill = |sink: &mut FtSink<'_>| pairs().for_each(|(n, nd)| sink.put(n, nd));
-        let mut store = scatter(nets, |_| 0, pairs().map(|p| p.0), fill);
+        let mut store = scatter(nets, pairs().map(|p| p.0), fill);
         // Canonicalize each net and close the gap its duplicates leave.
         let mut w = 0;
         for i in 0..store.len() {
@@ -415,12 +415,17 @@ impl WorkNets {
         store
     }
 
-    /// Step 3's rebuild, the feedthroughs' attach: every net's own nodes
+    /// Step 3's feedthrough attach: every net's own nodes
     /// move by `shift` (which must keep each row's order) and merge with
-    /// the feedthroughs `fill` puts into its [`FtSink`], into one exactly
-    /// sized store. `ft_nets` names each feedthrough's net; a net's
-    /// feedthroughs must come in canonical order, as [`assign`] emits
-    /// them. A fixed handful of allocations, however many nets.
+    /// the feedthroughs `fill` puts into its [`FtSink`]. `ft_nets` names
+    /// each feedthrough's net; a net's feedthroughs must come in canonical
+    /// order, as [`assign`] emits them. A fixed handful of allocations,
+    /// however many nets.
+    ///
+    /// Memory: the store grows in place by the feedthroughs it gains (one
+    /// `reserve_exact`); no second copy of the nodes is ever live. Each
+    /// net's own nodes move right to the tail of the net's new slice, the
+    /// last net first, and the feedthroughs fill the head.
     ///
     /// [`assign`]: crate::route::feedthrough::assign
     pub fn attach(
@@ -429,27 +434,55 @@ impl WorkNets {
         ft_nets: impl Iterator<Item = NetId>,
         fill: impl FnOnce(&mut FtSink<'_>),
     ) {
-        let nets = std::mem::take(&mut self.nets);
-        let mut store = scatter(nets, |i| self.range(i).len(), ft_nets, fill);
-        for i in 0..store.len() {
-            let (range, slice) = (self.range(i), store.range(i));
-            let own = &mut self.nodes[range];
-            own.iter_mut().for_each(&shift);
-            own.sort_unstable_by_key(Node::sort_key);
-            let (fts, slice) = (slice.len() - own.len(), &mut store.nodes[slice]);
-            debug_assert!(slice[..fts].is_sorted_by_key(Node::sort_key));
-            merge_from_back(slice, fts, own);
+        let slots = NetSlots::indexing(&self.nets);
+        let mut next = vec![0u32; self.len()];
+        ft_nets.for_each(|net| next[slot(&slots, net)] += 1);
+        let (len, added) = (self.nodes.len(), next.iter().sum::<u32>() as usize);
+        self.nodes.reserve_exact(added);
+        self.nodes.resize(len + added, Node::fake(0, 0));
+        // Net `i`'s own nodes move right by the feedthroughs of nets
+        // `0 ..= i`; its new slice opens its own feedthrough count earlier.
+        let (mut end, mut moved) = (len, added);
+        for (start, at) in self.start.iter_mut().zip(&mut next).rev() {
+            let begin = *start as usize;
+            self.nodes.copy_within(begin..end, begin + moved);
+            moved -= *at as usize;
+            *start = (begin + moved) as u32;
+            *at = *start;
+            end = begin;
         }
+        let mut sink = FtSink {
+            slots: &slots,
+            next,
+            store: std::mem::take(self),
+        };
+        fill(&mut sink);
+        let FtSink { next, store, .. } = sink;
         *self = store;
+        // Each net's feedthroughs end at `next`, where its own nodes begin.
+        let own_len = |(i, &at): (usize, &u32)| self.range(i).end - at as usize;
+        let longest = next.iter().enumerate().map(own_len).max();
+        let mut own = Vec::with_capacity(longest.unwrap_or(0));
+        for (i, &at) in next.iter().enumerate() {
+            let range = self.range(i);
+            let fts = at as usize - range.start;
+            let slice = &mut self.nodes[range];
+            slice[fts..].iter_mut().for_each(&shift);
+            slice[fts..].sort_unstable_by_key(Node::sort_key);
+            if fts > 0 {
+                debug_assert!(slice[..fts].is_sorted_by_key(Node::sort_key));
+                own.clear();
+                own.extend_from_slice(&slice[fts..]);
+                merge_from_back(slice, fts, &own);
+            }
+        }
     }
 }
 
-/// A store of `nets` whose net `i` opens with the nodes `fill` puts for
-/// it, in the order put (`nets_put` names each one's net), followed by
-/// `extra(i)` places left to the caller.
+/// A store of `nets` whose net `i` holds the nodes `fill` puts for it, in
+/// the order put (`nets_put` names each one's net).
 fn scatter(
     nets: Vec<NetId>,
-    extra: impl Fn(usize) -> usize,
     nets_put: impl Iterator<Item = NetId>,
     fill: impl FnOnce(&mut FtSink<'_>),
 ) -> WorkNets {
@@ -457,9 +490,9 @@ fn scatter(
     let mut count = vec![0u32; nets.len()];
     nets_put.for_each(|net| count[slot(&slots, net)] += 1);
     let (mut start, mut total) = (Vec::with_capacity(nets.len()), 0);
-    for (i, &n) in count.iter().enumerate() {
+    for &n in &count {
         start.push(total);
-        total += n + extra(i) as u32;
+        total += n;
     }
     let nodes = vec![Node::fake(0, 0); total as usize];
     let store = WorkNets { nets, start, nodes };
