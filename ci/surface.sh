@@ -97,8 +97,8 @@
 #   (no receive runs on a real-time budget), a `pub` field of
 #   crates/mpi/src/reliable.rs other than `enabled` (the retransmit
 #   deadline, backoff and attempt budget are constants), a non-test line
-#   under crates/*/src that names `min_ranks` (the recovery policy is its
-#   round budget), a `grid_w`, `ft_width`, `coarse_passes` or
+#   under crates/*/src that names `min_ranks` (the recovery bound is
+#   `RouterConfig::recovery_rounds` alone), a `grid_w`, `ft_width`, `coarse_passes` or
 #   `switch_passes` field in crates/core/src/config.rs (they are the
 #   constants `GRID_W`, `FT_WIDTH`, `COARSE_PASSES`, `SWITCH_PASSES`), or
 #   a field of `TraceConfig` other than `enabled` (the ring's size is the
@@ -136,6 +136,15 @@
 #   `CongestionReport` or `fn heatmap` (the SVG plot and the congestion
 #   report are the `pgr` CLI's, in src/bin/pgr/report.rs, read off a
 #   finished `RoutingResult`).
+# - when pgr-mpi or the router config grows back surface only tests
+#   call: a non-test `pub fn phase_enter` under crates/mpi/src
+#   (`Comm::boundary` is the one evaluated phase entry, `phase_mark` the
+#   one unevaluated one), a `root` parameter on a `pub fn` of
+#   crates/mpi/src/comm/collectives.rs (rooted collectives root at
+#   logical rank 0, the paper's master), a `struct Matching` in
+#   crates/mpi/src/fault.rs (a closure is a fault layer), or a
+#   `RecoveryPolicy` type under crates/core/src (the recovery bound is
+#   the one field `RouterConfig::recovery_rounds`).
 set -eu
 cd "$(dirname "$0")/.."
 MAX_FILE=1000
@@ -430,6 +439,24 @@ drawing=$(nontest 'render_svg|PlotOptions|CongestionReport|fn heatmap' $(find cr
 if [ -n "$drawing" ]; then
     echo "surface: the router library does not draw (the SVG plot and the congestion report live in src/bin/pgr/report.rs):" >&2
     echo "$drawing" >&2
+    exit 1
+fi
+
+# shellcheck disable=SC2046
+test_surface=$(
+    nontest 'pub fn phase_enter' $(find crates/mpi/src -name '*.rs')
+    awk '
+        /^#\[cfg\(test\)\]/ { exit }
+        /pub fn / { sig = 1 }
+        sig && /[(, ]root: / { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+        sig && /\{$/ { sig = 0 }
+    ' crates/mpi/src/comm/collectives.rs
+    nontest 'struct Matching' crates/mpi/src/fault.rs
+    nontest '(struct|enum|type) RecoveryPolicy' $(find crates/core/src -name '*.rs')
+)
+if [ -n "$test_surface" ]; then
+    echo "surface: public surface only tests call is back (phase entry is Comm::boundary; collectives root at rank 0; a closure is a fault layer; the recovery bound is RouterConfig::recovery_rounds):" >&2
+    echo "$test_surface" >&2
     exit 1
 fi
 

@@ -13,7 +13,7 @@ use pgr_mpi::{
 };
 use pgr_obs::recovery_names;
 use pgr_router::metrics::names;
-use pgr_router::{Algorithm, GuardedOutcome, PartitionKind, RecoveryPolicy, RouterConfig};
+use pgr_router::{Algorithm, GuardedOutcome, PartitionKind, RouterConfig};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -63,7 +63,7 @@ impl<K> Cell<K> {
 /// table shows the protocol effort (retransmits, reorder-buffer fills,
 /// suppressed duplicates, corrupt frames healed) and the recovery
 /// accounting (rounds survived, ranks lost). A second, kill-heavy pass
-/// per circuit runs hybrid under a one-round [`RecoveryPolicy`], forcing
+/// per circuit runs hybrid with one recovery round, forcing
 /// the serial fallback — degraded, stamped in the stats, and
 /// auto-verified. With `--trace-out` the per-run artifacts are written
 /// under `<circuit>_<algo>_chaos_p<P>` / `<circuit>_hybrid_fallback_p<P>`
@@ -73,7 +73,7 @@ impl<K> Cell<K> {
 ///
 /// The schedule is overridable from the CLI: `--kill R@B` (repeatable)
 /// replaces the default one-kill schedule; the first pass runs under the
-/// router's default [`RecoveryPolicy`]. The printed `redone` / `restore`
+/// router's default `recovery_rounds`. The printed `redone` / `restore`
 /// columns expose the checkpoint-resume accounting (`recovery.redone_phases`,
 /// `recovery.checkpoint.restores`): a resumed round redoes only the
 /// phases past the agreed boundary, a full restart redoes them all.
@@ -143,7 +143,7 @@ pub fn chaos_smoke(opts: &Opts) {
         if p > 1 {
             let kills = vec![(p - 1, 1)];
             let mut one_round = cfg();
-            one_round.recovery = RecoveryPolicy { max_rounds: 1 };
+            one_round.recovery_rounds = 1;
             cells.push(cell(Algorithm::Hybrid, one_round, kills, "fallback"));
         }
     }

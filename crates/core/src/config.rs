@@ -1,6 +1,5 @@
 //! Router configuration.
 
-use crate::engine::RecoveryPolicy;
 use pgr_mpi::{ClockMode, ResourceBudget};
 
 /// Columns per coarse-grid cell (step 2 routes on this grid).
@@ -58,10 +57,10 @@ pub struct RouterConfig {
     /// paper's TWGR uses the plain MST approximation; the
     /// `steiner-ablation` benchmark quantifies what refinement buys.
     pub steiner_refine: bool,
-    /// Bound on the rank-failure recovery loop: how many restart rounds
-    /// the engine attempts before degrading to a serial completion on
-    /// the lowest surviving rank (see [`crate::engine::RecoveryPolicy`]).
-    pub recovery: RecoveryPolicy,
+    /// Bound on the rank-failure recovery loop: how many recovery rounds
+    /// (world-shrinking restarts) the engine attempts before degrading to
+    /// a serial completion on the lowest surviving rank.
+    pub recovery_rounds: u32,
     /// Clock strategy of the run. `Virtual` (default) is the
     /// deterministic CI/reproduction mode; `Wall` lets ranks run free and
     /// reports real host seconds *alongside* the virtual account — it
@@ -75,7 +74,7 @@ pub struct RouterConfig {
     /// mandatory overruns surface as a structured
     /// [`crate::engine::RouteError::BudgetExceeded`] on every rank.
     /// `max_recovery_rounds` additionally caps the recovery loop below
-    /// `recovery.max_rounds`.
+    /// `recovery_rounds`.
     pub budget: ResourceBudget,
 }
 
@@ -90,7 +89,7 @@ impl Default for RouterConfig {
             netwise_exact_sync: false,
             netwise_grid_factor: 8,
             steiner_refine: false,
-            recovery: RecoveryPolicy::default(),
+            recovery_rounds: 8,
             clock: ClockMode::Virtual,
             budget: ResourceBudget::unlimited(),
         }
@@ -115,7 +114,7 @@ mod tests {
         let c = RouterConfig::default();
         assert!(c.sync_period > 0);
         assert!(c.pin_weight_beta > 0.0);
-        assert!(c.recovery.max_rounds >= 1);
+        assert!(c.recovery_rounds >= 1);
         assert!(!c.budget.is_limited());
     }
 }

@@ -26,9 +26,9 @@
 //!   common committed boundary exists (a kill entering the very first
 //!   phase, or a snapshot failing its integrity check) the round falls
 //!   back to the full restart from a fresh context. Either way the loop
-//!   is bounded by a [`RecoveryPolicy`]: when the round budget is
-//!   exhausted, the lowest surviving rank deterministically completes
-//!   the route with the serial pipeline instead of retrying forever;
+//!   is bounded by [`RouterConfig::recovery_rounds`]: once they are
+//!   spent, the lowest surviving rank deterministically completes the
+//!   route with the serial pipeline instead of retrying forever;
 //! * **self-verification**: any run that recovered or degraded re-checks
 //!   its result with [`crate::verify::check`] before returning it.
 //!
@@ -104,22 +104,6 @@ impl std::fmt::Display for RouteError {
 }
 
 impl std::error::Error for RouteError {}
-
-/// Bound on the recovery loop. Every survivor evaluates the policy
-/// against the same SPMD-deterministic round count, so all ranks agree
-/// on when to stop retrying.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryPolicy {
-    /// Recovery rounds (world-shrinking restarts) allowed before the
-    /// run degrades to the serial fallback.
-    pub max_rounds: u32,
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        RecoveryPolicy { max_rounds: 8 }
-    }
-}
 
 /// Per-attempt context the engine derives once, before the first pass:
 /// the inputs every pipeline reads and the two pieces of rank-local
@@ -308,12 +292,13 @@ fn degraded_serial(circuit: &Circuit, cfg: &RouterConfig, comm: &mut Comm) -> Ro
 /// payloads, or `None` — a kill entering the very first phase, no common
 /// portable deposit, or a snapshot failing its integrity check — which
 /// falls back to the full restart. The loop is bounded by
-/// `cfg.recovery`: once the round budget is spent, the lowest surviving
-/// rank completes the route with the serial fallback.
+/// `cfg.recovery_rounds`: every survivor counts the same rounds, so once
+/// they are spent all agree that the lowest surviving rank completes the
+/// route with the serial fallback.
 ///
 /// Budgets: `cfg.budget` is armed on the communicator for the duration
-/// of the parallel attempts. `max_recovery_rounds` folds into the
-/// recovery policy (the tighter bound wins); exhausting the *budget's*
+/// of the parallel attempts. `max_recovery_rounds` folds into
+/// `recovery_rounds` (the tighter bound wins); exhausting the *budget's*
 /// bound is a structured [`RouteError::BudgetExceeded`] on every rank,
 /// not a silent serial fallback. The fallback itself always runs
 /// unbudgeted — a degraded completion is strictly better than a hang,
@@ -328,8 +313,7 @@ pub(crate) fn drive<P: Pipeline + Default>(
         comm.set_budget(cfg.budget);
     }
     let budget_rounds = cfg.budget.max_recovery_rounds;
-    let max_rounds =
-        budget_rounds.map_or(cfg.recovery.max_rounds, |b| b.min(cfg.recovery.max_rounds));
+    let max_rounds = budget_rounds.map_or(cfg.recovery_rounds, |b| b.min(cfg.recovery_rounds));
     let mut rounds = 0u32;
     // Where the next attempt resumes: `shrink_world`'s verdict on the last
     // one (`None`: from scratch).
@@ -343,7 +327,7 @@ pub(crate) fn drive<P: Pipeline + Default>(
             // every survivor computes the same verdict from the same
             // SPMD state, so all ranks return the identical error.
             if let Some(b) = budget_rounds {
-                if b < cfg.recovery.max_rounds && rounds >= b {
+                if b < cfg.recovery_rounds && rounds >= b {
                     comm.clear_budget();
                     return Err(RouteError::BudgetExceeded {
                         rank: 0,

@@ -40,7 +40,7 @@ pub mod route;
 pub mod verify;
 
 pub use config::RouterConfig;
-pub use engine::{Phase, RecoveryPolicy, RouteError};
+pub use engine::{Phase, RouteError};
 pub use metrics::RoutingResult;
 pub use parallel::partition::PartitionKind;
 pub use parallel::{route_parallel_guarded, Algorithm, GuardedOutcome};

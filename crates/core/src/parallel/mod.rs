@@ -114,7 +114,7 @@ pub struct GuardedOutcome {
     pub traces: Vec<RankTrace>,
     /// Per-rank metric shards (empty unless metrics were enabled).
     pub metrics: Vec<RankMetrics>,
-    /// The run breached its [`crate::engine::RecoveryPolicy`] and was
+    /// The run spent its [`RouterConfig::recovery_rounds`] and was
     /// completed by the serial fallback (derived from the
     /// [`parallel.degraded_serial`](names::DEGRADED_SERIAL) counter, so
     /// it is only observable when metrics were enabled).

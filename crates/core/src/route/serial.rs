@@ -302,9 +302,9 @@ impl RouteState {
     pub(crate) fn gather_result(&mut self, circuit: &Circuit, feedthroughs: u64, comm: &mut Comm) {
         comm.trace_mark("gather_result");
         self.chans = None; // this rank's channels are spent: free them first
-        let wirelength = comm.reduce(0, self.wirelength, |a, b| a + b);
-        let feedthroughs = comm.reduce(0, feedthroughs, |a, b| a + b);
-        let Some(all_spans) = comm.gather(0, std::mem::take(&mut self.spans)) else {
+        let wirelength = comm.reduce(self.wirelength, |a, b| a + b);
+        let feedthroughs = comm.reduce(feedthroughs, |a, b| a + b);
+        let Some(all_spans) = comm.gather(std::mem::take(&mut self.spans)) else {
             return; // non-roots are done
         };
         // The root's own spans come first: its peers' append to them.

@@ -182,22 +182,6 @@ pub enum Orientation {
     VertAtUpper,
 }
 
-impl Wire for Orientation {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            Orientation::VertAtLower => 0,
-            Orientation::VertAtUpper => 1,
-        });
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.take(1)?[0] {
-            0 => Ok(Orientation::VertAtLower),
-            1 => Ok(Orientation::VertAtUpper),
-            t => Err(WireError::BadTag(t)),
-        }
-    }
-}
-
 /// A Steiner-tree segment: one MST edge of a net, normalized so
 /// `lower.row <= upper.row`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -600,7 +584,7 @@ impl Grid {
 
     /// A grid holding `rows`, which must be equally long.
     #[cfg(test)]
-    pub fn from_rows<R: AsRef<[i64]>>(rows: &[R]) -> Self {
+    pub(crate) fn from_rows<R: AsRef<[i64]>>(rows: &[R]) -> Self {
         let mut grid = Grid::new(rows.len(), rows.first().map_or(0, |r| r.as_ref().len()));
         for (r, row) in rows.iter().enumerate() {
             grid[r].copy_from_slice(row.as_ref());

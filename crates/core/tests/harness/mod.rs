@@ -33,8 +33,7 @@ use pgr_mpi::{
 use pgr_obs::recovery_names;
 use pgr_router::metrics::names;
 use pgr_router::{
-    route_parallel_guarded, verify, Algorithm, GuardedOutcome, PartitionKind, RecoveryPolicy,
-    RouterConfig,
+    route_parallel_guarded, verify, Algorithm, GuardedOutcome, PartitionKind, RouterConfig,
 };
 use std::collections::BTreeMap;
 use std::fmt;
@@ -245,10 +244,7 @@ impl Run {
                 ClockMode::Virtual
             },
             budget: s.budget,
-            recovery: match s.max_rounds {
-                Some(max_rounds) => RecoveryPolicy { max_rounds },
-                None => case.cfg.recovery,
-            },
+            recovery_rounds: s.max_rounds.unwrap_or(case.cfg.recovery_rounds),
             ..case.cfg.clone()
         };
         let mut instr = if s.off {

@@ -3,7 +3,7 @@
 //! A [`ResourceBudget`] bounds what one routing run may consume: virtual
 //! (or wall) seconds per phase, modeled bytes per rank, and recovery
 //! rounds. The communicator checks the per-phase and per-rank limits
-//! cooperatively — at every phase boundary ([`crate::Comm::phase_enter`])
+//! cooperatively — at every phase boundary ([`crate::Comm::boundary`])
 //! and wherever a pipeline polls at chunk granularity inside its hot
 //! loops — and *latches* a [`BudgetBreach`] instead of acting on it
 //! unilaterally: in an SPMD program a rank that walks away from a pass
@@ -45,7 +45,7 @@ pub struct ResourceBudget {
     /// per-rank routing scratch).
     pub max_rank_bytes: Option<u64>,
     /// Maximum recovery rounds the engine may spend before the run is
-    /// declared over budget (folded into the engine's `RecoveryPolicy`:
+    /// declared over budget (folded into the router's `recovery_rounds`:
     /// the tighter of the two bounds wins, and exhaustion under *this*
     /// bound is a structured budget error, not a silent fallback).
     pub max_recovery_rounds: Option<u32>,

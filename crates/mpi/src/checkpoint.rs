@@ -34,7 +34,7 @@ use std::sync::Mutex;
 
 /// One rank's committed snapshot at one boundary.
 #[derive(Debug, Clone)]
-pub struct Snapshot {
+pub(crate) struct Snapshot {
     /// Wire-encoded pipeline state (empty for non-portable commits).
     pub payload: Vec<u8>,
     /// CRC-32 over `payload`, computed at deposit.

@@ -27,7 +27,7 @@ pub struct RankStats {
     /// High-water mark of modeled memory (bytes).
     pub peak_mem: u64,
     /// Named phase durations in virtual seconds, in execution order
-    /// (from [`Comm::phase_enter`](super::Comm::phase_enter) /
+    /// (one per [`Comm::boundary`](super::Comm::boundary) or
     /// [`Comm::phase_mark`](super::Comm::phase_mark); the last phase
     /// ends at the final clock).
     pub phases: Vec<(&'static str, f64)>,

@@ -1,5 +1,7 @@
 //! The collectives, built from point-to-point messages (binomial trees
 //! and root loops) so their cost emerges from the same machine model.
+//! Every rooted one roots at logical rank 0: the paper's master, which
+//! after a shrink is the lowest survivor.
 //!
 //! Written purely against the facade: [`Comm::rank`]/[`Comm::size`],
 //! the checked send entry, the typed receive and the trace hook — no
@@ -50,99 +52,77 @@ impl Comm {
     pub fn barrier(&mut self) {
         self.coll_enter("barrier");
         let tag = self.next_coll_tag();
-        self.reduce_tagged("barrier", 0, (), |_, _| (), tag);
+        self.reduce_tagged("barrier", (), |_, _| (), tag);
         let tag2 = self.next_coll_tag();
-        self.bcast_tagged("barrier", 0, Some(()), tag2, None);
+        self.bcast_tagged("barrier", Some(()), tag2, None);
     }
 
-    /// Broadcast `value` from `root`. `value` must be `Some` on the root
-    /// and is ignored elsewhere.
-    pub fn bcast<T: Wire>(&mut self, root: usize, value: Option<T>) -> T {
-        self.coll_enter("bcast");
-        let tag = self.next_coll_tag();
-        self.bcast_tagged("bcast", root, value, tag, None)
-    }
-
-    /// The binomial tree under every broadcast, each frame billed at
-    /// `charge` of the value it carries; a failed receive names `op`, the
+    /// The binomial tree under every broadcast from rank 0 (`value` is
+    /// `Some` there and ignored elsewhere), each frame billed at `charge`
+    /// of the value it carries; a failed receive names `op`, the
     /// collective invoked.
     fn bcast_tagged<T: Wire>(
         &mut self,
         op: &'static str,
-        root: usize,
         value: Option<T>,
         tag: u32,
         charge: Option<&dyn Fn(&T) -> usize>,
     ) -> T {
         let (rank, size) = (self.rank(), self.size());
-        assert!(root < size);
-        let rel = (rank + size - root) % size;
-        let mut value = if rel == 0 {
-            Some(value.expect("root must supply the broadcast value"))
+        let mut value = if rank == 0 {
+            Some(value.expect("rank 0 must supply the broadcast value"))
         } else {
             None
         };
         let mut step = 1;
         while step < size {
-            if rel < step {
-                let dst_rel = rel + step;
-                if dst_rel < size {
-                    let dst = (dst_rel + root) % size;
+            if rank < step {
+                let dst = rank + step;
+                if dst < size {
                     let v = value.as_ref().expect("already received");
                     self.send_tagged(dst, tag, v, charge.map(|bill| bill(v)));
                 }
-            } else if rel < 2 * step {
-                let src = (rel - step + root) % size;
-                value = Some(self.coll_recv(op, src, tag, charge.is_some()));
+            } else if rank < 2 * step {
+                value = Some(self.coll_recv(op, rank - step, tag, charge.is_some()));
             }
             step <<= 1;
         }
         value.expect("broadcast reaches every rank")
     }
 
-    /// Reduce all ranks' values to `root` with `op` (binomial tree; the
+    /// Reduce all ranks' values to rank 0 with `op` (binomial tree; the
     /// combine order is fixed by the tree, hence deterministic). Returns
-    /// `Some(result)` on the root, `None` elsewhere.
-    pub fn reduce<T: Wire, F: FnMut(T, T) -> T>(
-        &mut self,
-        root: usize,
-        value: T,
-        op: F,
-    ) -> Option<T> {
+    /// `Some(result)` on rank 0, `None` elsewhere.
+    pub fn reduce<T: Wire, F: FnMut(T, T) -> T>(&mut self, value: T, op: F) -> Option<T> {
         self.coll_enter("reduce");
         let tag = self.next_coll_tag();
-        self.reduce_tagged("reduce", root, value, op, tag)
+        self.reduce_tagged("reduce", value, op, tag)
     }
 
-    /// The binomial tree under every reduction; a failed receive names
-    /// `op`, the collective invoked.
+    /// The binomial tree under every reduction to rank 0; a failed
+    /// receive names `op`, the collective invoked.
     fn reduce_tagged<T: Wire, F: FnMut(T, T) -> T>(
         &mut self,
         op: &'static str,
-        root: usize,
         value: T,
         mut combine: F,
         tag: u32,
     ) -> Option<T> {
         let (rank, size) = (self.rank(), self.size());
-        assert!(root < size);
-        let rel = (rank + size - root) % size;
         let mut acc = value;
         let mut step = 1;
         while step < size {
-            if rel & step != 0 {
-                let dst = (rel - step + root) % size;
-                self.send_tagged(dst, tag, &acc, None);
+            if rank & step != 0 {
+                self.send_tagged(rank - step, tag, &acc, None);
                 return None;
             }
-            if rel + step < size {
-                let src = (rel + step + root) % size;
-                let other: T = self.coll_recv(op, src, tag, false);
+            if rank + step < size {
+                let other: T = self.coll_recv(op, rank + step, tag, false);
                 acc = combine(acc, other);
             }
             step <<= 1;
         }
-        debug_assert_eq!(rel, 0);
+        debug_assert_eq!(rank, 0);
         Some(acc)
     }
 
@@ -151,38 +131,36 @@ impl Comm {
         self.coll_enter("allreduce");
         let r = {
             let tag = self.next_coll_tag();
-            self.reduce_tagged("allreduce", 0, value, op, tag)
+            self.reduce_tagged("allreduce", value, op, tag)
         };
         let tag = self.next_coll_tag();
-        self.bcast_tagged("allreduce", 0, r, tag, None)
+        self.bcast_tagged("allreduce", r, tag, None)
     }
 
-    /// Gather all ranks' values at `root`, in rank order.
-    pub fn gather<T: Wire>(&mut self, root: usize, value: T) -> Option<Vec<T>> {
+    /// Gather all ranks' values at rank 0, in rank order.
+    pub fn gather<T: Wire>(&mut self, value: T) -> Option<Vec<T>> {
         self.coll_enter("gather");
-        self.gather_to("gather", root, value, None)
+        self.gather_to("gather", value, None)
     }
 
-    /// The root loop under `gather` and `allgather`: everyone but `root`
-    /// sends its value there (billed at `charge` of it, if given); `root`
-    /// receives in rank order and moves its own value into its slot.
+    /// The root loop under `gather` and `allgather`: every other rank
+    /// sends its value to rank 0 (billed at `charge` of it, if given);
+    /// rank 0 keeps its own first and receives the rest in rank order.
     fn gather_to<T: Wire>(
         &mut self,
         op: &'static str,
-        root: usize,
         value: T,
         charge: Option<&dyn Fn(&T) -> usize>,
     ) -> Option<Vec<T>> {
         let tag = self.next_coll_tag();
-        if self.rank() != root {
-            self.send_tagged(root, tag, &value, charge.map(|bill| bill(&value)));
+        if self.rank() != 0 {
+            self.send_tagged(0, tag, &value, charge.map(|bill| bill(&value)));
             return None;
         }
         let charged = charge.is_some();
         let mut out = Vec::with_capacity(self.size());
-        out.extend((0..root).map(|src| self.coll_recv(op, src, tag, charged)));
         out.push(value);
-        out.extend((root + 1..self.size()).map(|src| self.coll_recv(op, src, tag, charged)));
+        out.extend((1..self.size()).map(|src| self.coll_recv(op, src, tag, charged)));
         Some(out)
     }
 
@@ -207,12 +185,12 @@ impl Comm {
         bill: Option<&dyn Fn(&T) -> usize>,
     ) -> Vec<T> {
         self.coll_enter("allgather");
-        let g = self.gather_to("allgather", 0, value, bill);
+        let g = self.gather_to("allgather", value, bill);
         let tag = self.next_coll_tag();
         // A u32 count, then the values.
         let all = bill.map(|bill| move |all: &Vec<T>| 4 + all.iter().map(bill).sum::<usize>());
         let all = all.as_ref().map(|f| f as &dyn Fn(&Vec<T>) -> usize);
-        self.bcast_tagged("allgather", 0, g, tag, all)
+        self.bcast_tagged("allgather", g, tag, all)
     }
 
     /// Personalized all-to-all: `data[dst]` goes to rank `dst`; returns

@@ -264,24 +264,45 @@ impl Comm {
 
     // ----- phase boundaries -----
 
-    /// Enter a registry [`Phase`]: [`Comm::phase_mark`] plus the
-    /// failure protocol — flush reorder holdbacks, evaluate the fault
-    /// layer's kill schedule at this boundary — and,
-    /// on `Continue`, the armed budget's boundary check, which only
-    /// *latches*. The window is rotated *before* the schedule is
-    /// evaluated, so if a kill fires here the recovery accounting that
-    /// follows the abort lands in the window of the phase whose boundary
-    /// failed, keeping per-phase windows an exact partition of the run
-    /// totals.
+    /// The phase-boundary protocol, the one evaluated way to enter a
+    /// registry [`Phase`], in the one order that is correct — **commit,
+    /// enter, agree**:
     ///
-    /// This is the boundary without its collectives: SPMD programs that
-    /// checkpoint or run under a budget go through [`Comm::boundary`].
-    pub fn phase_enter(&mut self, phase: Phase) -> PhaseControl {
+    /// 1. When the run keeps a checkpoint store, this rank's `snapshot`
+    ///    for the boundary is deposited *before* the boundary is
+    ///    crossed: a victim deposits and then dies entering the phase,
+    ///    so the boundary it died at is globally committed and the
+    ///    survivors can resume from it. `Some` is a portable payload,
+    ///    `None` a metadata-only record; without a store `snapshot` is
+    ///    never called. The first boundary carries no state and is
+    ///    never deposited — a kill there has nothing to resume from
+    ///    (full restart).
+    /// 2. Enter: [`Comm::phase_mark`], flush reorder holdbacks, evaluate
+    ///    the fault layer's kill schedule at this boundary (a kill
+    ///    returns from here) and, on `Continue`, the armed budget's
+    ///    boundary check, which only *latches*. The window is rotated
+    ///    *before* the schedule is evaluated, so if a kill fires here the
+    ///    recovery accounting that follows the abort lands in the window
+    ///    of the phase whose boundary failed, keeping per-phase windows
+    ///    an exact partition of the run totals.
+    /// 3. [`Comm::budget_agree`], surfacing a breach latched by that
+    ///    entry or by a mid-phase poll identically on every rank.
+    pub fn boundary(
+        &mut self,
+        phase: Phase,
+        snapshot: impl FnOnce() -> Option<Vec<u8>>,
+    ) -> PhaseControl {
+        if self.checkpointing() && phase.index() > 0 {
+            self.control.commit(phase, snapshot(), &mut self.metrics);
+        }
         self.phase_mark(phase);
         self.transport.flush_holdbacks(&mut self.metrics);
         let outcome = self.control.cross(phase, self.now());
+        if outcome != PhaseControl::Continue {
+            return outcome;
+        }
         let ctl = &mut self.control;
-        if outcome == PhaseControl::Continue && ctl.budget.is_limited() {
+        if ctl.budget.is_limited() {
             // Close the books on the phase just ended and start the
             // next one's account. An overrun of a phase that *shed* is
             // tolerated — the shed already was the enforcement —
@@ -296,36 +317,7 @@ impl Comm {
             ctl.phase_start = now;
             ctl.shed = false;
         }
-        outcome
-    }
-
-    /// The whole phase-boundary protocol, in the one order that is
-    /// correct — **commit, enter, agree**:
-    ///
-    /// 1. When the run keeps a checkpoint store, this rank's `snapshot`
-    ///    for the boundary is deposited *before* the boundary is
-    ///    crossed: a victim deposits and then dies entering the phase,
-    ///    so the boundary it died at is globally committed and the
-    ///    survivors can resume from it. `Some` is a portable payload,
-    ///    `None` a metadata-only record; without a store `snapshot` is
-    ///    never called. The first boundary carries no state and is
-    ///    never deposited — a kill there has nothing to resume from
-    ///    (full restart).
-    /// 2. [`Comm::phase_enter`]. A kill returns from here.
-    /// 3. [`Comm::budget_agree`], surfacing a breach latched by that
-    ///    entry or by a mid-phase poll identically on every rank.
-    pub fn boundary(
-        &mut self,
-        phase: Phase,
-        snapshot: impl FnOnce() -> Option<Vec<u8>>,
-    ) -> PhaseControl {
-        if self.checkpointing() && phase.index() > 0 {
-            self.control.commit(phase, snapshot(), &mut self.metrics);
-        }
-        match self.phase_enter(phase) {
-            PhaseControl::Continue => self.budget_agree(),
-            killed => killed,
-        }
+        self.budget_agree()
     }
 
     /// Shrink the world after the `dead` ranks were lost entering

@@ -29,7 +29,7 @@
 //! per-source order, suppresses duplicates, and retransmits drops (see
 //! [`crate::reliable`]) — injected message faults become invisible to
 //! callers. A fault layer's kill schedule takes effect at phase
-//! boundaries ([`Comm::phase_enter`]): the victim sees
+//! boundaries ([`Comm::boundary`]): the victim sees
 //! [`PhaseControl::SelfKilled`], survivors see
 //! [`PhaseControl::PeersDied`], shrink the world with
 //! [`Comm::shrink_world`], and continue on dense *logical* ranks.
@@ -102,9 +102,8 @@ pub struct Comm {
     coll_seq: u32,
 }
 
-/// Outcome of a phase boundary ([`Comm::phase_enter`] /
-/// [`Comm::boundary`]): the fault layer's kill schedule and, from
-/// `boundary`, the budget agreement.
+/// Outcome of a phase boundary ([`Comm::boundary`]): the fault layer's
+/// kill schedule, then the budget agreement.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PhaseControl {
     /// Everyone scheduled to be here still is.
@@ -294,7 +293,7 @@ impl Comm {
     }
 
     /// Snapshot this rank's metrics (sorted, detached from the shard).
-    pub fn metrics_snapshot(&self) -> RankMetrics {
+    pub(crate) fn metrics_snapshot(&self) -> RankMetrics {
         self.metrics.snapshot(self.physical_rank())
     }
 
@@ -541,30 +540,10 @@ mod tests {
     }
 
     #[test]
-    fn bcast_all_sizes_all_roots() {
-        for &size in &SIZES {
-            for root in 0..size {
-                let report = run(size, MachineModel::ideal(), move |c| {
-                    let v = if c.rank() == root {
-                        Some(42u64 + root as u64)
-                    } else {
-                        None
-                    };
-                    c.bcast(root, v)
-                });
-                assert!(
-                    report.results.iter().all(|&v| v == 42 + root as u64),
-                    "size {size} root {root}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn reduce_sums_all_sizes() {
         for &size in &SIZES {
             let report = run(size, MachineModel::ideal(), |c| {
-                c.reduce(0, c.rank() as u64 + 1, |a, b| a + b)
+                c.reduce(c.rank() as u64 + 1, |a, b| a + b)
             });
             let expect = (size * (size + 1) / 2) as u64;
             assert_eq!(report.results[0], Some(expect), "size {size}");
@@ -586,11 +565,9 @@ mod tests {
 
     #[test]
     fn gather_is_rank_ordered() {
-        let report = run(4, MachineModel::ideal(), |c| {
-            c.gather(2, c.rank() as u32 * 10)
-        });
-        assert_eq!(report.results[2], Some(vec![0, 10, 20, 30]));
-        assert_eq!(report.results[0], None);
+        let report = run(4, MachineModel::ideal(), |c| c.gather(c.rank() as u32 * 10));
+        assert_eq!(report.results[0], Some(vec![0, 10, 20, 30]));
+        assert!(report.results[1..].iter().all(Option::is_none));
     }
 
     #[test]
@@ -723,9 +700,8 @@ mod tests {
         let mut c = Comm::solo(MachineModel::ideal());
         assert_eq!(c.allreduce(5u32, |a, b| a + b), 5);
         assert_eq!(c.allgather(7u32), vec![7]);
-        assert_eq!(c.bcast(0, Some(3u32)), 3);
         c.barrier();
-        assert_eq!(c.gather(0, 1u32), Some(vec![1]));
+        assert_eq!(c.gather(1u32), Some(vec![1]));
         let a2a = c.alltoall(vec![vec![9u8]]);
         assert_eq!(a2a, vec![vec![9]]);
     }
@@ -945,16 +921,6 @@ mod tests {
         let (died, deposited) = report.0.results.into_iter().next().expect("one rank");
         assert_eq!(died, PhaseControl::SelfKilled);
         assert_eq!(deposited, Some(vec![vec![7, 7, 7]]));
-    }
-
-    #[test]
-    fn phase_enter_alone_never_deposits() {
-        let store = Arc::new(CheckpointStore::new());
-        run_instrumented(1, MachineModel::ideal(), victim_world(&store), |c| {
-            assert_eq!(c.phase_enter(Phase::Setup), PhaseControl::Continue);
-            assert_eq!(c.phase_enter(Phase::Steiner), PhaseControl::SelfKilled);
-        });
-        assert!(store.is_empty());
     }
 
     #[test]

@@ -227,7 +227,7 @@ impl Transport {
             pending: (0..size).map(|_| VecDeque::new()).collect(),
             next_seq: vec![0; size],
             holdback: (0..size).map(|_| None).collect(),
-            windows: (0..size).map(|_| ReorderBuffer::new()).collect(),
+            windows: (0..size).map(|_| ReorderBuffer::default()).collect(),
             exits: vec![None; size],
             polls: polls(size),
             ..Transport::default()

@@ -43,11 +43,6 @@ impl<R> RunReport<R> {
     pub fn fits_memory(&self) -> bool {
         self.machine.fits_in_node(self.max_peak_mem())
     }
-
-    /// The communication matrix: `matrix[src][dst]` bytes sent.
-    pub fn comm_matrix(&self) -> Vec<Vec<u64>> {
-        self.stats.iter().map(|s| s.bytes_to.clone()).collect()
-    }
 }
 
 /// Execute `f` as an SPMD program over `size` ranks on the given machine.

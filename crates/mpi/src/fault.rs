@@ -111,12 +111,25 @@ pub enum FaultAction {
 /// functions of the [`MsgCtx`] if run reproducibility matters (every
 /// built-in model is; a shared mutable RNG would be consulted in host
 /// scheduling order and break determinism).
+///
+/// Any `Fn(&MsgCtx) -> FaultAction` closure is one, which is the
+/// simplest way to put one fault on one edge:
+///
+/// ```
+/// use pgr_mpi::fault::{FaultAction, FaultLayer, MsgCtx};
+/// let lossy_edge = |m: &MsgCtx| match (m.src, m.dst) {
+///     (1, 0) => FaultAction::Drop,
+///     _ => FaultAction::Deliver,
+/// };
+/// let ctx = MsgCtx { src: 1, dst: 0, tag: 7, bytes: 16, seq: 0, attempt: 0 };
+/// assert_eq!(lossy_edge.on_send(&ctx), FaultAction::Drop);
+/// ```
 pub trait FaultLayer: Send + Sync {
     fn on_send(&self, ctx: &MsgCtx) -> FaultAction;
 
     /// Rank-death schedule: `Some(b)` means `rank` dies at the `b`-th
     /// phase boundary it reaches (0-based count of
-    /// [`Comm::phase_enter`](crate::comm::Comm::phase_enter) calls). The
+    /// [`Comm::boundary`](crate::comm::Comm::boundary) calls). The
     /// default layer kills nobody.
     fn kill_at_boundary(&self, _rank: usize) -> Option<u64> {
         None
@@ -139,44 +152,6 @@ where
 {
     fn on_send(&self, ctx: &MsgCtx) -> FaultAction {
         self(ctx)
-    }
-}
-
-/// Apply `action` to every message matching `(src, dst, tag)` (any
-/// field `None` = wildcard) and deliver the rest — the simplest way to
-/// put one fault on one edge: `FaultAction::Drop` simulates a lost
-/// message, `FaultAction::Delay(s)` a slow link, `FaultAction::Reorder`
-/// lets the sender's next frame to the same destination overtake the
-/// matching one, and so on.
-///
-/// ```
-/// use pgr_mpi::fault::{FaultAction, Matching};
-/// let lossy_edge = Matching {
-///     src: Some(1),
-///     dst: Some(0),
-///     action: FaultAction::Drop,
-///     ..Default::default()
-/// };
-/// # let _ = lossy_edge;
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct Matching {
-    pub src: Option<usize>,
-    pub dst: Option<usize>,
-    pub tag: Option<u32>,
-    pub action: FaultAction,
-}
-
-impl FaultLayer for Matching {
-    fn on_send(&self, ctx: &MsgCtx) -> FaultAction {
-        let hit = self.src.is_none_or(|s| s == ctx.src)
-            && self.dst.is_none_or(|d| d == ctx.dst)
-            && self.tag.is_none_or(|t| t == ctx.tag);
-        if hit {
-            self.action
-        } else {
-            FaultAction::Deliver
-        }
     }
 }
 
@@ -271,10 +246,6 @@ impl ChaosLayer {
         ChaosLayer { cfg }
     }
 
-    pub fn config(&self) -> &ChaosConfig {
-        &self.cfg
-    }
-
     /// Uniform sample in [0, 1) for one message.
     fn unit(&self, ctx: &MsgCtx) -> f64 {
         let z = self
@@ -340,30 +311,34 @@ mod tests {
         }
     }
 
-    /// `action` on every message (all three filters wildcard).
-    fn matching(action: FaultAction) -> Matching {
-        Matching {
-            action,
-            ..Default::default()
+    /// A closure layer applying `action` to the messages matching
+    /// `(src, dst, tag)` (`None` = any) and delivering the rest.
+    fn matching(
+        (src, dst, tag): (Option<usize>, Option<usize>, Option<u32>),
+        action: FaultAction,
+    ) -> impl FaultLayer {
+        move |m: &MsgCtx| {
+            let hit = src.is_none_or(|s| s == m.src)
+                && dst.is_none_or(|d| d == m.dst)
+                && tag.is_none_or(|t| t == m.tag);
+            if hit {
+                action
+            } else {
+                FaultAction::Deliver
+            }
         }
     }
+
+    const ANY: (Option<usize>, Option<usize>, Option<u32>) = (None, None, None);
 
     #[test]
     fn drop_matching_wildcards() {
         let c = ctx();
-        let all = matching(FaultAction::Drop);
+        let all = matching(ANY, FaultAction::Drop);
         assert_eq!(all.on_send(&c), FaultAction::Drop);
-        let tag_only = Matching {
-            tag: Some(8),
-            ..matching(FaultAction::Drop)
-        };
+        let tag_only = matching((None, None, Some(8)), FaultAction::Drop);
         assert_eq!(tag_only.on_send(&c), FaultAction::Deliver);
-        let edge = Matching {
-            src: Some(1),
-            dst: Some(0),
-            tag: Some(7),
-            action: FaultAction::Drop,
-        };
+        let edge = matching((Some(1), Some(0), Some(7)), FaultAction::Drop);
         assert_eq!(edge.on_send(&c), FaultAction::Drop);
     }
 
@@ -371,17 +346,14 @@ mod tests {
     fn reorder_and_duplicate_matching() {
         let c = ctx();
         assert_eq!(
-            matching(FaultAction::Reorder).on_send(&c),
+            matching(ANY, FaultAction::Reorder).on_send(&c),
             FaultAction::Reorder
         );
         assert_eq!(
-            matching(FaultAction::Duplicate).on_send(&c),
+            matching(ANY, FaultAction::Duplicate).on_send(&c),
             FaultAction::Duplicate
         );
-        let miss = Matching {
-            dst: Some(5),
-            ..matching(FaultAction::Reorder)
-        };
+        let miss = matching((None, Some(5), None), FaultAction::Reorder);
         assert_eq!(miss.on_send(&c), FaultAction::Deliver);
     }
 
@@ -480,20 +452,12 @@ mod tests {
     fn corrupt_matching_wildcards() {
         let c = ctx();
         assert_eq!(
-            matching(FaultAction::Corrupt).on_send(&c),
+            matching(ANY, FaultAction::Corrupt).on_send(&c),
             FaultAction::Corrupt
         );
-        let miss = Matching {
-            src: Some(9),
-            ..matching(FaultAction::Corrupt)
-        };
+        let miss = matching((Some(9), None, None), FaultAction::Corrupt);
         assert_eq!(miss.on_send(&c), FaultAction::Deliver);
-        let edge = Matching {
-            src: Some(1),
-            dst: Some(0),
-            tag: Some(7),
-            action: FaultAction::Corrupt,
-        };
+        let edge = matching((Some(1), Some(0), Some(7)), FaultAction::Corrupt);
         assert_eq!(edge.on_send(&c), FaultAction::Corrupt);
     }
 

@@ -75,7 +75,7 @@ pub mod trace;
 pub mod wire;
 
 pub use budget::{BudgetBreach, BudgetKind, ResourceBudget};
-pub use checkpoint::{CheckpointStore, Snapshot};
+pub use checkpoint::CheckpointStore;
 pub use comm::{
     run, run_instrumented, Comm, InstrumentConfig, PhaseControl, RankStats, RunReport, WallStats,
     COLLECTIVE_TAG_BASE, RECV_WAIT_MICROS,

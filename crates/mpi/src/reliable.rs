@@ -7,9 +7,9 @@
 //! virtual-time model:
 //!
 //! - every frame carries a per-`(src, dst)` sequence number;
-//! - the receiver ingests frames through a [`ReorderBuffer`] that
-//!   releases them strictly in sequence order, so network reordering is
-//!   invisible to the `(src, tag)` matcher;
+//! - the receiver ingests frames through a per-source reorder buffer
+//!   that releases them strictly in sequence order, so network
+//!   reordering is invisible to the `(src, tag)` matcher;
 //! - a frame with an already-delivered (or already-buffered) sequence
 //!   number is a duplicate and is suppressed;
 //! - a dropped frame is retransmitted: the sender re-offers it to the
@@ -31,7 +31,7 @@
 //! [`DUPLICATES_DROPPED`], [`REORDER_DEPTH`], …).
 //!
 //! A fault layer that drops a message on *every* attempt (e.g. a
-//! [`Matching`](crate::fault::Matching) drop rule) would retry forever;
+//! closure that drops one tag whatever the attempt) would retry forever;
 //! after [`MAX_ATTEMPTS`] the transport forces delivery and counts it in
 //! [`RETRANSMIT_EXHAUSTED`]. Genuine unrecoverable loss is modeled by
 //! rank death (see [`FaultLayer::kill_at_boundary`](crate::fault::FaultLayer)),
@@ -95,7 +95,7 @@ pub(crate) fn backoff_delay(attempt: u32) -> f64 {
 
 /// Outcome of ingesting one frame into a [`ReorderBuffer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Ingest {
+pub(crate) enum Ingest {
     /// The frame (and possibly a run of buffered successors) was
     /// released in order.
     Delivered,
@@ -108,19 +108,13 @@ pub enum Ingest {
 /// Per-source receive window: releases frames strictly in sequence
 /// order, parks early arrivals, suppresses duplicates.
 #[derive(Debug, Default)]
-pub struct ReorderBuffer<T> {
+pub(crate) struct ReorderBuffer<T> {
+    /// The next sequence number this buffer will release.
     expected: u64,
     parked: std::collections::BTreeMap<u64, T>,
 }
 
 impl<T> ReorderBuffer<T> {
-    pub fn new() -> Self {
-        ReorderBuffer {
-            expected: 0,
-            parked: std::collections::BTreeMap::new(),
-        }
-    }
-
     /// Ingest a frame with sequence number `seq`; in-order releases are
     /// appended to `out`.
     pub(crate) fn ingest(&mut self, seq: u64, frame: T, out: &mut Vec<T>) -> Ingest {
@@ -144,11 +138,6 @@ impl<T> ReorderBuffer<T> {
     pub(crate) fn depth(&self) -> usize {
         self.parked.len()
     }
-
-    /// The next sequence number this buffer will release.
-    pub fn expected(&self) -> u64 {
-        self.expected
-    }
 }
 
 #[cfg(test)]
@@ -167,16 +156,16 @@ mod tests {
 
     #[test]
     fn in_order_passes_through() {
-        let mut buf = ReorderBuffer::new();
+        let mut buf = ReorderBuffer::default();
         assert_eq!(drain(&mut buf, 0, "a"), vec!["a"]);
         assert_eq!(drain(&mut buf, 1, "b"), vec!["b"]);
         assert_eq!(buf.depth(), 0);
-        assert_eq!(buf.expected(), 2);
+        assert_eq!(buf.expected, 2);
     }
 
     #[test]
     fn reordered_frames_are_released_in_sequence() {
-        let mut buf = ReorderBuffer::new();
+        let mut buf = ReorderBuffer::default();
         let mut out = Vec::new();
         assert_eq!(buf.ingest(2, "c", &mut out), Ingest::Buffered);
         assert_eq!(buf.ingest(1, "b", &mut out), Ingest::Buffered);
@@ -189,7 +178,7 @@ mod tests {
 
     #[test]
     fn duplicates_are_suppressed() {
-        let mut buf = ReorderBuffer::new();
+        let mut buf = ReorderBuffer::default();
         let mut out = Vec::new();
         buf.ingest(0, "a", &mut out);
         assert_eq!(buf.ingest(0, "a2", &mut out), Ingest::Duplicate);

@@ -10,7 +10,7 @@
 //! deterministically.
 
 use pgr_mpi::fault::{
-    Matching, FAULTS_CORRUPTED, FAULTS_DELAYED, FAULTS_DROPPED, FAULTS_DUPLICATED, FAULTS_REORDERED,
+    FAULTS_CORRUPTED, FAULTS_DELAYED, FAULTS_DROPPED, FAULTS_DUPLICATED, FAULTS_REORDERED,
 };
 use pgr_mpi::reliable::{self, MAX_ATTEMPTS};
 use pgr_mpi::{
@@ -238,10 +238,9 @@ fn reorder_is_visible_raw_and_masked_reliably() {
 /// second copy is suppressed by its sequence number.
 #[test]
 fn duplicate_is_visible_raw_and_suppressed_reliably() {
-    let dup = Matching {
-        tag: Some(DATA),
-        action: FaultAction::Duplicate,
-        ..Default::default()
+    let dup = |m: &MsgCtx| match m.tag {
+        DATA => FaultAction::Duplicate,
+        _ => FaultAction::Deliver,
     };
     let body_raw = |comm: &mut Comm| {
         if comm.rank() == 0 {
@@ -253,7 +252,7 @@ fn duplicate_is_visible_raw_and_suppressed_reliably() {
     };
     let raw = InstrumentConfig {
         metrics: MetricsConfig::on(),
-        fault: Some(Arc::new(dup.clone())),
+        fault: Some(Arc::new(dup)),
         ..InstrumentConfig::off()
     };
     let (report, _, metrics) = run_instrumented(2, MachineModel::ideal(), raw, body_raw);
@@ -330,10 +329,9 @@ fn retransmit_recovers_drop_with_identical_timing() {
 fn adversarial_drop_exhausts_retries_but_delivers() {
     let instr = InstrumentConfig {
         metrics: MetricsConfig::on(),
-        fault: Some(Arc::new(Matching {
-            tag: Some(DATA),
-            action: FaultAction::Drop,
-            ..Default::default()
+        fault: Some(Arc::new(|m: &MsgCtx| match m.tag {
+            DATA => FaultAction::Drop,
+            _ => FaultAction::Deliver,
         })),
         reliability: ReliabilityConfig::on(),
         ..InstrumentConfig::off()
@@ -552,7 +550,7 @@ fn phase_kill_surfaces_rank_dead_and_world_remaps() {
         ..InstrumentConfig::off()
     };
     let (report, _, _) = run_instrumented(4, MachineModel::ideal(), instr, |comm| {
-        match comm.phase_enter(Phase::Setup) {
+        match comm.boundary(Phase::Setup, || None) {
             PhaseControl::SelfKilled => {
                 assert_eq!(comm.physical_rank(), 1, "only rank 1 is scheduled");
                 return (Vec::new(), Vec::new());
@@ -620,15 +618,15 @@ fn multi_kill_is_deterministic() {
             ..InstrumentConfig::off()
         };
         run_instrumented(5, MachineModel::sparc_center_1000(), instr, |comm| {
-            assert_eq!(comm.phase_enter(Phase::Setup), PhaseControl::Continue);
+            assert_eq!(comm.boundary(Phase::Setup, || None), PhaseControl::Continue);
             let all = comm.allreduce(1u64, |a, b| a + b);
             assert_eq!(all, 5);
-            match comm.phase_enter(Phase::Steiner) {
+            match comm.boundary(Phase::Steiner, || None) {
                 PhaseControl::SelfKilled => return 0,
                 PhaseControl::PeersDied(dead) => {
                     assert_eq!(dead, vec![1, 3]);
-                    // `phase_enter` deposits no snapshot: one allreduce
-                    // agrees on a restart.
+                    // A metadata-only commit cannot seed a resume: one
+                    // allreduce agrees on a restart.
                     assert_eq!(comm.shrink_world(&dead, Phase::Steiner), None);
                 }
                 other => panic!("two peers died here, got {other:?}"),

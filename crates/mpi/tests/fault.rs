@@ -2,7 +2,7 @@
 //! observable through the structured diagnostics and the metrics
 //! shards.
 
-use pgr_mpi::fault::{Matching, FAULTS_DELAYED, FAULTS_DROPPED};
+use pgr_mpi::fault::{FAULTS_DELAYED, FAULTS_DROPPED};
 use pgr_mpi::{
     run, run_instrumented, CommError, FaultAction, InstrumentConfig, MachineModel, MetricsConfig,
     MsgCtx, TraceConfig,
@@ -19,11 +19,9 @@ const DATA: u32 = 7;
 fn dropped_message_is_seen_by_exit_notice_and_metrics() {
     let instr = InstrumentConfig {
         metrics: MetricsConfig::on(),
-        fault: Some(Arc::new(Matching {
-            src: Some(1),
-            dst: Some(0),
-            tag: Some(DATA),
-            action: FaultAction::Drop,
+        fault: Some(Arc::new(|m: &MsgCtx| match (m.src, m.dst, m.tag) {
+            (1, 0, DATA) => FaultAction::Drop,
+            _ => FaultAction::Deliver,
         })),
         ..InstrumentConfig::off()
     };
@@ -39,19 +37,16 @@ fn dropped_message_is_seen_by_exit_notice_and_metrics() {
     });
 
     let err = report.results[0].as_ref().expect("rank 0 reports");
-    assert!(
-        matches!(
-            err,
-            CommError::PeersDisconnected {
-                rank: 0,
-                src: 1,
-                tag: DATA,
-                ..
-            }
-        ),
-        "{err:?}"
-    );
-    assert!(err.pending().is_empty(), "nothing arrived: {err}");
+    match err {
+        CommError::PeersDisconnected {
+            rank: 0,
+            src: 1,
+            tag: DATA,
+            pending,
+            ..
+        } => assert!(pending.is_empty(), "nothing arrived: {err}"),
+        other => panic!("{other:?}"),
+    }
     let msg = err.to_string();
     assert!(
         msg.contains("rank 0"),
@@ -86,11 +81,9 @@ fn delayed_message_shifts_virtual_time_and_is_counted() {
     let instr = InstrumentConfig {
         trace: TraceConfig::off(),
         metrics: MetricsConfig::on(),
-        fault: Some(Arc::new(Matching {
-            src: None,
-            dst: None,
-            tag: Some(DATA),
-            action: FaultAction::Delay(EXTRA),
+        fault: Some(Arc::new(|m: &MsgCtx| match m.tag {
+            DATA => FaultAction::Delay(EXTRA),
+            _ => FaultAction::Deliver,
         })),
         ..InstrumentConfig::off()
     };
@@ -161,7 +154,6 @@ fn payload_receive_matching_a_modeled_transfer_is_a_structured_error() {
             ),
             "{err:?}"
         );
-        assert_eq!(err.rank(), 1);
         let msg = err.to_string();
         for part in ["rank 1", "src=0", "tag=7", "4096 B", "8 B", "recv_modeled"] {
             assert!(msg.contains(part), "diagnosis lacks {part:?}: {msg}");
