@@ -1,5 +1,6 @@
 //! Hot paths that must not allocate: the metrics API when metrics are
-//! off (a disabled shard is one branch, no bookkeeping) and the density
+//! off (a disabled shard is one branch, no bookkeeping), a sub-phase
+//! timer that does not time, a warm one, and the density
 //! profile's read path (the eval loops query it per candidate, so a
 //! single allocation there multiplies by every span of every sweep), and
 //! the profiles' bulk load, however many spans it loads. And one that must
@@ -19,7 +20,7 @@
 use pgr_circuit::{generate, GeneratorConfig, NetId};
 use pgr_geom::DensityProfile;
 use pgr_mpi::{ClockMode, Comm, MachineModel, Phase};
-use pgr_obs::MetricsConfig;
+use pgr_obs::{MetricsConfig, MetricsShard};
 use pgr_router::route::connect::{connect_net_with, ConnectArena};
 use pgr_router::route::feedthrough::{assign, Crossing, FtPlan};
 use pgr_router::route::state::{Grid, Node, Span, WorkNets};
@@ -145,6 +146,37 @@ fn main() {
     }
     comm.metric_window_close();
     assert_eq!(allocs(), before, "steady-state updates must not allocate");
+
+    // A sub-phase timer on a shard that does not time (metrics off, or
+    // on under a virtual clock) reads no clock and allocates nothing; a
+    // timing shard allocates a timer's slot on its first use only.
+    let shards = [
+        MetricsShard::new(MetricsConfig::off()).timed(true),
+        MetricsShard::new(MetricsConfig::on()).timed(false),
+    ];
+    for mut shard in shards {
+        shard.open_window(Phase::Coarse);
+        let before = allocs();
+        for _ in 0..10_000 {
+            let start = shard.start_timer();
+            shard.stop_timer("bench.alloc.timer", start);
+        }
+        assert_eq!(allocs(), before, "timers that are off must not allocate");
+        assert!(shard.timers().is_empty());
+    }
+    let mut shard = MetricsShard::new(MetricsConfig::on()).timed(true);
+    for phase in Phase::ALL {
+        shard.open_window(phase);
+        let start = shard.start_timer();
+        shard.stop_timer("bench.alloc.timer", start);
+    }
+    let before = allocs();
+    for i in 0..10_000u64 {
+        shard.open_window(Phase::ALL[(i % Phase::ALL.len() as u64) as usize]);
+        let start = shard.start_timer();
+        shard.stop_timer("bench.alloc.timer", start);
+    }
+    assert_eq!(allocs(), before, "a warm timer must not allocate");
 
     // The density profile's point/range queries and updates stay
     // allocation-free, the recount after a last peak column drops included.

@@ -9,6 +9,7 @@
 use super::Comm;
 use crate::machine::{ClockMode, MachineModel};
 use crate::trace::{mark_spans, TraceEventKind};
+use pgr_obs::Timer;
 use std::time::Instant;
 
 /// Per-rank execution statistics, returned by [`run`](super::run).
@@ -46,6 +47,10 @@ pub struct WallStats {
     pub time: f64,
     /// Wall duration of each entry of [`RankStats::phases`], same order.
     pub phases: Vec<f64>,
+    /// The sub-phase timers of the metric shard, `(phase, timer, host
+    /// time)` in phase registry order: where inside a phase its wall
+    /// seconds went (empty unless metrics are on).
+    pub timers: Vec<(&'static str, &'static str, Timer)>,
 }
 
 /// Real host makespan of `stats`: the slowest rank's wall seconds from
@@ -165,6 +170,7 @@ impl Account {
             WallStats {
                 time: now,
                 phases: mark_spans(&self.wall_marks, now),
+                timers: Vec::new(),
             }
         });
         RankStats {
@@ -210,6 +216,10 @@ impl Comm {
     }
 
     pub(super) fn stats(&self) -> RankStats {
-        self.account.stats(self.physical_rank())
+        let mut stats = self.account.stats(self.physical_rank());
+        if let Some(wall) = &mut stats.wall {
+            wall.timers = self.metrics.timers();
+        }
+        stats
     }
 }

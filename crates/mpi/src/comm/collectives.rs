@@ -9,7 +9,7 @@
 //! collectives own is `coll_seq`, the counter that keeps successive
 //! operations' internal tags apart.
 
-use super::{Body, Comm, COLLECTIVE_TAG_BASE};
+use super::{Body, Comm, COLLECTIVE_TAG_BASE, ENCODE_TIMER};
 use crate::trace::TraceEventKind;
 use crate::wire::Wire;
 
@@ -29,7 +29,9 @@ impl Comm {
 
     /// Collective-internal send: `value` travels, billed at `charge` bytes if given.
     fn send_tagged<T: Wire>(&mut self, dst: usize, tag: u32, value: &T, charge: Option<usize>) {
+        let timer = self.metrics.start_timer();
         let payload = value.to_bytes();
+        self.metrics.stop_timer(ENCODE_TIMER, timer);
         let body = match charge {
             None => Body::Bytes(payload),
             Some(bytes) => Body::Modeled { bytes, payload },

@@ -67,7 +67,7 @@ use control::Control;
 use pgr_obs::{MetricsConfig, MetricsShard, Phase, RankMetrics};
 use std::sync::Arc;
 use std::time::Instant;
-use transport::{Body, Envelope, Transport};
+use transport::{Body, Envelope, Transport, DECODE_TIMER, ENCODE_TIMER};
 
 /// How many recent trace events a [`CommError`] carries.
 const ERR_TRACE_TAIL: usize = 16;
@@ -230,7 +230,7 @@ impl Comm {
             account: Account::new(size, machine, instr.clock, wall_epoch),
             control: Control::new(rank, size, instr.fault.clone()),
             trace: instr.trace.enabled.then(TraceRing::default),
-            metrics: MetricsShard::new(instr.metrics),
+            metrics: MetricsShard::new(instr.metrics).timed(instr.clock == ClockMode::Wall),
             coll_seq: 0,
         }
     }
@@ -363,7 +363,10 @@ impl Comm {
     /// Send a typed message.
     pub fn send<T: Wire>(&mut self, dst: usize, tag: u32, value: &T) {
         assert_user_tag(tag);
-        self.post(dst, tag, Body::Bytes(value.to_bytes()));
+        let timer = self.metrics.start_timer();
+        let payload = value.to_bytes();
+        self.metrics.stop_timer(ENCODE_TIMER, timer);
+        self.post(dst, tag, Body::Bytes(payload));
     }
 
     /// Model the transfer of `bytes` bytes to logical rank `dst` without
@@ -466,7 +469,10 @@ impl Comm {
     /// frame's payload: a charged frame is decoded from what travelled.
     fn recv_as<T: Wire>(&mut self, src: usize, tag: u32, charged: bool) -> Result<T, CommError> {
         let env = self.accept(src, tag, charged)?;
-        T::from_bytes(env.data()).map_err(|error| CommError::Decode {
+        let timer = self.metrics.start_timer();
+        let value = T::from_bytes(env.data());
+        self.metrics.stop_timer(DECODE_TIMER, timer);
+        value.map_err(|error| CommError::Decode {
             rank: self.physical_rank(),
             src,
             tag,
@@ -856,6 +862,61 @@ mod tests {
             .iter()
             .all(|s| { s.wall.as_ref().expect("wall stats").time <= wm }));
         assert_eq!(virt.0.wall_makespan(), None);
+    }
+
+    #[test]
+    fn wall_clocked_ranks_time_their_frames_per_phase() {
+        let body = |c: &mut Comm| {
+            c.phase_mark(Phase::Coarse);
+            if c.rank() == 0 {
+                c.send(1, 1, &vec![7u64; 64]);
+            } else {
+                assert_eq!(c.recv::<Vec<u64>>(0, 1).len(), 64);
+            }
+            c.phase_mark(Phase::Connect);
+            c.allreduce(c.rank() as u64, |a, b| a + b)
+        };
+        let timers = |metrics: MetricsConfig, clock: ClockMode| {
+            let instr = InstrumentConfig {
+                metrics,
+                clock,
+                ..InstrumentConfig::off()
+            };
+            let (report, ..) = run_instrumented(2, MachineModel::ideal(), instr, body);
+            let wall = report.stats.iter().map(|s| s.wall.clone());
+            let timers = wall.map(|w| w.map(|w| w.timers));
+            timers.collect::<Vec<_>>()
+        };
+        let calls = |timers: &[(&str, &str, pgr_obs::Timer)], phase: &str, name: &str| {
+            let hit = timers.iter().find(|&&(p, n, _)| (p, n) == (phase, name));
+            hit.map_or(0, |t| t.2.calls)
+        };
+        let measured = timers(MetricsConfig::on(), ClockMode::Wall);
+        let (sender, receiver) = (
+            measured[0].as_ref().expect("rank 0 measured"),
+            measured[1].as_ref().expect("rank 1 measured"),
+        );
+        // Each frame is timed where it is built and where it is read, in
+        // the phase it travels in: rank 0's vector in Coarse, then the
+        // allreduce (rank 1's value up, the sum down) in Connect.
+        for (timers, phase, name) in [
+            (sender, "coarse", ENCODE_TIMER),
+            (receiver, "coarse", DECODE_TIMER),
+            (sender, "connect", ENCODE_TIMER),
+            (sender, "connect", DECODE_TIMER),
+            (receiver, "connect", ENCODE_TIMER),
+            (receiver, "connect", DECODE_TIMER),
+        ] {
+            assert!(calls(timers, phase, name) > 0, "{phase} {name}: {timers:?}");
+        }
+        assert_eq!(calls(receiver, "coarse", ENCODE_TIMER), 0);
+        // Metrics off, or a virtual clock: nothing times anything.
+        let unmetered = timers(MetricsConfig::off(), ClockMode::Wall);
+        assert!(unmetered
+            .iter()
+            .all(|t| t.as_ref().is_some_and(Vec::is_empty)));
+        let virtual_ = timers(MetricsConfig::on(), ClockMode::Virtual);
+        assert!(virtual_.iter().all(Option::is_none));
     }
 
     #[test]

@@ -40,6 +40,16 @@ pub(super) fn polls(size: usize) -> bool {
     size <= *cores
 }
 
+/// Sub-phase timer ([`MetricsShard::start_timer`]) of the host time a
+/// send spends building its frame: the codec and the checksum.
+pub(super) const ENCODE_TIMER: &str = "mpi.encode";
+/// Sub-phase timer of the host time a receive spends checking and
+/// decoding a frame.
+pub(super) const DECODE_TIMER: &str = "mpi.decode";
+/// Sub-phase timer of the host time a receive spends polling or parked,
+/// waiting for the next frame off its channel.
+pub(super) const BLOCKED_TIMER: &str = "mpi.blocked";
+
 /// The tag of the exit notice a rank sends each peer when its closure
 /// ends ([`Transport::close`]). No collective tag reaches it (they wrap
 /// below), and a notice never enters a fault hook, a receive window, a
@@ -365,6 +375,7 @@ impl Transport {
         }
         let seq = self.next_seq[dst];
         self.next_seq[dst] += 1;
+        let timer = m.start_timer();
         let (modeled, mut payload) = match body {
             Body::Bytes(payload) => (None, payload),
             Body::Modeled { bytes, payload } => {
@@ -390,6 +401,7 @@ impl Transport {
                 payload[bit / 8] ^= 1 << (bit % 8);
             }
         }
+        m.stop_timer(ENCODE_TIMER, timer);
         let env = Envelope {
             src: self.rank as u32,
             tag,
@@ -460,7 +472,9 @@ impl Transport {
             self.ingest(env.clone(), m);
         }
         let src = env.src as usize;
+        let timer = m.start_timer();
         let got = crc32(&env.payload);
+        m.stop_timer(DECODE_TIMER, timer);
         if got != env.crc {
             // Only reachable with reliability off: the reliable sender
             // intercepts corruption before transmitting. Keep the first
@@ -574,7 +588,10 @@ impl Transport {
             if self.exits[src].is_some() || self.exits.contains(&Some(Exit::Panicked)) {
                 return Err(self.disconnected(src, tag));
             }
-            let Some(env) = self.next_frame() else {
+            let timer = m.start_timer();
+            let frame = self.next_frame();
+            m.stop_timer(BLOCKED_TIMER, timer);
+            let Some(env) = frame else {
                 return Err(self.disconnected(src, tag));
             };
             self.ingest(env, m);

@@ -22,7 +22,7 @@
 
 use crate::comm::RankStats;
 use crate::machine::MachineModel;
-use pgr_obs::{json_escape, RunMeta, SCHEMA_VERSION};
+use pgr_obs::{json_escape, RunMeta, Timer, SCHEMA_VERSION};
 use std::collections::VecDeque;
 
 /// Metric counting events evicted from a rank's trace ring — incremented
@@ -341,6 +341,28 @@ fn phase_origin(t: &RankTrace) -> f64 {
         .unwrap_or(0.0)
 }
 
+/// A rank's sub-phase timers as `,"timers":{phase:{timer:{"ns":…,"calls":…}}}`
+/// (nothing when none ran): the host time behind a phase's
+/// `wall_seconds`, under that phase's name.
+fn timers_json(timers: &[(&'static str, &'static str, Timer)]) -> String {
+    if timers.is_empty() {
+        return String::new();
+    }
+    let mut phases: Vec<(&str, Vec<String>)> = Vec::new();
+    for &(phase, name, t) in timers {
+        let entry = format!("\"{name}\":{{\"ns\":{},\"calls\":{}}}", t.ns, t.calls);
+        match phases.last_mut() {
+            Some((p, entries)) if *p == phase => entries.push(entry),
+            _ => phases.push((phase, vec![entry])),
+        }
+    }
+    let phases: Vec<String> = phases
+        .iter()
+        .map(|(p, entries)| format!("\"{p}\":{{{}}}", entries.join(",")))
+        .collect();
+    format!(",\"timers\":{{{}}}", phases.join(","))
+}
+
 /// Compact JSON dump of per-rank statistics for cross-run aggregation:
 /// `{"schema_version":…,"kind":"stats","run":{…},"machine":…,"makespan":…,
 /// "ranks":[{rank,time,ops,…,phases:[…]},…]}`. The `run` descriptor
@@ -376,7 +398,7 @@ pub fn stats_json(stats: &[RankStats], machine: &MachineModel, run: &RunMeta) ->
             let wall = s
                 .wall
                 .as_ref()
-                .map(|w| format!(",\"wall_time\":{:.9}", w.time))
+                .map(|w| format!(",\"wall_time\":{:.9}{}", w.time, timers_json(&w.timers)))
                 .unwrap_or_default();
             format!(
                 "{{\"rank\":{},\"time\":{:.9}{},\"ops\":{},\"msgs_sent\":{},\"bytes_sent\":{},\"peak_mem\":{},\"phases\":[{}]}}",
@@ -627,6 +649,11 @@ mod tests {
             wall: Some(crate::comm::WallStats {
                 time: 0.003,
                 phases: vec![0.001, 0.002],
+                timers: vec![
+                    ("coarse", "mpi.blocked", Timer { ns: 7, calls: 1 }),
+                    ("coarse", "mpi.encode", Timer { ns: 30, calls: 3 }),
+                    ("connect", "mpi.decode", Timer { ns: 5, calls: 2 }),
+                ],
             }),
         }];
         let run = RunMeta {
@@ -646,5 +673,15 @@ mod tests {
         assert_eq!(phases[0].get("seconds").unwrap().as_f64(), Some(0.5));
         assert_eq!(phases[0].get("wall_seconds").unwrap().as_f64(), Some(0.001));
         assert_eq!(phases[1].get("wall_seconds").unwrap().as_f64(), Some(0.002));
+        // The sub-phase timers sit under the phase they ran in.
+        let timers = rank0.get("timers").unwrap();
+        let timer = |phase: &str, name: &str, field: &str| {
+            let t = timers.get(phase).and_then(|p| p.get(name));
+            t.and_then(|t| t.get(field)).and_then(|v| v.as_u64())
+        };
+        assert_eq!(timer("coarse", "mpi.encode", "ns"), Some(30));
+        assert_eq!(timer("coarse", "mpi.encode", "calls"), Some(3));
+        assert_eq!(timer("coarse", "mpi.blocked", "calls"), Some(1));
+        assert_eq!(timer("connect", "mpi.decode", "ns"), Some(5));
     }
 }

@@ -14,7 +14,8 @@
 //!   the hot path is uncontended, and a disabled shard records nothing
 //!   and allocates nothing; while the engine holds a phase window open,
 //!   records additionally land in that window, so per-phase values sum
-//!   exactly to the run totals;
+//!   exactly to the run totals; under a wall clock its sub-phase
+//!   [`Timer`]s also measure host time per phase window;
 //! * [`metrics_json`] — a versioned (`schema_version`) JSON dump of one
 //!   run's per-rank metrics, tagged with the [`RunMeta`] (circuit,
 //!   algorithm, rank count, machine, scale, seed) that cross-run
@@ -40,6 +41,7 @@ pub use emit::{json_escape, metrics_json, RunMeta, SCHEMA_VERSION};
 pub use json::Json;
 pub use metrics::{
     budget_names, merge_ranks, recovery_names, Histogram, MetricsConfig, MetricsShard, RankMetrics,
+    Timer,
 };
 pub use phase::Phase;
 pub use profile::{

@@ -9,6 +9,7 @@
 //! snapshots ([`RankMetrics`]) after the run.
 
 use crate::phase::Phase;
+use std::time::Instant;
 
 /// Whether a shard records anything.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -191,6 +192,14 @@ impl Histogram {
     }
 }
 
+/// Host time one sub-phase timer measured inside one phase window: the
+/// nanoseconds it ran and how often it was entered.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Timer {
+    pub ns: u64,
+    pub calls: u64,
+}
+
 /// Backing storage of one metric scope: the run-cumulative totals, or
 /// one phase window.
 #[derive(Debug, Default)]
@@ -254,6 +263,10 @@ pub struct MetricsShard {
     windows: Vec<(Phase, Store)>,
     /// Index into `windows` of the currently open window.
     open: Option<usize>,
+    /// Whether the sub-phase timers read the host clock ([`MetricsShard::timed`]).
+    timed: bool,
+    /// Sub-phase timers, one per (phase window, name) that ran.
+    timers: Vec<(Phase, &'static str, Timer)>,
 }
 
 fn slot<'a, T>(entries: &'a mut Vec<(&'static str, T)>, name: &'static str) -> &'a mut T
@@ -279,7 +292,55 @@ impl MetricsShard {
             total: Store::default(),
             windows: Vec::new(),
             open: None,
+            timed: false,
+            timers: Vec::new(),
         }
+    }
+
+    /// This shard with its sub-phase timers on (`on`) or off. They read
+    /// the host clock, so only a wall-clocked run turns them on: what a
+    /// virtual run records stays a function of its input. A disabled
+    /// shard never times.
+    pub fn timed(mut self, on: bool) -> Self {
+        self.timed = on && self.enabled;
+        self
+    }
+
+    /// Start a sub-phase timer: the instant to hand to
+    /// [`MetricsShard::stop_timer`], or `None` — no clock read — when the
+    /// timers are off.
+    pub fn start_timer(&self) -> Option<Instant> {
+        self.timed.then(Instant::now)
+    }
+
+    /// Charge the host time since `start` and one call to the timer
+    /// `name` of the open phase window. Nothing is recorded for a `None`
+    /// start or outside any window: a timer belongs to the phase it ran
+    /// in, so the windows hold all of it.
+    pub fn stop_timer(&mut self, name: &'static str, start: Option<Instant>) {
+        let (Some(start), Some(phase)) = (start, self.open_phase()) else {
+            return;
+        };
+        let ns = start.elapsed().as_nanos() as u64;
+        let at = self
+            .timers
+            .iter()
+            .position(|&(p, n, _)| p == phase && (std::ptr::eq(n, name) || n == name));
+        let i = at.unwrap_or_else(|| {
+            self.timers.push((phase, name, Timer::default()));
+            self.timers.len() - 1
+        });
+        let timer = &mut self.timers[i].2;
+        timer.ns += ns;
+        timer.calls += 1;
+    }
+
+    /// Every timer that ran, `(phase name, timer name, time)`, in phase
+    /// registry order and by name within a phase.
+    pub fn timers(&self) -> Vec<(&'static str, &'static str, Timer)> {
+        let mut out: Vec<_> = self.timers.clone();
+        out.sort_by(|a, b| (a.0.index(), a.1).cmp(&(b.0.index(), b.1)));
+        out.into_iter().map(|(p, n, t)| (p.name(), n, t)).collect()
     }
 
     pub fn enabled(&self) -> bool {
@@ -635,6 +696,47 @@ mod tests {
         assert!(snap.gauges.is_empty());
         assert!(snap.histograms.is_empty());
         assert!(snap.windows.is_empty());
+    }
+
+    #[test]
+    fn timers_time_only_when_timed_and_inside_a_window() {
+        for (metrics, on) in [(MetricsConfig::off(), true), (MetricsConfig::on(), false)] {
+            let mut s = MetricsShard::new(metrics).timed(on);
+            s.open_window(Phase::Coarse);
+            let start = s.start_timer();
+            assert!(start.is_none(), "no clock read while the timers are off");
+            s.stop_timer("t", start);
+            assert!(s.timers().is_empty());
+        }
+        let mut s = MetricsShard::new(MetricsConfig::on()).timed(true);
+        // Outside any window a timer has no phase to belong to.
+        let start = s.start_timer();
+        assert!(start.is_some());
+        s.stop_timer("t", start);
+        assert!(s.timers().is_empty());
+        s.open_window(Phase::Switchable);
+        for name in ["b", "a", "b"] {
+            let start = s.start_timer();
+            s.stop_timer(name, start);
+        }
+        s.open_window(Phase::Coarse);
+        let start = s.start_timer();
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        s.stop_timer("b", start);
+        let got: Vec<_> = s
+            .timers()
+            .iter()
+            .map(|&(p, n, t)| (p, n, t.calls))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                ("coarse", "b", 1),
+                ("switchable", "a", 1),
+                ("switchable", "b", 2)
+            ]
+        );
+        assert!(s.timers()[0].2.ns >= 1_000_000, "host time is measured");
     }
 
     #[test]
