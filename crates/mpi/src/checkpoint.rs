@@ -116,17 +116,12 @@ impl CheckpointStore {
         }
     }
 
-    /// Total snapshots currently held (all attempts, all boundaries).
-    pub fn len(&self) -> usize {
+    /// Total snapshots held (all attempts, all boundaries): what the
+    /// tests assert a deposit left behind.
+    #[cfg(test)]
+    pub(crate) fn held(&self) -> usize {
         let inner = self.inner.lock().expect("checkpoint store poisoned");
-        inner
-            .values()
-            .map(|slots| slots.iter().flatten().count())
-            .sum()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        inner.values().map(|slots| slots.iter().flatten().count()).sum()
     }
 }
 
@@ -173,7 +168,7 @@ mod tests {
         assert_eq!(store.fetch(1, 2), None);
         full_boundary(&store, 1, 2, &[0]);
         assert_eq!(store.fetch(1, 2), Some(vec![vec![0, 2]]));
-        assert_eq!(store.len(), 6);
+        assert_eq!(store.held(), 6);
     }
 
     #[test]

@@ -973,7 +973,7 @@ mod tests {
             // The first boundary carries no state: crossed, not deposited.
             let first = c.boundary(Phase::Setup, || panic!("boundary 0 never snapshots"));
             assert_eq!(first, PhaseControl::Continue);
-            assert!(store.is_empty());
+            assert_eq!(store.held(), 0);
             let died = c.boundary(Phase::Steiner, || Some(vec![7, 7, 7]));
             // Whatever the victim would do next, its deposit is already
             // in the store — by the time the caller can see SelfKilled.
