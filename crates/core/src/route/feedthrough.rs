@@ -29,6 +29,7 @@ pub struct Crossing {
 }
 
 impl Wire for Crossing {
+    const SIZE: Option<usize> = Some(16);
     fn encode(&self, out: &mut Vec<u8>) {
         self.net.0.encode(out);
         self.row.encode(out);

@@ -23,6 +23,7 @@ pub enum ChannelPref {
 }
 
 impl Wire for ChannelPref {
+    const SIZE: Option<usize> = Some(1);
     fn encode(&self, out: &mut Vec<u8>) {
         out.push(match self {
             ChannelPref::Lower => 0,
@@ -69,6 +70,12 @@ impl Wire for NodeKind {
             NodeKind::Fake => out.push(1),
             NodeKind::Feedthrough => out.push(2),
             NodeKind::Steiner => out.push(3),
+        }
+    }
+    fn wire_len(&self) -> usize {
+        match self {
+            NodeKind::Pin(_) => 5,
+            _ => 1,
         }
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
@@ -160,6 +167,9 @@ impl Wire for Node {
         self.row.encode(out);
         self.kind.encode(out);
         self.pref.encode(out);
+    }
+    fn wire_len(&self) -> usize {
+        13 + self.kind.wire_len()
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(Node {
@@ -271,6 +281,9 @@ impl Wire for Segment {
         self.lower.encode(out);
         self.upper.encode(out);
     }
+    fn wire_len(&self) -> usize {
+        4 + self.lower.wire_len() + self.upper.wire_len()
+    }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(Segment {
             net: NetId(u32::decode(r)?),
@@ -301,6 +314,9 @@ impl Wire for Span {
         self.lo.encode(out);
         self.hi.encode(out);
         self.switch_row.encode(out);
+    }
+    fn wire_len(&self) -> usize {
+        24 + self.switch_row.wire_len()
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(Span {
@@ -541,11 +557,7 @@ fn merge_from_back(slice: &mut [Node], mut head: usize, tail: &[Node]) {
 /// count, then per net a `u32` id, a `u32` length and the nodes.
 impl Wire for WorkNets {
     fn encode(&self, out: &mut Vec<u8>) {
-        let pins = self
-            .nodes
-            .iter()
-            .filter(|n| matches!(n.kind, NodeKind::Pin(_)));
-        out.reserve(4 + 8 * self.len() + 14 * self.nodes.len() + 4 * pins.count());
+        out.reserve(self.wire_len());
         (self.len() as u32).encode(out);
         for (net, nodes) in self.iter() {
             (net.0, nodes.len() as u32).encode(out);
@@ -563,6 +575,14 @@ impl Wire for WorkNets {
             }
         }
         Ok(store)
+    }
+    /// 14 bytes a node, 4 more a pin.
+    fn wire_len(&self) -> usize {
+        let pins = self
+            .nodes
+            .iter()
+            .filter(|n| matches!(n.kind, NodeKind::Pin(_)));
+        4 + 8 * self.len() + 14 * self.nodes.len() + 4 * pins.count()
     }
 }
 
@@ -802,6 +822,102 @@ mod tests {
         assert_eq!(works.nodes.capacity(), 9, "one exactly sized allocation");
     }
 
+    /// Seeded values of every type a typed frame carries, each billed
+    /// exactly what its encoding would take: empty ones, every node kind
+    /// and channel preference, switchable spans and not.
+    #[test]
+    fn every_typed_frame_value_is_billed_its_encoded_length() {
+        use crate::route::feedthrough::Crossing;
+        use pgr_mpi::{BudgetBreach, BudgetKind};
+        fn billed<T: Wire>(v: &T) {
+            assert_eq!(
+                v.wire_len(),
+                v.to_bytes().len(),
+                "{}",
+                std::any::type_name::<T>()
+            );
+        }
+        let mut state = 0x5EED_u64;
+        let mut next = move |below: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % below
+        };
+        for n in [0, 1, 2, 17, 300] {
+            let mut node = || {
+                let (x, row) = (next(5000) as i64 - 100, next(90) as u32);
+                let pref = [ChannelPref::Lower, ChannelPref::Upper, ChannelPref::Either];
+                let kind = [
+                    NodeKind::Pin(next(1 << 20) as u32),
+                    NodeKind::Fake,
+                    NodeKind::Feedthrough,
+                    NodeKind::Steiner,
+                ];
+                Node {
+                    x,
+                    row,
+                    kind: kind[next(4) as usize],
+                    pref: pref[next(3) as usize],
+                }
+            };
+            let nodes: Vec<Node> = (0..n).map(|_| node()).collect();
+            let mut works = WorkNets::default();
+            for (k, chunk) in nodes.chunks(5).enumerate() {
+                works.push(NetId(k as u32 * 3), chunk.iter().copied());
+            }
+            let segments: Vec<Segment> = nodes
+                .windows(2)
+                .map(|w| Segment {
+                    net: NetId(w[0].row),
+                    lower: w[0],
+                    upper: w[1],
+                })
+                .collect();
+            let spans: Vec<Span> = nodes
+                .iter()
+                .map(|nd| Span {
+                    net: NetId(nd.row),
+                    channel: nd.row,
+                    lo: nd.x,
+                    hi: nd.x + 40,
+                    switch_row: matches!(nd.pref, ChannelPref::Either).then_some(nd.row),
+                })
+                .collect();
+            let crossings: Vec<Crossing> = nodes
+                .iter()
+                .map(|nd| Crossing {
+                    net: NetId(nd.row),
+                    row: nd.row,
+                    x: nd.x,
+                })
+                .collect();
+            let placed: Vec<(u32, Node)> = nodes.iter().map(|&nd| (nd.row, nd)).collect();
+            let counts: Vec<i64> = nodes.iter().map(|nd| nd.x).collect();
+            billed(&works);
+            billed(&segments);
+            billed(&spans);
+            billed(&crossings);
+            billed(&placed);
+            billed(&counts);
+            // Buckets, as an all-to-all ships them.
+            billed(&vec![segments.clone(), Vec::new()]);
+            billed(&(n as u64));
+            billed(&(n as i64 - 7));
+        }
+        billed(&());
+        for breach in [
+            None,
+            Some(BudgetBreach {
+                kind: BudgetKind::RankBytes,
+                limit: 1.5,
+                observed: 2.0,
+            }),
+        ] {
+            billed(&breach);
+        }
+    }
+
     #[test]
     fn span_width() {
         let sp = Span {
@@ -825,6 +941,9 @@ mod tests {
     /// The dense encoding [`Grid::wire_len`] measures — the reference the
     /// billed size is pinned to; only the tests encode a grid this way.
     impl Wire for Grid {
+        fn wire_len(&self) -> usize {
+            Grid::wire_len(self)
+        }
         fn encode(&self, out: &mut Vec<u8>) {
             out.reserve(self.wire_len());
             (self.rows as u32).encode(out);

@@ -111,6 +111,7 @@ pub struct BudgetBreach {
 /// Travels in the agreement allgather as `(kind, limit, observed)`,
 /// the kind as its stable discriminant byte.
 impl Wire for BudgetBreach {
+    const SIZE: Option<usize> = Some(17);
     fn encode(&self, out: &mut Vec<u8>) {
         (self.kind as u8, self.limit, self.observed).encode(out);
     }

@@ -121,7 +121,10 @@ impl CheckpointStore {
     #[cfg(test)]
     pub(crate) fn held(&self) -> usize {
         let inner = self.inner.lock().expect("checkpoint store poisoned");
-        inner.values().map(|slots| slots.iter().flatten().count()).sum()
+        inner
+            .values()
+            .map(|slots| slots.iter().flatten().count())
+            .sum()
     }
 }
 

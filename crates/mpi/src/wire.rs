@@ -155,6 +155,15 @@ pub trait Wire: Sized {
     fn encode(&self, out: &mut Vec<u8>);
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError>;
 
+    /// How many bytes [`Wire::encode`] appends for this value, without
+    /// encoding it: what a typed frame carrying it is billed. A
+    /// fixed-size type has it as [`Wire::SIZE`]; a type whose size varies
+    /// adds up its parts (the fallback measures an encoding, which is
+    /// the work a typed frame exists to skip).
+    fn wire_len(&self) -> usize {
+        Self::SIZE.unwrap_or_else(|| self.to_bytes().len())
+    }
+
     /// Encode to a fresh buffer.
     fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
@@ -216,6 +225,7 @@ impl Wire for bool {
 }
 
 impl Wire for () {
+    const SIZE: Option<usize> = Some(0);
     fn encode(&self, _out: &mut Vec<u8>) {}
     fn decode(_r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(())
@@ -226,6 +236,9 @@ impl Wire for String {
     fn encode(&self, out: &mut Vec<u8>) {
         (self.len() as u32).encode(out);
         out.extend_from_slice(self.as_bytes());
+    }
+    fn wire_len(&self) -> usize {
+        4 + self.len()
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let len = u32::decode(r)? as usize;
@@ -242,6 +255,12 @@ impl<T: Wire> Wire for Vec<T> {
         }
         for item in self {
             item.encode(out);
+        }
+    }
+    fn wire_len(&self) -> usize {
+        4 + match T::SIZE {
+            Some(size) => size * self.len(),
+            None => self.iter().map(Wire::wire_len).sum(),
         }
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
@@ -265,6 +284,9 @@ impl<T: Wire> Wire for Option<T> {
             }
         }
     }
+    fn wire_len(&self) -> usize {
+        1 + self.as_ref().map_or(0, Wire::wire_len)
+    }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         match r.take(1)?[0] {
             0 => Ok(None),
@@ -280,6 +302,9 @@ macro_rules! wire_tuple {
             const SIZE: Option<usize> = $crate::wire::fixed_size(&[$($name::SIZE),+]);
             fn encode(&self, out: &mut Vec<u8>) {
                 $(self.$idx.encode(out);)+
+            }
+            fn wire_len(&self) -> usize {
+                0 $(+ self.$idx.wire_len())+
             }
             fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
                 Ok(($($name::decode(r)?,)+))
@@ -330,6 +355,9 @@ macro_rules! wire_struct {
                 $crate::wire::fixed_size(&[$(<$ty as $crate::wire::Wire>::SIZE),*]);
             fn encode(&self, out: &mut Vec<u8>) {
                 $(self.$field.encode(out);)*
+            }
+            fn wire_len(&self) -> usize {
+                0 $(+ $crate::wire::Wire::wire_len(&self.$field))*
             }
             fn decode(r: &mut $crate::wire::Reader<'_>) -> Result<Self, $crate::wire::WireError> {
                 Ok($name {
@@ -439,6 +467,7 @@ mod tests {
     }
 
     wire_struct!(
+        #[derive(Clone)]
         struct Fixed {
             a: u32,
             b: (i64, bool),
@@ -457,6 +486,38 @@ mod tests {
             bytes.len(),
             "reserved once, never doubled"
         );
+    }
+
+    /// `wire_len` of `v` is the length of its encoding.
+    fn billed_exactly<T: Wire>(v: T) {
+        assert_eq!(v.wire_len(), v.to_bytes().len());
+    }
+
+    #[test]
+    fn wire_len_is_the_encoded_length() {
+        billed_exactly(());
+        billed_exactly(7u64);
+        billed_exactly(-3i64);
+        billed_exactly(String::new());
+        billed_exactly(String::from("héllo"));
+        billed_exactly(Vec::<u32>::new());
+        billed_exactly(vec![1i64, -2, 3]);
+        billed_exactly(vec![vec![1u8], vec![], vec![2, 3]]);
+        billed_exactly(Option::<u32>::None);
+        billed_exactly(Some((1u8, String::from("x"))));
+        billed_exactly(vec![Some(1u32), None]);
+        billed_exactly(Demo {
+            a: 9,
+            b: vec![1, -1],
+            c: Some("z".into()),
+        });
+        billed_exactly(vec![
+            Fixed {
+                a: 1,
+                b: (-1, true)
+            };
+            3
+        ]);
     }
 
     #[test]
