@@ -23,7 +23,6 @@ use crate::route::state::{Grid, Orientation, Segment};
 use crate::route::{chan_idx, gather, refine};
 use pgr_geom::rng::SmallRng;
 use pgr_geom::DensityProfile;
-use pgr_mpi::wire::{Reader, Wire, WireError};
 use pgr_mpi::Comm;
 
 /// Delta log for replicated-state synchronization: the changes since
@@ -112,9 +111,8 @@ impl DeltaGrid {
 }
 
 /// The nonzero cells of a `rows × cols` [`Grid`], `(cell, value)` with
-/// `cell` the row-major index, in cell order. On the wire: `rows`,
-/// `cols`, the nonzero count, the pairs. A delta grid holds 1–2 % nonzero
-/// cells between two syncs.
+/// `cell` the row-major index, in cell order: what a sync hands over. A
+/// delta grid holds 1–2 % nonzero cells between two syncs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct SparseGrid {
     rows: u32,
@@ -137,29 +135,6 @@ impl SparseGrid {
 
     fn shape(&self) -> (usize, usize) {
         (self.rows as usize, self.cols as usize)
-    }
-}
-
-impl Wire for SparseGrid {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.rows.encode(out);
-        self.cols.encode(out);
-        self.cells.encode(out);
-    }
-
-    /// Total: a cell outside the shape is an error, and nothing is
-    /// allocated for the shape — only for the pairs the frame holds.
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let (rows, cols) = (u32::decode(r)?, u32::decode(r)?);
-        let cells = Vec::<(u32, i64)>::decode(r)?;
-        let len = u64::from(rows) * u64::from(cols);
-        match cells.iter().find(|&&(cell, _)| u64::from(cell) >= len) {
-            Some(&(cell, _)) => Err(WireError::OutOfRange {
-                index: cell.into(),
-                len,
-            }),
-            None => Ok(SparseGrid { rows, cols, cells }),
-        }
     }
 }
 
@@ -714,13 +689,11 @@ mod tests {
     #[test]
     fn merge_external_reproduces_remote_state() {
         // Rank A applies a segment with logging; rank B merges the deltas
-        // as they arrive off the wire and must end up with identical probe
-        // results.
+        // A hands over and must end up with identical probe results.
         let s = seg(8, 0, 40, 2);
         let mut a = CoarseState::new(0, 3, 64, 8).replicated();
         a.apply(&s, Orientation::VertAtUpper, 1);
-        let d = <(SparseGrid, SparseGrid)>::from_bytes(&a.take_deltas().to_bytes());
-        let d = d.expect("a sparse log decodes");
+        let d = a.take_deltas();
 
         let mut b = CoarseState::new(0, 3, 64, 8);
         b.merge_external(&d, None, &mut comm());
@@ -903,7 +876,7 @@ mod tests {
 
     #[test]
     fn deltas_travel_sparse_and_are_billed_as_two_dense_grids() {
-        type Sent = (SparseGrid, SparseGrid);
+        use pgr_mpi::Wire;
         let mut st = CoarseState::new(0, 3, 64, 8).replicated();
         st.apply(&seg(8, 0, 40, 2), Orientation::VertAtUpper, 1);
         let mut d = st.log.take().expect("logging enabled");
@@ -916,41 +889,14 @@ mod tests {
             // Billed at exactly what the two grids took on the wire dense.
             let dense = log.chan.grid.to_bytes().len() + log.demand.grid.to_bytes().len();
             assert_eq!(log.dense_len(), dense);
+            // What travels is the nonzero cells, and they are the grids.
             let sent = log.sparse();
             let nonzero = log.chan.grid.cells().iter().chain(log.demand.grid.cells());
             let pairs = nonzero.filter(|&&v| v != 0).count();
-            let bytes = sent.to_bytes();
-            assert_eq!(bytes.len(), 2 * 12 + 12 * pairs, "shape, count, pairs");
-            let back = Sent::from_bytes(&bytes).expect("a sparse log decodes");
-            assert_eq!(back, sent);
+            assert_eq!(sent.0.cells.len() + sent.1.cells.len(), pairs);
             assert_eq!(
-                (densify(&back.0), densify(&back.1)),
+                (densify(&sent.0), densify(&sent.1)),
                 (log.chan.grid.clone(), log.demand.grid.clone())
-            );
-        }
-
-        // Malformed frames are errors, never panics.
-        let sent = d.sparse();
-        let mut out_of_range = sent.clone();
-        out_of_range.0.cells[0].0 = 4 * 8;
-        assert_eq!(
-            Sent::from_bytes(&out_of_range.to_bytes()),
-            Err(WireError::OutOfRange { index: 32, len: 32 })
-        );
-        let mut overcounted = sent.to_bytes();
-        overcounted[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(
-            Sent::from_bytes(&overcounted),
-            Err(WireError::Truncated { .. })
-        ));
-        let whole = sent.to_bytes();
-        for cut in 1..whole.len() {
-            assert!(
-                matches!(
-                    Sent::from_bytes(&whole[..cut]),
-                    Err(WireError::Truncated { .. })
-                ),
-                "cut at {cut}"
             );
         }
     }

@@ -19,7 +19,7 @@ use crate::route::state::{Grid, Span};
 use crate::route::{chan_idx, gather, refine};
 use pgr_geom::rng::SmallRng;
 use pgr_geom::DensityProfile;
-use pgr_mpi::wire::{Reader, Wire, WireError};
+use pgr_mpi::wire::Wire;
 use pgr_mpi::Comm;
 
 pgr_mpi::wire_struct!(
@@ -77,31 +77,20 @@ impl Record {
         1 + usize::from(!matches!(self, Record::Load { .. }))
     }
 
-    /// The kind and field width a head byte names, and the bytes of the
-    /// record it starts.
-    fn shape(head: u8) -> Result<(u8, usize, usize), WireError> {
-        let (kind, code) = (head & 3, head >> 2);
-        if kind > Record::FLIP || code > 2 {
-            return Err(WireError::BadTag(head));
-        }
-        let w = 2 << code;
-        Ok((kind, w, 1 + w * (3 + usize::from(kind == Record::FLIP))))
-    }
-
-    /// Parse the record `bytes` starts with and step past it; total over
-    /// any bytes.
-    fn read(bytes: &mut &[u8]) -> Result<Self, WireError> {
-        let head = read_field(bytes, 1)? as u8;
-        let (_, w, _) = Record::shape(head)?;
-        let chan = read_chan(bytes, w)?;
+    /// Read the record `bytes` starts with ([`Record::write`]) and step
+    /// past it.
+    fn read(bytes: &mut &[u8]) -> Self {
+        let head = read_field(bytes, 1) as u8;
+        let w = 2 << (head >> 2);
+        let chan = read_field(bytes, w) as u32;
         let to = if head & 3 == Record::FLIP {
-            read_chan(bytes, w)?
+            read_field(bytes, w) as u32
         } else {
             0
         };
-        let lo = signed(read_field(bytes, w)?, w);
-        let hi = signed(read_field(bytes, w)?, w);
-        Ok(match head & 3 {
+        let lo = signed(read_field(bytes, w), w);
+        let hi = signed(read_field(bytes, w), w);
+        match head & 3 {
             Record::LOAD => Record::Load { chan, lo, hi },
             Record::KEPT => Record::Kept { chan, lo, hi },
             _ => Record::Flip {
@@ -110,7 +99,7 @@ impl Record {
                 lo,
                 hi,
             },
-        })
+        }
     }
 
     /// A head byte — the kind, and the width of every field: 2, 4 or 8
@@ -136,22 +125,17 @@ impl Record {
     }
 }
 
-/// The `w`-byte little-endian field `bytes` starts with, zero-extended.
-fn read_field(bytes: &mut &[u8], w: usize) -> Result<u64, WireError> {
-    let Some((f, rest)) = bytes.split_at_checked(w) else {
-        let remaining = bytes.len();
-        return Err(WireError::Truncated {
-            needed: w,
-            remaining,
-        });
-    };
+/// The `w`-byte little-endian field `bytes` starts with, zero-extended;
+/// `bytes` steps past it.
+fn read_field(bytes: &mut &[u8], w: usize) -> u64 {
+    let (f, rest) = bytes.split_at(w);
     *bytes = rest;
-    Ok(match w {
+    match w {
         1 => f[0].into(),
         2 => u16::from_le_bytes([f[0], f[1]]).into(),
         4 => u32::from_le_bytes([f[0], f[1], f[2], f[3]]).into(),
         _ => u64::from_le_bytes(f.try_into().expect("eight bytes")),
-    })
+    }
 }
 
 /// A `w`-byte field read back as the signed value it was cut from.
@@ -160,21 +144,12 @@ fn signed(v: u64, w: usize) -> i64 {
     ((v << unused) as i64) >> unused
 }
 
-fn read_chan(bytes: &mut &[u8], w: usize) -> Result<u32, WireError> {
-    let v = read_field(bytes, w)?;
-    u32::try_from(v).map_err(|_| WireError::OutOfRange {
-        index: v,
-        len: 1 << 32,
-    })
-}
-
 /// A replicated state's log since the last sync, compact: each
 /// [`Record`] a head byte and fields as narrow as its values allow
 /// ([`Record::write`]) — 7 or 9 bytes on a chip narrower than 32 768
 /// columns, where the [`SpanDelta`]s it expands to take 24 or 48. The
-/// sync ships it in a charged frame billed as those `SpanDelta`s
-/// ([`SwitchLog::dense_len`]). On the wire: the byte count, then the
-/// records.
+/// sync hands it over in a charged frame billed as those `SpanDelta`s
+/// ([`SwitchLog::dense_len`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct SwitchLog {
     records: Vec<u8>,
@@ -190,47 +165,13 @@ impl SwitchLog {
 
     fn records(&self) -> impl Iterator<Item = Record> + Clone + '_ {
         let mut rest = &self.records[..];
-        std::iter::from_fn(move || {
-            (!rest.is_empty()).then(|| Record::read(&mut rest).expect("a log parses"))
-        })
+        std::iter::from_fn(move || (!rest.is_empty()).then(|| Record::read(&mut rest)))
     }
 
     /// What a sync bills the log at: the `Vec<SpanDelta>` it expands to,
     /// encoded, as the 1997 implementation shipped it.
     fn dense_len(&self) -> usize {
         4 + SpanDelta::SIZE.expect("fixed-size record") * self.deltas
-    }
-}
-
-impl Wire for SwitchLog {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.reserve(4 + self.records.len());
-        (self.records.len() as u32).encode(out);
-        out.extend_from_slice(&self.records);
-    }
-
-    /// Total: every head byte must be valid, every record whole, every
-    /// channel a `u32` (only an 8-byte field can hold more), and the byte
-    /// count must end on a record's last byte. A record of narrower
-    /// fields is stepped over by its head alone.
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let len = u32::decode(r)? as usize;
-        let records = r.take(len)?;
-        let (mut rest, mut deltas) = (records, 0);
-        while let Some(&head) = rest.first() {
-            let (kind, w, size) = Record::shape(head)?;
-            if w == 8 {
-                Record::read(&mut &rest[..])?;
-            }
-            let remaining = rest.len();
-            rest = rest.get(size..).ok_or(WireError::Truncated {
-                needed: size,
-                remaining,
-            })?;
-            deltas += 1 + usize::from(kind != Record::LOAD);
-        }
-        let records = records.to_vec();
-        Ok(SwitchLog { records, deltas })
     }
 }
 
@@ -774,7 +715,6 @@ mod tests {
         ];
         assert_eq!(expanded, stream, "record for record, the 1997 stream");
         assert_eq!(log.dense_len(), stream.to_vec().to_bytes().len());
-        let log = SwitchLog::from_bytes(&log.to_bytes()).expect("a log decodes");
 
         let mut b = ChannelState::new(0, 3, 32);
         b.merge_external(&log, None, &mut comm());
@@ -785,11 +725,12 @@ mod tests {
         assert_eq!(take_log(&mut a), SwitchLog::default(), "drained");
     }
 
+    /// Every field width, extremes included: each record reads back as
+    /// it was written, and the log counts the deltas they expand to.
     #[test]
-    fn switch_log_decodes_totally() {
+    fn switch_log_records_roundtrip() {
         let mut log = SwitchLog::default();
-        let mut ends = vec![0];
-        for (i, rec) in [
+        let records = [
             Record::Load {
                 chan: 0,
                 lo: -3,
@@ -812,55 +753,17 @@ mod tests {
                 lo: 5,
                 hi: 4,
             },
-        ]
-        .into_iter()
-        .enumerate()
-        {
+        ];
+        for rec in records {
             log.push(rec);
-            ends.push(log.records.len());
-            assert_eq!(log.records().nth(i), Some(rec), "record {i} roundtrips");
         }
-        assert_eq!(log.deltas, 7);
-        let bytes = log.to_bytes();
-        assert_eq!(SwitchLog::from_bytes(&bytes), Ok(log.clone()));
-        // Records cut short anywhere are an error, never a panic; a cut on
-        // a record's end is the shorter log.
-        for cut in 0..bytes.len() {
-            let mut cut_log = bytes[..cut].to_vec();
-            if cut < 4 {
-                assert!(SwitchLog::from_bytes(&cut_log).is_err(), "cut at {cut}");
-                continue;
-            }
-            cut_log[..4].copy_from_slice(&(cut as u32 - 4).to_le_bytes());
-            match ends.iter().position(|&end| end == cut - 4) {
-                Some(n) => {
-                    let short = SwitchLog::from_bytes(&cut_log).expect("a shorter log");
-                    assert_eq!(short.records().count(), n);
-                }
-                None => assert!(SwitchLog::from_bytes(&cut_log).is_err(), "cut at {cut}"),
-            }
-        }
-        let mut bad_kind = bytes.clone();
-        bad_kind[4] = 3;
-        assert_eq!(SwitchLog::from_bytes(&bad_kind), Err(WireError::BadTag(3)));
-        let mut bad_width = bytes.clone();
-        bad_width[4] |= 3 << 2;
-        assert!(matches!(
-            SwitchLog::from_bytes(&bad_width),
-            Err(WireError::BadTag(_))
-        ));
-        // An eight-byte channel field past u32.
-        let mut wide_chan = 25u32.to_le_bytes().to_vec();
-        wide_chan.push(Record::LOAD | 2 << 2);
-        wide_chan.extend((1u64 << 32).to_le_bytes());
-        wide_chan.extend([0; 16]);
-        assert_eq!(
-            SwitchLog::from_bytes(&wide_chan),
-            Err(WireError::OutOfRange {
-                index: 1 << 32,
-                len: 1 << 32
-            })
+        assert!(
+            log.records().eq(records),
+            "{:?}",
+            log.records().collect::<Vec<_>>()
         );
+        assert_eq!(log.deltas, 7);
+        assert_eq!(log.dense_len(), 4 + 24 * 7, "billed as seven SpanDeltas");
     }
 
     /// Seeded spans on channels 2..=5 of a 40-column chip, some reaching

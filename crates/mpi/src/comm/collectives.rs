@@ -3,15 +3,23 @@
 //! Every rooted one roots at logical rank 0: the paper's master, which
 //! after a shrink is the lowest survivor.
 //!
+//! Every frame is a typed one: each rank hands its value over, billed
+//! at the bytes it encodes to (or, for a charged value, at what the
+//! caller's bill says it stands for).
+//!
 //! Written purely against the facade: [`Comm::rank`]/[`Comm::size`],
 //! the checked send entry, the typed receive and the trace hook — no
 //! layer's state is reachable from here. The one piece of state the
 //! collectives own is `coll_seq`, the counter that keeps successive
 //! operations' internal tags apart.
 
-use super::{Body, Comm, COLLECTIVE_TAG_BASE, ENCODE_TIMER};
+use super::{Body, Comm, Kind, Payload, Value, COLLECTIVE_TAG_BASE};
 use crate::trace::TraceEventKind;
 use crate::wire::Wire;
+
+/// What a collective bills each frame it sends: a function of the value
+/// the frame carries.
+type Bill<'a, T> = &'a dyn Fn(&T) -> usize;
 
 impl Comm {
     /// Wraps one short of the top tag, which is the exit notice's.
@@ -27,16 +35,18 @@ impl Comm {
         }
     }
 
-    /// Collective-internal send: `value` travels, billed at `charge` bytes if given.
-    fn send_tagged<T: Wire>(&mut self, dst: usize, tag: u32, value: &T, charge: Option<usize>) {
-        let timer = self.metrics.start_timer();
-        let payload = value.to_bytes();
-        self.metrics.stop_timer(ENCODE_TIMER, timer);
-        let body = match charge {
-            None => Body::Bytes(payload),
-            Some(bytes) => Body::Modeled { bytes, payload },
-        };
-        self.post(dst, tag, body);
+    /// Collective-internal send: `value` is handed over in a typed frame
+    /// billed at `bytes` — a charged one if `charged`.
+    fn send_tagged<T: Payload>(
+        &mut self,
+        dst: usize,
+        tag: u32,
+        value: T,
+        bytes: usize,
+        charged: bool,
+    ) {
+        let value = Value::new(value, charged);
+        self.post(dst, tag, Body::Typed { bytes, value });
     }
 
     /// Collective-internal receive (of a charged frame if `charged`):
@@ -44,8 +54,15 @@ impl Comm {
     /// internal exchange failed, so a corrupt frame or dead peer inside
     /// e.g. an `allgather` is attributed to the operation the caller
     /// actually invoked.
-    fn coll_recv<T: Wire>(&mut self, op: &'static str, src: usize, tag: u32, charged: bool) -> T {
-        self.recv_as(src, tag, charged)
+    fn coll_recv<T: Payload>(
+        &mut self,
+        op: &'static str,
+        src: usize,
+        tag: u32,
+        charged: bool,
+    ) -> T {
+        let kind = if charged { Kind::Charged } else { Kind::Typed };
+        self.recv_as(src, tag, kind)
             .unwrap_or_else(|e| panic!("collective {op} failed: {e}"))
     }
 
@@ -56,19 +73,20 @@ impl Comm {
         let tag = self.next_coll_tag();
         self.reduce_tagged("barrier", (), |_, _| (), tag);
         let tag2 = self.next_coll_tag();
-        self.bcast_tagged("barrier", Some(()), tag2, None);
+        self.bcast_tagged("barrier", Some(()), tag2, &<()>::wire_len, false);
     }
 
     /// The binomial tree under every broadcast from rank 0 (`value` is
-    /// `Some` there and ignored elsewhere), each frame billed at `charge`
-    /// of the value it carries; a failed receive names `op`, the
-    /// collective invoked.
-    fn bcast_tagged<T: Wire>(
+    /// `Some` there and ignored elsewhere): each child gets a copy,
+    /// billed at `bill` of it (charged if `charged`); a failed receive
+    /// names `op`, the collective invoked.
+    fn bcast_tagged<T: Payload>(
         &mut self,
         op: &'static str,
         value: Option<T>,
         tag: u32,
-        charge: Option<&dyn Fn(&T) -> usize>,
+        bill: Bill<'_, T>,
+        charged: bool,
     ) -> T {
         let (rank, size) = (self.rank(), self.size());
         let mut value = if rank == 0 {
@@ -82,10 +100,11 @@ impl Comm {
                 let dst = rank + step;
                 if dst < size {
                     let v = value.as_ref().expect("already received");
-                    self.send_tagged(dst, tag, v, charge.map(|bill| bill(v)));
+                    let bytes = bill(v);
+                    self.send_tagged(dst, tag, v.clone(), bytes, charged);
                 }
             } else if rank < 2 * step {
-                value = Some(self.coll_recv(op, rank - step, tag, charge.is_some()));
+                value = Some(self.coll_recv(op, rank - step, tag, charged));
             }
             step <<= 1;
         }
@@ -95,7 +114,7 @@ impl Comm {
     /// Reduce all ranks' values to rank 0 with `op` (binomial tree; the
     /// combine order is fixed by the tree, hence deterministic). Returns
     /// `Some(result)` on rank 0, `None` elsewhere.
-    pub fn reduce<T: Wire, F: FnMut(T, T) -> T>(&mut self, value: T, op: F) -> Option<T> {
+    pub fn reduce<T: Wire + Payload, F: FnMut(T, T) -> T>(&mut self, value: T, op: F) -> Option<T> {
         self.coll_enter("reduce");
         let tag = self.next_coll_tag();
         self.reduce_tagged("reduce", value, op, tag)
@@ -103,7 +122,7 @@ impl Comm {
 
     /// The binomial tree under every reduction to rank 0; a failed
     /// receive names `op`, the collective invoked.
-    fn reduce_tagged<T: Wire, F: FnMut(T, T) -> T>(
+    fn reduce_tagged<T: Wire + Payload, F: FnMut(T, T) -> T>(
         &mut self,
         op: &'static str,
         value: T,
@@ -115,7 +134,8 @@ impl Comm {
         let mut step = 1;
         while step < size {
             if rank & step != 0 {
-                self.send_tagged(rank - step, tag, &acc, None);
+                let bytes = acc.wire_len();
+                self.send_tagged(rank - step, tag, acc, bytes, false);
                 return None;
             }
             if rank + step < size {
@@ -129,37 +149,39 @@ impl Comm {
     }
 
     /// Reduce to rank 0 then broadcast: every rank gets the result.
-    pub fn allreduce<T: Wire, F: FnMut(T, T) -> T>(&mut self, value: T, op: F) -> T {
+    pub fn allreduce<T: Wire + Payload, F: FnMut(T, T) -> T>(&mut self, value: T, op: F) -> T {
         self.coll_enter("allreduce");
         let r = {
             let tag = self.next_coll_tag();
             self.reduce_tagged("allreduce", value, op, tag)
         };
         let tag = self.next_coll_tag();
-        self.bcast_tagged("allreduce", r, tag, None)
+        self.bcast_tagged("allreduce", r, tag, &T::wire_len, false)
     }
 
     /// Gather all ranks' values at rank 0, in rank order.
-    pub fn gather<T: Wire>(&mut self, value: T) -> Option<Vec<T>> {
+    pub fn gather<T: Wire + Payload>(&mut self, value: T) -> Option<Vec<T>> {
         self.coll_enter("gather");
-        self.gather_to("gather", value, None)
+        self.gather_to("gather", value, &T::wire_len, false)
     }
 
     /// The root loop under `gather` and `allgather`: every other rank
-    /// sends its value to rank 0 (billed at `charge` of it, if given);
-    /// rank 0 keeps its own first and receives the rest in rank order.
-    fn gather_to<T: Wire>(
+    /// hands its value to rank 0 (billed at `bill` of it, charged if
+    /// `charged`); rank 0 keeps its own first and receives the rest in
+    /// rank order.
+    fn gather_to<T: Payload>(
         &mut self,
         op: &'static str,
         value: T,
-        charge: Option<&dyn Fn(&T) -> usize>,
+        bill: Bill<'_, T>,
+        charged: bool,
     ) -> Option<Vec<T>> {
         let tag = self.next_coll_tag();
         if self.rank() != 0 {
-            self.send_tagged(0, tag, &value, charge.map(|bill| bill(&value)));
+            let bytes = bill(&value);
+            self.send_tagged(0, tag, value, bytes, charged);
             return None;
         }
-        let charged = charge.is_some();
         let mut out = Vec::with_capacity(self.size());
         out.push(value);
         out.extend((1..self.size()).map(|src| self.coll_recv(op, src, tag, charged)));
@@ -167,39 +189,37 @@ impl Comm {
     }
 
     /// Gather at rank 0 then broadcast the whole vector.
-    pub fn allgather<T: Wire>(&mut self, value: T) -> Vec<T> {
-        self.allgather_billed(value, None)
+    pub fn allgather<T: Wire + Payload>(&mut self, value: T) -> Vec<T> {
+        self.coll_enter("allgather");
+        let g = self.gather_to("allgather", value, &T::wire_len, false);
+        let tag = self.next_coll_tag();
+        self.bcast_tagged("allgather", g, tag, &Vec::<T>::wire_len, false)
     }
 
     /// [`Comm::allgather`] of compact values, each standing for a dense
     /// value that encodes to `bill` of it: every account bills each rank's
     /// gather frame at `bill` of its value and the broadcast at
-    /// `4 + Σ bill`, as `allgather` of the dense values does; the host
-    /// moves what `T` encodes. A rank forwarding the broadcast sums the
-    /// bills of the values it holds.
-    pub fn allgather_charged<T: Wire>(&mut self, value: T, bill: impl Fn(&T) -> usize) -> Vec<T> {
-        self.allgather_billed(value, Some(&bill))
-    }
-
-    fn allgather_billed<T: Wire>(
+    /// `4 + Σ bill`, as `allgather` of the dense values does; the ranks
+    /// hand the compact values over. A rank forwarding the broadcast sums
+    /// the bills of the values it holds.
+    pub fn allgather_charged<T: Payload>(
         &mut self,
         value: T,
-        bill: Option<&dyn Fn(&T) -> usize>,
+        bill: impl Fn(&T) -> usize,
     ) -> Vec<T> {
         self.coll_enter("allgather");
-        let g = self.gather_to("allgather", value, bill);
+        let g = self.gather_to("allgather", value, &bill, true);
         let tag = self.next_coll_tag();
         // A u32 count, then the values.
-        let all = bill.map(|bill| move |all: &Vec<T>| 4 + all.iter().map(bill).sum::<usize>());
-        let all = all.as_ref().map(|f| f as &dyn Fn(&Vec<T>) -> usize);
-        self.bcast_tagged("allgather", g, tag, all)
+        let all = |all: &Vec<T>| 4 + all.iter().map(&bill).sum::<usize>();
+        self.bcast_tagged("allgather", g, tag, &all, true)
     }
 
     /// Personalized all-to-all: `data[dst]` goes to rank `dst`; returns
     /// the bucket received from each source (own bucket passes through).
     /// A bucket is usually a `Vec`, but any value that encodes itself
     /// will do.
-    pub fn alltoall<B: Wire + Default>(&mut self, data: Vec<B>) -> Vec<B> {
+    pub fn alltoall<B: Wire + Payload + Default>(&mut self, data: Vec<B>) -> Vec<B> {
         let (rank, size) = (self.rank(), self.size());
         assert_eq!(data.len(), size, "alltoall needs one bucket per rank");
         self.coll_enter("alltoall");
@@ -211,7 +231,8 @@ impl Comm {
             if dst == rank {
                 own = bucket;
             } else {
-                self.send_tagged(dst, tag, &bucket, None);
+                let bytes = bucket.wire_len();
+                self.send_tagged(dst, tag, bucket, bytes, false);
             }
         }
         let mut out: Vec<B> = Vec::with_capacity(size);

@@ -61,13 +61,15 @@ use crate::fault::FaultLayer;
 use crate::machine::{ClockMode, MachineModel};
 use crate::reliable::ReliabilityConfig;
 use crate::trace::{self, RankTrace, TraceConfig, TraceEvent, TraceEventKind, TraceRing};
-use crate::wire::Wire;
+use crate::wire::{Wire, WireError};
 use account::Account;
 use control::Control;
 use pgr_obs::{MetricsConfig, MetricsShard, Phase, RankMetrics};
 use std::sync::Arc;
 use std::time::Instant;
-use transport::{Body, Envelope, Transport, DECODE_TIMER, ENCODE_TIMER};
+use transport::{Body, Envelope, Kind, Transport, Value};
+#[cfg(test)]
+use transport::{DECODE_TIMER, ENCODE_TIMER};
 
 /// How many recent trace events a [`CommError`] carries.
 const ERR_TRACE_TAIL: usize = 16;
@@ -81,6 +83,13 @@ pub const COLLECTIVE_TAG_BASE: u32 = 0x8000_0000;
 /// lands in the open phase window and per-phase wait seconds fall out
 /// of the ordinary metrics dump.
 pub const RECV_WAIT_MICROS: &str = "mpi.recv_wait_micros";
+
+/// What a typed frame can carry: a value the sending rank's thread can
+/// hand to the receiving one, which gets the sender's copy as is (or a
+/// clone, where the sender keeps its own). Every plain-data type is one.
+pub trait Payload: Clone + Send + Sync + 'static {}
+
+impl<T: Clone + Send + Sync + 'static> Payload for T {}
 
 /// A rank's handle to the communicator: the facade over three layers
 /// that cannot see each other's state — the `Transport` moves frames,
@@ -360,13 +369,13 @@ impl Comm {
         self.post(dst, tag, Body::Bytes(payload));
     }
 
-    /// Send a typed message.
-    pub fn send<T: Wire>(&mut self, dst: usize, tag: u32, value: &T) {
+    /// Send a typed message: a copy of `value` is handed to the
+    /// receiver, billed at the bytes it encodes to.
+    pub fn send<T: Wire + Payload>(&mut self, dst: usize, tag: u32, value: &T) {
         assert_user_tag(tag);
-        let timer = self.metrics.start_timer();
-        let payload = value.to_bytes();
-        self.metrics.stop_timer(ENCODE_TIMER, timer);
-        self.post(dst, tag, Body::Bytes(payload));
+        let bytes = value.wire_len();
+        let value = Value::new(value.clone(), false);
+        self.post(dst, tag, Body::Typed { bytes, value });
     }
 
     /// Model the transfer of `bytes` bytes to logical rank `dst` without
@@ -378,17 +387,18 @@ impl Comm {
     /// [`Comm::recv_modeled`].
     pub fn send_modeled(&mut self, dst: usize, tag: u32, bytes: usize) {
         assert_user_tag(tag);
-        let payload = Vec::new();
-        self.post(dst, tag, Body::Modeled { bytes, payload });
+        self.post(dst, tag, Body::Modeled { bytes });
     }
 
     /// Match the next frame from logical rank `src` with `tag` (FIFO per
-    /// `(src, tag)` pair) and charge its delivery. A frame of the other
-    /// kind than the caller asked for — a modeled transfer where bytes
-    /// were expected or the reverse — is a sender/receiver mismatch and
-    /// comes back as [`CommError::KindMismatch`], never as an empty
-    /// payload or a made-up size.
-    fn accept(&mut self, src: usize, tag: u32, modeled: bool) -> Result<Envelope, CommError> {
+    /// `(src, tag)` pair) and charge its delivery. A frame of another
+    /// kind than the caller asked for is a sender/receiver mismatch,
+    /// never an empty payload or a made-up size: one billed at a size its
+    /// content does not have (a modeled transfer or a charged frame)
+    /// where the other was expected is a [`CommError::KindMismatch`]; a
+    /// value where raw bytes were expected, or the reverse, fails to
+    /// decode ([`WireError::WrongType`]).
+    fn accept(&mut self, src: usize, tag: u32, want: Kind) -> Result<Envelope, CommError> {
         assert!(src < self.size(), "recv from rank {src} of {}", self.size());
         let from = self.world()[src];
         let env = self.transport.recv(from, tag, &mut self.metrics);
@@ -413,17 +423,35 @@ impl Comm {
             };
             self.record(kind, t0, self.now());
         }
-        if env.modeled.is_some() != modeled {
-            return Err(CommError::KindMismatch {
-                rank: self.physical_rank(),
+        let found = env.kind();
+        if found == want {
+            return Ok(env);
+        }
+        let rank = self.physical_rank();
+        let real = |kind| matches!(kind, Kind::Bytes | Kind::Typed);
+        Err(if real(found) && real(want) {
+            let name = |kind| match kind {
+                Kind::Bytes => "raw bytes",
+                _ => "a value",
+            };
+            let (expected, found) = (name(want), name(found));
+            let error = WireError::WrongType { expected, found };
+            CommError::Decode {
+                rank,
                 src,
                 tag,
-                modeled: env.modeled.is_some(),
+                error,
+            }
+        } else {
+            CommError::KindMismatch {
+                rank,
+                src,
+                tag,
+                modeled: !real(found),
                 bytes,
                 wire_bytes: env.payload.len(),
-            });
-        }
-        Ok(env)
+            }
+        })
     }
 
     /// Blocking receive of the next message from logical rank `src` with
@@ -431,7 +459,7 @@ impl Comm {
     /// mismatched pattern as a structured [`CommError`] instead of
     /// panicking.
     pub fn try_recv_bytes(&mut self, src: usize, tag: u32) -> Result<Vec<u8>, CommError> {
-        Ok(self.accept(src, tag, false)?.payload.into_vec())
+        Ok(self.accept(src, tag, Kind::Bytes)?.payload)
     }
 
     /// Blocking receive of the next message from `src` with `tag`.
@@ -449,7 +477,7 @@ impl Comm {
     /// `src` with `tag`: returns the modeled size, with the structured
     /// errors of [`Comm::try_recv_bytes`].
     pub fn try_recv_modeled(&mut self, src: usize, tag: u32) -> Result<usize, CommError> {
-        Ok(self.accept(src, tag, true)?.bytes())
+        Ok(self.accept(src, tag, Kind::Modeled)?.bytes())
     }
 
     /// [`Comm::try_recv_modeled`], panicking with the [`CommError`]
@@ -459,24 +487,26 @@ impl Comm {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Blocking typed receive with structured errors: decode failures
-    /// and unsatisfiable patterns both surface as [`CommError`].
-    pub fn try_recv<T: Wire>(&mut self, src: usize, tag: u32) -> Result<T, CommError> {
-        self.recv_as(src, tag, false)
+    /// Blocking typed receive with structured errors: a frame that does
+    /// not hold a `T` and unsatisfiable patterns both surface as
+    /// [`CommError`].
+    pub fn try_recv<T: Wire + Payload>(&mut self, src: usize, tag: u32) -> Result<T, CommError> {
+        self.recv_as(src, tag, Kind::Typed)
     }
 
-    /// [`Comm::try_recv`] of a real frame, or (`charged`) of a modeled
-    /// frame's payload: a charged frame is decoded from what travelled.
-    fn recv_as<T: Wire>(&mut self, src: usize, tag: u32, charged: bool) -> Result<T, CommError> {
-        let env = self.accept(src, tag, charged)?;
-        let timer = self.metrics.start_timer();
-        let value = T::from_bytes(env.data());
-        self.metrics.stop_timer(DECODE_TIMER, timer);
-        value.map_err(|error| CommError::Decode {
+    /// The value of the next typed frame (or, `Kind::Charged`, charged
+    /// frame) from `src` with `tag`: the sender's value itself.
+    fn recv_as<T: Payload>(&mut self, src: usize, tag: u32, want: Kind) -> Result<T, CommError> {
+        let env = self.accept(src, tag, want)?;
+        let value = env.value.expect("a typed frame holds a value");
+        value.take().map_err(|found| CommError::Decode {
             rank: self.physical_rank(),
             src,
             tag,
-            error,
+            error: WireError::WrongType {
+                expected: std::any::type_name::<T>(),
+                found,
+            },
         })
     }
 
@@ -484,7 +514,7 @@ impl Comm {
     /// between sender and receiver is a programming error, not input) and
     /// on any [`CommError`] — always with the structured diagnosis, never
     /// a bare message. Use [`Comm::try_recv`] to handle the error instead.
-    pub fn recv<T: Wire>(&mut self, src: usize, tag: u32) -> T {
+    pub fn recv<T: Wire + Payload>(&mut self, src: usize, tag: u32) -> T {
         self.try_recv(src, tag).unwrap_or_else(|e| panic!("{e}"))
     }
 }
@@ -896,8 +926,8 @@ mod tests {
             measured[0].as_ref().expect("rank 0 measured"),
             measured[1].as_ref().expect("rank 1 measured"),
         );
-        // Each frame is timed where it is built and where it is read, in
-        // the phase it travels in: rank 0's vector in Coarse, then the
+        // Each frame is timed once where it is built and once where it is
+        // read, in the phase it travels in: rank 0's vector in Coarse, then the
         // allreduce (rank 1's value up, the sum down) in Connect.
         for (timers, phase, name) in [
             (sender, "coarse", ENCODE_TIMER),
@@ -907,7 +937,7 @@ mod tests {
             (receiver, "connect", ENCODE_TIMER),
             (receiver, "connect", DECODE_TIMER),
         ] {
-            assert!(calls(timers, phase, name) > 0, "{phase} {name}: {timers:?}");
+            assert_eq!(calls(timers, phase, name), 1, "{phase} {name}: {timers:?}");
         }
         assert_eq!(calls(receiver, "coarse", ENCODE_TIMER), 0);
         // Metrics off, or a virtual clock: nothing times anything.

@@ -6,6 +6,12 @@
 //! to put on a frame and hands back the matched frame. What it *counts*
 //! goes into the metrics shard the caller passes; what a frame *costs*
 //! is the facade's business (`Comm::post` / `Comm::accept`).
+//!
+//! The ranks are threads of one process, so a typed frame carries the
+//! sender's value itself ([`Body::Typed`]): nothing is encoded, copied
+//! into bytes or decoded, and every account bills the frame at the size
+//! its encoding would have. Only raw byte frames and the length header
+//! of a modeled transfer travel as bytes under a CRC-32.
 
 use crate::error::{CommError, PendingMsg};
 use crate::fault::{
@@ -17,6 +23,7 @@ use crate::reliable::{
 };
 use crate::wire::crc32;
 use pgr_obs::{MetricsShard, Phase};
+use std::any::Any;
 use std::collections::VecDeque;
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::{Arc, OnceLock};
@@ -41,10 +48,10 @@ pub(super) fn polls(size: usize) -> bool {
 }
 
 /// Sub-phase timer ([`MetricsShard::start_timer`]) of the host time a
-/// send spends building its frame: the codec and the checksum.
+/// send spends building its frame's wire bytes and their checksum.
 pub(super) const ENCODE_TIMER: &str = "mpi.encode";
-/// Sub-phase timer of the host time a receive spends checking and
-/// decoding a frame.
+/// Sub-phase timer of the host time a receive spends checking a frame's
+/// wire bytes against their checksum.
 pub(super) const DECODE_TIMER: &str = "mpi.decode";
 /// Sub-phase timer of the host time a receive spends polling or parked,
 /// waiting for the next frame off its channel.
@@ -86,7 +93,7 @@ impl Exit {
         let mut env = Envelope {
             src: src as u32,
             tag: EXIT_TAG,
-            payload: Box::new([kind]),
+            payload: vec![kind],
             ..Envelope::default()
         };
         if let Exit::Killed(death) = self {
@@ -134,50 +141,100 @@ pub(super) struct Envelope {
     /// duplicate gets suppressed (and counted) must not depend on what
     /// the receiver happens to pull before it exits.
     duplicated: bool,
-    /// CRC-32 the sender computed over the original payload; delivery
-    /// verifies it, so in-transit corruption is detected instead of
-    /// handed to the algorithm as valid data.
+    /// CRC-32 the sender computed over the wire bytes; delivery verifies
+    /// it, so in-transit corruption is detected instead of handed to the
+    /// algorithm as valid data. A typed frame has no wire bytes: its
+    /// checksum is that of nothing, and a corruption marks the frame by
+    /// flipping it.
     crc: u32,
-    /// `Some(n)` marks a modeled frame accounted at `n` bytes: `payload`
-    /// is then its length header followed by what the sender handed over.
-    pub(super) modeled: Option<usize>,
-    pub(super) payload: Box<[u8]>,
+    /// `Some(n)`: the frame is billed at `n` bytes (a modeled transfer or
+    /// a typed frame); `None`: at its wire bytes.
+    pub(super) billed: Option<usize>,
+    /// The sender's value, on a typed frame.
+    pub(super) value: Option<Value>,
+    /// What travels as bytes: a raw frame's payload, a modeled transfer's
+    /// length header, nothing for a typed frame.
+    pub(super) payload: Vec<u8>,
 }
 
-/// The length header leading a modeled frame's payload.
-const MODELED_HEADER: usize = 8;
-
 impl Envelope {
-    /// The size every account sees: the payload's, or the modeled one.
+    /// The size every account sees: the billed one, or the payload's.
     pub(super) fn bytes(&self) -> usize {
-        self.modeled.unwrap_or(self.payload.len())
+        self.billed.unwrap_or(self.payload.len())
     }
 
-    /// What the sender handed over: a modeled frame's payload without its
-    /// length header.
-    pub(super) fn data(&self) -> &[u8] {
-        &self.payload[self.modeled.map_or(0, |_| MODELED_HEADER)..]
+    pub(super) fn kind(&self) -> Kind {
+        match (&self.value, self.billed) {
+            (Some(value), _) if value.charged => Kind::Charged,
+            (Some(_), _) => Kind::Typed,
+            (None, Some(_)) => Kind::Modeled,
+            (None, None) => Kind::Bytes,
+        }
+    }
+}
+
+/// The four kinds of frame: what a receive asks for, and what it must
+/// match.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Kind {
+    /// Raw bytes ([`Body::Bytes`]).
+    Bytes,
+    /// A modeled transfer ([`Body::Modeled`]).
+    Modeled,
+    /// A value billed at its encoded length.
+    Typed,
+    /// A value billed at what the sender says it stands for.
+    Charged,
+}
+
+/// A sender's value in a typed frame: shared, so a duplicated or held
+/// frame is the same value again, and handed to the receiver as is.
+#[derive(Clone)]
+pub(super) struct Value {
+    any: Arc<dyn Any + Send + Sync>,
+    type_name: &'static str,
+    /// Billed by the sender's closure, not at its own encoded length.
+    charged: bool,
+}
+
+impl Value {
+    pub(super) fn new<T: Any + Send + Sync>(value: T, charged: bool) -> Self {
+        Value {
+            any: Arc::new(value),
+            type_name: std::any::type_name::<T>(),
+            charged,
+        }
+    }
+
+    /// The value, moved out when this frame holds the last reference
+    /// (a cloned copy while a duplicate of the frame is still around);
+    /// `Err` with the type it holds when that is not `T`.
+    pub(super) fn take<T: Any + Clone + Send + Sync>(self) -> Result<T, &'static str> {
+        let type_name = self.type_name;
+        let value = self.any.downcast::<T>().map_err(|_| type_name)?;
+        Ok(Arc::try_unwrap(value).unwrap_or_else(|shared| T::clone(&shared)))
     }
 }
 
 /// What a frame carries, as handed to [`Transport::send`].
 pub(super) enum Body {
-    /// A real frame: these bytes travel and reach the receiver.
+    /// A raw frame: these bytes travel, under a CRC-32, and reach the
+    /// receiver.
     Bytes(Vec<u8>),
-    /// A frame of `bytes` bytes that carries only `payload`. The fault
-    /// hook, the sequence numbers, the receive windows and every account
-    /// treat it as a frame of `bytes`; the host moves (and checksums) a
-    /// fixed-size length header and `payload`, so its cost does not
-    /// depend on `bytes`. An empty payload is a modeled transfer; a
-    /// charged frame carries a compact encoding of the `bytes` it bills.
-    Modeled { bytes: usize, payload: Vec<u8> },
+    /// A modeled transfer of `bytes` bytes that moves only an 8-byte
+    /// length header. The fault hook, the sequence numbers, the receive
+    /// windows and every account treat it as a frame of `bytes`.
+    Modeled { bytes: usize },
+    /// A frame billed at `bytes` that hands `value` over: the receiver
+    /// gets the sender's value, nothing is encoded or checksummed.
+    Typed { bytes: usize, value: Value },
 }
 
 impl Body {
     pub(super) fn bytes(&self) -> usize {
         match self {
             Body::Bytes(payload) => payload.len(),
-            Body::Modeled { bytes, .. } => *bytes,
+            Body::Modeled { bytes } | Body::Typed { bytes, .. } => *bytes,
         }
     }
 }
@@ -376,20 +433,18 @@ impl Transport {
         let seq = self.next_seq[dst];
         self.next_seq[dst] += 1;
         let timer = m.start_timer();
-        let (modeled, mut payload) = match body {
-            Body::Bytes(payload) => (None, payload),
-            Body::Modeled { bytes, payload } => {
-                let header = (bytes as u64).to_le_bytes();
-                (Some(bytes), [&header[..], &payload].concat())
-            }
+        let (billed, value, mut payload) = match body {
+            Body::Bytes(payload) => (None, None, payload),
+            Body::Modeled { bytes } => (Some(bytes), None, (bytes as u64).to_le_bytes().to_vec()),
+            Body::Typed { bytes, value } => (Some(bytes), Some(value), Vec::new()),
         };
         // The checksum is always over the *original* payload: a wire
         // flip after it (below) is exactly what delivery detects.
         let mut crc = crc32(&payload);
         if fate == FaultAction::Corrupt {
             if payload.is_empty() {
-                // Nothing to flip in an empty payload; corrupt the
-                // checksum field itself instead.
+                // Nothing to flip in an empty payload (a typed frame's
+                // included); corrupt the checksum field itself instead.
                 crc ^= 1;
             } else {
                 // Deterministic bit choice: a pure function of the
@@ -410,8 +465,9 @@ impl Transport {
             phase: m.open_phase(),
             duplicated: fate == FaultAction::Duplicate,
             crc,
-            modeled,
-            payload: payload.into_boxed_slice(),
+            billed,
+            value,
+            payload,
         };
         // At most one frame is ever held per destination: whatever was
         // held before goes out right behind this send, so the frame
@@ -460,9 +516,9 @@ impl Transport {
 
     /// Run one arriving frame through the CRC integrity check and the
     /// reliable receive window (when enabled) into the pending queues.
-    /// A frame failing its checksum is discarded — the wrong payload is
-    /// never delivered — and the failure is stashed for the next
-    /// receive call to surface as [`CommError::Corrupt`].
+    /// A frame failing its checksum is discarded — the wrong payload, or
+    /// the marked value, is never delivered — and the failure is stashed
+    /// for the next receive call to surface as [`CommError::Corrupt`].
     fn ingest(&mut self, mut env: Envelope, m: &mut MetricsShard) {
         if env.tag == EXIT_TAG {
             self.exits[env.src as usize] = Some(Exit::of(&env));
@@ -701,7 +757,7 @@ mod tests {
     };
 
     fn payload_of(r: Result<Envelope, CommError>) -> Vec<u8> {
-        r.expect("frame delivered").payload.into_vec()
+        r.expect("frame delivered").payload
     }
 
     #[test]
@@ -982,10 +1038,7 @@ mod tests {
     const MODELED: usize = 1 << 20;
 
     fn modeled(bytes: usize) -> Body {
-        Body::Modeled {
-            bytes,
-            payload: Vec::new(),
-        }
+        Body::Modeled { bytes }
     }
 
     #[test]
@@ -1005,31 +1058,68 @@ mod tests {
         let pending = b.pending_snapshot();
         assert_eq!((pending.len(), pending[0].bytes), (1, MODELED));
         let env = b.recv(0, TAG, &mut mb).expect("frame delivered");
-        assert_eq!((env.bytes(), env.modeled), (MODELED, Some(MODELED)));
+        assert_eq!((env.bytes(), env.kind()), (MODELED, Kind::Modeled));
         assert_eq!(*env.payload, (MODELED as u64).to_le_bytes());
     }
 
+    fn typed(bytes: usize, value: Vec<u32>, charged: bool) -> Body {
+        let value = Value::new(value, charged);
+        Body::Typed { bytes, value }
+    }
+
     #[test]
-    fn charged_frame_bills_its_size_and_its_crc_covers_the_payload() {
-        let [(mut a, mut ma), (mut b, mut mb)] =
-            world(|_| FaultAction::Deliver, ReliabilityConfig::off());
-        let charged = |payload: &[u8]| Body::Modeled {
-            bytes: MODELED,
-            payload: payload.to_vec(),
+    fn typed_frame_bills_its_size_and_hands_the_value_over() {
+        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let log = seen.clone();
+        let hook = move |c: &MsgCtx| {
+            log.lock().expect("hook log").push(c.bytes);
+            FaultAction::Deliver
         };
-        a.send(1, TAG, 0.0, charged(&[1, 2, 3]), &mut ma);
+        let [(mut a, mut ma), (mut b, mut mb)] = world(hook, ReliabilityConfig::off());
+        for (bytes, charged, kind) in [(16, false, Kind::Typed), (MODELED, true, Kind::Charged)] {
+            a.send(1, TAG, 0.0, typed(bytes, vec![1, 2, 3], charged), &mut ma);
+            let env = b.recv(0, TAG, &mut mb).expect("frame delivered");
+            assert_eq!((env.bytes(), env.kind()), (bytes, kind));
+            assert!(env.payload.is_empty(), "nothing travels as bytes");
+            let value = env.value.expect("a typed frame").take::<Vec<u32>>();
+            assert_eq!(value, Ok(vec![1, 2, 3]));
+        }
+        assert_eq!(*seen.lock().expect("hook log"), vec![16, MODELED]);
+        // The receiver names the type it found when it asked for another.
+        a.send(1, TAG, 0.0, typed(16, vec![4], false), &mut ma);
         let env = b.recv(0, TAG, &mut mb).expect("frame delivered");
-        assert_eq!((env.bytes(), env.data()), (MODELED, &[1, 2, 3][..]));
-        // A bit flipped past the length header, in what the sender handed
-        // over, fails the checksum.
-        a.send(1, TAG, 0.0, charged(&[1, 2, 3]), &mut ma);
-        let mut env = b.rx.as_ref().expect("connected").recv().expect("sent");
-        env.payload[MODELED_HEADER + 2] ^= 4;
-        b.ingest(env, &mut mb);
-        assert!(matches!(
-            b.recv(0, TAG, &mut mb),
-            Err(CommError::Corrupt { .. })
-        ));
+        let found = env.value.expect("a typed frame").take::<Vec<u64>>();
+        assert_eq!(found, Err(std::any::type_name::<Vec<u32>>()));
+    }
+
+    #[test]
+    fn marked_typed_frame_is_rejected_by_its_checksum_never_delivered() {
+        let [(mut a, mut ma), (mut b, mut mb)] =
+            world(|_| FaultAction::Corrupt, ReliabilityConfig::off());
+        a.send(1, TAG, 0.0, typed(MODELED, vec![7], true), &mut ma);
+        match b.recv(0, TAG, &mut mb) {
+            Err(CommError::Corrupt {
+                src: 0,
+                dst: 1,
+                tag: TAG,
+                expected,
+                got,
+            }) => assert_ne!(expected, got),
+            Err(e) => panic!("expected Corrupt, got {e}"),
+            Ok(_) => panic!("expected Corrupt, got the value"),
+        }
+        assert_eq!(ma.snapshot(0).counter(FAULTS_CORRUPTED), Some(1));
+    }
+
+    #[test]
+    fn duplicated_typed_frame_hands_each_copy_the_value() {
+        let [(mut a, mut ma), (mut b, mut mb)] =
+            world(|_| FaultAction::Duplicate, ReliabilityConfig::off());
+        a.send(1, TAG, 0.0, typed(16, vec![5, 6], false), &mut ma);
+        for _ in 0..2 {
+            let env = b.recv(0, TAG, &mut mb).expect("both copies arrive");
+            assert_eq!(env.value.expect("typed").take::<Vec<u32>>(), Ok(vec![5, 6]));
+        }
     }
 
     #[test]

@@ -77,8 +77,8 @@ pub mod wire;
 pub use budget::{BudgetBreach, BudgetKind, ResourceBudget};
 pub use checkpoint::CheckpointStore;
 pub use comm::{
-    run, run_instrumented, Comm, InstrumentConfig, PhaseControl, RankStats, RunReport, WallStats,
-    COLLECTIVE_TAG_BASE, RECV_WAIT_MICROS,
+    run, run_instrumented, Comm, InstrumentConfig, Payload, PhaseControl, RankStats, RunReport,
+    WallStats, COLLECTIVE_TAG_BASE, RECV_WAIT_MICROS,
 };
 pub use error::{CommError, PendingMsg};
 pub use fault::{ChaosConfig, ChaosLayer, FaultAction, FaultLayer, MsgCtx};

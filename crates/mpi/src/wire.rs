@@ -23,6 +23,13 @@ pub enum WireError {
     Ragged { expected: usize, got: usize },
     /// An index names no entry of a table of `len` entries.
     OutOfRange { index: u64, len: u64 },
+    /// A frame held another kind of content than the receive asked for:
+    /// a value of another type, or a value where raw bytes were expected
+    /// (and the reverse).
+    WrongType {
+        expected: &'static str,
+        found: &'static str,
+    },
 }
 
 impl fmt::Display for WireError {
@@ -41,6 +48,9 @@ impl fmt::Display for WireError {
             }
             WireError::OutOfRange { index, len } => {
                 write!(f, "index {index} out of range for {len} entries")
+            }
+            WireError::WrongType { expected, found } => {
+                write!(f, "the frame holds {found} where {expected} was expected")
             }
         }
     }

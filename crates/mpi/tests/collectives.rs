@@ -805,7 +805,8 @@ mod charged {
                     src: 1,
                     modeled: true,
                     bytes,
-                    wire_bytes: 16,
+                    // A charged frame hands its value over: no wire bytes.
+                    wire_bytes: 0,
                     ..
                 }) if bytes == n
             ),
