@@ -145,6 +145,13 @@
 #   crates/mpi/src/fault.rs (a closure is a fault layer), or a
 #   `RecoveryPolicy` type under crates/core/src (the recovery bound is
 #   the one field `RouterConfig::recovery_rounds`).
+# - when the in-process codec comes back: a non-test line under
+#   crates/mpi/src/comm that calls `to_bytes(` or `from_bytes(`, or that
+#   calls `crc32(` anywhere but in `Transport::send` and
+#   `Transport::ingest` of comm/transport.rs (a typed frame hands the
+#   sender's value over, billed at its encoded length; only raw byte
+#   frames and a modeled transfer's length header are checksummed, there;
+#   checkpoints keep their codec and CRC in crates/mpi/src/checkpoint.rs).
 set -eu
 cd "$(dirname "$0")/.."
 MAX_FILE=1000
@@ -457,6 +464,22 @@ test_surface=$(
 if [ -n "$test_surface" ]; then
     echo "surface: public surface only tests call is back (phase entry is Comm::boundary; collectives root at rank 0; a closure is a fault layer; the recovery bound is RouterConfig::recovery_rounds):" >&2
     echo "$test_surface" >&2
+    exit 1
+fi
+
+# shellcheck disable=SC2046
+codec=$(awk '
+    FNR == 1 { in_tests = 0; fn = "" }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    match($0, /fn [a-z_]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+    in_tests || /^[ \t]*\/\// { next }
+    /to_bytes\(|from_bytes\(/ || (/crc32\(/ && !(FILENAME ~ /\/transport\.rs$/ && (fn == "send" || fn == "ingest"))) {
+        printf "%s:%d:%s\n", FILENAME, FNR, $0
+    }
+' $(find crates/mpi/src/comm -name '*.rs'))
+if [ -n "$codec" ]; then
+    echo "surface: frames between rank threads carry values, not encodings (only raw byte frames are checksummed, in Transport::send and ::ingest):" >&2
+    echo "$codec" >&2
     exit 1
 fi
 

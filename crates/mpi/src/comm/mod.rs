@@ -68,8 +68,6 @@ use pgr_obs::{MetricsConfig, MetricsShard, Phase, RankMetrics};
 use std::sync::Arc;
 use std::time::Instant;
 use transport::{Body, Envelope, Kind, Transport, Value};
-#[cfg(test)]
-use transport::{DECODE_TIMER, ENCODE_TIMER};
 
 /// How many recent trace events a [`CommError`] carries.
 const ERR_TRACE_TAIL: usize = 16;
@@ -521,6 +519,7 @@ impl Comm {
 
 #[cfg(test)]
 mod tests {
+    use super::transport::{DECODE_TIMER, ENCODE_TIMER};
     use super::*;
 
     const SIZES: [usize; 5] = [1, 2, 3, 5, 8];
