@@ -125,9 +125,9 @@
 #   fresh aggregate must equal byte for byte).
 # - when an exchange grows its output by doubling again: a non-test line
 #   under crates/core/src/parallel or of crates/core/src/route/serial.rs
-#   that contains `flatten().collect()` (an arrival is a `concat()`, a
-#   gather appends to a vector reserved exactly, a dealing counts before
-#   it places), or any line of crates/core/src/parallel/hybrid.rs that
+#   that contains `flatten().collect()` (an arrival is a `concat()` or a
+#   `join` into its longest part, a gather joins its parts the same way,
+#   a dealing counts before it places), or any line of crates/core/src/parallel/hybrid.rs that
 #   names `group_nodes` (the owners merge the canonical fragments they
 #   receive with `merge_fragments`; they do not regroup them pair by
 #   pair).

@@ -97,6 +97,28 @@ pub(crate) fn buckets<T>(size: usize, dests: impl Iterator<Item = usize>) -> Vec
     counts.into_iter().map(Vec::with_capacity).collect()
 }
 
+/// `parts` end to end, in order, in the buffer of the longest part grown
+/// once to the total: a `concat` holds every part and the whole at once,
+/// this the whole and the other parts.
+pub(crate) fn join<T: Copy>(mut parts: Vec<Vec<T>>) -> Vec<T> {
+    let Some(k) = (0..parts.len()).max_by_key(|&i| parts[i].len()) else {
+        return Vec::new();
+    };
+    let mut out = std::mem::take(&mut parts[k]);
+    let longest = out.len();
+    out.reserve_exact(parts.iter().map(Vec::len).sum());
+    for (i, part) in parts.iter().enumerate() {
+        if i == k {
+            // The parts before the longest went in behind it.
+            let front = out.len() - longest;
+            out.rotate_right(front);
+        } else {
+            out.extend_from_slice(part);
+        }
+    }
+    out
+}
+
 /// Group the `(net, node)` pairs `pairs` yields (on each of three
 /// walks) into one store, every net's nodes sorted and deduplicated,
 /// nets in order of first appearance.
@@ -243,6 +265,23 @@ mod tests {
 
     fn fake(x: i64, row: u32) -> Node {
         Node::fake(x, row)
+    }
+
+    #[test]
+    fn join_is_concat_in_the_longest_parts_buffer() {
+        let cases: [&[&[u32]]; 5] = [
+            &[],
+            &[&[]],
+            &[&[1], &[2, 3, 4], &[5, 6]],
+            &[&[1, 2, 3], &[], &[4]],
+            &[&[], &[1], &[2, 3], &[4, 5]],
+        ];
+        for parts in cases {
+            let parts: Vec<Vec<u32>> = parts.iter().map(|p| p.to_vec()).collect();
+            let joined = join(parts.clone());
+            assert_eq!(joined, parts.concat(), "{parts:?}");
+            assert_eq!(joined.capacity(), joined.len(), "grown once, exactly");
+        }
     }
 
     #[test]

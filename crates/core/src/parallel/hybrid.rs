@@ -17,7 +17,7 @@
 
 use crate::engine::{Phase, Pipeline, RouteCtx};
 use crate::metrics::RoutingResult;
-use crate::parallel::common::{buckets, sync_boundaries};
+use crate::parallel::common::{buckets, join, sync_boundaries};
 use crate::parallel::rowwise::RowWisePipeline;
 use crate::route::connect::connect_all;
 use crate::route::state::{Span, WorkNets};
@@ -78,14 +78,25 @@ pub(crate) fn merge_fragments(fragments: &[WorkNets]) -> WorkNets {
 }
 
 /// `spans` dealt to the `size` ranks `dest` names, each rank's list in
-/// the order given and sized exactly: a count, then the copy.
+/// the order given and sized exactly. Rank `keep`'s list is `spans`
+/// itself, what the others get counted and copied out of it first: the
+/// dealing never holds a second copy of what stays.
 pub(crate) fn deal_spans(
-    spans: &[Span],
+    mut spans: Vec<Span>,
     size: usize,
+    keep: usize,
     dest: impl Fn(&Span) -> usize,
 ) -> Vec<Vec<Span>> {
-    let mut out = buckets(size, spans.iter().map(&dest));
-    spans.iter().for_each(|s| out[dest(s)].push(*s));
+    let mut out = buckets(size, spans.iter().map(&dest).filter(|&d| d != keep));
+    for s in &spans {
+        let d = dest(s);
+        if d != keep {
+            out[d].push(*s);
+        }
+    }
+    spans.retain(|s| dest(s) == keep);
+    spans.shrink_to_fit();
+    out[keep] = spans;
     out
 }
 
@@ -116,17 +127,16 @@ impl Pipeline for HybridPipeline {
                 // follow their row (the owner covers both candidate
                 // channels); fixed spans follow their channel (the top
                 // channel belongs to the last rank).
-                let span_out = deal_spans(&all_spans, ctx.size, |s| match s.switch_row {
+                let span_out = deal_spans(all_spans, ctx.size, ctx.rank, |s| match s.switch_row {
                     Some(r) => ctx.rows.owner(RowId(r)),
                     None if s.channel as usize == ctx.circuit.num_rows() => ctx.size - 1,
                     None => ctx.rows.owner(RowId(s.channel)),
                 });
-                drop(all_spans);
                 // Arrival order is deterministic (alltoall delivers in
                 // sender-rank order, each sender's list is
                 // deterministic), and at P = 1 it is exactly the serial
                 // span order.
-                st.spans = comm.alltoall(span_out).concat();
+                st.spans = join(comm.alltoall(span_out));
             }
 
             // Step 5 on the local rows, against the channel state of the
@@ -354,10 +364,15 @@ mod tests {
             for s in &spans {
                 want[dest(s)].push(*s);
             }
-            let dealt = deal_spans(&spans, size, dest);
-            assert_eq!(dealt, want, "size {size}");
-            assert!(dealt.iter().all(|b| b.capacity() == b.len()));
+            for keep in 0..size {
+                let dealt = deal_spans(spans.clone(), size, keep, dest);
+                assert_eq!(dealt, want, "size {size}, keeping {keep}");
+                assert!(dealt.iter().all(|b| b.capacity() == b.len()));
+            }
         }
-        assert_eq!(deal_spans(&[], 3, |_| 0), vec![Vec::<Span>::new(); 3]);
+        assert_eq!(
+            deal_spans(Vec::new(), 3, 1, |_| 0),
+            vec![Vec::<Span>::new(); 3]
+        );
     }
 }

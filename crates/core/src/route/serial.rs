@@ -10,6 +10,7 @@ use crate::config::{RouterConfig, GRID_W};
 use crate::cost;
 use crate::engine::{self, Phase, Pipeline, RouteCtx, RouteError};
 use crate::metrics::{names, record_ft_plan, record_quality, RoutingResult};
+use crate::parallel::common::join;
 use crate::parallel::partition::PartitionKind;
 use crate::route::coarse::CoarseState;
 use crate::route::connect::connect_all;
@@ -307,12 +308,8 @@ impl RouteState {
         let Some(all_spans) = comm.gather(std::mem::take(&mut self.spans)) else {
             return; // non-roots are done
         };
-        // The root's own spans come first: its peers' append to them.
-        let mut peers = all_spans.into_iter();
-        self.spans = peers.next().expect("the root's own spans");
-        self.spans
-            .reserve_exact(peers.as_slice().iter().map(Vec::len).sum());
-        peers.for_each(|spans| self.spans.extend(spans));
+        // The root's own spans come first, its peers' in rank order.
+        self.spans = join(all_spans);
         self.wirelength = wirelength.expect("rank 0 holds the reduction");
         let shape = (0, circuit.num_rows() + 1, self.chip_width);
         let emit_ops = cost::SETUP_ITEM * circuit.num_nets() as u64;

@@ -2,7 +2,9 @@
 //! and per-rank virtual clocks.
 //!
 //! [`run`] spawns one OS thread per rank and hands each a [`Comm`]. Ranks
-//! exchange byte messages over unbounded std mpsc channels (eager,
+//! exchange messages over unbounded std mpsc channels — a typed message
+//! hands the sender's value over, billed at its encoded size; a raw one
+//! moves its bytes (eager,
 //! non-blocking sends — no rendezvous deadlocks), matched by `(source,
 //! tag)` with FIFO order per pair, which mirrors MPI's matching rules for
 //! a single communicator.
@@ -508,8 +510,9 @@ impl Comm {
         })
     }
 
-    /// Blocking typed receive. Panics on a decode failure (a type mismatch
-    /// between sender and receiver is a programming error, not input) and
+    /// Blocking typed receive. Panics on a frame that holds no `T` (a type
+    /// mismatch between sender and receiver is a programming error, not
+    /// input) and
     /// on any [`CommError`] — always with the structured diagnosis, never
     /// a bare message. Use [`Comm::try_recv`] to handle the error instead.
     pub fn recv<T: Wire + Payload>(&mut self, src: usize, tag: u32) -> T {

@@ -257,9 +257,12 @@ pub(super) struct Transport {
     reliability: ReliabilityConfig,
     /// Next sequence number per destination.
     next_seq: Vec<u64>,
-    /// At most one held-back frame per destination (reorder injection).
-    holdback: Vec<Option<Envelope>>,
-    /// Per-source receive windows (reliable transport).
+    /// At most one held-back frame per destination (reorder injection),
+    /// boxed: a slot of every rank's table is a pointer until a fault
+    /// layer holds a frame in it.
+    holdback: Vec<Option<Box<Envelope>>>,
+    /// Per-source receive windows (reliable transport; none while it is
+    /// off).
     windows: Vec<ReorderBuffer<Envelope>>,
     /// A CRC failure detected while ingesting a frame (reliability
     /// off). Held until the next receive call can surface it — frames
@@ -294,7 +297,10 @@ impl Transport {
             pending: (0..size).map(|_| VecDeque::new()).collect(),
             next_seq: vec![0; size],
             holdback: (0..size).map(|_| None).collect(),
-            windows: (0..size).map(|_| ReorderBuffer::default()).collect(),
+            windows: match reliability.enabled {
+                true => (0..size).map(|_| ReorderBuffer::default()).collect(),
+                false => Vec::new(),
+            },
             exits: vec![None; size],
             polls: polls(size),
             ..Transport::default()
@@ -473,13 +479,13 @@ impl Transport {
         // held before goes out right behind this send, so the frame
         // that overtook it is the only one that does.
         let overtaken = if fate == FaultAction::Reorder {
-            self.holdback[dst].replace(env)
+            self.holdback[dst].replace(Box::new(env))
         } else {
             self.transmit(dst, env, m);
             self.holdback[dst].take()
         };
         if let Some(prev) = overtaken {
-            self.transmit(dst, prev, m);
+            self.transmit(dst, *prev, m);
         }
         seq
     }
@@ -582,7 +588,7 @@ impl Transport {
         }
         for dst in 0..self.holdback.len() {
             if let Some(env) = self.holdback[dst].take() {
-                self.transmit(dst, env, m);
+                self.transmit(dst, *env, m);
             }
         }
     }

@@ -78,12 +78,15 @@ pub enum CommError {
         /// Receiving (detecting) rank.
         dst: usize,
         tag: u32,
-        /// CRC-32 the sender computed over the original payload.
+        /// CRC-32 the sender computed over the original payload (for a
+        /// typed frame, which has none, the checksum of nothing with the
+        /// corruption's flip).
         expected: u32,
         /// CRC-32 of the bytes that actually arrived.
         got: u32,
     },
-    /// A received payload did not decode as the expected type.
+    /// A received payload did not decode as the expected type, or a
+    /// frame held another kind of content ([`WireError::WrongType`]).
     Decode {
         rank: usize,
         src: usize,

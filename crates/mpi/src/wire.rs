@@ -1,10 +1,14 @@
 //! Byte-level message encoding.
 //!
-//! Messages between ranks are flat byte buffers so the simulator can charge
-//! bandwidth for their *actual* size, exactly as MPI would transfer them.
-//! The codec is a tiny hand-rolled little-endian format (no external
-//! serialization dependency): fixed-width primitives, length-prefixed
-//! strings and sequences, and derived impls for tuples and `Option`.
+//! The simulator charges bandwidth for the bytes MPI would transfer: a
+//! message's encoded size in this format. The ranks are threads of one
+//! process, so a typed frame hands its value over and is billed at
+//! [`Wire::wire_len`] without being encoded; the bytes themselves are
+//! built only for raw frames and for checkpoints, which outlive the
+//! world that deposited them. The codec is a tiny hand-rolled
+//! little-endian format (no external serialization dependency):
+//! fixed-width primitives, length-prefixed strings and sequences, and
+//! derived impls for tuples and `Option`.
 //!
 //! Every router message type implements [`Wire`] by composing these.
 
@@ -103,11 +107,12 @@ fn crc32_bytewise(mut c: u32, data: &[u8]) -> u32 {
 }
 
 /// CRC-32 (IEEE) of `data`. Every frame the transport sends carries this
-/// checksum over its payload; delivery verifies it, so a flipped bit in
-/// transit is detected instead of silently handed to the algorithm.
+/// checksum over its wire bytes (a typed frame has none), and every
+/// checkpoint snapshot over its payload; the reader verifies it, so a
+/// flipped bit is detected instead of silently handed to the algorithm.
 ///
 /// Slice-by-8: eight bytes per step through eight tables, the byte loop
-/// only for the tail of fewer than eight — every frame is hashed once
+/// only for the tail of fewer than eight — a raw frame is hashed once
 /// on each side of the wire, so the per-byte cost is the transport's.
 pub(crate) fn crc32(data: &[u8]) -> u32 {
     let t = &CRC32_TABLES;

@@ -263,10 +263,9 @@ pub struct MetricsShard {
     windows: Vec<(Phase, Store)>,
     /// Index into `windows` of the currently open window.
     open: Option<usize>,
-    /// Whether the sub-phase timers read the host clock ([`MetricsShard::timed`]).
-    timed: bool,
-    /// Sub-phase timers, one per (phase window, name) that ran.
-    timers: Vec<(Phase, &'static str, Timer)>,
+    /// Sub-phase timers, one per (phase window, name) that ran; `None`
+    /// while they do not read the host clock ([`MetricsShard::timed`]).
+    timers: Option<Vec<(Phase, &'static str, Timer)>>,
 }
 
 fn slot<'a, T>(entries: &'a mut Vec<(&'static str, T)>, name: &'static str) -> &'a mut T
@@ -292,8 +291,7 @@ impl MetricsShard {
             total: Store::default(),
             windows: Vec::new(),
             open: None,
-            timed: false,
-            timers: Vec::new(),
+            timers: None,
         }
     }
 
@@ -302,7 +300,7 @@ impl MetricsShard {
     /// virtual run records stays a function of its input. A disabled
     /// shard never times.
     pub fn timed(mut self, on: bool) -> Self {
-        self.timed = on && self.enabled;
+        self.timers = (on && self.enabled).then(Vec::new);
         self
     }
 
@@ -310,7 +308,7 @@ impl MetricsShard {
     /// [`MetricsShard::stop_timer`], or `None` — no clock read — when the
     /// timers are off.
     pub fn start_timer(&self) -> Option<Instant> {
-        self.timed.then(Instant::now)
+        self.timers.is_some().then(Instant::now)
     }
 
     /// Charge the host time since `start` and one call to the timer
@@ -318,19 +316,19 @@ impl MetricsShard {
     /// start or outside any window: a timer belongs to the phase it ran
     /// in, so the windows hold all of it.
     pub fn stop_timer(&mut self, name: &'static str, start: Option<Instant>) {
-        let (Some(start), Some(phase)) = (start, self.open_phase()) else {
+        let phase = self.open_phase();
+        let (Some(start), Some(phase), Some(timers)) = (start, phase, self.timers.as_mut()) else {
             return;
         };
         let ns = start.elapsed().as_nanos() as u64;
-        let at = self
-            .timers
+        let at = timers
             .iter()
             .position(|&(p, n, _)| p == phase && (std::ptr::eq(n, name) || n == name));
         let i = at.unwrap_or_else(|| {
-            self.timers.push((phase, name, Timer::default()));
-            self.timers.len() - 1
+            timers.push((phase, name, Timer::default()));
+            timers.len() - 1
         });
-        let timer = &mut self.timers[i].2;
+        let timer = &mut timers[i].2;
         timer.ns += ns;
         timer.calls += 1;
     }
@@ -338,7 +336,7 @@ impl MetricsShard {
     /// Every timer that ran, `(phase name, timer name, time)`, in phase
     /// registry order and by name within a phase.
     pub fn timers(&self) -> Vec<(&'static str, &'static str, Timer)> {
-        let mut out: Vec<_> = self.timers.clone();
+        let mut out: Vec<_> = self.timers.iter().flatten().copied().collect();
         out.sort_by(|a, b| (a.0.index(), a.1).cmp(&(b.0.index(), b.1)));
         out.into_iter().map(|(p, n, t)| (p.name(), n, t)).collect()
     }
