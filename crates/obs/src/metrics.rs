@@ -1,5 +1,6 @@
 //! Counters, gauges, and fixed-bucket histograms with shard-per-rank
-//! storage.
+//! storage, and sub-phase [`Timer`]s that measure host time per phase
+//! window when a wall-clocked run asks for them.
 //!
 //! Metric names are `&'static str` so the recording hot path never
 //! allocates for a metric that already exists; a shard created disabled
