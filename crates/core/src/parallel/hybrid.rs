@@ -119,7 +119,7 @@ impl Pipeline for HybridPipeline {
             Phase::Connect => {
                 let merged = gather_at_owners(std::mem::take(&mut st.works), owners, comm);
                 let (all_spans, wirelength) = connect_all(&merged, true, comm);
-                // Freed before the dealing, where the heap peaks.
+                // Freed before the dealing.
                 drop(merged);
                 st.wirelength = wirelength;
 
