@@ -8,16 +8,17 @@
 # host has cores; and the peer-exit paths race a sender against a
 # receiver's exit (a redundant copy reaching a rank that already left).
 # The suites: pgr-mpi's chaos, fault and typed-frame suites, and
-# pgr-router's net-wise driver and sync tests, kill matrix and chaos
-# recovery.
+# pgr-router's net-wise and hybrid drivers and sync tests, kill matrix,
+# chaos recovery and the differential oracle (whose cells include the
+# hybrid's, both of whose ranks now connect at once).
 set -eu
 cd "$(dirname "$0")/.."
 runs=${RUNS:-20}
 
 suites() {
     cargo test -q --locked -p pgr-mpi --test chaos --test fault --test typed "$@" &&
-        cargo test -q --locked -p pgr-router --test kill_matrix --test chaos_recovery "$@" &&
-        cargo test -q --locked -p pgr-router --lib "$@" -- parallel::netwise route::switchable route::coarse
+        cargo test -q --locked -p pgr-router --test kill_matrix --test chaos_recovery --test oracle "$@" &&
+        cargo test -q --locked -p pgr-router --lib "$@" -- parallel::netwise parallel::hybrid route::switchable route::coarse
 }
 
 suites --no-run

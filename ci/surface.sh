@@ -131,6 +131,12 @@
 #   names `group_nodes` (the owners merge the canonical fragments they
 #   receive with `merge_fragments`; they do not regroup them pair by
 #   pair).
+# - when the hybrid restores switchable's input order by sorting again: a
+#   non-test line under crates/core/src/parallel that names a span and
+#   calls `.sort(`, `.sort_by(` or `.sort_by_key(` (std's stable sort
+#   takes scratch up to the list's own size, a heap peak of its own;
+#   the arrivals come in key order and `common::merge_by` merges them in
+#   the longest one's buffer).
 # - when the router library draws again: a non-test line under
 #   crates/core/src that names `render_svg`, `PlotOptions`,
 #   `CongestionReport` or `fn heatmap` (the SVG plot and the congestion
@@ -438,6 +444,14 @@ doubling=$(
 if [ -n "$doubling" ]; then
     echo "surface: an exchange sizes its output exactly (concat() an arrival, count before dealing, merge canonical fragments):" >&2
     echo "$doubling" >&2
+    exit 1
+fi
+
+# shellcheck disable=SC2046
+span_sort=$(nontest '\.sort(_by|_by_key)?\(' $(find crates/core/src/parallel -name '*.rs') | grep -i 'span' || true)
+if [ -n "$span_sort" ]; then
+    echo "surface: span arrivals are merged in place (common::merge_by), not sorted with scratch:" >&2
+    echo "$span_sort" >&2
     exit 1
 fi
 

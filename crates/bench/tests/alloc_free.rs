@@ -21,6 +21,8 @@ use pgr_circuit::{generate, GeneratorConfig, NetId};
 use pgr_geom::DensityProfile;
 use pgr_mpi::{ClockMode, Comm, MachineModel, Phase};
 use pgr_obs::{MetricsConfig, MetricsShard};
+use pgr_router::metrics::names;
+use pgr_router::parallel::common::merge_by;
 use pgr_router::route::connect::{connect_net_with, ConnectArena};
 use pgr_router::route::feedthrough::{assign, Crossing, FtPlan};
 use pgr_router::route::state::{Grid, Node, Span, WorkNets};
@@ -177,6 +179,55 @@ fn main() {
         shard.stop_timer("bench.alloc.timer", start);
     }
     assert_eq!(allocs(), before, "a warm timer must not allocate");
+
+    // The router's timers go through its `Comm`: off there (metrics off,
+    // or on under a virtual clock), they allocate nothing either.
+    let comms = [
+        Comm::solo(MachineModel::ideal()),
+        Comm::solo_with(
+            MachineModel::ideal(),
+            MetricsConfig::on(),
+            ClockMode::Virtual,
+        ),
+    ];
+    for mut comm in comms {
+        comm.metric_window_open(Phase::Connect);
+        let before = allocs();
+        for _ in 0..10_000 {
+            let start = comm.start_timer();
+            comm.stop_timer(names::CONNECT_KERNEL, start);
+        }
+        assert_eq!(
+            allocs(),
+            before,
+            "a router timer that is off must not allocate"
+        );
+    }
+
+    // The hybrid's order restore merges the span arrivals in the longest
+    // one's buffer: one allocation (its growth to the total), nothing
+    // for the other arrivals' cursors.
+    let span = |net: u32| Span {
+        net: NetId(net),
+        channel: net % 7,
+        lo: 0,
+        hi: 1,
+        switch_row: None,
+    };
+    let arrivals = |nets: [u32; 3]| -> Vec<Vec<Span>> {
+        (0..4)
+            .map(|a| (0..nets[a % 3]).map(|i| span(i * 4 + a as u32)).collect())
+            .collect()
+    };
+    for nets in [[3, 0, 9], [2_000, 10, 500]] {
+        let parts = arrivals(nets);
+        let total: usize = parts.iter().map(Vec::len).sum();
+        let before = allocs();
+        let merged = merge_by(parts, |s| s.net);
+        assert_eq!(allocs() - before, 1, "the order restore of {nets:?}");
+        assert_eq!((merged.len(), merged.capacity()), (total, total));
+        assert!(merged.is_sorted_by_key(|s| s.net));
+    }
 
     // The density profile's point/range queries and updates stay
     // allocation-free, the recount after a last peak column drops included.

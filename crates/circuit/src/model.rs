@@ -294,6 +294,7 @@ impl Circuit {
     /// Verify internal consistency. Generators and the parser call this;
     /// routers may assume it holds.
     pub fn validate(&self) -> Result<(), ModelError> {
+        check_pin_count(self.num_pins())?;
         let s = &self.store;
         for i in 0..self.num_rows {
             let row_id = RowId::from_index(i);
@@ -461,6 +462,19 @@ pub struct CircuitStats {
     pub switchable_pins: usize,
 }
 
+/// Pins a circuit may hold: the router packs a pin's id into 28 bits of
+/// a connection node.
+pub const MAX_PINS: usize = 1 << 28;
+
+fn check_pin_count(pins: usize) -> Result<(), ModelError> {
+    if pins > MAX_PINS {
+        return Err(ModelError::TooLarge(format!(
+            "{pins} pins, at most {MAX_PINS}"
+        )));
+    }
+    Ok(())
+}
+
 /// Validation failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ModelError {
@@ -471,6 +485,7 @@ pub enum ModelError {
     OutOfCore(String),
     DegenerateNet(String),
     DuplicatePin(String),
+    TooLarge(String),
 }
 
 impl fmt::Display for ModelError {
@@ -483,6 +498,7 @@ impl fmt::Display for ModelError {
             ModelError::OutOfCore(s) => write!(f, "outside core: {s}"),
             ModelError::DegenerateNet(s) => write!(f, "degenerate net: {s}"),
             ModelError::DuplicatePin(s) => write!(f, "duplicate pin in net: {s}"),
+            ModelError::TooLarge(s) => write!(f, "circuit too large: {s}"),
         }
     }
 }
@@ -508,6 +524,13 @@ mod tests {
         b.add_net("a", vec![p0, p1]);
         b.add_net("b", vec![p2, p3]);
         b.finish().expect("tiny circuit is valid")
+    }
+
+    #[test]
+    fn more_pins_than_a_node_can_name_is_a_model_error() {
+        assert_eq!(check_pin_count(MAX_PINS), Ok(()));
+        let err = check_pin_count(MAX_PINS + 1).unwrap_err();
+        assert!(matches!(err, ModelError::TooLarge(_)), "{err}");
     }
 
     #[test]

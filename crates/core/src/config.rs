@@ -10,6 +10,15 @@ pub const COARSE_PASSES: usize = 4;
 pub const SWITCH_PASSES: usize = 4;
 /// Width of an inserted feedthrough cell, in columns.
 pub const FT_WIDTH: i64 = 2;
+/// Pin-weight exponent β of the hybrid's step-4 owner map (§5's
+/// `-(pins^β)` under [`PartitionKind::PinWeight`]; the other heuristics
+/// have no β). Step 1 builds a net's MST in time quadratic in its pins,
+/// Connect in O(n log n) of its nodes, so the map that balances step 1
+/// (`RouterConfig::pin_weight_beta`) overloads whichever rank connects
+/// the giant nets; this lighter weight balances Connect's nodes.
+///
+/// [`PartitionKind::PinWeight`]: crate::parallel::partition::PartitionKind::PinWeight
+pub const CONNECT_PIN_WEIGHT_BETA: f64 = 1.3;
 
 /// Tunables of the TWGR-style router. Defaults reproduce the paper's
 /// setup; the benchmark harness overrides `seed` and the parallel knobs.

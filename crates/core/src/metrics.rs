@@ -63,6 +63,17 @@ pub mod names {
     /// automatic post-recovery [`crate::verify::check`]. Present (at 0)
     /// whenever the check ran, so dumps prove verification happened.
     pub const VERIFY_VIOLATIONS: &str = "verify.violations";
+    /// Timer: Connect's per-net kernel, `connect_all` (every driver).
+    pub const CONNECT_KERNEL: &str = "connect.kernel";
+    /// Timer: loading Connect's spans into the channel profiles (the
+    /// drivers that load them in Connect: serial, row-wise, net-wise).
+    pub const CONNECT_LOAD: &str = "connect.load";
+    /// Timer: the hybrid's fragment exchange — the step-4 owner map,
+    /// the fragment buckets, the `alltoall` and the merge.
+    pub const HYBRID_GATHER: &str = "hybrid.gather";
+    /// Timer: the hybrid's span dealing — the deal, the `alltoall` and
+    /// the restore of switchable's input order.
+    pub const HYBRID_DEAL: &str = "hybrid.deal";
 }
 
 /// Record the solution-quality metrics of an assembled result into the

@@ -119,6 +119,47 @@ pub(crate) fn join<T: Copy>(mut parts: Vec<Vec<T>>) -> Vec<T> {
     out
 }
 
+/// `parts` merged by `key`, each part already in `key` order, in the
+/// buffer of the longest part grown once to the total: what a stable
+/// sort of `parts` end to end would give (equal keys keep part order),
+/// without the sort's scratch. The longest part stays at the head and
+/// the merge writes from the back, taking the greatest unread item each
+/// time: the write index never falls below the longest part's unread
+/// ones, and the other parts are read by `pop`, so nothing else is
+/// allocated.
+pub fn merge_by<T: Copy, K: Ord>(mut parts: Vec<Vec<T>>, key: impl Fn(&T) -> K) -> Vec<T> {
+    let Some(k) = (0..parts.len()).max_by_key(|&i| parts[i].len()) else {
+        return Vec::new();
+    };
+    let mut out = std::mem::take(&mut parts[k]);
+    let Some(&fill) = out.first() else {
+        return out; // every part is empty
+    };
+    let (mut head, rest) = (out.len(), parts.iter().map(Vec::len).sum::<usize>());
+    out.reserve_exact(rest);
+    out.resize(head + rest, fill);
+    for w in (0..out.len()).rev() {
+        // The part whose last unread item has the greatest (key, part).
+        let mut from = (head > 0).then(|| (key(&out[head - 1]), k));
+        for (i, part) in parts.iter().enumerate() {
+            if let Some(last) = part.last() {
+                let theirs = (key(last), i);
+                if from.as_ref().is_none_or(|best| theirs > *best) {
+                    from = Some(theirs);
+                }
+            }
+        }
+        out[w] = match from.expect("an item is left for every slot") {
+            (_, i) if i == k => {
+                head -= 1;
+                out[head]
+            }
+            (_, i) => parts[i].pop().expect("its last item"),
+        };
+    }
+    out
+}
+
 /// Group the `(net, node)` pairs `pairs` yields (on each of three
 /// walks) into one store, every net's nodes sorted and deduplicated,
 /// nets in order of first appearance.
@@ -306,7 +347,7 @@ mod tests {
         // Bottom piece: (3,1) → fake(3,3). Top: fake(3,4) → (9,6).
         assert_eq!(s0.upper.row, 3);
         assert_eq!(s0.upper.x, 3, "fake pin at the lower endpoint's column");
-        assert!(matches!(s0.upper.kind, NodeKind::Fake));
+        assert!(matches!(s0.upper.kind(), NodeKind::Fake));
         assert_eq!(s1.lower.row, 4);
         assert_eq!(s1.lower.x, 3);
         assert_eq!(s1.upper, seg.upper);
@@ -427,6 +468,6 @@ mod tests {
             .map(|sender| group_nodes(|| each().skip(sender).step_by(3)))
             .collect();
         want.sort_unstable_by_key(|w| w.0);
-        assert_eq!(listed(merge_fragments(&stores)), want);
+        assert_eq!(listed(merge_fragments(&stores, |_| 0)), want);
     }
 }

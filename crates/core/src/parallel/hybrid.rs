@@ -15,9 +15,11 @@
 //! (≈2 % track degradation), at slightly lower speedups than row-wise
 //! because of the extra fragment/span exchange.
 
+use crate::config::CONNECT_PIN_WEIGHT_BETA;
 use crate::engine::{Phase, Pipeline, RouteCtx};
-use crate::metrics::RoutingResult;
-use crate::parallel::common::{buckets, join, sync_boundaries};
+use crate::metrics::{names, RoutingResult};
+use crate::parallel::common::{buckets, merge_by, sync_boundaries};
+use crate::parallel::partition::partition_nets;
 use crate::parallel::rowwise::RowWisePipeline;
 use crate::route::connect::connect_all;
 use crate::route::state::{Span, WorkNets};
@@ -25,32 +27,39 @@ use crate::route::switchable::ChannelState;
 use pgr_circuit::{NetId, RowId};
 use pgr_mpi::Comm;
 
-/// Ship every net fragment of `works` to the net's owner, one store per
-/// owner, and merge what each owner receives into whole nets in id order
-/// (whatever order the fragments arrive in).
-pub(crate) fn gather_at_owners(works: WorkNets, owners: &[u32], comm: &mut Comm) -> WorkNets {
-    let owner = |net: NetId| owners[net.index()] as usize;
+/// Ship every net fragment of `works` to the rank `connects` names for
+/// its net, one store per rank, and merge what each rank receives into
+/// whole nets in the order [`merge_fragments`] gives them under step 1's
+/// map `owners` (whatever order the fragments arrive in).
+pub(crate) fn gather_at_owners(
+    works: WorkNets,
+    connects: &[u32],
+    owners: &[u32],
+    comm: &mut Comm,
+) -> WorkNets {
+    let to = |net: NetId| connects[net.index()] as usize;
     let mut sizes = vec![(0, 0); comm.size()];
     for (net, nodes) in works.iter() {
-        let (nets, len) = sizes[owner(net)];
-        sizes[owner(net)] = (nets + 1, len + nodes.len());
+        let (nets, len) = sizes[to(net)];
+        sizes[to(net)] = (nets + 1, len + nodes.len());
     }
     let mut work_out: Vec<_> = sizes
         .iter()
         .map(|&(n, len)| WorkNets::with_capacity(n, len))
         .collect();
     for (net, nodes) in works.iter() {
-        work_out[owner(net)].push(net, nodes.iter().copied());
+        work_out[to(net)].push(net, nodes.iter().copied());
     }
     drop(works);
-    merge_fragments(&comm.alltoall(work_out))
+    merge_fragments(&comm.alltoall(work_out), |net| owners[net.index()])
 }
 
-/// One store of the nets `fragments` hold, in id order, each the union of
+/// One store of the nets `fragments` hold, grouped by `group` of their
+/// id (group 0 first) and in id order within a group, each the union of
 /// its fragments' nodes made canonical. Every fragment slice is canonical
 /// already, so a net one store holds is copied as it stands and only a
 /// net several hold is sorted; a net without nodes gets no record.
-pub(crate) fn merge_fragments(fragments: &[WorkNets]) -> WorkNets {
+pub(crate) fn merge_fragments(fragments: &[WorkNets], group: impl Fn(NetId) -> u32) -> WorkNets {
     // A counting sort of the non-empty slices by net id: net `i`'s are
     // `pieces[at[i]..at[i + 1]]`, in store order.
     let all = || (fragments.iter().flat_map(WorkNets::iter)).filter(|(_, s)| !s.is_empty());
@@ -64,11 +73,18 @@ pub(crate) fn merge_fragments(fragments: &[WorkNets]) -> WorkNets {
         pieces[next[net.index()] as usize] = nodes;
         next[net.index()] += 1;
     }
-    let nets = at.windows(2).filter(|w| w[0] < w[1]).count();
-    let mut store = WorkNets::with_capacity(nets, pieces.iter().map(|p| p.len()).sum());
-    for (i, w) in at.windows(2).enumerate() {
-        if let Some((first, rest)) = pieces[w[0] as usize..w[1] as usize].split_first() {
-            store.push(NetId(i as u32), first.iter().copied());
+    let held = || {
+        (0..at.len() - 1)
+            .filter(|&i| at[i] < at[i + 1])
+            .map(NetId::from_index)
+    };
+    let groups = held().map(|net| group(net) + 1).max().unwrap_or(0);
+    let mut store = WorkNets::with_capacity(held().count(), pieces.iter().map(|p| p.len()).sum());
+    for g in 0..groups {
+        for net in held().filter(|&net| group(net) == g) {
+            let (i, j) = (at[net.index()] as usize, at[net.index() + 1] as usize);
+            let (first, rest) = pieces[i..j].split_first().expect("a held net");
+            store.push(net, first.iter().copied());
             if !rest.is_empty() {
                 store.extend_last(rest.iter().copied().flatten().copied());
             }
@@ -115,9 +131,18 @@ impl Pipeline for HybridPipeline {
         let (owners, st) = (&self.rowwise.owners, &mut self.rowwise.st);
         match phase {
             // Step 4 (the hybrid difference): ship each net's fragment to
-            // the net's owner, merge, and connect the whole net there.
+            // the rank that connects it, merge, and connect the whole net
+            // there. Connect has a map of its own (`CONNECT_PIN_WEIGHT_BETA`):
+            // step 1's map balances quadratic MST work, which leaves one
+            // rank with most of Connect's nodes.
             Phase::Connect => {
-                let merged = gather_at_owners(std::mem::take(&mut st.works), owners, comm);
+                let timer = comm.start_timer();
+                let beta = CONNECT_PIN_WEIGHT_BETA;
+                let connects = partition_nets(ctx.circuit, ctx.kind, &ctx.rows, ctx.size, beta);
+                let works = std::mem::take(&mut st.works);
+                let merged = gather_at_owners(works, &connects, owners, comm);
+                drop(connects);
+                comm.stop_timer(names::HYBRID_GATHER, timer);
                 let (all_spans, wirelength) = connect_all(&merged, true, comm);
                 // Freed before the dealing.
                 drop(merged);
@@ -127,16 +152,21 @@ impl Pipeline for HybridPipeline {
                 // follow their row (the owner covers both candidate
                 // channels); fixed spans follow their channel (the top
                 // channel belongs to the last rank).
+                let timer = comm.start_timer();
                 let span_out = deal_spans(all_spans, ctx.size, ctx.rank, |s| match s.switch_row {
                     Some(r) => ctx.rows.owner(RowId(r)),
                     None if s.channel as usize == ctx.circuit.num_rows() => ctx.size - 1,
                     None => ctx.rows.owner(RowId(s.channel)),
                 });
-                // Arrival order is deterministic (alltoall delivers in
-                // sender-rank order, each sender's list is
-                // deterministic), and at P = 1 it is exactly the serial
-                // span order.
-                st.spans = join(comm.alltoall(span_out));
+                // Every arrival holds its nets grouped by step-1 owner, in
+                // id order within a group (the merged store's order), so
+                // merging them on (step-1 owner, net id) gives switchable
+                // the order step 1's map alone would deliver: the senders
+                // in rank order, each in net-id order — at P = 1 exactly
+                // the serial span order.
+                let arrivals = comm.alltoall(span_out);
+                st.spans = merge_by(arrivals, |s| (owners[s.net.index()], s.net));
+                comm.stop_timer(names::HYBRID_DEAL, timer);
             }
 
             // Step 5 on the local rows, against the channel state of the
@@ -336,14 +366,64 @@ mod tests {
                     .filter(|w| !w.1.is_empty())
                     .collect();
                 assert_eq!(
-                    listed(&merge_fragments(&stores)),
+                    listed(&merge_fragments(&stores, |_| 0)),
                     want,
                     "P={procs} seed {seed}"
                 );
+                // Grouped: the same nets, group by group, in id order
+                // within one.
+                let group = |net: NetId| net.0 % 3;
+                let mut grouped = want.clone();
+                grouped.sort_by_key(|w| (group(w.0), w.0));
+                assert_eq!(listed(&merge_fragments(&stores, group)), grouped);
             }
         }
-        assert!(merge_fragments(&[]).is_empty());
-        assert!(merge_fragments(&[WorkNets::default(), WorkNets::default()]).is_empty());
+        assert!(merge_fragments(&[], |_| 0).is_empty());
+        let empty = [WorkNets::default(), WorkNets::default()];
+        assert!(merge_fragments(&empty, |_| 0).is_empty());
+    }
+
+    /// Switchable's input order, restored: `procs` seeded arrivals (some
+    /// empty), each holding its nets' spans grouped by step-1 owner and in
+    /// id order within a group, as the dealing sends them, merge into a
+    /// stable sort of the arrivals end to end on (owner, net), in one
+    /// exactly sized buffer.
+    #[test]
+    fn merged_arrivals_equal_a_stable_sort_of_their_concatenation() {
+        let mut rng = pgr_geom::rng::rng_from_seed(0x0DE2);
+        for procs in 1..=4 {
+            for seed in 0..30 {
+                let owners: Vec<u32> = (0..60).map(|_| rng.gen_range(0..procs as u32)).collect();
+                let key = |s: &Span| (owners[s.net.index()], s.net);
+                let arrivals: Vec<Vec<Span>> = (0..procs)
+                    .map(|_| {
+                        if rng.gen_bool(0.25) {
+                            return Vec::new();
+                        }
+                        // Each net connected on one rank; here some nets
+                        // on several, so equal keys meet across arrivals.
+                        let mut spans: Vec<Span> = (0..rng.gen_range(0..40))
+                            .map(|i| Span {
+                                net: NetId(rng.gen_range(0..60)),
+                                channel: i,
+                                lo: seed,
+                                hi: seed + 1,
+                                switch_row: None,
+                            })
+                            .collect();
+                        spans.sort_by_key(key);
+                        spans
+                    })
+                    .collect();
+                let mut want = arrivals.concat();
+                want.sort_by_key(key);
+                let got = merge_by(arrivals, key);
+                assert_eq!(got, want, "P={procs} seed {seed}");
+                assert_eq!(got.capacity(), got.len());
+            }
+        }
+        assert!(merge_by(Vec::<Vec<Span>>::new(), |s| s.net).is_empty());
+        assert!(merge_by(vec![Vec::<Span>::new(); 3], |s| s.net).is_empty());
     }
 
     #[test]

@@ -495,7 +495,7 @@ impl CoarseState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::route::state::Node;
+    use crate::route::state::{ChannelPref, Node, NodeKind};
     use pgr_circuit::NetId;
     use pgr_geom::rng::rng_from_seed;
     use pgr_mpi::MachineModel;
@@ -568,10 +568,8 @@ mod tests {
         // only *outside* s's extent — adding s into its valley is free.
         // A same-row segment on row 1 with Lower-preferring endpoints
         // lands in channel 1.
-        let mut hi = Node::fake(56, 1);
-        hi.pref = crate::route::state::ChannelPref::Lower;
-        let mut hi2 = Node::fake(63, 1);
-        hi2.pref = crate::route::state::ChannelPref::Lower;
+        let lower = |x| Node::new(x, 1, NodeKind::Fake, ChannelPref::Lower);
+        let (hi, hi2) = (lower(56), lower(63));
         let off = Segment::new(NetId(1), hi, hi2);
         for _ in 0..5 {
             st.apply(&off, Orientation::VertAtLower, 1);

@@ -12,7 +12,7 @@
 //! vertical parts ride the feedthroughs and only contribute wirelength.
 
 use crate::cost;
-use crate::metrics::ROW_HEIGHT;
+use crate::metrics::{names, ROW_HEIGHT};
 use crate::route::state::{ChannelPref, Node, Span, WorkNets};
 use pgr_circuit::NetId;
 use pgr_geom::{LimitedMstScratch, Point};
@@ -53,6 +53,7 @@ pub(crate) fn connect_all(works: &WorkNets, whole_nets: bool, comm: &mut Comm) -
         .map(|(_, nodes)| nodes.len().saturating_sub(1))
         .sum();
     let (mut spans, mut wirelength) = (Vec::with_capacity(edges), 0);
+    let timer = comm.start_timer();
     for (net, nodes) in works.iter() {
         if comm.budget_poll_abort() {
             break;
@@ -64,6 +65,7 @@ pub(crate) fn connect_all(works: &WorkNets, whole_nets: bool, comm: &mut Comm) -
         );
         wirelength += length;
     }
+    comm.stop_timer(names::CONNECT_KERNEL, timer);
     (spans, wirelength)
 }
 
@@ -144,7 +146,7 @@ pub fn connect_net_with(
             let switchable = a.switchable() && b.switchable();
             let channel = if switchable {
                 row // provisional: step 5 may flip it to row + 1
-            } else if a.pref == ChannelPref::Upper || b.pref == ChannelPref::Upper {
+            } else if a.pref() == ChannelPref::Upper || b.pref() == ChannelPref::Upper {
                 row + 1
             } else {
                 row
@@ -237,9 +239,7 @@ mod tests {
 
     #[test]
     fn same_row_pair_with_fixed_upper_pin() {
-        let mut a = Node::fake(2, 3);
-        a.pref = ChannelPref::Upper;
-        a.kind = NodeKind::Pin(0);
+        let a = Node::new(2, 3, NodeKind::Pin(0), ChannelPref::Upper);
         let c = connect(vec![a, Node::fake(9, 3)]);
         let s = &c.spans[0];
         assert_eq!(s.channel, 4, "fixed top-side pin forces the upper channel");
@@ -377,7 +377,7 @@ mod tests {
             if lo == hi {
                 continue;
             }
-            let either = |pref| a.pref == pref || b.pref == pref;
+            let either = |pref| a.pref() == pref || b.pref() == pref;
             let (channel, switch_row) = if a.row != b.row {
                 (b.row, None)
             } else if a.switchable() && b.switchable() {

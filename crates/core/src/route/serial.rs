@@ -49,7 +49,7 @@ pub fn crossings_of<'a>(
 /// as the row's cumulative feedthrough shift.
 fn shift_pin(plan: &FtPlan, node: &mut Node) {
     let rows = plan.row0()..plan.row0() + plan.num_rows() as u32;
-    if !matches!(node.kind, NodeKind::Feedthrough) && rows.contains(&node.row) {
+    if !matches!(node.kind(), NodeKind::Feedthrough) && rows.contains(&node.row) {
         node.x = plan.shifted_x(node.row, node.x);
     }
 }
@@ -61,7 +61,7 @@ fn shift_pin(plan: &FtPlan, node: &mut Node) {
 /// assembled from segment endpoints.)
 fn register_steiner_nodes(works: &mut WorkNets, segs: &[Segment]) {
     let ends = segs.iter().flat_map(|s| [s.lower, s.upper]);
-    works.extend_last(ends.filter(|nd| matches!(nd.kind, NodeKind::Steiner)));
+    works.extend_last(ends.filter(|nd| matches!(nd.kind(), NodeKind::Steiner)));
 }
 
 /// Where step 1's Steiner segments come from.
@@ -280,11 +280,14 @@ impl RouteState {
     ) {
         let shape = (row0, nrows + 1, self.chip_width);
         let works = std::mem::take(&mut self.works);
+        let mut load = None;
         let chans = ChannelState::from_spans(shape, replicated, 0, comm, |comm| {
             (self.spans, self.wirelength) = connect_all(&works, whole_nets, comm);
             drop(works);
+            load = comm.start_timer();
             &self.spans
         });
+        comm.stop_timer(names::CONNECT_LOAD, load);
         self.chans = Some(chans);
     }
 
@@ -672,16 +675,22 @@ mod tests {
                 let mut pipe = RowWisePipeline::default();
                 check_step3(&mut pipe, |p| &mut p.st, &mut ctx, comm);
                 // The hybrid's Connect: every fragment of a net gathered
-                // at its owner, against "concatenate, sort, deduplicate",
-                // nets in id order.
+                // at the rank that connects it, against "concatenate,
+                // sort, deduplicate", nets in (step-1 owner, id) order.
                 let all = comm.allgather(pipe.st.works.clone());
+                let beta = crate::config::CONNECT_PIN_WEIGHT_BETA;
+                let connects =
+                    crate::parallel::partition::partition_nets(&c, ctx.kind, &ctx.rows, 2, beta);
                 let merged = crate::parallel::hybrid::gather_at_owners(
                     std::mem::take(&mut pipe.st.works),
+                    &connects,
                     &pipe.owners,
                     comm,
                 );
                 let mut want: Vec<(NetId, Vec<Node>)> = Vec::new();
-                for id in 0..c.num_nets() {
+                let mut ids: Vec<usize> = (0..c.num_nets()).collect();
+                ids.sort_by_key(|&id| pipe.owners[id]);
+                for id in ids {
                     let net = NetId::from_index(id);
                     let parts: Vec<&[Node]> = all
                         .iter()
@@ -689,7 +698,7 @@ mod tests {
                         .filter(|&(n, _)| n == net)
                         .map(|(_, nodes)| nodes)
                         .collect();
-                    if pipe.owners[id] as usize == comm.rank() && !parts.is_empty() {
+                    if connects[id] as usize == comm.rank() && !parts.is_empty() {
                         let mut nodes = parts.concat();
                         nodes.sort_unstable_by_key(Node::sort_key);
                         nodes.dedup();

@@ -8,7 +8,7 @@
 //! shifts it induces). All of them serialize with [`pgr_mpi::Wire`] so the
 //! parallel algorithms can ship them between ranks unchanged.
 
-use pgr_circuit::NetId;
+use pgr_circuit::{NetId, MAX_PINS};
 use pgr_mpi::wire::{Reader, Wire, WireError};
 
 /// Which channels a node may attach a same-row connection to.
@@ -90,74 +90,101 @@ impl Wire for NodeKind {
 }
 
 /// A connection node: a point on a row that a net must reach.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///
+/// 16 bytes: the column, the row, and one word that packs the kind tag
+/// (top 2 bits), a pin's id (the middle 28 bits, zero for the other
+/// kinds) and the channel preference (low 2 bits), so the word orders
+/// as `sort_key`'s last three fields do. A pin id must stay below
+/// [`pgr_circuit::MAX_PINS`] (2^28), which circuit validation checks.
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct Node {
     /// Absolute column. For pin nodes this is updated after feedthrough
     /// insertion shifts cells; fake pins keep their original column.
     pub x: i64,
     /// Global row index.
     pub row: u32,
-    pub kind: NodeKind,
-    pub pref: ChannelPref,
+    bits: u32,
 }
 
+const PIN_SHIFT: u32 = 2;
+const TAG_SHIFT: u32 = 30;
+const PIN_MASK: u32 = MAX_PINS as u32 - 1;
+const _: () = assert!(MAX_PINS == 1 << (TAG_SHIFT - PIN_SHIFT));
+
 impl Node {
+    pub fn new(x: i64, row: u32, kind: NodeKind, pref: ChannelPref) -> Self {
+        let (tag, pin) = match kind {
+            NodeKind::Pin(p) => (0, p),
+            NodeKind::Fake => (1, 0),
+            NodeKind::Feedthrough => (2, 0),
+            NodeKind::Steiner => (3, 0),
+        };
+        debug_assert!(pin <= PIN_MASK, "pin id {pin} does not fit a node");
+        let pref = match pref {
+            ChannelPref::Lower => 0,
+            ChannelPref::Upper => 1,
+            ChannelPref::Either => 2,
+        };
+        let bits = tag << TAG_SHIFT | (pin & PIN_MASK) << PIN_SHIFT | pref;
+        Node { x, row, bits }
+    }
+
     pub fn pin(pin: u32, x: i64, row: u32, pref: ChannelPref) -> Self {
-        Node {
-            x,
-            row,
-            kind: NodeKind::Pin(pin),
-            pref,
+        Node::new(x, row, NodeKind::Pin(pin), pref)
+    }
+
+    pub fn fake(x: i64, row: u32) -> Self {
+        Node::new(x, row, NodeKind::Fake, ChannelPref::Either)
+    }
+
+    pub fn feedthrough(x: i64, row: u32) -> Self {
+        Node::new(x, row, NodeKind::Feedthrough, ChannelPref::Either)
+    }
+
+    pub fn steiner(x: i64, row: u32) -> Self {
+        Node::new(x, row, NodeKind::Steiner, ChannelPref::Either)
+    }
+
+    pub fn kind(&self) -> NodeKind {
+        match self.bits >> TAG_SHIFT {
+            0 => NodeKind::Pin(self.bits >> PIN_SHIFT & PIN_MASK),
+            1 => NodeKind::Fake,
+            2 => NodeKind::Feedthrough,
+            _ => NodeKind::Steiner,
+        }
+    }
+
+    pub fn pref(&self) -> ChannelPref {
+        match self.bits & 3 {
+            0 => ChannelPref::Lower,
+            1 => ChannelPref::Upper,
+            _ => ChannelPref::Either,
         }
     }
 
     /// Total order used to canonicalize node lists, so a net connects
     /// identically no matter which rank assembled its nodes or in what
-    /// order fragments arrived.
+    /// order fragments arrived: row, column, kind tag, pin id, channel
+    /// preference tag.
     pub fn sort_key(&self) -> (u32, i64, u8, u32, u8) {
-        let (ktag, pid) = match self.kind {
-            NodeKind::Pin(p) => (0u8, p),
-            NodeKind::Fake => (1, 0),
-            NodeKind::Feedthrough => (2, 0),
-            NodeKind::Steiner => (3, 0),
-        };
-        let ptag = match self.pref {
-            ChannelPref::Lower => 0u8,
-            ChannelPref::Upper => 1,
-            ChannelPref::Either => 2,
-        };
-        (self.row, self.x, ktag, pid, ptag)
-    }
-
-    pub fn fake(x: i64, row: u32) -> Self {
-        Node {
-            x,
-            row,
-            kind: NodeKind::Fake,
-            pref: ChannelPref::Either,
-        }
-    }
-
-    pub fn feedthrough(x: i64, row: u32) -> Self {
-        Node {
-            x,
-            row,
-            kind: NodeKind::Feedthrough,
-            pref: ChannelPref::Either,
-        }
-    }
-
-    pub fn steiner(x: i64, row: u32) -> Self {
-        Node {
-            x,
-            row,
-            kind: NodeKind::Steiner,
-            pref: ChannelPref::Either,
-        }
+        let b = self.bits;
+        let (tag, pin) = ((b >> TAG_SHIFT) as u8, b >> PIN_SHIFT & PIN_MASK);
+        (self.row, self.x, tag, pin, (b & 3) as u8)
     }
 
     pub fn switchable(&self) -> bool {
-        self.pref == ChannelPref::Either
+        self.pref() == ChannelPref::Either
+    }
+}
+
+impl std::fmt::Debug for Node {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Node")
+            .field("x", &self.x)
+            .field("row", &self.row)
+            .field("kind", &self.kind())
+            .field("pref", &self.pref())
+            .finish()
     }
 }
 
@@ -165,19 +192,22 @@ impl Wire for Node {
     fn encode(&self, out: &mut Vec<u8>) {
         self.x.encode(out);
         self.row.encode(out);
-        self.kind.encode(out);
-        self.pref.encode(out);
+        self.kind().encode(out);
+        self.pref().encode(out);
     }
     fn wire_len(&self) -> usize {
-        13 + self.kind.wire_len()
+        13 + self.kind().wire_len()
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Node {
-            x: i64::decode(r)?,
-            row: u32::decode(r)?,
-            kind: NodeKind::decode(r)?,
-            pref: ChannelPref::decode(r)?,
-        })
+        let (x, row) = (i64::decode(r)?, u32::decode(r)?);
+        let kind = NodeKind::decode(r)?;
+        if let NodeKind::Pin(p) = kind {
+            if p > PIN_MASK {
+                let (index, len) = (p as u64, MAX_PINS as u64);
+                return Err(WireError::OutOfRange { index, len });
+            }
+        }
+        Ok(Node::new(x, row, kind, ChannelPref::decode(r)?))
     }
 }
 
@@ -228,8 +258,8 @@ impl Segment {
     /// per-row feedthrough profile (and hence cell shifting) identical
     /// to the serial router's.
     pub fn demand_rows(&self) -> std::ops::Range<u32> {
-        let start = self.lower.row + u32::from(!matches!(self.lower.kind, NodeKind::Fake));
-        let end = self.upper.row + u32::from(matches!(self.upper.kind, NodeKind::Fake));
+        let start = self.lower.row + u32::from(!matches!(self.lower.kind(), NodeKind::Fake));
+        let end = self.upper.row + u32::from(matches!(self.upper.kind(), NodeKind::Fake));
         start..end
     }
 
@@ -268,7 +298,7 @@ impl Segment {
     pub fn same_row_channel(&self) -> u32 {
         debug_assert!(!self.is_cross_row());
         let row = self.lower.row;
-        match (self.lower.pref, self.upper.pref) {
+        match (self.lower.pref(), self.upper.pref()) {
             (ChannelPref::Upper, _) | (_, ChannelPref::Upper) => row + 1,
             _ => row,
         }
@@ -581,7 +611,7 @@ impl Wire for WorkNets {
         let pins = self
             .nodes
             .iter()
-            .filter(|n| matches!(n.kind, NodeKind::Pin(_)));
+            .filter(|n| matches!(n.kind(), NodeKind::Pin(_)));
         4 + 8 * self.len() + 14 * self.nodes.len() + 4 * pins.count()
     }
 }
@@ -730,14 +760,80 @@ mod tests {
         let s = Segment::new(NetId(0), a, b);
         assert_eq!(s.same_row_channel(), 3, "either+either defaults to lower");
 
-        a.pref = ChannelPref::Upper;
+        a = Node::new(0, 3, NodeKind::Fake, ChannelPref::Upper);
         let s = Segment::new(NetId(0), a, b);
         assert_eq!(s.same_row_channel(), 4);
 
-        a.pref = ChannelPref::Lower;
-        b.pref = ChannelPref::Lower;
+        a = Node::new(0, 3, NodeKind::Fake, ChannelPref::Lower);
+        b = Node::new(5, 3, NodeKind::Fake, ChannelPref::Lower);
         let s = Segment::new(NetId(0), a, b);
         assert_eq!(s.same_row_channel(), 3);
+    }
+
+    #[test]
+    fn a_node_is_16_bytes_and_a_segment_40() {
+        assert_eq!(std::mem::size_of::<Node>(), 16);
+        assert_eq!(std::mem::size_of::<Segment>(), 40);
+    }
+
+    /// The packed node reads back, orders and encodes as its four fields
+    /// would: a written-out encoder of the fields (little-endian `x` and
+    /// `row`, the kind's tag with a pin's id, the preference's tag) for
+    /// every kind × preference, pin ids 0 and 2^28 − 1.
+    #[test]
+    fn node_fields_and_wire_bytes_match_a_written_out_encoder() {
+        fn reference(x: i64, row: u32, kind: NodeKind, pref: ChannelPref) -> Vec<u8> {
+            let mut out = [x.to_le_bytes().to_vec(), row.to_le_bytes().to_vec()].concat();
+            match kind {
+                NodeKind::Pin(p) => {
+                    out.push(0);
+                    out.extend_from_slice(&p.to_le_bytes());
+                }
+                NodeKind::Fake => out.push(1),
+                NodeKind::Feedthrough => out.push(2),
+                NodeKind::Steiner => out.push(3),
+            }
+            out.push(match pref {
+                ChannelPref::Lower => 0,
+                ChannelPref::Upper => 1,
+                ChannelPref::Either => 2,
+            });
+            out
+        }
+        let top = MAX_PINS as u32 - 1;
+        let kinds = [
+            NodeKind::Pin(0),
+            NodeKind::Pin(top),
+            NodeKind::Fake,
+            NodeKind::Feedthrough,
+            NodeKind::Steiner,
+        ];
+        let prefs = [ChannelPref::Lower, ChannelPref::Upper, ChannelPref::Either];
+        let mut keys = Vec::new();
+        for (i, &kind) in kinds.iter().enumerate() {
+            for (j, &pref) in prefs.iter().enumerate() {
+                let (x, row) = (-(i as i64) * 7_000_000_000 + j as i64, (i * 3 + j) as u32);
+                let n = Node::new(x, row, kind, pref);
+                assert_eq!((n.x, n.row, n.kind(), n.pref()), (x, row, kind, pref));
+                let bytes = reference(x, row, kind, pref);
+                assert_eq!(n.to_bytes(), bytes, "{n:?}");
+                assert_eq!(n.wire_len(), bytes.len());
+                assert_eq!(Node::from_bytes(&bytes).unwrap(), n);
+                let pin = if let NodeKind::Pin(p) = kind { p } else { 0 };
+                let tag = [0, 0, 1, 2, 3][i];
+                assert_eq!(n.sort_key(), (row, x, tag, pin, j as u8));
+                keys.push((tag, pin, j as u8, n.bits));
+            }
+        }
+        // The packed word orders as the key's last three fields.
+        keys.sort_unstable();
+        assert!(keys.windows(2).all(|w| w[0].3 < w[1].3));
+        // A pin id past the limit is refused on decode, not wrapped.
+        let over = reference(0, 0, NodeKind::Pin(top + 1), ChannelPref::Lower);
+        assert!(matches!(
+            Node::from_bytes(&over),
+            Err(WireError::OutOfRange { .. })
+        ));
     }
 
     #[test]
@@ -854,12 +950,7 @@ mod tests {
                     NodeKind::Feedthrough,
                     NodeKind::Steiner,
                 ];
-                Node {
-                    x,
-                    row,
-                    kind: kind[next(4) as usize],
-                    pref: pref[next(3) as usize],
-                }
+                Node::new(x, row, kind[next(4) as usize], pref[next(3) as usize])
             };
             let nodes: Vec<Node> = (0..n).map(|_| node()).collect();
             let mut works = WorkNets::default();
@@ -881,7 +972,7 @@ mod tests {
                     channel: nd.row,
                     lo: nd.x,
                     hi: nd.x + 40,
-                    switch_row: matches!(nd.pref, ChannelPref::Either).then_some(nd.row),
+                    switch_row: matches!(nd.pref(), ChannelPref::Either).then_some(nd.row),
                 })
                 .collect();
             let crossings: Vec<Crossing> = nodes

@@ -138,7 +138,7 @@ mod tests {
         for (node, &pid) in nodes.iter().zip(c.net_pins(NetId(0))) {
             assert_eq!(node.x, c.pin_x(pid));
             assert_eq!(node.row as usize, c.pin_row(pid).index());
-            assert!(matches!(node.kind, NodeKind::Pin(p) if p == pid.0));
+            assert!(matches!(node.kind(), NodeKind::Pin(p) if p == pid.0));
         }
     }
 

@@ -40,6 +40,16 @@ const GOLDEN: [(Algorithm, usize, u64, u64, u64); 6] = [
     (Algorithm::Hybrid, 3, 0x07fe24ca1dbf877e, 0x400a0c3d5fa5cf27, 0x37b0087eadd42336),
 ];
 
+/// `(procs, result fingerprint)` of the hybrid on the clock-net case,
+/// captured under step 1's map for Connect: which rank connects a net
+/// never changes what it connects, nor switchable's input order.
+#[rustfmt::skip]
+const HYBRID_CLOCK: [(usize, u64); 3] = [
+    (2, 0xd1fa7b4ecc7c8144),
+    (4, 0x71a35bb91040455a),
+    (8, 0x6bfa19e38a33c57d),
+];
+
 fn mix(h: &mut u64, v: u64) {
     // FNV-1a over 64-bit words.
     *h ^= v;
@@ -129,6 +139,20 @@ fn every_pipeline_matches_its_pre_refactor_fingerprints() {
             stats_fp,
             "{cell}: per-rank stats"
         );
+    }
+}
+
+#[test]
+fn hybrid_results_on_giant_nets_match_their_fingerprints() {
+    for (procs, result_fp) in HYBRID_CLOCK {
+        let cell = harness::Cell {
+            case: &cases().clock,
+            algo: Algorithm::Hybrid,
+            procs,
+        };
+        let out = outcome(&Run::plain(cell));
+        let result = out.result.as_ref().unwrap();
+        assert_eq!(result_fingerprint(result), result_fp, "{cell}");
     }
 }
 

@@ -23,6 +23,7 @@
 // Each suite uses its own share of the harness.
 #![allow(dead_code)]
 
+use pgr_circuit::mcnc::Mcnc;
 use pgr_circuit::scenarios::{ScenarioFamily, ScenarioSpec};
 use pgr_circuit::{generate, Circuit, GeneratorConfig};
 use pgr_mpi::fault::{FAULTS_DELAYED, FAULTS_DROPPED, FAULTS_DUPLICATED, FAULTS_REORDERED};
@@ -69,6 +70,10 @@ pub struct Cases {
     pub small: Case,
     /// The circuit of the budget levers.
     pub budget: Case,
+    /// avq.large's clone at a tenth of its size: clock nets of 210, 86
+    /// and 54 pins, and most nets' Connect owner differs from their
+    /// step-1 owner at P ∈ {2, 4, 8}.
+    pub clock: Case,
 }
 
 pub fn cases() -> &'static Cases {
@@ -88,6 +93,7 @@ pub fn cases() -> &'static Cases {
             golden: Case::new(small("golden", 23), 11),
             small: Case::new(small("small", 17), 9),
             budget: Case::new(small("budget", 13), 1997),
+            clock: Case::new(Mcnc::AvqLarge.circuit_scaled(0.1), 5),
         }
     })
 }

@@ -16,6 +16,7 @@
 use super::{Body, Comm, Kind, Payload, Value, COLLECTIVE_TAG_BASE};
 use crate::trace::TraceEventKind;
 use crate::wire::Wire;
+use std::sync::Arc;
 
 /// What a collective bills each frame it sends: a function of the value
 /// the frame carries.
@@ -77,9 +78,10 @@ impl Comm {
     }
 
     /// The binomial tree under every broadcast from rank 0 (`value` is
-    /// `Some` there and ignored elsewhere): each child gets a copy,
-    /// billed at `bill` of it (charged if `charged`); a failed receive
-    /// names `op`, the collective invoked.
+    /// `Some` there and ignored elsewhere): every rank gets the one shared
+    /// copy, each child's frame billed at `bill` of it (charged if
+    /// `charged`), never a clone of the value; a failed receive names
+    /// `op`, the collective invoked.
     fn bcast_tagged<T: Payload>(
         &mut self,
         op: &'static str,
@@ -87,10 +89,12 @@ impl Comm {
         tag: u32,
         bill: Bill<'_, T>,
         charged: bool,
-    ) -> T {
+    ) -> Arc<T> {
         let (rank, size) = (self.rank(), self.size());
         let mut value = if rank == 0 {
-            Some(value.expect("rank 0 must supply the broadcast value"))
+            Some(Arc::new(
+                value.expect("rank 0 must supply the broadcast value"),
+            ))
         } else {
             None
         };
@@ -101,7 +105,7 @@ impl Comm {
                 if dst < size {
                     let v = value.as_ref().expect("already received");
                     let bytes = bill(v);
-                    self.send_tagged(dst, tag, v.clone(), bytes, charged);
+                    self.send_tagged(dst, tag, Arc::clone(v), bytes, charged);
                 }
             } else if rank < 2 * step {
                 value = Some(self.coll_recv(op, rank - step, tag, charged));
@@ -156,7 +160,7 @@ impl Comm {
             self.reduce_tagged("allreduce", value, op, tag)
         };
         let tag = self.next_coll_tag();
-        self.bcast_tagged("allreduce", r, tag, &T::wire_len, false)
+        Arc::unwrap_or_clone(self.bcast_tagged("allreduce", r, tag, &T::wire_len, false))
     }
 
     /// Gather all ranks' values at rank 0, in rank order.
@@ -193,7 +197,7 @@ impl Comm {
         self.coll_enter("allgather");
         let g = self.gather_to("allgather", value, &T::wire_len, false);
         let tag = self.next_coll_tag();
-        self.bcast_tagged("allgather", g, tag, &Vec::<T>::wire_len, false)
+        Arc::unwrap_or_clone(self.bcast_tagged("allgather", g, tag, &Vec::<T>::wire_len, false))
     }
 
     /// [`Comm::allgather`] of compact values, each standing for a dense
@@ -201,12 +205,13 @@ impl Comm {
     /// gather frame at `bill` of its value and the broadcast at
     /// `4 + Σ bill`, as `allgather` of the dense values does; the ranks
     /// hand the compact values over. A rank forwarding the broadcast sums
-    /// the bills of the values it holds.
+    /// the bills of the values it holds. Every rank reads the one gathered
+    /// vector rank 0 holds: nothing is cloned for the broadcast.
     pub fn allgather_charged<T: Payload>(
         &mut self,
         value: T,
         bill: impl Fn(&T) -> usize,
-    ) -> Vec<T> {
+    ) -> Arc<Vec<T>> {
         self.coll_enter("allgather");
         let g = self.gather_to("allgather", value, &bill, true);
         let tag = self.next_coll_tag();

@@ -301,6 +301,19 @@ impl Comm {
         self.metrics.observe(name, v);
     }
 
+    /// Start a sub-phase timer of the router (see
+    /// [`MetricsShard::start_timer`]): `None`, with no clock read and no
+    /// allocation, unless metrics are on under a wall clock.
+    pub fn start_timer(&self) -> Option<Instant> {
+        self.metrics.start_timer()
+    }
+
+    /// Charge the host time since `start` to the timer `name` of the open
+    /// phase window (see [`MetricsShard::stop_timer`]).
+    pub fn stop_timer(&mut self, name: &'static str, start: Option<Instant>) {
+        self.metrics.stop_timer(name, start);
+    }
+
     /// Snapshot this rank's metrics (sorted, detached from the shard).
     pub(crate) fn metrics_snapshot(&self) -> RankMetrics {
         self.metrics.snapshot(self.physical_rank())

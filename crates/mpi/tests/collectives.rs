@@ -587,7 +587,7 @@ mod charged {
                 let me = comm.rank() as u64;
                 comm.compute(300 * (me + 1) * (round + 1));
                 if charged {
-                    comm.allgather_charged(me + round, |_| dense_len())
+                    comm.allgather_charged(me + round, |_| dense_len()).to_vec()
                 } else {
                     let all = comm.allgather(dense(me + round));
                     all.into_iter().map(|words| words[0]).collect()
@@ -661,7 +661,7 @@ mod charged {
                             let n = (3 * me + round) as u32;
                             comm.compute(300 * (me + 1) * (round + 1));
                             if charged {
-                                comm.allgather_charged(n, bill)
+                                comm.allgather_charged(n, bill).to_vec()
                             } else {
                                 let all = comm.allgather(records(n));
                                 all.iter().map(|r| r.len() as u32).collect()
