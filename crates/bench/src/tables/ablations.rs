@@ -4,6 +4,7 @@
 use super::cell::{cfg, clamp_procs, routed, run_cell, Opts};
 use crate::fmt_secs;
 use pgr_mpi::{InstrumentConfig, MachineModel};
+use pgr_router::config::CONNECT_PIN_WEIGHT_BETA;
 use pgr_router::{Algorithm, PartitionKind, RouterConfig};
 
 /// One 8-rank ablation table on the SparcCenter model: per circuit, the
@@ -180,7 +181,9 @@ pub fn detailed_refinement(opts: &Opts) {
 
 /// §5's β knob: the pin-number-weight exponent, swept on the
 /// clock-net-heavy circuits where it matters ("our experiments shows
-/// that this technique works well for β≈… for AVQ-LARGE").
+/// that this technique works well for β≈… for AVQ-LARGE"). It moves the
+/// hybrid's step-1 map only: Connect's map keeps
+/// `CONNECT_PIN_WEIGHT_BETA`.
 pub fn beta_sweep(opts: &Opts) {
     let variants = [0.5, 1.0, 1.6, 2.0, 3.0]
         .into_iter()
@@ -193,7 +196,10 @@ pub fn beta_sweep(opts: &Opts) {
         .collect();
     ablation_table(
         opts,
-        "Pin-number-weight β sweep (hybrid, 8 procs, SparcCenter model)",
+        &format!(
+            "Pin-number-weight β sweep (hybrid step 1; Connect's map β = {CONNECT_PIN_WEIGHT_BETA}; \
+             8 procs, SparcCenter model)"
+        ),
         format!("{:>6}", "beta"),
         variants,
     );

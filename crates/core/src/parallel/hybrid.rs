@@ -5,11 +5,13 @@
 //! row-wise and fake pins keep sub-nets connected. The difference is the
 //! final connection: "instead of letting each processor connect the pins
 //! of a net in adjacent rows for the subnets, we let one processor do it
-//! for each whole net." Sub-net fragments travel to the net's owner,
-//! which builds one MST over the union — eliminating the redundant
-//! tracks independent fragment connection can create (Figure 3). The
-//! resulting spans are dealt back to the ranks owning their channels for
-//! switchable optimization.
+//! for each whole net." Sub-net fragments travel to the rank that
+//! connects the net, which builds one MST over the union — eliminating
+//! the redundant tracks independent fragment connection can create
+//! (Figure 3). That rank comes from a net partition of its own, balanced
+//! for Connect (`CONNECT_PIN_WEIGHT_BETA`); step 1 keeps the paper's map.
+//! The resulting spans are dealt back to the ranks owning their channels
+//! for switchable optimization, in the order step 1's map gives them.
 //!
 //! The paper's verdict, which the benchmarks reproduce: best quality
 //! (≈2 % track degradation), at slightly lower speedups than row-wise
