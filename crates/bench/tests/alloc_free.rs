@@ -6,8 +6,9 @@
 //! the profiles' bulk load, however many spans it loads. And one that must
 //! not allocate *in proportion*: a modeled transfer's heap bytes are
 //! independent of the size it models. And one
-//! that must not allocate once warm: Connect's per-net kernel, whose
-//! every buffer lives in the caller's `ConnectArena`. And step 3's
+//! that must not allocate once warm, or once sized for its largest net:
+//! Connect's per-net kernel, whose every buffer lives in the caller's
+//! `ConnectArena`. And step 3's
 //! rebuild of the node store, which allocates the same few buffers for
 //! any number of nets. And the serial route's heap peak: the work nets,
 //! the spans and the channel profiles — the three largest stores of
@@ -294,6 +295,29 @@ fn main() {
     let again = pass(&mut spans);
     assert_eq!(allocs(), before, "a warm Connect pass must not allocate");
     assert_eq!(again, warm);
+
+    // Sized for its largest net, a cold arena allocates nothing either:
+    // `connect_all` sizes one so that its loop leaves the heap where it
+    // stands. These nets press the candidate bound of 3n: every node its
+    // own column, up to eight rows interleaved in x.
+    let mut dense = WorkNets::default();
+    for k in 0..24u32 {
+        let rows = 1 + k % 8;
+        let mut nodes: Vec<Node> = (0..2 + k * 11)
+            .map(|i| Node::fake(i as i64, i % rows))
+            .collect();
+        nodes.sort_unstable_by_key(Node::sort_key);
+        dense.push(NetId(k), nodes);
+    }
+    let largest = dense.iter().map(|(_, nodes)| nodes.len()).max().unwrap();
+    let mut arena = ConnectArena::with_capacity(largest);
+    let mut spans = Vec::with_capacity(dense.iter().map(|(_, nodes)| nodes.len()).sum());
+    let before = allocs();
+    for (net, nodes) in dense.iter() {
+        connect_net_with(net, nodes, &mut comm, &mut arena, &mut spans);
+    }
+    assert_eq!(allocs(), before, "a sized arena must not allocate");
+    assert!(!spans.is_empty());
 
     // Step 3's rebuild — the assignment's counting sort and the attach
     // that writes the new store — allocates a fixed handful of buffers,

@@ -30,6 +30,20 @@ pub struct ConnectArena {
     mst: LimitedMstScratch,
 }
 
+impl ConnectArena {
+    /// An arena sized for nets of up to `nodes` nodes: connecting them
+    /// allocates nothing.
+    pub fn with_capacity(nodes: usize) -> Self {
+        let mut arena = ConnectArena {
+            mst: LimitedMstScratch::with_capacity(nodes),
+            ..ConnectArena::default()
+        };
+        arena.points.reserve_exact(nodes);
+        arena.rows.reserve_exact(nodes);
+        arena
+    }
+}
+
 /// The Connect-phase loop every driver runs: connect each net of `works`
 /// in order through one shared [`ConnectArena`], returning all spans and
 /// the summed wirelength. This is mandatory work, so a latched budget
@@ -38,20 +52,26 @@ pub struct ConnectArena {
 /// `whole_nets` asserts that every net spans — true wherever a rank
 /// connects complete nets rather than row-band fragments.
 ///
-/// Memory: the host allocates the span vector once here and reads `works`
-/// in place; this is `works`' last read, and every caller frees the store
-/// as soon as this returns. The model charges nothing here — the channel
+/// Memory: the host allocates the span vector and the arena once here and
+/// reads `works` in place; this is `works`' last read, and every caller
+/// frees the store as soon as this returns. The model charges nothing here — the channel
 /// state's charge is on the account before this runs
 /// ([`ChannelState::from_spans`](crate::route::switchable::ChannelState)).
 pub(crate) fn connect_all(works: &WorkNets, whole_nets: bool, comm: &mut Comm) -> (Vec<Span>, u64) {
-    let mut arena = ConnectArena::default();
     // A tree of n nodes has at most n - 1 edges and an edge at most one
     // span: sized once, the vector never moves, and it ends within a few
-    // per cent of full (only zero-extent edges leave no span).
-    let edges = works
-        .iter()
-        .map(|(_, nodes)| nodes.len().saturating_sub(1))
-        .sum();
+    // per cent of full (only zero-extent edges leave no span). The arena
+    // is sized once too, for the largest net: the loop allocates nothing,
+    // so this rank's heap stands still from here until the stores are
+    // freed, wherever in its order the largest net sits and whatever the
+    // other ranks' Connects are doing meanwhile.
+    let (edges, largest) = works.iter().fold((0, 0), |(edges, largest), (_, nodes)| {
+        (
+            edges + nodes.len().saturating_sub(1),
+            largest.max(nodes.len()),
+        )
+    });
+    let mut arena = ConnectArena::with_capacity(largest);
     let (mut spans, mut wirelength) = (Vec::with_capacity(edges), 0);
     let timer = comm.start_timer();
     for (net, nodes) in works.iter() {

@@ -160,6 +160,17 @@ pub struct LimitedMstScratch {
 }
 
 impl LimitedMstScratch {
+    /// Scratch sized for up to `n` nodes: a build over that many allocates
+    /// nothing (its candidates are fewer than 3n).
+    pub fn with_capacity(n: usize) -> Self {
+        LimitedMstScratch {
+            order: Vec::with_capacity(n),
+            heads: Vec::with_capacity(n),
+            cand: Vec::with_capacity(3 * n),
+            uf: UnionFind::with_capacity(n),
+        }
+    }
+
     /// The tree of [`mst_adjacency_limited`] and whether it spans, the
     /// edges borrowed from the scratch until the next build.
     ///

@@ -13,6 +13,16 @@ pub struct UnionFind {
 }
 
 impl UnionFind {
+    /// No sets yet, with room for `len`: a later `reset(len)` or smaller
+    /// allocates nothing.
+    pub fn with_capacity(len: usize) -> Self {
+        UnionFind {
+            parent: Vec::with_capacity(len),
+            size: Vec::with_capacity(len),
+            components: 0,
+        }
+    }
+
     /// `len` singleton sets.
     pub fn new(len: usize) -> Self {
         let mut uf = UnionFind::default();
