@@ -158,6 +158,12 @@
 #   sender's value over, billed at its encoded length; only raw byte
 #   frames and a modeled transfer's length header are checksummed, there;
 #   checkpoints keep their codec and CRC in crates/mpi/src/checkpoint.rs).
+# - when a span is spelled field by field again: a non-test, non-comment
+#   `Span {` struct literal (or pattern) under crates/*/src or src/
+#   anywhere but in crates/core/src/route/state.rs. One private word packs
+#   a span's channel, whether it is switchable and which side of its row
+#   it sits on; `Span::new`, `channel()`, `switch_row()` and `flip()` are
+#   the one home of that packing.
 set -eu
 cd "$(dirname "$0")/.."
 MAX_FILE=1000
@@ -494,6 +500,15 @@ codec=$(awk '
 if [ -n "$codec" ]; then
     echo "surface: frames between rank threads carry values, not encodings (only raw byte frames are checksummed, in Transport::send and ::ingest):" >&2
     echo "$codec" >&2
+    exit 1
+fi
+
+# shellcheck disable=SC2046
+span_literal=$(nontest '(^|[^A-Za-z0-9_])Span \{' $(find crates/*/src src -name '*.rs' ! -path crates/core/src/route/state.rs) |
+    grep -vE '^[^:]+:[0-9]+:[ \t]*//|(struct|impl|->)[^{]*Span \{' || true)
+if [ -n "$span_literal" ]; then
+    echo "surface: a span is built by Span::new and read through its accessors (route/state.rs packs its channel word):" >&2
+    echo "$span_literal" >&2
     exit 1
 fi
 

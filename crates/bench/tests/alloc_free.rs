@@ -208,13 +208,7 @@ fn main() {
     // The hybrid's order restore merges the span arrivals in the longest
     // one's buffer: one allocation (its growth to the total), nothing
     // for the other arrivals' cursors.
-    let span = |net: u32| Span {
-        net: NetId(net),
-        channel: net % 7,
-        lo: 0,
-        hi: 1,
-        switch_row: None,
-    };
+    let span = |net: u32| Span::new(NetId(net), net % 7, 0, 1, None);
     let arrivals = |nets: [u32; 3]| -> Vec<Vec<Span>> {
         (0..4)
             .map(|a| (0..nets[a % 3]).map(|i| span(i * 4 + a as u32)).collect())
@@ -387,7 +381,7 @@ fn main() {
     // route's heap peak stays below the three of them together, each
     // counted from the circuit and the result at its smallest: every pin of
     // a multi-pin net and every feedthrough a node, every span the result
-    // holds, each channel of the final chip width one `i64` a column. The
+    // holds, each channel of the final chip width one `i32` a column. The
     // circuit is the `repro big-circuit` shape at 4 000 nets over 113 rows
     // (as `serial_big_100k`), where feedthroughs outnumber pins.
     let (nets, clock_nets) = (4_000, vec![64, 32]);
@@ -412,7 +406,7 @@ fn main() {
     let works = nodes * std::mem::size_of::<Node>();
     let spans = result.spans.len() * std::mem::size_of::<Span>();
     let columns = (circuit.num_rows() + 1) * result.chip_width as usize;
-    let profiles = columns * std::mem::size_of::<i64>();
+    let profiles = columns * std::mem::size_of::<i32>();
     assert!(
         peak < (works + spans + profiles) as u64,
         "heap peak {peak} B holds the work nets ({works} B), the spans ({spans} B) \

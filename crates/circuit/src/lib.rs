@@ -34,7 +34,7 @@ pub mod store;
 pub use builder::CircuitBuilder;
 pub use generate::{generate, GeneratorConfig};
 pub use ids::{CellId, NetId, PinId, RowId};
-pub use model::{Cell, Circuit, CircuitStats, Net, Pin, PinSide, Row, MAX_PINS};
+pub use model::{Cell, Circuit, CircuitStats, Net, Pin, PinSide, Row, MAX_PINS, MAX_ROWS};
 pub use partition::RowPartition;
 pub use scenarios::{ScenarioFamily, ScenarioSpec};
 pub use store::{ChunkSummary, NET_CHUNK_SIZE};

@@ -295,6 +295,7 @@ impl Circuit {
     /// routers may assume it holds.
     pub fn validate(&self) -> Result<(), ModelError> {
         check_pin_count(self.num_pins())?;
+        check_row_count(self.num_rows)?;
         let s = &self.store;
         for i in 0..self.num_rows {
             let row_id = RowId::from_index(i);
@@ -475,6 +476,20 @@ fn check_pin_count(pins: usize) -> Result<(), ModelError> {
     Ok(())
 }
 
+/// Rows a circuit may hold: the router packs a channel's index (channel
+/// `c` lies below row `c`, so they run `0 ..= rows`) into 30 bits of a
+/// span.
+pub const MAX_ROWS: usize = (1 << 30) - 1;
+
+fn check_row_count(rows: usize) -> Result<(), ModelError> {
+    if rows > MAX_ROWS {
+        return Err(ModelError::TooLarge(format!(
+            "{rows} rows, at most {MAX_ROWS}"
+        )));
+    }
+    Ok(())
+}
+
 /// Validation failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ModelError {
@@ -530,6 +545,13 @@ mod tests {
     fn more_pins_than_a_node_can_name_is_a_model_error() {
         assert_eq!(check_pin_count(MAX_PINS), Ok(()));
         let err = check_pin_count(MAX_PINS + 1).unwrap_err();
+        assert!(matches!(err, ModelError::TooLarge(_)), "{err}");
+    }
+
+    #[test]
+    fn more_rows_than_a_span_can_name_is_a_model_error() {
+        assert_eq!(check_row_count(MAX_ROWS), Ok(()));
+        let err = check_row_count(MAX_ROWS + 1).unwrap_err();
         assert!(matches!(err, ModelError::TooLarge(_)), "{err}");
     }
 

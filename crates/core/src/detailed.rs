@@ -50,7 +50,7 @@ pub fn route_channels(result: &RoutingResult) -> DetailedRouting {
     let nchan = result.channel_density.len();
     let mut per_channel: Vec<Vec<Interval>> = vec![Vec::new(); nchan];
     for s in &result.spans {
-        per_channel[s.channel as usize].push(Interval::new(s.net.0, s.lo, s.hi));
+        per_channel[s.channel() as usize].push(Interval::new(s.net.0, s.lo, s.hi));
     }
     let channels = per_channel
         .into_iter()

@@ -155,11 +155,12 @@ impl Pipeline for HybridPipeline {
                 // channels); fixed spans follow their channel (the top
                 // channel belongs to the last rank).
                 let timer = comm.start_timer();
-                let span_out = deal_spans(all_spans, ctx.size, ctx.rank, |s| match s.switch_row {
-                    Some(r) => ctx.rows.owner(RowId(r)),
-                    None if s.channel as usize == ctx.circuit.num_rows() => ctx.size - 1,
-                    None => ctx.rows.owner(RowId(s.channel)),
-                });
+                let span_out =
+                    deal_spans(all_spans, ctx.size, ctx.rank, |s| match s.switch_row() {
+                        Some(r) => ctx.rows.owner(RowId(r)),
+                        None if s.channel() as usize == ctx.circuit.num_rows() => ctx.size - 1,
+                        None => ctx.rows.owner(RowId(s.channel())),
+                    });
                 // Every arrival holds its nets grouped by step-1 owner, in
                 // id order within a group (the merged store's order), so
                 // merging them on (step-1 owner, net id) gives switchable
@@ -405,12 +406,8 @@ mod tests {
                         // Each net connected on one rank; here some nets
                         // on several, so equal keys meet across arrivals.
                         let mut spans: Vec<Span> = (0..rng.gen_range(0..40))
-                            .map(|i| Span {
-                                net: NetId(rng.gen_range(0..60)),
-                                channel: i,
-                                lo: seed,
-                                hi: seed + 1,
-                                switch_row: None,
+                            .map(|i| {
+                                Span::new(NetId(rng.gen_range(0..60)), i, seed, seed + 1, None)
                             })
                             .collect();
                         spans.sort_by_key(key);
@@ -433,15 +430,14 @@ mod tests {
         let mut rng = pgr_geom::rng::rng_from_seed(0xDEA1);
         for size in 1..=4 {
             let spans: Vec<Span> = (0..200)
-                .map(|i| Span {
-                    net: NetId(i),
-                    channel: rng.gen_range(0..9u32),
-                    lo: rng.gen_range(0..50i64),
-                    hi: rng.gen_range(50..99i64),
-                    switch_row: rng.gen_bool(0.5).then(|| rng.gen_range(0..8u32)),
+                .map(|i| {
+                    let channel = rng.gen_range(1..9u32);
+                    let (lo, hi) = (rng.gen_range(0..50i64), rng.gen_range(50..99i64));
+                    let switch_row = rng.gen_bool(0.5).then(|| channel - rng.gen_range(0..2u32));
+                    Span::new(NetId(i), channel, lo, hi, switch_row)
                 })
                 .collect();
-            let dest = |s: &Span| (s.channel + s.switch_row.unwrap_or(0)) as usize % size;
+            let dest = |s: &Span| (s.channel() + s.switch_row().unwrap_or(0)) as usize % size;
             let mut want: Vec<Vec<Span>> = vec![Vec::new(); size];
             for s in &spans {
                 want[dest(s)].push(*s);

@@ -192,7 +192,7 @@ impl CoarseState {
     /// Modeled memory footprint (for the per-node memory gate): the 1997
     /// structure at 32 B a grid column per profile plus the demand rows,
     /// which the virtual results are pinned to — not what
-    /// [`DensityProfile`] allocates (8 B a column).
+    /// [`DensityProfile`] allocates (4 B a column).
     pub fn modeled_bytes(&self) -> u64 {
         (self.profiles.len() * 2 + self.demand.rows()) as u64 * self.gcols as u64 * 16
     }

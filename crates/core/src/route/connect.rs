@@ -171,13 +171,7 @@ pub fn connect_net_with(
             } else {
                 row
             };
-            spans.push(Span {
-                net,
-                channel,
-                lo,
-                hi,
-                switch_row: switchable.then_some(row),
-            });
+            spans.push(Span::new(net, channel, lo, hi, switchable.then_some(row)));
         } else {
             // Adjacent rows: the wire lives in the single channel between
             // them (channel index = upper row). Zero horizontal extent
@@ -186,13 +180,7 @@ pub fn connect_net_with(
                 continue;
             }
             let channel = a.row.max(b.row);
-            spans.push(Span {
-                net,
-                channel,
-                lo,
-                hi,
-                switch_row: None,
-            });
+            spans.push(Span::new(net, channel, lo, hi, None));
         }
     }
     (wirelength, spanning)
@@ -252,8 +240,8 @@ mod tests {
         assert_eq!(c.spans.len(), 1);
         let s = &c.spans[0];
         assert_eq!((s.lo, s.hi), (2, 9));
-        assert_eq!(s.channel, 3, "switchable defaults to the lower channel");
-        assert_eq!(s.switch_row, Some(3));
+        assert_eq!(s.channel(), 3, "switchable defaults to the lower channel");
+        assert_eq!(s.switch_row(), Some(3));
         assert_eq!(c.wirelength, 7);
     }
 
@@ -262,16 +250,20 @@ mod tests {
         let a = Node::new(2, 3, NodeKind::Pin(0), ChannelPref::Upper);
         let c = connect(vec![a, Node::fake(9, 3)]);
         let s = &c.spans[0];
-        assert_eq!(s.channel, 4, "fixed top-side pin forces the upper channel");
-        assert_eq!(s.switch_row, None);
+        assert_eq!(
+            s.channel(),
+            4,
+            "fixed top-side pin forces the upper channel"
+        );
+        assert_eq!(s.switch_row(), None);
     }
 
     #[test]
     fn adjacent_row_pair_uses_between_channel() {
         let c = connect(vec![Node::fake(2, 3), Node::fake(9, 4)]);
         let s = &c.spans[0];
-        assert_eq!(s.channel, 4, "channel between rows 3 and 4");
-        assert_eq!(s.switch_row, None);
+        assert_eq!(s.channel(), 4, "channel between rows 3 and 4");
+        assert_eq!(s.switch_row(), None);
         assert_eq!(c.wirelength, 7 + ROW_HEIGHT as u64);
     }
 
@@ -297,7 +289,7 @@ mod tests {
         assert!(c.spanning);
         // Vertical hops 0-1, 1-2 are spanless; the 2-3 edge has dx=6.
         assert_eq!(c.spans.len(), 1);
-        assert_eq!(c.spans[0].channel, 3);
+        assert_eq!(c.spans[0].channel(), 3);
         assert_eq!(c.wirelength, 3 * ROW_HEIGHT as u64 + 6);
     }
 
@@ -405,13 +397,7 @@ mod tests {
             } else {
                 (a.row + either(ChannelPref::Upper) as u32, None)
             };
-            spans.push(Span {
-                net,
-                channel,
-                lo,
-                hi,
-                switch_row,
-            });
+            spans.push(Span::new(net, channel, lo, hi, switch_row));
         }
         wirelength
     }
@@ -476,7 +462,7 @@ mod tests {
         assert_eq!(got_comm.now().to_bits(), want_comm.now().to_bits());
         let tail: Vec<_> = got_spans[got_spans.len() - 4..]
             .iter()
-            .map(|s| (s.channel, s.switch_row))
+            .map(|s| (s.channel(), s.switch_row()))
             .collect();
         assert_eq!(
             tail,

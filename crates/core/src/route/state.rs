@@ -8,7 +8,7 @@
 //! shifts it induces). All of them serialize with [`pgr_mpi::Wire`] so the
 //! parallel algorithms can ship them between ranks unchanged.
 
-use pgr_circuit::{NetId, MAX_PINS};
+use pgr_circuit::{NetId, MAX_PINS, MAX_ROWS};
 use pgr_mpi::wire::{Reader, Wire, WireError};
 
 /// Which channels a node may attach a same-row connection to.
@@ -324,44 +324,124 @@ impl Wire for Segment {
 }
 
 /// A final horizontal wire span in a channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///
+/// 24 bytes: the net, the inclusive column range, and one word that packs
+/// the channel (top 30 bits), whether the span is switchable (bit 1) and
+/// which channel of its row a switchable span sits in (bit 0: set for the
+/// upper one). A switchable span's row is always its channel or the one
+/// below it, so the word names it without a second field. A channel must
+/// stay at most [`pgr_circuit::MAX_ROWS`] (2^30 − 1), which circuit
+/// validation checks.
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct Span {
     pub net: NetId,
-    /// Global channel index currently holding the span.
-    pub channel: u32,
+    bits: u32,
     /// Inclusive column range.
     pub lo: i64,
     pub hi: i64,
-    /// `Some(row)` if this span may sit in channel `row` or `row + 1`
-    /// (a switchable same-row connection).
-    pub switch_row: Option<u32>,
+}
+
+const CHANNEL_SHIFT: u32 = 2;
+const SWITCHABLE: u32 = 0b10;
+const UPPER: u32 = 0b01;
+const MAX_CHANNEL: u32 = u32::MAX >> CHANNEL_SHIFT;
+const _: () = assert!(MAX_ROWS == MAX_CHANNEL as usize);
+
+/// Where `channel` sits against `row`: 0 for the channel below it, 1 for
+/// the one above, anything else for neither.
+fn row_offset(channel: u32, row: u32) -> u64 {
+    u64::from(channel).wrapping_sub(u64::from(row))
+}
+
+impl Span {
+    /// A span of `net` over `[lo, hi]` in `channel`; `switch_row` is
+    /// `Some(row)` if it may sit in channel `row` or `row + 1` (a
+    /// switchable same-row connection), and `channel` must be one of them.
+    pub fn new(net: NetId, channel: u32, lo: i64, hi: i64, switch_row: Option<u32>) -> Self {
+        debug_assert!(
+            channel <= MAX_CHANNEL,
+            "channel {channel} does not fit a span"
+        );
+        let flags = match switch_row {
+            None => 0,
+            Some(row) => {
+                let side = row_offset(channel, row);
+                debug_assert!(
+                    side <= 1,
+                    "channel {channel} is not beside switch row {row}"
+                );
+                SWITCHABLE | if side == 0 { 0 } else { UPPER }
+            }
+        };
+        let bits = channel << CHANNEL_SHIFT | flags;
+        Span { net, bits, lo, hi }
+    }
+
+    /// Global channel index currently holding the span.
+    pub fn channel(&self) -> u32 {
+        self.bits >> CHANNEL_SHIFT
+    }
+
+    /// `Some(row)` if this span may sit in channel `row` or `row + 1`.
+    pub fn switch_row(&self) -> Option<u32> {
+        (self.bits & SWITCHABLE != 0).then(|| self.channel() - (self.bits & UPPER))
+    }
+
+    /// Move a switchable span to the other channel of its row.
+    pub fn flip(&mut self) {
+        debug_assert!(self.bits & SWITCHABLE != 0, "only a switchable span flips");
+        // One channel and the side bit, down from the upper or up from the lower.
+        let step = (1 << CHANNEL_SHIFT) | UPPER;
+        self.bits = if self.bits & UPPER != 0 {
+            self.bits - step
+        } else {
+            self.bits + step
+        };
+    }
+
+    pub fn width(&self) -> u64 {
+        (self.hi - self.lo).max(0) as u64
+    }
+}
+
+impl std::fmt::Debug for Span {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Span")
+            .field("net", &self.net)
+            .field("channel", &self.channel())
+            .field("lo", &self.lo)
+            .field("hi", &self.hi)
+            .field("switch_row", &self.switch_row())
+            .finish()
+    }
 }
 
 impl Wire for Span {
     fn encode(&self, out: &mut Vec<u8>) {
         self.net.0.encode(out);
-        self.channel.encode(out);
+        self.channel().encode(out);
         self.lo.encode(out);
         self.hi.encode(out);
-        self.switch_row.encode(out);
+        self.switch_row().encode(out);
     }
     fn wire_len(&self) -> usize {
-        24 + self.switch_row.wire_len()
+        24 + self.switch_row().wire_len()
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Span {
-            net: NetId(u32::decode(r)?),
-            channel: u32::decode(r)?,
-            lo: i64::decode(r)?,
-            hi: i64::decode(r)?,
-            switch_row: Option::<u32>::decode(r)?,
-        })
-    }
-}
-
-impl Span {
-    pub fn width(&self) -> u64 {
-        (self.hi - self.lo).max(0) as u64
+        let (net, channel) = (NetId(u32::decode(r)?), u32::decode(r)?);
+        let (lo, hi) = (i64::decode(r)?, i64::decode(r)?);
+        let switch_row = Option::<u32>::decode(r)?;
+        if channel > MAX_CHANNEL {
+            let (index, len) = (channel as u64, MAX_CHANNEL as u64 + 1);
+            return Err(WireError::OutOfRange { index, len });
+        }
+        if let Some(row) = switch_row {
+            let index = row_offset(channel, row);
+            if index > 1 {
+                return Err(WireError::OutOfRange { index, len: 2 });
+            }
+        }
+        Ok(Span::new(net, channel, lo, hi, switch_row))
     }
 }
 
@@ -774,6 +854,77 @@ mod tests {
     fn a_node_is_16_bytes_and_a_segment_40() {
         assert_eq!(std::mem::size_of::<Node>(), 16);
         assert_eq!(std::mem::size_of::<Segment>(), 40);
+        assert_eq!(std::mem::size_of::<Span>(), 24);
+    }
+
+    /// The packed span reads back and encodes as its five fields would: a
+    /// written-out encoder of the fields (little-endian net, channel, `lo`
+    /// and `hi`, then the switch row as an option) for a fixed span, a
+    /// switchable one in the lower and in the upper channel of its row,
+    /// at channels 0 and 2^30 − 1; a flip moves a switchable span to the
+    /// other channel and back.
+    #[test]
+    fn span_fields_and_wire_bytes_match_a_written_out_encoder() {
+        fn reference(net: u32, channel: u32, lo: i64, hi: i64, row: Option<u32>) -> Vec<u8> {
+            let mut out = [net.to_le_bytes(), channel.to_le_bytes()].concat();
+            out.extend([lo.to_le_bytes(), hi.to_le_bytes()].concat());
+            match row {
+                None => out.push(0),
+                Some(r) => {
+                    out.push(1);
+                    out.extend(r.to_le_bytes());
+                }
+            }
+            out
+        }
+        let top = MAX_ROWS as u32;
+        for (channel, row) in [
+            (0, None),
+            (top, None),
+            (0, Some(0)),
+            (top, Some(top)),
+            (1, Some(0)),
+            (top, Some(top - 1)),
+        ] {
+            let (net, lo, hi) = (u32::MAX - channel % 7, i64::MIN + 3, i64::MAX - 5);
+            let mut sp = Span::new(NetId(net), channel, lo, hi, row);
+            assert_eq!(
+                (sp.net, sp.channel(), sp.lo, sp.hi),
+                (NetId(net), channel, lo, hi)
+            );
+            assert_eq!(sp.switch_row(), row, "channel {channel}");
+            let bytes = reference(net, channel, lo, hi, row);
+            assert_eq!(sp.to_bytes(), bytes, "channel {channel}, row {row:?}");
+            assert_eq!(sp.wire_len(), bytes.len());
+            assert_eq!(Span::from_bytes(&bytes).unwrap(), sp);
+            if let Some(r) = row {
+                let other = if channel == r { r + 1 } else { r };
+                if other <= top {
+                    let moved = Span::new(NetId(net), other, lo, hi, row);
+                    sp.flip();
+                    assert_eq!(sp, moved, "flip of channel {channel}, row {r}");
+                    sp.flip();
+                    assert_eq!(sp.channel(), channel);
+                }
+            }
+        }
+        // A channel past the limit, or one not beside its switch row, is
+        // refused on decode, not wrapped.
+        for (channel, row) in [
+            (top + 1, None),
+            (u32::MAX, Some(u32::MAX)),
+            (2, Some(0)),
+            (0, Some(1)),
+            (0, Some(u32::MAX)),
+        ] {
+            assert!(
+                matches!(
+                    Span::from_bytes(&reference(1, channel, 0, 1, row)),
+                    Err(WireError::OutOfRange { .. })
+                ),
+                "channel {channel}, row {row:?}"
+            );
+        }
     }
 
     /// The packed node reads back, orders and encodes as its four fields
@@ -842,13 +993,7 @@ mod tests {
         assert_eq!(Node::from_bytes(&n.to_bytes()).unwrap(), n);
         let s = Segment::new(NetId(9), node(1, 0), Node::feedthrough(4, 2));
         assert_eq!(Segment::from_bytes(&s.to_bytes()).unwrap(), s);
-        let sp = Span {
-            net: NetId(1),
-            channel: 3,
-            lo: -2,
-            hi: 9,
-            switch_row: Some(2),
-        };
+        let sp = Span::new(NetId(1), 3, -2, 9, Some(2));
         assert_eq!(Span::from_bytes(&sp.to_bytes()).unwrap(), sp);
         let mut w = WorkNets::default();
         w.push(NetId(4), [n, Node::fake(0, 0)]);
@@ -967,12 +1112,9 @@ mod tests {
                 .collect();
             let spans: Vec<Span> = nodes
                 .iter()
-                .map(|nd| Span {
-                    net: NetId(nd.row),
-                    channel: nd.row,
-                    lo: nd.x,
-                    hi: nd.x + 40,
-                    switch_row: matches!(nd.pref(), ChannelPref::Either).then_some(nd.row),
+                .map(|nd| {
+                    let switch_row = nd.switchable().then_some(nd.row);
+                    Span::new(NetId(nd.row), nd.row, nd.x, nd.x + 40, switch_row)
                 })
                 .collect();
             let crossings: Vec<Crossing> = nodes
@@ -1011,22 +1153,8 @@ mod tests {
 
     #[test]
     fn span_width() {
-        let sp = Span {
-            net: NetId(0),
-            channel: 0,
-            lo: 3,
-            hi: 10,
-            switch_row: None,
-        };
-        assert_eq!(sp.width(), 7);
-        let pt = Span {
-            net: NetId(0),
-            channel: 0,
-            lo: 3,
-            hi: 3,
-            switch_row: None,
-        };
-        assert_eq!(pt.width(), 0);
+        assert_eq!(Span::new(NetId(0), 0, 3, 10, None).width(), 7);
+        assert_eq!(Span::new(NetId(0), 0, 3, 3, None).width(), 0);
     }
 
     /// The dense encoding [`Grid::wire_len`] measures — the reference the

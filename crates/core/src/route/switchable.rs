@@ -306,19 +306,19 @@ impl ChannelState {
         if replicated {
             let mut log = SwitchLog::default();
             for s in spans {
-                let (chan, lo, hi) = (s.channel, s.lo, s.hi);
+                let (chan, lo, hi) = (s.channel(), s.lo, s.hi);
                 log.push(Record::Load { chan, lo, hi });
             }
             chans.log = Some(log);
         }
-        let placed = |s: &Span| (chan_idx(chan0, nchannels, s.channel), s.lo, s.hi, 1);
+        let placed = |s: &Span| (chan_idx(chan0, nchannels, s.channel()), s.lo, s.hi, 1);
         DensityProfile::load_spans(&mut chans.profiles, spans.iter().map(placed));
         chans
     }
 
     /// Modeled memory footprint (for the per-node memory gate): the 1997
     /// structure at 32 B a column, which the virtual results are pinned
-    /// to — not what [`DensityProfile`] allocates (8 B a column).
+    /// to — not what [`DensityProfile`] allocates (4 B a column).
     pub fn modeled_bytes(&self) -> u64 {
         modeled_bytes(self.profiles.len(), self.width)
     }
@@ -333,21 +333,18 @@ impl ChannelState {
 
     /// Add (`sign = 1`) or remove (`sign = -1`) a span. Not logged.
     pub fn add_span(&mut self, span: &Span, sign: i32) {
-        let i = self.idx(span.channel);
+        let i = self.idx(span.channel());
         self.profiles[i].add_span(span.lo, span.hi, sign as i64);
     }
 
-    /// Move `span` from its channel to `to`, logged as one flip.
-    fn flip(&mut self, span: &Span, to: u32) {
+    /// Move the switchable `span` to the other channel of its row, logged
+    /// as one flip.
+    fn flip(&mut self, span: &Span) {
+        let mut moved = *span;
+        moved.flip();
         self.add_span(span, -1);
-        self.add_span(
-            &Span {
-                channel: to,
-                ..*span
-            },
-            1,
-        );
-        let (from, lo, hi) = (span.channel, span.lo, span.hi);
+        self.add_span(&moved, 1);
+        let (from, to, lo, hi) = (span.channel(), moved.channel(), span.lo, span.hi);
         self.record(Record::Flip { from, to, lo, hi });
     }
 
@@ -464,7 +461,7 @@ fn switchable_candidates(spans: &[Span]) -> Vec<u32> {
     spans
         .iter()
         .enumerate()
-        .filter_map(|(i, s)| s.switch_row.map(|_| i as u32))
+        .filter_map(|(i, s)| s.switch_row().map(|_| i as u32))
         .collect()
 }
 
@@ -493,26 +490,27 @@ fn optimize_slice(
     // `order` is `candidates` permuted, and a visit writes only its own
     // span's channel.
     gather(spans, order, |spans, i, span| {
-        let row = span.switch_row.expect("candidate is switchable");
+        let row = span.switch_row().expect("candidate is switchable");
         let (lower, upper) = (row, row + 1);
         debug_assert!(
             chans.covers(lower) && chans.covers(upper),
             "rank must own both channels of a switchable row"
         );
-        let other = if span.channel == lower { upper } else { lower };
-        let m_cur = chans.channel_max(span.channel);
+        let channel = span.channel();
+        let other = if channel == lower { upper } else { lower };
+        let m_cur = chans.channel_max(channel);
         let m_other = chans.max_if_added(other, span.lo, span.hi);
         ops += 2 * cost::SWITCH_EVAL;
         if m_other < m_cur {
             flips += 1;
-            chans.flip(&span, other);
-            spans[i].channel = other;
+            chans.flip(&span);
+            spans[i].flip();
         } else {
             // The remove / re-insert pair the optimizer historically emitted
             // for a span it scored but did not move: the replicated stream
             // (net-wise sync, §5) is billed and filtered as before, though
             // the sweep never mutates the profile for it.
-            let (chan, lo, hi) = (span.channel, span.lo, span.hi);
+            let (chan, lo, hi) = (channel, span.lo, span.hi);
             chans.record(Record::Kept { chan, lo, hi });
         }
     });
@@ -560,13 +558,7 @@ mod tests {
     }
 
     fn span(channel: u32, lo: i64, hi: i64, switch_row: Option<u32>) -> Span {
-        Span {
-            net: NetId(0),
-            channel,
-            lo,
-            hi,
-            switch_row,
-        }
+        Span::new(NetId(0), channel, lo, hi, switch_row)
     }
 
     #[test]
@@ -590,7 +582,7 @@ mod tests {
         ch.add_span(&spans[0], 1);
         let flips = optimize_slice(&mut ch, &mut spans, &[0], &mut comm());
         assert_eq!(flips, 1);
-        assert_eq!(spans[0].channel, 2);
+        assert_eq!(spans[0].channel(), 2);
         assert_eq!(ch.channel_max(1), 4);
         assert_eq!(ch.channel_max(2), 1);
     }
@@ -602,7 +594,7 @@ mod tests {
         ch.add_span(&spans[0], 1);
         let flips = optimize_slice(&mut ch, &mut spans, &[0], &mut comm());
         assert_eq!(flips, 0, "equal channels: stay put");
-        assert_eq!(spans[0].channel, 2);
+        assert_eq!(spans[0].channel(), 2);
         assert_eq!(ch.channel_max(2), 1);
     }
 
@@ -633,21 +625,13 @@ mod tests {
         let cfg = RouterConfig::default();
         let build = || {
             let mut ch = ChannelState::new(0, 4, 64);
-            let mut spans: Vec<Span> = (0..20)
+            // Each span in the lower channel of its row, rows 1 and 2.
+            let spans: Vec<Span> = (0..20)
                 .map(|i| {
-                    span(
-                        1 + (i % 2) as u32,
-                        (i * 3) % 40,
-                        (i * 3) % 40 + 20,
-                        Some(1 + (i % 2) as u32 - if i % 2 == 1 { 1 } else { 0 }),
-                    )
+                    let row = 1 + (i % 2) as u32;
+                    span(row, (i * 3) % 40, (i * 3) % 40 + 20, Some(row))
                 })
                 .collect();
-            // Normalize: switch_row must be channel or channel-1.
-            for s in spans.iter_mut() {
-                s.switch_row = Some(s.channel.min(2));
-                s.channel = s.switch_row.unwrap();
-            }
             for s in &spans {
                 ch.add_span(s, 1);
             }
@@ -673,7 +657,7 @@ mod tests {
         ch.merge_background(2, &neighbor, &mut comm());
         let flips = optimize_slice(&mut ch, &mut spans, &[0], &mut comm());
         assert_eq!(flips, 0, "background keeps the span below");
-        assert_eq!(spans[0].channel, 1);
+        assert_eq!(spans[0].channel(), 1);
     }
 
     /// The log `chans` holds, drained.
@@ -695,9 +679,9 @@ mod tests {
 
     #[test]
     fn delta_log_replays_remotely() {
-        let loads = [span(1, 2, 9, None), span(2, 0, 31, None)];
+        let loads = [span(1, 2, 9, Some(0)), span(2, 0, 31, None)];
         let mut a = ChannelState::from_spans((0, 3, 32), true, 0, &mut comm(), |_| &loads);
-        a.flip(&loads[0], 0);
+        a.flip(&loads[0]);
         a.record(Record::Kept {
             chan: 2,
             lo: 0,
@@ -799,7 +783,7 @@ mod tests {
             let mut ref_log = Vec::new();
             for s in &spans {
                 reference.add_span(s, 1);
-                ref_log.push(delta(s.channel, s.lo, s.hi, 1));
+                ref_log.push(delta(s.channel(), s.lo, s.hi, 1));
             }
 
             assert_eq!(built.densities(), reference.densities());
@@ -879,13 +863,13 @@ mod tests {
         let (mut flips_ref, mut log_ref) = (0, Vec::new());
         for &i in &order {
             let s = sp_ref[i as usize];
-            let row = s.switch_row.unwrap();
+            let row = s.switch_row().unwrap();
             let (lower, upper) = (row, row + 1);
             ch_ref.add_span(&s, -1);
-            log_ref.push(delta(s.channel, s.lo, s.hi, -1));
+            log_ref.push(delta(s.channel(), s.lo, s.hi, -1));
             let m_lower = ch_ref.max_if_added(lower, s.lo, s.hi);
             let m_upper = ch_ref.max_if_added(upper, s.lo, s.hi);
-            let target = if s.channel == lower {
+            let target = if s.channel() == lower {
                 if m_upper < m_lower {
                     upper
                 } else {
@@ -896,9 +880,9 @@ mod tests {
             } else {
                 upper
             };
-            if target != s.channel {
+            if target != s.channel() {
                 flips_ref += 1;
-                sp_ref[i as usize].channel = target;
+                sp_ref[i as usize].flip();
             }
             ch_ref.add_span(&sp_ref[i as usize], 1);
             log_ref.push(delta(target, s.lo, s.hi, 1));
@@ -939,12 +923,12 @@ mod tests {
         let mut flips_want = 0;
         for &i in &order {
             let s = want[i as usize];
-            let row = s.switch_row.unwrap();
-            let other = if s.channel == row { row + 1 } else { row };
-            if ch_want.max_if_added(other, s.lo, s.hi) < ch_want.channel_max(s.channel) {
+            let row = s.switch_row().unwrap();
+            let other = if s.channel() == row { row + 1 } else { row };
+            if ch_want.max_if_added(other, s.lo, s.hi) < ch_want.channel_max(s.channel()) {
                 flips_want += 1;
-                ch_want.flip(&s, other);
-                want[i as usize].channel = other;
+                ch_want.flip(&s);
+                want[i as usize].flip();
             }
         }
 
@@ -1117,7 +1101,9 @@ mod tests {
                         chans.record(rec);
                     }
                     Record::Kept { .. } => chans.record(rec),
-                    Record::Flip { from, to, lo, hi } => chans.flip(&span(from, lo, hi, None), to),
+                    Record::Flip { from, to, lo, hi } => {
+                        chans.flip(&span(from, lo, hi, Some(from.min(to))));
+                    }
                 }
             }
             if compact {

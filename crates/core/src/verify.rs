@@ -112,11 +112,9 @@ pub fn verify(circuit: &Circuit, result: &RoutingResult) -> Vec<Violation> {
 
     let mut horizontal = 0u64;
     for (i, s) in result.spans.iter().enumerate() {
-        if s.channel as usize >= channels {
-            out.push(Violation::ChannelOutOfRange {
-                span: i,
-                channel: s.channel,
-            });
+        let channel = s.channel();
+        if channel as usize >= channels {
+            out.push(Violation::ChannelOutOfRange { span: i, channel });
             continue;
         }
         if s.lo >= s.hi {
@@ -133,11 +131,11 @@ pub fn verify(circuit: &Circuit, result: &RoutingResult) -> Vec<Violation> {
                 hi: s.hi,
             });
         }
-        if let Some(r) = s.switch_row {
-            if s.channel != r && s.channel != r + 1 {
+        if let Some(r) = s.switch_row() {
+            if channel != r && channel != r + 1 {
                 out.push(Violation::SwitchRowMismatch {
                     span: i,
-                    channel: s.channel,
+                    channel,
                     switch_row: r,
                 });
             }
@@ -152,7 +150,7 @@ pub fn verify(circuit: &Circuit, result: &RoutingResult) -> Vec<Violation> {
     // by channel.
     let mut ends: Vec<Vec<(i64, i64)>> = vec![Vec::new(); channels];
     for s in &result.spans {
-        ends[s.channel as usize].extend([(s.lo, 1), (s.hi + 1, -1)]);
+        ends[s.channel() as usize].extend([(s.lo, 1), (s.hi + 1, -1)]);
     }
     for (c, (&reported, ends)) in result.channel_density.iter().zip(&mut ends).enumerate() {
         let recount = peak_overlap(ends);
@@ -279,7 +277,7 @@ mod tests {
     /// Per-column span counts of `channel`, counted the slow way.
     fn columns(r: &RoutingResult, channel: u32) -> Vec<i64> {
         let mut cols = vec![0i64; r.chip_width as usize];
-        for s in r.spans.iter().filter(|s| s.channel == channel) {
+        for s in r.spans.iter().filter(|s| s.channel() == channel) {
             for x in s.lo..=s.hi {
                 cols[x as usize] += 1;
             }
@@ -308,7 +306,7 @@ mod tests {
         let (idx, peak) = (0..r.spans.len())
             .find_map(|i| {
                 let s = r.spans[i];
-                let cols = columns(&r, s.channel);
+                let cols = columns(&r, s.channel());
                 let peak = *cols.iter().max().unwrap();
                 let covers_all_peaks = (0..cols.len() as i64)
                     .all(|x| cols[x as usize] < peak || (s.lo..=s.hi).contains(&x));
@@ -318,7 +316,7 @@ mod tests {
         let dropped = r.spans.remove(idx);
         assert_eq!(
             density_mismatches(&verify(&c, &r)),
-            [(dropped.channel as usize, peak, peak - 1)]
+            [(dropped.channel() as usize, peak, peak - 1)]
         );
     }
 
@@ -334,12 +332,16 @@ mod tests {
         // Two fixed-channel spans trading channels: every channel whose
         // slow recount moves must be reported, with that recount.
         let fixed: Vec<usize> = (0..r.spans.len())
-            .filter(|&i| r.spans[i].switch_row.is_none())
+            .filter(|&i| r.spans[i].switch_row().is_none())
             .collect();
         let mut caught = 0;
         for (&i, &j) in fixed.iter().zip(&fixed[1..]).take(64) {
             let mut m = r.clone();
-            (m.spans[i].channel, m.spans[j].channel) = (r.spans[j].channel, r.spans[i].channel);
+            let moved = |s: Span, to: &Span| Span::new(s.net, to.channel(), s.lo, s.hi, None);
+            (m.spans[i], m.spans[j]) = (
+                moved(r.spans[i], &r.spans[j]),
+                moved(r.spans[j], &r.spans[i]),
+            );
             let expected: Vec<(usize, i64, i64)> = peaks(&m)
                 .into_iter()
                 .enumerate()
@@ -359,7 +361,8 @@ mod tests {
     #[test]
     fn detects_out_of_range_channel() {
         let (c, mut r) = routed();
-        r.spans[0].channel = 1000;
+        let s = r.spans[0];
+        r.spans[0] = Span::new(s.net, 1000, s.lo, s.hi, None);
         let v = verify(&c, &r);
         assert!(
             v.iter()
@@ -384,11 +387,7 @@ mod tests {
     fn detects_degenerate_span() {
         let (c, mut r) = routed();
         let s = r.spans[0];
-        r.spans[0] = Span {
-            lo: s.hi,
-            hi: s.lo,
-            ..s
-        };
+        (r.spans[0].lo, r.spans[0].hi) = (s.hi, s.lo);
         let v = verify(&c, &r);
         assert!(
             v.iter()
@@ -399,23 +398,42 @@ mod tests {
 
     #[test]
     fn detects_illegal_switch_channel() {
+        // A span names its switch row by which side of it the channel is,
+        // so no span holds a channel beside neither side (decoding one is
+        // refused). A switchable span moved off its row therefore arrives
+        // as a fixed span, and the channel it lands in recounts above its
+        // reported peak: moved onto a peak column there.
         let (c, mut r) = routed();
-        let idx = r
-            .spans
-            .iter()
-            .position(|s| s.switch_row.is_some())
-            .expect("some switchable span");
-        r.spans[idx].channel = r.spans[idx].switch_row.unwrap() + 2;
-        // Keep it in range so the check under test fires.
-        if (r.spans[idx].channel as usize) > c.num_rows() {
-            r.spans[idx].channel = 0;
-        }
+        let (idx, to) = (0..r.spans.len())
+            .filter(|&i| r.spans[i].switch_row().is_some())
+            .find_map(|i| {
+                let (s, row) = (r.spans[i], r.spans[i].switch_row().unwrap());
+                (0..=c.num_rows() as u32)
+                    .filter(|&ch| ch != row && ch != row + 1)
+                    .find(|&ch| {
+                        let cols = columns(&r, ch);
+                        let peak = *cols.iter().max().unwrap();
+                        (s.lo..=s.hi).any(|x| cols[x as usize] == peak)
+                    })
+                    .map(|ch| (i, ch))
+            })
+            .expect("some switchable span can land on another channel's peak");
+        let s = r.spans[idx];
+        r.spans[idx] = Span::new(s.net, to, s.lo, s.hi, None);
         let v = verify(&c, &r);
         assert!(
             v.iter().any(|x| matches!(
                 x,
                 Violation::SwitchRowMismatch { .. } | Violation::DensityMismatch { .. }
             )),
+            "{v:?}"
+        );
+        assert!(
+            v.contains(&Violation::DensityMismatch {
+                channel: to as usize,
+                reported: r.channel_density[to as usize],
+                recount: r.channel_density[to as usize] + 1,
+            }),
             "{v:?}"
         );
     }

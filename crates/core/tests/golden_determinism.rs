@@ -68,10 +68,10 @@ fn result_fingerprint(r: &RoutingResult) -> u64 {
     }
     for s in &r.spans {
         mix(&mut h, s.net.0 as u64);
-        mix(&mut h, s.channel as u64);
+        mix(&mut h, s.channel() as u64);
         mix(&mut h, s.lo as u64);
         mix(&mut h, s.hi as u64);
-        mix(&mut h, s.switch_row.map(|r| r as u64 + 1).unwrap_or(0));
+        mix(&mut h, s.switch_row().map(|r| r as u64 + 1).unwrap_or(0));
     }
     h
 }

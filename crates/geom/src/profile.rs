@@ -7,8 +7,21 @@
 //! millions of times.
 //!
 //! **Layout.** The columns themselves: one vector of exactly `W` densities,
-//! plus the peak and `npeak`, the number of columns at the peak. Every
-//! operation leaves both exact.
+//! 4 bytes each, plus the peak and `npeak`, the number of columns at the
+//! peak. Every operation leaves both exact. The API speaks `i64` (spans'
+//! columns, deltas, densities, [`DensityProfile::counts`]); only the
+//! stored columns are `i32`.
+//!
+//! **Why a column fits in `i32`.** A column counts the spans over it, and
+//! merged counts add up the same spans held on other ranks. A routing
+//! result never holds 2^31 spans: at 24 bytes a span that is 48 GiB of
+//! spans on one rank, and every span is one edge of a net's tree, so the
+//! whole chip has fewer spans than its connection nodes. Each delta is
+//! converted to `i32` once, checked, where it enters
+//! ([`DensityProfile::add_span`], [`DensityProfile::load_spans`],
+//! [`DensityProfile::merge_counts`]), and an update that would carry a
+//! column past the `i32` range panics (the profile is then unusable):
+//! nothing wraps silently.
 //!
 //! **Costs.** [`DensityProfile::max`] is O(1). An update
 //! ([`DensityProfile::add_span`]) and a query over a span
@@ -31,15 +44,31 @@
 //! as a difference (`+delta` at `lo`, `−delta` past `hi`) in the empty
 //! profile's own columns; per profile, one in-place prefix sum turns the
 //! differences into densities and one pass recounts the peak — O(spans +
-//! Σ W), nothing allocated. [`DensityProfile::merge_counts`] is a
-//! pointwise add and the same recount.
+//! Σ W), nothing allocated. When every delta is positive (a load of
+//! spans: each +1), a staged difference lies between minus the deltas
+//! that end just before its column and plus those that start at it, each
+//! sum at most a density, so it fits wherever the densities do.
+//! [`DensityProfile::merge_counts`] is a pointwise add and the same
+//! recount.
+
+/// `delta` as a column's type: the one place a delta enters the columns.
+fn column_delta(delta: i64) -> i32 {
+    i32::try_from(delta)
+        .unwrap_or_else(|_| panic!("density delta {delta} does not fit an i32 column"))
+}
+
+/// `c + delta`, refusing to leave the `i32` range.
+fn column_add(c: i32, delta: i32) -> i32 {
+    c.checked_add(delta)
+        .unwrap_or_else(|| panic!("density {c} + {delta} does not fit an i32 column"))
+}
 
 /// The largest of `cols`, `None` when empty: the same value as
 /// `cols.iter().max()`, kept in eight independent lanes. A single running
-/// maximum is a chain of dependent compare-and-selects (an i64 maximum
-/// does not vectorize on baseline x86-64); eight chains run side by side.
-fn lane_max(cols: &[i64]) -> Option<i64> {
-    let mut lanes = [i64::MIN; 8];
+/// maximum is a chain of dependent compare-and-selects; eight `i32` lanes
+/// run side by side (two 128-bit vectors on baseline x86-64).
+fn lane_max(cols: &[i32]) -> Option<i32> {
+    let mut lanes = [i32::MIN; 8];
     let mut chunks = cols.chunks_exact(8);
     for chunk in &mut chunks {
         for (lane, &c) in lanes.iter_mut().zip(chunk) {
@@ -47,7 +76,7 @@ fn lane_max(cols: &[i64]) -> Option<i64> {
         }
     }
     let tail = chunks.remainder().iter().copied();
-    (!cols.is_empty()).then(|| lanes.into_iter().chain(tail).fold(i64::MIN, i64::max))
+    (!cols.is_empty()).then(|| lanes.into_iter().chain(tail).fold(i32::MIN, i32::max))
 }
 
 /// A density profile over columns `0..width`.
@@ -65,9 +94,9 @@ fn lane_max(cols: &[i64]) -> Option<i64> {
 #[derive(Debug, Clone)]
 pub struct DensityProfile {
     /// The density of each column, exactly `width` of them.
-    cols: Vec<i64>,
+    cols: Vec<i32>,
     /// The largest density.
-    peak: i64,
+    peak: i32,
     /// How many columns hold `peak` (at least one).
     npeak: usize,
 }
@@ -100,7 +129,7 @@ impl DensityProfile {
     }
 
     /// The columns of an inclusive span (clamped; empty if none remain).
-    fn cols_in(&self, lo: i64, hi: i64) -> &[i64] {
+    fn cols_in(&self, lo: i64, hi: i64) -> &[i32] {
         match self.clamp(lo, hi) {
             Some((lo, hi)) => &self.cols[lo..=hi],
             None => &[],
@@ -117,7 +146,8 @@ impl DensityProfile {
     /// Add `delta` over the inclusive column span `[lo, hi]`.
     /// Spans are clamped to the profile; a fully out-of-range span or a
     /// zero delta is an exact no-op (the profile is untouched).
-    /// `lo > hi` is treated as the span `[hi, lo]`.
+    /// `lo > hi` is treated as the span `[hi, lo]`. Panics if `delta` or a
+    /// resulting density leaves the `i32` range (see the module doc).
     pub fn add_span(&mut self, lo: i64, hi: i64, delta: i64) {
         if delta == 0 {
             return;
@@ -125,13 +155,17 @@ impl DensityProfile {
         let Some((lo, hi)) = self.clamp(lo, hi) else {
             return;
         };
+        let delta = column_delta(delta);
         let span = &mut self.cols[lo..=hi];
+        // Each loop adds wrapping and then checks the one column that
+        // could have wrapped: the highest on a rise, the lowest on a fall.
         if delta > 0 {
-            let mut top = i64::MIN;
+            let mut top = i32::MIN;
             for c in span.iter_mut() {
-                *c += delta;
                 top = top.max(*c);
+                *c = c.wrapping_add(delta);
             }
+            let top = column_add(top, delta);
             // A column that held the peak now stands above it, so a span
             // top equal to the peak is made only of columns that rose to it.
             if top >= self.peak {
@@ -143,11 +177,13 @@ impl DensityProfile {
                 }
             }
         } else {
-            let mut dropped = 0;
+            let (mut dropped, mut low) = (0, i32::MAX);
             for c in span.iter_mut() {
                 dropped += usize::from(*c == self.peak);
-                *c += delta;
+                low = low.min(*c);
+                *c = c.wrapping_add(delta);
             }
+            column_add(low, delta);
             if dropped == self.npeak {
                 self.recount();
             } else {
@@ -158,13 +194,13 @@ impl DensityProfile {
 
     /// Current peak density over the whole channel.
     pub fn max(&self) -> i64 {
-        self.peak
+        self.peak.into()
     }
 
     /// Peak density over the inclusive span `[lo, hi]` (clamped; 0 when
     /// no column remains).
     pub fn max_in(&self, lo: i64, hi: i64) -> i64 {
-        self.cols_in(lo, hi).iter().copied().max().unwrap_or(0)
+        lane_max(self.cols_in(lo, hi)).map_or(0, i64::from)
     }
 
     /// Peak density the channel would have after adding a unit span over
@@ -174,8 +210,8 @@ impl DensityProfile {
     /// `new_max = max(old_global_max, span_max + 1)`.
     pub fn max_if_added(&self, lo: i64, hi: i64) -> i64 {
         match lane_max(self.cols_in(lo, hi)) {
-            Some(span_max) => self.peak.max(span_max + 1),
-            None => self.peak,
+            Some(span_max) => self.max().max(i64::from(span_max) + 1),
+            None => self.max(),
         }
     }
 
@@ -189,18 +225,18 @@ impl DensityProfile {
     /// outside the span keeps it.
     pub fn max_if_removed(&self, lo: i64, hi: i64) -> i64 {
         let at_peak = self.cols_in(lo, hi).iter().filter(|&&c| c == self.peak);
-        self.peak - i64::from(at_peak.count() == self.npeak)
+        self.max() - i64::from(at_peak.count() == self.npeak)
     }
 
     /// Density at a single column.
     pub fn at(&self, col: usize) -> i64 {
-        self.cols[col]
+        self.cols[col].into()
     }
 
     /// Materialize per-column densities (used when merging profiles across
     /// partition boundaries).
     pub fn counts(&self) -> Vec<i64> {
-        self.cols.clone()
+        self.cols.iter().map(|&c| i64::from(c)).collect()
     }
 
     /// Pointwise-add another profile's counts into this one, in one
@@ -211,8 +247,8 @@ impl DensityProfile {
             self.width(),
             "merging mismatched profile widths"
         );
-        for (c, add) in self.cols.iter_mut().zip(counts) {
-            *c += add;
+        for (c, &add) in self.cols.iter_mut().zip(counts) {
+            *c = column_add(*c, column_delta(add));
         }
         self.recount();
     }
@@ -233,16 +269,17 @@ impl DensityProfile {
         for (i, lo, hi, delta) in spans {
             let p = &mut profiles[i];
             if let Some((lo, hi)) = p.clamp(lo, hi) {
-                p.cols[lo] += delta;
+                let delta = column_delta(delta);
+                p.cols[lo] = column_add(p.cols[lo], delta);
                 if let Some(past) = p.cols.get_mut(hi + 1) {
-                    *past -= delta;
+                    *past = column_add(*past, -delta);
                 }
             }
         }
         for p in profiles {
             let mut density = 0;
             for c in &mut p.cols {
-                density += *c;
+                density = column_add(density, *c);
                 *c = density;
             }
             p.recount();
@@ -263,7 +300,7 @@ mod tests {
             assert_eq!((self.peak, self.npeak), (max, at_max), "{:?}", self.cols);
         }
 
-        fn state(&self) -> (&[i64], i64, usize) {
+        fn state(&self) -> (&[i32], i32, usize) {
             (&self.cols, self.peak, self.npeak)
         }
     }
@@ -290,7 +327,7 @@ mod tests {
 
     #[test]
     fn lane_max_is_the_maximum_at_every_length() {
-        let cols: Vec<i64> = (0..40).map(|i| (i * 37 % 23) - 11).collect();
+        let cols: Vec<i32> = (0..40).map(|i| (i * 37 % 23) - 11).collect();
         for lo in 0..3 {
             for hi in lo..=cols.len() {
                 let c = &cols[lo..hi];
@@ -645,6 +682,151 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every operation against a plain `Vec<i64>` model, seeded: unit and
+    /// large deltas (up to 2^29, driving columns towards either end of the
+    /// `i32` range but never past it) and `merge_counts` of arbitrary
+    /// counts, every observable compared after each step (probes
+    /// unclamped), and a `counts()` → `merge_counts` round trip into an
+    /// empty profile each step. The positive-delta spans, unit and large,
+    /// also go to a second profile, which a `load_spans` of them rebuilds
+    /// every 25 steps.
+    #[test]
+    fn every_operation_matches_an_i64_model() {
+        const BIG: i64 = 1 << 29;
+        fn probe(p: &DensityProfile, model: &[i64], rng: &mut crate::rng::SmallRng, ctx: &str) {
+            p.check();
+            let w = model.len() as i64;
+            let peak = *model.iter().max().expect("width > 0");
+            assert_eq!(p.max(), peak, "{ctx}");
+            assert_eq!(p.counts(), model, "{ctx}");
+            let col = rng.gen_range(0..model.len());
+            assert_eq!(p.at(col), model[col], "{ctx} column {col}");
+            for _ in 0..8 {
+                let (lo, hi) = (rng.gen_range(-3..w + 3), rng.gen_range(-3..w + 3));
+                let (a, b) = (lo.min(hi).max(0), lo.max(hi).min(w - 1));
+                let inside = |c: usize| (a..=b).contains(&(c as i64));
+                let span_max = (a..=b).map(|c| model[c as usize]).max();
+                let ctx = format!("{ctx} [{lo}, {hi}]");
+                assert_eq!(p.max_in(lo, hi), span_max.unwrap_or(0), "{ctx}");
+                let added = span_max.map_or(peak, |m| peak.max(m + 1));
+                assert_eq!(p.max_if_added(lo, hi), added, "{ctx}");
+                if span_max.is_some() {
+                    let removed = (0..model.len()).map(|c| model[c] - i64::from(inside(c)));
+                    let removed = removed.max().expect("width > 0");
+                    assert_eq!(p.max_if_removed(lo, hi), removed, "{ctx}");
+                }
+            }
+        }
+        /// Whether adding `delta` over `[a, b]` keeps `model` in `i32`.
+        fn fits(model: &[i64], (a, b): (i64, i64), delta: i64) -> bool {
+            (a..=b).all(|c| i32::try_from(model[c as usize] + delta).is_ok())
+        }
+        for width in [1, 3, 16, 27, 257] {
+            let mut rng = crate::rng::rng_from_seed(0x1_3232 + width as u64);
+            let w = width as i64;
+            let (mut p, mut model) = (DensityProfile::new(width), vec![0i64; width]);
+            let (mut pos, mut pos_model) = (p.clone(), model.clone());
+            let mut pos_spans = Vec::new();
+            for step in 0..300 {
+                let ctx = format!("width {width} step {step}");
+                if rng.gen_range(0..10) == 0 {
+                    // An arbitrary merge, each column kept in range.
+                    let counts: Vec<i64> = model
+                        .iter()
+                        .map(|&m| {
+                            let add = rng.gen_range(-BIG..=BIG);
+                            if i32::try_from(m + add).is_ok() {
+                                add
+                            } else {
+                                -add
+                            }
+                        })
+                        .collect();
+                    p.merge_counts(&counts);
+                    model.iter_mut().zip(&counts).for_each(|(m, c)| *m += c);
+                } else {
+                    let (lo, hi) = (rng.gen_range(-3..w + 3), rng.gen_range(-3..w + 3));
+                    let mut delta = match rng.gen_range(0..3) {
+                        0 => rng.gen_range(-BIG..=BIG),
+                        _ => rng.gen_range(-2..=2i64),
+                    };
+                    let cols = (lo.min(hi).max(0), lo.max(hi).min(w - 1));
+                    // A delta that would leave `i32` is turned around, or
+                    // dropped when neither way fits.
+                    if !fits(&model, cols, delta) {
+                        delta = -delta;
+                    }
+                    if !fits(&model, cols, delta) {
+                        delta = 0;
+                    }
+                    p.add_span(lo, hi, delta);
+                    (cols.0..=cols.1).for_each(|c| model[c as usize] += delta);
+                    if delta > 0 && fits(&pos_model, cols, delta) {
+                        pos.add_span(lo, hi, delta);
+                        (cols.0..=cols.1).for_each(|c| pos_model[c as usize] += delta);
+                        pos_spans.push((0, lo, hi, delta));
+                    }
+                }
+                probe(&p, &model, &mut rng, &ctx);
+                let mut copy = DensityProfile::new(width);
+                copy.merge_counts(&p.counts());
+                assert_eq!(copy.state(), p.state(), "{ctx}");
+                if step % 25 == 24 {
+                    probe(&pos, &pos_model, &mut rng, &ctx);
+                    let mut loaded = [DensityProfile::new(width)];
+                    DensityProfile::load_spans(&mut loaded, pos_spans.iter().copied());
+                    assert_eq!(loaded[0].state(), pos.state(), "{ctx}");
+                }
+            }
+            assert!(
+                pos.max() > i64::from(i32::MAX) / 2,
+                "width {width}: large deltas"
+            );
+            assert!(
+                model.iter().any(|&m| m < -BIG),
+                "width {width}: large negatives"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit an i32 column")]
+    fn a_delta_past_i32_panics() {
+        DensityProfile::new(4).add_span(0, 3, i64::from(i32::MAX) + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit an i32 column")]
+    fn a_column_carried_past_i32_panics() {
+        let mut p = DensityProfile::new(4);
+        p.add_span(1, 2, i64::from(i32::MAX));
+        p.add_span(0, 0, 1); // fits: the peak column is not in the span
+        p.add_span(2, 3, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit an i32 column")]
+    fn a_column_carried_below_i32_panics() {
+        let mut p = DensityProfile::new(4);
+        p.add_span(0, 3, i64::from(i32::MIN));
+        p.add_span(3, 3, -1);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit an i32 column")]
+    fn a_merge_past_i32_panics() {
+        let mut p = DensityProfile::new(2);
+        p.add_span(0, 1, i64::from(i32::MAX));
+        p.merge_counts(&[0, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit an i32 column")]
+    fn a_load_past_i32_panics() {
+        let mut ps = [DensityProfile::new(3)];
+        DensityProfile::load_spans(&mut ps, [(0, 0, 2, i64::from(i32::MAX)), (0, 1, 1, 1)]);
     }
 
     /// `max_if_removed` against the naive model and against an actual

@@ -95,10 +95,10 @@ pub fn congestion(result: &RoutingResult) -> String {
     let mut loads = vec![(0i64, 0usize); nchan];
     let bucket = |col: i64| (col.clamp(0, width - 1) * BUCKETS as i64 / width) as usize;
     for s in &result.spans {
-        for cell in &mut grid[s.channel as usize][bucket(s.lo)..=bucket(s.hi)] {
+        for cell in &mut grid[s.channel() as usize][bucket(s.lo)..=bucket(s.hi)] {
             *cell += 1;
         }
-        let load = &mut loads[s.channel as usize];
+        let load = &mut loads[s.channel() as usize];
         load.0 += columns(s, width).map_or(0, |(lo, hi)| hi - lo + 1);
         load.1 += 1;
     }
@@ -154,7 +154,7 @@ fn peak_column(result: &RoutingResult, channel: usize, peak: i64) -> usize {
     let spans = result
         .spans
         .iter()
-        .filter(|s| s.channel as usize == channel);
+        .filter(|s| s.channel() as usize == channel);
     for (lo, hi) in spans.filter_map(|s| columns(s, width)) {
         diff[lo as usize] += 1;
         diff[hi as usize + 1] -= 1;
@@ -257,7 +257,9 @@ mod tests {
         (0..r.chip_width.max(1))
             .map(|col| {
                 let covers = |s: &&Span| {
-                    s.channel as usize == channel && s.lo.min(s.hi) <= col && col <= s.lo.max(s.hi)
+                    s.channel() as usize == channel
+                        && s.lo.min(s.hi) <= col
+                        && col <= s.lo.max(s.hi)
                 };
                 r.spans.iter().filter(covers).count() as i64
             })
@@ -352,13 +354,7 @@ mod tests {
         // Pile fifty identical spans into channel 2 around column 5, and
         // raise the channel's peak with them, as routing would have.
         for _ in 0..50 {
-            r.spans.push(Span {
-                net: NetId(0),
-                channel: 2,
-                lo: 4,
-                hi: 7,
-                switch_row: None,
-            });
+            r.spans.push(Span::new(NetId(0), 2, 4, 7, None));
         }
         r.channel_density[2] = *recount(&r, 2).iter().max().unwrap();
         let top = &hotspots(&r)[0];
@@ -414,7 +410,7 @@ mod tests {
             assert_eq!(hot.len(), HOTSPOTS);
             for h in hot {
                 let cols = recount(&r, h.channel);
-                let spans = r.spans.iter().filter(|s| s.channel as usize == h.channel);
+                let spans = r.spans.iter().filter(|s| s.channel() as usize == h.channel);
                 assert_eq!(h.peak, *cols.iter().max().unwrap(), "{h:?}");
                 let leftmost = cols.iter().position(|&d| d == h.peak).unwrap();
                 assert_eq!(h.column, leftmost as i64, "{h:?}");

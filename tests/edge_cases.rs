@@ -100,7 +100,7 @@ fn zero_equivalence_means_no_switchables_but_valid_routing() {
     assert!(r
         .spans
         .iter()
-        .all(|s| s.switch_row.is_none() || s.switch_row.is_some()));
+        .all(|s| s.switch_row().is_none() || s.switch_row().is_some()));
     // Feedthrough endpoints still allow switchables; pins never do.
     // The full-equivalence circuit must have at least as many.
     let mut g2 = g.clone();
@@ -108,8 +108,9 @@ fn zero_equivalence_means_no_switchables_but_valid_routing() {
     g2.equivalent_fraction = 1.0;
     let c2 = generate(&g2);
     let r2 = try_route_serial(&c2, &cfg(), &mut Comm::solo(MachineModel::ideal())).unwrap();
-    let count =
-        |r: &pgr::router::RoutingResult| r.spans.iter().filter(|s| s.switch_row.is_some()).count();
+    let count = |r: &pgr::router::RoutingResult| {
+        r.spans.iter().filter(|s| s.switch_row().is_some()).count()
+    };
     assert!(count(&r2) >= count(&r));
 }
 
