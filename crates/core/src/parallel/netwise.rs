@@ -19,10 +19,10 @@ use crate::config::GRID_W;
 use crate::engine::{Phase, Pipeline, RouteCtx};
 use crate::metrics::{names, record_ft_plan, RoutingResult};
 use crate::parallel::common::{
-    buckets, distribute, merge_steiner_payloads, steiner_snapshot, PORTABLE_HORIZON,
+    buckets, distribute, join, merge_steiner_payloads, steiner_snapshot, PORTABLE_HORIZON,
 };
 use crate::parallel::partition::partition_nets;
-use crate::route::feedthrough::{assign, Crossing, FtPlan};
+use crate::route::feedthrough::{assign_in_place, Crossing, FtPlan};
 use crate::route::serial::{crossings_of, Feedthroughs, RouteState, SegmentSource};
 use crate::route::state::{Orientation, Segment};
 use pgr_circuit::{NetId, RowId};
@@ -64,7 +64,14 @@ impl NetWisePipeline {
 ///
 /// Both exchanges arrive in sender-rank order, and the row bands ascend
 /// with the rank, so each net's feedthroughs still come in the canonical
-/// order [`assign`] emits them in.
+/// order [`assign_in_place`] emits them in.
+///
+/// The crossings are joined in the buffer of their longest arrival,
+/// assigned in place and freed before the assignments go back, and the
+/// attach reads those arrivals part by part: a rank in step 3 holds at
+/// most its crossings, its outgoing assignments and a 4-byte bucket a
+/// crossing, so two ranks stay below the heap's later peak however their
+/// steps meet in time.
 fn assign_exchanged(
     plan: &FtPlan,
     (segments, orients): (&[Segment], &[Orientation]),
@@ -78,18 +85,19 @@ fn assign_exchanged(
     for c in crossings {
         cross_out[row_owner(&c)].push(c);
     }
-    let my_crossings = comm.alltoall(cross_out).concat();
+    let mut mine = join(comm.alltoall(cross_out));
     let net_owner = |net: NetId| owners[net.index()] as usize;
-    let mut ft_out = buckets(ctx.size, my_crossings.iter().map(|c| net_owner(c.net)));
-    assign(plan, my_crossings.iter().copied(), comm, |net, node| {
+    let mut ft_out = buckets(ctx.size, mine.iter().map(|c| net_owner(c.net)));
+    assign_in_place(plan, &mut mine, comm, |net, node| {
         ft_out[net_owner(net)].push((net.0, node))
     });
+    drop(mine);
     // The plan is replicated (every rank covers all rows): record it once
     // so the merged histogram still covers the chip exactly once.
     if ctx.rank == 0 {
         record_ft_plan(plan, comm);
     }
-    Feedthroughs::Received(comm.alltoall(ft_out).concat())
+    Feedthroughs::Received(comm.alltoall(ft_out))
 }
 
 impl Pipeline for NetWisePipeline {

@@ -28,6 +28,20 @@ pub struct Crossing {
     pub x: i64,
 }
 
+/// The order step 3 assigns a bucket's crossings in: by row, then
+/// column, then net.
+impl Ord for Crossing {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (self.row, self.x, self.net.0).cmp(&(other.row, other.x, other.net.0))
+    }
+}
+
+impl PartialOrd for Crossing {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
 impl Wire for Crossing {
     const SIZE: Option<usize> = Some(16);
     fn encode(&self, out: &mut Vec<u8>) {
@@ -209,6 +223,76 @@ pub fn assign(
     }
 }
 
+/// [`assign`] over crossings already held in memory: the same
+/// feedthroughs, in the same order, but `crossings` itself is put in
+/// `(row, gcol, x, net)` order, so no run buffer is allocated beside it —
+/// only each crossing's 4-byte bucket, freed before the first `put`.
+///
+/// A counting sort whose permutation is walked as swaps (each crossing
+/// goes straight to its bucket's next free slot), then each bucket sorted
+/// alone by `(x, net)`.
+///
+/// Net-wise ranks hold their rows' crossings as an exchange's arrivals;
+/// [`assign`]'s run buffer beside them was a transient whose overlap on
+/// two ranks decided the heap peak. Callers whose crossings are generated
+/// lazily keep [`assign`]: it needs one offset a plan cell, this two.
+///
+/// # Panics
+/// As [`assign`].
+pub fn assign_in_place(
+    plan: &FtPlan,
+    crossings: &mut [Crossing],
+    comm: &mut Comm,
+    mut put: impl FnMut(NetId, Node),
+) {
+    comm.compute(cost::FT_ASSIGN * crossings.len() as u64);
+    let gcols = plan.demand.shape().1;
+    let bucket_of = |c: &Crossing| (plan.row_idx(c.row) * gcols + plan.gcol(c.x)) as u32;
+    let mut bucket: Vec<u32> = crossings.iter().map(bucket_of).collect();
+    // `head[b]` is bucket b's next free slot, `tail[b]` where it ends.
+    let mut tail = vec![0u32; plan.demand.cells().len()];
+    bucket.iter().for_each(|&b| tail[b as usize] += 1);
+    let mut head = vec![0u32; tail.len()];
+    let mut at = 0;
+    for (h, t) in head.iter_mut().zip(&mut tail) {
+        *h = at;
+        at += *t;
+        *t = at;
+    }
+    // Buckets below `b` are full, so the crossing at `head[b]` belongs to
+    // `b` or a later bucket, which still has room.
+    for b in 0..head.len() {
+        while head[b] < tail[b] {
+            let (i, d) = (head[b] as usize, bucket[head[b] as usize] as usize);
+            crossings.swap(i, head[d] as usize);
+            bucket.swap(i, head[d] as usize);
+            head[d] += 1;
+        }
+    }
+    drop(bucket);
+    let mut lo = 0;
+    for (b, &hi) in tail.iter().enumerate() {
+        let run = &mut crossings[lo..hi as usize];
+        lo = hi as usize;
+        if run.is_empty() {
+            continue;
+        }
+        let (r, gcol) = (b / gcols, b % gcols);
+        let row = plan.row0 + r as u32;
+        assert_eq!(
+            run.len() as i64,
+            plan.demand[r][gcol],
+            "crossings at (row {row}, gcol {gcol}) must equal planned demand"
+        );
+        run.sort_unstable();
+        let first = plan.ft_x(row, gcol, 0);
+        for (k, c) in run.iter().enumerate() {
+            let x = first + k as i64 * plan.ft_width;
+            put(c.net, Node::feedthrough(x, row));
+        }
+    }
+}
+
 /// Step 3's assignment as a comparison sort, the way it was before the
 /// counting sort: every crossing sorted by `(row, gcol, x, net)`, then
 /// matched bucket by bucket — the reference [`assign`] must equal.
@@ -263,6 +347,15 @@ mod tests {
         out
     }
 
+    /// [`assign_in_place`]'s feedthroughs, over a copy of `crossings`.
+    fn assigned_in_place(plan: &FtPlan, crossings: &[Crossing]) -> Vec<(NetId, Node)> {
+        let mut out = Vec::new();
+        assign_in_place(plan, &mut crossings.to_vec(), &mut comm(), |net, node| {
+            out.push((net, node))
+        });
+        out
+    }
+
     #[test]
     fn empty_plan_is_a_no_op() {
         let p = plan(&[&[0, 0, 0], &[0, 0, 0]]);
@@ -270,6 +363,7 @@ mod tests {
         assert_eq!(p.max_growth(), 0);
         assert_eq!(p.shifted_x(1, 17), 17);
         assert!(assigned(&p, &[]).is_empty());
+        assert!(assigned_in_place(&p, &[]).is_empty());
     }
 
     #[test]
@@ -312,6 +406,7 @@ mod tests {
             },
         ];
         let out = assigned(&p, &crossings);
+        assert_eq!(assigned_in_place(&p, &crossings), out);
         assert_eq!(out.len(), 2);
         // Net 3 (x=9) comes first within the gcol; gets the left ft.
         assert_eq!(out[0].0, NetId(3));
@@ -341,6 +436,18 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "crossings at (row 0, gcol 0) must equal planned demand")]
+    fn mismatched_crossings_in_place_panic() {
+        let p = plan(&[&[1, 0, 0, 0]]);
+        let crossing = |net, x| Crossing {
+            net: NetId(net),
+            row: 0,
+            x,
+        };
+        assigned_in_place(&p, &[crossing(0, 0), crossing(1, 1)]);
+    }
+
+    #[test]
     #[should_panic(expected = "crossings at (row 4, gcol 1) must equal planned demand")]
     fn fewer_crossings_than_demand_panic() {
         let p = FtPlan::new(3, Grid::from_rows(&[&[1, 0], &[0, 2]]), 8, 2);
@@ -350,6 +457,18 @@ mod tests {
             x,
         };
         assigned(&p, &[crossing(4, 9), crossing(3, 2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "crossings at (row 4, gcol 1) must equal planned demand")]
+    fn fewer_crossings_in_place_than_demand_panic() {
+        let p = FtPlan::new(3, Grid::from_rows(&[&[1, 0], &[0, 2]]), 8, 2);
+        let crossing = |row, x| Crossing {
+            net: NetId(0),
+            row,
+            x,
+        };
+        assigned_in_place(&p, &[crossing(4, 9), crossing(3, 2)]);
     }
 
     #[test]
@@ -389,11 +508,9 @@ mod tests {
             let order = pgr_geom::shuffled_indices(crossings.len(), &mut rng);
             let crossings: Vec<Crossing> = order.iter().map(|&i| crossings[i as usize]).collect();
             let p = FtPlan::new(row0, demand, grid_w, ft_width);
-            assert_eq!(
-                assigned(&p, &crossings),
-                reference_assign(&p, &crossings),
-                "seed {seed}"
-            );
+            let reference = reference_assign(&p, &crossings);
+            assert_eq!(assigned(&p, &crossings), reference, "seed {seed}");
+            assert_eq!(assigned_in_place(&p, &crossings), reference, "seed {seed}");
         }
     }
 

@@ -79,8 +79,10 @@ pub(crate) enum Feedthroughs {
     /// nets (serial, row bands).
     Local,
     /// Feedthroughs the rows' owners assigned, `(net, node)` in arrival
-    /// order — sender rank, then the sender's [`assign`] order (net-wise).
-    Received(Vec<(u32, Node)>),
+    /// order — one part a sender rank, each in the sender's
+    /// [`assign_in_place`](crate::route::feedthrough::assign_in_place) order
+    /// (net-wise).
+    Received(Vec<Vec<(u32, Node)>>),
 }
 
 /// Step 3's attach: `works`' own nodes shifted by `plan`, merged in place
@@ -99,10 +101,10 @@ fn attach_feedthroughs(
                 assign(plan, crossings, comm, |net, nd| sink.put(net, nd))
             });
         }
-        Feedthroughs::Received(fts) => {
-            let nets = fts.iter().map(|&(net, _)| NetId(net));
-            works.attach(shift, nets, |sink| {
-                fts.iter().for_each(|&(net, nd)| sink.put(NetId(net), nd))
+        Feedthroughs::Received(parts) => {
+            let fts = || parts.iter().flatten();
+            works.attach(shift, fts().map(|&(net, _)| NetId(net)), |sink| {
+                fts().for_each(|&(net, nd)| sink.put(NetId(net), nd))
             });
         }
     }
@@ -241,9 +243,11 @@ impl RouteState {
     /// here ([`local_feedthroughs`]) or assigned through the driver's
     /// exchanges; then the store grows in place with every node at its
     /// post-insertion column and the feedthroughs attached, and the local
-    /// chip width is taken. The attach is the last read of `segments` and
-    /// `orients`: both are freed before this returns (a row-wise
-    /// checkpoint keeps its own copy of the unsplit segments).
+    /// chip width is taken. A local attach is the last read of `segments`
+    /// and `orients`, a received one does not read them: both are freed
+    /// before the store grows if the feedthroughs were received, and
+    /// before this returns otherwise (a row-wise checkpoint keeps its own
+    /// copy of the unsplit segments).
     pub(crate) fn feedthroughs(
         &mut self,
         cells: usize,
@@ -255,6 +259,11 @@ impl RouteState {
         let plan = self.plan.insert(coarse.into_plan());
         comm.compute(cost::FT_INSERT_CELL * cells as u64);
         let fts = exchange(plan, (&self.segments, &self.orients), comm);
+        if matches!(fts, Feedthroughs::Received(_)) {
+            // A net-wise rank's attach would otherwise hold them beside the
+            // grown store while a faster rank starts Connect.
+            (self.segments, self.orients) = (Vec::new(), Vec::new());
+        }
         let crossings = crossings_of(&self.segments, &self.orients);
         attach_feedthroughs(&mut self.works, (plan, crossings), fts, comm);
         (self.segments, self.orients) = (Vec::new(), Vec::new());
@@ -620,7 +629,7 @@ mod tests {
         let mut works = WorkNets::default();
         works.push(NetId(7), []);
         let plan = FtPlan::new(0, crate::route::state::Grid::new(1, 1), 8, 2);
-        let fts = Feedthroughs::Received(vec![(6, Node::feedthrough(0, 0))]);
+        let fts = Feedthroughs::Received(vec![vec![(6, Node::feedthrough(0, 0))]]);
         let none = (&plan, std::iter::empty());
         attach_feedthroughs(
             &mut works,
