@@ -73,6 +73,12 @@
 #   constructs a vector (`Vec::new()`, `Vec::with_capacity(`, `vec![`) is
 #   a per-net allocation unless it is `connect_all`'s one output (every
 #   other buffer lives in `ConnectArena`).
+# - when steps 1 and 4's MST kernels go back to their slower forms: a
+#   non-test line of crates/geom/src/mst.rs that names `in_tree` is the
+#   Prim that rescans the tree's vertices at every step coming back (it
+#   keeps only the vertices left, one record each), and one that calls
+#   `sort_unstable_by_key(|e|` is the tuple-keyed candidate sort coming
+#   back (each candidate is one integer key sorting as `(weight, a, b)`).
 # - when the work nets stop being one flat store: a non-test line under
 #   crates/core/src that declares a `nodes: Vec<Node>` field anywhere but
 #   in `WorkNets` (the CSR store) is a per-net node vector coming back; a
@@ -408,6 +414,13 @@ shared_trace=$(
 if [ -n "$shared_trace" ]; then
     echo "surface: each rank's Comm owns its trace ring (no shared hub, no lock; the transport knows nothing of traces):" >&2
     echo "$shared_trace" >&2
+    exit 1
+fi
+
+mst_kernels=$(nontest 'in_tree|sort_unstable_by_key\(\|e\|' crates/geom/src/mst.rs)
+if [ -n "$mst_kernels" ]; then
+    echo "surface: Prim keeps only the vertices left, and Connect's Kruskal sorts integer keys (no in_tree rescan, no tuple-keyed edge sort):" >&2
+    echo "$mst_kernels" >&2
     exit 1
 fi
 

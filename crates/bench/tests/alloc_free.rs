@@ -8,7 +8,8 @@
 //! independent of the size it models. And one
 //! that must not allocate once warm, or once sized for its largest net:
 //! Connect's per-net kernel, whose every buffer lives in the caller's
-//! `ConnectArena`. And step 3's
+//! `ConnectArena`, and step 1's Prim, whose scratch the Steiner pass
+//! keeps across its nets. And step 3's
 //! rebuild of the node store, which allocates the same few buffers for
 //! any number of nets. And the serial route's heap peak: the work nets,
 //! the spans and the channel profiles — the three largest stores of
@@ -19,7 +20,7 @@
 //! alive.
 
 use pgr_circuit::{generate, GeneratorConfig, NetId};
-use pgr_geom::DensityProfile;
+use pgr_geom::{DensityProfile, Point, PrimScratch};
 use pgr_mpi::{ClockMode, Comm, MachineModel, Phase};
 use pgr_obs::{MetricsConfig, MetricsShard};
 use pgr_router::metrics::names;
@@ -312,6 +313,28 @@ fn main() {
     }
     assert_eq!(allocs(), before, "a sized arena must not allocate");
     assert!(!spans.is_empty());
+
+    // Step 1's Prim: a scratch that built every net once builds them
+    // all again without allocating — its vertex records and its tree are
+    // reserved for the largest net and reused below it.
+    let nets: Vec<Vec<Point>> = (0..300u32)
+        .map(|k| {
+            let n = if k == 150 { 700 } else { (k * 37) % 40 };
+            (0..n)
+                .map(|i| Point::new(((i * 13 + k) % 97) as i64, ((i * 7 + k) % 9) as i64))
+                .collect()
+        })
+        .collect();
+    let mut prim = PrimScratch::default();
+    let mut prim_pass = || -> u64 {
+        let tree = |points: &Vec<Point>| prim.build(points).iter().map(|e| e.weight).sum::<u64>();
+        nets.iter().map(tree).sum()
+    };
+    let warm = prim_pass();
+    let before = allocs();
+    let again = prim_pass();
+    assert_eq!(allocs(), before, "a warm Prim pass must not allocate");
+    assert_eq!(again, warm);
 
     // Step 3's rebuild — the assignment's counting sort and the attach
     // that writes the new store — allocates a fixed handful of buffers,

@@ -115,32 +115,6 @@ pub fn connect_net_with(
         "net {net}'s nodes are in canonical order"
     );
 
-    // Charge the candidate-edge work of the 1997 scan the clock models:
-    // every same-row pair plus every adjacent-row pair. The host looks at
-    // fewer than 3n of them (`LimitedMstScratch::build`); the two are
-    // allowed to differ. Nodes are sorted by row, so one run-length scan
-    // yields the per-row counts.
-    let mut cand: u64 = 0;
-    let mut prev: Option<(u32, u64)> = None;
-    let mut i = 0;
-    while i < n {
-        let row = nodes[i].row;
-        let mut j = i + 1;
-        while j < n && nodes[j].row == row {
-            j += 1;
-        }
-        let cnt = (j - i) as u64;
-        cand += cnt * cnt.saturating_sub(1) / 2;
-        if let Some((prow, pcnt)) = prev {
-            if prow + 1 == row {
-                cand += pcnt * cnt;
-            }
-        }
-        prev = Some((row, cnt));
-        i = j;
-    }
-    comm.compute(cost::CONNECT_PAIR * cand + cost::MST_NODE * n as u64);
-
     arena.points.clear();
     arena
         .points
@@ -183,6 +157,11 @@ pub fn connect_net_with(
             spans.push(Span::new(net, channel, lo, hi, None));
         }
     }
+    // Charge the candidate-edge work of the 1997 scan the clock models:
+    // every same-row pair plus every adjacent-row pair, which the kernel
+    // counted on its walk. The host looks at fewer than 3n of them
+    // (`LimitedMstScratch::build`); the two are allowed to differ.
+    comm.compute(cost::CONNECT_PAIR * arena.mst.pairs() + cost::MST_NODE * n as u64);
     (wirelength, spanning)
 }
 

@@ -458,11 +458,16 @@ impl ChannelState {
 
 /// Indices of the spans step 5 may flip.
 fn switchable_candidates(spans: &[Span]) -> Vec<u32> {
-    spans
-        .iter()
-        .enumerate()
-        .filter_map(|(i, s)| s.switch_row().map(|_| i as u32))
-        .collect()
+    // Counted first, so the list is sized exactly.
+    let count = spans.iter().filter(|s| s.switch_row().is_some()).count();
+    let mut candidates = Vec::with_capacity(count);
+    candidates.extend(
+        spans
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| s.switch_row().map(|_| i as u32)),
+    );
+    candidates
 }
 
 /// One greedy sweep over `order` (indices into `spans`): each switchable
@@ -537,8 +542,12 @@ pub fn optimize(
         (SWITCH_PASSES, sync_period),
         comm,
         || {
-            let perm = pgr_geom::shuffled_indices(candidates.len(), rng);
-            perm.iter().map(|&k| candidates[k as usize]).collect()
+            // The draws of `shuffled_indices`, made on a copy of the
+            // candidates themselves: no permutation is held beside the
+            // order, which sets net-wise's heap peak.
+            let mut order = candidates.clone();
+            pgr_geom::shuffle(&mut order, rng);
+            order
         },
         |chans, chunk, comm| optimize_slice(chans, spans, chunk, comm),
         |chans, comm| chans.sync(cfg.netwise_exact_sync, comm),

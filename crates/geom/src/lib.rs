@@ -18,6 +18,6 @@ pub use bbox::BBox;
 pub use mst::{mst_adjacency_limited, mst_prim, LimitedMstScratch, MstEdge, PrimScratch};
 pub use point::{manhattan, Point};
 pub use profile::DensityProfile;
-pub use rng::{derive_seed, shuffled_indices};
+pub use rng::{derive_seed, shuffle, shuffled_indices};
 pub use steiner::{refine_mst, steiner_point, RefinedTree};
 pub use unionfind::UnionFind;

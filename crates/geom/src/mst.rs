@@ -6,7 +6,14 @@
 //!   pins (step 1: the approximate Steiner tree is derived from this MST).
 //!   Prim's algorithm in O(n²) time and O(n) space, which is the right
 //!   trade-off for nets ranging from 2 pins to the multi-thousand-pin clock
-//!   nets in avq.large.
+//!   nets in avq.large. Only the vertices not yet in the tree are kept,
+//!   one 32-byte record each (`x`, `y`, cheapest edge to the tree and its
+//!   tree end, index); a step takes the pick out by a swap-remove and makes
+//!   one fused pass over the rest that lowers each record's edge against
+//!   the pick and finds the next pick — about n²/2 distances in all. Ties
+//!   go to the earliest tree vertex (an edge is lowered only by a strictly
+//!   shorter one) and then to the lowest index (the pick is the least
+//!   `(weight, index)`), so the tree is edge for edge the textbook scan's.
 //! * [`mst_adjacency_limited`] — MST where edges are only allowed between
 //!   nodes on the same or vertically adjacent rows (step 4: final
 //!   connection of pins and feedthroughs; a wire may only live in the
@@ -16,12 +23,19 @@
 //!   row, and to the nearest unblocked column of the adjacent rows — and
 //!   only those are built and sorted ([`LimitedMstScratch::build`] has the
 //!   rule and why it returns the tree one sort of every pair would, tie
-//!   for tie). Feedthrough insertion guarantees the restricted graph is
-//!   connected; if it is not (a router bug), the function reports a forest.
+//!   for tie). Each candidate is one integer key that sorts as
+//!   `(weight, a, b)` — a `u64` where the net's weights and names fit, a
+//!   `u128` otherwise — so the sort compares plain integers, and Kruskal
+//!   stops at the (n − 1)th edge. Input already in `(row, x, index)`
+//!   order, as every net of the router's Connect is, is walked as it
+//!   stands; other input is sorted into that order first. Feedthrough
+//!   insertion guarantees the restricted graph is connected; if it is not
+//!   (a router bug), the function reports a forest.
 
 use crate::point::{manhattan, Point};
 use crate::unionfind::UnionFind;
 use std::cmp::Ordering;
+use std::ops::Range;
 
 /// An MST edge between node indices `a` and `b` with rectilinear weight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,15 +65,24 @@ pub fn mst_prim(points: &[Point]) -> Vec<MstEdge> {
     scratch.edges
 }
 
+/// A vertex not yet in Prim's tree: where it is, its cheapest edge to
+/// the tree (`best`, to tree vertex `from`) and its index.
+#[derive(Debug, Clone, Copy)]
+struct Left {
+    x: i64,
+    y: i64,
+    best: u64,
+    index: u32,
+    from: u32,
+}
+
 /// The buffers of [`PrimScratch::build`]. They grow to the largest net
 /// seen and stay allocated: a caller that keeps one across its nets pays
 /// no allocation per net.
 #[derive(Debug, Default)]
 pub struct PrimScratch {
-    in_tree: Vec<bool>,
-    /// `best[i]` = (weight, tree node) of the cheapest edge connecting `i`
-    /// to the tree.
-    best: Vec<(u64, u32)>,
+    /// The vertices not yet in the tree, in no particular order.
+    left: Vec<Left>,
     edges: Vec<MstEdge>,
 }
 
@@ -68,53 +91,51 @@ impl PrimScratch {
     /// build.
     pub fn build(&mut self, points: &[Point]) -> &[MstEdge] {
         let n = points.len();
-        let PrimScratch {
-            in_tree,
-            best,
-            edges,
-        } = self;
+        let PrimScratch { left, edges } = self;
         edges.clear();
+        left.clear();
         if n <= 1 {
             return edges;
         }
-        edges.reserve(n - 1);
-        in_tree.clear();
-        in_tree.resize(n, false);
-        best.clear();
-        best.resize(n, (u64::MAX, 0));
-        // Slices of length n: the buffers may be longer.
-        let (in_tree, best) = (&mut in_tree[..n], &mut best[..n]);
-        in_tree[0] = true;
-        for (i, p) in points.iter().enumerate().skip(1) {
-            best[i] = (manhattan(points[0], *p), 0);
-        }
-        for _ in 1..n {
-            // Pick the non-tree node with the cheapest connecting edge.
-            let mut pick = usize::MAX;
-            let mut pick_w = u64::MAX;
-            for i in 0..n {
-                if !in_tree[i] && best[i].0 < pick_w {
-                    pick = i;
-                    pick_w = best[i].0;
+        edges.reserve_exact(n - 1);
+        left.reserve_exact(n - 1);
+        left.extend(points.iter().enumerate().skip(1).map(|(i, p)| Left {
+            x: p.x,
+            y: p.y,
+            best: u64::MAX,
+            index: i as u32,
+            from: 0,
+        }));
+        // The vertex that joined the tree last; the root first.
+        let (mut x, mut y, mut index) = (points[0].x, points[0].y, 0);
+        loop {
+            // Lower every edge to the tree against the newcomer (strictly:
+            // an equal edge keeps its earlier tree end) and pick the least
+            // `(best, index)` on the way.
+            let mut pick = 0;
+            let mut least = (u64::MAX, u32::MAX);
+            for (k, v) in left.iter_mut().enumerate() {
+                let w = v.x.abs_diff(x) + v.y.abs_diff(y);
+                if w < v.best {
+                    v.best = w;
+                    v.from = index;
+                }
+                if (v.best, v.index) < least {
+                    least = (v.best, v.index);
+                    pick = k;
                 }
             }
-            debug_assert!(pick != usize::MAX);
-            in_tree[pick] = true;
+            if left.is_empty() {
+                return edges;
+            }
+            let v = left.swap_remove(pick);
             edges.push(MstEdge {
-                a: best[pick].1,
-                b: pick as u32,
-                weight: pick_w,
+                a: v.from,
+                b: v.index,
+                weight: v.best,
             });
-            for i in 0..n {
-                if !in_tree[i] {
-                    let w = manhattan(points[pick], points[i]);
-                    if w < best[i].0 {
-                        best[i] = (w, pick as u32);
-                    }
-                }
-            }
+            (x, y, index) = (v.x, v.y, v.index);
         }
-        edges
     }
 }
 
@@ -137,10 +158,10 @@ pub struct LimitedMst {
 /// list one sort of every admissible pair would pick, in that order.
 /// One-shot form of [`LimitedMstScratch::build`].
 pub fn mst_adjacency_limited(points: &[Point], rows: &[i64]) -> LimitedMst {
-    let mut scratch = LimitedMstScratch::default();
+    let mut scratch = LimitedMstScratch::with_capacity(points.len());
     let (_, spanning) = scratch.build(points, rows);
     LimitedMst {
-        edges: scratch.cand,
+        edges: scratch.edges,
         spanning,
     }
 }
@@ -150,25 +171,39 @@ pub fn mst_adjacency_limited(points: &[Point], rows: &[i64]) -> LimitedMst {
 /// pays no allocation per net.
 #[derive(Debug, Default)]
 pub struct LimitedMstScratch {
-    /// Node indices in `(row, x, index)` order.
+    /// Node indices in `(row, x, index)` order, for input not in it.
     order: Vec<u32>,
-    /// The column heads, in that order.
-    heads: Vec<u32>,
-    /// The candidate edges; after the Kruskal pass, the tree.
-    cand: Vec<MstEdge>,
+    /// The candidate edges as 64-bit [`Key`]s …
+    keys: Vec<u64>,
+    /// … or, for a net whose weights and names do not fit them, 128-bit.
+    wide: Vec<u128>,
+    /// The tree.
+    edges: Vec<MstEdge>,
     uf: UnionFind,
+    /// The admissible pairs of the last build's nodes.
+    pairs: u64,
 }
 
 impl LimitedMstScratch {
-    /// Scratch sized for up to `n` nodes: a build over that many allocates
-    /// nothing (its candidates are fewer than 3n).
+    /// Scratch sized for up to `n` nodes: a build over that many in
+    /// `(row, x, index)` order allocates nothing (its candidates are
+    /// fewer than 3n), as long as its keys fit 64 bits — every net below
+    /// 2¹⁶ nodes and 2³² in weight does. Other input also sorts an order
+    /// of its own, allocated on its first build.
     pub fn with_capacity(n: usize) -> Self {
         LimitedMstScratch {
-            order: Vec::with_capacity(n),
-            heads: Vec::with_capacity(n),
-            cand: Vec::with_capacity(3 * n),
+            keys: Vec::with_capacity(3 * n),
+            edges: Vec::with_capacity(n.saturating_sub(1)),
             uf: UnionFind::with_capacity(n),
+            ..LimitedMstScratch::default()
         }
+    }
+
+    /// How many admissible pairs the last build's nodes have: every
+    /// same-row and every adjacent-row pair, the scan the 1997 kernel
+    /// sorted and the virtual clock charges.
+    pub fn pairs(&self) -> u64 {
+        self.pairs
     }
 
     /// The tree of [`mst_adjacency_limited`] and whether it spans, the
@@ -201,22 +236,139 @@ impl LimitedMstScratch {
     /// The first case is why ties are exact: coincident nodes weigh the
     /// same to everything, so which of them the tree attaches is decided
     /// by index alone, and the head is the index that wins.
+    ///
+    /// Each candidate is packed into one integer key that sorts as
+    /// `(weight, a, b)` — 64 bits where the net's longest possible edge
+    /// leaves room for two node names, 128 otherwise — and the keys are
+    /// sorted as integers. The same walk counts the admissible pairs
+    /// ([`LimitedMstScratch::pairs`]).
     pub fn build(&mut self, points: &[Point], rows: &[i64]) -> (&[MstEdge], bool) {
         assert_eq!(points.len(), rows.len());
         let n = points.len();
         let LimitedMstScratch {
             order,
-            heads,
-            cand,
+            keys,
+            wide,
+            edges,
             uf,
+            pairs,
         } = self;
         uf.reset(n); // also the bound that lets `n` name nodes in a u32
-        order.clear();
-        order.extend(0..n as u32);
-        order.sort_unstable_by_key(|&i| (rows[i as usize], points[i as usize].x, i));
+        edges.clear();
+        *pairs = 0;
+        if n < 2 {
+            return (edges, true);
+        }
+        // One pass: is the input in `(row, x, index)` order already, and
+        // how long can an edge be?
+        let mut sorted = true;
+        let (mut x_lo, mut x_hi) = (points[0].x, points[0].x);
+        let (mut y_lo, mut y_hi) = (points[0].y, points[0].y);
+        for i in 1..n {
+            let p = points[i];
+            sorted &= (rows[i - 1], points[i - 1].x) <= (rows[i], p.x);
+            (x_lo, x_hi) = (x_lo.min(p.x), x_hi.max(p.x));
+            (y_lo, y_hi) = (y_lo.min(p.y), y_hi.max(p.y));
+        }
+        let longest = x_hi.abs_diff(x_lo).checked_add(y_hi.abs_diff(y_lo));
+        let bits = u32::BITS - (n as u32 - 1).leading_zeros();
+        let narrow = 2 * bits < u64::BITS && longest.is_some_and(|w| w >> (64 - 2 * bits) == 0);
+        if !sorted {
+            order.clear();
+            order.extend(0..n as u32);
+            order.sort_unstable_by_key(|&i| (rows[i as usize], points[i as usize].x, i));
+        }
+        let walk = Walk { points, rows, bits };
+        *pairs = match (sorted, narrow) {
+            (true, true) => walk.tree(|k| k as u32, keys, uf, edges),
+            (false, true) => walk.tree(|k| order[k], keys, uf, edges),
+            (true, false) => walk.tree(|k| k as u32, wide, uf, edges),
+            (false, false) => walk.tree(|k| order[k], wide, uf, edges),
+        };
+        let spanning = edges.len() + 1 >= n;
+        (edges, spanning)
+    }
+}
+
+/// A candidate edge `(weight, a, b)` packed into one integer that sorts
+/// as the triple does: the weight above two `bits`-wide node names, where
+/// `bits` names every node of the net. Exact when the weight fits the
+/// bits left above the names.
+trait Key: Copy + Ord {
+    fn pack(weight: u64, a: u32, b: u32, bits: u32) -> Self;
+    fn unpack(self, bits: u32) -> (u64, u32, u32);
+}
+
+macro_rules! key {
+    ($($t:ty),*) => {$(
+        impl Key for $t {
+            fn pack(weight: u64, a: u32, b: u32, bits: u32) -> $t {
+                (weight as $t) << (2 * bits) | (a as $t) << bits | b as $t
+            }
+            fn unpack(self, bits: u32) -> (u64, u32, u32) {
+                let name = (1 << bits) - 1;
+                let (a, b) = (self >> bits & name, self & name);
+                ((self >> (2 * bits)) as u64, a as u32, b as u32)
+            }
+        }
+    )*};
+}
+
+key!(u64, u128);
+
+/// One net's nodes as [`LimitedMstScratch::build`] walks them.
+struct Walk<'a> {
+    points: &'a [Point],
+    rows: &'a [i64],
+    bits: u32,
+}
+
+impl Walk<'_> {
+    /// Build the candidates in `keys` ([`Walk::candidates`]), sort them
+    /// and accept, in that order, each edge that joins two trees, until
+    /// `edges` holds n − 1; returns the admissible pair count.
+    fn tree<K: Key>(
+        &self,
+        node: impl Fn(usize) -> u32,
+        keys: &mut Vec<K>,
+        uf: &mut UnionFind,
+        edges: &mut Vec<MstEdge>,
+    ) -> u64 {
+        let pairs = self.candidates(node, keys);
+        keys.sort_unstable();
+        let n = self.points.len();
+        edges.reserve(n - 1);
+        for key in keys.iter() {
+            let (weight, a, b) = key.unpack(self.bits);
+            if uf.union(a as usize, b as usize) {
+                edges.push(MstEdge { a, b, weight });
+                if edges.len() + 1 == n {
+                    break;
+                }
+            }
+        }
+        pairs
+    }
+
+    fn key<K: Key>(&self, a: u32, b: u32) -> K {
+        let w = manhattan(self.points[a as usize], self.points[b as usize]);
+        K::pack(w, a, b, self.bits)
+    }
+
+    /// Fill `keys` with the candidates of [`LimitedMstScratch::build`],
+    /// walking the nodes in `(row, x, index)` order (`node(k)` is the
+    /// k-th, so a column's first is its head); returns how many
+    /// admissible pairs the nodes have.
+    fn candidates<K: Key>(&self, node: impl Fn(usize) -> u32, keys: &mut Vec<K>) -> u64 {
+        let (points, rows) = (self.points, self.rows);
+        let n = points.len();
+        let at = |k: usize| {
+            let i = node(k) as usize;
+            (rows[i], points[i].x)
+        };
         debug_assert!(
-            order.windows(2).all(|w| {
-                let (a, b) = (w[0] as usize, w[1] as usize);
+            (1..n).all(|k| {
+                let (a, b) = (node(k - 1) as usize, node(k) as usize);
                 match rows[b].checked_sub(rows[a]) {
                     Some(0) => points[a].y == points[b].y,
                     Some(1) => points[a].y != points[b].y,
@@ -225,88 +377,90 @@ impl LimitedMstScratch {
             }),
             "one y a row, another for the next row"
         );
-        let at = |k: usize| {
-            let i = order[k] as usize;
-            (rows[i], points[i].x)
-        };
-
-        heads.clear();
-        cand.clear();
-        // The row below the current one and where its heads start.
-        let mut below: Option<(i64, usize)> = None;
+        keys.clear();
+        let mut pairs = 0;
+        // The nodes of the row below the current one, and that row.
+        let mut below: Option<(i64, Range<usize>)> = None;
         let mut k = 0;
         while k < n {
-            let row = at(k).0;
-            let first = heads.len();
+            let (row, start) = (at(k).0, k);
+            let mut prev = None;
             while k < n && at(k).0 == row {
-                let (head, x) = (order[k], at(k).1);
-                if let Some(&prev) = heads[first..].last() {
-                    cand.push(edge(points, prev.min(head), prev.max(head)));
+                let (head, x) = (node(k), at(k).1);
+                if let Some(prev) = prev {
+                    keys.push(self.key(u32::min(prev, head), u32::max(prev, head)));
                 }
-                heads.push(head);
+                prev = Some(head);
                 k += 1;
                 while k < n && at(k) == (row, x) {
-                    cand.push(edge(points, head, order[k]));
+                    keys.push(self.key(head, node(k)));
                     k += 1;
                 }
             }
-            if let Some((r, start)) = below {
+            let count = (k - start) as u64;
+            pairs += count * (count - 1) / 2;
+            if let Some((r, lower)) = below {
                 if r.checked_add(1) == Some(row) {
-                    cross_row_candidates(&heads[start..first], &heads[first..], points, cand);
+                    pairs += lower.len() as u64 * count;
+                    self.cross_row(&node, lower, start..k, keys);
                 }
             }
-            below = Some((row, first));
+            below = Some((row, start..k));
         }
-
-        cand.sort_unstable_by_key(|e| (e.weight, e.a, e.b));
-        cand.retain(|e| uf.union(e.a as usize, e.b as usize));
-        let spanning = cand.len() + 1 >= n;
-        (cand, spanning)
+        pairs
     }
-}
 
-fn edge(points: &[Point], a: u32, b: u32) -> MstEdge {
-    MstEdge {
-        a,
-        b,
-        weight: manhattan(points[a as usize], points[b as usize]),
-    }
-}
-
-/// Rule 3 of [`LimitedMstScratch::build`]: merge the heads of row r
-/// (`lower`) and row r + 1 (`upper`), each ascending in x, and push the
-/// pairs no third head blocks, the lower row's node first.
-fn cross_row_candidates(lower: &[u32], upper: &[u32], points: &[Point], cand: &mut Vec<MstEdge>) {
-    let x = |h: u32| points[h as usize].x;
-    // The head at the last x passed, unless both rows have one there, and
-    // whether it is the lower row's.
-    let mut alone: Option<(bool, u32)> = None;
-    let (mut i, mut j) = (0, 0);
-    while i < lower.len() || j < upper.len() {
-        let next = match (lower.get(i), upper.get(j)) {
-            (Some(&l), Some(&u)) => x(l).cmp(&x(u)),
-            (Some(_), None) => Ordering::Less,
-            _ => Ordering::Greater,
+    /// Rule 3 of [`LimitedMstScratch::build`]: merge the columns of row r
+    /// (the walk's `lower` positions) and row r + 1 (`upper`), each
+    /// ascending in x, and push the head pairs no third head blocks, the
+    /// lower row's node first.
+    fn cross_row<K: Key>(
+        &self,
+        node: impl Fn(usize) -> u32,
+        lower: Range<usize>,
+        upper: Range<usize>,
+        keys: &mut Vec<K>,
+    ) {
+        let x = |k: usize| self.points[node(k) as usize].x;
+        // The position past the column at `k`, which ends at `end`.
+        let past = |mut k: usize, end: usize| {
+            let at = x(k);
+            k += 1;
+            while k < end && x(k) == at {
+                k += 1;
+            }
+            k
         };
-        match next {
-            Ordering::Equal => {
-                cand.push(edge(points, lower[i], upper[j]));
-                alone = None;
-                (i, j) = (i + 1, j + 1);
-            }
-            Ordering::Less => {
-                if let Some((false, u)) = alone {
-                    cand.push(edge(points, lower[i], u));
+        // The head at the last x passed, unless both rows have one there,
+        // and whether it is the lower row's.
+        let mut alone: Option<(bool, u32)> = None;
+        let (mut i, mut j) = (lower.start, upper.start);
+        while i < lower.end || j < upper.end {
+            let next = match (i < lower.end, j < upper.end) {
+                (true, true) => x(i).cmp(&x(j)),
+                (true, false) => Ordering::Less,
+                _ => Ordering::Greater,
+            };
+            match next {
+                Ordering::Equal => {
+                    keys.push(self.key(node(i), node(j)));
+                    alone = None;
+                    (i, j) = (past(i, lower.end), past(j, upper.end));
                 }
-                alone = Some((true, lower[i]));
-                i += 1;
-            }
-            Ordering::Greater => {
-                if let Some((true, l)) = alone {
-                    cand.push(edge(points, l, upper[j]));
+                Ordering::Less => {
+                    if let Some((false, u)) = alone {
+                        keys.push(self.key(node(i), u));
+                    }
+                    alone = Some((true, node(i)));
+                    i = past(i, lower.end);
                 }
-                alone = Some((false, upper[j]));
-                j += 1;
+                Ordering::Greater => {
+                    if let Some((true, l)) = alone {
+                        keys.push(self.key(l, node(j)));
+                    }
+                    alone = Some((false, node(j)));
+                    j = past(j, upper.end);
+                }
             }
         }
     }
@@ -459,7 +613,7 @@ mod tests {
         let p = pts(&[(5, 0), (5, 1), (8, 1)]);
         let mut scratch = LimitedMstScratch::default();
         scratch.build(&p, &[0, 1, 1]);
-        assert_eq!(scratch.cand.len(), 2, "never a candidate");
+        assert_eq!(scratch.keys.len(), 2, "never a candidate");
     }
 
     #[test]
@@ -519,24 +673,28 @@ mod tests {
         edges
     }
 
+    /// Seeded point sets full of ties: coordinates drawn from ranges of
+    /// 2, 5, 20 and 1 000 (the small ones stack coincident points), sizes
+    /// from 0 to 3 000.
+    fn tied_point_sets(seed: u64) -> impl Iterator<Item = Vec<Point>> {
+        let mut rng = crate::rng::rng_from_seed(seed);
+        let sizes = (0..40).chain([64, 127, 300, 541, 3_000]);
+        sizes.enumerate().map(move |(case, n)| {
+            let span = [2i64, 5, 20, 1_000][case % 4];
+            let rows = span.min([6, 40][case % 2]);
+            (0..n)
+                .map(|_| Point::new(rng.gen_range(0..span), rng.gen_range(0..rows)))
+                .collect()
+        })
+    }
+
     #[test]
     fn prim_scratch_builds_the_reference_tree_edge_for_edge() {
         // One scratch across every set, so each build starts from the
-        // buffers a larger or smaller one left behind. Few distinct
-        // coordinates: duplicate points and equal-weight ties abound.
-        let mut rng = crate::rng::rng_from_seed(0x9121);
+        // buffers a larger or smaller one left behind.
         let mut scratch = PrimScratch::default();
         let mut ties = 0;
-        for case in 0..600 {
-            let n = match case % 6 {
-                0 => rng.gen_range(0..3usize),
-                5 => rng.gen_range(40..120usize),
-                _ => rng.gen_range(2..24usize),
-            };
-            let span = [2i64, 5, 40][case % 3];
-            let p: Vec<Point> = (0..n)
-                .map(|_| Point::new(rng.gen_range(0..span), rng.gen_range(0..span.min(6))))
-                .collect();
+        for (case, p) in tied_point_sets(0x9121).enumerate() {
             let reference = mst_prim_reference(&p);
             assert_eq!(scratch.build(&p), &reference[..], "case {case}: {p:?}");
             assert_eq!(mst_prim(&p), reference, "case {case}: one-shot");
@@ -548,6 +706,220 @@ mod tests {
                     .len();
         }
         assert!(ties > 0, "the sets must hold equal-weight edges");
+    }
+
+    /// [`LimitedMstScratch::build`] as it was before its candidates became
+    /// integer keys, written out as it stood: the same candidates as
+    /// [`MstEdge`]s after a sort of every node by `(row, x, index)`, one
+    /// tuple-keyed sort, one Kruskal pass over all of them. What the
+    /// kernel must return edge for edge.
+    fn reference_limited(points: &[Point], rows: &[i64]) -> (Vec<MstEdge>, bool) {
+        let n = points.len();
+        let edge = |a: u32, b: u32| MstEdge {
+            a,
+            b,
+            weight: manhattan(points[a as usize], points[b as usize]),
+        };
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.sort_unstable_by_key(|&i| (rows[i as usize], points[i as usize].x, i));
+        let at = |k: usize| {
+            let i = order[k] as usize;
+            (rows[i], points[i].x)
+        };
+        let (mut heads, mut cand) = (Vec::new(), Vec::new());
+        let mut below: Option<(i64, usize)> = None;
+        let mut k = 0;
+        while k < n {
+            let row = at(k).0;
+            let first = heads.len();
+            while k < n && at(k).0 == row {
+                let (head, x) = (order[k], at(k).1);
+                if let Some(&prev) = heads[first..].last() {
+                    cand.push(edge(u32::min(prev, head), u32::max(prev, head)));
+                }
+                heads.push(head);
+                k += 1;
+                while k < n && at(k) == (row, x) {
+                    cand.push(edge(head, order[k]));
+                    k += 1;
+                }
+            }
+            if let Some((r, start)) = below {
+                if r.checked_add(1) == Some(row) {
+                    let (lower, upper) = (&heads[start..first], &heads[first..]);
+                    let x = |h: u32| points[h as usize].x;
+                    let mut alone: Option<(bool, u32)> = None;
+                    let (mut i, mut j) = (0, 0);
+                    while i < lower.len() || j < upper.len() {
+                        let next = match (lower.get(i), upper.get(j)) {
+                            (Some(&l), Some(&u)) => x(l).cmp(&x(u)),
+                            (Some(_), None) => Ordering::Less,
+                            _ => Ordering::Greater,
+                        };
+                        match next {
+                            Ordering::Equal => {
+                                cand.push(edge(lower[i], upper[j]));
+                                alone = None;
+                                (i, j) = (i + 1, j + 1);
+                            }
+                            Ordering::Less => {
+                                if let Some((false, u)) = alone {
+                                    cand.push(edge(lower[i], u));
+                                }
+                                alone = Some((true, lower[i]));
+                                i += 1;
+                            }
+                            Ordering::Greater => {
+                                if let Some((true, l)) = alone {
+                                    cand.push(edge(l, upper[j]));
+                                }
+                                alone = Some((false, upper[j]));
+                                j += 1;
+                            }
+                        }
+                    }
+                }
+            }
+            below = Some((row, first));
+        }
+        cand.sort_unstable_by_key(|e| (e.weight, e.a, e.b));
+        let mut uf = UnionFind::new(n);
+        cand.retain(|e| uf.union(e.a as usize, e.b as usize));
+        let spanning = cand.len() + 1 >= n;
+        (cand, spanning)
+    }
+
+    /// Every same-row and adjacent-row pair, counted one by one.
+    fn admissible_pairs(rows: &[i64]) -> u64 {
+        let mut pairs = 0;
+        for (a, &ra) in rows.iter().enumerate() {
+            for &rb in &rows[a + 1..] {
+                pairs += u64::from(ra.abs_diff(rb) <= 1);
+            }
+        }
+        pairs
+    }
+
+    /// Build `points` (at `y = row`) once through `scratch` and once one
+    /// shot, and check both against the reference and the pair count.
+    fn check_limited(scratch: &mut LimitedMstScratch, points: &[Point], what: &str) {
+        let rows: Vec<i64> = points.iter().map(|p| p.y).collect();
+        let (want, want_spanning) = reference_limited(points, &rows);
+        let (got, spanning) = scratch.build(points, &rows);
+        assert_eq!(got, &want[..], "{what}: {points:?}");
+        assert_eq!(spanning, want_spanning, "{what}");
+        assert_eq!(scratch.pairs(), admissible_pairs(&rows), "{what}: pairs");
+        let once = mst_adjacency_limited(points, &rows);
+        assert_eq!(
+            (once.edges, once.spanning),
+            (want, want_spanning),
+            "{what}: one-shot"
+        );
+    }
+
+    #[test]
+    fn limited_scratch_builds_the_reference_tree_edge_for_edge() {
+        let mut scratch = LimitedMstScratch::default();
+        let (mut unsorted, mut sorted) = (0, 0);
+        for (case, mut p) in tied_point_sets(0x4c1d).enumerate() {
+            // The points as drawn: columns whose heads stand anywhere in
+            // the input, rows out of order.
+            check_limited(&mut scratch, &p, &format!("case {case}"));
+            unsorted += usize::from(!p.is_sorted_by_key(|p| (p.y, p.x)));
+            // The same points in `(row, x)` order, as Connect passes them.
+            p.sort_unstable_by_key(|p| (p.y, p.x));
+            check_limited(&mut scratch, &p, &format!("case {case}, sorted"));
+            sorted += 1;
+        }
+        assert!(unsorted > 30 && sorted > 40);
+    }
+
+    #[test]
+    fn limited_coincident_columns_whose_heads_come_late() {
+        // Row 1's column at x = 4 lists its head (index 1) after a higher
+        // index in neither order, and the column at x = 2 has its head
+        // last; every node weighs the same to the row below.
+        let p = pts(&[
+            (4, 1),
+            (4, 1),
+            (2, 1),
+            (4, 0),
+            (2, 1),
+            (2, 1),
+            (3, 0),
+            (2, 0),
+        ]);
+        let mut scratch = LimitedMstScratch::default();
+        check_limited(&mut scratch, &p, "as given");
+        let mut reversed = p.clone();
+        reversed.reverse();
+        check_limited(&mut scratch, &reversed, "reversed");
+    }
+
+    #[test]
+    fn limited_nets_at_the_candidate_bound() {
+        // Every node its own column, up to eight rows interleaved in x:
+        // the candidates come close to 3n.
+        let mut scratch = LimitedMstScratch::default();
+        for rows in 1..=8 {
+            for n in [2, 3, 17, 200] {
+                let p: Vec<Point> = (0..n).map(|i| Point::new(i, i % rows)).collect();
+                check_limited(&mut scratch, &p, &format!("{rows} rows, {n} nodes"));
+                let cand = scratch.keys.len() as i64;
+                assert!(cand < 3 * n, "{cand} candidates for {n} nodes");
+                if rows == 8 && n == 200 {
+                    assert!(cand > 5 * n / 2, "{cand} candidates for {n} nodes");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn limited_keys_wider_than_64_bits() {
+        // Weights past 2⁶² leave no room for even one bit of name: the
+        // wide keys, which must sort and read back the same way.
+        let mut rng = crate::rng::rng_from_seed(0x3de);
+        let mut scratch = LimitedMstScratch::default();
+        for n in [2, 9, 3_000] {
+            let mut p = pts(&[(0, 0), (3 << 61, 1)]);
+            p.extend((2..n).map(|_| Point::new(rng.gen_range(0..4) << 61, rng.gen_range(0..3))));
+            check_limited(&mut scratch, &p, &format!("{n} nodes"));
+            assert!(
+                scratch.keys.is_empty() && !scratch.wide.is_empty(),
+                "{n} nodes"
+            );
+        }
+    }
+
+    #[test]
+    fn keys_sort_as_their_triples() {
+        let triples = [
+            (0, 0, 1),
+            (0, 1, 0),
+            (1, 0, 0),
+            (5, 3, 2),
+            (5, 3, 3),
+            (7, 0, 7),
+        ];
+        for bits in [3, 12, 30] {
+            let mut narrow: Vec<u64> = triples
+                .iter()
+                .map(|&(w, a, b)| u64::pack(w, a, b, bits))
+                .collect();
+            let mut wide: Vec<u128> = triples
+                .iter()
+                .map(|&(w, a, b)| u128::pack(w, a, b, bits))
+                .collect();
+            narrow.reverse();
+            wide.reverse();
+            narrow.sort_unstable();
+            wide.sort_unstable();
+            let back = |k: (u64, u32, u32)| k;
+            let narrow: Vec<_> = narrow.iter().map(|k| back(k.unpack(bits))).collect();
+            let wide: Vec<_> = wide.iter().map(|k| back(k.unpack(bits))).collect();
+            assert_eq!(narrow, triples, "{bits} bits");
+            assert_eq!(wide, triples, "{bits} bits");
+        }
     }
 
     #[test]

@@ -141,13 +141,20 @@ pub fn rng_from_seed(seed: u64) -> SmallRng {
     SmallRng::seed_from_u64(seed)
 }
 
+/// Fisher–Yates-shuffle `items` in place: the draws of
+/// [`shuffled_indices`] for `items.len()`, so `items` ends as it would
+/// mapped through that permutation.
+pub fn shuffle<T>(items: &mut [T], rng: &mut SmallRng) {
+    for i in (1..items.len()).rev() {
+        let j = rng.gen_range(0..=i);
+        items.swap(i, j);
+    }
+}
+
 /// A Fisher–Yates-shuffled permutation of `0..n`.
 pub fn shuffled_indices(n: usize, rng: &mut SmallRng) -> Vec<u32> {
     let mut idx: Vec<u32> = (0..n as u32).collect();
-    for i in (1..n).rev() {
-        let j = rng.gen_range(0..=i);
-        idx.swap(i, j);
-    }
+    shuffle(&mut idx, rng);
     idx
 }
 
@@ -257,6 +264,25 @@ mod tests {
         let mut rng = rng_from_seed(1);
         assert!(shuffled_indices(0, &mut rng).is_empty());
         assert_eq!(shuffled_indices(1, &mut rng), vec![0]);
+    }
+
+    #[test]
+    fn shuffle_maps_items_through_shuffled_indices() {
+        for (seed, n) in [(3, 0), (4, 1), (5, 2), (6, 17), (7, 1000)] {
+            // The draws `shuffled_indices` has always made, written out.
+            let mut rng = rng_from_seed(seed);
+            let mut want: Vec<u32> = (0..n as u32).collect();
+            for i in (1..n).rev() {
+                let j = rng.gen_range(0..=i);
+                want.swap(i, j);
+            }
+            assert_eq!(shuffled_indices(n, &mut rng_from_seed(seed)), want);
+            let items: Vec<(u64, char)> = (0..n as u64).map(|i| (i * i + 3, 'a')).collect();
+            let mut shuffled = items.clone();
+            shuffle(&mut shuffled, &mut rng_from_seed(seed));
+            let mapped: Vec<_> = want.iter().map(|&k| items[k as usize]).collect();
+            assert_eq!(shuffled, mapped, "seed {seed}, {n} items");
+        }
     }
 
     #[test]

@@ -7,9 +7,16 @@
 /// A disjoint-set forest over `0..len`.
 #[derive(Debug, Clone, Default)]
 pub struct UnionFind {
-    parent: Vec<u32>,
-    size: Vec<u32>,
+    /// Each element's parent and, at a root, the size of its set: one
+    /// allocation, a root's parent and size side by side.
+    slots: Vec<Slot>,
     components: usize,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    parent: u32,
+    size: u32,
 }
 
 impl UnionFind {
@@ -17,8 +24,7 @@ impl UnionFind {
     /// allocates nothing.
     pub fn with_capacity(len: usize) -> Self {
         UnionFind {
-            parent: Vec::with_capacity(len),
-            size: Vec::with_capacity(len),
+            slots: Vec::with_capacity(len),
             components: 0,
         }
     }
@@ -34,19 +40,18 @@ impl UnionFind {
     /// allocation.
     pub fn reset(&mut self, len: usize) {
         assert!(len <= u32::MAX as usize, "UnionFind capped at u32 elements");
-        self.parent.clear();
-        self.parent.extend(0..len as u32);
-        self.size.clear();
-        self.size.resize(len, 1);
+        self.slots.clear();
+        self.slots
+            .extend((0..len as u32).map(|parent| Slot { parent, size: 1 }));
         self.components = len;
     }
 
     pub fn len(&self) -> usize {
-        self.parent.len()
+        self.slots.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.parent.is_empty()
+        self.slots.is_empty()
     }
 
     /// Number of disjoint components.
@@ -57,12 +62,12 @@ impl UnionFind {
     /// Representative of `x`'s set, with path halving.
     pub fn find(&mut self, mut x: usize) -> usize {
         loop {
-            let p = self.parent[x] as usize;
+            let p = self.slots[x].parent as usize;
             if p == x {
                 return x;
             }
-            let gp = self.parent[p];
-            self.parent[x] = gp;
+            let gp = self.slots[p].parent;
+            self.slots[x].parent = gp;
             x = gp as usize;
         }
     }
@@ -73,11 +78,11 @@ impl UnionFind {
         if ra == rb {
             return false;
         }
-        if self.size[ra] < self.size[rb] {
+        if self.slots[ra].size < self.slots[rb].size {
             std::mem::swap(&mut ra, &mut rb);
         }
-        self.parent[rb] = ra as u32;
-        self.size[ra] += self.size[rb];
+        self.slots[rb].parent = ra as u32;
+        self.slots[ra].size += self.slots[rb].size;
         self.components -= 1;
         true
     }

@@ -535,7 +535,7 @@ impl Comm {
 
 #[cfg(test)]
 mod tests {
-    use super::transport::{DECODE_TIMER, ENCODE_TIMER};
+    use super::transport::{BLOCKED_TIMER, DECODE_TIMER, ENCODE_TIMER, PARKED_TIMER};
     use super::*;
 
     const SIZES: [usize; 5] = [1, 2, 3, 5, 8];
@@ -955,6 +955,14 @@ mod tests {
             assert_eq!(calls(timers, phase, name), 1, "{phase} {name}: {timers:?}");
         }
         assert_eq!(calls(receiver, "coarse", ENCODE_TIMER), 0);
+        // A park is a part of a blocked receive: never more of them, in
+        // any phase, on either rank.
+        for timers in [sender, receiver] {
+            for phase in ["coarse", "connect"] {
+                let parks = calls(timers, phase, PARKED_TIMER);
+                assert!(parks <= calls(timers, phase, BLOCKED_TIMER), "{timers:?}");
+            }
+        }
         // Metrics off, or a virtual clock: nothing times anything.
         let unmetered = timers(MetricsConfig::off(), ClockMode::Wall);
         assert!(unmetered

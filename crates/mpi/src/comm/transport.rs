@@ -56,6 +56,10 @@ pub(super) const DECODE_TIMER: &str = "mpi.decode";
 /// Sub-phase timer of the host time a receive spends polling or parked,
 /// waiting for the next frame off its channel.
 pub(super) const BLOCKED_TIMER: &str = "mpi.blocked";
+/// Sub-phase timer of the part of [`BLOCKED_TIMER`] a receive spends
+/// parked, once its poll window ran out (at once where the world does
+/// not poll); its calls are the parks.
+pub(super) const PARKED_TIMER: &str = "mpi.parked";
 
 /// The tag of the exit notice a rank sends each peer when its closure
 /// ends ([`Transport::close`]). No collective tag reaches it (they wrap
@@ -651,7 +655,7 @@ impl Transport {
                 return Err(self.disconnected(src, tag));
             }
             let timer = m.start_timer();
-            let frame = self.next_frame();
+            let frame = self.next_frame(m);
             m.stop_timer(BLOCKED_TIMER, timer);
             let Some(env) = frame else {
                 return Err(self.disconnected(src, tag));
@@ -665,29 +669,34 @@ impl Transport {
     /// everything it did before its closure ended, has happened.
     pub(super) fn await_exit(&mut self, peer: usize, m: &mut MetricsShard) {
         while self.exits[peer].is_none() {
-            let Some(env) = self.next_frame() else { return };
+            let Some(env) = self.next_frame(m) else {
+                return;
+            };
             self.ingest(env, m);
         }
     }
 
     /// The next frame off the channel: polled for [`POLL_WINDOW`] when
-    /// this transport polls, then waited for. `None` once every peer
-    /// has dropped its sender.
-    fn next_frame(&self) -> Option<Envelope> {
+    /// this transport polls (else looked for once), then waited for
+    /// parked, the park timed as [`PARKED_TIMER`]. `None` once every
+    /// peer has dropped its sender.
+    fn next_frame(&self, m: &mut MetricsShard) -> Option<Envelope> {
         let rx = self.rx.as_ref()?;
-        if self.polls {
-            let start = Instant::now();
-            loop {
-                match rx.try_recv() {
-                    Ok(env) => return Some(env),
-                    Err(TryRecvError::Empty) if start.elapsed() < POLL_WINDOW => {
-                        std::hint::spin_loop()
-                    }
-                    Err(_) => break,
+        let start = self.polls.then(Instant::now);
+        loop {
+            match rx.try_recv() {
+                Ok(env) => return Some(env),
+                Err(TryRecvError::Empty) if start.is_some_and(|s| s.elapsed() < POLL_WINDOW) => {
+                    std::hint::spin_loop()
                 }
+                Err(TryRecvError::Empty) => break,
+                Err(TryRecvError::Disconnected) => return None,
             }
         }
-        rx.recv().ok()
+        let timer = m.start_timer();
+        let frame = rx.recv().ok();
+        m.stop_timer(PARKED_TIMER, timer);
+        frame
     }
 
     fn disconnected(&self, src: usize, tag: u32) -> CommError {
@@ -922,7 +931,7 @@ mod tests {
     #[test]
     fn a_frame_arriving_after_the_poll_window_is_still_delivered() {
         for polling in POLLING {
-            let [(mut a, mut ma), (mut b, mut mb)] =
+            let [(mut a, mut ma), (mut b, mb)] =
                 world(|_| FaultAction::Deliver, ReliabilityConfig::on());
             b.polls = polling;
             let sender = std::thread::spawn(move || {
@@ -930,8 +939,17 @@ mod tests {
                 a.send(1, TAG, 0.0, Body::Bytes(vec![9]), &mut ma);
                 a // the channel stays open until the receive is done
             });
+            let mut mb = mb.timed(true);
+            mb.open_window(Phase::Coarse);
             assert_eq!(payload_of(b.recv(0, TAG, &mut mb)), vec![9]);
             drop(sender.join().expect("sender"));
+            // The park, if the frame came late enough for one (real
+            // time decides), is a part of the blocked time.
+            let timers = mb.timers();
+            let timer = |name: &str| timers.iter().find(|t| t.1 == name).map(|t| t.2);
+            let blocked = timer(BLOCKED_TIMER).expect("the receive blocked");
+            let parked = timer(PARKED_TIMER).unwrap_or_default();
+            assert!(parked.calls <= blocked.calls && parked.ns <= blocked.ns);
         }
     }
 

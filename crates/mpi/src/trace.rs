@@ -652,6 +652,7 @@ mod tests {
                 timers: vec![
                     ("coarse", "mpi.blocked", Timer { ns: 7, calls: 1 }),
                     ("coarse", "mpi.encode", Timer { ns: 30, calls: 3 }),
+                    ("coarse", "mpi.parked", Timer { ns: 4, calls: 1 }),
                     ("connect", "mpi.decode", Timer { ns: 5, calls: 2 }),
                 ],
             }),
@@ -682,6 +683,8 @@ mod tests {
         assert_eq!(timer("coarse", "mpi.encode", "ns"), Some(30));
         assert_eq!(timer("coarse", "mpi.encode", "calls"), Some(3));
         assert_eq!(timer("coarse", "mpi.blocked", "calls"), Some(1));
+        assert_eq!(timer("coarse", "mpi.parked", "ns"), Some(4));
+        assert_eq!(timer("coarse", "mpi.parked", "calls"), Some(1));
         assert_eq!(timer("connect", "mpi.decode", "ns"), Some(5));
     }
 }
