@@ -836,9 +836,9 @@ mod tests {
 
     #[test]
     fn limited_coincident_columns_whose_heads_come_late() {
-        // Row 1's column at x = 4 lists its head (index 1) after a higher
-        // index in neither order, and the column at x = 2 has its head
-        // last; every node weighs the same to the row below.
+        // Row 1's column at x = 4 (nodes 0 and 1) comes before its column
+        // at x = 2 (nodes 2, 4 and 5) and the rows interleave, so the
+        // heads arrive out of `(row, x)` order, as given and reversed.
         let p = pts(&[
             (4, 1),
             (4, 1),
