@@ -53,8 +53,9 @@ pub(super) const ENCODE_TIMER: &str = "mpi.encode";
 /// Sub-phase timer of the host time a receive spends checking a frame's
 /// wire bytes against their checksum.
 pub(super) const DECODE_TIMER: &str = "mpi.decode";
-/// Sub-phase timer of the host time a receive spends polling or parked,
-/// waiting for the next frame off its channel.
+/// Sub-phase timer of the host time a receive, or a wait for a peer's
+/// exit notice, spends polling or parked, waiting for the next frame off
+/// its channel.
 pub(super) const BLOCKED_TIMER: &str = "mpi.blocked";
 /// Sub-phase timer of the part of [`BLOCKED_TIMER`] a receive spends
 /// parked, once its poll window ran out (at once where the world does
@@ -669,9 +670,10 @@ impl Transport {
     /// everything it did before its closure ended, has happened.
     pub(super) fn await_exit(&mut self, peer: usize, m: &mut MetricsShard) {
         while self.exits[peer].is_none() {
-            let Some(env) = self.next_frame(m) else {
-                return;
-            };
+            let timer = m.start_timer();
+            let frame = self.next_frame(m);
+            m.stop_timer(BLOCKED_TIMER, timer);
+            let Some(env) = frame else { return };
             self.ingest(env, m);
         }
     }
@@ -1055,6 +1057,31 @@ mod tests {
         b.await_exit(0, &mut mb);
         assert_eq!(b.exits[0], Some(Exit::Killed(DEATH)));
         assert_eq!(payload_of(b.recv(0, TAG, &mut mb)), vec![4]);
+    }
+
+    #[test]
+    fn a_park_awaiting_an_exit_is_part_of_the_blocked_time() {
+        for polling in POLLING {
+            let [(mut a, mut ma), (mut b, mb)] =
+                world(|_| FaultAction::Deliver, ReliabilityConfig::on());
+            b.polls = polling;
+            // The notice comes well past the poll window, so the wait
+            // parks (real time decides; it almost always does).
+            let peer = std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(20));
+                a.close(Exit::Returned, &mut ma);
+            });
+            let mut mb = mb.timed(true);
+            mb.open_window(Phase::Coarse);
+            b.await_exit(0, &mut mb);
+            peer.join().expect("peer");
+            assert_eq!(b.exits[0], Some(Exit::Returned));
+            let timers = mb.timers();
+            let timer = |name: &str| timers.iter().find(|t| t.1 == name).map(|t| t.2);
+            let blocked = timer(BLOCKED_TIMER).expect("the wait blocked");
+            let parked = timer(PARKED_TIMER).unwrap_or_default();
+            assert!(parked.calls <= blocked.calls && parked.ns <= blocked.ns);
+        }
     }
 
     /// What the modeled-transfer tests ship: far more than the header
