@@ -27,8 +27,9 @@
 //!   `(weight, a, b)` — a `u64` where the net's weights and names fit, a
 //!   `u128` otherwise — so the sort compares plain integers, and Kruskal
 //!   stops at the (n − 1)th edge. Input already in `(row, x, index)`
-//!   order, as every net of the router's Connect is, is walked as it
-//!   stands; other input is sorted into that order first. Feedthrough
+//!   order, as every net of the router's Connect is, is found so by one
+//!   O(n) check and not sorted again; other input is sorted into that
+//!   order first. Feedthrough
 //!   insertion guarantees the restricted graph is connected; if it is not
 //!   (a router bug), the function reports a forest.
 
@@ -171,7 +172,7 @@ pub fn mst_adjacency_limited(points: &[Point], rows: &[i64]) -> LimitedMst {
 /// pays no allocation per net.
 #[derive(Debug, Default)]
 pub struct LimitedMstScratch {
-    /// Node indices in `(row, x, index)` order, for input not in it.
+    /// Node indices in `(row, x, index)` order.
     order: Vec<u32>,
     /// The candidate edges as 64-bit [`Key`]s …
     keys: Vec<u64>,
@@ -185,13 +186,13 @@ pub struct LimitedMstScratch {
 }
 
 impl LimitedMstScratch {
-    /// Scratch sized for up to `n` nodes: a build over that many in
-    /// `(row, x, index)` order allocates nothing (its candidates are
-    /// fewer than 3n), as long as its keys fit 64 bits — every net below
-    /// 2¹⁶ nodes and 2³² in weight does. Other input also sorts an order
-    /// of its own, allocated on its first build.
+    /// Scratch sized for up to `n` nodes: a build over that many
+    /// allocates nothing (its candidates are fewer than 3n), as long as
+    /// its keys fit 64 bits — every net below 2¹⁶ nodes and 2³² in weight
+    /// does.
     pub fn with_capacity(n: usize) -> Self {
         LimitedMstScratch {
+            order: Vec::with_capacity(n),
             keys: Vec::with_capacity(3 * n),
             edges: Vec::with_capacity(n.saturating_sub(1)),
             uf: UnionFind::with_capacity(n),
@@ -273,17 +274,21 @@ impl LimitedMstScratch {
         let longest = x_hi.abs_diff(x_lo).checked_add(y_hi.abs_diff(y_lo));
         let bits = u32::BITS - (n as u32 - 1).leading_zeros();
         let narrow = 2 * bits < u64::BITS && longest.is_some_and(|w| w >> (64 - 2 * bits) == 0);
+        order.clear();
+        order.extend(0..n as u32);
         if !sorted {
-            order.clear();
-            order.extend(0..n as u32);
             order.sort_unstable_by_key(|&i| (rows[i as usize], points[i as usize].x, i));
         }
-        let walk = Walk { points, rows, bits };
-        *pairs = match (sorted, narrow) {
-            (true, true) => walk.tree(|k| k as u32, keys, uf, edges),
-            (false, true) => walk.tree(|k| order[k], keys, uf, edges),
-            (true, false) => walk.tree(|k| k as u32, wide, uf, edges),
-            (false, false) => walk.tree(|k| order[k], wide, uf, edges),
+        let walk = Walk {
+            points,
+            rows,
+            order,
+            bits,
+        };
+        *pairs = if narrow {
+            walk.tree(keys, uf, edges)
+        } else {
+            walk.tree(wide, uf, edges)
         };
         let spanning = edges.len() + 1 >= n;
         (edges, spanning)
@@ -316,10 +321,13 @@ macro_rules! key {
 
 key!(u64, u128);
 
-/// One net's nodes as [`LimitedMstScratch::build`] walks them.
+/// One net's nodes as [`LimitedMstScratch::build`] walks them: `order`
+/// holds their indices in `(row, x, index)` order, so a column's first
+/// is its head.
 struct Walk<'a> {
     points: &'a [Point],
     rows: &'a [i64],
+    order: &'a [u32],
     bits: u32,
 }
 
@@ -327,14 +335,8 @@ impl Walk<'_> {
     /// Build the candidates in `keys` ([`Walk::candidates`]), sort them
     /// and accept, in that order, each edge that joins two trees, until
     /// `edges` holds n − 1; returns the admissible pair count.
-    fn tree<K: Key>(
-        &self,
-        node: impl Fn(usize) -> u32,
-        keys: &mut Vec<K>,
-        uf: &mut UnionFind,
-        edges: &mut Vec<MstEdge>,
-    ) -> u64 {
-        let pairs = self.candidates(node, keys);
+    fn tree<K: Key>(&self, keys: &mut Vec<K>, uf: &mut UnionFind, edges: &mut Vec<MstEdge>) -> u64 {
+        let pairs = self.candidates(keys);
         keys.sort_unstable();
         let n = self.points.len();
         edges.reserve(n - 1);
@@ -356,11 +358,11 @@ impl Walk<'_> {
     }
 
     /// Fill `keys` with the candidates of [`LimitedMstScratch::build`],
-    /// walking the nodes in `(row, x, index)` order (`node(k)` is the
-    /// k-th, so a column's first is its head); returns how many
-    /// admissible pairs the nodes have.
-    fn candidates<K: Key>(&self, node: impl Fn(usize) -> u32, keys: &mut Vec<K>) -> u64 {
-        let (points, rows) = (self.points, self.rows);
+    /// walking the nodes in `order`; returns how many admissible pairs
+    /// the nodes have.
+    fn candidates<K: Key>(&self, keys: &mut Vec<K>) -> u64 {
+        let (points, rows, order) = (self.points, self.rows, self.order);
+        let node = |k: usize| order[k];
         let n = points.len();
         let at = |k: usize| {
             let i = node(k) as usize;
@@ -402,7 +404,7 @@ impl Walk<'_> {
             if let Some((r, lower)) = below {
                 if r.checked_add(1) == Some(row) {
                     pairs += lower.len() as u64 * count;
-                    self.cross_row(&node, lower, start..k, keys);
+                    self.cross_row(lower, start..k, keys);
                 }
             }
             below = Some((row, start..k));
@@ -414,13 +416,8 @@ impl Walk<'_> {
     /// (the walk's `lower` positions) and row r + 1 (`upper`), each
     /// ascending in x, and push the head pairs no third head blocks, the
     /// lower row's node first.
-    fn cross_row<K: Key>(
-        &self,
-        node: impl Fn(usize) -> u32,
-        lower: Range<usize>,
-        upper: Range<usize>,
-        keys: &mut Vec<K>,
-    ) {
+    fn cross_row<K: Key>(&self, lower: Range<usize>, upper: Range<usize>, keys: &mut Vec<K>) {
+        let node = |k: usize| self.order[k];
         let x = |k: usize| self.points[node(k) as usize].x;
         // The position past the column at `k`, which ends at `end`.
         let past = |mut k: usize, end: usize| {
@@ -688,13 +685,14 @@ mod tests {
         })
     }
 
-    #[test]
-    fn prim_scratch_builds_the_reference_tree_edge_for_edge() {
-        // One scratch across every set, so each build starts from the
-        // buffers a larger or smaller one left behind.
+    /// Build every set through one scratch, so each build starts from the
+    /// buffers a larger or smaller one left behind, and one shot; both
+    /// must be the reference edge for edge. Returns how many equal-weight
+    /// edges the reference trees held.
+    fn check_prim(sets: impl Iterator<Item = Vec<Point>>) -> usize {
         let mut scratch = PrimScratch::default();
         let mut ties = 0;
-        for (case, p) in tied_point_sets(0x9121).enumerate() {
+        for (case, p) in sets.enumerate() {
             let reference = mst_prim_reference(&p);
             assert_eq!(scratch.build(&p), &reference[..], "case {case}: {p:?}");
             assert_eq!(mst_prim(&p), reference, "case {case}: one-shot");
@@ -705,7 +703,34 @@ mod tests {
                     .collect::<std::collections::BTreeSet<_>>()
                     .len();
         }
-        assert!(ties > 0, "the sets must hold equal-weight edges");
+        ties
+    }
+
+    #[test]
+    fn prim_scratch_builds_the_reference_tree_edge_for_edge() {
+        // Few distinct coordinates: duplicate points and equal-weight
+        // ties abound, over the small nets most of the router's are.
+        let mut rng = crate::rng::rng_from_seed(0x9121);
+        let sets = (0..600).map(|case| {
+            let n = match case % 6 {
+                0 => rng.gen_range(0..3usize),
+                5 => rng.gen_range(40..120usize),
+                _ => rng.gen_range(2..24usize),
+            };
+            let span = [2i64, 5, 40][case % 3];
+            (0..n)
+                .map(|_| Point::new(rng.gen_range(0..span), rng.gen_range(0..span.min(6))))
+                .collect()
+        });
+        assert!(
+            check_prim(sets) > 0,
+            "the sets must hold equal-weight edges"
+        );
+    }
+
+    #[test]
+    fn prim_scratch_builds_the_reference_tree_over_tied_sets_up_to_3000() {
+        assert!(check_prim(tied_point_sets(0x9121)) > 0);
     }
 
     /// [`LimitedMstScratch::build`] as it was before its candidates became
