@@ -1,7 +1,8 @@
 #!/bin/sh
 # Size of the code the substrate/router/harness crates (and the geometry
-# kernels every phase runs on, and the root package's facade and `pgr`
-# CLI) expose: per crate,
+# kernels every phase runs on, the circuit model and netlist parser every
+# route starts from, and the root package's facade and `pgr` CLI)
+# expose: per crate,
 # lines of every file under src/ (in-file test modules included), the
 # same without those test modules (each file up to its first
 # `#[cfg(test)]`), and the number of `pub fn`; then the same for the
@@ -79,6 +80,12 @@
 #   keeps only the vertices left, one record each), and one that calls
 #   `sort_unstable_by_key(|e|` is the tuple-keyed candidate sort coming
 #   back (each candidate is one integer key sorting as `(weight, a, b)`).
+# - when netlist validation scans a list per element again: a non-test
+#   line of crates/circuit/src/model.rs that calls `.contains(&` is a
+#   membership check answered by searching the owner's list (a cell in
+#   its row, a pin in its net or on its cell, a pin among its net's
+#   earlier pins), which made `Circuit::validate` quadratic in row and
+#   net size; each is a mark set by the walk over that list.
 # - when the work nets stop being one flat store: a non-test line under
 #   crates/core/src that declares a `nodes: Vec<Node>` field anywhere but
 #   in `WorkNets` (the CSR store) is a per-net node vector coming back; a
@@ -190,7 +197,7 @@ row() {
     printf '%-36s %6d lines %6d non-test %4d pub fn\n' "$1" "$2" "$3" "$4"
 }
 
-for dir in crates/mpi/src crates/core/src crates/bench/src crates/geom/src src; do
+for dir in crates/mpi/src crates/core/src crates/bench/src crates/geom/src crates/circuit/src src; do
     # shellcheck disable=SC2046 # file names under src/ carry no spaces
     files=$(per_file $(find "$dir" -name '*.rs'))
     echo "$files" | awk -v label="$dir" '
@@ -332,6 +339,16 @@ per_net=$(awk '
 if [ -n "$per_net" ]; then
     echo "surface: route/connect.rs constructs one vector, the output of connect_all (per-net buffers live in ConnectArena):" >&2
     echo "$per_net" >&2
+    exit 1
+fi
+
+scans=$(awk '
+    /^#\[cfg\(test\)\]/ { exit }
+    /\.contains\(&/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+' crates/circuit/src/model.rs)
+if [ -n "$scans" ]; then
+    echo "surface: Circuit::validate marks what each list walk meets (no per-element scan of an owner's list):" >&2
+    echo "$scans" >&2
     exit 1
 fi
 

@@ -196,8 +196,10 @@ fn main() {
         comm.metric_window_open(Phase::Connect);
         let before = allocs();
         for _ in 0..10_000 {
-            let start = comm.start_timer();
-            comm.stop_timer(names::CONNECT_KERNEL, start);
+            for name in [names::FT_ASSIGN, names::FT_ATTACH, names::CONNECT_KERNEL] {
+                let start = comm.start_timer();
+                comm.stop_timer(name, start);
+            }
         }
         assert_eq!(
             allocs(),

@@ -4,7 +4,9 @@
 use pgr_bench::tables::run_cell;
 use pgr_bench::SEED;
 use pgr_circuit::mcnc::Mcnc;
+use pgr_circuit::{generate, GeneratorConfig};
 use pgr_mpi::{ClockMode, InstrumentConfig, MachineModel, RunMeta};
+use pgr_router::metrics::names;
 use pgr_router::{Algorithm, PartitionKind, RouterConfig};
 
 /// A caller who sets only `cfg.clock = Wall` used to get a wall-clocked
@@ -42,4 +44,34 @@ fn serial_and_parallel_cells_take_their_clock_from_the_router_config() {
         assert!(stats.contains("\"clock\":\"wall\""), "{name}: {stats}");
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A metered serial route under the wall clock says where steps 3 and 4
+/// spend their host time: step 3's assignment and the rest of its attach,
+/// Connect's kernel and its load, each timer in its own phase.
+#[test]
+fn a_metered_wall_clock_serial_route_times_steps_3_and_4() {
+    let circuit = generate(&GeneratorConfig::small("timers", 7));
+    let cfg = RouterConfig {
+        clock: ClockMode::Wall,
+        ..RouterConfig::with_seed(SEED)
+    };
+    let driver = (Algorithm::Serial, PartitionKind::PinWeight, 1);
+    let instr = InstrumentConfig::metered();
+    let out = run_cell(&circuit, &cfg, driver, MachineModel::ideal(), instr, None);
+    let timers = &out.stats[0]
+        .wall
+        .as_ref()
+        .expect("a wall-clocked rank")
+        .timers;
+    for (phase, name) in [
+        ("feedthrough", names::FT_ASSIGN),
+        ("feedthrough", names::FT_ATTACH),
+        ("connect", names::CONNECT_KERNEL),
+        ("connect", names::CONNECT_LOAD),
+    ] {
+        let hit = timers.iter().find(|&&(p, n, _)| (p, n) == (phase, name));
+        let calls = hit.map_or(0, |t| t.2.calls);
+        assert!(calls >= 1, "{phase} {name}: {timers:?}");
+    }
 }

@@ -293,10 +293,19 @@ impl Circuit {
 
     /// Verify internal consistency. Generators and the parser call this;
     /// routers may assume it holds.
+    ///
+    /// Linear in rows + cells + pins. Each membership list (row→cell,
+    /// cell→pin, net→pin) is walked once, and the walk checks that every
+    /// id it lists claims the list's owner — so "listed anywhere", a mark
+    /// the walk sets, is "listed in its owner's list" by the time the
+    /// per-element loops ask. For the same reason a pin met twice among
+    /// the nets was met twice in one net: that is the duplicate check.
     pub fn validate(&self) -> Result<(), ModelError> {
         check_pin_count(self.num_pins())?;
         check_row_count(self.num_rows)?;
+        check_core(self.width, self.num_rows)?;
         let s = &self.store;
+        let mut cell_listed = vec![false; self.num_cells()];
         for i in 0..self.num_rows {
             let row_id = RowId::from_index(i);
             let mut edge = i64::MIN;
@@ -310,6 +319,7 @@ impl Circuit {
                         s.cell_row[cid.index()]
                     )));
                 }
+                cell_listed[cid.index()] = true;
                 let x = s.cell_x[cid.index()];
                 if x < edge {
                     return Err(ModelError::Overlap(format!(
@@ -325,7 +335,11 @@ impl Circuit {
                 }
             }
         }
-        for i in 0..self.num_cells() {
+        // Per pin: listed on a cell, listed in a net.
+        const ON_CELL: u8 = 1;
+        const IN_NET: u8 = 2;
+        let mut pin_listed = vec![0u8; self.num_pins()];
+        for (i, &in_row) in cell_listed.iter().enumerate() {
             let cell_id = CellId::from_index(i);
             if s.cell_row[i].index() >= self.num_rows {
                 return Err(ModelError::Dangling(format!(
@@ -333,7 +347,7 @@ impl Circuit {
                     s.cell_row[i]
                 )));
             }
-            if !s.row_cells(s.cell_row[i]).contains(&cell_id) {
+            if !in_row {
                 return Err(ModelError::Inconsistent(format!(
                     "{cell_id} not listed in its row"
                 )));
@@ -348,6 +362,7 @@ impl Circuit {
                         s.pin_cell[pid.index()]
                     )));
                 }
+                pin_listed[pid.index()] |= ON_CELL;
                 if s.pin_offset[pid.index()] >= s.cell_width[i] {
                     return Err(ModelError::OutOfCore(format!(
                         "{pid} offset {} outside {cell_id} width {}",
@@ -367,7 +382,7 @@ impl Circuit {
                     pins.len()
                 )));
             }
-            for (k, &pid) in pins.iter().enumerate() {
+            for &pid in pins {
                 if pid.index() >= self.num_pins() {
                     return Err(ModelError::Dangling(format!("{pid} in {net_id}")));
                 }
@@ -377,15 +392,16 @@ impl Circuit {
                         s.pin_net[pid.index()]
                     )));
                 }
-                if pins[..k].contains(&pid) {
+                if pin_listed[pid.index()] & IN_NET != 0 {
                     return Err(ModelError::DuplicatePin(format!(
                         "{pid} appears twice in {net_id} ({})",
                         s.net_name(net_id)
                     )));
                 }
+                pin_listed[pid.index()] |= IN_NET;
             }
         }
-        for i in 0..self.num_pins() {
+        for (i, &listed) in pin_listed.iter().enumerate() {
             let pin_id = PinId::from_index(i);
             let net = s.pin_net[i];
             if net.index() >= self.num_nets() {
@@ -393,15 +409,15 @@ impl Circuit {
                     "{pin_id} on nonexistent {net}"
                 )));
             }
-            if !s.net_pins(net).contains(&pin_id) {
+            if listed & IN_NET == 0 {
                 return Err(ModelError::Inconsistent(format!(
                     "{pin_id} not listed in its {net}"
                 )));
             }
-            let cell = s.pin_cell[i];
-            if cell.index() >= self.num_cells() || !s.cell_pins(cell).contains(&pin_id) {
+            if listed & ON_CELL == 0 {
                 return Err(ModelError::Inconsistent(format!(
-                    "{pin_id} not listed on its {cell}"
+                    "{pin_id} not listed on its {}",
+                    s.pin_cell[i]
                 )));
             }
         }
@@ -490,6 +506,17 @@ fn check_row_count(rows: usize) -> Result<(), ModelError> {
     Ok(())
 }
 
+/// A core needs a column and a row: the router sizes its grids and
+/// density profiles by both.
+fn check_core(width: i64, rows: usize) -> Result<(), ModelError> {
+    if width < 1 || rows < 1 {
+        return Err(ModelError::EmptyCore(format!(
+            "width {width}, {rows} row(s)"
+        )));
+    }
+    Ok(())
+}
+
 /// Validation failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ModelError {
@@ -501,6 +528,7 @@ pub enum ModelError {
     DegenerateNet(String),
     DuplicatePin(String),
     TooLarge(String),
+    EmptyCore(String),
 }
 
 impl fmt::Display for ModelError {
@@ -514,11 +542,135 @@ impl fmt::Display for ModelError {
             ModelError::DegenerateNet(s) => write!(f, "degenerate net: {s}"),
             ModelError::DuplicatePin(s) => write!(f, "duplicate pin in net: {s}"),
             ModelError::TooLarge(s) => write!(f, "circuit too large: {s}"),
+            ModelError::EmptyCore(s) => write!(f, "empty core: {s}"),
         }
     }
 }
 
 impl std::error::Error for ModelError {}
+
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    /// [`Circuit::validate`] as it was before the marks: each membership
+    /// check scans the owner's list. What the linear form must return,
+    /// error and message, on every circuit whose core is not empty.
+    pub(crate) fn validate(c: &Circuit) -> Result<(), ModelError> {
+        check_pin_count(c.num_pins())?;
+        check_row_count(c.num_rows)?;
+        let s = &c.store;
+        for i in 0..c.num_rows {
+            let row_id = RowId::from_index(i);
+            let mut edge = i64::MIN;
+            for &cid in s.row_cells(row_id) {
+                if cid.index() >= c.num_cells() {
+                    return Err(ModelError::Dangling(format!("{cid} in {row_id}")));
+                }
+                if s.cell_row[cid.index()].index() != i {
+                    return Err(ModelError::Inconsistent(format!(
+                        "{cid} listed in row {i} but claims {}",
+                        s.cell_row[cid.index()]
+                    )));
+                }
+                let x = s.cell_x[cid.index()];
+                if x < edge {
+                    return Err(ModelError::Overlap(format!(
+                        "{cid} at x={x} overlaps previous cell in {row_id}"
+                    )));
+                }
+                edge = x + s.cell_width[cid.index()] as i64;
+                if edge > c.width {
+                    return Err(ModelError::OutOfCore(format!(
+                        "{cid} ends at {edge} > core width {}",
+                        c.width
+                    )));
+                }
+            }
+        }
+        for i in 0..c.num_cells() {
+            let cell_id = CellId::from_index(i);
+            if s.cell_row[i].index() >= c.num_rows {
+                return Err(ModelError::Dangling(format!(
+                    "{cell_id} in nonexistent {}",
+                    s.cell_row[i]
+                )));
+            }
+            if !s.row_cells(s.cell_row[i]).contains(&cell_id) {
+                return Err(ModelError::Inconsistent(format!(
+                    "{cell_id} not listed in its row"
+                )));
+            }
+            for &pid in s.cell_pins(cell_id) {
+                if pid.index() >= c.num_pins() {
+                    return Err(ModelError::Dangling(format!("{pid} on {cell_id}")));
+                }
+                if s.pin_cell[pid.index()] != cell_id {
+                    return Err(ModelError::Inconsistent(format!(
+                        "{pid} listed on {cell_id} but claims {}",
+                        s.pin_cell[pid.index()]
+                    )));
+                }
+                if s.pin_offset[pid.index()] >= s.cell_width[i] {
+                    return Err(ModelError::OutOfCore(format!(
+                        "{pid} offset {} outside {cell_id} width {}",
+                        s.pin_offset[pid.index()],
+                        s.cell_width[i]
+                    )));
+                }
+            }
+        }
+        for i in 0..c.num_nets() {
+            let net_id = NetId::from_index(i);
+            let pins = s.net_pins(net_id);
+            if pins.len() < 2 {
+                return Err(ModelError::DegenerateNet(format!(
+                    "{net_id} ({}) has {} pin(s)",
+                    s.net_name(net_id),
+                    pins.len()
+                )));
+            }
+            for (k, &pid) in pins.iter().enumerate() {
+                if pid.index() >= c.num_pins() {
+                    return Err(ModelError::Dangling(format!("{pid} in {net_id}")));
+                }
+                if s.pin_net[pid.index()] != net_id {
+                    return Err(ModelError::Inconsistent(format!(
+                        "{pid} listed in {net_id} but claims {}",
+                        s.pin_net[pid.index()]
+                    )));
+                }
+                if pins[..k].contains(&pid) {
+                    return Err(ModelError::DuplicatePin(format!(
+                        "{pid} appears twice in {net_id} ({})",
+                        s.net_name(net_id)
+                    )));
+                }
+            }
+        }
+        for i in 0..c.num_pins() {
+            let pin_id = PinId::from_index(i);
+            let net = s.pin_net[i];
+            if net.index() >= c.num_nets() {
+                return Err(ModelError::Dangling(format!(
+                    "{pin_id} on nonexistent {net}"
+                )));
+            }
+            if !s.net_pins(net).contains(&pin_id) {
+                return Err(ModelError::Inconsistent(format!(
+                    "{pin_id} not listed in its {net}"
+                )));
+            }
+            let cell = s.pin_cell[i];
+            if cell.index() >= c.num_cells() || !s.cell_pins(cell).contains(&pin_id) {
+                return Err(ModelError::Inconsistent(format!(
+                    "{pin_id} not listed on its {cell}"
+                )));
+            }
+        }
+        Ok(())
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -645,6 +797,103 @@ mod tests {
         let lo = c.store.net_pin_start[0] as usize;
         c.store.pin_index[lo + 1] = c.store.pin_index[lo];
         assert!(matches!(c.validate(), Err(ModelError::DuplicatePin(_))));
+    }
+
+    /// `validate` and the reference agree on `c`, error and message.
+    fn verdict(c: &Circuit) -> Result<(), ModelError> {
+        let got = c.validate();
+        assert_eq!(got, reference::validate(c));
+        got
+    }
+
+    /// A row list that no longer holds its row's last cell: the scan of
+    /// the row's cells is a mark set by the row walk.
+    #[test]
+    fn a_cell_missing_from_its_row_is_reported_as_the_reference_does() {
+        let mut c = tiny();
+        c.store.row_cell_start[2] -= 1;
+        c.store.row_cell_index.pop();
+        let err = verdict(&c).unwrap_err();
+        assert_eq!(
+            err,
+            ModelError::Inconsistent("c3 not listed in its row".into())
+        );
+    }
+
+    /// A net listing its first pin twice: the scan of the net's earlier
+    /// pins is a mark set by the net walk.
+    #[test]
+    fn a_pin_twice_in_a_net_is_reported_as_the_reference_does() {
+        let mut c = tiny();
+        let lo = c.store.net_pin_start[1] as usize;
+        c.store.pin_index[lo + 1] = c.store.pin_index[lo];
+        // Pin 3 is now in no net; the duplicate comes first.
+        let err = verdict(&c).unwrap_err();
+        assert_eq!(
+            err,
+            ModelError::DuplicatePin("p2 appears twice in n1 (b)".into())
+        );
+    }
+
+    /// A three-pin net whose list loses its last pin: the scan of the
+    /// pin's net is a mark set by the net walk.
+    #[test]
+    fn a_pin_missing_from_its_net_is_reported_as_the_reference_does() {
+        let mut b = CircuitBuilder::new("three", 1, 32);
+        let cells = [b.add_cell(RowId(0), 4), b.add_cell(RowId(0), 4)];
+        let p: Vec<_> = (0..5)
+            .map(|k| b.add_pin(cells[k % 2], k as u32 % 4, PinSide::Top, false))
+            .collect();
+        b.add_net("a", vec![p[0], p[1]]);
+        b.add_net("b", vec![p[2], p[3], p[4]]);
+        let mut c = b.finish().expect("valid");
+        c.store.net_pin_start[2] -= 1;
+        c.store.pin_index.pop();
+        let err = verdict(&c).unwrap_err();
+        assert_eq!(
+            err,
+            ModelError::Inconsistent("p4 not listed in its n1".into())
+        );
+    }
+
+    /// A cell list that no longer holds the last cell's last pin: the
+    /// scan of the pin's cell is a mark set by the cell walk.
+    #[test]
+    fn a_pin_missing_from_its_cell_is_reported_as_the_reference_does() {
+        let mut c = tiny();
+        let cells = c.num_cells();
+        c.store.cell_pin_start[cells] -= 1;
+        c.store.cell_pin_index.pop();
+        let err = verdict(&c).unwrap_err();
+        assert_eq!(
+            err,
+            ModelError::Inconsistent("p3 not listed on its c3".into())
+        );
+    }
+
+    /// The earlier corruptions of this module give the reference's
+    /// verdict too.
+    #[test]
+    fn every_corruption_here_gets_the_reference_verdict() {
+        let corruptions: [fn(&mut Circuit); 6] = [
+            |_| {},
+            |c| c.store.net_pin_start[1] = c.store.net_pin_start[0] + 1,
+            |c| c.store.pin_net[0] = NetId(1),
+            |c| c.store.cell_x[1] = 0,
+            |c| c.store.pin_offset[0] = 100,
+            |c| c.store.pin_cell[0] = CellId(9),
+        ];
+        for corrupt in corruptions {
+            let mut c = tiny();
+            corrupt(&mut c);
+            let _ = verdict(&c);
+        }
+    }
+
+    #[test]
+    fn the_builder_refuses_an_empty_core() {
+        let err = CircuitBuilder::new("flat", 0, 10).finish().unwrap_err();
+        assert!(matches!(err, ModelError::EmptyCore(_)), "{err}");
     }
 
     #[test]

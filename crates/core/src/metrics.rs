@@ -63,6 +63,14 @@ pub mod names {
     /// automatic post-recovery [`crate::verify::check`]. Present (at 0)
     /// whenever the check ran, so dumps prove verification happened.
     pub const VERIFY_VIOLATIONS: &str = "verify.violations";
+    /// Timer: step 3's local feedthrough assignment, `feedthrough::assign`
+    /// (the algorithms whose ranks assign their own crossings: serial,
+    /// row-wise, hybrid).
+    pub const FT_ASSIGN: &str = "ft.assign";
+    /// Timer: the rest of step 3's `WorkNets::attach` — the node moves,
+    /// the shift, the per-net sort and merge — `ft.assign` excluded
+    /// (every algorithm).
+    pub const FT_ATTACH: &str = "ft.attach";
     /// Timer: Connect's per-net kernel, `connect_all` (every driver).
     pub const CONNECT_KERNEL: &str = "connect.kernel";
     /// Timer: loading Connect's spans into the channel profiles (the

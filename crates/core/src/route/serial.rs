@@ -94,11 +94,18 @@ fn attach_feedthroughs(
     comm: &mut Comm,
 ) {
     let shift = |node: &mut Node| shift_pin(plan, node);
+    let mut attach = comm.start_timer();
     match fts {
         Feedthroughs::Local => {
             let nets = crossings.clone().map(|c| c.net);
             works.attach(shift, nets, |sink| {
-                assign(plan, crossings, comm, |net, nd| sink.put(net, nd))
+                let timer = comm.start_timer();
+                assign(plan, crossings, comm, |net, nd| sink.put(net, nd));
+                comm.stop_timer(names::FT_ASSIGN, timer);
+                // `ft.attach` is the rest: it starts later by `assign`'s time.
+                if let (Some(attach), Some(timer)) = (&mut attach, timer) {
+                    *attach += timer.elapsed();
+                }
             });
         }
         Feedthroughs::Received(parts) => {
@@ -108,6 +115,7 @@ fn attach_feedthroughs(
             });
         }
     }
+    comm.stop_timer(names::FT_ATTACH, attach);
 }
 
 /// Run the full serial router on a one-rank communicator.
