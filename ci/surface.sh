@@ -95,6 +95,16 @@
 #   `sort_unstable_by_key(` or `sort_by_key(` is the keyed whole-list
 #   sort of the crossings coming back (`assign` is a counting sort over
 #   the plan's buckets, each sorted alone).
+# - when step 3 grows a second assignment body or keeps its plan again:
+#   a non-test `fn assign_in_place` under crates/core/src, or a second
+#   non-test `pub fn assign` in crates/core/src/route/feedthrough.rs, is
+#   a body beside the one every driver calls (net-wise feeds its
+#   arrivals to the same walk, over its band of the replicated plan); a
+#   non-test field holding an `FtPlan` under crates/core/src is the plan
+#   kept past step 3, which keeps only its total for Assemble.
+# - when `verify` sorts again: a non-test `.sort` call in
+#   crates/core/src/verify.rs is the endpoint-event sweep coming back
+#   (each channel is recounted by a difference array, in linear time).
 # - when a net-wise sync ships dense frames again: a non-test line of
 #   crates/core/src/route/coarse.rs or crates/core/src/route/switchable.rs
 #   that calls `comm.allgather(` moves the coarse delta grids cell by cell
@@ -406,6 +416,25 @@ nontest() {
         !in_tests && $0 ~ ENVIRON["RE"] { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
     ' "$@"
 }
+# shellcheck disable=SC2046
+step3=$(
+    nontest 'fn assign_in_place' $(find crates/core/src -name '*.rs')
+    nontest 'pub fn assign' crates/core/src/route/feedthrough.rs | sed 1d
+    nontest '^[ \t]*(pub(\([a-z]+\))? )?[a-z_]+: (Option<)?FtPlan' $(find crates/core/src -name '*.rs')
+)
+if [ -n "$step3" ]; then
+    echo "surface: step 3 has one assignment body, and the plan dies with step 3 (RouteState keeps its total):" >&2
+    echo "$step3" >&2
+    exit 1
+fi
+
+verify_sort=$(nontest '\.sort' crates/core/src/verify.rs)
+if [ -n "$verify_sort" ]; then
+    echo "surface: verify recounts each channel with a difference array (no endpoint sort):" >&2
+    echo "$verify_sort" >&2
+    exit 1
+fi
+
 # shellcheck disable=SC2046
 test_only=$(
     nontest 'watchdog|Stalled|TransportSnapshot' $(find crates/mpi/src -name '*.rs')

@@ -579,6 +579,19 @@ mod tests {
         refused_as_empty(10, 0);
     }
 
+    /// A core inside the parser's coordinate range whose channel columns
+    /// the router could not allocate: refused before any routing store
+    /// exists.
+    #[test]
+    fn a_core_past_the_channel_column_bound_is_refused() {
+        for (width, rows) in [(1_099_511_627_776i64, 1), (1 << 18, 1 << 10)] {
+            let text = format!("pgr-circuit v1\nname x\nwidth {width}\nrows {rows}\n");
+            let err = from_text(&text).unwrap_err();
+            let too_large = matches!(err, FormatError::Invalid(ModelError::TooLarge(_)));
+            assert!(too_large, "{text}: {err}");
+        }
+    }
+
     /// What a parser made of a text: the canonical text of its circuit,
     /// or its error's message.
     fn outcome(parsed: &Result<Circuit, FormatError>) -> Result<String, String> {
@@ -587,11 +600,17 @@ mod tests {
 
     /// The one-pass parser returns what the reference does on `text`,
     /// circuit byte for byte or error message for message; the one
-    /// exception is an empty core, which only it refuses. Returns the
-    /// error, if any.
+    /// exception is a core the router cannot hold — empty, or past
+    /// `MAX_CHANNEL_COLUMNS` — which only it refuses. Returns the error,
+    /// if any.
     fn agree(text: &str) -> Option<FormatError> {
         let parsed = from_text(text);
-        if !matches!(parsed, Err(FormatError::Invalid(ModelError::EmptyCore(_)))) {
+        let core = match &parsed {
+            Err(FormatError::Invalid(ModelError::EmptyCore(_))) => true,
+            Err(FormatError::Invalid(ModelError::TooLarge(m))) => m.contains("channel columns"),
+            _ => false,
+        };
+        if !core {
             let want = outcome(&reference::from_text(text));
             assert_eq!(outcome(&parsed), want, "{text:?}");
         }
@@ -799,7 +818,9 @@ mod tests {
             kinds.insert(kind);
         }
         // Every kind a text can reach: `BadId` is never built, and
-        // `TooLarge` needs 2^28 pins (the format caps rows below the model).
+        // `TooLarge` is a core past the channel-column bound (`width
+        // 1099511627776`), as 2^28 pins are out of reach and the format
+        // caps rows below the model.
         let want = [
             "ok",
             "Empty",
@@ -812,6 +833,7 @@ mod tests {
             "OutOfCore",
             "DegenerateNet",
             "DuplicatePin",
+            "TooLarge",
             "EmptyCore",
         ];
         assert_eq!(

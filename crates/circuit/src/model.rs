@@ -506,12 +506,26 @@ fn check_row_count(rows: usize) -> Result<(), ModelError> {
     Ok(())
 }
 
+/// Channel columns a core may have, `(rows + 1) × width`: the router
+/// holds a density column per channel column and a coarse cell per
+/// `GRID_W` of them, and [`Circuit::estimated_routing_bytes`] models each
+/// channel column at 40 B. At the bound that is 10 GiB modeled, and the
+/// router's own 4-byte columns take 1 GiB (DESIGN.md §4c).
+pub const MAX_CHANNEL_COLUMNS: u64 = 1 << 28;
+
 /// A core needs a column and a row: the router sizes its grids and
-/// density profiles by both.
+/// density profiles by both, so it may not have more channel columns
+/// than [`MAX_CHANNEL_COLUMNS`] either.
 fn check_core(width: i64, rows: usize) -> Result<(), ModelError> {
     if width < 1 || rows < 1 {
         return Err(ModelError::EmptyCore(format!(
             "width {width}, {rows} row(s)"
+        )));
+    }
+    let channels = rows as u64 + 1;
+    if channels.saturating_mul(width as u64) > MAX_CHANNEL_COLUMNS {
+        return Err(ModelError::TooLarge(format!(
+            "{channels} channels of {width} columns, at most {MAX_CHANNEL_COLUMNS} channel columns"
         )));
     }
     Ok(())
@@ -894,6 +908,29 @@ mod tests {
     fn the_builder_refuses_an_empty_core() {
         let err = CircuitBuilder::new("flat", 0, 10).finish().unwrap_err();
         assert!(matches!(err, ModelError::EmptyCore(_)), "{err}");
+    }
+
+    /// The bound is checked before any routing store exists, from the
+    /// width and row count alone: nothing here allocates near it.
+    #[test]
+    fn a_core_past_the_channel_column_bound_is_too_large() {
+        let too_large = |width, rows| {
+            let err = check_core(width, rows).unwrap_err();
+            assert!(matches!(err, ModelError::TooLarge(_)), "{err}");
+        };
+        let bound = MAX_CHANNEL_COLUMNS as i64;
+        assert_eq!(check_core(bound / 2, 1), Ok(()));
+        too_large(bound / 2 + 1, 1);
+        assert_eq!(check_core(1, bound as usize - 1), Ok(()));
+        too_large(1, bound as usize);
+        assert_eq!(check_core(1 << 10, (1 << 18) - 1), Ok(()));
+        too_large(1 << 10, 1 << 18);
+        too_large(1 << 40, 1);
+        too_large(i64::MAX, MAX_ROWS);
+        let err = CircuitBuilder::new("wide", 1, bound / 2 + 1)
+            .finish()
+            .unwrap_err();
+        assert!(matches!(err, ModelError::TooLarge(_)), "{err}");
     }
 
     #[test]

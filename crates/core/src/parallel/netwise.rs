@@ -22,9 +22,9 @@ use crate::parallel::common::{
     buckets, distribute, join, merge_steiner_payloads, steiner_snapshot, PORTABLE_HORIZON,
 };
 use crate::parallel::partition::partition_nets;
-use crate::route::feedthrough::{assign_in_place, Crossing, FtPlan};
+use crate::route::feedthrough::{assign, Crossing, FtPlan};
 use crate::route::serial::{crossings_of, Feedthroughs, RouteState, SegmentSource};
-use crate::route::state::{Orientation, Segment};
+use crate::route::state::{Node, Orientation, Segment};
 use pgr_circuit::{NetId, RowId};
 use pgr_mpi::Comm;
 
@@ -64,14 +64,15 @@ impl NetWisePipeline {
 ///
 /// Both exchanges arrive in sender-rank order, and the row bands ascend
 /// with the rank, so each net's feedthroughs still come in the canonical
-/// order [`assign_in_place`] emits them in.
+/// order [`assign`] emits them in.
 ///
-/// The crossings are joined in the buffer of their longest arrival,
-/// assigned in place and freed before the assignments go back, and the
-/// attach reads those arrivals part by part: a rank in step 3 holds at
-/// most its crossings, its outgoing assignments and a 4-byte bucket a
-/// crossing, so two ranks stay below the heap's later peak however their
-/// steps meet in time.
+/// The crossings are joined in the buffer of their longest arrival, and
+/// [`assign`]'s walk over this rank's band of the replicated plan frees
+/// them; each outgoing part is sized on its first feedthrough, after
+/// that. The attach reads the returned arrivals part by part. So a rank
+/// in step 3 holds its crossings and an 8-byte run each, then the runs
+/// and its outgoing assignments, and two ranks stay below the heap's
+/// later peak however their steps meet in time.
 fn assign_exchanged(
     plan: &FtPlan,
     (segments, orients): (&[Segment], &[Orientation]),
@@ -85,13 +86,18 @@ fn assign_exchanged(
     for c in crossings {
         cross_out[row_owner(&c)].push(c);
     }
-    let mut mine = join(comm.alltoall(cross_out));
+    let mine = join(comm.alltoall(cross_out));
     let net_owner = |net: NetId| owners[net.index()] as usize;
-    let mut ft_out = buckets(ctx.size, mine.iter().map(|c| net_owner(c.net)));
-    assign_in_place(plan, &mut mine, comm, |net, node| {
-        ft_out[net_owner(net)].push((net.0, node))
+    let mut counts = vec![0; ctx.size];
+    mine.iter().for_each(|c| counts[net_owner(c.net)] += 1);
+    let mut ft_out: Vec<Vec<(u32, Node)>> = vec![Vec::new(); ctx.size];
+    assign(plan.rows(ctx.band()), mine, comm, |net, node| {
+        let owner = net_owner(net);
+        if ft_out[owner].capacity() == 0 {
+            ft_out[owner].reserve_exact(counts[owner]);
+        }
+        ft_out[owner].push((net.0, node))
     });
-    drop(mine);
     // The plan is replicated (every rank covers all rows): record it once
     // so the merged histogram still covers the chip exactly once.
     if ctx.rank == 0 {
@@ -154,8 +160,7 @@ impl Pipeline for NetWisePipeline {
             // it to the gather reduction (the partitioned algorithms sum
             // disjoint per-band totals there instead).
             Phase::Assemble => {
-                let plan = self.st.plan.as_ref().expect("feedthrough pass ran");
-                let feedthroughs = if ctx.rank == 0 { plan.total() } else { 0 };
+                let feedthroughs = if ctx.rank == 0 { self.st.ft_total } else { 0 };
                 self.st.gather_result(circuit, feedthroughs, comm);
             }
         }

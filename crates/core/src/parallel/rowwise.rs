@@ -126,8 +126,7 @@ impl Pipeline for RowWisePipeline {
             // Back end: gather everything at the lowest surviving rank
             // (the bands' feedthrough totals are disjoint).
             Phase::Assemble => {
-                let feedthroughs = st.plan.as_ref().expect("feedthrough pass ran").total();
-                st.gather_result(circuit, feedthroughs, comm);
+                st.gather_result(circuit, st.ft_total, comm);
             }
         }
     }

@@ -19,6 +19,7 @@ use crate::route::state::{Grid, Node};
 use pgr_circuit::NetId;
 use pgr_mpi::wire::{Reader, Wire, WireError};
 use pgr_mpi::Comm;
+use std::ops::Range;
 
 /// A request for one vertical crossing of `row` at (original) column `x`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,20 +27,6 @@ pub struct Crossing {
     pub net: NetId,
     pub row: u32,
     pub x: i64,
-}
-
-/// The order step 3 assigns a bucket's crossings in: by row, then
-/// column, then net.
-impl Ord for Crossing {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.row, self.x, self.net.0).cmp(&(other.row, other.x, other.net.0))
-    }
-}
-
-impl PartialOrd for Crossing {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 impl Wire for Crossing {
@@ -154,143 +141,122 @@ impl FtPlan {
     }
 }
 
-/// Step 3 proper: match every crossing of a row to a feedthrough of that
-/// row. Requests are matched left-to-right within each grid column, which
-/// is the order-optimal non-crossing matching.
-///
-/// Walks `crossings` three times (count, bucket, place) and hands `put`
-/// one feedthrough [`Node`] per crossing, with its net, in
-/// `(row, gcol, x, net)` order, so each net's feedthroughs come in
-/// canonical order. A counting sort over the plan's `(row, gcol)`
-/// buckets: each crossing's bucket is computed once, a histogram's prefix
-/// sums place its `(x, net)` there, and each bucket (about ten crossings)
-/// is sorted alone; its `k`-th feedthrough sits `k · ft_width` right of
-/// the bucket's first.
-///
-/// # Panics
-/// Panics if a bucket's crossings do not match its planned demand (a
-/// router bug — demand was derived from the same crossings). A bucket
-/// with demand but no crossings here is fine: net-wise ranks assign only
-/// their own rows of a replicated plan.
-pub fn assign(
-    plan: &FtPlan,
-    crossings: impl Iterator<Item = Crossing> + Clone,
-    comm: &mut Comm,
-    mut put: impl FnMut(NetId, Node),
-) {
-    let n = crossings.clone().count();
-    comm.compute(cost::FT_ASSIGN * n as u64);
-    let mut bucket = Vec::with_capacity(n);
-    let gcols = plan.demand.shape().1;
-    let bucket_of = |c: Crossing| (plan.row_idx(c.row) * gcols + plan.gcol(c.x)) as u32;
-    bucket.extend(crossings.clone().map(bucket_of));
-    // `end[b]` is bucket b's count, then where it starts, then where it ends.
-    let mut end = vec![0u32; plan.demand.cells().len()];
-    bucket.iter().for_each(|&b| end[b as usize] += 1);
-    let mut at = 0;
-    for e in &mut end {
-        let n = *e;
-        *e = at;
-        at += n;
-    }
-    let mut runs = vec![(0i64, 0u32); bucket.len()];
-    for (c, &b) in crossings.zip(&bucket) {
-        let e = &mut end[b as usize];
-        runs[*e as usize] = (c.x, c.net.0);
-        *e += 1;
-    }
-    drop(bucket);
-    let mut lo = 0;
-    for (b, &hi) in end.iter().enumerate() {
-        let run = &mut runs[lo..hi as usize];
-        lo = hi as usize;
-        if run.is_empty() {
-            continue;
-        }
-        let (r, gcol) = (b / gcols, b % gcols);
-        let row = plan.row0 + r as u32;
-        assert_eq!(
-            run.len() as i64,
-            plan.demand[r][gcol],
-            "crossings at (row {row}, gcol {gcol}) must equal planned demand"
-        );
-        run.sort_unstable();
-        let first = plan.ft_x(row, gcol, 0);
-        for (k, &(_, net)) in run.iter().enumerate() {
-            let x = first + k as i64 * plan.ft_width;
-            put(NetId(net), Node::feedthrough(x, row));
+/// The rows of a plan one caller assigns: all of them (`&plan` converts),
+/// or a net-wise rank's own band of a replicated plan ([`FtPlan::rows`]).
+#[derive(Debug)]
+pub struct PlanRows<'a> {
+    plan: &'a FtPlan,
+    /// Plan row indices.
+    rows: Range<usize>,
+}
+
+impl<'a> From<&'a FtPlan> for PlanRows<'a> {
+    fn from(plan: &'a FtPlan) -> Self {
+        PlanRows {
+            plan,
+            rows: 0..plan.num_rows(),
         }
     }
 }
 
-/// [`assign`] over crossings already held in memory: the same
-/// feedthroughs, in the same order, but `crossings` itself is put in
-/// `(row, gcol, x, net)` order, so no run buffer is allocated beside it —
-/// only each crossing's 4-byte bucket, freed before the first `put`.
+impl FtPlan {
+    /// The `nrows` rows from `row0`, as the caller that assigns only those.
+    pub fn rows(&self, (row0, nrows): (u32, usize)) -> PlanRows<'_> {
+        let start = row0.checked_sub(self.row0).expect("row below plan range") as usize;
+        assert!(start + nrows <= self.num_rows(), "rows above plan range");
+        PlanRows {
+            plan: self,
+            rows: start..start + nrows,
+        }
+    }
+}
+
+/// Step 3 proper: match every crossing of a row to a feedthrough of that
+/// row. Requests are matched left-to-right within each grid column, which
+/// is the order-optimal non-crossing matching.
 ///
-/// A counting sort whose permutation is walked as swaps (each crossing
-/// goes straight to its bucket's next free slot), then each bucket sorted
-/// alone by `(x, net)`.
-///
-/// Net-wise ranks hold their rows' crossings as an exchange's arrivals;
-/// [`assign`]'s run buffer beside them was a transient whose overlap on
-/// two ranks decided the heap peak. Callers whose crossings are generated
-/// lazily keep [`assign`]: it needs one offset a plan cell, this two.
+/// A counting sort over the `(row, gcol)` buckets of the rows `plan`
+/// names, whose sizes the plan's demand already holds: their prefix sums
+/// place each bucket, one walk of `crossings` puts every crossing in its
+/// bucket's next slot as one 8-byte run, and each bucket (about ten
+/// crossings) is sorted alone; its `k`-th feedthrough sits `k · ft_width`
+/// right of the bucket's first. `put` gets one feedthrough [`Node`] per
+/// crossing, with its net, in `(row, gcol, x, net)` order, so each net's
+/// feedthroughs come in canonical order. `crossings` is consumed by the
+/// walk: arrivals held in a `Vec` are freed before the first `put`.
 ///
 /// # Panics
-/// As [`assign`].
-pub fn assign_in_place(
-    plan: &FtPlan,
-    crossings: &mut [Crossing],
+/// Panics if a bucket of those rows does not get exactly its planned
+/// demand (a router bug — demand was derived from the same crossings), or
+/// if a crossing lies in another row.
+pub fn assign<'p>(
+    plan: impl Into<PlanRows<'p>>,
+    crossings: impl IntoIterator<Item = Crossing>,
     comm: &mut Comm,
     mut put: impl FnMut(NetId, Node),
 ) {
-    comm.compute(cost::FT_ASSIGN * crossings.len() as u64);
-    let gcols = plan.demand.shape().1;
-    let bucket_of = |c: &Crossing| (plan.row_idx(c.row) * gcols + plan.gcol(c.x)) as u32;
-    let mut bucket: Vec<u32> = crossings.iter().map(bucket_of).collect();
-    // `head[b]` is bucket b's next free slot, `tail[b]` where it ends.
-    let mut tail = vec![0u32; plan.demand.cells().len()];
-    bucket.iter().for_each(|&b| tail[b as usize] += 1);
-    let mut head = vec![0u32; tail.len()];
-    let mut at = 0;
-    for (h, t) in head.iter_mut().zip(&mut tail) {
-        *h = at;
-        at += *t;
-        *t = at;
-    }
-    // Buckets below `b` are full, so the crossing at `head[b]` belongs to
-    // `b` or a later bucket, which still has room.
-    for b in 0..head.len() {
-        while head[b] < tail[b] {
-            let (i, d) = (head[b] as usize, bucket[head[b] as usize] as usize);
-            crossings.swap(i, head[d] as usize);
-            bucket.swap(i, head[d] as usize);
-            head[d] += 1;
+    let PlanRows { plan, rows } = plan.into();
+    let (gcols, grid_w) = (plan.demand.shape().1, plan.grid_w);
+    let demand = &plan.demand.cells()[rows.start * gcols..rows.end * gcols];
+    // `fill[b]` is bucket b's next free slot and the end of its run.
+    let mut at = 0u32;
+    let mut fill: Vec<[u32; 2]> = (demand.iter())
+        .map(|&d| {
+            let start = at;
+            at = (u32::try_from(d).ok().and_then(|d| at.checked_add(d)))
+                .expect("the rows' demand fits a u32");
+            [start, at]
+        })
+        .collect();
+    comm.compute(cost::FT_ASSIGN * u64::from(at));
+    let mismatch = |r: usize, gcol: usize| -> ! {
+        let row = plan.row0 + r as u32;
+        panic!("crossings at (row {row}, gcol {gcol}) must equal planned demand")
+    };
+    let mut runs = vec![0u64; at as usize];
+    for c in crossings {
+        let (r, gcol) = (plan.row_idx(c.row), plan.gcol(c.x));
+        assert!(
+            rows.contains(&r),
+            "crossing in row {} not assigned here",
+            c.row
+        );
+        let [next, end] = &mut fill[(r - rows.start) * gcols + gcol];
+        if next == end {
+            mismatch(r, gcol);
         }
+        runs[*next as usize] = run(c.x - gcol as i64 * grid_w, c.net);
+        *next += 1;
     }
-    drop(bucket);
     let mut lo = 0;
-    for (b, &hi) in tail.iter().enumerate() {
-        let run = &mut crossings[lo..hi as usize];
-        lo = hi as usize;
-        if run.is_empty() {
+    for (b, &[next, end]) in fill.iter().enumerate() {
+        let (r, gcol) = (rows.start + b / gcols, b % gcols);
+        if next != end {
+            mismatch(r, gcol);
+        }
+        let bucket = &mut runs[lo..end as usize];
+        lo = end as usize;
+        if bucket.is_empty() {
             continue;
         }
-        let (r, gcol) = (b / gcols, b % gcols);
+        bucket.sort_unstable();
         let row = plan.row0 + r as u32;
-        assert_eq!(
-            run.len() as i64,
-            plan.demand[r][gcol],
-            "crossings at (row {row}, gcol {gcol}) must equal planned demand"
-        );
-        run.sort_unstable();
         let first = plan.ft_x(row, gcol, 0);
-        for (k, c) in run.iter().enumerate() {
+        for (k, &key) in bucket.iter().enumerate() {
             let x = first + k as i64 * plan.ft_width;
-            put(c.net, Node::feedthrough(x, row));
+            put(NetId(key as u32), Node::feedthrough(x, row));
         }
     }
+}
+
+/// A crossing as its bucket holds it, one integer that sorts as
+/// `(x, net)`: the column's offset from the bucket's first column in the
+/// high half, net in the low. The offset is biased by 2^31 because a
+/// column left of the grid or past its last column falls in the first
+/// or last bucket.
+fn run(offset: i64, net: NetId) -> u64 {
+    let offset = i32::try_from(offset).expect("a crossing lies within 2^31 columns of its bucket");
+    u64::from(offset as u32 ^ 1 << 31) << 32 | u64::from(net.0)
 }
 
 /// Step 3's assignment as a comparison sort, the way it was before the
@@ -347,10 +313,15 @@ mod tests {
         out
     }
 
-    /// [`assign_in_place`]'s feedthroughs, over a copy of `crossings`.
-    fn assigned_in_place(plan: &FtPlan, crossings: &[Crossing]) -> Vec<(NetId, Node)> {
+    /// [`assign`]'s feedthroughs over the band `rows` of `plan`, from
+    /// `arrivals` held in memory as a net-wise rank holds its own rows'.
+    fn assigned_rows(
+        plan: &FtPlan,
+        rows: (u32, usize),
+        arrivals: Vec<Crossing>,
+    ) -> Vec<(NetId, Node)> {
         let mut out = Vec::new();
-        assign_in_place(plan, &mut crossings.to_vec(), &mut comm(), |net, node| {
+        assign(plan.rows(rows), arrivals, &mut comm(), |net, node| {
             out.push((net, node))
         });
         out
@@ -363,7 +334,6 @@ mod tests {
         assert_eq!(p.max_growth(), 0);
         assert_eq!(p.shifted_x(1, 17), 17);
         assert!(assigned(&p, &[]).is_empty());
-        assert!(assigned_in_place(&p, &[]).is_empty());
     }
 
     #[test]
@@ -406,7 +376,6 @@ mod tests {
             },
         ];
         let out = assigned(&p, &crossings);
-        assert_eq!(assigned_in_place(&p, &crossings), out);
         assert_eq!(out.len(), 2);
         // Net 3 (x=9) comes first within the gcol; gets the left ft.
         assert_eq!(out[0].0, NetId(3));
@@ -435,16 +404,21 @@ mod tests {
         assigned(&p, &crossings);
     }
 
+    /// A replicated plan over rows 3 ..= 5, of which this rank assigns
+    /// row 4: the other rows' demand is not this rank's to fill.
+    fn replicated() -> FtPlan {
+        FtPlan::new(3, Grid::from_rows(&[&[2, 1], &[1, 0], &[0, 3]]), 8, 2)
+    }
+
     #[test]
-    #[should_panic(expected = "crossings at (row 0, gcol 0) must equal planned demand")]
-    fn mismatched_crossings_in_place_panic() {
-        let p = plan(&[&[1, 0, 0, 0]]);
-        let crossing = |net, x| Crossing {
-            net: NetId(net),
-            row: 0,
+    #[should_panic(expected = "crossings at (row 4, gcol 0) must equal planned demand")]
+    fn overfilled_own_row_bucket_panics() {
+        let crossing = |x| Crossing {
+            net: NetId(0),
+            row: 4,
             x,
         };
-        assigned_in_place(&p, &[crossing(0, 0), crossing(1, 1)]);
+        assigned_rows(&replicated(), (4, 1), vec![crossing(3), crossing(5)]);
     }
 
     #[test]
@@ -460,17 +434,25 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "crossings at (row 4, gcol 1) must equal planned demand")]
-    fn fewer_crossings_in_place_than_demand_panic() {
-        let p = FtPlan::new(3, Grid::from_rows(&[&[1, 0], &[0, 2]]), 8, 2);
+    #[should_panic(expected = "crossings at (row 4, gcol 0) must equal planned demand")]
+    fn underfilled_own_row_bucket_panics() {
+        assigned_rows(&replicated(), (4, 1), Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "crossing in row 5 not assigned here")]
+    fn a_crossing_outside_the_band_panics() {
         let crossing = |row, x| Crossing {
             net: NetId(0),
             row,
             x,
         };
-        assigned_in_place(&p, &[crossing(4, 9), crossing(3, 2)]);
+        assigned_rows(&replicated(), (4, 1), vec![crossing(4, 0), crossing(5, 9)]);
     }
 
+    /// Both shapes step 3 assigns in: every row's crossings generated
+    /// lazily (serial, row bands), and a net-wise rank's arrivals for its
+    /// own band of a replicated plan, the other rows' demand left alone.
     #[test]
     fn assign_equals_the_comparison_sort_reference() {
         for seed in 0..600u64 {
@@ -489,14 +471,6 @@ mod tests {
             let mut crossings = Vec::new();
             for r in 0..nrows {
                 let row = row0 + r as u32;
-                // Rows without crossings here but with demand: a net-wise
-                // rank's share of a replicated plan.
-                if rng.gen_bool(0.25) {
-                    demand[r]
-                        .iter_mut()
-                        .for_each(|d| *d = rng.gen_range(0i64..3));
-                    continue;
-                }
                 for _ in 0..rng.gen_range(0usize..30) {
                     let x = rng.gen_range(xlo..xhi);
                     let net = NetId(rng.gen_range(0u32..6));
@@ -506,11 +480,22 @@ mod tests {
             }
             // Arrival in any order, as row bands deliver them.
             let order = pgr_geom::shuffled_indices(crossings.len(), &mut rng);
-            let crossings: Vec<Crossing> = order.iter().map(|&i| crossings[i as usize]).collect();
             let p = FtPlan::new(row0, demand, grid_w, ft_width);
-            let reference = reference_assign(&p, &crossings);
-            assert_eq!(assigned(&p, &crossings), reference, "seed {seed}");
-            assert_eq!(assigned_in_place(&p, &crossings), reference, "seed {seed}");
+
+            let arriving = || order.iter().map(|&i| crossings[i as usize]);
+            let mut lazy = Vec::new();
+            assign(&p, arriving(), &mut comm(), |net, node| {
+                lazy.push((net, node))
+            });
+            let all: Vec<Crossing> = arriving().collect();
+            assert_eq!(lazy, reference_assign(&p, &all), "seed {seed}");
+
+            let start = rng.gen_range(0..nrows);
+            let band = (row0 + start as u32, rng.gen_range(0..=nrows - start));
+            let own = |c: &Crossing| (band.0..band.0 + band.1 as u32).contains(&c.row);
+            let arrivals: Vec<Crossing> = arriving().filter(own).collect();
+            let reference = reference_assign(&p, &arrivals);
+            assert_eq!(assigned_rows(&p, band, arrivals), reference, "seed {seed}");
         }
     }
 

@@ -79,9 +79,8 @@ pub(crate) enum Feedthroughs {
     /// nets (serial, row bands).
     Local,
     /// Feedthroughs the rows' owners assigned, `(net, node)` in arrival
-    /// order — one part a sender rank, each in the sender's
-    /// [`assign_in_place`](crate::route::feedthrough::assign_in_place) order
-    /// (net-wise).
+    /// order — one part a sender rank, each in the sender's [`assign`]
+    /// order (net-wise).
     Received(Vec<Vec<(u32, Node)>>),
 }
 
@@ -159,7 +158,10 @@ pub(crate) struct RouteState {
     pub(crate) segments: Vec<Segment>,
     orients: Vec<Orientation>,
     coarse: Option<CoarseState>,
-    pub(crate) plan: Option<FtPlan>,
+    /// Step 3's plan total, the feedthroughs inserted in this rank's rows
+    /// (every row, if the plan is replicated): Assemble's one read of the
+    /// plan, which step 3 frees as it returns.
+    pub(crate) ft_total: u64,
     /// Chip width after feedthrough insertion: the widest local row until
     /// a row-partitioned driver all-reduces it.
     pub(crate) chip_width: i64,
@@ -251,7 +253,8 @@ impl RouteState {
     /// here ([`local_feedthroughs`]) or assigned through the driver's
     /// exchanges; then the store grows in place with every node at its
     /// post-insertion column and the feedthroughs attached, and the local
-    /// chip width is taken. A local attach is the last read of `segments`
+    /// chip width and the plan's total are taken; the plan is freed as
+    /// this returns. A local attach is the last read of `segments`
     /// and `orients`, a received one does not read them: both are freed
     /// before the store grows if the feedthroughs were received, and
     /// before this returns otherwise (a row-wise checkpoint keeps its own
@@ -264,18 +267,19 @@ impl RouteState {
         exchange: impl FnOnce(&FtPlan, (&[Segment], &[Orientation]), &mut Comm) -> Feedthroughs,
     ) {
         let coarse = self.coarse.take().expect("coarse pass ran");
-        let plan = self.plan.insert(coarse.into_plan());
+        let plan = coarse.into_plan();
         comm.compute(cost::FT_INSERT_CELL * cells as u64);
-        let fts = exchange(plan, (&self.segments, &self.orients), comm);
+        let fts = exchange(&plan, (&self.segments, &self.orients), comm);
         if matches!(fts, Feedthroughs::Received(_)) {
             // A net-wise rank's attach would otherwise hold them beside the
             // grown store while a faster rank starts Connect.
             (self.segments, self.orients) = (Vec::new(), Vec::new());
         }
         let crossings = crossings_of(&self.segments, &self.orients);
-        attach_feedthroughs(&mut self.works, (plan, crossings), fts, comm);
+        attach_feedthroughs(&mut self.works, (&plan, crossings), fts, comm);
         (self.segments, self.orients) = (Vec::new(), Vec::new());
         self.chip_width = ctx.circuit.width + plan.max_growth();
+        self.ft_total = plan.total();
     }
 
     /// Step 4: connect `works` into the channels of `nrows` rows from
@@ -407,8 +411,7 @@ impl Pipeline for SerialPipeline {
             // channel state is already the whole chip's).
             Phase::Assemble => {
                 comm.compute(cost::SETUP_ITEM * circuit.num_nets() as u64);
-                let feedthroughs = st.plan.as_ref().expect("feedthrough pass ran").total();
-                st.emit(circuit, feedthroughs, comm);
+                st.emit(circuit, st.ft_total, comm);
             }
         }
     }
@@ -661,11 +664,12 @@ mod tests {
         let s = st(pipe);
         let crossings: Vec<_> = crossings_of(&s.segments, &s.orients).collect();
         let pre = s.works.clone();
+        let demand = s.coarse.as_ref().expect("coarse pass ran").demand().clone();
+        let plan = FtPlan::new(ctx.band().0, demand, GRID_W, crate::config::FT_WIDTH);
         assert!(!crossings.is_empty());
         pipe.pass(Phase::Feedthrough, ctx, comm);
         let s = st(pipe);
-        let plan = s.plan.as_ref().expect("feedthrough pass ran");
-        assert_eq!(listed(&s.works), push_then_sort(&pre, plan, &crossings));
+        assert_eq!(listed(&s.works), push_then_sort(&pre, &plan, &crossings));
         assert_canonical(&s.works);
     }
 
@@ -829,6 +833,60 @@ mod tests {
                 assert_eq!(entering, want, "net-wise, {at}");
             });
         }
+    }
+
+    /// Run `pipe` through every phase on `ctx`'s rank and check that step
+    /// 3 kept only its plan's total: the coarse state whose demand made the
+    /// plan is gone, and `ft_total` is the demand's sum. Returns that total
+    /// and the result, if this rank assembled one.
+    fn check_ft_total<P: crate::engine::Pipeline>(
+        pipe: &mut P,
+        st: fn(&mut P) -> &mut RouteState,
+        ctx: &mut RouteCtx<'_>,
+        comm: &mut Comm,
+    ) -> (u64, Option<RoutingResult>) {
+        for phase in [Phase::Setup, Phase::Steiner, Phase::Coarse] {
+            pipe.pass(phase, ctx, comm);
+        }
+        let demand = st(pipe).coarse.as_ref().expect("coarse pass ran").demand();
+        let total = demand.cells().iter().sum::<i64>() as u64;
+        assert!(total > 0);
+        pipe.pass(Phase::Feedthrough, ctx, comm);
+        let s = st(pipe);
+        assert!(s.coarse.is_none(), "the demand grid outlives step 3");
+        assert_eq!(s.ft_total, total);
+        for phase in [Phase::Connect, Phase::Switchable, Phase::Assemble] {
+            pipe.pass(phase, ctx, comm);
+        }
+        (total, pipe.take_result())
+    }
+
+    #[test]
+    fn step3_keeps_only_the_plans_total_and_every_driver_assembles_it() {
+        use crate::parallel::netwise::NetWisePipeline;
+        use crate::parallel::rowwise::RowWisePipeline;
+        let (c, cfg) = (small(), RouterConfig::with_seed(5));
+        let mut comm = Comm::solo(MachineModel::ideal());
+        let mut ctx = RouteCtx::new(&c, &cfg, PartitionKind::PinWeight, (1, 0));
+        let mut serial = SerialPipeline::default();
+        let (total, result) = check_ft_total(&mut serial, |p| &mut p.st, &mut ctx, &mut comm);
+        assert_eq!(result.expect("serial assembles").feedthroughs, total);
+
+        pgr_mpi::run(2, MachineModel::ideal(), |comm| {
+            let rank = comm.rank();
+            // Row bands: the result holds the sum of the bands' totals.
+            let mut ctx = RouteCtx::new(&c, &cfg, PartitionKind::PinWeight, (2, rank));
+            let mut rowwise = RowWisePipeline::default();
+            let (band, result) = check_ft_total(&mut rowwise, |p| &mut p.st, &mut ctx, comm);
+            let chip = comm.allreduce(band, |a, b| a + b);
+            assert_eq!(result.map(|r| r.feedthroughs), (rank == 0).then_some(chip));
+            // A replicated plan: every rank's total is the chip's, counted once.
+            let mut ctx = RouteCtx::new(&c, &cfg, PartitionKind::PinWeight, (2, rank));
+            let mut netwise = NetWisePipeline::default();
+            let (all, result) = check_ft_total(&mut netwise, |p| &mut p.st, &mut ctx, comm);
+            assert_eq!(comm.allreduce(all, u64::max), comm.allreduce(all, u64::min));
+            assert_eq!(result.map(|r| r.feedthroughs), (rank == 0).then_some(all));
+        });
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //!
 //! It shares no code with the phases it judges: a checker that recounted
 //! with the routers' own `ChannelState` / `DensityProfile` would inherit
-//! their bugs, so density is recounted by a plain endpoint sweep
-//! ([`peak_overlap`]) over the reported spans. What these checks cannot
-//! see is listed in DESIGN.md §4.
+//! their bugs, so density is recounted by a difference array of its own
+//! ([`recount`]) over the reported spans. What these checks cannot see is
+//! listed in DESIGN.md §4.
 
 use crate::metrics::RoutingResult;
 use pgr_circuit::Circuit;
@@ -26,12 +26,6 @@ pub enum Violation {
     SpanOutOfBounds { span: usize, lo: i64, hi: i64 },
     /// A span is inverted or empty (`lo >= hi`).
     DegenerateSpan { span: usize, lo: i64, hi: i64 },
-    /// A switchable span sits in neither of its two legal channels.
-    SwitchRowMismatch {
-        span: usize,
-        channel: u32,
-        switch_row: u32,
-    },
     /// The reported per-channel density differs from a recount.
     DensityMismatch {
         channel: usize,
@@ -56,17 +50,6 @@ impl fmt::Display for Violation {
             }
             Violation::DegenerateSpan { span, lo, hi } => {
                 write!(f, "span {span}: degenerate extent [{lo},{hi}]")
-            }
-            Violation::SwitchRowMismatch {
-                span,
-                channel,
-                switch_row,
-            } => {
-                write!(
-                    f,
-                    "span {span}: channel {channel} not in {{{switch_row}, {}}}",
-                    switch_row + 1
-                )
             }
             Violation::DensityMismatch {
                 channel,
@@ -110,7 +93,7 @@ pub fn verify(circuit: &Circuit, result: &RoutingResult) -> Vec<Violation> {
         return out; // everything below depends on the channel count
     }
 
-    let mut horizontal = 0u64;
+    let (mut horizontal, mut cols) = (0u64, 1);
     for (i, s) in result.spans.iter().enumerate() {
         let channel = s.channel();
         if channel as usize >= channels {
@@ -131,29 +114,23 @@ pub fn verify(circuit: &Circuit, result: &RoutingResult) -> Vec<Violation> {
                 hi: s.hi,
             });
         }
-        if let Some(r) = s.switch_row() {
-            if channel != r && channel != r + 1 {
-                out.push(Violation::SwitchRowMismatch {
-                    span: i,
-                    channel,
-                    switch_row: r,
-                });
-            }
-        }
         horizontal += s.width();
+        cols = cols.max(s.hi + 2);
     }
     if !out.is_empty() {
         return out; // recounting with broken spans would double-report
     }
 
-    // Recount densities from scratch: every span's two endpoints, bucketed
-    // by channel.
-    let mut ends: Vec<Vec<(i64, i64)>> = vec![Vec::new(); channels];
-    for s in &result.spans {
-        ends[s.channel() as usize].extend([(s.lo, 1), (s.hi + 1, -1)]);
-    }
-    for (c, (&reported, ends)) in result.channel_density.iter().zip(&mut ends).enumerate() {
-        let recount = peak_overlap(ends);
+    // Recount densities from scratch, over the columns the spans reach:
+    // every span lies in `0 ..= cols - 2`, so one past its end is a column
+    // too, and `cols <= chip_width + 1` (the checks above).
+    let spans = result.spans.iter();
+    let recounts = recount(
+        spans.map(|s| (s.channel() as usize, s.lo, s.hi)),
+        channels,
+        cols,
+    );
+    for (c, (&reported, recount)) in result.channel_density.iter().zip(recounts).enumerate() {
         if reported != recount {
             out.push(Violation::DensityMismatch {
                 channel: c,
@@ -172,18 +149,32 @@ pub fn verify(circuit: &Circuit, result: &RoutingResult) -> Vec<Violation> {
     out
 }
 
-/// Largest number of intervals covering one column, from their endpoint
-/// events `(column, +1)` at each `lo` and `(column, -1)` one past each
-/// `hi` (spans are closed intervals). Sorting puts a `-1` before a `+1`
-/// at the same column, so abutting spans do not count as overlapping.
-fn peak_overlap(ends: &mut [(i64, i64)]) -> i64 {
-    ends.sort_unstable();
-    let (mut open, mut peak) = (0, 0);
-    for &(_, d) in ends.iter() {
-        open += d;
-        peak = peak.max(open);
+/// Each channel's largest number of spans covering one column, from
+/// `(channel, lo, hi)` closed intervals within columns `0 .. cols - 1`: a
+/// difference array a channel, +1 at each `lo` and −1 one past each `hi`,
+/// whose running sum is a column's count (so abutting spans do not
+/// overlap). Linear in spans plus channels × columns; a column counts in
+/// an `i32`, as no result holds 2^31 spans.
+fn recount(spans: impl Iterator<Item = (usize, i64, i64)>, channels: usize, cols: i64) -> Vec<i64> {
+    let cols = cols as usize;
+    let mut diff = vec![0i32; channels * cols];
+    for (channel, lo, hi) in spans {
+        let row = &mut diff[channel * cols..][..cols];
+        row[lo as usize] += 1;
+        row[hi as usize + 1] -= 1;
     }
-    peak
+    let peak = |row: &[i32]| {
+        let mut open = 0;
+        row.iter()
+            .map(|&d| {
+                open += d;
+                open
+            })
+            .fold(0, i32::max)
+    };
+    diff.chunks_exact(cols)
+        .map(|row| peak(row).into())
+        .collect()
 }
 
 /// Panic with a readable report if `result` fails verification.
@@ -399,10 +390,11 @@ mod tests {
     #[test]
     fn detects_illegal_switch_channel() {
         // A span names its switch row by which side of it the channel is,
-        // so no span holds a channel beside neither side (decoding one is
-        // refused). A switchable span moved off its row therefore arrives
+        // so no span holds a channel beside neither side: decoding one is
+        // refused. A switchable span moved off its row therefore arrives
         // as a fixed span, and the channel it lands in recounts above its
         // reported peak: moved onto a peak column there.
+        use pgr_mpi::wire::{Wire, WireError};
         let (c, mut r) = routed();
         let (idx, to) = (0..r.spans.len())
             .filter(|&i| r.spans[i].switch_row().is_some())
@@ -419,15 +411,18 @@ mod tests {
             })
             .expect("some switchable span can land on another channel's peak");
         let s = r.spans[idx];
+        let mut illegal = Vec::new();
+        (s.net.0, to, s.lo, s.hi).encode(&mut illegal);
+        s.switch_row().encode(&mut illegal);
+        assert!(
+            matches!(
+                Span::from_bytes(&illegal),
+                Err(WireError::OutOfRange { len: 2, .. })
+            ),
+            "a switchable span in channel {to} is refused"
+        );
         r.spans[idx] = Span::new(s.net, to, s.lo, s.hi, None);
         let v = verify(&c, &r);
-        assert!(
-            v.iter().any(|x| matches!(
-                x,
-                Violation::SwitchRowMismatch { .. } | Violation::DensityMismatch { .. }
-            )),
-            "{v:?}"
-        );
         assert!(
             v.contains(&Violation::DensityMismatch {
                 channel: to as usize,
@@ -436,6 +431,55 @@ mod tests {
             }),
             "{v:?}"
         );
+    }
+
+    /// Largest number of intervals covering one column, from their endpoint
+    /// events `(column, +1)` at each `lo` and `(column, -1)` one past each
+    /// `hi` (spans are closed intervals). Sorting puts a `-1` before a `+1`
+    /// at the same column, so abutting spans do not count as overlapping.
+    /// The sweep [`recount`] replaced, kept as its reference.
+    fn peak_overlap(ends: &mut [(i64, i64)]) -> i64 {
+        ends.sort_unstable();
+        let (mut open, mut peak) = (0, 0);
+        for &(_, d) in ends.iter() {
+            open += d;
+            peak = peak.max(open);
+        }
+        peak
+    }
+
+    /// The difference array recounts what the endpoint sweep it replaced
+    /// counted, on random spans over a few channels: narrow columns make
+    /// abutting spans (`hi + 1 == lo`) and shared endpoints common.
+    #[test]
+    fn recount_equals_the_endpoint_sweep() {
+        for seed in 0..300u64 {
+            let mut rng = pgr_geom::rng::rng_from_seed(0xD1FF_0000 + seed);
+            let (channels, cols) = (rng.gen_range(1usize..5), rng.gen_range(2i64..24));
+            let spans: Vec<(usize, i64, i64)> = (0..rng.gen_range(0usize..40))
+                .map(|_| {
+                    let lo = rng.gen_range(0..cols - 1);
+                    (rng.gen_range(0..channels), lo, rng.gen_range(lo..cols - 1))
+                })
+                .collect();
+            let mut abutting = spans.clone();
+            for &(ch, _, hi) in spans.iter().filter(|s| s.2 + 2 < cols) {
+                abutting.push((ch, hi + 1, hi + 1));
+            }
+            for spans in [spans, abutting] {
+                let swept: Vec<i64> = (0..channels)
+                    .map(|ch| {
+                        let mut ends: Vec<(i64, i64)> = (spans.iter())
+                            .filter(|s| s.0 == ch)
+                            .flat_map(|&(_, lo, hi)| [(lo, 1), (hi + 1, -1)])
+                            .collect();
+                        peak_overlap(&mut ends)
+                    })
+                    .collect();
+                let got = recount(spans.iter().copied(), channels, cols);
+                assert_eq!(got, swept, "seed {seed}: {spans:?}");
+            }
+        }
     }
 
     #[test]
