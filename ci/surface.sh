@@ -175,12 +175,20 @@
 #   `RecoveryPolicy` type under crates/core/src (the recovery bound is
 #   the one field `RouterConfig::recovery_rounds`).
 # - when the in-process codec comes back: a non-test line under
-#   crates/mpi/src/comm that calls `to_bytes(` or `from_bytes(`, or that
-#   calls `crc32(` anywhere but in `Transport::send` and
-#   `Transport::ingest` of comm/transport.rs (a typed frame hands the
-#   sender's value over, billed at its encoded length; only raw byte
-#   frames and a modeled transfer's length header are checksummed, there;
-#   checkpoints keep their codec and CRC in crates/mpi/src/checkpoint.rs).
+#   crates/mpi/src/comm that calls `to_bytes(` or `from_bytes(` (every
+#   frame hands the sender's value over, billed at its encoded length or
+#   at what the sender charges).
+# - when a second frame kind or a checksum comes back: a non-test line
+#   under crates/mpi/src that names `crc32`, `enum Kind`, `KindMismatch`,
+#   `try_recv_bytes`, `try_recv_modeled`, `mpi.encode` or `mpi.decode`
+#   (a frame is one value billed at a size, a corruption is a mark on the
+#   frame or the snapshot, and nothing encodes between ranks to be
+#   timed), or a non-test line under crates/core/src that calls
+#   `::decode(` or `Reader::new(` outside a `Wire` impl's own
+#   `fn decode` (checkpoints hold their records as values; what a `Wire`
+#   impl composes is the codec's definition, which the round-trip tests
+#   and the benchmark's decode probe read, not a decode of received
+#   data).
 # - when a span is spelled field by field again: a non-test, non-comment
 #   `Span {` struct literal (or pattern) under crates/*/src or src/
 #   anywhere but in crates/core/src/route/state.rs. One private word packs
@@ -547,18 +555,32 @@ if [ -n "$test_surface" ]; then
 fi
 
 # shellcheck disable=SC2046
-codec=$(awk '
-    FNR == 1 { in_tests = 0; fn = "" }
-    /^#\[cfg\(test\)\]/ { in_tests = 1 }
-    match($0, /fn [a-z_]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
-    in_tests || /^[ \t]*\/\// { next }
-    /to_bytes\(|from_bytes\(/ || (/crc32\(/ && !(FILENAME ~ /\/transport\.rs$/ && (fn == "send" || fn == "ingest"))) {
-        printf "%s:%d:%s\n", FILENAME, FNR, $0
-    }
-' $(find crates/mpi/src/comm -name '*.rs'))
+codec=$(nontest 'to_bytes\(|from_bytes\(' $(find crates/mpi/src/comm -name '*.rs') | grep -vE '^[^:]+:[0-9]+:[ \t]*//' || true)
 if [ -n "$codec" ]; then
-    echo "surface: frames between rank threads carry values, not encodings (only raw byte frames are checksummed, in Transport::send and ::ingest):" >&2
+    echo "surface: frames between rank threads carry values, not encodings:" >&2
     echo "$codec" >&2
+    exit 1
+fi
+
+# shellcheck disable=SC2046
+one_kind=$(
+    nontest 'crc32|enum Kind|KindMismatch|try_recv_bytes|try_recv_modeled|mpi\.encode|mpi\.decode' $(find crates/mpi/src -name '*.rs')
+    awk '
+        FNR == 1 { in_tests = 0; in_decode = 0 }
+        /^#\[cfg\(test\)\]/ { in_tests = 1 }
+        in_tests || /^[ \t]*\/\// { next }
+        /fn decode\(/ { in_decode = 1; depth = 0 }
+        in_decode {
+            depth += gsub(/\{/, "{") - gsub(/\}/, "}")
+            if (depth <= 0 && /\}/) in_decode = 0
+            next
+        }
+        /::decode\(|Reader::new\(/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+    ' $(find crates/core/src -name '*.rs')
+)
+if [ -n "$one_kind" ]; then
+    echo "surface: a frame is one value billed at a size and corruption is a mark (no frame kinds, no CRC, no decode of what ranks hand each other):" >&2
+    echo "$one_kind" >&2
     exit 1
 fi
 

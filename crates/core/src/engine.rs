@@ -16,15 +16,15 @@
 //!   agreement — a kill or an agreed breach aborts the attempt instead
 //!   of running the pass;
 //! * **checkpointed recovery** ([`drive`]'s loop): at every phase
-//!   boundary past the first, each rank commits a CRC-32-stamped
-//!   snapshot of its pipeline state into the shared checkpoint store
+//!   boundary past the first, each rank commits a snapshot of its
+//!   pipeline state (a shared value) into the shared checkpoint store
 //!   (`pgr_mpi::CheckpointStore`); on `PeersDied` the survivors count
 //!   the recovery, shrink the world and agree on the last globally
 //!   committed restorable boundary ([`Comm::shrink_world`] — the commit
 //!   protocol), restore from the snapshots, and **resume**
 //!   from that boundary instead of redoing the whole attempt. When no
 //!   common committed boundary exists (a kill entering the very first
-//!   phase, or a snapshot failing its integrity check) the round falls
+//!   phase, or a snapshot marked corrupt in the store) the round falls
 //!   back to the full restart from a fresh context. Either way the loop
 //!   is bounded by [`RouterConfig::recovery_rounds`]: once they are
 //!   spent, the lowest surviving rank deterministically completes the
@@ -56,7 +56,7 @@ use crate::metrics::{names, RoutingResult};
 use crate::parallel::partition::PartitionKind;
 use pgr_circuit::{Circuit, RowPartition};
 use pgr_geom::rng::{derive_seed, rng_from_seed, SmallRng};
-use pgr_mpi::{BudgetKind, Comm, PhaseControl};
+use pgr_mpi::{BudgetKind, Comm, PhaseControl, Snapshot};
 use pgr_obs::recovery_names;
 
 pub use pgr_obs::Phase;
@@ -177,17 +177,17 @@ pub(crate) trait Pipeline {
     /// a metadata-only record that proves it was reached but cannot
     /// seed a shrunken world. Must be communication-free. The default
     /// commits metadata only (the serial pipeline never resumes).
-    fn snapshot(&self, _at: Phase) -> Option<Vec<u8>> {
+    fn snapshot(&self, _at: Phase) -> Option<Snapshot> {
         None
     }
 
     /// Rebuild the state [`snapshot`](Pipeline::snapshot) captured at
-    /// the `at` boundary from the *failed* world's payloads (that
+    /// the `at` boundary from the *failed* world's snapshots (that
     /// world's logical-rank order), re-partitioned over the current
     /// world in `ctx`. Must be communication-free and must leave the
     /// pipeline bit-identical to a fresh run of the current world that
     /// executed every phase before `at`.
-    fn restore(&mut self, _at: Phase, _payloads: &[Vec<u8>], _ctx: &mut RouteCtx<'_>) {}
+    fn restore(&mut self, _at: Phase, _payloads: &[Snapshot], _ctx: &mut RouteCtx<'_>) {}
 
     /// The assembled result, after the final pass.
     fn take_result(&mut self) -> Option<RoutingResult>;
@@ -200,10 +200,10 @@ pub(crate) trait Pipeline {
 ///
 /// `resume` is [`Comm::shrink_world`]'s verdict on the previous attempt,
 /// which died entering `killed_at`: the registry index of the boundary
-/// to resume from and the failed world's snapshot payloads there. Phases
+/// to resume from and the failed world's snapshots there. Phases
 /// before it are skipped (their windows never open — the resumed attempt
 /// genuinely does not run them), the pipeline state is restored from the
-/// payloads, and the caught-up trace mark is dropped when execution
+/// snapshots, and the caught-up trace mark is dropped when execution
 /// reaches `killed_at` again (the phases in between are the redone work).
 /// Each executed boundary past the first re-commits its snapshot under
 /// the current attempt, so a later kill can resume again.
@@ -211,7 +211,7 @@ fn run_attempt<P: Pipeline>(
     pipe: &mut P,
     ctx: &mut RouteCtx<'_>,
     comm: &mut Comm,
-    resume: Option<&(usize, Vec<Vec<u8>>)>,
+    resume: Option<&(usize, Vec<Snapshot>)>,
     killed_at: Phase,
 ) -> Result<Option<RoutingResult>, (Phase, PhaseControl)> {
     for phase in Phase::ALL {
@@ -288,9 +288,9 @@ fn degraded_serial(circuit: &Circuit, cfg: &RouterConfig, comm: &mut Comm) -> Ro
 /// the phase whose boundary failed), so degraded runs are
 /// distinguishable in `*.metrics.json`. Where to resume is
 /// [`Comm::shrink_world`]'s verdict (the commit protocol lives there): a
-/// last globally committed restorable boundary with its CRC-verified
-/// payloads, or `None` — a kill entering the very first phase, no common
-/// portable deposit, or a snapshot failing its integrity check — which
+/// last globally committed restorable boundary with its snapshots, or
+/// `None` — a kill entering the very first phase, no common portable
+/// deposit, or a snapshot marked corrupt in the store — which
 /// falls back to the full restart. The loop is bounded by
 /// `cfg.recovery_rounds`: every survivor counts the same rounds, so once
 /// they are spent all agree that the lowest surviving rank completes the
@@ -317,7 +317,7 @@ pub(crate) fn drive<P: Pipeline + Default>(
     let mut rounds = 0u32;
     // Where the next attempt resumes: `shrink_world`'s verdict on the last
     // one (`None`: from scratch).
-    let mut resume: Option<(usize, Vec<Vec<u8>>)> = None;
+    let mut resume: Option<(usize, Vec<Snapshot>)> = None;
     // The phase whose boundary the last kill fired at — also stamps the
     // recovery-rounds budget error with where the run actually died.
     let mut last_abort = Phase::ALL[0];

@@ -11,7 +11,7 @@ use crate::engine::Phase;
 use crate::route::state::{NetSlots, Node, Segment, WorkNets};
 use crate::route::switchable::ChannelState;
 use pgr_circuit::{Circuit, NetId, RowPartition};
-use pgr_mpi::{Comm, Reader, Wire};
+use pgr_mpi::{Comm, Snapshot};
 
 /// User-space message tags.
 pub mod tag {
@@ -195,41 +195,43 @@ pub fn assemble_works(segments: &[Segment]) -> WorkNets {
 /// rank-derived random streams, so it cannot seed a shrunken world.
 pub const PORTABLE_HORIZON: usize = Phase::Coarse.index();
 
-/// Encode a pipeline's portable checkpoint payload for the boundary
-/// entering `at`, or `None` when the boundary is past the portable
-/// horizon (the engine then records a metadata-only, non-restorable
-/// commit). `segments` are the rank's owned multi-pin nets' *unsplit*
-/// Steiner segments in ascending net-id order, as
+/// What a rank checkpoints entering [`Phase::Coarse`]: its owned nets'
+/// unsplit Steiner segments, one `(net, segments)` record per net.
+pub type SteinerRecords = Vec<(u32, Vec<Segment>)>;
+
+/// A pipeline's portable checkpoint for the boundary entering `at`, or
+/// `None` when the boundary is past the portable horizon (the engine
+/// then records a metadata-only, non-restorable commit). `segments` are
+/// the rank's owned multi-pin nets' *unsplit* Steiner segments in
+/// ascending net-id order, as
 /// [`RouteState::steiner`](crate::route::serial::RouteState) builds them;
-/// the payload is them grouped per net, `(net, segments)` records. The
+/// the snapshot is them grouped per net, [`SteinerRecords`]. The
 /// boundary entering [`Phase::Steiner`] itself is portable but stateless
-/// (setup re-runs from the shared circuit), so its payload is empty.
-pub fn steiner_snapshot(at: Phase, segments: &[Segment]) -> Option<Vec<u8>> {
+/// (setup re-runs from the shared circuit), so its snapshot is `()`.
+pub fn steiner_snapshot(at: Phase, segments: &[Segment]) -> Option<Snapshot> {
     match at.index() {
-        i if i == Phase::Steiner.index() => Some(Vec::new()),
+        i if i == Phase::Steiner.index() => Some(Snapshot::new(())),
         i if i == PORTABLE_HORIZON => {
             let by_net = segments.chunk_by(|a, b| a.net == b.net);
-            let records: Vec<(u32, Vec<Segment>)> =
-                by_net.map(|run| (run[0].net.0, run.to_vec())).collect();
-            Some(records.to_bytes())
+            let records: SteinerRecords = by_net.map(|run| (run[0].net.0, run.to_vec())).collect();
+            Some(Snapshot::new(records))
         }
         _ => None,
     }
 }
 
-/// Decode every surviving rank's fetched checkpoint payload into one
-/// net-indexed table of unsplit Steiner segments. Each multi-pin net was
-/// deposited by exactly one dead-world owner, so the union covers every
-/// net once; nets absent everywhere (fewer than two pins) stay `None`.
-/// Payloads already passed the store's CRC re-verification — a decode
-/// failure here would be an encoding bug, not data corruption.
-pub fn merge_steiner_payloads(payloads: &[Vec<u8>], num_nets: usize) -> Vec<Option<Vec<Segment>>> {
+/// Merge every surviving rank's fetched checkpoint, each the
+/// [`SteinerRecords`] its rank deposited entering [`Phase::Coarse`],
+/// into one net-indexed table of unsplit Steiner segments. Each
+/// multi-pin net was deposited by exactly one dead-world owner, so the
+/// union covers every net once; nets absent everywhere (fewer than two
+/// pins) stay `None`.
+pub fn merge_steiner_payloads(payloads: &[Snapshot], num_nets: usize) -> Vec<Option<Vec<Segment>>> {
     let mut by_net: Vec<Option<Vec<Segment>>> = vec![None; num_nets];
     for payload in payloads {
-        let decoded = Vec::<(u32, Vec<Segment>)>::decode(&mut Reader::new(payload))
-            .expect("checkpoint payload passed its CRC stamp but failed to decode");
-        for (id, segs) in decoded {
-            by_net[id as usize] = Some(segs);
+        let records = payload.get::<SteinerRecords>();
+        for (id, segs) in records.expect("a checkpoint entering coarse holds Steiner records") {
+            by_net[*id as usize] = Some(segs.clone());
         }
     }
     by_net

@@ -27,7 +27,7 @@ use crate::route::connect::connect_all;
 use crate::route::state::{Span, WorkNets};
 use crate::route::switchable::ChannelState;
 use pgr_circuit::{NetId, RowId};
-use pgr_mpi::Comm;
+use pgr_mpi::{Comm, Snapshot};
 
 /// Ship every net fragment of `works` to the rank `connects` names for
 /// its net, one store per rank, and merge what each rank receives into
@@ -187,11 +187,11 @@ impl Pipeline for HybridPipeline {
         }
     }
 
-    fn snapshot(&self, at: Phase) -> Option<Vec<u8>> {
+    fn snapshot(&self, at: Phase) -> Option<Snapshot> {
         self.rowwise.snapshot(at)
     }
 
-    fn restore(&mut self, at: Phase, payloads: &[Vec<u8>], ctx: &mut RouteCtx<'_>) {
+    fn restore(&mut self, at: Phase, payloads: &[Snapshot], ctx: &mut RouteCtx<'_>) {
         self.rowwise.restore(at, payloads, ctx);
     }
 

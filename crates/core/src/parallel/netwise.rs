@@ -26,7 +26,7 @@ use crate::route::feedthrough::{assign, Crossing, FtPlan};
 use crate::route::serial::{crossings_of, Feedthroughs, RouteState, SegmentSource};
 use crate::route::state::{Node, Orientation, Segment};
 use pgr_circuit::{NetId, RowId};
-use pgr_mpi::Comm;
+use pgr_mpi::{Comm, Snapshot};
 
 /// Pipeline state carried between the net-wise passes. Driven by
 /// [`crate::engine::drive`] through
@@ -166,11 +166,11 @@ impl Pipeline for NetWisePipeline {
         }
     }
 
-    fn snapshot(&self, at: Phase) -> Option<Vec<u8>> {
+    fn snapshot(&self, at: Phase) -> Option<Snapshot> {
         steiner_snapshot(at, &self.st.segments)
     }
 
-    fn restore(&mut self, at: Phase, payloads: &[Vec<u8>], ctx: &mut RouteCtx<'_>) {
+    fn restore(&mut self, at: Phase, payloads: &[Snapshot], ctx: &mut RouteCtx<'_>) {
         if at.index() != PORTABLE_HORIZON {
             return; // resuming at Steiner: default state, setup re-runs
         }

@@ -28,7 +28,7 @@ use crate::parallel::partition::partition_nets;
 use crate::route::serial::{local_feedthroughs, RouteState, SegmentSource};
 use crate::route::state::{Segment, WorkNets};
 use pgr_circuit::RowId;
-use pgr_mpi::Comm;
+use pgr_mpi::{Comm, Snapshot};
 
 /// The row-wise pipeline: the shared [`RouteState`] over one row band's
 /// sub-nets. Driven by [`crate::engine::drive`] through
@@ -132,14 +132,14 @@ impl Pipeline for RowWisePipeline {
     }
 
     /// The portable snapshot entering `at` — see [`steiner_snapshot`].
-    fn snapshot(&self, at: Phase) -> Option<Vec<u8>> {
+    fn snapshot(&self, at: Phase) -> Option<Snapshot> {
         steiner_snapshot(at, &self.unsplit)
     }
 
     /// Rebuild the state entering `at` from the failed world's payloads,
     /// re-partitioned over the current world (net partition included —
     /// the hybrid's connect pass ships fragments to net owners).
-    fn restore(&mut self, at: Phase, payloads: &[Vec<u8>], ctx: &mut RouteCtx<'_>) {
+    fn restore(&mut self, at: Phase, payloads: &[Snapshot], ctx: &mut RouteCtx<'_>) {
         if at.index() != PORTABLE_HORIZON {
             return; // resuming at Steiner: default state, setup re-runs
         }

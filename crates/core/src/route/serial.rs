@@ -85,10 +85,12 @@ pub(crate) enum Feedthroughs {
 }
 
 /// Step 3's attach: `works`' own nodes shifted by `plan`, merged in place
-/// with `fts` assigned here from `crossings` or as received.
+/// with `fts` assigned here from the crossings of `segments` under
+/// `orients`, or as received. A segment's net gains one feedthrough per
+/// row it demands, so the crossings are walked once, by `assign`.
 fn attach_feedthroughs(
     works: &mut WorkNets,
-    (plan, crossings): (&FtPlan, impl Iterator<Item = Crossing> + Clone),
+    (plan, (segments, orients)): (&FtPlan, (&[Segment], &[Orientation])),
     fts: Feedthroughs,
     comm: &mut Comm,
 ) {
@@ -96,9 +98,10 @@ fn attach_feedthroughs(
     let mut attach = comm.start_timer();
     match fts {
         Feedthroughs::Local => {
-            let nets = crossings.clone().map(|c| c.net);
-            works.attach(shift, nets, |sink| {
+            let per_row = |s: &Segment| std::iter::repeat_n(s.net, s.demand_rows().len());
+            works.attach(shift, segments.iter().flat_map(per_row), |sink| {
                 let timer = comm.start_timer();
+                let crossings = crossings_of(segments, orients);
                 assign(plan, crossings, comm, |net, nd| sink.put(net, nd));
                 comm.stop_timer(names::FT_ASSIGN, timer);
                 // `ft.attach` is the rest: it starts later by `assign`'s time.
@@ -275,8 +278,8 @@ impl RouteState {
             // grown store while a faster rank starts Connect.
             (self.segments, self.orients) = (Vec::new(), Vec::new());
         }
-        let crossings = crossings_of(&self.segments, &self.orients);
-        attach_feedthroughs(&mut self.works, (&plan, crossings), fts, comm);
+        let routed = (&self.segments[..], &self.orients[..]);
+        attach_feedthroughs(&mut self.works, (&plan, routed), fts, comm);
         (self.segments, self.orients) = (Vec::new(), Vec::new());
         self.chip_width = ctx.circuit.width + plan.max_growth();
         self.ft_total = plan.total();
@@ -442,8 +445,9 @@ pub(crate) fn works_after_feedthrough(circuit: &Circuit, cfg: &RouterConfig) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::common::SteinerRecords;
     use pgr_circuit::{generate, GeneratorConfig};
-    use pgr_mpi::MachineModel;
+    use pgr_mpi::{MachineModel, Snapshot};
 
     fn small() -> Circuit {
         generate(&GeneratorConfig::small("serial-test", 42))
@@ -609,20 +613,37 @@ mod tests {
             };
             works.push(NetId(n), [pin(1, &mut rng), pin(0, &mut rng)]);
         }
-        let (grid_w, gcols) = (8, 4);
-        let mut demand = crate::route::state::Grid::new(9, gcols);
-        let crossings: Vec<Crossing> = (0..64)
+        // Segments of one to three rows with pin or fake-pin ends (a
+        // fake end demands its own row too), verticals either end.
+        let segments: Vec<Segment> = (0..24)
             .map(|_| {
-                let (row, x) = (rng.gen_range(0..9u32), rng.gen_range(0..40i64));
-                demand[row as usize][((x / grid_w) as usize).min(gcols - 1)] += 1;
                 let net = NetId(nets[rng.gen_range(0..nets.len() - 1)]);
-                Crossing { net, row, x }
+                let (x, lo) = (rng.gen_range(0..40i64), rng.gen_range(0..8u32));
+                let hi = rng.gen_range(lo + 1..(lo + 4).min(9));
+                let pref = crate::route::state::ChannelPref::Either;
+                let mut end = |row| match rng.gen_bool(0.5) {
+                    true => Node::fake(x, row),
+                    false => Node::pin(0, x, row, pref),
+                };
+                let (lower, upper) = (end(lo), end(hi));
+                Segment { net, lower, upper }
             })
             .collect();
+        let orients = [Orientation::VertAtLower, Orientation::VertAtUpper].repeat(12);
+        let crossings: Vec<Crossing> = crossings_of(&segments, &orients).collect();
+        assert!(
+            crossings.len() > segments.len(),
+            "some segments demand rows"
+        );
+        let (grid_w, gcols) = (8, 4);
+        let mut demand = crate::route::state::Grid::new(9, gcols);
+        for c in &crossings {
+            demand[c.row as usize][((c.x / grid_w) as usize).min(gcols - 1)] += 1;
+        }
         let plan = FtPlan::new(0, demand, grid_w, 2);
         let pre = works.clone();
         let mut comm = Comm::solo(MachineModel::ideal());
-        let local = (&plan, crossings.iter().copied());
+        let local = (&plan, (&segments[..], &orients[..]));
         attach_feedthroughs(&mut works, local, Feedthroughs::Local, &mut comm);
         assert_eq!(listed(&works), push_then_sort(&pre, &plan, &crossings));
         assert_canonical(&works);
@@ -631,7 +652,8 @@ mod tests {
             2,
             "net 0 got no feedthrough"
         );
-        assert_eq!(works.iter().map(|w| w.1.len()).sum::<usize>(), 12 + 64);
+        let total = 12 + crossings.len();
+        assert_eq!(works.iter().map(|w| w.1.len()).sum::<usize>(), total);
     }
 
     #[test]
@@ -641,7 +663,7 @@ mod tests {
         works.push(NetId(7), []);
         let plan = FtPlan::new(0, crate::route::state::Grid::new(1, 1), 8, 2);
         let fts = Feedthroughs::Received(vec![vec![(6, Node::feedthrough(0, 0))]]);
-        let none = (&plan, std::iter::empty());
+        let none = (&plan, (&[][..], &[][..]));
         attach_feedthroughs(
             &mut works,
             none,
@@ -766,11 +788,11 @@ mod tests {
         st: fn(&mut P) -> &mut RouteState,
         ctx: &mut RouteCtx<'_>,
         comm: &mut Comm,
-    ) -> (Option<Vec<u8>>, Option<Vec<u8>>) {
+    ) -> (Option<SteinerRecords>, Option<SteinerRecords>) {
         for phase in [Phase::Setup, Phase::Steiner] {
             pipe.pass(phase, ctx, comm);
         }
-        let entering_coarse = pipe.snapshot(Phase::Coarse);
+        let entering_coarse = records(pipe.snapshot(Phase::Coarse));
         let s = st(pipe);
         assert!(!s.segments.is_empty());
         for phase in [Phase::Coarse, Phase::Feedthrough] {
@@ -787,7 +809,12 @@ mod tests {
             s.works.is_empty() && s.works.is_exactly_sized(),
             "works outlive step 4"
         );
-        (entering_coarse, pipe.snapshot(Phase::Coarse))
+        (entering_coarse, records(pipe.snapshot(Phase::Coarse)))
+    }
+
+    /// The Steiner records a snapshot entering Coarse holds.
+    fn records(snapshot: Option<Snapshot>) -> Option<SteinerRecords> {
+        snapshot.map(|s| s.get::<SteinerRecords>().expect("Steiner records").clone())
     }
 
     #[test]
@@ -817,7 +844,7 @@ mod tests {
                 assert!(comm.checkpointing());
                 let rank = comm.rank();
                 let at = format!("refine {refine}, rank {rank}");
-                let want = steiner_snapshot(Phase::Coarse, &built[rank].segments);
+                let want = records(steiner_snapshot(Phase::Coarse, &built[rank].segments));
                 assert!(want.as_ref().is_some_and(|w| !w.is_empty()), "{at}");
 
                 let mut ctx = RouteCtx::new(&c, &cfg, PartitionKind::PinWeight, (2, rank));
@@ -900,7 +927,7 @@ mod tests {
             };
             for size in 1..=3 {
                 let built = steiner_per_rank(&c, &cfg, size);
-                let payloads: Vec<Vec<u8>> = (built.iter())
+                let payloads: Vec<Snapshot> = (built.iter())
                     .map(|st| steiner_snapshot(Phase::Coarse, &st.segments).unwrap())
                     .collect();
                 let by_net = merge_steiner_payloads(&payloads, c.num_nets());
@@ -926,7 +953,6 @@ mod tests {
     fn steiner_snapshot_is_the_per_net_table_the_steiner_pass_kept() {
         use crate::parallel::common::steiner_snapshot;
         use crate::route::steiner::{build_segments_with, pin_nodes, SteinerScratch};
-        use pgr_mpi::Wire;
         let c = small();
         for refine in [false, true] {
             let cfg = RouterConfig {
@@ -940,7 +966,7 @@ mod tests {
                 let (_, mine) = dealt(&c, &cfg, (2, rank));
                 let mut comm = Comm::solo(MachineModel::ideal());
                 let mut scratch = SteinerScratch::default();
-                let mut table: Vec<(u32, Vec<Segment>)> = Vec::new();
+                let mut table: SteinerRecords = Vec::new();
                 for i in (0..c.num_nets()).filter(|&i| mine[i]) {
                     let net = NetId::from_index(i);
                     let nodes: Vec<Node> = pin_nodes(&c, net, &mut Vec::new()).collect();
@@ -954,10 +980,11 @@ mod tests {
                 assert!(table.len() > 1);
                 let snapshot = steiner_snapshot(Phase::Coarse, &st.segments);
                 let at = format!("refine {refine}, rank {rank}");
-                assert_eq!(snapshot, Some(table.to_bytes()), "{at}");
+                assert_eq!(records(snapshot), Some(table), "{at}");
             }
         }
-        assert_eq!(steiner_snapshot(Phase::Steiner, &[]), Some(Vec::new()));
-        assert_eq!(steiner_snapshot(Phase::Connect, &[]), None);
+        let stateless = steiner_snapshot(Phase::Steiner, &[]).expect("portable");
+        assert_eq!(stateless.get::<()>(), Some(&()), "nothing to restore");
+        assert!(steiner_snapshot(Phase::Connect, &[]).is_none());
     }
 }

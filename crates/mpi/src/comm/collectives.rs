@@ -13,7 +13,7 @@
 //! collectives own is `coll_seq`, the counter that keeps successive
 //! operations' internal tags apart.
 
-use super::{Body, Comm, Kind, Payload, Value, COLLECTIVE_TAG_BASE};
+use super::{Comm, Payload, Value, COLLECTIVE_TAG_BASE};
 use crate::trace::TraceEventKind;
 use crate::wire::Wire;
 use std::sync::Arc;
@@ -46,8 +46,7 @@ impl Comm {
         bytes: usize,
         charged: bool,
     ) {
-        let value = Value::new(value, charged);
-        self.post(dst, tag, Body::Typed { bytes, value });
+        self.post(dst, tag, Value::new(value, bytes, charged));
     }
 
     /// Collective-internal receive (of a charged frame if `charged`):
@@ -62,9 +61,10 @@ impl Comm {
         tag: u32,
         charged: bool,
     ) -> T {
-        let kind = if charged { Kind::Charged } else { Kind::Typed };
-        self.recv_as(src, tag, kind)
-            .unwrap_or_else(|e| panic!("collective {op} failed: {e}"))
+        let (value, _) = self
+            .accept(src, tag, charged)
+            .unwrap_or_else(|e| panic!("collective {op} failed: {e}"));
+        value
     }
 
     /// Block until all ranks reach the barrier; clocks synchronize to the

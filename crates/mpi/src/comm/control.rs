@@ -14,7 +14,7 @@
 use super::transport::Death;
 use super::{Comm, PhaseControl};
 use crate::budget::{BudgetBreach, BudgetKind, ResourceBudget};
-use crate::checkpoint::CheckpointStore;
+use crate::checkpoint::{CheckpointStore, Snapshot};
 use crate::fault::FaultLayer;
 use pgr_obs::{budget_names, recovery_names, MetricsShard, Phase};
 use std::sync::Arc;
@@ -150,59 +150,52 @@ impl Control {
     }
 
     /// Commit this rank's snapshot for the upcoming `phase` boundary
-    /// into the shared store. `Some(payload)` commits a
-    /// portable (restorable-anywhere) snapshot; `None` commits a
-    /// metadata-only record that proves the boundary was reached but
-    /// cannot seed a shrunken world. No-op without a store.
-    fn commit(&mut self, phase: Phase, payload: Option<Vec<u8>>, m: &mut MetricsShard) {
+    /// into the shared store. `Some(snapshot)` commits a portable
+    /// (restorable-anywhere) snapshot; `None` commits a metadata-only
+    /// record that proves the boundary was reached but cannot seed a
+    /// shrunken world. No-op without a store.
+    fn commit(&mut self, phase: Phase, snapshot: Option<Snapshot>, m: &mut MetricsShard) {
         let Some(store) = &self.checkpoints else {
             return;
         };
-        let portable = payload.is_some();
-        if portable {
+        if snapshot.is_some() {
             self.portable_boundary = Some(
                 self.portable_boundary
                     .map_or(phase.index(), |b| b.max(phase.index())),
             );
         }
-        let payload = payload.unwrap_or_default();
         m.add(recovery_names::CHECKPOINT_COMMITS, 1);
-        m.add(recovery_names::CHECKPOINT_BYTES, payload.len() as u64);
-        store.deposit(
-            self.attempt,
-            phase.index(),
-            self.lrank,
-            self.world.len(),
-            portable,
-            payload,
-        );
+        let bytes = snapshot.as_ref().map_or(0, |s| s.bytes);
+        m.add(recovery_names::CHECKPOINT_BYTES, bytes as u64);
+        let (attempt, size) = (self.attempt, self.world.len());
+        store.deposit(attempt, phase.index(), self.lrank, size, snapshot);
     }
 
-    /// Fetch all payloads of `attempt`'s snapshot at `phase_idx`, in
-    /// the failed world's logical-rank order, re-verifying every CRC-32
-    /// stamp. The caller has made sure every member of the failed world
-    /// deposited the boundary (see [`Comm::shrink_world`]). Counts a
-    /// restore on success; a `None` on a boundary the commit protocol
-    /// agreed on means an integrity failure — counted, and the caller
-    /// must fall back to a full restart.
-    fn fetch(&self, attempt: u32, phase_idx: usize, m: &mut MetricsShard) -> Option<Vec<Vec<u8>>> {
+    /// Fetch all snapshots of `attempt` at `phase_idx`, in the failed
+    /// world's logical-rank order; the store refuses the boundary if any
+    /// is marked. The caller has made sure every member of the failed
+    /// world deposited the boundary (see [`Comm::shrink_world`]). Counts
+    /// a restore on success; a `None` on a boundary the commit protocol
+    /// agreed on means a marked snapshot — counted, and the caller must
+    /// fall back to a full restart.
+    fn fetch(&self, attempt: u32, phase_idx: usize, m: &mut MetricsShard) -> Option<Vec<Snapshot>> {
         let store = self.checkpoints.as_ref()?;
-        // Scheduled checkpoint rot fires between completeness and
-        // verification — the deterministic window a real parallel
-        // filesystem would corrupt in. The store's corruption is
-        // idempotent, so every survivor may trigger it.
+        // Scheduled checkpoint rot fires between completeness and the
+        // fetch — the deterministic window a real parallel filesystem
+        // would corrupt in. The store's mark is idempotent, so every
+        // survivor may trigger it.
         if let Some(fault) = &self.fault {
             if fault.corrupt_checkpoint(attempt, phase_idx) {
                 store.corrupt(attempt, phase_idx);
             }
         }
-        let payloads = store.fetch(attempt, phase_idx);
-        let outcome = match payloads {
+        let snapshots = store.fetch(attempt, phase_idx);
+        let outcome = match snapshots {
             Some(_) => recovery_names::CHECKPOINT_RESTORES,
             None => recovery_names::CHECKPOINT_CRC_FAILURES,
         };
         m.add(outcome, 1);
-        payloads
+        snapshots
     }
 
     /// The phase has run past `max_phase_seconds` as of `now` (active
@@ -272,7 +265,7 @@ impl Comm {
     ///    for the boundary is deposited *before* the boundary is
     ///    crossed: a victim deposits and then dies entering the phase,
     ///    so the boundary it died at is globally committed and the
-    ///    survivors can resume from it. `Some` is a portable payload,
+    ///    survivors can resume from it. `Some` is a portable snapshot,
     ///    `None` a metadata-only record; without a store `snapshot` is
     ///    never called. The first boundary carries no state and is
     ///    never deposited — a kill there has nothing to resume from
@@ -290,7 +283,7 @@ impl Comm {
     pub fn boundary(
         &mut self,
         phase: Phase,
-        snapshot: impl FnOnce() -> Option<Vec<u8>>,
+        snapshot: impl FnOnce() -> Option<Snapshot>,
     ) -> PhaseControl {
         if self.checkpointing() && phase.index() > 0 {
             self.control.commit(phase, snapshot(), &mut self.metrics);
@@ -326,9 +319,9 @@ impl Comm {
     /// densely in physical-id order. Then agree with the other survivors
     /// on where the next attempt can resume (the recovery commit
     /// protocol). Returns the registry index of the last globally
-    /// committed restorable boundary with the failed world's snapshot
-    /// payloads there (that world's logical-rank order, CRC-verified),
-    /// or `None` when the next attempt must restart from scratch.
+    /// committed restorable boundary with the failed world's snapshots
+    /// there (that world's logical-rank order, none of them marked), or
+    /// `None` when the next attempt must restart from scratch.
     ///
     /// Every survivor votes its *own* highest portable deposit of the
     /// failed attempt (deterministic local knowledge — the shared store
@@ -340,8 +333,8 @@ impl Comm {
     /// the very first phase has no boundary behind it and skips the
     /// protocol entirely, staying bit-identical to the fresh
     /// smaller-world run, virtual time included. An agreed boundary
-    /// whose payloads then fail their CRC re-verification also yields
-    /// `None` (counted in `recovery.checkpoint.crc_failures`).
+    /// holding a marked snapshot also yields `None` (counted in
+    /// `recovery.checkpoint.crc_failures`).
     ///
     /// Before it fetches, every survivor has deposited (each reached the
     /// allreduce past its own deposits) and so has every dead rank: each
@@ -351,7 +344,7 @@ impl Comm {
         &mut self,
         dead: &[usize],
         killed_at: Phase,
-    ) -> Option<(usize, Vec<Vec<u8>>)> {
+    ) -> Option<(usize, Vec<Snapshot>)> {
         self.transport.forget(dead);
         let (failed_attempt, vote) = self.control.remove_dead(dead);
         if killed_at.index() == 0 {
@@ -363,10 +356,10 @@ impl Comm {
         for &p in dead {
             self.transport.await_exit(p, &mut self.metrics);
         }
-        let payloads = self
+        let snapshots = self
             .control
             .fetch(failed_attempt, from, &mut self.metrics)?;
-        Some((from, payloads))
+        Some((from, snapshots))
     }
 
     /// Whether this run keeps a checkpoint store (i.e. a rank can die).

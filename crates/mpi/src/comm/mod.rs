@@ -2,12 +2,11 @@
 //! and per-rank virtual clocks.
 //!
 //! [`run`] spawns one OS thread per rank and hands each a [`Comm`]. Ranks
-//! exchange messages over unbounded std mpsc channels — a typed message
-//! hands the sender's value over, billed at its encoded size; a raw one
-//! moves its bytes (eager,
-//! non-blocking sends — no rendezvous deadlocks), matched by `(source,
-//! tag)` with FIFO order per pair, which mirrors MPI's matching rules for
-//! a single communicator.
+//! exchange messages over unbounded std mpsc channels — every message
+//! hands the sender's value over, billed at its encoded size or at the
+//! size its sender charges (eager, non-blocking sends — no rendezvous
+//! deadlocks), matched by `(source, tag)` with FIFO order per pair,
+//! which mirrors MPI's matching rules for a single communicator.
 //!
 //! Virtual time: the sender stamps its clock into the envelope; the
 //! receiver advances to `max(local + recv_overhead, stamp + latency +
@@ -20,8 +19,8 @@
 //! exited, a peer's closure panicked, or a self-recv with nothing
 //! buffered) produces a structured [`CommError`] naming the blocked rank,
 //! the expected `(src, tag)`, and the pending-queue contents — via
-//! [`Comm::try_recv_bytes`]/[`Comm::try_recv`], or as the panic message
-//! of the infallible wrappers. With [`TraceConfig`] enabled (see
+//! [`Comm::try_recv`], or as the panic message of the infallible
+//! wrappers. With [`TraceConfig`] enabled (see
 //! [`run_instrumented`]), each rank records into a trace ring it owns,
 //! and those errors also carry the ring's last events.
 //!
@@ -69,7 +68,7 @@ use control::Control;
 use pgr_obs::{MetricsConfig, MetricsShard, Phase, RankMetrics};
 use std::sync::Arc;
 use std::time::Instant;
-use transport::{Body, Envelope, Kind, Transport, Value};
+use transport::{Transport, Value};
 
 /// How many recent trace events a [`CommError`] carries.
 const ERR_TRACE_TAIL: usize = 16;
@@ -79,9 +78,9 @@ pub const COLLECTIVE_TAG_BASE: u32 = 0x8000_0000;
 
 /// Metric counting microseconds receives sat blocked past their own
 /// overhead — the recv-side wait the causal profiler attributes to the
-/// sender. Recorded inside [`Comm::try_recv_bytes`]'s charge, so it
-/// lands in the open phase window and per-phase wait seconds fall out
-/// of the ordinary metrics dump.
+/// sender. Recorded inside every receive's charge, so it lands in the
+/// open phase window and per-phase wait seconds fall out of the
+/// ordinary metrics dump.
 pub const RECV_WAIT_MICROS: &str = "mpi.recv_wait_micros";
 
 /// What a typed frame can carry: a value the sending rank's thread can
@@ -355,15 +354,15 @@ impl Comm {
     /// and the collectives' internal traffic all come through here:
     /// check the destination, charge the sender, hand the frame to the
     /// transport.
-    fn post(&mut self, dst: usize, tag: u32, body: Body) {
+    fn post(&mut self, dst: usize, tag: u32, value: Value) {
         assert!(dst < self.size(), "send to rank {dst} of {}", self.size());
         let dst = self.world()[dst];
-        let bytes = body.bytes();
+        let bytes = value.bytes;
         let t0 = self.now();
         let stamp = self.account.charge_send(dst, bytes);
         let seq = self
             .transport
-            .send(dst, tag, stamp, body, &mut self.metrics);
+            .send(dst, tag, stamp, value, &mut self.metrics);
         if self.tracing() {
             let kind = TraceEventKind::Send {
                 dst,
@@ -375,11 +374,13 @@ impl Comm {
         }
     }
 
-    /// Send raw bytes to logical rank `dst` with `tag`. Eager and
-    /// non-blocking.
+    /// Send raw bytes to logical rank `dst` with `tag`, charged at their
+    /// length. Eager and non-blocking. Receive them with
+    /// [`Comm::recv_bytes`].
     pub fn send_bytes(&mut self, dst: usize, tag: u32, payload: Vec<u8>) {
         assert_user_tag(tag);
-        self.post(dst, tag, Body::Bytes(payload));
+        let bytes = payload.len();
+        self.post(dst, tag, Value::new(payload, bytes, true));
     }
 
     /// Send a typed message: a copy of `value` is handed to the
@@ -387,8 +388,7 @@ impl Comm {
     pub fn send<T: Wire + Payload>(&mut self, dst: usize, tag: u32, value: &T) {
         assert_user_tag(tag);
         let bytes = value.wire_len();
-        let value = Value::new(value.clone(), false);
-        self.post(dst, tag, Body::Typed { bytes, value });
+        self.post(dst, tag, Value::new(value.clone(), bytes, false));
     }
 
     /// Model the transfer of `bytes` bytes to logical rank `dst` without
@@ -396,22 +396,24 @@ impl Comm {
     /// ranks share the host's memory) whose *cost* the simulated machine
     /// must still pay. Clocks, counters, traces, the comm matrix, the
     /// fault hook and the reliable transport all see a `bytes`-long
-    /// frame; the host moves a fixed-size header. Receive it with
-    /// [`Comm::recv_modeled`].
+    /// frame, which holds `()`. Receive it with [`Comm::recv_modeled`].
     pub fn send_modeled(&mut self, dst: usize, tag: u32, bytes: usize) {
         assert_user_tag(tag);
-        self.post(dst, tag, Body::Modeled { bytes });
+        self.post(dst, tag, Value::new((), bytes, true));
     }
 
     /// Match the next frame from logical rank `src` with `tag` (FIFO per
-    /// `(src, tag)` pair) and charge its delivery. A frame of another
-    /// kind than the caller asked for is a sender/receiver mismatch,
-    /// never an empty payload or a made-up size: one billed at a size its
-    /// content does not have (a modeled transfer or a charged frame)
-    /// where the other was expected is a [`CommError::KindMismatch`]; a
-    /// value where raw bytes were expected, or the reverse, fails to
-    /// decode ([`WireError::WrongType`]).
-    fn accept(&mut self, src: usize, tag: u32, want: Kind) -> Result<Envelope, CommError> {
+    /// `(src, tag)` pair), charge its delivery and hand over its value
+    /// with the size it was billed at. A frame that holds another type,
+    /// or is charged where the caller asked for one billed at its
+    /// encoding (or the reverse), is a sender/receiver mismatch, never
+    /// a made-up value: it fails to decode ([`WireError::WrongType`]).
+    fn accept<T: Payload>(
+        &mut self,
+        src: usize,
+        tag: u32,
+        charged: bool,
+    ) -> Result<(T, usize), CommError> {
         assert!(src < self.size(), "recv from rank {src} of {}", self.size());
         let from = self.world()[src];
         let env = self.transport.recv(from, tag, &mut self.metrics);
@@ -419,7 +421,7 @@ impl Comm {
             Some(ring) => e.with_recent(ring.tail(ERR_TRACE_TAIL)),
             None => e,
         })?;
-        let bytes = env.bytes();
+        let bytes = env.value.bytes;
         let t0 = self.now();
         let wait = self.account.charge_recv(env.stamp, bytes);
         // Metrics only; the clock charge is the account's.
@@ -436,91 +438,47 @@ impl Comm {
             };
             self.record(kind, t0, self.now());
         }
-        let found = env.kind();
-        if found == want {
-            return Ok(env);
-        }
         let rank = self.physical_rank();
-        let real = |kind| matches!(kind, Kind::Bytes | Kind::Typed);
-        Err(if real(found) && real(want) {
-            let name = |kind| match kind {
-                Kind::Bytes => "raw bytes",
-                _ => "a value",
+        let wrong = |expected, found| CommError::Decode {
+            rank,
+            src,
+            tag,
+            error: WireError::WrongType { expected, found },
+        };
+        if env.value.charged != charged {
+            let name = |charged| match charged {
+                true => "a charged value",
+                false => "a value billed at its encoding",
             };
-            let (expected, found) = (name(want), name(found));
-            let error = WireError::WrongType { expected, found };
-            CommError::Decode {
-                rank,
-                src,
-                tag,
-                error,
-            }
-        } else {
-            CommError::KindMismatch {
-                rank,
-                src,
-                tag,
-                modeled: !real(found),
-                bytes,
-                wire_bytes: env.payload.len(),
-            }
-        })
+            return Err(wrong(name(charged), name(!charged)));
+        }
+        let value = env.value.take();
+        let value = value.map_err(|found| wrong(std::any::type_name::<T>(), found))?;
+        Ok((value, bytes))
     }
 
-    /// Blocking receive of the next message from logical rank `src` with
-    /// `tag` (FIFO per `(src, tag)` pair), reporting an unsatisfiable or
-    /// mismatched pattern as a structured [`CommError`] instead of
-    /// panicking.
-    pub fn try_recv_bytes(&mut self, src: usize, tag: u32) -> Result<Vec<u8>, CommError> {
-        Ok(self.accept(src, tag, Kind::Bytes)?.payload)
-    }
-
-    /// Blocking receive of the next message from `src` with `tag`.
-    /// Returns the payload; panics with the full [`CommError`] diagnosis
-    /// on a pattern that can never complete, a dead peer, or a corrupt
-    /// frame. Callers that want to *handle* those (rather than die with
-    /// the diagnosis) use [`Comm::try_recv_bytes`], which returns the
-    /// same structured error.
+    /// Blocking receive of the next [`Comm::send_bytes`] frame from
+    /// `src` with `tag`. Returns the payload; panics with the full
+    /// [`CommError`] diagnosis on a pattern that can never complete, a
+    /// dead peer, a corrupt frame or a frame of another kind.
     pub fn recv_bytes(&mut self, src: usize, tag: u32) -> Vec<u8> {
-        self.try_recv_bytes(src, tag)
-            .unwrap_or_else(|e| panic!("{e}"))
+        let got = self.accept(src, tag, true);
+        got.unwrap_or_else(|e| panic!("{e}")).0
     }
 
     /// Blocking receive of the next [`Comm::send_modeled`] transfer from
-    /// `src` with `tag`: returns the modeled size, with the structured
-    /// errors of [`Comm::try_recv_bytes`].
-    pub fn try_recv_modeled(&mut self, src: usize, tag: u32) -> Result<usize, CommError> {
-        Ok(self.accept(src, tag, Kind::Modeled)?.bytes())
-    }
-
-    /// [`Comm::try_recv_modeled`], panicking with the [`CommError`]
-    /// diagnosis like [`Comm::recv_bytes`].
+    /// `src` with `tag`: returns the modeled size, panicking with the
+    /// [`CommError`] diagnosis like [`Comm::recv_bytes`].
     pub fn recv_modeled(&mut self, src: usize, tag: u32) -> usize {
-        self.try_recv_modeled(src, tag)
-            .unwrap_or_else(|e| panic!("{e}"))
+        let got = self.accept::<()>(src, tag, true);
+        got.unwrap_or_else(|e| panic!("{e}")).1
     }
 
     /// Blocking typed receive with structured errors: a frame that does
     /// not hold a `T` and unsatisfiable patterns both surface as
     /// [`CommError`].
     pub fn try_recv<T: Wire + Payload>(&mut self, src: usize, tag: u32) -> Result<T, CommError> {
-        self.recv_as(src, tag, Kind::Typed)
-    }
-
-    /// The value of the next typed frame (or, `Kind::Charged`, charged
-    /// frame) from `src` with `tag`: the sender's value itself.
-    fn recv_as<T: Payload>(&mut self, src: usize, tag: u32, want: Kind) -> Result<T, CommError> {
-        let env = self.accept(src, tag, want)?;
-        let value = env.value.expect("a typed frame holds a value");
-        value.take().map_err(|found| CommError::Decode {
-            rank: self.physical_rank(),
-            src,
-            tag,
-            error: WireError::WrongType {
-                expected: std::any::type_name::<T>(),
-                found,
-            },
-        })
+        Ok(self.accept(src, tag, false)?.0)
     }
 
     /// Blocking typed receive. Panics on a frame that holds no `T` (a type
@@ -535,8 +493,9 @@ impl Comm {
 
 #[cfg(test)]
 mod tests {
-    use super::transport::{BLOCKED_TIMER, DECODE_TIMER, ENCODE_TIMER, PARKED_TIMER};
+    use super::transport::{BLOCKED_TIMER, PARKED_TIMER};
     use super::*;
+    use crate::checkpoint::Snapshot;
 
     const SIZES: [usize; 5] = [1, 2, 3, 5, 8];
 
@@ -760,7 +719,7 @@ mod tests {
     #[test]
     fn solo_recv_reports_unsatisfiable_not_hung_up() {
         let mut c = Comm::solo(MachineModel::ideal());
-        let err = c.try_recv_bytes(0, 5).expect_err("nothing to receive");
+        let err = c.try_recv::<u32>(0, 5).expect_err("nothing to receive");
         match &err {
             CommError::Unsatisfiable {
                 rank: 0,
@@ -780,7 +739,7 @@ mod tests {
         c.send(0, 4, &77u32);
         assert_eq!(c.recv::<u32>(0, 4), 77);
         // A second receive finds the queue empty again.
-        assert!(c.try_recv_bytes(0, 4).is_err());
+        assert!(c.try_recv::<u32>(0, 4).is_err());
     }
 
     #[test]
@@ -789,7 +748,7 @@ mod tests {
             if c.rank() == 0 {
                 // Receive from *self* with nothing buffered: flagged
                 // immediately, not after peers exit.
-                c.try_recv_bytes(0, 1).err().map(|e| e.to_string())
+                c.try_recv::<u32>(0, 1).err().map(|e| e.to_string())
             } else {
                 None
             }
@@ -941,20 +900,17 @@ mod tests {
             measured[0].as_ref().expect("rank 0 measured"),
             measured[1].as_ref().expect("rank 1 measured"),
         );
-        // Each frame is timed once where it is built and once where it is
-        // read, in the phase it travels in: rank 0's vector in Coarse, then the
-        // allreduce (rank 1's value up, the sum down) in Connect.
-        for (timers, phase, name) in [
-            (sender, "coarse", ENCODE_TIMER),
-            (receiver, "coarse", DECODE_TIMER),
-            (sender, "connect", ENCODE_TIMER),
-            (sender, "connect", DECODE_TIMER),
-            (receiver, "connect", ENCODE_TIMER),
-            (receiver, "connect", DECODE_TIMER),
-        ] {
-            assert_eq!(calls(timers, phase, name), 1, "{phase} {name}: {timers:?}");
+        // Nothing encodes or checksums a frame, so nothing times it: the
+        // receives' waits are the only transport timers.
+        for timers in [sender, receiver] {
+            assert!(timers
+                .iter()
+                .all(|t| [BLOCKED_TIMER, PARKED_TIMER].contains(&t.1)));
         }
-        assert_eq!(calls(receiver, "coarse", ENCODE_TIMER), 0);
+        assert!(
+            calls(receiver, "coarse", BLOCKED_TIMER) >= 1,
+            "{receiver:?}"
+        );
         // A park is a part of a blocked receive: never more of them, in
         // any phase, on either rank.
         for timers in [sender, receiver] {
@@ -1027,14 +983,15 @@ mod tests {
             let first = c.boundary(Phase::Setup, || panic!("boundary 0 never snapshots"));
             assert_eq!(first, PhaseControl::Continue);
             assert_eq!(store.held(), 0);
-            let died = c.boundary(Phase::Steiner, || Some(vec![7, 7, 7]));
+            let died = c.boundary(Phase::Steiner, || Some(Snapshot::new(vec![7, 7, 7])));
             // Whatever the victim would do next, its deposit is already
             // in the store — by the time the caller can see SelfKilled.
-            (died, store.fetch(0, Phase::Steiner.index()))
+            let deposited = store.fetch(0, Phase::Steiner.index());
+            (died, deposited.map(|d| d[0].get::<Vec<i32>>().cloned()))
         });
         let (died, deposited) = report.0.results.into_iter().next().expect("one rank");
         assert_eq!(died, PhaseControl::SelfKilled);
-        assert_eq!(deposited, Some(vec![vec![7, 7, 7]]));
+        assert_eq!(deposited, Some(Some(vec![7, 7, 7])));
     }
 
     #[test]
@@ -1056,7 +1013,7 @@ mod tests {
             let me = c.rank() as u8;
             assert_eq!(c.boundary(Phase::Setup, || None), PhaseControl::Continue);
             assert_eq!(
-                c.boundary(Phase::Steiner, || Some(vec![me])),
+                c.boundary(Phase::Steiner, || Some(Snapshot::new(vec![me]))),
                 PhaseControl::Continue
             );
             match c.boundary(Phase::Coarse, || None) {
@@ -1065,12 +1022,18 @@ mod tests {
                     assert_eq!(dead, vec![2]);
                     let resume = c.shrink_world(&dead, Phase::Coarse);
                     assert_eq!(c.size(), 2);
-                    resume
+                    resume.map(|(from, snapshots)| {
+                        let values = snapshots.iter().map(|s| s.get::<Vec<u8>>().cloned());
+                        (from, values.collect::<Option<Vec<_>>>())
+                    })
                 }
                 other => panic!("rank 2 dies here, got {other:?}"),
             }
         });
-        let expect = Some((Phase::Steiner.index(), vec![vec![0], vec![1], vec![2]]));
+        let expect = Some((
+            Phase::Steiner.index(),
+            Some(vec![vec![0], vec![1], vec![2]]),
+        ));
         assert_eq!(report.0.results, vec![expect.clone(), expect, None]);
     }
 }

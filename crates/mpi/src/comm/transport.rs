@@ -7,21 +7,20 @@
 //! goes into the metrics shard the caller passes; what a frame *costs*
 //! is the facade's business (`Comm::post` / `Comm::accept`).
 //!
-//! The ranks are threads of one process, so a typed frame carries the
-//! sender's value itself ([`Body::Typed`]): nothing is encoded, copied
-//! into bytes or decoded, and every account bills the frame at the size
-//! its encoding would have. Only raw byte frames and the length header
-//! of a modeled transfer travel as bytes under a CRC-32.
+//! The ranks are threads of one process, so every frame carries the
+//! sender's value itself ([`Value`]): nothing is encoded, copied into
+//! bytes, checksummed or decoded, and every account bills the frame at
+//! the size the value states. A frame the fault layer corrupts is
+//! marked, and the receiver refuses it.
 
 use crate::error::{CommError, PendingMsg};
 use crate::fault::{
-    splitmix64, FaultAction, FaultLayer, MsgCtx, FAULTS_CORRUPTED, FAULTS_DELAYED, FAULTS_DROPPED,
+    FaultAction, FaultLayer, MsgCtx, FAULTS_CORRUPTED, FAULTS_DELAYED, FAULTS_DROPPED,
     FAULTS_DUPLICATED, FAULTS_REORDERED, SENDS_TO_EXITED,
 };
 use crate::reliable::{
     self, backoff_delay, Ingest, ReliabilityConfig, ReorderBuffer, MAX_ATTEMPTS,
 };
-use crate::wire::crc32;
 use pgr_obs::{MetricsShard, Phase};
 use std::any::Any;
 use std::collections::VecDeque;
@@ -48,14 +47,8 @@ pub(super) fn polls(size: usize) -> bool {
 }
 
 /// Sub-phase timer ([`MetricsShard::start_timer`]) of the host time a
-/// send spends building its frame's wire bytes and their checksum.
-pub(super) const ENCODE_TIMER: &str = "mpi.encode";
-/// Sub-phase timer of the host time a receive spends checking a frame's
-/// wire bytes against their checksum.
-pub(super) const DECODE_TIMER: &str = "mpi.decode";
-/// Sub-phase timer of the host time a receive, or a wait for a peer's
-/// exit notice, spends polling or parked, waiting for the next frame off
-/// its channel.
+/// receive, or a wait for a peer's exit notice, spends polling or
+/// parked, waiting for the next frame off its channel.
 pub(super) const BLOCKED_TIMER: &str = "mpi.blocked";
 /// Sub-phase timer of the part of [`BLOCKED_TIMER`] a receive spends
 /// parked, once its poll window ran out (at once where the world does
@@ -87,35 +80,17 @@ pub(super) struct Death {
 }
 
 impl Exit {
-    /// `src`'s notice: the kind is the one payload byte, and a death
-    /// record rides in the stamp, sequence and phase fields.
+    /// `src`'s notice: the exit itself is the frame's value.
     fn notice(self, src: usize) -> Envelope {
-        let kind = match self {
-            Exit::Returned => 0,
-            Exit::Panicked => 1,
-            Exit::Killed(_) => 2,
-        };
-        let mut env = Envelope {
+        Envelope {
             src: src as u32,
             tag: EXIT_TAG,
-            payload: vec![kind],
-            ..Envelope::default()
-        };
-        if let Exit::Killed(death) = self {
-            (env.stamp, env.phase, env.seq) = (death.clock, Some(death.phase), death.boundary);
-        }
-        env
-    }
-
-    fn of(notice: &Envelope) -> Exit {
-        match notice.payload[0] {
-            0 => Exit::Returned,
-            1 => Exit::Panicked,
-            _ => Exit::Killed(Death {
-                clock: notice.stamp,
-                phase: notice.phase.expect("a death record names its phase"),
-                boundary: notice.seq,
-            }),
+            seq: 0,
+            stamp: 0.0,
+            phase: None,
+            duplicated: false,
+            marked: false,
+            value: Value::new(self, 0, false),
         }
     }
 }
@@ -126,7 +101,7 @@ impl Exit {
 /// unmatchable.
 pub(super) const SEQ_NEVER_SENT: u64 = u64::MAX;
 
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub(super) struct Envelope {
     pub(super) src: u32,
     pub(super) tag: u32,
@@ -146,67 +121,32 @@ pub(super) struct Envelope {
     /// duplicate gets suppressed (and counted) must not depend on what
     /// the receiver happens to pull before it exits.
     duplicated: bool,
-    /// CRC-32 the sender computed over the wire bytes; delivery verifies
-    /// it, so in-transit corruption is detected instead of handed to the
-    /// algorithm as valid data. A typed frame has no wire bytes: its
-    /// checksum is that of nothing, and a corruption marks the frame by
-    /// flipping it.
-    crc: u32,
-    /// `Some(n)`: the frame is billed at `n` bytes (a modeled transfer or
-    /// a typed frame); `None`: at its wire bytes.
-    pub(super) billed: Option<usize>,
-    /// The sender's value, on a typed frame.
-    pub(super) value: Option<Value>,
-    /// What travels as bytes: a raw frame's payload, a modeled transfer's
-    /// length header, nothing for a typed frame.
-    pub(super) payload: Vec<u8>,
+    /// The fault layer corrupted this frame in transit: the receiver
+    /// refuses it, and its value is never delivered.
+    marked: bool,
+    /// The sender's value, billed at its `bytes`.
+    pub(super) value: Value,
 }
 
-impl Envelope {
-    /// The size every account sees: the billed one, or the payload's.
-    pub(super) fn bytes(&self) -> usize {
-        self.billed.unwrap_or(self.payload.len())
-    }
-
-    pub(super) fn kind(&self) -> Kind {
-        match (&self.value, self.billed) {
-            (Some(value), _) if value.charged => Kind::Charged,
-            (Some(_), _) => Kind::Typed,
-            (None, Some(_)) => Kind::Modeled,
-            (None, None) => Kind::Bytes,
-        }
-    }
-}
-
-/// The four kinds of frame: what a receive asks for, and what it must
-/// match.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) enum Kind {
-    /// Raw bytes ([`Body::Bytes`]).
-    Bytes,
-    /// A modeled transfer ([`Body::Modeled`]).
-    Modeled,
-    /// A value billed at its encoded length.
-    Typed,
-    /// A value billed at what the sender says it stands for.
-    Charged,
-}
-
-/// A sender's value in a typed frame: shared, so a duplicated or held
-/// frame is the same value again, and handed to the receiver as is.
+/// What a frame carries: the sender's value, shared, so a duplicated or
+/// held frame is the same value again, and handed to the receiver as is.
 #[derive(Clone)]
 pub(super) struct Value {
     any: Arc<dyn Any + Send + Sync>,
     type_name: &'static str,
-    /// Billed by the sender's closure, not at its own encoded length.
-    charged: bool,
+    /// The size every account sees.
+    pub(super) bytes: usize,
+    /// Billed at what the sender says it stands for, not at its own
+    /// encoded length: part of what a receive matches.
+    pub(super) charged: bool,
 }
 
 impl Value {
-    pub(super) fn new<T: Any + Send + Sync>(value: T, charged: bool) -> Self {
+    pub(super) fn new<T: Any + Send + Sync>(value: T, bytes: usize, charged: bool) -> Self {
         Value {
             any: Arc::new(value),
             type_name: std::any::type_name::<T>(),
+            bytes,
             charged,
         }
     }
@@ -218,29 +158,6 @@ impl Value {
         let type_name = self.type_name;
         let value = self.any.downcast::<T>().map_err(|_| type_name)?;
         Ok(Arc::try_unwrap(value).unwrap_or_else(|shared| T::clone(&shared)))
-    }
-}
-
-/// What a frame carries, as handed to [`Transport::send`].
-pub(super) enum Body {
-    /// A raw frame: these bytes travel, under a CRC-32, and reach the
-    /// receiver.
-    Bytes(Vec<u8>),
-    /// A modeled transfer of `bytes` bytes that moves only an 8-byte
-    /// length header. The fault hook, the sequence numbers, the receive
-    /// windows and every account treat it as a frame of `bytes`.
-    Modeled { bytes: usize },
-    /// A frame billed at `bytes` that hands `value` over: the receiver
-    /// gets the sender's value, nothing is encoded or checksummed.
-    Typed { bytes: usize, value: Value },
-}
-
-impl Body {
-    pub(super) fn bytes(&self) -> usize {
-        match self {
-            Body::Bytes(payload) => payload.len(),
-            Body::Modeled { bytes } | Body::Typed { bytes, .. } => *bytes,
-        }
     }
 }
 
@@ -269,10 +186,10 @@ pub(super) struct Transport {
     /// Per-source receive windows (reliable transport; none while it is
     /// off).
     windows: Vec<ReorderBuffer<Envelope>>,
-    /// A CRC failure detected while ingesting a frame (reliability
-    /// off). Held until the next receive call can surface it — frames
-    /// arrive outside any receive (drains, self-delivery), where there
-    /// is no caller to hand the error to.
+    /// A marked frame refused while ingesting it (reliability off). Held
+    /// until the next receive call can surface it — frames arrive
+    /// outside any receive (drains, self-delivery), where there is no
+    /// caller to hand the error to.
     corrupt_stash: Option<CommError>,
     /// Each peer's exit notice, once it has arrived. Channels are FIFO
     /// per sender, so every frame a peer ever sent arrived before it.
@@ -357,7 +274,7 @@ impl Transport {
         dst: usize,
         tag: u32,
         mut stamp: f64,
-        body: Body,
+        value: Value,
         m: &mut MetricsShard,
     ) -> u64 {
         // What the network ends up doing with the frame: the hook's
@@ -370,7 +287,7 @@ impl Transport {
                 src: self.rank,
                 dst,
                 tag,
-                bytes: body.bytes(),
+                bytes: value.bytes,
                 seq: self.send_seq,
                 attempt: 0,
             };
@@ -408,20 +325,20 @@ impl Transport {
                     FaultAction::Corrupt => {
                         m.add(FAULTS_CORRUPTED, 1);
                         if !reliable_on {
-                            // The flipped frame goes on the wire; the
-                            // receiver's CRC check rejects it.
+                            // The marked frame goes on the wire; the
+                            // receiver refuses it.
                             break action;
                         }
-                        // The checksum mismatch is caught before the
-                        // frame leaves the NIC — handled exactly like a
-                        // drop, so a retransmit heals it and corruption
+                        // The corruption is caught before the frame
+                        // leaves the NIC — handled exactly like a drop,
+                        // so a retransmit heals it and corruption
                         // schedules stay byte-invisible.
                         m.add(reliable::CORRUPT_DROPPED, 1);
                     }
                 }
                 // One lost transmission attempt under the reliable
-                // transport — dropped, or flipped and caught by the
-                // sender's own checksum.
+                // transport — dropped, or corrupted and caught at the
+                // sender.
                 ctx.attempt += 1;
                 if ctx.attempt >= MAX_ATTEMPTS {
                     // The layer is adversarial (loses every attempt);
@@ -443,31 +360,6 @@ impl Transport {
         }
         let seq = self.next_seq[dst];
         self.next_seq[dst] += 1;
-        let timer = m.start_timer();
-        let (billed, value, mut payload) = match body {
-            Body::Bytes(payload) => (None, None, payload),
-            Body::Modeled { bytes } => (Some(bytes), None, (bytes as u64).to_le_bytes().to_vec()),
-            Body::Typed { bytes, value } => (Some(bytes), Some(value), Vec::new()),
-        };
-        // The checksum is always over the *original* payload: a wire
-        // flip after it (below) is exactly what delivery detects.
-        let mut crc = crc32(&payload);
-        if fate == FaultAction::Corrupt {
-            if payload.is_empty() {
-                // Nothing to flip in an empty payload (a typed frame's
-                // included); corrupt the checksum field itself instead.
-                crc ^= 1;
-            } else {
-                // Deterministic bit choice: a pure function of the
-                // frame's identity, so corruption schedules reproduce.
-                let bit = splitmix64(
-                    (self.rank as u64) << 48 ^ (dst as u64) << 32 ^ (tag as u64) << 16 ^ seq,
-                ) as usize
-                    % (payload.len() * 8);
-                payload[bit / 8] ^= 1 << (bit % 8);
-            }
-        }
-        m.stop_timer(ENCODE_TIMER, timer);
         let env = Envelope {
             src: self.rank as u32,
             tag,
@@ -475,10 +367,8 @@ impl Transport {
             stamp,
             phase: m.open_phase(),
             duplicated: fate == FaultAction::Duplicate,
-            crc,
-            billed,
+            marked: fate == FaultAction::Corrupt,
             value,
-            payload,
         };
         // At most one frame is ever held per destination: whatever was
         // held before goes out right behind this send, so the frame
@@ -501,7 +391,7 @@ impl Transport {
             self.ingest(env, m);
             return;
         }
-        let (tag, bytes) = (env.tag, env.bytes());
+        let (tag, bytes) = (env.tag, env.value.bytes);
         let tx = self.txs[dst].as_ref().expect("peer sender");
         if tx.send(env).is_err() {
             // Without faults this is always a mismatched pattern — the
@@ -525,24 +415,21 @@ impl Transport {
         }
     }
 
-    /// Run one arriving frame through the CRC integrity check and the
+    /// Run one arriving frame through the corruption mark and the
     /// reliable receive window (when enabled) into the pending queues.
-    /// A frame failing its checksum is discarded — the wrong payload, or
-    /// the marked value, is never delivered — and the failure is stashed
-    /// for the next receive call to surface as [`CommError::Corrupt`].
+    /// A marked frame is discarded — its value is never delivered — and
+    /// the failure is stashed for the next receive call to surface as
+    /// [`CommError::Corrupt`].
     fn ingest(&mut self, mut env: Envelope, m: &mut MetricsShard) {
         if env.tag == EXIT_TAG {
-            self.exits[env.src as usize] = Some(Exit::of(&env));
+            self.exits[env.src as usize] = env.value.take().ok();
             return;
         }
         if std::mem::take(&mut env.duplicated) {
             self.ingest(env.clone(), m);
         }
         let src = env.src as usize;
-        let timer = m.start_timer();
-        let got = crc32(&env.payload);
-        m.stop_timer(DECODE_TIMER, timer);
-        if got != env.crc {
+        if env.marked {
             // Only reachable with reliability off: the reliable sender
             // intercepts corruption before transmitting. Keep the first
             // failure if several frames arrive corrupt.
@@ -551,8 +438,6 @@ impl Transport {
                     src,
                     dst: self.rank,
                     tag: env.tag,
-                    expected: env.crc,
-                    got,
                 });
             }
             return;
@@ -720,7 +605,7 @@ impl Transport {
             .map(|e| PendingMsg {
                 src: e.src as usize,
                 tag: e.tag,
-                bytes: e.bytes(),
+                bytes: e.value.bytes,
             })
             .collect()
     }
@@ -773,8 +658,16 @@ mod tests {
         boundary: 3,
     };
 
+    /// What [`Comm::send_bytes`](super::Comm::send_bytes) hands the
+    /// transport: the bytes, charged at their length.
+    fn raw(payload: Vec<u8>) -> Value {
+        let bytes = payload.len();
+        Value::new(payload, bytes, true)
+    }
+
     fn payload_of(r: Result<Envelope, CommError>) -> Vec<u8> {
-        r.expect("frame delivered").payload
+        let value = r.expect("frame delivered").value;
+        value.take().expect("raw bytes")
     }
 
     #[test]
@@ -785,8 +678,8 @@ mod tests {
         };
         let [(mut a, mut ma), (mut b, mut mb)] = world(dup_first, ReliabilityConfig::on());
         ma.open_window(Phase::Coarse);
-        assert_eq!(a.send(1, TAG, 0.0, Body::Bytes(vec![1]), &mut ma), 0);
-        assert_eq!(a.send(1, TAG, 0.0, Body::Bytes(vec![2]), &mut ma), 1);
+        assert_eq!(a.send(1, TAG, 0.0, raw(vec![1]), &mut ma), 0);
+        assert_eq!(a.send(1, TAG, 0.0, raw(vec![2]), &mut ma), 1);
         // Three frames arrive (seq 0 twice, then seq 1); the receiver
         // hands out two.
         mb.open_window(Phase::Connect);
@@ -822,8 +715,8 @@ mod tests {
         };
         // Raw: the second frame overtakes the held first one, visibly.
         let [(mut a, mut ma), (mut b, mut mb)] = world(hold_first, ReliabilityConfig::off());
-        a.send(1, TAG, 0.0, Body::Bytes(vec![1]), &mut ma);
-        a.send(1, TAG, 0.0, Body::Bytes(vec![2]), &mut ma);
+        a.send(1, TAG, 0.0, raw(vec![1]), &mut ma);
+        a.send(1, TAG, 0.0, raw(vec![2]), &mut ma);
         assert_eq!(payload_of(b.recv(0, TAG, &mut mb)), vec![2]);
         assert_eq!(payload_of(b.recv(0, TAG, &mut mb)), vec![1]);
 
@@ -831,9 +724,9 @@ mod tests {
         // frame and releases both in sequence.
         let [(mut a, mut ma), (mut b, mut mb)] = world(hold_first, ReliabilityConfig::on());
         ma.open_window(Phase::Steiner);
-        a.send(1, TAG, 0.0, Body::Bytes(vec![1]), &mut ma);
+        a.send(1, TAG, 0.0, raw(vec![1]), &mut ma);
         ma.open_window(Phase::Coarse);
-        a.send(1, TAG, 0.0, Body::Bytes(vec![2]), &mut ma);
+        a.send(1, TAG, 0.0, raw(vec![2]), &mut ma);
         assert_eq!(payload_of(b.recv(0, TAG, &mut mb)), vec![1]);
         assert_eq!(payload_of(b.recv(0, TAG, &mut mb)), vec![2]);
         let seen = mb.snapshot(1);
@@ -855,7 +748,7 @@ mod tests {
     fn panic_notice_ends_a_blocked_receive_on_a_live_source() {
         let [(mut a, mut ma), (mut b, mut mb), (mut c, mut mc)] =
             world(|_| FaultAction::Deliver, ReliabilityConfig::on());
-        a.send(1, TAG, 0.0, Body::Bytes(vec![1]), &mut ma);
+        a.send(1, TAG, 0.0, raw(vec![1]), &mut ma);
         c.close(Exit::Panicked, &mut mc);
         // What arrived before the notice is still delivered.
         assert_eq!(payload_of(b.recv(0, TAG, &mut mb)), vec![1]);
@@ -885,35 +778,9 @@ mod tests {
     fn held_frame_goes_out_at_close_even_with_nothing_to_overtake_it() {
         let [(mut a, mut ma), (mut b, mut mb)] =
             world(|_| FaultAction::Reorder, ReliabilityConfig::off());
-        a.send(1, TAG, 0.0, Body::Bytes(vec![7]), &mut ma);
+        a.send(1, TAG, 0.0, raw(vec![7]), &mut ma);
         a.close(Exit::Returned, &mut ma);
         assert_eq!(payload_of(b.recv(0, TAG, &mut mb)), vec![7]);
-    }
-
-    #[test]
-    fn flipped_frame_is_rejected_by_crc_never_delivered() {
-        let [(mut a, mut ma), (mut b, mut mb)] =
-            world(|_| FaultAction::Corrupt, ReliabilityConfig::off());
-        a.send(1, TAG, 0.0, Body::Bytes(vec![0xAB; 16]), &mut ma);
-        match b.recv(0, TAG, &mut mb) {
-            Err(CommError::Corrupt {
-                src: 0,
-                dst: 1,
-                tag: TAG,
-                expected,
-                got,
-            }) => assert_ne!(expected, got),
-            Err(e) => panic!("expected Corrupt, got {e}"),
-            Ok(_) => panic!("expected Corrupt, got a payload"),
-        }
-        assert_eq!(ma.snapshot(0).counter(FAULTS_CORRUPTED), Some(1));
-        // An empty payload has no bit to flip: the checksum field is
-        // corrupted instead, and still rejected.
-        a.send(1, TAG, 0.0, Body::Bytes(Vec::new()), &mut ma);
-        assert!(matches!(
-            b.recv(0, TAG, &mut mb),
-            Err(CommError::Corrupt { .. })
-        ));
     }
 
     /// Each receive-ending case met by a receive that parks at once and
@@ -938,7 +805,7 @@ mod tests {
             b.polls = polling;
             let sender = std::thread::spawn(move || {
                 std::thread::sleep(POLL_WINDOW * 40);
-                a.send(1, TAG, 0.0, Body::Bytes(vec![9]), &mut ma);
+                a.send(1, TAG, 0.0, raw(vec![9]), &mut ma);
                 a // the channel stays open until the receive is done
             });
             let mut mb = mb.timed(true);
@@ -983,7 +850,7 @@ mod tests {
             let [(mut a, mut ma), (mut b, mut mb)] =
                 world(|_| FaultAction::Corrupt, ReliabilityConfig::off());
             b.polls = polling;
-            a.send(1, TAG, 0.0, Body::Bytes(vec![0xAB; 16]), &mut ma);
+            a.send(1, TAG, 0.0, raw(vec![0xAB; 16]), &mut ma);
             let err = b.recv(0, TAG, &mut mb).err().expect("never delivered");
             assert!(
                 matches!(
@@ -1035,8 +902,8 @@ mod tests {
         };
         for reliability in [ReliabilityConfig::off(), ReliabilityConfig::on()] {
             let [(mut a, mut ma), (mut b, mut mb)] = world(hold_second, reliability);
-            a.send(1, TAG, 0.0, Body::Bytes(vec![1]), &mut ma);
-            a.send(1, TAG, 0.0, Body::Bytes(vec![2]), &mut ma);
+            a.send(1, TAG, 0.0, raw(vec![1]), &mut ma);
+            a.send(1, TAG, 0.0, raw(vec![2]), &mut ma);
             a.close(Exit::Killed(DEATH), &mut ma);
             assert_eq!(payload_of(b.recv(0, TAG, &mut mb)), vec![1]);
             assert_eq!(payload_of(b.recv(0, TAG, &mut mb)), vec![2]);
@@ -1052,7 +919,7 @@ mod tests {
     fn awaiting_an_exit_buffers_what_came_before_it() {
         let [(mut a, mut ma), (mut b, mut mb)] =
             world(|_| FaultAction::Deliver, ReliabilityConfig::on());
-        a.send(1, TAG, 0.0, Body::Bytes(vec![4]), &mut ma);
+        a.send(1, TAG, 0.0, raw(vec![4]), &mut ma);
         a.close(Exit::Killed(DEATH), &mut ma);
         b.await_exit(0, &mut mb);
         assert_eq!(b.exits[0], Some(Exit::Killed(DEATH)));
@@ -1084,12 +951,14 @@ mod tests {
         }
     }
 
-    /// What the modeled-transfer tests ship: far more than the header
+    /// What the modeled-transfer tests ship: far more than the value
     /// that actually travels.
     const MODELED: usize = 1 << 20;
 
-    fn modeled(bytes: usize) -> Body {
-        Body::Modeled { bytes }
+    /// What [`Comm::send_modeled`](super::Comm::send_modeled) hands the
+    /// transport: nothing, charged at `bytes`.
+    fn modeled(bytes: usize) -> Value {
+        Value::new((), bytes, true)
     }
 
     #[test]
@@ -1108,14 +977,13 @@ mod tests {
         b.ingest(env, &mut mb);
         let pending = b.pending_snapshot();
         assert_eq!((pending.len(), pending[0].bytes), (1, MODELED));
-        let env = b.recv(0, TAG, &mut mb).expect("frame delivered");
-        assert_eq!((env.bytes(), env.kind()), (MODELED, Kind::Modeled));
-        assert_eq!(*env.payload, (MODELED as u64).to_le_bytes());
+        let value = b.recv(0, TAG, &mut mb).expect("frame delivered").value;
+        assert_eq!((value.bytes, value.charged), (MODELED, true));
+        assert_eq!(value.take::<()>(), Ok(()), "nothing but the size travels");
     }
 
-    fn typed(bytes: usize, value: Vec<u32>, charged: bool) -> Body {
-        let value = Value::new(value, charged);
-        Body::Typed { bytes, value }
+    fn typed(bytes: usize, value: Vec<u32>, charged: bool) -> Value {
+        Value::new(value, bytes, charged)
     }
 
     #[test]
@@ -1127,39 +995,77 @@ mod tests {
             FaultAction::Deliver
         };
         let [(mut a, mut ma), (mut b, mut mb)] = world(hook, ReliabilityConfig::off());
-        for (bytes, charged, kind) in [(16, false, Kind::Typed), (MODELED, true, Kind::Charged)] {
+        for (bytes, charged) in [(16, false), (MODELED, true)] {
             a.send(1, TAG, 0.0, typed(bytes, vec![1, 2, 3], charged), &mut ma);
-            let env = b.recv(0, TAG, &mut mb).expect("frame delivered");
-            assert_eq!((env.bytes(), env.kind()), (bytes, kind));
-            assert!(env.payload.is_empty(), "nothing travels as bytes");
-            let value = env.value.expect("a typed frame").take::<Vec<u32>>();
-            assert_eq!(value, Ok(vec![1, 2, 3]));
+            let value = b.recv(0, TAG, &mut mb).expect("frame delivered").value;
+            assert_eq!((value.bytes, value.charged), (bytes, charged));
+            assert_eq!(value.take::<Vec<u32>>(), Ok(vec![1, 2, 3]));
         }
         assert_eq!(*seen.lock().expect("hook log"), vec![16, MODELED]);
         // The receiver names the type it found when it asked for another.
         a.send(1, TAG, 0.0, typed(16, vec![4], false), &mut ma);
         let env = b.recv(0, TAG, &mut mb).expect("frame delivered");
-        let found = env.value.expect("a typed frame").take::<Vec<u64>>();
+        let found = env.value.take::<Vec<u64>>();
         assert_eq!(found, Err(std::any::type_name::<Vec<u32>>()));
     }
 
+    /// Every send entry of `Comm` corrupted on its first attempt: with
+    /// reliability off the marked frame alone is refused and the next one
+    /// is delivered; with it on the sender drops the corrupted attempt
+    /// and the value arrives once.
     #[test]
-    fn marked_typed_frame_is_rejected_by_its_checksum_never_delivered() {
-        let [(mut a, mut ma), (mut b, mut mb)] =
-            world(|_| FaultAction::Corrupt, ReliabilityConfig::off());
-        a.send(1, TAG, 0.0, typed(MODELED, vec![7], true), &mut ma);
-        match b.recv(0, TAG, &mut mb) {
-            Err(CommError::Corrupt {
-                src: 0,
-                dst: 1,
-                tag: TAG,
-                expected,
-                got,
-            }) => assert_ne!(expected, got),
-            Err(e) => panic!("expected Corrupt, got {e}"),
-            Ok(_) => panic!("expected Corrupt, got the value"),
+    fn a_corrupted_frame_is_refused_or_resent_whatever_it_carries() {
+        let value = |entry| match entry {
+            "send" => typed(16, vec![1, 2, 3], false),
+            "send_bytes" => raw(vec![0xAB; 16]),
+            "send_modeled" => modeled(MODELED),
+            _ => typed(MODELED, vec![7], true),
+        };
+        let first_attempt = |c: &MsgCtx| match (c.seq, c.attempt) {
+            (0, 0) => FaultAction::Corrupt,
+            _ => FaultAction::Deliver,
+        };
+        let arrived = |entry: &str, got: Value, sent: Value| {
+            let (got, sent) = (
+                (got.bytes, got.charged, got.type_name),
+                (sent.bytes, sent.charged, sent.type_name),
+            );
+            assert_eq!(got, sent, "{entry}");
+        };
+        for entry in ["send", "send_bytes", "send_modeled", "charged"] {
+            let [(mut a, mut ma), (mut b, mut mb)] = world(first_attempt, ReliabilityConfig::off());
+            a.send(1, TAG, 0.0, value(entry), &mut ma);
+            a.send(1, TAG, 0.0, value(entry), &mut ma);
+            match b.recv(0, TAG, &mut mb) {
+                Err(CommError::Corrupt {
+                    src: 0,
+                    dst: 1,
+                    tag: TAG,
+                }) => {}
+                Err(e) => panic!("{entry}: expected Corrupt, got {e}"),
+                Ok(_) => panic!("{entry}: expected Corrupt, got the value"),
+            }
+            let next = b
+                .recv(0, TAG, &mut mb)
+                .expect("the next frame is delivered");
+            arrived(entry, next.value, value(entry));
+            assert_eq!(ma.snapshot(0).counter(FAULTS_CORRUPTED), Some(1), "{entry}");
+
+            let [(mut a, mut ma), (mut b, mut mb)] = world(first_attempt, ReliabilityConfig::on());
+            a.send(1, TAG, 0.0, value(entry), &mut ma);
+            a.close(Exit::Returned, &mut ma);
+            let resent = b
+                .recv(0, TAG, &mut mb)
+                .expect("the retransmit is delivered");
+            arrived(entry, resent.value, value(entry));
+            let err = b.recv(0, TAG, &mut mb).err().expect("it arrives once");
+            assert!(
+                matches!(err, CommError::PeersDisconnected { .. }),
+                "{entry}: {err}"
+            );
+            let sent = ma.snapshot(0);
+            assert_eq!(sent.counter(reliable::CORRUPT_DROPPED), Some(1), "{entry}");
         }
-        assert_eq!(ma.snapshot(0).counter(FAULTS_CORRUPTED), Some(1));
     }
 
     #[test]
@@ -1169,7 +1075,7 @@ mod tests {
         a.send(1, TAG, 0.0, typed(16, vec![5, 6], false), &mut ma);
         for _ in 0..2 {
             let env = b.recv(0, TAG, &mut mb).expect("both copies arrive");
-            assert_eq!(env.value.expect("typed").take::<Vec<u32>>(), Ok(vec![5, 6]));
+            assert_eq!(env.value.take::<Vec<u32>>(), Ok(vec![5, 6]));
         }
     }
 
@@ -1183,7 +1089,7 @@ mod tests {
         a.send(1, TAG, 0.0, modeled(MODELED), &mut ma);
         a.send(1, TAG, 0.0, modeled(7), &mut ma);
         let sizes: Vec<usize> = (0..2)
-            .map(|_| b.recv(0, TAG, &mut mb).expect("delivered").bytes())
+            .map(|_| b.recv(0, TAG, &mut mb).expect("delivered").value.bytes)
             .collect();
         assert_eq!(sizes, vec![MODELED, 7]);
         assert_eq!(
@@ -1199,29 +1105,6 @@ mod tests {
         a.send(1, TAG, 0.0, modeled(MODELED), &mut ma);
         a.close(Exit::Returned, &mut ma);
         let env = b.recv(0, TAG, &mut mb).expect("released at close");
-        assert_eq!(env.bytes(), MODELED);
-    }
-
-    #[test]
-    fn flipped_modeled_frame_is_rejected_by_its_header_crc() {
-        let [(mut a, mut ma), (mut b, mut mb)] =
-            world(|_| FaultAction::Corrupt, ReliabilityConfig::off());
-        // Whatever the modeled size — zero included — the header has
-        // bits to flip and the checksum covers them.
-        for bytes in [MODELED, 0] {
-            a.send(1, TAG, 0.0, modeled(bytes), &mut ma);
-            match b.recv(0, TAG, &mut mb) {
-                Err(CommError::Corrupt {
-                    src: 0,
-                    dst: 1,
-                    tag: TAG,
-                    expected,
-                    got,
-                }) => assert_ne!(expected, got),
-                Err(e) => panic!("expected Corrupt, got {e}"),
-                Ok(env) => panic!("expected Corrupt, got {} B delivered", env.bytes()),
-            }
-        }
-        assert_eq!(ma.snapshot(0).counter(FAULTS_CORRUPTED), Some(2));
+        assert_eq!(env.value.bytes, MODELED);
     }
 }

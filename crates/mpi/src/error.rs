@@ -67,48 +67,25 @@ pub enum CommError {
         /// Phase-boundary count the victim died at.
         boundary: u64,
     },
-    /// A received frame failed its CRC-32 integrity check — the payload
-    /// was corrupted in transit. Only reachable with the reliable
-    /// transport off (with it on, corruption is intercepted at the
-    /// sender and healed by retransmission); the wrong payload is never
-    /// delivered either way.
+    /// A received frame was corrupted in transit: the fault layer marked
+    /// it, and its value was discarded, never delivered. Only reachable
+    /// with the reliable transport off (with it on, corruption is
+    /// intercepted at the sender and healed by retransmission).
     Corrupt {
         /// Sending rank (physical id, as stamped in the frame).
         src: usize,
         /// Receiving (detecting) rank.
         dst: usize,
         tag: u32,
-        /// CRC-32 the sender computed over the original payload (for a
-        /// typed frame, which has none, the checksum of nothing with the
-        /// corruption's flip).
-        expected: u32,
-        /// CRC-32 of the bytes that actually arrived.
-        got: u32,
     },
-    /// A received payload did not decode as the expected type, or a
-    /// frame held another kind of content ([`WireError::WrongType`]).
+    /// A received value was not the type the receive asked for, or a
+    /// charged frame met a receive of one billed at its encoding (or the
+    /// reverse) ([`WireError::WrongType`]).
     Decode {
         rank: usize,
         src: usize,
         tag: u32,
         error: WireError,
-    },
-    /// A receive matched a frame of the other kind: `recv_bytes`/`recv`
-    /// found a modeled transfer or a charged frame (whose payload is not
-    /// the size it is billed at), or `recv_modeled` found a real frame.
-    /// Like [`CommError::Decode`], a sender/receiver mismatch — a
-    /// programming error with a diagnosis.
-    KindMismatch {
-        rank: usize,
-        src: usize,
-        tag: u32,
-        /// Whether the matched frame was a modeled transfer (the
-        /// receive asked for the opposite).
-        modeled: bool,
-        /// The size the frame is accounted at.
-        bytes: usize,
-        /// The bytes it actually carried.
-        wire_bytes: usize,
     },
     /// A send found the destination rank already exited.
     PeerGone {
@@ -209,18 +186,11 @@ impl fmt::Display for CommError {
                      \"{phase}\" at boundary {boundary})"
                 )
             }
-            CommError::Corrupt {
-                src,
-                dst,
-                tag,
-                expected,
-                got,
-            } => {
+            CommError::Corrupt { src, dst, tag } => {
                 write!(
                     f,
-                    "rank {dst}: frame from src={src} tag={tag} failed its CRC-32 integrity \
-                     check (expected {expected:#010x}, got {got:#010x}) — payload corrupted \
-                     in transit and discarded"
+                    "rank {dst}: frame from src={src} tag={tag} was corrupted in transit \
+                     and discarded"
                 )
             }
             CommError::Decode {
@@ -232,35 +202,6 @@ impl fmt::Display for CommError {
                 write!(
                     f,
                     "rank {rank}: payload from src={src} tag={tag} failed to decode: {error}"
-                )
-            }
-            CommError::KindMismatch {
-                rank,
-                src,
-                tag,
-                modeled,
-                bytes,
-                wire_bytes,
-            } => {
-                let (asked, found, sent, fix) = if *modeled {
-                    (
-                        "recv_bytes",
-                        "a modeled transfer",
-                        "send_modeled",
-                        "recv_modeled",
-                    )
-                } else {
-                    (
-                        "recv_modeled",
-                        "a real frame",
-                        "send/send_bytes",
-                        "recv/recv_bytes",
-                    )
-                };
-                write!(
-                    f,
-                    "rank {rank}: {asked}(src={src}, tag={tag}) matched {found} of {bytes} B \
-                     ({wire_bytes} B on the wire) — the sender used {sent}; receive it with {fix}"
                 )
             }
             CommError::PeerGone {
@@ -336,15 +277,12 @@ mod tests {
             src: 2,
             dst: 0,
             tag: 9,
-            expected: 0xCBF4_3926,
-            got: 0x0000_00FF,
         };
         let s = e.to_string();
         assert!(s.contains("rank 0"), "{s}");
         assert!(s.contains("src=2"), "{s}");
         assert!(s.contains("tag=9"), "{s}");
-        assert!(s.contains("0xcbf43926"), "{s}");
-        assert!(s.contains("0x000000ff"), "{s}");
+        assert!(s.contains("corrupted in transit"), "{s}");
         assert!(
             matches!(e, CommError::Corrupt { dst: 0, .. }),
             "the receiver detects the corruption"

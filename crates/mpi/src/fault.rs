@@ -45,11 +45,11 @@ pub const FAULTS_DELAYED: &str = "mpi.fault.delayed";
 pub const FAULTS_REORDERED: &str = "mpi.fault.reordered";
 /// Metric name: messages a fault layer duplicated on this rank.
 pub const FAULTS_DUPLICATED: &str = "mpi.fault.duplicated";
-/// Metric name: messages a fault layer corrupted (bit-flipped) on this
-/// rank. With reliability on the corrupt frame is never transmitted
-/// (the retransmit path resends it clean); with reliability off the
-/// flipped frame goes on the wire and the receiver's CRC check rejects
-/// it with [`CommError::Corrupt`](crate::error::CommError).
+/// Metric name: messages a fault layer corrupted on this rank. With
+/// reliability on the corrupt frame is never transmitted (the
+/// retransmit path resends it clean); with reliability off the marked
+/// frame goes on the wire and the receiver refuses it with
+/// [`CommError::Corrupt`](crate::error::CommError).
 pub const FAULTS_CORRUPTED: &str = "mpi.fault.corrupted";
 /// Metric name: frames abandoned because the destination had already
 /// exited. Only possible under chaos: a redundant copy (duplicate,
@@ -97,13 +97,13 @@ pub enum FaultAction {
     Reorder,
     /// Deliver two copies. The reliable transport suppresses the second.
     Duplicate,
-    /// Flip one payload bit in transit. With the reliable transport on,
-    /// the corruption is detected before the frame leaves the sender and
+    /// Corrupt the frame in transit. With the reliable transport on, the
+    /// corruption is detected before the frame leaves the sender and
     /// handled exactly like [`FaultAction::Drop`] (a counted retransmit
-    /// heals it); with reliability off the flipped frame is transmitted
-    /// and the receiver's CRC-32 check surfaces
+    /// heals it); with reliability off the frame is transmitted marked,
+    /// and the receiver surfaces
     /// [`CommError::Corrupt`](crate::error::CommError) instead of ever
-    /// delivering the wrong payload.
+    /// delivering its value.
     Corrupt,
 }
 
@@ -135,10 +135,10 @@ pub trait FaultLayer: Send + Sync {
         None
     }
 
-    /// Checkpoint-corruption schedule: `true` means the stored snapshot
-    /// payloads of `(attempt, phase_idx)` are to be corrupted before a
-    /// recovery round's CRC re-verification, forcing the checkpoint
-    /// resume to reject the boundary and fall back to a full restart.
+    /// Checkpoint-corruption schedule: `true` means the stored snapshots
+    /// of `(attempt, phase_idx)` are to be marked corrupt before a
+    /// recovery round fetches them, forcing the checkpoint resume to
+    /// reject the boundary and fall back to a full restart.
     /// The default layer corrupts nothing.
     fn corrupt_checkpoint(&self, _attempt: u32, _phase_idx: usize) -> bool {
         false
@@ -175,12 +175,12 @@ pub struct ChaosConfig {
     pub delay: f64,
     /// Virtual seconds of injected delay.
     pub delay_secs: f64,
-    /// Probability a message is corrupted (one payload bit flipped).
+    /// Probability a message is corrupted in transit.
     pub corrupt: f64,
     /// Rank-death schedule: `(rank, phase boundary index)`.
     pub kills: Vec<(usize, u64)>,
     /// Checkpoint-corruption schedule: `(attempt, phase index)` store
-    /// boundaries whose payloads rot before recovery re-verifies them
+    /// boundaries whose snapshots rot before recovery fetches them
     /// (consumed by [`FaultLayer::corrupt_checkpoint`]).
     pub ckpt_corrupt: Vec<(u32, usize)>,
 }
@@ -203,7 +203,7 @@ impl ChaosConfig {
         }
     }
 
-    /// [`ChaosConfig::messages_only`] plus seeded bit-flip corruption —
+    /// [`ChaosConfig::messages_only`] plus seeded corruption —
     /// all five message faults active, still no kills. With the
     /// reliable transport on this schedule is byte-invisible too.
     pub fn messages_with_corruption(seed: u64) -> Self {

@@ -49,7 +49,7 @@
 //! [`CommError::PeersDisconnected`] otherwise or once any peer panicked.
 //!
 //! Checkpointed recovery: when a kill is scheduled, every rank commits
-//! a CRC-32-stamped snapshot of its pipeline state into a shared
+//! a [`Snapshot`] of its pipeline state (a shared value) into a shared
 //! [`checkpoint::CheckpointStore`] at each phase boundary — inside
 //! [`Comm::boundary`], *before* the kill schedule is evaluated — so a
 //! recovery round can resume from the last globally committed boundary
@@ -75,7 +75,7 @@ pub mod trace;
 pub mod wire;
 
 pub use budget::{BudgetBreach, BudgetKind, ResourceBudget};
-pub use checkpoint::CheckpointStore;
+pub use checkpoint::{CheckpointStore, Snapshot};
 pub use comm::{
     run, run_instrumented, Comm, InstrumentConfig, Payload, PhaseControl, RankStats, RunReport,
     WallStats, COLLECTIVE_TAG_BASE, RECV_WAIT_MICROS,

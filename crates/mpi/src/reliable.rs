@@ -107,11 +107,22 @@ pub(crate) enum Ingest {
 
 /// Per-source receive window: releases frames strictly in sequence
 /// order, parks early arrivals, suppresses duplicates.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct ReorderBuffer<T> {
     /// The next sequence number this buffer will release.
     expected: u64,
     parked: std::collections::BTreeMap<u64, T>,
+}
+
+// Not derived: that would ask `T: Default` of the frames it parks.
+impl<T> Default for ReorderBuffer<T> {
+    fn default() -> Self {
+        let parked = std::collections::BTreeMap::new();
+        ReorderBuffer {
+            expected: 0,
+            parked,
+        }
+    }
 }
 
 impl<T> ReorderBuffer<T> {

@@ -651,9 +651,9 @@ mod tests {
                 phases: vec![0.001, 0.002],
                 timers: vec![
                     ("coarse", "mpi.blocked", Timer { ns: 7, calls: 1 }),
-                    ("coarse", "mpi.encode", Timer { ns: 30, calls: 3 }),
+                    ("coarse", "ft.attach", Timer { ns: 30, calls: 3 }),
                     ("coarse", "mpi.parked", Timer { ns: 4, calls: 1 }),
-                    ("connect", "mpi.decode", Timer { ns: 5, calls: 2 }),
+                    ("connect", "connect.kernel", Timer { ns: 5, calls: 2 }),
                 ],
             }),
         }];
@@ -680,11 +680,11 @@ mod tests {
             let t = timers.get(phase).and_then(|p| p.get(name));
             t.and_then(|t| t.get(field)).and_then(|v| v.as_u64())
         };
-        assert_eq!(timer("coarse", "mpi.encode", "ns"), Some(30));
-        assert_eq!(timer("coarse", "mpi.encode", "calls"), Some(3));
+        assert_eq!(timer("coarse", "ft.attach", "ns"), Some(30));
+        assert_eq!(timer("coarse", "ft.attach", "calls"), Some(3));
         assert_eq!(timer("coarse", "mpi.blocked", "calls"), Some(1));
         assert_eq!(timer("coarse", "mpi.parked", "ns"), Some(4));
         assert_eq!(timer("coarse", "mpi.parked", "calls"), Some(1));
-        assert_eq!(timer("connect", "mpi.decode", "ns"), Some(5));
+        assert_eq!(timer("connect", "connect.kernel", "ns"), Some(5));
     }
 }

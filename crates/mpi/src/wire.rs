@@ -2,13 +2,14 @@
 //!
 //! The simulator charges bandwidth for the bytes MPI would transfer: a
 //! message's encoded size in this format. The ranks are threads of one
-//! process, so a typed frame hands its value over and is billed at
-//! [`Wire::wire_len`] without being encoded; the bytes themselves are
-//! built only for raw frames and for checkpoints, which outlive the
-//! world that deposited them. The codec is a tiny hand-rolled
-//! little-endian format (no external serialization dependency):
-//! fixed-width primitives, length-prefixed strings and sequences, and
-//! derived impls for tuples and `Option`.
+//! process, so a frame hands its value over and is billed at
+//! [`Wire::wire_len`] without being encoded, and a checkpoint holds its
+//! snapshot as a value billed the same way: nothing between ranks is
+//! ever encoded, checksummed or decoded. The codec itself stays as the
+//! definition of those sizes (and for callers that do want the bytes):
+//! a tiny hand-rolled little-endian format (no external serialization
+//! dependency) of fixed-width primitives, length-prefixed strings and
+//! sequences, and derived impls for tuples and `Option`.
 //!
 //! Every router message type implements [`Wire`] by composing these.
 
@@ -28,8 +29,8 @@ pub enum WireError {
     /// An index names no entry of a table of `len` entries.
     OutOfRange { index: u64, len: u64 },
     /// A frame held another kind of content than the receive asked for:
-    /// a value of another type, or a value where raw bytes were expected
-    /// (and the reverse).
+    /// a value of another type, or a charged value where one billed at
+    /// its encoding was expected (and the reverse).
     WrongType {
         expected: &'static str,
         found: &'static str,
@@ -61,77 +62,6 @@ impl fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
-
-/// Reflected CRC-32 (IEEE 802.3, polynomial 0xEDB88320) lookup tables
-/// for slice-by-8, built at compile time so frame checksumming needs no
-/// lazy init. `CRC32_TABLES[0]` is the classic one-byte-per-step table;
-/// `CRC32_TABLES[k][b]` is the CRC state after byte `b` followed by `k`
-/// zero bytes, which is what lets eight bytes be folded in one step.
-const CRC32_TABLES: [[u32; 256]; 8] = {
-    let mut tables = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        tables[0][i] = c;
-        i += 1;
-    }
-    let mut k = 1;
-    while k < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[k - 1][i];
-            tables[k][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
-            i += 1;
-        }
-        k += 1;
-    }
-    tables
-};
-
-/// One byte-at-a-time CRC step over `data` from state `c` (no pre- or
-/// post-inversion).
-fn crc32_bytewise(mut c: u32, data: &[u8]) -> u32 {
-    for &b in data {
-        c = CRC32_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c
-}
-
-/// CRC-32 (IEEE) of `data`. Every frame the transport sends carries this
-/// checksum over its wire bytes (a typed frame has none), and every
-/// checkpoint snapshot over its payload; the reader verifies it, so a
-/// flipped bit is detected instead of silently handed to the algorithm.
-///
-/// Slice-by-8: eight bytes per step through eight tables, the byte loop
-/// only for the tail of fewer than eight — a raw frame is hashed once
-/// on each side of the wire, so the per-byte cost is the transport's.
-pub(crate) fn crc32(data: &[u8]) -> u32 {
-    let t = &CRC32_TABLES;
-    let mut c = 0xFFFF_FFFFu32;
-    let mut words = data.chunks_exact(8);
-    for w in &mut words {
-        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ c;
-        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-        c = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
-    }
-    crc32_bytewise(c, words.remainder()) ^ 0xFFFF_FFFF
-}
 
 /// Cursor over a received byte buffer.
 pub struct Reader<'a> {
@@ -539,64 +469,5 @@ mod tests {
     fn encoding_is_deterministic() {
         let v = (vec![1u32, 2, 3], Some(String::from("abc")));
         assert_eq!(v.to_bytes(), v.to_bytes());
-    }
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // The IEEE 802.3 check value plus the empty-input identity.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(
-            crc32(b"The quick brown fox jumps over the lazy dog"),
-            0x414F_A339
-        );
-    }
-
-    #[test]
-    fn crc32_detects_single_bit_flips() {
-        let payload: Vec<u8> = (0u16..512).map(|i| (i % 251) as u8).collect();
-        let clean = crc32(&payload);
-        for bit in 0..payload.len() * 8 {
-            let mut flipped = payload.clone();
-            flipped[bit / 8] ^= 1 << (bit % 8);
-            assert_ne!(crc32(&flipped), clean, "bit {bit} flip went undetected");
-        }
-    }
-
-    /// The byte-at-a-time CRC that `crc32` replaced, kept as the
-    /// reference the slice-by-8 must agree with on every input.
-    fn crc32_reference(data: &[u8]) -> u32 {
-        crc32_bytewise(0xFFFF_FFFF, data) ^ 0xFFFF_FFFF
-    }
-
-    fn seeded_bytes(n: usize, seed: u64) -> Vec<u8> {
-        (0..n as u64)
-            .map(|i| (crate::fault::splitmix64(seed ^ i) >> 32) as u8)
-            .collect()
-    }
-
-    #[test]
-    fn crc32_matches_the_bytewise_reference_at_every_length_and_alignment() {
-        let buf = seeded_bytes(256 + 8, 32);
-        for start in 0..8 {
-            for len in 0..=256 {
-                let data = &buf[start..start + len];
-                assert_eq!(
-                    crc32(data),
-                    crc32_reference(data),
-                    "start {start} len {len}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn crc32_matches_the_bytewise_reference_on_bulk_buffers() {
-        let seeded = seeded_bytes(1 << 20, 14);
-        assert_eq!(crc32(&seeded), crc32_reference(&seeded));
-        // One byte short of a whole number of words: the tail loop runs.
-        assert_eq!(crc32(&seeded[1..]), crc32_reference(&seeded[1..]));
-        let zeros = vec![0u8; 1 << 20];
-        assert_eq!(crc32(&zeros), crc32_reference(&zeros));
     }
 }

@@ -114,12 +114,11 @@ fn corruption_chaos_is_bit_identical_with_reliability() {
     }
 }
 
-/// Without reliability a corrupted frame fails its CRC at delivery and
-/// surfaces as a structured `CommError::Corrupt` naming the edge and
-/// both checksums — the mangled payload is never delivered, and the
-/// rest of the stream keeps flowing. The injected bit flip is a pure
-/// function of the seed/edge, so the observed checksum mismatch is
-/// reproducible run over run.
+/// Without reliability a corrupted frame is refused at delivery and
+/// surfaces as a structured `CommError::Corrupt` naming the edge — its
+/// value is never delivered, and the rest of the stream keeps flowing.
+/// The corruption schedule is a pure function of the frames, so the
+/// same frame errors run over run.
 #[test]
 fn raw_corruption_surfaces_crc_error_never_a_wrong_payload() {
     let corrupt_fourth = |ctx: &MsgCtx| {
@@ -140,33 +139,26 @@ fn raw_corruption_surfaces_crc_error_never_a_wrong_payload() {
                 for i in 0..8u64 {
                     comm.send(1, DATA, &(1000 + i));
                 }
-                return (Vec::new(), 0);
+                return (Vec::new(), Vec::new());
             }
             let mut got = Vec::new();
-            let mut crc_got = 0u32;
+            let mut errored = Vec::new();
             for i in 0..8u64 {
                 match comm.try_recv::<u64>(0, DATA) {
                     Ok(v) => got.push(v),
-                    Err(CommError::Corrupt {
-                        src,
-                        dst,
-                        tag,
-                        expected,
-                        got,
-                    }) => {
+                    Err(CommError::Corrupt { src, dst, tag }) => {
                         assert_eq!((src, dst, tag), (0, 1, DATA), "edge attribution");
-                        assert_ne!(expected, got, "checksums must differ");
                         assert_eq!(i, 3, "exactly the corrupted frame errors");
-                        crc_got = got;
+                        errored.push(i);
                     }
                     Err(other) => panic!("expected Corrupt, got {other}"),
                 }
             }
-            (got, crc_got)
+            (got, errored)
         })
     };
     let (a, _, metrics) = run_once();
-    let (got, crc_a) = &a.results[1];
+    let (got, errored_a) = &a.results[1];
     assert_eq!(
         *got,
         vec![1000, 1001, 1002, 1004, 1005, 1006, 1007],
@@ -178,9 +170,10 @@ fn raw_corruption_surfaces_crc_error_never_a_wrong_payload() {
         "sender counted the injection"
     );
     let (b, _, _) = run_once();
+    assert_eq!(*errored_a, vec![3]);
     assert_eq!(
-        *crc_a, b.results[1].1,
-        "the bit flip is a pure function of the edge"
+        a.results, b.results,
+        "the corruption is a pure function of the frames"
     );
 }
 
@@ -267,7 +260,7 @@ fn duplicate_is_visible_raw_and_suppressed_reliably() {
             let first = comm.recv::<u32>(0, DATA);
             // The duplicate was suppressed: a second receive can only
             // end in a disconnect once rank 0 exits.
-            comm.try_recv_bytes(0, DATA).map(|_| first)
+            comm.try_recv::<u32>(0, DATA).map(|_| first)
         }
     };
     let masked = InstrumentConfig {
@@ -493,9 +486,9 @@ fn dropped_modeled_transfer_costs_the_retransmits_of_a_real_frame() {
     assert_eq!(sender.counter(FAULTS_DROPPED), Some(2 + attempts));
 }
 
-/// Without reliability a corrupted modeled transfer fails the CRC over
-/// its length header: the receive surfaces `CommError::Corrupt`, no
-/// size is delivered, and the next transfer on the stream still is.
+/// Without reliability a corrupted modeled transfer is refused like any
+/// other frame: the receive surfaces `CommError::Corrupt`, no size is
+/// delivered, and the next transfer on the stream still is.
 #[test]
 fn raw_corruption_of_a_modeled_transfer_surfaces_crc_error() {
     let corrupt_first = |ctx: &MsgCtx| match ctx.seq {
@@ -513,7 +506,7 @@ fn raw_corruption_of_a_modeled_transfer_surfaces_crc_error() {
             comm.send_modeled(1, DATA, 77);
             None
         } else {
-            let first = comm.try_recv_modeled(0, DATA);
+            let first = comm.try_recv::<()>(0, DATA);
             Some((first, comm.recv_modeled(0, DATA)))
         }
     });
@@ -559,7 +552,7 @@ fn phase_kill_surfaces_rank_dead_and_world_remaps() {
                 assert_eq!(dead, vec![1]);
                 // Logical 1 is still physical 1 until removal: the recv
                 // must diagnose the death, not hang.
-                let err = comm.try_recv_bytes(1, DATA).expect_err("peer is dead");
+                let err = comm.try_recv::<Vec<u8>>(1, DATA).expect_err("peer is dead");
                 match err {
                     CommError::RankDead {
                         rank,
@@ -580,7 +573,7 @@ fn phase_kill_surfaces_rank_dead_and_world_remaps() {
                 }
                 // A kill entering the first phase has no boundary behind
                 // it: no collective, a restart.
-                assert_eq!(comm.shrink_world(&dead, Phase::Setup), None);
+                assert!(comm.shrink_world(&dead, Phase::Setup).is_none());
             }
             other => panic!("a peer died at this boundary, got {other:?}"),
         }
@@ -627,7 +620,7 @@ fn multi_kill_is_deterministic() {
                     assert_eq!(dead, vec![1, 3]);
                     // A metadata-only commit cannot seed a resume: one
                     // allreduce agrees on a restart.
-                    assert_eq!(comm.shrink_world(&dead, Phase::Steiner), None);
+                    assert!(comm.shrink_world(&dead, Phase::Steiner).is_none());
                 }
                 other => panic!("two peers died here, got {other:?}"),
             }
@@ -672,7 +665,7 @@ fn send_racing_peer_exit_is_dropped_not_fatal() {
     let (report, _, metrics) =
         run_instrumented(2, MachineModel::sparc_center_1000(), instr, |comm| {
             if comm.rank() == 0 {
-                let gone = comm.try_recv_bytes(1, NEVER);
+                let gone = comm.try_recv::<u32>(1, NEVER);
                 assert!(matches!(gone, Err(CommError::PeersDisconnected { .. })));
                 comm.send(1, DATA, &1u32);
             }

@@ -347,7 +347,7 @@ mod edge_cases {
                 c.send(1, 5, &vec![1u8, 2, 3]);
                 None
             } else {
-                Some(c.try_recv_bytes(0, 9).expect_err("tag 9 never sent"))
+                Some(c.try_recv::<Vec<u8>>(0, 9).expect_err("tag 9 never sent"))
             }
         });
         let err = report.results[1].clone().expect("rank 1 got the error");
@@ -434,8 +434,8 @@ mod edge_cases {
         // waits on rank 0. Rank 1's exit notice ends rank 0's receive,
         // and rank 0's own exit then ends rank 2's: no rank hangs.
         let report = run(3, MachineModel::ideal(), |c| match c.rank() {
-            0 => c.try_recv_bytes(1, 7).err(),
-            2 => c.try_recv_bytes(0, 8).err(),
+            0 => c.try_recv::<Vec<u8>>(1, 7).err(),
+            2 => c.try_recv::<Vec<u8>>(0, 8).err(),
             _ => None,
         });
         let ended = |r: usize| match &report.results[r] {
@@ -456,9 +456,9 @@ mod edge_cases {
                 return None;
             }
             (1..=20).for_each(|ops| c.compute(ops));
-            let peer = c.try_recv_bytes(1, 7).expect_err("rank 1 never sends");
+            let peer = c.try_recv::<Vec<u8>>(1, 7).expect_err("rank 1 never sends");
             c.compute(21);
-            let own = c.try_recv_bytes(0, 8).expect_err("nothing buffered");
+            let own = c.try_recv::<Vec<u8>>(0, 8).expect_err("nothing buffered");
             Some((peer, own))
         });
         let (peer, own) = report.results[0].clone().expect("rank 0 got both errors");
@@ -542,11 +542,11 @@ mod edge_cases {
     fn solo_try_recv_is_err_but_buffered_self_send_is_ok() {
         let mut c = Comm::solo(MachineModel::ideal());
         assert!(matches!(
-            c.try_recv_bytes(0, 1),
+            c.try_recv::<Vec<u8>>(0, 1),
             Err(CommError::Unsatisfiable { .. })
         ));
-        c.send_bytes(0, 1, vec![9]);
-        assert_eq!(c.try_recv_bytes(0, 1).unwrap(), vec![9]);
+        c.send(0, 1, &vec![9u8]);
+        assert_eq!(c.try_recv::<Vec<u8>>(0, 1).unwrap(), vec![9]);
     }
 }
 
@@ -557,7 +557,7 @@ mod charged {
     use pgr_mpi::{
         reliable, run_instrumented, ChaosConfig, ChaosLayer, Comm, CommError, FaultAction,
         InstrumentConfig, MachineModel, MetricsConfig, MsgCtx, Phase, ReliabilityConfig,
-        TraceEventKind, Wire, COLLECTIVE_TAG_BASE,
+        TraceEventKind, Wire, WireError, COLLECTIVE_TAG_BASE,
     };
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::Arc;
@@ -751,8 +751,8 @@ mod charged {
 
     #[test]
     fn corrupted_charged_frame_fails_the_crc_over_its_payload() {
-        // Reliability off: the root's flipped broadcast frame reaches rank
-        // 1, whose CRC check rejects it — the collective fails with the
+        // Reliability off: the root's marked broadcast frame reaches rank
+        // 1, which refuses it — the collective fails with the
         // diagnosis. (The root is done by then: a rank that panicked
         // mid-collective would leave its peers waiting.)
         let corrupt_bcast = |ctx: &MsgCtx| match ctx.tag {
@@ -774,7 +774,7 @@ mod charged {
             .expect("a formatted panic message");
         // The broadcast half names the collective the caller invoked.
         assert!(msg.contains("collective allgather failed"), "{msg}");
-        assert!(msg.contains("CRC-32"), "{msg}");
+        assert!(msg.contains("corrupted in transit"), "{msg}");
     }
 
     #[test]
@@ -800,15 +800,12 @@ mod charged {
         assert!(
             matches!(
                 err,
-                Err(CommError::KindMismatch {
+                Err(CommError::Decode {
                     rank: 0,
                     src: 1,
-                    modeled: true,
-                    bytes,
-                    // A charged frame hands its value over: no wire bytes.
-                    wire_bytes: 0,
+                    error: WireError::WrongType { .. },
                     ..
-                }) if bytes == n
+                })
             ),
             "{err:?}"
         );

@@ -5,7 +5,7 @@
 use pgr_mpi::fault::{FAULTS_DELAYED, FAULTS_DROPPED};
 use pgr_mpi::{
     run, run_instrumented, CommError, FaultAction, InstrumentConfig, MachineModel, MetricsConfig,
-    MsgCtx, TraceConfig,
+    MsgCtx, TraceConfig, WireError,
 };
 use std::sync::Arc;
 
@@ -28,7 +28,7 @@ fn dropped_message_is_seen_by_exit_notice_and_metrics() {
     let (report, _traces, metrics) = run_instrumented(2, MachineModel::ideal(), instr, |comm| {
         if comm.rank() == 0 {
             // The payload never arrives: the fault layer ate it.
-            let err = comm.try_recv_bytes(1, DATA);
+            let err = comm.try_recv::<Vec<u8>>(1, DATA);
             Some(err.expect_err("dropped message cannot arrive"))
         } else {
             comm.send_bytes(0, DATA, vec![42; 64]);
@@ -122,9 +122,9 @@ fn passthrough_layer_preserves_virtual_time() {
         .all(|m| m.counter(FAULTS_DROPPED).is_none() && m.counter(FAULTS_DELAYED).is_none()));
 }
 
-/// `recv_bytes` (and the typed `recv` on top of it) matching a modeled
-/// transfer is a sender/receiver mismatch with a diagnosis — never a
-/// zero-length payload handed to the caller.
+/// A receive matching a modeled transfer is a sender/receiver mismatch
+/// with a diagnosis — never a zero-length payload handed to the caller,
+/// even when it asks for the `()` the transfer holds but not charged.
 #[test]
 fn payload_receive_matching_a_modeled_transfer_is_a_structured_error() {
     let report = run(2, MachineModel::ideal(), |comm| {
@@ -133,8 +133,12 @@ fn payload_receive_matching_a_modeled_transfer_is_a_structured_error() {
             comm.send_modeled(1, DATA, 4096);
             None
         } else {
-            let raw = comm.try_recv_bytes(0, DATA).expect_err("no payload exists");
-            let typed = comm.try_recv::<Vec<u8>>(0, DATA).expect_err("nor a value");
+            let raw = comm
+                .try_recv::<Vec<u8>>(0, DATA)
+                .expect_err("no payload exists");
+            let typed = comm
+                .try_recv::<()>(0, DATA)
+                .expect_err("nor an uncharged value");
             Some((raw, typed))
         }
     });
@@ -143,26 +147,24 @@ fn payload_receive_matching_a_modeled_transfer_is_a_structured_error() {
         assert!(
             matches!(
                 err,
-                CommError::KindMismatch {
+                CommError::Decode {
                     rank: 1,
                     src: 0,
                     tag: DATA,
-                    modeled: true,
-                    bytes: 4096,
-                    wire_bytes: 8,
+                    error: WireError::WrongType { .. },
                 }
             ),
             "{err:?}"
         );
         let msg = err.to_string();
-        for part in ["rank 1", "src=0", "tag=7", "4096 B", "8 B", "recv_modeled"] {
+        for part in ["rank 1", "src=0", "tag=7", "a charged value"] {
             assert!(msg.contains(part), "diagnosis lacks {part:?}: {msg}");
         }
     }
 }
 
-/// The other direction: `recv_modeled` matching a real frame reports
-/// the frame it found instead of inventing a size for it.
+/// The other direction: a receive of a modeled transfer matching a real
+/// frame reports the frame it found instead of inventing a size for it.
 #[test]
 fn modeled_receive_matching_a_real_frame_is_a_structured_error() {
     let report = run(2, MachineModel::ideal(), |comm| {
@@ -170,26 +172,24 @@ fn modeled_receive_matching_a_real_frame_is_a_structured_error() {
             comm.send_bytes(1, DATA, vec![5; 48]);
             None
         } else {
-            Some(comm.try_recv_modeled(0, DATA).expect_err("a real frame"))
+            Some(comm.try_recv::<()>(0, DATA).expect_err("a real frame"))
         }
     });
     let err = report.results[1].as_ref().expect("rank 1 reports");
     assert!(
         matches!(
             err,
-            CommError::KindMismatch {
+            CommError::Decode {
                 rank: 1,
                 src: 0,
                 tag: DATA,
-                modeled: false,
-                bytes: 48,
-                wire_bytes: 48,
+                error: WireError::WrongType { .. },
             }
         ),
         "{err:?}"
     );
     let msg = err.to_string();
-    for part in ["rank 1", "recv_modeled(src=0, tag=7)", "48 B", "recv_bytes"] {
+    for part in ["rank 1", "src=0", "tag=7", "a charged value"] {
         assert!(msg.contains(part), "diagnosis lacks {part:?}: {msg}");
     }
 }

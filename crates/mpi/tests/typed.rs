@@ -1,8 +1,8 @@
 //! A typed frame hands the sender's value over instead of its encoding,
 //! and the fault layer and the reliable transport treat it exactly as
 //! the byte frame of that encoding: the same exchange, once through
-//! `send`/`try_recv` and once through `send_bytes`/`try_recv_bytes` of
-//! the encoded values, ends the same way — the same values delivered,
+//! `send`/`try_recv` and once through `send_bytes`/`recv_bytes` of the
+//! encoded values, ends the same way — the same values delivered,
 //! the same errors at the same receives — with the same stats and the
 //! same transport counters, under corruption, duplication and reordering,
 //! with reliability on and off.
@@ -12,6 +12,7 @@ use pgr_mpi::{
     reliable, run_instrumented, Comm, CommError, FaultAction, InstrumentConfig, MachineModel,
     MetricsConfig, MsgCtx, Phase, RankMetrics, RankStats, ReliabilityConfig, Wire,
 };
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 const DATA: u32 = 7;
@@ -35,6 +36,29 @@ fn outcome(got: Result<Vec<u64>, CommError>) -> Outcome {
         CommError::PeersDisconnected { .. } => "disconnected",
         other => panic!("unexpected {other}"),
     })
+}
+
+/// The outcome a raw receive ends in: `recv_bytes` has no fallible twin,
+/// so its structured panic, caught, names the error.
+fn raw_outcome(comm: &mut Comm) -> Outcome {
+    match catch_unwind(AssertUnwindSafe(|| comm.recv_bytes(0, DATA))) {
+        Ok(bytes) => Ok(Vec::from_bytes(&bytes).expect("a clean frame decodes")),
+        Err(panic) => {
+            let msg = panic.downcast_ref::<String>().expect("a CommError display");
+            let corrupt = CommError::Corrupt {
+                src: 0,
+                dst: 1,
+                tag: DATA,
+            };
+            if *msg == corrupt.to_string() {
+                Err("corrupt")
+            } else if msg.contains("its source has exited") {
+                Err("disconnected")
+            } else {
+                panic!("unexpected {msg}")
+            }
+        }
+    }
 }
 
 /// Rank 0 sends every value, typed or as its encoding; rank 1 makes
@@ -65,14 +89,9 @@ fn exchange(
                 return Vec::new();
             }
             (0..receives)
-                .map(|_| {
-                    let got = if typed {
-                        comm.try_recv::<Vec<u64>>(0, DATA)
-                    } else {
-                        let bytes = comm.try_recv_bytes(0, DATA);
-                        bytes.map(|b| Vec::from_bytes(&b).expect("a clean frame decodes"))
-                    };
-                    outcome(got)
+                .map(|_| match typed {
+                    true => outcome(comm.try_recv::<Vec<u64>>(0, DATA)),
+                    false => raw_outcome(comm),
                 })
                 .collect()
         });
