@@ -1009,63 +1009,76 @@ mod tests {
         assert_eq!(found, Err(std::any::type_name::<Vec<u32>>()));
     }
 
-    /// Every send entry of `Comm` corrupted on its first attempt: with
+    /// A frame corrupted on its first attempt, whatever it carries: with
     /// reliability off the marked frame alone is refused and the next one
     /// is delivered; with it on the sender drops the corrupted attempt
     /// and the value arrives once.
-    #[test]
-    fn a_corrupted_frame_is_refused_or_resent_whatever_it_carries() {
-        let value = |entry| match entry {
-            "send" => typed(16, vec![1, 2, 3], false),
-            "send_bytes" => raw(vec![0xAB; 16]),
-            "send_modeled" => modeled(MODELED),
-            _ => typed(MODELED, vec![7], true),
-        };
+    fn refused_or_resent(case: &str, value: impl Fn() -> Value) {
         let first_attempt = |c: &MsgCtx| match (c.seq, c.attempt) {
             (0, 0) => FaultAction::Corrupt,
             _ => FaultAction::Deliver,
         };
-        let arrived = |entry: &str, got: Value, sent: Value| {
+        let arrived = |got: Value| {
+            let sent = value();
             let (got, sent) = (
                 (got.bytes, got.charged, got.type_name),
                 (sent.bytes, sent.charged, sent.type_name),
             );
-            assert_eq!(got, sent, "{entry}");
+            assert_eq!(got, sent, "{case}");
         };
-        for entry in ["send", "send_bytes", "send_modeled", "charged"] {
-            let [(mut a, mut ma), (mut b, mut mb)] = world(first_attempt, ReliabilityConfig::off());
-            a.send(1, TAG, 0.0, value(entry), &mut ma);
-            a.send(1, TAG, 0.0, value(entry), &mut ma);
-            match b.recv(0, TAG, &mut mb) {
-                Err(CommError::Corrupt {
-                    src: 0,
-                    dst: 1,
-                    tag: TAG,
-                }) => {}
-                Err(e) => panic!("{entry}: expected Corrupt, got {e}"),
-                Ok(_) => panic!("{entry}: expected Corrupt, got the value"),
-            }
-            let next = b
-                .recv(0, TAG, &mut mb)
-                .expect("the next frame is delivered");
-            arrived(entry, next.value, value(entry));
-            assert_eq!(ma.snapshot(0).counter(FAULTS_CORRUPTED), Some(1), "{entry}");
-
-            let [(mut a, mut ma), (mut b, mut mb)] = world(first_attempt, ReliabilityConfig::on());
-            a.send(1, TAG, 0.0, value(entry), &mut ma);
-            a.close(Exit::Returned, &mut ma);
-            let resent = b
-                .recv(0, TAG, &mut mb)
-                .expect("the retransmit is delivered");
-            arrived(entry, resent.value, value(entry));
-            let err = b.recv(0, TAG, &mut mb).err().expect("it arrives once");
-            assert!(
-                matches!(err, CommError::PeersDisconnected { .. }),
-                "{entry}: {err}"
-            );
-            let sent = ma.snapshot(0);
-            assert_eq!(sent.counter(reliable::CORRUPT_DROPPED), Some(1), "{entry}");
+        let [(mut a, mut ma), (mut b, mut mb)] = world(first_attempt, ReliabilityConfig::off());
+        a.send(1, TAG, 0.0, value(), &mut ma);
+        a.send(1, TAG, 0.0, value(), &mut ma);
+        match b.recv(0, TAG, &mut mb) {
+            Err(CommError::Corrupt {
+                src: 0,
+                dst: 1,
+                tag: TAG,
+            }) => {}
+            Err(e) => panic!("{case}: expected Corrupt, got {e}"),
+            Ok(_) => panic!("{case}: expected Corrupt, got the value"),
         }
+        let next = b
+            .recv(0, TAG, &mut mb)
+            .expect("the next frame is delivered");
+        arrived(next.value);
+        assert_eq!(ma.snapshot(0).counter(FAULTS_CORRUPTED), Some(1), "{case}");
+
+        let [(mut a, mut ma), (mut b, mut mb)] = world(first_attempt, ReliabilityConfig::on());
+        a.send(1, TAG, 0.0, value(), &mut ma);
+        a.close(Exit::Returned, &mut ma);
+        let resent = b
+            .recv(0, TAG, &mut mb)
+            .expect("the retransmit is delivered");
+        arrived(resent.value);
+        let err = b.recv(0, TAG, &mut mb).err().expect("it arrives once");
+        assert!(
+            matches!(err, CommError::PeersDisconnected { .. }),
+            "{case}: {err}"
+        );
+        let sent = ma.snapshot(0);
+        assert_eq!(sent.counter(reliable::CORRUPT_DROPPED), Some(1), "{case}");
+    }
+
+    /// `send_bytes`' frames: an empty payload is marked and refused too.
+    #[test]
+    fn flipped_frame_is_rejected_by_crc_never_delivered() {
+        refused_or_resent("16 B", || raw(vec![0xAB; 16]));
+        refused_or_resent("empty", || raw(Vec::new()));
+    }
+
+    /// `send`'s frames, billed at their size or charged.
+    #[test]
+    fn marked_typed_frame_is_rejected_by_its_checksum_never_delivered() {
+        refused_or_resent("billed", || typed(16, vec![1, 2, 3], false));
+        refused_or_resent("charged", || typed(MODELED, vec![7], true));
+    }
+
+    /// `send_modeled`'s frames, whatever the modeled size, zero included.
+    #[test]
+    fn flipped_modeled_frame_is_rejected_by_its_header_crc() {
+        refused_or_resent("modeled", || modeled(MODELED));
+        refused_or_resent("zero", || modeled(0));
     }
 
     #[test]
