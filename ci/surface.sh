@@ -189,12 +189,14 @@
 #   impl composes is the codec's definition, which the round-trip tests
 #   and the benchmark's decode probe read, not a decode of received
 #   data).
-# - when a span is spelled field by field again: a non-test, non-comment
-#   `Span {` struct literal (or pattern) under crates/*/src or src/
-#   anywhere but in crates/core/src/route/state.rs. One private word packs
-#   a span's channel, whether it is switchable and which side of its row
-#   it sits on; `Span::new`, `channel()`, `switch_row()` and `flip()` are
-#   the one home of that packing.
+# - when a span or a node is spelled field by field again: a non-test,
+#   non-comment `Span {` or `Node {` struct literal (or pattern) under
+#   crates/*/src or src/ anywhere but in crates/core/src/route/state.rs.
+#   One private word packs a span's channel, whether it is switchable and
+#   which side of its row it sits on; `Span::new`, `channel()`,
+#   `switch_row()` and `flip()` are the one home of that packing. A
+#   node's column is a private 32-bit field that `Node::new` and
+#   `set_x()` check and `x()` reads, beside its packed kind word.
 set -eu
 cd "$(dirname "$0")/.."
 MAX_FILE=1000
@@ -585,11 +587,11 @@ if [ -n "$one_kind" ]; then
 fi
 
 # shellcheck disable=SC2046
-span_literal=$(nontest '(^|[^A-Za-z0-9_])Span \{' $(find crates/*/src src -name '*.rs' ! -path crates/core/src/route/state.rs) |
-    grep -vE '^[^:]+:[0-9]+:[ \t]*//|(struct|impl|->)[^{]*Span \{' || true)
-if [ -n "$span_literal" ]; then
-    echo "surface: a span is built by Span::new and read through its accessors (route/state.rs packs its channel word):" >&2
-    echo "$span_literal" >&2
+packed_literal=$(nontest '(^|[^A-Za-z0-9_])(Span|Node) \{' $(find crates/*/src src -name '*.rs' ! -path crates/core/src/route/state.rs) |
+    grep -vE '^[^:]+:[0-9]+:[ \t]*//|(struct|impl|->)[^{]*(Span|Node) \{' || true)
+if [ -n "$packed_literal" ]; then
+    echo "surface: a span and a node are built by Span::new / Node::new and read through their accessors (route/state.rs packs a span's channel word and a node's 32-bit column and kind word):" >&2
+    echo "$packed_literal" >&2
     exit 1
 fi
 

@@ -354,7 +354,7 @@ fn main() {
                 crossings.push(Crossing {
                     net: NetId(k),
                     row,
-                    x,
+                    x: x as i32,
                 });
             }
         }
@@ -362,7 +362,7 @@ fn main() {
         let mut comm = Comm::solo(MachineModel::ideal());
         let before = allocs();
         works.attach(
-            |nd| nd.x = plan.shifted_x(nd.row, nd.x),
+            |nd| nd.set_x(plan.shifted_x(nd.row, nd.x())),
             crossings.iter().map(|c| c.net),
             |sink| {
                 assign(&plan, crossings.iter().copied(), &mut comm, |net, nd| {

@@ -600,14 +600,15 @@ mod tests {
 
     /// The one-pass parser returns what the reference does on `text`,
     /// circuit byte for byte or error message for message; the one
-    /// exception is a core the router cannot hold — empty, or past
-    /// `MAX_CHANNEL_COLUMNS` — which only it refuses. Returns the error,
-    /// if any.
+    /// exception is a core the router cannot hold — empty, past
+    /// `MAX_CHANNEL_COLUMNS`, or with a cell left of it — which only it
+    /// refuses. Returns the error, if any.
     fn agree(text: &str) -> Option<FormatError> {
         let parsed = from_text(text);
         let core = match &parsed {
             Err(FormatError::Invalid(ModelError::EmptyCore(_))) => true,
             Err(FormatError::Invalid(ModelError::TooLarge(m))) => m.contains("channel columns"),
+            Err(FormatError::Invalid(ModelError::OutOfCore(m))) => m.contains(" starts at "),
             _ => false,
         };
         if !core {

@@ -326,6 +326,11 @@ impl Circuit {
                         "{cid} at x={x} overlaps previous cell in {row_id}"
                     )));
                 }
+                // Past the overlap check only a row's first cell can start
+                // left of the core.
+                if x < 0 {
+                    return Err(ModelError::OutOfCore(format!("{cid} starts at {x} < 0")));
+                }
                 edge = x + s.cell_width[cid.index()] as i64;
                 if edge > self.width {
                     return Err(ModelError::OutOfCore(format!(
@@ -690,6 +695,7 @@ pub(crate) mod reference {
 mod tests {
     use super::*;
     use crate::builder::CircuitBuilder;
+    use crate::format::{from_text, FormatError};
 
     fn tiny() -> Circuit {
         // 2 rows, 2 cells per row, one net across rows, one within a row.
@@ -802,6 +808,33 @@ mod tests {
         let mut c = tiny();
         c.store.pin_offset[0] = 100;
         assert!(matches!(c.validate(), Err(ModelError::OutOfCore(_))));
+    }
+
+    /// A row's first cell starting left of the core is outside it, in a
+    /// corrupted store and in a text: routed, its pins would sit left of
+    /// the chip. The overlap check still comes first for the others.
+    #[test]
+    fn validate_rejects_a_cell_left_of_the_core() {
+        let mut c = tiny();
+        c.store.cell_x[2] = -5;
+        let err = ModelError::OutOfCore("c2 starts at -5 < 0".into());
+        assert_eq!(c.validate(), Err(err));
+        let mut c = tiny();
+        c.store.cell_x[1] = -5;
+        assert!(matches!(c.validate(), Err(ModelError::Overlap(_))));
+        let text = |x: i64| {
+            format!(
+                "pgr-circuit v1\nname left\nwidth 100\nrows 1\ncell 0 {x} 10\n\
+                 pin 0 0 T 0\npin 0 9 B 0\nnet n 0 1\n"
+            )
+        };
+        for x in [-5, -1, -1_099_511_627_000] {
+            let err = from_text(&text(x)).unwrap_err();
+            let left = matches!(&err, FormatError::Invalid(ModelError::OutOfCore(m))
+                if m == &format!("c0 starts at {x} < 0"));
+            assert!(left, "cell at {x}: {err}");
+        }
+        assert!(from_text(&text(0)).is_ok());
     }
 
     #[test]

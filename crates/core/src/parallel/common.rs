@@ -80,7 +80,7 @@ pub fn split_segment<'a>(
     let p_hi = rows.owner(pgr_circuit::RowId(seg.upper.row));
     // The bottom piece starts at the lower endpoint, the top one ends at
     // the upper; every cut is a pair of fake pins at the lower's column.
-    let cut = move |row: usize| Node::fake(seg.lower.x, row as u32);
+    let cut = move |row: usize| Node::fake(seg.lower.x(), row as u32);
     (p_lo..=p_hi).map(move |p| {
         let (first, last) = (rows.start(p), rows.end(p) - 1);
         let lower = if p > p_lo { cut(first) } else { seg.lower };
@@ -348,10 +348,10 @@ mod tests {
         assert_eq!((*p0, *p1), (0, 1));
         // Bottom piece: (3,1) → fake(3,3). Top: fake(3,4) → (9,6).
         assert_eq!(s0.upper.row, 3);
-        assert_eq!(s0.upper.x, 3, "fake pin at the lower endpoint's column");
+        assert_eq!(s0.upper.x(), 3, "fake pin at the lower endpoint's column");
         assert!(matches!(s0.upper.kind(), NodeKind::Fake));
         assert_eq!(s1.lower.row, 4);
-        assert_eq!(s1.lower.x, 3);
+        assert_eq!(s1.lower.x(), 3);
         assert_eq!(s1.upper, seg.upper);
     }
 
@@ -364,9 +364,10 @@ mod tests {
         let (p, mid) = &pieces[1];
         assert_eq!(*p, 1);
         assert_eq!((mid.lower.row, mid.upper.row), (3, 5));
-        assert_eq!(mid.lower.x, 5);
+        assert_eq!(mid.lower.x(), 5);
         assert_eq!(
-            mid.upper.x, 5,
+            mid.upper.x(),
+            5,
             "middle piece is a pure vertical at the cut column"
         );
         // Every piece stays within its part.

@@ -19,7 +19,7 @@ use crate::config::GRID_W;
 use crate::engine::{Phase, Pipeline, RouteCtx};
 use crate::metrics::{names, record_ft_plan, RoutingResult};
 use crate::parallel::common::{
-    buckets, distribute, join, merge_steiner_payloads, steiner_snapshot, PORTABLE_HORIZON,
+    distribute, join, merge_steiner_payloads, steiner_snapshot, PORTABLE_HORIZON,
 };
 use crate::parallel::partition::partition_nets;
 use crate::route::feedthrough::{assign, Crossing, FtPlan};
@@ -80,11 +80,21 @@ fn assign_exchanged(
     ctx: &RouteCtx<'_>,
     comm: &mut Comm,
 ) -> Feedthroughs {
-    let row_owner = |c: &Crossing| ctx.rows.owner(RowId(c.row));
-    let crossings = crossings_of(segments, orients);
-    let mut cross_out = buckets(ctx.size, crossings.clone().map(|c| row_owner(&c)));
-    for c in crossings {
-        cross_out[row_owner(&c)].push(c);
+    // Each bucket sized by the rows of its band that the segments demand.
+    let mut counts = vec![0; ctx.size];
+    for seg in segments {
+        let rows = seg.demand_rows();
+        let (mut row, end) = (rows.start as usize, rows.end as usize);
+        while row < end {
+            let owner = ctx.rows.owner(RowId::from_index(row));
+            let stop = end.min(ctx.rows.end(owner));
+            counts[owner] += stop - row;
+            row = stop;
+        }
+    }
+    let mut cross_out: Vec<Vec<Crossing>> = counts.into_iter().map(Vec::with_capacity).collect();
+    for c in crossings_of(segments, orients) {
+        cross_out[ctx.rows.owner(RowId(c.row))].push(c);
     }
     let mine = join(comm.alltoall(cross_out));
     let net_owner = |net: NetId| owners[net.index()] as usize;

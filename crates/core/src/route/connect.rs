@@ -18,15 +18,13 @@ use pgr_circuit::NetId;
 use pgr_geom::{LimitedMstScratch, Point};
 use pgr_mpi::Comm;
 
-/// Reusable per-net scratch for [`connect_net_with`]: the point/row
-/// views handed to the MST and the MST's own buffers. One arena serves
-/// every net a rank connects — everything grows to the largest net seen
-/// and stays allocated, so a net costs no allocation once the arena is
-/// warm.
+/// Reusable per-net scratch for [`connect_net_with`]: the MST's own
+/// buffers (the MST reads each net's nodes where they lie). One arena
+/// serves every net a rank connects — everything grows to the largest
+/// net seen and stays allocated, so a net costs no allocation once the
+/// arena is warm.
 #[derive(Debug, Default)]
 pub struct ConnectArena {
-    points: Vec<Point>,
-    rows: Vec<i64>,
     mst: LimitedMstScratch,
 }
 
@@ -34,13 +32,9 @@ impl ConnectArena {
     /// An arena sized for nets of up to `nodes` nodes: connecting them
     /// allocates nothing.
     pub fn with_capacity(nodes: usize) -> Self {
-        let mut arena = ConnectArena {
+        ConnectArena {
             mst: LimitedMstScratch::with_capacity(nodes),
-            ..ConnectArena::default()
-        };
-        arena.points.reserve_exact(nodes);
-        arena.rows.reserve_exact(nodes);
-        arena
+        }
     }
 }
 
@@ -115,19 +109,16 @@ pub fn connect_net_with(
         "net {net}'s nodes are in canonical order"
     );
 
-    arena.points.clear();
-    arena
-        .points
-        .extend(nodes.iter().map(|nd| Point::new(nd.x, nd.row as i64)));
-    arena.rows.clear();
-    arena.rows.extend(nodes.iter().map(|nd| nd.row as i64));
-    let (edges, spanning) = arena.mst.build(&arena.points, &arena.rows);
+    let (edges, spanning) = arena.mst.build(n, |i| {
+        let (x, row) = (nodes[i].x(), i64::from(nodes[i].row));
+        (row, Point::new(x, row))
+    });
 
     let mut wirelength = 0u64;
     for e in edges {
         let a = &nodes[e.a as usize];
         let b = &nodes[e.b as usize];
-        let (lo, hi) = (a.x.min(b.x), a.x.max(b.x));
+        let (lo, hi) = (a.x().min(b.x()), a.x().max(b.x()));
         let drow = a.row.abs_diff(b.row);
         debug_assert!(drow <= 1, "adjacency-limited MST edge");
         wirelength += (hi - lo) as u64 + drow as u64 * ROW_HEIGHT as u64;
@@ -350,7 +341,7 @@ mod tests {
         for (a, na) in nodes.iter().enumerate() {
             for (b, nb) in nodes.iter().enumerate() {
                 if (na.row == nb.row && a < b) || na.row + 1 == nb.row {
-                    pairs.push((na.x.abs_diff(nb.x) + (nb.row - na.row) as u64, a, b));
+                    pairs.push((na.x().abs_diff(nb.x()) + (nb.row - na.row) as u64, a, b));
                 }
             }
         }
@@ -363,7 +354,7 @@ mod tests {
                 continue;
             }
             let (a, b) = (&nodes[a], &nodes[b]);
-            let (lo, hi) = (a.x.min(b.x), a.x.max(b.x));
+            let (lo, hi) = (a.x().min(b.x()), a.x().max(b.x()));
             wirelength += (hi - lo) as u64 + ((b.row - a.row) * ROW_HEIGHT as u32) as u64;
             if lo == hi {
                 continue;

@@ -15,33 +15,33 @@
 //! was built from the same crossings).
 
 use crate::cost;
-use crate::route::state::{Grid, Node};
+use crate::route::state::{wire_column, Grid, Node};
 use pgr_circuit::NetId;
 use pgr_mpi::wire::{Reader, Wire, WireError};
 use pgr_mpi::Comm;
 use std::ops::Range;
 
-/// A request for one vertical crossing of `row` at (original) column `x`.
+/// A request for one vertical crossing of `row` at (original) column `x`:
+/// 12 bytes, the column 32-bit as a [`Node`]'s is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Crossing {
     pub net: NetId,
     pub row: u32,
-    pub x: i64,
+    pub x: i32,
 }
 
+/// In the bytes of the 64-bit column the crossing had: `x` as an `i64`.
 impl Wire for Crossing {
     const SIZE: Option<usize> = Some(16);
     fn encode(&self, out: &mut Vec<u8>) {
         self.net.0.encode(out);
         self.row.encode(out);
-        self.x.encode(out);
+        i64::from(self.x).encode(out);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Crossing {
-            net: NetId(u32::decode(r)?),
-            row: u32::decode(r)?,
-            x: i64::decode(r)?,
-        })
+        let (net, row) = (NetId(u32::decode(r)?), u32::decode(r)?);
+        let x = wire_column(i64::decode(r)?)?;
+        Ok(Crossing { net, row, x })
     }
 }
 
@@ -215,7 +215,8 @@ pub fn assign<'p>(
     };
     let mut runs = vec![0u64; at as usize];
     for c in crossings {
-        let (r, gcol) = (plan.row_idx(c.row), plan.gcol(c.x));
+        let x = i64::from(c.x);
+        let (r, gcol) = (plan.row_idx(c.row), plan.gcol(x));
         assert!(
             rows.contains(&r),
             "crossing in row {} not assigned here",
@@ -225,7 +226,7 @@ pub fn assign<'p>(
         if next == end {
             mismatch(r, gcol);
         }
-        runs[*next as usize] = run(c.x - gcol as i64 * grid_w, c.net);
+        runs[*next as usize] = run(x - gcol as i64 * grid_w, c.net);
         *next += 1;
     }
     let mut lo = 0;
@@ -265,13 +266,13 @@ fn run(offset: i64, net: NetId) -> u64 {
 #[cfg(test)]
 pub(crate) fn reference_assign(plan: &FtPlan, crossings: &[Crossing]) -> Vec<(NetId, Node)> {
     let mut sorted: Vec<&Crossing> = crossings.iter().collect();
-    sorted.sort_unstable_by_key(|c| (c.row, plan.gcol(c.x), c.x, c.net.0));
+    sorted.sort_unstable_by_key(|c| (c.row, plan.gcol(c.x.into()), c.x, c.net.0));
     let mut out = Vec::with_capacity(sorted.len());
     let mut i = 0;
     while i < sorted.len() {
-        let (row, gcol) = (sorted[i].row, plan.gcol(sorted[i].x));
+        let (row, gcol) = (sorted[i].row, plan.gcol(sorted[i].x.into()));
         let mut j = i;
-        while j < sorted.len() && sorted[j].row == row && plan.gcol(sorted[j].x) == gcol {
+        while j < sorted.len() && sorted[j].row == row && plan.gcol(sorted[j].x.into()) == gcol {
             j += 1;
         }
         assert_eq!(
@@ -380,7 +381,7 @@ mod tests {
         // Net 3 (x=9) comes first within the gcol; gets the left ft.
         assert_eq!(out[0].0, NetId(3));
         assert_eq!(out[1].0, NetId(5));
-        assert!(out[0].1.x < out[1].1.x);
+        assert!(out[0].1.x() < out[1].1.x());
         assert_eq!(out[0].1.row, 0);
         assert!(out[0].1.switchable(), "feedthroughs reach both channels");
     }
@@ -475,7 +476,11 @@ mod tests {
                     let x = rng.gen_range(xlo..xhi);
                     let net = NetId(rng.gen_range(0u32..6));
                     demand[r][((x / grid_w).max(0) as usize).min(gcols - 1)] += 1;
-                    crossings.push(Crossing { net, row, x });
+                    crossings.push(Crossing {
+                        net,
+                        row,
+                        x: x as i32,
+                    });
                 }
             }
             // Arrival in any order, as row bands deliver them.
@@ -519,13 +524,35 @@ mod tests {
         assert_eq!(p.shifted_x(0, 10_000), 10_002);
     }
 
+    /// A crossing encodes as a written-out encoder of its fields would
+    /// (little-endian net, row and 64-bit `x`), at column 0 and at the
+    /// largest and smallest columns its field holds; a column outside the
+    /// field is refused on decode, not wrapped.
     #[test]
     fn crossing_wire_roundtrip() {
-        let c = Crossing {
-            net: NetId(7),
-            row: 3,
-            x: -4,
-        };
-        assert_eq!(Crossing::from_bytes(&c.to_bytes()).unwrap(), c);
+        fn reference(net: u32, row: u32, x: i64) -> Vec<u8> {
+            [&net.to_le_bytes()[..], &row.to_le_bytes(), &x.to_le_bytes()].concat()
+        }
+        for x in [-4, 0, i32::MAX, i32::MIN] {
+            let c = Crossing {
+                net: NetId(7),
+                row: 3,
+                x,
+            };
+            let bytes = reference(7, 3, x.into());
+            assert_eq!(c.to_bytes(), bytes, "column {x}");
+            assert_eq!(c.wire_len(), 16);
+            assert_eq!(Crossing::from_bytes(&bytes).unwrap(), c);
+        }
+        let (max, min) = (i64::from(i32::MAX), i64::from(i32::MIN));
+        for x in [max + 1, min - 1, i64::MAX, i64::MIN] {
+            assert!(
+                matches!(
+                    Crossing::from_bytes(&reference(7, 3, x)),
+                    Err(WireError::OutOfRange { .. })
+                ),
+                "column {x}"
+            );
+        }
     }
 }

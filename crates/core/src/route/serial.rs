@@ -22,16 +22,17 @@ use pgr_circuit::{Circuit, NetId};
 use pgr_mpi::Comm;
 
 /// Vertical-crossing requests implied by the chosen L orientations, in
-/// segment order, made as they are walked: step 3 walks them a few times
-/// rather than store 16 B a crossing. Uses [`Segment::demand_rows`], so
+/// segment order, made as they are walked: step 3 walks them once rather
+/// than store 12 B a crossing. Uses [`Segment::demand_rows`], so
 /// fake-pin endpoints (partition boundaries) request the feedthrough the
 /// net's pass-through needs.
 pub fn crossings_of<'a>(
     segments: &'a [Segment],
     orients: &'a [Orientation],
-) -> impl Iterator<Item = Crossing> + Clone + 'a {
+) -> impl Iterator<Item = Crossing> + 'a {
     segments.iter().zip(orients).flat_map(|(seg, &orient)| {
-        let (net, x) = (seg.net, seg.vertical_x(orient));
+        let net = seg.net;
+        let x = i32::try_from(seg.vertical_x(orient)).expect("a node's column fits 32 bits");
         seg.demand_rows().map(move |row| Crossing { net, row, x })
     })
 }
@@ -50,7 +51,7 @@ pub fn crossings_of<'a>(
 fn shift_pin(plan: &FtPlan, node: &mut Node) {
     let rows = plan.row0()..plan.row0() + plan.num_rows() as u32;
     if !matches!(node.kind(), NodeKind::Feedthrough) && rows.contains(&node.row) {
-        node.x = plan.shifted_x(node.row, node.x);
+        node.set_x(plan.shifted_x(node.row, node.x()));
     }
 }
 
@@ -638,7 +639,7 @@ mod tests {
         let (grid_w, gcols) = (8, 4);
         let mut demand = crate::route::state::Grid::new(9, gcols);
         for c in &crossings {
-            demand[c.row as usize][((c.x / grid_w) as usize).min(gcols - 1)] += 1;
+            demand[c.row as usize][((i64::from(c.x) / grid_w) as usize).min(gcols - 1)] += 1;
         }
         let plan = FtPlan::new(0, demand, grid_w, 2);
         let pre = works.clone();

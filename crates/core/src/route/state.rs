@@ -8,6 +8,8 @@
 //! shifts it induces). All of them serialize with [`pgr_mpi::Wire`] so the
 //! parallel algorithms can ship them between ranks unchanged.
 
+use crate::config::FT_WIDTH;
+use pgr_circuit::model::MAX_CHANNEL_COLUMNS;
 use pgr_circuit::{NetId, MAX_PINS, MAX_ROWS};
 use pgr_mpi::wire::{Reader, Wire, WireError};
 
@@ -91,16 +93,20 @@ impl Wire for NodeKind {
 
 /// A connection node: a point on a row that a net must reach.
 ///
-/// 16 bytes: the column, the row, and one word that packs the kind tag
+/// 12 bytes: the column, the row, and one word that packs the kind tag
 /// (top 2 bits), a pin's id (the middle 28 bits, zero for the other
 /// kinds) and the channel preference (low 2 bits), so the word orders
 /// as `sort_key`'s last three fields do. A pin id must stay below
 /// [`pgr_circuit::MAX_PINS`] (2^28), which circuit validation checks.
+/// The column is 32 bits: every column of a validated circuit's route
+/// is below 2^31 (`MAX_ROUTED_COLUMN`), so the field holds it; it is
+/// read as an `i64` through [`Node::x`].
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub struct Node {
     /// Absolute column. For pin nodes this is updated after feedthrough
-    /// insertion shifts cells; fake pins keep their original column.
-    pub x: i64,
+    /// insertion shifts cells ([`Node::set_x`]); fake pins keep their
+    /// original column.
+    x: i32,
     /// Global row index.
     pub row: u32,
     bits: u32,
@@ -111,7 +117,28 @@ const TAG_SHIFT: u32 = 30;
 const PIN_MASK: u32 = MAX_PINS as u32 - 1;
 const _: () = assert!(MAX_PINS == 1 << (TAG_SHIFT - PIN_SHIFT));
 
+/// The largest column a route of a validated circuit reaches. A core is
+/// at most `MAX_CHANNEL_COLUMNS / 2` columns wide (`check_core`: it has
+/// two channels at least). Its at most `MAX_PINS` pins make at most
+/// `2 · MAX_PINS` tree segments, each crossing a row at most once, so a
+/// row gains at most that many feedthroughs of `FT_WIDTH` columns. Every
+/// node lies in the core, shifted right by its row's feedthroughs at
+/// most.
+const MAX_ROUTED_COLUMN: i64 = MAX_CHANNEL_COLUMNS as i64 / 2 + 2 * MAX_PINS as i64 * FT_WIDTH;
+const _: () = assert!(MAX_ROUTED_COLUMN <= i32::MAX as i64);
+
+/// `x` as a node's column field.
+///
+/// # Panics
+/// Panics if `x` does not fit 32 bits, which no route of a validated
+/// circuit reaches (`MAX_ROUTED_COLUMN`).
+fn column(x: i64) -> i32 {
+    i32::try_from(x).unwrap_or_else(|_| panic!("column {x} does not fit a node"))
+}
+
 impl Node {
+    /// # Panics
+    /// Panics if `x` does not fit the node's 32-bit column.
     pub fn new(x: i64, row: u32, kind: NodeKind, pref: ChannelPref) -> Self {
         let (tag, pin) = match kind {
             NodeKind::Pin(p) => (0, p),
@@ -126,7 +153,24 @@ impl Node {
             ChannelPref::Either => 2,
         };
         let bits = tag << TAG_SHIFT | (pin & PIN_MASK) << PIN_SHIFT | pref;
-        Node { x, row, bits }
+        Node {
+            x: column(x),
+            row,
+            bits,
+        }
+    }
+
+    /// Absolute column.
+    pub fn x(&self) -> i64 {
+        i64::from(self.x)
+    }
+
+    /// Move the node to column `x` (step 3's shift).
+    ///
+    /// # Panics
+    /// Panics if `x` does not fit the node's 32-bit column.
+    pub fn set_x(&mut self, x: i64) {
+        self.x = column(x);
     }
 
     pub fn pin(pin: u32, x: i64, row: u32, pref: ChannelPref) -> Self {
@@ -169,7 +213,7 @@ impl Node {
     pub fn sort_key(&self) -> (u32, i64, u8, u32, u8) {
         let b = self.bits;
         let (tag, pin) = ((b >> TAG_SHIFT) as u8, b >> PIN_SHIFT & PIN_MASK);
-        (self.row, self.x, tag, pin, (b & 3) as u8)
+        (self.row, self.x(), tag, pin, (b & 3) as u8)
     }
 
     pub fn switchable(&self) -> bool {
@@ -188,9 +232,10 @@ impl std::fmt::Debug for Node {
     }
 }
 
+/// In the bytes of the 64-bit column the node had: `x` as an `i64`.
 impl Wire for Node {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.x.encode(out);
+        self.x().encode(out);
         self.row.encode(out);
         self.kind().encode(out);
         self.pref().encode(out);
@@ -199,7 +244,7 @@ impl Wire for Node {
         13 + self.kind().wire_len()
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let (x, row) = (i64::decode(r)?, u32::decode(r)?);
+        let (x, row) = (wire_column(i64::decode(r)?)?, u32::decode(r)?);
         let kind = NodeKind::decode(r)?;
         if let NodeKind::Pin(p) = kind {
             if p > PIN_MASK {
@@ -207,8 +252,18 @@ impl Wire for Node {
                 return Err(WireError::OutOfRange { index, len });
             }
         }
-        Ok(Node::new(x, row, kind, ChannelPref::decode(r)?))
+        Ok(Node::new(x.into(), row, kind, ChannelPref::decode(r)?))
     }
+}
+
+/// A column as a node or a crossing carries it on the wire, an `i64`,
+/// as their 32-bit field; one outside the field is refused, named by its
+/// place among the field's 2^32 columns from `i32::MIN`.
+pub(crate) fn wire_column(x: i64) -> Result<i32, WireError> {
+    i32::try_from(x).map_err(|_| WireError::OutOfRange {
+        index: x.wrapping_sub(i64::from(i32::MIN)) as u64,
+        len: 1 << 32,
+    })
 }
 
 /// L-shape orientation of a cross-row segment: where the vertical run is.
@@ -270,8 +325,8 @@ impl Segment {
     /// Column of the vertical run under `orient`.
     pub fn vertical_x(&self, orient: Orientation) -> i64 {
         match orient {
-            Orientation::VertAtLower => self.lower.x,
-            Orientation::VertAtUpper => self.upper.x,
+            Orientation::VertAtLower => self.lower.x(),
+            Orientation::VertAtUpper => self.upper.x(),
         }
     }
 
@@ -287,10 +342,8 @@ impl Segment {
 
     /// Inclusive horizontal extent.
     pub fn x_span(&self) -> (i64, i64) {
-        (
-            self.lower.x.min(self.upper.x),
-            self.lower.x.max(self.upper.x),
-        )
+        let (a, b) = (self.lower.x(), self.upper.x());
+        (a.min(b), a.max(b))
     }
 
     /// Default channel of a same-row segment (estimation before step 5):
@@ -851,10 +904,13 @@ mod tests {
     }
 
     #[test]
-    fn a_node_is_16_bytes_and_a_segment_40() {
-        assert_eq!(std::mem::size_of::<Node>(), 16);
-        assert_eq!(std::mem::size_of::<Segment>(), 40);
+    fn a_node_is_12_bytes_and_a_segment_28() {
+        use crate::route::feedthrough::Crossing;
+        assert_eq!(std::mem::size_of::<Node>(), 12);
+        assert_eq!(std::mem::size_of::<Segment>(), 28);
         assert_eq!(std::mem::size_of::<Span>(), 24);
+        assert_eq!(std::mem::size_of::<Crossing>(), 12);
+        assert_eq!(std::mem::size_of::<(u32, Node)>(), 16);
     }
 
     /// The packed span reads back and encodes as its five fields would: a
@@ -928,9 +984,10 @@ mod tests {
     }
 
     /// The packed node reads back, orders and encodes as its four fields
-    /// would: a written-out encoder of the fields (little-endian `x` and
-    /// `row`, the kind's tag with a pin's id, the preference's tag) for
-    /// every kind × preference, pin ids 0 and 2^28 − 1.
+    /// would: a written-out encoder of the fields (little-endian 64-bit
+    /// `x` and `row`, the kind's tag with a pin's id, the preference's
+    /// tag) for every kind × preference, pin ids 0 and 2^28 − 1, at
+    /// column 0 and at the largest and smallest columns the field holds.
     #[test]
     fn node_fields_and_wire_bytes_match_a_written_out_encoder() {
         fn reference(x: i64, row: u32, kind: NodeKind, pref: ChannelPref) -> Vec<u8> {
@@ -963,9 +1020,10 @@ mod tests {
         let mut keys = Vec::new();
         for (i, &kind) in kinds.iter().enumerate() {
             for (j, &pref) in prefs.iter().enumerate() {
-                let (x, row) = (-(i as i64) * 7_000_000_000 + j as i64, (i * 3 + j) as u32);
+                let x = [0, i32::MAX.into(), i32::MIN.into()][(i + j) % 3];
+                let row = (i * 3 + j) as u32;
                 let n = Node::new(x, row, kind, pref);
-                assert_eq!((n.x, n.row, n.kind(), n.pref()), (x, row, kind, pref));
+                assert_eq!((n.x(), n.row, n.kind(), n.pref()), (x, row, kind, pref));
                 let bytes = reference(x, row, kind, pref);
                 assert_eq!(n.to_bytes(), bytes, "{n:?}");
                 assert_eq!(n.wire_len(), bytes.len());
@@ -979,12 +1037,37 @@ mod tests {
         // The packed word orders as the key's last three fields.
         keys.sort_unstable();
         assert!(keys.windows(2).all(|w| w[0].3 < w[1].3));
-        // A pin id past the limit is refused on decode, not wrapped.
+        // A pin id past the limit, or a column outside the field, is
+        // refused on decode, not wrapped.
         let over = reference(0, 0, NodeKind::Pin(top + 1), ChannelPref::Lower);
         assert!(matches!(
             Node::from_bytes(&over),
             Err(WireError::OutOfRange { .. })
         ));
+        let (max, min) = (i64::from(i32::MAX), i64::from(i32::MIN));
+        for x in [max + 1, min - 1, i64::MAX, i64::MIN] {
+            let bytes = reference(x, 0, NodeKind::Fake, ChannelPref::Either);
+            assert!(
+                matches!(Node::from_bytes(&bytes), Err(WireError::OutOfRange { index, len })
+                    if index >= len && len == 1 << 32),
+                "column {x}"
+            );
+        }
+    }
+
+    /// A node's 32-bit column holds every column a validated circuit's
+    /// route reaches, and a column past the field is refused, not
+    /// wrapped.
+    #[test]
+    fn a_node_column_holds_the_largest_routed_column() {
+        let mut n = Node::fake(MAX_ROUTED_COLUMN, 0);
+        assert_eq!(n.x(), MAX_ROUTED_COLUMN);
+        n.set_x(0);
+        assert_eq!(n.x(), 0);
+        let over = std::panic::catch_unwind(|| Node::fake(i64::from(i32::MAX) + 1, 0));
+        assert!(over.is_err(), "a column past the field panics");
+        let shifted = std::panic::catch_unwind(move || n.set_x(i64::from(i32::MIN) - 1));
+        assert!(shifted.is_err(), "a shift past the field panics");
     }
 
     #[test]
@@ -1036,7 +1119,7 @@ mod tests {
             (NetId(5), Node::feedthrough(6, 2)),
         ];
         // Rows 1 and up shift right by 10.
-        let shift = |nd: &mut Node| nd.x += 10 * i64::from(nd.row >= 1);
+        let shift = |nd: &mut Node| nd.set_x(nd.x() + 10 * i64::from(nd.row >= 1));
         works.attach(shift, fts.iter().map(|f| f.0), |sink| {
             fts.iter().for_each(|&(net, nd)| sink.put(net, nd))
         });
@@ -1114,7 +1197,7 @@ mod tests {
                 .iter()
                 .map(|nd| {
                     let switch_row = nd.switchable().then_some(nd.row);
-                    Span::new(NetId(nd.row), nd.row, nd.x, nd.x + 40, switch_row)
+                    Span::new(NetId(nd.row), nd.row, nd.x(), nd.x() + 40, switch_row)
                 })
                 .collect();
             let crossings: Vec<Crossing> = nodes
@@ -1126,7 +1209,7 @@ mod tests {
                 })
                 .collect();
             let placed: Vec<(u32, Node)> = nodes.iter().map(|&nd| (nd.row, nd)).collect();
-            let counts: Vec<i64> = nodes.iter().map(|nd| nd.x).collect();
+            let counts: Vec<i64> = nodes.iter().map(Node::x).collect();
             billed(&works);
             billed(&segments);
             billed(&spans);

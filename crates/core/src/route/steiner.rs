@@ -77,7 +77,7 @@ pub fn build_segments_with(
     comm.compute(cost::MST_PAIR * (n * n) as u64 + cost::MST_NODE * n as u64);
     let SteinerScratch { points, prim } = scratch;
     points.clear();
-    points.extend(nodes.iter().map(|nd| Point::new(nd.x, nd.row as i64)));
+    points.extend(nodes.iter().map(|nd| Point::new(nd.x(), nd.row as i64)));
     let mst = prim.build(points);
     if !refine {
         let segment =
@@ -136,7 +136,7 @@ mod tests {
         let (_, nodes) = whole_net(&c, 0);
         assert_eq!(nodes.len(), c.net_pins(NetId(0)).len());
         for (node, &pid) in nodes.iter().zip(c.net_pins(NetId(0))) {
-            assert_eq!(node.x, c.pin_x(pid));
+            assert_eq!(node.x(), c.pin_x(pid));
             assert_eq!(node.row as usize, c.pin_row(pid).index());
             assert!(matches!(node.kind(), NodeKind::Pin(p) if p == pid.0));
         }
@@ -195,7 +195,7 @@ mod tests {
         let mut cm = comm();
         let total_len = |segs: &[Segment]| -> u64 {
             segs.iter()
-                .map(|s| s.lower.x.abs_diff(s.upper.x) + (s.upper.row - s.lower.row) as u64)
+                .map(|s| s.lower.x().abs_diff(s.upper.x()) + (s.upper.row - s.lower.row) as u64)
                 .sum()
         };
         let mut plain_total = 0u64;

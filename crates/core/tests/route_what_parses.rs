@@ -12,7 +12,8 @@
 //! too. About one edit in fourteen parses; the whole set routes in
 //! under a second in the dev profile, so tier-1 runs all of it.
 
-use pgr_circuit::format::{from_text, to_text};
+use pgr_circuit::format::{from_text, to_text, FormatError};
+use pgr_circuit::model::ModelError;
 use pgr_circuit::{generate, Circuit, GeneratorConfig};
 use pgr_mpi::{Comm, InstrumentConfig, MachineModel};
 use pgr_router::{
@@ -111,4 +112,28 @@ fn every_text_that_parses_routes_or_is_refused() {
         panics.len(),
         panics.join("\n")
     );
+}
+
+/// A row whose first cell starts left of the core once parsed and
+/// routed: at column −5 to spans outside the chip, 2^40 columns left to
+/// a wirelength of 2^40. `from_text` refuses both as
+/// `ModelError::OutOfCore`, so no route starts; the same text with the
+/// cell at column 0 routes and verifies.
+#[test]
+fn a_cell_left_of_the_core_is_refused() {
+    let text = |x: i64| {
+        format!(
+            "pgr-circuit v1\nname left\nwidth 100\nrows 2\ncell 0 {x} 10\ncell 1 20 10\n\
+             pin 0 1 T 0\npin 0 9 B 0\npin 1 3 B 0\nnet n 0 1 2\n"
+        )
+    };
+    for x in [-5, -1_099_511_627_000] {
+        let refused = from_text(&text(x));
+        let left = matches!(refused, Err(FormatError::Invalid(ModelError::OutOfCore(_))));
+        assert!(left, "cell at {x}: {refused:?}");
+    }
+    let circuit = from_text(&text(0)).expect("a cell at column 0 is inside the core");
+    for parallel in [false, true] {
+        assert_eq!(routes_cleanly(&circuit, parallel), Ok(()));
+    }
 }

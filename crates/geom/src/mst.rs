@@ -159,8 +159,9 @@ pub struct LimitedMst {
 /// list one sort of every admissible pair would pick, in that order.
 /// One-shot form of [`LimitedMstScratch::build`].
 pub fn mst_adjacency_limited(points: &[Point], rows: &[i64]) -> LimitedMst {
+    assert_eq!(points.len(), rows.len());
     let mut scratch = LimitedMstScratch::with_capacity(points.len());
-    let (_, spanning) = scratch.build(points, rows);
+    let (_, spanning) = scratch.build(points.len(), |i| (rows[i], points[i]));
     LimitedMst {
         edges: scratch.edges,
         spanning,
@@ -207,8 +208,10 @@ impl LimitedMstScratch {
         self.pairs
     }
 
-    /// The tree of [`mst_adjacency_limited`] and whether it spans, the
-    /// edges borrowed from the scratch until the next build.
+    /// The tree of [`mst_adjacency_limited`] over nodes `0 .. n` and
+    /// whether it spans, the edges borrowed from the scratch until the
+    /// next build. `at(i)` is node `i`'s row and point, read where the
+    /// caller keeps them: the kernel copies no node.
     ///
     /// Nodes of one row at one x form a *column group*; its *head* is
     /// its lowest index. The candidates are
@@ -243,9 +246,10 @@ impl LimitedMstScratch {
     /// leaves room for two node names, 128 otherwise — and the keys are
     /// sorted as integers. The same walk counts the admissible pairs
     /// ([`LimitedMstScratch::pairs`]).
-    pub fn build(&mut self, points: &[Point], rows: &[i64]) -> (&[MstEdge], bool) {
-        assert_eq!(points.len(), rows.len());
-        let n = points.len();
+    pub fn build<At>(&mut self, n: usize, at: At) -> (&[MstEdge], bool)
+    where
+        At: Fn(usize) -> (i64, Point),
+    {
         let LimitedMstScratch {
             order,
             keys,
@@ -263,11 +267,14 @@ impl LimitedMstScratch {
         // One pass: is the input in `(row, x, index)` order already, and
         // how long can an edge be?
         let mut sorted = true;
-        let (mut x_lo, mut x_hi) = (points[0].x, points[0].x);
-        let (mut y_lo, mut y_hi) = (points[0].y, points[0].y);
+        let (row, p) = at(0);
+        let mut last = (row, p.x);
+        let (mut x_lo, mut x_hi) = (p.x, p.x);
+        let (mut y_lo, mut y_hi) = (p.y, p.y);
         for i in 1..n {
-            let p = points[i];
-            sorted &= (rows[i - 1], points[i - 1].x) <= (rows[i], p.x);
+            let (row, p) = at(i);
+            sorted &= last <= (row, p.x);
+            last = (row, p.x);
             (x_lo, x_hi) = (x_lo.min(p.x), x_hi.max(p.x));
             (y_lo, y_hi) = (y_lo.min(p.y), y_hi.max(p.y));
         }
@@ -277,14 +284,12 @@ impl LimitedMstScratch {
         order.clear();
         order.extend(0..n as u32);
         if !sorted {
-            order.sort_unstable_by_key(|&i| (rows[i as usize], points[i as usize].x, i));
+            order.sort_unstable_by_key(|&i| {
+                let (row, p) = at(i as usize);
+                (row, p.x, i)
+            });
         }
-        let walk = Walk {
-            points,
-            rows,
-            order,
-            bits,
-        };
+        let walk = Walk { at, n, order, bits };
         *pairs = if narrow {
             walk.tree(keys, uf, edges)
         } else {
@@ -321,24 +326,24 @@ macro_rules! key {
 
 key!(u64, u128);
 
-/// One net's nodes as [`LimitedMstScratch::build`] walks them: `order`
-/// holds their indices in `(row, x, index)` order, so a column's first
-/// is its head.
-struct Walk<'a> {
-    points: &'a [Point],
-    rows: &'a [i64],
+/// One net's `n` nodes as [`LimitedMstScratch::build`] walks them, each
+/// read through `at`: `order` holds their indices in `(row, x, index)`
+/// order, so a column's first is its head.
+struct Walk<'a, At> {
+    at: At,
+    n: usize,
     order: &'a [u32],
     bits: u32,
 }
 
-impl Walk<'_> {
+impl<At: Fn(usize) -> (i64, Point)> Walk<'_, At> {
     /// Build the candidates in `keys` ([`Walk::candidates`]), sort them
     /// and accept, in that order, each edge that joins two trees, until
     /// `edges` holds n − 1; returns the admissible pair count.
     fn tree<K: Key>(&self, keys: &mut Vec<K>, uf: &mut UnionFind, edges: &mut Vec<MstEdge>) -> u64 {
         let pairs = self.candidates(keys);
         keys.sort_unstable();
-        let n = self.points.len();
+        let n = self.n;
         edges.reserve(n - 1);
         for key in keys.iter() {
             let (weight, a, b) = key.unpack(self.bits);
@@ -353,7 +358,7 @@ impl Walk<'_> {
     }
 
     fn key<K: Key>(&self, a: u32, b: u32) -> K {
-        let w = manhattan(self.points[a as usize], self.points[b as usize]);
+        let w = manhattan((self.at)(a as usize).1, (self.at)(b as usize).1);
         K::pack(w, a, b, self.bits)
     }
 
@@ -361,19 +366,18 @@ impl Walk<'_> {
     /// walking the nodes in `order`; returns how many admissible pairs
     /// the nodes have.
     fn candidates<K: Key>(&self, keys: &mut Vec<K>) -> u64 {
-        let (points, rows, order) = (self.points, self.rows, self.order);
+        let (order, n) = (self.order, self.n);
         let node = |k: usize| order[k];
-        let n = points.len();
         let at = |k: usize| {
-            let i = node(k) as usize;
-            (rows[i], points[i].x)
+            let (row, p) = (self.at)(node(k) as usize);
+            (row, p.x)
         };
         debug_assert!(
             (1..n).all(|k| {
-                let (a, b) = (node(k - 1) as usize, node(k) as usize);
-                match rows[b].checked_sub(rows[a]) {
-                    Some(0) => points[a].y == points[b].y,
-                    Some(1) => points[a].y != points[b].y,
+                let (a, b) = ((self.at)(node(k - 1) as usize), (self.at)(node(k) as usize));
+                match b.0.checked_sub(a.0) {
+                    Some(0) => a.1.y == b.1.y,
+                    Some(1) => a.1.y != b.1.y,
                     _ => true,
                 }
             }),
@@ -418,7 +422,7 @@ impl Walk<'_> {
     /// lower row's node first.
     fn cross_row<K: Key>(&self, lower: Range<usize>, upper: Range<usize>, keys: &mut Vec<K>) {
         let node = |k: usize| self.order[k];
-        let x = |k: usize| self.points[node(k) as usize].x;
+        let x = |k: usize| (self.at)(node(k) as usize).1.x;
         // The position past the column at `k`, which ends at `end`.
         let past = |mut k: usize, end: usize| {
             let at = x(k);
@@ -466,6 +470,16 @@ impl Walk<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`LimitedMstScratch::build`] over `points` and their `rows`.
+    fn build<'s>(
+        scratch: &'s mut LimitedMstScratch,
+        points: &[Point],
+        rows: &[i64],
+    ) -> (&'s [MstEdge], bool) {
+        assert_eq!(points.len(), rows.len());
+        scratch.build(points.len(), |i| (rows[i], points[i]))
+    }
 
     fn pts(v: &[(i64, i64)]) -> Vec<Point> {
         v.iter().map(|&(x, y)| Point::new(x, y)).collect()
@@ -609,7 +623,7 @@ mod tests {
         assert_eq!(tree, [(1, 0, 1), (3, 1, 2)]);
         let p = pts(&[(5, 0), (5, 1), (8, 1)]);
         let mut scratch = LimitedMstScratch::default();
-        scratch.build(&p, &[0, 1, 1]);
+        build(&mut scratch, &p, &[0, 1, 1]);
         assert_eq!(scratch.keys.len(), 2, "never a candidate");
     }
 
@@ -617,12 +631,12 @@ mod tests {
     fn limited_scratch_forgets_the_previous_net() {
         let mut scratch = LimitedMstScratch::default();
         let big = pts(&[(0, 0), (9, 0), (9, 1), (2, 1), (2, 2), (5, 2)]);
-        scratch.build(&big, &[0, 0, 1, 1, 2, 2]);
+        build(&mut scratch, &big, &[0, 0, 1, 1, 2, 2]);
         let small = pts(&[(1, 0), (6, 1)]);
-        let (edges, spanning) = scratch.build(&small, &[0, 1]);
+        let (edges, spanning) = build(&mut scratch, &small, &[0, 1]);
         assert_eq!(edges, mst_adjacency_limited(&small, &[0, 1]).edges);
         assert!(spanning);
-        let (edges, spanning) = scratch.build(&[], &[]);
+        let (edges, spanning) = build(&mut scratch, &[], &[]);
         assert!(edges.is_empty() && spanning);
     }
 
@@ -830,7 +844,7 @@ mod tests {
     fn check_limited(scratch: &mut LimitedMstScratch, points: &[Point], what: &str) {
         let rows: Vec<i64> = points.iter().map(|p| p.y).collect();
         let (want, want_spanning) = reference_limited(points, &rows);
-        let (got, spanning) = scratch.build(points, &rows);
+        let (got, spanning) = build(scratch, points, &rows);
         assert_eq!(got, &want[..], "{what}: {points:?}");
         assert_eq!(spanning, want_spanning, "{what}");
         assert_eq!(scratch.pairs(), admissible_pairs(&rows), "{what}: pairs");

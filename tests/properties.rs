@@ -134,7 +134,7 @@ fn split_pieces_tile_the_original_demand_rows() {
         for w in pieces.windows(2) {
             let (_, a) = &w[0];
             let (_, b) = &w[1];
-            assert_eq!(a.upper.x, b.lower.x, "case {case}");
+            assert_eq!(a.upper.x(), b.lower.x(), "case {case}");
             assert_eq!(a.upper.row + 1, b.lower.row, "case {case}");
         }
     }
