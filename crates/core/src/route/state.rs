@@ -137,6 +137,8 @@ fn column(x: i64) -> i32 {
 }
 
 impl Node {
+    /// A node of `kind` at column `x` of `row`.
+    ///
     /// # Panics
     /// Panics if `x` does not fit the node's 32-bit column.
     pub fn new(x: i64, row: u32, kind: NodeKind, pref: ChannelPref) -> Self {
